@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check statcheck streamcheck chaoscheck packedcheck compresscheck incrcheck servecheck bpscheck distcheck race race-all vet fmt bench bench-json benchdiff experiments experiments-full serve-bench serve-benchdiff scale-bench scale-benchdiff fuzz clean
+.PHONY: all build test check statcheck streamcheck chaoscheck packedcheck compresscheck incrcheck servecheck bpscheck distcheck benchcheck race race-all vet fmt bench bench-json benchdiff experiments experiments-full serve-bench serve-benchdiff scale-bench scale-benchdiff fuzz clean
 
 all: build vet test
 
@@ -12,7 +12,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build vet test race statcheck streamcheck chaoscheck packedcheck compresscheck incrcheck servecheck bpscheck distcheck
+check: build vet test race statcheck streamcheck chaoscheck packedcheck compresscheck incrcheck servecheck bpscheck distcheck benchcheck
 
 # The statistical-accuracy suite (recall / false-positive-rate bounds
 # on seeded synthetic matrices; deterministic).
@@ -94,6 +94,13 @@ distcheck:
 servecheck:
 	$(GO) test -race ./internal/serve ./cmd/assocserve
 
+# The benchmark harness (BENCHMARK.json, bench/) is its own module, so
+# `go test ./...` here does not compile it: a refactor that drops an
+# internal/* entry point it calls would otherwise fail only at
+# benchmark time. Vet it and run its smoke test (tiny workloads, ~5 s).
+benchcheck:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # Race-detect the packages with concurrent code paths (fast); race-all
 # covers the whole tree.
 race:
@@ -167,6 +174,7 @@ fuzz:
 	$(GO) test ./internal/faultfs -fuzz FuzzPlanRowBinary -fuzztime 10s
 	$(GO) test ./internal/verify -fuzz FuzzPackedVsScalar -fuzztime 10s
 	$(GO) test ./internal/bps -fuzz FuzzBPSSampler -fuzztime 10s
+	$(GO) test ./internal/radix -fuzz FuzzRadixSort -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzHTTPQuery -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzParseExpr -fuzztime 10s
 

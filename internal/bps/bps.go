@@ -39,11 +39,11 @@ package bps
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
+	"assocmine/internal/radix"
 )
 
 // Options configures a sampling pass.
@@ -114,20 +114,130 @@ func SupportsFromLister(ls matrix.ColumnLister) []int64 {
 	return sup
 }
 
+// Counts is the accepted-draw tally of a scan as a sorted run: Keys
+// strictly ascending (uint32(i)<<32|uint32(j), i < j — which is (I, J)
+// order), N[x] >= 1 the accepted draws of pair Keys[x].
+type Counts struct {
+	Keys []uint64
+	N    []int64
+}
+
+// MergeCounts adds two tallies: the exact merge for counts produced
+// over disjoint row ranges. The result may alias an argument when the
+// other is empty; a and b are not modified.
+func MergeCounts(a, b Counts) Counts {
+	if len(a.Keys) == 0 {
+		return b
+	}
+	if len(b.Keys) == 0 {
+		return a
+	}
+	keys := make([]uint64, len(a.Keys)+len(b.Keys))
+	ns := make([]int64, len(keys))
+	x, y, z := 0, 0, 0
+	for ; x < len(a.Keys) && y < len(b.Keys); z++ {
+		switch ka, kb := a.Keys[x], b.Keys[y]; {
+		case ka < kb:
+			keys[z], ns[z] = ka, a.N[x]
+			x++
+		case kb < ka:
+			keys[z], ns[z] = kb, b.N[y]
+			y++
+		default:
+			keys[z], ns[z] = ka, a.N[x]+b.N[y]
+			x++
+			y++
+		}
+	}
+	// At most one side has a tail.
+	copy(keys[z:], a.Keys[x:])
+	z += copy(ns[z:], a.N[x:])
+	copy(keys[z:], b.Keys[y:])
+	z += copy(ns[z:], b.N[y:])
+	return Counts{Keys: keys[:z], N: ns[:z]}
+}
+
+// total returns the accepted draws the tally holds.
+func (c Counts) total() int64 {
+	var n int64
+	for _, v := range c.N {
+		n += v
+	}
+	return n
+}
+
+// chunkKeys is the sampler's chunk capacity: 8 MiB of keys plus as much
+// sort scratch. Merging costs more per key than sorting, so the chunk
+// is as large as stays small beside the tally it feeds: five million
+// draws take three merge levels (1<<16: six, and half again the time).
+const chunkKeys = 1 << 20
+
 // sampler accumulates one scan partition's accepted draws. The accept
 // decision is a pure function of (seed, row, pair), so any partition of
 // the rows across samplers yields the same merged counts.
+//
+// Accepted pair keys are appended to a bounded chunk. A full chunk is
+// radix-sorted and run-length-compacted into a Counts run, which joins
+// a stack of runs whose sizes at least halve towards the top: a new run
+// absorbs every run below it that is not more than twice its size, so
+// a key takes part in O(log n) merges and memory stays at the distinct
+// pairs plus one chunk.
 type sampler struct {
 	sup       []int64
 	pScale    float64
 	seedMix   uint64
-	counts    map[uint64]int64
+	chunkCap  int
+	chunk     []uint64 // grows by append up to chunkCap
+	scratch   []uint64
+	runs      []Counts
 	inspected int64
 	err       error
 }
 
-func newSampler(sup []int64, pScale float64, seedMix uint64) *sampler {
-	return &sampler{sup: sup, pScale: pScale, seedMix: seedMix, counts: make(map[uint64]int64)}
+func newSampler(sup []int64, pScale float64, seedMix uint64, chunkCap int) *sampler {
+	return &sampler{sup: sup, pScale: pScale, seedMix: seedMix, chunkCap: chunkCap}
+}
+
+// flush turns the pending chunk into a run on the stack.
+func (s *sampler) flush() {
+	if len(s.chunk) == 0 {
+		return
+	}
+	if len(s.scratch) < len(s.chunk) {
+		s.scratch = make([]uint64, cap(s.chunk))
+	}
+	radix.SortKeys(s.chunk, s.scratch)
+	distinct := 1
+	for x := 1; x < len(s.chunk); x++ {
+		if s.chunk[x] != s.chunk[x-1] {
+			distinct++
+		}
+	}
+	run := Counts{Keys: make([]uint64, 0, distinct), N: make([]int64, 0, distinct)}
+	for _, k := range s.chunk {
+		if n := len(run.Keys); n > 0 && run.Keys[n-1] == k {
+			run.N[n-1]++
+		} else {
+			run.Keys, run.N = append(run.Keys, k), append(run.N, 1)
+		}
+	}
+	s.chunk = s.chunk[:0]
+	for n := len(s.runs); n > 0 && len(s.runs[n-1].Keys) <= 2*len(run.Keys); n-- {
+		run = MergeCounts(s.runs[n-1], run)
+		s.runs = s.runs[:n-1]
+	}
+	s.runs = append(s.runs, run)
+}
+
+// counts flushes the sampler and returns its tally.
+func (s *sampler) counts() Counts {
+	s.flush()
+	var out Counts
+	for n := len(s.runs) - 1; n >= 0; n-- {
+		out = MergeCounts(s.runs[n], out)
+	}
+	s.runs = nil
+	return out
 }
 
 // row folds one row's pair draws into the sampler.
@@ -164,7 +274,9 @@ func (s *sampler) row(row int, cols []int32) error {
 					continue
 				}
 			}
-			s.counts[key]++
+			if s.chunk = append(s.chunk, key); len(s.chunk) >= s.chunkCap {
+				s.flush()
+			}
 		}
 	}
 	return nil
@@ -188,13 +300,13 @@ func Sample(src matrix.RowSource, sup []int64, opt Options) ([]pairs.Scored, Sta
 	}
 	pScale, seedMix := sampleParams(sup, opt)
 
-	var counts map[uint64]int64
+	var counts Counts
 	if workers <= 1 {
-		s := newSampler(sup, pScale, seedMix)
+		s := newSampler(sup, pScale, seedMix, chunkKeys)
 		if err := src.Scan(s.row); err != nil {
 			return nil, st, err
 		}
-		counts = s.counts
+		counts = s.counts()
 		st.Inspected = s.inspected
 	} else {
 		// One sequential pass dealt round-robin to private samplers;
@@ -203,7 +315,7 @@ func Sample(src matrix.RowSource, sup []int64, opt Options) ([]pairs.Scored, Sta
 		samplers := make([]*sampler, workers)
 		consumers := make([]func(<-chan *matrix.Shard), workers)
 		for w := range samplers {
-			s := newSampler(sup, pScale, seedMix)
+			s := newSampler(sup, pScale, seedMix, chunkKeys)
 			samplers[w] = s
 			consumers[w] = func(ch <-chan *matrix.Shard) {
 				for sh := range ch {
@@ -230,19 +342,13 @@ func Sample(src matrix.RowSource, sup []int64, opt Options) ([]pairs.Scored, Sta
 				return nil, st, s.err
 			}
 		}
-		counts = samplers[0].counts
-		st.Inspected = samplers[0].inspected
-		for _, s := range samplers[1:] {
+		for _, s := range samplers {
 			st.Inspected += s.inspected
-			for k, v := range s.counts {
-				counts[k] += v
-			}
+			counts = MergeCounts(counts, s.counts())
 		}
 	}
-	for _, n := range counts {
-		st.Accepts += n
-	}
-	st.Dups = st.Accepts - int64(len(counts))
+	st.Accepts = counts.total()
+	st.Dups = st.Accepts - int64(len(counts.Keys))
 	return finalize(counts, sup, opt, pScale), st, nil
 }
 
@@ -278,10 +384,11 @@ func sampleParams(sup []int64, opt Options) (pScale float64, seedMix uint64) {
 
 // finalize applies the (1-Delta) count filter and the unbiased
 // similarity estimate to the merged counts, returning candidates
-// sorted by (I, J) — the exact tail of Sample.
-func finalize(counts map[uint64]int64, sup []int64, opt Options, pScale float64) []pairs.Scored {
-	out := make([]pairs.Scored, 0, len(counts))
-	for key, n := range counts {
+// in the tally's (I, J) order — the exact tail of Sample.
+func finalize(counts Counts, sup []int64, opt Options, pScale float64) []pairs.Scored {
+	var out []pairs.Scored
+	for x, key := range counts.Keys {
+		n := counts.N[x]
 		i := int32(key >> 32)
 		j := int32(key)
 		si, sj := float64(sup[i]), float64(sup[j])
@@ -309,42 +416,28 @@ func finalize(counts map[uint64]int64, sup []int64, opt Options, pScale float64)
 		}
 		out = append(out, pairs.Scored{Pair: pairs.Pair{I: i, J: j}, Estimate: sim})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
-	})
 	return out
 }
 
 // SampleCounts runs the sampling scan serially over src — typically a
 // row-range view of the full dataset — and returns the raw per-pair
-// accepted counts (keyed uint32(i)<<32|uint32(j), i < j) plus the
-// inspected-draw count. sup must be the supports of the FULL dataset:
-// the acceptance scale depends on the global S_max and per-column
-// supports, so a partial supports slice would change accept decisions.
-// Accept decisions are pure (seed, row, pair) hashes, so counts from
-// any row partition merged with MergeCounts equal a full-scan's counts
-// exactly — the identity the scale-out executor's workers rely on.
-func SampleCounts(src matrix.RowSource, sup []int64, opt Options) (map[uint64]int64, int64, error) {
+// accepted counts plus the inspected-draw count. sup must be the
+// supports of the FULL dataset: the acceptance scale depends on the
+// global S_max and per-column supports, so a partial supports slice
+// would change accept decisions. Accept decisions are pure (seed, row,
+// pair) hashes, so counts from any row partition merged with
+// MergeCounts equal a full-scan's counts exactly — the identity the
+// scale-out executor's workers rely on.
+func SampleCounts(src matrix.RowSource, sup []int64, opt Options) (Counts, int64, error) {
 	if err := validateOptions(opt); err != nil {
-		return nil, 0, err
+		return Counts{}, 0, err
 	}
 	pScale, seedMix := sampleParams(sup, opt)
-	s := newSampler(sup, pScale, seedMix)
+	s := newSampler(sup, pScale, seedMix, chunkKeys)
 	if err := src.Scan(s.row); err != nil {
-		return nil, 0, err
+		return Counts{}, 0, err
 	}
-	return s.counts, s.inspected, nil
-}
-
-// MergeCounts folds src into dst by addition, the exact merge for
-// counts produced over disjoint row ranges.
-func MergeCounts(dst, src map[uint64]int64) {
-	for k, v := range src {
-		dst[k] += v
-	}
+	return s.counts(), s.inspected, nil
 }
 
 // FinalizeCounts applies Sample's candidate filter and estimator to
@@ -352,15 +445,13 @@ func MergeCounts(dst, src map[uint64]int64) {
 // Accepts/Dups statistics (Inspected is not derivable from counts; the
 // caller sums it across partitions). Equals the tail of Sample when
 // counts are the merge of a full row partition.
-func FinalizeCounts(counts map[uint64]int64, sup []int64, opt Options) ([]pairs.Scored, Stats, error) {
+func FinalizeCounts(counts Counts, sup []int64, opt Options) ([]pairs.Scored, Stats, error) {
 	var st Stats
 	if err := validateOptions(opt); err != nil {
 		return nil, st, err
 	}
 	pScale, _ := sampleParams(sup, opt)
-	for _, n := range counts {
-		st.Accepts += n
-	}
-	st.Dups = st.Accepts - int64(len(counts))
+	st.Accepts = counts.total()
+	st.Dups = st.Accepts - int64(len(counts.Keys))
 	return finalize(counts, sup, opt, pScale), st, nil
 }

@@ -17,11 +17,9 @@ package candidate
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
-	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
 
@@ -39,134 +37,16 @@ type Stats struct {
 // in at least ceil(cutoff*k) rows. cutoff is the required agreement
 // fraction, typically (1-δ)s*.
 func RowSortMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	return rowSortMH(context.Background(), sig, cutoff, nil)
-}
-
-// rowSortMH is RowSortMH with an optional progress hook and
-// cancellation: tick receives (columns processed, total columns) every
-// colChunk columns, and ctx is checked at the same granularity — a
-// cancelled context aborts the scan with ctx.Err(). The hook does not
-// change the output.
-func rowSortMH(ctx context.Context, sig *minhash.Signatures, cutoff float64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if cutoff <= 0 || cutoff > 1 {
-		return nil, Stats{}, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
-	}
-	k, m := sig.K, sig.M
-	minAgree := ceilFrac(cutoff, k)
-
-	// Per signature row: columns sorted by min-hash value, each
-	// column's position in that order, and the [lo,hi) run bounds of
-	// each position.
-	sorted := make([][]int32, k)
-	pos := make([][]int32, k)
-	runLo := make([][]int32, k)
-	runHi := make([][]int32, k)
-	for l := 0; l < k; l++ {
-		sorted[l], pos[l], runLo[l], runHi[l] = sortRow(sig, l)
-	}
-
-	var st Stats
-	counts := make([]int32, m)
-	touched := make([]int32, 0, 256)
-	var out []pairs.Scored
-	for i := 0; i < m; i++ {
-		for l := 0; l < k; l++ {
-			p := pos[l][i]
-			if sig.Vals[l*m+i] == minhash.Empty {
-				continue // runs of the empty sentinel are not matches
-			}
-			for q := runLo[l][p]; q < runHi[l][p]; q++ {
-				j := sorted[l][q]
-				if int(j) == i {
-					continue
-				}
-				if counts[j] == 0 {
-					touched = append(touched, j)
-				}
-				counts[j]++
-				st.Increments++
-			}
-		}
-		for _, j := range touched {
-			if int(counts[j]) >= minAgree && int(j) > i {
-				out = append(out, pairs.Scored{
-					Pair:     pairs.Make(int32(i), j),
-					Estimate: float64(counts[j]) / float64(k),
-				})
-			}
-			counts[j] = 0
-		}
-		touched = touched[:0]
-		if (i+1)%colChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, Stats{}, err
-			}
-			if tick != nil {
-				tick(int64(i+1), int64(m))
-			}
-		}
-	}
-	st.Candidates = len(out)
-	if tick != nil {
-		tick(int64(m), int64(m))
-	}
-	return out, st, nil
+	return scanMH(context.Background(), sig, cutoff, false, 1, nil)
 }
 
 // HashCountMH generates the same candidate set as RowSortMH using the
-// Hash-Count algorithm: one hash table of buckets per signature row,
-// keyed by min-hash value; columns are processed in index order, each
-// column counting agreements against the earlier columns already in its
-// buckets before joining them.
+// Hash-Count attribution: columns are processed in index order, each
+// counting agreements against the earlier columns of its buckets only.
+// The buckets are the Row-Sorting runs (a run lists its columns
+// ascending, so "the columns already in the bucket" is a prefix).
 func HashCountMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	if cutoff <= 0 || cutoff > 1 {
-		return nil, Stats{}, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
-	}
-	k, m := sig.K, sig.M
-	minAgree := ceilFrac(cutoff, k)
-	buckets := make([]map[uint64][]int32, k)
-	for l := range buckets {
-		buckets[l] = make(map[uint64][]int32, m)
-	}
-	var st Stats
-	counts := make([]int32, m)
-	touched := make([]int32, 0, 256)
-	// One reused scratch for the per-column signature reads (a nil dst
-	// would make Signatures.Column allocate per column), so the bucket
-	// probes below run over a contiguous slice instead of striding the
-	// hash-major value array.
-	colVals := make([]uint64, k)
-	var out []pairs.Scored
-	for i := 0; i < m; i++ {
-		sig.Column(i, colVals)
-		for l := 0; l < k; l++ {
-			v := colVals[l]
-			if v == minhash.Empty {
-				continue
-			}
-			b := buckets[l][v]
-			for _, j := range b {
-				if counts[j] == 0 {
-					touched = append(touched, j)
-				}
-				counts[j]++
-				st.Increments++
-			}
-			buckets[l][v] = append(b, int32(i))
-		}
-		for _, j := range touched {
-			if int(counts[j]) >= minAgree {
-				out = append(out, pairs.Scored{
-					Pair:     pairs.Make(j, int32(i)),
-					Estimate: float64(counts[j]) / float64(k),
-				})
-			}
-			counts[j] = 0
-		}
-		touched = touched[:0]
-	}
-	st.Candidates = len(out)
-	return out, st, nil
+	return scanMH(context.Background(), sig, cutoff, true, 1, nil)
 }
 
 // KMHOptions parameterises the K-MH candidate cascade of Section 3.2.
@@ -189,65 +69,7 @@ type KMHOptions struct {
 // unbiased Theorem 2 estimator to survivors. The returned Estimate is
 // the unbiased one.
 func HashCountKMH(s *kminhash.Sketches, opt KMHOptions) ([]pairs.Scored, Stats, error) {
-	return hashCountKMH(context.Background(), s, opt, nil)
-}
-
-// hashCountKMH is HashCountKMH with an optional progress hook invoked
-// every colChunk columns with (columns processed, total columns); ctx
-// is checked at the same granularity and aborts the scan with
-// ctx.Err() once cancelled.
-func hashCountKMH(ctx context.Context, s *kminhash.Sketches, opt KMHOptions, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if opt.BiasedCutoff <= 0 || opt.BiasedCutoff > 1 {
-		return nil, Stats{}, fmt.Errorf("candidate: biased cutoff must be in (0,1], got %v", opt.BiasedCutoff)
-	}
-	if opt.UnbiasedCutoff < 0 || opt.UnbiasedCutoff > 1 {
-		return nil, Stats{}, fmt.Errorf("candidate: unbiased cutoff must be in [0,1], got %v", opt.UnbiasedCutoff)
-	}
-	m := len(s.Sigs)
-	buckets := make(map[uint64][]int32, m*min(s.K, 8))
-	var st Stats
-	counts := make([]int32, m)
-	touched := make([]int32, 0, 256)
-	var out []pairs.Scored
-	for i := 0; i < m; i++ {
-		for _, v := range s.Sigs[i] {
-			b := buckets[v]
-			for _, j := range b {
-				if counts[j] == 0 {
-					touched = append(touched, j)
-				}
-				counts[j]++
-				st.Increments++
-			}
-			buckets[v] = append(b, int32(i))
-		}
-		for _, j := range touched {
-			if est := s.BiasedEstimateFromCount(int(j), i, int(counts[j])); est >= opt.BiasedCutoff {
-				unbiased := s.UnbiasedEstimate(int(j), i)
-				if unbiased >= opt.UnbiasedCutoff {
-					out = append(out, pairs.Scored{
-						Pair:     pairs.Make(j, int32(i)),
-						Estimate: unbiased,
-					})
-				}
-			}
-			counts[j] = 0
-		}
-		touched = touched[:0]
-		if (i+1)%colChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, Stats{}, err
-			}
-			if tick != nil {
-				tick(int64(i+1), int64(m))
-			}
-		}
-	}
-	st.Candidates = len(out)
-	if tick != nil {
-		tick(int64(m), int64(m))
-	}
-	return out, st, nil
+	return HashCountKMHParallelProgress(context.Background(), s, opt, 1, nil)
 }
 
 // BruteForceMH enumerates all column pairs against the MH agreement
@@ -298,37 +120,6 @@ func BruteForceKMH(s *kminhash.Sketches, cutoff float64) ([]pairs.Scored, Stats,
 	}
 	st.Candidates = len(out)
 	return out, st, nil
-}
-
-// sortRow builds the Row-Sorting per-row structures for signature row
-// l: the column order sorted by min-hash value, each column's position
-// in that order, and the [lo,hi) bounds of each position's equal-value
-// run. Shared by the serial and parallel passes so both see the same
-// within-run ordering.
-func sortRow(sig *minhash.Signatures, l int) (sorted, pos, runLo, runHi []int32) {
-	m := sig.M
-	order := make([]int32, m)
-	for c := range order {
-		order[c] = int32(c)
-	}
-	row := sig.Vals[l*m : (l+1)*m]
-	sort.Slice(order, func(a, b int) bool { return row[order[a]] < row[order[b]] })
-	p := make([]int32, m)
-	for idx, c := range order {
-		p[c] = int32(idx)
-	}
-	lo := make([]int32, m)
-	hi := make([]int32, m)
-	start := 0
-	for idx := 1; idx <= m; idx++ {
-		if idx == m || row[order[idx]] != row[order[start]] {
-			for q := start; q < idx; q++ {
-				lo[q], hi[q] = int32(start), int32(idx)
-			}
-			start = idx
-		}
-	}
-	return order, p, lo, hi
 }
 
 // ceilFrac returns max(1, ceil(cutoff*k)).

@@ -1,9 +1,7 @@
-// Parallel candidate generation. Both Section 3.1 algorithms decompose
-// the same way: a read-only index is built first (per-row sorted runs
-// for Row-Sorting, value buckets for Hash-Count), then every column's
-// agreement counting depends only on that index, so columns shard
-// across workers with one private counter array each. Because a
-// column's work grows with its index (Hash-Count counts against the
+// Scheduling the rangers. A column's counting depends only on the
+// read-only index, so columns shard across workers, each with a forked
+// ranger (private counter array and output buffer). Because a column's
+// work grows with its index under Hash-Count (it counts against the
 // earlier columns only), columns are handed out in small chunks through
 // an atomic cursor rather than as contiguous ranges; chunk outputs are
 // concatenated in chunk order, which restores exactly the serial
@@ -22,76 +20,149 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// colChunk is the unit of work handed to a worker: big enough to keep
-// cursor contention negligible, small enough to balance the skewed
-// per-column cost.
+// colChunk is the unit of work handed to a worker, and the granularity
+// of progress ticks and cancellation: big enough to keep cursor
+// contention negligible, small enough to balance the skewed per-column
+// cost.
 const colChunk = 32
 
-// forEachChunk runs fn over [0,m) in chunks of colChunk across workers,
-// storing per-chunk outputs so the caller can merge deterministically.
-// fn receives the chunk index, its column range, and the worker id.
-// Workers stop claiming chunks once ctx is cancelled; the caller is
-// responsible for checking ctx.Err() afterwards.
-func forEachChunk(ctx context.Context, m, workers int, fn func(chunk, lo, hi, worker int)) int {
-	numChunks := (m + colChunk - 1) / colChunk
+// forEachUnit runs units [0, n) across workers goroutines (inline for
+// workers <= 1) through an atomic cursor. start runs once per worker
+// and returns its unit function, so scratch allocated in start is
+// private to the worker. Workers stop claiming units once ctx is
+// cancelled; the caller checks ctx.Err() afterwards.
+func forEachUnit(ctx context.Context, n, workers int, start func() func(unit int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn := start()
+		for u := 0; u < n && ctx.Err() == nil; u++ {
+			fn(u)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
+			fn := start()
 			for ctx.Err() == nil {
-				ck := int(next.Add(1)) - 1
-				if ck >= numChunks {
+				u := int(next.Add(1)) - 1
+				if u >= n {
 					return
 				}
-				lo := ck * colChunk
-				hi := lo + colChunk
-				if hi > m {
-					hi = m
-				}
-				fn(ck, lo, hi, worker)
+				fn(u)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	return numChunks
 }
 
-// chunkCapHint accumulates the pair yield of completed chunks so later
-// chunks can pre-size their output slices from the observed average
-// instead of growing from nil. Purely an allocation hint: emission
-// order and contents are untouched.
-type chunkCapHint struct {
-	emitted atomic.Int64
-	chunks  atomic.Int64
+// columnRanger is what the drivers schedule: MHRanger and KMHRanger.
+type columnRanger interface {
+	// columns appends the candidates of columns [lo, hi) to out.
+	columns(out []pairs.Scored, lo, hi int) []pairs.Scored
+	// fork returns a ranger over the same index with private scratch.
+	fork() columnRanger
+	// total returns the increments counted so far.
+	total() int64
 }
 
-// hint returns a starting capacity for the next chunk's output.
-func (h *chunkCapHint) hint() int {
-	n := h.chunks.Load()
-	if n == 0 {
-		return 8
+func (c *counter) total() int64 { return c.increments }
+
+// scan drives r over columns [0, m) in colChunk steps. Serially, tick
+// receives (columns processed, m) and ctx is checked after every full
+// chunk; with workers > 1 (and more than one chunk) the chunks go to
+// forked rangers, tick is called from the worker goroutines, and a
+// cancelled ctx stops the claiming of chunks. Output and Stats do not
+// depend on workers.
+func scan(ctx context.Context, r columnRanger, m, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+	if workers <= 1 || m <= colChunk {
+		var out []pairs.Scored
+		for lo := 0; lo < m; lo += colChunk {
+			hi := min(lo+colChunk, m)
+			out = r.columns(out, lo, hi)
+			if hi-lo == colChunk {
+				if err := ctx.Err(); err != nil {
+					return nil, Stats{}, err
+				}
+				if tick != nil {
+					tick(int64(hi), int64(m))
+				}
+			}
+		}
+		if tick != nil {
+			tick(int64(m), int64(m))
+		}
+		return out, Stats{Increments: r.total(), Candidates: len(out)}, nil
 	}
-	return int(h.emitted.Load()/n) + 8
+
+	// Each worker appends its chunks' pairs to one private buffer;
+	// where[ck] records which buffer and which part of it chunk ck owns.
+	type span struct{ worker, lo, hi int }
+	numChunks := (m + colChunk - 1) / colChunk
+	workers = min(workers, numChunks)
+	where := make([]span, numChunks)
+	bufs := make([][]pairs.Scored, workers)
+	rangers := make([]columnRanger, workers)
+	rangers[0] = r
+	for w := 1; w < workers; w++ {
+		rangers[w] = r.fork()
+	}
+	var nextWorker, done atomic.Int64
+	forEachUnit(ctx, numChunks, workers, func() func(int) {
+		w := int(nextWorker.Add(1)) - 1
+		return func(ck int) {
+			lo := ck * colChunk
+			hi := min(lo+colChunk, m)
+			from := len(bufs[w])
+			bufs[w] = rangers[w].columns(bufs[w], lo, hi)
+			where[ck] = span{w, from, len(bufs[w])}
+			if tick != nil {
+				tick(done.Add(int64(hi-lo)), int64(m))
+			}
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{}, err
+	}
+	var st Stats
+	for _, f := range rangers {
+		st.Increments += f.total()
+	}
+	for _, b := range bufs {
+		st.Candidates += len(b)
+	}
+	out := make([]pairs.Scored, 0, st.Candidates)
+	for _, s := range where {
+		out = append(out, bufs[s.worker][s.lo:s.hi]...)
+	}
+	return out, st, nil
 }
 
-// record folds one finished chunk's yield into the running average.
-func (h *chunkCapHint) record(emitted int) {
-	h.emitted.Add(int64(emitted))
-	h.chunks.Add(1)
+// normWorkers maps the drivers' worker convention (negative means
+// GOMAXPROCS) to a count, and a nil ctx to Background.
+func normWorkers(ctx context.Context, workers int) (context.Context, int) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return ctx, workers
 }
 
-func concatChunks(outs [][]pairs.Scored) []pairs.Scored {
-	n := 0
-	for _, o := range outs {
-		n += len(o)
+// scanMH builds the MH index (rows sorted across workers) and scans it.
+func scanMH(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+	ctx, workers = normWorkers(ctx, workers)
+	r, err := newMHRanger(ctx, sig, cutoff, earlier, workers)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	out := make([]pairs.Scored, 0, n)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out
+	return scan(ctx, r, sig.M, workers, tick)
 }
 
 // RowSortMHParallel is RowSortMH with both stages parallelised: the
@@ -99,7 +170,7 @@ func concatChunks(outs [][]pairs.Scored) []pairs.Scored {
 // Output and Stats are identical to RowSortMH for any worker count;
 // workers <= 1 runs the serial pass, negative means GOMAXPROCS.
 func RowSortMHParallel(sig *minhash.Signatures, cutoff float64, workers int) ([]pairs.Scored, Stats, error) {
-	return RowSortMHParallelProgress(context.Background(), sig, cutoff, workers, nil)
+	return scanMH(context.Background(), sig, cutoff, false, workers, nil)
 }
 
 // RowSortMHParallelProgress is RowSortMHParallel with a progress hook
@@ -109,215 +180,18 @@ func RowSortMHParallel(sig *minhash.Signatures, cutoff float64, workers int) ([]
 // means Background) aborts at chunk granularity with ctx.Err().
 // Output and Stats are unaffected.
 func RowSortMHParallelProgress(ctx context.Context, sig *minhash.Signatures, cutoff float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return rowSortMH(ctx, sig, cutoff, tick)
-	}
-	if cutoff <= 0 || cutoff > 1 {
-		_, _, err := RowSortMH(sig, cutoff)
-		return nil, Stats{}, err
-	}
-	k, m := sig.K, sig.M
-	minAgree := ceilFrac(cutoff, k)
-
-	// Stage 1: per-row runs, one row per unit of work.
-	sorted := make([][]int32, k)
-	pos := make([][]int32, k)
-	runLo := make([][]int32, k)
-	runHi := make([][]int32, k)
-	var nextRow atomic.Int64
-	var wg sync.WaitGroup
-	rowWorkers := workers
-	if rowWorkers > k {
-		rowWorkers = k
-	}
-	for w := 0; w < rowWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				l := int(nextRow.Add(1)) - 1
-				if l >= k {
-					return
-				}
-				sorted[l], pos[l], runLo[l], runHi[l] = sortRow(sig, l)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-
-	// Stage 2: per-column counting over chunked columns.
-	numChunks := (m + colChunk - 1) / colChunk
-	outs := make([][]pairs.Scored, numChunks)
-	incs := make([]int64, workers)
-	var done atomic.Int64
-	var hint chunkCapHint
-	forEachChunk(ctx, m, workers, func(ck, lo, hi, worker int) {
-		counts := make([]int32, m)
-		touched := make([]int32, 0, 256)
-		out := make([]pairs.Scored, 0, hint.hint())
-		for i := lo; i < hi; i++ {
-			for l := 0; l < k; l++ {
-				p := pos[l][i]
-				if sig.Vals[l*m+i] == minhash.Empty {
-					continue
-				}
-				for q := runLo[l][p]; q < runHi[l][p]; q++ {
-					j := sorted[l][q]
-					if int(j) == i {
-						continue
-					}
-					if counts[j] == 0 {
-						touched = append(touched, j)
-					}
-					counts[j]++
-					incs[worker]++
-				}
-			}
-			for _, j := range touched {
-				if int(counts[j]) >= minAgree && int(j) > i {
-					out = append(out, pairs.Scored{
-						Pair:     pairs.Make(int32(i), j),
-						Estimate: float64(counts[j]) / float64(k),
-					})
-				}
-				counts[j] = 0
-			}
-			touched = touched[:0]
-		}
-		outs[ck] = out
-		hint.record(len(out))
-		if tick != nil {
-			tick(done.Add(int64(hi-lo)), int64(m))
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-
-	var st Stats
-	for _, n := range incs {
-		st.Increments += n
-	}
-	out := concatChunks(outs)
-	st.Candidates = len(out)
-	return out, st, nil
+	return scanMH(ctx, sig, cutoff, false, workers, tick)
 }
 
-// HashCountMHParallel is HashCountMH with the per-row bucket tables
-// built in parallel and the column counting sharded. Each column counts
-// only against lower-indexed columns (the ascending prefix of its
-// buckets), reproducing the serial incremental-insert semantics.
+// HashCountMHParallel is HashCountMH with the index built and the
+// column counting sharded across workers.
 func HashCountMHParallel(sig *minhash.Signatures, cutoff float64, workers int) ([]pairs.Scored, Stats, error) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return HashCountMH(sig, cutoff)
-	}
-	if cutoff <= 0 || cutoff > 1 {
-		_, _, err := HashCountMH(sig, cutoff)
-		return nil, Stats{}, err
-	}
-	k, m := sig.K, sig.M
-	minAgree := ceilFrac(cutoff, k)
-
-	// Stage 1: full bucket tables, one signature row per unit of work.
-	// Columns enter each bucket in ascending order.
-	buckets := make([]map[uint64][]int32, k)
-	var nextRow atomic.Int64
-	var wg sync.WaitGroup
-	rowWorkers := workers
-	if rowWorkers > k {
-		rowWorkers = k
-	}
-	for w := 0; w < rowWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				l := int(nextRow.Add(1)) - 1
-				if l >= k {
-					return
-				}
-				row := make(map[uint64][]int32, m)
-				for c := 0; c < m; c++ {
-					if v := sig.Vals[l*m+c]; v != minhash.Empty {
-						row[v] = append(row[v], int32(c))
-					}
-				}
-				buckets[l] = row
-			}
-		}()
-	}
-	wg.Wait()
-
-	numChunks := (m + colChunk - 1) / colChunk
-	outs := make([][]pairs.Scored, numChunks)
-	incs := make([]int64, workers)
-	var hint chunkCapHint
-	forEachChunk(context.Background(), m, workers, func(ck, lo, hi, worker int) {
-		counts := make([]int32, m)
-		touched := make([]int32, 0, 256)
-		colVals := make([]uint64, k) // reused per-column read, as in HashCountMH
-		out := make([]pairs.Scored, 0, hint.hint())
-		for i := lo; i < hi; i++ {
-			ii := int32(i)
-			sig.Column(i, colVals)
-			for l := 0; l < k; l++ {
-				v := colVals[l]
-				if v == minhash.Empty {
-					continue
-				}
-				for _, j := range buckets[l][v] {
-					if j >= ii {
-						break // ascending bucket: rest is i itself and later columns
-					}
-					if counts[j] == 0 {
-						touched = append(touched, j)
-					}
-					counts[j]++
-					incs[worker]++
-				}
-			}
-			for _, j := range touched {
-				if int(counts[j]) >= minAgree {
-					out = append(out, pairs.Scored{
-						Pair:     pairs.Make(j, ii),
-						Estimate: float64(counts[j]) / float64(k),
-					})
-				}
-				counts[j] = 0
-			}
-			touched = touched[:0]
-		}
-		outs[ck] = out
-		hint.record(len(out))
-	})
-
-	var st Stats
-	for _, n := range incs {
-		st.Increments += n
-	}
-	out := concatChunks(outs)
-	st.Candidates = len(out)
-	return out, st, nil
+	return scanMH(context.Background(), sig, cutoff, true, workers, nil)
 }
 
 // HashCountKMHParallel is HashCountKMH with the column counting sharded
-// across workers. The single bucket table (one bucket per observed
-// min-hash value, columns ascending) is built serially — it is the
-// cheap O(m·k) part — and shared read-only; each worker counts its
-// columns against the ascending prefix of every bucket and applies the
-// biased-then-unbiased estimator cascade exactly as the serial pass.
+// across workers. The index (one radix sort over all sketch values) is
+// built serially — it is the cheap O(m·k) part — and shared read-only.
 func HashCountKMHParallel(s *kminhash.Sketches, opt KMHOptions, workers int) ([]pairs.Scored, Stats, error) {
 	return HashCountKMHParallelProgress(context.Background(), s, opt, workers, nil)
 }
@@ -326,79 +200,10 @@ func HashCountKMHParallel(s *kminhash.Sketches, opt KMHOptions, workers int) ([]
 // hook and cancellation following the RowSortMHParallelProgress
 // conventions.
 func HashCountKMHParallelProgress(ctx context.Context, s *kminhash.Sketches, opt KMHOptions, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return hashCountKMH(ctx, s, opt, tick)
-	}
-	if opt.BiasedCutoff <= 0 || opt.BiasedCutoff > 1 || opt.UnbiasedCutoff < 0 || opt.UnbiasedCutoff > 1 {
-		_, _, err := HashCountKMH(s, opt)
+	ctx, workers = normWorkers(ctx, workers)
+	r, err := NewKMHRanger(s, opt)
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	m := len(s.Sigs)
-	buckets := make(map[uint64][]int32, m*min(s.K, 8))
-	for i := 0; i < m; i++ {
-		for _, v := range s.Sigs[i] {
-			buckets[v] = append(buckets[v], int32(i))
-		}
-	}
-
-	numChunks := (m + colChunk - 1) / colChunk
-	outs := make([][]pairs.Scored, numChunks)
-	incs := make([]int64, workers)
-	var done atomic.Int64
-	var hint chunkCapHint
-	forEachChunk(ctx, m, workers, func(ck, lo, hi, worker int) {
-		counts := make([]int32, m)
-		touched := make([]int32, 0, 256)
-		out := make([]pairs.Scored, 0, hint.hint())
-		for i := lo; i < hi; i++ {
-			ii := int32(i)
-			for _, v := range s.Sigs[i] {
-				for _, j := range buckets[v] {
-					if j >= ii {
-						break
-					}
-					if counts[j] == 0 {
-						touched = append(touched, j)
-					}
-					counts[j]++
-					incs[worker]++
-				}
-			}
-			for _, j := range touched {
-				if est := s.BiasedEstimateFromCount(int(j), i, int(counts[j])); est >= opt.BiasedCutoff {
-					unbiased := s.UnbiasedEstimate(int(j), i)
-					if unbiased >= opt.UnbiasedCutoff {
-						out = append(out, pairs.Scored{
-							Pair:     pairs.Make(j, ii),
-							Estimate: unbiased,
-						})
-					}
-				}
-				counts[j] = 0
-			}
-			touched = touched[:0]
-		}
-		outs[ck] = out
-		hint.record(len(out))
-		if tick != nil {
-			tick(done.Add(int64(hi-lo)), int64(m))
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-
-	var st Stats
-	for _, n := range incs {
-		st.Increments += n
-	}
-	out := concatChunks(outs)
-	st.Candidates = len(out)
-	return out, st, nil
+	return scan(ctx, r, len(s.Sigs), workers, tick)
 }

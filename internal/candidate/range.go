@@ -1,123 +1,229 @@
-// Range-restricted candidate generation for the scale-out executor:
-// the per-column emission loops of RowSortMH and HashCountKMH served
-// over arbitrary column ranges [lo, hi). Both algorithms attribute each
-// candidate pair to exactly one column (the larger index for Row-Sort's
-// j > i emission, the later column for Hash-Count's count-against-
-// earlier scheme), so disjoint column ranges partition the candidate
-// set and concatenating range outputs in range order reproduces the
-// serial output exactly — pair for pair, estimate bit for estimate bit.
+// The phase-2 kernels. Row-Sorting and Hash-Count both group columns by
+// an equal min-hash value and then, column by column, count how often
+// each other column shares a group. The grouping is built once as a
+// read-only runIndex (one radix sort per signature row, or one over all
+// sketch values); the counting is the rangers' Columns loop, the only
+// count loop in the package. Both algorithms attribute each candidate
+// pair to exactly one column (the smaller index for Row-Sort's j > i
+// emission, the later column for Hash-Count's count-against-earlier
+// scheme), so disjoint column ranges partition the candidate set and
+// concatenating range outputs in range order reproduces the full scan
+// exactly — pair for pair, estimate bit for estimate bit. The serial
+// and goroutine-parallel drivers (parallel.go) and the scale-out
+// executor's workers are schedulers over Columns.
 package candidate
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/radix"
 )
 
-// MHRanger precomputes the Row-Sorting structures (value-sorted rows,
-// positions, run bounds) once so any column range of RowSortMH's
-// emission loop can be generated independently. Columns(a, b) followed
-// by Columns(b, c) emits exactly what one Columns(a, c) — and therefore
-// what RowSortMH over [0, m) — would. Not safe for concurrent use: the
-// counter array is shared across calls (the paper's counter-reuse
-// trick); distributed workers run one Ranger per process.
-type MHRanger struct {
-	sig      *minhash.Signatures
-	minAgree int
-	sorted   [][]int32
-	pos      [][]int32
-	runLo    [][]int32
-	runHi    [][]int32
-	counts   []int32
-	touched  []int32
+// runIndex is the grouping both algorithms count over. sorted lists
+// columns run by run, a run being the columns that share one value
+// (within one signature row for MH), ascending inside a run because the
+// radix sort is stable. runs is column-major: a column's cells (its k
+// signature rows, or its sketch slots) are adjacent, each holding its
+// run's bounds in sorted as lo | hi<<32 — or zero when no other column
+// shares the value, so the count loop reads one contiguous stretch per
+// column and skips most cells without touching anything else.
+type runIndex struct {
+	sorted []int32
+	runs   []uint64
 }
 
-// NewMHRanger validates cutoff and builds the shared Row-Sorting
-// tables, the one-time O(k·m log m) cost RowSortMH pays up front.
-func NewMHRanger(sig *minhash.Signatures, cutoff float64) (*MHRanger, error) {
-	if cutoff <= 0 || cutoff > 1 {
-		return nil, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
+// checkCells rejects inputs whose cell count does not fit the 32-bit
+// run bounds.
+func checkCells(n int) error {
+	if n > math.MaxUint32 {
+		return fmt.Errorf("candidate: %d signature cells exceed the index limit of %d", n, uint32(math.MaxUint32))
 	}
-	k := sig.K
-	r := &MHRanger{
-		sig:      sig,
-		minAgree: ceilFrac(cutoff, k),
-		sorted:   make([][]int32, k),
-		pos:      make([][]int32, k),
-		runLo:    make([][]int32, k),
-		runHi:    make([][]int32, k),
-		counts:   make([]int32, sig.M),
-		touched:  make([]int32, 0, 256),
-	}
-	for l := 0; l < k; l++ {
-		r.sorted[l], r.pos[l], r.runLo[l], r.runHi[l] = sortRow(sig, l)
-	}
-	return r, nil
+	return nil
 }
 
-// Columns emits the candidates RowSortMH attributes to columns
-// [lo, hi): pairs (i, j) with lo <= i < hi and j > i agreeing in at
-// least ceil(cutoff·k) rows, in RowSortMH's exact emission order.
-func (r *MHRanger) Columns(lo, hi int) ([]pairs.Scored, Stats, error) {
-	m := r.sig.M
+// fillRuns walks keys (sorted, cols carried along) run by run, cols
+// being sorted[base : base+len(keys)]. cell names the runs slot of each
+// record in turn; the slot gets the run's bounds when the run has
+// company.
+func (ix *runIndex) fillRuns(keys []uint64, cols []int32, base int, cell func(col int32) int) {
+	start := 0
+	for q := 1; q <= len(keys); q++ {
+		if q < len(keys) && keys[q] == keys[start] {
+			continue
+		}
+		var w uint64
+		if q-start >= 2 {
+			w = uint64(base+start) | uint64(base+q)<<32
+		}
+		for _, c := range cols[start:q] {
+			if slot := cell(c); w != 0 {
+				ix.runs[slot] = w
+			}
+		}
+		start = q
+	}
+}
+
+// counter is one worker's private scratch over a shared runIndex: the
+// paper's counter-reuse trick — one O(m) counter array, resetting only
+// the entries a column actually touched.
+type counter struct {
+	ix         *runIndex
+	counts     []int32
+	touched    []int32
+	increments int64
+}
+
+func newCounter(ix *runIndex, m int) counter {
+	return counter{ix: ix, counts: make([]int32, m), touched: make([]int32, 0, 256)}
+}
+
+// count tallies, into counts/touched, the columns sharing a run with
+// column i over the given cells: every other member of each run, or
+// with earlier set only the members before i (runs ascend, so that is
+// a prefix).
+func (c *counter) count(cells []uint64, i int32, earlier bool) {
+	sorted, counts := c.ix.sorted, c.counts
+	for _, w := range cells {
+		if w == 0 {
+			continue
+		}
+		for _, j := range sorted[uint32(w) : w>>32] {
+			if j == i {
+				if earlier {
+					break
+				}
+				continue
+			}
+			if counts[j] == 0 {
+				c.touched = append(c.touched, j)
+			}
+			counts[j]++
+			c.increments++
+		}
+	}
+}
+
+// columnsOf is the exported Columns of both rangers: r's candidates for
+// columns [lo, hi) of m, with the Stats of this call alone.
+func columnsOf(r columnRanger, m, lo, hi int) ([]pairs.Scored, Stats, error) {
 	if lo < 0 || hi > m || lo > hi {
 		return nil, Stats{}, fmt.Errorf("candidate: column range [%d,%d) outside [0,%d)", lo, hi, m)
 	}
-	k := r.sig.K
-	var st Stats
-	var out []pairs.Scored
-	for i := lo; i < hi; i++ {
-		for l := 0; l < k; l++ {
-			p := r.pos[l][i]
-			if r.sig.Vals[l*m+i] == minhash.Empty {
-				continue // runs of the empty sentinel are not matches
-			}
-			for q := r.runLo[l][p]; q < r.runHi[l][p]; q++ {
-				j := r.sorted[l][q]
-				if int(j) == i {
-					continue
+	before := r.total()
+	out := r.columns(nil, lo, hi)
+	return out, Stats{Increments: r.total() - before, Candidates: len(out)}, nil
+}
+
+// MHRanger serves any column range of the MH generators' emission loop
+// over a prebuilt index. Columns(a, b) followed by Columns(b, c) emits
+// exactly what one Columns(a, c) — and therefore what RowSortMH over
+// [0, m) — would. Not safe for concurrent use: the counter array is
+// reused across calls; parallel drivers fork one ranger per worker over
+// the shared index, distributed workers run one per process.
+type MHRanger struct {
+	counter
+	k, m     int
+	minAgree int
+	earlier  bool // Hash-Count attribution: column i counts columns j < i only
+}
+
+// NewMHRanger validates cutoff and builds the Row-Sorting index, the
+// one-time O(k·m) cost RowSortMH pays up front.
+func NewMHRanger(sig *minhash.Signatures, cutoff float64) (*MHRanger, error) {
+	return newMHRanger(context.Background(), sig, cutoff, false, 1)
+}
+
+// newMHRanger builds the index with the k signature rows sorted across
+// workers goroutines; a cancelled ctx stops the build at row
+// granularity.
+func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int) (*MHRanger, error) {
+	if cutoff <= 0 || cutoff > 1 {
+		return nil, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
+	}
+	k, m := sig.K, sig.M
+	if err := checkCells(k * m); err != nil {
+		return nil, err
+	}
+	ix := &runIndex{sorted: make([]int32, k*m), runs: make([]uint64, k*m)}
+	// Rows write disjoint parts of sorted (row l sorts its columns in
+	// place in [l·m, (l+1)·m)) and of runs (slot c·k+l), so they build
+	// independently.
+	forEachUnit(ctx, k, workers, func() func(l int) {
+		keys := make([]uint64, 0, m)
+		keyScratch := make([]uint64, m)
+		colScratch := make([]int32, m)
+		return func(l int) {
+			keys = keys[:0]
+			cols := ix.sorted[l*m : l*m : (l+1)*m]
+			for c, v := range sig.Vals[l*m : (l+1)*m] {
+				if v != minhash.Empty { // the empty sentinel is not a match
+					keys, cols = append(keys, v), append(cols, int32(c))
 				}
-				if r.counts[j] == 0 {
-					r.touched = append(r.touched, j)
-				}
-				r.counts[j]++
-				st.Increments++
 			}
+			radix.SortByKey(keys, cols, keyScratch, colScratch)
+			ix.fillRuns(keys, cols, l*m, func(c int32) int { return int(c)*k + l })
 		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &MHRanger{counter: newCounter(ix, m), k: k, m: m, minAgree: ceilFrac(cutoff, k), earlier: earlier}, nil
+}
+
+// fork returns a ranger over the same index with private scratch.
+func (r *MHRanger) fork() columnRanger {
+	f := *r
+	f.counter = newCounter(r.ix, r.m)
+	return &f
+}
+
+// Columns emits the candidates attributed to columns [lo, hi): pairs
+// (i, j) with lo <= i < hi and j > i (j < i for a Hash-Count ranger)
+// agreeing in at least ceil(cutoff·k) rows, in the full scan's exact
+// emission order.
+func (r *MHRanger) Columns(lo, hi int) ([]pairs.Scored, Stats, error) {
+	return columnsOf(r, r.m, lo, hi)
+}
+
+func (r *MHRanger) columns(out []pairs.Scored, lo, hi int) []pairs.Scored {
+	k := r.k
+	for i := lo; i < hi; i++ {
+		ii := int32(i)
+		r.count(r.ix.runs[i*k:(i+1)*k], ii, r.earlier)
 		for _, j := range r.touched {
-			if int(r.counts[j]) >= r.minAgree && int(j) > i {
+			if n := r.counts[j]; int(n) >= r.minAgree && (r.earlier || j > ii) {
 				out = append(out, pairs.Scored{
-					Pair:     pairs.Make(int32(i), j),
-					Estimate: float64(r.counts[j]) / float64(k),
+					Pair:     pairs.Make(ii, j),
+					Estimate: float64(n) / float64(k),
 				})
 			}
 			r.counts[j] = 0
 		}
 		r.touched = r.touched[:0]
 	}
-	st.Candidates = len(out)
-	return out, st, nil
+	return out
 }
 
-// KMHRanger precomputes the full ascending Hash-Count bucket table so
-// any column range of HashCountKMH's emission loop can be generated
-// independently: column i counts |SIG_i ∩ SIG_j| only against earlier
-// columns j < i, read from the prebuilt buckets' ascending prefixes.
-// Concatenating Columns outputs in range order reproduces HashCountKMH
-// exactly. Not safe for concurrent use (shared counter array).
+// KMHRanger serves any column range of HashCountKMH's emission loop:
+// column i counts |SIG_i ∩ SIG_j| against earlier columns j < i, read
+// from the ascending prefixes of its sketch values' runs. Concatenating
+// Columns outputs in range order reproduces HashCountKMH exactly. Not
+// safe for concurrent use (see MHRanger).
 type KMHRanger struct {
-	s       *kminhash.Sketches
-	opt     KMHOptions
-	buckets map[uint64][]int32
-	counts  []int32
-	touched []int32
+	counter
+	s   *kminhash.Sketches
+	opt KMHOptions
+	off []int // column i's cells are runs[off[i]:off[i+1]], one per sketch slot
 }
 
-// NewKMHRanger validates the cutoffs and builds the bucket table, one
-// pass over the sketches in ascending column order so every bucket's
-// list is ascending.
+// NewKMHRanger validates the cutoffs and builds the index: every sketch
+// value of every column in one radix sort.
 func NewKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*KMHRanger, error) {
 	if opt.BiasedCutoff <= 0 || opt.BiasedCutoff > 1 {
 		return nil, fmt.Errorf("candidate: biased cutoff must be in (0,1], got %v", opt.BiasedCutoff)
@@ -126,46 +232,55 @@ func NewKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*KMHRanger, error) {
 		return nil, fmt.Errorf("candidate: unbiased cutoff must be in [0,1], got %v", opt.UnbiasedCutoff)
 	}
 	m := len(s.Sigs)
-	r := &KMHRanger{
-		s:       s,
-		opt:     opt,
-		buckets: make(map[uint64][]int32, m*min(s.K, 8)),
-		counts:  make([]int32, m),
-		touched: make([]int32, 0, 256),
+	off := make([]int, m+1)
+	for i, sg := range s.Sigs {
+		off[i+1] = off[i] + len(sg)
 	}
-	for i := 0; i < m; i++ {
-		for _, v := range s.Sigs[i] {
-			r.buckets[v] = append(r.buckets[v], int32(i))
+	n := off[m]
+	if err := checkCells(n); err != nil {
+		return nil, err
+	}
+	keys := make([]uint64, 0, n)
+	ix := &runIndex{sorted: make([]int32, 0, n)}
+	for i, sg := range s.Sigs {
+		for _, v := range sg {
+			keys, ix.sorted = append(keys, v), append(ix.sorted, int32(i))
 		}
 	}
-	return r, nil
+	// The key scratch is the run table afterwards: at 8 bytes a cell it
+	// is a third of what the build allocates, on every resident-sketch
+	// query of the service.
+	ix.runs = make([]uint64, n)
+	radix.SortByKey(keys, ix.sorted, ix.runs, make([]int32, n))
+	clear(ix.runs)
+	// A sketch ascends and so do the runs, so a column meets its values
+	// in slot order: its next free cell is the one this record belongs to.
+	next := append([]int(nil), off[:m]...)
+	ix.fillRuns(keys, ix.sorted, 0, func(c int32) int {
+		next[c]++
+		return next[c] - 1
+	})
+	return &KMHRanger{counter: newCounter(ix, m), s: s, opt: opt, off: off}, nil
+}
+
+func (r *KMHRanger) fork() columnRanger {
+	f := *r
+	f.counter = newCounter(r.ix, len(r.s.Sigs))
+	return &f
 }
 
 // Columns emits the candidates HashCountKMH attributes to columns
 // [lo, hi): for each i in the range, pairs (j, i) with j < i surviving
 // the biased-then-unbiased cascade, in HashCountKMH's exact emission
-// order (bucket walk order equals the serial build's append order).
+// order.
 func (r *KMHRanger) Columns(lo, hi int) ([]pairs.Scored, Stats, error) {
-	m := len(r.s.Sigs)
-	if lo < 0 || hi > m || lo > hi {
-		return nil, Stats{}, fmt.Errorf("candidate: column range [%d,%d) outside [0,%d)", lo, hi, m)
-	}
-	var st Stats
-	var out []pairs.Scored
+	return columnsOf(r, len(r.s.Sigs), lo, hi)
+}
+
+func (r *KMHRanger) columns(out []pairs.Scored, lo, hi int) []pairs.Scored {
 	for i := lo; i < hi; i++ {
 		ii := int32(i)
-		for _, v := range r.s.Sigs[i] {
-			for _, j := range r.buckets[v] {
-				if j >= ii {
-					break // ascending lists: the rest are not earlier columns
-				}
-				if r.counts[j] == 0 {
-					r.touched = append(r.touched, j)
-				}
-				r.counts[j]++
-				st.Increments++
-			}
-		}
+		r.count(r.ix.runs[r.off[i]:r.off[i+1]], ii, true)
 		for _, j := range r.touched {
 			if est := r.s.BiasedEstimateFromCount(int(j), i, int(r.counts[j])); est >= r.opt.BiasedCutoff {
 				unbiased := r.s.UnbiasedEstimate(int(j), i)
@@ -180,6 +295,5 @@ func (r *KMHRanger) Columns(lo, hi int) ([]pairs.Scored, Stats, error) {
 		}
 		r.touched = r.touched[:0]
 	}
-	st.Candidates = len(out)
-	return out, st, nil
+	return out
 }

@@ -458,7 +458,7 @@ func (co *coordinator) bpsPhases(ctx context.Context, procs []*proc) ([]pairs.Sc
 	co.stats.SignatureTime = end()
 
 	end = co.span(obs.PhaseCandidates)
-	counts := make(map[uint64]int64)
+	var counts bps.Counts
 	var inspected int64
 	jobs = rangeJobs(jobSample, co.rows, co.cfg.RowJobs)
 	err = co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
@@ -467,9 +467,7 @@ func (co *coordinator) bpsPhases(ctx context.Context, procs []*proc) ([]pairs.Sc
 			return errPermanent{err}
 		}
 		inspected += res.Inspected
-		for i, k := range res.Keys {
-			counts[k] += res.Counts[i]
-		}
+		counts = bps.MergeCounts(counts, bps.Counts{Keys: res.Keys, N: res.Counts})
 		return nil
 	})
 	if err != nil {

@@ -297,16 +297,7 @@ func (wk *worker) runSample(j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := sampleResult{Inspected: inspected}
-	res.Keys = make([]uint64, 0, len(counts))
-	for k := range counts {
-		res.Keys = append(res.Keys, k)
-	}
-	sort.Slice(res.Keys, func(a, b int) bool { return res.Keys[a] < res.Keys[b] })
-	res.Counts = make([]int64, len(res.Keys))
-	for i, k := range res.Keys {
-		res.Counts[i] = counts[k]
-	}
+	res := sampleResult{Inspected: inspected, Keys: counts.Keys, Counts: counts.N}
 	return res.encode(), nil
 }
 

@@ -2,9 +2,7 @@ package lsh
 
 import (
 	"fmt"
-	"sort"
 
-	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 )
@@ -12,10 +10,9 @@ import (
 // BandPairs is the candidate output of one band, the unit of work the
 // scale-out executor ships: buckets partition the columns within a
 // band, so the band's pair list is duplicate-free by construction, and
-// it is sorted by (I, J) here to give the wire encoding a canonical
-// order (bucket-map iteration is not deterministic). Unioning the
-// BandPairs of all bands with exact dedup reproduces the Candidates /
-// SampledCandidates set precisely.
+// the band kernel emits it sorted by (I, J), the wire encoding's
+// canonical order. Unioning the BandPairs of all bands with exact dedup
+// reproduces the Candidates / SampledCandidates set precisely.
 type BandPairs struct {
 	Band        int          // band index in [0, l)
 	Pairs       []pairs.Pair // distinct colliding pairs, sorted by (I, J)
@@ -49,8 +46,8 @@ func SampledCandidateBands(sig *minhash.Signatures, r, l int, seed uint64, lo, h
 	return bandRange(sig, sampledBands(sig.K, r, l, seed), lo, hi)
 }
 
-// bandRange hashes bands [lo, hi) exactly like bandCandidates — same
-// keys, same empty-column rule, same bucket-pair accounting — but
+// bandRange hashes bands [lo, hi) with the kernel bandCandidates uses —
+// same keys, same empty-column rule, same bucket-pair accounting — but
 // returns each band's distinct collisions instead of accumulating a
 // global set.
 func bandRange(sig *minhash.Signatures, bands [][]int, lo, hi int) ([]BandPairs, error) {
@@ -58,45 +55,10 @@ func bandRange(sig *minhash.Signatures, bands [][]int, lo, hi int) ([]BandPairs,
 		return nil, fmt.Errorf("lsh: band range [%d,%d) outside [0,%d)", lo, hi, len(bands))
 	}
 	out := make([]BandPairs, 0, hi-lo)
-	key := make([]uint64, 0, 32)
+	bd := newBander(sig)
 	for b := lo; b < hi; b++ {
-		rows := bands[b]
-		buckets := make(map[uint64][]int32, sig.M)
-		for c := 0; c < sig.M; c++ {
-			key = key[:0]
-			empty := true
-			for _, l := range rows {
-				v := sig.Vals[l*sig.M+c]
-				if v != minhash.Empty {
-					empty = false
-				}
-				key = append(key, v)
-			}
-			if empty {
-				continue
-			}
-			k := hashing.CombineKeys(key)
-			buckets[k] = append(buckets[k], int32(c))
-		}
-		bp := BandPairs{Band: b}
-		for _, cols := range buckets {
-			if len(cols) < 2 {
-				continue
-			}
-			for i := 0; i < len(cols); i++ {
-				for j := i + 1; j < len(cols); j++ {
-					bp.BucketPairs++
-					bp.Pairs = append(bp.Pairs, pairs.Make(cols[i], cols[j]))
-				}
-			}
-		}
-		sort.Slice(bp.Pairs, func(a, c int) bool {
-			if bp.Pairs[a].I != bp.Pairs[c].I {
-				return bp.Pairs[a].I < bp.Pairs[c].I
-			}
-			return bp.Pairs[a].J < bp.Pairs[c].J
-		})
-		out = append(out, bp)
+		ps := bd.band(bands[b], nil)
+		out = append(out, BandPairs{Band: b, Pairs: ps, BucketPairs: int64(len(ps))})
 	}
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package lsh
 
 import (
+	"reflect"
 	"testing"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 )
@@ -128,5 +130,142 @@ func TestBandRangeValidation(t *testing.T) {
 	}
 	if _, err := SampledCandidateBands(sig, 11, 2, 1, 0, 2); err == nil {
 		t.Error("k < r accepted")
+	}
+}
+
+// mapBands is the test-local oracle for the band kernel: the bucket-map
+// formulation of banding, one Go map per band.
+func mapBands(sig *minhash.Signatures, bands [][]int) (*pairs.Set, int64) {
+	set := pairs.NewSet(0)
+	var bucketPairs int64
+	for _, rows := range bands {
+		buckets := make(map[uint64][]int32)
+		for c := 0; c < sig.M; c++ {
+			key := make([]uint64, 0, len(rows))
+			empty := true
+			for _, l := range rows {
+				v := sig.Value(l, c)
+				empty = empty && v == minhash.Empty
+				key = append(key, v)
+			}
+			if !empty {
+				k := hashing.CombineKeys(key)
+				buckets[k] = append(buckets[k], int32(c))
+			}
+		}
+		for _, cols := range buckets {
+			for i := range cols {
+				for _, j := range cols[i+1:] {
+					bucketPairs++
+					set.Add(cols[i], j)
+				}
+			}
+		}
+	}
+	return set, bucketPairs
+}
+
+// TestBandingMatchesMapOracle checks the radix-grouped band kernel
+// against the map oracle, for the disjoint and the sampled layout,
+// through the serial, parallel and band-range drivers: same candidate
+// set, same BucketPairs. The fixture mixes planted near-duplicates
+// (buckets of two), identical column groups (buckets of five, ten pairs
+// each) and empty columns.
+func TestBandingMatchesMapOracle(t *testing.T) {
+	rng := hashing.NewSplitMix64(29)
+	const rows, cols = 300, 120
+	b := matrix.NewBuilder(rows, cols)
+	for c := 0; c < 100; c += 2 { // near-duplicate pairs
+		for r := 0; r < rows; r++ {
+			if rng.Float64() < 0.1 {
+				b.Set(r, c)
+				if rng.Float64() < 0.9 {
+					b.Set(r, c+1)
+				}
+			}
+		}
+	}
+	for r := 0; r < rows; r++ { // 100..104 identical, 105..109 identical, 110..119 empty
+		if rng.Float64() < 0.2 {
+			for c := 100; c < 105; c++ {
+				b.Set(r, c)
+			}
+		}
+		if rng.Float64() < 0.2 {
+			for c := 105; c < 110; c++ {
+				b.Set(r, c)
+			}
+		}
+	}
+	sig, err := minhash.Compute(b.Build().Stream(), 24, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r, l, seed = 3, 8, 77
+	layouts := []struct {
+		name   string
+		bands  [][]int
+		serial func() (*pairs.Set, Stats, error)
+		par    func() (*pairs.Set, Stats, error)
+		ranged func(lo, hi int) ([]BandPairs, error)
+	}{
+		{"disjoint", disjointBands(r, l),
+			func() (*pairs.Set, Stats, error) { return Candidates(sig, r, l) },
+			func() (*pairs.Set, Stats, error) { return CandidatesParallel(sig, r, l, 4) },
+			func(lo, hi int) ([]BandPairs, error) { return CandidateBands(sig, r, l, lo, hi) }},
+		{"sampled", sampledBands(sig.K, r, l, seed),
+			func() (*pairs.Set, Stats, error) { return SampledCandidates(sig, r, l, seed) },
+			func() (*pairs.Set, Stats, error) { return SampledCandidatesParallel(sig, r, l, seed, 4) },
+			func(lo, hi int) ([]BandPairs, error) { return SampledCandidateBands(sig, r, l, seed, lo, hi) }},
+	}
+	for _, lay := range layouts {
+		want, wantBP := mapBands(sig, lay.bands)
+		if wantBP < 20*l || want.Len() < 40 {
+			t.Fatalf("%s: fixture too thin: %d bucket pairs, %d candidates", lay.name, wantBP, want.Len())
+		}
+		check := func(driver string, got *pairs.Set, bucketPairs int64) {
+			t.Helper()
+			if bucketPairs != wantBP {
+				t.Errorf("%s/%s: %d bucket pairs, oracle %d", lay.name, driver, bucketPairs, wantBP)
+			}
+			if got.Len() != want.Len() {
+				t.Errorf("%s/%s: %d candidates, oracle %d", lay.name, driver, got.Len(), want.Len())
+			}
+			for _, p := range want.Slice() {
+				if !got.Contains(p.I, p.J) {
+					t.Fatalf("%s/%s: missing (%d,%d)", lay.name, driver, p.I, p.J)
+				}
+			}
+		}
+		set, st, err := lay.serial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("serial", set, st.BucketPairs)
+		pset, pst, err := lay.par()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("parallel", pset, pst.BucketPairs)
+		if !reflect.DeepEqual(pset.Slice(), set.Slice()) {
+			t.Errorf("%s: parallel insertion order differs from serial", lay.name)
+		}
+		head, err := lay.ranged(0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, err := lay.ranged(3, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rset := pairs.NewSet(0)
+		var rbp int64
+		for _, bp := range append(head, tail...) {
+			rbp += bp.BucketPairs
+			for _, p := range bp.Pairs {
+				rset.Add(p.I, p.J)
+			}
+		}
+		check("ranges", rset, rbp)
 	}
 }

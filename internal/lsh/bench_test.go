@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"assocmine/internal/gen"
 	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
 )
@@ -68,4 +69,21 @@ func BenchmarkFilterFunctions(b *testing.B) {
 			_ = SampledCollisionProb(0.5, 10, 20, 40)
 		}
 	})
+}
+
+// BenchmarkBandingWide is banding at the width that matters: 40 bands
+// of 5 rows over 40k mostly sparse columns.
+func BenchmarkBandingWide(b *testing.B) {
+	src := &gen.ZipfSource{Kind: "market", Rows: 58_000, Cols: 40_000, Seed: 1}
+	sig, err := minhash.Compute(src, 200, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Candidates(sig, 5, 40); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/radix"
 )
 
 // ProbAtLeastOnce returns P_{r,l}(s) = 1 - (1 - s^r)^l, the probability
@@ -152,42 +153,92 @@ func sampledBands(k, r, l int, seed uint64) [][]int {
 	return bands
 }
 
+// bander hashes one band at a time: the band kernel shared by the
+// serial, parallel and band-range drivers, with scratch reused across
+// bands. One per goroutine.
+type bander struct {
+	sig        *minhash.Signatures
+	vals       []uint64 // one column's r values
+	keys       []uint64
+	cols       []int32
+	keyScratch []uint64
+	colScratch []int32
+	next       []uint64 // per column: where the rest of its bucket starts and ends in cols
+}
+
+func newBander(sig *minhash.Signatures) *bander {
+	return &bander{
+		sig:        sig,
+		keys:       make([]uint64, 0, sig.M),
+		cols:       make([]int32, 0, sig.M),
+		keyScratch: make([]uint64, sig.M),
+		colScratch: make([]int32, sig.M),
+		next:       make([]uint64, sig.M),
+	}
+}
+
+// band appends to dst the colliding pairs of the band over the given
+// signature rows, sorted by (I, J): every column with a non-empty
+// value is keyed on CombineKeys of its r values, the (key, column)
+// records are radix-sorted, and each run of equal keys — a bucket,
+// columns ascending — yields its pairs. Buckets partition the columns,
+// so the pairs are distinct and their number is the band's BucketPairs.
+func (b *bander) band(rows []int, dst []pairs.Pair) []pairs.Pair {
+	m := b.sig.M
+	keys, cols := b.keys[:0], b.cols[:0]
+	for c := 0; c < m; c++ {
+		b.vals = b.vals[:0]
+		empty := true
+		for _, l := range rows {
+			v := b.sig.Vals[l*m+c]
+			if v != minhash.Empty {
+				empty = false
+			}
+			b.vals = append(b.vals, v)
+		}
+		if !empty {
+			keys, cols = append(keys, hashing.CombineKeys(b.vals)), append(cols, int32(c))
+		}
+	}
+	radix.SortByKey(keys, cols, b.keyScratch, b.colScratch)
+	// Emitting bucket by bucket would order the pairs by key. Instead
+	// each member of a bucket notes where the members after it lie, and
+	// a walk over the columns emits (c, later member) in (I, J) order.
+	start := 0
+	for q := 1; q <= len(keys); q++ {
+		if q < len(keys) && keys[q] == keys[start] {
+			continue
+		}
+		for p := start; p+1 < q; p++ {
+			b.next[cols[p]] = uint64(p+1) | uint64(q)<<32
+		}
+		start = q
+	}
+	for c, w := range b.next {
+		if w == 0 {
+			continue
+		}
+		b.next[c] = 0
+		for _, j := range cols[uint32(w) : w>>32] {
+			dst = append(dst, pairs.Pair{I: int32(c), J: j})
+		}
+	}
+	return dst
+}
+
 func bandCandidates(sig *minhash.Signatures, bands [][]int, progress func(int, []pairs.Pair) bool) (*pairs.Set, Stats, error) {
 	set := pairs.NewSet(1024)
 	var st Stats
-	key := make([]uint64, 0, 32)
-	var fresh []pairs.Pair
+	bd := newBander(sig)
+	var collide, fresh []pairs.Pair
 	for b, rows := range bands {
 		st.Bands++
-		buckets := make(map[uint64][]int32, sig.M)
-		for c := 0; c < sig.M; c++ {
-			key = key[:0]
-			empty := true
-			for _, l := range rows {
-				v := sig.Vals[l*sig.M+c]
-				if v != minhash.Empty {
-					empty = false
-				}
-				key = append(key, v)
-			}
-			if empty {
-				continue
-			}
-			k := hashing.CombineKeys(key)
-			buckets[k] = append(buckets[k], int32(c))
-		}
+		collide = bd.band(rows, collide[:0])
+		st.BucketPairs += int64(len(collide))
 		fresh = fresh[:0]
-		for _, cols := range buckets {
-			if len(cols) < 2 {
-				continue
-			}
-			for i := 0; i < len(cols); i++ {
-				for j := i + 1; j < len(cols); j++ {
-					st.BucketPairs++
-					if set.Add(cols[i], cols[j]) {
-						fresh = append(fresh, pairs.Make(cols[i], cols[j]))
-					}
-				}
+		for _, p := range collide {
+			if set.Add(p.I, p.J) {
+				fresh = append(fresh, p)
 			}
 		}
 		if progress != nil && !progress(b, fresh) {

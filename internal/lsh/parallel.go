@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
@@ -95,11 +94,7 @@ func bandCandidatesParallel(ctx context.Context, sig *minhash.Signatures, bands 
 		return set, st, nil
 	}
 
-	type bandOut struct {
-		pairs       []pairs.Pair
-		bucketPairs int64
-	}
-	outs := make([]bandOut, len(bands))
+	outs := make([][]pairs.Pair, len(bands))
 	var next atomic.Int64
 	var bandsDone atomic.Int64
 	var wg sync.WaitGroup
@@ -107,47 +102,14 @@ func bandCandidatesParallel(ctx context.Context, sig *minhash.Signatures, bands 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			key := make([]uint64, 0, 32)
+			bd := newBander(sig)
 			for ctx.Err() == nil {
 				b := int(next.Add(1)) - 1
 				if b >= len(bands) {
 					return
 				}
-				rows := bands[b]
-				buckets := make(map[uint64][]int32, sig.M)
-				for c := 0; c < sig.M; c++ {
-					key = key[:0]
-					empty := true
-					for _, l := range rows {
-						v := sig.Vals[l*sig.M+c]
-						if v != minhash.Empty {
-							empty = false
-						}
-						key = append(key, v)
-					}
-					if empty {
-						continue
-					}
-					k := hashing.CombineKeys(key)
-					buckets[k] = append(buckets[k], int32(c))
-				}
-				var local []pairs.Pair
-				var attempts int64
-				for _, cols := range buckets {
-					if len(cols) < 2 {
-						continue
-					}
-					for i := 0; i < len(cols); i++ {
-						for j := i + 1; j < len(cols); j++ {
-							attempts++
-							// Within one band the buckets partition the
-							// columns, so local needs no dedup; cross-band
-							// duplicates fall out at the merge.
-							local = append(local, pairs.Make(cols[i], cols[j]))
-						}
-					}
-				}
-				outs[b] = bandOut{pairs: local, bucketPairs: attempts}
+				// Cross-band duplicates fall out at the merge.
+				outs[b] = bd.band(bands[b], nil)
 				if tick != nil {
 					tick(bandsDone.Add(1), int64(len(bands)))
 				}
@@ -163,8 +125,8 @@ func bandCandidatesParallel(ctx context.Context, sig *minhash.Signatures, bands 
 	var st Stats
 	for b := range outs {
 		st.Bands++
-		st.BucketPairs += outs[b].bucketPairs
-		for _, p := range outs[b].pairs {
+		st.BucketPairs += int64(len(outs[b]))
+		for _, p := range outs[b] {
 			set.Add(p.I, p.J)
 		}
 	}

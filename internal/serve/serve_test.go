@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"assocmine"
+	"assocmine/internal/obs"
 )
 
 // testRows generates a deterministic sparse dataset with correlated
@@ -326,4 +328,38 @@ func TestQueryBudgets(t *testing.T) {
 			t.Fatalf("status %d, want 408: %s", rr.Code, rr.Body.String())
 		}
 	})
+}
+
+// TestPairsHonoursMemBudget: a /v1/pairs request's mem_budget reaches
+// the verification pass — a budget below the counter table spills
+// (visible in the server's spill_runs counter) and the response is
+// byte-identical to the unbudgeted one.
+func TestPairsHonoursMemBudget(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(testDataset(t, 2000, 200), Options{SpillDir: dir, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) []byte {
+		t.Helper()
+		rr := recordPost(s.Handler(), "/v1/pairs", body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+		}
+		return rr.Body.Bytes()
+	}
+	free := post(`{"threshold":0.1,"algo":"mh"}`)
+	if n := s.Collector().Counter(obs.CounterSpillRuns); n != 0 {
+		t.Fatalf("unbudgeted query spilled %d runs", n)
+	}
+	tight := post(`{"threshold":0.1,"algo":"mh","mem_budget":1024}`)
+	if s.Collector().Counter(obs.CounterSpillRuns) == 0 {
+		t.Error("mem_budget 1024 spilled nothing: the budget did not reach the verification pass")
+	}
+	if !bytes.Equal(tight, free) {
+		t.Errorf("budgeted response differs from unbudgeted:\n got %s\nwant %s", tight, free)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("%d spill files left in %s", len(left), dir)
+	}
 }

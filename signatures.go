@@ -164,8 +164,16 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 		st.fillFrom(inner)
 		return &Result{Pairs: toPairs(cand, false), Stats: st}, nil
 	}
-	tick = prog.enter(PhaseVerify)
-	end = phaseSpan(rec, PhaseVerify)
+	return verifyResident(d, cand, cfg, st, inner, rec, prog)
+}
+
+// verifyResident is phase 3 of the precomputed-sketch entry points: one
+// exact pass over the resident dataset — or over its trailing
+// cfg.Window rows — pruning cand, under the same kernel choice and the
+// same Config.MemoryBudget/SpillDir handling as SimilarPairs.
+func verifyResident(d *Dataset, cand []pairs.Scored, cfg Config, st Stats, inner *obs.Collector, rec obs.Recorder, prog *progressSink) (*Result, error) {
+	tick := prog.enter(PhaseVerify)
+	end := phaseSpan(rec, PhaseVerify)
 	vsrc := matrix.RowSource(d.m.Stream())
 	if cfg.Window > 0 {
 		// Verify over the trailing window only — the mode used when the
@@ -181,14 +189,16 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 	if cfg.Context != nil {
 		vsrc = matrix.WithContext(cfg.Context, vsrc)
 	}
+	budget := verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir}
 	var verified []pairs.Scored
 	var vst verify.Stats
 	var err error
 	if cfg.VerifyKernel == KernelPacked ||
-		(cfg.VerifyKernel == KernelAuto && verify.AutoPack(d.NumRows(), d.NumCols(), cand, 0)) {
+		(cfg.VerifyKernel == KernelAuto && verify.AutoPack(d.NumRows(), d.NumCols(), cand, cfg.MemoryBudget)) {
 		// The packed pass ticks candidate pairs itself, so vsrc keeps
 		// its row-granularity wrapper off.
 		verified, vst, err = verify.ExactPacked(vsrc, cand, cfg.Threshold, verify.PackedOptions{
+			Budget:  budget,
 			Workers: cfg.Workers,
 			Context: cfg.Context,
 			Tick:    tick,
@@ -197,7 +207,11 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 		if tick != nil {
 			vsrc = &matrix.ProgressSource{Src: vsrc, Tick: tick}
 		}
-		verified, vst, err = verify.ExactParallel(vsrc, cand, cfg.Threshold, cfg.Workers)
+		if cfg.MemoryBudget > 0 {
+			verified, vst, err = verify.ExactBudgeted(vsrc, cand, cfg.Threshold, budget, cfg.Workers, nil)
+		} else {
+			verified, vst, err = verify.ExactParallel(vsrc, cand, cfg.Threshold, cfg.Workers)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -206,6 +220,12 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 	st.VerifyWorkers = cfg.Workers
 	rec.SetGauge(obs.GaugeVerifyWorkers, int64(cfg.Workers))
 	rec.Add(obs.CounterVerifyTouches, vst.Touches)
+	addNonzero(rec, obs.CounterSpillRuns, vst.SpillRuns)
+	addNonzero(rec, obs.CounterSpillBytes, vst.SpillBytes)
+	addNonzero(rec, obs.CounterSpillBytesCompressed, vst.SpillBytesCompressed)
+	if vst.SpillBytesCompressed > 0 {
+		rec.SetGauge(obs.GaugeCodecRatio, int64(float64(vst.SpillBytesRaw)/float64(vst.SpillBytesCompressed)*100))
+	}
 	addNonzero(rec, obs.CounterPackedWords, vst.PackedWords)
 	addNonzero(rec, obs.CounterPackedBatches, vst.PackedBatches)
 	prog.finish(PhaseVerify)

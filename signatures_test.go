@@ -3,6 +3,7 @@ package assocmine
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -196,4 +197,56 @@ func TestLoadSignaturesErrors(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// TestPrecomputedSketchesHonourMemoryBudget: the precomputed-sketch
+// entry points pass Config.MemoryBudget to the verification pass like
+// SimilarPairs does — a budget below the counter table spills, and
+// the pairs stay bit-identical to the unbudgeted run.
+func TestPrecomputedSketchesHonourMemoryBudget(t *testing.T) {
+	d, _ := plantedDataset(t)
+	sig, err := ComputeSignatures(d, 60, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ComputeSketches(d, 60, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]func(Config) (*Result, error){
+		"mh": func(cfg Config) (*Result, error) {
+			cfg.Algorithm = MinHash
+			return SimilarPairsWithSignatures(d, sig, cfg)
+		},
+		"mlsh": func(cfg Config) (*Result, error) {
+			cfg.Algorithm, cfg.R, cfg.L = MinLSH, 1, 20 // one-row bands: thousands of candidates
+			return SimilarPairsWithSignatures(d, sig, cfg)
+		},
+		"kmh": func(cfg Config) (*Result, error) {
+			cfg.Algorithm = KMinHash
+			return SimilarPairsWithSketches(d, sk, cfg)
+		},
+	}
+	for name, query := range queries {
+		// Delta 0.9 floods verification with candidates.
+		cfg := Config{Threshold: 0.3, Delta: 0.9, Seed: 5}
+		free, err := query(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(free.Pairs) == 0 || free.Stats.SpillRuns != 0 {
+			t.Fatalf("%s: unbudgeted run found %d pairs, spilled %d runs", name, len(free.Pairs), free.Stats.SpillRuns)
+		}
+		cfg.MemoryBudget, cfg.SpillDir = 48<<10, t.TempDir()
+		tight, err := query(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tight.Stats.SpillRuns == 0 || tight.Stats.SpillBytes == 0 {
+			t.Errorf("%s: a 48 KiB budget over %d candidates spilled nothing", name, tight.Stats.Candidates)
+		}
+		if !reflect.DeepEqual(tight.Pairs, free.Pairs) {
+			t.Errorf("%s: budgeted run found %d pairs, unbudgeted %d (or they differ)", name, len(tight.Pairs), len(free.Pairs))
+		}
+	}
 }

@@ -6,10 +6,8 @@ import (
 
 	"assocmine/internal/candidate"
 	"assocmine/internal/kminhash"
-	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
-	"assocmine/internal/verify"
 )
 
 // Sketches is a precomputed bottom-k (K-MH) sketch of a dataset — the
@@ -142,59 +140,5 @@ func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, err
 		st.fillFrom(inner)
 		return &Result{Pairs: toPairs(cand, false), Stats: st}, nil
 	}
-	tick = prog.enter(PhaseVerify)
-	end = phaseSpan(rec, PhaseVerify)
-	vsrc := matrix.RowSource(d.m.Stream())
-	if cfg.Window > 0 {
-		// The tail wrapper hides the in-memory fast-path interfaces, so
-		// the kernels below fall to plain scans over the window's rows.
-		if from := d.NumRows() - cfg.Window; from > 0 {
-			vsrc = &matrix.TailSource{Src: vsrc, From: from}
-		}
-	}
-	if cfg.Context != nil {
-		vsrc = matrix.WithContext(cfg.Context, vsrc)
-	}
-	var verified []pairs.Scored
-	var vst verify.Stats
-	if cfg.VerifyKernel == KernelPacked ||
-		(cfg.VerifyKernel == KernelAuto && verify.AutoPack(d.NumRows(), d.NumCols(), cand, 0)) {
-		// The packed pass ticks candidate pairs itself, so vsrc keeps
-		// its row-granularity wrapper off.
-		verified, vst, err = verify.ExactPacked(vsrc, cand, cfg.Threshold, verify.PackedOptions{
-			Workers: cfg.Workers,
-			Context: cfg.Context,
-			Tick:    tick,
-		})
-	} else {
-		if tick != nil {
-			vsrc = &matrix.ProgressSource{Src: vsrc, Tick: tick}
-		}
-		verified, vst, err = verify.ExactParallel(vsrc, cand, cfg.Threshold, cfg.Workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.VerifyTime = end()
-	st.VerifyWorkers = cfg.Workers
-	rec.SetGauge(obs.GaugeVerifyWorkers, int64(cfg.Workers))
-	rec.Add(obs.CounterVerifyTouches, vst.Touches)
-	addNonzero(rec, obs.CounterPackedWords, vst.PackedWords)
-	addNonzero(rec, obs.CounterPackedBatches, vst.PackedBatches)
-	prog.finish(PhaseVerify)
-	st.Verified = len(verified)
-	st.FalsePositives = st.Candidates - st.Verified
-	st.DataPasses = 1
-	scanned := d.NumRows()
-	if cfg.Window > 0 && cfg.Window < scanned {
-		scanned = cfg.Window
-	}
-	st.RowsScanned = int64(scanned)
-	rec.Add(obs.CounterPairsVerified, int64(st.Verified))
-	rec.Add(obs.CounterFalsePositives, int64(st.FalsePositives))
-	rec.Add(obs.CounterDataPasses, 1)
-	rec.Add(obs.CounterRowsScanned, st.RowsScanned)
-	st.fillFrom(inner)
-	pairs.SortScored(verified)
-	return &Result{Pairs: toPairs(verified, true), Stats: st}, nil
+	return verifyResident(d, cand, cfg, st, inner, rec, prog)
 }
