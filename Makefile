@@ -25,7 +25,7 @@ statcheck:
 # fan-out agree with their serial counterparts.
 streamcheck:
 	$(GO) test -race -run 'TestStreamed' .
-	$(GO) test -race -run 'TestExactBudgeted|TestComputeStream|TestFanOutShards|TestScanShards|TestFileSourceBytesRead' ./internal/verify ./internal/minhash ./internal/kminhash ./internal/matrix
+	$(GO) test -race -run 'TestExactBudgeted|TestStagedMerge|TestSpillTable|TestComputeStream|TestFanOutShards|TestScanShards|TestFileSourceBytesRead' ./internal/verify ./internal/minhash ./internal/kminhash ./internal/matrix
 
 # The chaos-differential suite under the race detector: runs under
 # injected transient IO faults bit-identical to fault-free runs,
@@ -53,7 +53,7 @@ packedcheck:
 compresscheck:
 	$(GO) test -race -run 'TestCompressed|TestSignaturesCompressed' .
 	$(GO) test -race ./internal/bitpack
-	$(GO) test -race -run 'TestCompressed|TestFileSourceCompressed|TestSaveLoadFileCompressed|TestFillColumnBits|TestSpillCodecs|TestSpillCompressed|TestSpillRun|TestWriteCompressed|TestReadCompressed|TestSketchCodec|TestReadSketches' ./internal/matrix ./internal/verify ./internal/minhash ./internal/kminhash
+	$(GO) test -race -run 'TestCompressed|TestFileSourceCompressed|TestSaveLoadFileCompressed|TestFillColumnBits|TestSpillCodecs|TestSpillRun|TestWriteCompressed|TestReadCompressed|TestSketchCodec|TestReadSketches' ./internal/matrix ./internal/verify ./internal/minhash ./internal/kminhash
 
 # The incremental-ingestion differential suite under the race detector:
 # chunked appends with mid-stream snapshot round-trips bit-identical to
@@ -173,6 +173,7 @@ fuzz:
 	$(GO) test . -fuzz FuzzOpenFileDataset -fuzztime 10s
 	$(GO) test ./internal/faultfs -fuzz FuzzPlanRowBinary -fuzztime 10s
 	$(GO) test ./internal/verify -fuzz FuzzPackedVsScalar -fuzztime 10s
+	$(GO) test ./internal/verify -fuzz FuzzSpillTableVsMap -fuzztime 10s
 	$(GO) test ./internal/bps -fuzz FuzzBPSSampler -fuzztime 10s
 	$(GO) test ./internal/radix -fuzz FuzzRadixSort -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzHTTPQuery -fuzztime 10s

@@ -196,7 +196,7 @@ func TestChaosPermanentFaultFailsCleanly(t *testing.T) {
 	}
 }
 
-// countChaosSpills returns how many verification spill run files remain
+// countChaosSpills returns how many verification spill files remain
 // in dir.
 func countChaosSpills(t *testing.T, dir string) int {
 	t.Helper()

@@ -46,28 +46,6 @@ func AndCountWords(a, b []uint64) int {
 	return total
 }
 
-// AndOrCounts returns popcount(a AND b) and popcount(a OR b) in one
-// fused pass — the |C_i ∩ C_j| and |C_i ∪ C_j| of two packed columns,
-// which divide directly into their exact similarity. Both counts come
-// from the same word loads, so the fused form costs barely more than
-// either count alone. The slices must have equal length.
-func AndOrCounts(a, b []uint64) (and, or int) {
-	b = b[:len(a)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
-		and += bits.OnesCount64(x[0]&y[0]) + bits.OnesCount64(x[1]&y[1]) +
-			bits.OnesCount64(x[2]&y[2]) + bits.OnesCount64(x[3]&y[3])
-		or += bits.OnesCount64(x[0]|y[0]) + bits.OnesCount64(x[1]|y[1]) +
-			bits.OnesCount64(x[2]|y[2]) + bits.OnesCount64(x[3]|y[3])
-	}
-	for ; i < len(a); i++ {
-		and += bits.OnesCount64(a[i] & b[i])
-		or += bits.OnesCount64(a[i] | b[i])
-	}
-	return and, or
-}
-
 // XorCountWords returns popcount(a XOR b), the Hamming distance of two
 // packed columns. The slices must have equal length.
 func XorCountWords(a, b []uint64) int {

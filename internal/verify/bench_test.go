@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
 )
 
@@ -108,4 +109,75 @@ func BenchmarkAllPairs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// plantedGroups builds a matrix of groups × members columns in which
+// every row draws events groups and sets each member of a drawn group
+// with probability incl, and returns it with every within-group pair as
+// the candidate list (group after group, so neighbouring candidate
+// indices share columns, as a sorted candidate list does).
+func plantedGroups(rng *hashing.SplitMix64, rows, groups, members, events int, incl float64) (*matrix.Matrix, []pairs.Scored) {
+	data := make([][]int32, rows)
+	for r := range data {
+		for e := 0; e < events; e++ {
+			base := int32(rng.Intn(groups) * members)
+			for k := int32(0); k < int32(members); k++ {
+				if rng.Float64() < incl {
+					data[r] = append(data[r], base+k)
+				}
+			}
+		}
+	}
+	m, err := matrix.FromRows(groups*members, data)
+	if err != nil {
+		panic(err)
+	}
+	cand := make([]pairs.Scored, 0, groups*members*(members-1)/2)
+	for g := 0; g < groups; g++ {
+		base := int32(g * members)
+		for i := int32(0); i < int32(members); i++ {
+			for j := i + 1; j < int32(members); j++ {
+				cand = append(cand, pairs.Scored{Pair: pairs.Make(base+i, base+j)})
+			}
+		}
+	}
+	return m, cand
+}
+
+// BenchmarkExactBudgetedSpill times the out-of-core path on the shape
+// of the benchmark's spill job: 26 000 sparse four-column groups, three
+// group events per row, and a budget of a twelfth of the dense counter
+// table, which the pass leaves in about 120 sorted runs.
+func BenchmarkExactBudgetedSpill(b *testing.B) {
+	m, cand := plantedGroups(hashing.NewSplitMix64(1), 117_000, 26_000, 4, 3, 0.9)
+	budget := Budget{Bytes: 800 << 10, Dir: b.TempDir()}
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, st, err = ExactBudgeted(m.Stream(), cand, 0.5, budget, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Touches), "ns/touch")
+	b.ReportMetric(float64(st.SpillRuns), "runs")
+}
+
+// BenchmarkPackedSweepCluster times the packed kernel where the sweep
+// is all there is: 16 clusters of 80 near-duplicate columns over
+// 260 000 rows (4 063 words a column, packed from column lists), every
+// within-cluster pair a candidate.
+func BenchmarkPackedSweepCluster(b *testing.B) {
+	m, cand := plantedGroups(hashing.NewSplitMix64(1), 260_000, 16, 80, 1, 0.7)
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, st, err = ExactPacked(m.Stream(), cand, 0.5, PackedOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.PackedWords), "ns/word")
 }

@@ -9,21 +9,24 @@
 // reconstructs exactly the counts the unbounded pass would have
 // produced — results are bit-identical to Exact for any budget, worker
 // count, or spill schedule.
+//
+// Each worker appends its runs to one spill file as (offset, length)
+// sections and merges them with a bounded fan-in: above spillFanIn
+// runs, groups of runs are first merged into intermediate sections of
+// the same file, so the pass holds one descriptor per worker and
+// O(spillFanIn) cursor buffers however many runs the budget forces.
 package verify
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
 
 	"assocmine/internal/bitpack"
 	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
+	"assocmine/internal/radix"
 )
 
 // Budget bounds the memory of the verification counter table.
@@ -32,8 +35,8 @@ type Budget struct {
 	// (no spilling). The candidate list itself and the per-column
 	// candidate index are inputs and are not charged against it.
 	Bytes int64
-	// Dir receives the spill runs; "" means the OS temp directory. Run
-	// files are deleted before the call returns.
+	// Dir receives the spill files, one per worker; "" means the OS temp
+	// directory. They are deleted before the call returns.
 	Dir string
 	// Codec selects the run encoding; the zero value is SpillCompressed.
 	Codec SpillCodec
@@ -45,11 +48,20 @@ const (
 	// the budget, the plain path is used and nothing spills.
 	denseCounterBytes = 12
 	// spillEntryBytes is the accounted per-entry cost of the bounded
-	// table in spill mode (key, counters, and map overhead).
+	// table in spill mode: a 16 B slot at the table's 2/3 load (24 B)
+	// plus the drain scratch, a uint64 key and an int32 slot position
+	// with their radix ping-pong twins (24 B). The value also fixes the
+	// spill schedule, so SpillRuns and SpillBytes depend on it.
 	spillEntryBytes = 48
 	// minSpillEntries keeps pathological budgets from spilling after
 	// every row.
 	minSpillEntries = 16
+	// spillFanIn bounds the sections one merge reads at once.
+	spillFanIn = 128
+	// mergeWindowPerEntry sizes the merge's dense counter window in
+	// candidates per table entry: two int32 each, half the table's
+	// accounted bytes.
+	mergeWindowPerEntry = 3
 )
 
 // ExactBudgeted is Exact with the counter table bounded by budget.Bytes.
@@ -60,56 +72,31 @@ const (
 // partial counts to disk and merging them after the pass. Results are
 // bit-identical to Exact; Stats reports the spill activity.
 func ExactBudgeted(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if threshold < 0 || threshold > 1 {
-		return nil, Stats{}, fmt.Errorf("verify: threshold must be in [0,1], got %v", threshold)
-	}
-	if err := validateCandidates(src.NumCols(), 0, cand); err != nil {
+	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
 	if budget.Bytes <= 0 || int64(len(cand))*denseCounterBytes <= budget.Bytes {
 		return exactParallel(src, cand, threshold, workers, tick)
 	}
-	out, st, err := exactSpill(src, cand, threshold, budget, workers)
+	out, st, err := exactSpill(src, cand, threshold, budget, workers, spillFanIn)
 	if err == nil && tick != nil {
 		tick(int64(len(cand)), int64(len(cand)))
 	}
 	return out, st, err
 }
 
-// spillCounter is one bounded-table entry. lastRowP1 stores row+1 so
-// the zero value means "never touched" (row ids start at 0).
-type spillCounter struct {
-	either, both, lastRowP1 int32
-}
-
-// spillEntry is one aggregated (or in-memory) run record.
+// spillEntry is one (candidate, partial counts) record of a run.
 type spillEntry struct {
 	idx          int32
 	either, both int32
 }
 
-// exactSpill runs the bounded-memory strategy. Candidates are sharded
-// contiguously across workers exactly like exactParallel, so
-// concatenating shard outputs restores the serial emission order.
-func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers int) ([]pairs.Scored, Stats, error) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if maxUseful := (len(cand) + minShardCandidates - 1) / minShardCandidates; workers > maxUseful {
-		workers = maxUseful
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (len(cand) + workers - 1) / workers
-	var shards [][2]int
-	for lo := 0; lo < len(cand); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cand) {
-			hi = len(cand)
-		}
-		shards = append(shards, [2]int{lo, hi})
-	}
+// exactSpill runs the bounded-memory strategy, merging at most fanIn
+// sections at once. Candidates are sharded contiguously across workers
+// exactly like exactParallel, so concatenating shard outputs restores
+// the serial emission order.
+func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers, fanIn int) ([]pairs.Scored, Stats, error) {
+	shards := contiguousShards(len(cand), shardWorkers(workers, len(cand)))
 	share := budget.Bytes / int64(len(shards))
 	maxEntries := int(share / spillEntryBytes)
 	if maxEntries < minSpillEntries {
@@ -119,7 +106,7 @@ func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, bu
 	m := src.NumCols()
 	ws := make([]*budgetWorker, len(shards))
 	for s, sh := range shards {
-		ws[s] = newBudgetWorker(m, cand[sh[0]:sh[1]], threshold, maxEntries, budget.Dir, budget.Codec)
+		ws[s] = newBudgetWorker(m, cand[sh[0]:sh[1]], threshold, maxEntries, fanIn, budget.Dir, budget.Codec)
 	}
 	defer func() {
 		for _, w := range ws {
@@ -140,7 +127,6 @@ func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, bu
 	} else {
 		consumers := make([]func(<-chan *matrix.Shard), len(ws))
 		for s, w := range ws {
-			w := w
 			consumers[s] = func(ch <-chan *matrix.Shard) {
 				for sh := range ch {
 					if w.err != nil {
@@ -180,300 +166,398 @@ func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, bu
 	return out, total, nil
 }
 
-// budgetWorker verifies one contiguous candidate shard with a bounded
-// counter table.
-type budgetWorker struct {
-	cand       []pairs.Scored
-	threshold  float64
-	pairsOf    [][]int32
-	table      map[int32]spillCounter
-	maxEntries int
-	dir        string
-	codec      SpillCodec
-	runs       []*os.File
-	st         Stats
-	err        error
+// spillSlot is one slot of the bounded counter table.
+type spillSlot struct {
+	key          int32 // candidate index + 1; 0 marks a free slot
+	either, both int32
+	lastRowP1    int32 // row + 1 of the last touch, so a fresh slot matches no row
 }
 
-func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries int, dir string, codec SpillCodec) *budgetWorker {
-	w := &budgetWorker{
-		cand:       cand,
-		threshold:  threshold,
-		pairsOf:    make([][]int32, m),
-		table:      make(map[int32]spillCounter, maxEntries),
-		maxEntries: maxEntries,
-		dir:        dir,
-		codec:      codec,
-	}
-	for idx, p := range cand {
-		w.pairsOf[p.I] = append(w.pairsOf[p.I], int32(idx))
-		w.pairsOf[p.J] = append(w.pairsOf[p.J], int32(idx))
-	}
-	return w
+// spillTable is the bounded counter table: open addressing with linear
+// probing over one flat slot array (a touch stays in one cache line),
+// keyed by candidate index. It is sized for maxEntries at a load of 2/3
+// and doubles only when one long row overshoots that to 3/4; a spill
+// frees the drained slots one by one and keeps the array.
+type spillTable struct {
+	slot []spillSlot
+	n    int // occupied slots
+
+	// Drain scratch: the occupied slots' keys and positions, and the
+	// radix sort's second buffers.
+	keys, keyScratch []uint64
+	pos, posScratch  []int32
 }
 
-// processRow folds one row into the table, spilling afterwards if the
-// row pushed the table over budget. Spills happen only at row
-// boundaries: within a row the second-endpoint detection needs the
-// first endpoint's entry resident, so the table may transiently exceed
-// the bound by the candidates one row touches.
-func (w *budgetWorker) processRow(r int32, cols []int32) error {
-	if w.err != nil {
-		return w.err
-	}
-	for _, c := range cols {
-		for _, idx := range w.pairsOf[c] {
-			w.st.Touches++
-			e := w.table[idx]
+func newSpillTable(maxEntries int) *spillTable {
+	return &spillTable{slot: make([]spillSlot, maxEntries+maxEntries/2+1)}
+}
+
+// home is the first slot probed for a key: a Fibonacci hash scaled to
+// the slot count by multiplication, so any capacity works.
+func (t *spillTable) home(key int32) int {
+	return int(uint64(uint32(key)*0x9E3779B1) * uint64(len(t.slot)) >> 32)
+}
+
+// touch counts a 1 of row r in one endpoint column of candidate idx:
+// a row's first touch counts the union, its second the intersection.
+func (t *spillTable) touch(idx, r int32) {
+	key := idx + 1
+	for h := t.home(key); ; {
+		switch e := &t.slot[h]; e.key {
+		case key:
 			if e.lastRowP1 == r+1 {
 				e.both++
 			} else {
 				e.lastRowP1 = r + 1
 				e.either++
 			}
-			w.table[idx] = e
+			return
+		case 0:
+			*e = spillSlot{key: key, either: 1, lastRowP1: r + 1}
+			if t.n++; t.n*4 > len(t.slot)*3 {
+				t.grow()
+			}
+			return
+		}
+		if h++; h == len(t.slot) {
+			h = 0
 		}
 	}
-	if len(w.table) > w.maxEntries {
-		if err := w.spill(); err != nil {
-			w.err = err
+}
+
+// grow doubles the table, keeping every counter.
+func (t *spillTable) grow() {
+	old := t.slot
+	t.slot = make([]spillSlot, 2*len(old))
+	for _, e := range old {
+		if e.key == 0 {
+			continue
+		}
+		g := t.home(e.key)
+		for t.slot[g].key != 0 {
+			if g++; g == len(t.slot) {
+				g = 0
+			}
+		}
+		t.slot[g] = e
+	}
+}
+
+// sorted returns the positions of the occupied slots in increasing
+// candidate order. The slice is the table's scratch, valid until the
+// next call.
+func (t *spillTable) sorted() []int32 {
+	if cap(t.keys) < t.n {
+		c := t.n + t.n/4
+		t.keys, t.keyScratch = make([]uint64, c), make([]uint64, c)
+		t.pos, t.posScratch = make([]int32, c), make([]int32, c)
+	}
+	keys, pos := t.keys[:0], t.pos[:0]
+	for h := range t.slot {
+		if key := t.slot[h].key; key != 0 {
+			keys, pos = append(keys, uint64(key)), append(pos, int32(h))
+		}
+	}
+	radix.SortByKey(keys, pos, t.keyScratch, t.posScratch)
+	return pos
+}
+
+// entry returns the counts held at slot position h.
+func (t *spillTable) entry(h int32) spillEntry {
+	e := &t.slot[h]
+	return spillEntry{idx: e.key - 1, either: e.either, both: e.both}
+}
+
+// free empties the slots at the given positions, which must be all the
+// occupied ones.
+func (t *spillTable) free(pos []int32) {
+	for _, h := range pos {
+		t.slot[h].key = 0
+	}
+	t.n = 0
+}
+
+// runSection locates one sorted run inside a worker's spill file.
+type runSection struct{ off, n int64 }
+
+// budgetWorker verifies one contiguous candidate shard with a bounded
+// counter table.
+type budgetWorker struct {
+	cand       []pairs.Scored
+	threshold  float64
+	pairsOf    pairIndex
+	table      *spillTable
+	maxEntries int
+	fanIn      int
+	dir        string
+	codec      SpillCodec
+	file       *os.File // the spill file, created by the first spill
+	rw         *runWriter
+	runs       []runSection
+	winEither  []int32 // the merge window's counters, see mergeCursors
+	winBoth    []int32
+	st         Stats
+	err        error
+}
+
+func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, fanIn int, dir string, codec SpillCodec) *budgetWorker {
+	return &budgetWorker{
+		cand:       cand,
+		threshold:  threshold,
+		pairsOf:    newPairIndex(m, cand),
+		table:      newSpillTable(maxEntries),
+		maxEntries: maxEntries,
+		fanIn:      fanIn,
+		dir:        dir,
+		codec:      codec,
+	}
+}
+
+// processRow folds one row into the table, spilling afterwards if the
+// row pushed the table over budget. Spills happen only at row
+// boundaries: within a row the second-endpoint detection needs the
+// first endpoint's entry resident, so the table may exceed the bound by
+// the candidates one row touches.
+func (w *budgetWorker) processRow(r int32, cols []int32) error {
+	if w.err != nil {
+		return w.err
+	}
+	t := w.table
+	for _, c := range cols {
+		idxs := w.pairsOf.of(c)
+		w.st.Touches += int64(len(idxs))
+		for _, idx := range idxs {
+			t.touch(idx, r)
+		}
+	}
+	if t.n > w.maxEntries {
+		w.err = w.spill()
+	}
+	return w.err
+}
+
+// spill appends the table to the spill file as one sorted run in the
+// configured codec and empties it.
+func (w *budgetWorker) spill() error {
+	if w.file == nil {
+		f, err := os.CreateTemp(w.dir, "assocmine-spill-*.run")
+		if err != nil {
+			return err
+		}
+		w.file, w.rw = f, newRunWriter(f, w.codec)
+	}
+	pos := w.table.sorted()
+	for _, h := range pos {
+		if err := w.rw.add(w.table.entry(h)); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// spill writes the table as one sorted run in the configured codec and
-// resets it. The run file joins w.runs only on success; any write
-// failure deletes it on the spot, so cleanup never has an orphan to
-// miss.
-func (w *budgetWorker) spill() (err error) {
-	entries := w.sortedEntries()
-	f, err := os.CreateTemp(w.dir, "assocmine-spill-*.run")
+	sec, raw, err := w.rw.endRun()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	var written, raw int64
-	if w.codec == SpillRaw {
-		written, err = writeRawRun(bw, entries)
-		raw = written
-	} else {
-		written, raw, err = writeCompressedRun(bw, entries)
-	}
-	if err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	w.runs = append(w.runs, f)
+	w.table.free(pos)
+	w.runs = append(w.runs, sec)
 	w.st.SpillRuns++
-	w.st.SpillBytes += written
+	w.st.SpillBytes += sec.n
 	w.st.SpillBytesRaw += raw
 	if w.codec != SpillRaw {
-		w.st.SpillBytesCompressed += written
+		w.st.SpillBytesCompressed += sec.n
 	}
-	w.table = make(map[int32]spillCounter, w.maxEntries)
 	return nil
 }
 
-// sortedEntries snapshots the table in increasing candidate order.
-func (w *budgetWorker) sortedEntries() []spillEntry {
-	entries := make([]spillEntry, 0, len(w.table))
-	for idx, e := range w.table {
-		entries = append(entries, spillEntry{idx: idx, either: e.either, both: e.both})
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].idx < entries[b].idx })
-	return entries
-}
-
-// finish merges the in-memory table with every spilled run and emits
-// the surviving pairs in candidate order.
+// finish merges the resident table with every spilled run and emits
+// the surviving pairs in candidate order. More than fanIn runs are
+// first merged, fanIn at a time, into intermediate sections, generation
+// after generation, until one merge can read what is left; Stats count
+// the first-generation runs only, so they do not depend on the fan-in.
 func (w *budgetWorker) finish() ([]pairs.Scored, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	resident := w.sortedEntries()
-	out := make([]pairs.Scored, 0, len(w.cand)/4)
-	emit := func(e spillEntry) {
-		if e.either == 0 {
-			return
+	cursors := make([]runCursor, min(len(w.runs), w.fanIn)+1)
+	w.winEither = make([]int32, min(mergeWindowPerEntry*w.maxEntries, len(w.cand)))
+	w.winBoth = make([]int32, len(w.winEither))
+	runs := w.runs
+	for len(runs) > w.fanIn {
+		var next []runSection
+		for lo := 0; lo < len(runs); lo += w.fanIn {
+			group := runs[lo:min(lo+w.fanIn, len(runs))]
+			if len(group) == 1 {
+				next = append(next, group[0])
+				continue
+			}
+			sec, err := w.mergeToSection(cursors[:len(group)], group)
+			if err != nil {
+				return nil, err
+			}
+			next = append(next, sec)
 		}
+		runs = next
+	}
+
+	out := make([]pairs.Scored, 0, len(w.cand)/4)
+	cursors = cursors[:len(runs)+1]
+	w.open(cursors, runs)
+	cursors[len(runs)] = runCursor{table: w.table, tpos: w.table.sorted()}
+	err := mergeCursors(cursors, w.winEither, w.winBoth, func(e spillEntry) error {
 		if s := float64(e.both) / float64(e.either); s >= w.threshold {
 			p := w.cand[e.idx]
 			p.Exact = s
 			out = append(out, p)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(w.runs) == 0 {
-		for _, e := range resident {
-			emit(e)
-		}
-		w.st.Out = len(out)
-		return out, nil
-	}
-
-	cursors := make([]*runCursor, 0, len(w.runs)+1)
-	for _, f := range w.runs {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		cursors = append(cursors, newRunCursor(bufio.NewReader(f), w.codec, len(w.cand)))
-	}
-	cursors = append(cursors, &runCursor{mem: resident})
-	h := make(cursorHeap, 0, len(cursors))
-	for _, c := range cursors {
-		ok, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			h = append(h, c)
-		}
-	}
-	h.init()
-	acc := spillEntry{idx: -1}
-	for len(h) > 0 {
-		c := h[0]
-		if c.cur.idx != acc.idx {
-			emit(acc)
-			acc = c.cur
-		} else {
-			acc.either += c.cur.either
-			acc.both += c.cur.both
-		}
-		ok, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			h.fix(0)
-		} else {
-			h.pop()
-		}
-	}
-	emit(acc)
 	w.st.Out = len(out)
 	return out, nil
 }
 
-// cleanup closes and deletes the run files.
-func (w *budgetWorker) cleanup() {
-	for _, f := range w.runs {
-		name := f.Name()
-		f.Close()
-		os.Remove(name)
+// open points cursors[i] at runs[i], keeping the cursors' buffers.
+func (w *budgetWorker) open(cursors []runCursor, runs []runSection) {
+	for i, sec := range runs {
+		cursors[i].reset(w.file, sec, w.codec, len(w.cand))
 	}
-	w.runs = nil
 }
 
-// runCursor streams one sorted run — file-backed in either spill codec
-// or the in-memory remainder of the table.
+// mergeToSection merges the runs into one new section at the end of
+// the spill file.
+func (w *budgetWorker) mergeToSection(cursors []runCursor, runs []runSection) (runSection, error) {
+	w.open(cursors, runs)
+	if err := mergeCursors(cursors, w.winEither, w.winBoth, w.rw.add); err != nil {
+		return runSection{}, err
+	}
+	sec, _, err := w.rw.endRun()
+	return sec, err
+}
+
+// cleanup closes and deletes the spill file.
+func (w *budgetWorker) cleanup() {
+	if w.file != nil {
+		w.file.Close()
+		os.Remove(w.file.Name())
+		w.file = nil
+	}
+}
+
+// runCursor streams one sorted run a block at a time: a section of the
+// spill file in either codec, or (table set) the resident table at the
+// sorted slot positions tpos.
 type runCursor struct {
+	sec   io.SectionReader
 	br    *bufio.Reader
 	codec SpillCodec
-	mem   []spillEntry
-	pos   int
-	cur   spillEntry
+	table *spillTable
+	tpos  []int32
 
-	// Compressed-run decode state: the current block, the bit reader
-	// (persistent across blocks, re-aligned at each boundary), the
-	// running previous index of the delta chain, and the candidate count
-	// bounding decoded indices.
-	blk     []spillEntry
-	blkPos  int
-	pr      *bitpack.Reader
+	blk  []spillEntry // the decoded block and the read position in it
+	pos  int
+	done bool
+
+	// Compressed-run decode state: the bit reader, the running previous
+	// index of the delta chain, and the candidate count bounding decoded
+	// indices.
+	bits    bitpack.Reader
 	prevIdx int64
 	nCand   int32
 }
 
-// newRunCursor returns a cursor over one file-backed run. nCand bounds
-// the candidate indices a compressed run may decode.
-func newRunCursor(br *bufio.Reader, codec SpillCodec, nCand int) *runCursor {
-	return &runCursor{br: br, codec: codec, prevIdx: -1, nCand: int32(nCand)}
+// reset points the cursor at a section of f, keeping its buffers.
+func (c *runCursor) reset(f io.ReaderAt, sec runSection, codec SpillCodec, nCand int) {
+	c.sec = *io.NewSectionReader(f, sec.off, sec.n)
+	if c.br == nil {
+		c.br = bufio.NewReader(&c.sec)
+		c.blk = make([]spillEntry, 0, spillBlockEntries)
+	} else {
+		c.br.Reset(&c.sec)
+	}
+	c.bits.Reset(c.br)
+	c.codec, c.blk, c.pos, c.done, c.prevIdx, c.nCand = codec, c.blk[:0], 0, false, -1, int32(nCand)
 }
 
-// advance loads the next entry, reporting whether one was available.
-func (c *runCursor) advance() (bool, error) {
-	if c.br == nil {
-		if c.pos >= len(c.mem) {
-			return false, nil
+// block returns the decoded entries not yet consumed (the caller
+// advances c.pos), loading the next block when there are none; it is
+// empty at the end of the run.
+func (c *runCursor) block() ([]spillEntry, error) {
+	if c.pos >= len(c.blk) && !c.done {
+		if err := c.fill(); err == io.EOF {
+			c.done, c.blk = true, c.blk[:0]
+		} else if err != nil {
+			return nil, err
 		}
-		c.cur = c.mem[c.pos]
-		c.pos++
-		return true, nil
 	}
-	if c.codec != SpillRaw {
-		if c.blkPos >= len(c.blk) {
-			switch err := c.readSpillBlock(); {
-			case err == io.EOF:
-				return false, nil
-			case err != nil:
-				return false, err
+	return c.blk[c.pos:], nil
+}
+
+// fill loads the next block, returning io.EOF at the end of the run.
+func (c *runCursor) fill() error {
+	c.pos = 0
+	switch {
+	case c.table != nil:
+		n := min(len(c.tpos), spillBlockEntries)
+		if n == 0 {
+			return io.EOF
+		}
+		c.blk = c.blk[:0]
+		for _, h := range c.tpos[:n] {
+			c.blk = append(c.blk, c.table.entry(h))
+		}
+		c.tpos = c.tpos[n:]
+		return nil
+	case c.codec == SpillRaw:
+		return c.readRawBlock()
+	default:
+		return c.readSpillBlock()
+	}
+}
+
+// mergeCursors sums the runs' partial counts per candidate and hands
+// each candidate's total to emit, in candidate order. It is a
+// distribution merge: the index range is walked in windows of
+// len(either) candidates whose totals accumulate in either and both
+// (all zero on entry and on return), every cursor adding its entries
+// below the window's end, so an entry costs two additions however many
+// runs there are. Stretches of indices no run holds are jumped over.
+func mergeCursors(cs []runCursor, either, both []int32, emit func(spillEntry) error) error {
+	for lo := int64(0); lo >= 0; {
+		hi := lo + int64(len(either))
+		next := int64(-1) // the smallest index at or above hi
+		for i := range cs {
+			c := &cs[i]
+			for {
+				blk, err := c.block()
+				if err != nil {
+					return err
+				}
+				n := 0
+				for n < len(blk) && int64(blk[n].idx) < hi {
+					e := blk[n]
+					either[int64(e.idx)-lo] += e.either
+					both[int64(e.idx)-lo] += e.both
+					n++
+				}
+				c.pos += n
+				if n < len(blk) && (next < 0 || int64(blk[n].idx) < next) {
+					next = int64(blk[n].idx)
+				}
+				if n < len(blk) || n == 0 {
+					break
+				}
 			}
 		}
-		c.cur = c.blk[c.blkPos]
-		c.blkPos++
-		return true, nil
-	}
-	idx, err := binary.ReadUvarint(c.br)
-	if err == io.EOF {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("verify: reading spill run: %w", err)
-	}
-	either, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return false, fmt.Errorf("verify: reading spill run: %w", err)
-	}
-	both, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return false, fmt.Errorf("verify: reading spill run: %w", err)
-	}
-	c.cur = spillEntry{idx: int32(uint32(idx)), either: int32(either), both: int32(both)}
-	return true, nil
-}
-
-// cursorHeap is a minimal binary min-heap of cursors by current index.
-type cursorHeap []*runCursor
-
-func (h cursorHeap) less(a, b int) bool { return h[a].cur.idx < h[b].cur.idx }
-
-func (h cursorHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.fix(i)
-	}
-}
-
-func (h cursorHeap) fix(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h.less(l, smallest) {
-			smallest = l
+		for j, e := range either {
+			if e == 0 {
+				continue
+			}
+			if err := emit(spillEntry{idx: int32(lo) + int32(j), either: e, both: both[j]}); err != nil {
+				return err
+			}
+			either[j], both[j] = 0, 0
 		}
-		if r < len(h) && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		lo = next
 	}
-}
-
-func (h *cursorHeap) pop() {
-	old := *h
-	old[0] = old[len(old)-1]
-	*h = old[:len(old)-1]
-	h.fix(0)
+	return nil
 }

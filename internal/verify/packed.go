@@ -2,12 +2,13 @@
 // over word-packed bit-columns instead of per-row counter scatter. The
 // columns referenced by the candidate list — typically a small fraction
 // of the matrix — are packed into a dense arena of ⌈n/64⌉-word bitmaps,
-// and each candidate's |C_i ∩ C_j| and |C_i ∪ C_j| fall out of one
-// fused AND/OR popcount sweep (bitset.AndOrCounts). The counts are the
-// same integers the scalar counters accumulate, divided by the same
-// float64 division, and candidates are emitted in the same order, so
-// results are bit-identical to Exact for any batch size, worker count
-// or data-delivery strategy.
+// and each candidate's |C_i ∩ C_j| falls out of one AND popcount sweep
+// (bitset.AndCountWords); |C_i ∪ C_j| is |C_i| + |C_j| − |C_i ∩ C_j|
+// from the per-column popcounts taken once per batch. The counts are
+// the same integers the scalar counters accumulate, divided by the
+// same float64 division, and candidates are emitted in the same order,
+// so results are bit-identical to Exact for any batch size, worker
+// count or data-delivery strategy.
 //
 // Memory is bounded by batching: when a Budget is set, candidates are
 // split into contiguous batches whose distinct endpoint columns fit the
@@ -143,11 +144,8 @@ type PackedOptions struct {
 // column lists without a row scan; other sources pay one sequential
 // scan per batch (fanned out to workers when allowed).
 func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, opt PackedOptions) ([]pairs.Scored, Stats, error) {
-	if threshold < 0 || threshold > 1 {
-		return nil, Stats{}, fmt.Errorf("verify: threshold must be in [0,1], got %v", threshold)
-	}
 	m := src.NumCols()
-	if err := validateCandidates(m, 0, cand); err != nil {
+	if err := validate(m, cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
 	ctx := opt.Context
@@ -234,14 +232,15 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 				arena[i] = 0
 			}
 		}
-		shards, err := packColumns(src, slot, cols, arena, words, workers)
-		st.Shards += shards
+		streamed, err := packColumns(src, slot, cols, arena, words, workers)
+		st.Shards += streamed
 		if err != nil {
 			return nil, Stats{}, err
 		}
 		// Per-slot popcounts, once per batch: colOnes[slot[I]] +
 		// colOnes[slot[J]] is exactly the per-row counter updates the
-		// scalar pass charges candidate (I,J) to Touches.
+		// scalar pass charges candidate (I,J) to Touches, and less the
+		// pair's intersection it is the pair's union.
 		if cap(colOnes) < len(cols) {
 			colOnes = make([]int64, len(cols))
 		}
@@ -250,51 +249,28 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 			colOnes[s] = int64(bitset.CountWords(arena[s*words : (s+1)*words]))
 		}
 
+		// Contiguous shards, concatenated in order: the serial sweep's
+		// emission order at any worker count.
 		batch := cand[batchStart:batchEnd]
-		pw := workers
-		if maxUseful := (len(batch) + minShardCandidates - 1) / minShardCandidates; pw > maxUseful {
-			pw = maxUseful
+		shards := contiguousShards(len(batch), shardWorkers(workers, len(batch)))
+		outs := make([][]pairs.Scored, len(shards))
+		touches := make([]int64, len(shards))
+		errs := make([]error, len(shards))
+		var wg sync.WaitGroup
+		for s, sh := range shards {
+			wg.Add(1)
+			go func(s, lo, hi int) {
+				defer wg.Done()
+				outs[s], touches[s], errs[s] = packedSweep(ctx, batch[lo:hi], arena, slot, colOnes, words, threshold, &done, total, opt.Tick)
+			}(s, sh[0], sh[1])
 		}
-		if pw <= 1 {
-			o, touches, err := packedSweep(ctx, batch, arena, slot, colOnes, words, threshold, &done, total, opt.Tick)
+		wg.Wait()
+		for s, err := range errs {
 			if err != nil {
 				return nil, Stats{}, err
 			}
-			st.Touches += touches
-			out = append(out, o...)
-		} else {
-			// Contiguous shards, concatenated in order: same emission
-			// order as the serial sweep.
-			chunk := (len(batch) + pw - 1) / pw
-			var shards [][2]int
-			for lo := 0; lo < len(batch); lo += chunk {
-				hi := lo + chunk
-				if hi > len(batch) {
-					hi = len(batch)
-				}
-				shards = append(shards, [2]int{lo, hi})
-			}
-			outs := make([][]pairs.Scored, len(shards))
-			touches := make([]int64, len(shards))
-			errs := make([]error, len(shards))
-			var wg sync.WaitGroup
-			for s, sh := range shards {
-				wg.Add(1)
-				go func(s, lo, hi int) {
-					defer wg.Done()
-					outs[s], touches[s], errs[s] = packedSweep(ctx, batch[lo:hi], arena, slot, colOnes, words, threshold, &done, total, opt.Tick)
-				}(s, sh[0], sh[1])
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, Stats{}, err
-				}
-			}
-			for s := range outs {
-				st.Touches += touches[s]
-				out = append(out, outs[s]...)
-			}
+			st.Touches += touches[s]
+			out = append(out, outs[s]...)
 		}
 		st.PackedWords += int64(len(batch)) * int64(words)
 		st.PackedBatches++
@@ -319,11 +295,10 @@ func packedSweep(ctx context.Context, batch []pairs.Scored, arena []uint64, slot
 	var touches int64
 	for idx, p := range batch {
 		si, sj := int(slot[p.I]), int(slot[p.J])
-		a := arena[si*words : (si+1)*words]
-		b := arena[sj*words : (sj+1)*words]
-		and, or := bitset.AndOrCounts(a, b)
-		touches += colOnes[si] + colOnes[sj]
-		if or != 0 {
+		and := int64(bitset.AndCountWords(arena[si*words:(si+1)*words], arena[sj*words:(sj+1)*words]))
+		ones := colOnes[si] + colOnes[sj]
+		touches += ones
+		if or := ones - and; or != 0 {
 			if s := float64(and) / float64(or); s >= threshold {
 				p.Exact = s
 				out = append(out, p)
@@ -375,15 +350,7 @@ func packColumns(src matrix.RowSource, slot []int32, cols []int32, arena []uint6
 		workers = len(cols)
 	}
 	if cs, ok := src.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() && workers > 1 {
-		chunk := (len(cols) + workers - 1) / workers
-		var ranges [][2]int
-		for lo := 0; lo < len(cols); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cols) {
-				hi = len(cols)
-			}
-			ranges = append(ranges, [2]int{lo, hi})
-		}
+		ranges := contiguousShards(len(cols), workers)
 		errs := make([]error, len(ranges))
 		var wg sync.WaitGroup
 		for s, rg := range ranges {
@@ -412,14 +379,9 @@ func packColumns(src matrix.RowSource, slot []int32, cols []int32, arena []uint6
 		return 0, nil
 	}
 	if workers > 1 {
-		chunk := (len(cols) + workers - 1) / workers
 		var consumers []func(<-chan *matrix.Shard)
-		for lo := 0; lo < len(cols); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cols) {
-				hi = len(cols)
-			}
-			lo32, hi32 := int32(lo), int32(hi)
+		for _, rg := range contiguousShards(len(cols), workers) {
+			lo32, hi32 := int32(rg[0]), int32(rg[1])
 			consumers = append(consumers, func(ch <-chan *matrix.Shard) {
 				for b := range ch {
 					for i := 0; i < b.Len(); i++ {

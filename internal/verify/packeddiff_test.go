@@ -164,6 +164,40 @@ func TestPackedEdgeCases(t *testing.T) {
 	}
 }
 
+// TestPackedDerivedUnionEdges: the union is derived as |C_i| + |C_j| −
+// |C_i ∩ C_j|, so its edges are a pair with an empty column (union =
+// the other column, similarity 0), two empty columns (union 0, never
+// emitted), two identical columns (union = intersection, similarity 1)
+// and disjoint columns (intersection 0). Threshold 0 keeps every pair
+// with a non-empty union, so the 0 similarities are compared too.
+func TestPackedDerivedUnionEdges(t *testing.T) {
+	full := make([]int32, 0, 130) // spans three words, the last partial
+	for r := int32(0); r < 130; r += 2 {
+		full = append(full, r)
+	}
+	odd := []int32{1, 63, 65, 129}
+	m := matrix.MustNew(130, [][]int32{full, {}, full, {}, odd})
+	cand := []pairs.Scored{
+		{Pair: pairs.Make(0, 1)}, // non-empty with empty
+		{Pair: pairs.Make(1, 3)}, // both empty
+		{Pair: pairs.Make(0, 2)}, // identical
+		{Pair: pairs.Make(0, 4)}, // disjoint
+		{Pair: pairs.Make(1, 4)}, // empty with non-empty, the other way round
+	}
+	for _, threshold := range []float64{0, 0.5, 1} {
+		want, wantStats, err := Exact(m.Stream(), cand, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
+			comparePacked(t, src, cand, threshold, PackedOptions{}, want, wantStats)
+		}
+		if threshold == 1 && (len(want) != 1 || want[0].Pair != pairs.Make(0, 2) || want[0].Exact != 1) {
+			t.Fatalf("at threshold 1 only the identical pair should survive, got %v", want)
+		}
+	}
+}
+
 // TestPackedCancellation: a cancelled context aborts the pass with
 // context.Canceled, before any batch and between pair chunks.
 func TestPackedCancellation(t *testing.T) {

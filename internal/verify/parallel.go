@@ -18,7 +18,6 @@
 package verify
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,10 +44,7 @@ func ExactParallel(src matrix.RowSource, cand []pairs.Scored, threshold float64,
 // to the source there — wrap it in a matrix.ProgressSource instead;
 // tick then only fires once at completion. Results are unaffected.
 func ExactParallelProgress(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if threshold < 0 || threshold > 1 {
-		return nil, Stats{}, fmt.Errorf("verify: threshold must be in [0,1], got %v", threshold)
-	}
-	if err := validateCandidates(src.NumCols(), 0, cand); err != nil {
+	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
 	return exactParallel(src, cand, threshold, workers, tick)
@@ -67,34 +63,40 @@ func ExactPairsParallel(src matrix.RowSource, cand []pairs.Pair, threshold float
 // below it the scan itself dominates and workers are trimmed.
 const minShardCandidates = 32
 
-// exactParallel assumes cand is already validated.
-func exactParallel(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+// shardWorkers resolves a worker count against n candidates: negative
+// means GOMAXPROCS, and shards smaller than minShardCandidates are not
+// worth a goroutine, so the count is trimmed to what n can feed (at
+// least 1).
+func shardWorkers(workers, n int) int {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if maxUseful := (len(cand) + minShardCandidates - 1) / minShardCandidates; workers > maxUseful {
-		workers = maxUseful
+	return max(1, min(workers, (n+minShardCandidates-1)/minShardCandidates))
+}
+
+// contiguousShards cuts [0, n) into at most parts equal contiguous
+// ranges (the last may be shorter). Work done per range and
+// concatenated in range order comes out in serial order.
+func contiguousShards(n, parts int) [][2]int {
+	chunk := (n + parts - 1) / max(parts, 1)
+	var shards [][2]int
+	for lo := 0; lo < n; lo += chunk {
+		shards = append(shards, [2]int{lo, min(lo+chunk, n)})
 	}
+	return shards
+}
+
+// exactParallel assumes cand is already validated.
+func exactParallel(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+	workers = shardWorkers(workers, len(cand))
 	if workers <= 1 {
-		out, st, err := exactInto(src, cand, threshold, new(exactScratch))
+		out, st, err := exactInto(src, cand, threshold)
 		if err == nil && tick != nil {
 			tick(int64(len(cand)), int64(len(cand)))
 		}
 		return out, st, err
 	}
-
-	// Contiguous shards: concatenating shard outputs in order restores
-	// the exact order the serial pass would emit.
-	chunk := (len(cand) + workers - 1) / workers
-	var shards [][2]int
-	for lo := 0; lo < len(cand); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cand) {
-			hi = len(cand)
-		}
-		shards = append(shards, [2]int{lo, hi})
-	}
-
+	shards := contiguousShards(len(cand), workers)
 	outs := make([][]pairs.Scored, len(shards))
 	stats := make([]Stats, len(shards))
 	errs := make([]error, len(shards))
@@ -107,7 +109,7 @@ func exactParallel(src matrix.RowSource, cand []pairs.Scored, threshold float64,
 			wg.Add(1)
 			go func(s, lo, hi int) {
 				defer wg.Done()
-				outs[s], stats[s], errs[s] = exactInto(src, cand[lo:hi], threshold, new(exactScratch))
+				outs[s], stats[s], errs[s] = exactInto(src, cand[lo:hi], threshold)
 				if tick != nil && errs[s] == nil {
 					tick(done.Add(int64(hi-lo)), int64(len(cand)))
 				}
@@ -155,42 +157,13 @@ func exactFanOut(src matrix.RowSource, cand []pairs.Scored, threshold float64, s
 	for s, sh := range shards {
 		s, lo, hi := s, sh[0], sh[1]
 		consumers[s] = func(ch <-chan *matrix.Shard) {
-			shardCand := cand[lo:hi]
-			sc := new(exactScratch)
-			sc.reset(m, len(shardCand))
-			for idx, p := range shardCand {
-				sc.pairsOf[p.I] = append(sc.pairsOf[p.I], int32(idx))
-				sc.pairsOf[p.J] = append(sc.pairsOf[p.J], int32(idx))
-			}
-			st := Stats{In: len(shardCand)}
+			x := newExactCounters(m, cand[lo:hi])
 			for b := range ch {
 				for ri := 0; ri < b.Len(); ri++ {
-					r, cols := b.Row(ri)
-					for _, c := range cols {
-						for _, idx := range sc.pairsOf[c] {
-							st.Touches++
-							if sc.lastRow[idx] == r {
-								sc.both[idx]++
-							} else {
-								sc.lastRow[idx] = r
-								sc.either[idx]++
-							}
-						}
-					}
+					x.row(b.Row(ri))
 				}
 			}
-			out := make([]pairs.Scored, 0, len(shardCand)/4)
-			for idx, p := range shardCand {
-				if sc.either[idx] == 0 {
-					continue
-				}
-				if sim := float64(sc.both[idx]) / float64(sc.either[idx]); sim >= threshold {
-					p.Exact = sim
-					out = append(out, p)
-				}
-			}
-			st.Out = len(out)
-			outs[s], stats[s] = out, st
+			outs[s], stats[s] = x.survivors(threshold)
 		}
 	}
 	return matrix.FanOutShards(src, 0, 0, consumers)

@@ -139,33 +139,6 @@ func (f *failingSource) Scan(fn func(int, []int32) error) error {
 	return nil
 }
 
-func TestExactBatchedParallel(t *testing.T) {
-	rng := hashing.NewSplitMix64(11)
-	m := randomMatrix(rng, 300, 40, 0.1)
-	cand := allPairsCandidates(40) // 780 candidates
-	want, wantSt, err := Exact(m.Stream(), cand, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		for _, maxResident := range []int{64, 300, 10000} {
-			got, st, err := ExactBatchedParallel(m.Stream(), cand, 0.15, maxResident, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d maxResident=%d: output differs from single-pass", workers, maxResident)
-			}
-			if st.In != wantSt.In || st.Out != wantSt.Out || st.Touches != wantSt.Touches {
-				t.Fatalf("workers=%d maxResident=%d: stats %+v, want %+v", workers, maxResident, st, wantSt)
-			}
-		}
-	}
-	if _, _, err := ExactBatchedParallel(m.Stream(), cand, 0.15, 0, 4); err == nil {
-		t.Error("maxResident=0 accepted")
-	}
-}
-
 func TestExactPairsParallel(t *testing.T) {
 	rng := hashing.NewSplitMix64(13)
 	m := randomMatrix(rng, 200, 30, 0.1)

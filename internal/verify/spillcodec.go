@@ -47,9 +47,9 @@ func uvarintLen(v uint64) int64 {
 	return int64((bits.Len64(v|1) + 6) / 7)
 }
 
-// countWriter counts the bytes the codecs emit.
+// countWriter counts the bytes that reach the spill file.
 type countWriter struct {
-	w *bufio.Writer
+	w io.Writer
 	n int64
 }
 
@@ -59,72 +59,117 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeRawRun writes entries as plain uvarint triples, returning the
-// byte count.
-func writeRawRun(bw *bufio.Writer, entries []spillEntry) (int64, error) {
-	cw := &countWriter{w: bw}
-	var buf [binary.MaxVarintLen64]byte
-	for _, e := range entries {
-		for _, v := range [3]uint64{uint64(uint32(e.idx)), uint64(e.either), uint64(e.both)} {
-			n := binary.PutUvarint(buf[:], v)
-			if _, err := cw.Write(buf[:n]); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	return cw.n, nil
+// runWriter appends sorted runs to a spill file, entry by entry. The
+// byte count sits under the buffer, so a run's section is the file's
+// growth between two endRuns.
+type runWriter struct {
+	file  countWriter
+	bw    *bufio.Writer
+	pw    *bitpack.Writer
+	codec SpillCodec
+	start int64       // offset of the run being written
+	prev  int64       // last index of the run being written, -1 before the first
+	raw   int64       // what the raw codec would have written for the run
+	vals  [3][]uint64 // the pending block's index gaps, either-1 and both
 }
 
-// writeCompressedRun writes entries as Rice-coded blocks, returning
-// the bytes written and the bytes the raw codec would have written for
-// the same entries (the ratio numerator for codec accounting).
-func writeCompressedRun(bw *bufio.Writer, entries []spillEntry) (written, raw int64, err error) {
-	cw := &countWriter{w: bw}
-	pw := bitpack.NewWriter(cw)
-	var vbuf [binary.MaxVarintLen64]byte
-	idxs := make([]uint64, 0, spillBlockEntries)
-	eis := make([]uint64, 0, spillBlockEntries)
-	bos := make([]uint64, 0, spillBlockEntries)
-	prev := int64(-1)
-	for len(entries) > 0 {
-		n := len(entries)
-		if n > spillBlockEntries {
-			n = spillBlockEntries
-		}
-		blk := entries[:n]
-		entries = entries[n:]
-		idxs, eis, bos = idxs[:0], eis[:0], bos[:0]
-		for _, e := range blk {
-			idxs = append(idxs, uint64(int64(e.idx)-prev)-1)
-			prev = int64(e.idx)
-			eis = append(eis, uint64(e.either)-1)
-			bos = append(bos, uint64(e.both))
-			raw += uvarintLen(uint64(uint32(e.idx))) + uvarintLen(uint64(e.either)) + uvarintLen(uint64(e.both))
-		}
-		kIdx, _ := bitpack.BestRiceK(idxs)
-		kE, _ := bitpack.BestRiceK(eis)
-		kB, _ := bitpack.BestRiceK(bos)
-		hn := binary.PutUvarint(vbuf[:], uint64(n))
-		if _, err := cw.Write(vbuf[:hn]); err != nil {
-			return cw.n, raw, err
-		}
-		if _, err := cw.Write([]byte{byte(kIdx), byte(kE), byte(kB)}); err != nil {
-			return cw.n, raw, err
-		}
-		for _, v := range idxs {
-			pw.WriteRice(v, kIdx)
-		}
-		for _, v := range eis {
-			pw.WriteRice(v, kE)
-		}
-		for _, v := range bos {
-			pw.WriteRice(v, kB)
-		}
-		if err := pw.Flush(); err != nil { // byte-align the block
-			return cw.n, raw, err
-		}
+func newRunWriter(f io.Writer, codec SpillCodec) *runWriter {
+	rw := &runWriter{file: countWriter{w: f}, codec: codec, prev: -1}
+	rw.bw = bufio.NewWriterSize(&rw.file, 64<<10)
+	rw.pw = bitpack.NewWriter(rw.bw)
+	for i := range rw.vals {
+		rw.vals[i] = make([]uint64, 0, spillBlockEntries)
 	}
-	return cw.n, raw, nil
+	return rw
+}
+
+// add appends the run's next entry: a plain uvarint triple under
+// SpillRaw, otherwise a place in the pending block, which is written
+// out when it reaches spillBlockEntries.
+func (rw *runWriter) add(e spillEntry) error {
+	if rw.codec == SpillRaw {
+		var buf [3 * binary.MaxVarintLen32]byte
+		n := binary.PutUvarint(buf[:], uint64(uint32(e.idx)))
+		n += binary.PutUvarint(buf[n:], uint64(e.either))
+		n += binary.PutUvarint(buf[n:], uint64(e.both))
+		rw.raw += int64(n)
+		_, err := rw.bw.Write(buf[:n])
+		return err
+	}
+	rw.vals[0] = append(rw.vals[0], uint64(int64(e.idx)-rw.prev)-1)
+	rw.prev = int64(e.idx)
+	rw.vals[1] = append(rw.vals[1], uint64(e.either)-1)
+	rw.vals[2] = append(rw.vals[2], uint64(e.both))
+	rw.raw += uvarintLen(uint64(uint32(e.idx))) + uvarintLen(uint64(e.either)) + uvarintLen(uint64(e.both))
+	if len(rw.vals[0]) == spillBlockEntries {
+		return rw.flushBlock()
+	}
+	return nil
+}
+
+// flushBlock writes the pending entries as one Rice-coded block.
+func (rw *runWriter) flushBlock() error {
+	var buf [binary.MaxVarintLen32 + 3]byte
+	n := binary.PutUvarint(buf[:], uint64(len(rw.vals[0])))
+	var k [3]uint
+	for i, vals := range rw.vals {
+		k[i], _ = bitpack.BestRiceK(vals)
+		buf[n+i] = byte(k[i])
+	}
+	if _, err := rw.bw.Write(buf[:n+3]); err != nil {
+		return err
+	}
+	for i, vals := range rw.vals {
+		for _, v := range vals {
+			rw.pw.WriteRice(v, k[i])
+		}
+		rw.vals[i] = vals[:0]
+	}
+	return rw.pw.Flush() // byte-align the block
+}
+
+// endRun flushes the run to the file and returns its section and raw
+// price, ready for the next run.
+func (rw *runWriter) endRun() (sec runSection, raw int64, err error) {
+	if len(rw.vals[0]) > 0 {
+		err = rw.flushBlock()
+	}
+	if err == nil {
+		err = rw.bw.Flush()
+	}
+	if err != nil {
+		return sec, 0, err
+	}
+	sec, raw = runSection{off: rw.start, n: rw.file.n - rw.start}, rw.raw
+	rw.start, rw.prev, rw.raw = rw.file.n, -1, 0
+	return sec, raw, nil
+}
+
+// readRawBlock decodes up to a block of uvarint triples into c.blk,
+// returning io.EOF exactly when the run ends at an entry boundary.
+func (c *runCursor) readRawBlock() error {
+	c.blk = c.blk[:0]
+	for len(c.blk) < spillBlockEntries {
+		var v [3]uint64
+		for i := range v {
+			var err error
+			if v[i], err = binary.ReadUvarint(c.br); err != nil {
+				if err != io.EOF || i > 0 {
+					return fmt.Errorf("verify: reading spill run: %w", err)
+				}
+				if len(c.blk) > 0 {
+					return nil
+				}
+				return io.EOF
+			}
+		}
+		if int64(v[0]) <= c.prevIdx || v[0] >= uint64(c.nCand) || v[1]-1 >= 1<<31-1 || v[2] >= 1<<31 {
+			return fmt.Errorf("verify: spill run corrupt: entry (%d, %d, %d) after index %d of %d", v[0], v[1], v[2], c.prevIdx, c.nCand)
+		}
+		c.prevIdx = int64(v[0])
+		c.blk = append(c.blk, spillEntry{idx: int32(v[0]), either: int32(v[1]), both: int32(v[2])})
+	}
+	return nil
 }
 
 // readSpillBlock decodes the next compressed block into c.blk,
@@ -153,15 +198,9 @@ func (c *runCursor) readSpillBlock() error {
 			return fmt.Errorf("verify: spill run corrupt: rice parameter %d", k)
 		}
 	}
-	if c.pr == nil {
-		c.pr = bitpack.NewReader(c.br)
-	}
-	if cap(c.blk) < int(n) {
-		c.blk = make([]spillEntry, n)
-	}
 	c.blk = c.blk[:n]
 	for i := range c.blk {
-		d, err := c.pr.ReadRice(uint(params[0]))
+		d, err := c.bits.ReadRice(uint(params[0]))
 		if err != nil {
 			return fmt.Errorf("verify: reading spill run: %w", err)
 		}
@@ -173,7 +212,7 @@ func (c *runCursor) readSpillBlock() error {
 		c.blk[i].idx = int32(idx)
 	}
 	for i := range c.blk {
-		v, err := c.pr.ReadRice(uint(params[1]))
+		v, err := c.bits.ReadRice(uint(params[1]))
 		if err != nil {
 			return fmt.Errorf("verify: reading spill run: %w", err)
 		}
@@ -183,7 +222,7 @@ func (c *runCursor) readSpillBlock() error {
 		c.blk[i].either = int32(v) + 1
 	}
 	for i := range c.blk {
-		v, err := c.pr.ReadRice(uint(params[2]))
+		v, err := c.bits.ReadRice(uint(params[2]))
 		if err != nil {
 			return fmt.Errorf("verify: reading spill run: %w", err)
 		}
@@ -192,7 +231,6 @@ func (c *runCursor) readSpillBlock() error {
 		}
 		c.blk[i].both = int32(v)
 	}
-	c.pr.Align() // blocks are byte-aligned
-	c.blkPos = 0
+	c.bits.Align() // blocks are byte-aligned
 	return nil
 }

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"bufio"
 	"bytes"
 	"reflect"
 	"strings"
@@ -56,9 +55,9 @@ func TestSpillCodecsMatch(t *testing.T) {
 	}
 }
 
-// TestSpillCompressedRunRoundTrip: the block codec restores an entry
-// sequence exactly, across block boundaries.
-func TestSpillCompressedRunRoundTrip(t *testing.T) {
+// TestSpillRunRoundTrip: both codecs restore an entry sequence exactly,
+// across block boundaries.
+func TestSpillRunRoundTrip(t *testing.T) {
 	rng := hashing.NewSplitMix64(41)
 	var entries []spillEntry
 	idx := int32(0)
@@ -67,78 +66,91 @@ func TestSpillCompressedRunRoundTrip(t *testing.T) {
 		both := int32(rng.Next() % 100)
 		entries = append(entries, spillEntry{idx: idx, either: both + 1 + int32(rng.Next()%50), both: both})
 	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	written, raw, err := writeCompressedRun(bw, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if written != int64(buf.Len()) {
-		t.Fatalf("accounted %d bytes, wrote %d", written, buf.Len())
-	}
-	if raw <= written {
-		t.Fatalf("raw equivalent %d not larger than compressed %d", raw, written)
-	}
-	c := newRunCursor(bufio.NewReader(&buf), SpillCompressed, int(idx)+1)
-	for i, want := range entries {
-		ok, err := c.advance()
+	for _, codec := range []SpillCodec{SpillCompressed, SpillRaw} {
+		data, raw := encodeRun(t, codec, entries)
+		if codec == SpillCompressed && raw <= int64(len(data)) {
+			t.Fatalf("raw equivalent %d not larger than compressed %d", raw, len(data))
+		}
+		if codec == SpillRaw && raw != int64(len(data)) {
+			t.Fatalf("raw run priced at %d bytes, wrote %d", raw, len(data))
+		}
+		got, err := readRun(openRun(data, codec, int(idx)+1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			t.Fatalf("run ended at entry %d of %d", i, len(entries))
+		if !reflect.DeepEqual(got, entries) {
+			t.Fatalf("codec %d: read %d entries back, wrote %d, or they differ", codec, len(got), len(entries))
 		}
-		if c.cur != want {
-			t.Fatalf("entry %d: got %+v want %+v", i, c.cur, want)
-		}
-	}
-	if ok, err := c.advance(); ok || err != nil {
-		t.Fatalf("expected clean EOF, got ok=%v err=%v", ok, err)
 	}
 }
 
-// TestSpillRunCorruptionDetected: malformed compressed runs must
+// readRun drains a cursor block by block.
+func readRun(c *runCursor) ([]spillEntry, error) {
+	var all []spillEntry
+	for {
+		blk, err := c.block()
+		if err != nil || len(blk) == 0 {
+			return all, err
+		}
+		all = append(all, blk...)
+		c.pos += len(blk)
+	}
+}
+
+// encodeRun writes entries as one run and returns
+// its bytes and raw price; the section endRun reports must be the whole
+// output.
+func encodeRun(t *testing.T, codec SpillCodec, entries []spillEntry) ([]byte, int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	rw := newRunWriter(&buf, codec)
+	for _, e := range entries {
+		if err := rw.add(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sec, raw, err := rw.endRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sec.off != 0 || sec.n != int64(buf.Len()) {
+		t.Fatalf("section %+v over %d bytes written", sec, buf.Len())
+	}
+	return buf.Bytes(), raw
+}
+
+// openRun returns a cursor over one encoded run.
+func openRun(data []byte, codec SpillCodec, nCand int) *runCursor {
+	c := new(runCursor)
+	c.reset(bytes.NewReader(data), runSection{n: int64(len(data))}, codec, nCand)
+	return c
+}
+
+// TestSpillRunCorruptionDetected: malformed runs in either codec must
 // surface as errors from the merge cursor, never as silent counts.
 func TestSpillRunCorruptionDetected(t *testing.T) {
-	valid := func(entries []spillEntry) []byte {
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if _, _, err := writeCompressedRun(bw, entries); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	good := valid([]spillEntry{{idx: 3, either: 2, both: 1}, {idx: 90, either: 5, both: 0}})
+	good, _ := encodeRun(t, SpillCompressed, []spillEntry{{idx: 3, either: 2, both: 1}, {idx: 90, either: 5, both: 0}})
 	cases := []struct {
 		name  string
+		codec SpillCodec
 		data  []byte
 		nCand int
 		want  string
 	}{
-		{"zero-entry block", []byte{0x00}, 100, "block of 0"},
-		{"oversized block", []byte{0xff, 0xff, 0x7f}, 100, "block of"},
-		{"bad rice parameter", []byte{0x01, 0x63, 0x00, 0x00}, 100, "rice parameter"},
-		{"truncated params", []byte{0x02, 0x00}, 100, "reading spill run"},
-		{"truncated payload", good[:len(good)-1], 100, "reading spill run"},
-		{"index out of range", good, 50, "candidate index"},
+		{"zero-entry block", SpillCompressed, []byte{0x00}, 100, "block of 0"},
+		{"oversized block", SpillCompressed, []byte{0xff, 0xff, 0x7f}, 100, "block of"},
+		{"bad rice parameter", SpillCompressed, []byte{0x01, 0x63, 0x00, 0x00}, 100, "rice parameter"},
+		{"truncated params", SpillCompressed, []byte{0x02, 0x00}, 100, "reading spill run"},
+		{"truncated payload", SpillCompressed, good[:len(good)-1], 100, "reading spill run"},
+		{"index out of range", SpillCompressed, good, 50, "candidate index"},
+		{"raw: truncated entry", SpillRaw, []byte{3, 2}, 100, "reading spill run"},
+		{"raw: index not increasing", SpillRaw, []byte{3, 2, 1, 3, 1, 0}, 100, "corrupt"},
+		{"raw: index out of range", SpillRaw, []byte{3, 2, 1, 90, 5, 0}, 50, "corrupt"},
+		{"raw: entry never touched", SpillRaw, []byte{3, 0, 0}, 100, "corrupt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newRunCursor(bufio.NewReader(bytes.NewReader(tc.data)), SpillCompressed, tc.nCand)
-			var err error
-			for {
-				var ok bool
-				ok, err = c.advance()
-				if !ok {
-					break
-				}
-			}
+			_, err := readRun(openRun(tc.data, tc.codec, tc.nCand))
 			if err == nil {
 				t.Fatal("corrupt run read to EOF without error")
 			}

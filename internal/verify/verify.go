@@ -27,71 +27,125 @@ type Stats struct {
 	Shards int64
 	// SpillRuns and SpillBytes report the sorted runs the budgeted pass
 	// wrote to disk when the counter table exceeded its memory budget
-	// (both 0 when everything stayed resident). SpillBytes is the bytes
-	// actually written in the configured Budget.Codec; SpillBytesRaw is
-	// what the plain uvarint-triple encoding would have cost for the
-	// same entries, and SpillBytesCompressed equals SpillBytes under
-	// SpillCompressed (0 under SpillRaw) — the pair prices the codec for
-	// ratio reporting without a second pass.
+	// (both 0 when everything stayed resident; sections a staged merge
+	// rewrites are not counted). SpillBytes is the bytes actually written
+	// in the configured Budget.Codec; SpillBytesRaw is what the plain
+	// uvarint-triple encoding would have cost for the same entries, and
+	// SpillBytesCompressed equals SpillBytes under SpillCompressed (0
+	// under SpillRaw) — the pair prices the codec for ratio reporting
+	// without a second pass.
 	SpillRuns            int64
 	SpillBytes           int64
 	SpillBytesRaw        int64
 	SpillBytesCompressed int64
 
-	// PackedWords counts the uint64 AND/OR word operations of the packed
-	// popcount kernel and PackedBatches the candidate batches its
+	// PackedWords counts the uint64 AND-popcount word operations of the
+	// packed kernel and PackedBatches the candidate batches its
 	// bit-column arena was rebuilt for (both 0 on the scalar paths).
 	PackedWords   int64
 	PackedBatches int64
 }
 
-// exactScratch holds the per-candidate counters and the per-column
-// candidate index of one pruning pass. Reusing one scratch across
-// passes (ExactBatched's batches, ExactParallel's per-worker state)
-// keeps the backing arrays alive instead of reallocating them for
-// every batch.
-type exactScratch struct {
-	pairsOf [][]int32 // pairsOf[c] lists indices of candidates with c as an endpoint
-	either  []int32
-	both    []int32
-	lastRow []int32
+// pairIndex lists, for every column, the candidates it is an endpoint
+// of, in increasing candidate order: of(c) is idx[start[c]:start[c+1]].
+type pairIndex struct {
+	start []uint32
+	idx   []int32
 }
 
-// reset prepares the scratch for m columns and n candidates, keeping
-// whatever backing capacity earlier passes grew.
-func (sc *exactScratch) reset(m, n int) {
-	if cap(sc.pairsOf) < m {
-		sc.pairsOf = make([][]int32, m)
+// newPairIndex indexes cand (already validated) over m columns.
+func newPairIndex(m int, cand []pairs.Scored) pairIndex {
+	start := make([]uint32, m+2)
+	for _, p := range cand {
+		start[p.I+2]++
+		start[p.J+2]++
 	}
-	sc.pairsOf = sc.pairsOf[:m]
-	for c := range sc.pairsOf {
-		sc.pairsOf[c] = sc.pairsOf[c][:0]
+	for c := 2; c < len(start); c++ {
+		start[c] += start[c-1]
 	}
-	if cap(sc.either) < n {
-		sc.either = make([]int32, n)
-		sc.both = make([]int32, n)
-		sc.lastRow = make([]int32, n)
+	// start[c+1] is now where column c's list begins; filling advances
+	// it to where the list ends, which is where column c+1's begins.
+	idx := make([]int32, 2*len(cand))
+	for i, p := range cand {
+		idx[start[p.I+1]] = int32(i)
+		start[p.I+1]++
+		idx[start[p.J+1]] = int32(i)
+		start[p.J+1]++
 	}
-	sc.either = sc.either[:n]
-	sc.both = sc.both[:n]
-	sc.lastRow = sc.lastRow[:n]
-	for i := range sc.either {
-		sc.either[i] = 0
-		sc.both[i] = 0
-		sc.lastRow[i] = -1
+	return pairIndex{start: start[:m+1], idx: idx}
+}
+
+func (x pairIndex) of(c int32) []int32 { return x.idx[x.start[c]:x.start[c+1]] }
+
+// exactCounters is the scalar kernel over one candidate slice: the
+// |C_i ∪ C_j| and |C_i ∩ C_j| counters and the last row that touched
+// each candidate, which tells a row's second endpoint from its first.
+type exactCounters struct {
+	cand                  []pairs.Scored
+	pairsOf               pairIndex
+	either, both, lastRow []int32
+	touches               int64
+}
+
+// newExactCounters prepares the counters of cand (already validated)
+// over m columns.
+func newExactCounters(m int, cand []pairs.Scored) *exactCounters {
+	x := &exactCounters{cand: cand, pairsOf: newPairIndex(m, cand)}
+	x.either = make([]int32, len(cand))
+	x.both = make([]int32, len(cand))
+	x.lastRow = make([]int32, len(cand))
+	for i := range x.lastRow {
+		x.lastRow[i] = -1
+	}
+	return x
+}
+
+// row counts one row of the data.
+func (x *exactCounters) row(r int32, cols []int32) {
+	either, both, lastRow := x.either, x.both, x.lastRow
+	for _, c := range cols {
+		idxs := x.pairsOf.of(c)
+		x.touches += int64(len(idxs))
+		for _, idx := range idxs {
+			if lastRow[idx] == r {
+				// Second endpoint seen in this row.
+				both[idx]++
+			} else {
+				lastRow[idx] = r
+				either[idx]++
+			}
+		}
 	}
 }
 
-// validateCandidates checks column ranges and self pairs, with indices
-// reported relative to the full candidate list (base is the offset of
-// cand within it).
-func validateCandidates(m, base int, cand []pairs.Scored) error {
+// survivors returns the candidates at or above threshold, in order,
+// with Exact filled in, and the pass's Stats.
+func (x *exactCounters) survivors(threshold float64) ([]pairs.Scored, Stats) {
+	out := make([]pairs.Scored, 0, len(x.cand)/4)
+	for idx, p := range x.cand {
+		if x.either[idx] == 0 {
+			continue
+		}
+		if s := float64(x.both[idx]) / float64(x.either[idx]); s >= threshold {
+			p.Exact = s
+			out = append(out, p)
+		}
+	}
+	return out, Stats{In: len(x.cand), Out: len(out), Touches: x.touches}
+}
+
+// validate is what every entry point checks before counting: the
+// threshold's range, the candidates' column ranges, no self pairs.
+func validate(m int, cand []pairs.Scored, threshold float64) error {
+	if threshold < 0 || threshold > 1 {
+		return fmt.Errorf("verify: threshold must be in [0,1], got %v", threshold)
+	}
 	for idx, p := range cand {
 		if int(p.I) >= m || int(p.J) >= m || p.I < 0 || p.J < 0 {
-			return fmt.Errorf("verify: candidate %d references column out of range: (%d,%d)", base+idx, p.I, p.J)
+			return fmt.Errorf("verify: candidate %d references column out of range: (%d,%d)", idx, p.I, p.J)
 		}
 		if p.I == p.J {
-			return fmt.Errorf("verify: candidate %d is a self pair (%d,%d)", base+idx, p.I, p.J)
+			return fmt.Errorf("verify: candidate %d is a self pair (%d,%d)", idx, p.I, p.J)
 		}
 	}
 	return nil
@@ -103,59 +157,27 @@ func validateCandidates(m, base int, cand []pairs.Scored) error {
 // Exact field filled in (and the incoming Estimate preserved). The
 // candidate list is not modified.
 func Exact(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]pairs.Scored, Stats, error) {
-	if threshold < 0 || threshold > 1 {
-		return nil, Stats{}, fmt.Errorf("verify: threshold must be in [0,1], got %v", threshold)
-	}
-	if err := validateCandidates(src.NumCols(), 0, cand); err != nil {
+	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
-	return exactInto(src, cand, threshold, new(exactScratch))
+	return exactInto(src, cand, threshold)
 }
 
 // exactInto is the counting core of Exact. Candidates must already be
-// validated; sc supplies (and retains) the counter arrays.
-func exactInto(src matrix.RowSource, cand []pairs.Scored, threshold float64, sc *exactScratch) ([]pairs.Scored, Stats, error) {
-	st := Stats{In: len(cand)}
+// validated.
+func exactInto(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]pairs.Scored, Stats, error) {
 	if len(cand) == 0 {
-		return nil, st, nil
+		return nil, Stats{}, nil
 	}
-	sc.reset(src.NumCols(), len(cand))
-	for idx, p := range cand {
-		sc.pairsOf[p.I] = append(sc.pairsOf[p.I], int32(idx))
-		sc.pairsOf[p.J] = append(sc.pairsOf[p.J], int32(idx))
-	}
-	pairsOf, either, both, lastRow := sc.pairsOf, sc.either, sc.both, sc.lastRow
+	x := newExactCounters(src.NumCols(), cand)
 	err := src.Scan(func(row int, cols []int32) error {
-		r := int32(row)
-		for _, c := range cols {
-			for _, idx := range pairsOf[c] {
-				st.Touches++
-				if lastRow[idx] == r {
-					// Second endpoint seen in this row.
-					both[idx]++
-				} else {
-					lastRow[idx] = r
-					either[idx]++
-				}
-			}
-		}
+		x.row(int32(row), cols)
 		return nil
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	out := make([]pairs.Scored, 0, len(cand)/4)
-	for idx, p := range cand {
-		if either[idx] == 0 {
-			continue
-		}
-		s := float64(both[idx]) / float64(either[idx])
-		if s >= threshold {
-			p.Exact = s
-			out = append(out, p)
-		}
-	}
-	st.Out = len(out)
+	out, st := x.survivors(threshold)
 	return out, st, nil
 }
 
