@@ -7,15 +7,6 @@ import (
 	"time"
 
 	"assocmine/internal/apriori"
-	"assocmine/internal/bps"
-	"assocmine/internal/candidate"
-	"assocmine/internal/hamminglsh"
-	"assocmine/internal/kminhash"
-	"assocmine/internal/lsh"
-	"assocmine/internal/matrix"
-	"assocmine/internal/minhash"
-	"assocmine/internal/obs"
-	"assocmine/internal/pairs"
 	"assocmine/internal/verify"
 )
 
@@ -146,13 +137,16 @@ type Config struct {
 	SkipVerify bool
 	// Workers parallelises all three phases — signatures, candidate
 	// generation, and verification — across goroutines, with results
+	// and Stats (DataPasses, RowsScanned, every pair-section counter)
 	// bit-identical to the serial run. 0 or 1 means serial; negative
 	// means GOMAXPROCS (setDefaults normalises both, so after
-	// validation Workers is always >= 1). Streaming FileDataset runs
-	// stay out of core at every worker count: both the signature and
-	// verification phases fan their single sequential row pass out to
-	// the workers in bounded shards, never materialising the matrix
-	// (HammingLSH excepted — its fold ladder is a whole-data structure).
+	// validation Workers is always >= 1). Every source runs the same
+	// phases — one sequential row pass fanned out in bounded shards to
+	// per-worker fold states, and again to the verify workers, never
+	// materialising a streamed matrix. In-memory data only changes what
+	// the code can observe to be cheaper: verify workers scan
+	// concurrently or pack from column lists, and K-MH shards columns
+	// (HammingLSH aside: its fold ladder is a whole-data structure).
 	Workers int
 	// Recorder, when non-nil, receives per-phase spans, counters and
 	// gauges as the run progresses (see the Counter*/Gauge*/Phase*
@@ -195,14 +189,6 @@ type Config struct {
 	// across kernels; Stats reports the packed work (PackedWords,
 	// PackedBatches).
 	VerifyKernel Kernel
-}
-
-// context returns the run's context, Background when none was set.
-func (c Config) context() context.Context {
-	if c.Context != nil {
-		return c.Context
-	}
-	return context.Background()
 }
 
 func (c *Config) setDefaults() error {
@@ -307,8 +293,11 @@ type Stats struct {
 
 	// DataPasses counts sequential scans of the data (the I/O currency
 	// of the disk-resident setting: phase 1 costs one pass, phase 3
-	// another; a-priori costs one per level). RowsScanned totals rows
-	// delivered across all passes.
+	// another — one per arena batch under a budgeted packed kernel;
+	// a-priori costs one per level). RowsScanned totals rows delivered
+	// across all passes. Both are independent of Workers and of the
+	// source: an in-memory fast path that reads the data without
+	// scanning it accounts one I/O-equivalent pass.
 	DataPasses  int
 	RowsScanned int64
 
@@ -331,8 +320,10 @@ type Stats struct {
 
 	// BytesRead totals file bytes read across all passes (0 for
 	// in-memory sources). ShardsStreamed counts the bounded row blocks
-	// the streamed fan-outs broadcast to workers (0 when every pass
-	// scanned rows directly).
+	// the fan-outs of any phase broadcast to workers, for in-memory and
+	// file sources alike (0 for serial runs, which scan rows directly);
+	// it describes the schedule, so unlike the counters above it
+	// depends on Workers.
 	BytesRead      int64
 	ShardsStreamed int64
 	// SpillRuns and SpillBytes report the sorted runs the budgeted
@@ -389,509 +380,8 @@ type Result struct {
 // verification except for false negatives: pairs the signature phase
 // missed (controlled by K, Delta, R, L).
 func SimilarPairs(d *Dataset, cfg Config) (*Result, error) {
-	return similarPairs(d.m.Stream(), func() (*matrix.Matrix, error) { return d.m, nil }, cfg)
-}
-
-// similarPairs is the algorithm core. src provides one-pass streaming
-// access (one Scan per phase, mirroring the disk-resident setting);
-// materialize supplies the full column-major matrix for the algorithms
-// that genuinely need it (HammingLSH's fold ladder).
-func similarPairs(rawSrc matrix.RowSource, materialize func() (*matrix.Matrix, error), cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	// Accounting probes read the unwrapped source; the context wrapper
-	// deliberately hides them (and every scan below goes through it, so
-	// cancellation aborts each phase at its next row).
-	probe := rawSrc
-	if cfg.Window > 0 {
-		// The tail wrapper also hides the full-data fast-path interfaces
-		// (ColumnLister, ConcurrentSource), so every phase below falls to
-		// the streamed scans and sees only the window's rows.
-		if from := rawSrc.NumRows() - cfg.Window; from > 0 {
-			rawSrc = &matrix.TailSource{Src: rawSrc, From: from}
-		}
-	}
-	if cfg.Context != nil {
-		rawSrc = matrix.WithContext(cfg.Context, rawSrc)
-	}
-	counting := &matrix.CountingSource{Src: rawSrc}
-	src := matrix.RowSource(counting)
-	inner := obs.NewCollector()
-	rec := obs.Tee(inner, cfg.Recorder)
-	prog := newProgressSink(cfg.Progress)
-	st := Stats{Algorithm: cfg.Algorithm, SignatureWorkers: 1, CandidateWorkers: 1, VerifyWorkers: 1}
-	phase := func(name string) func() time.Duration { return phaseSpan(rec, name) }
-	// File-backed sources expose cumulative IO counts; the deltas across
-	// the run are this run's I/O volume, retries and injected faults.
-	byteSrc, _ := probe.(matrix.ByteCounter)
-	var bytesAtStart int64
-	if byteSrc != nil {
-		bytesAtStart = byteSrc.BytesRead()
-	}
-	retrySrc, _ := probe.(matrix.RetryCounter)
-	var retriesAtStart int64
-	if retrySrc != nil {
-		retriesAtStart = retrySrc.IORetries()
-	}
-	faultSrc, _ := probe.(matrix.FaultCounter)
-	var faultsAtStart int64
-	if faultSrc != nil {
-		faultsAtStart = faultSrc.FaultsInjected()
-	}
-	codecSrc, _ := probe.(matrix.CodecCounter)
-	var compressedAtStart, logicalAtStart int64
-	if codecSrc != nil {
-		compressedAtStart = codecSrc.CompressedBytesRead()
-		logicalAtStart = codecSrc.LogicalBytesRead()
-	}
-	// Raw-equivalent spill volume, priced by the budgeted pass; feeds
-	// the codec ratio alongside the file-read deltas.
-	var spillRawBytes, spillCompressedBytes int64
-	finish := func(res *Result) *Result {
-		res.Stats.DataPasses = counting.Passes
-		res.Stats.RowsScanned = counting.Rows
-		rec.Add(obs.CounterDataPasses, int64(counting.Passes))
-		rec.Add(obs.CounterRowsScanned, counting.Rows)
-		rec.Add(obs.CounterCandidates, int64(res.Stats.Candidates))
-		rec.Add(obs.CounterPairsVerified, int64(res.Stats.Verified))
-		rec.Add(obs.CounterFalsePositives, int64(res.Stats.FalsePositives))
-		if byteSrc != nil {
-			if n := byteSrc.BytesRead() - bytesAtStart; n > 0 {
-				rec.Add(obs.CounterBytesRead, n)
-			}
-		}
-		if retrySrc != nil {
-			addNonzero(rec, obs.CounterIORetries, retrySrc.IORetries()-retriesAtStart)
-		}
-		if faultSrc != nil {
-			addNonzero(rec, obs.CounterFaultsInjected, faultSrc.FaultsInjected()-faultsAtStart)
-		}
-		var compressedRead, logicalRead int64
-		if codecSrc != nil {
-			compressedRead = codecSrc.CompressedBytesRead() - compressedAtStart
-			logicalRead = codecSrc.LogicalBytesRead() - logicalAtStart
-			addNonzero(rec, obs.CounterCompressedBytesRead, compressedRead)
-		}
-		if moved := compressedRead + spillCompressedBytes; moved > 0 {
-			ratio := float64(logicalRead+spillRawBytes) / float64(moved)
-			rec.SetGauge(obs.GaugeCodecRatio, int64(ratio*100))
-		}
-		res.Stats.fillFrom(inner)
-		return res
-	}
-	var cand []pairs.Scored
-
-	switch cfg.Algorithm {
-	case BruteForce:
-		tick := prog.enter(PhaseCandidates)
-		end := phase(PhaseCandidates)
-		bsrc := src
-		if tick != nil {
-			bsrc = &matrix.ProgressSource{Src: bsrc, Tick: tick}
-		}
-		exact, err := verify.AllPairsSource(bsrc, cfg.Threshold)
-		if err != nil {
-			return nil, err
-		}
-		st.CandidateTime = end()
-		prog.finish(PhaseCandidates)
-		st.Candidates = len(exact)
-		st.Verified = len(exact)
-		return finish(&Result{Pairs: toPairs(exact, true), Stats: st}), nil
-
-	case MinHash:
-		tick := prog.enter(PhaseSignatures)
-		end := phase(PhaseSignatures)
-		sig, sigShards, err := computeMH(src, rawSrc, materialize, cfg, tick)
-		if err != nil {
-			return nil, err
-		}
-		st.SignatureTime = end()
-		st.SignatureWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeSignatureWorkers, int64(cfg.Workers))
-		rec.Add(obs.CounterSignatureCells, int64(sig.K)*int64(sig.M))
-		addNonzero(rec, obs.CounterShards, sigShards)
-		rec.SetGauge(obs.GaugeSignatureBytes, int64(len(sig.Vals))*8)
-		prog.finish(PhaseSignatures)
-		tick = prog.enter(PhaseCandidates)
-		end = phase(PhaseCandidates)
-		cutoff := (1 - cfg.Delta) * cfg.Threshold
-		var cst candidate.Stats
-		cand, cst, err = candidate.RowSortMHParallelProgress(cfg.context(), sig, cutoff, cfg.Workers, tick)
-		if err != nil {
-			return nil, err
-		}
-		st.CandidateTime = end()
-		st.CandidateWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeCandidateWorkers, int64(cfg.Workers))
-		rec.Add(obs.CounterIncrements, cst.Increments)
-		prog.finish(PhaseCandidates)
-
-	case KMinHash:
-		tick := prog.enter(PhaseSignatures)
-		end := phase(PhaseSignatures)
-		sk, sigShards, err := computeKMH(src, rawSrc, materialize, cfg, tick)
-		if err != nil {
-			return nil, err
-		}
-		st.SignatureTime = end()
-		st.SignatureWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeSignatureWorkers, int64(cfg.Workers))
-		addNonzero(rec, obs.CounterShards, sigShards)
-		var cells int64
-		for _, s := range sk.Sigs {
-			cells += int64(len(s))
-		}
-		rec.Add(obs.CounterSignatureCells, cells)
-		rec.SetGauge(obs.GaugeSignatureBytes, cells*8)
-		prog.finish(PhaseSignatures)
-		tick = prog.enter(PhaseCandidates)
-		end = phase(PhaseCandidates)
-		cutoff := (1 - cfg.Delta) * cfg.Threshold
-		opt := candidate.KMHOptions{
-			BiasedCutoff:   cutoff / 2, // biased estimator under-counts; be generous
-			UnbiasedCutoff: cutoff,
-		}
-		var cst candidate.Stats
-		cand, cst, err = candidate.HashCountKMHParallelProgress(cfg.context(), sk, opt, cfg.Workers, tick)
-		if err != nil {
-			return nil, err
-		}
-		st.CandidateTime = end()
-		st.CandidateWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeCandidateWorkers, int64(cfg.Workers))
-		rec.Add(obs.CounterIncrements, cst.Increments)
-		prog.finish(PhaseCandidates)
-
-	case MinLSH:
-		tick := prog.enter(PhaseSignatures)
-		end := phase(PhaseSignatures)
-		exactBands := cfg.K >= cfg.R*cfg.L
-		sig, sigShards, err := computeMH(src, rawSrc, materialize, cfg, tick)
-		if err != nil {
-			return nil, err
-		}
-		st.SignatureTime = end()
-		st.SignatureWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeSignatureWorkers, int64(cfg.Workers))
-		rec.Add(obs.CounterSignatureCells, int64(sig.K)*int64(sig.M))
-		addNonzero(rec, obs.CounterShards, sigShards)
-		rec.SetGauge(obs.GaugeSignatureBytes, int64(len(sig.Vals))*8)
-		prog.finish(PhaseSignatures)
-		tick = prog.enter(PhaseCandidates)
-		end = phase(PhaseCandidates)
-		var set *pairs.Set
-		var lst lsh.Stats
-		if exactBands {
-			set, lst, err = lsh.CandidatesParallelProgress(cfg.context(), sig, cfg.R, cfg.L, cfg.Workers, tick)
-		} else {
-			set, lst, err = lsh.SampledCandidatesParallelProgress(cfg.context(), sig, cfg.R, cfg.L, cfg.Seed+1, cfg.Workers, tick)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range set.Slice() {
-			cand = append(cand, pairs.Scored{Pair: p})
-		}
-		st.CandidateTime = end()
-		st.CandidateWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeCandidateWorkers, int64(cfg.Workers))
-		rec.Add(obs.CounterBucketPairs, lst.BucketPairs)
-		prog.finish(PhaseCandidates)
-
-	case HammingLSH:
-		prog.enter(PhaseCandidates)
-		end := phase(PhaseCandidates)
-		full, err := materialize()
-		if err != nil {
-			return nil, err
-		}
-		set, hst, err := hamminglsh.Candidates(full, hamminglsh.Options{
-			R: cfg.R, L: cfg.L, T: cfg.T, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range set.Slice() {
-			cand = append(cand, pairs.Scored{Pair: p})
-		}
-		st.CandidateTime = end()
-		rec.Add(obs.CounterBucketPairs, hst.BucketPairs)
-		prog.finish(PhaseCandidates)
-
-	case Apriori:
-		tick := prog.enter(PhaseCandidates)
-		end := phase(PhaseCandidates)
-		asrc := src
-		if tick != nil {
-			// A-priori scans once per level; ticks from later passes
-			// restart at zero and the sink drops them, so progress
-			// tracks the first pass and completes at finish.
-			asrc = &matrix.ProgressSource{Src: asrc, Tick: tick}
-		}
-		res, err := apriori.Mine(asrc, apriori.Options{
-			MinSupport:   cfg.MinSupport,
-			MaxLevel:     2,
-			MemoryBudget: cfg.AprioriMemoryBudget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		exact, err := res.SimilarPairs(cfg.Threshold)
-		if err != nil {
-			return nil, err
-		}
-		st.CandidateTime = end()
-		prog.finish(PhaseCandidates)
-		st.Candidates = len(exact)
-		st.Verified = len(exact)
-		return finish(&Result{Pairs: toPairs(exact, true), Stats: st}), nil
-
-	case BPS:
-		// Phase 1: column supports, the sampler's bias input. In-memory
-		// column-major sources yield them without a scan; account one
-		// I/O-equivalent pass by hand, as the verify fast paths do.
-		tick := prog.enter(PhaseSignatures)
-		end := phase(PhaseSignatures)
-		var sup []int64
-		if ls, ok := rawSrc.(matrix.ColumnLister); ok {
-			counting.Passes++
-			counting.Rows += int64(rawSrc.NumRows())
-			sup = bps.SupportsFromLister(ls)
-		} else {
-			ssrc := src
-			if tick != nil {
-				ssrc = &matrix.ProgressSource{Src: ssrc, Tick: tick}
-			}
-			var err error
-			sup, err = bps.Supports(ssrc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		st.SignatureTime = end()
-		// The supports array is this scheme's whole resident "signature"
-		// state: one cell (8 bytes) per column.
-		rec.Add(obs.CounterSignatureCells, int64(len(sup)))
-		rec.SetGauge(obs.GaugeSignatureBytes, int64(len(sup))*8)
-		prog.finish(PhaseSignatures)
-		tick = prog.enter(PhaseCandidates)
-		end = phase(PhaseCandidates)
-		bsrc := src
-		if tick != nil {
-			bsrc = &matrix.ProgressSource{Src: bsrc, Tick: tick}
-		}
-		var bst bps.Stats
-		var err error
-		cand, bst, err = bps.Sample(bsrc, sup, bps.Options{
-			Threshold: cfg.Threshold,
-			Delta:     cfg.Delta,
-			Budget:    cfg.SampleBudget,
-			Seed:      cfg.Seed,
-			Workers:   cfg.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st.CandidateTime = end()
-		st.CandidateWorkers = cfg.Workers
-		rec.SetGauge(obs.GaugeCandidateWorkers, int64(cfg.Workers))
-		rec.Add(obs.CounterPairsSampled, bst.Inspected)
-		rec.Add(obs.CounterSampleAccepts, bst.Accepts)
-		addNonzero(rec, obs.CounterSampleDups, bst.Dups)
-		addNonzero(rec, obs.CounterShards, bst.Shards)
-		prog.finish(PhaseCandidates)
-
-	default:
-		return nil, fmt.Errorf("assocmine: unknown algorithm %d", int(cfg.Algorithm))
-	}
-
-	st.Candidates = len(cand)
-	if cfg.SkipVerify {
-		pairs.SortScored(cand)
-		return finish(&Result{Pairs: toPairs(cand, false), Stats: st}), nil
-	}
-	tick := prog.enter(PhaseVerify)
-	end := phase(PhaseVerify)
-	// In-memory sources let every verify worker run its own scan, which
-	// beats fanning the counted stream out; account the pass by hand so
-	// DataPasses/RowsScanned match the serial run. A memory budget
-	// forces the single-scan budgeted pass instead: its bounded table
-	// plus spills is the point, and concurrent scans would multiply it.
-	vsrc := src
-	var verified []pairs.Scored
-	var vst verify.Stats
-	var err error
-	// Kernel selection consults only (n, m, cand, budget) — never the
-	// source type — so the in-memory and streamed runs of one job pick
-	// the same kernel and stay bit-identical.
-	usePacked := cfg.VerifyKernel == KernelPacked ||
-		(cfg.VerifyKernel == KernelAuto && verify.AutoPack(rawSrc.NumRows(), rawSrc.NumCols(), cand, cfg.MemoryBudget))
-	if usePacked {
-		popt := verify.PackedOptions{
-			Budget:  verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir},
-			Workers: cfg.Workers,
-			Context: cfg.Context,
-			Tick:    tick,
-		}
-		// In-memory sources pack straight from their column lists (no
-		// row scan) or via concurrent per-worker scans; account one
-		// I/O-equivalent pass by hand, as the scalar fast path does.
-		// Everything else scans through the counting wrapper. The packed
-		// pass ticks candidate pairs itself, so src is never wrapped in
-		// a row-granularity ProgressSource.
-		_, lister := rawSrc.(matrix.ColumnLister)
-		cs, okc := rawSrc.(matrix.ConcurrentSource)
-		if cfg.MemoryBudget <= 0 && len(cand) > 0 && (lister || (okc && cs.ConcurrentScan() && cfg.Workers > 1)) {
-			counting.Passes++
-			counting.Rows += int64(rawSrc.NumRows())
-			verified, vst, err = verify.ExactPacked(rawSrc, cand, cfg.Threshold, popt)
-		} else {
-			verified, vst, err = verify.ExactPacked(src, cand, cfg.Threshold, popt)
-		}
-	} else if cs, ok := rawSrc.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() && cfg.Workers > 1 && len(cand) > 0 && cfg.MemoryBudget <= 0 {
-		counting.Passes++
-		counting.Rows += int64(rawSrc.NumRows())
-		verified, vst, err = verify.ExactParallelProgress(rawSrc, cand, cfg.Threshold, cfg.Workers, tick)
-	} else {
-		if tick != nil {
-			vsrc = &matrix.ProgressSource{Src: vsrc, Tick: tick}
-		}
-		if cfg.MemoryBudget > 0 {
-			verified, vst, err = verify.ExactBudgeted(vsrc, cand, cfg.Threshold, verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir}, cfg.Workers, nil)
-		} else {
-			verified, vst, err = verify.ExactParallel(vsrc, cand, cfg.Threshold, cfg.Workers)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.VerifyTime = end()
-	st.VerifyWorkers = cfg.Workers
-	rec.SetGauge(obs.GaugeVerifyWorkers, int64(cfg.Workers))
-	rec.Add(obs.CounterVerifyTouches, vst.Touches)
-	addNonzero(rec, obs.CounterShards, vst.Shards)
-	addNonzero(rec, obs.CounterSpillRuns, vst.SpillRuns)
-	addNonzero(rec, obs.CounterSpillBytes, vst.SpillBytes)
-	addNonzero(rec, obs.CounterSpillBytesCompressed, vst.SpillBytesCompressed)
-	spillRawBytes, spillCompressedBytes = vst.SpillBytesRaw, vst.SpillBytesCompressed
-	addNonzero(rec, obs.CounterPackedWords, vst.PackedWords)
-	addNonzero(rec, obs.CounterPackedBatches, vst.PackedBatches)
-	prog.finish(PhaseVerify)
-	st.Verified = len(verified)
-	st.FalsePositives = len(cand) - len(verified)
-	pairs.SortScored(verified)
-	return finish(&Result{Pairs: toPairs(verified, true), Stats: st}), nil
-}
-
-// addNonzero records n only when it is nonzero, so runs that never
-// stream or spill keep those counters out of their metrics entirely.
-func addNonzero(rec obs.Recorder, counter string, n int64) {
-	if n != 0 {
-		rec.Add(counter, n)
-	}
-}
-
-// phaseSpan opens a recorder span for one pipeline phase; the returned
-// func closes it and reports the duration, which is the exact value the
-// corresponding Stats field records.
-func phaseSpan(rec obs.Recorder, name string) func() time.Duration {
-	rec.PhaseStart(name)
-	start := time.Now()
-	return func() time.Duration {
-		d := time.Since(start)
-		rec.PhaseEnd(name, d)
-		return d
-	}
-}
-
-// fillFrom copies the counters the run recorded into the extended Stats
-// fields, keeping Stats and any attached Recorder in exact agreement.
-func (s *Stats) fillFrom(c *Collector) {
-	s.SignatureCells = c.Counter(CounterSignatureCells)
-	s.SignatureBytes = c.Gauge(GaugeSignatureBytes)
-	s.CandidateIncrements = c.Counter(CounterIncrements)
-	s.BucketPairs = c.Counter(CounterBucketPairs)
-	s.VerifyTouches = c.Counter(CounterVerifyTouches)
-	s.BytesRead = c.Counter(CounterBytesRead)
-	s.ShardsStreamed = c.Counter(CounterShards)
-	s.SpillRuns = c.Counter(CounterSpillRuns)
-	s.SpillBytes = c.Counter(CounterSpillBytes)
-	s.CompressedBytesRead = c.Counter(CounterCompressedBytesRead)
-	s.SpillBytesCompressed = c.Counter(CounterSpillBytesCompressed)
-	s.CodecRatio = float64(c.Gauge(GaugeCodecRatio)) / 100
-	s.IORetries = c.Counter(CounterIORetries)
-	s.FaultsInjected = c.Counter(CounterFaultsInjected)
-	s.PackedWords = c.Counter(CounterPackedWords)
-	s.PackedBatches = c.Counter(CounterPackedBatches)
-	s.PairsSampled = c.Counter(CounterPairsSampled)
-	s.SampleAccepts = c.Counter(CounterSampleAccepts)
-	s.SampleDups = c.Counter(CounterSampleDups)
-}
-
-// computeMH runs the MH signature pass, parallel when cfg.Workers asks
-// for it. cfg.Workers is already normalised by setDefaults, so <= 1
-// means serial. In-memory sources (rawSrc supports concurrent scans)
-// parallelise over the materialised column-major matrix; streaming
-// sources fold rows incrementally from one fanned-out sequential pass,
-// never materialising — the returned count is the row shards that pass
-// broadcast (0 otherwise). tick, when non-nil, receives row progress
-// (serial, streamed) or column progress (materialised parallel).
-func computeMH(src, rawSrc matrix.RowSource, materialize func() (*matrix.Matrix, error), cfg Config, tick obs.Tick) (*minhash.Signatures, int64, error) {
-	if cfg.Workers <= 1 {
-		if tick != nil {
-			src = &matrix.ProgressSource{Src: src, Tick: tick}
-		}
-		sig, err := minhash.Compute(src, cfg.K, cfg.Seed)
-		return sig, 0, err
-	}
-	if cs, ok := rawSrc.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() {
-		m, err := materialize()
-		if err != nil {
-			return nil, 0, err
-		}
-		sig, err := minhash.ComputeParallelProgress(m, cfg.K, cfg.Seed, cfg.Workers, tick)
-		return sig, 0, err
-	}
-	if tick != nil {
-		src = &matrix.ProgressSource{Src: src, Tick: tick}
-	}
-	return minhash.ComputeStream(src, cfg.K, cfg.Seed, cfg.Workers)
-}
-
-// computeKMH is computeMH for bottom-k sketches; the materialised
-// parallel pass has no fine-grained hooks, so progress there completes
-// in one step.
-func computeKMH(src, rawSrc matrix.RowSource, materialize func() (*matrix.Matrix, error), cfg Config, tick obs.Tick) (*kminhash.Sketches, int64, error) {
-	if cfg.Workers <= 1 {
-		if tick != nil {
-			src = &matrix.ProgressSource{Src: src, Tick: tick}
-		}
-		sk, err := kminhash.Compute(src, cfg.K, cfg.Seed)
-		return sk, 0, err
-	}
-	if cs, ok := rawSrc.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() {
-		m, err := materialize()
-		if err != nil {
-			return nil, 0, err
-		}
-		sk, err := kminhash.ComputeParallel(m, cfg.K, cfg.Seed, cfg.Workers)
-		return sk, 0, err
-	}
-	if tick != nil {
-		src = &matrix.ProgressSource{Src: src, Tick: tick}
-	}
-	return kminhash.ComputeStream(src, cfg.K, cfg.Seed, cfg.Workers)
-}
-
-func toPairs(ps []pairs.Scored, verified bool) []Pair {
-	out := make([]Pair, len(ps))
-	for i, p := range ps {
-		out[i] = Pair{I: int(p.I), J: int(p.J), Estimate: p.Estimate}
-		if verified {
-			out[i].Similarity = p.Exact
-		}
-	}
-	return out
+	return d.run(cfg).mine(nil)
 }

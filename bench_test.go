@@ -10,8 +10,10 @@
 package assocmine_test
 
 import (
+	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"assocmine"
 	"assocmine/internal/apriori"
@@ -318,6 +320,44 @@ func BenchmarkSignatureComputation(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWithSignaturesContext times a precomputed-sketch query — the
+// shape of every assocserve request — with and without Config.Context,
+// reporting the verify phase on its own. The packed verify packs
+// straight from the in-memory column lists either way, so the two must
+// stay within noise of each other; when the context wrapper hid the
+// column lists the Context run row-scanned the whole dataset per query
+// and its verify phase was ~10x slower.
+func BenchmarkWithSignaturesContext(b *testing.B) {
+	d, _, err := assocmine.GenerateSynthetic(assocmine.SyntheticOptions{
+		Rows: 20000, Cols: 4000, MinDensity: 0.001, MaxDensity: 0.003, PairsPerRange: 10, Seed: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig, err := assocmine.ComputeSignatures(d, 100, 7, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"context=nil", nil}, {"context=background", context.Background()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var verify time.Duration
+			for i := 0; i < b.N; i++ {
+				res, err := assocmine.SimilarPairsWithSignatures(d, sig, assocmine.Config{
+					Algorithm: assocmine.MinHash, Threshold: 0.7, Context: bc.ctx,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				verify += res.Stats.VerifyTime
+			}
+			b.ReportMetric(float64(verify.Nanoseconds())/float64(b.N), "verify-ns/op")
+		})
+	}
 }
 
 func benchName(k string, v int) string {

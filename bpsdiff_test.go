@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BPS differential harness (`make bpscheck`): every driver the sampler
+// BPS differential harness: every driver the sampler
 // runs under — in-memory vs streamed, serial vs parallel, raw vs binary
 // vs compressed file formats, scalar vs packed verify kernels, budgeted
 // spill vs unbudgeted — must produce bit-identical Results at a fixed
@@ -61,7 +61,7 @@ func TestBPSDifferential(t *testing.T) {
 									t.Fatalf("%s: pair %d = %+v, reference %+v", name, i, got.Pairs[i], ref.Pairs[i])
 								}
 							}
-							comparePairSections(t, got.Stats, ref.Stats)
+							comparePairSections(t, got.Stats, ref.Stats, false)
 						}
 						if stream.Stats.BytesRead <= 0 {
 							t.Errorf("streamed run read %d bytes", stream.Stats.BytesRead)
@@ -124,7 +124,7 @@ func TestBPSBudgetedSpillMatches(t *testing.T) {
 					t.Fatalf("pair %d: %+v budgeted, %+v unbudgeted", i, stream.Pairs[i], mem.Pairs[i])
 				}
 			}
-			comparePairSections(t, stream.Stats, mem.Stats)
+			comparePairSections(t, stream.Stats, mem.Stats, false)
 			if got := col.Counter(CounterPairsSampled); got != stream.Stats.PairsSampled {
 				t.Errorf("collector pairs_sampled = %d, Stats.PairsSampled = %d", got, stream.Stats.PairsSampled)
 			}

@@ -48,9 +48,9 @@ func distFixture(t *testing.T) (arows, carows string) {
 }
 
 // TestDistDifferential is the end-to-end distributed-equals-serial
-// harness behind `make distcheck`: for every supported scheme, worker
-// count, and binary format, `-dist-workers N` must print byte-for-byte
-// what the single-process `-stream` run prints.
+// harness: for every supported scheme, worker count, and binary format,
+// `-dist-workers N` must print byte-for-byte what the single-process
+// `-stream` run prints.
 func TestDistDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess fleets")

@@ -60,7 +60,7 @@ func TestCompressedPipelineMatchesUncompressed(t *testing.T) {
 							t.Fatalf("pair %d: %+v compressed, %+v uncompressed", i, compRes.Pairs[i], rawRes.Pairs[i])
 						}
 					}
-					comparePairSections(t, compRes.Stats, rawRes.Stats)
+					comparePairSections(t, compRes.Stats, rawRes.Stats, true)
 					// Codec accounting: the compressed run must report its
 					// compressed reads, read strictly fewer file bytes than
 					// the uncompressed run, and price the saving as a >1x
@@ -141,7 +141,7 @@ func TestCompressedChaosTransientBitIdentical(t *testing.T) {
 						t.Fatalf("pair %d: %+v under faults, %+v fault-free", i, faulty.Pairs[i], clean.Pairs[i])
 					}
 				}
-				comparePairSections(t, faulty.Stats, clean.Stats)
+				comparePairSections(t, faulty.Stats, clean.Stats, true)
 				if faulty.Stats.IORetries <= 0 || faulty.Stats.FaultsInjected <= 0 {
 					t.Errorf("faults did not engage: retries=%d injected=%d", faulty.Stats.IORetries, faulty.Stats.FaultsInjected)
 				}

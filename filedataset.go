@@ -71,7 +71,10 @@ func (f *FileDataset) NumCols() int { return f.src.NumCols() }
 // phase. Only HammingLSH materialises the matrix (its fold ladder is a
 // whole-data structure).
 func (f *FileDataset) SimilarPairs(cfg Config) (*Result, error) {
-	return similarPairs(f.src, f.materialize, cfg)
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	return newRun(f.src, f.materialize, cfg).mine(nil)
 }
 
 // Load materialises the file into an in-memory Dataset (cached; later

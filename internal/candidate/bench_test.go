@@ -35,7 +35,7 @@ func BenchmarkRowSortMHParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := RowSortMHParallel(sig, 0.4, workers); err != nil {
+				if _, _, err := RowSortMHParallelProgress(nil, sig, 0.4, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +54,7 @@ func BenchmarkHashCountKMHParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := HashCountKMHParallel(sk, opt, workers); err != nil {
+				if _, _, err := HashCountKMHParallelProgress(nil, sk, opt, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

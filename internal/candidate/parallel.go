@@ -165,40 +165,24 @@ func scanMH(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlie
 	return scan(ctx, r, sig.M, workers, tick)
 }
 
-// RowSortMHParallel is RowSortMH with both stages parallelised: the
-// per-row sorting (k independent rows) and the per-column run scan.
-// Output and Stats are identical to RowSortMH for any worker count;
-// workers <= 1 runs the serial pass, negative means GOMAXPROCS.
-func RowSortMHParallel(sig *minhash.Signatures, cutoff float64, workers int) ([]pairs.Scored, Stats, error) {
-	return scanMH(context.Background(), sig, cutoff, false, workers, nil)
-}
-
-// RowSortMHParallelProgress is RowSortMHParallel with a progress hook
-// and cancellation: tick (when non-nil) receives (columns counted,
-// total columns), from worker goroutines at chunk granularity in the
-// parallel path and inline in the serial path; a cancelled ctx (nil
-// means Background) aborts at chunk granularity with ctx.Err().
-// Output and Stats are unaffected.
+// RowSortMHParallelProgress is RowSortMH with both stages parallelised
+// — the per-row sorting (k independent rows) and the per-column run
+// scan — plus a progress hook and cancellation. Output and Stats are
+// identical to RowSortMH for any worker count; workers <= 1 runs the
+// serial pass, negative means GOMAXPROCS. tick (when non-nil) receives
+// (columns counted, total columns), from worker goroutines at chunk
+// granularity in the parallel path and inline in the serial path; a
+// cancelled ctx (nil means Background) aborts at chunk granularity with
+// ctx.Err().
 func RowSortMHParallelProgress(ctx context.Context, sig *minhash.Signatures, cutoff float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	return scanMH(ctx, sig, cutoff, false, workers, tick)
 }
 
-// HashCountMHParallel is HashCountMH with the index built and the
-// column counting sharded across workers.
-func HashCountMHParallel(sig *minhash.Signatures, cutoff float64, workers int) ([]pairs.Scored, Stats, error) {
-	return scanMH(context.Background(), sig, cutoff, true, workers, nil)
-}
-
-// HashCountKMHParallel is HashCountKMH with the column counting sharded
-// across workers. The index (one radix sort over all sketch values) is
-// built serially — it is the cheap O(m·k) part — and shared read-only.
-func HashCountKMHParallel(s *kminhash.Sketches, opt KMHOptions, workers int) ([]pairs.Scored, Stats, error) {
-	return HashCountKMHParallelProgress(context.Background(), s, opt, workers, nil)
-}
-
-// HashCountKMHParallelProgress is HashCountKMHParallel with a progress
-// hook and cancellation following the RowSortMHParallelProgress
-// conventions.
+// HashCountKMHParallelProgress is HashCountKMH with the column counting
+// sharded across workers, a progress hook and cancellation, following
+// the RowSortMHParallelProgress conventions. The index (one radix sort
+// over all sketch values) is built serially — it is the cheap O(m·k)
+// part — and shared read-only.
 func HashCountKMHParallelProgress(ctx context.Context, s *kminhash.Sketches, opt KMHOptions, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	ctx, workers = normWorkers(ctx, workers)
 	r, err := NewKMHRanger(s, opt)

@@ -26,7 +26,7 @@ func TestRowSortMHParallelMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 7, -1} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, st, err := RowSortMHParallel(sig, 0.3, workers)
+			got, st, err := RowSortMHParallelProgress(nil, sig, 0.3, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestHashCountMHParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		got, st, err := HashCountMHParallel(sig, 0.25, workers)
+		got, st, err := scanMH(nil, sig, 0.25, true, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestHashCountKMHParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		got, st, err := HashCountKMHParallel(sk, opt, workers)
+		got, st, err := HashCountKMHParallelProgress(nil, sk, opt, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,13 +98,13 @@ func TestParallelCandidateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RowSortMHParallel(sig, 0, 4); err == nil {
+	if _, _, err := RowSortMHParallelProgress(nil, sig, 0, 4, nil); err == nil {
 		t.Error("RowSortMHParallel accepted cutoff 0")
 	}
-	if _, _, err := HashCountMHParallel(sig, 1.5, 4); err == nil {
+	if _, _, err := scanMH(nil, sig, 1.5, true, 4, nil); err == nil {
 		t.Error("HashCountMHParallel accepted cutoff 1.5")
 	}
-	if _, _, err := HashCountKMHParallel(&kminhash.Sketches{K: 1}, KMHOptions{BiasedCutoff: 0}, 4); err == nil {
+	if _, _, err := HashCountKMHParallelProgress(nil, &kminhash.Sketches{K: 1}, KMHOptions{BiasedCutoff: 0}, 4, nil); err == nil {
 		t.Error("HashCountKMHParallel accepted zero biased cutoff")
 	}
 }

@@ -100,7 +100,7 @@ func TestRowSortWide(t *testing.T) {
 		t.Errorf("increments %d, want Σ r(r-1) = %d", st.Increments, wantInc)
 	}
 
-	par, parSt, err := RowSortMHParallel(sig, cutoff, 4)
+	par, parSt, err := RowSortMHParallelProgress(nil, sig, cutoff, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestHashCountWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mhPar, mhParSt, err := HashCountMHParallel(sig, cutoff, 4)
+	mhPar, mhParSt, err := scanMH(nil, sig, cutoff, true, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestHashCountWide(t *testing.T) {
 	if len(kmh) < 1000 {
 		t.Fatalf("fixture has only %d K-MH candidates", len(kmh))
 	}
-	kmhPar, kmhParSt, err := HashCountKMHParallel(sk, opt, 4)
+	kmhPar, kmhParSt, err := HashCountKMHParallelProgress(nil, sk, opt, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +222,9 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 	sk := wideSketches(t, k)
 	opt := KMHOptions{BiasedCutoff: 0.25, UnbiasedCutoff: 0.5}
 	runs := map[string]func() error{
-		"RowSortMHParallel":    func() error { _, _, err := RowSortMHParallel(sig, 0.5, workers); return err },
-		"HashCountMHParallel":  func() error { _, _, err := HashCountMHParallel(sig, 0.5, workers); return err },
-		"HashCountKMHParallel": func() error { _, _, err := HashCountKMHParallel(sk, opt, workers); return err },
+		"RowSortMHParallel":    func() error { _, _, err := RowSortMHParallelProgress(nil, sig, 0.5, workers, nil); return err },
+		"HashCountMHParallel":  func() error { _, _, err := scanMH(nil, sig, 0.5, true, workers, nil); return err },
+		"HashCountKMHParallel": func() error { _, _, err := HashCountKMHParallelProgress(nil, sk, opt, workers, nil); return err },
 	}
 	// 64 bytes per (column, signature row or worker): sort keys and
 	// scratch (24), the index (12), counters and output.

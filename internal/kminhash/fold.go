@@ -8,10 +8,12 @@ import (
 	"assocmine/internal/matrix"
 )
 
-// FoldState is the resumable accumulator of the K-MH sketch pass: the
-// per-column bounded max-heaps Compute keeps internally, exported so
-// ingestion can stop after any row, snapshot to disk (WriteTo/
-// ReadFoldState, format KMF1), and continue later at O(new rows) cost.
+// FoldState is the accumulator of the K-MH sketch pass — one bounded
+// max-heap per column — and the only row-fold loop of the package:
+// Compute, the streamed driver and ingestion all fold through it. It is
+// resumable: ingestion can stop after any row, snapshot to disk
+// (WriteTo/ReadFoldState, format KMF1), and continue later at O(new
+// rows) cost.
 // States over disjoint row sets combine with Merge: the k smallest
 // hash values of a union of rows are the k smallest of the two parts'
 // bottom-k multisets, so the merged state finishes to exactly the
@@ -76,9 +78,10 @@ func (s *FoldState) Rows() int64 { return s.rows }
 // after a Merge.
 func (s *FoldState) Updates() int64 { return s.updates }
 
-// FoldRow folds one row (its sorted column indices) into the state,
-// exactly as Compute's scan callback does. Each row id must be folded
-// at most once across all states that will be merged together.
+// FoldRow folds one row (its sorted column indices) into the state:
+// the row's hash is offered to the bounded heap of every column it
+// sets. Each row id must be folded at most once across all states that
+// will be merged together.
 func (s *FoldState) FoldRow(row int, cols []int32) {
 	s.rows++
 	if len(cols) == 0 {
@@ -108,13 +111,26 @@ func (s *FoldState) FoldShard(sh *matrix.Shard) {
 
 // Finish copies the heaps into canonical (ascending-sorted) Sketches.
 // The state is left intact, so more rows can be folded and Finish
-// called again.
+// called again. The copy is compact — one backing array of exactly the
+// cells the columns hold, not the state's m·k arena — so on sparse
+// data, where most columns have fewer than k rows, the resident sketch
+// is a fraction of the fold state it came from.
 func (s *FoldState) Finish() *Sketches {
-	out := newSketches(s.m, s.k)
-	copy(out.ColSizes, s.colSizes)
-	out.Updates = s.updates
+	cells := 0
+	for _, heap := range s.heaps {
+		cells += len(heap)
+	}
+	out := &Sketches{
+		K:        s.k,
+		Sigs:     make([][]uint64, s.m),
+		ColSizes: append([]int(nil), s.colSizes...),
+		Updates:  s.updates,
+	}
+	backing := make([]uint64, 0, cells)
 	for c, heap := range s.heaps {
-		sig := append(out.Sigs[c], heap...)
+		from := len(backing)
+		backing = append(backing, heap...)
+		sig := backing[from:len(backing):len(backing)]
 		sort.Slice(sig, func(a, b int) bool { return sig[a] < sig[b] })
 		out.Sigs[c] = sig
 	}

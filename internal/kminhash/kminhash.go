@@ -11,13 +11,7 @@
 // that Hash-Count computes for all pairs at once.
 package kminhash
 
-import (
-	"fmt"
-	"sort"
-
-	"assocmine/internal/hashing"
-	"assocmine/internal/matrix"
-)
+import "assocmine/internal/matrix"
 
 // Sketches holds the bottom-k signatures of every column plus the
 // column sizes observed during the pass (needed by the biased
@@ -52,35 +46,21 @@ func newSketches(m, k int) *Sketches {
 }
 
 // Compute scans src once and returns the bottom-k sketch of every
-// column. Deterministic in (src, k, seed).
+// column: NewFoldState, FoldRow over one Scan, Finish. Deterministic in
+// (src, k, seed).
 func Compute(src matrix.RowSource, k int, seed uint64) (*Sketches, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("kminhash: k must be positive, got %d", k)
+	st, err := NewFoldState(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
 	}
-	s := newSketches(src.NumCols(), k)
-	h := hashing.NewPermHash(seed)
-	err := src.Scan(func(row int, cols []int32) error {
-		v := h.Row(row)
-		for _, c := range cols {
-			s.ColSizes[c]++
-			heap := s.Sigs[c]
-			if len(heap) < k {
-				s.Sigs[c] = pushMaxHeap(heap, v)
-				s.Updates++
-			} else if v < heap[0] {
-				replaceMaxHeapRoot(heap, v)
-				s.Updates++
-			}
-		}
+	err = src.Scan(func(row int, cols []int32) error {
+		st.FoldRow(row, cols)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for c := range s.Sigs {
-		sort.Slice(s.Sigs[c], func(a, b int) bool { return s.Sigs[c][a] < s.Sigs[c][b] })
-	}
-	return s, nil
+	return st.Finish(), nil
 }
 
 // pushMaxHeap appends v and sifts it up (max-heap on values: root holds

@@ -7,39 +7,21 @@ import (
 	"assocmine/internal/matrix"
 )
 
-// ComputeStream computes the same bottom-k sketches as Compute — same
-// sketch values, column sizes, and estimates — in ONE sequential pass
-// over src without materialising the matrix. The driver is merge-based:
+// FoldStream folds every row of src into st in ONE sequential pass
+// without materialising the matrix, returning the number of shards
+// streamed; Finish then yields the sketch values, column sizes and
+// estimates a serial FoldRow loop would. The driver is merge-based:
 // shards are dealt round-robin to workers (matrix.DistributeShards),
 // each worker folds its disjoint row subset into a private FoldState,
-// and the states are merged in fixed worker order at the end. The k
-// smallest hash values of a union of rows are the k smallest of the
-// parts' bottom-k multisets, so any worker count and any row partition
-// yield Compute's sketches exactly. The order-dependent Updates counter
-// is exact with one worker and the sum of the per-part counters
-// otherwise (deterministic for a fixed worker count, but not equal to
-// the serial replay).
-//
-// Returns the sketches and the number of shards streamed. workers <= 0
-// means GOMAXPROCS; one worker folds shard-by-shard directly.
-func ComputeStream(src matrix.RowSource, k int, seed uint64, workers int) (*Sketches, int64, error) {
-	st, err := NewFoldState(src.NumCols(), k, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	shards, err := FoldStream(src, st, workers)
-	if err != nil {
-		return nil, shards, err
-	}
-	return st.Finish(), shards, nil
-}
-
-// FoldStream folds every row of src into st using workers parallel
-// consumers over one sequential pass, returning the number of shards
-// streamed. st may already hold previously folded rows (the resume
-// path); the new rows are combined in by Merge, so the finished result
-// is exactly the sketch of all rows, old and new. With one worker the
-// rows are folded directly into st in scan order, which keeps a
+// and the states are merged into st in fixed worker order at the end.
+// The k smallest hash values of a union of rows are the k smallest of
+// the parts' bottom-k multisets, so any worker count and any row
+// partition yield the serial sketches exactly; the order-dependent
+// Updates counter is exact with one worker and the sum of the per-part
+// counters otherwise (deterministic for a fixed worker count, but not
+// equal to the serial replay). st may already hold previously folded
+// rows (the resume path). workers <= 0 means GOMAXPROCS; one worker
+// folds shard-by-shard directly into st in scan order, which keeps a
 // sequential chunked ingest bit-identical to one uninterrupted pass.
 func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error) {
 	if src.NumCols() != st.m {

@@ -23,6 +23,20 @@ func streamFixture(rows, cols int, seed uint64) *matrix.SliceSource {
 	return &matrix.SliceSource{Cols: cols, Rows: out}
 }
 
+// computeStream is the streamed batch compute: a fresh state, one
+// FoldStream pass, Finish.
+func computeStream(src matrix.RowSource, k int, seed uint64, workers int) (*Sketches, int64, error) {
+	st, err := NewFoldState(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	shards, err := FoldStream(src, st, workers)
+	if err != nil {
+		return nil, shards, err
+	}
+	return st.Finish(), shards, nil
+}
+
 // TestComputeStreamBitIdentical: the merge-based streamed driver must
 // reproduce the serial sketches exactly — signatures and column sizes
 // for any worker count (bottom-k union is partition-independent), and
@@ -38,7 +52,7 @@ func TestComputeStreamBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 5, 8, 100} {
-		got, shards, err := ComputeStream(src, k, 9, workers)
+		got, shards, err := computeStream(src, k, 9, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -49,7 +63,7 @@ func TestComputeStreamBitIdentical(t *testing.T) {
 			t.Errorf("workers=1: Updates = %d, want %d", got.Updates, want.Updates)
 		}
 		if workers > 1 {
-			again, _, err := ComputeStream(src, k, 9, workers)
+			again, _, err := computeStream(src, k, 9, workers)
 			if err != nil {
 				t.Fatalf("workers=%d rerun: %v", workers, err)
 			}
@@ -84,7 +98,7 @@ func TestComputeStreamMoreWorkersThanShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, shards, err := ComputeStream(src, k, 7, 16)
+	got, shards, err := computeStream(src, k, 7, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +123,7 @@ func TestComputeStreamZeroRows(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	src := &matrix.SliceSource{Cols: 7, Rows: nil}
 	for _, workers := range []int{1, 4} {
-		got, shards, err := ComputeStream(src, 5, 11, workers)
+		got, shards, err := computeStream(src, 5, 11, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -129,7 +143,7 @@ func TestComputeStreamZeroRows(t *testing.T) {
 }
 
 func TestComputeStreamBadK(t *testing.T) {
-	if _, _, err := ComputeStream(streamFixture(5, 5, 1), -1, 1, 2); err == nil {
+	if _, _, err := computeStream(streamFixture(5, 5, 1), -1, 1, 2); err == nil {
 		t.Error("k=-1 accepted")
 	}
 }

@@ -211,11 +211,13 @@ func TestBandingMatchesMapOracle(t *testing.T) {
 	}{
 		{"disjoint", disjointBands(r, l),
 			func() (*pairs.Set, Stats, error) { return Candidates(sig, r, l) },
-			func() (*pairs.Set, Stats, error) { return CandidatesParallel(sig, r, l, 4) },
+			func() (*pairs.Set, Stats, error) { return CandidatesParallelProgress(nil, sig, r, l, 4, nil) },
 			func(lo, hi int) ([]BandPairs, error) { return CandidateBands(sig, r, l, lo, hi) }},
 		{"sampled", sampledBands(sig.K, r, l, seed),
 			func() (*pairs.Set, Stats, error) { return SampledCandidates(sig, r, l, seed) },
-			func() (*pairs.Set, Stats, error) { return SampledCandidatesParallel(sig, r, l, seed, 4) },
+			func() (*pairs.Set, Stats, error) {
+				return SampledCandidatesParallelProgress(nil, sig, r, l, seed, 4, nil)
+			},
 			func(lo, hi int) ([]BandPairs, error) { return SampledCandidateBands(sig, r, l, seed, lo, hi) }},
 	}
 	for _, lay := range layouts {

@@ -37,7 +37,7 @@ func BenchmarkLSHCandidatesParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := CandidatesParallel(sig, 5, 10, workers); err != nil {
+				if _, _, err := CandidatesParallelProgress(nil, sig, 5, 10, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,19 +20,13 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// CandidatesParallel is Candidates with the l bands sharded across
-// workers. workers <= 1 runs the serial pass; negative workers means
-// GOMAXPROCS. The candidate set, Bands, BucketPairs and Candidates
-// statistics are identical to the serial pass.
-func CandidatesParallel(sig *minhash.Signatures, r, l, workers int) (*pairs.Set, Stats, error) {
-	return CandidatesParallelProgress(context.Background(), sig, r, l, workers, nil)
-}
-
-// CandidatesParallelProgress is CandidatesParallel with a progress
-// hook and cancellation: tick (when non-nil) receives (bands hashed,
-// total bands), from worker goroutines in the parallel path; a
-// cancelled ctx (nil means Background) aborts at band granularity with
-// ctx.Err(). The candidate set and Stats are unaffected.
+// CandidatesParallelProgress is Candidates with the l bands sharded
+// across workers, a progress hook and cancellation. workers <= 1 runs
+// the serial pass; negative workers means GOMAXPROCS. The candidate
+// set, Bands, BucketPairs and Candidates statistics are identical to
+// the serial pass. tick (when non-nil) receives (bands hashed, total
+// bands), from worker goroutines in the parallel path; a cancelled ctx
+// (nil means Background) aborts at band granularity with ctx.Err().
 func CandidatesParallelProgress(ctx context.Context, sig *minhash.Signatures, r, l, workers int, tick obs.Tick) (*pairs.Set, Stats, error) {
 	if err := checkRL(r, l); err != nil {
 		return nil, Stats{}, err
@@ -43,16 +37,10 @@ func CandidatesParallelProgress(ctx context.Context, sig *minhash.Signatures, r,
 	return bandCandidatesParallel(ctx, sig, disjointBands(r, l), workers, tick)
 }
 
-// SampledCandidatesParallel is SampledCandidates with bands sharded
-// across workers; the band layout is drawn from the same sequential RNG
-// as the serial variant, so the two produce identical candidate sets.
-func SampledCandidatesParallel(sig *minhash.Signatures, r, l int, seed uint64, workers int) (*pairs.Set, Stats, error) {
-	return SampledCandidatesParallelProgress(context.Background(), sig, r, l, seed, workers, nil)
-}
-
-// SampledCandidatesParallelProgress is SampledCandidatesParallel with a
-// band-granularity progress hook and cancellation following the
-// CandidatesParallelProgress conventions.
+// SampledCandidatesParallelProgress is SampledCandidates under the
+// CandidatesParallelProgress conventions; the band layout is drawn from
+// the same sequential RNG as the serial variant, so the two produce
+// identical candidate sets.
 func SampledCandidatesParallelProgress(ctx context.Context, sig *minhash.Signatures, r, l int, seed uint64, workers int, tick obs.Tick) (*pairs.Set, Stats, error) {
 	if err := checkRL(r, l); err != nil {
 		return nil, Stats{}, err

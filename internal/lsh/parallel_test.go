@@ -22,7 +22,7 @@ func TestCandidatesParallelMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 7, 16, -1} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			pset, pst, err := CandidatesParallel(sig, 5, 12, workers)
+			pset, pst, err := CandidatesParallelProgress(nil, sig, 5, 12, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestSampledCandidatesParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		pset, pst, err := SampledCandidatesParallel(sig, 6, 15, 77, workers)
+		pset, pst, err := SampledCandidatesParallelProgress(nil, sig, 6, 15, 77, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,13 +68,13 @@ func TestCandidatesParallelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := CandidatesParallel(sig, 0, 5, 4); err == nil {
+	if _, _, err := CandidatesParallelProgress(nil, sig, 0, 5, 4, nil); err == nil {
 		t.Error("r=0 accepted")
 	}
-	if _, _, err := CandidatesParallel(sig, 5, 10, 4); err == nil {
+	if _, _, err := CandidatesParallelProgress(nil, sig, 5, 10, 4, nil); err == nil {
 		t.Error("k < r*l accepted")
 	}
-	if _, _, err := SampledCandidatesParallel(sig, 11, 4, 1, 4); err == nil {
+	if _, _, err := SampledCandidatesParallelProgress(nil, sig, 11, 4, 1, 4, nil); err == nil {
 		t.Error("k < r accepted")
 	}
 }

@@ -26,7 +26,7 @@ type RowSource interface {
 
 // ConcurrentSource is a RowSource whose Scan may be called from
 // several goroutines at once (in-memory data with no per-scan state).
-// Parallel consumers such as verify.ExactParallel use it to let each
+// Parallel consumers such as verify.ExactParallelProgress use it to let each
 // worker run its own full scan instead of fanning one stream out.
 // Sources with mutable scan state (files, CountingSource) must not
 // implement it.

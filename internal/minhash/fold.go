@@ -7,10 +7,16 @@ import (
 	"assocmine/internal/matrix"
 )
 
-// FoldState is the resumable accumulator of the MH signature pass: the
-// column-major running minima Compute keeps internally, exported so
-// ingestion can stop after any row, snapshot to disk (WriteTo/
-// ReadFoldState, format AMF1), and continue later at O(new rows) cost.
+// FoldState is the accumulator of the MH signature pass, and the only
+// row-fold loop of the package: Compute, the streamed driver and
+// ingestion all fold through it. The running minima are column-major —
+// each column's k minima contiguous — so the inner k-loop sweeps one
+// L1-resident slice (foldMin) instead of scattering across the
+// hash-major value array with stride m; Finish transposes once, and
+// per-cell minima are order-independent, so the result is bit-identical
+// to a direct scatter. The state is resumable: ingestion can stop after
+// any row, snapshot to disk (WriteTo/ReadFoldState, format AMF1), and
+// continue later at O(new rows) cost.
 // States over disjoint row sets combine exactly with Merge — the
 // minimum over a union of rows is the minimum of the per-part minima —
 // which also makes FoldState the unit of work of the merge-based

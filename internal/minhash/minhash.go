@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 )
 
@@ -30,47 +29,21 @@ type Signatures struct {
 }
 
 // Compute scans src once and returns k independent min-hash values per
-// column. The same (src, k, seed) always yields the same signatures.
-//
-// The fold runs over a column-major scratch — each column's k running
-// minima contiguous — so the inner k-loop sweeps one L1-resident slice
-// (foldMin) instead of scattering across the hash-major value array
-// with stride m. The scratch is transposed into the hash-major layout
-// once at the end; per-cell minima are order-independent, so the
-// blocked kernel is bit-identical to a direct scatter.
+// column: NewFoldState, FoldRow over one Scan, Finish. The same (src, k,
+// seed) always yields the same signatures.
 func Compute(src matrix.RowSource, k int, seed uint64) (*Signatures, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("minhash: k must be positive, got %d", k)
+	st, err := NewFoldState(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
 	}
-	m := src.NumCols()
-	sig := &Signatures{K: k, M: m, Vals: make([]uint64, k*m)}
-	hs := hashing.NewPermHashes(seed, k)
-	work := make([]uint64, k*m) // column-major: work[c*k+l]
-	for i := range work {
-		work[i] = Empty
-	}
-	rowVals := make([]uint64, k)
-	err := src.Scan(func(row int, cols []int32) error {
-		if len(cols) == 0 {
-			return nil
-		}
-		for l := 0; l < k; l++ {
-			rowVals[l] = hs[l].Row(row)
-		}
-		for _, c := range cols {
-			foldMin(work[int(c)*k:int(c)*k+k], rowVals)
-		}
+	err = src.Scan(func(row int, cols []int32) error {
+		st.FoldRow(row, cols)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for c := 0; c < m; c++ {
-		for l, v := range work[c*k : (c+1)*k] {
-			sig.Vals[l*m+c] = v
-		}
-	}
-	return sig, nil
+	return st.Finish(), nil
 }
 
 // foldMin lowers each dst[l] to rowVals[l] when smaller. This is the

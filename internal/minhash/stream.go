@@ -7,37 +7,20 @@ import (
 	"assocmine/internal/matrix"
 )
 
-// ComputeStream computes the same signatures as Compute — bit for bit —
-// in ONE sequential pass over src without materialising the matrix. The
-// driver is merge-based: shards are dealt round-robin to workers
-// (matrix.DistributeShards), each worker folds its disjoint row subset
-// into a private FoldState, and the states are merged in fixed worker
-// order at the end. The per-cell minimum over a union of rows is the
-// minimum of the per-part minima, so any worker count and any row
-// partition yield the serial result exactly. Memory is O(workers·k·m)
-// for the states plus a constant number of in-flight shards.
-//
-// Returns the signatures and the number of shards streamed. workers <=
-// 0 means GOMAXPROCS; one worker folds shard-by-shard directly (the
-// degenerate deal), which keeps accounting uniform.
-func ComputeStream(src matrix.RowSource, k int, seed uint64, workers int) (*Signatures, int64, error) {
-	st, err := NewFoldState(src.NumCols(), k, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	shards, err := FoldStream(src, st, workers)
-	if err != nil {
-		return nil, shards, err
-	}
-	return st.Finish(), shards, nil
-}
-
-// FoldStream folds every row of src into st using workers parallel
-// consumers over one sequential pass, returning the number of shards
-// streamed. st may already hold previously folded rows (the resume
-// path); the new rows are combined in by Merge, so the result is
-// exactly the state of folding all rows, old and new. With one worker
-// the rows are folded directly into st in scan order.
+// FoldStream folds every row of src into st — bit for bit what a
+// serial FoldRow loop leaves there — in ONE sequential pass over src
+// without materialising the matrix, returning the number of shards
+// streamed. The driver is merge-based: shards are dealt round-robin to
+// workers (matrix.DistributeShards), each worker folds its disjoint row
+// subset into a private FoldState, and the states are merged into st in
+// fixed worker order at the end. The per-cell minimum over a union of
+// rows is the minimum of the per-part minima, so any worker count and
+// any row partition yield the serial result exactly. Memory is
+// O(workers·k·m) for the states plus a constant number of in-flight
+// shards. st may already hold previously folded rows (the resume path).
+// workers <= 0 means GOMAXPROCS; one worker folds shard-by-shard
+// directly into st in scan order (the degenerate deal), which keeps
+// accounting uniform.
 func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error) {
 	if src.NumCols() != st.m {
 		return 0, fmt.Errorf("minhash: source has %d columns, fold state has %d", src.NumCols(), st.m)

@@ -23,6 +23,20 @@ func streamFixture(rows, cols int, seed uint64) *matrix.SliceSource {
 	return &matrix.SliceSource{Cols: cols, Rows: out}
 }
 
+// computeStream is the streamed batch compute: a fresh state, one
+// FoldStream pass, Finish.
+func computeStream(src matrix.RowSource, k int, seed uint64, workers int) (*Signatures, int64, error) {
+	st, err := NewFoldState(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	shards, err := FoldStream(src, st, workers)
+	if err != nil {
+		return nil, shards, err
+	}
+	return st.Finish(), shards, nil
+}
+
 // TestComputeStreamBitIdentical: the merge-based streamed driver must
 // reproduce the serial signatures exactly for any worker count,
 // including worker counts above k (pointwise min is
@@ -36,7 +50,7 @@ func TestComputeStreamBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, k + 7} {
-		got, shards, err := ComputeStream(src, k, 5, workers)
+		got, shards, err := computeStream(src, k, 5, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,7 +71,7 @@ func TestComputeStreamBitIdentical(t *testing.T) {
 // TestComputeStreamEmptyColumns: untouched columns keep the sentinel.
 func TestComputeStreamEmptyColumns(t *testing.T) {
 	src := &matrix.SliceSource{Cols: 5, Rows: [][]int32{{0, 2}, {0}, {}}}
-	sig, _, err := ComputeStream(src, 8, 3, 4)
+	sig, _, err := computeStream(src, 8, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +95,7 @@ func TestComputeStreamMoreWorkersThanShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, shards, err := ComputeStream(src, k, 7, 16)
+	got, shards, err := computeStream(src, k, 7, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +115,7 @@ func TestComputeStreamZeroRows(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	src := &matrix.SliceSource{Cols: 6, Rows: nil}
 	for _, workers := range []int{1, 4} {
-		sig, shards, err := ComputeStream(src, 5, 11, workers)
+		sig, shards, err := computeStream(src, 5, 11, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -117,7 +131,7 @@ func TestComputeStreamZeroRows(t *testing.T) {
 }
 
 func TestComputeStreamBadK(t *testing.T) {
-	if _, _, err := ComputeStream(streamFixture(5, 5, 1), 0, 1, 2); err == nil {
+	if _, _, err := computeStream(streamFixture(5, 5, 1), 0, 1, 2); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

@@ -100,10 +100,10 @@ func TestPackedMatchesBudgetedAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par, pst, err := ExactParallel(m.Stream(), cand, threshold, 4); err != nil {
+	if par, pst, err := ExactParallelProgress(m.Stream(), cand, threshold, 4, nil); err != nil {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(par, want) || pst.Touches != wantStats.Touches {
-		t.Fatal("ExactParallel disagrees with Exact; fixture broken")
+		t.Fatal("ExactParallelProgress disagrees with Exact; fixture broken")
 	}
 
 	words := (400 + 63) / 64

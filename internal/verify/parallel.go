@@ -27,36 +27,23 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// ExactParallel is Exact with the candidate counters sharded across
-// workers. Results are bit-identical to Exact for any worker count;
-// workers <= 1 runs the serial pass, negative workers means
-// GOMAXPROCS. Small candidate lists are automatically run with fewer
-// workers (goroutine and fan-out overhead would dominate).
-func ExactParallel(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int) ([]pairs.Scored, Stats, error) {
-	return ExactParallelProgress(src, cand, threshold, workers, nil)
-}
-
-// ExactParallelProgress is ExactParallel with a progress hook: in the
-// concurrent-scan strategy tick (when non-nil) receives (candidate
-// pairs fully verified, total candidates) as each shard finishes its
-// scan, from worker goroutines. The serial and single-reader fan-out
-// strategies scan the data exactly once, so row-level progress belongs
-// to the source there — wrap it in a matrix.ProgressSource instead;
-// tick then only fires once at completion. Results are unaffected.
+// ExactParallelProgress is Exact with the candidate counters sharded
+// across workers and a progress hook. Results are bit-identical to
+// Exact for any worker count; workers <= 1 runs the serial pass,
+// negative workers means GOMAXPROCS. Small candidate lists are
+// automatically run with fewer workers (goroutine and fan-out overhead
+// would dominate). In the concurrent-scan strategy tick (when non-nil)
+// receives (candidate pairs fully verified, total candidates) as each
+// shard finishes its scan, from worker goroutines. The serial and
+// single-reader fan-out strategies scan the data exactly once, so
+// row-level progress belongs to the source there — wrap it in a
+// matrix.ProgressSource instead; tick then only fires once at
+// completion.
 func ExactParallelProgress(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
 	return exactParallel(src, cand, threshold, workers, tick)
-}
-
-// ExactPairsParallel is ExactParallel for bare pairs.
-func ExactPairsParallel(src matrix.RowSource, cand []pairs.Pair, threshold float64, workers int) ([]pairs.Scored, Stats, error) {
-	scored := make([]pairs.Scored, len(cand))
-	for i, p := range cand {
-		scored[i] = pairs.Scored{Pair: p}
-	}
-	return ExactParallel(src, scored, threshold, workers)
 }
 
 // minShardCandidates is the smallest candidate shard worth a goroutine;

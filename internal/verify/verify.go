@@ -181,15 +181,6 @@ func exactInto(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]
 	return out, st, nil
 }
 
-// ExactPairs is Exact for bare pairs (no estimates attached).
-func ExactPairs(src matrix.RowSource, cand []pairs.Pair, threshold float64) ([]pairs.Scored, Stats, error) {
-	scored := make([]pairs.Scored, len(cand))
-	for i, p := range cand {
-		scored[i] = pairs.Scored{Pair: p}
-	}
-	return Exact(src, scored, threshold)
-}
-
 // AllPairs computes the exact set of column pairs with similarity >=
 // threshold by brute-force counting. It exploits sparsity: for each
 // row, every pair of columns co-occurring in that row gets an

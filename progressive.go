@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"assocmine/internal/lsh"
-	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
-	"assocmine/internal/verify"
 )
 
 // Progress describes one band of a progressive Min-LSH run.
@@ -32,10 +30,13 @@ type Progress struct {
 // false from fn. The pairs accumulated up to the stop are returned.
 //
 // cfg.Algorithm must be MinLSH (or zero, which is treated as MinLSH
-// here); cfg.K must be at least R*L. cfg.Workers parallelises the
-// signature pass and each band's verification; the banding itself
-// stays band-at-a-time — that ordering is the point of the API.
-// cfg.Window restricts the run to the trailing rows, like SimilarPairs.
+// here); cfg.K must be at least R*L. The signature phase, each band's
+// verification (kernel, MemoryBudget, Workers, Context) and the Stats
+// accounting are the SimilarPairs driver's own steps; only the banding
+// stays band-at-a-time — that ordering is the point of the API — so
+// DataPasses counts the signature pass plus one pass per band that
+// found fresh pairs. cfg.Window restricts the run to the trailing rows,
+// like SimilarPairs.
 func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*Result, error) {
 	if cfg.Algorithm != MinLSH && cfg.Algorithm != BruteForce {
 		return nil, fmt.Errorf("assocmine: progressive mining requires MinLSH, got %v", cfg.Algorithm)
@@ -50,67 +51,34 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 	if fn == nil {
 		return nil, fmt.Errorf("assocmine: progressive mining requires a callback")
 	}
-	st := Stats{Algorithm: MinLSH, SignatureWorkers: cfg.Workers, CandidateWorkers: 1, VerifyWorkers: cfg.Workers}
-	inner := obs.NewCollector()
-	rec := obs.Tee(inner, cfg.Recorder)
-	prog := newProgressSink(cfg.Progress)
-	// windowFrom > 0 restricts every pass to the trailing cfg.Window
-	// rows; the tail wrapper also hides the fast-path interfaces, so
-	// the signature pass falls to the streamed fold over the window.
-	windowFrom := 0
-	if cfg.Window > 0 {
-		if from := d.NumRows() - cfg.Window; from > 0 {
-			windowFrom = from
-		}
-	}
-	rowSrc := func() matrix.RowSource {
-		src := matrix.RowSource(d.m.Stream())
-		if windowFrom > 0 {
-			src = &matrix.TailSource{Src: src, From: windowFrom}
-		}
-		return src
-	}
-	stick := prog.enter(PhaseSignatures)
-	endSig := phaseSpan(rec, PhaseSignatures)
+	r := d.run(cfg)
 	start := time.Now()
-	sigSrc := rowSrc()
-	sig, _, err := computeMH(sigSrc, sigSrc, func() (*matrix.Matrix, error) { return d.m, nil }, cfg, stick)
+	sk, err := r.sketch(r.foldMH, nil)
 	if err != nil {
 		return nil, err
 	}
-	st.SignatureTime = endSig()
-	rec.SetGauge(obs.GaugeSignatureWorkers, int64(cfg.Workers))
-	rec.Add(obs.CounterSignatureCells, int64(sig.K)*int64(sig.M))
-	rec.SetGauge(obs.GaugeSignatureBytes, int64(len(sig.Vals))*8)
-	prog.finish(PhaseSignatures)
 
-	var all []Pair
+	st := &r.st
+	var all []pairs.Scored
 	var innerErr error
-	var touches int64
-	verifyPasses := 0
-	ctick := prog.enter(PhaseCandidates)
-	_, lst, err := lsh.OnlineCandidates(sig, cfg.R, cfg.L, func(band int, fresh []pairs.Pair) bool {
+	ctick := r.prog.enter(PhaseCandidates)
+	_, lst, err := lsh.OnlineCandidates(sk.mh, cfg.R, cfg.L, func(band int, fresh []pairs.Pair) bool {
 		vstart := time.Now()
-		if len(fresh) > 0 {
-			verifyPasses++ // ExactPairs scans the data only for non-empty batches
-		}
-		verified, vst, err := verify.ExactPairsParallel(rowSrc(), fresh, cfg.Threshold, cfg.Workers)
+		verified, err := r.exact(unscored(fresh), nil)
 		st.VerifyTime += time.Since(vstart)
 		if err != nil {
 			innerErr = err
 			return false
 		}
 		st.Candidates += len(fresh)
-		touches += vst.Touches
-		batch := toPairs(verified, true)
-		all = append(all, batch...)
+		all = append(all, verified...)
 		if ctick != nil {
 			ctick(int64(band+1), int64(cfg.L))
 		}
 		return fn(Progress{
 			Band:       band,
 			Bands:      cfg.L,
-			Fresh:      batch,
+			Fresh:      toPairs(verified, true),
 			TotalFound: len(all),
 		})
 	})
@@ -122,41 +90,19 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 	}
 	st.CandidateTime = time.Since(start) - st.SignatureTime - st.VerifyTime
 	st.Verified = len(all)
-	st.DataPasses = 1 + verifyPasses // signature pass + per-band verify passes
-	st.RowsScanned = int64(st.DataPasses) * int64(d.NumRows()-windowFrom)
+	st.FalsePositives = st.Candidates - st.Verified
 	// The candidate and verify phases interleave band by band, so their
 	// spans are reported once at completion with the accumulated
 	// durations (the same values Stats records).
-	rec.PhaseStart(PhaseCandidates)
-	rec.PhaseEnd(PhaseCandidates, st.CandidateTime)
-	rec.PhaseStart(PhaseVerify)
-	rec.PhaseEnd(PhaseVerify, st.VerifyTime)
-	rec.SetGauge(obs.GaugeVerifyWorkers, int64(cfg.Workers))
-	rec.Add(obs.CounterBucketPairs, lst.BucketPairs)
-	rec.Add(obs.CounterVerifyTouches, touches)
-	rec.Add(obs.CounterDataPasses, int64(st.DataPasses))
-	rec.Add(obs.CounterRowsScanned, st.RowsScanned)
-	rec.Add(obs.CounterCandidates, int64(st.Candidates))
-	rec.Add(obs.CounterPairsVerified, int64(st.Verified))
-	st.FalsePositives = st.Candidates - st.Verified
-	rec.Add(obs.CounterFalsePositives, int64(st.FalsePositives))
-	prog.finish(PhaseCandidates)
-	prog.enter(PhaseVerify)
-	prog.finish(PhaseVerify)
-	st.fillFrom(inner)
-	sortPairsBySimilarity(all)
-	return &Result{Pairs: all, Stats: st}, nil
-}
-
-func sortPairsBySimilarity(ps []Pair) {
-	// Insertion-friendly sizes are typical; use the pairs package
-	// ordering via a conversion to keep one canonical sort.
-	scored := make([]pairs.Scored, len(ps))
-	for i, p := range ps {
-		scored[i] = pairs.Scored{Pair: pairs.Make(int32(p.I), int32(p.J)), Estimate: p.Estimate, Exact: p.Similarity}
-	}
-	pairs.SortScored(scored)
-	for i, s := range scored {
-		ps[i] = Pair{I: int(s.I), J: int(s.J), Estimate: s.Estimate, Similarity: s.Exact}
-	}
+	r.rec.PhaseStart(PhaseCandidates)
+	r.rec.PhaseEnd(PhaseCandidates, st.CandidateTime)
+	r.rec.PhaseStart(PhaseVerify)
+	r.rec.PhaseEnd(PhaseVerify, st.VerifyTime)
+	st.VerifyWorkers = cfg.Workers
+	r.rec.SetGauge(obs.GaugeVerifyWorkers, int64(cfg.Workers))
+	r.rec.Add(obs.CounterBucketPairs, lst.BucketPairs)
+	r.prog.finish(PhaseCandidates)
+	r.prog.enter(PhaseVerify)
+	r.prog.finish(PhaseVerify)
+	return r.finish(all, true), nil
 }

@@ -1,0 +1,605 @@
+package assocmine
+
+import (
+	"fmt"
+	"time"
+
+	"assocmine/internal/apriori"
+	"assocmine/internal/bps"
+	"assocmine/internal/candidate"
+	"assocmine/internal/hamminglsh"
+	"assocmine/internal/kminhash"
+	"assocmine/internal/lsh"
+	"assocmine/internal/matrix"
+	"assocmine/internal/minhash"
+	"assocmine/internal/obs"
+	"assocmine/internal/pairs"
+	"assocmine/internal/verify"
+)
+
+// run is the one driver of the paper's three-phase template (§2). Every
+// single-process entry point — SimilarPairs, FileDataset.SimilarPairs,
+// SimilarPairsWithSignatures, SimilarPairsWithSketches and the
+// signature phase and accounting of ProgressiveSimilarPairs — builds
+// one and walks the same four steps:
+//
+//	sketch      phase 1: fold the source, or adopt a precomputed sketch
+//	candidates  phase 2: the scheme's in-memory kernel
+//	verify      phase 3: one exact pass pruning the candidates
+//	finish      pass, I/O and pair counters into Stats and the Recorder
+//
+// The run owns the recorder, the progress sink, the counted source and
+// the Stats, so what a run reports cannot depend on which entry point
+// or which worker count reached a step.
+type run struct {
+	cfg   Config // defaults applied
+	st    Stats
+	inner *obs.Collector // feeds Stats.fillFrom
+	rec   obs.Recorder   // inner teed with cfg.Recorder
+	prog  *progressSink
+
+	// probe is the source as handed in; the I/O accounting interfaces
+	// are read off it, since every wrapper hides them. base is probe cut
+	// to the sliding window; the in-memory fast-path interfaces
+	// (ColumnLister, ConcurrentSource) are read off it, and TailSource
+	// hides them on purpose, so a windowed run only scans its window.
+	// counting is base under the context wrapper (a cancelled scan
+	// aborts at its next row) with passes and rows counted: every
+	// sequential scan of a run reads it, and a fast path that bypasses
+	// it accounts its I/O-equivalent pass with countPass.
+	probe, base matrix.RowSource
+	counting    *matrix.CountingSource
+	materialize func() (*matrix.Matrix, error)
+
+	ioAtStart ioCounts
+	// Raw-equivalent and compressed spill volume, priced by the budgeted
+	// pass; they feed the codec ratio alongside the file-read deltas.
+	spillRaw, spillCompressed int64
+}
+
+func newRun(src matrix.RowSource, materialize func() (*matrix.Matrix, error), cfg Config) *run {
+	r := &run{
+		cfg:         cfg,
+		st:          Stats{Algorithm: cfg.Algorithm, SignatureWorkers: 1, CandidateWorkers: 1, VerifyWorkers: 1},
+		inner:       obs.NewCollector(),
+		prog:        newProgressSink(cfg.Progress),
+		probe:       src,
+		base:        src,
+		materialize: materialize,
+		ioAtStart:   readIOCounts(src),
+	}
+	r.rec = obs.Tee(r.inner, cfg.Recorder)
+	if from := src.NumRows() - cfg.Window; cfg.Window > 0 && from > 0 {
+		r.base = &matrix.TailSource{Src: src, From: from}
+	}
+	r.counting = &matrix.CountingSource{Src: matrix.WithContext(cfg.Context, r.base)}
+	return r
+}
+
+// run starts a driver over the in-memory dataset.
+func (d *Dataset) run(cfg Config) *run {
+	return newRun(d.m.Stream(), func() (*matrix.Matrix, error) { return d.m, nil }, cfg)
+}
+
+// sketch is what phase 1 leaves in memory for phase 2; a scheme sets
+// exactly one field.
+type sketch struct {
+	mh  *minhash.Signatures
+	kmh *kminhash.Sketches
+	sup []int64 // BPS column supports
+}
+
+// cells is the number of resident sketch entries, 8 bytes each.
+func (sk sketch) cells() int64 {
+	switch {
+	case sk.mh != nil:
+		return int64(len(sk.mh.Vals))
+	case sk.kmh != nil:
+		var n int64
+		for _, s := range sk.kmh.Sigs {
+			n += int64(len(s))
+		}
+		return n
+	default:
+		return int64(len(sk.sup))
+	}
+}
+
+// scheme is one algorithm's row of the template: the phase-1 fold that
+// builds its sketch and the phase-2 kernel that reads it.
+type scheme struct {
+	// fold is phase 1 over the counted source; nil for schemes that read
+	// the data directly.
+	fold func(src matrix.RowSource) (sketch, error)
+	// generate is phase 2. tick reports its progress in the kernel's own
+	// unit (columns, bands, or rows for the schemes that scan).
+	generate func(sk sketch, tick obs.Tick) ([]pairs.Scored, error)
+	// exact: generate already returns exact similarities, so there is
+	// nothing to verify. serial: generate ignores Config.Workers.
+	exact, serial bool
+}
+
+// mine runs the four steps. pre, when non-nil, is a caller-supplied
+// sketch adopted in place of the phase-1 fold.
+func (r *run) mine(pre *sketch) (*Result, error) {
+	sch, err := r.scheme()
+	if err != nil {
+		return nil, err
+	}
+	sk, err := r.sketch(sch.fold, pre)
+	if err != nil {
+		return nil, err
+	}
+	cand, err := r.candidates(sch, sk)
+	if err != nil {
+		return nil, err
+	}
+	if sch.exact || r.cfg.SkipVerify {
+		return r.finish(cand, sch.exact), nil
+	}
+	verified, err := r.verify(cand)
+	if err != nil {
+		return nil, err
+	}
+	return r.finish(verified, true), nil
+}
+
+// phase brackets one phase with its recorder span and progress window
+// and returns, with the body's result, its wall time — the exact value
+// Stats records for it.
+func phase[T any](r *run, name string, body func(tick obs.Tick) (T, error)) (T, time.Duration, error) {
+	tick := r.prog.enter(name)
+	r.rec.PhaseStart(name)
+	start := time.Now()
+	out, err := body(tick)
+	if err != nil {
+		return out, 0, err
+	}
+	d := time.Since(start)
+	r.rec.PhaseEnd(name, d)
+	r.prog.finish(name)
+	return out, d, nil
+}
+
+// ticked is the counted source reporting row progress to tick: the
+// view a phase's single sequential reader scans.
+func (r *run) ticked(tick obs.Tick) matrix.RowSource {
+	if tick == nil {
+		return r.counting
+	}
+	return &matrix.ProgressSource{Src: r.counting, Tick: tick}
+}
+
+// countPass accounts one I/O-equivalent pass for a fast path that read
+// the in-memory data without scanning the counted source, so
+// DataPasses and RowsScanned match the scanning run of the same job.
+func (r *run) countPass() {
+	r.counting.Passes++
+	r.counting.Rows += int64(r.base.NumRows())
+}
+
+// sketch is phase 1. An adopted sketch was paid for when it was
+// computed, so it gets no signature span or cell counter; the gauge
+// still reports its resident size.
+func (r *run) sketch(build func(matrix.RowSource) (sketch, error), pre *sketch) (sketch, error) {
+	if pre != nil {
+		r.rec.SetGauge(obs.GaugeSignatureBytes, pre.cells()*8)
+		return *pre, nil
+	}
+	if build == nil {
+		return sketch{}, nil
+	}
+	sk, d, err := phase(r, PhaseSignatures, func(tick obs.Tick) (sketch, error) {
+		return build(r.ticked(tick))
+	})
+	if err != nil {
+		return sketch{}, err
+	}
+	cells := sk.cells()
+	r.st.SignatureTime = d
+	r.rec.Add(obs.CounterSignatureCells, cells)
+	r.rec.SetGauge(obs.GaugeSignatureBytes, cells*8)
+	return sk, nil
+}
+
+// fold is the row fold of phase 1, shared by both sketch types:
+// NewFoldState + fold + Finish for every source and worker count.
+// Serially it is a direct Scan into FoldRow — no shard copy, no shard
+// count; above one worker the pass is dealt to per-worker states and
+// merged exactly (fanOut is the package's FoldStream), at
+// O(workers·k·m) state.
+func fold[S any, F interface {
+	FoldRow(row int, cols []int32)
+	Finish() S
+}](r *run, src matrix.RowSource, newState func(m, k int, seed uint64) (F, error), fanOut func(matrix.RowSource, F, int) (int64, error)) (sk S, err error) {
+	st, err := newState(src.NumCols(), r.cfg.K, r.cfg.Seed)
+	if err != nil {
+		return sk, err
+	}
+	var shards int64
+	if r.cfg.Workers <= 1 {
+		err = src.Scan(func(row int, cols []int32) error {
+			st.FoldRow(row, cols)
+			return nil
+		})
+	} else {
+		shards, err = fanOut(src, st, r.cfg.Workers)
+	}
+	if err != nil {
+		return sk, err
+	}
+	r.folded(shards)
+	return st.Finish(), nil
+}
+
+// folded records a parallelisable fold's worker budget and the shards
+// it broadcast.
+func (r *run) folded(shards int64) {
+	r.st.SignatureWorkers = r.cfg.Workers
+	r.rec.SetGauge(obs.GaugeSignatureWorkers, int64(r.cfg.Workers))
+	addNonzero(r.rec, obs.CounterShards, shards)
+}
+
+// foldMH is the MH phase 1. There is no column-parallel path over a
+// materialised matrix: it cost k hash evaluations per matrix entry
+// where the row fold costs k per row, and measured slower than the fold
+// at every worker count (DESIGN.md, "The driver").
+func (r *run) foldMH(src matrix.RowSource) (sketch, error) {
+	sig, err := fold(r, src, minhash.NewFoldState, minhash.FoldStream)
+	return sketch{mh: sig}, err
+}
+
+// foldKMH is the K-MH phase 1. Unlike MH, merging bottom-k states
+// outweighs the one hash per row a worker saves, so the fanned-out fold
+// is slower than serial; when the data is materialised (in memory and
+// not windowed) and Workers > 1 the column-parallel kernel runs instead
+// (2.6x faster at 2 workers), with its pass accounted by hand. It has
+// no fine-grained hooks, so progress there completes in one step.
+func (r *run) foldKMH(src matrix.RowSource) (sketch, error) {
+	if cs, ok := r.base.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() && r.cfg.Workers > 1 {
+		m, err := r.materialize()
+		if err != nil {
+			return sketch{}, err
+		}
+		sk, err := kminhash.ComputeParallel(m, r.cfg.K, r.cfg.Seed, r.cfg.Workers)
+		if err != nil {
+			return sketch{}, err
+		}
+		r.countPass()
+		r.folded(0)
+		return sketch{kmh: sk}, nil
+	}
+	sk, err := fold(r, src, kminhash.NewFoldState, kminhash.FoldStream)
+	return sketch{kmh: sk}, err
+}
+
+// supports is the BPS phase 1: column supports, the sampler's bias
+// input and the scheme's whole resident state (one cell per column).
+// Column-major in-memory data yields them without a scan.
+func (r *run) supports(src matrix.RowSource) (sketch, error) {
+	if ls, ok := r.base.(matrix.ColumnLister); ok {
+		r.countPass()
+		return sketch{sup: bps.SupportsFromLister(ls)}, nil
+	}
+	sup, err := bps.Supports(src)
+	return sketch{sup: sup}, err
+}
+
+// scheme maps the configured algorithm to its phase kernels — the only
+// place an algorithm is turned into code to run.
+func (r *run) scheme() (scheme, error) {
+	cfg := r.cfg
+	cutoff := (1 - cfg.Delta) * cfg.Threshold
+	switch cfg.Algorithm {
+	case BruteForce:
+		return scheme{exact: true, serial: true, generate: func(_ sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			return verify.AllPairsSource(r.ticked(tick), cfg.Threshold)
+		}}, nil
+
+	case MinHash:
+		return scheme{fold: r.foldMH, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			cand, cst, err := candidate.RowSortMHParallelProgress(cfg.Context, sk.mh, cutoff, cfg.Workers, tick)
+			if err != nil {
+				return nil, err
+			}
+			r.rec.Add(obs.CounterIncrements, cst.Increments)
+			return cand, nil
+		}}, nil
+
+	case KMinHash:
+		return scheme{fold: r.foldKMH, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			opt := candidate.KMHOptions{
+				BiasedCutoff:   cutoff / 2, // biased estimator under-counts; be generous
+				UnbiasedCutoff: cutoff,
+			}
+			cand, cst, err := candidate.HashCountKMHParallelProgress(cfg.Context, sk.kmh, opt, cfg.Workers, tick)
+			if err != nil {
+				return nil, err
+			}
+			r.rec.Add(obs.CounterIncrements, cst.Increments)
+			return cand, nil
+		}}, nil
+
+	case MinLSH:
+		return scheme{fold: r.foldMH, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			var set *pairs.Set
+			var lst lsh.Stats
+			var err error
+			if sk.mh.K >= cfg.R*cfg.L {
+				set, lst, err = lsh.CandidatesParallelProgress(cfg.Context, sk.mh, cfg.R, cfg.L, cfg.Workers, tick)
+			} else {
+				set, lst, err = lsh.SampledCandidatesParallelProgress(cfg.Context, sk.mh, cfg.R, cfg.L, cfg.Seed+1, cfg.Workers, tick)
+			}
+			if err != nil {
+				return nil, err
+			}
+			r.rec.Add(obs.CounterBucketPairs, lst.BucketPairs)
+			return unscored(set.Slice()), nil
+		}}, nil
+
+	case HammingLSH:
+		// The fold ladder is a whole-data structure: the one scheme that
+		// materialises a streamed source.
+		return scheme{serial: true, generate: func(sketch, obs.Tick) ([]pairs.Scored, error) {
+			full, err := r.materialize()
+			if err != nil {
+				return nil, err
+			}
+			set, hst, err := hamminglsh.Candidates(full, hamminglsh.Options{
+				R: cfg.R, L: cfg.L, T: cfg.T, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			r.rec.Add(obs.CounterBucketPairs, hst.BucketPairs)
+			return unscored(set.Slice()), nil
+		}}, nil
+
+	case Apriori:
+		return scheme{exact: true, serial: true, generate: func(_ sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			// A-priori scans once per level; ticks from later passes
+			// restart at zero and the sink drops them, so progress
+			// tracks the first pass and completes when the phase does.
+			res, err := apriori.Mine(r.ticked(tick), apriori.Options{
+				MinSupport:   cfg.MinSupport,
+				MaxLevel:     2,
+				MemoryBudget: cfg.AprioriMemoryBudget,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return res.SimilarPairs(cfg.Threshold)
+		}}, nil
+
+	case BPS:
+		return scheme{fold: r.supports, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			cand, bst, err := bps.Sample(r.ticked(tick), sk.sup, bps.Options{
+				Threshold: cfg.Threshold,
+				Delta:     cfg.Delta,
+				Budget:    cfg.SampleBudget,
+				Seed:      cfg.Seed,
+				Workers:   cfg.Workers,
+			})
+			if err != nil {
+				return nil, err
+			}
+			r.rec.Add(obs.CounterPairsSampled, bst.Inspected)
+			r.rec.Add(obs.CounterSampleAccepts, bst.Accepts)
+			addNonzero(r.rec, obs.CounterSampleDups, bst.Dups)
+			addNonzero(r.rec, obs.CounterShards, bst.Shards)
+			return cand, nil
+		}}, nil
+	}
+	return scheme{}, fmt.Errorf("assocmine: unknown algorithm %d", int(cfg.Algorithm))
+}
+
+// candidates is phase 2: the scheme's kernel over the sketch.
+func (r *run) candidates(sch scheme, sk sketch) ([]pairs.Scored, error) {
+	cand, d, err := phase(r, PhaseCandidates, func(tick obs.Tick) ([]pairs.Scored, error) {
+		return sch.generate(sk, tick)
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.st.CandidateTime, r.st.Candidates = d, len(cand)
+	if sch.exact {
+		r.st.Verified = len(cand)
+	}
+	if !sch.serial {
+		r.st.CandidateWorkers = r.cfg.Workers
+		r.rec.SetGauge(obs.GaugeCandidateWorkers, int64(r.cfg.Workers))
+	}
+	return cand, nil
+}
+
+// verify is phase 3: one exact pass under its span.
+func (r *run) verify(cand []pairs.Scored) ([]pairs.Scored, error) {
+	out, d, err := phase(r, PhaseVerify, func(tick obs.Tick) ([]pairs.Scored, error) {
+		return r.exact(cand, tick)
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.st.VerifyTime, r.st.VerifyWorkers = d, r.cfg.Workers
+	r.st.Verified, r.st.FalsePositives = len(out), len(cand)-len(out)
+	r.rec.SetGauge(obs.GaugeVerifyWorkers, int64(r.cfg.Workers))
+	return out, nil
+}
+
+// exact prunes cand to the pairs whose exact similarity reaches the
+// threshold and records the pass's work: the single dispatch over
+// kernel, memory budget and the view of the data the pass reads.
+//
+//   - Kernel selection consults only (n, m, cand, budget) — never the
+//     source type — so the in-memory and streamed runs of one job pick
+//     the same kernel and stay bit-identical.
+//   - Unbudgeted in-memory runs skip the counted stream and account
+//     their pass by hand: the packed kernel packs straight from the
+//     column lists, handed over without the context wrapper (it would
+//     hide them; PackedOptions.Context cancels at batch and pair-chunk
+//     granularity instead), and above one worker either kernel lets
+//     each worker scan concurrently, which beats fanning a stream out.
+//   - A memory budget forces the counted single-reader pass: a bounded
+//     table plus spills is the point; concurrent scans would multiply it.
+//
+// tick counts candidate pairs, or rows when a single reader scans for
+// the scalar kernel.
+func (r *run) exact(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {
+	cfg := r.cfg
+	budget := verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir}
+	packed := cfg.VerifyKernel == KernelPacked ||
+		(cfg.VerifyKernel == KernelAuto && verify.AutoPack(r.base.NumRows(), r.base.NumCols(), cand, cfg.MemoryBudget))
+
+	src, fast := matrix.RowSource(r.counting), false
+	if cfg.MemoryBudget <= 0 && len(cand) > 0 {
+		_, lister := r.base.(matrix.ColumnLister)
+		cs, ok := r.base.(matrix.ConcurrentSource)
+		switch {
+		case packed && lister:
+			src, fast = r.base, true
+		case ok && cs.ConcurrentScan() && cfg.Workers > 1:
+			src, fast = matrix.WithContext(cfg.Context, r.base), true
+		}
+	}
+	if fast {
+		r.countPass()
+	}
+
+	var out []pairs.Scored
+	var vst verify.Stats
+	var err error
+	switch {
+	case packed:
+		out, vst, err = verify.ExactPacked(src, cand, cfg.Threshold, verify.PackedOptions{
+			Budget:  budget,
+			Workers: cfg.Workers,
+			Context: cfg.Context,
+			Tick:    tick,
+		})
+	case fast:
+		out, vst, err = verify.ExactParallelProgress(src, cand, cfg.Threshold, cfg.Workers, tick)
+	default:
+		out, vst, err = verify.ExactBudgeted(r.ticked(tick), cand, cfg.Threshold, budget, cfg.Workers, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.rec.Add(obs.CounterVerifyTouches, vst.Touches)
+	addNonzero(r.rec, obs.CounterShards, vst.Shards)
+	addNonzero(r.rec, obs.CounterSpillRuns, vst.SpillRuns)
+	addNonzero(r.rec, obs.CounterSpillBytes, vst.SpillBytes)
+	addNonzero(r.rec, obs.CounterSpillBytesCompressed, vst.SpillBytesCompressed)
+	addNonzero(r.rec, obs.CounterPackedWords, vst.PackedWords)
+	addNonzero(r.rec, obs.CounterPackedBatches, vst.PackedBatches)
+	r.spillRaw += vst.SpillBytesRaw
+	r.spillCompressed += vst.SpillBytesCompressed
+	return out, nil
+}
+
+// finish is the single Stats and counter fill: passes and rows from the
+// counted source, pair counts, the probe's I/O deltas and the codec
+// ratio, then Stats from the run's own collector so it agrees with any
+// attached Recorder exactly. verified: ps carry exact similarities.
+func (r *run) finish(ps []pairs.Scored, verified bool) *Result {
+	st, rec := &r.st, r.rec
+	st.DataPasses = r.counting.Passes
+	st.RowsScanned = r.counting.Rows
+	rec.Add(obs.CounterDataPasses, int64(st.DataPasses))
+	rec.Add(obs.CounterRowsScanned, st.RowsScanned)
+	rec.Add(obs.CounterCandidates, int64(st.Candidates))
+	rec.Add(obs.CounterPairsVerified, int64(st.Verified))
+	rec.Add(obs.CounterFalsePositives, int64(st.FalsePositives))
+	// File-backed sources expose cumulative I/O counts; the deltas across
+	// the run are this run's volume, retries and injected faults.
+	io := readIOCounts(r.probe)
+	if n := io.bytes - r.ioAtStart.bytes; n > 0 {
+		rec.Add(obs.CounterBytesRead, n)
+	}
+	addNonzero(rec, obs.CounterIORetries, io.retries-r.ioAtStart.retries)
+	addNonzero(rec, obs.CounterFaultsInjected, io.faults-r.ioAtStart.faults)
+	compressedRead := io.compressed - r.ioAtStart.compressed
+	addNonzero(rec, obs.CounterCompressedBytesRead, compressedRead)
+	if moved := compressedRead + r.spillCompressed; moved > 0 {
+		ratio := float64(io.logical-r.ioAtStart.logical+r.spillRaw) / float64(moved)
+		rec.SetGauge(obs.GaugeCodecRatio, int64(ratio*100))
+	}
+	st.fillFrom(r.inner)
+	pairs.SortScored(ps)
+	return &Result{Pairs: toPairs(ps, verified), Stats: *st}
+}
+
+// ioCounts is a reading of a source's cumulative I/O probes; sources
+// without a probe read zero.
+type ioCounts struct {
+	bytes, retries, faults, compressed, logical int64
+}
+
+func readIOCounts(src matrix.RowSource) (c ioCounts) {
+	if s, ok := src.(matrix.ByteCounter); ok {
+		c.bytes = s.BytesRead()
+	}
+	if s, ok := src.(matrix.RetryCounter); ok {
+		c.retries = s.IORetries()
+	}
+	if s, ok := src.(matrix.FaultCounter); ok {
+		c.faults = s.FaultsInjected()
+	}
+	if s, ok := src.(matrix.CodecCounter); ok {
+		c.compressed = s.CompressedBytesRead()
+		c.logical = s.LogicalBytesRead()
+	}
+	return c
+}
+
+// unscored attaches zero estimates to bare pairs, the form LSH bucket
+// collisions enter verification in.
+func unscored(ps []pairs.Pair) []pairs.Scored {
+	out := make([]pairs.Scored, len(ps))
+	for i, p := range ps {
+		out[i] = pairs.Scored{Pair: p}
+	}
+	return out
+}
+
+// addNonzero records n only when it is nonzero, so runs that never
+// stream or spill keep those counters out of their metrics entirely.
+func addNonzero(rec obs.Recorder, counter string, n int64) {
+	if n != 0 {
+		rec.Add(counter, n)
+	}
+}
+
+// fillFrom copies the counters the run recorded into the extended Stats
+// fields, keeping Stats and any attached Recorder in exact agreement.
+func (s *Stats) fillFrom(c *Collector) {
+	s.SignatureCells = c.Counter(CounterSignatureCells)
+	s.SignatureBytes = c.Gauge(GaugeSignatureBytes)
+	s.CandidateIncrements = c.Counter(CounterIncrements)
+	s.BucketPairs = c.Counter(CounterBucketPairs)
+	s.VerifyTouches = c.Counter(CounterVerifyTouches)
+	s.BytesRead = c.Counter(CounterBytesRead)
+	s.ShardsStreamed = c.Counter(CounterShards)
+	s.SpillRuns = c.Counter(CounterSpillRuns)
+	s.SpillBytes = c.Counter(CounterSpillBytes)
+	s.CompressedBytesRead = c.Counter(CounterCompressedBytesRead)
+	s.SpillBytesCompressed = c.Counter(CounterSpillBytesCompressed)
+	s.CodecRatio = float64(c.Gauge(GaugeCodecRatio)) / 100
+	s.IORetries = c.Counter(CounterIORetries)
+	s.FaultsInjected = c.Counter(CounterFaultsInjected)
+	s.PackedWords = c.Counter(CounterPackedWords)
+	s.PackedBatches = c.Counter(CounterPackedBatches)
+	s.PairsSampled = c.Counter(CounterPairsSampled)
+	s.SampleAccepts = c.Counter(CounterSampleAccepts)
+	s.SampleDups = c.Counter(CounterSampleDups)
+}
+
+func toPairs(ps []pairs.Scored, verified bool) []Pair {
+	out := make([]Pair, len(ps))
+	for i, p := range ps {
+		out[i] = Pair{I: int(p.I), J: int(p.J), Estimate: p.Estimate}
+		if verified {
+			out[i].Similarity = p.Exact
+		}
+	}
+	return out
+}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"os"
 
-	"assocmine/internal/candidate"
 	"assocmine/internal/kminhash"
-	"assocmine/internal/obs"
-	"assocmine/internal/pairs"
 )
 
 // Sketches is a precomputed bottom-k (K-MH) sketch of a dataset — the
@@ -21,23 +18,18 @@ type Sketches struct {
 	rows int // dataset row count, -1 when unknown (loaded sketches)
 }
 
-// ComputeSketches runs the K-MH phase-1 scan once. Workers follow the
-// Config.Workers semantic: 0 or 1 serial, negative GOMAXPROCS, > 1
-// parallel — with identical sketch content either way.
+// ComputeSketches runs the K-MH phase 1 once — the same kernel
+// SimilarPairs runs for KMinHash. Workers follow the Config.Workers
+// semantic: 0 or 1 folds serially, negative means GOMAXPROCS, > 1
+// shards the columns of the in-memory matrix across workers — with
+// identical sketch content either way.
 func ComputeSketches(d *Dataset, k int, seed uint64, workers int) (*Sketches, error) {
-	var (
-		sk  *kminhash.Sketches
-		err error
-	)
-	if workers = normalizeWorkers(workers); workers > 1 {
-		sk, err = kminhash.ComputeParallel(d.m, k, seed, workers)
-	} else {
-		sk, err = kminhash.Compute(d.m.Stream(), k, seed)
-	}
+	r := d.run(Config{K: k, Seed: seed, Workers: normalizeWorkers(workers)})
+	sk, err := r.foldKMH(r.counting)
 	if err != nil {
 		return nil, err
 	}
-	return &Sketches{sk: sk, seed: seed, rows: d.NumRows()}, nil
+	return &Sketches{sk: sk.kmh, seed: seed, rows: d.NumRows()}, nil
 }
 
 // K returns the sketch size bound (columns smaller than K keep all
@@ -106,39 +98,5 @@ func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, err
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	st := Stats{Algorithm: KMinHash, SignatureWorkers: 1, CandidateWorkers: 1, VerifyWorkers: 1}
-	inner := obs.NewCollector()
-	rec := obs.Tee(inner, cfg.Recorder)
-	prog := newProgressSink(cfg.Progress)
-	// The signature phase was paid when the sketch was computed; the
-	// gauge still reports the sketch's resident size.
-	var cells int64
-	for _, sig := range s.sk.Sigs {
-		cells += int64(len(sig))
-	}
-	rec.SetGauge(obs.GaugeSignatureBytes, cells*8)
-	tick := prog.enter(PhaseCandidates)
-	end := phaseSpan(rec, PhaseCandidates)
-	cutoff := (1 - cfg.Delta) * cfg.Threshold
-	opt := candidate.KMHOptions{
-		BiasedCutoff:   cutoff / 2, // biased estimator under-counts; be generous
-		UnbiasedCutoff: cutoff,
-	}
-	cand, cst, err := candidate.HashCountKMHParallelProgress(cfg.context(), s.sk, opt, cfg.Workers, tick)
-	if err != nil {
-		return nil, err
-	}
-	rec.Add(obs.CounterIncrements, cst.Increments)
-	st.CandidateTime = end()
-	st.CandidateWorkers = cfg.Workers
-	rec.SetGauge(obs.GaugeCandidateWorkers, int64(cfg.Workers))
-	prog.finish(PhaseCandidates)
-	st.Candidates = len(cand)
-	rec.Add(obs.CounterCandidates, int64(st.Candidates))
-	if cfg.SkipVerify {
-		pairs.SortScored(cand)
-		st.fillFrom(inner)
-		return &Result{Pairs: toPairs(cand, false), Stats: st}, nil
-	}
-	return verifyResident(d, cand, cfg, st, inner, rec, prog)
+	return d.run(cfg).mine(&sketch{kmh: s.sk})
 }

@@ -31,13 +31,35 @@ func saveDataset(t *testing.T, d *Dataset, ext string) *FileDataset {
 }
 
 // comparePairSections checks the Stats fields that describe the mined
-// pairs and the per-pair work — the sections that must be identical
-// between the in-memory and out-of-core paths. Pass accounting
-// (DataPasses, RowsScanned) legitimately differs: in-memory parallel
-// runs materialise or scan concurrently, the streamed path always pays
-// one sequential pass per phase.
-func comparePairSections(t *testing.T, got, want Stats) {
+// pairs, the per-pair work and the pass accounting — the sections that
+// must be identical across sources (in-memory, streamed, faulty,
+// compressed) and across worker counts. sameSchedule additionally
+// compares the counters that depend on how the work was cut up (shards
+// broadcast, spill runs, packed words and batches): set it when got
+// and want ran the same kind of source at the same worker count,
+// kernel and budget.
+func comparePairSections(t *testing.T, got, want Stats, sameSchedule bool) {
 	t.Helper()
+	if got.DataPasses != want.DataPasses {
+		t.Errorf("DataPasses = %d, want %d", got.DataPasses, want.DataPasses)
+	}
+	if got.RowsScanned != want.RowsScanned {
+		t.Errorf("RowsScanned = %d, want %d", got.RowsScanned, want.RowsScanned)
+	}
+	if sameSchedule {
+		if got.ShardsStreamed != want.ShardsStreamed {
+			t.Errorf("ShardsStreamed = %d, want %d", got.ShardsStreamed, want.ShardsStreamed)
+		}
+		if got.SpillRuns != want.SpillRuns {
+			t.Errorf("SpillRuns = %d, want %d", got.SpillRuns, want.SpillRuns)
+		}
+		if got.PackedWords != want.PackedWords {
+			t.Errorf("PackedWords = %d, want %d", got.PackedWords, want.PackedWords)
+		}
+		if got.PackedBatches != want.PackedBatches {
+			t.Errorf("PackedBatches = %d, want %d", got.PackedBatches, want.PackedBatches)
+		}
+	}
 	if got.Candidates != want.Candidates {
 		t.Errorf("Candidates = %d, want %d", got.Candidates, want.Candidates)
 	}
@@ -125,7 +147,7 @@ func TestStreamedPipelineMatchesInMemory(t *testing.T) {
 									t.Fatalf("pair %d: %+v streamed, %+v in memory", i, stream.Pairs[i], mem.Pairs[i])
 								}
 							}
-							comparePairSections(t, stream.Stats, mem.Stats)
+							comparePairSections(t, stream.Stats, mem.Stats, false)
 							if stream.Stats.BytesRead <= 0 {
 								t.Errorf("streamed run read %d bytes", stream.Stats.BytesRead)
 							}
@@ -221,7 +243,7 @@ func TestStreamedMemoryBudget(t *testing.T) {
 					t.Fatalf("pair %d: %+v budgeted, %+v unbudgeted", i, stream.Pairs[i], mem.Pairs[i])
 				}
 			}
-			comparePairSections(t, stream.Stats, mem.Stats)
+			comparePairSections(t, stream.Stats, mem.Stats, false)
 			if got := col.Counter(CounterSpillRuns); got != stream.Stats.SpillRuns {
 				t.Errorf("collector spill_runs = %d, Stats.SpillRuns = %d", got, stream.Stats.SpillRuns)
 			}

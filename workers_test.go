@@ -6,16 +6,22 @@ import (
 )
 
 // TestWorkersDeterminismTable: SimilarPairs output (pairs, estimates,
-// similarities, candidate and verified counts) must be identical for
-// every worker count, across all LSH-family algorithms. workers=1 is
-// the serial baseline; the others exercise the parallel shards of all
-// three phases. DataPasses is deliberately not compared: on in-memory
-// datasets the parallel phases materialise or scan concurrently instead
-// of scanning the counted stream, so pass accounting legitimately
-// differs (streamed FileDataset runs always pay one pass per phase —
-// see streamdiff_test.go).
+// similarities) and Stats (pass accounting and every pair-section
+// counter) must be identical for every worker count, across all
+// LSH-family algorithms and BPS, on in-memory and streamed sources.
+// workers=1 is the serial baseline; the others exercise the parallel
+// shards of all three phases — including the in-memory fast paths that
+// bypass the counted stream and account their pass by hand.
 func TestWorkersDeterminismTable(t *testing.T) {
 	d, _ := plantedDataset(t)
+	fd := saveDataset(t, d, ".arows")
+	sources := []struct {
+		name string
+		mine func(Config) (*Result, error)
+	}{
+		{"memory", func(cfg Config) (*Result, error) { return SimilarPairs(d, cfg) }},
+		{"file", fd.SimilarPairs},
+	}
 	algos := []struct {
 		name string
 		cfg  Config
@@ -24,36 +30,39 @@ func TestWorkersDeterminismTable(t *testing.T) {
 		{"KMinHash", Config{Algorithm: KMinHash, Threshold: 0.6, K: 60, Seed: 4}},
 		{"MinLSH", Config{Algorithm: MinLSH, Threshold: 0.6, K: 60, R: 3, L: 20, Seed: 4}},
 		{"HammingLSH", Config{Algorithm: HammingLSH, Threshold: 0.6, K: 60, Seed: 4}},
+		{"BPS", Config{Algorithm: BPS, Threshold: 0.6, Seed: 4}},
 	}
 	for _, a := range algos {
 		t.Run(a.name, func(t *testing.T) {
 			base := a.cfg
 			base.Workers = 1
-			serial, err := SimilarPairs(d, base)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
+			serial := make([]*Result, len(sources))
+			for i, src := range sources {
+				var err error
+				if serial[i], err = src.mine(base); err != nil {
+					t.Fatalf("%s serial: %v", src.name, err)
+				}
 			}
 			for _, workers := range []int{2, 4, 7} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					cfg := a.cfg
 					cfg.Workers = workers
-					par, err := SimilarPairs(d, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if par.Stats.Candidates != serial.Stats.Candidates {
-						t.Errorf("candidates %d, want %d", par.Stats.Candidates, serial.Stats.Candidates)
-					}
-					if par.Stats.Verified != serial.Stats.Verified {
-						t.Errorf("verified %d, want %d", par.Stats.Verified, serial.Stats.Verified)
-					}
-					if len(par.Pairs) != len(serial.Pairs) {
-						t.Fatalf("%d pairs, want %d", len(par.Pairs), len(serial.Pairs))
-					}
-					for i := range serial.Pairs {
-						if par.Pairs[i] != serial.Pairs[i] {
-							t.Fatalf("pair %d: %+v, want %+v", i, par.Pairs[i], serial.Pairs[i])
-						}
+					for i, src := range sources {
+						t.Run(src.name, func(t *testing.T) {
+							par, err := src.mine(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							comparePairSections(t, par.Stats, serial[i].Stats, false)
+							if len(par.Pairs) != len(serial[i].Pairs) {
+								t.Fatalf("%d pairs, want %d", len(par.Pairs), len(serial[i].Pairs))
+							}
+							for j := range serial[i].Pairs {
+								if par.Pairs[j] != serial[i].Pairs[j] {
+									t.Fatalf("pair %d: %+v, want %+v", j, par.Pairs[j], serial[i].Pairs[j])
+								}
+							}
+						})
 					}
 				})
 			}
