@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check benchcheck race-all vet fmt bench experiments experiments-full fuzz clean
+.PHONY: all build test check benchcheck race-all vet fmt bench experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test ./internal/matrix -fuzz FuzzReadBinary -fuzztime 10s
 	$(GO) test ./internal/matrix -fuzz FuzzReadNamedTransactions -fuzztime 10s
 	$(GO) test ./internal/matrix -fuzz FuzzCArowsRoundTrip -fuzztime 10s
+	$(GO) test ./internal/matrix -fuzz FuzzScanRange -fuzztime 10s
 	$(GO) test ./internal/minhash -fuzz FuzzReadSignatures -fuzztime 10s
 	$(GO) test ./internal/minhash -fuzz FuzzCompressedSignatures -fuzztime 10s
 	$(GO) test ./internal/kminhash -fuzz FuzzReadSketches -fuzztime 10s
@@ -66,6 +67,15 @@ fuzz:
 	$(GO) test ./internal/radix -fuzz FuzzRadixSort -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzHTTPQuery -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzParseExpr -fuzztime 10s
+	$(GO) test ./internal/dist -fuzz FuzzDistFrame -fuzztime 10s
+
+# Non-test Go lines per package and in total — the number every
+# CHANGES.md entry records parent -> now. bench/ is the benchmark's own
+# module and is not counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
-	rm -rf internal/matrix/testdata/fuzz internal/faultfs/testdata/fuzz internal/serve/testdata/fuzz
+	rm -rf internal/matrix/testdata/fuzz internal/faultfs/testdata/fuzz internal/serve/testdata/fuzz internal/dist/testdata/fuzz

@@ -338,7 +338,10 @@ type Stats struct {
 	// CodecRatio is the run's overall compression ratio — the bytes the
 	// equivalent uncompressed encodings would have moved, divided by the
 	// compressed bytes actually moved — or 0 when no compressed bytes
-	// moved at all.
+	// moved at all. A windowed run (Config.Window) crosses the file rows
+	// before its window without decoding them, so their logical bytes are
+	// not in the numerator while their physical bytes are in the
+	// denominator: the ratio describes the rows the run decoded.
 	CompressedBytesRead  int64
 	SpillBytesCompressed int64
 	CodecRatio           float64

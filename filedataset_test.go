@@ -1,10 +1,14 @@
 package assocmine
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"assocmine/internal/matrix"
 )
 
 func fileDatasetFixture(t *testing.T, ext string) (*Dataset, *FileDataset) {
@@ -31,41 +35,124 @@ func fileDatasetFixture(t *testing.T, ext string) (*Dataset, *FileDataset) {
 	return d, fd
 }
 
+// handWrittenText is a text dataset no writer of this package produces:
+// row 1 is unsorted, rows 0 and 5 repeat a column, row 4 does both. Both
+// readers must deliver each row as the sorted set it denotes.
+const handWrittenText = `%%assocmine-matrix v1
+6 4
+0 0 1
+1 0
+1 2
+2
+3 1 0 1 3
+3 3 2
+`
+
+// handWrittenFixture loads handWrittenText both ways.
+func handWrittenFixture(t *testing.T) (*Dataset, *FileDataset) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hand.txt")
+	if err := os.WriteFile(path, []byte(handWrittenText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := LoadDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := OpenFileDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, fd
+}
+
 // TestFileDatasetMatchesInMemory: every algorithm must produce
-// identical results mining from disk and from memory.
+// identical results — pairs, similarities and pair-section counters —
+// mining from disk and from memory, on written files and on a
+// hand-written one.
 func TestFileDatasetMatchesInMemory(t *testing.T) {
-	for _, ext := range []string{".txt", ".arows"} {
-		d, fd := fileDatasetFixture(t, ext)
+	for _, name := range []string{".txt", ".arows", "hand-written"} {
+		threshold := 0.45
+		var d *Dataset
+		var fd *FileDataset
+		if name == "hand-written" {
+			d, fd = handWrittenFixture(t)
+			threshold = 0.3
+		} else {
+			d, fd = fileDatasetFixture(t, name)
+		}
 		if fd.NumRows() != d.NumRows() || fd.NumCols() != d.NumCols() {
-			t.Fatalf("%s: header dims %dx%d", ext, fd.NumRows(), fd.NumCols())
+			t.Fatalf("%s: header dims %dx%d", name, fd.NumRows(), fd.NumCols())
 		}
 		configs := []Config{
-			{Algorithm: BruteForce, Threshold: 0.45},
-			{Algorithm: MinHash, Threshold: 0.45, K: 60, Seed: 5},
-			{Algorithm: KMinHash, Threshold: 0.45, K: 60, Seed: 5},
-			{Algorithm: MinLSH, Threshold: 0.45, K: 60, R: 3, L: 20, Seed: 5},
-			{Algorithm: HammingLSH, Threshold: 0.45, R: 6, L: 10, Seed: 5},
+			{Algorithm: BruteForce, Threshold: threshold},
+			{Algorithm: MinHash, Threshold: threshold, K: 60, Seed: 5},
+			{Algorithm: KMinHash, Threshold: threshold, K: 60, Seed: 5},
+			{Algorithm: MinLSH, Threshold: threshold, K: 60, R: 3, L: 20, Seed: 5},
+			{Algorithm: HammingLSH, Threshold: threshold, R: 6, L: 10, Seed: 5},
 		}
 		for _, cfg := range configs {
-			mem, err := SimilarPairs(d, cfg)
-			if err != nil {
-				t.Fatalf("%s %v (memory): %v", ext, cfg.Algorithm, err)
-			}
-			file, err := fd.SimilarPairs(cfg)
-			if err != nil {
-				t.Fatalf("%s %v (file): %v", ext, cfg.Algorithm, err)
-			}
-			if len(mem.Pairs) != len(file.Pairs) {
-				t.Fatalf("%s %v: %d pairs from memory, %d from file",
-					ext, cfg.Algorithm, len(mem.Pairs), len(file.Pairs))
-			}
-			for i := range mem.Pairs {
-				if mem.Pairs[i] != file.Pairs[i] {
-					t.Fatalf("%s %v: pair %d differs: %+v vs %+v",
-						ext, cfg.Algorithm, i, mem.Pairs[i], file.Pairs[i])
+			t.Run(fmt.Sprintf("%s/%v", name, cfg.Algorithm), func(t *testing.T) {
+				mem, err := SimilarPairs(d, cfg)
+				if err != nil {
+					t.Fatalf("memory: %v", err)
 				}
+				file, err := fd.SimilarPairs(cfg)
+				if err != nil {
+					t.Fatalf("file: %v", err)
+				}
+				if len(mem.Pairs) != len(file.Pairs) {
+					t.Fatalf("%d pairs from memory, %d from file", len(mem.Pairs), len(file.Pairs))
+				}
+				for i := range mem.Pairs {
+					if mem.Pairs[i] != file.Pairs[i] {
+						t.Fatalf("pair %d differs: %+v vs %+v", i, mem.Pairs[i], file.Pairs[i])
+					}
+				}
+				comparePairSections(t, file.Stats, mem.Stats, false)
+			})
+		}
+	}
+}
+
+// TestHandWrittenTextRows: every [from, to) of the hand-written file
+// scans to the sorted sets a full scan delivers, and the file transcodes
+// to ".arows" — whose reader rejects anything but strictly increasing
+// rows — and back to the same rows.
+func TestHandWrittenTextRows(t *testing.T) {
+	d, fd := handWrittenFixture(t)
+	want := [][]int32{{0, 1}, {0, 1}, {1, 2}, {2}, {0, 1, 3}, {2, 3}}
+	collect := func(src matrix.RowSource) [][]int32 {
+		var got [][]int32
+		if err := src.Scan(func(_ int, cols []int32) error {
+			got = append(got, append([]int32{}, cols...))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := collect(d.m.Stream()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded rows %v, want %v", got, want)
+	}
+	for from := 0; from <= len(want); from++ {
+		for to := from; to <= len(want); to++ {
+			got := collect(&matrix.RangeSource{Src: fd.src, From: from, To: to})
+			if len(got) != to-from || (to > from && !reflect.DeepEqual(got, want[from:to])) {
+				t.Errorf("rows [%d, %d) = %v, want %v", from, to, got, want[from:to])
 			}
 		}
+	}
+	path := filepath.Join(t.TempDir(), "hand.arows")
+	if err := matrix.SaveRowBinary(path, fd.src); err != nil {
+		t.Fatal(err)
+	}
+	back, err := matrix.OpenFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(back); !reflect.DeepEqual(got, want) {
+		t.Errorf("transcoded rows %v, want %v", got, want)
 	}
 }
 

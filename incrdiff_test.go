@@ -323,7 +323,7 @@ func TestIncrWindowQueryEndToEnd(t *testing.T) {
 	from := d.NumRows() - window
 	// Re-base the suffix as a standalone dataset for the exact reference.
 	srows := make([][]int32, 0, window)
-	if err := (&matrix.TailSource{Src: d.m.Stream(), From: from}).Scan(func(row int, cols []int32) error {
+	if err := (&matrix.RangeSource{Src: d.m.Stream(), From: from, To: d.m.NumRows()}).Scan(func(row int, cols []int32) error {
 		srows = append(srows, append([]int32(nil), cols...))
 		return nil
 	}); err != nil {
@@ -447,7 +447,7 @@ func srcRows(t *testing.T, d *Dataset, from, to int) [][]int32 {
 		to = d.NumRows()
 	}
 	out := make([][]int32, 0, to-from)
-	err := (&matrix.TailSource{Src: d.m.Stream(), From: from}).Scan(func(row int, cols []int32) error {
+	err := (&matrix.RangeSource{Src: d.m.Stream(), From: from, To: d.m.NumRows()}).Scan(func(row int, cols []int32) error {
 		if row < to {
 			out = append(out, append([]int32(nil), cols...))
 		}

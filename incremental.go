@@ -228,19 +228,7 @@ func canonRow(cs []int32, cols int) ([]int32, error) {
 	if sorted {
 		return cs, nil
 	}
-	row := append([]int32(nil), cs...)
-	for i := 1; i < len(row); i++ {
-		for j := i; j > 0 && row[j] < row[j-1]; j-- {
-			row[j], row[j-1] = row[j-1], row[j]
-		}
-	}
-	out := row[:0]
-	for i, c := range row {
-		if i == 0 || c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+	return matrix.SortDedup(append([]int32(nil), cs...)), nil
 }
 
 // CatchUp folds every file row the ingest has not seen yet (rows >=
@@ -271,10 +259,7 @@ func (in *Ingest) catchUp(src matrix.RowSource, workers int) (int, error) {
 		return 0, nil
 	}
 	newRows := int(total - in.nextRow)
-	tail := matrix.RowSource(src)
-	if in.nextRow > 0 {
-		tail = &matrix.TailSource{Src: src, From: int(in.nextRow)}
-	}
+	tail := &matrix.RangeSource{Src: src, From: int(in.nextRow), To: int(total)}
 	if err := in.fold(tail, newRows, workers); err != nil {
 		return 0, err
 	}

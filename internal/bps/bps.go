@@ -332,7 +332,7 @@ func Sample(src matrix.RowSource, sup []int64, opt Options) ([]pairs.Scored, Sta
 				}
 			}
 		}
-		shards, err := matrix.DistributeShards(src, 0, 0, consumers)
+		shards, err := matrix.DistributeShards(src, consumers)
 		st.Shards = shards
 		if err != nil {
 			return nil, st, err

@@ -378,6 +378,9 @@ func decodeBandsResult(p []byte) (*bandsResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: bands result: %w", err)
 	}
+	if int64(n) > int64(len(p)) {
+		return nil, fmt.Errorf("dist: bands result count %d exceeds payload", n)
+	}
 	out := &bandsResult{Bands: make([]lsh.BandPairs, 0, n)}
 	for i := uint64(0); i < n; i++ {
 		band, err := getUvarint(r, 1<<31)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"assocmine/internal/hashing"
@@ -161,4 +162,74 @@ func TestSplitRange(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDistFrame feeds arbitrary bytes to the frame reader and every
+// payload decoder — the one wire format that faces another process.
+// Nothing may panic, and whatever a decoder accepts must hold no more
+// elements than its payload can pay for: counts are checked against the
+// payload before they size a slice.
+func FuzzDistFrame(f *testing.F) {
+	frame := func(typ byte, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := writeFrame(&b, typ, payload); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	cand := []pairs.Scored{{Pair: pairs.Pair{I: 1, J: 4}, Estimate: 0.5}, {Pair: pairs.Pair{I: 2, J: 7}, Estimate: 0.25}}
+	f.Add(frame(frameHello, (&hello{Algo: MinLSH, Path: "/tmp/d.arows", K: 50, R: 5, L: 10, Seed: 7, Threshold: 0.5, Delta: 0.1}).encode()))
+	f.Add(frame(frameJob, (&job{Kind: jobSig, Lo: 10, Hi: 250}).encode()))
+	f.Add(frame(frameJob, (&job{Kind: jobVerify, Cand: cand}).encode()))
+	f.Add(frame(frameResult, (&candResult{Increments: 99, Cand: cand}).encode()))
+	f.Add(frame(frameResult, (&bandsResult{Bands: []lsh.BandPairs{{Band: 2, BucketPairs: 17, Pairs: []pairs.Pair{{I: 1, J: 2}, {I: 4, J: 9}}}, {Band: 3}}}).encode()))
+	f.Add(frame(frameResult, (&sampleResult{Inspected: 12, Keys: []uint64{3, 9, 1 << 33}, Counts: []int64{1, 2, 3}}).encode()))
+	f.Add(frame(frameResult, (&verifyResult{Indices: []int{0, 3, 4}, Exact: []float64{1, 0.5, 0.75}}).encode()))
+	f.Add(frame(frameState, encodeSupports([]int64{5, 0, 1 << 40})))
+	f.Add([]byte{frameResult, 0xff, 0xff, 0xff, 0x3f})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := data
+		// A header may declare up to maxFramePayload (1 GiB) and readFrame
+		// allocates what is declared before it reads; keep the fuzzer's
+		// own allocations to frames the input could at least half fill.
+		if len(data) < 5 || int(binary.LittleEndian.Uint32(data[1:])) <= 2*len(data) {
+			if _, payload, err := readFrame(bytes.NewReader(data)); err == nil {
+				if len(payload) > len(data)-5 {
+					t.Fatalf("readFrame returned %d payload bytes from %d", len(payload), len(data))
+				}
+				p = payload
+			}
+		}
+		// Every key of an accepted run costs at least a bit of payload.
+		maxKeys := 8*len(p) + 1
+		if h, err := decodeHello(p); err == nil && len(h.Path) > len(p) {
+			t.Fatalf("hello path of %d bytes from %d", len(h.Path), len(p))
+		}
+		if j, err := decodeJob(p); err == nil && len(j.Cand) > maxKeys {
+			t.Fatalf("job with %d candidates from %d bytes", len(j.Cand), len(p))
+		}
+		if c, err := decodeCandResult(p); err == nil && len(c.Cand) > maxKeys {
+			t.Fatalf("cand result with %d candidates from %d bytes", len(c.Cand), len(p))
+		}
+		if br, err := decodeBandsResult(p); err == nil {
+			if cap(br.Bands) > len(p) {
+				t.Fatalf("bands result sized for %d bands from %d bytes", cap(br.Bands), len(p))
+			}
+			for _, bp := range br.Bands {
+				if len(bp.Pairs) > maxKeys {
+					t.Fatalf("band with %d pairs from %d bytes", len(bp.Pairs), len(p))
+				}
+			}
+		}
+		if s, err := decodeSampleResult(p); err == nil && (len(s.Keys) > maxKeys || len(s.Counts) != len(s.Keys)) {
+			t.Fatalf("sample result with %d keys, %d counts from %d bytes", len(s.Keys), len(s.Counts), len(p))
+		}
+		if v, err := decodeVerifyResult(p); err == nil && (len(v.Indices) > len(p) || len(v.Exact) != len(v.Indices)) {
+			t.Fatalf("verify result with %d indices, %d values from %d bytes", len(v.Indices), len(v.Exact), len(p))
+		}
+		if sup, err := decodeSupports(p); err == nil && len(sup) > len(p) {
+			t.Fatalf("%d supports from %d bytes", len(sup), len(p))
+		}
+	})
 }

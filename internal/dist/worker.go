@@ -231,6 +231,7 @@ func (wk *worker) runJob(payload []byte) ([]byte, error) {
 // its snapshot; the coordinator merges snapshots with the exact Merge,
 // so any row partition reproduces the full fold.
 func (wk *worker) runSig(j *job) ([]byte, error) {
+	src := &matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}
 	var buf bytes.Buffer
 	switch wk.h.Algo {
 	case MinHash, MinLSH:
@@ -238,11 +239,7 @@ func (wk *worker) runSig(j *job) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = wk.fs.ScanRange(j.Lo, j.Hi, func(row int, cols []int32) error {
-			st.FoldRow(row, cols)
-			return nil
-		})
-		if err != nil {
+		if _, err := minhash.FoldStream(src, st, 1); err != nil {
 			return nil, err
 		}
 		if err := st.Snapshot(&buf); err != nil {
@@ -253,11 +250,7 @@ func (wk *worker) runSig(j *job) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = wk.fs.ScanRange(j.Lo, j.Hi, func(row int, cols []int32) error {
-			st.FoldRow(row, cols)
-			return nil
-		})
-		if err != nil {
+		if _, err := kminhash.FoldStream(src, st, 1); err != nil {
 			return nil, err
 		}
 		if err := st.Snapshot(&buf); err != nil {

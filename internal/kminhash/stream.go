@@ -21,8 +21,8 @@ import (
 // counters otherwise (deterministic for a fixed worker count, but not
 // equal to the serial replay). st may already hold previously folded
 // rows (the resume path). workers <= 0 means GOMAXPROCS; one worker
-// folds shard-by-shard directly into st in scan order, which keeps a
-// sequential chunked ingest bit-identical to one uninterrupted pass.
+// folds each row straight off the scan (no shard copy, 0 shards), so a
+// sequential chunked ingest is bit-identical to one uninterrupted pass.
 func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error) {
 	if src.NumCols() != st.m {
 		return 0, fmt.Errorf("kminhash: source has %d columns, fold state has %d", src.NumCols(), st.m)
@@ -31,8 +31,8 @@ func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return matrix.ScanShards(src, 0, 0, func(sh *matrix.Shard) error {
-			st.FoldShard(sh)
+		return 0, src.Scan(func(row int, cols []int32) error {
+			st.FoldRow(row, cols)
 			return nil
 		})
 	}
@@ -50,7 +50,7 @@ func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error)
 			}
 		}
 	}
-	shards, err := matrix.DistributeShards(src, 0, 0, consumers)
+	shards, err := matrix.DistributeShards(src, consumers)
 	if err != nil {
 		return shards, err
 	}

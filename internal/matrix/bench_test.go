@@ -63,3 +63,32 @@ func BenchmarkWriteRowBinary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTailRange times the view a sliding window and an ingest
+// catch-up read: the last 1 % of a 20 000 × 4 000 file at density 0.005,
+// every row before it crossed without being decoded.
+func BenchmarkTailRange(b *testing.B) {
+	const rows = 20_000
+	m := randomMatrix(hashing.NewSplitMix64(1), rows, 4_000, 0.005)
+	dir := b.TempDir()
+	for _, ext := range []string{".arows", ".carows"} {
+		path := dir + "/data" + ext
+		if err := SaveFile(path, m); err != nil {
+			b.Fatal(err)
+		}
+		fs, err := OpenFileSource(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(ext, func(b *testing.B) {
+			tail := &RangeSource{Src: fs, From: rows - rows/100, To: rows}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				if err := tail.Scan(func(int, []int32) error { n++; return nil }); err != nil || n != rows/100 {
+					b.Fatalf("%d rows, err %v", n, err)
+				}
+			}
+		})
+	}
+}

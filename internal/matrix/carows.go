@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"sync/atomic"
 
 	"assocmine/internal/bitpack"
 )
@@ -130,168 +129,134 @@ func SaveRowCompressed(path string, src RowSource) error {
 	return err
 }
 
-func readRowCompressedHeader(r byteScanner) (rows, cols int, err error) {
-	magic := make([]byte, len(rowCompressedMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return 0, 0, fmt.Errorf("reading compressed-row magic: %w", err)
-	}
-	if string(magic) != rowCompressedMagic {
-		return 0, 0, fmt.Errorf("bad compressed-row magic %q", magic)
-	}
-	r64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, 0, fmt.Errorf("reading row count: %w", err)
-	}
-	c64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, 0, fmt.Errorf("reading column count: %w", err)
-	}
-	const maxDim = 1 << 31
-	if r64 > maxDim || c64 > maxDim {
-		return 0, 0, fmt.Errorf("implausible compressed-row dimensions %dx%d", r64, c64)
-	}
-	return int(r64), int(c64), nil
-}
-
-// compressedRowDecoder walks the rows of a ".carows" stream after the
-// header, handing each posting to emit as (row, col). It validates as
-// strictly as the ".arows" decoder — counts within the column bound,
-// strictly increasing in-range indices, canonical headers — and
-// accounts the logical (".arows"-equivalent) byte cost of what it
-// decodes, so compression ratios compare like with like.
+// compressedRowDecoder walks the rows of a ".carows" stream behind the
+// header. It validates as strictly as the ".arows" decoder — counts
+// within the column bound, strictly increasing in-range indices,
+// canonical headers — and accounts the logical (".arows"-equivalent)
+// byte cost of what it decodes, so compression ratios compare like with
+// like.
 type compressedRowDecoder struct {
-	r       byteScanner
+	tr      *trackedReader
 	cols    int
 	pr      *bitpack.Reader
 	bitmap  []byte
 	logical int64
 }
 
-func newCompressedRowDecoder(r byteScanner, cols int) *compressedRowDecoder {
-	return &compressedRowDecoder{r: r, cols: cols, pr: bitpack.NewReader(r)}
+// newCompressedRowDecoder starts the logical byte count at the ".arows"
+// header cost — magic plus the two dimension varints — so a full pass
+// totals what an uncompressed scan would have read.
+func newCompressedRowDecoder(tr *trackedReader, rows, cols int) *compressedRowDecoder {
+	return &compressedRowDecoder{
+		tr: tr, cols: cols, pr: bitpack.NewReader(tr),
+		logical: int64(len(rowBinaryMagic)) + uvarintLen(uint64(rows)) + uvarintLen(uint64(cols)),
+	}
 }
 
-// decodeRow decodes one row, invoking emit per posting in increasing
-// column order. Decode errors are returned raw; the caller wraps them
-// with path and offset.
-func (d *compressedRowDecoder) decodeRow(row int, emit func(col int32)) error {
-	h, err := binary.ReadUvarint(d.r)
+// rowHeader reads a row's header varint: its posting count (0 for an
+// empty row, which has no payload), whether the payload is a literal
+// bitmap, and the Rice parameter otherwise.
+func (d *compressedRowDecoder) rowHeader(row int) (count uint64, bitmap bool, k uint, err error) {
+	h, err := binary.ReadUvarint(d.tr)
 	if err != nil {
-		return fmt.Errorf("row %d header: %w", row, err)
+		return 0, false, 0, fmt.Errorf("row %d header: %w", row, err)
 	}
 	if h == 0 {
-		d.logical++ // the ".arows" zero-length varint
-		return nil
+		return 0, false, 0, nil
 	}
-	count := h >> 6
-	mode := (h >> 5) & 1
-	k := uint(h & 31)
+	count, bitmap, k = h>>6, (h>>5)&1 == 1, uint(h&31)
 	if count == 0 || count > uint64(d.cols) {
-		return fmt.Errorf("row %d count %d out of range", row, count)
+		return 0, false, 0, fmt.Errorf("row %d count %d out of range", row, count)
 	}
-	d.logical += uvarintLen(count)
-	if mode == 1 {
-		if k != 0 {
-			return fmt.Errorf("row %d bitmap header has rice parameter %d", row, k)
-		}
-		// Decode the ceil(cols/8)-byte bitmap in bounded chunks: the
-		// header's column count must never size an allocation (hostile
-		// headers could claim 2^31 columns from a 10-byte file).
-		if d.bitmap == nil {
-			d.bitmap = make([]byte, 1<<12)
-		}
-		n := (d.cols + 7) / 8
-		seen := uint64(0)
-		prev := int64(-1)
-		for off := 0; off < n; off += len(d.bitmap) {
-			b := d.bitmap
-			if rest := n - off; rest < len(b) {
-				b = b[:rest]
-			}
-			if _, err := io.ReadFull(d.r, b); err != nil {
-				return fmt.Errorf("row %d bitmap: %w", row, err)
-			}
-			for i, by := range b {
-				for m := by; m != 0; m &= m - 1 {
-					c := int64(off+i)<<3 + int64(bits.TrailingZeros8(m))
-					if c >= int64(d.cols) {
-						return fmt.Errorf("row %d bitmap bit %d out of range", row, c)
-					}
-					if prev < 0 {
-						d.logical += uvarintLen(uint64(c))
-					} else {
-						d.logical += uvarintLen(uint64(c - prev))
-					}
-					prev = c
-					seen++
-					emit(int32(c))
-				}
-			}
-		}
-		if seen != count {
-			return fmt.Errorf("row %d bitmap has %d bits, header says %d", row, seen, count)
+	if bitmap && k != 0 {
+		return 0, false, 0, fmt.Errorf("row %d bitmap header has rice parameter %d", row, k)
+	}
+	return count, bitmap, k, nil
+}
+
+// skip implements rowDecoder: bitmap rows are discarded wholesale, Rice
+// rows are walked code by code without range checks. The header shape,
+// count bound and byte alignment are still enforced.
+func (d *compressedRowDecoder) skip(row int) error {
+	count, bitmap, k, err := d.rowHeader(row)
+	if err != nil || count == 0 {
+		return err
+	}
+	if bitmap {
+		if err := d.tr.discard(int64((d.cols + 7) / 8)); err != nil {
+			return fmt.Errorf("row %d bitmap: %w", row, err)
 		}
 		return nil
 	}
-	prev := int64(-1)
 	for i := uint64(0); i < count; i++ {
-		d0, err := d.pr.ReadRice(k)
-		if err != nil {
+		if _, err := d.pr.ReadRice(k); err != nil {
 			return fmt.Errorf("row %d entry %d: %w", row, i, err)
 		}
-		v := int64(prev) + 1 + int64(d0)
-		if d0 > uint64(d.cols) || v >= int64(d.cols) {
-			return fmt.Errorf("row %d entry %d out of range", row, i)
-		}
-		if prev < 0 {
-			d.logical += uvarintLen(uint64(v))
-		} else {
-			d.logical += uvarintLen(uint64(v - prev))
-		}
-		prev = v
-		emit(int32(v))
 	}
 	d.pr.Align() // rows are byte-aligned
 	return nil
 }
 
-// scanRowCompressed decodes the compressed-row stream, invoking fn per
-// row. Decode failures are passed through wrap (which attaches path
-// and offset); errors returned by fn propagate unchanged. Logical
-// (".arows"-equivalent) bytes decoded are added to logical when
-// non-nil.
-func scanRowCompressed(r byteScanner, wantRows, wantCols int, wrap func(error) error, logical *atomic.Int64, fn func(int, []int32) error) error {
-	if wrap == nil {
-		wrap = func(err error) error { return err }
-	}
-	rows, cols, err := readRowCompressedHeader(r)
+// next implements rowDecoder.
+func (d *compressedRowDecoder) next(row int, buf []int32) ([]int32, error) {
+	count, bitmap, k, err := d.rowHeader(row)
 	if err != nil {
-		return wrap(err)
+		return nil, err
 	}
-	if rows != wantRows || cols != wantCols {
-		return wrap(fmt.Errorf("compressed-row dimensions changed on disk: %dx%d", rows, cols))
+	if count == 0 {
+		d.logical++ // the ".arows" zero-length varint
+		return buf, nil
 	}
-	d := newCompressedRowDecoder(r, cols)
-	d.logical = rowHeaderLogicalBytes(rows, cols)
-	var buf []int32
-	for row := 0; row < rows; row++ {
-		buf = buf[:0]
-		if err := d.decodeRow(row, func(c int32) { buf = append(buf, c) }); err != nil {
-			return wrap(err)
+	d.logical += uvarintLen(count)
+	// last is the previous posting (0 before the first): the ".arows"
+	// cost of a posting is the varint of its distance from last.
+	last := int64(0)
+	if !bitmap {
+		for i := uint64(0); i < count; i++ {
+			gap, err := d.pr.ReadRice(k)
+			if err != nil {
+				return nil, fmt.Errorf("row %d entry %d: %w", row, i, err)
+			}
+			v := last + int64(gap)
+			if i > 0 {
+				v++ // gaps between distinct sorted indices are stored less one
+			}
+			if gap > uint64(d.cols) || v >= int64(d.cols) {
+				return nil, fmt.Errorf("row %d entry %d out of range", row, i)
+			}
+			d.logical += uvarintLen(uint64(v - last))
+			last = v
+			buf = append(buf, int32(v))
 		}
-		if err := fn(row, buf); err != nil {
-			return err
+		d.pr.Align() // rows are byte-aligned
+		return buf, nil
+	}
+	// Decode the ceil(cols/8)-byte bitmap in bounded chunks: the
+	// header's column count must never size an allocation (hostile
+	// headers could claim 2^31 columns from a 10-byte file).
+	if d.bitmap == nil {
+		d.bitmap = make([]byte, 1<<12)
+	}
+	n := (d.cols + 7) / 8
+	for off := 0; off < n; off += len(d.bitmap) {
+		b := d.bitmap[:min(n-off, len(d.bitmap))]
+		if _, err := io.ReadFull(d.tr, b); err != nil {
+			return nil, fmt.Errorf("row %d bitmap: %w", row, err)
+		}
+		for i, by := range b {
+			for m := by; m != 0; m &= m - 1 {
+				c := int64(off+i)<<3 + int64(bits.TrailingZeros8(m))
+				if c >= int64(d.cols) {
+					return nil, fmt.Errorf("row %d bitmap bit %d out of range", row, c)
+				}
+				d.logical += uvarintLen(uint64(c - last))
+				last = c
+				buf = append(buf, int32(c))
+			}
 		}
 	}
-	if logical != nil {
-		logical.Add(d.logical)
+	if seen := uint64(len(buf)); seen != count {
+		return nil, fmt.Errorf("row %d bitmap has %d bits, header says %d", row, seen, count)
 	}
-	return nil
-}
-
-// rowHeaderLogicalBytes is the ".arows" header cost — magic plus the
-// two dimension varints — counted once per compressed pass so the
-// logical byte total equals what an uncompressed scan would have read.
-func rowHeaderLogicalBytes(rows, cols int) int64 {
-	return int64(len(rowBinaryMagic)) + uvarintLen(uint64(rows)) + uvarintLen(uint64(cols))
+	return buf, nil
 }

@@ -1,10 +1,10 @@
 package matrix
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,24 +14,30 @@ import (
 	"assocmine/internal/hashing"
 )
 
+// memFS serves one byte slice under every path: a FileSource without
+// the file system.
+type memFS []byte
+
+func (m memFS) Open(string) (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(m)), nil
+}
+
 // parseCArows decodes a ".carows" byte stream into a Matrix, the way
 // OpenFileSource+Collect would without the file system.
 func parseCArows(data []byte) (*Matrix, error) {
-	hdr := bufio.NewReader(bytes.NewReader(data))
-	rows, cols, err := readRowCompressedHeader(hdr)
+	fs, err := OpenFileSourceFS(memFS(data), "mem.carows")
 	if err != nil {
 		return nil, err
 	}
-	r := bufio.NewReader(bytes.NewReader(data))
-	rowData := make([][]int32, 0, min(rows, 1024))
-	err = scanRowCompressed(r, rows, cols, nil, nil, func(_ int, cs []int32) error {
+	rowData := make([][]int32, 0, min(fs.NumRows(), 1024))
+	err = fs.Scan(func(_ int, cs []int32) error {
 		rowData = append(rowData, append([]int32(nil), cs...))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return FromRows(cols, rowData)
+	return FromRows(fs.NumCols(), rowData)
 }
 
 func TestFileSourceCompressedRoundTrip(t *testing.T) {
@@ -158,82 +164,6 @@ func TestCompressedByteAccounting(t *testing.T) {
 	if afs.CompressedBytesRead() != 0 || afs.LogicalBytesRead() != 0 {
 		t.Errorf("uncompressed source codec counters = %d/%d, want 0/0",
 			afs.CompressedBytesRead(), afs.LogicalBytesRead())
-	}
-}
-
-func TestFillColumnBits(t *testing.T) {
-	rng := hashing.NewSplitMix64(6)
-	m := randomMatrix(rng, 190, 25, 0.12) // 190 rows: last arena word partial
-	words := (m.NumRows() + 63) / 64
-	// Pack a subset of columns via a slot table with holes.
-	slot := make([]int32, m.NumCols())
-	var nslots int32
-	for c := range slot {
-		if c%3 == 0 {
-			slot[c] = -1
-			continue
-		}
-		slot[c] = nslots
-		nslots++
-	}
-	want := make([]uint64, int(nslots)*words)
-	_ = m.Stream().Scan(func(row int, cs []int32) error {
-		for _, c := range cs {
-			if sl := slot[c]; sl >= 0 {
-				want[int(sl)*words+row>>6] |= 1 << (uint(row) & 63)
-			}
-		}
-		return nil
-	})
-	dir := t.TempDir()
-	for _, ext := range []string{".arows", ".carows"} {
-		t.Run(ext, func(t *testing.T) {
-			path := filepath.Join(dir, "data"+ext)
-			if err := SaveFile(path, m); err != nil {
-				t.Fatal(err)
-			}
-			fs, err := OpenFileSource(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fs.CanFillColumnBits() {
-				t.Fatal("CanFillColumnBits = false for binary format")
-			}
-			cs := &CountingSource{Src: fs}
-			if !cs.CanFillColumnBits() {
-				t.Fatal("CountingSource does not delegate CanFillColumnBits")
-			}
-			arena := make([]uint64, int(nslots)*words)
-			if err := cs.FillColumnBits(slot, arena, words); err != nil {
-				t.Fatal(err)
-			}
-			for i := range arena {
-				if arena[i] != want[i] {
-					t.Fatalf("arena word %d = %#x, want %#x", i, arena[i], want[i])
-				}
-			}
-			if cs.Passes != 1 || cs.Rows != int64(m.NumRows()) {
-				t.Errorf("CountingSource passes=%d rows=%d after fill", cs.Passes, cs.Rows)
-			}
-			if fs.BytesRead() == 0 {
-				t.Error("fill pass did not account bytes read")
-			}
-		})
-	}
-	// Text sources cannot fill; the capability probe must say so.
-	tpath := filepath.Join(dir, "data.txt")
-	if err := SaveFile(tpath, m); err != nil {
-		t.Fatal(err)
-	}
-	tfs, err := OpenFileSource(tpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tfs.CanFillColumnBits() {
-		t.Error("CanFillColumnBits = true for text format")
-	}
-	if (&CountingSource{Src: tfs}).CanFillColumnBits() {
-		t.Error("CountingSource claims fill over a text source")
 	}
 }
 
@@ -397,26 +327,6 @@ func TestCompressedDecodeErrors(t *testing.T) {
 			}
 			if fe.Offset < 0 || fe.Offset > int64(len(tc.data)) {
 				t.Errorf("FileError.Offset = %d outside file of %d bytes", fe.Offset, len(tc.data))
-			}
-			// The fused bitmap fill must reject the same corruption.
-			if !tc.openErr {
-				src2, err := OpenFileSource(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slot := make([]int32, src2.NumCols())
-				words := (src2.NumRows() + 63) / 64
-				arena := make([]uint64, len(slot)*max(words, 1))
-				for i := range slot {
-					slot[i] = int32(i)
-				}
-				err = src2.FillColumnBits(slot, arena, max(words, 1))
-				if err == nil {
-					t.Fatal("FillColumnBits accepted corrupted rows")
-				}
-				if !errors.As(err, &fe) {
-					t.Fatalf("fill err = %v (%T), want *FileError", err, err)
-				}
 			}
 		})
 	}

@@ -52,45 +52,73 @@ func WriteText(w io.Writer, m *Matrix) error {
 // ReadText parses the text format written by WriteText.
 func ReadText(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	line, err := readLine(br)
+	rows, cols, err := readTextHeader(br)
 	if err != nil {
-		return nil, fmt.Errorf("matrix: reading header: %w", err)
-	}
-	if line != textHeader {
-		return nil, fmt.Errorf("matrix: bad header %q", line)
-	}
-	line, err = readLine(br)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: reading dimensions: %w", err)
-	}
-	var rows, cols int
-	if _, err := fmt.Sscanf(line, "%d %d", &rows, &cols); err != nil {
-		return nil, fmt.Errorf("matrix: bad dimension line %q: %w", line, err)
-	}
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("matrix: negative dimensions %dx%d", rows, cols)
+		return nil, fmt.Errorf("matrix: %w", err)
 	}
 	b := NewBuilder(rows, cols)
+	var buf []int32
 	for row := 0; row < rows; row++ {
-		line, err = readLine(br)
+		line, err := readLine(br)
+		if err == nil {
+			buf, err = parseTextRow(line, cols, buf[:0])
+		}
 		if err != nil {
-			return nil, fmt.Errorf("matrix: reading row %d: %w", row, err)
+			return nil, fmt.Errorf("matrix: row %d: %w", row, err)
 		}
-		if line == "" {
-			continue
-		}
-		for _, f := range strings.Fields(line) {
-			c, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, fmt.Errorf("matrix: row %d: bad column %q: %w", row, f, err)
-			}
-			if c < 0 || c >= cols {
-				return nil, fmt.Errorf("matrix: row %d: column %d out of range [0,%d)", row, c, cols)
-			}
-			b.Set(row, c)
+		for _, c := range buf {
+			b.Set(row, int(c))
 		}
 	}
 	return b.Build(), nil
+}
+
+// readTextHeader reads the two header lines of the text format — the
+// magic line and "rows cols" — and returns the dimensions.
+func readTextHeader(br lineReader) (rows, cols int, err error) {
+	line, err := readLine(br)
+	if err != nil {
+		return 0, 0, fmt.Errorf("reading header: %w", err)
+	}
+	if line != textHeader {
+		return 0, 0, fmt.Errorf("bad header %q", line)
+	}
+	line, err = readLine(br)
+	if err != nil {
+		return 0, 0, fmt.Errorf("reading dimensions: %w", err)
+	}
+	if _, err := fmt.Sscanf(line, "%d %d", &rows, &cols); err != nil {
+		return 0, 0, fmt.Errorf("bad dimension line %q: %w", line, err)
+	}
+	if rows < 0 || cols < 0 {
+		return 0, 0, fmt.Errorf("negative dimensions %dx%d", rows, cols)
+	}
+	return rows, cols, nil
+}
+
+// parseTextRow appends the column indices of one text row to buf as a
+// sorted set: files written by WriteText are already strictly
+// increasing, hand-written ones need not be, and RowSource promises
+// sorted distinct columns.
+func parseTextRow(line string, cols int, buf []int32) ([]int32, error) {
+	sorted := true
+	for _, field := range strings.Fields(line) {
+		c, err := strconv.Atoi(field)
+		if err != nil {
+			return nil, fmt.Errorf("bad column %q", field)
+		}
+		if c < 0 || c >= cols {
+			return nil, fmt.Errorf("column %d out of range [0,%d)", c, cols)
+		}
+		if n := len(buf); n > 0 && int32(c) <= buf[n-1] {
+			sorted = false
+		}
+		buf = append(buf, int32(c))
+	}
+	if !sorted {
+		buf = SortDedup(buf)
+	}
+	return buf, nil
 }
 
 // lineReader is the subset of bufio.Reader readLine needs; the

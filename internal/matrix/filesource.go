@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -302,6 +300,50 @@ func (t *trackedReader) ReadString(delim byte) (string, error) {
 	return s, err
 }
 
+// skipUvarints crosses n varints by counting terminator bytes (high
+// bit clear) in the buffered window — no decoding, no per-byte calls.
+func (t *trackedReader) skipUvarints(n int) error {
+	for n > 0 {
+		buf, err := t.br.Peek(512)
+		if len(buf) == 0 {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		i := 0
+		for i < len(buf) && n > 0 {
+			if buf[i] < 0x80 {
+				n--
+			}
+			i++
+		}
+		t.br.Discard(i)
+		t.off += int64(i)
+	}
+	return nil
+}
+
+// discard crosses n bytes of the buffered stream.
+func (t *trackedReader) discard(n int64) error {
+	for n > 0 {
+		chunk := n
+		if chunk > 1<<16 {
+			chunk = 1 << 16
+		}
+		d, err := t.br.Discard(int(chunk))
+		t.off += int64(d)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		n -= int64(d)
+	}
+	return nil
+}
+
 // byteScanner is the reader the row decoders consume: buffered reads
 // plus single bytes for varints.
 type byteScanner interface {
@@ -334,49 +376,68 @@ func OpenFileSourceFS(fsys FS, path string) (*FileSource, error) {
 	}
 	defer f.Close()
 	tr := fs.reader(f, false)
-	fail := func(err error) error {
-		return &FileError{Path: fs.path, Offset: tr.off, Err: err}
-	}
-	switch fs.format {
-	case formatARows:
-		rows, cols, err := readRowBinaryHeader(tr)
-		if err != nil {
-			return nil, fail(err)
-		}
-		fs.rows, fs.cols = rows, cols
-		return fs, nil
-	case formatCARows:
-		rows, cols, err := readRowCompressedHeader(tr)
-		if err != nil {
-			return nil, fail(err)
-		}
-		fs.rows, fs.cols = rows, cols
-		return fs, nil
-	}
-	line, err := readLine(tr)
+	fs.rows, fs.cols, err = fs.header(tr)
 	if err != nil {
-		return nil, fail(fmt.Errorf("reading header: %w", err))
-	}
-	if line != textHeader {
-		return nil, fail(fmt.Errorf("bad header %q", line))
-	}
-	line, err = readLine(tr)
-	if err != nil {
-		return nil, fail(fmt.Errorf("reading dimensions: %w", err))
-	}
-	if _, err := fmt.Sscanf(line, "%d %d", &fs.rows, &fs.cols); err != nil {
-		return nil, fail(fmt.Errorf("bad dimension line %q: %w", line, err))
-	}
-	if fs.rows < 0 || fs.cols < 0 {
-		return nil, fail(fmt.Errorf("negative dimensions"))
+		return nil, &FileError{Path: fs.path, Offset: tr.off, Err: err}
 	}
 	return fs, nil
+}
+
+// header reads and checks the header of the source's format, returning
+// the dimensions it declares.
+func (fs *FileSource) header(tr *trackedReader) (rows, cols int, err error) {
+	switch fs.format {
+	case formatARows:
+		return readRowHeader(tr, rowBinaryMagic, "row-binary")
+	case formatCARows:
+		return readRowHeader(tr, rowCompressedMagic, "compressed-row")
+	}
+	return readTextHeader(tr)
+}
+
+// rowDecoder is what a format contributes to a pass once its header is
+// read: cross one row, or decode one row. Errors are returned raw; the
+// pass attaches path and offset.
+type rowDecoder interface {
+	// skip crosses one row without delivering it. Only framing is
+	// checked, enough that a corrupt prefix cannot silently
+	// desynchronise the rows behind it.
+	skip(row int) error
+	// next decodes the row's column indices into buf, handed in empty,
+	// fully validated: in range and strictly increasing.
+	next(row int, buf []int32) ([]int32, error)
 }
 
 // Scan implements RowSource with one sequential pass over the file.
 // Decode and IO failures return a *FileError with the path and byte
 // offset reached; errors returned by fn pass through unchanged.
 func (fs *FileSource) Scan(fn func(row int, cols []int32) error) error {
+	return fs.scan(0, fs.rows, fn)
+}
+
+// ScanRange implements RangeScanner with one sequential pass that
+// skip-decodes the prefix rows, delivers rows in [from, to) with their
+// original ids, and stops without touching the tail. Skipped rows pay
+// only framing cost: ".arows" prefixes are crossed by counting varint
+// terminator bytes in the buffered window, ".carows" bitmap rows are
+// crossed with a bulk discard and Rice rows with a value-free code
+// walk. Validation of skipped rows is structural only (the stream
+// stays framed); delivered rows are validated exactly like Scan.
+// Bounds are clamped to [0, NumRows()]. Byte accounting and *FileError
+// offsets behave like Scan; the logical bytes of a ".carows" pass
+// cover the rows it decoded, not the ones it crossed.
+func (fs *FileSource) ScanRange(from, to int, fn func(row int, cols []int32) error) error {
+	from, to = max(from, 0), min(to, fs.rows)
+	if from >= to {
+		return nil
+	}
+	return fs.scan(from, to, fn)
+}
+
+// scan is the one pass over the file: open, check the header against
+// the dimensions read at open time, cross rows [0, from), decode rows
+// [from, to) into one reusable slice, stop.
+func (fs *FileSource) scan(from, to int, fn func(row int, cols []int32) error) error {
 	f, err := fs.open()
 	if err != nil {
 		return err
@@ -386,45 +447,71 @@ func (fs *FileSource) Scan(fn func(row int, cols []int32) error) error {
 	fail := func(err error) error {
 		return &FileError{Path: fs.path, Offset: tr.off, Err: err}
 	}
-	switch fs.format {
-	case formatARows:
-		return scanRowBinary(tr, fs.rows, fs.cols, fail, fn)
-	case formatCARows:
-		return scanRowCompressed(tr, fs.rows, fs.cols, fail, &fs.logicalBytes, fn)
+	rows, cols, err := fs.header(tr)
+	if err != nil {
+		return fail(err)
 	}
-	// Skip the two header lines.
-	for i := 0; i < 2; i++ {
-		if _, err := readLine(tr); err != nil {
-			return fail(fmt.Errorf("reading header: %w", err))
+	if rows != fs.rows || cols != fs.cols {
+		return fail(fmt.Errorf("dimensions changed on disk: %dx%d", rows, cols))
+	}
+	dec := fs.decoder(tr)
+	for row := 0; row < from; row++ {
+		if err := dec.skip(row); err != nil {
+			return fail(err)
 		}
 	}
 	var buf []int32
-	for row := 0; row < fs.rows; row++ {
-		line, err := readLine(tr)
-		if err != nil {
-			return fail(fmt.Errorf("row %d: %w", row, err))
-		}
-		buf = buf[:0]
-		for _, field := range strings.Fields(line) {
-			c, err := strconv.Atoi(field)
-			if err != nil {
-				return fail(fmt.Errorf("row %d: bad column %q", row, field))
-			}
-			if c < 0 || c >= fs.cols {
-				return fail(fmt.Errorf("row %d: column %d out of range", row, c))
-			}
-			buf = append(buf, int32(c))
-		}
-		// Rows in files produced by WriteText are sorted; guard anyway
-		// since RowSource promises sorted columns.
-		if !sort.SliceIsSorted(buf, func(a, b int) bool { return buf[a] < buf[b] }) {
-			sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
+	for row := from; row < to; row++ {
+		if buf, err = dec.next(row, buf[:0]); err != nil {
+			return fail(err)
 		}
 		if err := fn(row, buf); err != nil {
 			return err
 		}
 	}
+	if crd, ok := dec.(*compressedRowDecoder); ok {
+		// Counted when the pass completes, so an aborted pass leaves the
+		// codec ratio to the passes that finished.
+		fs.logicalBytes.Add(crd.logical)
+	}
 	return nil
+}
+
+// decoder returns the row decoder of the source's format over tr,
+// positioned behind the header.
+func (fs *FileSource) decoder(tr *trackedReader) rowDecoder {
+	switch fs.format {
+	case formatARows:
+		return rowBinaryDecoder{tr, fs.cols}
+	case formatCARows:
+		return newCompressedRowDecoder(tr, fs.rows, fs.cols)
+	}
+	return textDecoder{tr, fs.cols}
+}
+
+// textDecoder reads the rows of the text transaction format, one line
+// each.
+type textDecoder struct {
+	tr   *trackedReader
+	cols int
+}
+
+func (d textDecoder) skip(row int) error {
+	if _, err := readLine(d.tr); err != nil {
+		return fmt.Errorf("row %d: %w", row, err)
+	}
+	return nil
+}
+
+func (d textDecoder) next(row int, buf []int32) ([]int32, error) {
+	line, err := readLine(d.tr)
+	if err == nil {
+		buf, err = parseTextRow(line, d.cols, buf)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("row %d: %w", row, err)
+	}
+	return buf, nil
 }
 
 const rowBinaryMagic = "ARW1"
@@ -472,13 +559,16 @@ func WriteRowBinary(w io.Writer, src RowSource) error {
 	return bw.Flush()
 }
 
-func readRowBinaryHeader(r byteScanner) (rows, cols int, err error) {
-	magic := make([]byte, len(rowBinaryMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return 0, 0, fmt.Errorf("reading row-binary magic: %w", err)
+// readRowHeader reads the header the two binary row formats share: the
+// format's magic, then uvarint rows and cols. kind names the format in
+// errors.
+func readRowHeader(r byteScanner, magic, kind string) (rows, cols int, err error) {
+	got := make([]byte, len(magic))
+	if _, err := io.ReadFull(r, got); err != nil {
+		return 0, 0, fmt.Errorf("reading %s magic: %w", kind, err)
 	}
-	if string(magic) != rowBinaryMagic {
-		return 0, 0, fmt.Errorf("bad row-binary magic %q", magic)
+	if string(got) != magic {
+		return 0, 0, fmt.Errorf("bad %s magic %q", kind, got)
 	}
 	r64, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -490,154 +580,59 @@ func readRowBinaryHeader(r byteScanner) (rows, cols int, err error) {
 	}
 	const maxDim = 1 << 31
 	if r64 > maxDim || c64 > maxDim {
-		return 0, 0, fmt.Errorf("implausible row-binary dimensions %dx%d", r64, c64)
+		return 0, 0, fmt.Errorf("implausible %s dimensions %dx%d", kind, r64, c64)
 	}
 	return int(r64), int(c64), nil
 }
 
-// scanRowBinary decodes the row-binary stream, invoking fn per row.
-// Decode failures are passed through wrap (which attaches path and
-// offset); errors returned by fn propagate unchanged.
-func scanRowBinary(r byteScanner, wantRows, wantCols int, wrap func(error) error, fn func(int, []int32) error) error {
-	if wrap == nil {
-		wrap = func(err error) error { return err }
-	}
-	rows, cols, err := readRowBinaryHeader(r)
-	if err != nil {
-		return wrap(err)
-	}
-	if rows != wantRows || cols != wantCols {
-		return wrap(fmt.Errorf("row-binary dimensions changed on disk: %dx%d", rows, cols))
-	}
-	var buf []int32
-	for row := 0; row < rows; row++ {
-		length, err := binary.ReadUvarint(r)
-		if err != nil {
-			return wrap(fmt.Errorf("row %d length: %w", row, err))
-		}
-		if length > uint64(cols) {
-			return wrap(fmt.Errorf("row %d length %d exceeds column count", row, length))
-		}
-		buf = buf[:0]
-		prev := int32(0)
-		for i := uint64(0); i < length; i++ {
-			d, err := binary.ReadUvarint(r)
-			if err != nil {
-				return wrap(fmt.Errorf("row %d entry %d: %w", row, i, err))
-			}
-			var v int32
-			if i == 0 {
-				v = int32(d)
-			} else {
-				v = prev + int32(d)
-			}
-			if v < 0 || int(v) >= cols || (i > 0 && v <= prev) {
-				return wrap(fmt.Errorf("row %d entry %d out of range", row, i))
-			}
-			buf = append(buf, v)
-			prev = v
-		}
-		if err := fn(row, buf); err != nil {
-			return err
-		}
-	}
-	return nil
+// rowBinaryDecoder reads the rows of an ".arows" stream.
+type rowBinaryDecoder struct {
+	tr   *trackedReader
+	cols int
 }
 
-// CanFillColumnBits implements BitmapFiller: both binary formats
-// decode straight into packed bit-columns; the text format does not.
-func (fs *FileSource) CanFillColumnBits() bool { return fs.format != formatText }
-
-// FillColumnBits implements BitmapFiller with one sequential pass that
-// decodes postings directly into the packed arena — no row slices are
-// materialised and no shards are broadcast. Validation, byte
-// accounting and *FileError offsets are identical to Scan's.
-func (fs *FileSource) FillColumnBits(slot []int32, arena []uint64, words int) error {
-	if len(slot) < fs.cols {
-		return fmt.Errorf("matrix: slot table covers %d of %d columns", len(slot), fs.cols)
+// length reads a row's entry count.
+func (d rowBinaryDecoder) length(row int) (uint64, error) {
+	length, err := binary.ReadUvarint(d.tr)
+	if err != nil {
+		return 0, fmt.Errorf("row %d length: %w", row, err)
 	}
-	f, err := fs.open()
+	if length > uint64(d.cols) {
+		return 0, fmt.Errorf("row %d length %d exceeds column count", row, length)
+	}
+	return length, nil
+}
+
+func (d rowBinaryDecoder) skip(row int) error {
+	length, err := d.length(row)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tr := fs.reader(f, true)
-	fail := func(err error) error {
-		return &FileError{Path: fs.path, Offset: tr.off, Err: err}
-	}
-	switch fs.format {
-	case formatARows:
-		return fillRowBinaryBits(tr, fs.rows, fs.cols, fail, slot, arena, words)
-	case formatCARows:
-		rows, cols, err := readRowCompressedHeader(tr)
-		if err != nil {
-			return fail(err)
-		}
-		if rows != fs.rows || cols != fs.cols {
-			return fail(fmt.Errorf("compressed-row dimensions changed on disk: %dx%d", rows, cols))
-		}
-		d := newCompressedRowDecoder(tr, cols)
-		d.logical = rowHeaderLogicalBytes(rows, cols)
-		for row := 0; row < rows; row++ {
-			w := row >> 6
-			bit := uint64(1) << (uint(row) & 63)
-			if err := d.decodeRow(row, func(c int32) {
-				if sl := slot[c]; sl >= 0 {
-					arena[int(sl)*words+w] |= bit
-				}
-			}); err != nil {
-				return fail(err)
-			}
-		}
-		fs.logicalBytes.Add(d.logical)
-		return nil
-	}
-	return fmt.Errorf("matrix: %s: text sources cannot fill column bits", fs.path)
-}
-
-// fillRowBinaryBits is scanRowBinary fused with bit-column packing:
-// same decode, same validation, but each posting sets its (slot, row)
-// bit instead of growing a row slice.
-func fillRowBinaryBits(r byteScanner, wantRows, wantCols int, wrap func(error) error, slot []int32, arena []uint64, words int) error {
-	rows, cols, err := readRowBinaryHeader(r)
-	if err != nil {
-		return wrap(err)
-	}
-	if rows != wantRows || cols != wantCols {
-		return wrap(fmt.Errorf("row-binary dimensions changed on disk: %dx%d", rows, cols))
-	}
-	for row := 0; row < rows; row++ {
-		length, err := binary.ReadUvarint(r)
-		if err != nil {
-			return wrap(fmt.Errorf("row %d length: %w", row, err))
-		}
-		if length > uint64(cols) {
-			return wrap(fmt.Errorf("row %d length %d exceeds column count", row, length))
-		}
-		w := row >> 6
-		bit := uint64(1) << (uint(row) & 63)
-		prev := int32(0)
-		for i := uint64(0); i < length; i++ {
-			d, err := binary.ReadUvarint(r)
-			if err != nil {
-				return wrap(fmt.Errorf("row %d entry %d: %w", row, i, err))
-			}
-			var v int32
-			if i == 0 {
-				v = int32(d)
-			} else {
-				v = prev + int32(d)
-			}
-			if v < 0 || int(v) >= cols || (i > 0 && v <= prev) {
-				return wrap(fmt.Errorf("row %d entry %d out of range", row, i))
-			}
-			if sl := slot[v]; sl >= 0 {
-				arena[int(sl)*words+w] |= bit
-			}
-			prev = v
-		}
+	if err := d.tr.skipUvarints(int(length)); err != nil {
+		return fmt.Errorf("row %d: %w", row, err)
 	}
 	return nil
+}
+
+func (d rowBinaryDecoder) next(row int, buf []int32) ([]int32, error) {
+	length, err := d.length(row)
+	if err != nil {
+		return nil, err
+	}
+	prev := int32(0)
+	for i := uint64(0); i < length; i++ {
+		delta, err := binary.ReadUvarint(d.tr)
+		if err != nil {
+			return nil, fmt.Errorf("row %d entry %d: %w", row, i, err)
+		}
+		v := prev + int32(delta)
+		if v < 0 || int(v) >= d.cols || (i > 0 && v <= prev) {
+			return nil, fmt.Errorf("row %d entry %d out of range", row, i)
+		}
+		buf = append(buf, v)
+		prev = v
+	}
+	return buf, nil
 }
 
 // SaveRowBinary writes src to path in the ".arows" streaming format.

@@ -36,8 +36,7 @@ func (m *Matrix) FoldRows(rng *hashing.SplitMix64) *Matrix {
 		for i, r := range col {
 			mapped[i] = pairOf[r]
 		}
-		insertionSortInt32(mapped)
-		cols[c] = dedupSorted(mapped)
+		cols[c] = SortDedup(mapped)
 	}
 	return &Matrix{rows: newRows, cols: cols}
 }

@@ -111,3 +111,53 @@ func FuzzReadNamedTransactions(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScanRange: arbitrary bytes under each streaming format and an
+// arbitrary row range must never panic, and whenever a full Scan of
+// the bytes succeeds, ScanRange delivers exactly Scan's rows with
+// from <= id < to — the skip path may check less than the decode
+// path, never frame the stream differently.
+func FuzzScanRange(f *testing.F) {
+	m := fuzzSeedMatrix()
+	var text, arows, carows bytes.Buffer
+	_ = WriteText(&text, m)
+	_ = WriteRowBinary(&arows, m.Stream())
+	_ = WriteRowCompressed(&carows, m.Stream())
+	for format, enc := range [][]byte{text.Bytes(), arows.Bytes(), carows.Bytes()} {
+		f.Add(enc, uint8(format), 0, 130)
+		f.Add(enc, uint8(format), 64, 65)
+		f.Add(enc, uint8(format), 100, 1<<40)
+		f.Add(enc[:len(enc)/2], uint8(format), 20, 90)
+	}
+	f.Add([]byte(textHeader+"\n3 4\n3 1 1\n\n0 2\n"), uint8(0), 1, 3)
+	f.Fuzz(func(t *testing.T, data []byte, format uint8, from, to int) {
+		ext := []string{".txt", ".arows", ".carows"}[format%3]
+		fs, err := OpenFileSourceFS(memFS(data), "mem"+ext)
+		if err != nil {
+			return
+		}
+		var all, got []scannedRow
+		collect := func(into *[]scannedRow) func(int, []int32) error {
+			return func(row int, cols []int32) error {
+				*into = append(*into, scannedRow{row, append([]int32(nil), cols...)})
+				return nil
+			}
+		}
+		rangeErr := fs.ScanRange(from, to, collect(&got))
+		if fs.Scan(collect(&all)) != nil {
+			return
+		}
+		if rangeErr != nil {
+			t.Fatalf("%s: Scan succeeded, ScanRange(%d, %d) failed: %v", ext, from, to, rangeErr)
+		}
+		var want []scannedRow
+		for _, r := range all {
+			if from <= r.row && r.row < to {
+				want = append(want, r)
+			}
+		}
+		if !rowsEqual(got, want) {
+			t.Fatalf("%s: ScanRange(%d, %d) delivered %d rows, Scan has %d in range (or content differs)", ext, from, to, len(got), len(want))
+		}
+	})
+}

@@ -90,6 +90,13 @@ func (b *Builder) Build() *Matrix {
 	return m
 }
 
+// SortDedup sorts s and drops its duplicates, in place: any list of
+// indices made the sorted set that rows and columns are everywhere.
+func SortDedup(s []int32) []int32 {
+	insertionSortInt32(s)
+	return dedupSorted(s)
+}
+
 func dedupSorted(s []int32) []int32 {
 	if len(s) < 2 {
 		return s

@@ -90,32 +90,12 @@ const fanOutDepth = 4
 // FanOutShards performs ONE sequential Scan of src — the single pass
 // the disk-resident setting allows — broadcasting every shard to each
 // consumer, which runs in its own goroutine on its own channel. It is
-// the delivery mechanism shared by all streamed parallel kernels:
-// signature folding, exact verification, and the budgeted spill pass.
-// FanOutShards returns once the scan is finished and every consumer has
-// drained its channel, reporting the number of shards broadcast.
-func FanOutShards(src RowSource, maxRows, maxCols int, consumers []func(<-chan *Shard)) (int64, error) {
-	chans := make([]chan *Shard, len(consumers))
-	var wg sync.WaitGroup
-	for i, consume := range consumers {
-		chans[i] = make(chan *Shard, fanOutDepth)
-		wg.Add(1)
-		go func(consume func(<-chan *Shard), ch <-chan *Shard) {
-			defer wg.Done()
-			consume(ch)
-		}(consume, chans[i])
-	}
-	shards, err := ScanShards(src, maxRows, maxCols, func(sh *Shard) error {
-		for _, ch := range chans {
-			ch <- sh
-		}
-		return nil
-	})
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	return shards, err
+// the delivery mechanism of the streamed parallel verification kernels:
+// exact verification and the budgeted spill pass. FanOutShards returns
+// once the scan is finished and every consumer has drained its channel,
+// reporting the number of shards broadcast.
+func FanOutShards(src RowSource, consumers []func(<-chan *Shard)) (int64, error) {
+	return feedShards(src, 0, 0, consumers, true)
 }
 
 // DistributeShards performs ONE sequential Scan of src, dealing shard i
@@ -128,7 +108,15 @@ func FanOutShards(src RowSource, maxRows, maxCols int, consumers []func(<-chan *
 // bottom-k union). Each consumer sees its shards in scan order.
 // DistributeShards returns once the scan is finished and every consumer
 // has drained its channel, reporting the number of shards dealt.
-func DistributeShards(src RowSource, maxRows, maxCols int, consumers []func(<-chan *Shard)) (int64, error) {
+func DistributeShards(src RowSource, consumers []func(<-chan *Shard)) (int64, error) {
+	return feedShards(src, 0, 0, consumers, false)
+}
+
+// feedShards starts every consumer on its own channel, runs one
+// ScanShards pass routing each shard to all of them (broadcast) or to
+// the next one in turn, then closes the channels and waits — also when
+// the scan fails, so no consumer is left blocked.
+func feedShards(src RowSource, maxRows, maxCols int, consumers []func(<-chan *Shard), broadcast bool) (int64, error) {
 	chans := make([]chan *Shard, len(consumers))
 	var wg sync.WaitGroup
 	for i, consume := range consumers {
@@ -141,8 +129,14 @@ func DistributeShards(src RowSource, maxRows, maxCols int, consumers []func(<-ch
 	}
 	next := 0
 	shards, err := ScanShards(src, maxRows, maxCols, func(sh *Shard) error {
-		chans[next] <- sh
-		next = (next + 1) % len(chans)
+		if broadcast {
+			for _, ch := range chans {
+				ch <- sh
+			}
+		} else {
+			chans[next] <- sh
+			next = (next + 1) % len(chans)
+		}
 		return nil
 	})
 	for _, ch := range chans {

@@ -132,7 +132,7 @@ func TestFanOutShards(t *testing.T) {
 			}
 		}
 	}
-	shards, err := FanOutShards(src, 32, 0, consumers)
+	shards, err := feedShards(src, 32, 0, consumers, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDistributeShards(t *testing.T) {
 			}
 		}
 	}
-	shards, err := DistributeShards(src, 16, 0, consumers)
+	shards, err := feedShards(src, 16, 0, consumers, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestDistributeShardsError(t *testing.T) {
 			}
 		}
 	}
-	_, err := DistributeShards(src, 8, 0, consumers)
+	_, err := feedShards(src, 8, 0, consumers, false)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -253,12 +253,12 @@ func (s *errAfterSource) Scan(fn func(row int, cols []int32) error) error {
 	})
 }
 
-// TestTailSource: only rows >= From are delivered, ids preserved, and
-// the wrapper deliberately hides the fast-path capabilities of the
-// wrapped source.
-func TestTailSource(t *testing.T) {
+// TestRangeSourceTail: with To = NumRows() only rows >= From are
+// delivered, ids preserved, and the wrapper deliberately hides the
+// fast-path capabilities of the wrapped source.
+func TestRangeSourceTail(t *testing.T) {
 	src := shardFixture(30, 4)
-	tail := &TailSource{Src: src, From: 12}
+	tail := &RangeSource{Src: src, From: 12, To: src.NumRows()}
 	if tail.NumRows() != 30 || tail.NumCols() != 100 {
 		t.Fatalf("dims = %dx%d, want 30x100", tail.NumRows(), tail.NumCols())
 	}
@@ -280,13 +280,10 @@ func TestTailSource(t *testing.T) {
 	// must not be, or windowed runs would take full-data fast paths.
 	var rs RowSource = tail
 	if _, ok := rs.(ConcurrentSource); ok {
-		t.Error("TailSource must not implement ConcurrentSource")
+		t.Error("RangeSource must not implement ConcurrentSource")
 	}
 	if _, ok := rs.(ColumnLister); ok {
-		t.Error("TailSource must not implement ColumnLister")
-	}
-	if _, ok := rs.(BitmapFiller); ok {
-		t.Error("TailSource must not implement BitmapFiller")
+		t.Error("RangeSource must not implement ColumnLister")
 	}
 }
 

@@ -2,10 +2,6 @@ package matrix
 
 import "errors"
 
-// errNoBitmapFill reports a FillColumnBits call on a source whose
-// CanFillColumnBits is false; callers are expected to check first.
-var errNoBitmapFill = errors.New("matrix: source cannot fill column bits")
-
 // RowSource models one-pass, row-at-a-time access to a dataset, the
 // access pattern available for large disk-resident tables. The paper's
 // phase-1 (signature computation) and phase-3 (candidate pruning)
@@ -46,21 +42,6 @@ type ColumnLister interface {
 	// ColumnRows returns the sorted row indices of column c. The
 	// returned slice must not be modified.
 	ColumnRows(c int) []int32
-}
-
-// BitmapFiller is a RowSource that can decode one pass of itself
-// directly into packed bit-columns, skipping row-slice materialisation
-// and shard fan-out — the decode-fusion fast path of the packed
-// verification kernel. slot maps column id to arena slot (-1 = column
-// not wanted); bit (slot[c], row) of the words-stride arena is set for
-// every posting (row, c) with slot[c] >= 0. One FillColumnBits call
-// costs one sequential pass. Implementations whose capability depends
-// on runtime state (a file source's format) gate it behind
-// CanFillColumnBits; callers must check it before calling.
-type BitmapFiller interface {
-	RowSource
-	CanFillColumnBits() bool
-	FillColumnBits(slot []int32, arena []uint64, words int) error
 }
 
 // Stream returns a RowSource view of the matrix. The row-major
@@ -142,27 +123,6 @@ func (c *CountingSource) Scan(fn func(row int, cols []int32) error) error {
 	})
 }
 
-// CanFillColumnBits implements BitmapFiller by delegation.
-func (c *CountingSource) CanFillColumnBits() bool {
-	bf, ok := c.Src.(BitmapFiller)
-	return ok && bf.CanFillColumnBits()
-}
-
-// FillColumnBits implements BitmapFiller by delegation, accounting the
-// pass and the rows it decoded like a completed Scan.
-func (c *CountingSource) FillColumnBits(slot []int32, arena []uint64, words int) error {
-	bf, ok := c.Src.(BitmapFiller)
-	if !ok || !bf.CanFillColumnBits() {
-		return errNoBitmapFill
-	}
-	c.Passes++
-	err := bf.FillColumnBits(slot, arena, words)
-	if err == nil {
-		c.Rows += int64(c.Src.NumRows())
-	}
-	return err
-}
-
 // SliceSource is a RowSource over in-memory row-major data; rows[r]
 // must be sorted column indices. It is the cheapest way to feed
 // hand-written fixtures to streaming algorithms in tests.
@@ -191,35 +151,6 @@ func (s *SliceSource) Scan(fn func(row int, cols []int32) error) error {
 	return nil
 }
 
-// TailSource restricts a RowSource to the rows with id >= From,
-// preserving the original row ids — the view a sliding window mines
-// after older rows have expired. It deliberately implements ONLY
-// RowSource (no ConcurrentSource / ColumnLister / BitmapFiller
-// delegation): those fast paths operate on the full underlying data and
-// would silently reintroduce the expired rows, so windowed runs must
-// fall back to sequential scans.
-type TailSource struct {
-	Src  RowSource
-	From int // first live row id; rows below it are skipped
-}
-
-// NumRows implements RowSource. Row ids are preserved, so the nominal
-// dimension is unchanged; only Scan's coverage shrinks.
-func (t *TailSource) NumRows() int { return t.Src.NumRows() }
-
-// NumCols implements RowSource.
-func (t *TailSource) NumCols() int { return t.Src.NumCols() }
-
-// Scan implements RowSource, forwarding only rows with id >= From.
-func (t *TailSource) Scan(fn func(row int, cols []int32) error) error {
-	return t.Src.Scan(func(row int, cols []int32) error {
-		if row < t.From {
-			return nil
-		}
-		return fn(row, cols)
-	})
-}
-
 // RangeScanner is a RowSource that can deliver a contiguous row-id
 // range more cheaply than a filtered full pass — a file source that
 // skip-decodes the prefix and stops after the range, for instance. The
@@ -239,11 +170,14 @@ var errStopRange = errors.New("matrix: range complete")
 
 // RangeSource restricts a RowSource to rows with From <= id < To,
 // preserving the original row ids — the per-worker view of the
-// scale-out executor. Like TailSource it deliberately implements ONLY
-// RowSource: the fast-path interfaces operate on the full underlying
-// data and would silently reintroduce out-of-range rows. When the
-// wrapped source is a RangeScanner, Scan uses its skip-decode path;
-// otherwise it filters a full pass, stopping early after the range.
+// scale-out executor and, with To = NumRows(), the tail a sliding
+// window mines after older rows have expired or an ingest catches up
+// on. It deliberately implements ONLY RowSource (no ConcurrentSource /
+// ColumnLister delegation): those fast paths operate on the full
+// underlying data and would silently reintroduce out-of-range rows, so
+// ranged runs fall back to sequential scans. When the wrapped source is
+// a RangeScanner, Scan uses its skip-decode path; otherwise it filters
+// a full pass, stopping early after the range.
 type RangeSource struct {
 	Src  RowSource
 	From int // first row id delivered

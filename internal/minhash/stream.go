@@ -18,9 +18,8 @@ import (
 // any row partition yield the serial result exactly. Memory is
 // O(workers·k·m) for the states plus a constant number of in-flight
 // shards. st may already hold previously folded rows (the resume path).
-// workers <= 0 means GOMAXPROCS; one worker folds shard-by-shard
-// directly into st in scan order (the degenerate deal), which keeps
-// accounting uniform.
+// workers <= 0 means GOMAXPROCS; one worker folds each row straight
+// into st as the scan delivers it — no shard copy, 0 shards streamed.
 func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error) {
 	if src.NumCols() != st.m {
 		return 0, fmt.Errorf("minhash: source has %d columns, fold state has %d", src.NumCols(), st.m)
@@ -29,8 +28,8 @@ func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 {
-		return matrix.ScanShards(src, 0, 0, func(sh *matrix.Shard) error {
-			st.FoldShard(sh)
+		return 0, src.Scan(func(row int, cols []int32) error {
+			st.FoldRow(row, cols)
 			return nil
 		})
 	}
@@ -45,7 +44,7 @@ func FoldStream(src matrix.RowSource, st *FoldState, workers int) (int64, error)
 			}
 		}
 	}
-	shards, err := matrix.DistributeShards(src, 0, 0, consumers)
+	shards, err := matrix.DistributeShards(src, consumers)
 	if err != nil {
 		return shards, err
 	}

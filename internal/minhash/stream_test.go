@@ -54,7 +54,9 @@ func TestComputeStreamBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if shards <= 0 {
+		// One worker folds rows straight off the scan; only a dealt
+		// pass copies rows into shards.
+		if (shards > 0) != (workers > 1) {
 			t.Errorf("workers=%d: %d shards streamed", workers, shards)
 		}
 		if got.K != want.K || got.M != want.M {

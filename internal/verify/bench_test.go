@@ -181,3 +181,41 @@ func BenchmarkPackedSweepCluster(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.PackedWords), "ns/word")
 }
+
+// BenchmarkPackFromFile times the packed kernel where packing is all
+// there is — a streamed source, few candidates, short columns: a
+// 20 000 × 4 000 file at density 0.005 (20 postings a row), candidates over
+// 200 or over all of its columns. The worker count only shards the
+// sweep; the file is packed by one reader either way.
+func BenchmarkPackFromFile(b *testing.B) {
+	const cols = 4_000
+	m := randomMatrix(hashing.NewSplitMix64(1), 20_000, cols, 0.005)
+	dir := b.TempDir()
+	for _, ext := range []string{".arows", ".carows"} {
+		path := dir + "/data" + ext
+		if err := matrix.SaveFile(path, m); err != nil {
+			b.Fatal(err)
+		}
+		src, err := matrix.OpenFileSource(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, wanted := range []int{200, cols} {
+			// wanted/2 disjoint pairs spread evenly over the columns.
+			var cand []pairs.Scored
+			for c := 0; c < cols; c += 2 * cols / wanted {
+				cand = append(cand, pairs.Scored{Pair: pairs.Make(int32(c), int32(c+cols/wanted))})
+			}
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/cols=%d/workers=%d", ext, wanted, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := ExactPacked(src, cand, 0.3, PackedOptions{Workers: workers}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -142,7 +142,7 @@ func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, bu
 			}
 		}
 		var err error
-		streamed, err = matrix.FanOutShards(src, 0, 0, consumers)
+		streamed, err = matrix.FanOutShards(src, consumers)
 		if err != nil {
 			return nil, Stats{}, err
 		}

@@ -125,8 +125,8 @@ type PackedOptions struct {
 	// unlimited (a single batch). Dir is only used by the ExactBudgeted
 	// fallback when even two packed columns exceed the budget.
 	Budget Budget
-	// Workers fans out the packing scan and the per-batch pair sweep;
-	// <= 1 runs serial, negative means GOMAXPROCS.
+	// Workers fans out the per-batch pair sweep; <= 1 runs serial,
+	// negative means GOMAXPROCS.
 	Workers int
 	// Context cancels the pass at batch and pair-chunk granularity; nil
 	// runs to completion. Scans additionally observe any cancellation
@@ -142,7 +142,7 @@ type PackedOptions struct {
 // PackedWords/PackedBatches reporting the kernel's work. Sources
 // implementing matrix.ColumnLister are packed directly from their
 // column lists without a row scan; other sources pay one sequential
-// scan per batch (fanned out to workers when allowed).
+// scan per batch, by a single reader at any worker count.
 func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, opt PackedOptions) ([]pairs.Scored, Stats, error) {
 	m := src.NumCols()
 	if err := validate(m, cand, threshold); err != nil {
@@ -232,9 +232,7 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 				arena[i] = 0
 			}
 		}
-		streamed, err := packColumns(src, slot, cols, arena, words, workers)
-		st.Shards += streamed
-		if err != nil {
+		if err := packColumns(src, slot, cols, arena, words); err != nil {
 			return nil, Stats{}, err
 		}
 		// Per-slot popcounts, once per batch: colOnes[slot[I]] +
@@ -319,17 +317,13 @@ func packedSweep(ctx context.Context, batch []pairs.Scored, arena []uint64, slot
 
 // packColumns fills the arena with the bit-columns of cols: bit (slot,
 // row) is set iff the row has a 1 in the column assigned to that slot.
-// Strategy by source capability, fastest first: direct column lists
-// (matrix.ColumnLister — no row scan at all), fused decode-to-bitmap
-// (matrix.BitmapFiller — file sources, compressed or not, unpack
-// postings straight into the arena in one pass), one concurrent scan
-// per worker over disjoint slot ranges (in-memory sources), a single
-// fanned-out sequential scan with slot-range consumers (streaming
-// sources, the one pass the disk-resident setting allows), or a plain
-// serial scan. Workers write disjoint arena regions in every strategy,
-// so no synchronisation is needed. Returns the shards broadcast by the
-// fan-out strategy (0 otherwise).
-func packColumns(src matrix.RowSource, slot []int32, cols []int32, arena []uint64, words, workers int) (int64, error) {
+// A source with direct column lists (matrix.ColumnLister — in-memory
+// data) is packed from them without a row scan; every other source is
+// packed by one sequential reader, the one pass the disk-resident
+// setting allows, at any worker count: the pass is decode-bound, and
+// fanning its rows out to slot-range workers measured slower than the
+// single reader (docs/ALGORITHMS.md, "Out-of-core execution").
+func packColumns(src matrix.RowSource, slot []int32, cols []int32, arena []uint64, words int) error {
 	if cl, ok := src.(matrix.ColumnLister); ok {
 		for s, c := range cols {
 			base := s * words
@@ -337,69 +331,9 @@ func packColumns(src matrix.RowSource, slot []int32, cols []int32, arena []uint6
 				arena[base+int(r>>6)] |= 1 << (uint(r) & 63)
 			}
 		}
-		return 0, nil
+		return nil
 	}
-	if bf, ok := src.(matrix.BitmapFiller); ok && bf.CanFillColumnBits() {
-		// Decode fusion: the source unpacks its own postings straight
-		// into the arena — one sequential pass, no row slices, no shard
-		// broadcast — so compressed and uncompressed file sources feed
-		// the packed kernel at decode speed.
-		return 0, bf.FillColumnBits(slot, arena, words)
-	}
-	if workers > len(cols) {
-		workers = len(cols)
-	}
-	if cs, ok := src.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() && workers > 1 {
-		ranges := contiguousShards(len(cols), workers)
-		errs := make([]error, len(ranges))
-		var wg sync.WaitGroup
-		for s, rg := range ranges {
-			wg.Add(1)
-			go func(s, lo, hi int) {
-				defer wg.Done()
-				lo32, hi32 := int32(lo), int32(hi)
-				errs[s] = src.Scan(func(row int, rcols []int32) error {
-					w := row >> 6
-					bit := uint64(1) << (uint(row) & 63)
-					for _, c := range rcols {
-						if sl := slot[c]; sl >= lo32 && sl < hi32 {
-							arena[int(sl)*words+w] |= bit
-						}
-					}
-					return nil
-				})
-			}(s, rg[0], rg[1])
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}
-	if workers > 1 {
-		var consumers []func(<-chan *matrix.Shard)
-		for _, rg := range contiguousShards(len(cols), workers) {
-			lo32, hi32 := int32(rg[0]), int32(rg[1])
-			consumers = append(consumers, func(ch <-chan *matrix.Shard) {
-				for b := range ch {
-					for i := 0; i < b.Len(); i++ {
-						r, rcols := b.Row(i)
-						w := int(r) >> 6
-						bit := uint64(1) << (uint(r) & 63)
-						for _, c := range rcols {
-							if sl := slot[c]; sl >= lo32 && sl < hi32 {
-								arena[int(sl)*words+w] |= bit
-							}
-						}
-					}
-				}
-			})
-		}
-		return matrix.FanOutShards(src, 0, 0, consumers)
-	}
-	return 0, src.Scan(func(row int, rcols []int32) error {
+	return src.Scan(func(row int, rcols []int32) error {
 		w := row >> 6
 		bit := uint64(1) << (uint(row) & 63)
 		for _, c := range rcols {

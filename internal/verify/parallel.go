@@ -153,5 +153,5 @@ func exactFanOut(src matrix.RowSource, cand []pairs.Scored, threshold float64, s
 			outs[s], stats[s] = x.survivors(threshold)
 		}
 	}
-	return matrix.FanOutShards(src, 0, 0, consumers)
+	return matrix.FanOutShards(src, consumers)
 }

@@ -41,8 +41,9 @@ type run struct {
 	// probe is the source as handed in; the I/O accounting interfaces
 	// are read off it, since every wrapper hides them. base is probe cut
 	// to the sliding window; the in-memory fast-path interfaces
-	// (ColumnLister, ConcurrentSource) are read off it, and TailSource
-	// hides them on purpose, so a windowed run only scans its window.
+	// (ColumnLister, ConcurrentSource) are read off it, and RangeSource
+	// hides them on purpose, so a windowed run only scans its window
+	// (a file skip-decodes the rows before it).
 	// counting is base under the context wrapper (a cancelled scan
 	// aborts at its next row) with passes and rows counted: every
 	// sequential scan of a run reads it, and a fast path that bypasses
@@ -70,7 +71,7 @@ func newRun(src matrix.RowSource, materialize func() (*matrix.Matrix, error), cf
 	}
 	r.rec = obs.Tee(r.inner, cfg.Recorder)
 	if from := src.NumRows() - cfg.Window; cfg.Window > 0 && from > 0 {
-		r.base = &matrix.TailSource{Src: src, From: from}
+		r.base = &matrix.RangeSource{Src: src, From: from, To: src.NumRows()}
 	}
 	r.counting = &matrix.CountingSource{Src: matrix.WithContext(cfg.Context, r.base)}
 	return r
@@ -203,28 +204,16 @@ func (r *run) sketch(build func(matrix.RowSource) (sketch, error), pre *sketch) 
 }
 
 // fold is the row fold of phase 1, shared by both sketch types:
-// NewFoldState + fold + Finish for every source and worker count.
-// Serially it is a direct Scan into FoldRow — no shard copy, no shard
-// count; above one worker the pass is dealt to per-worker states and
-// merged exactly (fanOut is the package's FoldStream), at
-// O(workers·k·m) state.
-func fold[S any, F interface {
-	FoldRow(row int, cols []int32)
-	Finish() S
-}](r *run, src matrix.RowSource, newState func(m, k int, seed uint64) (F, error), fanOut func(matrix.RowSource, F, int) (int64, error)) (sk S, err error) {
+// NewFoldState + fanOut (the package's FoldStream) + Finish for every
+// source and worker count. At one worker FoldStream is a direct Scan
+// into FoldRow — no shard copy, no shard count; above, the pass is dealt
+// to per-worker states and merged exactly, at O(workers·k·m) state.
+func fold[S any, F interface{ Finish() S }](r *run, src matrix.RowSource, newState func(m, k int, seed uint64) (F, error), fanOut func(matrix.RowSource, F, int) (int64, error)) (sk S, err error) {
 	st, err := newState(src.NumCols(), r.cfg.K, r.cfg.Seed)
 	if err != nil {
 		return sk, err
 	}
-	var shards int64
-	if r.cfg.Workers <= 1 {
-		err = src.Scan(func(row int, cols []int32) error {
-			st.FoldRow(row, cols)
-			return nil
-		})
-	} else {
-		shards, err = fanOut(src, st, r.cfg.Workers)
-	}
+	shards, err := fanOut(src, st, r.cfg.Workers)
 	if err != nil {
 		return sk, err
 	}

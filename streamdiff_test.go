@@ -1,8 +1,10 @@
 package assocmine
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -94,7 +96,7 @@ func comparePairSections(t *testing.T, got, want Stats, sameSchedule bool) {
 
 // TestStreamedPipelineMatchesInMemory is the differential harness for
 // the out-of-core path: seeded random datasets across sizes and
-// densities, mined from disk (both file formats) and from memory, must
+// densities, mined from disk (every file format) and from memory, must
 // produce bit-identical Results — same pairs, same estimates and exact
 // similarities, same pair-section Stats — for every scheme with a
 // signature phase, serial and parallel.
@@ -116,7 +118,7 @@ func TestStreamedPipelineMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ext := range []string{".txt", ".arows"} {
+		for _, ext := range []string{".txt", ".arows", ".carows"} {
 			fd := saveDataset(t, d, ext)
 			for _, a := range algos {
 				for _, workers := range []int{1, 4} {
@@ -148,6 +150,20 @@ func TestStreamedPipelineMatchesInMemory(t *testing.T) {
 								}
 							}
 							comparePairSections(t, stream.Stats, mem.Stats, false)
+							// A Context on a file source wraps the same single
+							// reader: nothing about the run may change.
+							cfg.Context = context.Background()
+							withCtx, err := fd.SimilarPairs(cfg)
+							if err != nil {
+								t.Fatalf("streamed with Context: %v", err)
+							}
+							if !reflect.DeepEqual(withCtx.Pairs, stream.Pairs) {
+								t.Errorf("Context changed the streamed pairs")
+							}
+							comparePairSections(t, withCtx.Stats, stream.Stats, true)
+							if withCtx.Stats.BytesRead != stream.Stats.BytesRead {
+								t.Errorf("BytesRead = %d with Context, %d without", withCtx.Stats.BytesRead, stream.Stats.BytesRead)
+							}
 							if stream.Stats.BytesRead <= 0 {
 								t.Errorf("streamed run read %d bytes", stream.Stats.BytesRead)
 							}
