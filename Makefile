@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check benchcheck race-all vet fmt bench experiments experiments-full fuzz loc clean
+.PHONY: all build test check benchcheck race-all exports vet fmt bench experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -14,9 +14,9 @@ test:
 
 # The whole gate: every package under the race detector (which runs
 # every differential harness — streamed, chaos, packed, compressed,
-# incremental, BPS, dist, serve, statistical — exactly once; they are
-# ordinary tests of their packages, not separate suites), plus the
-# benchmark module's own vet and smoke test.
+# incremental, BPS, dist, serve, statistical — and the exported-surface
+# sweep exactly once; they are ordinary tests of their packages, not
+# separate suites), plus the benchmark module's own vet and smoke test.
 check: build vet race-all benchcheck
 
 # The benchmark harness (BENCHMARK.json, bench/) is its own module, so
@@ -28,6 +28,14 @@ benchcheck:
 
 race-all:
 	$(GO) test -race ./...
+
+# ROADMAP item H's instrument, run alone: an exported internal/* name
+# needs a non-test caller in another package (bench/ counts) or a line
+# on internal/testutil/testdata/unused_exports.txt, which only shrinks.
+# It is an ordinary test of internal/testutil, so `check` already runs
+# it through race-all.
+exports:
+	$(GO) test ./internal/testutil -run TestExportedNamesAreUsed -count=1
 
 vet:
 	$(GO) vet ./...

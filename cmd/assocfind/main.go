@@ -323,17 +323,11 @@ func run(o options) error {
 // subprocess. Printing matches the single-process path exactly (and so
 // does the output, pair for pair and bit for bit).
 func runDist(o options, a assocmine.Algorithm, cfg assocmine.Config, coll *assocmine.Collector, label func(int) string) error {
-	var algo dist.Algo
-	switch a {
-	case assocmine.MinHash:
-		algo = dist.MinHash
-	case assocmine.KMinHash:
-		algo = dist.KMinHash
-	case assocmine.MinLSH:
-		algo = dist.MinLSH
-	case assocmine.BPS:
-		algo = dist.BPS
-	default:
+	algo, ok := map[assocmine.Algorithm]dist.Algo{
+		assocmine.MinHash: dist.MinHash, assocmine.KMinHash: dist.KMinHash,
+		assocmine.MinLSH: dist.MinLSH, assocmine.BPS: dist.BPS,
+	}[a]
+	if !ok {
 		return fmt.Errorf("-dist-workers supports mh, kmh, mlsh and bps; %v runs single-process only", a)
 	}
 	exe, err := os.Executable()

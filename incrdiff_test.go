@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/testutil"
@@ -286,7 +288,7 @@ func TestIncrWindowMode(t *testing.T) {
 			}
 			// Reference: a fresh serial fold over only the suffix rows,
 			// with their global ids.
-			suffix := &batchSource{cols: 30, base: 120, rows: rows[120:]}
+			suffix := &matrix.SliceSource{Cols: 30, Base: 120, Rows: rows[120:]}
 			want, err := ComputeSignatures(WrapMatrix(mustCollect(t, suffix)), k, seed, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -613,5 +615,141 @@ func TestIncrValidation(t *testing.T) {
 	// Column-count mismatch on catch-up.
 	if _, err := in.CatchUpDataset(d, 1); err == nil {
 		t.Error("catch-up with mismatched column count accepted")
+	}
+}
+
+// goldenIngestRows is what the committed testdata/golden_*.ain1 files
+// were built from, three batches of three rows (k = 4, seed = 42, 6
+// columns).
+var goldenIngestRows = [][]int32{
+	{0, 1}, {1, 2, 3}, {0}, {}, {2, 3, 4}, {0, 1, 4}, {3}, {1, 2}, {0, 4},
+}
+
+// TestIncrGoldenBytes pins the AIN1 container (and the AMF1/KMF1 blobs
+// inside it) byte for byte, cumulative and windowed, MH and K-MH: a
+// committed snapshot loads, re-saves to the same bytes, answers like a
+// fresh ingest of the same rows, and a fresh ingest saves to the same
+// bytes. A format change is a visible diff of testdata/.
+func TestIncrGoldenBytes(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		algo   Algorithm
+		window int
+	}{
+		{"mh_cumulative", MinHash, 0},
+		{"mh_window2", MinLSH, 2},
+		{"kmh_cumulative", KMinHash, 0},
+		{"kmh_window2", KMinHash, 2},
+	} {
+		golden := filepath.Join("testdata", "golden_"+g.name+".ain1")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadIngest(golden)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		fresh, err := NewIngest(g.algo, 6, 4, 42, g.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(goldenIngestRows); lo += 3 {
+			if err := fresh.AppendRows(goldenIngestRows[lo:lo+3], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for label, in := range map[string]*Ingest{"loaded": loaded, "fresh": fresh} {
+			path := filepath.Join(t.TempDir(), "resaved.ain1")
+			if err := in.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s ingest saves %d bytes that differ from the %d golden ones", g.name, label, len(got), len(want))
+			}
+		}
+		if loaded.Algorithm() != g.algo || loaded.Rows() != 9 || loaded.LiveRows() != fresh.LiveRows() || loaded.Windows() != fresh.Windows() {
+			t.Errorf("%s: loaded ingest is %v, %d rows, %d live in %d windows", g.name, loaded.Algorithm(), loaded.Rows(), loaded.LiveRows(), loaded.Windows())
+		}
+		if g.algo == KMinHash {
+			a, errA := loaded.Sketches()
+			b, errB := fresh.Sketches()
+			if errA != nil || errB != nil || !reflect.DeepEqual(a.sk, b.sk) {
+				t.Errorf("%s: loaded and fresh sketches differ (%v, %v)", g.name, errA, errB)
+			}
+		} else {
+			a, errA := loaded.Signatures()
+			b, errB := fresh.Signatures()
+			if errA != nil || errB != nil || !reflect.DeepEqual(a.sig, b.sig) {
+				t.Errorf("%s: loaded and fresh signatures differ (%v, %v)", g.name, errA, errB)
+			}
+		}
+	}
+}
+
+// TestIncrWorkersZeroIsSerial: AppendRows and CatchUp promise the
+// Config.Workers semantic, where 0 is serial. Under GOMAXPROCS(4) the
+// K-MH state after workers = 0 must be the sequential one byte for byte
+// (heap layout and Updates included); a dealt, merged fold leaves other
+// bytes.
+func TestIncrWorkersZeroIsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rows, d := incrFixture(t, 3000, 40, 77)
+	saved := func(workers int, catchUp bool) []byte {
+		in, err := NewIngest(KMinHash, 40, 8, 9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if catchUp {
+			_, err = in.CatchUpDataset(d, workers)
+		} else {
+			err = in.AppendRows(rows, workers)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "in.ain1")
+		if err := in.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial := saved(1, false)
+	if !reflect.DeepEqual(saved(0, false), serial) {
+		t.Error("AppendRows(rows, 0) left another state than workers = 1")
+	}
+	if !reflect.DeepEqual(saved(0, true), serial) {
+		t.Error("CatchUp(d, 0) left another state than a serial append")
+	}
+	if reflect.DeepEqual(saved(4, false), serial) {
+		t.Error("a 4-worker fold left the sequential bytes; the fixture no longer tells the two apart")
+	}
+}
+
+// TestFoldAlgoValues pins what lets the driver and Ingest hand their
+// Algorithm to internal/fold by conversion: the schemes with a fold
+// carry the same value in both enumerations, and no other scheme has a
+// fold.
+func TestFoldAlgoValues(t *testing.T) {
+	for a, want := range map[Algorithm]fold.Algo{MinHash: fold.MinHash, KMinHash: fold.KMinHash, MinLSH: fold.MinLSH, BPS: fold.BPS} {
+		if fold.Algo(a) != want {
+			t.Errorf("%v is %d here and %d in internal/fold", a, int(a), int(want))
+		}
+	}
+	for _, a := range []Algorithm{BruteForce, HammingLSH, Apriori, Algorithm(257), Algorithm(-1)} {
+		if _, ok := fold.For(fold.Algo(a)); ok {
+			t.Errorf("%v has a fold", a)
+		}
+	}
+	if _, err := NewIngest(BPS, 10, 4, 1, 0); err == nil {
+		t.Error("BPS ingest accepted")
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"assocmine/internal/kminhash"
+	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
-	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 )
 
@@ -32,32 +31,24 @@ import (
 //     suffix with Config.Window.
 //
 // Sketch content is bit-identical to a batch compute over the same live
-// rows: appending and merging commute with the batch fold (see
-// minhash.Merge and kminhash.Merge). An Ingest is not safe for
+// rows: appending and merging commute with the batch fold (the
+// fold.State contract). An Ingest is not safe for
 // concurrent use. After a failed append or catch-up the state is
 // poisoned (partial rows may have been folded) and every further
 // operation returns the original error — reload from the last snapshot.
 type Ingest struct {
 	algo   Algorithm
+	fold   fold.Fold // algo's phase-1 fold
 	cols   int
 	k      int
 	seed   uint64
 	window int
 
 	nextRow int64
-	wins    []ingestWindow
+	wins    []fold.State // live checkpoints, oldest first, tiling [LiveFrom(), nextRow)
 	stats   IncrStats
 	rec     Recorder
 	err     error // poisoned after a partial fold
-}
-
-// ingestWindow is one live fold checkpoint: the rows [from, from+rows)
-// folded into an MH or K-MH state (exactly one is non-nil, matching the
-// ingest's algorithm).
-type ingestWindow struct {
-	from int64
-	mh   *minhash.FoldState
-	kmh  *kminhash.FoldState
 }
 
 // IncrStats counts the incremental-specific work an Ingest performed,
@@ -83,9 +74,8 @@ type IncrStats struct {
 // fold. window is the number of trailing batches kept live (0 means
 // cumulative — everything stays live forever).
 func NewIngest(algo Algorithm, cols, k int, seed uint64, window int) (*Ingest, error) {
-	switch algo {
-	case MinHash, MinLSH, KMinHash:
-	default:
+	f, ok := ingestFold(algo)
+	if !ok {
 		return nil, fmt.Errorf("assocmine: incremental ingestion supports MinHash, MinLSH and KMinHash, got %v", algo)
 	}
 	if cols < 0 {
@@ -97,16 +87,24 @@ func NewIngest(algo Algorithm, cols, k int, seed uint64, window int) (*Ingest, e
 	if window < 0 {
 		return nil, fmt.Errorf("assocmine: window must be >= 0, got %d", window)
 	}
-	in := &Ingest{algo: algo, cols: cols, k: k, seed: seed, window: window}
+	in := &Ingest{algo: algo, fold: f, cols: cols, k: k, seed: seed, window: window}
 	if window == 0 {
 		// Cumulative mode folds everything into one eager state.
-		w, err := in.newWindow(0)
+		st, err := in.newState()
 		if err != nil {
 			return nil, err
 		}
-		in.wins = []ingestWindow{w}
+		in.wins = []fold.State{st}
 	}
 	return in, nil
+}
+
+// ingestFold is the fold an ingest of algo runs: the schemes whose
+// phase 1 leaves a sketch a query can be answered from (BPS supports
+// are a fold too, but not one to mine against later).
+func ingestFold(algo Algorithm) (fold.Fold, bool) {
+	f, ok := fold.For(fold.Algo(algo))
+	return f, ok && algo != BPS
 }
 
 // SetRecorder attaches a Recorder receiving the incremental counters
@@ -116,18 +114,7 @@ func (in *Ingest) SetRecorder(r Recorder) { in.rec = r }
 
 func (in *Ingest) recorder() Recorder { return obs.OrNop(in.rec) }
 
-func (in *Ingest) useKMH() bool { return in.algo == KMinHash }
-
-func (in *Ingest) newWindow(from int64) (ingestWindow, error) {
-	w := ingestWindow{from: from}
-	var err error
-	if in.useKMH() {
-		w.kmh, err = kminhash.NewFoldState(in.cols, in.k, in.seed)
-	} else {
-		w.mh, err = minhash.NewFoldState(in.cols, in.k, in.seed)
-	}
-	return w, err
-}
+func (in *Ingest) newState() (fold.State, error) { return in.fold.New(in.cols, in.k, in.seed) }
 
 // Algorithm returns the sketch scheme the ingest folds for.
 func (in *Ingest) Algorithm() Algorithm { return in.algo }
@@ -155,10 +142,11 @@ func (in *Ingest) Windows() int { return len(in.wins) }
 // LiveFrom returns the first row id the live checkpoints cover
 // (0 in cumulative mode; == Rows() when nothing is live).
 func (in *Ingest) LiveFrom() int64 {
-	if len(in.wins) == 0 {
-		return in.nextRow
+	from := in.nextRow
+	for _, w := range in.wins {
+		from -= w.Rows()
 	}
-	return in.wins[0].from
+	return from
 }
 
 // LiveRows returns the number of rows the live checkpoints cover — the
@@ -169,31 +157,14 @@ func (in *Ingest) LiveRows() int64 { return in.nextRow - in.LiveFrom() }
 // Stats returns the incremental work counters accumulated so far.
 func (in *Ingest) Stats() IncrStats { return in.stats }
 
-// batchSource streams an in-memory batch with global row ids starting
-// at base, for FoldStream's shard fan-out.
-type batchSource struct {
-	cols int
-	base int
-	rows [][]int32
-}
-
-func (b *batchSource) NumRows() int { return b.base + len(b.rows) }
-func (b *batchSource) NumCols() int { return b.cols }
-func (b *batchSource) Scan(fn func(row int, cols []int32) error) error {
-	for i, cols := range b.rows {
-		if err := fn(b.base+i, cols); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AppendRows folds one batch of new rows into the ingest: rows[i] lists
 // the column indices set in global row Rows()+i (any order; duplicates
 // collapse). In sliding-window mode the batch becomes one checkpoint
 // and the oldest checkpoints beyond the window expire. Workers follow
-// the Config.Workers semantic; serial appends replay bit-identically to
-// an uninterrupted batch fold.
+// the Config.Workers semantic — 0 and 1 fold serially, negative means
+// GOMAXPROCS, above 1 the batch is dealt to that many fold states and
+// merged exactly; serial appends replay bit-identically to an
+// uninterrupted batch fold.
 func (in *Ingest) AppendRows(rows [][]int32, workers int) error {
 	if in.err != nil {
 		return in.err
@@ -208,8 +179,8 @@ func (in *Ingest) AppendRows(rows [][]int32, workers int) error {
 		}
 		clean[i] = row
 	}
-	src := &batchSource{cols: in.cols, base: int(in.nextRow), rows: clean}
-	return in.fold(src, len(rows), workers)
+	src := &matrix.SliceSource{Cols: in.cols, Base: int(in.nextRow), Rows: clean}
+	return in.foldRows(src, len(rows), workers)
 }
 
 // canonRow validates column indices and returns a sorted, deduplicated
@@ -234,7 +205,7 @@ func canonRow(cs []int32, cols int) ([]int32, error) {
 // CatchUp folds every file row the ingest has not seen yet (rows >=
 // Rows()) — the O(new rows) resume path for a file that grew in place.
 // Returns the number of rows appended. The file must keep the ingest's
-// column count and must not have shrunk.
+// column count and must not have shrunk. Workers as for AppendRows.
 func (in *Ingest) CatchUp(fd *FileDataset, workers int) (int, error) {
 	return in.catchUp(fd.src, workers)
 }
@@ -260,32 +231,24 @@ func (in *Ingest) catchUp(src matrix.RowSource, workers int) (int, error) {
 	}
 	newRows := int(total - in.nextRow)
 	tail := &matrix.RangeSource{Src: src, From: int(in.nextRow), To: int(total)}
-	if err := in.fold(tail, newRows, workers); err != nil {
+	if err := in.foldRows(tail, newRows, workers); err != nil {
 		return 0, err
 	}
 	return newRows, nil
 }
 
-// fold streams src's unseen rows into the target state — the cumulative
-// state, or a fresh checkpoint in window mode — then advances the row
-// cursor and expires old checkpoints.
-func (in *Ingest) fold(src matrix.RowSource, newRows, workers int) error {
-	target := len(in.wins) - 1
+// foldRows streams src's unseen rows into the target state — the
+// cumulative state, or a fresh checkpoint in window mode — then advances
+// the row cursor and expires old checkpoints.
+func (in *Ingest) foldRows(src matrix.RowSource, newRows, workers int) error {
 	if in.window > 0 {
-		w, err := in.newWindow(in.nextRow)
+		st, err := in.newState()
 		if err != nil {
 			return err
 		}
-		in.wins = append(in.wins, w)
-		target = len(in.wins) - 1
+		in.wins = append(in.wins, st)
 	}
-	var err error
-	if in.useKMH() {
-		_, err = kminhash.FoldStream(src, in.wins[target].kmh, workers)
-	} else {
-		_, err = minhash.FoldStream(src, in.wins[target].mh, workers)
-	}
-	if err != nil {
+	if _, err := fold.FoldStream(src, in.wins[len(in.wins)-1], workers); err != nil {
 		// Some rows may already be folded; poison the ingest so callers
 		// reload from the last snapshot instead of double-counting.
 		in.err = fmt.Errorf("assocmine: incremental fold failed, state poisoned: %w", err)
@@ -303,43 +266,31 @@ func (in *Ingest) fold(src matrix.RowSource, newRows, workers int) error {
 	return nil
 }
 
-// merged clones the first live checkpoint and merges the rest into it,
-// returning one state covering the live rows. A nil/nil return means
-// the ingest is empty (a fresh state is synthesised by the callers).
-func (in *Ingest) mergedMH() (*minhash.FoldState, error) {
-	if len(in.wins) == 0 {
-		st, err := minhash.NewFoldState(in.cols, in.k, in.seed)
-		return st, err
+// sketch finishes the live rows into a sketch: the single live state's
+// own Finish, or that of a fresh state the live checkpoints are merged
+// into (the ingest keeps them as they are). Merging the first into an
+// empty state is a copy, so n checkpoints count as n-1 merges.
+func (in *Ingest) sketch() (fold.Sketch, error) {
+	if in.err != nil {
+		return fold.Sketch{}, in.err
 	}
-	st := in.wins[0].mh.Clone()
-	for _, w := range in.wins[1:] {
-		if err := minhash.Merge(st, w.mh); err != nil {
-			return nil, err
+	if len(in.wins) == 1 {
+		return in.wins[0].Finish(), nil
+	}
+	st, err := in.newState()
+	if err != nil {
+		return fold.Sketch{}, err
+	}
+	for _, w := range in.wins {
+		if err := st.Merge(w); err != nil {
+			return fold.Sketch{}, err
 		}
 	}
 	if n := len(in.wins) - 1; n > 0 {
 		in.stats.StatesMerged += int64(n)
 		in.recorder().Add(obs.CounterStatesMerged, int64(n))
 	}
-	return st, nil
-}
-
-func (in *Ingest) mergedKMH() (*kminhash.FoldState, error) {
-	if len(in.wins) == 0 {
-		st, err := kminhash.NewFoldState(in.cols, in.k, in.seed)
-		return st, err
-	}
-	st := in.wins[0].kmh.Clone()
-	for _, w := range in.wins[1:] {
-		if err := kminhash.Merge(st, w.kmh); err != nil {
-			return nil, err
-		}
-	}
-	if n := len(in.wins) - 1; n > 0 {
-		in.stats.StatesMerged += int64(n)
-		in.recorder().Add(obs.CounterStatesMerged, int64(n))
-	}
-	return st, nil
+	return st.Finish(), nil
 }
 
 // Signatures finishes the live fold into a queryable min-hash sketch
@@ -347,33 +298,27 @@ func (in *Ingest) mergedKMH() (*kminhash.FoldState, error) {
 // pair the result with SimilarPairsWithSignatures, setting
 // Config.Window to LiveRows() in sliding-window mode.
 func (in *Ingest) Signatures() (*Signatures, error) {
-	if in.err != nil {
-		return nil, in.err
-	}
-	if in.useKMH() {
-		return nil, fmt.Errorf("assocmine: %v ingest produces Sketches, not Signatures", in.algo)
-	}
-	st, err := in.mergedMH()
+	sk, err := in.sketch()
 	if err != nil {
 		return nil, err
 	}
-	return &Signatures{sig: st.Finish(), seed: in.seed, rows: int(in.nextRow)}, nil
+	if sk.MH == nil {
+		return nil, fmt.Errorf("assocmine: %v ingest produces Sketches, not Signatures", in.algo)
+	}
+	return &Signatures{sig: sk.MH, seed: in.seed, rows: int(in.nextRow)}, nil
 }
 
 // Sketches finishes the live fold into a queryable bottom-k sketch
 // (KMinHash ingests only); see Signatures for the query pairing.
 func (in *Ingest) Sketches() (*Sketches, error) {
-	if in.err != nil {
-		return nil, in.err
-	}
-	if !in.useKMH() {
-		return nil, fmt.Errorf("assocmine: %v ingest produces Signatures, not Sketches", in.algo)
-	}
-	st, err := in.mergedKMH()
+	sk, err := in.sketch()
 	if err != nil {
 		return nil, err
 	}
-	return &Sketches{sk: st.Finish(), seed: in.seed, rows: int(in.nextRow)}, nil
+	if sk.KMH == nil {
+		return nil, fmt.Errorf("assocmine: %v ingest produces Signatures, not Sketches", in.algo)
+	}
+	return &Sketches{sk: sk.KMH, seed: in.seed, rows: int(in.nextRow)}, nil
 }
 
 // AIN1 snapshot container: a fixed header followed by one length-free
@@ -429,20 +374,15 @@ func (in *Ingest) Save(path string) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
+	from := in.LiveFrom()
 	for _, w := range in.wins {
-		var from [8]byte
-		binary.LittleEndian.PutUint64(from[:], uint64(w.from))
-		if _, err := bw.Write(from[:]); err != nil {
+		if _, err := bw.Write(binary.LittleEndian.AppendUint64(nil, uint64(from))); err != nil {
 			return err
 		}
-		if in.useKMH() {
-			err = w.kmh.Snapshot(bw)
-		} else {
-			err = w.mh.Snapshot(bw)
-		}
-		if err != nil {
+		if err := w.Snapshot(bw); err != nil {
 			return err
 		}
+		from += w.Rows()
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -480,9 +420,8 @@ func LoadIngest(path string) (*Ingest, error) {
 	k, cols := u(1), u(2)
 	seed := u(3)
 	window, nextRow, nWins := u(4), u(5), u(6)
-	switch algo {
-	case MinHash, MinLSH, KMinHash:
-	default:
+	fd, ok := ingestFold(algo)
+	if !ok {
 		return nil, fmt.Errorf("assocmine: ingest snapshot has unsupported algorithm %d", uint64(algo))
 	}
 	if k < 1 || k > maxIngestK {
@@ -504,11 +443,10 @@ func LoadIngest(path string) (*Ingest, error) {
 		return nil, fmt.Errorf("assocmine: ingest snapshot holds %d states for a %d-batch window", nWins, window)
 	}
 	in := &Ingest{
-		algo: algo, cols: int(cols), k: int(k), seed: seed,
+		algo: algo, fold: fd, cols: int(cols), k: int(k), seed: seed,
 		window: int(window), nextRow: int64(nextRow),
 	}
-	var next int64 // windows must tile [first.from, nextRow)
-	first := true
+	var next int64 // windows must tile [first from, nextRow)
 	for w := uint64(0); w < nWins; w++ {
 		var fromBuf [8]byte
 		if _, err := io.ReadFull(br, fromBuf[:]); err != nil {
@@ -518,33 +456,15 @@ func LoadIngest(path string) (*Ingest, error) {
 		if from > nextRow {
 			return nil, fmt.Errorf("assocmine: ingest snapshot state %d starts at row %d beyond row count %d", w, from, nextRow)
 		}
-		win := ingestWindow{from: int64(from)}
-		var rows int64
-		if algo == KMinHash {
-			st, err := kminhash.ReadFoldState(br)
-			if err != nil {
-				return nil, fmt.Errorf("assocmine: ingest snapshot state %d: %w", w, err)
-			}
-			if st.K() != int(k) || st.NumCols() != int(cols) || st.Seed() != seed {
-				return nil, fmt.Errorf("assocmine: ingest snapshot state %d disagrees with header (k=%d m=%d seed=%#x)", w, st.K(), st.NumCols(), st.Seed())
-			}
-			win.kmh, rows = st, st.Rows()
-		} else {
-			st, err := minhash.ReadFoldState(br)
-			if err != nil {
-				return nil, fmt.Errorf("assocmine: ingest snapshot state %d: %w", w, err)
-			}
-			if st.K() != int(k) || st.NumCols() != int(cols) || st.Seed() != seed {
-				return nil, fmt.Errorf("assocmine: ingest snapshot state %d disagrees with header (k=%d m=%d seed=%#x)", w, st.K(), st.NumCols(), st.Seed())
-			}
-			win.mh, rows = st, st.Rows()
+		st, err := fd.Read(br, in.cols, in.k, seed)
+		if err != nil {
+			return nil, fmt.Errorf("assocmine: ingest snapshot state %d: %w", w, err)
 		}
-		if !first && win.from != next {
-			return nil, fmt.Errorf("assocmine: ingest snapshot state %d starts at row %d, want %d (states must be contiguous)", w, win.from, next)
+		if w > 0 && int64(from) != next {
+			return nil, fmt.Errorf("assocmine: ingest snapshot state %d starts at row %d, want %d (states must be contiguous)", w, from, next)
 		}
-		first = false
-		next = win.from + rows
-		in.wins = append(in.wins, win)
+		next = int64(from) + st.Rows()
+		in.wins = append(in.wins, st)
 	}
 	if nWins > 0 && next != int64(nextRow) {
 		return nil, fmt.Errorf("assocmine: ingest snapshot states cover rows up to %d, header claims %d", next, nextRow)

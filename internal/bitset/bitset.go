@@ -87,9 +87,6 @@ func FromSorted(n int, idx []int32) *Set {
 	return s
 }
 
-// Len returns the capacity in bits.
-func (s *Set) Len() int { return s.n }
-
 // Set turns bit i on. Panics when out of range.
 func (s *Set) Set(i int) {
 	if i < 0 || i >= s.n {

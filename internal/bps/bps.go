@@ -88,20 +88,21 @@ type Stats struct {
 // columns outside [0, NumCols) are rejected with an error naming the
 // row and column.
 func Supports(src matrix.RowSource) ([]int64, error) {
-	sup := make([]int64, src.NumCols())
+	m := src.NumCols()
+	st := NewFoldState(m)
 	err := src.Scan(func(row int, cols []int32) error {
 		for _, c := range cols {
-			if c < 0 || int(c) >= len(sup) {
-				return fmt.Errorf("bps: row %d references column %d outside [0,%d)", row, c, len(sup))
+			if c < 0 || int(c) >= m {
+				return fmt.Errorf("bps: row %d references column %d outside [0,%d)", row, c, m)
 			}
-			sup[c]++
 		}
+		st.FoldRow(row, cols)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return sup, nil
+	return st.sup, nil
 }
 
 // SupportsFromLister reads the supports off a column-major in-memory

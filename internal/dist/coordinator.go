@@ -12,9 +12,8 @@ import (
 	"time"
 
 	"assocmine/internal/bps"
-	"assocmine/internal/kminhash"
+	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
-	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -73,9 +72,7 @@ func (c *Config) setDefaults() error {
 	if len(c.WorkerArgv) == 0 {
 		return fmt.Errorf("dist: WorkerArgv is required")
 	}
-	switch c.Algorithm {
-	case MinHash, KMinHash, MinLSH, BPS:
-	default:
+	if _, ok := fold.For(c.Algorithm); !ok {
 		return fmt.Errorf("dist: unsupported algorithm %v", c.Algorithm)
 	}
 	if c.Threshold <= 0 || c.Threshold > 1 {
@@ -194,11 +191,11 @@ func permanent(err error) bool {
 // proc is one live worker subprocess, owned by exactly one scheduler
 // slot at a time.
 type proc struct {
-	cmd        *exec.Cmd
-	stdin      io.WriteCloser
-	frames     chan procFrame
-	index      int
-	statesSeen int
+	cmd      *exec.Cmd
+	stdin    io.WriteCloser
+	frames   chan procFrame
+	index    int
+	hasState bool // the merged fold state has been sent
 }
 
 type procFrame struct {
@@ -209,8 +206,9 @@ type procFrame struct {
 
 // coordinator owns the worker pool and the run-wide accounting.
 type coordinator struct {
-	cfg *Config
-	h   *hello
+	cfg  *Config
+	h    *hello
+	fold fold.Fold // the algorithm's phase 1
 	// ctx is the run-scoped context every worker subprocess is launched
 	// under — not a phase context, or replacements spawned mid-phase
 	// would be torn down when the phase ends.
@@ -219,9 +217,12 @@ type coordinator struct {
 	cols  int
 	rec   obs.Recorder
 	stats Stats
+	// state is the merged fold-state snapshot, set once between phases:
+	// live workers receive it before their next job, replacements before
+	// their first.
+	state []byte
 
 	mu       sync.Mutex
-	states   [][]byte // cumulative phase broadcasts, replayed to fresh workers
 	restarts int
 	next     int // next worker index to assign
 }
@@ -238,8 +239,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	rec := obs.OrNop(cfg.Recorder)
+	f, _ := fold.For(cfg.Algorithm) // setDefaults vouched for it
 	co := &coordinator{
 		cfg:  &cfg,
+		fold: f,
 		rows: fs.NumRows(),
 		cols: fs.NumCols(),
 		rec:  rec,
@@ -310,70 +313,49 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // candidates runs the algorithm's pre-verification phases and returns
-// the candidate set.
+// the candidate set: the fold phase every scheme shares, then the
+// scheme's own phase 2.
 func (co *coordinator) candidates(ctx context.Context, procs []*proc) ([]pairs.Scored, error) {
-	cfg := co.cfg
-	switch cfg.Algorithm {
-	case MinHash, KMinHash, MinLSH:
-		if err := co.sigPhase(ctx, procs); err != nil {
-			return nil, err
-		}
-		return co.candPhase(ctx, procs)
-	case BPS:
-		return co.bpsPhases(ctx, procs)
+	merged, err := co.foldPhase(ctx, procs)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("dist: unsupported algorithm %v", cfg.Algorithm)
+	if co.cfg.Algorithm == BPS {
+		return co.samplePhase(ctx, procs, merged.Finish().Sup)
+	}
+	return co.candPhase(ctx, procs)
 }
 
-// sigPhase folds the row ranges on the workers, merges the snapshots
-// in arrival order with the exact Merge — pointwise minima for MH,
-// bounded multiset union for K-MH, both order-free — and broadcasts
-// the merged state back.
-func (co *coordinator) sigPhase(ctx context.Context, procs []*proc) error {
+// foldPhase is phase 1 for every scheme: the row ranges fold on the
+// workers, their snapshots merge in arrival order with the fold's exact
+// Merge — pointwise minima for MH, bounded multiset union for K-MH,
+// addition for the BPS supports, all order-free — and the merged state
+// is broadcast back (BPS needs the global supports: acceptance
+// probabilities and the seed mix derive from them).
+func (co *coordinator) foldPhase(ctx context.Context, procs []*proc) (fold.State, error) {
 	end := co.span(obs.PhaseSignatures)
-	jobs := rangeJobs(jobSig, co.rows, co.cfg.RowJobs)
-	var mhMerged *minhash.FoldState
-	var kmhMerged *kminhash.FoldState
-	err := co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
-		switch co.cfg.Algorithm {
-		case MinHash, MinLSH:
-			st, err := minhash.ReadFoldState(bytes.NewReader(payload))
-			if err != nil {
-				return errPermanent{fmt.Errorf("dist: decoding worker snapshot: %w", err)}
-			}
-			if mhMerged == nil {
-				mhMerged = st
-				return nil
-			}
-			return minhash.Merge(mhMerged, st)
-		default:
-			st, err := kminhash.ReadFoldState(bytes.NewReader(payload))
-			if err != nil {
-				return errPermanent{fmt.Errorf("dist: decoding worker snapshot: %w", err)}
-			}
-			if kmhMerged == nil {
-				kmhMerged = st
-				return nil
-			}
-			return kminhash.Merge(kmhMerged, st)
+	var merged fold.State
+	err := co.runPhase(ctx, procs, rangeJobs(jobFold, co.rows, co.cfg.RowJobs), func(_ int, payload []byte) error {
+		st, err := readState(co.fold, co.h, co.cols, payload)
+		if err != nil {
+			return errPermanent{err}
 		}
+		if merged == nil {
+			merged = st
+			return nil
+		}
+		return merged.Merge(st)
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var buf bytes.Buffer
-	switch co.cfg.Algorithm {
-	case MinHash, MinLSH:
-		err = mhMerged.Snapshot(&buf)
-	default:
-		err = kmhMerged.Snapshot(&buf)
+	if err := merged.Snapshot(&buf); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return err
-	}
-	co.addState(encodeState(stateSig, buf.Bytes()))
+	co.state = buf.Bytes()
 	co.stats.SignatureTime = end()
-	return nil
+	return merged, nil
 }
 
 // candPhase distributes candidate generation: column ranges for the
@@ -430,38 +412,15 @@ func (co *coordinator) candPhase(ctx context.Context, procs []*proc) ([]pairs.Sc
 	return cand, nil
 }
 
-// bpsPhases runs the support pass, broadcasts the global supports (the
-// sampler's bias input must be global — acceptance probabilities and
-// the seed mix derive from it), samples the row ranges, and finalizes
-// the additive count merge.
-func (co *coordinator) bpsPhases(ctx context.Context, procs []*proc) ([]pairs.Scored, error) {
-	end := co.span(obs.PhaseSignatures)
-	sup := make([]int64, co.cols)
-	jobs := rangeJobs(jobSupports, co.rows, co.cfg.RowJobs)
-	err := co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
-		part, err := decodeSupports(payload)
-		if err != nil {
-			return errPermanent{err}
-		}
-		if len(part) != len(sup) {
-			return errPermanent{fmt.Errorf("dist: worker supports cover %d of %d columns", len(part), len(sup))}
-		}
-		for i, s := range part {
-			sup[i] += s
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	co.addState(encodeState(stateSupports, encodeSupports(sup)))
-	co.stats.SignatureTime = end()
-
-	end = co.span(obs.PhaseCandidates)
+// samplePhase is the BPS phase 2: the row ranges are sampled against
+// the broadcast global supports and the additive count merge is
+// finalized.
+func (co *coordinator) samplePhase(ctx context.Context, procs []*proc, sup []int64) ([]pairs.Scored, error) {
+	end := co.span(obs.PhaseCandidates)
 	var counts bps.Counts
 	var inspected int64
-	jobs = rangeJobs(jobSample, co.rows, co.cfg.RowJobs)
-	err = co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
+	jobs := rangeJobs(jobSample, co.rows, co.cfg.RowJobs)
+	err := co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
 		res, err := decodeSampleResult(payload)
 		if err != nil {
 			return errPermanent{err}
@@ -623,14 +582,11 @@ func (co *coordinator) runPhase(ctx context.Context, procs []*proc, jobs []*job,
 // runJobOn synchronises the worker's broadcast state, ships one job,
 // and waits for its result under the hang timeout.
 func (co *coordinator) runJobOn(ctx context.Context, p *proc, jb *job) ([]byte, error) {
-	co.mu.Lock()
-	pending := co.states[p.statesSeen:]
-	co.mu.Unlock()
-	for _, s := range pending {
-		if err := co.sendFrame(p, frameState, s); err != nil {
+	if co.state != nil && !p.hasState {
+		if err := co.sendFrame(p, frameState, co.state); err != nil {
 			return nil, err
 		}
-		p.statesSeen++
+		p.hasState = true
 	}
 	if err := co.sendFrame(p, frameJob, jb.encode()); err != nil {
 		return nil, err
@@ -774,14 +730,6 @@ func (co *coordinator) ship(n int64) {
 	if n > 0 {
 		co.rec.Add(obs.CounterDistBytesShipped, n)
 	}
-}
-
-// addState appends a phase broadcast; live workers receive it lazily
-// before their next job, and replacements replay the whole sequence.
-func (co *coordinator) addState(payload []byte) {
-	co.mu.Lock()
-	co.states = append(co.states, payload)
-	co.mu.Unlock()
 }
 
 // quit asks a worker to exit and reaps it; kill is the impolite

@@ -242,6 +242,53 @@ func TestDistCrashRestart(t *testing.T) {
 	}
 }
 
+// TestDistBPSRowJobsCrash: BPS with more row ranges than workers and one
+// worker dying mid-run stays bit-identical to the single-process
+// streamed run — whether it dies on its first job, inside the fold
+// phase, or (a lone worker on its sixth job, deterministically) in the
+// sample phase, where the replacement must first be replayed the merged
+// supports.
+func TestDistBPSRowJobsCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	arows, _ := fixture(t)
+	cfg := assocmine.Config{Algorithm: assocmine.BPS, Threshold: 0.35, SampleBudget: 8, Seed: 7}
+	want := reference(t, arows, cfg)
+	if len(want.Pairs) == 0 {
+		t.Fatal("fixture found no pairs; test is vacuous")
+	}
+	for _, tc := range []struct {
+		label              string
+		workers, rowJobs   int
+		crashWorker, after string
+	}{
+		{"fold-phase", 2, 5, "1", "0"},
+		{"sample-phase", 1, 4, "0", "5"},
+	} {
+		res, err := dist.Run(dist.Config{
+			Path: arows, Algorithm: dist.BPS, Threshold: 0.35, SampleBudget: 8, Seed: 7,
+			Workers: tc.workers, RowJobs: tc.rowJobs, MaxRestarts: 2, JobTimeout: time.Minute,
+			WorkerArgv: workerArgv(t),
+			Env: []string{
+				beWorkerEnv + "=1",
+				dist.EnvCrashWorker + "=" + tc.crashWorker,
+				dist.EnvCrashAfter + "=" + tc.after,
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		comparePairs(t, "bps-crash/"+tc.label, res.Pairs, want.Pairs)
+		if res.Stats.Restarts != 1 || res.Stats.Workers != tc.workers+1 {
+			t.Errorf("%s: %d restarts, %d launches; want 1 and %d", tc.label, res.Stats.Restarts, res.Stats.Workers, tc.workers+1)
+		}
+		if res.Stats.Jobs < 2*tc.rowJobs+1 {
+			t.Errorf("%s: %d jobs; want %d fold + %d sample + verify", tc.label, res.Stats.Jobs, tc.rowJobs, tc.rowJobs)
+		}
+	}
+}
+
 // TestDistHangRestart wedges a worker on its first job; the job
 // timeout must detect it, kill it, and finish the run correctly.
 func TestDistHangRestart(t *testing.T) {

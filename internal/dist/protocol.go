@@ -20,13 +20,15 @@
 // (same machine, shared file system — only sketches, candidate runs
 // and verdicts cross the pipe, never rows) and answers ready ('Y')
 // with the dimensions it saw, which must match the coordinator's.
-// Phases then proceed as state frames ('S', broadcast inputs such as a
-// merged fold-state snapshot or the global supports) and job frames
-// ('J') answered by result frames ('R'). A worker that hits a
-// permanent fault answers 'E' with a message, aborting the run; 'Q'
-// asks the worker to exit. Candidate sets travel as Rice-coded sorted
-// pair-key runs — the same codec family as ".carows" shards — with
-// raw float64 estimate bits alongside.
+// Phases then proceed as state frames ('S': the merged phase-1 fold
+// state, in the snapshot format of the algorithm's fold — AMF1, KMF1 or
+// the BPS supports vector) and job frames ('J') answered by result
+// frames ('R'; a fold job's result is its range's fold-state
+// snapshot). A worker that hits a permanent fault answers 'E' with a
+// message, aborting the run; 'Q' asks the worker to exit. Candidate
+// sets travel as Rice-coded sorted pair-key runs — the same codec
+// family as ".carows" shards — with raw float64 estimate bits
+// alongside.
 package dist
 
 import (
@@ -37,13 +39,14 @@ import (
 	"math"
 
 	"assocmine/internal/bitpack"
+	"assocmine/internal/fold"
 	"assocmine/internal/lsh"
 	"assocmine/internal/pairs"
 )
 
 // protoVersion is bumped whenever the frame layout changes; hello
 // carries it and workers reject mismatches.
-const protoVersion = 1
+const protoVersion = 2
 
 // Frame types.
 const (
@@ -76,48 +79,46 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, bounding the payload before allocating.
+// readFrame reads one frame. The declared length is bounded, and the
+// payload buffer is sized from the bytes that have actually arrived —
+// 64 KiB to start, then at most 16 times what it holds — so a corrupt
+// or hostile 5-byte header cannot size a gigabyte allocation, while the
+// regrowth copies of a real multi-megabyte snapshot stay a fraction of
+// it.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("dist: frame payload %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("dist: truncated frame: %w", err)
+	payload := make([]byte, 0, min(n, 64<<10))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(n, 16*cap(payload))), payload...)
+		}
+		m, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return 0, nil, fmt.Errorf("dist: truncated frame: %w", err)
+		}
 	}
 	return hdr[0], payload, nil
 }
 
-// Algo selects the mining scheme a distributed run executes. Only the
-// schemes whose candidate phases partition cleanly are supported;
-// Apriori and H-LSH remain single-process.
-type Algo uint8
+// Algo selects the mining scheme a distributed run executes: the
+// schemes with a phase-1 fold, whose candidate phases also partition
+// cleanly. Apriori and H-LSH remain single-process.
+type Algo = fold.Algo
 
 const (
-	MinHash  Algo = 1 // MH signatures + Row-Sorting candidates
-	KMinHash Algo = 2 // bottom-k sketches + Hash-Count cascade
-	MinLSH   Algo = 3 // MH signatures + banded LSH
-	BPS      Algo = 4 // support pass + biased pair sampling
+	MinHash  = fold.MinHash
+	KMinHash = fold.KMinHash
+	MinLSH   = fold.MinLSH
+	BPS      = fold.BPS
 )
-
-func (a Algo) String() string {
-	switch a {
-	case MinHash:
-		return "MinHash"
-	case KMinHash:
-		return "KMinHash"
-	case MinLSH:
-		return "MinLSH"
-	case BPS:
-		return "BPS"
-	}
-	return fmt.Sprintf("Algo(%d)", uint8(a))
-}
 
 // hello carries the run parameters from coordinator to worker. Both
 // sides derive every downstream constant (cutoffs, band layouts,
@@ -224,12 +225,11 @@ func decodeReady(p []byte) (*ready, error) {
 type jobKind uint8
 
 const (
-	jobSig      jobKind = 1 // fold rows [Lo,Hi) → AMF1/KMF1 snapshot
-	jobSupports jobKind = 2 // count rows [Lo,Hi) → per-column supports
-	jobSample   jobKind = 3 // BPS-sample rows [Lo,Hi) → pair counts
-	jobCand     jobKind = 4 // generate candidates of columns [Lo,Hi)
-	jobBands    jobKind = 5 // generate collisions of bands [Lo,Hi)
-	jobVerify   jobKind = 6 // exact-verify the attached candidates
+	jobFold   jobKind = 1 // fold rows [Lo,Hi) → fold-state snapshot
+	jobSample jobKind = 2 // BPS-sample rows [Lo,Hi) → pair counts
+	jobCand   jobKind = 3 // generate candidates of columns [Lo,Hi)
+	jobBands  jobKind = 4 // generate collisions of bands [Lo,Hi)
+	jobVerify jobKind = 5 // exact-verify the attached candidates
 )
 
 // job is one unit of distributable work.
@@ -263,7 +263,7 @@ func decodeJob(p []byte) (*job, error) {
 		if j.Cand, err = decodeScoredRun(r); err != nil {
 			return nil, fmt.Errorf("dist: verify job: %w", err)
 		}
-	case jobSig, jobSupports, jobSample, jobCand, jobBands:
+	case jobFold, jobSample, jobCand, jobBands:
 		lo, err := getUvarint(r, 1<<31)
 		if err != nil {
 			return nil, fmt.Errorf("dist: job range: %w", err)
@@ -282,47 +282,16 @@ func decodeJob(p []byte) (*job, error) {
 	return j, nil
 }
 
-// State kinds (frameState payloads).
-const (
-	stateSig      = 1 // merged AMF1/KMF1 fold-state snapshot
-	stateSupports = 2 // global per-column supports (BPS)
-)
-
-func encodeState(kind byte, blob []byte) []byte {
-	out := make([]byte, 1+len(blob))
-	out[0] = kind
-	copy(out[1:], blob)
-	return out
-}
-
-// encodeSupports / decodeSupports carry the per-column support counts.
-func encodeSupports(sup []int64) []byte {
-	var b bytes.Buffer
-	putUvarint(&b, uint64(len(sup)))
-	for _, s := range sup {
-		putUvarint(&b, uint64(s))
-	}
-	return b.Bytes()
-}
-
-func decodeSupports(p []byte) ([]int64, error) {
-	r := bytes.NewReader(p)
-	n, err := getUvarint(r, 1<<31)
+// readState decodes a fold-state snapshot — a fold job's result on the
+// coordinator, the merged broadcast on a worker — and checks it against
+// the run's shape, so a vector of the wrong length (or a sketch folded
+// under another k or seed) is rejected before anything merges it.
+func readState(f fold.Fold, h *hello, cols int, p []byte) (fold.State, error) {
+	st, err := f.Read(bytes.NewReader(p), cols, h.K, h.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("dist: supports: %w", err)
+		return nil, fmt.Errorf("dist: decoding fold state: %w", err)
 	}
-	if int64(n) > int64(len(p)) {
-		return nil, fmt.Errorf("dist: supports count %d exceeds payload", n)
-	}
-	sup := make([]int64, n)
-	for i := range sup {
-		v, err := getUvarint(r, 1<<62)
-		if err != nil {
-			return nil, fmt.Errorf("dist: supports[%d]: %w", i, err)
-		}
-		sup[i] = int64(v)
-	}
-	return sup, nil
+	return st, nil
 }
 
 // candResult is the output of a jobCand: the range's candidates in

@@ -3,8 +3,10 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/lsh"
 	"assocmine/internal/pairs"
@@ -124,7 +126,7 @@ func TestBandsResultRoundTrip(t *testing.T) {
 }
 
 func TestJobRoundTrip(t *testing.T) {
-	rj := &job{Kind: jobSig, Lo: 10, Hi: 250}
+	rj := &job{Kind: jobFold, Lo: 10, Hi: 250}
 	got, err := decodeJob(rj.encode())
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +142,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if got.Kind != jobVerify || len(got.Cand) != 1 || got.Cand[0] != vj.Cand[0] {
 		t.Fatalf("verify job = %+v, want %+v", got, vj)
 	}
-	if _, err := decodeJob([]byte{byte(jobSig), 5, 2}); err == nil {
+	if _, err := decodeJob([]byte{byte(jobFold), 5, 2}); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -179,27 +181,41 @@ func FuzzDistFrame(f *testing.F) {
 	}
 	cand := []pairs.Scored{{Pair: pairs.Pair{I: 1, J: 4}, Estimate: 0.5}, {Pair: pairs.Pair{I: 2, J: 7}, Estimate: 0.25}}
 	f.Add(frame(frameHello, (&hello{Algo: MinLSH, Path: "/tmp/d.arows", K: 50, R: 5, L: 10, Seed: 7, Threshold: 0.5, Delta: 0.1}).encode()))
-	f.Add(frame(frameJob, (&job{Kind: jobSig, Lo: 10, Hi: 250}).encode()))
+	f.Add(frame(frameJob, (&job{Kind: jobFold, Lo: 10, Hi: 250}).encode()))
 	f.Add(frame(frameJob, (&job{Kind: jobVerify, Cand: cand}).encode()))
 	f.Add(frame(frameResult, (&candResult{Increments: 99, Cand: cand}).encode()))
 	f.Add(frame(frameResult, (&bandsResult{Bands: []lsh.BandPairs{{Band: 2, BucketPairs: 17, Pairs: []pairs.Pair{{I: 1, J: 2}, {I: 4, J: 9}}}, {Band: 3}}}).encode()))
 	f.Add(frame(frameResult, (&sampleResult{Inspected: 12, Keys: []uint64{3, 9, 1 << 33}, Counts: []int64{1, 2, 3}}).encode()))
 	f.Add(frame(frameResult, (&verifyResult{Indices: []int{0, 3, 4}, Exact: []float64{1, 0.5, 0.75}}).encode()))
-	f.Add(frame(frameState, encodeSupports([]int64{5, 0, 1 << 40})))
+	// Fold-state frames: a fold job's result and the merged broadcast, in
+	// each fold's snapshot format, over the shape readState checks below.
+	for _, algo := range []Algo{MinHash, KMinHash, BPS} {
+		fd, _ := fold.For(algo)
+		st, err := fd.New(fuzzCols, fuzzHello.K, fuzzHello.Seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		st.FoldRow(0, []int32{0, 2})
+		st.FoldRow(1, []int32{2})
+		var snap bytes.Buffer
+		if err := st.Snapshot(&snap); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame(frameState, snap.Bytes()))
+		f.Add(frame(frameResult, snap.Bytes()))
+	}
 	f.Add([]byte{frameResult, 0xff, 0xff, 0xff, 0x3f})
+	f.Add([]byte{frameState, 0x00, 0x00, 0x00, 0x40, 3, 2, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := data
-		// A header may declare up to maxFramePayload (1 GiB) and readFrame
-		// allocates what is declared before it reads; keep the fuzzer's
-		// own allocations to frames the input could at least half fill.
-		if len(data) < 5 || int(binary.LittleEndian.Uint32(data[1:])) <= 2*len(data) {
-			if _, payload, err := readFrame(bytes.NewReader(data)); err == nil {
-				if len(payload) > len(data)-5 {
-					t.Fatalf("readFrame returned %d payload bytes from %d", len(payload), len(data))
-				}
-				p = payload
+		// Whatever length the header declares, readFrame only allocates
+		// ahead of the bytes that arrive by a bounded chunk.
+		if _, payload, err := readFrame(bytes.NewReader(data)); err == nil {
+			if len(payload) > len(data)-5 {
+				t.Fatalf("readFrame returned %d payload bytes from %d", len(payload), len(data))
 			}
+			p = payload
 		}
 		// Every key of an accepted run costs at least a bit of payload.
 		maxKeys := 8*len(p) + 1
@@ -228,8 +244,73 @@ func FuzzDistFrame(f *testing.F) {
 		if v, err := decodeVerifyResult(p); err == nil && (len(v.Indices) > len(p) || len(v.Exact) != len(v.Indices)) {
 			t.Fatalf("verify result with %d indices, %d values from %d bytes", len(v.Indices), len(v.Exact), len(p))
 		}
-		if sup, err := decodeSupports(p); err == nil && len(sup) > len(p) {
-			t.Fatalf("%d supports from %d bytes", len(sup), len(p))
+		// A fold state is accepted only in the run's shape, and a supports
+		// vector never holds more counts than its payload has bytes.
+		for _, algo := range []Algo{MinHash, KMinHash, BPS} {
+			fd, _ := fold.For(algo)
+			st, err := readState(fd, fuzzHello, fuzzCols, p)
+			if err != nil {
+				continue
+			}
+			if st.NumCols() != fuzzCols || fuzzCols > len(p) {
+				t.Fatalf("%v: state of %d columns from %d bytes", algo, st.NumCols(), len(p))
+			}
+			var again bytes.Buffer
+			if err := st.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readState(fd, fuzzHello, fuzzCols, again.Bytes()); err != nil {
+				t.Fatalf("%v: accepted state does not round-trip: %v", algo, err)
+			}
 		}
 	})
+}
+
+// The shape FuzzDistFrame's fold states are read under.
+const fuzzCols = 3
+
+var fuzzHello = &hello{K: 2, Seed: 9}
+
+// TestReadFrameAllocatesAsBytesArrive: a 5-byte header declaring the
+// largest payload, followed by almost nothing, fails as truncated
+// without the reader having sized a buffer from the declaration.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	data := []byte{frameResult, 0, 0, 0, 0, 1, 2, 3}
+	binary.LittleEndian.PutUint32(data[1:], maxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("readFrame allocated %d bytes for a 3-byte payload", grew)
+	}
+	// A payload the buffer has to grow for several times arrives whole.
+	big := bytes.Repeat([]byte{0xab}, 2<<20+17)
+	var b bytes.Buffer
+	if err := writeFrame(&b, frameState, big); err != nil {
+		t.Fatal(err)
+	}
+	typ, got, err := readFrame(&b)
+	if err != nil || typ != frameState || !bytes.Equal(got, big) {
+		t.Fatalf("large frame: typ %q, %d bytes, err %v", typ, len(got), err)
+	}
+}
+
+// BenchmarkReadFrame reads a frame the size of stream-sig's merged MH
+// fold state (16 896 columns, k = 64): growing the buffer from the bytes
+// that arrive must stay near one allocation and one copy of the payload.
+func BenchmarkReadFrame(b *testing.B) {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, frameState, bytes.Repeat([]byte{0xab}, 36+16896*64*8)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	for i := 0; i < b.N; i++ {
+		if _, _, err := readFrame(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

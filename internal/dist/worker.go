@@ -12,10 +12,9 @@ import (
 
 	"assocmine/internal/bps"
 	"assocmine/internal/candidate"
-	"assocmine/internal/kminhash"
+	"assocmine/internal/fold"
 	"assocmine/internal/lsh"
 	"assocmine/internal/matrix"
-	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 	"assocmine/internal/verify"
 )
@@ -40,19 +39,17 @@ const (
 // the hello parameters, and the per-phase derived structures, rebuilt
 // lazily whenever a state broadcast replaces their inputs.
 type worker struct {
-	r  *bufio.Reader
-	w  *bufio.Writer
-	h  *hello
-	fs *matrix.FileSource
+	r    *bufio.Reader
+	w    *bufio.Writer
+	h    *hello
+	fs   *matrix.FileSource
+	fold fold.Fold // the algorithm's phase 1
 
-	// Derived per-phase caches. sigState/kmhState hold the merged
-	// fold-state from the coordinator; the rangers and signatures are
-	// built on first use by a candidate job.
-	mhSig     *minhash.Signatures
-	kmhSketch *kminhash.Sketches
+	// sk is the coordinator's merged fold state, finished; the rangers
+	// are built from it on first use by a candidate job.
+	sk        fold.Sketch
 	mhRanger  *candidate.MHRanger
 	kmhRanger *candidate.KMHRanger
-	sup       []int64 // BPS global supports
 
 	// Fault injection (chaos tests only).
 	index      int
@@ -133,6 +130,10 @@ func (wk *worker) handshake() error {
 		return err
 	}
 	wk.h = h
+	var ok bool
+	if wk.fold, ok = fold.For(h.Algo); !ok {
+		return fmt.Errorf("dist: unsupported algorithm %v", h.Algo)
+	}
 	fs, err := matrix.OpenFileSource(h.Path)
 	if err != nil {
 		return fmt.Errorf("dist: worker opening %s: %w", h.Path, err)
@@ -157,45 +158,15 @@ func (wk *worker) fail(err error) error {
 	return err
 }
 
-// setState installs a phase broadcast, invalidating the caches derived
-// from the previous one.
+// setState installs the merged fold state, invalidating the caches
+// derived from the previous one.
 func (wk *worker) setState(payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("dist: empty state frame")
+	st, err := readState(wk.fold, wk.h, wk.fs.NumCols(), payload)
+	if err != nil {
+		return err
 	}
-	kind, blob := payload[0], payload[1:]
-	switch kind {
-	case stateSig:
-		wk.mhSig, wk.kmhSketch = nil, nil
-		wk.mhRanger, wk.kmhRanger = nil, nil
-		switch wk.h.Algo {
-		case MinHash, MinLSH:
-			st, err := minhash.ReadFoldState(bytes.NewReader(blob))
-			if err != nil {
-				return fmt.Errorf("dist: decoding fold state: %w", err)
-			}
-			wk.mhSig = st.Finish()
-		case KMinHash:
-			st, err := kminhash.ReadFoldState(bytes.NewReader(blob))
-			if err != nil {
-				return fmt.Errorf("dist: decoding fold state: %w", err)
-			}
-			wk.kmhSketch = st.Finish()
-		default:
-			return fmt.Errorf("dist: sig state for %v", wk.h.Algo)
-		}
-	case stateSupports:
-		sup, err := decodeSupports(blob)
-		if err != nil {
-			return err
-		}
-		if len(sup) != wk.fs.NumCols() {
-			return fmt.Errorf("dist: supports cover %d of %d columns", len(sup), wk.fs.NumCols())
-		}
-		wk.sup = sup
-	default:
-		return fmt.Errorf("dist: unknown state kind %d", kind)
-	}
+	wk.sk = st.Finish()
+	wk.mhRanger, wk.kmhRanger = nil, nil
 	return nil
 }
 
@@ -211,10 +182,8 @@ func (wk *worker) runJob(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	switch j.Kind {
-	case jobSig:
-		return wk.runSig(j)
-	case jobSupports:
-		return wk.runSupports(j)
+	case jobFold:
+		return wk.runFold(j)
 	case jobSample:
 		return wk.runSample(j)
 	case jobCand:
@@ -227,49 +196,23 @@ func (wk *worker) runJob(payload []byte) ([]byte, error) {
 	return nil, fmt.Errorf("dist: unhandled job kind %d", j.Kind)
 }
 
-// runSig folds the job's row range into a fresh fold-state and ships
-// its snapshot; the coordinator merges snapshots with the exact Merge,
-// so any row partition reproduces the full fold.
-func (wk *worker) runSig(j *job) ([]byte, error) {
-	src := &matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}
-	var buf bytes.Buffer
-	switch wk.h.Algo {
-	case MinHash, MinLSH:
-		st, err := minhash.NewFoldState(wk.fs.NumCols(), wk.h.K, wk.h.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := minhash.FoldStream(src, st, 1); err != nil {
-			return nil, err
-		}
-		if err := st.Snapshot(&buf); err != nil {
-			return nil, err
-		}
-	case KMinHash:
-		st, err := kminhash.NewFoldState(wk.fs.NumCols(), wk.h.K, wk.h.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := kminhash.FoldStream(src, st, 1); err != nil {
-			return nil, err
-		}
-		if err := st.Snapshot(&buf); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("dist: sig job for %v", wk.h.Algo)
-	}
-	return buf.Bytes(), nil
-}
-
-// runSupports counts per-column supports over the job's row range;
-// the coordinator sums the partial vectors.
-func (wk *worker) runSupports(j *job) ([]byte, error) {
-	sup, err := bps.Supports(&matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi})
+// runFold folds the job's row range into a fresh state of the
+// algorithm's fold and ships its snapshot; the coordinator merges
+// snapshots with the exact Merge, so any row partition reproduces the
+// full fold.
+func (wk *worker) runFold(j *job) ([]byte, error) {
+	st, err := wk.fold.New(wk.fs.NumCols(), wk.h.K, wk.h.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return encodeSupports(sup), nil
+	if _, err := fold.FoldStream(&matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}, st, 1); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := st.Snapshot(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // runSample draws the biased pair samples of the job's row range using
@@ -277,7 +220,7 @@ func (wk *worker) runSupports(j *job) ([]byte, error) {
 // (seed,row,pair) hashes, so the coordinator's additive merge equals a
 // full-scan's counts exactly.
 func (wk *worker) runSample(j *job) ([]byte, error) {
-	if wk.sup == nil {
+	if wk.sk.Sup == nil {
 		return nil, fmt.Errorf("dist: sample job before supports state")
 	}
 	opt := bps.Options{
@@ -286,7 +229,7 @@ func (wk *worker) runSample(j *job) ([]byte, error) {
 		Budget:    wk.h.SampleBudget,
 		Seed:      wk.h.Seed,
 	}
-	counts, inspected, err := bps.SampleCounts(&matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}, wk.sup, opt)
+	counts, inspected, err := bps.SampleCounts(&matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}, wk.sk.Sup, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -304,10 +247,10 @@ func (wk *worker) runCand(j *job) ([]byte, error) {
 	switch wk.h.Algo {
 	case MinHash:
 		if wk.mhRanger == nil {
-			if wk.mhSig == nil {
+			if wk.sk.MH == nil {
 				return nil, fmt.Errorf("dist: cand job before sig state")
 			}
-			wk.mhRanger, err = candidate.NewMHRanger(wk.mhSig, wk.cutoff())
+			wk.mhRanger, err = candidate.NewMHRanger(wk.sk.MH, wk.cutoff())
 			if err != nil {
 				return nil, err
 			}
@@ -315,11 +258,11 @@ func (wk *worker) runCand(j *job) ([]byte, error) {
 		cand, st, err = wk.mhRanger.Columns(j.Lo, j.Hi)
 	case KMinHash:
 		if wk.kmhRanger == nil {
-			if wk.kmhSketch == nil {
+			if wk.sk.KMH == nil {
 				return nil, fmt.Errorf("dist: cand job before sig state")
 			}
 			opt := candidate.KMHOptions{BiasedCutoff: wk.cutoff() / 2, UnbiasedCutoff: wk.cutoff()}
-			wk.kmhRanger, err = candidate.NewKMHRanger(wk.kmhSketch, opt)
+			wk.kmhRanger, err = candidate.NewKMHRanger(wk.sk.KMH, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -340,15 +283,15 @@ func (wk *worker) runCand(j *job) ([]byte, error) {
 // the single-process driver: disjoint bands when k >= r*l, else the
 // sampled Q_{r,l,k} layout at seed+1.
 func (wk *worker) runBands(j *job) ([]byte, error) {
-	if wk.mhSig == nil {
+	if wk.sk.MH == nil {
 		return nil, fmt.Errorf("dist: bands job before sig state")
 	}
 	var bands []lsh.BandPairs
 	var err error
 	if wk.h.K >= wk.h.R*wk.h.L {
-		bands, err = lsh.CandidateBands(wk.mhSig, wk.h.R, wk.h.L, j.Lo, j.Hi)
+		bands, err = lsh.CandidateBands(wk.sk.MH, wk.h.R, wk.h.L, j.Lo, j.Hi)
 	} else {
-		bands, err = lsh.SampledCandidateBands(wk.mhSig, wk.h.R, wk.h.L, wk.h.Seed+1, j.Lo, j.Hi)
+		bands, err = lsh.SampledCandidateBands(wk.sk.MH, wk.h.R, wk.h.L, wk.h.Seed+1, j.Lo, j.Hi)
 	}
 	if err != nil {
 		return nil, err

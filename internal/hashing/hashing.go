@@ -70,12 +70,6 @@ func (s *SplitMix64) Perm(n int) []int {
 	return p
 }
 
-// Hasher64 maps a 64-bit key to a 64-bit hash value. Implementations
-// must be deterministic for the lifetime of the value.
-type Hasher64 interface {
-	Hash(x uint64) uint64
-}
-
 // Mix64 is a fixed strong 64-bit mixer (the splitmix64 finalizer). It
 // is a bijection on uint64, which several tests rely on.
 func Mix64(x uint64) uint64 {
@@ -97,7 +91,7 @@ func NewMultiplyShift(rng *SplitMix64) MultiplyShift {
 	return MultiplyShift{a: rng.Next() | 1, b: rng.Next()}
 }
 
-// Hash implements Hasher64.
+// Hash maps a 64-bit key to its 64-bit hash value.
 func (m MultiplyShift) Hash(x uint64) uint64 {
 	return Mix64(m.a*x + m.b)
 }
@@ -132,11 +126,6 @@ func NewPermHash(seed uint64) PermHash {
 // Row returns the hash value of row r.
 func (p PermHash) Row(r int) uint64 {
 	return p.fn.Hash(uint64(r))
-}
-
-// Hash implements Hasher64.
-func (p PermHash) Hash(x uint64) uint64 {
-	return p.fn.Hash(x)
 }
 
 // CombineKeys hashes a slice of 64-bit values into a single bucket key.

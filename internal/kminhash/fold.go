@@ -2,22 +2,23 @@ package kminhash
 
 import (
 	"fmt"
-	"sort"
 
 	"assocmine/internal/hashing"
-	"assocmine/internal/matrix"
 )
 
 // FoldState is the accumulator of the K-MH sketch pass — one bounded
 // max-heap per column — and the only row-fold loop of the package:
 // Compute, the streamed driver and ingestion all fold through it. It is
 // resumable: ingestion can stop after any row, snapshot to disk
-// (WriteTo/ReadFoldState, format KMF1), and continue later at O(new
+// (Snapshot/ReadFoldState, format KMF1), and continue later at O(new
 // rows) cost.
 // States over disjoint row sets combine with Merge: the k smallest
 // hash values of a union of rows are the k smallest of the two parts'
 // bottom-k multisets, so the merged state finishes to exactly the
-// sketch of the union.
+// sketch of the union. That is the whole phase-1 contract, fold.State:
+// internal/fold wraps this type (and its MH and BPS-support siblings)
+// and owns the one fan-out/merge loop (fold.FoldStream) that the
+// driver, Ingest and dist schedule.
 //
 // The heap arrays are kept verbatim across snapshot round-trips, so a
 // resumed sequential fold replays exactly as an uninterrupted one,
@@ -101,14 +102,6 @@ func (s *FoldState) FoldRow(row int, cols []int32) {
 	}
 }
 
-// FoldShard folds every row of a shard, in shard order.
-func (s *FoldState) FoldShard(sh *matrix.Shard) {
-	for i := 0; i < sh.Len(); i++ {
-		row, cols := sh.Row(i)
-		s.FoldRow(int(row), cols)
-	}
-}
-
 // Finish copies the heaps into canonical (ascending-sorted) Sketches.
 // The state is left intact, so more rows can be folded and Finish
 // called again. The copy is compact — one backing array of exactly the
@@ -131,31 +124,10 @@ func (s *FoldState) Finish() *Sketches {
 		from := len(backing)
 		backing = append(backing, heap...)
 		sig := backing[from:len(backing):len(backing)]
-		sort.Slice(sig, func(a, b int) bool { return sig[a] < sig[b] })
+		sortSketch(sig)
 		out.Sigs[c] = sig
 	}
 	return out
-}
-
-// Clone returns an independent copy of the state, heap layouts
-// preserved verbatim.
-func (s *FoldState) Clone() *FoldState {
-	c := &FoldState{
-		k:        s.k,
-		m:        s.m,
-		seed:     s.seed,
-		rows:     s.rows,
-		updates:  s.updates,
-		heaps:    make([][]uint64, s.m),
-		colSizes: append([]int(nil), s.colSizes...),
-		h:        s.h,
-	}
-	backing := make([]uint64, s.m*s.k)
-	for i, heap := range s.heaps {
-		dst := backing[i*s.k : i*s.k : (i+1)*s.k]
-		c.heaps[i] = append(dst, heap...)
-	}
-	return c
 }
 
 // Merge folds src into dst: every value of src's heaps is offered to

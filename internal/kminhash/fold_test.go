@@ -9,6 +9,66 @@ import (
 	"assocmine/internal/matrix"
 )
 
+// streamFixture is a random rows x cols source, one entry in 5.
+func streamFixture(rows, cols int, seed uint64) *matrix.SliceSource {
+	rng := hashing.NewSplitMix64(seed)
+	out := make([][]int32, rows)
+	for r := range out {
+		var row []int32
+		for c := 0; c < cols; c++ {
+			if rng.Intn(5) == 0 {
+				row = append(row, int32(c))
+			}
+		}
+		out[r] = row
+	}
+	return &matrix.SliceSource{Cols: cols, Rows: out}
+}
+
+func TestComputeStreamBadK(t *testing.T) {
+	if _, err := NewFoldState(5, -1, 1); err == nil {
+		t.Error("k=-1 accepted")
+	}
+}
+
+// TestComputeStreamZeroRows: a 0-row source yields empty sketches with
+// zeroed sizes.
+func TestComputeStreamZeroRows(t *testing.T) {
+	got, err := Compute(&matrix.SliceSource{Cols: 7}, 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Updates != 0 {
+		t.Errorf("Updates = %d, want 0", got.Updates)
+	}
+	for c := 0; c < 7; c++ {
+		if got.ColSizes[c] != 0 || len(got.Sigs[c]) != 0 {
+			t.Errorf("column %d not empty (size %d, %d values)", c, got.ColSizes[c], len(got.Sigs[c]))
+		}
+	}
+}
+
+// Clone returns an independent copy of the state, heap layouts
+// preserved verbatim.
+func (s *FoldState) Clone() *FoldState {
+	c := &FoldState{
+		k:        s.k,
+		m:        s.m,
+		seed:     s.seed,
+		rows:     s.rows,
+		updates:  s.updates,
+		heaps:    make([][]uint64, s.m),
+		colSizes: append([]int(nil), s.colSizes...),
+		h:        s.h,
+	}
+	backing := make([]uint64, s.m*s.k)
+	for i, heap := range s.heaps {
+		dst := backing[i*s.k : i*s.k : (i+1)*s.k]
+		c.heaps[i] = append(dst, heap...)
+	}
+	return c
+}
+
 // foldParts folds the fixture's rows into p states according to the
 // random assignment part[r], preserving global row ids.
 func foldParts(t *testing.T, src *matrix.SliceSource, part []int, p, k int, seed uint64) []*FoldState {

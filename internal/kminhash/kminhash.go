@@ -11,7 +11,11 @@
 // that Hash-Count computes for all pairs at once.
 package kminhash
 
-import "assocmine/internal/matrix"
+import (
+	"slices"
+
+	"assocmine/internal/matrix"
+)
 
 // Sketches holds the bottom-k signatures of every column plus the
 // column sizes observed during the pass (needed by the biased
@@ -100,6 +104,11 @@ func replaceMaxHeapRoot(h []uint64, v uint64) {
 		i = largest
 	}
 }
+
+// sortSketch puts a column's heap array into the canonical ascending
+// sketch order, in place — the one sort of the package (Finish and
+// ComputeParallel both end here).
+func sortSketch(sig []uint64) { slices.Sort(sig) }
 
 // Signature returns SIG_c sorted ascending. The caller must not modify
 // the returned slice.

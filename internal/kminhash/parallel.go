@@ -3,7 +3,6 @@ package kminhash
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"assocmine/internal/hashing"
@@ -12,10 +11,10 @@ import (
 
 // ComputeParallel computes the same bottom-k sketches as Compute — the
 // bottom-k of a column's row hashes is independent of visit order — by
-// sharding columns across workers over the materialised matrix. Pass
-// workers <= 0 for GOMAXPROCS. The Updates counter is not maintained
-// (it is a property of the streaming pass).
-func ComputeParallel(m *matrix.Matrix, k int, seed uint64, workers int) (*Sketches, error) {
+// sharding the columns of column-major in-memory data across workers.
+// Pass workers <= 0 for GOMAXPROCS. The Updates counter is not
+// maintained (it is a property of the streaming pass).
+func ComputeParallel(m matrix.ColumnLister, k int, seed uint64, workers int) (*Sketches, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("kminhash: k must be positive, got %d", k)
 	}
@@ -40,7 +39,7 @@ func ComputeParallel(m *matrix.Matrix, k int, seed uint64, workers int) (*Sketch
 		go func(lo, hi int) {
 			defer wg.Done()
 			for c := lo; c < hi; c++ {
-				col := m.Column(c)
+				col := m.ColumnRows(c)
 				s.ColSizes[c] = len(col)
 				if len(col) == 0 {
 					continue
@@ -54,7 +53,7 @@ func ComputeParallel(m *matrix.Matrix, k int, seed uint64, workers int) (*Sketch
 						replaceMaxHeapRoot(heap, v)
 					}
 				}
-				sort.Slice(heap, func(a, b int) bool { return heap[a] < heap[b] })
+				sortSketch(heap)
 				s.Sigs[c] = heap
 			}
 		}(lo, hi)

@@ -16,7 +16,7 @@ func TestComputeParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8, 0} {
-		par, err := ComputeParallel(m, k, seed, workers)
+		par, err := ComputeParallel(m.Stream().(matrix.ColumnLister), k, seed, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -39,7 +39,7 @@ func TestComputeParallelMatchesSerial(t *testing.T) {
 
 func TestComputeParallelValidates(t *testing.T) {
 	m := matrix.MustNew(2, [][]int32{{0}})
-	if _, err := ComputeParallel(m, -1, 1, 2); err == nil {
+	if _, err := ComputeParallel(m.Stream().(matrix.ColumnLister), -1, 1, 2); err == nil {
 		t.Error("negative k accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestComputeParallelEstimatorsAgree(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m := randomMatrix(rng, 300, 10, 0.2)
 	serial, _ := Compute(m.Stream(), 10, 5)
-	par, err := ComputeParallel(m, 10, 5, 4)
+	par, err := ComputeParallel(m.Stream().(matrix.ColumnLister), 10, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

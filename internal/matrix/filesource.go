@@ -22,14 +22,10 @@ type FS interface {
 	Open(path string) (io.ReadCloser, error)
 }
 
-// osFS is the real file system.
+// osFS is the real file system, the one OpenFileSource uses.
 type osFS struct{}
 
 func (osFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
-
-// OSFS returns the FS backed by the operating system, the one
-// OpenFileSource uses.
-func OSFS() FS { return osFS{} }
 
 // RetryPolicy bounds the retries a FileSource performs when an open or
 // read fails transiently (EAGAIN/EINTR-class errors, or anything

@@ -22,7 +22,7 @@ type RowSource interface {
 
 // ConcurrentSource is a RowSource whose Scan may be called from
 // several goroutines at once (in-memory data with no per-scan state).
-// Parallel consumers such as verify.ExactParallelProgress use it to let each
+// Parallel consumers such as verify.ExactBudgeted use it to let each
 // worker run its own full scan instead of fanning one stream out.
 // Sources with mutable scan state (files, CountingSource) must not
 // implement it.
@@ -123,16 +123,18 @@ func (c *CountingSource) Scan(fn func(row int, cols []int32) error) error {
 	})
 }
 
-// SliceSource is a RowSource over in-memory row-major data; rows[r]
-// must be sorted column indices. It is the cheapest way to feed
+// SliceSource is a RowSource over in-memory row-major data: Rows[i],
+// sorted column indices, is row Base+i — an appended batch whose ids
+// continue an ingest's, or with Base 0 the cheapest way to feed
 // hand-written fixtures to streaming algorithms in tests.
 type SliceSource struct {
 	Cols int
+	Base int
 	Rows [][]int32
 }
 
-// NumRows implements RowSource.
-func (s *SliceSource) NumRows() int { return len(s.Rows) }
+// NumRows implements RowSource: one past the last row id.
+func (s *SliceSource) NumRows() int { return s.Base + len(s.Rows) }
 
 // NumCols implements RowSource.
 func (s *SliceSource) NumCols() int { return s.Cols }
@@ -144,7 +146,7 @@ func (s *SliceSource) ConcurrentScan() bool { return true }
 // Scan implements RowSource.
 func (s *SliceSource) Scan(fn func(row int, cols []int32) error) error {
 	for r, cs := range s.Rows {
-		if err := fn(r, cs); err != nil {
+		if err := fn(s.Base+r, cs); err != nil {
 			return err
 		}
 	}

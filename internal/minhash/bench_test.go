@@ -34,22 +34,6 @@ func BenchmarkCompute(b *testing.B) {
 	}
 }
 
-// BenchmarkFoldStream times the parallel phase 1 — one pass fanned out
-// to per-worker fold states — over the matrix BenchmarkCompute folds
-// serially.
-func BenchmarkFoldStream(b *testing.B) {
-	m := benchMatrix(b, 5000, 500, 0.02)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := computeStream(m.Stream(), 50, 7, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkEstimate(b *testing.B) {
 	m := benchMatrix(b, 2000, 100, 0.05)
 	sig, err := Compute(m.Stream(), 100, 7)

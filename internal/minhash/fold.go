@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"assocmine/internal/hashing"
-	"assocmine/internal/matrix"
 )
 
 // FoldState is the accumulator of the MH signature pass, and the only
@@ -15,12 +14,14 @@ import (
 // hash-major value array with stride m; Finish transposes once, and
 // per-cell minima are order-independent, so the result is bit-identical
 // to a direct scatter. The state is resumable: ingestion can stop after
-// any row, snapshot to disk (WriteTo/ReadFoldState, format AMF1), and
+// any row, snapshot to disk (Snapshot/ReadFoldState, format AMF1), and
 // continue later at O(new rows) cost.
 // States over disjoint row sets combine exactly with Merge — the
-// minimum over a union of rows is the minimum of the per-part minima —
-// which also makes FoldState the unit of work of the merge-based
-// streamed driver (FoldStream) and of sliding-window ingestion.
+// minimum over a union of rows is the minimum of the per-part minima.
+// That is the whole phase-1 contract, fold.State: internal/fold wraps
+// this type (and its K-MH and BPS-support siblings) and owns the one
+// fan-out/merge loop (fold.FoldStream) that the driver, Ingest and dist
+// schedule.
 //
 // A FoldState is not safe for concurrent use; parallel folds give each
 // worker its own state and merge afterwards.
@@ -43,25 +44,18 @@ func NewFoldState(m, k int, seed uint64) (*FoldState, error) {
 	if m < 0 {
 		return nil, fmt.Errorf("minhash: negative column count %d", m)
 	}
-	return newFoldState(m, k, seed, hashing.NewPermHashes(seed, k)), nil
-}
-
-// newFoldState builds an empty state sharing an already-derived hash
-// family (the functions are value types and read-only, so states of the
-// same seed can share the slice).
-func newFoldState(m, k int, seed uint64, hs []hashing.PermHash) *FoldState {
 	s := &FoldState{
 		k:       k,
 		m:       m,
 		seed:    seed,
 		work:    make([]uint64, k*m),
-		hs:      hs,
+		hs:      hashing.NewPermHashes(seed, k),
 		rowVals: make([]uint64, k),
 	}
 	for i := range s.work {
 		s.work[i] = Empty
 	}
-	return s
+	return s, nil
 }
 
 // K returns the number of hash functions.
@@ -93,14 +87,6 @@ func (s *FoldState) FoldRow(row int, cols []int32) {
 	}
 }
 
-// FoldShard folds every row of a shard, in shard order.
-func (s *FoldState) FoldShard(sh *matrix.Shard) {
-	for i := 0; i < sh.Len(); i++ {
-		row, cols := sh.Row(i)
-		s.FoldRow(int(row), cols)
-	}
-}
-
 // Finish transposes the running minima into the hash-major Signatures
 // layout. The state is left intact, so more rows can be folded and
 // Finish called again.
@@ -112,15 +98,6 @@ func (s *FoldState) Finish() *Signatures {
 		}
 	}
 	return sig
-}
-
-// Clone returns an independent copy of the state (the read-only hash
-// family is shared).
-func (s *FoldState) Clone() *FoldState {
-	c := newFoldState(s.m, s.k, s.seed, s.hs)
-	copy(c.work, s.work)
-	c.rows = s.rows
-	return c
 }
 
 // Merge folds src into dst: the pointwise minimum of the two minima

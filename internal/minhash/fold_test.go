@@ -9,6 +9,69 @@ import (
 	"assocmine/internal/matrix"
 )
 
+// streamFixture is a random rows x cols source, one entry in 4.
+func streamFixture(rows, cols int, seed uint64) *matrix.SliceSource {
+	rng := hashing.NewSplitMix64(seed)
+	out := make([][]int32, rows)
+	for r := range out {
+		var row []int32
+		for c := 0; c < cols; c++ {
+			if rng.Intn(4) == 0 {
+				row = append(row, int32(c))
+			}
+		}
+		out[r] = row
+	}
+	return &matrix.SliceSource{Cols: cols, Rows: out}
+}
+
+func TestComputeStreamBadK(t *testing.T) {
+	if _, err := NewFoldState(5, 0, 1); err == nil {
+		t.Error("k=0 accepted")
+	}
+}
+
+// TestComputeStreamEmptyColumns: untouched columns keep the sentinel.
+func TestComputeStreamEmptyColumns(t *testing.T) {
+	src := &matrix.SliceSource{Cols: 5, Rows: [][]int32{{0, 2}, {0}, {}}}
+	sig, err := Compute(src, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l < sig.K; l++ {
+		for _, c := range []int{1, 3, 4} {
+			if sig.Value(l, c) != Empty {
+				t.Fatalf("empty column %d has value at hash %d", c, l)
+			}
+		}
+	}
+}
+
+// TestComputeStreamZeroRows: a 0-row source yields all-sentinel
+// signatures.
+func TestComputeStreamZeroRows(t *testing.T) {
+	sig, err := Compute(&matrix.SliceSource{Cols: 6}, 5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sig.Vals) != 30 {
+		t.Fatalf("%d values, want 30", len(sig.Vals))
+	}
+	for i, v := range sig.Vals {
+		if v != Empty {
+			t.Fatalf("Vals[%d] = %d, want sentinel", i, v)
+		}
+	}
+}
+
+// Clone returns an independent copy of the state.
+func (s *FoldState) Clone() *FoldState {
+	c, _ := NewFoldState(s.m, s.k, s.seed)
+	copy(c.work, s.work)
+	c.rows = s.rows
+	return c
+}
+
 // foldParts folds the fixture's rows into p states according to the
 // random assignment part[r], preserving global row ids.
 func foldParts(t *testing.T, src *matrix.SliceSource, part []int, p, k int, seed uint64) []*FoldState {

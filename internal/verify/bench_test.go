@@ -41,7 +41,7 @@ func BenchmarkExactParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ExactParallelProgress(m.Stream(), cand, 0.3, workers, nil); err != nil {
+				if _, _, err := ExactBudgeted(m.Stream(), cand, 0.3, Budget{}, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -49,7 +49,7 @@ func BenchmarkExactParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("fanout/workers=%d", workers), func(b *testing.B) {
 			src := streamOnly{m.Stream()}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ExactParallelProgress(src, cand, 0.3, workers, nil); err != nil {
+				if _, _, err := ExactBudgeted(src, cand, 0.3, Budget{}, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

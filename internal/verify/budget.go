@@ -38,8 +38,6 @@ type Budget struct {
 	// Dir receives the spill files, one per worker; "" means the OS temp
 	// directory. They are deleted before the call returns.
 	Dir string
-	// Codec selects the run encoding; the zero value is SpillCompressed.
-	Codec SpillCodec
 }
 
 const (
@@ -64,13 +62,26 @@ const (
 	mergeWindowPerEntry = 3
 )
 
-// ExactBudgeted is Exact with the counter table bounded by budget.Bytes.
+// ExactBudgeted is Exact with the candidate counters sharded across
+// workers, a progress hook, and the counter table bounded by
+// budget.Bytes. Results are bit-identical to Exact for any worker count
+// and budget; workers <= 1 runs serially, negative workers means
+// GOMAXPROCS, and small candidate lists run with fewer workers
+// (goroutine and fan-out overhead would dominate).
+//
 // When the table for all candidates fits the budget (or the budget is
-// unlimited) it delegates to the plain parallel pass; otherwise it runs
-// the single-scan spill strategy: each worker owns a contiguous
-// candidate shard and a bounded counter table, spilling sorted runs of
-// partial counts to disk and merging them after the pass. Results are
-// bit-identical to Exact; Stats reports the spill activity.
+// unlimited, the zero Budget) the plain parallel pass runs: concurrent
+// scans of an in-memory source, otherwise one reader fanned out to the
+// workers. Otherwise it runs the single-scan spill strategy: each worker
+// owns a contiguous candidate shard and a bounded counter table,
+// spilling sorted runs of partial counts to disk and merging them after
+// the pass; Stats reports the spill activity.
+//
+// tick (when non-nil) receives (candidate pairs fully verified, total
+// candidates): as each shard finishes its scan, from worker goroutines,
+// under concurrent scans; once at completion under a single reader,
+// where row-level progress belongs to the source — wrap it in a
+// matrix.ProgressSource instead.
 func ExactBudgeted(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
@@ -106,7 +117,7 @@ func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, bu
 	m := src.NumCols()
 	ws := make([]*budgetWorker, len(shards))
 	for s, sh := range shards {
-		ws[s] = newBudgetWorker(m, cand[sh[0]:sh[1]], threshold, maxEntries, fanIn, budget.Dir, budget.Codec)
+		ws[s] = newBudgetWorker(m, cand[sh[0]:sh[1]], threshold, maxEntries, fanIn, budget.Dir)
 	}
 	defer func() {
 		for _, w := range ws {
@@ -290,7 +301,6 @@ type budgetWorker struct {
 	maxEntries int
 	fanIn      int
 	dir        string
-	codec      SpillCodec
 	file       *os.File // the spill file, created by the first spill
 	rw         *runWriter
 	runs       []runSection
@@ -300,7 +310,7 @@ type budgetWorker struct {
 	err        error
 }
 
-func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, fanIn int, dir string, codec SpillCodec) *budgetWorker {
+func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, fanIn int, dir string) *budgetWorker {
 	return &budgetWorker{
 		cand:       cand,
 		threshold:  threshold,
@@ -309,7 +319,6 @@ func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, 
 		maxEntries: maxEntries,
 		fanIn:      fanIn,
 		dir:        dir,
-		codec:      codec,
 	}
 }
 
@@ -336,15 +345,15 @@ func (w *budgetWorker) processRow(r int32, cols []int32) error {
 	return w.err
 }
 
-// spill appends the table to the spill file as one sorted run in the
-// configured codec and empties it.
+// spill appends the table to the spill file as one sorted run and
+// empties it.
 func (w *budgetWorker) spill() error {
 	if w.file == nil {
 		f, err := os.CreateTemp(w.dir, "assocmine-spill-*.run")
 		if err != nil {
 			return err
 		}
-		w.file, w.rw = f, newRunWriter(f, w.codec)
+		w.file, w.rw = f, newRunWriter(f)
 	}
 	pos := w.table.sorted()
 	for _, h := range pos {
@@ -361,9 +370,7 @@ func (w *budgetWorker) spill() error {
 	w.st.SpillRuns++
 	w.st.SpillBytes += sec.n
 	w.st.SpillBytesRaw += raw
-	if w.codec != SpillRaw {
-		w.st.SpillBytesCompressed += sec.n
-	}
+	w.st.SpillBytesCompressed += sec.n
 	return nil
 }
 
@@ -419,7 +426,7 @@ func (w *budgetWorker) finish() ([]pairs.Scored, error) {
 // open points cursors[i] at runs[i], keeping the cursors' buffers.
 func (w *budgetWorker) open(cursors []runCursor, runs []runSection) {
 	for i, sec := range runs {
-		cursors[i].reset(w.file, sec, w.codec, len(w.cand))
+		cursors[i].reset(w.file, sec, len(w.cand))
 	}
 }
 
@@ -444,12 +451,11 @@ func (w *budgetWorker) cleanup() {
 }
 
 // runCursor streams one sorted run a block at a time: a section of the
-// spill file in either codec, or (table set) the resident table at the
-// sorted slot positions tpos.
+// spill file, or (table set) the resident table at the sorted slot
+// positions tpos.
 type runCursor struct {
 	sec   io.SectionReader
 	br    *bufio.Reader
-	codec SpillCodec
 	table *spillTable
 	tpos  []int32
 
@@ -457,7 +463,7 @@ type runCursor struct {
 	pos  int
 	done bool
 
-	// Compressed-run decode state: the bit reader, the running previous
+	// Run decode state: the bit reader, the running previous
 	// index of the delta chain, and the candidate count bounding decoded
 	// indices.
 	bits    bitpack.Reader
@@ -466,7 +472,7 @@ type runCursor struct {
 }
 
 // reset points the cursor at a section of f, keeping its buffers.
-func (c *runCursor) reset(f io.ReaderAt, sec runSection, codec SpillCodec, nCand int) {
+func (c *runCursor) reset(f io.ReaderAt, sec runSection, nCand int) {
 	c.sec = *io.NewSectionReader(f, sec.off, sec.n)
 	if c.br == nil {
 		c.br = bufio.NewReader(&c.sec)
@@ -475,7 +481,7 @@ func (c *runCursor) reset(f io.ReaderAt, sec runSection, codec SpillCodec, nCand
 		c.br.Reset(&c.sec)
 	}
 	c.bits.Reset(c.br)
-	c.codec, c.blk, c.pos, c.done, c.prevIdx, c.nCand = codec, c.blk[:0], 0, false, -1, int32(nCand)
+	c.blk, c.pos, c.done, c.prevIdx, c.nCand = c.blk[:0], 0, false, -1, int32(nCand)
 }
 
 // block returns the decoded entries not yet consumed (the caller
@@ -495,23 +501,19 @@ func (c *runCursor) block() ([]spillEntry, error) {
 // fill loads the next block, returning io.EOF at the end of the run.
 func (c *runCursor) fill() error {
 	c.pos = 0
-	switch {
-	case c.table != nil:
-		n := min(len(c.tpos), spillBlockEntries)
-		if n == 0 {
-			return io.EOF
-		}
-		c.blk = c.blk[:0]
-		for _, h := range c.tpos[:n] {
-			c.blk = append(c.blk, c.table.entry(h))
-		}
-		c.tpos = c.tpos[n:]
-		return nil
-	case c.codec == SpillRaw:
-		return c.readRawBlock()
-	default:
+	if c.table == nil {
 		return c.readSpillBlock()
 	}
+	n := min(len(c.tpos), spillBlockEntries)
+	if n == 0 {
+		return io.EOF
+	}
+	c.blk = c.blk[:0]
+	for _, h := range c.tpos[:n] {
+		c.blk = append(c.blk, c.table.entry(h))
+	}
+	c.tpos = c.tpos[n:]
+	return nil
 }
 
 // mergeCursors sums the runs' partial counts per candidate and hands

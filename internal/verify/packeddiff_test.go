@@ -100,10 +100,10 @@ func TestPackedMatchesBudgetedAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par, pst, err := ExactParallelProgress(m.Stream(), cand, threshold, 4, nil); err != nil {
+	if par, pst, err := ExactBudgeted(m.Stream(), cand, threshold, Budget{}, 4, nil); err != nil {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(par, want) || pst.Touches != wantStats.Touches {
-		t.Fatal("ExactParallelProgress disagrees with Exact; fixture broken")
+		t.Fatal("the unbudgeted ExactBudgeted disagrees with Exact; fixture broken")
 	}
 
 	words := (400 + 63) / 64

@@ -27,25 +27,6 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// ExactParallelProgress is Exact with the candidate counters sharded
-// across workers and a progress hook. Results are bit-identical to
-// Exact for any worker count; workers <= 1 runs the serial pass,
-// negative workers means GOMAXPROCS. Small candidate lists are
-// automatically run with fewer workers (goroutine and fan-out overhead
-// would dominate). In the concurrent-scan strategy tick (when non-nil)
-// receives (candidate pairs fully verified, total candidates) as each
-// shard finishes its scan, from worker goroutines. The serial and
-// single-reader fan-out strategies scan the data exactly once, so
-// row-level progress belongs to the source there — wrap it in a
-// matrix.ProgressSource instead; tick then only fires once at
-// completion.
-func ExactParallelProgress(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if err := validate(src.NumCols(), cand, threshold); err != nil {
-		return nil, Stats{}, err
-	}
-	return exactParallel(src, cand, threshold, workers, tick)
-}
-
 // minShardCandidates is the smallest candidate shard worth a goroutine;
 // below it the scan itself dominates and workers are trimmed.
 const minShardCandidates = 32
@@ -73,7 +54,8 @@ func contiguousShards(n, parts int) [][2]int {
 	return shards
 }
 
-// exactParallel assumes cand is already validated.
+// exactParallel is the unbudgeted pass of ExactBudgeted (which documents
+// workers and tick); cand is already validated.
 func exactParallel(src matrix.RowSource, cand []pairs.Scored, threshold float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	workers = shardWorkers(workers, len(cand))
 	if workers <= 1 {

@@ -13,7 +13,7 @@ import (
 )
 
 // streamOnly hides the ConcurrentScan capability of an in-memory
-// source, forcing ExactParallelProgress onto the single-reader fan-out path.
+// source, forcing the unbudgeted ExactBudgeted onto the single-reader fan-out path.
 type streamOnly struct{ src matrix.RowSource }
 
 func (s streamOnly) NumRows() int { return s.src.NumRows() }
@@ -50,7 +50,7 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2, 3, 8, -1} {
 			t.Run(fmt.Sprintf("%s/workers=%d", src.name, workers), func(t *testing.T) {
-				got, st, err := ExactParallelProgress(src.s, cand, 0.2, workers, nil)
+				got, st, err := ExactBudgeted(src.s, cand, 0.2, Budget{}, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestExactParallelSmallList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ExactParallelProgress(m.Stream(), cand, 0.1, 8, nil)
+	got, _, err := ExactBudgeted(m.Stream(), cand, 0.1, Budget{}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExactParallelSmallList(t *testing.T) {
 		t.Fatalf("small-list parallel output differs: %v vs %v", got, want)
 	}
 	// Empty candidate list short-circuits on every path.
-	got, st, err := ExactParallelProgress(m.Stream(), nil, 0.1, 8, nil)
+	got, st, err := ExactBudgeted(m.Stream(), nil, 0.1, Budget{}, 8, nil)
 	if err != nil || got != nil || st.In != 0 || st.Out != 0 {
 		t.Fatalf("empty list: got %v, %+v, %v", got, st, err)
 	}
@@ -96,14 +96,14 @@ func TestExactParallelErrors(t *testing.T) {
 	m := randomMatrix(rng, 50, 10, 0.2)
 	cand := []pairs.Scored{{Pair: pairs.Pair{I: 0, J: 99}}}
 	for _, workers := range []int{1, 4} {
-		if _, _, err := ExactParallelProgress(m.Stream(), cand, 0.5, workers, nil); err == nil {
+		if _, _, err := ExactBudgeted(m.Stream(), cand, 0.5, Budget{}, workers, nil); err == nil {
 			t.Errorf("workers=%d: out-of-range candidate accepted", workers)
 		}
 		self := []pairs.Scored{{Pair: pairs.Pair{I: 3, J: 3}}}
-		if _, _, err := ExactParallelProgress(m.Stream(), self, 0.5, workers, nil); err == nil {
+		if _, _, err := ExactBudgeted(m.Stream(), self, 0.5, Budget{}, workers, nil); err == nil {
 			t.Errorf("workers=%d: self pair accepted", workers)
 		}
-		if _, _, err := ExactParallelProgress(m.Stream(), nil, 1.5, workers, nil); err == nil {
+		if _, _, err := ExactBudgeted(m.Stream(), nil, 1.5, Budget{}, workers, nil); err == nil {
 			t.Errorf("workers=%d: bad threshold accepted", workers)
 		}
 	}
@@ -114,7 +114,7 @@ func TestExactParallelPropagatesScanError(t *testing.T) {
 	boom := errors.New("boom")
 	src := &failingSource{rows: 100, cols: 8, failAt: 40, err: boom}
 	cand := allPairsCandidates(8)
-	if _, _, err := ExactParallelProgress(src, cand, 0.5, 4, nil); !errors.Is(err, boom) {
+	if _, _, err := ExactBudgeted(src, cand, 0.5, Budget{}, 4, nil); !errors.Is(err, boom) {
 		t.Fatalf("want scan error, got %v", err)
 	}
 }
@@ -152,7 +152,7 @@ func TestExactPairsParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ExactParallelProgress(m.Stream(), unscored(bare), 0.1, 4, nil)
+	got, _, err := ExactBudgeted(m.Stream(), unscored(bare), 0.1, Budget{}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,17 @@
-// Spill-run codecs for the budgeted verification pass. A run is a
-// sorted sequence of (candidate index, either, both) partial counts;
-// the raw codec writes one uvarint triple per entry, the compressed
-// codec groups entries into blocks and Rice-codes each field with a
-// per-block parameter. Indices within a run are strictly increasing,
-// so they are coded as gap-1 deltas (the running previous index
-// carries across blocks); either is at least 1 for every spilled entry
-// (an entry exists only once a row touched it), so it is coded as
-// either-1; both is coded as-is. Blocks are byte-aligned, framed by a
-// uvarint entry count and three parameter bytes, which lets the merge
-// cursor decode a block at a time with bounded state.
+// The spill-run codec of the budgeted verification pass. A run is a
+// sorted sequence of (candidate index, either, both) partial counts,
+// grouped into blocks whose fields are each Rice-coded with a per-block
+// parameter. Indices within a run are strictly increasing, so they are
+// coded as gap-1 deltas (the running previous index carries across
+// blocks); either is at least 1 for every spilled entry (an entry
+// exists only once a row touched it), so it is coded as either-1; both
+// is coded as-is. Blocks are byte-aligned, framed by a uvarint entry
+// count and three parameter bytes, which lets the merge cursor decode a
+// block at a time with bounded state. Spill volume dominates the pass's
+// IO and partial counts are small and clustered, so the blocks
+// typically cut run bytes 3-4x against plain uvarint triples — the
+// price Stats.SpillBytesRaw keeps quoting (uvarintLen) — for pure
+// encode/decode arithmetic (no allocation per entry).
 package verify
 
 import (
@@ -21,28 +24,13 @@ import (
 	"assocmine/internal/bitpack"
 )
 
-// SpillCodec selects the on-disk encoding of the budgeted pass's spill
-// runs. The zero value is the compressed codec: spill volume dominates
-// the pass's IO and partial counts are small and clustered, so the
-// Rice blocks typically cut run bytes 3-4x for pure encode/decode
-// arithmetic (no allocation per entry).
-type SpillCodec int
-
-const (
-	// SpillCompressed writes Rice-coded delta blocks (the default).
-	SpillCompressed SpillCodec = iota
-	// SpillRaw writes plain uvarint (idx, either, both) triples — the
-	// pre-codec format, kept for measurement and as a debugging fallback.
-	SpillRaw
-)
-
 // spillBlockEntries bounds one compressed block: large enough that the
 // 4-5 framing bytes amortise to noise, small enough that the merge
 // cursor's decoded-block buffer stays a few KB.
 const spillBlockEntries = 512
 
 // uvarintLen returns the encoded size of v as a uvarint, pricing the
-// raw codec without materialising it.
+// plain triple encoding without materialising it.
 func uvarintLen(v uint64) int64 {
 	return int64((bits.Len64(v|1) + 6) / 7)
 }
@@ -66,15 +54,14 @@ type runWriter struct {
 	file  countWriter
 	bw    *bufio.Writer
 	pw    *bitpack.Writer
-	codec SpillCodec
 	start int64       // offset of the run being written
 	prev  int64       // last index of the run being written, -1 before the first
-	raw   int64       // what the raw codec would have written for the run
+	raw   int64       // what uvarint triples would have cost for the run
 	vals  [3][]uint64 // the pending block's index gaps, either-1 and both
 }
 
-func newRunWriter(f io.Writer, codec SpillCodec) *runWriter {
-	rw := &runWriter{file: countWriter{w: f}, codec: codec, prev: -1}
+func newRunWriter(f io.Writer) *runWriter {
+	rw := &runWriter{file: countWriter{w: f}, prev: -1}
 	rw.bw = bufio.NewWriterSize(&rw.file, 64<<10)
 	rw.pw = bitpack.NewWriter(rw.bw)
 	for i := range rw.vals {
@@ -83,19 +70,9 @@ func newRunWriter(f io.Writer, codec SpillCodec) *runWriter {
 	return rw
 }
 
-// add appends the run's next entry: a plain uvarint triple under
-// SpillRaw, otherwise a place in the pending block, which is written
-// out when it reaches spillBlockEntries.
+// add appends the run's next entry to the pending block, which is
+// written out when it reaches spillBlockEntries.
 func (rw *runWriter) add(e spillEntry) error {
-	if rw.codec == SpillRaw {
-		var buf [3 * binary.MaxVarintLen32]byte
-		n := binary.PutUvarint(buf[:], uint64(uint32(e.idx)))
-		n += binary.PutUvarint(buf[n:], uint64(e.either))
-		n += binary.PutUvarint(buf[n:], uint64(e.both))
-		rw.raw += int64(n)
-		_, err := rw.bw.Write(buf[:n])
-		return err
-	}
 	rw.vals[0] = append(rw.vals[0], uint64(int64(e.idx)-rw.prev)-1)
 	rw.prev = int64(e.idx)
 	rw.vals[1] = append(rw.vals[1], uint64(e.either)-1)
@@ -145,34 +122,7 @@ func (rw *runWriter) endRun() (sec runSection, raw int64, err error) {
 	return sec, raw, nil
 }
 
-// readRawBlock decodes up to a block of uvarint triples into c.blk,
-// returning io.EOF exactly when the run ends at an entry boundary.
-func (c *runCursor) readRawBlock() error {
-	c.blk = c.blk[:0]
-	for len(c.blk) < spillBlockEntries {
-		var v [3]uint64
-		for i := range v {
-			var err error
-			if v[i], err = binary.ReadUvarint(c.br); err != nil {
-				if err != io.EOF || i > 0 {
-					return fmt.Errorf("verify: reading spill run: %w", err)
-				}
-				if len(c.blk) > 0 {
-					return nil
-				}
-				return io.EOF
-			}
-		}
-		if int64(v[0]) <= c.prevIdx || v[0] >= uint64(c.nCand) || v[1]-1 >= 1<<31-1 || v[2] >= 1<<31 {
-			return fmt.Errorf("verify: spill run corrupt: entry (%d, %d, %d) after index %d of %d", v[0], v[1], v[2], c.prevIdx, c.nCand)
-		}
-		c.prevIdx = int64(v[0])
-		c.blk = append(c.blk, spillEntry{idx: int32(v[0]), either: int32(v[1]), both: int32(v[2])})
-	}
-	return nil
-}
-
-// readSpillBlock decodes the next compressed block into c.blk,
+// readSpillBlock decodes the next block into c.blk,
 // advancing c.prevIdx. Returns io.EOF exactly when the run ends
 // cleanly at a block boundary. The files are this process's own temp
 // output, but decode still validates every field — a bug (or a

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,10 +10,11 @@ import (
 	"assocmine/internal/hashing"
 )
 
-// TestSpillCodecsMatch: both spill codecs must produce output
-// bit-identical to the unbounded pass, and the accounting must price
-// the compression honestly (SpillBytesRaw identical across codecs,
-// since the spill schedule is deterministic and codec-independent).
+// TestSpillCodecsMatch: the spilled pass must produce output
+// bit-identical to the unbounded pass at any worker count, and the
+// accounting must price the compression honestly: every written byte is
+// a compressed byte, and the raw-equivalent price — what uvarint triples
+// would have cost — is at least twice it.
 func TestSpillCodecsMatch(t *testing.T) {
 	rng := hashing.NewSplitMix64(37)
 	m := randomMatrix(rng, 600, 60, 0.1)
@@ -21,66 +23,55 @@ func TestSpillCodecsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := map[SpillCodec]Stats{}
-	for _, codec := range []SpillCodec{SpillCompressed, SpillRaw} {
-		for _, workers := range []int{1, 4} {
-			budget := Budget{Bytes: 4 << 10, Dir: t.TempDir(), Codec: codec}
-			got, st, err := ExactBudgeted(m.Stream(), cand, 0.03, budget, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("codec=%d workers=%d: output differs from Exact", codec, workers)
-			}
-			if workers == 1 {
-				stats[codec] = st
-			}
+	var serial Stats
+	for _, workers := range []int{1, 4} {
+		budget := Budget{Bytes: 4 << 10, Dir: t.TempDir()}
+		got, st, err := ExactBudgeted(m.Stream(), cand, 0.03, budget, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: output differs from Exact", workers)
+		}
+		if workers == 1 {
+			serial = st
 		}
 	}
-	comp, raw := stats[SpillCompressed], stats[SpillRaw]
-	if comp.SpillRuns == 0 || raw.SpillRuns == 0 {
+	if serial.SpillRuns == 0 {
 		t.Fatal("fixture did not spill; test would be vacuous")
 	}
-	if comp.SpillBytesCompressed != comp.SpillBytes || comp.SpillBytesRaw <= comp.SpillBytes {
-		t.Errorf("compressed accounting inconsistent: %+v", comp)
-	}
-	if raw.SpillBytesCompressed != 0 || raw.SpillBytesRaw != raw.SpillBytes {
-		t.Errorf("raw accounting inconsistent: %+v", raw)
-	}
-	if comp.SpillBytesRaw != raw.SpillBytes {
-		t.Errorf("raw-equivalent price %d but raw codec wrote %d", comp.SpillBytesRaw, raw.SpillBytes)
-	}
-	if comp.SpillBytes*2 >= raw.SpillBytes {
-		t.Errorf("compressed runs %d bytes vs raw %d: expected at least 2x", comp.SpillBytes, raw.SpillBytes)
+	if serial.SpillBytesCompressed != serial.SpillBytes || serial.SpillBytes*2 >= serial.SpillBytesRaw {
+		t.Errorf("accounting inconsistent, or runs not 2x under their raw price: %+v", serial)
 	}
 }
 
-// TestSpillRunRoundTrip: both codecs restore an entry sequence exactly,
-// across block boundaries.
+// TestSpillRunRoundTrip: the codec restores an entry sequence exactly,
+// across block boundaries, and prices it as the uvarint triples would.
 func TestSpillRunRoundTrip(t *testing.T) {
 	rng := hashing.NewSplitMix64(41)
 	var entries []spillEntry
+	var triples int64
 	idx := int32(0)
 	for len(entries) < 3*spillBlockEntries+17 {
 		idx += int32(rng.Next()%7) + 1
 		both := int32(rng.Next() % 100)
-		entries = append(entries, spillEntry{idx: idx, either: both + 1 + int32(rng.Next()%50), both: both})
+		e := spillEntry{idx: idx, either: both + 1 + int32(rng.Next()%50), both: both}
+		entries = append(entries, e)
+		var buf [3 * binary.MaxVarintLen32]byte
+		n := binary.PutUvarint(buf[:], uint64(e.idx))
+		n += binary.PutUvarint(buf[n:], uint64(e.either))
+		triples += int64(n + binary.PutUvarint(buf[n:], uint64(e.both)))
 	}
-	for _, codec := range []SpillCodec{SpillCompressed, SpillRaw} {
-		data, raw := encodeRun(t, codec, entries)
-		if codec == SpillCompressed && raw <= int64(len(data)) {
-			t.Fatalf("raw equivalent %d not larger than compressed %d", raw, len(data))
-		}
-		if codec == SpillRaw && raw != int64(len(data)) {
-			t.Fatalf("raw run priced at %d bytes, wrote %d", raw, len(data))
-		}
-		got, err := readRun(openRun(data, codec, int(idx)+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, entries) {
-			t.Fatalf("codec %d: read %d entries back, wrote %d, or they differ", codec, len(got), len(entries))
-		}
+	data, raw := encodeRun(t, entries)
+	if raw != triples || raw <= int64(len(data)) {
+		t.Fatalf("run of %d bytes priced at %d raw, uvarint triples take %d", len(data), raw, triples)
+	}
+	got, err := readRun(openRun(data, int(idx)+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, entries) {
+		t.Fatalf("read %d entries back, wrote %d, or they differ", len(got), len(entries))
 	}
 }
 
@@ -100,10 +91,10 @@ func readRun(c *runCursor) ([]spillEntry, error) {
 // encodeRun writes entries as one run and returns
 // its bytes and raw price; the section endRun reports must be the whole
 // output.
-func encodeRun(t *testing.T, codec SpillCodec, entries []spillEntry) ([]byte, int64) {
+func encodeRun(t *testing.T, entries []spillEntry) ([]byte, int64) {
 	t.Helper()
 	var buf bytes.Buffer
-	rw := newRunWriter(&buf, codec)
+	rw := newRunWriter(&buf)
 	for _, e := range entries {
 		if err := rw.add(e); err != nil {
 			t.Fatal(err)
@@ -120,37 +111,32 @@ func encodeRun(t *testing.T, codec SpillCodec, entries []spillEntry) ([]byte, in
 }
 
 // openRun returns a cursor over one encoded run.
-func openRun(data []byte, codec SpillCodec, nCand int) *runCursor {
+func openRun(data []byte, nCand int) *runCursor {
 	c := new(runCursor)
-	c.reset(bytes.NewReader(data), runSection{n: int64(len(data))}, codec, nCand)
+	c.reset(bytes.NewReader(data), runSection{n: int64(len(data))}, nCand)
 	return c
 }
 
-// TestSpillRunCorruptionDetected: malformed runs in either codec must
-// surface as errors from the merge cursor, never as silent counts.
+// TestSpillRunCorruptionDetected: malformed runs must surface as errors
+// from the merge cursor, never as silent counts.
 func TestSpillRunCorruptionDetected(t *testing.T) {
-	good, _ := encodeRun(t, SpillCompressed, []spillEntry{{idx: 3, either: 2, both: 1}, {idx: 90, either: 5, both: 0}})
+	good, _ := encodeRun(t, []spillEntry{{idx: 3, either: 2, both: 1}, {idx: 90, either: 5, both: 0}})
 	cases := []struct {
 		name  string
-		codec SpillCodec
 		data  []byte
 		nCand int
 		want  string
 	}{
-		{"zero-entry block", SpillCompressed, []byte{0x00}, 100, "block of 0"},
-		{"oversized block", SpillCompressed, []byte{0xff, 0xff, 0x7f}, 100, "block of"},
-		{"bad rice parameter", SpillCompressed, []byte{0x01, 0x63, 0x00, 0x00}, 100, "rice parameter"},
-		{"truncated params", SpillCompressed, []byte{0x02, 0x00}, 100, "reading spill run"},
-		{"truncated payload", SpillCompressed, good[:len(good)-1], 100, "reading spill run"},
-		{"index out of range", SpillCompressed, good, 50, "candidate index"},
-		{"raw: truncated entry", SpillRaw, []byte{3, 2}, 100, "reading spill run"},
-		{"raw: index not increasing", SpillRaw, []byte{3, 2, 1, 3, 1, 0}, 100, "corrupt"},
-		{"raw: index out of range", SpillRaw, []byte{3, 2, 1, 90, 5, 0}, 50, "corrupt"},
-		{"raw: entry never touched", SpillRaw, []byte{3, 0, 0}, 100, "corrupt"},
+		{"zero-entry block", []byte{0x00}, 100, "block of 0"},
+		{"oversized block", []byte{0xff, 0xff, 0x7f}, 100, "block of"},
+		{"bad rice parameter", []byte{0x01, 0x63, 0x00, 0x00}, 100, "rice parameter"},
+		{"truncated params", []byte{0x02, 0x00}, 100, "reading spill run"},
+		{"truncated payload", good[:len(good)-1], 100, "reading spill run"},
+		{"index out of range", good, 50, "candidate index"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readRun(openRun(tc.data, tc.codec, tc.nCand))
+			_, err := readRun(openRun(tc.data, tc.nCand))
 			if err == nil {
 				t.Fatal("corrupt run read to EOF without error")
 			}

@@ -150,7 +150,7 @@ func everyRowSpills(rng *hashing.SplitMix64, runs int) (*matrix.Matrix, []pairs.
 }
 
 // TestStagedMerge lowers the merge fan-in and forces 1, fan-in,
-// fan-in+1 and fan-in²+1 runs through both codecs: no intermediate
+// fan-in+1 and fan-in²+1 runs: no intermediate
 // generation, a full final merge, one intermediate generation with a
 // single-run group carried over, and two generations. Results must
 // equal Exact and the Stats must be those of the default fan-in.
@@ -163,22 +163,19 @@ func TestStagedMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, codec := range []SpillCodec{SpillCompressed, SpillRaw} {
-				budget.Codec = codec
-				_, wantSt, err := exactSpill(m.Stream(), cand, 0.3, budget, 1, spillFanIn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, st, err := exactSpill(m.Stream(), cand, 0.3, budget, 1, fanIn)
-				if err != nil {
-					t.Fatalf("fanIn=%d runs=%d codec=%d: %v", fanIn, runs, codec, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("fanIn=%d runs=%d codec=%d: output differs from Exact", fanIn, runs, codec)
-				}
-				if st.SpillRuns != int64(runs) || st != wantSt {
-					t.Fatalf("fanIn=%d runs=%d codec=%d: stats %+v, want %d runs and %+v", fanIn, runs, codec, st, runs, wantSt)
-				}
+			_, wantSt, err := exactSpill(m.Stream(), cand, 0.3, budget, 1, spillFanIn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := exactSpill(m.Stream(), cand, 0.3, budget, 1, fanIn)
+			if err != nil {
+				t.Fatalf("fanIn=%d runs=%d: %v", fanIn, runs, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("fanIn=%d runs=%d: output differs from Exact", fanIn, runs)
+			}
+			if st.SpillRuns != int64(runs) || st != wantSt {
+				t.Fatalf("fanIn=%d runs=%d: stats %+v, want %d runs and %+v", fanIn, runs, st, runs, wantSt)
 			}
 			if n := countSpillFiles(t, budget.Dir); n != 0 {
 				t.Fatalf("%d spill files remain", n)

@@ -28,12 +28,11 @@ type Stats struct {
 	// SpillRuns and SpillBytes report the sorted runs the budgeted pass
 	// wrote to disk when the counter table exceeded its memory budget
 	// (both 0 when everything stayed resident; sections a staged merge
-	// rewrites are not counted). SpillBytes is the bytes actually written
-	// in the configured Budget.Codec; SpillBytesRaw is what the plain
-	// uvarint-triple encoding would have cost for the same entries, and
-	// SpillBytesCompressed equals SpillBytes under SpillCompressed (0
-	// under SpillRaw) — the pair prices the codec for ratio reporting
-	// without a second pass.
+	// rewrites are not counted). SpillBytes is the bytes actually
+	// written; SpillBytesRaw is what a plain uvarint-triple encoding
+	// would have cost for the same entries, and SpillBytesCompressed
+	// equals SpillBytes (every run is Rice-coded) — the pair prices the
+	// codec for ratio reporting without a second pass.
 	SpillRuns            int64
 	SpillBytes           int64
 	SpillBytesRaw        int64

@@ -53,7 +53,7 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 	}
 	r := d.run(cfg)
 	start := time.Now()
-	sk, err := r.sketch(r.foldMH, nil)
+	sk, err := r.sketch(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 	var all []pairs.Scored
 	var innerErr error
 	ctick := r.prog.enter(PhaseCandidates)
-	_, lst, err := lsh.OnlineCandidates(sk.mh, cfg.R, cfg.L, func(band int, fresh []pairs.Pair) bool {
+	_, lst, err := lsh.OnlineCandidates(sk.MH, cfg.R, cfg.L, func(band int, fresh []pairs.Pair) bool {
 		vstart := time.Now()
 		verified, err := r.exact(unscored(fresh), nil)
 		st.VerifyTime += time.Since(vstart)

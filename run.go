@@ -7,11 +7,10 @@ import (
 	"assocmine/internal/apriori"
 	"assocmine/internal/bps"
 	"assocmine/internal/candidate"
+	"assocmine/internal/fold"
 	"assocmine/internal/hamminglsh"
-	"assocmine/internal/kminhash"
 	"assocmine/internal/lsh"
 	"assocmine/internal/matrix"
-	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 	"assocmine/internal/verify"
@@ -82,39 +81,13 @@ func (d *Dataset) run(cfg Config) *run {
 	return newRun(d.m.Stream(), func() (*matrix.Matrix, error) { return d.m, nil }, cfg)
 }
 
-// sketch is what phase 1 leaves in memory for phase 2; a scheme sets
-// exactly one field.
-type sketch struct {
-	mh  *minhash.Signatures
-	kmh *kminhash.Sketches
-	sup []int64 // BPS column supports
-}
-
-// cells is the number of resident sketch entries, 8 bytes each.
-func (sk sketch) cells() int64 {
-	switch {
-	case sk.mh != nil:
-		return int64(len(sk.mh.Vals))
-	case sk.kmh != nil:
-		var n int64
-		for _, s := range sk.kmh.Sigs {
-			n += int64(len(s))
-		}
-		return n
-	default:
-		return int64(len(sk.sup))
-	}
-}
-
-// scheme is one algorithm's row of the template: the phase-1 fold that
-// builds its sketch and the phase-2 kernel that reads it.
+// scheme is one algorithm's row of the template: the phase-2 kernel
+// that reads the sketch its fold left (internal/fold maps the algorithm
+// to the fold; phase 1 is the same code for all of them).
 type scheme struct {
-	// fold is phase 1 over the counted source; nil for schemes that read
-	// the data directly.
-	fold func(src matrix.RowSource) (sketch, error)
 	// generate is phase 2. tick reports its progress in the kernel's own
 	// unit (columns, bands, or rows for the schemes that scan).
-	generate func(sk sketch, tick obs.Tick) ([]pairs.Scored, error)
+	generate func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error)
 	// exact: generate already returns exact similarities, so there is
 	// nothing to verify. serial: generate ignores Config.Workers.
 	exact, serial bool
@@ -122,12 +95,12 @@ type scheme struct {
 
 // mine runs the four steps. pre, when non-nil, is a caller-supplied
 // sketch adopted in place of the phase-1 fold.
-func (r *run) mine(pre *sketch) (*Result, error) {
+func (r *run) mine(pre *fold.Sketch) (*Result, error) {
 	sch, err := r.scheme()
 	if err != nil {
 		return nil, err
 	}
-	sk, err := r.sketch(sch.fold, pre)
+	sk, err := r.sketch(pre)
 	if err != nil {
 		return nil, err
 	}
@@ -181,113 +154,91 @@ func (r *run) countPass() {
 
 // sketch is phase 1. An adopted sketch was paid for when it was
 // computed, so it gets no signature span or cell counter; the gauge
-// still reports its resident size.
-func (r *run) sketch(build func(matrix.RowSource) (sketch, error), pre *sketch) (sketch, error) {
+// still reports its resident size. Schemes without a fold (they read
+// the data directly) leave the sketch empty.
+func (r *run) sketch(pre *fold.Sketch) (fold.Sketch, error) {
 	if pre != nil {
-		r.rec.SetGauge(obs.GaugeSignatureBytes, pre.cells()*8)
+		r.rec.SetGauge(obs.GaugeSignatureBytes, pre.Cells()*8)
 		return *pre, nil
 	}
-	if build == nil {
-		return sketch{}, nil
+	f, ok := fold.For(fold.Algo(r.cfg.Algorithm))
+	if !ok {
+		return fold.Sketch{}, nil
 	}
-	sk, d, err := phase(r, PhaseSignatures, func(tick obs.Tick) (sketch, error) {
-		return build(r.ticked(tick))
+	sk, d, err := phase(r, PhaseSignatures, func(tick obs.Tick) (fold.Sketch, error) {
+		return r.fold(f, r.ticked(tick))
 	})
 	if err != nil {
-		return sketch{}, err
+		return fold.Sketch{}, err
 	}
-	cells := sk.cells()
+	cells := sk.Cells()
 	r.st.SignatureTime = d
 	r.rec.Add(obs.CounterSignatureCells, cells)
 	r.rec.SetGauge(obs.GaugeSignatureBytes, cells*8)
 	return sk, nil
 }
 
-// fold is the row fold of phase 1, shared by both sketch types:
-// NewFoldState + fanOut (the package's FoldStream) + Finish for every
-// source and worker count. At one worker FoldStream is a direct Scan
-// into FoldRow — no shard copy, no shard count; above, the pass is dealt
-// to per-worker states and merged exactly, at O(workers·k·m) state.
-func fold[S any, F interface{ Finish() S }](r *run, src matrix.RowSource, newState func(m, k int, seed uint64) (F, error), fanOut func(matrix.RowSource, F, int) (int64, error)) (sk S, err error) {
-	st, err := newState(src.NumCols(), r.cfg.K, r.cfg.Seed)
-	if err != nil {
-		return sk, err
+// fold is phase 1 for every fold: its column kernel when the data is
+// in memory column-major (not windowed — RangeSource hides the lists)
+// and the fold says that path is the faster one, with the pass
+// accounted by hand and progress completing in one step; otherwise a
+// fresh state + fold.FoldStream + Finish for every source and worker
+// count. At one worker FoldStream is a direct Scan into FoldRow — no
+// shard copy, no shard count; above, the pass is dealt to per-worker
+// states and merged exactly, at O(workers) states.
+func (r *run) fold(f fold.Fold, src matrix.RowSource) (fold.Sketch, error) {
+	workers := r.cfg.Workers
+	if f.Serial {
+		workers = 1
 	}
-	shards, err := fanOut(src, st, r.cfg.Workers)
-	if err != nil {
-		return sk, err
+	if ls, ok := r.base.(matrix.ColumnLister); ok && f.Columns != nil {
+		if sk, done, err := f.Columns(ls, r.cfg.K, r.cfg.Seed, workers); done || err != nil {
+			if err != nil {
+				return fold.Sketch{}, err
+			}
+			r.countPass()
+			r.folded(f, 0)
+			return sk, nil
+		}
 	}
-	r.folded(shards)
+	st, err := f.New(src.NumCols(), r.cfg.K, r.cfg.Seed)
+	if err != nil {
+		return fold.Sketch{}, err
+	}
+	shards, err := fold.FoldStream(src, st, workers)
+	if err != nil {
+		return fold.Sketch{}, err
+	}
+	r.folded(f, shards)
 	return st.Finish(), nil
 }
 
 // folded records a parallelisable fold's worker budget and the shards
-// it broadcast.
-func (r *run) folded(shards int64) {
+// it dealt; a serial fold reports neither.
+func (r *run) folded(f fold.Fold, shards int64) {
+	if f.Serial {
+		return
+	}
 	r.st.SignatureWorkers = r.cfg.Workers
 	r.rec.SetGauge(obs.GaugeSignatureWorkers, int64(r.cfg.Workers))
 	addNonzero(r.rec, obs.CounterShards, shards)
 }
 
-// foldMH is the MH phase 1. There is no column-parallel path over a
-// materialised matrix: it cost k hash evaluations per matrix entry
-// where the row fold costs k per row, and measured slower than the fold
-// at every worker count (DESIGN.md, "The driver").
-func (r *run) foldMH(src matrix.RowSource) (sketch, error) {
-	sig, err := fold(r, src, minhash.NewFoldState, minhash.FoldStream)
-	return sketch{mh: sig}, err
-}
-
-// foldKMH is the K-MH phase 1. Unlike MH, merging bottom-k states
-// outweighs the one hash per row a worker saves, so the fanned-out fold
-// is slower than serial; when the data is materialised (in memory and
-// not windowed) and Workers > 1 the column-parallel kernel runs instead
-// (2.6x faster at 2 workers), with its pass accounted by hand. It has
-// no fine-grained hooks, so progress there completes in one step.
-func (r *run) foldKMH(src matrix.RowSource) (sketch, error) {
-	if cs, ok := r.base.(matrix.ConcurrentSource); ok && cs.ConcurrentScan() && r.cfg.Workers > 1 {
-		m, err := r.materialize()
-		if err != nil {
-			return sketch{}, err
-		}
-		sk, err := kminhash.ComputeParallel(m, r.cfg.K, r.cfg.Seed, r.cfg.Workers)
-		if err != nil {
-			return sketch{}, err
-		}
-		r.countPass()
-		r.folded(0)
-		return sketch{kmh: sk}, nil
-	}
-	sk, err := fold(r, src, kminhash.NewFoldState, kminhash.FoldStream)
-	return sketch{kmh: sk}, err
-}
-
-// supports is the BPS phase 1: column supports, the sampler's bias
-// input and the scheme's whole resident state (one cell per column).
-// Column-major in-memory data yields them without a scan.
-func (r *run) supports(src matrix.RowSource) (sketch, error) {
-	if ls, ok := r.base.(matrix.ColumnLister); ok {
-		r.countPass()
-		return sketch{sup: bps.SupportsFromLister(ls)}, nil
-	}
-	sup, err := bps.Supports(src)
-	return sketch{sup: sup}, err
-}
-
-// scheme maps the configured algorithm to its phase kernels — the only
-// place an algorithm is turned into code to run.
+// scheme maps the configured algorithm to its phase-2 kernel — with
+// fold.For, which maps it to its phase 1, the only places an algorithm
+// is turned into code to run.
 func (r *run) scheme() (scheme, error) {
 	cfg := r.cfg
 	cutoff := (1 - cfg.Delta) * cfg.Threshold
 	switch cfg.Algorithm {
 	case BruteForce:
-		return scheme{exact: true, serial: true, generate: func(_ sketch, tick obs.Tick) ([]pairs.Scored, error) {
+		return scheme{exact: true, serial: true, generate: func(_ fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			return verify.AllPairsSource(r.ticked(tick), cfg.Threshold)
 		}}, nil
 
 	case MinHash:
-		return scheme{fold: r.foldMH, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			cand, cst, err := candidate.RowSortMHParallelProgress(cfg.Context, sk.mh, cutoff, cfg.Workers, tick)
+		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			cand, cst, err := candidate.RowSortMHParallelProgress(cfg.Context, sk.MH, cutoff, cfg.Workers, tick)
 			if err != nil {
 				return nil, err
 			}
@@ -296,12 +247,12 @@ func (r *run) scheme() (scheme, error) {
 		}}, nil
 
 	case KMinHash:
-		return scheme{fold: r.foldKMH, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
+		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			opt := candidate.KMHOptions{
 				BiasedCutoff:   cutoff / 2, // biased estimator under-counts; be generous
 				UnbiasedCutoff: cutoff,
 			}
-			cand, cst, err := candidate.HashCountKMHParallelProgress(cfg.Context, sk.kmh, opt, cfg.Workers, tick)
+			cand, cst, err := candidate.HashCountKMHParallelProgress(cfg.Context, sk.KMH, opt, cfg.Workers, tick)
 			if err != nil {
 				return nil, err
 			}
@@ -310,14 +261,14 @@ func (r *run) scheme() (scheme, error) {
 		}}, nil
 
 	case MinLSH:
-		return scheme{fold: r.foldMH, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
+		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			var set *pairs.Set
 			var lst lsh.Stats
 			var err error
-			if sk.mh.K >= cfg.R*cfg.L {
-				set, lst, err = lsh.CandidatesParallelProgress(cfg.Context, sk.mh, cfg.R, cfg.L, cfg.Workers, tick)
+			if sk.MH.K >= cfg.R*cfg.L {
+				set, lst, err = lsh.CandidatesParallelProgress(cfg.Context, sk.MH, cfg.R, cfg.L, cfg.Workers, tick)
 			} else {
-				set, lst, err = lsh.SampledCandidatesParallelProgress(cfg.Context, sk.mh, cfg.R, cfg.L, cfg.Seed+1, cfg.Workers, tick)
+				set, lst, err = lsh.SampledCandidatesParallelProgress(cfg.Context, sk.MH, cfg.R, cfg.L, cfg.Seed+1, cfg.Workers, tick)
 			}
 			if err != nil {
 				return nil, err
@@ -329,7 +280,7 @@ func (r *run) scheme() (scheme, error) {
 	case HammingLSH:
 		// The fold ladder is a whole-data structure: the one scheme that
 		// materialises a streamed source.
-		return scheme{serial: true, generate: func(sketch, obs.Tick) ([]pairs.Scored, error) {
+		return scheme{serial: true, generate: func(fold.Sketch, obs.Tick) ([]pairs.Scored, error) {
 			full, err := r.materialize()
 			if err != nil {
 				return nil, err
@@ -345,7 +296,7 @@ func (r *run) scheme() (scheme, error) {
 		}}, nil
 
 	case Apriori:
-		return scheme{exact: true, serial: true, generate: func(_ sketch, tick obs.Tick) ([]pairs.Scored, error) {
+		return scheme{exact: true, serial: true, generate: func(_ fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			// A-priori scans once per level; ticks from later passes
 			// restart at zero and the sink drops them, so progress
 			// tracks the first pass and completes when the phase does.
@@ -361,8 +312,8 @@ func (r *run) scheme() (scheme, error) {
 		}}, nil
 
 	case BPS:
-		return scheme{fold: r.supports, generate: func(sk sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			cand, bst, err := bps.Sample(r.ticked(tick), sk.sup, bps.Options{
+		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			cand, bst, err := bps.Sample(r.ticked(tick), sk.Sup, bps.Options{
 				Threshold: cfg.Threshold,
 				Delta:     cfg.Delta,
 				Budget:    cfg.SampleBudget,
@@ -383,7 +334,7 @@ func (r *run) scheme() (scheme, error) {
 }
 
 // candidates is phase 2: the scheme's kernel over the sketch.
-func (r *run) candidates(sch scheme, sk sketch) ([]pairs.Scored, error) {
+func (r *run) candidates(sch scheme, sk fold.Sketch) ([]pairs.Scored, error) {
 	cand, d, err := phase(r, PhaseCandidates, func(tick obs.Tick) ([]pairs.Scored, error) {
 		return sch.generate(sk, tick)
 	})
@@ -457,18 +408,19 @@ func (r *run) exact(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) 
 	var out []pairs.Scored
 	var vst verify.Stats
 	var err error
-	switch {
-	case packed:
+	if packed {
 		out, vst, err = verify.ExactPacked(src, cand, cfg.Threshold, verify.PackedOptions{
 			Budget:  budget,
 			Workers: cfg.Workers,
 			Context: cfg.Context,
 			Tick:    tick,
 		})
-	case fast:
-		out, vst, err = verify.ExactParallelProgress(src, cand, cfg.Threshold, cfg.Workers, tick)
-	default:
-		out, vst, err = verify.ExactBudgeted(r.ticked(tick), cand, cfg.Threshold, budget, cfg.Workers, nil)
+	} else {
+		if !fast {
+			// The single reader reports row progress itself.
+			src, tick = r.ticked(tick), nil
+		}
+		out, vst, err = verify.ExactBudgeted(src, cand, cfg.Threshold, budget, cfg.Workers, tick)
 	}
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/minhash"
 )
 
@@ -24,12 +25,11 @@ type Signatures struct {
 // GOMAXPROCS, > 1 fans the one row pass out to per-worker fold states
 // that are merged exactly — bit-identical results either way.
 func ComputeSignatures(d *Dataset, k int, seed uint64, workers int) (*Signatures, error) {
-	r := d.run(Config{K: k, Seed: seed, Workers: normalizeWorkers(workers)})
-	sk, err := r.foldMH(r.counting)
+	sk, err := d.run(Config{Algorithm: MinHash, K: k, Seed: seed, Workers: normalizeWorkers(workers)}).sketch(nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Signatures{sig: sk.mh, seed: seed, rows: d.NumRows()}, nil
+	return &Signatures{sig: sk.MH, seed: seed, rows: d.NumRows()}, nil
 }
 
 // K returns the number of min-hash values per column.
@@ -112,5 +112,5 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 	case cfg.Algorithm == MinLSH && s.sig.K < cfg.R*cfg.L:
 		return nil, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
 	}
-	return d.run(cfg).mine(&sketch{mh: s.sig})
+	return d.run(cfg).mine(&fold.Sketch{MH: s.sig})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/kminhash"
 )
 
@@ -24,12 +25,11 @@ type Sketches struct {
 // shards the columns of the in-memory matrix across workers — with
 // identical sketch content either way.
 func ComputeSketches(d *Dataset, k int, seed uint64, workers int) (*Sketches, error) {
-	r := d.run(Config{K: k, Seed: seed, Workers: normalizeWorkers(workers)})
-	sk, err := r.foldKMH(r.counting)
+	sk, err := d.run(Config{Algorithm: KMinHash, K: k, Seed: seed, Workers: normalizeWorkers(workers)}).sketch(nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Sketches{sk: sk.kmh, seed: seed, rows: d.NumRows()}, nil
+	return &Sketches{sk: sk.KMH, seed: seed, rows: d.NumRows()}, nil
 }
 
 // K returns the sketch size bound (columns smaller than K keep all
@@ -98,5 +98,5 @@ func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, err
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return d.run(cfg).mine(&sketch{kmh: s.sk})
+	return d.run(cfg).mine(&fold.Sketch{KMH: s.sk})
 }
