@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"assocmine/internal/apriori"
+	"assocmine/internal/candidate"
+	"assocmine/internal/fold"
 	"assocmine/internal/verify"
 )
 
@@ -192,51 +194,16 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() error {
-	if c.Threshold <= 0 || c.Threshold > 1 {
-		return fmt.Errorf("assocmine: Threshold must be in (0,1], got %v", c.Threshold)
+	if c.L == 0 && c.Algorithm == HammingLSH {
+		c.L = 10
 	}
-	if c.K == 0 {
-		c.K = 100
+	p := c.params()
+	if err := p.SetDefaults(); err != nil {
+		return fmt.Errorf("assocmine: %w", err)
 	}
-	if c.K < 1 {
-		return fmt.Errorf("assocmine: K must be positive, got %d", c.K)
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.2
-	}
-	if c.Delta < 0 || c.Delta >= 1 {
-		return fmt.Errorf("assocmine: Delta must be in [0,1), got %v", c.Delta)
-	}
-	if c.R == 0 {
-		c.R = 5
-	}
-	if c.R < 1 {
-		return fmt.Errorf("assocmine: R must be positive, got %d", c.R)
-	}
-	if c.L == 0 {
-		if c.Algorithm == HammingLSH {
-			c.L = 10
-		} else {
-			c.L = c.K / c.R
-			if c.L < 1 {
-				c.L = 1
-			}
-		}
-	}
-	if c.L < 1 {
-		return fmt.Errorf("assocmine: L must be positive, got %d", c.L)
-	}
-	if c.Algorithm == MinLSH && c.K < c.R {
-		return fmt.Errorf("assocmine: MinLSH needs K >= R, got K=%d R=%d", c.K, c.R)
-	}
+	c.K, c.R, c.L, c.SampleBudget, c.Delta = p.K, p.R, p.L, p.SampleBudget, p.Delta
 	if c.Algorithm == Apriori && (c.MinSupport <= 0 || c.MinSupport > 1) {
 		return fmt.Errorf("assocmine: Apriori requires MinSupport in (0,1], got %v", c.MinSupport)
-	}
-	if c.SampleBudget == 0 {
-		c.SampleBudget = 32
-	}
-	if c.SampleBudget < 1 {
-		return fmt.Errorf("assocmine: SampleBudget must be positive, got %d", c.SampleBudget)
 	}
 	if c.Window < 0 {
 		return fmt.Errorf("assocmine: Window must be >= 0, got %d", c.Window)
@@ -246,6 +213,16 @@ func (c *Config) setDefaults() error {
 	}
 	c.Workers = normalizeWorkers(c.Workers)
 	return nil
+}
+
+// params is the configuration's phase-2 parameter set: what the shared
+// defaults fill, what candidate.For derives every phase-2 constant
+// from, and what a dist hello frame carries.
+func (c Config) params() candidate.Params {
+	return candidate.Params{
+		Algo: fold.Algo(c.Algorithm), K: c.K, R: c.R, L: c.L, SampleBudget: c.SampleBudget,
+		Seed: c.Seed, Threshold: c.Threshold, Delta: c.Delta,
+	}
 }
 
 // normalizeWorkers applies the single Workers semantic used

@@ -17,7 +17,6 @@ import (
 
 	"assocmine"
 	"assocmine/internal/apriori"
-	"assocmine/internal/candidate"
 	"assocmine/internal/eval"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/lsh"
@@ -220,39 +219,8 @@ func BenchmarkRules(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ---
-
-// BenchmarkAblationCounterReset compares Row-Sorting (counter reuse,
-// work proportional to agreements) against the brute-force O(k·m²)
-// enumeration it replaces.
-func BenchmarkAblationCounterReset(b *testing.B) {
-	w := workloads(b)
-	sig, err := minhash.Compute(w.Web.Data.Matrix().Stream(), 50, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("RowSort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := candidate.RowSortMH(sig, 0.4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HashCount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := candidate.HashCountMH(sig, 0.4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("BruteForce", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := candidate.BruteForceMH(sig, 0.4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
+// --- Ablations (DESIGN.md §4; the two over the phase-2 generators and
+// their oracles are internal/candidate's) ---
 
 // BenchmarkAblationBottomK compares the bounded-max-heap bottom-k
 // sketch against recomputing by sorting all hash values per column.
@@ -269,33 +237,6 @@ func BenchmarkAblationBottomK(b *testing.B) {
 	b.Run("SortAll", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sortAllBottomK(m, 50, 9)
-		}
-	})
-}
-
-// BenchmarkAblationKMHPrefilter compares the biased-then-unbiased
-// cascade against applying the unbiased Theorem 2 estimator to every
-// pair.
-func BenchmarkAblationKMHPrefilter(b *testing.B) {
-	w := workloads(b)
-	sk, err := kminhash.Compute(w.Web.Data.Matrix().Stream(), 50, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("BiasedPrefilter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := candidate.HashCountKMH(sk, candidate.KMHOptions{
-				BiasedCutoff: 0.2, UnbiasedCutoff: 0.4,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("UnbiasedAllPairs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := candidate.BruteForceKMH(sk, 0.4); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

@@ -116,8 +116,8 @@ func SupportsFromLister(ls matrix.ColumnLister) []int64 {
 }
 
 // Counts is the accepted-draw tally of a scan as a sorted run: Keys
-// strictly ascending (uint32(i)<<32|uint32(j), i < j — which is (I, J)
-// order), N[x] >= 1 the accepted draws of pair Keys[x].
+// strictly ascending (pairs.Pair.Key of a canonical pair — which is
+// (I, J) order), N[x] >= 1 the accepted draws of pair Keys[x].
 type Counts struct {
 	Keys []uint64
 	N    []int64
@@ -264,7 +264,7 @@ func (s *sampler) row(row int, cols []int32) error {
 				lo, hi = hi, lo
 			}
 			s.inspected++
-			key := uint64(uint32(lo))<<32 | uint64(uint32(hi))
+			key := pairs.Pair{I: lo, J: hi}.Key()
 			// p < 1 is the subsampled regime; the comparison is written
 			// so that an inconsistent supports slice (zero support for
 			// an observed column, possible only under hostile inputs)
@@ -390,9 +390,8 @@ func finalize(counts Counts, sup []int64, opt Options, pScale float64) []pairs.S
 	var out []pairs.Scored
 	for x, key := range counts.Keys {
 		n := counts.N[x]
-		i := int32(key >> 32)
-		j := int32(key)
-		si, sj := float64(sup[i]), float64(sup[j])
+		pair := pairs.FromKey(key)
+		si, sj := float64(sup[pair.I]), float64(sup[pair.J])
 		p := pScale / (si * sj)
 		if !(p < 1) {
 			p = 1 // also maps the hostile-input Inf/NaN case to exact counting
@@ -415,7 +414,7 @@ func finalize(counts Counts, sup []int64, opt Options, pScale float64) []pairs.S
 		if !(sim >= 0) {
 			sim = 0
 		}
-		out = append(out, pairs.Scored{Pair: pairs.Pair{I: i, J: j}, Estimate: sim})
+		out = append(out, pairs.Scored{Pair: pair, Estimate: sim})
 	}
 	return out
 }

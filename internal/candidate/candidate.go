@@ -1,11 +1,14 @@
-// Package candidate implements the second phase of the paper's
-// three-phase template: generating candidate column pairs from
-// in-memory signatures. It provides the two Section 3.1 algorithms —
-// Row-Sorting and Hash-Count — for MH signatures, the Hash-Count
-// variant for K-MH bottom-k sketches with the biased-then-unbiased
-// estimator cascade of Section 3.2, and a brute-force generator used as
-// a correctness oracle and ablation baseline.
+// Package candidate is the second phase of the paper's three-phase
+// template: generating candidate column pairs from an in-memory sketch.
+// kernel.go is its contract — one parameter set, one kernel per scheme
+// serving any unit range, one rule for combining ranges — which every
+// executor schedules: Row-Sorting (and its Hash-Count attribution) over
+// MH signatures (Section 3.1), Hash-Count over K-MH bottom-k sketches
+// with the biased-then-unbiased estimator cascade of Section 3.2, and
+// internal/lsh's banding (Section 4.1). RowSortMH and HashCountKMH are
+// the serial schedule of one full range.
 //
+// Row-Sorting and Hash-Count share the counting machinery of range.go.
 // Both algorithms avoid the O(m²) cost of examining every pair: work is
 // proportional to the number of signature agreements, which is
 // O(k·S̄·m²) where S̄ is the (typically tiny) average pairwise
@@ -16,7 +19,6 @@ package candidate
 
 import (
 	"context"
-	"fmt"
 
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
@@ -37,16 +39,17 @@ type Stats struct {
 // in at least ceil(cutoff*k) rows. cutoff is the required agreement
 // fraction, typically (1-δ)s*.
 func RowSortMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	return scanMH(context.Background(), sig, cutoff, false, 1, nil)
+	r, err := newMHRanger(context.Background(), sig, cutoff, false, 1)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return all(r)
 }
 
-// HashCountMH generates the same candidate set as RowSortMH using the
-// Hash-Count attribution: columns are processed in index order, each
-// counting agreements against the earlier columns of its buckets only.
-// The buckets are the Row-Sorting runs (a run lists its columns
-// ascending, so "the columns already in the bucket" is a prefix).
-func HashCountMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	return scanMH(context.Background(), sig, cutoff, true, 1, nil)
+// all is the serial schedule: one range over every unit.
+func all(r ranger) ([]pairs.Scored, Stats, error) {
+	out, work := r.span(nil, 0, r.units())
+	return out, Stats{Increments: work, Candidates: len(out)}, nil
 }
 
 // KMHOptions parameterises the K-MH candidate cascade of Section 3.2.
@@ -69,57 +72,11 @@ type KMHOptions struct {
 // unbiased Theorem 2 estimator to survivors. The returned Estimate is
 // the unbiased one.
 func HashCountKMH(s *kminhash.Sketches, opt KMHOptions) ([]pairs.Scored, Stats, error) {
-	return HashCountKMHParallelProgress(context.Background(), s, opt, 1, nil)
-}
-
-// BruteForceMH enumerates all column pairs against the MH agreement
-// threshold in O(k·m²). It is the oracle the faster generators are
-// tested against and the ablation baseline for the counter-reuse
-// benchmarks.
-func BruteForceMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	if cutoff <= 0 || cutoff > 1 {
-		return nil, Stats{}, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
+	r, err := newKMHRanger(s, opt)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	minAgree := ceilFrac(cutoff, sig.K)
-	var st Stats
-	var out []pairs.Scored
-	for i := 0; i < sig.M; i++ {
-		for j := i + 1; j < sig.M; j++ {
-			st.Increments += int64(sig.K)
-			if a := sig.Agreement(i, j); a >= minAgree {
-				out = append(out, pairs.Scored{
-					Pair:     pairs.Make(int32(i), int32(j)),
-					Estimate: float64(a) / float64(sig.K),
-				})
-			}
-		}
-	}
-	st.Candidates = len(out)
-	return out, st, nil
-}
-
-// BruteForceKMH enumerates all pairs with the Theorem 2 unbiased
-// estimator in O(k·m²); oracle for HashCountKMH's recall.
-func BruteForceKMH(s *kminhash.Sketches, cutoff float64) ([]pairs.Scored, Stats, error) {
-	if cutoff <= 0 || cutoff > 1 {
-		return nil, Stats{}, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
-	}
-	m := len(s.Sigs)
-	var st Stats
-	var out []pairs.Scored
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			st.Increments += int64(s.K)
-			if est := s.UnbiasedEstimate(i, j); est >= cutoff {
-				out = append(out, pairs.Scored{
-					Pair:     pairs.Make(int32(i), int32(j)),
-					Estimate: est,
-				})
-			}
-		}
-	}
-	st.Candidates = len(out)
-	return out, st, nil
+	return all(r)
 }
 
 // ceilFrac returns max(1, ceil(cutoff*k)).

@@ -1,11 +1,11 @@
-// Scheduling the rangers. A column's counting depends only on the
-// read-only index, so columns shard across workers, each with a forked
-// ranger (private counter array and output buffer). Because a column's
-// work grows with its index under Hash-Count (it counts against the
-// earlier columns only), columns are handed out in small chunks through
-// an atomic cursor rather than as contiguous ranges; chunk outputs are
-// concatenated in chunk order, which restores exactly the serial
-// emission order. All Stats are identical to the serial pass.
+// The goroutine scheduler. A unit's work depends only on the read-only
+// index, so units shard across workers, each with a forked ranger
+// (private scratch and output buffer). Because a column's work grows
+// with its index under Hash-Count (it counts against the earlier columns
+// only), units are handed out in small chunks through an atomic cursor
+// rather than as contiguous ranges; chunk outputs are concatenated in
+// chunk order, which restores exactly the serial emission order, and
+// gathered. The work count is identical to the serial pass.
 package candidate
 
 import (
@@ -14,16 +14,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"assocmine/internal/kminhash"
-	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
 
-// colChunk is the unit of work handed to a worker, and the granularity
-// of progress ticks and cancellation: big enough to keep cursor
-// contention negligible, small enough to balance the skewed per-column
-// cost.
+// colChunk is the columns handed to a worker at a time, and the
+// granularity of progress ticks and cancellation: big enough to keep
+// cursor contention negligible, small enough to balance the skewed
+// per-column cost. (A band is a whole radix sort: bands go one by one.)
 const colChunk = 32
 
 // forEachUnit runs units [0, n) across workers goroutines (inline for
@@ -61,86 +59,85 @@ func forEachUnit(ctx context.Context, n, workers int, start func() func(unit int
 	wg.Wait()
 }
 
-// columnRanger is what the drivers schedule: MHRanger and KMHRanger.
-type columnRanger interface {
-	// columns appends the candidates of columns [lo, hi) to out.
-	columns(out []pairs.Scored, lo, hi int) []pairs.Scored
-	// fork returns a ranger over the same index with private scratch.
-	fork() columnRanger
-	// total returns the increments counted so far.
-	total() int64
-}
-
-func (c *counter) total() int64 { return c.increments }
-
-// scan drives r over columns [0, m) in colChunk steps. Serially, tick
-// receives (columns processed, m) and ctx is checked after every full
-// chunk; with workers > 1 (and more than one chunk) the chunks go to
-// forked rangers, tick is called from the worker goroutines, and a
-// cancelled ctx stops the claiming of chunks. Output and Stats do not
+// Scan is the goroutine scheduler over the kernel: all of units [0, n)
+// in chunk steps, gathered. Serially, tick receives (units processed, n)
+// and ctx is checked after every full chunk; with workers > 1 (and more
+// than one chunk; negative means GOMAXPROCS) the chunks go to forked
+// rangers through forEachUnit, tick is called from the worker
+// goroutines, and a cancelled ctx (nil means Background) stops the
+// claiming of chunks and fails the scan with ctx.Err(). The candidates —
+// for the counting schemes their order too — and the work count do not
 // depend on workers.
-func scan(ctx context.Context, r columnRanger, m, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if workers <= 1 || m <= colChunk {
+func (k *Kernel) Scan(ctx context.Context, workers int, tick obs.Tick) ([]pairs.Scored, int64, error) {
+	ctx, workers = normWorkers(ctx, workers)
+	n, chunk := k.units, k.chunk
+	var work int64
+	g := k.Gatherer()
+	if workers <= 1 || n <= chunk {
 		var out []pairs.Scored
-		for lo := 0; lo < m; lo += colChunk {
-			hi := min(lo+colChunk, m)
-			out = r.columns(out, lo, hi)
-			if hi-lo == colChunk {
+		for lo := 0; lo < n; lo += chunk {
+			hi := min(lo+chunk, n)
+			from := len(out)
+			var did int64
+			out, did = k.r.span(out, lo, hi)
+			out = g.Add(out[:from], out[from:])
+			work += did
+			if hi-lo == chunk {
 				if err := ctx.Err(); err != nil {
-					return nil, Stats{}, err
+					return nil, 0, err
 				}
 				if tick != nil {
-					tick(int64(hi), int64(m))
+					tick(int64(hi), int64(n))
 				}
 			}
 		}
 		if tick != nil {
-			tick(int64(m), int64(m))
+			tick(int64(n), int64(n))
 		}
-		return out, Stats{Increments: r.total(), Candidates: len(out)}, nil
+		return out, work, nil
 	}
 
 	// Each worker appends its chunks' pairs to one private buffer;
 	// where[ck] records which buffer and which part of it chunk ck owns.
-	type span struct{ worker, lo, hi int }
-	numChunks := (m + colChunk - 1) / colChunk
+	numChunks := (n + chunk - 1) / chunk
 	workers = min(workers, numChunks)
+	type span struct{ worker, lo, hi int }
 	where := make([]span, numChunks)
 	bufs := make([][]pairs.Scored, workers)
-	rangers := make([]columnRanger, workers)
-	rangers[0] = r
-	for w := 1; w < workers; w++ {
-		rangers[w] = r.fork()
-	}
+	works := make([]int64, workers)
 	var nextWorker, done atomic.Int64
 	forEachUnit(ctx, numChunks, workers, func() func(int) {
 		w := int(nextWorker.Add(1)) - 1
+		r := k.r
+		if w > 0 {
+			r = k.r.fork() // in the worker: scratch allocation overlaps counting
+		}
 		return func(ck int) {
-			lo := ck * colChunk
-			hi := min(lo+colChunk, m)
+			lo := ck * chunk
+			hi := min(lo+chunk, n)
 			from := len(bufs[w])
-			bufs[w] = rangers[w].columns(bufs[w], lo, hi)
+			var did int64
+			bufs[w], did = r.span(bufs[w], lo, hi)
+			works[w] += did
 			where[ck] = span{w, from, len(bufs[w])}
 			if tick != nil {
-				tick(done.Add(int64(hi-lo)), int64(m))
+				tick(done.Add(int64(hi-lo)), int64(n))
 			}
 		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
+		return nil, 0, err
 	}
-	var st Stats
-	for _, f := range rangers {
-		st.Increments += f.total()
+	total := 0
+	for w, b := range bufs {
+		total += len(b)
+		work += works[w]
 	}
-	for _, b := range bufs {
-		st.Candidates += len(b)
-	}
-	out := make([]pairs.Scored, 0, st.Candidates)
+	out := make([]pairs.Scored, 0, total)
 	for _, s := range where {
-		out = append(out, bufs[s.worker][s.lo:s.hi]...)
+		out = g.Add(out, bufs[s.worker][s.lo:s.hi])
 	}
-	return out, st, nil
+	return out, work, nil
 }
 
 // normWorkers maps the drivers' worker convention (negative means
@@ -153,41 +150,4 @@ func normWorkers(ctx context.Context, workers int) (context.Context, int) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return ctx, workers
-}
-
-// scanMH builds the MH index (rows sorted across workers) and scans it.
-func scanMH(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	ctx, workers = normWorkers(ctx, workers)
-	r, err := newMHRanger(ctx, sig, cutoff, earlier, workers)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return scan(ctx, r, sig.M, workers, tick)
-}
-
-// RowSortMHParallelProgress is RowSortMH with both stages parallelised
-// — the per-row sorting (k independent rows) and the per-column run
-// scan — plus a progress hook and cancellation. Output and Stats are
-// identical to RowSortMH for any worker count; workers <= 1 runs the
-// serial pass, negative means GOMAXPROCS. tick (when non-nil) receives
-// (columns counted, total columns), from worker goroutines at chunk
-// granularity in the parallel path and inline in the serial path; a
-// cancelled ctx (nil means Background) aborts at chunk granularity with
-// ctx.Err().
-func RowSortMHParallelProgress(ctx context.Context, sig *minhash.Signatures, cutoff float64, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	return scanMH(ctx, sig, cutoff, false, workers, tick)
-}
-
-// HashCountKMHParallelProgress is HashCountKMH with the column counting
-// sharded across workers, a progress hook and cancellation, following
-// the RowSortMHParallelProgress conventions. The index (one radix sort
-// over all sketch values) is built serially — it is the cheap O(m·k)
-// part — and shared read-only.
-func HashCountKMHParallelProgress(ctx context.Context, s *kminhash.Sketches, opt KMHOptions, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	ctx, workers = normWorkers(ctx, workers)
-	r, err := NewKMHRanger(s, opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return scan(ctx, r, len(s.Sigs), workers, tick)
 }

@@ -1,17 +1,35 @@
 package candidate
 
 import (
+	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
 )
 
-// The parallel candidate generators promise bit-identical output to
-// their serial counterparts: same pairs, same order, same Stats.
+// The goroutine scheduler promises bit-identical output to the serial
+// full range — same pairs, same order, same work — at any worker
+// count. TestPhase2Matrix is the table; these are its assertion at the
+// worker counts the table leaves out (odd, and -1 for GOMAXPROCS), on a
+// larger fixture per scheme.
+
+func scanMatchesFullRange(t *testing.T, k *Kernel, workers ...int) {
+	t.Helper()
+	want, wantWork := fullRange(t, k)
+	for _, w := range workers {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			got, work, err := k.Scan(context.Background(), w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCandidates(t, k, got, work, want, wantWork)
+		})
+	}
+}
 
 func TestRowSortMHParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(21)
@@ -20,24 +38,8 @@ func TestRowSortMHParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := RowSortMH(sig, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 7, -1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, st, err := RowSortMHParallelProgress(nil, sig, 0.3, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("output differs from serial: %d pairs vs %d", len(got), len(want))
-			}
-			if st != wantSt {
-				t.Fatalf("stats %+v, want %+v", st, wantSt)
-			}
-		})
-	}
+	p := Params{Algo: fold.MinHash, Threshold: 0.3}
+	scanMatchesFullRange(t, mustFor(t, p, fold.Sketch{MH: sig}, 1), 1, 2, 4, 7, -1)
 }
 
 func TestHashCountMHParallelMatchesSerial(t *testing.T) {
@@ -47,22 +49,11 @@ func TestHashCountMHParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := HashCountMH(sig, 0.25)
+	r, err := newMHRanger(context.Background(), sig, 0.25, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 7} {
-		got, st, err := scanMH(nil, sig, 0.25, true, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: output differs from serial", workers)
-		}
-		if st != wantSt {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, wantSt)
-		}
-	}
+	scanMatchesFullRange(t, kernelOf(t, fold.MinHash, r), 2, 4, 7)
 }
 
 func TestHashCountKMHParallelMatchesSerial(t *testing.T) {
@@ -72,23 +63,8 @@ func TestHashCountKMHParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := KMHOptions{BiasedCutoff: 0.3, UnbiasedCutoff: 0.5}
-	want, wantSt, err := HashCountKMH(sk, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		got, st, err := HashCountKMHParallelProgress(nil, sk, opt, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: output differs from serial", workers)
-		}
-		if st != wantSt {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, wantSt)
-		}
-	}
+	p := Params{Algo: fold.KMinHash, Threshold: 0.5}
+	scanMatchesFullRange(t, mustFor(t, p, fold.Sketch{KMH: sk}, 1), 2, 4, 7)
 }
 
 func TestParallelCandidateErrors(t *testing.T) {
@@ -98,13 +74,13 @@ func TestParallelCandidateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RowSortMHParallelProgress(nil, sig, 0, 4, nil); err == nil {
-		t.Error("RowSortMHParallel accepted cutoff 0")
+	if _, err := newMHRanger(context.Background(), sig, 0, false, 4); err == nil {
+		t.Error("Row-Sort index build accepted cutoff 0")
 	}
-	if _, _, err := scanMH(nil, sig, 1.5, true, 4, nil); err == nil {
-		t.Error("HashCountMHParallel accepted cutoff 1.5")
+	if _, err := newMHRanger(context.Background(), sig, 1.5, true, 4); err == nil {
+		t.Error("Hash-Count index build accepted cutoff 1.5")
 	}
-	if _, _, err := HashCountKMHParallelProgress(nil, &kminhash.Sketches{K: 1}, KMHOptions{BiasedCutoff: 0}, 4, nil); err == nil {
-		t.Error("HashCountKMHParallel accepted zero biased cutoff")
+	if _, err := newKMHRanger(&kminhash.Sketches{K: 1}, KMHOptions{BiasedCutoff: 0}); err == nil {
+		t.Error("K-MH index build accepted zero biased cutoff")
 	}
 }

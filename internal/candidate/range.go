@@ -1,16 +1,15 @@
-// The phase-2 kernels. Row-Sorting and Hash-Count both group columns by
+// The counting kernels. Row-Sorting and Hash-Count both group columns by
 // an equal min-hash value and then, column by column, count how often
 // each other column shares a group. The grouping is built once as a
 // read-only runIndex (one radix sort per signature row, or one over all
-// sketch values); the counting is the rangers' Columns loop, the only
-// count loop in the package. Both algorithms attribute each candidate
-// pair to exactly one column (the smaller index for Row-Sort's j > i
-// emission, the later column for Hash-Count's count-against-earlier
-// scheme), so disjoint column ranges partition the candidate set and
-// concatenating range outputs in range order reproduces the full scan
-// exactly — pair for pair, estimate bit for estimate bit. The serial
-// and goroutine-parallel drivers (parallel.go) and the scale-out
-// executor's workers are schedulers over Columns.
+// sketch values) that depends on the sketch alone, never on a cutoff;
+// the counting is the rangers' span loop, the only count loop in the
+// package. Both algorithms attribute each candidate pair to exactly one
+// column (the smaller index for Row-Sort's j > i emission, the later
+// column for Hash-Count's count-against-earlier scheme), so disjoint
+// column ranges partition the candidate set and concatenating range
+// outputs in range order reproduces the full scan exactly — pair for
+// pair, estimate bit for estimate bit.
 package candidate
 
 import (
@@ -50,7 +49,7 @@ func checkCells(n int) error {
 // being sorted[base : base+len(keys)]. cell names the runs slot of each
 // record in turn; the slot gets the run's bounds when the run has
 // company.
-func (ix *runIndex) fillRuns(keys []uint64, cols []int32, base int, cell func(col int32) int) {
+func (ix runIndex) fillRuns(keys []uint64, cols []int32, base int, cell func(col int32) int) {
 	start := 0
 	for q := 1; q <= len(keys); q++ {
 		if q < len(keys) && keys[q] == keys[start] {
@@ -73,13 +72,13 @@ func (ix *runIndex) fillRuns(keys []uint64, cols []int32, base int, cell func(co
 // paper's counter-reuse trick — one O(m) counter array, resetting only
 // the entries a column actually touched.
 type counter struct {
-	ix         *runIndex
+	ix         runIndex
 	counts     []int32
 	touched    []int32
 	increments int64
 }
 
-func newCounter(ix *runIndex, m int) counter {
+func newCounter(ix runIndex, m int) counter {
 	return counter{ix: ix, counts: make([]int32, m), touched: make([]int32, 0, 256)}
 }
 
@@ -109,48 +108,38 @@ func (c *counter) count(cells []uint64, i int32, earlier bool) {
 	}
 }
 
-// columnsOf is the exported Columns of both rangers: r's candidates for
-// columns [lo, hi) of m, with the Stats of this call alone.
-func columnsOf(r columnRanger, m, lo, hi int) ([]pairs.Scored, Stats, error) {
-	if lo < 0 || hi > m || lo > hi {
-		return nil, Stats{}, fmt.Errorf("candidate: column range [%d,%d) outside [0,%d)", lo, hi, m)
-	}
-	before := r.total()
-	out := r.columns(nil, lo, hi)
-	return out, Stats{Increments: r.total() - before, Candidates: len(out)}, nil
-}
-
-// MHRanger serves any column range of the MH generators' emission loop
-// over a prebuilt index. Columns(a, b) followed by Columns(b, c) emits
-// exactly what one Columns(a, c) — and therefore what RowSortMH over
-// [0, m) — would. Not safe for concurrent use: the counter array is
-// reused across calls; parallel drivers fork one ranger per worker over
-// the shared index, distributed workers run one per process.
-type MHRanger struct {
+// mhRanger serves any column range of the MH generators' emission loop
+// over a prebuilt index: span(a, b) followed by span(b, c) emits exactly
+// what one span(a, c) — and therefore what RowSortMH over [0, m) —
+// would.
+type mhRanger struct {
 	counter
 	k, m     int
 	minAgree int
 	earlier  bool // Hash-Count attribution: column i counts columns j < i only
 }
 
-// NewMHRanger validates cutoff and builds the Row-Sorting index, the
-// one-time O(k·m) cost RowSortMH pays up front.
-func NewMHRanger(sig *minhash.Signatures, cutoff float64) (*MHRanger, error) {
-	return newMHRanger(context.Background(), sig, cutoff, false, 1)
-}
-
-// newMHRanger builds the index with the k signature rows sorted across
-// workers goroutines; a cancelled ctx stops the build at row
-// granularity.
-func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int) (*MHRanger, error) {
+// newMHRanger validates cutoff and builds the Row-Sorting index across
+// workers goroutines, the one-time O(k·m) cost RowSortMH pays up front.
+func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int) (*mhRanger, error) {
 	if cutoff <= 0 || cutoff > 1 {
 		return nil, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
 	}
-	k, m := sig.K, sig.M
-	if err := checkCells(k * m); err != nil {
+	ix, err := mhIndex(ctx, sig, workers)
+	if err != nil {
 		return nil, err
 	}
-	ix := &runIndex{sorted: make([]int32, k*m), runs: make([]uint64, k*m)}
+	return &mhRanger{counter: newCounter(ix, sig.M), k: sig.K, m: sig.M, minAgree: ceilFrac(cutoff, sig.K), earlier: earlier}, nil
+}
+
+// mhIndex sorts the k signature rows, across workers goroutines, into
+// the run index; a cancelled ctx stops the build at row granularity.
+func mhIndex(ctx context.Context, sig *minhash.Signatures, workers int) (runIndex, error) {
+	k, m := sig.K, sig.M
+	if err := checkCells(k * m); err != nil {
+		return runIndex{}, err
+	}
+	ix := runIndex{sorted: make([]int32, k*m), runs: make([]uint64, k*m)}
 	// Rows write disjoint parts of sorted (row l sorts its columns in
 	// place in [l·m, (l+1)·m)) and of runs (slot c·k+l), so they build
 	// independently.
@@ -170,29 +159,21 @@ func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, e
 			ix.fillRuns(keys, cols, l*m, func(c int32) int { return int(c)*k + l })
 		}
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &MHRanger{counter: newCounter(ix, m), k: k, m: m, minAgree: ceilFrac(cutoff, k), earlier: earlier}, nil
+	return ix, ctx.Err()
 }
 
-// fork returns a ranger over the same index with private scratch.
-func (r *MHRanger) fork() columnRanger {
-	f := *r
-	f.counter = newCounter(r.ix, r.m)
-	return &f
+func (r *mhRanger) units() int { return r.m }
+
+func (r *mhRanger) fork() ranger {
+	return &mhRanger{counter: newCounter(r.ix, r.m), k: r.k, m: r.m, minAgree: r.minAgree, earlier: r.earlier}
 }
 
-// Columns emits the candidates attributed to columns [lo, hi): pairs
+// span emits the candidates attributed to columns [lo, hi): pairs
 // (i, j) with lo <= i < hi and j > i (j < i for a Hash-Count ranger)
 // agreeing in at least ceil(cutoff·k) rows, in the full scan's exact
 // emission order.
-func (r *MHRanger) Columns(lo, hi int) ([]pairs.Scored, Stats, error) {
-	return columnsOf(r, r.m, lo, hi)
-}
-
-func (r *MHRanger) columns(out []pairs.Scored, lo, hi int) []pairs.Scored {
-	k := r.k
+func (r *mhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
+	k, before := r.k, r.increments
 	for i := lo; i < hi; i++ {
 		ii := int32(i)
 		r.count(r.ix.runs[i*k:(i+1)*k], ii, r.earlier)
@@ -207,30 +188,39 @@ func (r *MHRanger) columns(out []pairs.Scored, lo, hi int) []pairs.Scored {
 		}
 		r.touched = r.touched[:0]
 	}
-	return out
+	return out, r.increments - before
 }
 
-// KMHRanger serves any column range of HashCountKMH's emission loop:
+// kmhRanger serves any column range of HashCountKMH's emission loop:
 // column i counts |SIG_i ∩ SIG_j| against earlier columns j < i, read
 // from the ascending prefixes of its sketch values' runs. Concatenating
-// Columns outputs in range order reproduces HashCountKMH exactly. Not
-// safe for concurrent use (see MHRanger).
-type KMHRanger struct {
+// span outputs in range order reproduces HashCountKMH exactly.
+type kmhRanger struct {
 	counter
 	s   *kminhash.Sketches
 	opt KMHOptions
 	off []int // column i's cells are runs[off[i]:off[i+1]], one per sketch slot
 }
 
-// NewKMHRanger validates the cutoffs and builds the index: every sketch
-// value of every column in one radix sort.
-func NewKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*KMHRanger, error) {
+// newKMHRanger validates the cutoffs and builds the index.
+func newKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*kmhRanger, error) {
 	if opt.BiasedCutoff <= 0 || opt.BiasedCutoff > 1 {
 		return nil, fmt.Errorf("candidate: biased cutoff must be in (0,1], got %v", opt.BiasedCutoff)
 	}
 	if opt.UnbiasedCutoff < 0 || opt.UnbiasedCutoff > 1 {
 		return nil, fmt.Errorf("candidate: unbiased cutoff must be in [0,1], got %v", opt.UnbiasedCutoff)
 	}
+	ix, off, err := kmhIndex(s)
+	if err != nil {
+		return nil, err
+	}
+	return &kmhRanger{counter: newCounter(ix, len(s.Sigs)), s: s, opt: opt, off: off}, nil
+}
+
+// kmhIndex groups every sketch value of every column in one radix sort
+// — serially: it is the cheap O(m·k) part — and returns with the run
+// index each column's cell offsets.
+func kmhIndex(s *kminhash.Sketches) (runIndex, []int, error) {
 	m := len(s.Sigs)
 	off := make([]int, m+1)
 	for i, sg := range s.Sigs {
@@ -238,10 +228,10 @@ func NewKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*KMHRanger, error) {
 	}
 	n := off[m]
 	if err := checkCells(n); err != nil {
-		return nil, err
+		return runIndex{}, nil, err
 	}
 	keys := make([]uint64, 0, n)
-	ix := &runIndex{sorted: make([]int32, 0, n)}
+	ix := runIndex{sorted: make([]int32, 0, n)}
 	for i, sg := range s.Sigs {
 		for _, v := range sg {
 			keys, ix.sorted = append(keys, v), append(ix.sorted, int32(i))
@@ -260,24 +250,21 @@ func NewKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*KMHRanger, error) {
 		next[c]++
 		return next[c] - 1
 	})
-	return &KMHRanger{counter: newCounter(ix, m), s: s, opt: opt, off: off}, nil
+	return ix, off, nil
 }
 
-func (r *KMHRanger) fork() columnRanger {
-	f := *r
-	f.counter = newCounter(r.ix, len(r.s.Sigs))
-	return &f
+func (r *kmhRanger) units() int { return len(r.s.Sigs) }
+
+func (r *kmhRanger) fork() ranger {
+	return &kmhRanger{counter: newCounter(r.ix, len(r.s.Sigs)), s: r.s, opt: r.opt, off: r.off}
 }
 
-// Columns emits the candidates HashCountKMH attributes to columns
+// span emits the candidates HashCountKMH attributes to columns
 // [lo, hi): for each i in the range, pairs (j, i) with j < i surviving
 // the biased-then-unbiased cascade, in HashCountKMH's exact emission
 // order.
-func (r *KMHRanger) Columns(lo, hi int) ([]pairs.Scored, Stats, error) {
-	return columnsOf(r, len(r.s.Sigs), lo, hi)
-}
-
-func (r *KMHRanger) columns(out []pairs.Scored, lo, hi int) []pairs.Scored {
+func (r *kmhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
+	before := r.increments
 	for i := lo; i < hi; i++ {
 		ii := int32(i)
 		r.count(r.ix.runs[r.off[i]:r.off[i+1]], ii, true)
@@ -295,5 +282,5 @@ func (r *KMHRanger) columns(out []pairs.Scored, lo, hi int) []pairs.Scored {
 		}
 		r.touched = r.touched[:0]
 	}
-	return out
+	return out, r.increments - before
 }

@@ -1,30 +1,29 @@
 package candidate
 
 import (
+	"context"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
-	"assocmine/internal/pairs"
 )
 
-func scoredEqual(a, b []pairs.Scored) bool {
-	if len(a) != len(b) {
-		return false
+// rangesMatchFullRange is TestPhase2Matrix's assertion over hand-picked
+// partitions of one kernel's columns: concatenating consecutive Range
+// outputs reproduces the full range — same pairs, same order, same
+// estimate bits, same increments — single-column and empty ranges
+// included.
+func rangesMatchFullRange(t *testing.T, k *Kernel, partitions [][]int) {
+	t.Helper()
+	want, wantWork := fullRange(t, k)
+	for _, cuts := range partitions {
+		got, work := dealt(t, k, cuts, 1)
+		sameCandidates(t, k, got, work, want, wantWork)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
-// TestMHRangerMatchesRowSort proves that concatenating MHRanger column
-// ranges in range order reproduces RowSortMH exactly — same pairs, same
-// order, same estimate bits — across several partitions including
-// single-column and empty ranges.
 func TestMHRangerMatchesRowSort(t *testing.T) {
 	rng := hashing.NewSplitMix64(41)
 	m, _ := plantedMatrix(rng, 300, 60)
@@ -32,62 +31,22 @@ func TestMHRangerMatchesRowSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cutoff = 0.5
-	want, wantSt, err := RowSortMH(sig, cutoff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("fixture emitted no candidates; weaken the cutoff")
-	}
-	partitions := [][]int{
+	k := mustFor(t, Params{Algo: fold.MinHash, Threshold: 0.5}, fold.Sketch{MH: sig}, 1)
+	rangesMatchFullRange(t, k, [][]int{
 		{0, 60},
 		{0, 30, 60},
 		{0, 7, 7, 13, 45, 60},
 		{0, 1, 2, 3, 60},
-	}
-	for _, cuts := range partitions {
-		r, err := NewMHRanger(sig, cutoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []pairs.Scored
-		var inc int64
-		for i := 0; i+1 < len(cuts); i++ {
-			part, st, err := r.Columns(cuts[i], cuts[i+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, part...)
-			inc += st.Increments
-		}
-		if !scoredEqual(got, want) {
-			t.Errorf("partition %v: %d candidates, want %d (or order/estimate mismatch)", cuts, len(got), len(want))
-		}
-		if inc != wantSt.Increments {
-			t.Errorf("partition %v: %d increments, want %d", cuts, inc, wantSt.Increments)
-		}
-	}
-	if _, _, err := mustRanger(t, sig, cutoff).Columns(-1, 5); err == nil {
-		t.Error("negative lo accepted")
-	}
-	if _, _, err := mustRanger(t, sig, cutoff).Columns(0, 61); err == nil {
-		t.Error("hi beyond m accepted")
-	}
-}
-
-func mustRanger(t *testing.T, sig *minhash.Signatures, cutoff float64) *MHRanger {
-	t.Helper()
-	r, err := NewMHRanger(sig, cutoff)
+	})
+	// The serial entry point is the same full range.
+	rowSort, st, err := RowSortMH(sig, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	want, wantWork := fullRange(t, k)
+	sameCandidates(t, k, rowSort, st.Increments, want, wantWork)
 }
 
-// TestKMHRangerMatchesHashCount proves the same for the K-MH cascade:
-// prebuilt ascending buckets served over ranges equals the serial
-// incremental Hash-Count.
 func TestKMHRangerMatchesHashCount(t *testing.T) {
 	rng := hashing.NewSplitMix64(43)
 	m, _ := plantedMatrix(rng, 300, 60)
@@ -95,41 +54,19 @@ func TestKMHRangerMatchesHashCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := KMHOptions{BiasedCutoff: 0.25, UnbiasedCutoff: 0.5}
-	want, wantSt, err := HashCountKMH(sk, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("fixture emitted no candidates; weaken the cutoffs")
-	}
-	partitions := [][]int{
+	p := Params{Algo: fold.KMinHash, Threshold: 0.5}
+	k := mustFor(t, p, fold.Sketch{KMH: sk}, 1)
+	rangesMatchFullRange(t, k, [][]int{
 		{0, 60},
 		{0, 15, 30, 45, 60},
 		{0, 59, 60},
+	})
+	hashCount, st, err := HashCountKMH(sk, p.cascade())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cuts := range partitions {
-		r, err := NewKMHRanger(sk, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []pairs.Scored
-		var inc int64
-		for i := 0; i+1 < len(cuts); i++ {
-			part, st, err := r.Columns(cuts[i], cuts[i+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, part...)
-			inc += st.Increments
-		}
-		if !scoredEqual(got, want) {
-			t.Errorf("partition %v: %d candidates, want %d (or order/estimate mismatch)", cuts, len(got), len(want))
-		}
-		if inc != wantSt.Increments {
-			t.Errorf("partition %v: %d increments, want %d", cuts, inc, wantSt.Increments)
-		}
-	}
+	want, wantWork := fullRange(t, k)
+	sameCandidates(t, k, hashCount, st.Increments, want, wantWork)
 }
 
 // TestRangerValidation covers the constructor cutoff checks.
@@ -137,17 +74,17 @@ func TestRangerValidation(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m := randomMatrix(rng, 40, 10, 0.2)
 	sig, _ := minhash.Compute(m.Stream(), 8, 3)
-	if _, err := NewMHRanger(sig, 0); err == nil {
+	if _, err := newMHRanger(context.Background(), sig, 0, false, 1); err == nil {
 		t.Error("cutoff 0 accepted")
 	}
-	if _, err := NewMHRanger(sig, 1.5); err == nil {
+	if _, err := newMHRanger(context.Background(), sig, 1.5, false, 1); err == nil {
 		t.Error("cutoff > 1 accepted")
 	}
 	sk, _ := kminhash.Compute(m.Stream(), 8, 3)
-	if _, err := NewKMHRanger(sk, KMHOptions{BiasedCutoff: 0}); err == nil {
+	if _, err := newKMHRanger(sk, KMHOptions{BiasedCutoff: 0}); err == nil {
 		t.Error("biased cutoff 0 accepted")
 	}
-	if _, err := NewKMHRanger(sk, KMHOptions{BiasedCutoff: 0.5, UnbiasedCutoff: 2}); err == nil {
+	if _, err := newKMHRanger(sk, KMHOptions{BiasedCutoff: 0.5, UnbiasedCutoff: 2}); err == nil {
 		t.Error("unbiased cutoff > 1 accepted")
 	}
 }

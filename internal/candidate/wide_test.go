@@ -1,10 +1,12 @@
 package candidate
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/gen"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
@@ -47,28 +49,28 @@ func unevenCuts(m int) []int {
 	return cuts
 }
 
-// ranged concatenates Columns over the cuts.
-func ranged(t *testing.T, cuts []int, columns func(lo, hi int) ([]pairs.Scored, Stats, error)) ([]pairs.Scored, Stats) {
+// wideSchedulers is TestPhase2Matrix's assertion at the width where a
+// scan has hundreds of chunks: 4 workers and uneven ranges emit what
+// the serial full range does, pair for pair and increment for
+// increment.
+func wideSchedulers(t *testing.T, k *Kernel) ([]pairs.Scored, int64) {
 	t.Helper()
-	var out []pairs.Scored
-	var st Stats
-	for i := 0; i+1 < len(cuts); i++ {
-		part, pst, err := columns(cuts[i], cuts[i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, part...)
-		st.Increments += pst.Increments
-		st.Candidates += pst.Candidates
+	want, wantWork := fullRange(t, k)
+	par, parWork, err := k.Scan(context.Background(), 4, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out, st
+	sameCandidates(t, k, par, parWork, want, wantWork)
+	chunked, chunkedWork := dealt(t, k, unevenCuts(k.Units()), 1)
+	sameCandidates(t, k, chunked, chunkedWork, want, wantWork)
+	return want, wantWork
 }
 
 // TestRowSortWide pins the radix-grouped Row-Sort on a wide sparse
 // matrix: the candidate set equals the brute-force oracle's, the
 // increment count equals Σ r·(r−1) over the runs of non-Empty values
 // counted independently with a map, and the serial scan, a 4-worker
-// scan and a ranger driven in uneven chunks emit the same pairs in the
+// scan and a kernel driven in uneven chunks emit the same pairs in the
 // same order.
 func TestRowSortWide(t *testing.T) {
 	const cutoff = 0.5
@@ -77,6 +79,9 @@ func TestRowSortWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := mustFor(t, Params{Algo: fold.MinHash, Threshold: cutoff}, fold.Sketch{MH: sig}, 1)
+	full, fullWork := wideSchedulers(t, k)
+	sameCandidates(t, k, got, st.Increments, full, fullWork)
 
 	var wantInc int64
 	emptyCols := 0
@@ -98,22 +103,6 @@ func TestRowSortWide(t *testing.T) {
 	}
 	if st.Increments != wantInc {
 		t.Errorf("increments %d, want Σ r(r-1) = %d", st.Increments, wantInc)
-	}
-
-	par, parSt, err := RowSortMHParallelProgress(nil, sig, cutoff, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, got) || parSt != st {
-		t.Errorf("4 workers: %d pairs %+v, serial %d pairs %+v (or order differs)", len(par), parSt, len(got), st)
-	}
-	r, err := NewMHRanger(sig, cutoff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked, chunkedSt := ranged(t, unevenCuts(sig.M), r.Columns)
-	if !reflect.DeepEqual(chunked, got) || chunkedSt != st {
-		t.Errorf("uneven ranges: %d pairs %+v, serial %d pairs %+v (or order differs)", len(chunked), chunkedSt, len(got), st)
 	}
 
 	if testing.Short() {
@@ -151,13 +140,13 @@ func TestHashCountWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mhPar, mhParSt, err := scanMH(nil, sig, cutoff, true, 4, nil)
+	hc, err := newMHRanger(context.Background(), sig, cutoff, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mhPar, mh) || mhParSt != mhSt {
-		t.Errorf("HashCountMH, 4 workers: %d pairs %+v, serial %d pairs %+v (or order differs)", len(mhPar), mhParSt, len(mh), mhSt)
-	}
+	hcKernel := kernelOf(t, fold.MinHash, hc)
+	want, wantWork := wideSchedulers(t, hcKernel)
+	sameCandidates(t, hcKernel, mh, mhSt.Increments, want, wantWork)
 	rs, rsSt, err := RowSortMH(sig, cutoff)
 	if err != nil {
 		t.Fatal(err)
@@ -180,21 +169,9 @@ func TestHashCountWide(t *testing.T) {
 	if len(kmh) < 1000 {
 		t.Fatalf("fixture has only %d K-MH candidates", len(kmh))
 	}
-	kmhPar, kmhParSt, err := HashCountKMHParallelProgress(nil, sk, opt, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(kmhPar, kmh) || kmhParSt != kmhSt {
-		t.Errorf("HashCountKMH, 4 workers: %d pairs %+v, serial %d pairs %+v (or order differs)", len(kmhPar), kmhParSt, len(kmh), kmhSt)
-	}
-	r, err := NewKMHRanger(sk, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked, chunkedSt := ranged(t, unevenCuts(len(sk.Sigs)), r.Columns)
-	if !reflect.DeepEqual(chunked, kmh) || chunkedSt != kmhSt {
-		t.Errorf("HashCountKMH, uneven ranges: %d pairs %+v, serial %d pairs %+v (or order differs)", len(chunked), chunkedSt, len(kmh), kmhSt)
-	}
+	kmhKernel := mustFor(t, Params{Algo: fold.KMinHash, Threshold: cutoff}, fold.Sketch{KMH: sk}, 1)
+	want, wantWork = wideSchedulers(t, kmhKernel)
+	sameCandidates(t, kmhKernel, kmh, kmhSt.Increments, want, wantWork)
 	// The independent count: Σ over shared sketch values of C(r, 2).
 	holders := make(map[uint64]int64)
 	for _, sg := range sk.Sigs {
@@ -220,24 +197,36 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 	const k, workers = 4, 4
 	sig := wideSignatures(t, k)
 	sk := wideSketches(t, k)
-	opt := KMHOptions{BiasedCutoff: 0.25, UnbiasedCutoff: 0.5}
-	runs := map[string]func() error{
-		"RowSortMHParallel":    func() error { _, _, err := RowSortMHParallelProgress(nil, sig, 0.5, workers, nil); return err },
-		"HashCountMHParallel":  func() error { _, _, err := scanMH(nil, sig, 0.5, true, workers, nil); return err },
-		"HashCountKMHParallel": func() error { _, _, err := HashCountKMHParallelProgress(nil, sk, opt, workers, nil); return err },
+	ctx := context.Background()
+	with := func(algo fold.Algo) Params { return Params{Algo: algo, K: k, R: 2, L: 2, Threshold: 0.5} }
+	builds := map[string]func() (*Kernel, error){
+		"RowSortMH": func() (*Kernel, error) { return For(ctx, with(fold.MinHash), fold.Sketch{MH: sig}, workers) },
+		"HashCountMH": func() (*Kernel, error) {
+			r, err := newMHRanger(ctx, sig, 0.5, true, workers)
+			if err != nil {
+				return nil, err
+			}
+			return kernelOf(t, fold.MinHash, r), nil
+		},
+		"HashCountKMH": func() (*Kernel, error) { return For(ctx, with(fold.KMinHash), fold.Sketch{KMH: sk}, workers) },
+		"Banding":      func() (*Kernel, error) { return For(ctx, with(fold.MinLSH), fold.Sketch{MH: sig}, workers) },
 	}
 	// 64 bytes per (column, signature row or worker): sort keys and
 	// scratch (24), the index (12), counters and output.
 	const limit = 64 * wideCols * (k + workers)
-	for name, run := range runs {
+	for name, build := range builds {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := run(); err != nil {
+		k, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := k.Scan(ctx, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-			t.Errorf("%s allocated %d bytes for %d columns, limit %d: scratch is not per worker", name, got, wideCols, limit)
+			t.Errorf("%s with %d workers allocated %d bytes for %d columns, limit %d: scratch is not per worker", name, workers, got, wideCols, limit)
 		}
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"sync"
 	"time"
 
 	"assocmine/internal/bps"
+	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
@@ -30,8 +30,8 @@ type Config struct {
 	// Threshold is s*, required in (0,1].
 	Threshold float64
 	// Delta, K, R, L, SampleBudget and Seed have the single-process
-	// driver's meanings and defaults (Delta 0.2, K 100, R 5, L K/R,
-	// SampleBudget 32).
+	// driver's meanings and defaults: both fill them with
+	// candidate.Params.SetDefaults.
 	Delta        float64
 	K, R, L      int
 	SampleBudget int
@@ -75,45 +75,11 @@ func (c *Config) setDefaults() error {
 	if _, ok := fold.For(c.Algorithm); !ok {
 		return fmt.Errorf("dist: unsupported algorithm %v", c.Algorithm)
 	}
-	if c.Threshold <= 0 || c.Threshold > 1 {
-		return fmt.Errorf("dist: Threshold must be in (0,1], got %v", c.Threshold)
+	p := c.params()
+	if err := p.SetDefaults(); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
-	if c.K == 0 {
-		c.K = 100
-	}
-	if c.K < 1 {
-		return fmt.Errorf("dist: K must be positive, got %d", c.K)
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.2
-	}
-	if c.Delta < 0 || c.Delta >= 1 {
-		return fmt.Errorf("dist: Delta must be in [0,1), got %v", c.Delta)
-	}
-	if c.R == 0 {
-		c.R = 5
-	}
-	if c.R < 1 {
-		return fmt.Errorf("dist: R must be positive, got %d", c.R)
-	}
-	if c.L == 0 {
-		c.L = c.K / c.R
-		if c.L < 1 {
-			c.L = 1
-		}
-	}
-	if c.L < 1 {
-		return fmt.Errorf("dist: L must be positive, got %d", c.L)
-	}
-	if c.Algorithm == MinLSH && c.K < c.R {
-		return fmt.Errorf("dist: MinLSH needs K >= R, got K=%d R=%d", c.K, c.R)
-	}
-	if c.SampleBudget == 0 {
-		c.SampleBudget = 32
-	}
-	if c.SampleBudget < 1 {
-		return fmt.Errorf("dist: SampleBudget must be positive, got %d", c.SampleBudget)
-	}
+	c.K, c.R, c.L, c.SampleBudget, c.Delta = p.K, p.R, p.L, p.SampleBudget, p.Delta
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -127,6 +93,15 @@ func (c *Config) setDefaults() error {
 		c.JobTimeout = 5 * time.Minute
 	}
 	return nil
+}
+
+// params is the configuration's phase-2 parameter set: what the shared
+// defaults fill and the hello frame carries.
+func (c Config) params() candidate.Params {
+	return candidate.Params{
+		Algo: c.Algorithm, K: c.K, R: c.R, L: c.L, SampleBudget: c.SampleBudget,
+		Seed: c.Seed, Threshold: c.Threshold, Delta: c.Delta,
+	}
 }
 
 func (c Config) context() context.Context {
@@ -246,17 +221,7 @@ func Run(cfg Config) (*Result, error) {
 		rows: fs.NumRows(),
 		cols: fs.NumCols(),
 		rec:  rec,
-		h: &hello{
-			Algo:         cfg.Algorithm,
-			Path:         cfg.Path,
-			K:            cfg.K,
-			R:            cfg.R,
-			L:            cfg.L,
-			SampleBudget: cfg.SampleBudget,
-			Seed:         cfg.Seed,
-			Threshold:    cfg.Threshold,
-			Delta:        cfg.Delta,
-		},
+		h:    &hello{Params: cfg.params(), Path: cfg.Path},
 	}
 	co.stats.Rows, co.stats.Cols = co.rows, co.cols
 
@@ -358,57 +323,34 @@ func (co *coordinator) foldPhase(ctx context.Context, procs []*proc) (fold.State
 	return merged, nil
 }
 
-// candPhase distributes candidate generation: column ranges for the
-// counting schemes, band ranges for M-LSH. Both partitions are exact —
-// a pair is owned by exactly one column, and within a band by exactly
-// one bucket — so the union equals the serial set.
+// candPhase distributes the sketch schemes' phase 2: the unit ranges of
+// the scheme's kernel (columns for the counting schemes, bands for
+// M-LSH) go to the workers, and their answers combine by the scheme's
+// own rule — its Gatherer — so the result equals the serial scan's set.
 func (co *coordinator) candPhase(ctx context.Context, procs []*proc) ([]pairs.Scored, error) {
 	end := co.span(obs.PhaseCandidates)
 	defer func() { co.stats.CandidateTime = end() }()
-	cfg := co.cfg
-	if cfg.Algorithm == MinLSH {
-		jobs := rangeJobs(jobBands, cfg.L, cfg.Workers)
-		set := pairs.NewSet(0)
-		var bucketPairs int64
-		err := co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
-			res, err := decodeBandsResult(payload)
-			if err != nil {
-				return errPermanent{err}
-			}
-			for _, band := range res.Bands {
-				bucketPairs += band.BucketPairs
-				for _, p := range band.Pairs {
-					set.Add(p.I, p.J)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		co.rec.Add(obs.CounterBucketPairs, bucketPairs)
-		cand := make([]pairs.Scored, 0, set.Len())
-		for _, p := range set.Slice() {
-			cand = append(cand, pairs.Scored{Pair: p})
-		}
-		return cand, nil
+	scheme, err := candidate.SchemeFor(co.h.Params, co.cols)
+	if err != nil {
+		return nil, err
 	}
-	jobs := rangeJobs(jobCand, co.cols, cfg.Workers)
 	var cand []pairs.Scored
-	var increments int64
-	err := co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
+	var work int64
+	gather := scheme.Gatherer()
+	jobs := rangeJobs(jobCand, scheme.Units(), co.cfg.Workers)
+	err = co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
 		res, err := decodeCandResult(payload)
 		if err != nil {
 			return errPermanent{err}
 		}
-		increments += res.Increments
-		cand = append(cand, res.Cand...)
+		work += res.Work
+		cand = gather.Add(cand, res.Cand)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	co.rec.Add(obs.CounterIncrements, increments)
+	co.rec.Add(scheme.Counter, work)
 	return cand, nil
 }
 
@@ -432,13 +374,7 @@ func (co *coordinator) samplePhase(ctx context.Context, procs []*proc, sup []int
 	if err != nil {
 		return nil, err
 	}
-	opt := bps.Options{
-		Threshold: co.cfg.Threshold,
-		Delta:     co.cfg.Delta,
-		Budget:    co.cfg.SampleBudget,
-		Seed:      co.cfg.Seed,
-	}
-	cand, bst, err := bps.FinalizeCounts(counts, sup, opt)
+	cand, bst, err := bps.FinalizeCounts(counts, sup, co.h.BPS(1))
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +397,7 @@ func (co *coordinator) verify(ctx context.Context, procs []*proc, cand []pairs.S
 	if len(cand) == 0 {
 		return nil, nil
 	}
-	sort.Slice(cand, func(a, b int) bool { return pairKey(cand[a].Pair) < pairKey(cand[b].Pair) })
+	pairs.SortByKey(cand)
 	njobs := co.cfg.Workers
 	if njobs > len(cand) {
 		njobs = len(cand)

@@ -137,7 +137,9 @@ func comparePairs(t *testing.T, label string, got []dist.Pair, want []assocmine.
 
 // TestDistMatchesSingleProcess is the differential core: every
 // supported scheme, 1 and 4 worker processes, both binary formats,
-// identical output to the streamed single-process driver.
+// identical output to the streamed single-process driver — the pairs,
+// and the pair and phase-2 work counters the coordinator's recorder
+// ends with against the single-process Stats.
 func TestDistMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess fleets")
@@ -159,7 +161,9 @@ func TestDistMatchesSingleProcess(t *testing.T) {
 			for _, path := range []string{arows, carows} {
 				label := sc.name + "/" + filepath.Ext(path) + "/w" + string(rune('0'+workers))
 				want := reference(t, path, sc.cfg)
+				rec := assocmine.NewCollector()
 				res, err := dist.Run(dist.Config{
+					Recorder:     rec,
 					Path:         path,
 					Algorithm:    sc.algo,
 					Threshold:    sc.cfg.Threshold,
@@ -180,6 +184,18 @@ func TestDistMatchesSingleProcess(t *testing.T) {
 					t.Fatalf("%s: fixture found no pairs; test is vacuous", label)
 				}
 				comparePairs(t, label, res.Pairs, want.Pairs)
+				for counter, stat := range map[string]int64{
+					assocmine.CounterCandidates:     int64(want.Stats.Candidates),
+					assocmine.CounterIncrements:     want.Stats.CandidateIncrements,
+					assocmine.CounterBucketPairs:    want.Stats.BucketPairs,
+					assocmine.CounterPairsSampled:   want.Stats.PairsSampled,
+					assocmine.CounterPairsVerified:  int64(want.Stats.Verified),
+					assocmine.CounterFalsePositives: int64(want.Stats.FalsePositives),
+				} {
+					if got := rec.Counter(counter); got != stat {
+						t.Errorf("%s: coordinator recorded %s = %d, single-process Stats %d", label, counter, got, stat)
+					}
+				}
 				if res.Stats.Workers < workers {
 					t.Errorf("%s: stats report %d workers, want >= %d", label, res.Stats.Workers, workers)
 				}
@@ -211,34 +227,48 @@ func TestDistSkipVerify(t *testing.T) {
 }
 
 // TestDistCrashRestart kills a worker mid-shard — it exits without
-// replying to its first job — and requires the bounded restart path to
-// reproduce the single-process output exactly.
+// replying to a job — and requires the bounded restart path to
+// reproduce the single-process output exactly: on its first job (the
+// fold phase), and — a lone worker dying on the job after its three
+// fold jobs, deterministically — on the candidate job, where the
+// replacement must be re-sent the merged state and rebuild the phase-2
+// kernel over it before it can answer the range.
 func TestDistCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	arows, _ := fixture(t)
-	cfg := assocmine.Config{Algorithm: assocmine.KMinHash, Threshold: 0.35, K: 32, Seed: 7}
-	want := reference(t, arows, cfg)
-	res, err := dist.Run(dist.Config{
-		Path: arows, Algorithm: dist.KMinHash, Threshold: 0.35, K: 32, Seed: 7,
-		Workers: 2, MaxRestarts: 2, JobTimeout: time.Minute,
-		WorkerArgv: workerArgv(t),
-		Env: []string{
-			beWorkerEnv + "=1",
-			dist.EnvCrashWorker + "=1", // worker index 1 ...
-			dist.EnvCrashAfter + "=0",  // ... dies on its first job
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePairs(t, "crash-restart", res.Pairs, want.Pairs)
-	if res.Stats.Restarts < 1 {
-		t.Errorf("crash did not consume a restart: %+v", res.Stats)
-	}
-	if res.Stats.Workers < 3 {
-		t.Errorf("expected a replacement worker, got %d launches", res.Stats.Workers)
+	kmh := assocmine.Config{Algorithm: assocmine.KMinHash, Threshold: 0.35, K: 32, Seed: 7}
+	sampled := assocmine.Config{Algorithm: assocmine.MinLSH, Threshold: 0.35, K: 12, R: 3, L: 8, Seed: 7}
+	for _, tc := range []struct {
+		label              string
+		cfg                assocmine.Config
+		workers, rowJobs   int
+		crashWorker, after string
+	}{
+		{"fold-phase/KMH", kmh, 2, 2, "1", "0"},
+		{"cand-phase/KMH", kmh, 1, 3, "0", "3"},
+		{"cand-phase/MLSH-sampled", sampled, 1, 3, "0", "3"},
+	} {
+		want := reference(t, arows, tc.cfg)
+		res, err := dist.Run(dist.Config{
+			Path: arows, Algorithm: dist.Algo(tc.cfg.Algorithm), Threshold: tc.cfg.Threshold,
+			K: tc.cfg.K, R: tc.cfg.R, L: tc.cfg.L, Seed: tc.cfg.Seed,
+			Workers: tc.workers, RowJobs: tc.rowJobs, MaxRestarts: 2, JobTimeout: time.Minute,
+			WorkerArgv: workerArgv(t),
+			Env: []string{
+				beWorkerEnv + "=1",
+				dist.EnvCrashWorker + "=" + tc.crashWorker,
+				dist.EnvCrashAfter + "=" + tc.after,
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		comparePairs(t, "crash-restart/"+tc.label, res.Pairs, want.Pairs)
+		if res.Stats.Restarts != 1 || res.Stats.Workers != tc.workers+1 {
+			t.Errorf("%s: %d restarts, %d launches; want 1 and %d", tc.label, res.Stats.Restarts, res.Stats.Workers, tc.workers+1)
+		}
 	}
 }
 

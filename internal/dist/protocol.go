@@ -7,9 +7,11 @@
 // At a fixed seed the distributed output is bit-identical to the
 // single-process streamed drivers: min-hash fold merges are pointwise
 // minima (order-free), bottom-k merges are multiset unions (Finish
-// sorts), candidate generation partitions by the owning column or
-// band, BPS accept decisions are pure (seed,row,pair) hashes, and the
-// final SortScored is a total order on distinct pairs.
+// sorts), candidate generation is internal/candidate's range kernel —
+// the worker answers a unit range with Kernel.Range, the coordinator
+// combines the answers with the scheme's Gatherer — BPS accept decisions
+// are pure (seed,row,pair) hashes, and the final SortScored is a total
+// order on distinct pairs.
 //
 // Wire protocol. Each direction is a stream of frames:
 //
@@ -39,14 +41,14 @@ import (
 	"math"
 
 	"assocmine/internal/bitpack"
+	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
-	"assocmine/internal/lsh"
 	"assocmine/internal/pairs"
 )
 
 // protoVersion is bumped whenever the frame layout changes; hello
 // carries it and workers reject mismatches.
-const protoVersion = 2
+const protoVersion = 3
 
 // Frame types.
 const (
@@ -120,18 +122,13 @@ const (
 	BPS      = fold.BPS
 )
 
-// hello carries the run parameters from coordinator to worker. Both
-// sides derive every downstream constant (cutoffs, band layouts,
-// sampling scales) from these by the same formulas, so they cannot
-// drift.
+// hello carries the dataset path and the run's phase-2 parameter set
+// from coordinator to worker. Both sides derive every downstream
+// constant (cutoffs, band layouts, sampling scales) from the set by the
+// same function — candidate.For, Params.BPS — so they cannot drift.
 type hello struct {
-	Algo         Algo
-	Path         string
-	K, R, L      int
-	SampleBudget int
-	Seed         uint64
-	Threshold    float64
-	Delta        float64
+	candidate.Params
+	Path string
 }
 
 func (h *hello) encode() []byte {
@@ -163,7 +160,7 @@ func decodeHello(p []byte) (*hello, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: hello: %w", err)
 	}
-	h := &hello{Algo: Algo(algo)}
+	h := &hello{Params: candidate.Params{Algo: Algo(algo)}}
 	pathLen, err := getUvarint(r, 1<<16)
 	if err != nil {
 		return nil, fmt.Errorf("dist: hello path: %w", err)
@@ -227,15 +224,14 @@ type jobKind uint8
 const (
 	jobFold   jobKind = 1 // fold rows [Lo,Hi) → fold-state snapshot
 	jobSample jobKind = 2 // BPS-sample rows [Lo,Hi) → pair counts
-	jobCand   jobKind = 3 // generate candidates of columns [Lo,Hi)
-	jobBands  jobKind = 4 // generate collisions of bands [Lo,Hi)
-	jobVerify jobKind = 5 // exact-verify the attached candidates
+	jobCand   jobKind = 3 // generate candidates of kernel units [Lo,Hi)
+	jobVerify jobKind = 4 // exact-verify the attached candidates
 )
 
 // job is one unit of distributable work.
 type job struct {
 	Kind   jobKind
-	Lo, Hi int            // row, column, or band range by Kind
+	Lo, Hi int            // row range, or unit range of the phase-2 kernel
 	Cand   []pairs.Scored // jobVerify: candidates sorted by pair key
 }
 
@@ -263,7 +259,7 @@ func decodeJob(p []byte) (*job, error) {
 		if j.Cand, err = decodeScoredRun(r); err != nil {
 			return nil, fmt.Errorf("dist: verify job: %w", err)
 		}
-	case jobFold, jobSample, jobCand, jobBands:
+	case jobFold, jobSample, jobCand:
 		lo, err := getUvarint(r, 1<<31)
 		if err != nil {
 			return nil, fmt.Errorf("dist: job range: %w", err)
@@ -294,23 +290,24 @@ func readState(f fold.Fold, h *hello, cols int, p []byte) (fold.State, error) {
 	return st, nil
 }
 
-// candResult is the output of a jobCand: the range's candidates in
-// emission order plus the counter-increment work measure.
+// candResult is the output of a jobCand, whatever the scheme: the
+// range's distinct candidates sorted by pair key plus the kernel's work
+// measure for the range (counter increments or bucket pairs).
 type candResult struct {
-	Increments int64
-	Cand       []pairs.Scored
+	Work int64
+	Cand []pairs.Scored
 }
 
 func (c *candResult) encode() []byte {
 	var b bytes.Buffer
-	putUvarint(&b, uint64(c.Increments))
+	putUvarint(&b, uint64(c.Work))
 	encodeScoredRun(&b, c.Cand)
 	return b.Bytes()
 }
 
 func decodeCandResult(p []byte) (*candResult, error) {
 	r := bytes.NewReader(p)
-	inc, err := getUvarint(r, 1<<62)
+	work, err := getUvarint(r, 1<<62)
 	if err != nil {
 		return nil, fmt.Errorf("dist: cand result: %w", err)
 	}
@@ -318,60 +315,7 @@ func decodeCandResult(p []byte) (*candResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: cand result: %w", err)
 	}
-	return &candResult{Increments: int64(inc), Cand: cand}, nil
-}
-
-// bandsResult is the output of a jobBands.
-type bandsResult struct {
-	Bands []lsh.BandPairs
-}
-
-func (b *bandsResult) encode() []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(b.Bands)))
-	for _, bp := range b.Bands {
-		putUvarint(&buf, uint64(bp.Band))
-		putUvarint(&buf, uint64(bp.BucketPairs))
-		keys := make([]uint64, len(bp.Pairs))
-		for i, p := range bp.Pairs {
-			keys[i] = pairKey(p)
-		}
-		encodeKeyRun(&buf, keys)
-	}
-	return buf.Bytes()
-}
-
-func decodeBandsResult(p []byte) (*bandsResult, error) {
-	r := bytes.NewReader(p)
-	n, err := getUvarint(r, 1<<20)
-	if err != nil {
-		return nil, fmt.Errorf("dist: bands result: %w", err)
-	}
-	if int64(n) > int64(len(p)) {
-		return nil, fmt.Errorf("dist: bands result count %d exceeds payload", n)
-	}
-	out := &bandsResult{Bands: make([]lsh.BandPairs, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		band, err := getUvarint(r, 1<<31)
-		if err != nil {
-			return nil, fmt.Errorf("dist: band %d: %w", i, err)
-		}
-		bucketPairs, err := getUvarint(r, 1<<62)
-		if err != nil {
-			return nil, fmt.Errorf("dist: band %d: %w", i, err)
-		}
-		keys, err := decodeKeyRun(r)
-		if err != nil {
-			return nil, fmt.Errorf("dist: band %d: %w", i, err)
-		}
-		bp := lsh.BandPairs{Band: int(band), BucketPairs: int64(bucketPairs)}
-		bp.Pairs = make([]pairs.Pair, len(keys))
-		for j, k := range keys {
-			bp.Pairs[j] = keyPair(k)
-		}
-		out.Bands = append(out.Bands, bp)
-	}
-	return out, nil
+	return &candResult{Work: int64(work), Cand: cand}, nil
 }
 
 // sampleResult is the output of a jobSample: the range's accepted
@@ -464,16 +408,6 @@ func decodeVerifyResult(p []byte) (*verifyResult, error) {
 	return v, nil
 }
 
-// pairKey maps a canonical pair to its wire key; keys order like
-// (I, J).
-func pairKey(p pairs.Pair) uint64 {
-	return uint64(uint32(p.I))<<32 | uint64(uint32(p.J))
-}
-
-func keyPair(k uint64) pairs.Pair {
-	return pairs.Pair{I: int32(k >> 32), J: int32(k)}
-}
-
 // encodeKeyRun writes a strictly ascending key sequence as a Rice-coded
 // run: uvarint count, absolute first key, the Rice parameter chosen by
 // exact cost search, then delta-1 codes, byte-aligned — the candidate
@@ -541,12 +475,12 @@ func decodeKeyRun(r *bytes.Reader) ([]uint64, error) {
 	return keys, nil
 }
 
-// encodeScoredRun writes candidates sorted by pair key: a key run plus
-// raw float64 estimate bits.
+// encodeScoredRun writes candidates sorted by pair key (pairs.Pair.Key
+// is the wire key): a key run plus raw float64 estimate bits.
 func encodeScoredRun(b *bytes.Buffer, cand []pairs.Scored) {
 	keys := make([]uint64, len(cand))
 	for i, p := range cand {
-		keys[i] = pairKey(p.Pair)
+		keys[i] = p.Key()
 	}
 	encodeKeyRun(b, keys)
 	for _, p := range cand {
@@ -561,7 +495,7 @@ func decodeScoredRun(r *bytes.Reader) ([]pairs.Scored, error) {
 	}
 	out := make([]pairs.Scored, len(keys))
 	for i, k := range keys {
-		out[i].Pair = keyPair(k)
+		out[i].Pair = pairs.FromKey(k)
 		bits, err := getU64(r)
 		if err != nil {
 			return nil, fmt.Errorf("estimate %d: %w", i, err)

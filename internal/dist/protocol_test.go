@@ -3,21 +3,23 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
-	"assocmine/internal/lsh"
+	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
-	in := &hello{
-		Algo: KMinHash, Path: "/tmp/data.carows",
-		K: 100, R: 5, L: 20, SampleBudget: 32,
+	in := &hello{Path: "/tmp/data.carows", Params: candidate.Params{
+		Algo: KMinHash, K: 100, R: 5, L: 20, SampleBudget: 32,
 		Seed: 0xfeedface, Threshold: 0.375, Delta: 0.2,
-	}
+	}}
 	out, err := decodeHello(in.encode())
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +30,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloRejectsVersionMismatch(t *testing.T) {
-	p := (&hello{Algo: MinHash, Path: "x", Threshold: 0.5}).encode()
+	p := (&hello{Path: "x", Params: candidate.Params{Algo: MinHash, Threshold: 0.5}}).encode()
 	p[0] = protoVersion + 1
 	if _, err := decodeHello(p); err == nil {
 		t.Fatal("version mismatch accepted")
@@ -105,22 +107,27 @@ func TestVerifyResultRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBandsResultRoundTrip(t *testing.T) {
-	in := &bandsResult{Bands: []lsh.BandPairs{
-		{Band: 2, BucketPairs: 17, Pairs: []pairs.Pair{{I: 1, J: 2}, {I: 1, J: 5}, {I: 4, J: 9}}},
-		{Band: 3, BucketPairs: 0, Pairs: nil},
-	}}
-	got, err := decodeBandsResult(in.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Bands) != 2 || got.Bands[0].Band != 2 || got.Bands[0].BucketPairs != 17 ||
-		got.Bands[1].Band != 3 || len(got.Bands[1].Pairs) != 0 {
-		t.Fatalf("bands differ: %+v", got)
-	}
-	for i, p := range in.Bands[0].Pairs {
-		if got.Bands[0].Pairs[i] != p {
-			t.Fatalf("band pair %d = %v, want %v", i, got.Bands[0].Pairs[i], p)
+// TestCandResultRoundTrip: the one candidate result every scheme
+// ships — work count, key-sorted pairs, estimate bits (zero for band
+// collisions) — survives the wire, the empty range included.
+func TestCandResultRoundTrip(t *testing.T) {
+	for _, in := range []*candResult{
+		{Work: 17, Cand: []pairs.Scored{
+			{Pair: pairs.Pair{I: 1, J: 2}, Estimate: 0.5}, {Pair: pairs.Pair{I: 1, J: 5}}, {Pair: pairs.Pair{I: 4, J: 9}, Estimate: 1},
+		}},
+		{Work: 0, Cand: nil},
+	} {
+		got, err := decodeCandResult(in.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Work != in.Work || len(got.Cand) != len(in.Cand) {
+			t.Fatalf("cand result %+v, want %+v", got, in)
+		}
+		for i, p := range in.Cand {
+			if got.Cand[i] != p {
+				t.Fatalf("candidate %d = %+v, want %+v", i, got.Cand[i], p)
+			}
 		}
 	}
 }
@@ -180,11 +187,12 @@ func FuzzDistFrame(f *testing.F) {
 		return b.Bytes()
 	}
 	cand := []pairs.Scored{{Pair: pairs.Pair{I: 1, J: 4}, Estimate: 0.5}, {Pair: pairs.Pair{I: 2, J: 7}, Estimate: 0.25}}
-	f.Add(frame(frameHello, (&hello{Algo: MinLSH, Path: "/tmp/d.arows", K: 50, R: 5, L: 10, Seed: 7, Threshold: 0.5, Delta: 0.1}).encode()))
+	f.Add(frame(frameHello, (&hello{Path: "/tmp/d.arows", Params: candidate.Params{Algo: MinLSH, K: 50, R: 5, L: 10, Seed: 7, Threshold: 0.5, Delta: 0.1}}).encode()))
 	f.Add(frame(frameJob, (&job{Kind: jobFold, Lo: 10, Hi: 250}).encode()))
 	f.Add(frame(frameJob, (&job{Kind: jobVerify, Cand: cand}).encode()))
-	f.Add(frame(frameResult, (&candResult{Increments: 99, Cand: cand}).encode()))
-	f.Add(frame(frameResult, (&bandsResult{Bands: []lsh.BandPairs{{Band: 2, BucketPairs: 17, Pairs: []pairs.Pair{{I: 1, J: 2}, {I: 4, J: 9}}}, {Band: 3}}}).encode()))
+	f.Add(frame(frameJob, (&job{Kind: jobCand, Lo: 3, Hi: 8}).encode()))
+	f.Add(frame(frameResult, (&candResult{Work: 99, Cand: cand}).encode()))
+	f.Add(frame(frameResult, (&candResult{Work: 17, Cand: []pairs.Scored{{Pair: pairs.Pair{I: 1, J: 2}}, {Pair: pairs.Pair{I: 4, J: 9}}}}).encode()))
 	f.Add(frame(frameResult, (&sampleResult{Inspected: 12, Keys: []uint64{3, 9, 1 << 33}, Counts: []int64{1, 2, 3}}).encode()))
 	f.Add(frame(frameResult, (&verifyResult{Indices: []int{0, 3, 4}, Exact: []float64{1, 0.5, 0.75}}).encode()))
 	// Fold-state frames: a fold job's result and the merged broadcast, in
@@ -225,16 +233,25 @@ func FuzzDistFrame(f *testing.F) {
 		if j, err := decodeJob(p); err == nil && len(j.Cand) > maxKeys {
 			t.Fatalf("job with %d candidates from %d bytes", len(j.Cand), len(p))
 		}
-		if c, err := decodeCandResult(p); err == nil && len(c.Cand) > maxKeys {
-			t.Fatalf("cand result with %d candidates from %d bytes", len(c.Cand), len(p))
-		}
-		if br, err := decodeBandsResult(p); err == nil {
-			if cap(br.Bands) > len(p) {
-				t.Fatalf("bands result sized for %d bands from %d bytes", cap(br.Bands), len(p))
+		// The one candidate result: accepted means bounded by the payload,
+		// keys strictly ascending (what the verify split relies on), and a
+		// re-encode that decodes to the same result.
+		if c, err := decodeCandResult(p); err == nil {
+			if len(c.Cand) > maxKeys {
+				t.Fatalf("cand result with %d candidates from %d bytes", len(c.Cand), len(p))
 			}
-			for _, bp := range br.Bands {
-				if len(bp.Pairs) > maxKeys {
-					t.Fatalf("band with %d pairs from %d bytes", len(bp.Pairs), len(p))
+			for i := 1; i < len(c.Cand); i++ {
+				if c.Cand[i-1].Key() >= c.Cand[i].Key() {
+					t.Fatalf("cand result keys not strictly ascending at %d", i)
+				}
+			}
+			again, err := decodeCandResult(c.encode())
+			if err != nil || again.Work != c.Work || len(again.Cand) != len(c.Cand) {
+				t.Fatalf("accepted cand result does not round-trip: %v", err)
+			}
+			for i := range c.Cand {
+				if again.Cand[i].Pair != c.Cand[i].Pair || math.Float64bits(again.Cand[i].Estimate) != math.Float64bits(c.Cand[i].Estimate) {
+					t.Fatalf("cand result entry %d changed across a round trip", i)
 				}
 			}
 		}
@@ -269,7 +286,7 @@ func FuzzDistFrame(f *testing.F) {
 // The shape FuzzDistFrame's fold states are read under.
 const fuzzCols = 3
 
-var fuzzHello = &hello{K: 2, Seed: 9}
+var fuzzHello = &hello{Params: candidate.Params{K: 2, Seed: 9}}
 
 // TestReadFrameAllocatesAsBytesArrive: a 5-byte header declaring the
 // largest payload, followed by almost nothing, fails as truncated
@@ -311,6 +328,56 @@ func BenchmarkReadFrame(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := readFrame(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestWorkerRejectsBadCandJobs drives WorkerMain over in-memory pipes:
+// a candidate job before any state broadcast, and one whose range lies
+// outside the kernel's units, are permanent errors — an 'E' frame, not
+// a crash or a reply.
+func TestWorkerRejectsBadCandJobs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.arows")
+	m := matrix.MustNew(4, [][]int32{{0, 1}, {0, 1, 2}, {3}})
+	if err := matrix.SaveRowBinary(path, m.Stream()); err != nil {
+		t.Fatal(err)
+	}
+	h := &hello{Path: path, Params: candidate.Params{Algo: MinHash, K: 4, R: 2, L: 2, SampleBudget: 1, Seed: 1, Threshold: 0.5, Delta: 0.2}}
+	fd, _ := fold.For(MinHash)
+	st, err := fd.New(3, h.K, h.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.FoldRow(0, []int32{0, 1})
+	var state bytes.Buffer
+	if err := st.Snapshot(&state); err != nil {
+		t.Fatal(err)
+	}
+	for name, frames := range map[string][][]byte{
+		"before state": {(&job{Kind: jobCand, Lo: 0, Hi: 3}).encode()},
+		"out of range": {state.Bytes(), (&job{Kind: jobCand, Lo: 0, Hi: 4}).encode()},
+	} {
+		var in, out bytes.Buffer
+		if err := writeFrame(&in, frameHello, h.encode()); err != nil {
+			t.Fatal(err)
+		}
+		for i, payload := range frames {
+			typ := byte(frameJob)
+			if i < len(frames)-1 {
+				typ = frameState
+			}
+			if err := writeFrame(&in, typ, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := WorkerMain(&in, &out); err == nil {
+			t.Errorf("%s: worker served the job", name)
+		}
+		if typ, _, err := readFrame(&out); err != nil || typ != frameReady {
+			t.Fatalf("%s: handshake answered %q, %v", name, typ, err)
+		}
+		if typ, msg, err := readFrame(&out); err != nil || typ != frameError {
+			t.Errorf("%s: job answered %q %q, %v; want an error frame", name, typ, msg, err)
 		}
 	}
 }

@@ -3,17 +3,16 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"time"
 
 	"assocmine/internal/bps"
 	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
-	"assocmine/internal/lsh"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
 	"assocmine/internal/verify"
@@ -36,8 +35,8 @@ const (
 )
 
 // worker is the subprocess side of the executor: one dataset handle,
-// the hello parameters, and the per-phase derived structures, rebuilt
-// lazily whenever a state broadcast replaces their inputs.
+// the hello parameters, and the phase-2 kernel, rebuilt lazily whenever
+// a state broadcast replaces the sketch under it.
 type worker struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -45,11 +44,10 @@ type worker struct {
 	fs   *matrix.FileSource
 	fold fold.Fold // the algorithm's phase 1
 
-	// sk is the coordinator's merged fold state, finished; the rangers
-	// are built from it on first use by a candidate job.
-	sk        fold.Sketch
-	mhRanger  *candidate.MHRanger
-	kmhRanger *candidate.KMHRanger
+	// sk is the coordinator's merged fold state, finished; the kernel is
+	// built over it on first use by a candidate job.
+	sk     fold.Sketch
+	kernel *candidate.Kernel
 
 	// Fault injection (chaos tests only).
 	index      int
@@ -158,22 +156,15 @@ func (wk *worker) fail(err error) error {
 	return err
 }
 
-// setState installs the merged fold state, invalidating the caches
-// derived from the previous one.
+// setState installs the merged fold state, invalidating the kernel
+// built over the previous one.
 func (wk *worker) setState(payload []byte) error {
 	st, err := readState(wk.fold, wk.h, wk.fs.NumCols(), payload)
 	if err != nil {
 		return err
 	}
-	wk.sk = st.Finish()
-	wk.mhRanger, wk.kmhRanger = nil, nil
+	wk.sk, wk.kernel = st.Finish(), nil
 	return nil
-}
-
-// cutoff is the candidate-phase agreement cutoff, the exact formula of
-// the single-process driver: (1-δ)·s*.
-func (wk *worker) cutoff() float64 {
-	return (1 - wk.h.Delta) * wk.h.Threshold
 }
 
 func (wk *worker) runJob(payload []byte) ([]byte, error) {
@@ -188,8 +179,6 @@ func (wk *worker) runJob(payload []byte) ([]byte, error) {
 		return wk.runSample(j)
 	case jobCand:
 		return wk.runCand(j)
-	case jobBands:
-		return wk.runBands(j)
 	case jobVerify:
 		return wk.runVerify(j)
 	}
@@ -223,13 +212,7 @@ func (wk *worker) runSample(j *job) ([]byte, error) {
 	if wk.sk.Sup == nil {
 		return nil, fmt.Errorf("dist: sample job before supports state")
 	}
-	opt := bps.Options{
-		Threshold: wk.h.Threshold,
-		Delta:     wk.h.Delta,
-		Budget:    wk.h.SampleBudget,
-		Seed:      wk.h.Seed,
-	}
-	counts, inspected, err := bps.SampleCounts(&matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}, wk.sk.Sup, opt)
+	counts, inspected, err := bps.SampleCounts(&matrix.RangeSource{Src: wk.fs, From: j.Lo, To: j.Hi}, wk.sk.Sup, wk.h.BPS(1))
 	if err != nil {
 		return nil, err
 	}
@@ -237,66 +220,27 @@ func (wk *worker) runSample(j *job) ([]byte, error) {
 	return res.encode(), nil
 }
 
-// runCand generates the candidates owned by the job's column range,
-// shipping them key-sorted (the wire's canonical order; the final
-// SortScored makes emission order irrelevant).
+// runCand answers a unit range of the scheme's phase-2 kernel — built
+// once per broadcast state; a job before any state finds no sketch to
+// build it over, a permanent error — with the range's candidates
+// gathered (a band range ships a pair once, however many of its bands
+// found it) and key-sorted: the wire's canonical order, and the final
+// SortScored makes emission order irrelevant.
 func (wk *worker) runCand(j *job) ([]byte, error) {
-	var cand []pairs.Scored
-	var st candidate.Stats
-	var err error
-	switch wk.h.Algo {
-	case MinHash:
-		if wk.mhRanger == nil {
-			if wk.sk.MH == nil {
-				return nil, fmt.Errorf("dist: cand job before sig state")
-			}
-			wk.mhRanger, err = candidate.NewMHRanger(wk.sk.MH, wk.cutoff())
-			if err != nil {
-				return nil, err
-			}
+	if wk.kernel == nil {
+		k, err := candidate.For(context.Background(), wk.h.Params, wk.sk, 1)
+		if err != nil {
+			return nil, fmt.Errorf("dist: cand job: %w", err)
 		}
-		cand, st, err = wk.mhRanger.Columns(j.Lo, j.Hi)
-	case KMinHash:
-		if wk.kmhRanger == nil {
-			if wk.sk.KMH == nil {
-				return nil, fmt.Errorf("dist: cand job before sig state")
-			}
-			opt := candidate.KMHOptions{BiasedCutoff: wk.cutoff() / 2, UnbiasedCutoff: wk.cutoff()}
-			wk.kmhRanger, err = candidate.NewKMHRanger(wk.sk.KMH, opt)
-			if err != nil {
-				return nil, err
-			}
-		}
-		cand, st, err = wk.kmhRanger.Columns(j.Lo, j.Hi)
-	default:
-		return nil, fmt.Errorf("dist: cand job for %v", wk.h.Algo)
+		wk.kernel = k
 	}
+	cand, work, err := wk.kernel.Range(nil, j.Lo, j.Hi)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(cand, func(a, b int) bool { return pairKey(cand[a].Pair) < pairKey(cand[b].Pair) })
-	res := candResult{Increments: st.Increments, Cand: cand}
-	return res.encode(), nil
-}
-
-// runBands hashes the job's band range, choosing the same layout as
-// the single-process driver: disjoint bands when k >= r*l, else the
-// sampled Q_{r,l,k} layout at seed+1.
-func (wk *worker) runBands(j *job) ([]byte, error) {
-	if wk.sk.MH == nil {
-		return nil, fmt.Errorf("dist: bands job before sig state")
-	}
-	var bands []lsh.BandPairs
-	var err error
-	if wk.h.K >= wk.h.R*wk.h.L {
-		bands, err = lsh.CandidateBands(wk.sk.MH, wk.h.R, wk.h.L, j.Lo, j.Hi)
-	} else {
-		bands, err = lsh.SampledCandidateBands(wk.sk.MH, wk.h.R, wk.h.L, wk.h.Seed+1, j.Lo, j.Hi)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res := bandsResult{Bands: bands}
+	cand = wk.kernel.Gatherer().Add(cand[:0], cand)
+	pairs.SortByKey(cand)
+	res := candResult{Work: work, Cand: cand}
 	return res.encode(), nil
 }
 

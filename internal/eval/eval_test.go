@@ -149,8 +149,8 @@ func TestSampleDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
+	if len(d.S) != len(d.Count) || len(d.S) != len(edges)-1 {
+		t.Fatalf("distribution has %d similarities, %d counts, %d buckets", len(d.S), len(d.Count), len(edges)-1)
 	}
 	var mass float64
 	for _, c := range d.Count {

@@ -1,7 +1,6 @@
 package lsh
 
 import (
-	"reflect"
 	"testing"
 
 	"assocmine/internal/hashing"
@@ -10,126 +9,49 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// TestCandidateBandsUnionMatchesCandidates proves that unioning the
-// per-band pair lists of any band-range partition, with exact dedup,
-// reproduces the serial Candidates set and its bucket-pair count — the
-// identity the scale-out executor relies on.
-func TestCandidateBandsUnionMatchesCandidates(t *testing.T) {
-	rng := hashing.NewSplitMix64(19)
-	m, _ := plantedMatrix(rng, 400, 50)
-	sig, err := minhash.Compute(m.Stream(), 30, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r, l = 5, 6
-	want, wantSt, err := Candidates(sig, r, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("fixture produced no candidates")
-	}
-	for _, cuts := range [][]int{{0, 6}, {0, 3, 6}, {0, 1, 1, 2, 5, 6}} {
-		got := pairs.NewSet(want.Len())
-		var bucketPairs int64
-		bands := 0
-		for i := 0; i+1 < len(cuts); i++ {
-			bps, err := CandidateBands(sig, r, l, cuts[i], cuts[i+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bp := range bps {
-				bands++
-				bucketPairs += bp.BucketPairs
-				for j := 1; j < len(bp.Pairs); j++ {
-					prev, cur := bp.Pairs[j-1], bp.Pairs[j]
-					if prev.I > cur.I || (prev.I == cur.I && prev.J >= cur.J) {
-						t.Fatalf("band %d pairs not strictly sorted", bp.Band)
-					}
-				}
-				for _, p := range bp.Pairs {
-					got.Add(p.I, p.J)
-				}
-			}
-		}
-		if bands != l {
-			t.Errorf("partition %v covered %d bands, want %d", cuts, bands, l)
-		}
-		if bucketPairs != wantSt.BucketPairs {
-			t.Errorf("partition %v: %d bucket pairs, want %d", cuts, bucketPairs, wantSt.BucketPairs)
-		}
-		if got.Len() != want.Len() {
-			t.Errorf("partition %v: %d candidates, want %d", cuts, got.Len(), want.Len())
-		}
-		for _, p := range want.Slice() {
-			if !got.Contains(p.I, p.J) {
-				t.Errorf("partition %v missing pair (%d,%d)", cuts, p.I, p.J)
-			}
+// union answers the band ranges cuts[i]..cuts[i+1] one Range call each
+// and unions them with exact dedup, summing the bucket pairs.
+func union(b *Bands, cuts []int) (*pairs.Set, int64) {
+	set := pairs.NewSet(0)
+	var bucketPairs int64
+	var ps []pairs.Scored
+	for i := 0; i+1 < len(cuts); i++ {
+		var n int64
+		ps, n = b.Range(ps[:0], cuts[i], cuts[i+1])
+		bucketPairs += n
+		for _, p := range ps {
+			set.Add(p.I, p.J)
 		}
 	}
+	return set, bucketPairs
 }
 
-// TestSampledCandidateBandsUnionMatches proves the same identity for
-// the sampled Q_{r,l,k} layout at a fixed seed.
-func TestSampledCandidateBandsUnionMatches(t *testing.T) {
-	rng := hashing.NewSplitMix64(23)
-	m, _ := plantedMatrix(rng, 400, 50)
-	sig, err := minhash.Compute(m.Stream(), 12, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r, l = 5, 8
-	const seed = 99
-	want, wantSt, err := SampledCandidates(sig, r, l, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() == 0 {
-		t.Fatal("fixture produced no candidates")
-	}
-	got := pairs.NewSet(want.Len())
-	var bucketPairs int64
-	for _, cut := range [][2]int{{0, 2}, {2, 7}, {7, 8}} {
-		bps, err := SampledCandidateBands(sig, r, l, seed, cut[0], cut[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, bp := range bps {
-			bucketPairs += bp.BucketPairs
-			for _, p := range bp.Pairs {
-				got.Add(p.I, p.J)
-			}
-		}
-	}
-	if bucketPairs != wantSt.BucketPairs {
-		t.Errorf("%d bucket pairs, want %d", bucketPairs, wantSt.BucketPairs)
-	}
+func sameSet(t *testing.T, label string, got, want *pairs.Set) {
+	t.Helper()
 	if got.Len() != want.Len() {
-		t.Errorf("%d candidates, want %d", got.Len(), want.Len())
+		t.Errorf("%s: %d candidates, want %d", label, got.Len(), want.Len())
 	}
 	for _, p := range want.Slice() {
 		if !got.Contains(p.I, p.J) {
-			t.Errorf("missing pair (%d,%d)", p.I, p.J)
+			t.Fatalf("%s: missing pair (%d,%d)", label, p.I, p.J)
 		}
 	}
 }
 
-// TestBandRangeValidation covers the range and parameter checks.
+// TestBandRangeValidation covers the layouts' parameter checks; the
+// range check is the contract's (candidate.Kernel.Range).
 func TestBandRangeValidation(t *testing.T) {
 	rng := hashing.NewSplitMix64(29)
 	m, _ := plantedMatrix(rng, 50, 10)
 	sig, _ := minhash.Compute(m.Stream(), 10, 3)
-	if _, err := CandidateBands(sig, 5, 2, 0, 3); err == nil {
-		t.Error("band range beyond l accepted")
-	}
-	if _, err := CandidateBands(sig, 5, 2, -1, 1); err == nil {
-		t.Error("negative band lo accepted")
-	}
-	if _, err := CandidateBands(sig, 5, 3, 0, 3); err == nil {
+	if _, err := Disjoint(sig, 5, 3); err == nil {
 		t.Error("k < r*l accepted")
 	}
-	if _, err := SampledCandidateBands(sig, 11, 2, 1, 0, 2); err == nil {
+	if _, err := Sampled(sig, 11, 2, 1); err == nil {
 		t.Error("k < r accepted")
+	}
+	if _, err := Sampled(sig, 2, 0, 1); err == nil {
+		t.Error("l = 0 accepted")
 	}
 }
 
@@ -166,11 +88,13 @@ func mapBands(sig *minhash.Signatures, bands [][]int) (*pairs.Set, int64) {
 }
 
 // TestBandingMatchesMapOracle checks the radix-grouped band kernel
-// against the map oracle, for the disjoint and the sampled layout,
-// through the serial, parallel and band-range drivers: same candidate
-// set, same BucketPairs. The fixture mixes planted near-duplicates
-// (buckets of two), identical column groups (buckets of five, ten pairs
-// each) and empty columns.
+// against the map oracle, for the disjoint and the sampled layout, over
+// the full range and over two ranges: same candidate set, same
+// BucketPairs, and within a band the pairs distinct and ascending by
+// (I, J). (Every other partition and scheduler is a cell of
+// candidate.TestPhase2Matrix against the full range.) The fixture mixes
+// planted near-duplicates (buckets of two), identical column groups
+// (buckets of five, ten pairs each) and empty columns.
 func TestBandingMatchesMapOracle(t *testing.T) {
 	rng := hashing.NewSplitMix64(29)
 	const rows, cols = 300, 120
@@ -202,72 +126,42 @@ func TestBandingMatchesMapOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const r, l, seed = 3, 8, 77
-	layouts := []struct {
-		name   string
-		bands  [][]int
-		serial func() (*pairs.Set, Stats, error)
-		par    func() (*pairs.Set, Stats, error)
-		ranged func(lo, hi int) ([]BandPairs, error)
-	}{
-		{"disjoint", disjointBands(r, l),
-			func() (*pairs.Set, Stats, error) { return Candidates(sig, r, l) },
-			func() (*pairs.Set, Stats, error) { return CandidatesParallelProgress(nil, sig, r, l, 4, nil) },
-			func(lo, hi int) ([]BandPairs, error) { return CandidateBands(sig, r, l, lo, hi) }},
-		{"sampled", sampledBands(sig.K, r, l, seed),
-			func() (*pairs.Set, Stats, error) { return SampledCandidates(sig, r, l, seed) },
-			func() (*pairs.Set, Stats, error) {
-				return SampledCandidatesParallelProgress(nil, sig, r, l, seed, 4, nil)
-			},
-			func(lo, hi int) ([]BandPairs, error) { return SampledCandidateBands(sig, r, l, seed, lo, hi) }},
+	disjoint, err := Disjoint(sig, r, l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, lay := range layouts {
-		want, wantBP := mapBands(sig, lay.bands)
+	sampled, err := Sampled(sig, r, l, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bands := range map[string]*Bands{"disjoint": disjoint, "sampled": sampled} {
+		want, wantBP := mapBands(sig, bands.rows)
 		if wantBP < 20*l || want.Len() < 40 {
-			t.Fatalf("%s: fixture too thin: %d bucket pairs, %d candidates", lay.name, wantBP, want.Len())
+			t.Fatalf("%s: fixture too thin: %d bucket pairs, %d candidates", name, wantBP, want.Len())
 		}
-		check := func(driver string, got *pairs.Set, bucketPairs int64) {
-			t.Helper()
+		for driver, cuts := range map[string][]int{"full range": {0, l}, "ranges": {0, 3, l}} {
+			got, bucketPairs := union(bands, cuts)
 			if bucketPairs != wantBP {
-				t.Errorf("%s/%s: %d bucket pairs, oracle %d", lay.name, driver, bucketPairs, wantBP)
+				t.Errorf("%s/%s: %d bucket pairs, oracle %d", name, driver, bucketPairs, wantBP)
 			}
-			if got.Len() != want.Len() {
-				t.Errorf("%s/%s: %d candidates, oracle %d", lay.name, driver, got.Len(), want.Len())
-			}
-			for _, p := range want.Slice() {
-				if !got.Contains(p.I, p.J) {
-					t.Fatalf("%s/%s: missing (%d,%d)", lay.name, driver, p.I, p.J)
+			sameSet(t, name+"/"+driver, got, want)
+		}
+		for band := 0; band < l; band++ {
+			ps, _ := bands.Range(nil, band, band+1)
+			for j := 1; j < len(ps); j++ {
+				if ps[j-1].Key() >= ps[j].Key() {
+					t.Fatalf("%s: band %d pairs not strictly ascending", name, band)
 				}
 			}
 		}
-		set, st, err := lay.serial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("serial", set, st.BucketPairs)
-		pset, pst, err := lay.par()
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("parallel", pset, pst.BucketPairs)
-		if !reflect.DeepEqual(pset.Slice(), set.Slice()) {
-			t.Errorf("%s: parallel insertion order differs from serial", lay.name)
-		}
-		head, err := lay.ranged(0, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail, err := lay.ranged(3, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rset := pairs.NewSet(0)
-		var rbp int64
-		for _, bp := range append(head, tail...) {
-			rbp += bp.BucketPairs
-			for _, p := range bp.Pairs {
-				rset.Add(p.I, p.J)
-			}
-		}
-		check("ranges", rset, rbp)
 	}
+	set, st, err := Candidates(sig, r, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantBP := mapBands(sig, disjoint.rows)
+	if st.BucketPairs != wantBP || st.Bands != l || st.Candidates != want.Len() {
+		t.Errorf("Candidates stats %+v, oracle %d bucket pairs, %d candidates", st, wantBP, want.Len())
+	}
+	sameSet(t, "Candidates", set, want)
 }

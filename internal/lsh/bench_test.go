@@ -1,7 +1,6 @@
 package lsh
 
 import (
-	"fmt"
 	"testing"
 
 	"assocmine/internal/gen"
@@ -21,27 +20,6 @@ func BenchmarkCandidates(b *testing.B) {
 		if _, _, err := Candidates(sig, 5, 10); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkLSHCandidatesParallel times band-sharded candidate
-// generation on the same planted matrix as BenchmarkCandidates;
-// workers=1 is the serial baseline through the same entry point.
-func BenchmarkLSHCandidatesParallel(b *testing.B) {
-	rng := hashing.NewSplitMix64(1)
-	m, _ := plantedMatrix(rng, 2000, 400)
-	sig, err := minhash.Compute(m.Stream(), 50, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := CandidatesParallelProgress(nil, sig, 5, 10, workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -9,7 +9,15 @@
 // r values at random from only k available min-hashes, k < r·l), the
 // input-sensitive (r, l) optimizer that minimizes l·r subject to
 // expected false-negative and false-positive budgets over a similarity
-// distribution, and the online band-at-a-time mode of Section 4.
+// distribution.
+//
+// Banding is one kernel, Bands: a band layout over a signature matrix
+// whose Range hashes any range of bands. Bands are independent by
+// construction (Lemma 2 — each hashes its own rows and contributes
+// candidates on its own), so band ranges are what phase 2's schedulers
+// (internal/candidate) deal out: to goroutines, to the band-at-a-time
+// online mode of Section 4, to dist workers. Candidates is the serial
+// schedule of one range.
 package lsh
 
 import (
@@ -35,10 +43,10 @@ func ProbAtLeastOnce(s float64, r, l int) float64 {
 	return 1 - math.Pow(1-math.Pow(s, float64(r)), float64(l))
 }
 
-// SampledCollisionGivenAgreement returns q_{r,l,k}(d) = 1-(1-(d/k)^r)^l,
+// sampledCollisionGivenAgreement returns q_{r,l,k}(d) = 1-(1-(d/k)^r)^l,
 // the collision probability when the pair agrees on exactly d of the k
 // available min-hash values and each band samples r of them.
-func SampledCollisionGivenAgreement(d, k, r, l int) float64 {
+func sampledCollisionGivenAgreement(d, k, r, l int) float64 {
 	if d <= 0 {
 		return 0
 	}
@@ -64,7 +72,7 @@ func SampledCollisionProb(s float64, r, l, k int) float64 {
 	q := 0.0
 	for d := 1; d <= k; d++ {
 		pmf *= float64(k-d+1) / float64(d) * s / (1 - s)
-		q += pmf * SampledCollisionGivenAgreement(d, k, r, l)
+		q += pmf * sampledCollisionGivenAgreement(d, k, r, l)
 	}
 	return q
 }
@@ -80,43 +88,70 @@ type Stats struct {
 // using l disjoint bands of r consecutive rows; sig.K must be at least
 // r*l. Empty columns never enter buckets.
 func Candidates(sig *minhash.Signatures, r, l int) (*pairs.Set, Stats, error) {
-	if err := checkRL(r, l); err != nil {
+	b, err := Disjoint(sig, r, l)
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	if sig.K < r*l {
-		return nil, Stats{}, fmt.Errorf("lsh: need k >= r*l = %d min-hash values, have %d (use SampledCandidates)", r*l, sig.K)
+	collide, bucketPairs := b.Range(nil, 0, l)
+	set := pairs.NewSet(1024)
+	for _, p := range collide {
+		set.Add(p.I, p.J)
 	}
-	return bandCandidates(sig, disjointBands(r, l), nil)
+	return set, Stats{Bands: l, BucketPairs: bucketPairs, Candidates: set.Len()}, nil
 }
 
-// SampledCandidates runs the Q_{r,l,k} variant: each of the l bands
-// hashes on r values drawn uniformly (without replacement) from the k
-// available, so the same value may participate in several bands.
-// Requires sig.K >= r.
-func SampledCandidates(sig *minhash.Signatures, r, l int, seed uint64) (*pairs.Set, Stats, error) {
+// Bands is the banding kernel: a band layout over a signature matrix,
+// shared read-only between forks, plus one goroutine's scratch, reused
+// across bands.
+type Bands struct {
+	sig  *minhash.Signatures
+	rows [][]int // band b hashes on signature rows rows[b]
+
+	vals       []uint64 // one column's r values
+	keys       []uint64
+	cols       []int32
+	keyScratch []uint64
+	colScratch []int32
+	next       []uint64 // per column: where the rest of its bucket starts and ends in cols
+}
+
+// Disjoint lays out the basic scheme: l bands of r consecutive
+// signature rows; sig.K must be at least r*l.
+func Disjoint(sig *minhash.Signatures, r, l int) (*Bands, error) {
 	if err := checkRL(r, l); err != nil {
-		return nil, Stats{}, err
+		return nil, err
+	}
+	if sig.K < r*l {
+		return nil, fmt.Errorf("lsh: need k >= r*l = %d min-hash values, have %d (use the sampled layout)", r*l, sig.K)
+	}
+	rows := make([][]int, l)
+	for b := range rows {
+		rows[b] = make([]int, r)
+		for i := range rows[b] {
+			rows[b][i] = b*r + i
+		}
+	}
+	return newBands(sig, rows), nil
+}
+
+// Sampled lays out the Q_{r,l,k} variant: each of the l bands hashes on
+// r values drawn uniformly (without replacement) from the k available,
+// so the same value may participate in several bands; sig.K must be at
+// least r. The sequential RNG makes the layout a pure function of
+// (sig.K, r, l, seed), so every process derives identical bands.
+func Sampled(sig *minhash.Signatures, r, l int, seed uint64) (*Bands, error) {
+	if err := checkRL(r, l); err != nil {
+		return nil, err
 	}
 	if sig.K < r {
-		return nil, Stats{}, fmt.Errorf("lsh: need k >= r = %d min-hash values, have %d", r, sig.K)
+		return nil, fmt.Errorf("lsh: need k >= r = %d min-hash values, have %d", r, sig.K)
 	}
-	return bandCandidates(sig, sampledBands(sig.K, r, l, seed), nil)
-}
-
-// OnlineCandidates processes bands one at a time, invoking progress
-// after each band with the band index and the pairs newly discovered in
-// it; returning false from progress stops the scan early (the Section 4
-// online framework: each band cuts false negatives by a fixed factor,
-// and the most similar pairs tend to surface first). The partial
-// candidate set accumulated so far is returned.
-func OnlineCandidates(sig *minhash.Signatures, r, l int, progress func(band int, fresh []pairs.Pair) bool) (*pairs.Set, Stats, error) {
-	if err := checkRL(r, l); err != nil {
-		return nil, Stats{}, err
+	rng := hashing.NewSplitMix64(seed)
+	rows := make([][]int, l)
+	for b := range rows {
+		rows[b] = rng.Perm(sig.K)[:r]
 	}
-	if sig.K < r*l {
-		return nil, Stats{}, fmt.Errorf("lsh: need k >= r*l = %d min-hash values, have %d", r*l, sig.K)
-	}
-	return bandCandidates(sig, disjointBands(r, l), progress)
+	return newBands(sig, rows), nil
 }
 
 func checkRL(r, l int) error {
@@ -126,49 +161,10 @@ func checkRL(r, l int) error {
 	return nil
 }
 
-// disjointBands returns the basic layout: l bands of r consecutive
-// signature rows.
-func disjointBands(r, l int) [][]int {
-	bands := make([][]int, l)
-	for b := 0; b < l; b++ {
-		rows := make([]int, r)
-		for i := range rows {
-			rows[i] = b*r + i
-		}
-		bands[b] = rows
-	}
-	return bands
-}
-
-// sampledBands returns the Q_{r,l,k} layout: each band draws r of the k
-// values without replacement. The sequential RNG makes the layout a
-// pure function of (k, r, l, seed), shared by the serial and parallel
-// paths.
-func sampledBands(k, r, l int, seed uint64) [][]int {
-	rng := hashing.NewSplitMix64(seed)
-	bands := make([][]int, l)
-	for b := 0; b < l; b++ {
-		bands[b] = rng.Perm(k)[:r]
-	}
-	return bands
-}
-
-// bander hashes one band at a time: the band kernel shared by the
-// serial, parallel and band-range drivers, with scratch reused across
-// bands. One per goroutine.
-type bander struct {
-	sig        *minhash.Signatures
-	vals       []uint64 // one column's r values
-	keys       []uint64
-	cols       []int32
-	keyScratch []uint64
-	colScratch []int32
-	next       []uint64 // per column: where the rest of its bucket starts and ends in cols
-}
-
-func newBander(sig *minhash.Signatures) *bander {
-	return &bander{
+func newBands(sig *minhash.Signatures, rows [][]int) *Bands {
+	return &Bands{
 		sig:        sig,
+		rows:       rows,
 		keys:       make([]uint64, 0, sig.M),
 		cols:       make([]int32, 0, sig.M),
 		keyScratch: make([]uint64, sig.M),
@@ -177,13 +173,33 @@ func newBander(sig *minhash.Signatures) *bander {
 	}
 }
 
+// Len is the number of bands.
+func (b *Bands) Len() int { return len(b.rows) }
+
+// Fork returns a kernel over the same layout and signatures with
+// private scratch: one per goroutine.
+func (b *Bands) Fork() *Bands { return newBands(b.sig, b.rows) }
+
+// Range appends to dst the collisions of bands [lo, hi), which must lie
+// in [0, Len()], band after band, and returns with it the number of
+// pairs appended — the range's BucketPairs. Within a band the pairs are
+// distinct (buckets partition the columns) and ascend by (I, J); a pair
+// colliding in several bands appears once for each, and the union over
+// any partition into ranges, deduplicated, is the Candidates set.
+func (b *Bands) Range(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
+	from := len(dst)
+	for _, rows := range b.rows[lo:hi] {
+		dst = b.band(rows, dst)
+	}
+	return dst, int64(len(dst) - from)
+}
+
 // band appends to dst the colliding pairs of the band over the given
-// signature rows, sorted by (I, J): every column with a non-empty
-// value is keyed on CombineKeys of its r values, the (key, column)
-// records are radix-sorted, and each run of equal keys — a bucket,
-// columns ascending — yields its pairs. Buckets partition the columns,
-// so the pairs are distinct and their number is the band's BucketPairs.
-func (b *bander) band(rows []int, dst []pairs.Pair) []pairs.Pair {
+// signature rows: every column with a non-empty value is keyed on
+// CombineKeys of its r values, the (key, column) records are
+// radix-sorted, and each run of equal keys — a bucket, columns
+// ascending — yields its pairs.
+func (b *Bands) band(rows []int, dst []pairs.Scored) []pairs.Scored {
 	m := b.sig.M
 	keys, cols := b.keys[:0], b.cols[:0]
 	for c := 0; c < m; c++ {
@@ -220,31 +236,8 @@ func (b *bander) band(rows []int, dst []pairs.Pair) []pairs.Pair {
 		}
 		b.next[c] = 0
 		for _, j := range cols[uint32(w) : w>>32] {
-			dst = append(dst, pairs.Pair{I: int32(c), J: j})
+			dst = append(dst, pairs.Scored{Pair: pairs.Pair{I: int32(c), J: j}})
 		}
 	}
 	return dst
-}
-
-func bandCandidates(sig *minhash.Signatures, bands [][]int, progress func(int, []pairs.Pair) bool) (*pairs.Set, Stats, error) {
-	set := pairs.NewSet(1024)
-	var st Stats
-	bd := newBander(sig)
-	var collide, fresh []pairs.Pair
-	for b, rows := range bands {
-		st.Bands++
-		collide = bd.band(rows, collide[:0])
-		st.BucketPairs += int64(len(collide))
-		fresh = fresh[:0]
-		for _, p := range collide {
-			if set.Add(p.I, p.J) {
-				fresh = append(fresh, p)
-			}
-		}
-		if progress != nil && !progress(b, fresh) {
-			break
-		}
-	}
-	st.Candidates = set.Len()
-	return set, st, nil
 }

@@ -56,14 +56,14 @@ func TestStepFunctionSharpening(t *testing.T) {
 }
 
 func TestSampledCollisionGivenAgreement(t *testing.T) {
-	if got := SampledCollisionGivenAgreement(0, 40, 5, 5); got != 0 {
+	if got := sampledCollisionGivenAgreement(0, 40, 5, 5); got != 0 {
 		t.Errorf("q(0) = %v", got)
 	}
-	if got := SampledCollisionGivenAgreement(40, 40, 5, 5); got != 1 {
+	if got := sampledCollisionGivenAgreement(40, 40, 5, 5); got != 1 {
 		t.Errorf("q(k) = %v", got)
 	}
 	want := ProbAtLeastOnce(0.5, 5, 5)
-	if got := SampledCollisionGivenAgreement(20, 40, 5, 5); math.Abs(got-want) > 1e-12 {
+	if got := sampledCollisionGivenAgreement(20, 40, 5, 5); math.Abs(got-want) > 1e-12 {
 		t.Errorf("q(k/2) = %v, want %v", got, want)
 	}
 }
@@ -136,7 +136,7 @@ func TestCandidatesValidates(t *testing.T) {
 	if _, _, err := Candidates(sig, 3, 2); err == nil {
 		t.Error("accepted k < r*l")
 	}
-	if _, _, err := SampledCandidates(sig, 5, 2, 1); err == nil {
+	if _, err := Sampled(sig, 5, 2, 1); err == nil {
 		t.Error("sampled accepted r > k")
 	}
 }
@@ -179,10 +179,11 @@ func TestSampledCandidatesFindPlantedPairs(t *testing.T) {
 	m, planted := plantedMatrix(rng, 800, 80)
 	// k = 20 < r*l = 100: must use sampling.
 	sig, _ := minhash.Compute(m.Stream(), 20, 4)
-	set, _, err := SampledCandidates(sig, 5, 20, 99)
+	b, err := Sampled(sig, 5, 20, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set, _ := union(b, []int{0, 20})
 	missed := 0
 	total := 0
 	for _, p := range planted.Slice() {
@@ -198,67 +199,26 @@ func TestSampledCandidatesFindPlantedPairs(t *testing.T) {
 	}
 }
 
-func TestOnlineCandidatesEarlyStop(t *testing.T) {
-	rng := hashing.NewSplitMix64(3)
-	m, _ := plantedMatrix(rng, 400, 40)
-	sig, _ := minhash.Compute(m.Stream(), 50, 5)
-	bandsSeen := 0
-	set, st, err := OnlineCandidates(sig, 5, 10, func(band int, fresh []pairs.Pair) bool {
-		bandsSeen++
-		return band < 2 // stop after 3 bands
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bandsSeen != 3 {
-		t.Errorf("progress called %d times, want 3", bandsSeen)
-	}
-	if st.Bands != 3 {
-		t.Errorf("Bands = %d, want 3", st.Bands)
-	}
-	if set == nil {
-		t.Fatal("nil partial set")
-	}
-}
-
-func TestOnlineCandidatesFreshPairsDisjoint(t *testing.T) {
-	rng := hashing.NewSplitMix64(4)
-	m, _ := plantedMatrix(rng, 400, 40)
-	sig, _ := minhash.Compute(m.Stream(), 40, 6)
-	seen := pairs.NewSet(64)
-	_, _, err := OnlineCandidates(sig, 4, 10, func(band int, fresh []pairs.Pair) bool {
-		for _, p := range fresh {
-			if !seen.Add(p.I, p.J) {
-				t.Errorf("band %d re-reported pair (%d,%d)", band, p.I, p.J)
-			}
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestOnlineMatchesOffline: the band-at-a-time schedule of the online
+// mode (Section 4) — one band per range, in order — finds the offline
+// candidate set with the same bucket-pair count.
 func TestOnlineMatchesOffline(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m, _ := plantedMatrix(rng, 300, 30)
 	sig, _ := minhash.Compute(m.Stream(), 30, 7)
-	off, _, err := Candidates(sig, 3, 10)
+	off, offSt, err := Candidates(sig, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, _, err := OnlineCandidates(sig, 3, 10, func(int, []pairs.Pair) bool { return true })
+	b, err := Disjoint(sig, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Len() != on.Len() {
-		t.Fatalf("offline %d pairs, online %d", off.Len(), on.Len())
+	on, bucketPairs := union(b, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	if bucketPairs != offSt.BucketPairs {
+		t.Errorf("online %d bucket pairs, offline %d", bucketPairs, offSt.BucketPairs)
 	}
-	for _, p := range off.Slice() {
-		if !on.Contains(p.I, p.J) {
-			t.Errorf("online missed (%d,%d)", p.I, p.J)
-		}
-	}
+	sameSet(t, "online", on, off)
 }
 
 // TestCollisionRateMatchesP: empirical bucket-collision frequency over

@@ -14,8 +14,8 @@ type Distribution struct {
 	Count []float64
 }
 
-// Validate reports whether the distribution is well-formed.
-func (d Distribution) Validate() error {
+// validate reports whether the distribution is well-formed.
+func (d Distribution) validate() error {
 	if len(d.S) != len(d.Count) {
 		return fmt.Errorf("lsh: distribution has %d similarities but %d counts", len(d.S), len(d.Count))
 	}
@@ -30,10 +30,10 @@ func (d Distribution) Validate() error {
 	return nil
 }
 
-// ExpectedErrors returns the expected number of false negatives and
+// expectedErrors returns the expected number of false negatives and
 // false positives of the P_{r,l} filter at cutoff s0 over the
 // distribution: FN = Σ_{s>=s0} count·(1-P(s)), FP = Σ_{s<s0} count·P(s).
-func (d Distribution) ExpectedErrors(s0 float64, r, l int) (fn, fp float64) {
+func (d Distribution) expectedErrors(s0 float64, r, l int) (fn, fp float64) {
 	for i, s := range d.S {
 		p := ProbAtLeastOnce(s, r, l)
 		if s >= s0 {
@@ -51,8 +51,8 @@ type Params struct {
 	FN, FP float64
 }
 
-// Cost returns l·r, the signature budget the optimizer minimizes.
-func (p Params) Cost() int { return p.R * p.L }
+// cost returns l·r, the signature budget the optimizer minimizes.
+func (p Params) cost() int { return p.R * p.L }
 
 // Optimize solves the Section 4.1 minimization problem
 //
@@ -67,7 +67,7 @@ func (p Params) Cost() int { return p.R * p.L }
 // given r). The paper reports the optimal r landing between 5 and 20 in
 // most experiments.
 func Optimize(d Distribution, s0, maxFN, maxFP float64, maxR, maxL int) (Params, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return Params{}, err
 	}
 	if s0 <= 0 || s0 > 1 {
@@ -84,23 +84,23 @@ func Optimize(d Distribution, s0, maxFN, maxFP float64, maxR, maxL int) (Params,
 	for r := 1; r <= maxR; r++ {
 		// Minimal l with FN <= maxFN; FN decreases monotonically in l.
 		lo, hi := 1, maxL
-		if fn, _ := d.ExpectedErrors(s0, r, maxL); fn > maxFN {
+		if fn, _ := d.expectedErrors(s0, r, maxL); fn > maxFN {
 			continue // even maxL bands cannot meet the FN budget at this r
 		}
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if fn, _ := d.ExpectedErrors(s0, r, mid); fn <= maxFN {
+			if fn, _ := d.expectedErrors(s0, r, mid); fn <= maxFN {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
-		fn, fp := d.ExpectedErrors(s0, r, lo)
+		fn, fp := d.expectedErrors(s0, r, lo)
 		if fp > maxFP {
 			continue
 		}
 		p := Params{R: r, L: lo, FN: fn, FP: fp}
-		if !found || p.Cost() < best.Cost() {
+		if !found || p.cost() < best.cost() {
 			best, found = p, true
 		}
 	}

@@ -16,7 +16,7 @@ func testDistribution() Distribution {
 
 func TestDistributionValidate(t *testing.T) {
 	d := testDistribution()
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Distribution{
@@ -27,7 +27,7 @@ func TestDistributionValidate(t *testing.T) {
 		{S: []float64{math.NaN()}, Count: []float64{1}},
 	}
 	for i, d := range bad {
-		if err := d.Validate(); err == nil {
+		if err := d.validate(); err == nil {
 			t.Errorf("bad distribution %d accepted", i)
 		}
 	}
@@ -36,7 +36,7 @@ func TestDistributionValidate(t *testing.T) {
 func TestExpectedErrorsExtremes(t *testing.T) {
 	d := testDistribution()
 	// r=1, l huge: nearly everything collides -> FN ~ 0, FP huge.
-	fn, fp := d.ExpectedErrors(0.5, 1, 500)
+	fn, fp := d.expectedErrors(0.5, 1, 500)
 	if fn > 1 {
 		t.Errorf("FN = %v with l=500, want ~0", fn)
 	}
@@ -44,7 +44,7 @@ func TestExpectedErrorsExtremes(t *testing.T) {
 		t.Errorf("FP = %v with r=1 l=500, want huge", fp)
 	}
 	// r huge, l=1: nothing collides -> FP ~ 0, FN ~ tail mass.
-	fn, fp = d.ExpectedErrors(0.5, 60, 1)
+	fn, fp = d.expectedErrors(0.5, 60, 1)
 	if fp > 1 {
 		t.Errorf("FP = %v with r=60, want ~0", fp)
 	}
@@ -67,7 +67,7 @@ func TestOptimizeFindsFeasiblePoint(t *testing.T) {
 		t.Errorf("optimal r = %d looks wrong for this distribution", p.R)
 	}
 	// Verify reported errors match a recomputation.
-	fn, fp := d.ExpectedErrors(0.5, p.R, p.L)
+	fn, fp := d.expectedErrors(0.5, p.R, p.L)
 	if math.Abs(fn-p.FN) > 1e-9 || math.Abs(fp-p.FP) > 1e-9 {
 		t.Errorf("reported errors (%v,%v) != recomputed (%v,%v)", p.FN, p.FP, fn, fp)
 	}
@@ -83,13 +83,13 @@ func TestOptimizeIsMinimal(t *testing.T) {
 	// Exhaustive check that no cheaper feasible point exists.
 	for r := 1; r <= 30; r++ {
 		for l := 1; l <= 200; l++ {
-			if r*l >= best.Cost() {
+			if r*l >= best.cost() {
 				continue
 			}
-			fn, fp := d.ExpectedErrors(s0, r, l)
+			fn, fp := d.expectedErrors(s0, r, l)
 			if fn <= maxFN && fp <= maxFP {
 				t.Fatalf("optimizer missed cheaper feasible point r=%d l=%d (cost %d < %d)",
-					r, l, r*l, best.Cost())
+					r, l, r*l, best.cost())
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func TestOptimizeTighterFNBudgetCostsMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight.Cost() < loose.Cost() {
-		t.Errorf("tighter FN budget got cheaper params: %d < %d", tight.Cost(), loose.Cost())
+	if tight.cost() < loose.cost() {
+		t.Errorf("tighter FN budget got cheaper params: %d < %d", tight.cost(), loose.cost())
 	}
 }

@@ -2,12 +2,51 @@ package lsh
 
 import (
 	"fmt"
-	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
+	"assocmine/internal/pairs"
 )
+
+// Bands are independent, so forks of one kernel may hash them
+// concurrently: the layout and the signatures are shared read-only, the
+// scratch is private. forked deals the bands round-robin to `workers`
+// forks running at once (negative: GOMAXPROCS) and unions their
+// answers. The goroutine scheduler proper is internal/candidate's
+// (TestPhase2Matrix runs it over this kernel).
+func forked(b *Bands, workers int) (*pairs.Set, int64) {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	forks := []*Bands{b}
+	for len(forks) < workers {
+		forks = append(forks, b.Fork())
+	}
+	outs := make([][]pairs.Scored, b.Len())
+	var wg sync.WaitGroup
+	for w, f := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for band := w; band < b.Len(); band += len(forks) {
+				outs[band], _ = f.Range(nil, band, band+1)
+			}
+		}()
+	}
+	wg.Wait()
+	set := pairs.NewSet(0)
+	var bucketPairs int64
+	for _, ps := range outs {
+		bucketPairs += int64(len(ps))
+		for _, p := range ps {
+			set.Add(p.I, p.J)
+		}
+	}
+	return set, bucketPairs
+}
 
 func TestCandidatesParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
@@ -20,18 +59,17 @@ func TestCandidatesParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := Disjoint(sig, 5, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 3, 7, 16, -1} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			pset, pst, err := CandidatesParallelProgress(nil, sig, 5, 12, workers, nil)
-			if err != nil {
-				t.Fatal(err)
+			pset, bucketPairs := forked(b, workers)
+			if bucketPairs != st.BucketPairs {
+				t.Errorf("%d bucket pairs, serial %d", bucketPairs, st.BucketPairs)
 			}
-			if !reflect.DeepEqual(pset.Sorted(), set.Sorted()) {
-				t.Fatalf("candidate set differs: %d pairs vs %d", pset.Len(), set.Len())
-			}
-			if pst != st {
-				t.Fatalf("stats %+v, want %+v", pst, st)
-			}
+			sameSet(t, "forked", pset, set)
 		})
 	}
 }
@@ -43,21 +81,17 @@ func TestSampledCandidatesParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, st, err := SampledCandidates(sig, 6, 15, 77)
+	b, err := Sampled(sig, 6, 15, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set, bucketPairs := union(b, []int{0, 15})
 	for _, workers := range []int{2, 5} {
-		pset, pst, err := SampledCandidatesParallelProgress(nil, sig, 6, 15, 77, workers, nil)
-		if err != nil {
-			t.Fatal(err)
+		pset, pbp := forked(b, workers)
+		if pbp != bucketPairs {
+			t.Errorf("workers=%d: %d bucket pairs, serial %d", workers, pbp, bucketPairs)
 		}
-		if !reflect.DeepEqual(pset.Sorted(), set.Sorted()) {
-			t.Fatalf("workers=%d: sampled candidate set differs", workers)
-		}
-		if pst != st {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, pst, st)
-		}
+		sameSet(t, fmt.Sprintf("workers=%d", workers), pset, set)
 	}
 }
 
@@ -68,13 +102,13 @@ func TestCandidatesParallelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := CandidatesParallelProgress(nil, sig, 0, 5, 4, nil); err == nil {
+	if _, err := Disjoint(sig, 0, 5); err == nil {
 		t.Error("r=0 accepted")
 	}
-	if _, _, err := CandidatesParallelProgress(nil, sig, 5, 10, 4, nil); err == nil {
+	if _, err := Disjoint(sig, 5, 10); err == nil {
 		t.Error("k < r*l accepted")
 	}
-	if _, _, err := SampledCandidatesParallelProgress(nil, sig, 11, 4, 1, 4, nil); err == nil {
+	if _, err := Sampled(sig, 11, 4, 1); err == nil {
 		t.Error("k < r accepted")
 	}
 }

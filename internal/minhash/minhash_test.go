@@ -304,7 +304,7 @@ func TestQuickAgreementSymmetric(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			for j := 0; j < 6; j++ {
-				if sig.Agreement(i, j) != sig.Agreement(j, i) {
+				if sig.agreement(i, j) != sig.agreement(j, i) {
 					return false
 				}
 			}

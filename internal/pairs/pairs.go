@@ -3,7 +3,11 @@
 // of column indices, a deduplicating pair set, and scored pairs.
 package pairs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Pair is an unordered column pair stored canonically with I < J.
 type Pair struct {
@@ -23,7 +27,14 @@ func Make(a, b int32) Pair {
 	}
 }
 
-func (p Pair) key() uint64 { return uint64(uint32(p.I))<<32 | uint64(uint32(p.J)) }
+// Key packs the pair into one word, I in the high half: keys order like
+// (I, J). It is the repository's one pair encoding — the Set's map key,
+// the BPS tally key, the exact all-pairs counter key and the dist wire
+// key.
+func (p Pair) Key() uint64 { return uint64(uint32(p.I))<<32 | uint64(uint32(p.J)) }
+
+// FromKey is the inverse of Key.
+func FromKey(k uint64) Pair { return Pair{I: int32(k >> 32), J: int32(k)} }
 
 // Scored is a pair annotated with an estimated and (optionally) exact
 // similarity, as produced by candidate generation and verification.
@@ -53,7 +64,7 @@ func NewSet(n int) *Set {
 // was new.
 func (s *Set) Add(a, b int32) bool {
 	p := Make(a, b)
-	k := p.key()
+	k := p.Key()
 	if _, ok := s.m[k]; ok {
 		return false
 	}
@@ -64,7 +75,7 @@ func (s *Set) Add(a, b int32) bool {
 
 // Contains reports whether the pair (a, b) is in the set.
 func (s *Set) Contains(a, b int32) bool {
-	_, ok := s.m[Make(a, b).key()]
+	_, ok := s.m[Make(a, b).Key()]
 	return ok
 }
 
@@ -75,21 +86,10 @@ func (s *Set) Len() int { return len(s.s) }
 // modify the returned slice.
 func (s *Set) Slice() []Pair { return s.s }
 
-// Sorted returns the pairs ordered by (I, J), freshly allocated.
-func (s *Set) Sorted() []Pair {
-	out := append([]Pair(nil), s.s...)
-	Sort(out)
-	return out
-}
-
-// Sort orders pairs by (I, J) in place.
-func Sort(ps []Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].I != ps[b].I {
-			return ps[a].I < ps[b].I
-		}
-		return ps[a].J < ps[b].J
-	})
+// SortByKey orders scored pairs by (I, J) in place: the order the dist
+// wire codec ships candidate runs in.
+func SortByKey(ps []Scored) {
+	slices.SortFunc(ps, func(a, b Scored) int { return cmp.Compare(a.Key(), b.Key()) })
 }
 
 // SortScored orders scored pairs by decreasing Exact similarity,

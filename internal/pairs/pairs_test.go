@@ -46,25 +46,30 @@ func TestSetDedup(t *testing.T) {
 	}
 }
 
+// TestSetSorted: a set's pairs sort by key into (I, J) order, scores
+// travelling with them; Key and FromKey invert each other; and the Set
+// itself keeps insertion order in Slice.
 func TestSetSorted(t *testing.T) {
 	s := NewSet(0)
 	s.Add(3, 1)
 	s.Add(0, 2)
 	s.Add(1, 2)
-	got := s.Sorted()
-	want := []Pair{{0, 2}, {1, 2}, {1, 3}}
-	if len(got) != len(want) {
-		t.Fatalf("Sorted = %v", got)
+	var got []Scored
+	for _, p := range s.Slice() {
+		if FromKey(p.Key()) != p {
+			t.Errorf("FromKey(Key(%v)) = %v", p, FromKey(p.Key()))
+		}
+		got = append(got, Scored{Pair: p, Estimate: float64(p.I)})
 	}
+	SortByKey(got)
+	want := []Pair{{0, 2}, {1, 2}, {1, 3}}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v, want %v", got, want)
+		if got[i].Pair != want[i] || got[i].Estimate != float64(want[i].I) {
+			t.Fatalf("SortByKey = %v, want pairs %v with their estimates", got, want)
 		}
 	}
-	// Insertion order preserved in Slice.
-	sl := s.Slice()
-	if sl[0] != (Pair{1, 3}) {
-		t.Errorf("Slice[0] = %v", sl[0])
+	if sl := s.Slice(); sl[0] != (Pair{1, 3}) {
+		t.Errorf("Slice[0] = %v: insertion order lost", sl[0])
 	}
 }
 

@@ -148,11 +148,11 @@ func TestExactPairsParallel(t *testing.T) {
 			bare = append(bare, pairs.Make(i, j))
 		}
 	}
-	want, _, err := Exact(m.Stream(), unscored(bare), 0.1)
+	want, _, err := Exact(m.Stream(), zeroScored(bare), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ExactBudgeted(m.Stream(), unscored(bare), 0.1, Budget{}, 4, nil)
+	got, _, err := ExactBudgeted(m.Stream(), zeroScored(bare), 0.1, Budget{}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

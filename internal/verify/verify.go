@@ -203,7 +203,7 @@ func AllPairsSource(src matrix.RowSource, threshold float64) ([]pairs.Scored, er
 		for i := 0; i < len(cols); i++ {
 			colSize[cols[i]]++
 			for j := i + 1; j < len(cols); j++ {
-				inter[uint64(uint32(cols[i]))<<32|uint64(uint32(cols[j]))]++
+				inter[pairs.Pair{I: cols[i], J: cols[j]}.Key()]++
 			}
 		}
 		return nil
@@ -213,12 +213,11 @@ func AllPairsSource(src matrix.RowSource, threshold float64) ([]pairs.Scored, er
 	}
 	var out []pairs.Scored
 	for key, cnt := range inter {
-		i := int32(key >> 32)
-		j := int32(key & 0xffffffff)
-		union := int(colSize[i]) + int(colSize[j]) - int(cnt)
+		p := pairs.FromKey(key)
+		union := int(colSize[p.I]) + int(colSize[p.J]) - int(cnt)
 		s := float64(cnt) / float64(union)
 		if s >= threshold {
-			out = append(out, pairs.Scored{Pair: pairs.Pair{I: i, J: j}, Estimate: s, Exact: s})
+			out = append(out, pairs.Scored{Pair: p, Estimate: s, Exact: s})
 		}
 	}
 	pairs.SortScored(out)

@@ -115,9 +115,9 @@ func TestExactThresholdFilters(t *testing.T) {
 	}
 }
 
-// unscored attaches zero estimates to bare pairs, the form LSH bucket
+// zeroScored attaches zero estimates to bare pairs, the form LSH bucket
 // collisions reach verification in.
-func unscored(ps []pairs.Pair) []pairs.Scored {
+func zeroScored(ps []pairs.Pair) []pairs.Scored {
 	out := make([]pairs.Scored, len(ps))
 	for i, p := range ps {
 		out[i] = pairs.Scored{Pair: p}
@@ -127,7 +127,7 @@ func unscored(ps []pairs.Pair) []pairs.Scored {
 
 func TestExactPairs(t *testing.T) {
 	m := matrix.MustNew(3, [][]int32{{0, 1}, {0, 1}})
-	out, _, err := Exact(m.Stream(), unscored([]pairs.Pair{{I: 0, J: 1}}), 0.9)
+	out, _, err := Exact(m.Stream(), zeroScored([]pairs.Pair{{I: 0, J: 1}}), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPipelineRemovesFalsePositives(t *testing.T) {
 			cand = append(cand, pairs.Pair{I: i, J: j})
 		}
 	}
-	out, _, err := Exact(m.Stream(), unscored(cand), 0.5)
+	out, _, err := Exact(m.Stream(), zeroScored(cand), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"assocmine/internal/lsh"
+	"assocmine/internal/candidate"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -32,9 +32,11 @@ type Progress struct {
 // cfg.Algorithm must be MinLSH (or zero, which is treated as MinLSH
 // here); cfg.K must be at least R*L. The signature phase, each band's
 // verification (kernel, MemoryBudget, Workers, Context) and the Stats
-// accounting are the SimilarPairs driver's own steps; only the banding
-// stays band-at-a-time — that ordering is the point of the API — so
-// DataPasses counts the signature pass plus one pass per band that
+// accounting are the SimilarPairs driver's own steps, and the banding is
+// its kernel (candidate.For) scheduled one band per range, each band's
+// fresh pairs being what its Gatherer lets through — that ordering is
+// the point of the API —
+// so DataPasses counts the signature pass plus one pass per band that
 // found fresh pairs. cfg.Window restricts the run to the trailing rows,
 // like SimilarPairs.
 func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*Result, error) {
@@ -58,35 +60,36 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 		return nil, err
 	}
 
+	k, err := candidate.For(cfg.Context, cfg.params(), sk, 1)
+	if err != nil {
+		return nil, err
+	}
 	st := &r.st
-	var all []pairs.Scored
-	var innerErr error
+	var all, band []pairs.Scored
+	var bucketPairs int64
+	gather := k.Gatherer()
 	ctick := r.prog.enter(PhaseCandidates)
-	_, lst, err := lsh.OnlineCandidates(sk.MH, cfg.R, cfg.L, func(band int, fresh []pairs.Pair) bool {
+	for b := 0; b < k.Units(); b++ {
+		var work int64
+		if band, work, err = k.Range(band[:0], b, b+1); err != nil {
+			return nil, err
+		}
+		bucketPairs += work
+		fresh := gather.Add(band[:0], band)
 		vstart := time.Now()
-		verified, err := r.exact(unscored(fresh), nil)
+		verified, err := r.exact(fresh, nil)
 		st.VerifyTime += time.Since(vstart)
 		if err != nil {
-			innerErr = err
-			return false
+			return nil, err
 		}
 		st.Candidates += len(fresh)
 		all = append(all, verified...)
 		if ctick != nil {
-			ctick(int64(band+1), int64(cfg.L))
+			ctick(int64(b+1), int64(cfg.L))
 		}
-		return fn(Progress{
-			Band:       band,
-			Bands:      cfg.L,
-			Fresh:      toPairs(verified, true),
-			TotalFound: len(all),
-		})
-	})
-	if innerErr != nil {
-		return nil, innerErr
-	}
-	if err != nil {
-		return nil, err
+		if !fn(Progress{Band: b, Bands: cfg.L, Fresh: toPairs(verified, true), TotalFound: len(all)}) {
+			break
+		}
 	}
 	st.CandidateTime = time.Since(start) - st.SignatureTime - st.VerifyTime
 	st.Verified = len(all)
@@ -100,7 +103,7 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 	r.rec.PhaseEnd(PhaseVerify, st.VerifyTime)
 	st.VerifyWorkers = cfg.Workers
 	r.rec.SetGauge(obs.GaugeVerifyWorkers, int64(cfg.Workers))
-	r.rec.Add(obs.CounterBucketPairs, lst.BucketPairs)
+	r.rec.Add(k.Counter, bucketPairs)
 	r.prog.finish(PhaseCandidates)
 	r.prog.enter(PhaseVerify)
 	r.prog.finish(PhaseVerify)

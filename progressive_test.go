@@ -1,6 +1,8 @@
 package assocmine
 
 import (
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -121,5 +123,32 @@ func TestProgressiveValidation(t *testing.T) {
 	}
 	if _, err := ProgressiveSimilarPairs(d, Config{Algorithm: MinLSH, Threshold: 0.5}, nil); err == nil {
 		t.Error("nil callback accepted")
+	}
+}
+
+// TestProgressiveCancelled: the band-at-a-time scheduler aborts with the
+// context's error like every other scheduler of the phase-2 kernel —
+// before the first band when cancelled up front, and between bands when
+// the callback's own work cancels it.
+func TestProgressiveCancelled(t *testing.T) {
+	d, _ := plantedDataset(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := Config{Algorithm: MinLSH, Threshold: 0.7, K: 100, R: 5, L: 20, Seed: 5, Context: ctx}
+	bands := 0
+	_, err := ProgressiveSimilarPairs(d, cfg, func(p Progress) bool {
+		bands++
+		if p.Band == 2 {
+			cancel()
+		}
+		return true
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v after %d bands, want context.Canceled", err, bands)
+	}
+	if bands > 4 {
+		t.Errorf("ran %d bands after cancellation at band 2", bands)
+	}
+	if _, err := ProgressiveSimilarPairs(d, cfg, func(Progress) bool { return true }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 }

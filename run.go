@@ -9,7 +9,6 @@ import (
 	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
 	"assocmine/internal/hamminglsh"
-	"assocmine/internal/lsh"
 	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
@@ -81,9 +80,9 @@ func (d *Dataset) run(cfg Config) *run {
 	return newRun(d.m.Stream(), func() (*matrix.Matrix, error) { return d.m, nil }, cfg)
 }
 
-// scheme is one algorithm's row of the template: the phase-2 kernel
-// that reads the sketch its fold left (internal/fold maps the algorithm
-// to the fold; phase 1 is the same code for all of them).
+// scheme is one algorithm's row of the template: the phase 2 that reads
+// the sketch its fold left (internal/fold maps the algorithm to the
+// fold; phase 1 is the same code for all of them).
 type scheme struct {
 	// generate is phase 2. tick reports its progress in the kernel's own
 	// unit (columns, bands, or rows for the schemes that scan).
@@ -224,57 +223,30 @@ func (r *run) folded(f fold.Fold, shards int64) {
 	addNonzero(r.rec, obs.CounterShards, shards)
 }
 
-// scheme maps the configured algorithm to its phase-2 kernel — with
-// fold.For, which maps it to its phase 1, the only places an algorithm
-// is turned into code to run.
+// scheme maps the configured algorithm to its phase 2. The three sketch
+// schemes share one: candidate.For builds the scheme's range kernel
+// over the sketch and the goroutine scheduler scans it. The others each
+// read the data their own way.
 func (r *run) scheme() (scheme, error) {
 	cfg := r.cfg
-	cutoff := (1 - cfg.Delta) * cfg.Threshold
 	switch cfg.Algorithm {
 	case BruteForce:
 		return scheme{exact: true, serial: true, generate: func(_ fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			return verify.AllPairsSource(r.ticked(tick), cfg.Threshold)
 		}}, nil
 
-	case MinHash:
+	case MinHash, KMinHash, MinLSH:
 		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			cand, cst, err := candidate.RowSortMHParallelProgress(cfg.Context, sk.MH, cutoff, cfg.Workers, tick)
+			k, err := candidate.For(cfg.Context, cfg.params(), sk, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
-			r.rec.Add(obs.CounterIncrements, cst.Increments)
+			cand, work, err := k.Scan(cfg.Context, cfg.Workers, tick)
+			if err != nil {
+				return nil, err
+			}
+			r.rec.Add(k.Counter, work)
 			return cand, nil
-		}}, nil
-
-	case KMinHash:
-		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			opt := candidate.KMHOptions{
-				BiasedCutoff:   cutoff / 2, // biased estimator under-counts; be generous
-				UnbiasedCutoff: cutoff,
-			}
-			cand, cst, err := candidate.HashCountKMHParallelProgress(cfg.Context, sk.KMH, opt, cfg.Workers, tick)
-			if err != nil {
-				return nil, err
-			}
-			r.rec.Add(obs.CounterIncrements, cst.Increments)
-			return cand, nil
-		}}, nil
-
-	case MinLSH:
-		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			var set *pairs.Set
-			var lst lsh.Stats
-			var err error
-			if sk.MH.K >= cfg.R*cfg.L {
-				set, lst, err = lsh.CandidatesParallelProgress(cfg.Context, sk.MH, cfg.R, cfg.L, cfg.Workers, tick)
-			} else {
-				set, lst, err = lsh.SampledCandidatesParallelProgress(cfg.Context, sk.MH, cfg.R, cfg.L, cfg.Seed+1, cfg.Workers, tick)
-			}
-			if err != nil {
-				return nil, err
-			}
-			r.rec.Add(obs.CounterBucketPairs, lst.BucketPairs)
-			return unscored(set.Slice()), nil
 		}}, nil
 
 	case HammingLSH:
@@ -292,7 +264,11 @@ func (r *run) scheme() (scheme, error) {
 				return nil, err
 			}
 			r.rec.Add(obs.CounterBucketPairs, hst.BucketPairs)
-			return unscored(set.Slice()), nil
+			cand := make([]pairs.Scored, 0, set.Len())
+			for _, p := range set.Slice() {
+				cand = append(cand, pairs.Scored{Pair: p})
+			}
+			return cand, nil
 		}}, nil
 
 	case Apriori:
@@ -313,13 +289,7 @@ func (r *run) scheme() (scheme, error) {
 
 	case BPS:
 		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			cand, bst, err := bps.Sample(r.ticked(tick), sk.Sup, bps.Options{
-				Threshold: cfg.Threshold,
-				Delta:     cfg.Delta,
-				Budget:    cfg.SampleBudget,
-				Seed:      cfg.Seed,
-				Workers:   cfg.Workers,
-			})
+			cand, bst, err := bps.Sample(r.ticked(tick), sk.Sup, cfg.params().BPS(cfg.Workers))
 			if err != nil {
 				return nil, err
 			}
@@ -490,16 +460,6 @@ func readIOCounts(src matrix.RowSource) (c ioCounts) {
 		c.logical = s.LogicalBytesRead()
 	}
 	return c
-}
-
-// unscored attaches zero estimates to bare pairs, the form LSH bucket
-// collisions enter verification in.
-func unscored(ps []pairs.Pair) []pairs.Scored {
-	out := make([]pairs.Scored, len(ps))
-	for i, p := range ps {
-		out[i] = pairs.Scored{Pair: p}
-	}
-	return out
 }
 
 // addNonzero records n only when it is nonzero, so runs that never
