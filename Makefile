@@ -73,6 +73,8 @@ fuzz:
 	$(GO) test ./internal/verify -fuzz FuzzSpillTableVsMap -fuzztime 10s
 	$(GO) test ./internal/bps -fuzz FuzzBPSSampler -fuzztime 10s
 	$(GO) test ./internal/radix -fuzz FuzzRadixSort -fuzztime 10s
+	$(GO) test ./internal/candidate -fuzz FuzzKernelColumn -fuzztime 10s
+	$(GO) test ./internal/rules -fuzz FuzzRulesCandidates -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzHTTPQuery -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzParseExpr -fuzztime 10s
 	$(GO) test ./internal/dist -fuzz FuzzDistFrame -fuzztime 10s
@@ -86,4 +88,4 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
-	rm -rf internal/matrix/testdata/fuzz internal/faultfs/testdata/fuzz internal/serve/testdata/fuzz internal/dist/testdata/fuzz
+	rm -rf internal/matrix/testdata/fuzz internal/faultfs/testdata/fuzz internal/serve/testdata/fuzz internal/dist/testdata/fuzz internal/candidate/testdata/fuzz internal/rules/testdata/fuzz

@@ -315,3 +315,84 @@ func benchName(k string, v int) string {
 	}
 	return k + "=" + string(buf[i:])
 }
+
+// BenchmarkResidentQueries is the committed before/after of the
+// resident service's query kernels at its benchmark's shape: a §5-style
+// 12 000 × 400 set, k = 200 signatures and k = 256 sketches computed
+// once, one worker, each query as assocserve issues it. A sub-benchmark
+// runs warm — the sketch has answered a query before — and as
+// first-query, on a sketch object nothing has queried yet (computed
+// outside the timer), so the cost of the phase-2 index the first query
+// builds shows next to what later queries save. Rule mining keeps no
+// index, so its first query is any query.
+func BenchmarkResidentQueries(b *testing.B) {
+	d, _, err := assocmine.GenerateSynthetic(assocmine.SyntheticOptions{Rows: 12000, Cols: 400, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig, err := assocmine.ComputeSignatures(d, 200, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := assocmine.Config{Seed: 1, Workers: 1, Context: context.Background()}
+	at := func(threshold float64) assocmine.Config { c := cfg; c.Threshold = threshold; return c }
+	queries := []struct {
+		name string
+		run  func(sk *assocmine.Sketches, i int) error
+	}{
+		{"pairs-kmh@0.4", func(sk *assocmine.Sketches, _ int) error {
+			_, err := assocmine.SimilarPairsWithSketches(d, sk, at(0.4))
+			return err
+		}},
+		{"topk/floor=0.3", func(sk *assocmine.Sketches, i int) error {
+			_, err := assocmine.TopColumnsWithSketches(d, sk, i%d.NumCols(), 10, at(0.9), 0.3)
+			return err
+		}},
+		{"toppairs/n=25", func(sk *assocmine.Sketches, _ int) error {
+			_, err := assocmine.TopPairsWithSketches(d, sk, 25, at(0.9), 0.05)
+			return err
+		}},
+	}
+	for _, q := range queries {
+		b.Run(q.name, func(b *testing.B) {
+			sk, err := assocmine.ComputeSketches(d, 256, 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := q.run(sk, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := q.run(sk, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(q.name+"/first-query", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sk, err := assocmine.ComputeSketches(d, 256, 1, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := q.run(sk, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("rules@0.6", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := assocmine.MineRulesWithSignatures(d, sig, assocmine.RuleConfig{
+				MinConfidence: 0.6, Seed: 1, Context: context.Background(),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

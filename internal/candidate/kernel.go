@@ -2,15 +2,20 @@
 // of the sketch schemes depends on, with the one defaults-and-validation
 // function and the one derivation of every downstream constant; SchemeFor
 // is the only place that maps an algorithm to its phase 2 (as fold.For is
-// for phase 1), and For builds its Kernel over a finished sketch:
+// for phase 1). A kernel has two halves. IndexFor builds the half that
+// depends on the finished sketch alone — the Index, read-only and
+// shareable, what a resident sketch keeps across queries — and
+// Index.Kernel adds the half a query owns, the cutoffs and the counter
+// scratch (For is the two in a row, for a sketch used once):
 //
 //	Units()              the range space: columns (MH, K-MH) or bands (M-LSH)
 //	Range(dst, lo, hi)   append the candidates of units [lo, hi), with the work done
+//	Column(dst, col)     append the candidates that contain one column
 //	Gatherer()           the rule for putting range outputs together
 //
-// over a ranger (units, span, fork: mhRanger, kmhRanger, lsh.Bands) whose
-// forks share the read-only index and own their scratch. The goroutine
-// scheduler (Scan, parallel.go), the band-at-a-time loop of
+// over a ranger (units, span, column, fork: mhRanger, kmhRanger,
+// lsh.Bands) whose forks share the index and own their scratch. The
+// goroutine scheduler (Scan, parallel.go), the band-at-a-time loop of
 // ProgressiveSimilarPairs and the dist worker and coordinator only
 // schedule these, so their outputs are bit-identical by construction.
 package candidate
@@ -102,9 +107,11 @@ type Scheme struct {
 	// increments for the counting schemes, bucket pairs for M-LSH.
 	Counter string
 	units   int
+	cols    int
 	chunk   int  // units the goroutine scheduler hands out at a time
 	overlap bool // ranges can repeat a pair
-	build   func(ctx context.Context, p Params, sk fold.Sketch, workers int) (ranger, error)
+	index   func(ctx context.Context, sk fold.Sketch, workers int) (*Index, error)
+	ranger  func(p Params, ix *Index) (ranger, error)
 }
 
 // SchemeFor maps an algorithm to its phase 2 over cols columns. The
@@ -113,11 +120,13 @@ type Scheme struct {
 func SchemeFor(p Params, cols int) (Scheme, error) {
 	switch p.Algo {
 	case fold.MinHash:
-		return Scheme{Counter: obs.CounterIncrements, units: cols, chunk: colChunk, build: buildMH}, nil
+		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: mhIndex,
+			ranger: func(p Params, ix *Index) (ranger, error) { return ix.mhRanger(p.cutoff(), false) }}, nil
 	case fold.KMinHash:
-		return Scheme{Counter: obs.CounterIncrements, units: cols, chunk: colChunk, build: buildKMH}, nil
+		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: kmhIndex,
+			ranger: func(p Params, ix *Index) (ranger, error) { return ix.kmhRanger(p.cascade()) }}, nil
 	case fold.MinLSH:
-		return Scheme{Counter: obs.CounterBucketPairs, units: p.L, chunk: 1, overlap: true, build: buildBands}, nil
+		return Scheme{Counter: obs.CounterBucketPairs, units: p.L, cols: cols, chunk: 1, overlap: true, index: bandIndex, ranger: buildBands}, nil
 	}
 	return Scheme{}, fmt.Errorf("candidate: algorithm %d has no range kernel", int(p.Algo))
 }
@@ -165,64 +174,87 @@ type ranger interface {
 	// span appends the candidates of units [lo, hi) — a valid range — to
 	// dst and returns the work this call did.
 	span(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64)
+	// column appends the candidates that contain col — a valid column —
+	// each once, and returns the work this call did: as a set, and
+	// Estimate bit for Estimate bit, what the gathered span over every
+	// unit holds of col.
+	column(dst []pairs.Scored, col int) ([]pairs.Scored, int64)
 	// fork returns a ranger over the same index with private scratch. It
 	// reads only what no span writes, so it may run while the receiver
 	// is counting.
 	fork() ranger
 }
 
-// Kernel is one scheme's phase 2 over one sketch. Not safe for
-// concurrent use — the scratch is reused across calls; Scan forks one
-// ranger per goroutine, dist runs one kernel per process.
+// Kernel is one scheme's phase 2 over one sketch under one parameter
+// set. Not safe for concurrent use — the scratch is reused across
+// calls; Scan forks one ranger per goroutine, dist runs one kernel per
+// process, and concurrent queries each take their own from the shared
+// Index.
 type Kernel struct {
 	Scheme
 	r ranger
 }
 
-// For builds the scheme's kernel over the sketch its fold finished. The
-// index build is the O(sketch) part of phase 2; workers and ctx spread
-// and cancel the part of it that parallelises (the MH row sorts).
+// For builds the scheme's kernel over the sketch its fold finished:
+// IndexFor then Index.Kernel, for a sketch that is used once.
 func For(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Kernel, error) {
-	s, err := SchemeFor(p, 0) // the units come from the sketch, below
+	ix, err := IndexFor(ctx, p.Algo, sk, workers)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Kernel(p)
+}
+
+// IndexFor builds the index of algo's phase 2 over the sketch its fold
+// finished: the O(sketch) part of phase 2, the same for every query.
+// workers and ctx (nil means Background) spread and cancel the part of
+// the build that parallelises (the MH row sorts).
+func IndexFor(ctx context.Context, algo fold.Algo, sk fold.Sketch, workers int) (*Index, error) {
+	s, err := SchemeFor(Params{Algo: algo}, 0)
 	if err != nil {
 		return nil, err
 	}
 	ctx, workers = normWorkers(ctx, workers)
-	r, err := s.build(ctx, p, sk, workers)
+	return s.index(ctx, sk, workers)
+}
+
+// Kernel is a kernel of the index's scheme under p: the cutoffs p
+// derives, validated, and scratch of its own.
+func (ix *Index) Kernel(p Params) (*Kernel, error) {
+	s, err := SchemeFor(p, ix.cols())
 	if err != nil {
 		return nil, err
 	}
-	s.units = r.units()
+	if p.Algo != ix.algo {
+		return nil, fmt.Errorf("candidate: index of algorithm %d cannot serve algorithm %d", int(ix.algo), int(p.Algo))
+	}
+	r, err := s.ranger(p, ix)
+	if err != nil {
+		return nil, err
+	}
 	return &Kernel{Scheme: s, r: r}, nil
 }
 
-func buildMH(ctx context.Context, p Params, sk fold.Sketch, workers int) (ranger, error) {
+// bandIndex is M-LSH's index: banding sorts each band as it hashes it,
+// so there is nothing to keep but the signatures.
+func bandIndex(_ context.Context, sk fold.Sketch, _ int) (*Index, error) {
 	if sk.MH == nil {
-		return nil, fmt.Errorf("candidate: MH kernel needs MH signatures")
+		return nil, fmt.Errorf("candidate: M-LSH kernel needs MH signatures")
 	}
-	return newMHRanger(ctx, sk.MH, p.cutoff(), false, workers)
-}
-
-func buildKMH(_ context.Context, p Params, sk fold.Sketch, _ int) (ranger, error) {
-	if sk.KMH == nil {
-		return nil, fmt.Errorf("candidate: K-MH kernel needs bottom-k sketches")
-	}
-	return newKMHRanger(sk.KMH, p.cascade())
+	return &Index{algo: fold.MinLSH, sk: fold.Sketch{MH: sk.MH}}, nil
 }
 
 // buildBands picks the band layout: disjoint bands when the sketch has
 // the r·l values they need, else the sampled Q_{r,l,k} layout, drawn at
 // Seed+1 so it is independent of the hash functions Seed drew.
-func buildBands(_ context.Context, p Params, sk fold.Sketch, _ int) (ranger, error) {
-	if sk.MH == nil {
-		return nil, fmt.Errorf("candidate: M-LSH kernel needs MH signatures")
-	}
+func buildBands(p Params, ix *Index) (ranger, error) {
+	sig := ix.sk.MH
 	var b *lsh.Bands
 	var err error
-	if sk.MH.K >= p.R*p.L {
-		b, err = lsh.Disjoint(sk.MH, p.R, p.L)
+	if sig.K >= p.R*p.L {
+		b, err = lsh.Disjoint(sig, p.R, p.L)
 	} else {
-		b, err = lsh.Sampled(sk.MH, p.R, p.L, p.Seed+1)
+		b, err = lsh.Sampled(sig, p.R, p.L, p.Seed+1)
 	}
 	if err != nil {
 		return nil, err
@@ -238,6 +270,10 @@ func (b bandRanger) span(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64)
 	return b.Range(dst, lo, hi)
 }
 
+func (b bandRanger) column(dst []pairs.Scored, col int) ([]pairs.Scored, int64) {
+	return b.Column(dst, col)
+}
+
 func (b bandRanger) fork() ranger { return bandRanger{b.Fork()} }
 
 // Range appends the candidates of units [lo, hi) to dst and returns the
@@ -249,5 +285,19 @@ func (k *Kernel) Range(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64, e
 		return dst, 0, fmt.Errorf("candidate: unit range [%d,%d) outside [0,%d)", lo, hi, k.units)
 	}
 	dst, work := k.r.span(dst, lo, hi)
+	return dst, work, nil
+}
+
+// Column appends to dst the candidates that contain column col, each
+// once, and returns the work that cost: the gathered full scan filtered
+// on col — equal as a set, Estimate bit for Estimate bit — from col's
+// own runs (one key comparison per band and column for M-LSH) instead
+// of everybody's. It is the unit of a one-column query, as Range is of
+// an all-pairs one, and the one column check of phase 2.
+func (k *Kernel) Column(dst []pairs.Scored, col int) ([]pairs.Scored, int64, error) {
+	if col < 0 || col >= k.cols {
+		return dst, 0, fmt.Errorf("candidate: column %d outside [0,%d)", col, k.cols)
+	}
+	dst, work := k.r.column(dst, col)
 	return dst, work, nil
 }

@@ -64,6 +64,42 @@ func sameCandidates(t *testing.T, k *Kernel, got []pairs.Scored, gotWork int64, 
 	}
 }
 
+// sameColumn is the Column block's single assertion: Column(col) holds,
+// each once, the pairs of the gathered full scan that contain col, with
+// identical Estimate bits, appended after what dst already held.
+func sameColumn(t *testing.T, k *Kernel, col int, full []pairs.Scored) {
+	t.Helper()
+	kept := pairs.Scored{Pair: pairs.Pair{I: -1, J: -2}}
+	got, _, err := k.Column([]pairs.Scored{kept}, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != kept {
+		t.Fatalf("column %d overwrote dst", col)
+	}
+	isColumnOf(t, got[1:], col, full)
+}
+
+func isColumnOf(t *testing.T, got []pairs.Scored, col int, full []pairs.Scored) {
+	t.Helper()
+	var want []pairs.Scored
+	for _, p := range full {
+		if int(p.I) == col || int(p.J) == col {
+			want = append(want, p)
+		}
+	}
+	pairs.SortByKey(got)
+	pairs.SortByKey(want)
+	if len(got) != len(want) {
+		t.Fatalf("column %d: %d candidates, filtered full scan %d", col, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Pair != want[i].Pair || math.Float64bits(got[i].Estimate) != math.Float64bits(want[i].Estimate) {
+			t.Fatalf("column %d candidate %d = %+v, filtered full scan %+v", col, i, got[i], want[i])
+		}
+	}
+}
+
 // fullRange is the reference every cell compares with.
 func fullRange(t *testing.T, k *Kernel) ([]pairs.Scored, int64) {
 	t.Helper()
@@ -193,6 +229,22 @@ func TestPhase2Matrix(t *testing.T) {
 					}
 				}
 			})
+			// The per-column access path: every column, from a kernel that
+			// has run nothing yet (a fork) and from the one the cells above
+			// have scanned and that has just answered another column.
+			t.Run("column", func(t *testing.T) {
+				fresh := &Kernel{Scheme: k.Scheme, r: k.r.fork()}
+				for col := 0; col < sig.M; col++ {
+					sameColumn(t, fresh, col, want)
+					fresh = &Kernel{Scheme: k.Scheme, r: k.r.fork()}
+					sameColumn(t, k, col, want)
+				}
+				for _, col := range []int{-1, sig.M} {
+					if _, _, err := k.Column(nil, col); err == nil {
+						t.Errorf("column %d of %d accepted", col, sig.M)
+					}
+				}
+			})
 		})
 	}
 	// The index build is cancellable where it is parallel.
@@ -201,6 +253,143 @@ func TestPhase2Matrix(t *testing.T) {
 	if _, err := For(ctx, with(fold.MinHash, 0), fold.Sketch{MH: sig}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("For under a cancelled context: %v", err)
 	}
+}
+
+// TestKernelsShareOneIndex: two kernels of one Index under different
+// parameters, scanning and answering columns at the same time (run with
+// -race), each emit what a kernel built on its own by For does.
+func TestKernelsShareOneIndex(t *testing.T) {
+	rng := hashing.NewSplitMix64(23)
+	m, _ := plantedMatrix(rng, 400, 70)
+	sig, err := minhash.Compute(m.Stream(), 24, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := kminhash.Compute(m.Stream(), 32, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		algo fold.Algo
+		sk   fold.Sketch
+	}{
+		{fold.MinHash, fold.Sketch{MH: sig}},
+		{fold.KMinHash, fold.Sketch{KMH: sk}},
+		{fold.MinLSH, fold.Sketch{MH: sig}},
+	} {
+		ix, err := IndexFor(context.Background(), tc.algo, tc.sk, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped := tc.algo != fold.MinLSH; (ix.Bytes() > 0) != grouped {
+			t.Errorf("algo %d: index of %d bytes", tc.algo, ix.Bytes())
+		}
+		type query struct {
+			k       *Kernel
+			scan    []pairs.Scored
+			work    int64
+			columns [][]pairs.Scored
+			err     error
+		}
+		params := []Params{
+			{Algo: tc.algo, K: 24, R: 3, L: 8, Seed: 5, Threshold: 0.5, Delta: 0.4},
+			{Algo: tc.algo, K: 24, R: 2, L: 6, Seed: 5, Threshold: 0.8, Delta: 0.1},
+		}
+		queries := make([]query, len(params))
+		var wg sync.WaitGroup
+		for i, p := range params {
+			q := &queries[i]
+			if q.k, err = ix.Kernel(p); err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q.scan, q.work, q.err = q.k.Scan(context.Background(), 2, nil)
+				for col := 0; col < sig.M && q.err == nil; col++ {
+					var c []pairs.Scored
+					c, _, q.err = q.k.Column(nil, col)
+					q.columns = append(q.columns, c)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, q := range queries {
+			if q.err != nil {
+				t.Fatal(q.err)
+			}
+			want, wantWork := fullRange(t, mustFor(t, params[i], tc.sk, 1))
+			sameCandidates(t, q.k, q.scan, q.work, want, wantWork)
+			for col, c := range q.columns {
+				isColumnOf(t, c, col, want)
+			}
+		}
+		other := Params{Algo: fold.MinHash, K: 24, Threshold: 0.5}
+		if tc.algo == fold.MinHash {
+			other.Algo = fold.KMinHash
+		}
+		if _, err := ix.Kernel(other); err == nil {
+			t.Errorf("index of algo %d served algo %d", tc.algo, other.Algo)
+		}
+	}
+}
+
+// FuzzKernelColumn: over random small signature matrices and sketches,
+// empty columns included, every scheme's Column(col) is its full scan
+// filtered on col.
+func FuzzKernelColumn(f *testing.F) {
+	f.Add(uint64(1), uint8(12), uint8(9), uint8(3), uint8(128))
+	f.Add(uint64(2), uint8(1), uint8(2), uint8(0), uint8(255))
+	f.Add(uint64(3), uint8(30), uint8(17), uint8(9), uint8(20))
+	f.Fuzz(func(t *testing.T, seed uint64, k, m, col, thr uint8) {
+		rng := hashing.NewSplitMix64(seed)
+		kk, mm := int(k%24)+1, int(m%20)+2
+		// A few distinct values, so runs and buckets are long; one column
+		// in five is empty.
+		sig := &minhash.Signatures{K: kk, M: mm, Vals: make([]uint64, kk*mm)}
+		sk := &kminhash.Sketches{K: kk, Sigs: make([][]uint64, mm), ColSizes: make([]int, mm)}
+		for c := 0; c < mm; c++ {
+			empty := rng.Next()%5 == 0
+			for l := 0; l < kk; l++ {
+				sig.Vals[l*mm+c] = rng.Next() % 4
+				if empty {
+					sig.Vals[l*mm+c] = minhash.Empty
+				}
+			}
+			if !empty {
+				for v := uint64(0); v < 3*uint64(kk) && len(sk.Sigs[c]) < kk; v++ {
+					if rng.Next()%3 == 0 {
+						sk.Sigs[c] = append(sk.Sigs[c], v) // ascending, distinct
+					}
+				}
+				sk.ColSizes[c] = len(sk.Sigs[c]) + int(rng.Next()%4)*btoi(len(sk.Sigs[c]) == kk)
+			}
+		}
+		p := Params{K: kk, R: min(2, kk), L: 3, Seed: seed, Threshold: (float64(thr) + 1) / 256, Delta: 0.2}
+		for _, tc := range []struct {
+			algo fold.Algo
+			sk   fold.Sketch
+		}{
+			{fold.MinHash, fold.Sketch{MH: sig}},
+			{fold.KMinHash, fold.Sketch{KMH: sk}},
+			{fold.MinLSH, fold.Sketch{MH: sig}},
+		} {
+			p.Algo = tc.algo
+			kern := mustFor(t, p, tc.sk, 1)
+			out, _, err := kern.Range(nil, 0, kern.Units())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameColumn(t, kern, int(col)%mm, kern.Gatherer().Add(out[:0], out))
+		}
+	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestForValidation: a scheme without a range kernel, a sketch of the

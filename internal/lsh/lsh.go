@@ -161,15 +161,18 @@ func checkRL(r, l int) error {
 	return nil
 }
 
+// newBands allocates a kernel's scratch as one block per element type.
 func newBands(sig *minhash.Signatures, rows [][]int) *Bands {
+	m := sig.M
+	words, cols := make([]uint64, 3*m), make([]int32, 2*m)
 	return &Bands{
 		sig:        sig,
 		rows:       rows,
-		keys:       make([]uint64, 0, sig.M),
-		cols:       make([]int32, 0, sig.M),
-		keyScratch: make([]uint64, sig.M),
-		colScratch: make([]int32, sig.M),
-		next:       make([]uint64, sig.M),
+		keys:       words[:0:m],
+		keyScratch: words[m : 2*m : 2*m],
+		next:       words[2*m:],
+		cols:       cols[:0:m],
+		colScratch: cols[m:],
 	}
 }
 
@@ -194,26 +197,35 @@ func (b *Bands) Range(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
 	return dst, int64(len(dst) - from)
 }
 
-// band appends to dst the colliding pairs of the band over the given
-// signature rows: every column with a non-empty value is keyed on
-// CombineKeys of its r values, the (key, column) records are
-// radix-sorted, and each run of equal keys — a bucket, columns
-// ascending — yields its pairs.
-func (b *Bands) band(rows []int, dst []pairs.Scored) []pairs.Scored {
+// key is column c's bucket key in the band over the given signature
+// rows — CombineKeys of its r values — and false for a column empty in
+// all of them, which enters no bucket.
+func (b *Bands) key(rows []int, c int) (uint64, bool) {
 	m := b.sig.M
-	keys, cols := b.keys[:0], b.cols[:0]
-	for c := 0; c < m; c++ {
-		b.vals = b.vals[:0]
-		empty := true
-		for _, l := range rows {
-			v := b.sig.Vals[l*m+c]
-			if v != minhash.Empty {
-				empty = false
-			}
-			b.vals = append(b.vals, v)
+	b.vals = b.vals[:0]
+	empty := true
+	for _, l := range rows {
+		v := b.sig.Vals[l*m+c]
+		if v != minhash.Empty {
+			empty = false
 		}
-		if !empty {
-			keys, cols = append(keys, hashing.CombineKeys(b.vals)), append(cols, int32(c))
+		b.vals = append(b.vals, v)
+	}
+	if empty {
+		return 0, false
+	}
+	return hashing.CombineKeys(b.vals), true
+}
+
+// band appends to dst the colliding pairs of the band over the given
+// signature rows: every column with a non-empty value is keyed, the
+// (key, column) records are radix-sorted, and each run of equal keys —
+// a bucket, columns ascending — yields its pairs.
+func (b *Bands) band(rows []int, dst []pairs.Scored) []pairs.Scored {
+	keys, cols := b.keys[:0], b.cols[:0]
+	for c := 0; c < b.sig.M; c++ {
+		if key, ok := b.key(rows, c); ok {
+			keys, cols = append(keys, key), append(cols, int32(c))
 		}
 	}
 	radix.SortByKey(keys, cols, b.keyScratch, b.colScratch)
@@ -240,4 +252,34 @@ func (b *Bands) band(rows []int, dst []pairs.Scored) []pairs.Scored {
 		}
 	}
 	return dst
+}
+
+// Column appends to dst the columns sharing a bucket with col — a valid
+// column — in at least one band, each once, as pairs with col, and
+// returns with it the number of (band, column) collisions found: col's
+// share of Range's BucketPairs. A band costs one key comparison per
+// column and no sort.
+func (b *Bands) Column(dst []pairs.Scored, col int) ([]pairs.Scored, int64) {
+	from := len(dst)
+	var collisions int64
+	for _, rows := range b.rows {
+		want, ok := b.key(rows, col)
+		if !ok {
+			continue
+		}
+		for c := 0; c < b.sig.M; c++ {
+			if key, ok := b.key(rows, c); !ok || key != want || c == col {
+				continue
+			}
+			collisions++
+			if b.next[c] == 0 { // not met in an earlier band
+				b.next[c] = 1
+				dst = append(dst, pairs.Scored{Pair: pairs.Make(int32(col), int32(c))})
+			}
+		}
+	}
+	for _, p := range dst[from:] {
+		b.next[p.I], b.next[p.J] = 0, 0
+	}
+	return dst, collisions
 }

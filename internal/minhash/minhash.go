@@ -78,19 +78,6 @@ func foldMin(dst, rowVals []uint64) {
 // Value returns h_l(c).
 func (s *Signatures) Value(l, c int) uint64 { return s.Vals[l*s.M+c] }
 
-// Column copies the k min-hash values of column c into dst (which must
-// have length K) and returns it; with a nil dst a new slice is
-// allocated.
-func (s *Signatures) Column(c int, dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, s.K)
-	}
-	for l := 0; l < s.K; l++ {
-		dst[l] = s.Vals[l*s.M+c]
-	}
-	return dst
-}
-
 // agreement returns the number of hash indices on which columns i and j
 // have identical min-hash values. Sentinel (empty-column) values never
 // count as agreement, matching the convention S(∅, ∅) = 0.
@@ -127,24 +114,6 @@ func (s *Signatures) OrColumn(i, j int, dst []uint64) []uint64 {
 		dst[l] = a
 	}
 	return dst
-}
-
-// LessOrEqualFraction returns the fraction of hash indices with
-// h_l(c_i) <= h_l(c_j), an unbiased estimator of |C_i| / |C_i ∪ C_j|
-// (Section 6). Indices where both columns are empty are skipped; an
-// empty c_i never counts as <=.
-func (s *Signatures) LessOrEqualFraction(i, j int) float64 {
-	n := 0
-	for l := 0; l < s.K; l++ {
-		vi, vj := s.Vals[l*s.M+i], s.Vals[l*s.M+j]
-		if vi == Empty {
-			continue
-		}
-		if vi <= vj {
-			n++
-		}
-	}
-	return float64(n) / float64(s.K)
 }
 
 // FromPermutations computes signatures from explicit row permutations

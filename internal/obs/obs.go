@@ -55,6 +55,9 @@ const (
 	// CounterTopPairsAttempts counts threshold-lowering retries of a
 	// TopPairs query.
 	CounterTopPairsAttempts = "toppairs_attempts"
+	// CounterIndexBuilds counts builds of a resident sketch's phase-2
+	// index: one per sketch object, by the first query that needs it.
+	CounterIndexBuilds = "index_builds"
 	// CounterBytesRead totals file bytes read across all data passes
 	// (absent for in-memory sources, which read no files).
 	CounterBytesRead = "bytes_read"
@@ -127,6 +130,10 @@ const (
 	// GaugeSignatureBytes approximates the resident memory of the
 	// signature structures ("main memory" in the paper's model).
 	GaugeSignatureBytes = "signature_bytes"
+	// GaugeIndexBytes is the resident size of the phase-2 index a
+	// resident sketch keeps beside itself (12 bytes a signature cell plus
+	// the K-MH column offsets); set by every query that used one.
+	GaugeIndexBytes = "index_bytes"
 	// GaugeCodecRatio records the run's overall compression ratio —
 	// uncompressed-equivalent bytes over bytes actually moved, across
 	// compressed file reads and spill writes — as a fixed-point

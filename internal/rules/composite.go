@@ -27,11 +27,11 @@ type AndRule struct {
 	Estimate float64 // min of the two single-rule confidence estimates
 }
 
-// OrSimilarityEstimate returns the estimated similarity between column
+// orSimilarityEstimate returns the estimated similarity between column
 // i and the induced column c_j ∨ c_j2, computed entirely from the MH
 // signature matrix: the OR column's signature is the component-wise
 // minimum (Section 7), so no second data pass is needed.
-func OrSimilarityEstimate(sig *minhash.Signatures, i, j, j2 int) float64 {
+func orSimilarityEstimate(sig *minhash.Signatures, i, j, j2 int) float64 {
 	agree, valid := 0, 0
 	for l := 0; l < sig.K; l++ {
 		vi := sig.Vals[l*sig.M+i]
@@ -74,7 +74,7 @@ func OrCandidates(sig *minhash.Signatures, shortlist map[int32][]int32, minSim f
 				if j == int32(from) || j2 == int32(from) || j == j2 {
 					continue
 				}
-				if s := OrSimilarityEstimate(sig, int(from), int(j), int(j2)); s >= minSim {
+				if s := orSimilarityEstimate(sig, int(from), int(j), int(j2)); s >= minSim {
 					to := [2]int32{j, j2}
 					if to[0] > to[1] {
 						to[0], to[1] = to[1], to[0]

@@ -41,10 +41,10 @@ func TestOrSimilarityEstimateMatchesInducedColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := OrSimilarityEstimate(sig, 0, 1, 2)
+	est := orSimilarityEstimate(sig, 0, 1, 2)
 	direct := sig.Estimate(0, orIdx)
 	if math.Abs(est-direct) > 1e-12 {
-		t.Errorf("OrSimilarityEstimate = %v, direct estimate vs materialised column = %v", est, direct)
+		t.Errorf("orSimilarityEstimate = %v, direct estimate vs materialised column = %v", est, direct)
 	}
 	// And both should be near the true similarity to the OR column.
 	truth := m2.Similarity(0, orIdx)

@@ -147,7 +147,7 @@ func sortExclusions(xs []Exclusion) {
 	})
 }
 
-// OrSimilarityEstimateMulti generalises OrSimilarityEstimate to a
+// OrSimilarityEstimateMulti generalises orSimilarityEstimate to a
 // disjunction of any number of consequents: the signature of
 // c_{j1} ∨ … ∨ c_{jn} is the component-wise minimum of the individual
 // signatures. The paper notes such extensions carry an overhead

@@ -145,11 +145,11 @@ func TestOrSimilarityEstimateMulti(t *testing.T) {
 	if s := sig.Estimate(0, 1); s > 0.7 {
 		t.Errorf("fixture broken: pairwise sim %v too high", s)
 	}
-	// Two-way consistency with OrSimilarityEstimate.
-	two := OrSimilarityEstimate(sig, 0, 1, 2)
+	// Two-way consistency with orSimilarityEstimate.
+	two := orSimilarityEstimate(sig, 0, 1, 2)
 	multi := OrSimilarityEstimateMulti(sig, 0, []int{1, 2})
 	if math.Abs(two-multi) > 1e-12 {
-		t.Errorf("2-way multi %v != OrSimilarityEstimate %v", multi, two)
+		t.Errorf("2-way multi %v != orSimilarityEstimate %v", multi, two)
 	}
 	if OrSimilarityEstimateMulti(sig, 0, nil) != 0 {
 		t.Error("empty disjunction should score 0")

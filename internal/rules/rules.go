@@ -14,9 +14,10 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
@@ -55,99 +56,76 @@ func (o *Options) validate() error {
 }
 
 // Candidates runs the extended Row-Sorting estimation of Section 6 over
-// an MH signature matrix: for every ordered pair it maintains both the
-// agreement count and the h(c_i) <= h(c_j) count, estimating confidence
-// as their ratio. As the paper notes, this enumeration is O(k·m²); the
+// an MH signature matrix: for every ordered pair it needs the agreement
+// count and the h(c_i) <= h(c_j) count, and estimates confidence as
+// their ratio. As the paper notes, this enumeration is O(k·m²); the
 // agreement pre-filter keeps the emitted set small.
+//
+// The sweep is row-major and visits each unordered pair once: for a
+// column i, one pass down the k signature rows accumulates, for every
+// j > i at once, agree[j] (rows where the two values are equal and not
+// Empty) and lt[j] (rows where i's value is the smaller — Empty is the
+// largest value, so such a value is never Empty). Both directions
+// follow: over the ki rows where i is not Empty,
+//
+//	le(i→j) = lt + agree
+//	le(j→i) = ki − lt, plus the rows where i is Empty and j is not,
+//
+// the second because h(c_j) <= h(c_i) is exactly "not h(c_i) < h(c_j)"
+// on a row where c_i has a value.
 func Candidates(sig *minhash.Signatures, opt Options) ([]Rule, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	k, m := sig.K, sig.M
 	var out []Rule
-	colI := make([]uint64, sig.K)
-	colJ := make([]uint64, sig.K)
-	for i := 0; i < sig.M; i++ {
-		sig.Column(i, colI)
-		if allEmpty(colI) {
-			continue
+	emit := func(from, to int, agree, le int32) {
+		if int(agree) < opt.MinAgreement || le == 0 {
+			return
 		}
-		for j := 0; j < sig.M; j++ {
-			if i == j {
-				continue
-			}
-			sig.Column(j, colJ)
-			agree, le := 0, 0
-			for l := 0; l < sig.K; l++ {
-				vi, vj := colI[l], colJ[l]
-				if vi == minhash.Empty {
-					continue
+		conf := float64(agree) / float64(le)
+		if conf > 1 {
+			conf = 1
+		}
+		if conf >= opt.MinConfidence {
+			out = append(out, Rule{From: int32(from), To: int32(to), Estimate: conf})
+		}
+	}
+	agree := make([]int32, m)
+	lt := make([]int32, m)
+	below := make([]int32, m) // rows where i is Empty and j is not
+	for i := 0; i < m; i++ {
+		clear(agree[i+1:])
+		clear(lt[i+1:])
+		clear(below[i+1:])
+		ki := int32(0)
+		for l := 0; l < k; l++ {
+			row := sig.Vals[l*m : (l+1)*m]
+			vi := row[i]
+			if vi == minhash.Empty {
+				for j := i + 1; j < m; j++ {
+					if row[j] != minhash.Empty {
+						below[j]++
+					}
 				}
-				if vi == vj {
-					agree++
+				continue
+			}
+			ki++
+			for j := i + 1; j < m; j++ {
+				vj := row[j]
+				if vi == vj { // rare, so predicted; which of two values is smaller is not
+					agree[j]++
 				}
-				if vi <= vj {
-					le++
-				}
-			}
-			if agree < opt.MinAgreement || le == 0 {
-				continue
-			}
-			conf := float64(agree) / float64(le)
-			if conf > 1 {
-				conf = 1
-			}
-			if conf >= opt.MinConfidence {
-				out = append(out, Rule{From: int32(i), To: int32(j), Estimate: conf})
+				_, less := bits.Sub64(vi, vj, 0)
+				lt[j] += int32(less)
 			}
 		}
-	}
-	sortRules(out)
-	return out, nil
-}
-
-func allEmpty(vals []uint64) bool {
-	for _, v := range vals {
-		if v != minhash.Empty {
-			return false
+		if ki == 0 {
+			continue // an all-empty column agrees with nothing, in either direction
 		}
-	}
-	return true
-}
-
-// HighConfidenceCandidates implements the alternate technique the paper
-// suggests for conf ≈ 1: (a) any pair with Ŝ >= minConf is a candidate
-// in both directions (S lower-bounds both confidences), and (b) a pair
-// with Ŝ ≈ |C_i|/|C_j| (within tol) is a candidate for c_i => c_j,
-// since conf(c_i => c_j) ≈ 1 forces S ≈ |C_i|/|C_j|. colSizes must hold
-// the exact column cardinalities (known from the signature pass).
-func HighConfidenceCandidates(sig *minhash.Signatures, colSizes []int, minConf, tol float64) ([]Rule, error) {
-	if len(colSizes) != sig.M {
-		return nil, fmt.Errorf("rules: colSizes has %d entries for %d columns", len(colSizes), sig.M)
-	}
-	if minConf <= 0 || minConf > 1 {
-		return nil, fmt.Errorf("rules: minConf must be in (0,1], got %v", minConf)
-	}
-	if tol < 0 || tol >= 1 {
-		return nil, fmt.Errorf("rules: tol must be in [0,1), got %v", tol)
-	}
-	var out []Rule
-	for i := 0; i < sig.M; i++ {
-		if colSizes[i] == 0 {
-			continue
-		}
-		for j := 0; j < sig.M; j++ {
-			if i == j || colSizes[j] == 0 {
-				continue
-			}
-			s := sig.Estimate(i, j)
-			if s >= minConf {
-				out = append(out, Rule{From: int32(i), To: int32(j), Estimate: s})
-				continue
-			}
-			ratio := float64(colSizes[i]) / float64(colSizes[j])
-			if ratio <= 1 && s > 0 && math.Abs(s-ratio) <= tol {
-				out = append(out, Rule{From: int32(i), To: int32(j), Estimate: s / ratio * 1})
-			}
+		for j := i + 1; j < m; j++ {
+			emit(i, j, agree[j], lt[j]+agree[j])
+			emit(j, i, agree[j], ki-lt[j]+below[j])
 		}
 	}
 	sortRules(out)
@@ -162,22 +140,33 @@ func Verify(src matrix.RowSource, cand []Rule, minConf float64) ([]Rule, error) 
 		return nil, fmt.Errorf("rules: minConf must be in (0,1], got %v", minConf)
 	}
 	m := src.NumCols()
-	// Deduplicate the undirected pairs behind the directed rules.
-	set := pairs.NewSet(len(cand))
 	for _, r := range cand {
 		if r.From == r.To || r.From < 0 || r.To < 0 || int(r.From) >= m || int(r.To) >= m {
 			return nil, fmt.Errorf("rules: invalid rule %d => %d", r.From, r.To)
 		}
-		set.Add(r.From, r.To)
 	}
-	ps := set.Slice()
+	// Each directed rule once (its first occurrence), and the distinct
+	// undirected pairs behind them, sorted by key: a rule finds its
+	// pair's counter by binary search.
+	rs := slices.Clone(cand)
+	slices.SortStableFunc(rs, func(a, b Rule) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	rs = slices.CompactFunc(rs, func(a, b Rule) bool { return a.From == b.From && a.To == b.To })
+	keys := make([]uint64, len(rs))
+	for i, r := range rs {
+		keys[i] = pairs.Make(r.From, r.To).Key()
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	pairsOf := make([][]int32, m)
-	for idx, p := range ps {
+	for idx, key := range keys {
+		p := pairs.FromKey(key)
 		pairsOf[p.I] = append(pairsOf[p.I], int32(idx))
 		pairsOf[p.J] = append(pairsOf[p.J], int32(idx))
 	}
-	inter := make([]int32, len(ps))
-	lastRow := make([]int32, len(ps))
+	inter := make([]int32, len(keys))
+	lastRow := make([]int32, len(keys))
 	for i := range lastRow {
 		lastRow[i] = -1
 	}
@@ -199,47 +188,26 @@ func Verify(src matrix.RowSource, cand []Rule, minConf float64) ([]Rule, error) 
 	if err != nil {
 		return nil, err
 	}
-	interOf := make(map[pairs.Pair]int32, len(ps))
-	for idx, p := range ps {
-		interOf[p] = inter[idx]
-	}
 	var out []Rule
-	seen := map[[2]int32]bool{}
-	for _, r := range cand {
-		key := [2]int32{r.From, r.To}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	for _, r := range rs {
 		if colSize[r.From] == 0 {
 			continue
 		}
-		conf := float64(interOf[pairs.Make(r.From, r.To)]) / float64(colSize[r.From])
+		idx, _ := slices.BinarySearch(keys, pairs.Make(r.From, r.To).Key())
+		conf := float64(inter[idx]) / float64(colSize[r.From])
 		if conf >= minConf {
 			r.Exact = conf
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Exact != out[b].Exact {
-			return out[a].Exact > out[b].Exact
-		}
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		return out[a].To < out[b].To
+	slices.SortFunc(out, func(a, b Rule) int {
+		return cmp.Or(cmp.Compare(b.Exact, a.Exact), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return out, nil
 }
 
 func sortRules(rs []Rule) {
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].Estimate != rs[b].Estimate {
-			return rs[a].Estimate > rs[b].Estimate
-		}
-		if rs[a].From != rs[b].From {
-			return rs[a].From < rs[b].From
-		}
-		return rs[a].To < rs[b].To
+	slices.SortFunc(rs, func(a, b Rule) int {
+		return cmp.Or(cmp.Compare(b.Estimate, a.Estimate), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 }

@@ -101,39 +101,6 @@ func TestConfidenceEstimatorStatistics(t *testing.T) {
 	}
 }
 
-func TestHighConfidenceCandidates(t *testing.T) {
-	rng := hashing.NewSplitMix64(3)
-	m, caviar, vodka := caviarFixture(rng, 3000)
-	sig, _ := minhash.Compute(m.Stream(), 80, 11)
-	sizes := make([]int, m.NumCols())
-	for c := range sizes {
-		sizes[c] = m.ColumnSize(c)
-	}
-	cand, err := HighConfidenceCandidates(sig, sizes, 0.9, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range cand {
-		if int(r.From) == caviar && int(r.To) == vodka {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("near-identical rare pair missed by conf≈1 shortcut")
-	}
-	// Validation paths.
-	if _, err := HighConfidenceCandidates(sig, sizes[:2], 0.9, 0.1); err == nil {
-		t.Error("wrong colSizes length accepted")
-	}
-	if _, err := HighConfidenceCandidates(sig, sizes, 0, 0.1); err == nil {
-		t.Error("minConf 0 accepted")
-	}
-	if _, err := HighConfidenceCandidates(sig, sizes, 0.9, 1); err == nil {
-		t.Error("tol 1 accepted")
-	}
-}
-
 func TestVerifyComputesExactConfidence(t *testing.T) {
 	m := matrix.MustNew(5, [][]int32{
 		{0, 1, 2},    // C0

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"assocmine"
+	"assocmine/internal/obs"
 	"assocmine/internal/testutil"
 )
 
@@ -262,33 +263,67 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 		t.Fatalf("initial rows %d, want 400", got)
 	}
 
-	// Background queriers run across the refresh; they only assert
-	// success, since answers legitimately change mid-swap.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rr := recordPost(s.Handler(), "/v1/pairs", `{"threshold":0.7}`)
-				if rr.Code != http.StatusOK {
-					t.Errorf("query during refresh: status %d: %s", rr.Code, rr.Body.String())
-					return
-				}
-			}
-		}()
-	}
-
 	full, err := assocmine.NewDatasetFromRows(cols, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The serial answers of each generation, from servers queried by
+	// nobody else: every endpoint and plan kind.
+	fresh := mustServer(t, full)
+	before, after := libraryCases(t, mustServer(t, prefix)), libraryCases(t, fresh)
+
+	// 16 goroutines fire the first queries of the fresh generation at
+	// once: every body is the serial answer, and each sketch built its
+	// phase-2 index once.
+	fire := func(check func(i int, got []byte)) {
+		var wg sync.WaitGroup
+		for w := 0; w < 16; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range before {
+					i := (n + w) % len(before)
+					rr := recordPost(s.Handler(), before[i].path, before[i].body)
+					if rr.Code != http.StatusOK {
+						t.Errorf("%s: status %d: %s", before[i].name, rr.Code, rr.Body.String())
+						return
+					}
+					check(i, rr.Body.Bytes())
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	fire(func(i int, got []byte) {
+		if !bytes.Equal(got, before[i].want) {
+			t.Errorf("%s: concurrent first query differs from the serial answer:\n got %s\nwant %s", before[i].name, got, before[i].want)
+		}
+	})
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 2 {
+		t.Fatalf("%d index builds in the first generation, want one per sketch", got)
+	}
+
+	// Background queriers run across the refresh: each answer is one
+	// generation's serial answer, whichever the query grabbed.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fire(func(i int, got []byte) {
+				if !bytes.Equal(got, before[i].want) && !bytes.Equal(got, after[i].want) {
+					t.Errorf("%s during refresh: neither generation's answer: %s", before[i].name, got)
+				}
+			})
+		}
+	}()
+
 	if err := full.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +351,17 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 		t.Fatalf("idle refresh folded %d rows, want 0", ref2.NewRows)
 	}
 
-	// The refreshed server answers exactly like a fresh one.
-	fresh := mustServer(t, full)
+	// The refreshed server answers exactly like a fresh one, and its new
+	// generation built one index per sketch, however many queries met it
+	// first.
+	for _, qc := range after {
+		if got := recordPost(s.Handler(), qc.path, qc.body); !bytes.Equal(got.Body.Bytes(), qc.want) {
+			t.Fatalf("%s after refresh:\n got %s\nwant %s", qc.name, got.Body.Bytes(), qc.want)
+		}
+	}
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 4 {
+		t.Fatalf("%d index builds over two generations, want one per sketch per generation", got)
+	}
 	for _, body := range []string{
 		`{"threshold":0.7}`,
 		`{"threshold":0.3}`,

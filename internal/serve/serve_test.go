@@ -328,6 +328,35 @@ func TestQueryBudgets(t *testing.T) {
 			t.Fatalf("status %d, want 408: %s", rr.Code, rr.Body.String())
 		}
 	})
+	// A dead first query of a generation builds no index and leaves none
+	// half-built: it fails the same way, and the next query builds and
+	// answers.
+	t.Run("first-query", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for path, body := range map[string]string{
+			"/v1/pairs": `{"threshold":0.3,"algo":"mh"}`,
+			"/v1/topk":  `{"col":2,"k":5}`,
+		} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+			rr := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rr, req.WithContext(ctx))
+			if rr.Code != http.StatusRequestTimeout {
+				t.Fatalf("%s: status %d, want 408: %s", path, rr.Code, rr.Body.String())
+			}
+			if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 0 {
+				t.Fatalf("%s: %d index builds under a dead context", path, got)
+			}
+		}
+		for _, qc := range libraryCases(t, mustServer(t, testDataset(t, 100, 16))) {
+			if rr := recordPost(s.Handler(), qc.path, qc.body); rr.Code != http.StatusOK || !bytes.Equal(rr.Body.Bytes(), qc.want) {
+				t.Fatalf("%s after a dead first query: status %d: %s", qc.name, rr.Code, rr.Body.String())
+			}
+		}
+		if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 2 {
+			t.Fatalf("%d index builds, want one per sketch", got)
+		}
+	})
 }
 
 // TestPairsHonoursMemBudget: a /v1/pairs request's mem_budget reaches

@@ -72,6 +72,7 @@ const (
 	CounterPairsVerified    = obs.CounterPairsVerified
 	CounterFalsePositives   = obs.CounterFalsePositives
 	CounterTopPairsAttempts = obs.CounterTopPairsAttempts
+	CounterIndexBuilds      = obs.CounterIndexBuilds
 	CounterBytesRead        = obs.CounterBytesRead
 	CounterShards           = obs.CounterShards
 	CounterSpillRuns        = obs.CounterSpillRuns
@@ -94,6 +95,7 @@ const (
 	GaugeCandidateWorkers = obs.GaugeCandidateWorkers
 	GaugeVerifyWorkers    = obs.GaugeVerifyWorkers
 	GaugeSignatureBytes   = obs.GaugeSignatureBytes
+	GaugeIndexBytes       = obs.GaugeIndexBytes
 	GaugeCodecRatio       = obs.GaugeCodecRatio
 )
 

@@ -1,6 +1,8 @@
 package assocmine
 
 import (
+	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"sync"
@@ -348,3 +350,90 @@ func equalStrings(a, b []string) bool {
 }
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
+
+// TestResidentIndexBuiltOncePerSketch: a precomputed sketch builds its
+// phase-2 index once, whichever entry point and however many goroutines
+// ask first; a cancelled first query builds nothing and leaves the next
+// one to; a MinLSH query needs none; a run that folds its own sketch
+// reports neither the counter nor the gauge.
+func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
+	d := obsFixture(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		sig, err := ComputeSignatures(d, 60, 3, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := ComputeSketches(d, 48, 3, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll := NewCollector()
+		cfg := Config{Threshold: 0.5, Workers: workers, Recorder: coll}
+		with := func(a Algorithm, ctx context.Context) Config { c := cfg; c.Algorithm, c.Context = a, ctx; return c }
+
+		if _, err := SimilarPairsWithSignatures(d, sig, Config{Algorithm: MinLSH, Threshold: 0.5, R: 3, L: 20, Recorder: coll}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SimilarPairsWithSignatures(d, sig, with(MinHash, cancelled)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled first query: %v", err)
+		}
+		if _, err := TopColumnsWithSketches(d, sk, 0, 3, with(KMinHash, cancelled), 0.3); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled first column query: %v", err)
+		}
+		if got := coll.Counter(CounterIndexBuilds); got != 0 {
+			t.Fatalf("workers=%d: %d index builds before any query could finish one", workers, got)
+		}
+
+		var wg sync.WaitGroup
+		errs := make([]error, 16)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch g % 4 {
+				case 0:
+					_, errs[g] = SimilarPairsWithSignatures(d, sig, with(MinHash, nil))
+				case 1:
+					_, errs[g] = TopColumnsWithSignatures(d, sig, g, 3, with(MinHash, nil), 0.3)
+				case 2:
+					_, errs[g] = SimilarPairsWithSketches(d, sk, with(KMinHash, nil))
+				case 3:
+					_, errs[g] = TopPairsWithSketches(d, sk, 3, with(KMinHash, nil), 0.3)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		if got := coll.Counter(CounterIndexBuilds); got != 2 {
+			t.Errorf("workers=%d: %d index builds for two sketches", workers, got)
+		}
+		// 12 bytes a cell, plus the K-MH offsets; the gauge holds the last
+		// index used.
+		mh := int64(12 * 60 * d.NumCols())
+		if got := coll.Gauge(GaugeIndexBytes); got != mh && got <= int64(8*d.NumCols()) {
+			t.Errorf("index_bytes = %d", got)
+		}
+		if _, err := SimilarPairsWithSignatures(d, sig, with(MinHash, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := coll.Gauge(GaugeIndexBytes); got != mh {
+			t.Errorf("index_bytes after a MinHash query = %d, want %d", got, mh)
+		}
+	}
+
+	coll := NewCollector()
+	if _, err := SimilarPairs(d, Config{Algorithm: MinHash, Threshold: 0.5, K: 60, Recorder: coll}); err != nil {
+		t.Fatal(err)
+	}
+	snap := coll.Snapshot()
+	if _, ok := snap.Counters[CounterIndexBuilds]; ok {
+		t.Error("a folding run reported index_builds")
+	}
+	if _, ok := snap.Gauges[GaugeIndexBytes]; ok {
+		t.Error("a folding run reported index_bytes")
+	}
+}

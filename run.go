@@ -2,6 +2,7 @@ package assocmine
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"assocmine/internal/apriori"
@@ -22,7 +23,9 @@ import (
 // one and walks the same four steps:
 //
 //	sketch      phase 1: fold the source, or adopt a precomputed sketch
-//	candidates  phase 2: the scheme's in-memory kernel
+//	            and the phase-2 index it carries
+//	candidates  phase 2: the scheme's in-memory kernel over the index —
+//	            every unit of it, or the one column a query names
 //	verify      phase 3: one exact pass pruning the candidates
 //	finish      pass, I/O and pair counters into Stats and the Recorder
 //
@@ -50,6 +53,13 @@ type run struct {
 	counting    *matrix.CountingSource
 	materialize func() (*matrix.Matrix, error)
 
+	// memo is the adopted sketch's index memo; nil when the run folds
+	// its own sketch and drops the index with it. column, when >= 0,
+	// restricts phase 2 of a sketch scheme to the candidates containing
+	// that column (TopColumnsWith*): one unit of work, not one per column.
+	memo   *indexMemo
+	column int
+
 	ioAtStart ioCounts
 	// Raw-equivalent and compressed spill volume, priced by the budgeted
 	// pass; they feed the codec ratio alongside the file-read deltas.
@@ -65,6 +75,7 @@ func newRun(src matrix.RowSource, materialize func() (*matrix.Matrix, error), cf
 		probe:       src,
 		base:        src,
 		materialize: materialize,
+		column:      -1,
 		ioAtStart:   readIOCounts(src),
 	}
 	r.rec = obs.Tee(r.inner, cfg.Recorder)
@@ -92,9 +103,39 @@ type scheme struct {
 	exact, serial bool
 }
 
+// adopted is a caller's precomputed sketch, taken in place of the
+// phase-1 fold, and the memo of the phase-2 index that lives and dies
+// with it (nil for a scheme whose index is the sketch itself).
+type adopted struct {
+	fold.Sketch
+	memo *indexMemo
+}
+
+// indexMemo is a resident sketch's phase-2 index: built by the first
+// query that needs it — under the lock, so concurrent first queries
+// build it once — and kept for as long as the sketch object is. A
+// failed (cancelled) build memoises nothing; the next query builds.
+type indexMemo struct {
+	mu sync.Mutex
+	ix *candidate.Index
+}
+
+func (m *indexMemo) get(build func() (*candidate.Index, error)) (ix *candidate.Index, built bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.ix != nil {
+		return m.ix, false, nil
+	}
+	if ix, err = build(); err != nil {
+		return nil, false, err
+	}
+	m.ix = ix
+	return ix, true, nil
+}
+
 // mine runs the four steps. pre, when non-nil, is a caller-supplied
-// sketch adopted in place of the phase-1 fold.
-func (r *run) mine(pre *fold.Sketch) (*Result, error) {
+// sketch adopted, with its index, in place of the phase-1 fold.
+func (r *run) mine(pre *adopted) (*Result, error) {
 	sch, err := r.scheme()
 	if err != nil {
 		return nil, err
@@ -155,10 +196,11 @@ func (r *run) countPass() {
 // computed, so it gets no signature span or cell counter; the gauge
 // still reports its resident size. Schemes without a fold (they read
 // the data directly) leave the sketch empty.
-func (r *run) sketch(pre *fold.Sketch) (fold.Sketch, error) {
+func (r *run) sketch(pre *adopted) (fold.Sketch, error) {
 	if pre != nil {
 		r.rec.SetGauge(obs.GaugeSignatureBytes, pre.Cells()*8)
-		return *pre, nil
+		r.memo = pre.memo
+		return pre.Sketch, nil
 	}
 	f, ok := fold.For(fold.Algo(r.cfg.Algorithm))
 	if !ok {
@@ -223,10 +265,33 @@ func (r *run) folded(f fold.Fold, shards int64) {
 	addNonzero(r.rec, obs.CounterShards, shards)
 }
 
+// index is the phase-2 index over sk: the adopted sketch's own — built
+// by the first query that needs it, counted once, its resident size
+// reported by every query that uses it — or one built for this run and
+// dropped with its sketch.
+func (r *run) index(sk fold.Sketch) (*candidate.Index, error) {
+	build := func() (*candidate.Index, error) {
+		return candidate.IndexFor(r.cfg.Context, fold.Algo(r.cfg.Algorithm), sk, r.cfg.Workers)
+	}
+	if r.memo == nil {
+		return build()
+	}
+	ix, built, err := r.memo.get(build)
+	if err != nil {
+		return nil, err
+	}
+	if built {
+		r.rec.Add(obs.CounterIndexBuilds, 1)
+	}
+	r.rec.SetGauge(obs.GaugeIndexBytes, ix.Bytes())
+	return ix, nil
+}
+
 // scheme maps the configured algorithm to its phase 2. The three sketch
-// schemes share one: candidate.For builds the scheme's range kernel
-// over the sketch and the goroutine scheduler scans it. The others each
-// read the data their own way.
+// schemes share one: a kernel of the scheme under this run's parameters
+// over the sketch's index, scanned by the goroutine scheduler — or
+// asked for the run's one column. The others each read the data their
+// own way.
 func (r *run) scheme() (scheme, error) {
 	cfg := r.cfg
 	switch cfg.Algorithm {
@@ -237,11 +302,21 @@ func (r *run) scheme() (scheme, error) {
 
 	case MinHash, KMinHash, MinLSH:
 		return scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			k, err := candidate.For(cfg.Context, cfg.params(), sk, cfg.Workers)
+			ix, err := r.index(sk)
 			if err != nil {
 				return nil, err
 			}
-			cand, work, err := k.Scan(cfg.Context, cfg.Workers, tick)
+			k, err := ix.Kernel(cfg.params())
+			if err != nil {
+				return nil, err
+			}
+			var cand []pairs.Scored
+			var work int64
+			if r.column < 0 {
+				cand, work, err = k.Scan(cfg.Context, cfg.Workers, tick)
+			} else if cand, work, err = k.Column(nil, r.column); err == nil && cfg.Context != nil {
+				err = cfg.Context.Err() // a column is one unit: checked once, as Scan checks per chunk
+			}
 			if err != nil {
 				return nil, err
 			}

@@ -12,11 +12,15 @@ import (
 // signatures is the expensive full-scan phase; a precomputed sketch can
 // be persisted and reused across queries with different thresholds or
 // MinLSH band layouts (any R, L with R*L <= K), paying only the cheap
-// in-memory candidate phase plus one verification pass per query.
+// in-memory candidate phase plus one verification pass per query. The
+// sketch is immutable once returned; the Row-Sorting index over it is
+// built by the first MinHash query and kept with it (12 bytes a cell),
+// so later queries only count.
 type Signatures struct {
-	sig  *minhash.Signatures
-	seed uint64
-	rows int // dataset row count, -1 when unknown (loaded sketches)
+	sig   *minhash.Signatures
+	seed  uint64
+	rows  int // dataset row count, -1 when unknown (loaded sketches)
+	index indexMemo
 }
 
 // ComputeSignatures runs the MH phase-1 fold once — the same kernel
@@ -94,23 +98,38 @@ func LoadSignatures(path string) (*Signatures, error) {
 
 // SimilarPairsWithSignatures answers a similar-pairs query from a
 // precomputed sketch, skipping the signature pass entirely. Supported
-// algorithms: MinHash (Row-Sorting over the sketch) and MinLSH (banding
-// over the sketch; requires R*L <= the sketch's K). Verification still
-// makes one pass over d — or over its trailing cfg.Window rows when a
-// sliding window is set, for sketches that cover only that window.
+// algorithms: MinHash (Row-Sorting over the sketch's index, built by
+// the first such query and reused by every later one) and MinLSH
+// (banding over the sketch; requires R*L <= the sketch's K).
+// Verification still makes one pass over d — or over its trailing
+// cfg.Window rows when a sliding window is set, for sketches that cover
+// only that window.
 func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result, error) {
+	r, pre, err := s.query(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.mine(pre)
+}
+
+// query checks cfg against the sketch and returns the driver of one
+// query answered from it, with the sketch to adopt.
+func (s *Signatures) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if s.sig.M != d.NumCols() {
-		return nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
+		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
 	}
 	cfg.K = s.sig.K
 	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	pre := &adopted{Sketch: fold.Sketch{MH: s.sig}}
 	switch {
-	case cfg.Algorithm != MinHash && cfg.Algorithm != MinLSH:
-		return nil, fmt.Errorf("assocmine: precomputed signatures support MinHash and MinLSH, got %v", cfg.Algorithm)
-	case cfg.Algorithm == MinLSH && s.sig.K < cfg.R*cfg.L:
-		return nil, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
+	case cfg.Algorithm == MinHash:
+		pre.memo = &s.index
+	case cfg.Algorithm != MinLSH:
+		return nil, nil, fmt.Errorf("assocmine: precomputed signatures support MinHash and MinLSH, got %v", cfg.Algorithm)
+	case s.sig.K < cfg.R*cfg.L:
+		return nil, nil, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
 	}
-	return d.run(cfg).mine(&fold.Sketch{MH: s.sig})
+	return d.run(cfg), pre, nil
 }

@@ -12,11 +12,15 @@ import (
 // K-MinHash counterpart of Signatures. Computing the sketch is the
 // expensive full-scan phase; a persisted sketch can be reused across
 // queries with different thresholds, paying only the in-memory
-// candidate phase plus one verification pass per query.
+// candidate phase plus one verification pass per query. The sketch is
+// immutable once returned; the Hash-Count index over it is built by the
+// first query and kept with it (12 bytes a value), so later queries
+// only count.
 type Sketches struct {
-	sk   *kminhash.Sketches
-	seed uint64
-	rows int // dataset row count, -1 when unknown (loaded sketches)
+	sk    *kminhash.Sketches
+	seed  uint64
+	rows  int // dataset row count, -1 when unknown (loaded sketches)
+	index indexMemo
 }
 
 // ComputeSketches runs the K-MH phase 1 once — the same kernel
@@ -82,21 +86,32 @@ func LoadSketches(path string) (*Sketches, error) {
 
 // SimilarPairsWithSketches answers a KMinHash similar-pairs query from
 // a precomputed bottom-k sketch, skipping the signature pass entirely
-// (cfg.Algorithm must be KMinHash or left zero — it is forced).
-// Verification still makes one pass over d — or over its trailing
-// cfg.Window rows when a sliding window is set, for sketches that cover
-// only that window.
+// (cfg.Algorithm must be KMinHash or left zero — it is forced): a
+// Hash-Count over the sketch's index, built by the first query and
+// reused by every later one. Verification still makes one pass over d —
+// or over its trailing cfg.Window rows when a sliding window is set,
+// for sketches that cover only that window.
 func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, error) {
+	r, pre, err := s.query(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.mine(pre)
+}
+
+// query checks cfg against the sketch and returns the driver of one
+// query answered from it, with the sketch to adopt.
+func (s *Sketches) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if len(s.sk.Sigs) != d.NumCols() {
-		return nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", len(s.sk.Sigs), d.NumCols())
+		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", len(s.sk.Sigs), d.NumCols())
 	}
 	if cfg.Algorithm != KMinHash && cfg.Algorithm != BruteForce {
-		return nil, fmt.Errorf("assocmine: precomputed bottom-k sketches support KMinHash, got %v", cfg.Algorithm)
+		return nil, nil, fmt.Errorf("assocmine: precomputed bottom-k sketches support KMinHash, got %v", cfg.Algorithm)
 	}
 	cfg.Algorithm = KMinHash
 	cfg.K = s.sk.K
 	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return d.run(cfg).mine(&fold.Sketch{KMH: s.sk})
+	return d.run(cfg), &adopted{Sketch: fold.Sketch{KMH: s.sk}, memo: &s.index}, nil
 }

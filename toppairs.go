@@ -15,27 +15,27 @@ import (
 // that, the near-zero mass makes "top pairs" meaningless on sparse
 // data).
 //
-// With a precomputed-signature-friendly algorithm (MinHash, MinLSH)
-// each retry reuses nothing but is still cheap; pair the call with
-// ComputeSignatures/SimilarPairsWithSignatures when the dataset is
-// large and the threshold is expected to drop several times.
+// Every attempt is a complete run — signature scan, candidates, verify
+// — so on a large dataset, or when the threshold is expected to drop
+// several times, compute the sketch once (ComputeSignatures,
+// ComputeSketches) and use TopPairsWithSignatures/TopPairsWithSketches.
 // cfg.Workers carries through to every retry, parallelising all three
 // phases of each attempt.
 func TopPairs(d *Dataset, n int, cfg Config, minThreshold float64) ([]Pair, error) {
 	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
 		return SimilarPairs(d, c)
-	}, nil)
+	})
 }
 
 // TopPairsWithSignatures is TopPairs answered from a resident min-hash
 // sketch: every threshold-lowering retry reruns only the in-memory
-// candidate phase plus one verification pass, never the signature
-// scan. cfg.Algorithm must be MinHash or MinLSH (the schemes
-// SimilarPairsWithSignatures supports).
+// candidate scan — over the sketch's one index for MinHash — plus one
+// verification pass, never the signature scan. cfg.Algorithm must be
+// MinHash or MinLSH (the schemes SimilarPairsWithSignatures supports).
 func TopPairsWithSignatures(d *Dataset, s *Signatures, n int, cfg Config, minThreshold float64) ([]Pair, error) {
 	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
 		return SimilarPairsWithSignatures(d, s, c)
-	}, nil)
+	})
 }
 
 // TopPairsWithSketches is TopPairs answered from a resident bottom-k
@@ -44,39 +44,53 @@ func TopPairsWithSignatures(d *Dataset, s *Signatures, n int, cfg Config, minThr
 func TopPairsWithSketches(d *Dataset, s *Sketches, n int, cfg Config, minThreshold float64) ([]Pair, error) {
 	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
 		return SimilarPairsWithSketches(d, s, c)
-	}, nil)
+	})
 }
 
 // TopColumnsWithSignatures returns the n columns most similar to col,
 // as pairs containing col, answered from a resident min-hash sketch
-// with the same threshold-lowering search as TopPairs. Pairs are
+// with the same threshold-lowering search as TopPairs. Each attempt
+// asks the kernel for col's candidates alone — a count over col's own
+// runs (a key comparison per band for MinLSH), then a verification of
+// at most m-1 pairs — not for every pair of the matrix. Pairs are
 // ordered by decreasing verified similarity.
 func TopColumnsWithSignatures(d *Dataset, s *Signatures, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
-	if col < 0 || col >= d.NumCols() {
-		return nil, fmt.Errorf("assocmine: column %d out of range [0,%d)", col, d.NumCols())
-	}
-	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
-		return SimilarPairsWithSignatures(d, s, c)
-	}, func(p Pair) bool { return p.I == col || p.J == col })
+	return topColumns(d, s, col, n, cfg, minThreshold)
 }
 
 // TopColumnsWithSketches is TopColumnsWithSignatures over a resident
 // bottom-k sketch (cfg.Algorithm is forced to KMinHash).
 func TopColumnsWithSketches(d *Dataset, s *Sketches, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
+	return topColumns(d, s, col, n, cfg, minThreshold)
+}
+
+// resident is a precomputed sketch queries are answered from:
+// *Signatures or *Sketches.
+type resident interface {
+	query(d *Dataset, cfg Config) (*run, *adopted, error)
+}
+
+// topColumns is the TopColumns search over either sketch: the driver's
+// four steps with phase 2 restricted to col.
+func topColumns(d *Dataset, s resident, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
 	if col < 0 || col >= d.NumCols() {
 		return nil, fmt.Errorf("assocmine: column %d out of range [0,%d)", col, d.NumCols())
 	}
 	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
-		return SimilarPairsWithSketches(d, s, c)
-	}, func(p Pair) bool { return p.I == col || p.J == col })
+		r, pre, err := s.query(d, c)
+		if err != nil {
+			return nil, err
+		}
+		r.column = col
+		return r.mine(pre)
+	})
 }
 
 // topLoop is the shared threshold-lowering search: query at
-// cfg.Threshold, keep the pairs passing keep (nil keeps all), and
-// geometrically lower the threshold until n pairs are found or
-// minThreshold is hit. Validation and retry accounting are identical
-// for every TopPairs/TopColumns variant.
-func topLoop(n int, cfg Config, minThreshold float64, query func(Config) (*Result, error), keep func(Pair) bool) ([]Pair, error) {
+// cfg.Threshold and geometrically lower the threshold until n pairs are
+// found or minThreshold is hit. Validation and retry accounting are
+// identical for every TopPairs/TopColumns variant.
+func topLoop(n int, cfg Config, minThreshold float64, query func(Config) (*Result, error)) ([]Pair, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("assocmine: TopPairs needs n > 0, got %d", n)
 	}
@@ -99,21 +113,12 @@ func topLoop(n int, cfg Config, minThreshold float64, query func(Config) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		kept := res.Pairs
-		if keep != nil {
-			kept = make([]Pair, 0, len(res.Pairs))
-			for _, p := range res.Pairs {
-				if keep(p) {
-					kept = append(kept, p)
-				}
-			}
-		}
-		if len(kept) >= n {
-			return kept[:n], nil
+		if len(res.Pairs) >= n {
+			return res.Pairs[:n], nil
 		}
 		if cfg.Threshold <= minThreshold {
 			// Floor reached: return everything found.
-			return kept, nil
+			return res.Pairs, nil
 		}
 		cfg.Threshold *= 0.7
 		if cfg.Threshold < minThreshold {

@@ -1,6 +1,11 @@
 package assocmine
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"assocmine/internal/hashing"
+)
 
 func TestTopPairsReturnsExactlyN(t *testing.T) {
 	d, _ := plantedDataset(t)
@@ -84,5 +89,157 @@ func TestTopPairsWithLSH(t *testing.T) {
 		if p.Similarity < 0.2 {
 			t.Errorf("pair %+v below floor", p)
 		}
+	}
+}
+
+// topLoopKeep is the TopColumns search as first written, kept as the
+// oracle of the per-column path: every attempt mines all the pairs of
+// the matrix and keep filters the ones containing the column.
+func topLoopKeep(n int, cfg Config, minThreshold float64, query func(Config) (*Result, error), keep func(Pair) bool) ([]Pair, error) {
+	for {
+		res, err := query(cfg)
+		if err != nil {
+			return nil, err
+		}
+		kept := make([]Pair, 0, len(res.Pairs))
+		for _, p := range res.Pairs {
+			if keep(p) {
+				kept = append(kept, p)
+			}
+		}
+		if len(kept) >= n {
+			return kept[:n], nil
+		}
+		if cfg.Threshold <= minThreshold {
+			return kept, nil
+		}
+		cfg.Threshold *= 0.7
+		if cfg.Threshold < minThreshold {
+			cfg.Threshold = minThreshold
+		}
+	}
+}
+
+// clusteredDataset is 60 columns over 900 rows: six clusters of eight
+// columns, each column its cluster's base with its own share of noise
+// (so a column has neighbours across the similarity range), eleven
+// independent columns and an empty one.
+func clusteredDataset(t *testing.T) *Dataset {
+	t.Helper()
+	const rows = 900
+	rng := hashing.NewSplitMix64(29)
+	var cols [][]int
+	for c := 0; c < 6; c++ {
+		base := make([]bool, rows)
+		for r := range base {
+			base[r] = rng.Float64() < 0.12
+		}
+		for v := 0; v < 8; v++ {
+			noise := 0.04 * float64(v)
+			var col []int
+			for r, set := range base {
+				if rng.Float64() < noise {
+					set = rng.Float64() < 0.12
+				}
+				if set {
+					col = append(col, r)
+				}
+			}
+			cols = append(cols, col)
+		}
+	}
+	for c := 0; c < 11; c++ {
+		var col []int
+		for r := 0; r < rows; r++ {
+			if rng.Float64() < 0.05 {
+				col = append(col, r)
+			}
+		}
+		cols = append(cols, col)
+	}
+	cols = append(cols, nil)
+	d, err := NewDatasetFromColumns(rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestTopColumnsMatchAllPairsOracle: for every column, answer size,
+// floor and sketch scheme, the per-column search returns exactly what
+// mining every pair at each step and filtering on the column does.
+func TestTopColumnsMatchAllPairsOracle(t *testing.T) {
+	d := clusteredDataset(t)
+	m := d.NumCols()
+	sig, err := ComputeSignatures(d, 60, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ComputeSketches(d, 48, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		all  func(Config) (*Result, error)
+		top  func(col, n int, cfg Config, floor float64) ([]Pair, error)
+	}{
+		{"MinHash", Config{Algorithm: MinHash},
+			func(c Config) (*Result, error) { return SimilarPairsWithSignatures(d, sig, c) },
+			func(col, n int, c Config, f float64) ([]Pair, error) {
+				return TopColumnsWithSignatures(d, sig, col, n, c, f)
+			}},
+		{"MinLSH", Config{Algorithm: MinLSH, R: 3, L: 20},
+			func(c Config) (*Result, error) { return SimilarPairsWithSignatures(d, sig, c) },
+			func(col, n int, c Config, f float64) ([]Pair, error) {
+				return TopColumnsWithSignatures(d, sig, col, n, c, f)
+			}},
+		{"KMinHash", Config{Algorithm: KMinHash},
+			func(c Config) (*Result, error) { return SimilarPairsWithSketches(d, sk, c) },
+			func(col, n int, c Config, f float64) ([]Pair, error) {
+				return TopColumnsWithSketches(d, sk, col, n, c, f)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The all-pairs answer at a threshold does not depend on the
+			// column: mined once per threshold the search visits.
+			mined := map[float64]*Result{}
+			all := func(c Config) (*Result, error) {
+				if res, ok := mined[c.Threshold]; ok {
+					return res, nil
+				}
+				res, err := tc.all(c)
+				mined[c.Threshold] = res
+				return res, err
+			}
+			answers := 0
+			for _, floor := range []float64{0.05, 0.3, 0.9} {
+				cfg := tc.cfg
+				cfg.Threshold = 0.9
+				for _, n := range []int{1, 10, m} {
+					for col := 0; col < m; col++ {
+						want, err := topLoopKeep(n, cfg, floor, all, func(p Pair) bool { return p.I == col || p.J == col })
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := tc.top(col, n, cfg, floor)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("col %d n %d floor %v:\n got %v\nwant %v", col, n, floor, got, want)
+						}
+						answers += len(want)
+					}
+				}
+			}
+			if answers < 10*m {
+				t.Errorf("only %d neighbours compared", answers)
+			}
+		})
+	}
+	if _, err := TopColumnsWithSketches(d, sk, m, 1, Config{}, 0); err == nil {
+		t.Error("column m accepted")
 	}
 }
