@@ -82,7 +82,7 @@ type Kernel = verify.Kernel
 const (
 	// KernelAuto (the zero value) picks the packed kernel when the
 	// candidate-column bitmaps fit comfortably in memory and the scalar
-	// kernel otherwise; verify.AutoPack is the exact heuristic.
+	// kernel otherwise; verify.Verify holds the exact heuristic.
 	KernelAuto = verify.KernelAuto
 	// KernelPacked forces the word-packed popcount kernel.
 	KernelPacked = verify.KernelPacked

@@ -100,6 +100,8 @@ func TestDistFlagConflicts(t *testing.T) {
 		{in: arows, algo: "hlsh", threshold: 0.5, k: 100, distWorkers: 2, stream: true},                 // unsupported algo
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, clusters: true},   // clusters
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, appendState: "x"}, // append
+		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, kernel: "packed"}, // kernel: the workers
+		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, kernel: "scalar"}, // verify with auto
 	}
 	for i, o := range bad {
 		if err := run(o); err == nil {

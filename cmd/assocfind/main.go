@@ -92,7 +92,7 @@ func main() {
 	flag.StringVar(&o.appendState, "append", "", "incremental: maintain an ingest snapshot at this path — catch up on the input's unseen rows (O(new rows), creating the snapshot if missing), save it back, then query from the merged sketch (mh, mlsh, kmh)")
 	flag.StringVar(&o.resumeState, "resume", "", "incremental: like -append but read-only — load the snapshot and catch up in memory without rewriting it")
 	flag.IntVar(&o.window, "window", 0, "sliding window: with -append/-resume, keep only the last N catch-up batches live; otherwise mine only the trailing N rows of the input (mh, kmh, mlsh, brute)")
-	flag.IntVar(&o.distWorkers, "dist-workers", 0, "scale out across this many worker subprocesses (requires -stream; mh, kmh, mlsh, bps). Output is bit-identical to the single-process run")
+	flag.IntVar(&o.distWorkers, "dist-workers", 0, "scale out across this many worker subprocesses (requires -stream; mh, kmh, mlsh, bps; not with -mem-budget or a -kernel other than auto). Output is bit-identical to the single-process run")
 	flag.BoolVar(&o.worker, "worker", false, "internal: run as a scale-out worker subprocess, speaking the dist protocol on stdin/stdout (used by -dist-workers)")
 	flag.BoolVar(&o.metrics, "metrics", false, "print per-phase metrics in Prometheus text format after the run")
 	flag.BoolVar(&o.progress, "progress", false, "report per-phase progress on stderr while mining")
@@ -154,8 +154,8 @@ func run(o options) error {
 		if o.doRules || o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters {
 			return errors.New("-dist-workers cannot be combined with -rules, -transactions, -append, -resume, -window or -clusters")
 		}
-		if o.memBudget != "" {
-			return errors.New("-dist-workers cannot be combined with -mem-budget")
+		if o.memBudget != "" || (o.kernel != "" && o.kernel != "auto") {
+			return errors.New("-dist-workers cannot be combined with -mem-budget or a -kernel other than auto")
 		}
 	}
 	stopDiag, err := startDiagnostics(o)

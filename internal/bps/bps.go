@@ -63,8 +63,8 @@ type Options struct {
 	// Seed drives the per-(row,pair) accept hashes.
 	Seed uint64
 	// Workers parallelises the sampling scan across goroutines fed by
-	// one DistributeShards pass (<= 1 means serial). Output is
-	// bit-identical at every worker count.
+	// one matrix.Deal pass (<= 1 means serial). Output is bit-identical
+	// at every worker count.
 	Workers int
 }
 
@@ -192,7 +192,6 @@ type sampler struct {
 	scratch   []uint64
 	runs      []Counts
 	inspected int64
-	err       error
 }
 
 func newSampler(sup []int64, pScale float64, seedMix uint64, chunkCap int) *sampler {
@@ -291,66 +290,39 @@ func (s *sampler) row(row int, cols []int32) error {
 // same data (see Supports); rows referencing columns outside sup are
 // rejected with an error.
 func Sample(src matrix.RowSource, sup []int64, opt Options) ([]pairs.Scored, Stats, error) {
-	var st Stats
-	if err := validateOptions(opt); err != nil {
+	counts, st, err := sampleCounts(src, sup, opt)
+	if err != nil {
 		return nil, st, err
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
+	cand, fin, err := FinalizeCounts(counts, sup, opt)
+	st.Accepts, st.Dups = fin.Accepts, fin.Dups
+	return cand, st, err
+}
+
+// sampleCounts is the sampling pass: one sequential scan dealt
+// round-robin to opt.Workers private samplers (one sampler reads it
+// directly), whose tallies merge by addition because accept decisions
+// are per-(row,pair) hashes, independent of the partition. It fills
+// Stats.Inspected and Stats.Shards.
+func sampleCounts(src matrix.RowSource, sup []int64, opt Options) (counts Counts, st Stats, err error) {
+	if err := validateOptions(opt); err != nil {
+		return Counts{}, st, err
 	}
 	pScale, seedMix := sampleParams(sup, opt)
-
-	var counts Counts
-	if workers <= 1 {
-		s := newSampler(sup, pScale, seedMix, chunkKeys)
-		if err := src.Scan(s.row); err != nil {
-			return nil, st, err
-		}
-		counts = s.counts()
-		st.Inspected = s.inspected
-	} else {
-		// One sequential pass dealt round-robin to private samplers;
-		// counts merge by addition because accept decisions are
-		// per-(row,pair) hashes, independent of the partition.
-		samplers := make([]*sampler, workers)
-		consumers := make([]func(<-chan *matrix.Shard), workers)
-		for w := range samplers {
-			s := newSampler(sup, pScale, seedMix, chunkKeys)
-			samplers[w] = s
-			consumers[w] = func(ch <-chan *matrix.Shard) {
-				for sh := range ch {
-					if s.err != nil {
-						continue // keep draining so the dealer never blocks
-					}
-					for i := 0; i < sh.Len(); i++ {
-						row, cols := sh.Row(i)
-						if err := s.row(int(row), cols); err != nil {
-							s.err = err
-							break
-						}
-					}
-				}
-			}
-		}
-		shards, err := matrix.DistributeShards(src, consumers)
-		st.Shards = shards
-		if err != nil {
-			return nil, st, err
-		}
-		for _, s := range samplers {
-			if s.err != nil {
-				return nil, st, s.err
-			}
-		}
-		for _, s := range samplers {
-			st.Inspected += s.inspected
-			counts = MergeCounts(counts, s.counts())
-		}
+	samplers := make([]*sampler, max(opt.Workers, 1))
+	sinks := make([]matrix.Sink, len(samplers))
+	for w := range samplers {
+		samplers[w] = newSampler(sup, pScale, seedMix, chunkKeys)
+		sinks[w] = samplers[w].row
 	}
-	st.Accepts = counts.total()
-	st.Dups = st.Accepts - int64(len(counts.Keys))
-	return finalize(counts, sup, opt, pScale), st, nil
+	if st.Shards, err = matrix.Deal(src, sinks); err != nil {
+		return Counts{}, st, err
+	}
+	for _, s := range samplers {
+		st.Inspected += s.inspected
+		counts = MergeCounts(counts, s.counts())
+	}
+	return counts, st, nil
 }
 
 // validateOptions rejects out-of-range sampling parameters; shared by
@@ -419,25 +391,18 @@ func finalize(counts Counts, sup []int64, opt Options, pScale float64) []pairs.S
 	return out
 }
 
-// SampleCounts runs the sampling scan serially over src — typically a
-// row-range view of the full dataset — and returns the raw per-pair
-// accepted counts plus the inspected-draw count. sup must be the
-// supports of the FULL dataset: the acceptance scale depends on the
-// global S_max and per-column supports, so a partial supports slice
-// would change accept decisions. Accept decisions are pure (seed, row,
-// pair) hashes, so counts from any row partition merged with
-// MergeCounts equal a full-scan's counts exactly — the identity the
-// scale-out executor's workers rely on.
+// SampleCounts runs the sampling scan over src — typically a row-range
+// view of the full dataset — and returns the raw per-pair accepted
+// counts plus the inspected-draw count. sup must be the supports of the
+// FULL dataset: the acceptance scale depends on the global S_max and
+// per-column supports, so a partial supports slice would change accept
+// decisions. Accept decisions are pure (seed, row, pair) hashes, so
+// counts from any row partition merged with MergeCounts equal a
+// full-scan's counts exactly — the identity the scale-out executor's
+// workers rely on.
 func SampleCounts(src matrix.RowSource, sup []int64, opt Options) (Counts, int64, error) {
-	if err := validateOptions(opt); err != nil {
-		return Counts{}, 0, err
-	}
-	pScale, seedMix := sampleParams(sup, opt)
-	s := newSampler(sup, pScale, seedMix, chunkKeys)
-	if err := src.Scan(s.row); err != nil {
-		return Counts{}, 0, err
-	}
-	return s.counts(), s.inspected, nil
+	counts, st, err := sampleCounts(src, sup, opt)
+	return counts, st.Inspected, err
 }
 
 // FinalizeCounts applies Sample's candidate filter and estimator to

@@ -408,11 +408,15 @@ func (co *coordinator) verify(ctx context.Context, procs []*proc, cand []pairs.S
 		jobs[i] = &job{Kind: jobVerify, Cand: cand[bounds[i]:bounds[i+1]]}
 	}
 	var verified []pairs.Scored
+	var work verifyResult
 	err := co.runPhase(ctx, procs, jobs, func(jobIdx int, payload []byte) error {
 		res, err := decodeVerifyResult(payload)
 		if err != nil {
 			return errPermanent{err}
 		}
+		work.Touches += res.Touches
+		work.PackedWords += res.PackedWords
+		work.PackedBatches += res.PackedBatches
 		base := bounds[jobIdx]
 		part := jobs[jobIdx].Cand
 		for i, idx := range res.Indices {
@@ -427,6 +431,13 @@ func (co *coordinator) verify(ctx context.Context, procs []*proc, cand []pairs.S
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Touches are additive over any candidate partition and equal the
+	// single-process count; the packed counters depend on the partition.
+	co.rec.Add(obs.CounterVerifyTouches, work.Touches)
+	if work.PackedBatches != 0 {
+		co.rec.Add(obs.CounterPackedWords, work.PackedWords)
+		co.rec.Add(obs.CounterPackedBatches, work.PackedBatches)
 	}
 	return verified, nil
 }

@@ -29,15 +29,33 @@ func TestMain(m *testing.M) {
 }
 
 // fixture builds a deterministic planted matrix and saves it in both
-// binary formats, returning the two paths.
+// binary formats, returning the two paths. Columns 29, 37 and 41 are
+// planted near-copies of 11, 3 and 5.
 func fixture(t *testing.T) (arows, carows string) {
 	t.Helper()
+	return plantedFixture(t, 44, [][2]int{{3, 37}, {11, 29}, {5, 41}})
+}
+
+// wideFixture plants 80 near-copy pairs over 240 columns: enough
+// candidates that a quarter of them is still a list verify.Verify's
+// auto kernel packs (16 or more), where fixture's handful never is.
+func wideFixture(t *testing.T) (arows, carows string) {
+	t.Helper()
+	planted := make([][2]int, 80)
+	for i := range planted {
+		planted[i] = [2]int{i, 160 + i}
+	}
+	return plantedFixture(t, 240, planted)
+}
+
+// plantedFixture fills cols columns at density 0.08 over 220 rows;
+// each planted target gets no random fill of its own but copies its
+// source with probability 0.9, so the planted pairs sit well above the
+// 0.35 threshold every scheme mines at.
+func plantedFixture(t *testing.T, cols int, planted [][2]int) (arows, carows string) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(9))
-	const rows, cols = 220, 44
-	// Columns 29, 37 and 41 are planted near-copies of 11, 3 and 5;
-	// they get no random fill of their own, so the planted pairs sit
-	// well above the 0.35 threshold every scheme mines at.
-	planted := [][2]int{{3, 37}, {11, 29}, {5, 41}}
+	const rows = 220
 	isTarget := func(c int) bool {
 		for _, pc := range planted {
 			if c == pc[1] {
@@ -138,13 +156,17 @@ func comparePairs(t *testing.T, label string, got []dist.Pair, want []assocmine.
 // TestDistMatchesSingleProcess is the differential core: every
 // supported scheme, 1 and 4 worker processes, both binary formats,
 // identical output to the streamed single-process driver — the pairs,
-// and the pair and phase-2 work counters the coordinator's recorder
-// ends with against the single-process Stats.
+// and the pair, phase-2 and verify work counters the coordinator's
+// recorder ends with against the single-process Stats — on a dataset
+// whose per-worker share of the candidates is below what the auto
+// verify kernel packs and on one (one format: a run under the race
+// detector spends seconds launching its workers) whose share it packs
+// at both worker counts (the packed counters depend on the partition:
+// reported, and here only checked to be there or not).
 func TestDistMatchesSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess fleets")
 	}
-	arows, carows := fixture(t)
 	schemes := []struct {
 		name string
 		algo dist.Algo
@@ -156,51 +178,70 @@ func TestDistMatchesSingleProcess(t *testing.T) {
 		{"MLSH-sampled", dist.MinLSH, assocmine.Config{Algorithm: assocmine.MinLSH, Threshold: 0.35, K: 12, R: 3, L: 8, Seed: 7}},
 		{"BPS", dist.BPS, assocmine.Config{Algorithm: assocmine.BPS, Threshold: 0.35, SampleBudget: 8, Seed: 7}},
 	}
-	for _, sc := range schemes {
-		for _, workers := range []int{1, 4} {
-			for _, path := range []string{arows, carows} {
-				label := sc.name + "/" + filepath.Ext(path) + "/w" + string(rune('0'+workers))
-				want := reference(t, path, sc.cfg)
-				rec := assocmine.NewCollector()
-				res, err := dist.Run(dist.Config{
-					Recorder:     rec,
-					Path:         path,
-					Algorithm:    sc.algo,
-					Threshold:    sc.cfg.Threshold,
-					K:            sc.cfg.K,
-					R:            sc.cfg.R,
-					L:            sc.cfg.L,
-					SampleBudget: sc.cfg.SampleBudget,
-					Seed:         sc.cfg.Seed,
-					Workers:      workers,
-					WorkerArgv:   workerArgv(t),
-					Env:          []string{beWorkerEnv + "=1"},
-					JobTimeout:   time.Minute,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if len(want.Pairs) == 0 {
-					t.Fatalf("%s: fixture found no pairs; test is vacuous", label)
-				}
-				comparePairs(t, label, res.Pairs, want.Pairs)
-				for counter, stat := range map[string]int64{
-					assocmine.CounterCandidates:     int64(want.Stats.Candidates),
-					assocmine.CounterIncrements:     want.Stats.CandidateIncrements,
-					assocmine.CounterBucketPairs:    want.Stats.BucketPairs,
-					assocmine.CounterPairsSampled:   want.Stats.PairsSampled,
-					assocmine.CounterPairsVerified:  int64(want.Stats.Verified),
-					assocmine.CounterFalsePositives: int64(want.Stats.FalsePositives),
-				} {
-					if got := rec.Counter(counter); got != stat {
-						t.Errorf("%s: coordinator recorded %s = %d, single-process Stats %d", label, counter, got, stat)
+	for _, ds := range []struct {
+		name  string
+		build func(*testing.T) (arows, carows string)
+		packs bool
+	}{
+		{"planted", fixture, false},
+		{"wide", wideFixture, true},
+	} {
+		arows, carows := ds.build(t)
+		paths := []string{arows, carows}
+		if ds.packs {
+			paths = paths[:1]
+		}
+		for _, sc := range schemes {
+			for _, workers := range []int{1, 4} {
+				for _, path := range paths {
+					label := ds.name + "/" + sc.name + "/" + filepath.Ext(path) + "/w" + string(rune('0'+workers))
+					want := reference(t, path, sc.cfg)
+					rec := assocmine.NewCollector()
+					res, err := dist.Run(dist.Config{
+						Recorder:     rec,
+						Path:         path,
+						Algorithm:    sc.algo,
+						Threshold:    sc.cfg.Threshold,
+						K:            sc.cfg.K,
+						R:            sc.cfg.R,
+						L:            sc.cfg.L,
+						SampleBudget: sc.cfg.SampleBudget,
+						Seed:         sc.cfg.Seed,
+						Workers:      workers,
+						WorkerArgv:   workerArgv(t),
+						Env:          []string{beWorkerEnv + "=1"},
+						JobTimeout:   time.Minute,
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-				}
-				if res.Stats.Workers < workers {
-					t.Errorf("%s: stats report %d workers, want >= %d", label, res.Stats.Workers, workers)
-				}
-				if res.Stats.BytesShipped <= 0 {
-					t.Errorf("%s: no bytes shipped", label)
+					if len(want.Pairs) == 0 {
+						t.Fatalf("%s: fixture found no pairs; test is vacuous", label)
+					}
+					comparePairs(t, label, res.Pairs, want.Pairs)
+					for counter, stat := range map[string]int64{
+						assocmine.CounterCandidates:     int64(want.Stats.Candidates),
+						assocmine.CounterIncrements:     want.Stats.CandidateIncrements,
+						assocmine.CounterBucketPairs:    want.Stats.BucketPairs,
+						assocmine.CounterPairsSampled:   want.Stats.PairsSampled,
+						assocmine.CounterPairsVerified:  int64(want.Stats.Verified),
+						assocmine.CounterFalsePositives: int64(want.Stats.FalsePositives),
+						assocmine.CounterVerifyTouches:  want.Stats.VerifyTouches,
+					} {
+						if got := rec.Counter(counter); got != stat {
+							t.Errorf("%s: coordinator recorded %s = %d, single-process Stats %d", label, counter, got, stat)
+						}
+					}
+					if batches := rec.Counter(assocmine.CounterPackedBatches); (batches > 0) != ds.packs || (want.Stats.PackedBatches > 0) != ds.packs {
+						t.Errorf("%s: %d candidates verified in %d packed batches by the workers, %d by the single process; want packed = %v on both",
+							label, want.Stats.Candidates, batches, want.Stats.PackedBatches, ds.packs)
+					}
+					if res.Stats.Workers < workers {
+						t.Errorf("%s: stats report %d workers, want >= %d", label, res.Stats.Workers, workers)
+					}
+					if res.Stats.BytesShipped <= 0 {
+						t.Errorf("%s: no bytes shipped", label)
+					}
 				}
 			}
 		}

@@ -48,7 +48,7 @@ import (
 
 // protoVersion is bumped whenever the frame layout changes; hello
 // carries it and workers reject mismatches.
-const protoVersion = 3
+const protoVersion = 4
 
 // Frame types.
 const (
@@ -357,16 +357,21 @@ func decodeSampleResult(p []byte) (*sampleResult, error) {
 	return &sampleResult{Inspected: int64(insp), Keys: keys, Counts: counts}, nil
 }
 
-// verifyResult is the output of a jobVerify: the surviving candidates
-// as ascending indices into the job's candidate list plus their exact
-// similarities.
+// verifyResult is the output of a jobVerify: the pass's work counters
+// (additive over the coordinator's candidate partition), then the
+// surviving candidates as ascending indices into the job's candidate
+// list plus their exact similarities.
 type verifyResult struct {
-	Indices []int
-	Exact   []float64
+	Touches, PackedWords, PackedBatches int64
+	Indices                             []int
+	Exact                               []float64
 }
 
 func (v *verifyResult) encode() []byte {
 	var b bytes.Buffer
+	putUvarint(&b, uint64(v.Touches))
+	putUvarint(&b, uint64(v.PackedWords))
+	putUvarint(&b, uint64(v.PackedBatches))
 	putUvarint(&b, uint64(len(v.Indices)))
 	prev := -1
 	for _, idx := range v.Indices {
@@ -381,6 +386,14 @@ func (v *verifyResult) encode() []byte {
 
 func decodeVerifyResult(p []byte) (*verifyResult, error) {
 	r := bytes.NewReader(p)
+	v := &verifyResult{}
+	for _, work := range []*int64{&v.Touches, &v.PackedWords, &v.PackedBatches} {
+		w, err := getUvarint(r, 1<<62)
+		if err != nil {
+			return nil, fmt.Errorf("dist: verify result: %w", err)
+		}
+		*work = int64(w)
+	}
 	n, err := getUvarint(r, 1<<31)
 	if err != nil {
 		return nil, fmt.Errorf("dist: verify result: %w", err)
@@ -388,7 +401,7 @@ func decodeVerifyResult(p []byte) (*verifyResult, error) {
 	if int64(n) > int64(len(p)) {
 		return nil, fmt.Errorf("dist: verify result count %d exceeds payload", n)
 	}
-	v := &verifyResult{Indices: make([]int, n), Exact: make([]float64, n)}
+	v.Indices, v.Exact = make([]int, n), make([]float64, n)
 	prev := -1
 	for i := range v.Indices {
 		d, err := getUvarint(r, 1<<31)

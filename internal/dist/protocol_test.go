@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -95,14 +96,25 @@ func TestScoredRunRoundTrip(t *testing.T) {
 }
 
 func TestVerifyResultRoundTrip(t *testing.T) {
-	in := &verifyResult{Indices: []int{0, 3, 4, 17}, Exact: []float64{0.9, 0.5, 0.41, 1}}
+	in := &verifyResult{
+		Touches: 1 << 40, PackedWords: 96, PackedBatches: 2,
+		Indices: []int{0, 3, 4, 17}, Exact: []float64{0.9, 0.5, 0.41, 1},
+	}
 	got, err := decodeVerifyResult(in.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range in.Indices {
-		if got.Indices[i] != in.Indices[i] || got.Exact[i] != in.Exact[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, got, in)
+	if !reflect.DeepEqual(got, in) {
+		t.Fatalf("round trip: %+v, want %+v", got, in)
+	}
+	// A work counter beyond what a pass can do, or a survivor count
+	// beyond the payload, is rejected before anything is sized by it.
+	for _, bad := range [][]byte{
+		binary.AppendUvarint(nil, 1<<63),
+		append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<30), 0),
+	} {
+		if v, err := decodeVerifyResult(bad); err == nil {
+			t.Errorf("hostile verify result %x accepted: %+v", bad, v)
 		}
 	}
 }
@@ -194,7 +206,8 @@ func FuzzDistFrame(f *testing.F) {
 	f.Add(frame(frameResult, (&candResult{Work: 99, Cand: cand}).encode()))
 	f.Add(frame(frameResult, (&candResult{Work: 17, Cand: []pairs.Scored{{Pair: pairs.Pair{I: 1, J: 2}}, {Pair: pairs.Pair{I: 4, J: 9}}}}).encode()))
 	f.Add(frame(frameResult, (&sampleResult{Inspected: 12, Keys: []uint64{3, 9, 1 << 33}, Counts: []int64{1, 2, 3}}).encode()))
-	f.Add(frame(frameResult, (&verifyResult{Indices: []int{0, 3, 4}, Exact: []float64{1, 0.5, 0.75}}).encode()))
+	f.Add(frame(frameResult, (&verifyResult{Touches: 4100, PackedWords: 12, PackedBatches: 1, Indices: []int{0, 3, 4}, Exact: []float64{1, 0.5, 0.75}}).encode()))
+	f.Add(frame(frameResult, (&verifyResult{Touches: 7}).encode()))
 	// Fold-state frames: a fold job's result and the merged broadcast, in
 	// each fold's snapshot format, over the shape readState checks below.
 	for _, algo := range []Algo{MinHash, KMinHash, BPS} {

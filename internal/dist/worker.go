@@ -244,14 +244,19 @@ func (wk *worker) runCand(j *job) ([]byte, error) {
 	return res.encode(), nil
 }
 
-// runVerify exact-counts the attached candidates over one file pass
-// and ships the survivors as indices into the job's list.
+// runVerify prunes the attached candidates with the kernel a
+// single-process run picks for them (verify.Verify's auto dispatch over
+// this slice) and ships the pass's work and the survivors, as indices
+// into the job's list.
 func (wk *worker) runVerify(j *job) ([]byte, error) {
-	out, _, err := verify.Exact(wk.fs, j.Cand, wk.h.Threshold)
+	out, st, err := verify.Verify(wk.fs, j.Cand, verify.Params{Threshold: wk.h.Threshold})
 	if err != nil {
 		return nil, err
 	}
-	res := verifyResult{Indices: make([]int, 0, len(out)), Exact: make([]float64, 0, len(out))}
+	res := verifyResult{
+		Touches: st.Touches, PackedWords: st.PackedWords, PackedBatches: st.PackedBatches,
+		Indices: make([]int, 0, len(out)), Exact: make([]float64, 0, len(out)),
+	}
 	// Survivors preserve input order, so one forward walk recovers the
 	// indices.
 	next := 0

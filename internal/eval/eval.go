@@ -251,7 +251,12 @@ func Execute(d *assocmine.Dataset, cfg assocmine.Config) (*Run, error) {
 	for i, p := range res.Pairs {
 		scored[i] = pairs.Scored{Pair: pairs.Make(int32(p.I), int32(p.J)), Estimate: p.Estimate}
 	}
-	verified, _, err := verify.Exact(d.Matrix().Stream(), scored, cfg.Threshold)
+	verified, _, err := verify.Verify(d.Matrix().Stream(), scored, verify.Params{
+		Threshold: cfg.Threshold,
+		Kernel:    cfg.VerifyKernel,
+		Budget:    verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir},
+		Workers:   cfg.Workers,
+	})
 	if err != nil {
 		return nil, err
 	}

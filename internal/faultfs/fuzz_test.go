@@ -12,11 +12,12 @@ import (
 	"assocmine/internal/matrix"
 )
 
-// fuzzRows spans the 512-row shard boundary of matrix.ScanShards so
-// faults seeded there land inside the dataset.
+// fuzzRows spans the 512-row shard boundary of matrix.Deal so faults
+// seeded there land inside the dataset.
 const (
-	fuzzRows = matrix.DefaultShardRows + 64
-	fuzzCols = 24
+	shardRows = 512
+	fuzzRows  = shardRows + 64
+	fuzzCols  = 24
 )
 
 // fuzzDataset encodes the fixed fuzz dataset in the row-binary format
@@ -100,7 +101,7 @@ func encodeEvents(events []faultfs.Event) []byte {
 // never silently corrupt rows.
 func FuzzPlanRowBinary(f *testing.F) {
 	encoded, want := fuzzDataset(f)
-	boundary := rowOffset(f, encoded, matrix.DefaultShardRows)
+	boundary := rowOffset(f, encoded, shardRows)
 
 	f.Add([]byte{})
 	// Faults landing exactly on the shard boundary, one per kind.

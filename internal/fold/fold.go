@@ -254,11 +254,11 @@ func mergeAs[S State](dst S, peer State, merge func(dst, src S) error) error {
 // One worker folds each row straight off the scan: no shard copy, 0
 // shards, and a chunked sequential ingest replays an uninterrupted pass
 // exactly, the order-dependent K-MH Updates counter included. Above
-// one, shards are dealt round-robin (matrix.DistributeShards) to Fresh
-// per-worker states, merged into st in worker order at the end: the
-// merge is exact, so any worker count finishes to the serial sketch
-// (Updates becomes the sum of the parts), at O(workers) states of
-// memory plus a constant number of in-flight shards.
+// one, shards are dealt round-robin (matrix.Deal) to Fresh per-worker
+// states, merged into st in worker order at the end: the merge is
+// exact, so any worker count finishes to the serial sketch (Updates
+// becomes the sum of the parts), at O(workers) states of memory plus a
+// constant number of in-flight shards.
 func FoldStream(src matrix.RowSource, st State, workers int) (int64, error) {
 	if src.NumCols() != st.NumCols() {
 		return 0, fmt.Errorf("fold: source has %d columns, fold state has %d", src.NumCols(), st.NumCols())
@@ -266,31 +266,26 @@ func FoldStream(src matrix.RowSource, st State, workers int) (int64, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 {
-		return 0, src.Scan(func(row int, cols []int32) error {
-			st.FoldRow(row, cols)
+	parts := []State{st}
+	if workers > 1 {
+		parts = make([]State, workers)
+		for w := range parts {
+			p, err := st.Fresh()
+			if err != nil {
+				return 0, err
+			}
+			parts[w] = p
+		}
+	}
+	sinks := make([]matrix.Sink, 0, 1) // the serial fold's stays on the stack
+	for _, p := range parts {
+		sinks = append(sinks, func(row int, cols []int32) error {
+			p.FoldRow(row, cols)
 			return nil
 		})
 	}
-	parts := make([]State, workers)
-	consumers := make([]func(<-chan *matrix.Shard), workers)
-	for w := range parts {
-		p, err := st.Fresh()
-		if err != nil {
-			return 0, err
-		}
-		parts[w] = p
-		consumers[w] = func(ch <-chan *matrix.Shard) {
-			for sh := range ch {
-				for i := 0; i < sh.Len(); i++ {
-					row, cols := sh.Row(i)
-					p.FoldRow(int(row), cols)
-				}
-			}
-		}
-	}
-	shards, err := matrix.DistributeShards(src, consumers)
-	if err != nil {
+	shards, err := matrix.Deal(src, sinks)
+	if err != nil || workers <= 1 {
 		return shards, err
 	}
 	for _, p := range parts {

@@ -346,9 +346,9 @@ func TestCompressedShardStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([][]int32, m.NumRows())
-	shards, err := ScanShards(fs, 64, 0, func(s *Shard) error {
-		for i := 0; i < s.Len(); i++ {
-			r, cs := s.Row(i)
+	shards, err := scanShards(fs, 64, shardCols, func(s *shard) error {
+		for i := range s.rows {
+			r, cs := s.row(i)
 			got[r] = append([]int32(nil), cs...)
 		}
 		return nil

@@ -3,7 +3,7 @@ package matrix
 // ProgressSource wraps a RowSource and reports scan progress: Tick is
 // invoked with (rows delivered, total rows) every Every rows and once
 // more when the pass completes. It deliberately does not implement
-// ConcurrentSource — per-scan progress state makes overlapping Scans
+// concurrentSource — per-scan progress state makes overlapping Scans
 // meaningless — so parallel consumers fall back to their single-reader
 // strategies, which is exactly where a progress stream is wanted.
 type ProgressSource struct {

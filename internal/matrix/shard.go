@@ -1,134 +1,172 @@
 package matrix
 
-import "sync"
-
-// Shard is a bounded, copied block of consecutive rows from a single
-// sequential pass: rows[i] is the row id of the i-th row in the shard
-// and its columns span Cols[Offs[i]:Offs[i+1]]. Shards are the unit of
-// work the out-of-core path hands to parallel consumers — small enough
-// that a handful of in-flight shards keeps memory bounded regardless of
-// the dataset size, large enough that channel traffic never dominates.
-//
-// A Shard delivered through FanOutShards is shared read-only by every
-// consumer; consumers must not mutate it.
-type Shard struct {
-	Rows []int32 // row ids, in scan order
-	Offs []int32 // len(Rows)+1 offsets into Cols
-	Cols []int32 // concatenated sorted column indices
-}
-
-// Len returns the number of rows in the shard.
-func (s *Shard) Len() int { return len(s.Rows) }
-
-// Row returns the id and column indices of the i-th row in the shard.
-func (s *Shard) Row(i int) (int32, []int32) {
-	return s.Rows[i], s.Cols[s.Offs[i]:s.Offs[i+1]]
-}
-
-// Default shard bounds: a shard holds at most DefaultShardRows rows and
-// DefaultShardCols column entries, whichever fills first (≈32 KiB of
-// column data — comfortably cache-resident, and at most a few shards
-// are ever in flight).
-const (
-	DefaultShardRows = 512
-	DefaultShardCols = 8192
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
 )
 
-// ScanShards performs one sequential Scan of src, packing rows into
-// bounded shards and invoking fn once per shard in row order. maxRows
-// and maxCols bound the shard size; values <= 0 select the defaults.
-// Each shard is freshly allocated, so fn may retain or forward it.
-// Returns the number of shards delivered.
-func ScanShards(src RowSource, maxRows, maxCols int, fn func(*Shard) error) (int64, error) {
-	if maxRows <= 0 {
-		maxRows = DefaultShardRows
-	}
-	if maxCols <= 0 {
-		maxCols = DefaultShardCols
-	}
+// Sink consumes the rows of a pass in row order: a Scan callback. Deal
+// and Broadcast are the one implementation of "feed the rows of ONE
+// sequential pass to N sinks" — the phase-1 fold, the BPS sampler and
+// the scalar verification kernels make their sinks, call one of the two
+// and merge. One sink is a direct Scan: no shard copy, no goroutine, 0
+// shards. Several sinks each run in their own goroutine. The first sink
+// error stops the pass — the reader hands out no further shard, the
+// other sinks skip what is still in flight, at most one shard per
+// channel slot — and is the error returned; a scan error is returned
+// when no sink failed. Both return once every sink goroutine has
+// exited, with the number of shards the reader handed out.
+type Sink func(row int, cols []int32) error
+
+// Deal gives each bounded shard of consecutive rows to the next sink in
+// turn: a deterministic round-robin partition of the pass, for
+// accumulators that merge exactly (pointwise min, bottom-k union,
+// addition), at a constant number of in-flight shards.
+func Deal(src RowSource, sinks []Sink) (int64, error) {
+	return feedShards(src, shardRows, shardCols, sinks, false)
+}
+
+// Broadcast gives every row to every sink. A source that allows
+// concurrent scans (in-memory data) is scanned by each sink itself —
+// scans are cheap next to the sinks' work and nothing is copied, 0
+// shards; any other source is read once, the single pass the
+// disk-resident setting allows, and each shard is shared read-only by
+// all sinks.
+func Broadcast(src RowSource, sinks []Sink) (int64, error) {
+	return feedShards(src, shardRows, shardCols, sinks, true)
+}
+
+// CanScanConcurrently reports whether src allows overlapping Scans.
+func CanScanConcurrently(src RowSource) bool {
+	cs, ok := src.(concurrentSource)
+	return ok && cs.ConcurrentScan()
+}
+
+// shard is a bounded, copied block of consecutive rows of a pass: row i
+// has id rows[i] and columns cols[offs[i]:offs[i+1]]. It holds at most
+// shardRows rows and shardCols column entries, whichever fills first
+// (≈32 KiB of column data — cache-resident, and a handful of in-flight
+// shards keeps memory bounded whatever the dataset size).
+type shard struct {
+	rows, offs, cols []int32
+}
+
+const (
+	shardRows = 512
+	shardCols = 8192
+)
+
+func (s *shard) row(i int) (int, []int32) {
+	return int(s.rows[i]), s.cols[s.offs[i]:s.offs[i+1]]
+}
+
+// scanShards performs one sequential Scan of src, packing rows into
+// freshly allocated shards of at most maxRows rows and maxCols entries
+// and invoking fn once per shard in row order. Returns the number of
+// shards delivered.
+func scanShards(src RowSource, maxRows, maxCols int, fn func(*shard) error) (int64, error) {
 	var shards int64
-	newShard := func() *Shard {
-		return &Shard{
-			Rows: make([]int32, 0, maxRows),
-			Offs: append(make([]int32, 0, maxRows+1), 0),
-			Cols: make([]int32, 0, maxCols),
-		}
-	}
-	cur := newShard()
+	var cur *shard
 	flush := func() error {
-		if len(cur.Rows) == 0 {
-			return nil
-		}
+		sh := cur
+		cur = nil
 		shards++
-		err := fn(cur)
-		cur = newShard()
-		return err
+		return fn(sh)
 	}
 	err := src.Scan(func(row int, cols []int32) error {
-		cur.Rows = append(cur.Rows, int32(row))
-		cur.Cols = append(cur.Cols, cols...)
-		cur.Offs = append(cur.Offs, int32(len(cur.Cols)))
-		if len(cur.Rows) >= maxRows || len(cur.Cols) >= maxCols {
+		if cur == nil {
+			cur = &shard{
+				rows: make([]int32, 0, maxRows),
+				offs: append(make([]int32, 0, maxRows+1), 0),
+				cols: make([]int32, 0, maxCols),
+			}
+		}
+		cur.rows = append(cur.rows, int32(row))
+		cur.cols = append(cur.cols, cols...)
+		cur.offs = append(cur.offs, int32(len(cur.cols)))
+		if len(cur.rows) >= maxRows || len(cur.cols) >= maxCols {
 			return flush()
 		}
 		return nil
 	})
-	if err != nil {
+	if err != nil || cur == nil {
 		return shards, err
 	}
-	if err := flush(); err != nil {
-		return shards, err
-	}
-	return shards, nil
+	return shards, flush()
 }
 
-// fanOutDepth is the per-consumer channel buffer: deep enough to keep
-// consumers busy while the reader decodes the next shard, shallow
-// enough that in-flight shards stay a constant-memory affair.
+// fanOutDepth is the per-sink channel buffer: deep enough to keep sinks
+// busy while the reader decodes the next shard, shallow enough that
+// in-flight shards stay a constant-memory affair.
 const fanOutDepth = 4
 
-// FanOutShards performs ONE sequential Scan of src — the single pass
-// the disk-resident setting allows — broadcasting every shard to each
-// consumer, which runs in its own goroutine on its own channel. It is
-// the delivery mechanism of the streamed parallel verification kernels:
-// exact verification and the budgeted spill pass. FanOutShards returns
-// once the scan is finished and every consumer has drained its channel,
-// reporting the number of shards broadcast.
-func FanOutShards(src RowSource, consumers []func(<-chan *Shard)) (int64, error) {
-	return feedShards(src, 0, 0, consumers, true)
-}
+// errStopped aborts a scan after a sink has failed; it never escapes
+// feedShards.
+var errStopped = errors.New("matrix: pass stopped")
 
-// DistributeShards performs ONE sequential Scan of src, dealing shard i
-// to consumer i%len(consumers) — a deterministic round-robin partition
-// of the row range, as opposed to FanOutShards' broadcast. It is the
-// delivery mechanism of the merge-based streamed signature drivers:
-// each consumer folds its disjoint subset of rows into a private
-// accumulator and the caller merges the accumulators afterwards, which
-// is exact because the sketch folds are mergeable (pointwise min /
-// bottom-k union). Each consumer sees its shards in scan order.
-// DistributeShards returns once the scan is finished and every consumer
-// has drained its channel, reporting the number of shards dealt.
-func DistributeShards(src RowSource, consumers []func(<-chan *Shard)) (int64, error) {
-	return feedShards(src, 0, 0, consumers, false)
-}
+// feedShards is Deal and Broadcast over shards of the given bounds.
+func feedShards(src RowSource, maxRows, maxCols int, sinks []Sink, broadcast bool) (int64, error) {
+	if len(sinks) == 1 {
+		return 0, src.Scan(sinks[0])
+	}
+	var (
+		wg      sync.WaitGroup
+		stopped atomic.Bool
+		first   error // the first sink error; read after wg.Wait
+	)
+	// fail keeps the first error; errStopped, returned only once the pass
+	// has failed, never is.
+	fail := func(err error) {
+		if stopped.CompareAndSwap(false, true) {
+			first = err
+		}
+	}
+	if broadcast && CanScanConcurrently(src) {
+		for _, sink := range sinks {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := src.Scan(func(row int, cols []int32) error {
+					if stopped.Load() {
+						return errStopped
+					}
+					return sink(row, cols)
+				})
+				if err != nil {
+					fail(err)
+				}
+			}()
+		}
+		wg.Wait()
+		return 0, first
+	}
 
-// feedShards starts every consumer on its own channel, runs one
-// ScanShards pass routing each shard to all of them (broadcast) or to
-// the next one in turn, then closes the channels and waits — also when
-// the scan fails, so no consumer is left blocked.
-func feedShards(src RowSource, maxRows, maxCols int, consumers []func(<-chan *Shard), broadcast bool) (int64, error) {
-	chans := make([]chan *Shard, len(consumers))
-	var wg sync.WaitGroup
-	for i, consume := range consumers {
-		chans[i] = make(chan *Shard, fanOutDepth)
+	chans := make([]chan *shard, len(sinks))
+	for i, sink := range sinks {
+		ch := make(chan *shard, fanOutDepth)
+		chans[i] = ch
 		wg.Add(1)
-		go func(consume func(<-chan *Shard), ch <-chan *Shard) {
+		go func() {
 			defer wg.Done()
-			consume(ch)
-		}(consume, chans[i])
+			for sh := range ch {
+				if stopped.Load() {
+					continue // keep draining so the reader never blocks
+				}
+				for i := range sh.rows {
+					if err := sink(sh.row(i)); err != nil {
+						fail(err)
+						break
+					}
+				}
+			}
+		}()
 	}
 	next := 0
-	shards, err := ScanShards(src, maxRows, maxCols, func(sh *Shard) error {
+	shards, err := scanShards(src, maxRows, maxCols, func(sh *shard) error {
+		if stopped.Load() {
+			return errStopped
+		}
 		if broadcast {
 			for _, ch := range chans {
 				ch <- sh
@@ -143,5 +181,8 @@ func feedShards(src RowSource, maxRows, maxCols int, consumers []func(<-chan *Sh
 		close(ch)
 	}
 	wg.Wait()
-	return shards, err
+	if err != nil {
+		fail(err)
+	}
+	return shards, first
 }

@@ -2,7 +2,9 @@ package matrix
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"assocmine/internal/testutil"
 )
@@ -29,14 +31,14 @@ func shardFixture(rows, colsPerRow int) *SliceSource {
 // count is what the bounds predict.
 func TestScanShardsReassembles(t *testing.T) {
 	src := shardFixture(137, 3)
-	var rows []int32
+	var rows []int
 	var cols [][]int32
-	shards, err := ScanShards(src, 16, 0, func(sh *Shard) error {
-		if sh.Len() == 0 || sh.Len() > 16 {
-			t.Fatalf("shard with %d rows, bound 16", sh.Len())
+	shards, err := scanShards(src, 16, shardCols, func(sh *shard) error {
+		if len(sh.rows) == 0 || len(sh.rows) > 16 {
+			t.Fatalf("shard with %d rows, bound 16", len(sh.rows))
 		}
-		for i := 0; i < sh.Len(); i++ {
-			r, cs := sh.Row(i)
+		for i := 0; i < len(sh.rows); i++ {
+			r, cs := sh.row(i)
 			rows = append(rows, r)
 			cols = append(cols, append([]int32(nil), cs...))
 		}
@@ -52,7 +54,7 @@ func TestScanShardsReassembles(t *testing.T) {
 		t.Fatalf("reassembled %d rows, want 137", len(rows))
 	}
 	for r := range rows {
-		if rows[r] != int32(r) {
+		if rows[r] != r {
 			t.Fatalf("row %d has id %d", r, rows[r])
 		}
 		want := src.Rows[r]
@@ -70,9 +72,9 @@ func TestScanShardsReassembles(t *testing.T) {
 // TestScanShardsColBound: the column bound flushes shards early.
 func TestScanShardsColBound(t *testing.T) {
 	src := shardFixture(64, 8)
-	shards, err := ScanShards(src, 0, 16, func(sh *Shard) error {
-		if sh.Len() > 2 {
-			t.Fatalf("shard with %d rows despite 16-col bound on 8-col rows", sh.Len())
+	shards, err := scanShards(src, shardRows, 16, func(sh *shard) error {
+		if len(sh.rows) > 2 {
+			t.Fatalf("shard with %d rows despite 16-col bound on 8-col rows", len(sh.rows))
 		}
 		return nil
 	})
@@ -89,7 +91,7 @@ func TestScanShardsError(t *testing.T) {
 	src := shardFixture(64, 4)
 	boom := errors.New("boom")
 	n := 0
-	_, err := ScanShards(src, 8, 0, func(*Shard) error {
+	_, err := scanShards(src, 8, shardCols, func(*shard) error {
 		n++
 		if n == 2 {
 			return boom
@@ -104,39 +106,39 @@ func TestScanShardsError(t *testing.T) {
 	}
 }
 
-// TestFanOutShards: every consumer sees the complete row stream in
-// order, and the reported shard count matches a direct ScanShards.
+// readerOnly hides the ConcurrentScan capability of an in-memory
+// source, so a broadcast takes the single-reader branch.
+type readerOnly struct{ RowSource }
+
+// TestFanOutShards: under a single reader every sink sees the complete
+// row stream in order, and the reported shard count matches a direct
+// scanShards.
 func TestFanOutShards(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	src := shardFixture(211, 5)
+	src := readerOnly{shardFixture(211, 5)}
 	const workers = 4
 	var totals [workers]int64
 	var rowSums [workers]int64
-	consumers := make([]func(<-chan *Shard), workers)
+	sinks := make([]Sink, workers)
 	for w := 0; w < workers; w++ {
-		w := w
-		consumers[w] = func(ch <-chan *Shard) {
-			last := int32(-1)
-			for sh := range ch {
-				for i := 0; i < sh.Len(); i++ {
-					r, cs := sh.Row(i)
-					if r != last+1 {
-						t.Errorf("worker %d: row %d after %d", w, r, last)
-					}
-					last = r
-					totals[w]++
-					for _, c := range cs {
-						rowSums[w] += int64(c)
-					}
-				}
+		last := -1
+		sinks[w] = func(r int, cs []int32) error {
+			if r != last+1 {
+				t.Errorf("worker %d: row %d after %d", w, r, last)
 			}
+			last = r
+			totals[w]++
+			for _, c := range cs {
+				rowSums[w] += int64(c)
+			}
+			return nil
 		}
 	}
-	shards, err := feedShards(src, 32, 0, consumers, true)
+	shards, err := feedShards(src, 32, shardCols, sinks, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := ScanShards(src, 32, 0, func(*Shard) error { return nil })
+	direct, err := scanShards(src, 32, shardCols, func(*shard) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,66 +152,53 @@ func TestFanOutShards(t *testing.T) {
 		}
 	}
 	if totals[0] != 211 {
-		t.Errorf("consumers saw %d rows, want 211", totals[0])
+		t.Errorf("sinks saw %d rows, want 211", totals[0])
 	}
 }
 
-// TestDistributeShards: consumers partition the shard stream — every
-// row is seen exactly once across all consumers, shards land
-// round-robin, each consumer sees its shards in scan order, and the
-// reported count matches a direct ScanShards.
+// TestDistributeShards: dealt sinks partition the pass — every row is
+// seen exactly once across all sinks, shard i lands on sink i mod N
+// (here shards are 16 rows), each sink sees its rows in scan order, and
+// the reported count matches a direct scanShards.
 func TestDistributeShards(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	src := shardFixture(211, 5)
 	const workers = 4
-	seen := make([][]int32, workers)
-	shardsPer := make([]int64, workers)
-	consumers := make([]func(<-chan *Shard), workers)
+	seen := make([][]int, workers)
+	sinks := make([]Sink, workers)
 	for w := 0; w < workers; w++ {
-		w := w
-		consumers[w] = func(ch <-chan *Shard) {
-			last := int32(-1)
-			for sh := range ch {
-				shardsPer[w]++
-				for i := 0; i < sh.Len(); i++ {
-					r, _ := sh.Row(i)
-					if r <= last {
-						t.Errorf("worker %d: row %d after %d, want increasing", w, r, last)
-					}
-					last = r
-					seen[w] = append(seen[w], r)
-				}
+		last := -1
+		sinks[w] = func(r int, _ []int32) error {
+			if r <= last {
+				t.Errorf("worker %d: row %d after %d, want increasing", w, r, last)
 			}
+			if got := r / 16 % workers; got != w {
+				t.Errorf("row %d of shard %d went to worker %d, want %d", r, r/16, w, got)
+			}
+			last = r
+			seen[w] = append(seen[w], r)
+			return nil
 		}
 	}
-	shards, err := feedShards(src, 16, 0, consumers, false)
+	shards, err := feedShards(src, 16, shardCols, sinks, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := ScanShards(src, 16, 0, func(*Shard) error { return nil })
+	direct, err := scanShards(src, 16, shardCols, func(*shard) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shards != direct {
 		t.Errorf("distribute shards = %d, direct = %d", shards, direct)
 	}
-	var perWorker int64
 	got := make([]bool, 211)
 	for w := 0; w < workers; w++ {
-		perWorker += shardsPer[w]
-		want := (direct + int64(workers) - 1 - int64(w)) / int64(workers)
-		if shardsPer[w] != want {
-			t.Errorf("worker %d got %d shards, want %d (round-robin of %d)", w, shardsPer[w], want, direct)
-		}
 		for _, r := range seen[w] {
 			if got[r] {
 				t.Errorf("row %d delivered twice", r)
 			}
 			got[r] = true
 		}
-	}
-	if perWorker != shards {
-		t.Errorf("consumers got %d shards total, scan dealt %d", perWorker, shards)
 	}
 	for r, ok := range got {
 		if !ok {
@@ -218,22 +207,109 @@ func TestDistributeShards(t *testing.T) {
 	}
 }
 
-// TestDistributeShardsError: a failed scan still closes every channel
-// and returns once consumers exit — no goroutine leak, error propagated.
+// TestDistributeShardsError: a failed scan still closes every sink's
+// channel and returns once the sinks have exited — no goroutine leak,
+// error propagated — dealt, broadcast by one reader, and under
+// concurrent scans.
 func TestDistributeShardsError(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	boom := errors.New("boom")
-	src := &errAfterSource{SliceSource: shardFixture(100, 3), failAt: 40, err: boom}
-	consumers := make([]func(<-chan *Shard), 3)
-	for i := range consumers {
-		consumers[i] = func(ch <-chan *Shard) {
-			for range ch {
-			}
+	for _, mode := range feedModes {
+		src := mode.view(&errAfterSource{SliceSource: shardFixture(100, 3), failAt: 40, err: boom})
+		sinks := make([]Sink, 3)
+		for i := range sinks {
+			sinks[i] = func(int, []int32) error { return nil }
+		}
+		if _, err := feedShards(src, 8, shardCols, sinks, mode.broadcast); !errors.Is(err, boom) {
+			t.Fatalf("%s: err = %v, want boom", mode.name, err)
 		}
 	}
-	_, err := feedShards(src, 8, 0, consumers, false)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+}
+
+// feedModes are the three ways several sinks are fed. errAfterSource
+// and countingSlice embed *SliceSource and so allow concurrent scans.
+var feedModes = []struct {
+	name      string
+	broadcast bool
+	view      func(RowSource) RowSource
+}{
+	{"dealt", false, func(s RowSource) RowSource { return s }},
+	{"broadcast", true, func(s RowSource) RowSource { return readerOnly{s} }},
+	{"concurrent", true, func(s RowSource) RowSource { return s }},
+}
+
+// countingSlice counts the rows its scans have delivered.
+type countingSlice struct {
+	*SliceSource
+	delivered atomic.Int64
+}
+
+func (c *countingSlice) Scan(fn func(row int, cols []int32) error) error {
+	return c.SliceSource.Scan(func(row int, cols []int32) error {
+		c.delivered.Add(1)
+		return fn(row, cols)
+	})
+}
+
+// TestFailedSinkStopsThePass: a sink failing on row N stops the pass —
+// the source delivers at most the shards already in flight past it, not
+// the data to its end — the first sink error is the one returned, and
+// every sink goroutine has exited when the call returns.
+func TestFailedSinkStopsThePass(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	const (
+		rows, maxRows, nSinks = 20000, 8, 3
+		failAt                = 100
+	)
+	boom := errors.New("boom")
+	for _, mode := range feedModes {
+		src := &countingSlice{SliceSource: shardFixture(rows, 3)}
+		concurrent := mode.name == "concurrent"
+		failed := make(chan struct{})
+		var finished atomic.Int64
+		sinks := make([]Sink, nSinks)
+		for w := range sinks {
+			sinks[w] = func(row int, _ []int32) error {
+				// A dealt pass gives row failAt to one sink; a broadcast
+				// one to all, of which sink 1 fails, so which error is
+				// first is not a race.
+				switch {
+				case row == failAt && (!mode.broadcast || w == 1):
+					close(failed)
+					return boom
+				case row >= failAt && mode.broadcast && w == 1:
+					t.Errorf("%s: failed sink fed row %d", mode.name, row)
+				case row >= failAt && concurrent:
+					// Sinks that scan for themselves are not in step:
+					// hold the others at row N until the failure, then
+					// slow them so that rows measure time.
+					<-failed
+					time.Sleep(20 * time.Microsecond)
+				case row == rows-1:
+					finished.Add(1)
+				}
+				return nil
+			}
+		}
+		_, err := feedShards(mode.view(src), maxRows, shardCols, sinks, mode.broadcast)
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s: err = %v, want the sink's error", mode.name, err)
+		}
+		// One reader runs ahead of the failed sink by the shard being
+		// filled, the one blocked on a full channel, and fanOutDepth
+		// slots per sink. Sinks that scan for themselves stop at their
+		// next row; allow them the 10 ms of rows a descheduled failer
+		// may take to raise the flag.
+		bound := int64(failAt + (2+nSinks*fanOutDepth)*maxRows)
+		if concurrent {
+			bound = nSinks * (failAt + 500)
+		}
+		if got := src.delivered.Load(); got > bound {
+			t.Errorf("%s: source delivered %d rows though a sink failed on row %d, bound %d", mode.name, got, failAt, bound)
+		}
+		if finished.Load() != 0 {
+			t.Errorf("%s: %d sinks ran to the last row", mode.name, finished.Load())
+		}
 	}
 }
 
@@ -276,11 +352,11 @@ func TestRangeSourceTail(t *testing.T) {
 	if len(rows) != 18 || rows[0] != 12 || rows[len(rows)-1] != 29 {
 		t.Fatalf("scanned rows %v, want ids 12..29", rows)
 	}
-	// The underlying SliceSource is a ConcurrentSource; the tail view
+	// The underlying SliceSource is a concurrentSource; the tail view
 	// must not be, or windowed runs would take full-data fast paths.
 	var rs RowSource = tail
-	if _, ok := rs.(ConcurrentSource); ok {
-		t.Error("RangeSource must not implement ConcurrentSource")
+	if _, ok := rs.(concurrentSource); ok {
+		t.Error("RangeSource must not implement concurrentSource")
 	}
 	if _, ok := rs.(ColumnLister); ok {
 		t.Error("RangeSource must not implement ColumnLister")

@@ -20,13 +20,13 @@ type RowSource interface {
 	Scan(fn func(row int, cols []int32) error) error
 }
 
-// ConcurrentSource is a RowSource whose Scan may be called from
-// several goroutines at once (in-memory data with no per-scan state).
-// Parallel consumers such as verify.ExactBudgeted use it to let each
-// worker run its own full scan instead of fanning one stream out.
-// Sources with mutable scan state (files, CountingSource) must not
-// implement it.
-type ConcurrentSource interface {
+// concurrentSource is a RowSource whose Scan may be called from
+// several goroutines at once (in-memory data with no per-scan state):
+// Broadcast lets each sink run its own full scan of one instead of
+// fanning one stream out, and CanScanConcurrently reads the capability
+// for everyone else. Sources with mutable scan state (files,
+// CountingSource) must not implement it.
+type concurrentSource interface {
 	RowSource
 	// ConcurrentScan reports whether concurrent Scans are safe.
 	ConcurrentScan() bool
@@ -55,7 +55,7 @@ type rowStream Matrix
 func (s *rowStream) NumRows() int { return s.rows }
 func (s *rowStream) NumCols() int { return len(s.cols) }
 
-// ConcurrentScan implements ConcurrentSource: the matrix is immutable
+// ConcurrentScan implements concurrentSource: the matrix is immutable
 // and the lazy transpose is guarded by a sync.Once, so overlapping
 // Scans are safe.
 func (s *rowStream) ConcurrentScan() bool { return true }
@@ -139,7 +139,7 @@ func (s *SliceSource) NumRows() int { return s.Base + len(s.Rows) }
 // NumCols implements RowSource.
 func (s *SliceSource) NumCols() int { return s.Cols }
 
-// ConcurrentScan implements ConcurrentSource: the slices are never
+// ConcurrentScan implements concurrentSource: the slices are never
 // mutated by Scan.
 func (s *SliceSource) ConcurrentScan() bool { return true }
 
@@ -174,7 +174,7 @@ var errStopRange = errors.New("matrix: range complete")
 // preserving the original row ids — the per-worker view of the
 // scale-out executor and, with To = NumRows(), the tail a sliding
 // window mines after older rows have expired or an ingest catches up
-// on. It deliberately implements ONLY RowSource (no ConcurrentSource /
+// on. It deliberately implements ONLY RowSource (no concurrentSource /
 // ColumnLister delegation): those fast paths operate on the full
 // underlying data and would silently reintroduce out-of-range rows, so
 // ranged runs fall back to sequential scans. When the wrapped source is

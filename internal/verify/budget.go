@@ -62,119 +62,16 @@ const (
 	mergeWindowPerEntry = 3
 )
 
-// ExactBudgeted is Exact with the candidate counters sharded across
-// workers, a progress hook, and the counter table bounded by
-// budget.Bytes. Results are bit-identical to Exact for any worker count
-// and budget; workers <= 1 runs serially, negative workers means
-// GOMAXPROCS, and small candidate lists run with fewer workers
-// (goroutine and fan-out overhead would dominate).
-//
-// When the table for all candidates fits the budget (or the budget is
-// unlimited, the zero Budget) the plain parallel pass runs: concurrent
-// scans of an in-memory source, otherwise one reader fanned out to the
-// workers. Otherwise it runs the single-scan spill strategy: each worker
-// owns a contiguous candidate shard and a bounded counter table,
-// spilling sorted runs of partial counts to disk and merging them after
-// the pass; Stats reports the spill activity.
-//
-// tick (when non-nil) receives (candidate pairs fully verified, total
-// candidates): as each shard finishes its scan, from worker goroutines,
-// under concurrent scans; once at completion under a single reader,
-// where row-level progress belongs to the source — wrap it in a
-// matrix.ProgressSource instead.
+// ExactBudgeted forces Verify's scalar kernel: dense counters when they
+// fit budget.Bytes (or it is <= 0), the spilling table otherwise.
 func ExactBudgeted(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	if err := validate(src.NumCols(), cand, threshold); err != nil {
-		return nil, Stats{}, err
-	}
-	if budget.Bytes <= 0 || int64(len(cand))*denseCounterBytes <= budget.Bytes {
-		return exactParallel(src, cand, threshold, workers, tick)
-	}
-	out, st, err := exactSpill(src, cand, threshold, budget, workers, spillFanIn)
-	if err == nil && tick != nil {
-		tick(int64(len(cand)), int64(len(cand)))
-	}
-	return out, st, err
+	return Verify(src, cand, Params{Threshold: threshold, Kernel: KernelScalar, Budget: budget, Workers: workers, Tick: tick})
 }
 
 // spillEntry is one (candidate, partial counts) record of a run.
 type spillEntry struct {
 	idx          int32
 	either, both int32
-}
-
-// exactSpill runs the bounded-memory strategy, merging at most fanIn
-// sections at once. Candidates are sharded contiguously across workers
-// exactly like exactParallel, so concatenating shard outputs restores
-// the serial emission order.
-func exactSpill(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers, fanIn int) ([]pairs.Scored, Stats, error) {
-	shards := contiguousShards(len(cand), shardWorkers(workers, len(cand)))
-	share := budget.Bytes / int64(len(shards))
-	maxEntries := int(share / spillEntryBytes)
-	if maxEntries < minSpillEntries {
-		maxEntries = minSpillEntries
-	}
-
-	m := src.NumCols()
-	ws := make([]*budgetWorker, len(shards))
-	for s, sh := range shards {
-		ws[s] = newBudgetWorker(m, cand[sh[0]:sh[1]], threshold, maxEntries, fanIn, budget.Dir)
-	}
-	defer func() {
-		for _, w := range ws {
-			w.cleanup()
-		}
-	}()
-
-	var streamed int64
-	if len(ws) == 1 {
-		// Serial: scan rows straight into the single worker.
-		w := ws[0]
-		err := src.Scan(func(row int, cols []int32) error {
-			return w.processRow(int32(row), cols)
-		})
-		if err != nil {
-			return nil, Stats{}, err
-		}
-	} else {
-		consumers := make([]func(<-chan *matrix.Shard), len(ws))
-		for s, w := range ws {
-			consumers[s] = func(ch <-chan *matrix.Shard) {
-				for sh := range ch {
-					if w.err != nil {
-						continue // drain; the scan cannot be aborted per-worker
-					}
-					for i := 0; i < sh.Len(); i++ {
-						r, cols := sh.Row(i)
-						if w.processRow(r, cols) != nil {
-							break
-						}
-					}
-				}
-			}
-		}
-		var err error
-		streamed, err = matrix.FanOutShards(src, consumers)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-	}
-
-	total := Stats{In: len(cand), Shards: streamed}
-	out := make([]pairs.Scored, 0, len(cand)/4)
-	for _, w := range ws {
-		shardOut, err := w.finish()
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		out = append(out, shardOut...)
-		total.Touches += w.st.Touches
-		total.SpillRuns += w.st.SpillRuns
-		total.SpillBytes += w.st.SpillBytes
-		total.SpillBytesRaw += w.st.SpillBytesRaw
-		total.SpillBytesCompressed += w.st.SpillBytesCompressed
-	}
-	total.Out = len(out)
-	return out, total, nil
 }
 
 // spillSlot is one slot of the bounded counter table.
@@ -291,8 +188,8 @@ func (t *spillTable) free(pos []int32) {
 // runSection locates one sorted run inside a worker's spill file.
 type runSection struct{ off, n int64 }
 
-// budgetWorker verifies one contiguous candidate shard with a bounded
-// counter table.
+// budgetWorker is the spilling scalar kernel: the counters of one
+// contiguous candidate shard in a bounded table.
 type budgetWorker struct {
 	cand       []pairs.Scored
 	threshold  float64
@@ -307,7 +204,6 @@ type budgetWorker struct {
 	winEither  []int32 // the merge window's counters, see mergeCursors
 	winBoth    []int32
 	st         Stats
-	err        error
 }
 
 func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, fanIn int, dir string) *budgetWorker {
@@ -328,9 +224,6 @@ func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, 
 // first endpoint's entry resident, so the table may exceed the bound by
 // the candidates one row touches.
 func (w *budgetWorker) processRow(r int32, cols []int32) error {
-	if w.err != nil {
-		return w.err
-	}
 	t := w.table
 	for _, c := range cols {
 		idxs := w.pairsOf.of(c)
@@ -340,9 +233,9 @@ func (w *budgetWorker) processRow(r int32, cols []int32) error {
 		}
 	}
 	if t.n > w.maxEntries {
-		w.err = w.spill()
+		return w.spill()
 	}
-	return w.err
+	return nil
 }
 
 // spill appends the table to the spill file as one sorted run and
@@ -380,9 +273,6 @@ func (w *budgetWorker) spill() error {
 // after generation, until one merge can read what is left; Stats count
 // the first-generation runs only, so they do not depend on the fan-in.
 func (w *budgetWorker) finish() ([]pairs.Scored, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
 	cursors := make([]runCursor, min(len(w.runs), w.fanIn)+1)
 	w.winEither = make([]int32, min(mergeWindowPerEntry*w.maxEntries, len(w.cand)))
 	w.winBoth = make([]int32, len(w.winEither))
@@ -440,6 +330,8 @@ func (w *budgetWorker) mergeToSection(cursors []runCursor, runs []runSection) (r
 	sec, _, err := w.rw.endRun()
 	return sec, err
 }
+
+func (w *budgetWorker) work() Stats { return w.st }
 
 // cleanup closes and deletes the spill file.
 func (w *budgetWorker) cleanup() {

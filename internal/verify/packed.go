@@ -13,8 +13,8 @@
 // Memory is bounded by batching: when a Budget is set, candidates are
 // split into contiguous batches whose distinct endpoint columns fit the
 // arena budget, with one packing pass per batch. When even two columns
-// do not fit, the pass falls back to ExactBudgeted wholesale — the
-// spilling scalar path is the bounded-memory strategy of last resort.
+// do not fit, Verify falls back to the scalar kernel wholesale — the
+// spilling table is the bounded-memory strategy of last resort.
 package verify
 
 import (
@@ -34,7 +34,7 @@ import (
 type Kernel int
 
 const (
-	// KernelAuto picks the packed kernel when AutoPack approves the
+	// KernelAuto picks the packed kernel when autoPack approves the
 	// workload, the scalar kernel otherwise. The zero value, so packed
 	// verification is the default wherever it is safe.
 	KernelAuto Kernel = iota
@@ -86,7 +86,7 @@ const (
 	packedTickChunk = 256
 )
 
-// AutoPack reports whether the Auto kernel selects the packed pass for
+// autoPack reports whether the Auto kernel selects the packed pass for
 // verifying cand over an n×m source under budgetBytes (<= 0 means
 // unlimited). It is a function of (n, m, cand, budgetBytes) only —
 // never the source type — so the in-memory and streamed runs of one
@@ -95,7 +95,7 @@ const (
 // for the bounded-memory machinery, and a packed pass that fits needs
 // none, while one that would batch should instead leave the budget to
 // the spilling scalar path it was written for.
-func AutoPack(n, m int, cand []pairs.Scored, budgetBytes int64) bool {
+func autoPack(n, m int, cand []pairs.Scored, budgetBytes int64) bool {
 	if len(cand) < minPackedCandidates || n <= 0 || m <= 0 {
 		return false
 	}
@@ -137,18 +137,35 @@ type PackedOptions struct {
 	Tick obs.Tick
 }
 
-// ExactPacked is Exact computed with the packed popcount kernel:
-// bit-identical results and Touches for any configuration, with
-// PackedWords/PackedBatches reporting the kernel's work. Sources
-// implementing matrix.ColumnLister are packed directly from their
-// column lists without a row scan; other sources pay one sequential
-// scan per batch, by a single reader at any worker count.
+// ExactPacked forces Verify's packed kernel (batched against
+// opt.Budget; the scalar kernel when the budget cannot hold two
+// columns).
 func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, opt PackedOptions) ([]pairs.Scored, Stats, error) {
-	m := src.NumCols()
-	if err := validate(m, cand, threshold); err != nil {
-		return nil, Stats{}, err
+	return Verify(src, cand, Params{
+		Threshold: threshold, Kernel: KernelPacked,
+		Budget: opt.Budget, Workers: opt.Workers, Context: opt.Context, Tick: opt.Tick,
+	})
+}
+
+// arenaCols is the number of src's bit-columns the budget holds at
+// once: all of them when it is unlimited.
+func arenaCols(src matrix.RowSource, budget Budget) int {
+	words := int64(src.NumRows()+63) / 64
+	if budget.Bytes <= 0 || words == 0 {
+		return src.NumCols()
 	}
-	ctx := opt.Context
+	return int(min(int64(src.NumCols()), budget.Bytes/(words*8)))
+}
+
+// packed is the word-packed popcount kernel over cand (already
+// validated), at most maxCols >= 2 distinct columns to a batch:
+// PackedWords/PackedBatches report its work. Sources implementing
+// matrix.ColumnLister are packed directly from their column lists
+// without a row scan; other sources pay one sequential scan per batch,
+// by a single reader at any worker count.
+func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([]pairs.Scored, Stats, error) {
+	m := src.NumCols()
+	ctx := p.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -156,32 +173,19 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 	if len(cand) == 0 {
 		return nil, st, nil
 	}
-	workers := opt.Workers
+	workers := p.Workers
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	total := int64(len(cand))
-	n := src.NumRows()
-	words := (n + 63) / 64
+	words := (src.NumRows() + 63) / 64
 	if words == 0 {
 		// No rows: every union is empty and the scalar pass emits
 		// nothing, without scanning.
-		if opt.Tick != nil {
-			opt.Tick(total, total)
+		if p.Tick != nil {
+			p.Tick(total, total)
 		}
 		return make([]pairs.Scored, 0), st, nil
-	}
-	maxCols := m
-	if opt.Budget.Bytes > 0 {
-		mc := opt.Budget.Bytes / (int64(words) * 8)
-		if mc < 2 {
-			// The budget cannot hold even one candidate's two columns;
-			// the spilling scalar path is the bounded-memory strategy.
-			return ExactBudgeted(src, cand, threshold, opt.Budget, opt.Workers, opt.Tick)
-		}
-		if mc < int64(maxCols) {
-			maxCols = int(mc)
-		}
 	}
 
 	slot := make([]int32, m)
@@ -203,24 +207,24 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 		cols = cols[:0]
 		batchEnd := batchStart
 		for ; batchEnd < len(cand); batchEnd++ {
-			p := cand[batchEnd]
+			c := cand[batchEnd]
 			need := 0
-			if slot[p.I] < 0 {
+			if slot[c.I] < 0 {
 				need++
 			}
-			if slot[p.J] < 0 {
+			if slot[c.J] < 0 {
 				need++
 			}
 			if len(cols)+need > maxCols {
 				break
 			}
-			if slot[p.I] < 0 {
-				slot[p.I] = int32(len(cols))
-				cols = append(cols, p.I)
+			if slot[c.I] < 0 {
+				slot[c.I] = int32(len(cols))
+				cols = append(cols, c.I)
 			}
-			if slot[p.J] < 0 {
-				slot[p.J] = int32(len(cols))
-				cols = append(cols, p.J)
+			if slot[c.J] < 0 {
+				slot[c.J] = int32(len(cols))
+				cols = append(cols, c.J)
 			}
 		}
 		need := len(cols) * words
@@ -259,7 +263,7 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 			wg.Add(1)
 			go func(s, lo, hi int) {
 				defer wg.Done()
-				outs[s], touches[s], errs[s] = packedSweep(ctx, batch[lo:hi], arena, slot, colOnes, words, threshold, &done, total, opt.Tick)
+				outs[s], touches[s], errs[s] = packedSweep(ctx, batch[lo:hi], arena, slot, colOnes, words, p.Threshold, &done, total, p.Tick)
 			}(s, sh[0], sh[1])
 		}
 		wg.Wait()
@@ -278,8 +282,8 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 		batchStart = batchEnd
 	}
 	st.Out = len(out)
-	if opt.Tick != nil {
-		opt.Tick(total, total)
+	if p.Tick != nil {
+		p.Tick(total, total)
 	}
 	return out, st, nil
 }

@@ -260,23 +260,23 @@ func TestAutoPackHeuristic(t *testing.T) {
 	for i := range big {
 		big[i] = pairs.Scored{Pair: pairs.Make(int32(i%10), int32(10+i%13))}
 	}
-	if !AutoPack(1000, 30, big, 0) {
+	if !autoPack(1000, 30, big, 0) {
 		t.Error("unbudgeted mid-size workload should pack")
 	}
-	if AutoPack(1000, 30, big[:minPackedCandidates-1], 0) {
+	if autoPack(1000, 30, big[:minPackedCandidates-1], 0) {
 		t.Error("tiny candidate list should not pack")
 	}
-	if AutoPack(0, 30, big, 0) || AutoPack(1000, 0, nil, 0) {
+	if autoPack(0, 30, big, 0) || autoPack(1000, 0, nil, 0) {
 		t.Error("degenerate shapes should not pack")
 	}
 	// 23 distinct columns × 16 words × 8 bytes = 2944: a smaller budget
 	// must refuse (Auto never batches), a larger one accept.
 	words := int64((1000 + 63) / 64)
 	arena := 23 * words * 8
-	if AutoPack(1000, 30, big, arena-1) {
+	if autoPack(1000, 30, big, arena-1) {
 		t.Error("arena over budget should not pack")
 	}
-	if !AutoPack(1000, 30, big, arena) {
+	if !autoPack(1000, 30, big, arena) {
 		t.Error("arena exactly at budget should pack")
 	}
 }

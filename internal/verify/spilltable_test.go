@@ -163,11 +163,11 @@ func TestStagedMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, wantSt, err := exactSpill(m.Stream(), cand, 0.3, budget, 1, spillFanIn)
+			_, wantSt, err := count(m.Stream(), cand, Params{Threshold: 0.3, Budget: budget}, spillFanIn)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := exactSpill(m.Stream(), cand, 0.3, budget, 1, fanIn)
+			got, st, err := count(m.Stream(), cand, Params{Threshold: 0.3, Budget: budget}, fanIn)
 			if err != nil {
 				t.Fatalf("fanIn=%d runs=%d: %v", fanIn, runs, err)
 			}

@@ -10,9 +10,12 @@
 package verify
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"assocmine/internal/matrix"
+	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
 
@@ -76,11 +79,29 @@ func newPairIndex(m int, cand []pairs.Scored) pairIndex {
 
 func (x pairIndex) of(c int32) []int32 { return x.idx[x.start[c]:x.start[c+1]] }
 
-// exactCounters is the scalar kernel over one candidate slice: the
-// |C_i ∪ C_j| and |C_i ∩ C_j| counters and the last row that touched
-// each candidate, which tells a row's second endpoint from its first.
+// counter is the scalar kernels' contract: the |C_i ∪ C_j| and
+// |C_i ∩ C_j| counters of one contiguous slice of the candidate list,
+// fed every row of the pass in row order and then finished into the
+// slice's survivors — the candidates at or above the threshold, in
+// order, with Exact filled in. exactCounters keeps them dense,
+// budgetWorker in a bounded table that spills; count schedules either.
+type counter interface {
+	processRow(r int32, cols []int32) error
+	finish() ([]pairs.Scored, error)
+	// work is the pass's Touches and spill activity, complete once
+	// finish has returned.
+	work() Stats
+	// cleanup releases what the counters hold outside memory, whether
+	// or not the pass got as far as finish.
+	cleanup()
+}
+
+// exactCounters is the dense scalar kernel: a counter pair per
+// candidate and the last row that touched it, which tells a row's
+// second endpoint from its first.
 type exactCounters struct {
 	cand                  []pairs.Scored
+	threshold             float64
 	pairsOf               pairIndex
 	either, both, lastRow []int32
 	touches               int64
@@ -88,8 +109,8 @@ type exactCounters struct {
 
 // newExactCounters prepares the counters of cand (already validated)
 // over m columns.
-func newExactCounters(m int, cand []pairs.Scored) *exactCounters {
-	x := &exactCounters{cand: cand, pairsOf: newPairIndex(m, cand)}
+func newExactCounters(m int, cand []pairs.Scored, threshold float64) *exactCounters {
+	x := &exactCounters{cand: cand, threshold: threshold, pairsOf: newPairIndex(m, cand)}
 	x.either = make([]int32, len(cand))
 	x.both = make([]int32, len(cand))
 	x.lastRow = make([]int32, len(cand))
@@ -99,8 +120,8 @@ func newExactCounters(m int, cand []pairs.Scored) *exactCounters {
 	return x
 }
 
-// row counts one row of the data.
-func (x *exactCounters) row(r int32, cols []int32) {
+// processRow counts one row of the data.
+func (x *exactCounters) processRow(r int32, cols []int32) error {
 	either, both, lastRow := x.either, x.both, x.lastRow
 	for _, c := range cols {
 		idxs := x.pairsOf.of(c)
@@ -115,23 +136,26 @@ func (x *exactCounters) row(r int32, cols []int32) {
 			}
 		}
 	}
+	return nil
 }
 
-// survivors returns the candidates at or above threshold, in order,
-// with Exact filled in, and the pass's Stats.
-func (x *exactCounters) survivors(threshold float64) ([]pairs.Scored, Stats) {
+func (x *exactCounters) finish() ([]pairs.Scored, error) {
 	out := make([]pairs.Scored, 0, len(x.cand)/4)
 	for idx, p := range x.cand {
 		if x.either[idx] == 0 {
 			continue
 		}
-		if s := float64(x.both[idx]) / float64(x.either[idx]); s >= threshold {
+		if s := float64(x.both[idx]) / float64(x.either[idx]); s >= x.threshold {
 			p.Exact = s
 			out = append(out, p)
 		}
 	}
-	return out, Stats{In: len(x.cand), Out: len(out), Touches: x.touches}
+	return out, nil
 }
+
+func (x *exactCounters) work() Stats { return Stats{Touches: x.touches} }
+
+func (x *exactCounters) cleanup() {}
 
 // validate is what every entry point checks before counting: the
 // threshold's range, the candidates' column ranges, no self pairs.
@@ -150,33 +174,174 @@ func validate(m int, cand []pairs.Scored, threshold float64) error {
 	return nil
 }
 
-// Exact performs the pruning pass: one scan of src maintaining, for
-// each candidate pair, |C_i ∪ C_j| and |C_i ∩ C_j| counters. It
-// returns the candidates with exact similarity >= threshold, with the
-// Exact field filled in (and the incoming Estimate preserved). The
-// candidate list is not modified.
+// Exact is the scalar reference of phase 3, what every kernel, budget,
+// source and worker count of Verify must reproduce bit for bit: one
+// scan of src maintaining, for each candidate pair, |C_i ∪ C_j| and
+// |C_i ∩ C_j| counters. It returns the candidates with exact
+// similarity >= threshold, with the Exact field filled in (and the
+// incoming Estimate preserved). The candidate list is not modified.
 func Exact(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]pairs.Scored, Stats, error) {
 	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
-	return exactInto(src, cand, threshold)
-}
-
-// exactInto is the counting core of Exact. Candidates must already be
-// validated.
-func exactInto(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]pairs.Scored, Stats, error) {
 	if len(cand) == 0 {
 		return nil, Stats{}, nil
 	}
-	x := newExactCounters(src.NumCols(), cand)
+	x := newExactCounters(src.NumCols(), cand, threshold)
 	err := src.Scan(func(row int, cols []int32) error {
-		x.row(int32(row), cols)
-		return nil
+		return x.processRow(int32(row), cols)
 	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	out, st := x.survivors(threshold)
+	out, _ := x.finish()
+	return out, Stats{In: len(cand), Out: len(out), Touches: x.touches}, nil
+}
+
+// Params is everything phase 3 decides on besides the data and the
+// candidate list.
+type Params struct {
+	// Threshold is s*, in [0,1]: candidates below it are pruned.
+	Threshold float64
+	// Kernel picks the counting strategy; the zero value, KernelAuto,
+	// packs when autoPack approves of (n, m, cand, Budget.Bytes).
+	Kernel Kernel
+	// Budget bounds the packed kernel's bit-column arena (it batches)
+	// or the scalar kernel's counter table (it spills to Budget.Dir).
+	Budget Budget
+	// Workers shards the candidate list: 0 and 1 are serial, negative is
+	// GOMAXPROCS, and small lists run with fewer (minShardCandidates).
+	Workers int
+	// Context cancels the packed kernel at batch and pair-chunk
+	// granularity; nil runs to completion. Scans observe the
+	// cancellation wrapper on src itself (matrix.WithContext).
+	Context context.Context
+	// Tick, when non-nil, receives the pass's progress, possibly from
+	// worker goroutines: (candidate pairs verified, total candidates)
+	// at chunk granularity from the packed kernel; (rows read, total
+	// rows) from the scalar kernels' single reader; completion alone
+	// when the scalar workers each scan an in-memory source.
+	Tick obs.Tick
+}
+
+// Verify is phase 3: the one place a kernel and a memory strategy are
+// chosen. Whatever is chosen, the result — pairs, order, Exact bits —
+// and Stats.Touches are Exact's; the choice reads (n, m, cand, budget)
+// and never the source type, so the in-memory, streamed and distributed
+// runs of one job verify alike.
+//
+//   - KernelAuto packs when autoPack approves, KernelPacked always: the
+//     word-packed popcount kernel, batched against the budget.
+//   - Otherwise, and when the budget cannot hold even two packed
+//     columns, the scalar kernel counts row by row: dense counters when
+//     they fit the budget (or there is none), a bounded table spilling
+//     sorted runs when they do not.
+func Verify(src matrix.RowSource, cand []pairs.Scored, p Params) ([]pairs.Scored, Stats, error) {
+	if err := validate(src.NumCols(), cand, p.Threshold); err != nil {
+		return nil, Stats{}, err
+	}
+	if p.Kernel == KernelPacked || p.Kernel == KernelAuto && autoPack(src.NumRows(), src.NumCols(), cand, p.Budget.Bytes) {
+		// One candidate claims at most two arena slots.
+		if cols := arenaCols(src, p.Budget); cols >= 2 {
+			return packed(src, cand, p, cols)
+		}
+	}
+	return count(src, cand, p, spillFanIn)
+}
+
+// minShardCandidates is the smallest candidate shard worth a goroutine;
+// below it the scan itself dominates and workers are trimmed.
+const minShardCandidates = 32
+
+// shardWorkers resolves a worker count against n candidates: negative
+// means GOMAXPROCS, and shards smaller than minShardCandidates are not
+// worth a goroutine, so the count is trimmed to what n can feed (at
+// least 1).
+func shardWorkers(workers, n int) int {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, (n+minShardCandidates-1)/minShardCandidates))
+}
+
+// contiguousShards cuts [0, n) into at most parts equal contiguous
+// ranges (the last may be shorter). Work done per range and
+// concatenated in range order comes out in serial order.
+func contiguousShards(n, parts int) [][2]int {
+	chunk := (n + parts - 1) / max(parts, 1)
+	var shards [][2]int
+	for lo := 0; lo < n; lo += chunk {
+		shards = append(shards, [2]int{lo, min(lo+chunk, n)})
+	}
+	return shards
+}
+
+// count is the scalar kernels' one scheduler. The candidate list is cut
+// into contiguous shards, one counter each — every candidate's counters
+// live with exactly one worker, so the hot path needs no
+// synchronisation and a shard's survivors are the bytes the serial pass
+// produces for that slice — every counter is fed every row of ONE pass
+// (matrix.Broadcast: each worker's own scan of an in-memory source,
+// otherwise a single reader), and the survivors concatenate in shard
+// order. The counters are dense when they fit the budget; otherwise
+// each worker gets an equal share of it for a bounded table and merges
+// at most fanIn spilled sections at once.
+func count(src matrix.RowSource, cand []pairs.Scored, p Params, fanIn int) ([]pairs.Scored, Stats, error) {
+	if len(cand) == 0 {
+		return nil, Stats{}, nil
+	}
+	m := src.NumCols()
+	shards := contiguousShards(len(cand), shardWorkers(p.Workers, len(cand)))
+	dense := p.Budget.Bytes <= 0 || int64(len(cand))*denseCounterBytes <= p.Budget.Bytes
+	maxEntries := max(minSpillEntries, int(p.Budget.Bytes/int64(len(shards))/spillEntryBytes))
+	cs := make([]counter, len(shards))
+	sinks := make([]matrix.Sink, len(shards))
+	for s, sh := range shards {
+		var c counter
+		if part := cand[sh[0]:sh[1]]; dense {
+			c = newExactCounters(m, part, p.Threshold)
+		} else {
+			c = newBudgetWorker(m, part, p.Threshold, maxEntries, fanIn, p.Budget.Dir)
+		}
+		defer c.cleanup()
+		cs[s] = c
+		sinks[s] = func(row int, cols []int32) error { return c.processRow(int32(row), cols) }
+	}
+
+	// A single reader reports its rows; workers that each scan report
+	// completion.
+	reader := len(sinks) == 1 || !matrix.CanScanConcurrently(src)
+	if p.Tick != nil && reader {
+		src = &matrix.ProgressSource{Src: src, Tick: p.Tick}
+	}
+	streamed, err := matrix.Broadcast(src, sinks)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if p.Tick != nil && !reader {
+		p.Tick(int64(len(cand)), int64(len(cand)))
+	}
+
+	st := Stats{In: len(cand), Shards: streamed}
+	var out []pairs.Scored
+	for _, c := range cs {
+		part, err := c.finish()
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		if out == nil {
+			out = part
+		} else {
+			out = append(out, part...)
+		}
+		w := c.work()
+		st.Touches += w.Touches
+		st.SpillRuns += w.SpillRuns
+		st.SpillBytes += w.SpillBytes
+		st.SpillBytesRaw += w.SpillBytesRaw
+		st.SpillBytesCompressed += w.SpillBytesCompressed
+	}
+	st.Out = len(out)
 	return out, st, nil
 }
 

@@ -412,61 +412,35 @@ func (r *run) verify(cand []pairs.Scored) ([]pairs.Scored, error) {
 }
 
 // exact prunes cand to the pairs whose exact similarity reaches the
-// threshold and records the pass's work: the single dispatch over
-// kernel, memory budget and the view of the data the pass reads.
+// threshold — verify.Verify, which owns every kernel and budget
+// decision — and records the pass's work. What belongs to the run is the
+// view of the data the pass reads:
 //
-//   - Kernel selection consults only (n, m, cand, budget) — never the
-//     source type — so the in-memory and streamed runs of one job pick
-//     the same kernel and stay bit-identical.
 //   - Unbudgeted in-memory runs skip the counted stream and account
 //     their pass by hand: the packed kernel packs straight from the
-//     column lists, handed over without the context wrapper (it would
-//     hide them; PackedOptions.Context cancels at batch and pair-chunk
-//     granularity instead), and above one worker either kernel lets
-//     each worker scan concurrently, which beats fanning a stream out.
-//   - A memory budget forces the counted single-reader pass: a bounded
-//     table plus spills is the point; concurrent scans would multiply it.
+//     column lists, and above one worker the scalar kernel lets each
+//     worker scan concurrently, which beats fanning a stream out.
+//   - Everything else, a memory budget included, reads the counted
+//     single-reader pass: a bounded table plus spills is the point;
+//     concurrent scans would multiply it.
 //
 // tick counts candidate pairs, or rows when a single reader scans for
 // the scalar kernel.
 func (r *run) exact(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {
 	cfg := r.cfg
-	budget := verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir}
-	packed := cfg.VerifyKernel == KernelPacked ||
-		(cfg.VerifyKernel == KernelAuto && verify.AutoPack(r.base.NumRows(), r.base.NumCols(), cand, cfg.MemoryBudget))
-
-	src, fast := matrix.RowSource(r.counting), false
-	if cfg.MemoryBudget <= 0 && len(cand) > 0 {
-		_, lister := r.base.(matrix.ColumnLister)
-		cs, ok := r.base.(matrix.ConcurrentSource)
-		switch {
-		case packed && lister:
-			src, fast = r.base, true
-		case ok && cs.ConcurrentScan() && cfg.Workers > 1:
-			src, fast = matrix.WithContext(cfg.Context, r.base), true
-		}
-	}
-	if fast {
+	src := matrix.RowSource(r.counting)
+	if cfg.MemoryBudget <= 0 && len(cand) > 0 && matrix.CanScanConcurrently(r.base) {
+		src = matrix.WithContext(cfg.Context, r.base)
 		r.countPass()
 	}
-
-	var out []pairs.Scored
-	var vst verify.Stats
-	var err error
-	if packed {
-		out, vst, err = verify.ExactPacked(src, cand, cfg.Threshold, verify.PackedOptions{
-			Budget:  budget,
-			Workers: cfg.Workers,
-			Context: cfg.Context,
-			Tick:    tick,
-		})
-	} else {
-		if !fast {
-			// The single reader reports row progress itself.
-			src, tick = r.ticked(tick), nil
-		}
-		out, vst, err = verify.ExactBudgeted(src, cand, cfg.Threshold, budget, cfg.Workers, tick)
-	}
+	out, vst, err := verify.Verify(src, cand, verify.Params{
+		Threshold: cfg.Threshold,
+		Kernel:    cfg.VerifyKernel,
+		Budget:    verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir},
+		Workers:   cfg.Workers,
+		Context:   cfg.Context,
+		Tick:      tick,
+	})
 	if err != nil {
 		return nil, err
 	}
