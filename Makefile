@@ -29,11 +29,14 @@ benchcheck:
 race-all:
 	$(GO) test -race ./...
 
-# ROADMAP item H's instrument, run alone: an exported internal/* name
-# needs a non-test caller in another package (bench/ counts) or a line
-# on internal/testutil/testdata/unused_exports.txt, which only shrinks.
-# It is an ordinary test of internal/testutil, so `check` already runs
-# it through race-all.
+# The instrument of ROADMAP items H and K, run alone. H: an exported
+# internal/* name needs a non-test caller in another package (bench/
+# counts) or a line on internal/testutil/testdata/unused_exports.txt.
+# K: an exported root name needs a caller in cmd/, examples/,
+# internal/serve, internal/eval, bench/ or an Example* test, or a line on
+# testdata/unused_root_exports.txt. Both lists only shrink. It is an
+# ordinary test of internal/testutil, so `check` already runs it through
+# race-all.
 exports:
 	$(GO) test ./internal/testutil -run TestExportedNamesAreUsed -count=1
 

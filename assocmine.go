@@ -363,5 +363,5 @@ func SimilarPairs(d *Dataset, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return d.run(cfg).mine(nil)
+	return d.run(cfg).similar(nil)
 }

@@ -345,11 +345,11 @@ func BenchmarkResidentQueries(b *testing.B) {
 			return err
 		}},
 		{"topk/floor=0.3", func(sk *assocmine.Sketches, i int) error {
-			_, err := assocmine.TopColumnsWithSketches(d, sk, i%d.NumCols(), 10, at(0.9), 0.3)
+			_, err := assocmine.TopColumnsWith(d, sk, i%d.NumCols(), 10, at(0.9), 0.3)
 			return err
 		}},
 		{"toppairs/n=25", func(sk *assocmine.Sketches, _ int) error {
-			_, err := assocmine.TopPairsWithSketches(d, sk, 25, at(0.9), 0.05)
+			_, err := assocmine.TopPairsWith(d, sk, 25, at(0.9), 0.05)
 			return err
 		}},
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,6 +138,42 @@ func TestChaosTransientFaultsBitIdentical(t *testing.T) {
 				}
 			}
 		}
+		// §6 runs the same driver over the same file passes: its faults
+		// are absorbed, and counted, the same way.
+		t.Run(ext[1:]+"/rules", func(t *testing.T) {
+			cfg := RuleConfig{MinConfidence: 0.7, K: 50, Seed: 7}
+			cleanFD, err := OpenFileDataset(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := cleanFD.MineRules(cfg)
+			if err != nil {
+				t.Fatalf("fault-free run: %v", err)
+			}
+			if len(clean.Rules) == 0 {
+				t.Fatal("fault-free run mined no rules")
+			}
+			faultyFD, err := OpenFileDatasetFS(&faultfs.FS{Plan: transientPlan(97), OpenErr: faultfs.TransientOpens(1)}, path)
+			if err != nil {
+				t.Fatalf("open through faulty FS: %v", err)
+			}
+			faultyFD.SetRetryPolicy(chaosRetry)
+			faulty, err := faultyFD.MineRules(cfg)
+			if err != nil {
+				t.Fatalf("faulty run: %v", err)
+			}
+			sameRules(t, faulty.Rules, clean.Rules)
+			comparePairSections(t, faulty.Stats, clean.Stats, true)
+			if faulty.Stats.BytesRead != clean.Stats.BytesRead || clean.Stats.BytesRead == 0 {
+				t.Errorf("BytesRead = %d under faults, %d fault-free", faulty.Stats.BytesRead, clean.Stats.BytesRead)
+			}
+			if faulty.Stats.FaultsInjected <= 0 || faulty.Stats.IORetries <= 0 {
+				t.Errorf("faulty run reported faults=%d retries=%d", faulty.Stats.FaultsInjected, faulty.Stats.IORetries)
+			}
+			if clean.Stats.FaultsInjected != 0 || clean.Stats.IORetries != 0 {
+				t.Errorf("fault-free run reported faults=%d retries=%d", clean.Stats.FaultsInjected, clean.Stats.IORetries)
+			}
+		})
 	}
 }
 
@@ -302,4 +339,59 @@ func TestChaosCancellation(t *testing.T) {
 			t.Errorf("%d spill files remain after pre-cancelled run", n)
 		}
 	})
+	// A rules run has no Progress hook to cancel from, so its context
+	// cancels itself at a chosen row of a chosen pass: inside the fold or
+	// inside the exact pass, the run returns ctx.Err() having read no
+	// further row.
+	n := int64(d.NumRows())
+	for _, tc := range []struct {
+		name  string
+		after int64 // context checks that pass before the cancel: a pass makes n+1
+	}{
+		{"rules/signatures", n / 2},
+		{"rules/verify", n + 1 + n/2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd, err := OpenFileDataset(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.n.Store(tc.after)
+			res, err := fd.MineRules(RuleConfig{MinConfidence: 0.7, K: 40, Seed: 13, Context: ctx})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v (result %v), want context.Canceled", err, res)
+			}
+			if got := ctx.calls.Load(); got != tc.after+1 {
+				t.Errorf("the run checked its context %d times, want %d: it did not stop at the cancelled row", got, tc.after+1)
+			}
+		})
+	}
+	t.Run("rules/adopted", func(t *testing.T) {
+		// From adopted signatures the exact pass is the only one.
+		sig, err := ComputeSignatures(d, 40, 13, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := MineRulesWithSignatures(d, sig, RuleConfig{MinConfidence: 0.7, Context: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+}
+
+// cancelAfter is a context that reports cancellation from its n+1-th
+// Err call on — a scan checks it once before its first row and once per
+// row — and counts the calls.
+type cancelAfter struct {
+	context.Context
+	n, calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.n.Load() {
+		return context.Canceled
+	}
+	return nil
 }

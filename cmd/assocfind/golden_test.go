@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"assocmine"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
@@ -118,6 +120,50 @@ func TestGoldenOutput(t *testing.T) {
 				if out != string(want) {
 					t.Errorf("workers=%d output differs from %s:\n%s", workers, golden, diffLines(string(want), out))
 				}
+			}
+		})
+	}
+}
+
+// TestGoldenRules locks the stdout of -rules, loaded and streamed from
+// an .arows copy of the same dataset: the rules, their order and the
+// stats lines a rules run reports. Regenerate with -update.
+func TestGoldenRules(t *testing.T) {
+	tmp := t.TempDir()
+	arows := filepath.Join(tmp, "golden.arows")
+	d, err := assocmine.LoadDataset(filepath.Join("testdata", "golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveRowBinary(arows); err != nil {
+		t.Fatal(err)
+	}
+	base := options{doRules: true, conf: 0.7, k: 80, seed: 3, top: 10, stats: true}
+	for _, tc := range []struct {
+		name   string
+		in     string
+		stream bool
+	}{
+		{"rules", filepath.Join("testdata", "golden.txt"), false},
+		{"stream-rules", arows, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := base
+			o.in, o.stream = tc.in, tc.stream
+			out := strings.ReplaceAll(normalize(captureRun(t, o)), tmp, "<tmp>")
+			golden := filepath.Join("testdata", "golden_"+tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("reading golden (run with -update to create): %v", err)
+			}
+			if out != string(want) {
+				t.Errorf("output differs from %s:\n%s", golden, diffLines(string(want), out))
 			}
 		})
 	}

@@ -154,9 +154,22 @@ func run(o options) error {
 		if o.doRules || o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters {
 			return errors.New("-dist-workers cannot be combined with -rules, -transactions, -append, -resume, -window or -clusters")
 		}
-		if o.memBudget != "" || (o.kernel != "" && o.kernel != "auto") {
-			return errors.New("-dist-workers cannot be combined with -mem-budget or a -kernel other than auto")
-		}
+	}
+	// The dist workers and the rules pass take no verification budget or
+	// kernel, and a rules run is one serial full-data run without a
+	// recorder: a flag the run cannot honour is an error, not ignored.
+	mode := ""
+	switch {
+	case o.distWorkers > 0:
+		mode = "-dist-workers"
+	case o.doRules:
+		mode = "-rules"
+	}
+	if mode != "" && (o.memBudget != "" || (o.kernel != "" && o.kernel != "auto")) {
+		return fmt.Errorf("%s cannot be combined with -mem-budget or a -kernel other than auto", mode)
+	}
+	if o.doRules && (o.workers < 0 || o.workers > 1 || o.window != 0 || o.metrics || o.metricsAddr != "" || o.progress || o.clusters) {
+		return errors.New("-rules cannot be combined with -workers, -window, -metrics, -metrics-addr, -progress or -clusters")
 	}
 	stopDiag, err := startDiagnostics(o)
 	if err != nil {
@@ -191,17 +204,29 @@ func run(o options) error {
 		fmt.Printf("loaded %s: %d rows x %d cols, %d ones\n", o.in, data.NumRows(), data.NumCols(), data.Ones())
 	}
 
-	if o.doRules {
-		if data == nil {
-			if data, err = fd.Load(); err != nil {
-				return err
-			}
+	var ctx context.Context
+	if o.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(context.Background(), o.timeout)
+		defer cancel()
+	}
+	timedOut := func(err error) error {
+		if o.timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
+			return fmt.Errorf("mining timed out after %v", o.timeout)
 		}
-		res, err := assocmine.MineRules(data, assocmine.RuleConfig{
-			MinConfidence: o.conf, K: o.k, Seed: o.seed,
-		})
+		return err
+	}
+
+	if o.doRules {
+		rcfg := assocmine.RuleConfig{MinConfidence: o.conf, K: o.k, Seed: o.seed, Context: ctx}
+		var res *assocmine.RulesResult
+		if fd != nil {
+			res, err = fd.MineRules(rcfg)
+		} else {
+			res, err = assocmine.MineRules(data, rcfg)
+		}
 		if err != nil {
-			return err
+			return timedOut(err)
 		}
 		fmt.Printf("%d high-confidence rules (confidence >= %.2f):\n", len(res.Rules), o.conf)
 		for i, rr := range res.Rules {
@@ -232,17 +257,12 @@ func run(o options) error {
 	cfg := assocmine.Config{
 		Algorithm: a, Threshold: o.threshold, K: o.k, R: o.r, L: o.l,
 		MinSupport: o.support, SampleBudget: o.budget, Seed: o.seed,
-		Workers: o.workers, MemoryBudget: budget, VerifyKernel: kernel,
+		Workers: o.workers, MemoryBudget: budget, VerifyKernel: kernel, Context: ctx,
 	}
 	if o.appendState == "" && o.resumeState == "" {
 		// Plain sliding-window mining; in incremental mode -window counts
 		// batches and runIncremental derives the row window itself.
 		cfg.Window = o.window
-	}
-	if o.timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
-		defer cancel()
-		cfg.Context = ctx
 	}
 	var coll *assocmine.Collector
 	if o.metrics || o.metricsAddr != "" {
@@ -259,7 +279,7 @@ func run(o options) error {
 	}
 	if o.distWorkers > 0 {
 		if err := runDist(o, a, cfg, coll, label); err != nil {
-			return err
+			return timedOut(err)
 		}
 		if o.metrics {
 			fmt.Println("metrics:")
@@ -277,10 +297,7 @@ func run(o options) error {
 		res, err = assocmine.SimilarPairs(data, cfg)
 	}
 	if err != nil {
-		if o.timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("mining timed out after %v", o.timeout)
-		}
-		return err
+		return timedOut(err)
 	}
 	fmt.Printf("%d similar pairs (similarity >= %.2f) via %v:\n", len(res.Pairs), o.threshold, a)
 	for i, p := range res.Pairs {
@@ -352,9 +369,6 @@ func runDist(o options, a assocmine.Algorithm, cfg assocmine.Config, coll *assoc
 	}
 	res, err := dist.Run(dcfg)
 	if err != nil {
-		if o.timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("mining timed out after %v", o.timeout)
-		}
 		return err
 	}
 	fmt.Printf("%d similar pairs (similarity >= %.2f) via %v:\n", len(res.Pairs), o.threshold, a)
@@ -444,18 +458,16 @@ func runIncremental(o options, a assocmine.Algorithm, cfg assocmine.Config, data
 	if in.WindowBatches() > 0 {
 		cfg.Window = int(in.LiveRows())
 	}
+	var sketch assocmine.Resident
 	if a == assocmine.KMinHash {
-		sk, err := in.Sketches()
-		if err != nil {
-			return nil, err
-		}
-		return assocmine.SimilarPairsWithSketches(data, sk, cfg)
+		sketch, err = in.Sketches()
+	} else {
+		sketch, err = in.Signatures()
 	}
-	sig, err := in.Signatures()
 	if err != nil {
 		return nil, err
 	}
-	return assocmine.SimilarPairsWithSignatures(data, sig, cfg)
+	return assocmine.SimilarPairsWith(data, sketch, cfg)
 }
 
 // startDiagnostics starts the requested pprof/trace captures and

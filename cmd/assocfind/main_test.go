@@ -76,6 +76,64 @@ func TestRunRules(t *testing.T) {
 	}
 }
 
+// TestRunRulesHonoursItsFlags: -stream -rules mines from the file (the
+// stats carry the two passes' bytes) instead of loading it, -timeout
+// reaches the run, and the flags a rules run cannot honour are rejected
+// rather than ignored.
+func TestRunRulesHonoursItsFlags(t *testing.T) {
+	path := writeFixture(t)
+	base := options{in: path, doRules: true, conf: 0.8, k: 80, seed: 1, top: 5, stats: true}
+
+	streamed := base
+	streamed.stream = true
+	out := captureRun(t, streamed)
+	if !strings.Contains(out, "streaming "+path) || !strings.Contains(out, "out-of-core: ") {
+		t.Errorf("-stream -rules did not mine from the file:\n%s", out)
+	}
+	// The rules themselves: everything between the first line (loaded/
+	// streaming) and the stats.
+	rulesOf := func(out string) string { return pairsSection(out[strings.Index(out, "\n")+1:]) }
+	if loaded := captureRun(t, base); rulesOf(loaded) != rulesOf(out) {
+		t.Errorf("streamed rules differ from loaded ones:\n--- loaded ---\n%s--- streamed ---\n%s", loaded, out)
+	}
+
+	for _, stream := range []bool{false, true} {
+		o := base
+		o.stream, o.timeout = stream, time.Nanosecond
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "timed out after 1ns") {
+			t.Errorf("stream=%v: nanosecond timeout: err = %v, want the timeout error", stream, err)
+		}
+	}
+	generous := base
+	generous.timeout = time.Minute
+	if err := run(generous); err != nil {
+		t.Errorf("run with generous timeout: %v", err)
+	}
+
+	for name, set := range map[string]func(*options){
+		"workers":      func(o *options) { o.workers = 4 },
+		"all-cores":    func(o *options) { o.workers = -1 },
+		"mem-budget":   func(o *options) { o.memBudget = "1M" },
+		"kernel":       func(o *options) { o.kernel = "packed" },
+		"window":       func(o *options) { o.window = 100 },
+		"metrics":      func(o *options) { o.metrics = true },
+		"metrics-addr": func(o *options) { o.metricsAddr = "127.0.0.1:0" },
+		"progress":     func(o *options) { o.progress = true },
+		"clusters":     func(o *options) { o.clusters = true },
+	} {
+		o := base
+		set(&o)
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "-rules cannot be combined with") {
+			t.Errorf("-rules with -%s: err = %v, want a rejection", name, err)
+		}
+	}
+	serial := base
+	serial.workers, serial.kernel = 1, "auto"
+	if err := run(serial); err != nil {
+		t.Errorf("-rules -workers 1 -kernel auto: %v", err)
+	}
+}
+
 func TestRunTransactions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baskets.txt")
 	content := "milk bread\nmilk bread\nbeer\nbeer chips\nmilk bread beer\n"

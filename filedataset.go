@@ -74,7 +74,7 @@ func (f *FileDataset) SimilarPairs(cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return newRun(f.src, f.materialize, cfg).mine(nil)
+	return newRun(f.src, f.materialize, cfg).similar(nil)
 }
 
 // Load materialises the file into an in-memory Dataset (cached; later

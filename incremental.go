@@ -295,7 +295,7 @@ func (in *Ingest) sketch() (fold.Sketch, error) {
 
 // Signatures finishes the live fold into a queryable min-hash sketch
 // (MinHash/MinLSH ingests only). The ingest keeps folding afterwards;
-// pair the result with SimilarPairsWithSignatures, setting
+// pair the result with SimilarPairsWith, setting
 // Config.Window to LiveRows() in sliding-window mode.
 func (in *Ingest) Signatures() (*Signatures, error) {
 	sk, err := in.sketch()

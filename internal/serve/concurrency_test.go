@@ -111,7 +111,8 @@ func TestThousandConcurrentInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runPlan(ix, plan, assocmine.Config{Seed: s.opts.Seed, Workers: 1, Threshold: 0.7})
+	sketch, cfg := plan.resolve(ix, assocmine.Config{Seed: s.opts.Seed, Workers: 1, Threshold: 0.7})
+	res, err := assocmine.SimilarPairsWith(ix.data, sketch, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	obs.RegisterHTTP(mux, "assocserve", s.coll)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/v1/pairs", s.endpoint("pairs", s.handlePairs))
-	mux.Handle("/v1/topk", s.endpoint("topk", s.handleTopK))
-	mux.Handle("/v1/toppairs", s.endpoint("toppairs", s.handleTopPairs))
-	mux.Handle("/v1/rules", s.endpoint("rules", s.handleRules))
-	mux.Handle("/v1/expr", s.endpoint("expr", s.handleExpr))
+	mux.Handle("/v1/pairs", query(s, "pairs", s.pairs))
+	mux.Handle("/v1/topk", query(s, "topk", s.topK))
+	mux.Handle("/v1/toppairs", query(s, "toppairs", s.topPairs))
+	mux.Handle("/v1/rules", query(s, "rules", s.rules))
+	mux.Handle("/v1/expr", query(s, "expr", s.expr))
 	mux.Handle("/v1/refresh", s.endpoint("refresh", s.handleRefresh))
 	return mux
 }
@@ -114,19 +114,45 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, dst any) *http
 	return nil
 }
 
-// runPlan executes a pair-style query against the index the plan
-// selected.
-func runPlan(ix *index, plan Plan, cfg assocmine.Config) (*assocmine.Result, error) {
-	cfg.Algorithm = plan.Algorithm()
-	switch plan.Kind {
-	case PlanMLSHProbe:
-		cfg.R, cfg.L = plan.R, plan.L
-		return assocmine.SimilarPairsWithSignatures(ix.data, ix.sig, cfg)
-	case PlanMHSort:
-		return assocmine.SimilarPairsWithSignatures(ix.data, ix.sig, cfg)
-	default:
-		return assocmine.SimilarPairsWithSketches(ix.data, ix.sk, cfg)
+// query is the one path every read endpoint runs: decode the body,
+// validate it against the generation that will answer, check the
+// response cache, derive the query's context, execute, then encode the
+// answer and cache it. exec is the endpoint's own part — what the
+// request asks of the generation — and returns the 200 body.
+func query[Q request](s *Server, name string, exec func(ctx context.Context, ix *index, q Q) (any, *httpError)) http.Handler {
+	return s.endpoint(name, func(w http.ResponseWriter, r *http.Request) *httpError {
+		var q Q
+		if herr := s.readBody(w, r, &q); herr != nil {
+			return herr
+		}
+		ix := s.index()
+		if err := q.validate(ix, &s.opts); err != nil {
+			return badRequest(err)
+		}
+		done, key := s.cacheCheck(w, ix, name, q)
+		if done {
+			return nil
+		}
+		ctx, cancel := s.queryContext(r, q.timeoutMS())
+		defer cancel()
+		resp, herr := exec(ctx, ix, q)
+		if herr != nil {
+			return herr
+		}
+		return s.writeCachedJSON(w, key, resp)
+	})
+}
+
+// plan is where a pair-style query is planned: the plan for its
+// effective threshold, resolved to the resident sketch that answers it
+// and the configuration the library runs under.
+func (s *Server) plan(ctx context.Context, ix *index, threshold float64, force string, memBudget int64) (Plan, assocmine.Resident, assocmine.Config, *httpError) {
+	plan, err := choosePlan(threshold, ix.info(), force)
+	if err != nil {
+		return Plan{}, nil, assocmine.Config{}, badRequest(err)
 	}
+	res, cfg := plan.resolve(ix, s.queryConfig(ctx, memBudget))
+	return plan, res, cfg, nil
 }
 
 func toPairJSON(ps []assocmine.Pair) []PairJSON {
@@ -137,36 +163,26 @@ func toPairJSON(ps []assocmine.Pair) []PairJSON {
 	return out
 }
 
-func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) *httpError {
-	var q PairsRequest
-	if herr := s.readBody(w, r, &q); herr != nil {
-		return herr
+func (s *Server) pairs(ctx context.Context, ix *index, q PairsRequest) (any, *httpError) {
+	plan, res, cfg, herr := s.plan(ctx, ix, q.Threshold, q.Algo, q.MemBudget)
+	if herr != nil {
+		return nil, herr
 	}
-	ix := s.index()
-	if err := q.validate(ix.data.NumCols()); err != nil {
-		return badRequest(err)
-	}
-	done, key := s.cacheCheck(w, ix, "pairs", &q)
-	if done {
-		return nil
-	}
-	plan, err := choosePlan(q.Threshold, ix.info(), q.Algo)
-	if err != nil {
-		return badRequest(err)
-	}
-	ctx, cancel := s.queryContext(r, q.TimeoutMS)
-	defer cancel()
-	cfg := s.queryConfig(ctx, q.MemBudget)
 	cfg.Threshold = q.Threshold
-	res, err := runPlan(ix, plan, cfg)
+	out, err := assocmine.SimilarPairsWith(ix.data, res, cfg)
 	if err != nil {
-		return queryFailure(err)
+		return nil, queryFailure(err)
 	}
-	return s.writeCachedJSON(w, key, PairsResponse{
-		Plan:  plan,
-		Count: len(res.Pairs),
-		Pairs: toPairJSON(res.Pairs),
-	})
+	return PairsResponse{Plan: plan, Count: len(out.Pairs), Pairs: toPairJSON(out.Pairs)}, nil
+}
+
+// topFloor is the floor of a descending search: the request's, or the
+// default when it sets none.
+func topFloor(floor float64) float64 {
+	if floor == 0 {
+		return defaultTopFloor
+	}
+	return floor
 }
 
 // topConfig prepares the descending-search config shared by topk and
@@ -180,40 +196,15 @@ func topConfig(cfg assocmine.Config, floor float64) assocmine.Config {
 	return cfg
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) *httpError {
-	var q TopKRequest
-	if herr := s.readBody(w, r, &q); herr != nil {
-		return herr
+func (s *Server) topK(ctx context.Context, ix *index, q TopKRequest) (any, *httpError) {
+	floor := topFloor(q.Floor)
+	plan, res, cfg, herr := s.plan(ctx, ix, floor, q.Algo, q.MemBudget)
+	if herr != nil {
+		return nil, herr
 	}
-	ix := s.index()
-	if err := q.validate(ix.data.NumCols(), s.opts.MaxTopK); err != nil {
-		return badRequest(err)
-	}
-	done, key := s.cacheCheck(w, ix, "topk", &q)
-	if done {
-		return nil
-	}
-	floor := q.Floor
-	if floor == 0 {
-		floor = defaultTopFloor
-	}
-	plan, err := choosePlan(floor, ix.info(), q.Algo)
+	pairs, err := assocmine.TopColumnsWith(ix.data, res, q.Col, q.K, topConfig(cfg, floor), floor)
 	if err != nil {
-		return badRequest(err)
-	}
-	ctx, cancel := s.queryContext(r, q.TimeoutMS)
-	defer cancel()
-	cfg := topConfig(s.queryConfig(ctx, q.MemBudget), floor)
-	var pairs []assocmine.Pair
-	if plan.Kind == PlanKMHScan {
-		pairs, err = assocmine.TopColumnsWithSketches(ix.data, ix.sk, q.Col, q.K, cfg, floor)
-	} else {
-		cfg.Algorithm = plan.Algorithm()
-		cfg.R, cfg.L = plan.R, plan.L
-		pairs, err = assocmine.TopColumnsWithSignatures(ix.data, ix.sig, q.Col, q.K, cfg, floor)
-	}
-	if err != nil {
-		return queryFailure(err)
+		return nil, queryFailure(err)
 	}
 	nbrs := make([]NeighborJSON, len(pairs))
 	for i, p := range pairs {
@@ -223,66 +214,23 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) *httpError {
 		}
 		nbrs[i] = NeighborJSON{Col: other, Estimate: p.Estimate, Similarity: p.Similarity}
 	}
-	return s.writeCachedJSON(w, key, TopKResponse{Plan: plan, Col: q.Col, Neighbors: nbrs})
+	return TopKResponse{Plan: plan, Col: q.Col, Neighbors: nbrs}, nil
 }
 
-func (s *Server) handleTopPairs(w http.ResponseWriter, r *http.Request) *httpError {
-	var q TopPairsRequest
-	if herr := s.readBody(w, r, &q); herr != nil {
-		return herr
+func (s *Server) topPairs(ctx context.Context, ix *index, q TopPairsRequest) (any, *httpError) {
+	floor := topFloor(q.Floor)
+	plan, res, cfg, herr := s.plan(ctx, ix, floor, q.Algo, q.MemBudget)
+	if herr != nil {
+		return nil, herr
 	}
-	ix := s.index()
-	if err := q.validate(s.opts.MaxTopK); err != nil {
-		return badRequest(err)
-	}
-	done, key := s.cacheCheck(w, ix, "toppairs", &q)
-	if done {
-		return nil
-	}
-	floor := q.Floor
-	if floor == 0 {
-		floor = defaultTopFloor
-	}
-	plan, err := choosePlan(floor, ix.info(), q.Algo)
+	pairs, err := assocmine.TopPairsWith(ix.data, res, q.N, topConfig(cfg, floor), floor)
 	if err != nil {
-		return badRequest(err)
+		return nil, queryFailure(err)
 	}
-	ctx, cancel := s.queryContext(r, q.TimeoutMS)
-	defer cancel()
-	cfg := topConfig(s.queryConfig(ctx, q.MemBudget), floor)
-	var pairs []assocmine.Pair
-	if plan.Kind == PlanKMHScan {
-		pairs, err = assocmine.TopPairsWithSketches(ix.data, ix.sk, q.N, cfg, floor)
-	} else {
-		cfg.Algorithm = plan.Algorithm()
-		cfg.R, cfg.L = plan.R, plan.L
-		pairs, err = assocmine.TopPairsWithSignatures(ix.data, ix.sig, q.N, cfg, floor)
-	}
-	if err != nil {
-		return queryFailure(err)
-	}
-	return s.writeCachedJSON(w, key, PairsResponse{
-		Plan:  plan,
-		Count: len(pairs),
-		Pairs: toPairJSON(pairs),
-	})
+	return PairsResponse{Plan: plan, Count: len(pairs), Pairs: toPairJSON(pairs)}, nil
 }
 
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) *httpError {
-	var q RulesRequest
-	if herr := s.readBody(w, r, &q); herr != nil {
-		return herr
-	}
-	if err := q.validate(); err != nil {
-		return badRequest(err)
-	}
-	ix := s.index()
-	done, key := s.cacheCheck(w, ix, "rules", &q)
-	if done {
-		return nil
-	}
-	ctx, cancel := s.queryContext(r, q.TimeoutMS)
-	defer cancel()
+func (s *Server) rules(ctx context.Context, ix *index, q RulesRequest) (any, *httpError) {
 	res, err := assocmine.MineRulesWithSignatures(ix.data, ix.sig, assocmine.RuleConfig{
 		MinConfidence: q.MinConfidence,
 		Delta:         q.Delta,
@@ -290,50 +238,40 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) *httpError 
 		Context:       ctx,
 	})
 	if err != nil {
-		return queryFailure(err)
+		return nil, queryFailure(err)
 	}
 	rules := make([]RuleJSON, len(res.Rules))
 	for i, rr := range res.Rules {
 		rules[i] = RuleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
 	}
-	return s.writeCachedJSON(w, key, RulesResponse{Count: len(rules), Rules: rules})
+	return RulesResponse{Count: len(rules), Rules: rules}, nil
 }
 
-func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) *httpError {
-	var q ExprRequest
-	if herr := s.readBody(w, r, &q); herr != nil {
-		return herr
-	}
-	if err := q.validate(); err != nil {
-		return badRequest(err)
-	}
-	ix := s.index()
-	done, key := s.cacheCheck(w, ix, "expr", &q)
-	if done {
-		return nil
-	}
+// expr evaluates from the generation's sketches alone: it scans no data
+// and takes no budget.
+func (s *Server) expr(_ context.Context, ix *index, q ExprRequest) (any, *httpError) {
 	cols := ix.expr.NumCols()
 	var value float64
 	switch q.Op {
 	case "cardinality":
 		e, err := ParseExpr(q.Expr, cols)
 		if err != nil {
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 		if value, err = ix.expr.Cardinality(e); err != nil {
 			// Parses that pass syntax can still break the evaluator's
 			// structural rules (And nesting, fan-in) — the request's
 			// fault, not the server's.
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 	case "similarity", "confidence":
 		a, err := ParseExpr(q.A, cols)
 		if err != nil {
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 		b, err := ParseExpr(q.B, cols)
 		if err != nil {
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 		if q.Op == "similarity" {
 			value, err = ix.expr.Similarity(a, b)
@@ -341,10 +279,10 @@ func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) *httpError {
 			value, err = ix.expr.Confidence(a, b)
 		}
 		if err != nil {
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 	}
-	return s.writeCachedJSON(w, key, ExprResponse{Op: q.Op, Value: value})
+	return ExprResponse{Op: q.Op, Value: value}, nil
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) *httpError {

@@ -15,20 +15,20 @@ import (
 
 // Plan kinds — which resident index a query runs against and how.
 const (
-	// PlanMLSHProbe answers from the min-hash signatures via M-LSH
+	// planMLSHProbe answers from the min-hash signatures via M-LSH
 	// banding (§4.1): hash each column's bands into buckets and probe
 	// collisions. Cheapest when the threshold is high enough that the
 	// banding catches true pairs reliably.
-	PlanMLSHProbe = "mlsh-probe"
-	// PlanKMHScan answers from the bottom-k sketches via the K-MH
+	planMLSHProbe = "mlsh-probe"
+	// planKMHScan answers from the bottom-k sketches via the K-MH
 	// hash-count scan (§3.2): merge-count sketch values across columns.
 	// Works at any threshold and attaches unbiased estimates, at the
 	// cost of touching every sketch.
-	PlanKMHScan = "kmh-scan"
-	// PlanMHSort answers from the min-hash signatures via Row-Sorting
+	planKMHScan = "kmh-scan"
+	// planMHSort answers from the min-hash signatures via Row-Sorting
 	// (§3.1) — the signature-scan fallback when the threshold is too
 	// low for banding and no bottom-k sketch is resident.
-	PlanMHSort = "mh-sort"
+	planMHSort = "mh-sort"
 )
 
 // bandR is the band size the planner lays over resident signatures.
@@ -43,9 +43,9 @@ const minDetect = 0.9
 
 // Plan is one query's execution choice, reported back to the client.
 type Plan struct {
-	// Kind is one of the Plan* constants.
+	// Kind is "mlsh-probe", "kmh-scan" or "mh-sort".
 	Kind string `json:"kind"`
-	// R and L are the banding layout for PlanMLSHProbe (zero
+	// R and L are the banding layout of an mlsh-probe plan (zero
 	// otherwise).
 	R int `json:"r,omitempty"`
 	L int `json:"l,omitempty"`
@@ -53,15 +53,20 @@ type Plan struct {
 	Reason string `json:"reason"`
 }
 
-// Algorithm returns the assocmine algorithm the plan executes.
-func (p Plan) Algorithm() assocmine.Algorithm {
+// resolve turns the plan into what executes it: the resident sketch
+// that answers and base carrying the plan's algorithm and layout — the
+// one place a plan kind names a sketch.
+func (p Plan) resolve(ix *index, base assocmine.Config) (assocmine.Resident, assocmine.Config) {
 	switch p.Kind {
-	case PlanMLSHProbe:
-		return assocmine.MinLSH
-	case PlanKMHScan:
-		return assocmine.KMinHash
+	case planKMHScan:
+		base.Algorithm = assocmine.KMinHash
+		return ix.sk, base
+	case planMLSHProbe:
+		base.Algorithm, base.R, base.L = assocmine.MinLSH, p.R, p.L
+		return ix.sig, base
 	default:
-		return assocmine.MinHash
+		base.Algorithm = assocmine.MinHash
+		return ix.sig, base
 	}
 }
 
@@ -100,17 +105,17 @@ func choosePlan(threshold float64, idx indexInfo, force string) (Plan, error) {
 			return Plan{}, fmt.Errorf("no resident signatures for algo %q", force)
 		}
 		r, l := bandLayout(idx.sigK)
-		return Plan{Kind: PlanMLSHProbe, R: r, L: l, Reason: "forced by request"}, nil
+		return Plan{Kind: planMLSHProbe, R: r, L: l, Reason: "forced by request"}, nil
 	case "kmh":
 		if !idx.haveSk {
 			return Plan{}, fmt.Errorf("no resident sketches for algo %q", force)
 		}
-		return Plan{Kind: PlanKMHScan, Reason: "forced by request"}, nil
+		return Plan{Kind: planKMHScan, Reason: "forced by request"}, nil
 	case "mh":
 		if !idx.haveSig {
 			return Plan{}, fmt.Errorf("no resident signatures for algo %q", force)
 		}
-		return Plan{Kind: PlanMHSort, Reason: "forced by request"}, nil
+		return Plan{Kind: planMHSort, Reason: "forced by request"}, nil
 	case "bps":
 		// Biased pair sampling re-draws from the raw rows on every run;
 		// there is no resident index to answer from, so it is a batch
@@ -123,20 +128,20 @@ func choosePlan(threshold float64, idx indexInfo, force string) (Plan, error) {
 		r, l := bandLayout(idx.sigK)
 		if det := bandDetect(threshold, r, l); det >= minDetect {
 			return Plan{
-				Kind: PlanMLSHProbe, R: r, L: l,
+				Kind: planMLSHProbe, R: r, L: l,
 				Reason: fmt.Sprintf("banding detects s>=%.2f pairs with p=%.3f", threshold, det),
 			}, nil
 		}
 	}
 	if idx.haveSk {
 		return Plan{
-			Kind:   PlanKMHScan,
+			Kind:   planKMHScan,
 			Reason: fmt.Sprintf("threshold %.2f below banding reliability; sketch scan is exact-recall", threshold),
 		}, nil
 	}
 	if idx.haveSig {
 		return Plan{
-			Kind:   PlanMHSort,
+			Kind:   planMHSort,
 			Reason: fmt.Sprintf("threshold %.2f below banding reliability and no sketches resident", threshold),
 		}, nil
 	}

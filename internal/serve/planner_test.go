@@ -46,14 +46,14 @@ func TestChoosePlan(t *testing.T) {
 		wantKind  string
 		wantErr   bool
 	}{
-		{"high-threshold-probes", 0.8, both, "", PlanMLSHProbe, false},
-		{"low-threshold-scans", 0.2, both, "", PlanKMHScan, false},
-		{"low-threshold-no-sketch", 0.2, sigOnly, "", PlanMHSort, false},
-		{"high-threshold-sketch-only", 0.8, skOnly, "", PlanKMHScan, false},
-		{"auto-alias", 0.8, both, "auto", PlanMLSHProbe, false},
-		{"force-mlsh", 0.2, both, "mlsh", PlanMLSHProbe, false},
-		{"force-kmh", 0.9, both, "kmh", PlanKMHScan, false},
-		{"force-mh", 0.9, both, "mh", PlanMHSort, false},
+		{"high-threshold-probes", 0.8, both, "", planMLSHProbe, false},
+		{"low-threshold-scans", 0.2, both, "", planKMHScan, false},
+		{"low-threshold-no-sketch", 0.2, sigOnly, "", planMHSort, false},
+		{"high-threshold-sketch-only", 0.8, skOnly, "", planKMHScan, false},
+		{"auto-alias", 0.8, both, "auto", planMLSHProbe, false},
+		{"force-mlsh", 0.2, both, "mlsh", planMLSHProbe, false},
+		{"force-kmh", 0.9, both, "kmh", planKMHScan, false},
+		{"force-mh", 0.9, both, "mh", planMHSort, false},
 		{"force-missing-index", 0.9, sigOnly, "kmh", "", true},
 		// bps is a batch-only algorithm — it samples the raw rows, which
 		// are not resident — so forcing it is rejected even when every
@@ -77,7 +77,7 @@ func TestChoosePlan(t *testing.T) {
 			if plan.Kind != c.wantKind {
 				t.Fatalf("plan %q, want %q (reason: %s)", plan.Kind, c.wantKind, plan.Reason)
 			}
-			if plan.Kind == PlanMLSHProbe {
+			if plan.Kind == planMLSHProbe {
 				if plan.R != bandR || plan.L != c.idx.sigK/bandR {
 					t.Fatalf("layout R=%d L=%d, want R=%d L=%d", plan.R, plan.L, bandR, c.idx.sigK/bandR)
 				}
@@ -96,7 +96,7 @@ func TestChoosePlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantProbe := bandDetect(s, r, l) >= minDetect
-		if (plan.Kind == PlanMLSHProbe) != wantProbe {
+		if (plan.Kind == planMLSHProbe) != wantProbe {
 			t.Fatalf("at threshold %.2f got %s, detect=%v", s, plan.Kind, bandDetect(s, r, l))
 		}
 	}

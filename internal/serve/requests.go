@@ -26,19 +26,46 @@ func decodeRequest(data []byte, dst any) error {
 	return nil
 }
 
-// budgetFields are the per-query budget knobs every query request
-// carries: a wall-clock budget in milliseconds (clamped to the
-// server's MaxTimeout; 0 means the server's DefaultTimeout) and a
-// verification-phase memory budget in bytes (clamped to the server's
-// MemoryBudget when one is set; 0 means the server default).
-type budgetFields struct {
+// request is what a read endpoint decodes from its body. A request type
+// declares the budgets it honours by the fields it embeds — a field a
+// type does not carry is an unknown field, and a 400.
+type request interface {
+	// validate checks the decoded fields against the generation that
+	// will answer and the server's limits.
+	validate(ix *index, opts *Options) error
+	// timeoutMS is the wall-clock budget asked for; 0 means the server's
+	// DefaultTimeout.
+	timeoutMS() int64
+}
+
+// timeoutField is the wall-clock budget of a query that scans the
+// data, in milliseconds (clamped to the server's MaxTimeout; 0 means
+// the server's DefaultTimeout).
+type timeoutField struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+func (t timeoutField) timeoutMS() int64 { return t.TimeoutMS }
+
+func (t timeoutField) validate() error {
+	if t.TimeoutMS < 0 {
+		return fmt.Errorf("timeout_ms must be >= 0, got %d", t.TimeoutMS)
+	}
+	return nil
+}
+
+// budgetFields are the budgets of a pair-style query: the wall-clock
+// budget plus a verification-phase memory budget in bytes (clamped to
+// the server's MemoryBudget when one is set; 0 means the server
+// default).
+type budgetFields struct {
+	timeoutField
 	MemBudget int64 `json:"mem_budget,omitempty"`
 }
 
 func (b budgetFields) validate() error {
-	if b.TimeoutMS < 0 {
-		return fmt.Errorf("timeout_ms must be >= 0, got %d", b.TimeoutMS)
+	if err := b.timeoutField.validate(); err != nil {
+		return err
 	}
 	if b.MemBudget < 0 {
 		return fmt.Errorf("mem_budget must be >= 0, got %d", b.MemBudget)
@@ -55,7 +82,7 @@ type PairsRequest struct {
 	budgetFields
 }
 
-func (q *PairsRequest) validate(cols int) error {
+func (q PairsRequest) validate(*index, *Options) error {
 	if q.Threshold <= 0 || q.Threshold > 1 {
 		return fmt.Errorf("threshold must be in (0,1], got %v", q.Threshold)
 	}
@@ -73,12 +100,12 @@ type TopKRequest struct {
 	budgetFields
 }
 
-func (q *TopKRequest) validate(cols, maxTopK int) error {
-	if q.Col < 0 || q.Col >= cols {
+func (q TopKRequest) validate(ix *index, opts *Options) error {
+	if cols := ix.data.NumCols(); q.Col < 0 || q.Col >= cols {
 		return fmt.Errorf("col %d out of range [0,%d)", q.Col, cols)
 	}
-	if q.K < 1 || q.K > maxTopK {
-		return fmt.Errorf("k must be in [1,%d], got %d", maxTopK, q.K)
+	if q.K < 1 || q.K > opts.MaxTopK {
+		return fmt.Errorf("k must be in [1,%d], got %d", opts.MaxTopK, q.K)
 	}
 	if q.Floor < 0 || q.Floor > 1 {
 		return fmt.Errorf("floor must be in [0,1], got %v", q.Floor)
@@ -94,9 +121,9 @@ type TopPairsRequest struct {
 	budgetFields
 }
 
-func (q *TopPairsRequest) validate(maxTopK int) error {
-	if q.N < 1 || q.N > maxTopK {
-		return fmt.Errorf("n must be in [1,%d], got %d", maxTopK, q.N)
+func (q TopPairsRequest) validate(_ *index, opts *Options) error {
+	if q.N < 1 || q.N > opts.MaxTopK {
+		return fmt.Errorf("n must be in [1,%d], got %d", opts.MaxTopK, q.N)
 	}
 	if q.Floor < 0 || q.Floor > 1 {
 		return fmt.Errorf("floor must be in [0,1], got %v", q.Floor)
@@ -105,37 +132,42 @@ func (q *TopPairsRequest) validate(maxTopK int) error {
 }
 
 // RulesRequest asks for all rules with confidence >= MinConfidence
-// (§6, support-free).
+// (§6, support-free). Its one data pass honours the wall-clock budget;
+// rules.Verify keeps one counter per candidate pair and takes no memory
+// budget.
 type RulesRequest struct {
 	MinConfidence float64 `json:"min_confidence"`
 	// Delta loosens the candidate filter (see assocmine.RuleConfig);
 	// 0 means the library default.
 	Delta float64 `json:"delta,omitempty"`
-	budgetFields
+	timeoutField
 }
 
-func (q *RulesRequest) validate() error {
+func (q RulesRequest) validate(*index, *Options) error {
 	if q.MinConfidence <= 0 || q.MinConfidence > 1 {
 		return fmt.Errorf("min_confidence must be in (0,1], got %v", q.MinConfidence)
 	}
 	if q.Delta < 0 || q.Delta >= 1 {
 		return fmt.Errorf("delta must be in [0,1), got %v", q.Delta)
 	}
-	return q.budgetFields.validate()
+	return q.timeoutField.validate()
 }
 
 // ExprRequest asks a boolean-composition question (§7). Op selects the
 // question: "cardinality" takes Expr; "similarity" and "confidence"
-// take A and B. Expressions use the ParseExpr syntax.
+// take A and B. Expressions use the ParseExpr syntax. It is answered
+// from the resident sketches without a data pass, so it takes no
+// budget field.
 type ExprRequest struct {
 	Op   string `json:"op"`
 	Expr string `json:"expr,omitempty"`
 	A    string `json:"a,omitempty"`
 	B    string `json:"b,omitempty"`
-	budgetFields
 }
 
-func (q *ExprRequest) validate() error {
+func (ExprRequest) timeoutMS() int64 { return 0 }
+
+func (q ExprRequest) validate(*index, *Options) error {
 	switch q.Op {
 	case "cardinality":
 		if q.Expr == "" {
@@ -154,7 +186,7 @@ func (q *ExprRequest) validate() error {
 	default:
 		return fmt.Errorf("unknown op %q (want cardinality, similarity or confidence)", q.Op)
 	}
-	return q.budgetFields.validate()
+	return nil
 }
 
 // PairJSON is one similar pair in a response.

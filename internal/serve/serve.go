@@ -62,9 +62,11 @@ type Options struct {
 	// and appended rows are folded in through the same incremental
 	// path as /v1/refresh. 0 disables; static servers ignore it.
 	RefreshInterval time.Duration
-	// Collector receives the server's metrics (query counters, per-
-	// endpoint latency spans, and every query's pipeline counters).
-	// One is created when nil; exposed on /metrics and /debug/vars.
+	// Collector receives the server's metrics: query counters, per-
+	// endpoint latency spans, and the pipeline counters of the
+	// pair-style queries (pairs, topk, toppairs — a rules run has no
+	// recorder and an expr evaluation no pipeline). One is created when
+	// nil; exposed on /metrics and /debug/vars.
 	Collector *obs.Collector
 	// Signatures and Sketches, when non-nil, are preloaded indexes
 	// (LoadSignatures/LoadSketches) adopted instead of computing at

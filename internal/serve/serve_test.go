@@ -109,7 +109,8 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		plan := mustPlan(tb, threshold, ix, force)
 		cfg := base
 		cfg.Threshold = threshold
-		res, err := runPlan(ix, plan, cfg)
+		sketch, cfg := plan.resolve(ix, cfg)
+		res, err := assocmine.SimilarPairsWith(ix.data, sketch, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		const col, k = 2, 5
 		plan := mustPlan(tb, defaultTopFloor, ix, "")
 		cfg := topConfig(base, defaultTopFloor)
-		pairs, err := assocmine.TopColumnsWithSketches(ix.data, ix.sk, col, k, cfg, defaultTopFloor)
+		pairs, err := assocmine.TopColumnsWith(ix.data, ix.sk, col, k, cfg, defaultTopFloor)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -151,10 +152,8 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		const n = 4
 		const floor = 0.6
 		plan := mustPlan(tb, floor, ix, "")
-		cfg := topConfig(base, floor)
-		cfg.Algorithm = plan.Algorithm()
-		cfg.R, cfg.L = plan.R, plan.L
-		pairs, err := assocmine.TopPairsWithSignatures(ix.data, ix.sig, n, cfg, floor)
+		sketch, cfg := plan.resolve(ix, topConfig(base, floor))
+		pairs, err := assocmine.TopPairsWith(ix.data, sketch, n, cfg, floor)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -257,6 +256,12 @@ func TestBadRequests(t *testing.T) {
 		{"expr-syntax", "/v1/expr", `{"op":"cardinality","expr":"1&&2"}`, http.StatusBadRequest},
 		{"expr-mixed-args", "/v1/expr", `{"op":"cardinality","expr":"1","a":"2"}`, http.StatusBadRequest},
 		{"neg-timeout", "/v1/pairs", `{"threshold":0.7,"timeout_ms":-1}`, http.StatusBadRequest},
+		{"rules-neg-timeout", "/v1/rules", `{"min_confidence":0.9,"timeout_ms":-1}`, http.StatusBadRequest},
+		// A request type carries only the budgets its endpoint honours;
+		// the others are unknown fields.
+		{"rules-mem-budget", "/v1/rules", `{"min_confidence":0.9,"mem_budget":1024}`, http.StatusBadRequest},
+		{"expr-timeout", "/v1/expr", `{"op":"cardinality","expr":"1","timeout_ms":1000}`, http.StatusBadRequest},
+		{"expr-mem-budget", "/v1/expr", `{"op":"cardinality","expr":"1","mem_budget":1024}`, http.StatusBadRequest},
 		{"not-json", "/v1/pairs", `threshold=0.7`, http.StatusBadRequest},
 		{"static-refresh", "/v1/refresh", `{}`, http.StatusConflict},
 	}
@@ -272,6 +277,11 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
+	t.Run("rules-timeout-accepted", func(t *testing.T) {
+		if rr := recordPost(h, "/v1/rules", `{"min_confidence":0.9,"timeout_ms":60000}`); rr.Code != http.StatusOK {
+			t.Fatalf("status %d, want 200: %s", rr.Code, rr.Body.String())
+		}
+	})
 	t.Run("get-not-allowed", func(t *testing.T) {
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/pairs", nil))

@@ -16,16 +16,23 @@ import (
 	"testing"
 )
 
-// TestExportedNamesAreUsed is ROADMAP item H's instrument: an exported
-// package-level name or method in internal/* non-test code must be
-// referenced from non-test code of another package (the root package,
-// cmd/, examples/, another internal package, or bench/ — the
-// benchmark's own module is a caller), or sit on the committed
-// allowlist testdata/unused_exports.txt. The allowlist was seeded with
-// the state of the commit that added this test and may only shrink: a
-// listed name that has gained a caller, or is gone, fails the test too,
-// so the file stays the exact list of what is left to unexport, move
-// into a _test.go oracle, or delete.
+// TestExportedNamesAreUsed is the instrument of ROADMAP items H and K.
+//
+// H: an exported package-level name or method in internal/* non-test
+// code must be referenced from non-test code of another package (the
+// root package, cmd/, examples/, another internal package, or bench/ —
+// the benchmark's own module is a caller), or sit on the committed
+// allowlist testdata/unused_exports.txt.
+//
+// K: an exported name or method of the root package must be reached
+// from cmd/, examples/, internal/serve, internal/eval, bench/ or the
+// body of an Example* test of the root, or sit on
+// testdata/unused_root_exports.txt.
+//
+// Each allowlist was seeded with the state of the commit that added its
+// sweep and may only shrink: a listed name that has gained a caller, or
+// is gone, fails the test too, so the file stays the exact list of what
+// is left to unexport, move into a _test.go oracle, or delete.
 //
 // Not counted: struct fields; methods that make their type — or a type
 // of another package embedding it — satisfy an interface declared in
@@ -46,16 +53,30 @@ func TestExportedNamesAreUsed(t *testing.T) {
 			t.Fatalf("type-checking %s: %v", path, err)
 		}
 	}
+	const module = "assocmine"
+	rootCaller := func(path string) bool {
+		for _, prefix := range []string{"/cmd/", "/examples/", "/internal/serve", "/internal/eval", "/bench"} {
+			if strings.HasPrefix(path, module+prefix) {
+				return true
+			}
+		}
+		return false
+	}
 
 	// Every object a package's non-test code uses from another package,
-	// the named types those objects carry, and who embeds whom.
-	used := map[types.Object]bool{}
+	// the named types those objects carry, and who embeds whom. usedRoot
+	// holds what the root's sanctioned callers use.
+	used, usedRoot := map[types.Object]bool{}, map[types.Object]bool{}
 	embedders := map[*types.TypeName][]types.Type{}
 	for path, info := range u.infos {
 		for _, obj := range info.Uses {
 			if obj.Pkg() != nil && obj.Pkg().Path() != path {
 				used[origin(obj)] = true
 				markNamed(obj.Type(), used)
+				if rootCaller(path) {
+					usedRoot[origin(obj)] = true
+					markNamed(obj.Type(), usedRoot)
+				}
 			}
 		}
 		scope := u.pkgs[path].Scope()
@@ -75,41 +96,60 @@ func TestExportedNamesAreUsed(t *testing.T) {
 			}
 		}
 	}
+	u.exampleUses(root, module, usedRoot)
 	ifaces := u.interfaces()
 
-	var unused []string
-	for path, pkg := range u.pkgs {
-		if !strings.Contains(path, "/internal/") || strings.HasSuffix(path, "/internal/testutil") {
-			continue
-		}
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if obj.Exported() && !used[obj] {
-				unused = append(unused, path+"."+name)
-			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
+	// unusedIn lists the exported names and methods of the matching
+	// packages that used does not hold.
+	unusedIn := func(match func(path string) bool, used map[types.Object]bool) []string {
+		var unused []string
+		for path, pkg := range u.pkgs {
+			if !match(path) {
 				continue
 			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			carriers := append([]types.Type{named}, embedders[tn]...)
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				if m.Exported() && !used[m] && !satisfies(carriers, m.Name(), ifaces) {
-					unused = append(unused, path+"."+name+"."+m.Name())
+			scope := pkg.Scope()
+			for _, name := range scope.Names() {
+				obj := scope.Lookup(name)
+				if obj.Exported() && !used[obj] {
+					unused = append(unused, path+"."+name)
+				}
+				tn, ok := obj.(*types.TypeName)
+				if !ok || tn.IsAlias() {
+					continue
+				}
+				named, ok := tn.Type().(*types.Named)
+				if !ok {
+					continue
+				}
+				carriers := append([]types.Type{named}, embedders[tn]...)
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !used[m] && !satisfies(carriers, m.Name(), ifaces) {
+						unused = append(unused, path+"."+name+"."+m.Name())
+					}
 				}
 			}
 		}
+		sort.Strings(unused)
+		return unused
 	}
-	sort.Strings(unused)
+	checkAllowlist(t, "unused_exports.txt",
+		"# Exported internal/* names with no non-test caller outside their package\n# (TestExportedNamesAreUsed). This list only shrinks.\n",
+		unusedIn(func(path string) bool {
+			return strings.Contains(path, "/internal/") && !strings.HasSuffix(path, "/internal/testutil")
+		}, used))
+	checkAllowlist(t, "unused_root_exports.txt",
+		"# Exported root-package names that cmd/, examples/, internal/serve,\n# internal/eval, bench/ and the Example* tests do not reach\n# (TestExportedNamesAreUsed, ROADMAP item K). This list only shrinks.\n",
+		unusedIn(func(path string) bool { return path == module }, usedRoot))
+}
 
-	allowPath := filepath.Join("testdata", "unused_exports.txt")
-	if os.Getenv("UPDATE_UNUSED_EXPORTS") != "" { // to drop lines after a cleanup
-		header := "# Exported internal/* names with no non-test caller outside their package\n# (TestExportedNamesAreUsed). This list only shrinks.\n"
+// checkAllowlist fails for every unused name missing from the committed
+// allowlist testdata/<file> and for every listed name that is no longer
+// unused. UPDATE_UNUSED_EXPORTS rewrites the file first, to drop lines
+// after a cleanup.
+func checkAllowlist(t *testing.T, file, header string, unused []string) {
+	allowPath := filepath.Join("testdata", file)
+	if os.Getenv("UPDATE_UNUSED_EXPORTS") != "" {
 		if err := os.WriteFile(allowPath, []byte(header+strings.Join(unused, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +167,7 @@ func TestExportedNamesAreUsed(t *testing.T) {
 	}
 	for _, name := range unused {
 		if !allowed[name] {
-			t.Errorf("%s is exported but nothing outside its package uses it: unexport it, move it to a _test.go file, or delete it", name)
+			t.Errorf("%s is exported but nothing that counts as a caller uses it: unexport it, move it to a _test.go file, or delete it", name)
 		}
 		delete(allowed, name)
 	}
@@ -178,6 +218,47 @@ func (u *universe) list(dir, pattern string) {
 		part := strings.Split(line, "|")
 		for _, name := range strings.Split(part[2], ",") {
 			u.files[part[0]] = append(u.files[part[0]], filepath.Join(part[1], name))
+		}
+	}
+}
+
+// exampleUses marks in used what the bodies of the Example* functions
+// of the module root's external test package refer to: the documented
+// way to call a name counts as a caller of it.
+func (u *universe) exampleUses(root, module string, used map[types.Object]bool) {
+	cmd := exec.Command("go", "list", "-f", `{{join .XTestGoFiles ","}}`, ".")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		u.t.Fatalf("go list . in %s: %v", root, err)
+	}
+	var files []*ast.File
+	for _, name := range strings.Split(strings.TrimSpace(string(out)), ",") {
+		f, err := parser.ParseFile(u.fset, filepath.Join(root, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			u.t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{Importer: u}).Check(module+"_test", u.fset, files, info); err != nil {
+		u.t.Fatalf("type-checking the root's external tests: %v", err)
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "Example") {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == module {
+						used[origin(obj)] = true
+						markNamed(obj.Type(), used)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

@@ -379,7 +379,7 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 		if _, err := SimilarPairsWithSignatures(d, sig, with(MinHash, cancelled)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled first query: %v", err)
 		}
-		if _, err := TopColumnsWithSketches(d, sk, 0, 3, with(KMinHash, cancelled), 0.3); !errors.Is(err, context.Canceled) {
+		if _, err := TopColumnsWith(d, sk, 0, 3, with(KMinHash, cancelled), 0.3); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled first column query: %v", err)
 		}
 		if got := coll.Counter(CounterIndexBuilds); got != 0 {
@@ -396,11 +396,11 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 				case 0:
 					_, errs[g] = SimilarPairsWithSignatures(d, sig, with(MinHash, nil))
 				case 1:
-					_, errs[g] = TopColumnsWithSignatures(d, sig, g, 3, with(MinHash, nil), 0.3)
+					_, errs[g] = TopColumnsWith(d, sig, g, 3, with(MinHash, nil), 0.3)
 				case 2:
 					_, errs[g] = SimilarPairsWithSketches(d, sk, with(KMinHash, nil))
 				case 3:
-					_, errs[g] = TopPairsWithSketches(d, sk, 3, with(KMinHash, nil), 0.3)
+					_, errs[g] = TopPairsWith(d, sk, 3, with(KMinHash, nil), 0.3)
 				}
 			}()
 		}

@@ -107,5 +107,6 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 	r.prog.finish(PhaseCandidates)
 	r.prog.enter(PhaseVerify)
 	r.prog.finish(PhaseVerify)
-	return r.finish(all, true), nil
+	r.finish()
+	return r.result(all, true), nil
 }

@@ -3,10 +3,12 @@ package assocmine
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
+	"assocmine/internal/obs"
+	"assocmine/internal/pairs"
 	"assocmine/internal/rules"
 )
 
@@ -87,13 +89,13 @@ type RulesResult struct {
 // cfg.MinConfidence, regardless of support, using min-hash confidence
 // estimation (Section 6) followed by exact verification.
 func MineRules(d *Dataset, cfg RuleConfig) (*RulesResult, error) {
-	return mineRules(d.m.Stream(), cfg)
+	return mineRules(d.m.Stream(), nil, cfg)
 }
 
 // MineRules mines rules straight from the file: one sequential pass for
 // the signature sketch, one for exact confidence verification.
 func (f *FileDataset) MineRules(cfg RuleConfig) (*RulesResult, error) {
-	return mineRules(f.src, cfg)
+	return mineRules(f.src, nil, cfg)
 }
 
 // MineRulesWithSignatures answers a rules query from a resident
@@ -107,66 +109,59 @@ func MineRulesWithSignatures(d *Dataset, s *Signatures, cfg RuleConfig) (*RulesR
 		return nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
 	}
 	cfg.K = s.sig.K
+	return mineRules(d.m.Stream(), &adopted{Sketch: fold.Sketch{MH: s.sig}}, cfg)
+}
+
+// mineRules is §6 as the paper gives it — the §2 template again — so it
+// is the driver's four steps over the MH fold (or the adopted sketch)
+// with the rules scheme for phases 2 and 3, on one worker and with no
+// recorder; Stats is what the run counted.
+func mineRules(src matrix.RowSource, pre *adopted, cfg RuleConfig) (*RulesResult, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return rulesFromSignatures(d.m.Stream(), s.sig, cfg, Stats{Algorithm: MinHash})
-}
-
-func mineRules(src matrix.RowSource, cfg RuleConfig) (*RulesResult, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	st := Stats{Algorithm: MinHash}
-	start := time.Now()
-	sigSrc := src
-	if cfg.Context != nil {
-		sigSrc = matrix.WithContext(cfg.Context, sigSrc)
-	}
-	sig, err := minhash.Compute(sigSrc, cfg.K, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	st.SignatureTime = time.Since(start)
-	return rulesFromSignatures(src, sig, cfg, st)
-}
-
-// rulesFromSignatures runs the candidate and verification phases of a
-// rules query over an already-computed sketch; src supplies the exact
-// confidence pass. cfg must already have defaults applied.
-func rulesFromSignatures(src matrix.RowSource, sig *minhash.Signatures, cfg RuleConfig, st Stats) (*RulesResult, error) {
-	start := time.Now()
-	cand, err := rules.Candidates(sig, rules.Options{
-		MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence,
+	r := newRun(src, nil, Config{
+		Algorithm: MinHash, K: cfg.K, Seed: cfg.Seed, Context: cfg.Context, SkipVerify: cfg.SkipVerify, Workers: 1,
 	})
+	ps, err := r.mine(r.rulesScheme(cfg), pre)
 	if err != nil {
 		return nil, err
 	}
-	st.CandidateTime = time.Since(start)
-	st.Candidates = len(cand)
+	out := make([]Rule, len(ps))
+	for i, p := range ps {
+		out[i] = Rule{From: int(p.I), To: int(p.J), Estimate: p.Estimate, Confidence: p.Exact}
+	}
+	return &RulesResult{Rules: out, Stats: r.st}, nil
+}
 
-	if cfg.SkipVerify {
-		out := make([]Rule, len(cand))
-		for i, r := range cand {
-			out[i] = Rule{From: int(r.From), To: int(r.To), Estimate: r.Estimate}
+// rulesScheme is §6's row of the template: candidates by the extended
+// Row-Sorting estimate over the MH sketch, pruned by one exact
+// confidence pass over the run's counted source. A rule travels through
+// the driver as a directed pair (I => J), in the order the rules
+// package left it: estimate, or verified confidence, decreasing.
+func (r *run) rulesScheme(cfg RuleConfig) scheme {
+	directed := func(rs []rules.Rule) []pairs.Scored {
+		out := make([]pairs.Scored, len(rs))
+		for i, x := range rs {
+			out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate, Exact: x.Exact}
 		}
-		return &RulesResult{Rules: out, Stats: st}, nil
+		return out
 	}
-	start = time.Now()
-	if cfg.Context != nil {
-		src = matrix.WithContext(cfg.Context, src)
+	return scheme{
+		serial: true,
+		generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
+			cand, err := rules.Candidates(sk.MH, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence})
+			return directed(cand), err
+		},
+		verify: func(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {
+			rs := make([]rules.Rule, len(cand))
+			for i, p := range cand {
+				rs[i] = rules.Rule{From: p.I, To: p.J, Estimate: p.Estimate}
+			}
+			kept, err := rules.Verify(r.ticked(tick), rs, cfg.MinConfidence)
+			return directed(kept), err
+		},
 	}
-	verified, err := rules.Verify(src, cand, cfg.MinConfidence)
-	if err != nil {
-		return nil, err
-	}
-	st.VerifyTime = time.Since(start)
-	st.Verified = len(verified)
-	out := make([]Rule, len(verified))
-	for i, r := range verified {
-		out[i] = Rule{From: int(r.From), To: int(r.To), Estimate: r.Estimate, Confidence: r.Exact}
-	}
-	return &RulesResult{Rules: out, Stats: st}, nil
 }
 
 // OrRules finds disjunctive rules c_i => c_j ∨ c_j2 (Section 7). The

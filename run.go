@@ -18,15 +18,16 @@ import (
 
 // run is the one driver of the paper's three-phase template (§2). Every
 // single-process entry point — SimilarPairs, FileDataset.SimilarPairs,
-// SimilarPairsWithSignatures, SimilarPairsWithSketches and the
-// signature phase and accounting of ProgressiveSimilarPairs — builds
+// the queries answered from a Resident sketch, the three MineRules and
+// the signature phase and accounting of ProgressiveSimilarPairs — builds
 // one and walks the same four steps:
 //
 //	sketch      phase 1: fold the source, or adopt a precomputed sketch
 //	            and the phase-2 index it carries
 //	candidates  phase 2: the scheme's in-memory kernel over the index —
 //	            every unit of it, or the one column a query names
-//	verify      phase 3: one exact pass pruning the candidates
+//	verify      phase 3: one exact pass pruning the candidates, by
+//	            similarity or by the scheme's own measure
 //	finish      pass, I/O and pair counters into Stats and the Recorder
 //
 // The run owns the recorder, the progress sink, the counted source and
@@ -56,7 +57,7 @@ type run struct {
 	// memo is the adopted sketch's index memo; nil when the run folds
 	// its own sketch and drops the index with it. column, when >= 0,
 	// restricts phase 2 of a sketch scheme to the candidates containing
-	// that column (TopColumnsWith*): one unit of work, not one per column.
+	// that column (TopColumnsWith): one unit of work, not one per column.
 	memo   *indexMemo
 	column int
 
@@ -91,13 +92,18 @@ func (d *Dataset) run(cfg Config) *run {
 	return newRun(d.m.Stream(), func() (*matrix.Matrix, error) { return d.m, nil }, cfg)
 }
 
-// scheme is one algorithm's row of the template: the phase 2 that reads
-// the sketch its fold left (internal/fold maps the algorithm to the
-// fold; phase 1 is the same code for all of them).
+// scheme is one row of the template: the phase 2 that reads the sketch
+// the fold left (internal/fold maps the algorithm to the fold; phase 1
+// is the same code for all of them) and, for a row that prunes by its
+// own measure, the phase 3 to run in place of the similarity pass.
 type scheme struct {
 	// generate is phase 2. tick reports its progress in the kernel's own
 	// unit (columns, bands, or rows for the schemes that scan).
 	generate func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error)
+	// verify, when non-nil, is phase 3 in place of run.exact: one pass
+	// over r.ticked(tick) keeping the candidates that pass (§6 prunes by
+	// confidence, which needs |C_from| beside the pair counts).
+	verify func(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error)
 	// exact: generate already returns exact similarities, so there is
 	// nothing to verify. serial: generate ignores Config.Workers.
 	exact, serial bool
@@ -133,29 +139,37 @@ func (m *indexMemo) get(build func() (*candidate.Index, error)) (ix *candidate.I
 	return ix, true, nil
 }
 
-// mine runs the four steps. pre, when non-nil, is a caller-supplied
-// sketch adopted, with its index, in place of the phase-1 fold.
-func (r *run) mine(pre *adopted) (*Result, error) {
+// similar is a similar-pairs run: the configured algorithm's scheme
+// through the four steps, its pairs by decreasing similarity.
+func (r *run) similar(pre *adopted) (*Result, error) {
 	sch, err := r.scheme()
 	if err != nil {
 		return nil, err
 	}
+	ps, err := r.mine(sch, pre)
+	if err != nil {
+		return nil, err
+	}
+	return r.result(ps, sch.exact || !r.cfg.SkipVerify), nil
+}
+
+// mine runs the four steps over sch and returns the pairs that are
+// left. pre, when non-nil, is a caller-supplied sketch adopted, with
+// its index, in place of the phase-1 fold.
+func (r *run) mine(sch scheme, pre *adopted) ([]pairs.Scored, error) {
 	sk, err := r.sketch(pre)
 	if err != nil {
 		return nil, err
 	}
-	cand, err := r.candidates(sch, sk)
+	ps, err := r.candidates(sch, sk)
+	if err == nil && !sch.exact && !r.cfg.SkipVerify {
+		ps, err = r.verify(sch, ps)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if sch.exact || r.cfg.SkipVerify {
-		return r.finish(cand, sch.exact), nil
-	}
-	verified, err := r.verify(cand)
-	if err != nil {
-		return nil, err
-	}
-	return r.finish(verified, true), nil
+	r.finish()
+	return ps, nil
 }
 
 // phase brackets one phase with its recorder span and progress window
@@ -397,10 +411,15 @@ func (r *run) candidates(sch scheme, sk fold.Sketch) ([]pairs.Scored, error) {
 	return cand, nil
 }
 
-// verify is phase 3: one exact pass under its span.
-func (r *run) verify(cand []pairs.Scored) ([]pairs.Scored, error) {
+// verify is phase 3: one exact pass under its span — the scheme's own
+// when it has one, the similarity pass otherwise.
+func (r *run) verify(sch scheme, cand []pairs.Scored) ([]pairs.Scored, error) {
+	pass := sch.verify
+	if pass == nil {
+		pass = r.exact
+	}
 	out, d, err := phase(r, PhaseVerify, func(tick obs.Tick) ([]pairs.Scored, error) {
-		return r.exact(cand, tick)
+		return pass(cand, tick)
 	})
 	if err != nil {
 		return nil, err
@@ -459,8 +478,8 @@ func (r *run) exact(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) 
 // finish is the single Stats and counter fill: passes and rows from the
 // counted source, pair counts, the probe's I/O deltas and the codec
 // ratio, then Stats from the run's own collector so it agrees with any
-// attached Recorder exactly. verified: ps carry exact similarities.
-func (r *run) finish(ps []pairs.Scored, verified bool) *Result {
+// attached Recorder exactly.
+func (r *run) finish() {
 	st, rec := &r.st, r.rec
 	st.DataPasses = r.counting.Passes
 	st.RowsScanned = r.counting.Rows
@@ -484,8 +503,13 @@ func (r *run) finish(ps []pairs.Scored, verified bool) *Result {
 		rec.SetGauge(obs.GaugeCodecRatio, int64(ratio*100))
 	}
 	st.fillFrom(r.inner)
+}
+
+// result is a finished run's pairs, by decreasing similarity, beside
+// its Stats. verified: ps carry exact similarities.
+func (r *run) result(ps []pairs.Scored, verified bool) *Result {
 	pairs.SortScored(ps)
-	return &Result{Pairs: toPairs(ps, verified), Stats: *st}
+	return &Result{Pairs: toPairs(ps, verified), Stats: r.st}
 }
 
 // ioCounts is a reading of a source's cumulative I/O probes; sources

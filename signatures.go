@@ -96,24 +96,14 @@ func LoadSignatures(path string) (*Signatures, error) {
 	return &Signatures{sig: sig, seed: seed, rows: -1}, nil
 }
 
-// SimilarPairsWithSignatures answers a similar-pairs query from a
-// precomputed sketch, skipping the signature pass entirely. Supported
-// algorithms: MinHash (Row-Sorting over the sketch's index, built by
-// the first such query and reused by every later one) and MinLSH
-// (banding over the sketch; requires R*L <= the sketch's K).
-// Verification still makes one pass over d — or over its trailing
-// cfg.Window rows when a sliding window is set, for sketches that cover
-// only that window.
+// SimilarPairsWithSignatures is SimilarPairsWith spelled for a min-hash
+// sketch.
 func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result, error) {
-	r, pre, err := s.query(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.mine(pre)
+	return SimilarPairsWith(d, s, cfg)
 }
 
-// query checks cfg against the sketch and returns the driver of one
-// query answered from it, with the sketch to adopt.
+// query implements Resident: MinHash adopts the sketch with its index,
+// MinLSH the sketch alone (banding reads the signatures directly).
 func (s *Signatures) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if s.sig.M != d.NumCols() {
 		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())

@@ -84,23 +84,14 @@ func LoadSketches(path string) (*Sketches, error) {
 	return &Sketches{sk: sk, seed: seed, rows: -1}, nil
 }
 
-// SimilarPairsWithSketches answers a KMinHash similar-pairs query from
-// a precomputed bottom-k sketch, skipping the signature pass entirely
-// (cfg.Algorithm must be KMinHash or left zero — it is forced): a
-// Hash-Count over the sketch's index, built by the first query and
-// reused by every later one. Verification still makes one pass over d —
-// or over its trailing cfg.Window rows when a sliding window is set,
-// for sketches that cover only that window.
+// SimilarPairsWithSketches is SimilarPairsWith spelled for a bottom-k
+// sketch.
 func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, error) {
-	r, pre, err := s.query(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.mine(pre)
+	return SimilarPairsWith(d, s, cfg)
 }
 
-// query checks cfg against the sketch and returns the driver of one
-// query answered from it, with the sketch to adopt.
+// query implements Resident: KMinHash, whatever cfg.Algorithm says,
+// over the sketch and its index.
 func (s *Sketches) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if len(s.sk.Sigs) != d.NumCols() {
 		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", len(s.sk.Sigs), d.NumCols())

@@ -18,7 +18,7 @@ import (
 // Every attempt is a complete run — signature scan, candidates, verify
 // — so on a large dataset, or when the threshold is expected to drop
 // several times, compute the sketch once (ComputeSignatures,
-// ComputeSketches) and use TopPairsWithSignatures/TopPairsWithSketches.
+// ComputeSketches) and use TopPairsWith.
 // cfg.Workers carries through to every retry, parallelising all three
 // phases of each attempt.
 func TopPairs(d *Dataset, n int, cfg Config, minThreshold float64) ([]Pair, error) {
@@ -27,52 +27,51 @@ func TopPairs(d *Dataset, n int, cfg Config, minThreshold float64) ([]Pair, erro
 	})
 }
 
-// TopPairsWithSignatures is TopPairs answered from a resident min-hash
-// sketch: every threshold-lowering retry reruns only the in-memory
-// candidate scan — over the sketch's one index for MinHash — plus one
-// verification pass, never the signature scan. cfg.Algorithm must be
-// MinHash or MinLSH (the schemes SimilarPairsWithSignatures supports).
-func TopPairsWithSignatures(d *Dataset, s *Signatures, n int, cfg Config, minThreshold float64) ([]Pair, error) {
-	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
-		return SimilarPairsWithSignatures(d, s, c)
-	})
-}
-
-// TopPairsWithSketches is TopPairs answered from a resident bottom-k
-// sketch via SimilarPairsWithSketches (cfg.Algorithm is forced to
-// KMinHash).
-func TopPairsWithSketches(d *Dataset, s *Sketches, n int, cfg Config, minThreshold float64) ([]Pair, error) {
-	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
-		return SimilarPairsWithSketches(d, s, c)
-	})
-}
-
-// TopColumnsWithSignatures returns the n columns most similar to col,
-// as pairs containing col, answered from a resident min-hash sketch
-// with the same threshold-lowering search as TopPairs. Each attempt
-// asks the kernel for col's candidates alone — a count over col's own
-// runs (a key comparison per band for MinLSH), then a verification of
-// at most m-1 pairs — not for every pair of the matrix. Pairs are
-// ordered by decreasing verified similarity.
-func TopColumnsWithSignatures(d *Dataset, s *Signatures, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
-	return topColumns(d, s, col, n, cfg, minThreshold)
-}
-
-// TopColumnsWithSketches is TopColumnsWithSignatures over a resident
-// bottom-k sketch (cfg.Algorithm is forced to KMinHash).
-func TopColumnsWithSketches(d *Dataset, s *Sketches, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
-	return topColumns(d, s, col, n, cfg, minThreshold)
-}
-
-// resident is a precomputed sketch queries are answered from:
-// *Signatures or *Sketches.
-type resident interface {
+// Resident is a precomputed sketch queries are answered from —
+// *Signatures or *Sketches, the only implementations — with the
+// phase-2 index it memoises. SimilarPairsWith, TopPairsWith and
+// TopColumnsWith run the driver's four steps with the sketch adopted
+// in place of the phase-1 fold.
+type Resident interface {
+	// query checks cfg against the sketch and returns the driver of one
+	// query answered from it, with the sketch to adopt.
 	query(d *Dataset, cfg Config) (*run, *adopted, error)
 }
 
-// topColumns is the TopColumns search over either sketch: the driver's
-// four steps with phase 2 restricted to col.
-func topColumns(d *Dataset, s resident, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
+// SimilarPairsWith answers a similar-pairs query from a precomputed
+// sketch of d, skipping the signature pass entirely: the in-memory
+// candidate phase over the sketch's index — built by the first query
+// that needs it and reused by every later one — plus one verification
+// pass over d, or over its trailing cfg.Window rows when a sliding
+// window is set, for sketches that cover only that window. A
+// *Signatures answers MinHash (Row-Sorting) and MinLSH (banding;
+// requires R*L <= the sketch's K); a *Sketches answers KMinHash
+// (Hash-Count; cfg.Algorithm may be left zero — it is forced).
+func SimilarPairsWith(d *Dataset, s Resident, cfg Config) (*Result, error) {
+	r, pre, err := s.query(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.similar(pre)
+}
+
+// TopPairsWith is TopPairs answered from a resident sketch: every
+// threshold-lowering retry reruns only SimilarPairsWith's in-memory
+// candidate scan plus one verification pass, never the signature scan.
+func TopPairsWith(d *Dataset, s Resident, n int, cfg Config, minThreshold float64) ([]Pair, error) {
+	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
+		return SimilarPairsWith(d, s, c)
+	})
+}
+
+// TopColumnsWith returns the n columns most similar to col, as pairs
+// containing col, answered from a resident sketch with the same
+// threshold-lowering search as TopPairs. Each attempt asks the kernel
+// for col's candidates alone — a count over col's own runs (a key
+// comparison per band for MinLSH), then a verification of at most m-1
+// pairs — not for every pair of the matrix. Pairs are ordered by
+// decreasing verified similarity.
+func TopColumnsWith(d *Dataset, s Resident, col, n int, cfg Config, minThreshold float64) ([]Pair, error) {
 	if col < 0 || col >= d.NumCols() {
 		return nil, fmt.Errorf("assocmine: column %d out of range [0,%d)", col, d.NumCols())
 	}
@@ -82,7 +81,7 @@ func topColumns(d *Dataset, s resident, col, n int, cfg Config, minThreshold flo
 			return nil, err
 		}
 		r.column = col
-		return r.mine(pre)
+		return r.similar(pre)
 	})
 }
 

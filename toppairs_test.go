@@ -188,17 +188,17 @@ func TestTopColumnsMatchAllPairsOracle(t *testing.T) {
 		{"MinHash", Config{Algorithm: MinHash},
 			func(c Config) (*Result, error) { return SimilarPairsWithSignatures(d, sig, c) },
 			func(col, n int, c Config, f float64) ([]Pair, error) {
-				return TopColumnsWithSignatures(d, sig, col, n, c, f)
+				return TopColumnsWith(d, sig, col, n, c, f)
 			}},
 		{"MinLSH", Config{Algorithm: MinLSH, R: 3, L: 20},
 			func(c Config) (*Result, error) { return SimilarPairsWithSignatures(d, sig, c) },
 			func(col, n int, c Config, f float64) ([]Pair, error) {
-				return TopColumnsWithSignatures(d, sig, col, n, c, f)
+				return TopColumnsWith(d, sig, col, n, c, f)
 			}},
 		{"KMinHash", Config{Algorithm: KMinHash},
 			func(c Config) (*Result, error) { return SimilarPairsWithSketches(d, sk, c) },
 			func(col, n int, c Config, f float64) ([]Pair, error) {
-				return TopColumnsWithSketches(d, sk, col, n, c, f)
+				return TopColumnsWith(d, sk, col, n, c, f)
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,7 +239,108 @@ func TestTopColumnsMatchAllPairsOracle(t *testing.T) {
 			}
 		})
 	}
-	if _, err := TopColumnsWithSketches(d, sk, m, 1, Config{}, 0); err == nil {
+	if _, err := TopColumnsWith(d, sk, m, 1, Config{}, 0); err == nil {
 		t.Error("column m accepted")
+	}
+}
+
+// TestResidentContract: the three entry points over a Resident answer,
+// for either sketch type and every scheme a sketch hosts, exactly what
+// the run that folds its own sketch answers — SimilarPairs, TopPairs,
+// and the all-pairs search filtered on the column — and what the typed
+// spellings of SimilarPairsWith answer; a sketch turns away the schemes
+// it cannot host.
+func TestResidentContract(t *testing.T) {
+	d := clusteredDataset(t)
+	sig, err := ComputeSignatures(d, 60, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := ComputeSketches(d, 48, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		res   Resident
+		cfg   Config
+		typed func(Config) (*Result, error)
+	}{
+		{"Signatures/MinHash", sig, Config{Algorithm: MinHash, K: 60, Seed: 3},
+			func(c Config) (*Result, error) { return SimilarPairsWithSignatures(d, sig, c) }},
+		{"Signatures/MinLSH", sig, Config{Algorithm: MinLSH, K: 60, R: 3, L: 20, Seed: 3},
+			func(c Config) (*Result, error) { return SimilarPairsWithSignatures(d, sig, c) }},
+		{"Sketches/KMinHash", sk, Config{Algorithm: KMinHash, K: 48, Seed: 3},
+			func(c Config) (*Result, error) { return SimilarPairsWithSketches(d, sk, c) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct := func(c Config) (*Result, error) { return SimilarPairs(d, c) }
+			cfg := tc.cfg
+			cfg.Threshold = 0.4
+			want, err := direct(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Pairs) == 0 {
+				t.Fatal("the direct run found no pairs")
+			}
+			for name, query := range map[string]func(Config) (*Result, error){
+				"SimilarPairsWith": func(c Config) (*Result, error) { return SimilarPairsWith(d, tc.res, c) },
+				"typed spelling":   tc.typed,
+			} {
+				got, err := query(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Pairs, want.Pairs) {
+					t.Errorf("%s:\n got %v\nwant %v", name, got.Pairs, want.Pairs)
+				}
+			}
+			cfg.Threshold = 0.9
+			for _, n := range []int{3, 40} {
+				wantTop, err := TopPairs(d, n, cfg, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotTop, err := TopPairsWith(d, tc.res, n, cfg, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(wantTop) == 0 || !reflect.DeepEqual(gotTop, wantTop) {
+					t.Errorf("TopPairsWith n=%d:\n got %v\nwant %v", n, gotTop, wantTop)
+				}
+				for _, col := range []int{0, 17, d.NumCols() - 1} {
+					wantCol, err := topLoopKeep(n, cfg, 0.1, direct, func(p Pair) bool { return p.I == col || p.J == col })
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotCol, err := TopColumnsWith(d, tc.res, col, n, cfg, 0.1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotCol, wantCol) {
+						t.Errorf("TopColumnsWith col=%d n=%d:\n got %v\nwant %v", col, n, gotCol, wantCol)
+					}
+				}
+			}
+		})
+	}
+	for name, bad := range map[string]func() error{
+		"Signatures/KMinHash": func() error {
+			_, err := SimilarPairsWith(d, sig, Config{Algorithm: KMinHash, Threshold: 0.5})
+			return err
+		},
+		"Sketches/MinHash": func() error {
+			_, err := TopPairsWith(d, sk, 3, Config{Algorithm: MinHash}, 0.1)
+			return err
+		},
+		"Sketches/MinLSH column": func() error {
+			_, err := TopColumnsWith(d, sk, 0, 3, Config{Algorithm: MinLSH}, 0.1)
+			return err
+		},
+	} {
+		if bad() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
