@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check benchcheck race-all exports vet fmt bench experiments experiments-full fuzz loc clean
+.PHONY: all build test check benchcheck race-all exports vet fmt bench bench-resident experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -48,6 +48,20 @@ fmt:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The resident-query cells (BenchmarkResidentQueries: warm and
+# first-query, one CPU) from a test binary built once into .bench_build/,
+# COUNT runs of each. To compare two commits, run this in a checkout of
+# each — the build is the slow part and happens once a side — then
+# alternate the two .bench_build/resident.test binaries with the same
+# flags: a relink moves these cells by a few per cent, an interleaved
+# order keeps the box's drift out of the difference.
+COUNT ?= 5
+bench-resident:
+	mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/resident.test .
+	./.bench_build/resident.test -test.run '^$$' -test.bench BenchmarkResidentQueries -test.benchmem \
+		-test.cpu 1 -test.benchtime 30x -test.count $(COUNT) -test.timeout 30m
 
 # Regenerate every paper table and figure (text to stdout).
 experiments:

@@ -320,52 +320,77 @@ func benchName(k string, v int) string {
 // resident service's query kernels at its benchmark's shape: a §5-style
 // 12 000 × 400 set, k = 200 signatures and k = 256 sketches computed
 // once, one worker, each query as assocserve issues it. A sub-benchmark
-// runs warm — the sketch has answered a query before — and as
-// first-query, on a sketch object nothing has queried yet (computed
-// outside the timer), so the cost of the phase-2 index the first query
-// builds shows next to what later queries save. Rule mining keeps no
-// index, so its first query is any query.
+// runs warm — the sketch has answered the query before — and as
+// first-query, on sketch objects nothing has queried yet (computed
+// outside the timer), so the cost of what the first query builds to be
+// kept (the phase-2 index, the band buckets, §6's triangle) shows next
+// to what later queries save. toppairs/n=1 ends at its first step and
+// n=25 walks the ladder to the floor: the search must not make the
+// first pay for the second. `make bench-resident` runs these cells from
+// a prebuilt binary.
 func BenchmarkResidentQueries(b *testing.B) {
 	d, _, err := assocmine.GenerateSynthetic(assocmine.SyntheticOptions{Rows: 12000, Cols: 400, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig, err := assocmine.ComputeSignatures(d, 200, 1, 1)
-	if err != nil {
-		b.Fatal(err)
+	type sketches struct {
+		sig *assocmine.Signatures
+		sk  *assocmine.Sketches
+	}
+	compute := func(b *testing.B) (s sketches) {
+		var err error
+		if s.sig, err = assocmine.ComputeSignatures(d, 200, 1, 1); err != nil {
+			b.Fatal(err)
+		}
+		if s.sk, err = assocmine.ComputeSketches(d, 256, 1, 1); err != nil {
+			b.Fatal(err)
+		}
+		return s
 	}
 	cfg := assocmine.Config{Seed: 1, Workers: 1, Context: context.Background()}
 	at := func(threshold float64) assocmine.Config { c := cfg; c.Threshold = threshold; return c }
-	queries := []struct {
+	for _, q := range []struct {
 		name string
-		run  func(sk *assocmine.Sketches, i int) error
+		run  func(s sketches, i int) error
 	}{
-		{"pairs-kmh@0.4", func(sk *assocmine.Sketches, _ int) error {
-			_, err := assocmine.SimilarPairsWithSketches(d, sk, at(0.4))
+		{"pairs-kmh@0.4", func(s sketches, _ int) error {
+			_, err := assocmine.SimilarPairsWithSketches(d, s.sk, at(0.4))
 			return err
 		}},
-		{"topk/floor=0.3", func(sk *assocmine.Sketches, i int) error {
-			_, err := assocmine.TopColumnsWith(d, sk, i%d.NumCols(), 10, at(0.9), 0.3)
+		{"pairs-mlsh@0.8", func(s sketches, _ int) error {
+			c := at(0.8)
+			c.Algorithm, c.R, c.L = assocmine.MinLSH, 5, 40
+			_, err := assocmine.SimilarPairsWithSignatures(d, s.sig, c)
 			return err
 		}},
-		{"toppairs/n=25", func(sk *assocmine.Sketches, _ int) error {
-			_, err := assocmine.TopPairsWith(d, sk, 25, at(0.9), 0.05)
+		{"topk/floor=0.3", func(s sketches, i int) error {
+			_, err := assocmine.TopColumnsWith(d, s.sk, i%d.NumCols(), 10, at(0.9), 0.3)
 			return err
 		}},
-	}
-	for _, q := range queries {
+		{"toppairs/n=1", func(s sketches, _ int) error {
+			_, err := assocmine.TopPairsWith(d, s.sk, 1, at(0.9), 0.05)
+			return err
+		}},
+		{"toppairs/n=25", func(s sketches, _ int) error {
+			_, err := assocmine.TopPairsWith(d, s.sk, 25, at(0.9), 0.05)
+			return err
+		}},
+		{"rules@0.6", func(s sketches, _ int) error {
+			_, err := assocmine.MineRulesWithSignatures(d, s.sig, assocmine.RuleConfig{
+				MinConfidence: 0.6, Seed: 1, Context: context.Background(),
+			})
+			return err
+		}},
+	} {
 		b.Run(q.name, func(b *testing.B) {
-			sk, err := assocmine.ComputeSketches(d, 256, 1, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := q.run(sk, 0); err != nil {
+			s := compute(b)
+			if err := q.run(s, 0); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := q.run(sk, i); err != nil {
+				if err := q.run(s, i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,25 +399,12 @@ func BenchmarkResidentQueries(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sk, err := assocmine.ComputeSketches(d, 256, 1, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				s := compute(b)
 				b.StartTimer()
-				if err := q.run(sk, i); err != nil {
+				if err := q.run(s, i); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("rules@0.6", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := assocmine.MineRulesWithSignatures(d, sig, assocmine.RuleConfig{
-				MinConfidence: 0.6, Seed: 1, Context: context.Background(),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -305,7 +305,7 @@ func (in *Ingest) Signatures() (*Signatures, error) {
 	if sk.MH == nil {
 		return nil, fmt.Errorf("assocmine: %v ingest produces Sketches, not Signatures", in.algo)
 	}
-	return &Signatures{sig: sk.MH, seed: in.seed, rows: int(in.nextRow)}, nil
+	return newSignatures(sk.MH, in.seed, int(in.nextRow)), nil
 }
 
 // Sketches finishes the live fold into a queryable bottom-k sketch

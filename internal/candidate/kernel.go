@@ -6,7 +6,8 @@
 // depends on the finished sketch alone — the Index, read-only and
 // shareable, what a resident sketch keeps across queries — and
 // Index.Kernel adds the half a query owns, the cutoffs and the counter
-// scratch (For is the two in a row, for a sketch used once):
+// scratch (For is the two in a row, for a sketch used once; Index.Search
+// is the kernel whose one scan a descending search replays with Step):
 //
 //	Units()              the range space: columns (MH, K-MH) or bands (M-LSH)
 //	Range(dst, lo, hi)   append the candidates of units [lo, hi), with the work done
@@ -27,6 +28,7 @@ import (
 	"assocmine/internal/bps"
 	"assocmine/internal/fold"
 	"assocmine/internal/lsh"
+	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -110,8 +112,13 @@ type Scheme struct {
 	cols    int
 	chunk   int  // units the goroutine scheduler hands out at a time
 	overlap bool // ranges can repeat a pair
-	index   func(ctx context.Context, sk fold.Sketch, workers int) (*Index, error)
-	ranger  func(p Params, ix *Index) (ranger, error)
+	index   func(ctx context.Context, p Params, sk fold.Sketch, workers int, keep bool) (*Index, error)
+	// ranger builds the kernel's implementation; with search set, the one
+	// whose scan emits a Search's hits.
+	ranger func(p Params, ix *Index, search bool) (ranger, error)
+	// admit tests a hit for a step under p: whether a kernel under p emits
+	// the pair, which is then left as emitted (nil: every hit, always).
+	admit func(p Params, ix *Index) func(hit *pairs.Scored) bool
 }
 
 // SchemeFor maps an algorithm to its phase 2 over cols columns. The
@@ -121,10 +128,12 @@ func SchemeFor(p Params, cols int) (Scheme, error) {
 	switch p.Algo {
 	case fold.MinHash:
 		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: mhIndex,
-			ranger: func(p Params, ix *Index) (ranger, error) { return ix.mhRanger(p.cutoff(), false) }}, nil
+			ranger: func(p Params, ix *Index, _ bool) (ranger, error) { return ix.mhRanger(p.cutoff(), false) },
+			admit:  mhAdmit}, nil
 	case fold.KMinHash:
 		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: kmhIndex,
-			ranger: func(p Params, ix *Index) (ranger, error) { return ix.kmhRanger(p.cascade()) }}, nil
+			ranger: func(p Params, ix *Index, search bool) (ranger, error) { return ix.kmhRanger(p.cascade(), search) },
+			admit:  kmhAdmit}, nil
 	case fold.MinLSH:
 		return Scheme{Counter: obs.CounterBucketPairs, units: p.L, cols: cols, chunk: 1, overlap: true, index: bandIndex, ranger: buildBands}, nil
 	}
@@ -192,35 +201,64 @@ type ranger interface {
 // Index.
 type Kernel struct {
 	Scheme
-	r ranger
+	r  ranger
+	ix *Index
 }
 
 // For builds the scheme's kernel over the sketch its fold finished:
 // IndexFor then Index.Kernel, for a sketch that is used once.
 func For(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Kernel, error) {
-	ix, err := IndexFor(ctx, p.Algo, sk, workers)
+	ix, err := IndexFor(ctx, p, sk, workers, false)
 	if err != nil {
 		return nil, err
 	}
 	return ix.Kernel(p)
 }
 
-// IndexFor builds the index of algo's phase 2 over the sketch its fold
-// finished: the O(sketch) part of phase 2, the same for every query.
-// workers and ctx (nil means Background) spread and cancel the part of
-// the build that parallelises (the MH row sorts).
-func IndexFor(ctx context.Context, algo fold.Algo, sk fold.Sketch, workers int) (*Index, error) {
-	s, err := SchemeFor(Params{Algo: algo}, 0)
+// IndexFor builds the index of p's scheme over the sketch its fold
+// finished: the part of phase 2 that is the same for every threshold.
+// keep says the index will outlive the query, so M-LSH's buckets under
+// p's band layout (R, L, Seed) — the one layout it then Serves — are
+// sorted too. workers and ctx (nil means Background) spread and cancel
+// the part of the build that parallelises (the MH row sorts).
+func IndexFor(ctx context.Context, p Params, sk fold.Sketch, workers int, keep bool) (*Index, error) {
+	s, err := SchemeFor(p, 0)
 	if err != nil {
 		return nil, err
 	}
 	ctx, workers = normWorkers(ctx, workers)
-	return s.index(ctx, sk, workers)
+	return s.index(ctx, p, sk, workers, keep)
+}
+
+// IndexBytes is the size of the index IndexFor would build to be kept:
+// 12 bytes a signature cell, or a band and column for M-LSH.
+func IndexBytes(p Params, sk fold.Sketch) int64 {
+	if p.Algo == fold.MinLSH {
+		return 12 * int64(p.L) * int64(sk.MH.M)
+	}
+	return 12 * sk.Cells()
+}
+
+// Serves reports whether the index is p's scheme's index over its
+// sketch: the algorithm's, and for M-LSH the one of p's band layout.
+func (ix *Index) Serves(p Params) bool {
+	return p.Algo == ix.algo && (ix.bands == nil || p.R == ix.layout.R && p.L == ix.layout.L && p.Seed == ix.layout.Seed)
 }
 
 // Kernel is a kernel of the index's scheme under p: the cutoffs p
 // derives, validated, and scratch of its own.
-func (ix *Index) Kernel(p Params) (*Kernel, error) {
+func (ix *Index) Kernel(p Params) (*Kernel, error) { return ix.kernel(p, false) }
+
+// Search is the kernel of a descending search whose lowest step runs
+// under floor. The count loop — the cost of a scan — reads no threshold,
+// so this kernel's one Scan (or Column) finds every pair any step of the
+// ladder can emit, and Step replays a step over those hits. A hit is
+// private to the search: its Estimate is what the scheme's filters read
+// — n/k for MH, the biased estimate from the intersection count for K-MH
+// (the O(k) unbiased one is not computed), nothing for M-LSH.
+func (ix *Index) Search(floor Params) (*Kernel, error) { return ix.kernel(floor, true) }
+
+func (ix *Index) kernel(p Params, search bool) (*Kernel, error) {
 	s, err := SchemeFor(p, ix.cols())
 	if err != nil {
 		return nil, err
@@ -228,34 +266,100 @@ func (ix *Index) Kernel(p Params) (*Kernel, error) {
 	if p.Algo != ix.algo {
 		return nil, fmt.Errorf("candidate: index of algorithm %d cannot serve algorithm %d", int(ix.algo), int(p.Algo))
 	}
-	r, err := s.ranger(p, ix)
+	r, err := s.ranger(p, ix, search)
 	if err != nil {
 		return nil, err
 	}
-	return &Kernel{Scheme: s, r: r}, nil
+	return &Kernel{Scheme: s, r: r, ix: ix}, nil
 }
 
-// bandIndex is M-LSH's index: banding sorts each band as it hashes it,
-// so there is nothing to keep but the signatures.
-func bandIndex(_ context.Context, sk fold.Sketch, _ int) (*Index, error) {
+// Step, on a Search kernel, moves to the front of hits — its scan's
+// output less what earlier steps took — the pairs a kernel under p
+// emits, as it emits them, and returns them and the rest. Thresholds must
+// fall from step to step: the filters are monotone, so fresh is what p's
+// kernel adds to the earlier steps'.
+func (k *Kernel) Step(p Params, hits []pairs.Scored) (fresh, rest []pairs.Scored) {
+	n := len(hits)
+	if k.admit != nil {
+		admit := k.admit(p, k.ix)
+		n = 0
+		for i := range hits {
+			if admit(&hits[i]) {
+				hits[n], hits[i] = hits[i], hits[n]
+				n++
+			}
+		}
+	}
+	return hits[:n:n], hits[n:]
+}
+
+// mhAdmit is Row-Sorting's filter on a hit, n >= ceil(cutoff·k), read
+// off n/k: two correctly rounded quotients of integers by the same k
+// compare as the integers do.
+func mhAdmit(p Params, ix *Index) func(*pairs.Scored) bool {
+	k := ix.sk.MH.K
+	least := float64(ceilFrac(p.cutoff(), k)) / float64(k)
+	return func(h *pairs.Scored) bool { return h.Estimate >= least }
+}
+
+// kmhAdmit is the cascade on a hit: Estimate is the biased estimate,
+// Exact the unbiased one from the step that computes it to the step that
+// admits the pair (0: not computed yet).
+func kmhAdmit(p Params, ix *Index) func(*pairs.Scored) bool {
+	c, sk := p.cascade(), ix.sk.KMH
+	return func(h *pairs.Scored) bool {
+		if h.Estimate < c.BiasedCutoff {
+			return false
+		}
+		if h.Exact == 0 {
+			h.Exact = sk.UnbiasedEstimate(int(h.I), int(h.J))
+		}
+		if h.Exact < c.UnbiasedCutoff {
+			return false
+		}
+		h.Estimate, h.Exact = h.Exact, 0
+		return true
+	}
+}
+
+// bandIndex is M-LSH's index: the signatures and, when kept, every band
+// of p's layout sorted once; a kernel over a bare one sorts each band as
+// a range reaches it, which is all a run that scans once should pay.
+func bandIndex(ctx context.Context, p Params, sk fold.Sketch, _ int, keep bool) (*Index, error) {
 	if sk.MH == nil {
 		return nil, fmt.Errorf("candidate: M-LSH kernel needs MH signatures")
 	}
-	return &Index{algo: fold.MinLSH, sk: fold.Sketch{MH: sk.MH}}, nil
+	ix := &Index{algo: fold.MinLSH, sk: fold.Sketch{MH: sk.MH}}
+	if keep {
+		b, err := layOut(p, sk.MH)
+		if err == nil {
+			err = b.Keep(ctx)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ix.bands, ix.layout = b, p
+	}
+	return ix, nil
 }
 
-// buildBands picks the band layout: disjoint bands when the sketch has
-// the r·l values they need, else the sampled Q_{r,l,k} layout, drawn at
+// layOut picks the band layout: disjoint bands when the sketch has the
+// r·l values they need, else the sampled Q_{r,l,k} layout, drawn at
 // Seed+1 so it is independent of the hash functions Seed drew.
-func buildBands(p Params, ix *Index) (ranger, error) {
-	sig := ix.sk.MH
-	var b *lsh.Bands
-	var err error
+func layOut(p Params, sig *minhash.Signatures) (*lsh.Bands, error) {
 	if sig.K >= p.R*p.L {
-		b, err = lsh.Disjoint(sig, p.R, p.L)
-	} else {
-		b, err = lsh.Sampled(sig, p.R, p.L, p.Seed+1)
+		return lsh.Disjoint(sig, p.R, p.L)
 	}
+	return lsh.Sampled(sig, p.R, p.L, p.Seed+1)
+}
+
+// buildBands is a banding kernel under p's layout: a fork of the
+// index's kept one when that is p's, else laid out for this kernel.
+func buildBands(p Params, ix *Index, _ bool) (ranger, error) {
+	if ix.bands != nil && ix.Serves(p) {
+		return bandRanger{ix.bands.Fork()}, nil
+	}
+	b, err := layOut(p, ix.sk.MH)
 	if err != nil {
 		return nil, err
 	}

@@ -200,7 +200,7 @@ func TestPhase2Matrix(t *testing.T) {
 			want, wantWork := fullRange(t, k)
 			for _, workers := range []int{1, 2, 4, 16} { // 16: more workers than bands or chunks
 				t.Run(fmt.Sprintf("workers=%d/one-range", workers), func(t *testing.T) {
-					got, work, err := k.Scan(context.Background(), workers, nil)
+					got, work, err := k.Scan(context.Background(), nil, workers, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -217,7 +217,7 @@ func TestPhase2Matrix(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
 				for _, workers := range []int{1, 4} {
-					if _, _, err := k.Scan(ctx, workers, nil); !errors.Is(err, context.Canceled) {
+					if _, _, err := k.Scan(ctx, nil, workers, nil); !errors.Is(err, context.Canceled) {
 						t.Errorf("Scan with %d workers under a cancelled context: %v", workers, err)
 					}
 				}
@@ -277,12 +277,21 @@ func TestKernelsShareOneIndex(t *testing.T) {
 		{fold.KMinHash, fold.Sketch{KMH: sk}},
 		{fold.MinLSH, fold.Sketch{MH: sig}},
 	} {
-		ix, err := IndexFor(context.Background(), tc.algo, tc.sk, 2)
+		params := []Params{
+			{Algo: tc.algo, K: 24, R: 3, L: 8, Seed: 5, Threshold: 0.5, Delta: 0.4},
+			{Algo: tc.algo, K: 24, R: 2, L: 6, Seed: 5, Threshold: 0.8, Delta: 0.1},
+		}
+		// The kept index: the grouping, or the first layout's buckets —
+		// the second M-LSH kernel lays its own bands out beside it.
+		ix, err := IndexFor(context.Background(), params[0], tc.sk, 2, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if grouped := tc.algo != fold.MinLSH; (ix.Bytes() > 0) != grouped {
-			t.Errorf("algo %d: index of %d bytes", tc.algo, ix.Bytes())
+		if got, want := int64(len(ix.sorted))*4+int64(len(ix.runs))*8, IndexBytes(params[0], tc.sk); tc.algo != fold.MinLSH && got != want {
+			t.Errorf("algo %d: a grouping of %d bytes, IndexBytes says %d", tc.algo, got, want)
+		}
+		if oneLayout := tc.algo == fold.MinLSH; !ix.Serves(params[0]) || ix.Serves(params[1]) == oneLayout {
+			t.Errorf("algo %d: Serves = %v, %v", tc.algo, ix.Serves(params[0]), ix.Serves(params[1]))
 		}
 		type query struct {
 			k       *Kernel
@@ -290,10 +299,6 @@ func TestKernelsShareOneIndex(t *testing.T) {
 			work    int64
 			columns [][]pairs.Scored
 			err     error
-		}
-		params := []Params{
-			{Algo: tc.algo, K: 24, R: 3, L: 8, Seed: 5, Threshold: 0.5, Delta: 0.4},
-			{Algo: tc.algo, K: 24, R: 2, L: 6, Seed: 5, Threshold: 0.8, Delta: 0.1},
 		}
 		queries := make([]query, len(params))
 		var wg sync.WaitGroup
@@ -305,7 +310,7 @@ func TestKernelsShareOneIndex(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				q.scan, q.work, q.err = q.k.Scan(context.Background(), 2, nil)
+				q.scan, q.work, q.err = q.k.Scan(context.Background(), nil, 2, nil)
 				for col := 0; col < sig.M && q.err == nil; col++ {
 					var c []pairs.Scored
 					c, _, q.err = q.k.Column(nil, col)
@@ -475,7 +480,7 @@ func BenchmarkPhase2(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, _, err := k.Scan(context.Background(), workers, nil); err != nil {
+					if _, _, err := k.Scan(context.Background(), nil, workers, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

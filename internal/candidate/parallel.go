@@ -11,6 +11,7 @@ package candidate
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +61,8 @@ func forEachUnit(ctx context.Context, n, workers int, start func() func(unit int
 }
 
 // Scan is the goroutine scheduler over the kernel: all of units [0, n)
-// in chunk steps, gathered. Serially, tick receives (units processed, n)
+// in chunk steps, gathered and appended to dst (whose capacity a caller
+// with a buffer to reuse passes in). Serially, tick receives (units processed, n)
 // and ctx is checked after every full chunk; with workers > 1 (and more
 // than one chunk; negative means GOMAXPROCS) the chunks go to forked
 // rangers through forEachUnit, tick is called from the worker
@@ -68,13 +70,13 @@ func forEachUnit(ctx context.Context, n, workers int, start func() func(unit int
 // claiming of chunks and fails the scan with ctx.Err(). The candidates —
 // for the counting schemes their order too — and the work count do not
 // depend on workers.
-func (k *Kernel) Scan(ctx context.Context, workers int, tick obs.Tick) ([]pairs.Scored, int64, error) {
+func (k *Kernel) Scan(ctx context.Context, dst []pairs.Scored, workers int, tick obs.Tick) ([]pairs.Scored, int64, error) {
 	ctx, workers = normWorkers(ctx, workers)
 	n, chunk := k.units, k.chunk
 	var work int64
 	g := k.Gatherer()
 	if workers <= 1 || n <= chunk {
-		var out []pairs.Scored
+		out := dst
 		for lo := 0; lo < n; lo += chunk {
 			hi := min(lo+chunk, n)
 			from := len(out)
@@ -133,7 +135,7 @@ func (k *Kernel) Scan(ctx context.Context, workers int, tick obs.Tick) ([]pairs.
 		total += len(b)
 		work += works[w]
 	}
-	out := make([]pairs.Scored, 0, total)
+	out := slices.Grow(dst, total)
 	for _, s := range where {
 		out = g.Add(out, bufs[s.worker][s.lo:s.hi])
 	}

@@ -22,7 +22,7 @@ func scanMatchesFullRange(t *testing.T, k *Kernel, workers ...int) {
 	want, wantWork := fullRange(t, k)
 	for _, w := range workers {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			got, work, err := k.Scan(context.Background(), w, nil)
+			got, work, err := k.Scan(context.Background(), nil, w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

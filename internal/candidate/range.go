@@ -23,6 +23,7 @@ import (
 
 	"assocmine/internal/fold"
 	"assocmine/internal/kminhash"
+	"assocmine/internal/lsh"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 	"assocmine/internal/radix"
@@ -33,7 +34,8 @@ import (
 // It is read-only once built, so the kernels of concurrent queries
 // share it, and it costs 12 bytes a signature cell: what a resident
 // sketch keeps beside itself so that a query pays for counting only.
-// (M-LSH sorts each band as it hashes it; its index is the sketch.)
+// (M-LSH's is the sketch and, when kept, the sorted buckets of one band
+// layout — 12 bytes a band and column.)
 //
 // sorted lists columns run by run, a run being the columns that share
 // one value (within one signature row for MH), ascending inside a run
@@ -49,11 +51,9 @@ type Index struct {
 	sorted []int32
 	runs   []uint64
 	off    []int // K-MH: column i's cells are runs[off[i]:off[i+1]]; MH cells are k to a column
-}
 
-// Bytes is the resident size of the grouping (the sketch not counted).
-func (ix *Index) Bytes() int64 {
-	return int64(len(ix.sorted))*4 + int64(len(ix.runs))*8 + int64(len(ix.off))*8
+	bands  *lsh.Bands // M-LSH, kept: the kernel holding layout's buckets
+	layout Params     // of which R, L and Seed lay the bands out
 }
 
 // cols is the number of columns sketched.
@@ -107,7 +107,7 @@ func (ix *Index) fillRuns(keys []uint64, cols []int32, base int, cell func(col i
 
 // mhIndex sorts the k signature rows, across workers goroutines, into
 // the run index; a cancelled ctx stops the build at row granularity.
-func mhIndex(ctx context.Context, sk fold.Sketch, workers int) (*Index, error) {
+func mhIndex(ctx context.Context, _ Params, sk fold.Sketch, workers int, _ bool) (*Index, error) {
 	sig := sk.MH
 	if sig == nil {
 		return nil, fmt.Errorf("candidate: MH kernel needs MH signatures")
@@ -145,7 +145,7 @@ func mhIndex(ctx context.Context, sk fold.Sketch, workers int) (*Index, error) {
 // kmhIndex groups every sketch value of every column in one radix sort
 // — serially: it is the cheap O(m·k) part — and records with the runs
 // each column's cell offsets. A ctx already cancelled builds nothing.
-func kmhIndex(ctx context.Context, sk fold.Sketch, _ int) (*Index, error) {
+func kmhIndex(ctx context.Context, _ Params, sk fold.Sketch, _ int, _ bool) (*Index, error) {
 	s := sk.KMH
 	if s == nil {
 		return nil, fmt.Errorf("candidate: K-MH kernel needs bottom-k sketches")
@@ -240,7 +240,7 @@ type mhRanger struct {
 // the one-time O(k·m) cost RowSortMH pays up front — and a ranger over
 // it.
 func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int) (*mhRanger, error) {
-	ix, err := IndexFor(ctx, fold.MinHash, fold.Sketch{MH: sig}, workers)
+	ix, err := IndexFor(ctx, Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers, false)
 	if err != nil {
 		return nil, err
 	}
@@ -306,33 +306,36 @@ func (r *mhRanger) unit(out []pairs.Scored, i int32, whole bool) []pairs.Scored 
 type kmhRanger struct {
 	counter
 	opt KMHOptions
+	// scan: emit what the biased filter admits, the biased estimate as
+	// Estimate — a Search's hits; Step runs the rest of the cascade.
+	scan bool
 }
 
 // newKMHRanger builds the index and a ranger over it.
 func newKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*kmhRanger, error) {
-	ix, err := IndexFor(context.Background(), fold.KMinHash, fold.Sketch{KMH: s}, 1)
+	ix, err := IndexFor(context.Background(), Params{Algo: fold.KMinHash}, fold.Sketch{KMH: s}, 1, false)
 	if err != nil {
 		return nil, err
 	}
-	return ix.kmhRanger(opt)
+	return ix.kmhRanger(opt, false)
 }
 
 // kmhRanger is a Hash-Count ranger over the index, with scratch of its
 // own.
-func (ix *Index) kmhRanger(opt KMHOptions) (*kmhRanger, error) {
+func (ix *Index) kmhRanger(opt KMHOptions, scan bool) (*kmhRanger, error) {
 	if opt.BiasedCutoff <= 0 || opt.BiasedCutoff > 1 {
 		return nil, fmt.Errorf("candidate: biased cutoff must be in (0,1], got %v", opt.BiasedCutoff)
 	}
 	if opt.UnbiasedCutoff < 0 || opt.UnbiasedCutoff > 1 {
 		return nil, fmt.Errorf("candidate: unbiased cutoff must be in [0,1], got %v", opt.UnbiasedCutoff)
 	}
-	return &kmhRanger{counter: newCounter(ix), opt: opt}, nil
+	return &kmhRanger{counter: newCounter(ix), opt: opt, scan: scan}, nil
 }
 
 func (r *kmhRanger) units() int { return r.ix.cols() }
 
 func (r *kmhRanger) fork() ranger {
-	return &kmhRanger{counter: newCounter(r.ix), opt: r.opt}
+	return &kmhRanger{counter: newCounter(r.ix), opt: r.opt, scan: r.scan}
 }
 
 // span emits the candidates HashCountKMH attributes to columns
@@ -364,8 +367,9 @@ func (r *kmhRanger) unit(out []pairs.Scored, i int32, whole bool) []pairs.Scored
 	for _, j := range r.touched {
 		p := pairs.Make(j, i)
 		if est := s.BiasedEstimateFromCount(int(p.I), int(p.J), int(r.counts[j])); est >= r.opt.BiasedCutoff {
-			unbiased := s.UnbiasedEstimate(int(p.I), int(p.J))
-			if unbiased >= r.opt.UnbiasedCutoff {
+			if r.scan {
+				out = append(out, pairs.Scored{Pair: p, Estimate: est})
+			} else if unbiased := s.UnbiasedEstimate(int(p.I), int(p.J)); unbiased >= r.opt.UnbiasedCutoff {
 				out = append(out, pairs.Scored{Pair: p, Estimate: unbiased})
 			}
 		}

@@ -56,7 +56,7 @@ func unevenCuts(m int) []int {
 func wideSchedulers(t *testing.T, k *Kernel) ([]pairs.Scored, int64) {
 	t.Helper()
 	want, wantWork := fullRange(t, k)
-	par, parWork, err := k.Scan(context.Background(), 4, nil)
+	par, parWork, err := k.Scan(context.Background(), nil, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := k.Scan(ctx, workers, nil); err != nil {
+		if _, _, err := k.Scan(ctx, nil, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -21,8 +21,10 @@
 package lsh
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
@@ -102,10 +104,13 @@ func Candidates(sig *minhash.Signatures, r, l int) (*pairs.Set, Stats, error) {
 
 // Bands is the banding kernel: a band layout over a signature matrix,
 // shared read-only between forks, plus one goroutine's scratch, reused
-// across bands.
+// across bands. A band is sorted into buckets — which depends on the
+// layout alone — then walked for pairs; a kernel sorts each band as a
+// range or a column reaches it unless it holds what Keep sorted once.
 type Bands struct {
 	sig  *minhash.Signatures
 	rows [][]int // band b hashes on signature rows rows[b]
+	kept *buckets
 
 	vals       []uint64 // one column's r values
 	keys       []uint64
@@ -131,7 +136,7 @@ func Disjoint(sig *minhash.Signatures, r, l int) (*Bands, error) {
 			rows[b][i] = b*r + i
 		}
 	}
-	return newBands(sig, rows), nil
+	return newBands(sig, rows, nil), nil
 }
 
 // Sampled lays out the Q_{r,l,k} variant: each of the l bands hashes on
@@ -151,7 +156,7 @@ func Sampled(sig *minhash.Signatures, r, l int, seed uint64) (*Bands, error) {
 	for b := range rows {
 		rows[b] = rng.Perm(sig.K)[:r]
 	}
-	return newBands(sig, rows), nil
+	return newBands(sig, rows, nil), nil
 }
 
 func checkRL(r, l int) error {
@@ -162,12 +167,13 @@ func checkRL(r, l int) error {
 }
 
 // newBands allocates a kernel's scratch as one block per element type.
-func newBands(sig *minhash.Signatures, rows [][]int) *Bands {
+func newBands(sig *minhash.Signatures, rows [][]int, kept *buckets) *Bands {
 	m := sig.M
 	words, cols := make([]uint64, 3*m), make([]int32, 2*m)
 	return &Bands{
 		sig:        sig,
 		rows:       rows,
+		kept:       kept,
 		keys:       words[:0:m],
 		keyScratch: words[m : 2*m : 2*m],
 		next:       words[2*m:],
@@ -176,12 +182,40 @@ func newBands(sig *minhash.Signatures, rows [][]int) *Bands {
 	}
 }
 
+// buckets is every band of a layout, sorted: band b's non-empty columns
+// are cols[off[b]:off[b+1]] beside their keys, keys and the columns of a
+// bucket ascending — 12 bytes per band and column.
+type buckets struct {
+	keys []uint64
+	cols []int32
+	off  []int
+}
+
+// Keep sorts every band once and holds the buckets from then on — what
+// a resident sketch keeps per layout, shared read-only with later forks,
+// whose Range only walks and whose Column only searches. A cancelled ctx
+// stops the build between bands and keeps nothing.
+func (b *Bands) Keep(ctx context.Context) error {
+	n := len(b.rows) * b.sig.M
+	kept := &buckets{keys: make([]uint64, 0, n), cols: make([]int32, 0, n), off: make([]int, 1, len(b.rows)+1)}
+	for bi := range b.rows {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		keys, cols := b.sorted(bi)
+		kept.keys, kept.cols = append(kept.keys, keys...), append(kept.cols, cols...)
+		kept.off = append(kept.off, len(kept.keys))
+	}
+	b.kept = kept
+	return nil
+}
+
 // Len is the number of bands.
 func (b *Bands) Len() int { return len(b.rows) }
 
-// Fork returns a kernel over the same layout and signatures with
-// private scratch: one per goroutine.
-func (b *Bands) Fork() *Bands { return newBands(b.sig, b.rows) }
+// Fork returns a kernel over the same layout, signatures and kept
+// buckets with private scratch: one per goroutine.
+func (b *Bands) Fork() *Bands { return newBands(b.sig, b.rows, b.kept) }
 
 // Range appends to dst the collisions of bands [lo, hi), which must lie
 // in [0, Len()], band after band, and returns with it the number of
@@ -191,8 +225,8 @@ func (b *Bands) Fork() *Bands { return newBands(b.sig, b.rows) }
 // any partition into ranges, deduplicated, is the Candidates set.
 func (b *Bands) Range(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
 	from := len(dst)
-	for _, rows := range b.rows[lo:hi] {
-		dst = b.band(rows, dst)
+	for bi := lo; bi < hi; bi++ {
+		dst = b.band(bi, dst)
 	}
 	return dst, int64(len(dst) - from)
 }
@@ -217,18 +251,28 @@ func (b *Bands) key(rows []int, c int) (uint64, bool) {
 	return hashing.CombineKeys(b.vals), true
 }
 
-// band appends to dst the colliding pairs of the band over the given
-// signature rows: every column with a non-empty value is keyed, the
-// (key, column) records are radix-sorted, and each run of equal keys —
-// a bucket, columns ascending — yields its pairs.
-func (b *Bands) band(rows []int, dst []pairs.Scored) []pairs.Scored {
+// sorted is band bi's buckets: the kept ones, or every column with a
+// non-empty value keyed and the (key, column) records radix-sorted into
+// the kernel's scratch — each run of equal keys a bucket, columns
+// ascending.
+func (b *Bands) sorted(bi int) ([]uint64, []int32) {
+	if k := b.kept; k != nil {
+		return k.keys[k.off[bi]:k.off[bi+1]], k.cols[k.off[bi]:k.off[bi+1]]
+	}
 	keys, cols := b.keys[:0], b.cols[:0]
 	for c := 0; c < b.sig.M; c++ {
-		if key, ok := b.key(rows, c); ok {
+		if key, ok := b.key(b.rows[bi], c); ok {
 			keys, cols = append(keys, key), append(cols, int32(c))
 		}
 	}
 	radix.SortByKey(keys, cols, b.keyScratch, b.colScratch)
+	return keys, cols
+}
+
+// band appends to dst the colliding pairs of band bi: each bucket
+// yields its pairs.
+func (b *Bands) band(bi int, dst []pairs.Scored) []pairs.Scored {
+	keys, cols := b.sorted(bi)
 	// Emitting bucket by bucket would order the pairs by key. Instead
 	// each member of a bucket notes where the members after it lie, and
 	// a walk over the columns emits (c, later member) in (I, J) order.
@@ -257,24 +301,27 @@ func (b *Bands) band(rows []int, dst []pairs.Scored) []pairs.Scored {
 // Column appends to dst the columns sharing a bucket with col — a valid
 // column — in at least one band, each once, as pairs with col, and
 // returns with it the number of (band, column) collisions found: col's
-// share of Range's BucketPairs. A band costs one key comparison per
-// column and no sort.
+// share of Range's BucketPairs. A band costs one search for col's key
+// in its buckets — and, for a kernel that keeps none, their sort.
 func (b *Bands) Column(dst []pairs.Scored, col int) ([]pairs.Scored, int64) {
 	from := len(dst)
 	var collisions int64
-	for _, rows := range b.rows {
+	for bi, rows := range b.rows {
 		want, ok := b.key(rows, col)
 		if !ok {
 			continue
 		}
-		for c := 0; c < b.sig.M; c++ {
-			if key, ok := b.key(rows, c); !ok || key != want || c == col {
+		keys, cols := b.sorted(bi)
+		q, _ := slices.BinarySearch(keys, want)
+		for ; q < len(keys) && keys[q] == want; q++ {
+			c := cols[q]
+			if int(c) == col {
 				continue
 			}
 			collisions++
 			if b.next[c] == 0 { // not met in an earlier band
 				b.next[c] = 1
-				dst = append(dst, pairs.Scored{Pair: pairs.Make(int32(col), int32(c))})
+				dst = append(dst, pairs.Scored{Pair: pairs.Make(int32(col), c)})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -197,7 +198,7 @@ func TestAndRuleSemantics(t *testing.T) {
 	}
 	m := b.Build()
 	sig, _ := minhash.Compute(m.Stream(), 100, 9)
-	cand, err := Candidates(sig, Options{MinConfidence: 0.6})
+	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package rules
 
 import (
+	"context"
+	"errors"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -76,14 +79,150 @@ func sameAsOracle(t *testing.T, sig *minhash.Signatures, opt Options) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Candidates(sig, opt)
+	got, err := Candidates(context.Background(), sig, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("k=%d m=%d %+v: %d rules, oracle %d\n got %v\nwant %v", sig.K, sig.M, opt, len(got), len(want), got, want)
 	}
+	tri, err := Sweep(context.Background(), sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept, err := tri.Rules(opt); err != nil || !reflect.DeepEqual(kept, want) {
+		t.Fatalf("k=%d m=%d %+v: the kept sweep answers %v (%v)\nwant %v", sig.K, sig.M, opt, kept, err, want)
+	}
 	return len(want)
+}
+
+// sweepOracle is Candidates as it stood before the sweep and the filter
+// were two functions: one row-major pass with the Options applied inside
+// it, an all-empty column skipped outright.
+func sweepOracle(sig *minhash.Signatures, opt Options) ([]Rule, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
+	k, m := sig.K, sig.M
+	var out []Rule
+	emit := func(from, to int, agree, le int32) {
+		if int(agree) < opt.MinAgreement || le == 0 {
+			return
+		}
+		conf := float64(agree) / float64(le)
+		if conf > 1 {
+			conf = 1
+		}
+		if conf >= opt.MinConfidence {
+			out = append(out, Rule{From: int32(from), To: int32(to), Estimate: conf})
+		}
+	}
+	agree := make([]int32, m)
+	lt := make([]int32, m)
+	below := make([]int32, m)
+	for i := 0; i < m; i++ {
+		clear(agree[i+1:])
+		clear(lt[i+1:])
+		clear(below[i+1:])
+		ki := int32(0)
+		for l := 0; l < k; l++ {
+			row := sig.Vals[l*m : (l+1)*m]
+			vi := row[i]
+			if vi == minhash.Empty {
+				for j := i + 1; j < m; j++ {
+					if row[j] != minhash.Empty {
+						below[j]++
+					}
+				}
+				continue
+			}
+			ki++
+			for j := i + 1; j < m; j++ {
+				vj := row[j]
+				if vi == vj {
+					agree[j]++
+				}
+				_, less := bits.Sub64(vi, vj, 0)
+				lt[j] += int32(less)
+			}
+		}
+		if ki == 0 {
+			continue
+		}
+		for j := i + 1; j < m; j++ {
+			emit(i, j, agree[j], lt[j]+agree[j])
+			emit(j, i, agree[j], ki-lt[j]+below[j])
+		}
+	}
+	sortRules(out)
+	return out, nil
+}
+
+// TestTriangleMatchesSweep: one kept sweep answers every threshold as
+// the per-threshold sweep did — each MinConfidence of a 0.01 grid under
+// each MinAgreement, over matrices with all-empty and half-empty
+// columns — and a cancelled sweep keeps nothing.
+func TestTriangleMatchesSweep(t *testing.T) {
+	rng := hashing.NewSplitMix64(29)
+	half := smallSignatures(rng, 20, 10, false)
+	for l := 0; l < half.K/2; l++ { // columns 1 and 8 are Empty on half their rows
+		half.Vals[l*half.M+1], half.Vals[(2*l+1)*half.M+8] = minhash.Empty, minhash.Empty
+	}
+	caviar, _, _ := caviarFixture(hashing.NewSplitMix64(5), 1500)
+	folded, err := minhash.Compute(caviar.Stream(), 40, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sig := range map[string]*minhash.Signatures{
+		"dense":      smallSignatures(rng, 16, 11, false),
+		"all empty":  smallSignatures(rng, 4, 3, false, 0, 1, 2),
+		"two empty":  smallSignatures(rng, 16, 11, true, 0, 10),
+		"half empty": half,
+		"folded":     folded,
+	} {
+		tri, err := Sweep(context.Background(), sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int64(len(tri.cells))*12, TriangleBytes(sig.M); got != want {
+			t.Errorf("%s: %d bytes of cells, TriangleBytes says %d", name, got, want)
+		}
+		rules := 0
+		for _, minAgree := range []int{1, 2, 5} {
+			for c := 1; c <= 100; c++ {
+				opt := Options{MinConfidence: float64(c) / 100, MinAgreement: minAgree}
+				want, err := sweepOracle(sig, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tri.Rules(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v: %d rules from the triangle, %d from the sweep", name, opt, len(got), len(want))
+				}
+				rules += len(want)
+			}
+		}
+		if (rules == 0) != (name == "all empty") {
+			t.Errorf("%s: %d rules compared", name, rules)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sig := smallSignatures(rng, 8, 6, false)
+	if tri, err := Sweep(context.Background(), sig); err != nil {
+		t.Fatal(err)
+	} else if _, err := tri.Rules(Options{}); err == nil {
+		t.Error("the triangle answered invalid options")
+	}
+	if tri, err := Sweep(ctx, sig); tri != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Sweep = %v, %v", tri, err)
+	}
+	if rs, err := Candidates(ctx, sig, Options{MinConfidence: 0.1}); rs != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Candidates = %v, %v", rs, err)
+	}
 }
 
 // smallSignatures draws a k×m matrix over a handful of values, so
@@ -175,7 +314,7 @@ func BenchmarkRulesCandidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Candidates(sig, Options{MinConfidence: 0.42}); err != nil {
+		if _, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.42}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func caviarFixture(rng *hashing.SplitMix64, rows int) (*matrix.Matrix, int, int)
 func TestOptionsValidate(t *testing.T) {
 	sig := &minhash.Signatures{K: 1, M: 1, Vals: []uint64{1}}
 	for _, o := range []Options{{MinConfidence: 0}, {MinConfidence: 1.5}, {MinConfidence: 0.5, MinAgreement: -1}} {
-		if _, err := Candidates(sig, o); err == nil {
+		if _, err := Candidates(context.Background(), sig, o); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}
@@ -48,7 +49,7 @@ func TestCandidatesFindRareHighConfidenceRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := Candidates(sig, Options{MinConfidence: 0.7})
+	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestConfidenceEstimatorStatistics(t *testing.T) {
 	m := b.Build()
 	truth := m.Confidence(0, 1)
 	sig, _ := minhash.Compute(m.Stream(), 4000, 9)
-	cand, err := Candidates(sig, Options{MinConfidence: 0.05})
+	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m, caviar, vodka := caviarFixture(rng, 4000)
 	sig, _ := minhash.Compute(m.Stream(), 120, 13)
-	cand, err := Candidates(sig, Options{MinConfidence: 0.6})
+	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

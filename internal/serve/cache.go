@@ -13,8 +13,9 @@ import (
 // pointer itself: a Refresh swaps in a new pointer, so a stale entry
 // can never match a post-refresh lookup — the explicit purge on
 // refresh only releases the memory early. The canonical request is
-// the decoded struct re-marshalled, so bodies that differ in field
-// order, whitespace or number spelling share an entry.
+// the decoded struct re-marshalled without what cannot change its
+// answer (answerKey), so bodies that differ in field order, whitespace,
+// number spelling or budgets share an entry.
 type responseCache struct {
 	// mu is the only lock: lookups mutate LRU order, so a read lock
 	// would not do. The guarded work is a map probe and a list splice,
@@ -84,16 +85,45 @@ func (c *responseCache) len() int {
 	return c.ll.Len()
 }
 
+// answerKey is the canonical form of a request: the fields its 200
+// body depends on. A budget decides whether a query finishes, never
+// what it answers (bit-identity under budgets is the library's
+// invariant), and "auto" is the absent algo spelled out — so neither
+// may split one question over several cache entries.
+func answerKey(req request) ([]byte, error) {
+	auto := func(algo string) string {
+		if algo == "auto" {
+			return ""
+		}
+		return algo
+	}
+	switch q := req.(type) {
+	case PairsRequest:
+		q.Algo, q.budgetFields = auto(q.Algo), budgetFields{}
+		req = q
+	case TopKRequest:
+		q.Algo, q.budgetFields = auto(q.Algo), budgetFields{}
+		req = q
+	case TopPairsRequest:
+		q.Algo, q.budgetFields = auto(q.Algo), budgetFields{}
+		req = q
+	case RulesRequest:
+		q.timeoutField = timeoutField{}
+		req = q
+	}
+	return json.Marshal(req)
+}
+
 // cacheCheck consults the response cache for a decoded, validated
 // request. On a hit it writes the stored response and reports done.
 // On a miss it returns the key the handler's eventual 200 should be
 // stored under; a nil key means the response is uncacheable (caching
 // disabled).
-func (s *Server) cacheCheck(w http.ResponseWriter, ix *index, endpoint string, req any) (done bool, key *cacheKey) {
+func (s *Server) cacheCheck(w http.ResponseWriter, ix *index, endpoint string, req request) (done bool, key *cacheKey) {
 	if s.cache == nil {
 		return false, nil
 	}
-	canon, err := json.Marshal(req)
+	canon, err := answerKey(req)
 	if err != nil {
 		return false, nil
 	}

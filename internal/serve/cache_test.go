@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"assocmine"
+	"assocmine/internal/obs"
 )
 
 func TestResponseCacheLRU(t *testing.T) {
@@ -91,6 +92,43 @@ func TestCacheHitsAcrossEquivalentBodies(t *testing.T) {
 	hits, misses = counters(s)
 	if hits != 2 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d after distinct request, want 2/2", hits, misses)
+	}
+}
+
+// TestCacheKeyIgnoresBudgets: a budget decides whether a query
+// finishes, not what it answers, and "auto" is the absent algo — the
+// same question with or without them is one entry: one miss, then hits
+// with the first answer's bytes.
+func TestCacheKeyIgnoresBudgets(t *testing.T) {
+	s := mustServer(t, testDataset(t, 200, 24))
+	var asked int64
+	for path, bodies := range map[string][]string{
+		"/v1/pairs":    {`{"threshold":0.7}`, `{"threshold":0.7,"timeout_ms":5000}`, `{"threshold":0.7,"mem_budget":1048576}`, `{"threshold":0.7,"algo":"auto","timeout_ms":9,"mem_budget":4096}`},
+		"/v1/topk":     {`{"col":2,"k":5}`, `{"col":2,"k":5,"algo":"auto"}`, `{"col":2,"k":5,"timeout_ms":5000,"mem_budget":1048576}`},
+		"/v1/toppairs": {`{"n":4,"floor":0.6,"mem_budget":1048576}`, `{"n":4,"floor":0.6}`, `{"n":4,"floor":0.6,"algo":"auto","timeout_ms":5000}`},
+		"/v1/rules":    {`{"min_confidence":0.9,"timeout_ms":5000}`, `{"min_confidence":0.9}`},
+	} {
+		var first []byte
+		for i, body := range bodies {
+			rr := recordPost(s.Handler(), path, body)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", path, body, rr.Code, rr.Body.String())
+			}
+			if i == 0 {
+				first = rr.Body.Bytes()
+			} else if !bytes.Equal(rr.Body.Bytes(), first) {
+				t.Fatalf("%s %s: answer differs from the first spelling's:\n got %s\nwant %s", path, body, rr.Body.Bytes(), first)
+			}
+		}
+		asked++
+		if hits, misses := counters(s); misses != asked {
+			t.Fatalf("%s: hits=%d misses=%d after %d questions, want one miss each", path, hits, misses, asked)
+		}
+	}
+	// A forced algo is part of the question.
+	recordPost(s.Handler(), "/v1/pairs", `{"threshold":0.7,"algo":"mh"}`)
+	if _, misses := counters(s); misses != asked+1 {
+		t.Fatalf("misses=%d: a forced plan shared the planner's entry", misses)
 	}
 }
 
@@ -212,6 +250,50 @@ func TestCacheInvalidatedOnRefresh(t *testing.T) {
 	if !bytes.Equal(c.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("post-refresh response differs from fresh server:\n got %s\nwant %s",
 			c.Body.Bytes(), want.Body.Bytes())
+	}
+}
+
+// TestGenerationBuildsOnFirstQuery: what a generation keeps beside its
+// sketches belongs to the queries that need it. A start and a refresh
+// build nothing; the first banding and the first counting query of each
+// generation build once each, its later ones and the rules queries
+// (whose run has no recorder) add no build, and the new generation
+// starts from nothing — the old one's structures went with its sketches.
+func TestGenerationBuildsOnFirstQuery(t *testing.T) {
+	s, path, rows := refreshableServer(t, Options{CacheSize: -1})
+	builds := func() int64 { return s.Collector().Counter(obs.CounterIndexBuilds) }
+	ask := func() {
+		t.Helper()
+		for path, body := range map[string]string{
+			"/v1/pairs":    `{"threshold":0.8}`,      // mlsh-probe: the band buckets
+			"/v1/toppairs": `{"n":3,"floor":0.7}`,    // the same layout again
+			"/v1/topk":     `{"col":1,"k":3}`,        // kmh-scan: the run index
+			"/v1/rules":    `{"min_confidence":0.8}`, // the triangle
+		} {
+			for range 2 {
+				if rr := recordPost(s.Handler(), path, body); rr.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", path, rr.Code, rr.Body.String())
+				}
+			}
+		}
+	}
+	if got := builds(); got != 0 {
+		t.Fatalf("%d index builds at start", got)
+	}
+	ask()
+	if got := builds(); got != 2 {
+		t.Fatalf("%d index builds in the first generation, want the buckets and the K-MH run index", got)
+	}
+	growFile(t, path, rows, 24)
+	if n, err := s.Refresh(); err != nil || n == 0 {
+		t.Fatalf("refresh folded %d rows: %v", n, err)
+	}
+	if got := builds(); got != 2 {
+		t.Fatalf("%d index builds after a refresh nobody has queried", got)
+	}
+	ask()
+	if got := builds(); got != 4 {
+		t.Fatalf("%d index builds over two generations, want 4", got)
 	}
 }
 

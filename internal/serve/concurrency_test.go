@@ -274,8 +274,9 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 	before, after := libraryCases(t, mustServer(t, prefix)), libraryCases(t, fresh)
 
 	// 16 goroutines fire the first queries of the fresh generation at
-	// once: every body is the serial answer, and each sketch built its
-	// phase-2 index once.
+	// once: every body is the serial answer, and each sketch built each
+	// structure it keeps once — two run indexes and the band buckets (the
+	// rules run has no recorder, so its triangle is not on /metrics).
 	fire := func(check func(i int, got []byte)) {
 		var wg sync.WaitGroup
 		for w := 0; w < 16; w++ {
@@ -300,8 +301,8 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 			t.Errorf("%s: concurrent first query differs from the serial answer:\n got %s\nwant %s", before[i].name, got, before[i].want)
 		}
 	})
-	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 2 {
-		t.Fatalf("%d index builds in the first generation, want one per sketch", got)
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 3 {
+		t.Fatalf("%d index builds in the first generation, want one per kept structure", got)
 	}
 
 	// Background queriers run across the refresh: each answer is one
@@ -360,8 +361,8 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 			t.Fatalf("%s after refresh:\n got %s\nwant %s", qc.name, got.Body.Bytes(), qc.want)
 		}
 	}
-	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 4 {
-		t.Fatalf("%d index builds over two generations, want one per sketch per generation", got)
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 6 {
+		t.Fatalf("%d index builds over two generations, want one per kept structure per generation", got)
 	}
 	for _, body := range []string{
 		`{"threshold":0.7}`,

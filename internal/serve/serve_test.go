@@ -338,6 +338,24 @@ func TestQueryBudgets(t *testing.T) {
 			t.Fatalf("status %d, want 408: %s", rr.Code, rr.Body.String())
 		}
 	})
+	// §6's sweep — the first rules query's O(k·m²) — honours the budget
+	// too: it stops at its next column, keeps nothing, and the next query
+	// sweeps and answers.
+	t.Run("rules", func(t *testing.T) {
+		const body = `{"min_confidence":0.9}`
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		defer cancel()
+		req := httptest.NewRequest(http.MethodPost, "/v1/rules", strings.NewReader(body))
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, req.WithContext(ctx))
+		if rr.Code != http.StatusGatewayTimeout {
+			t.Fatalf("status %d, want 504: %s", rr.Code, rr.Body.String())
+		}
+		want := recordPost(mustServer(t, testDataset(t, 100, 16)).Handler(), "/v1/rules", body)
+		if got := recordPost(s.Handler(), "/v1/rules", body); got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("rules after a dead first query: status %d: %s", got.Code, got.Body.String())
+		}
+	})
 	// A dead first query of a generation builds no index and leaves none
 	// half-built: it fails the same way, and the next query builds and
 	// answers.
@@ -363,8 +381,8 @@ func TestQueryBudgets(t *testing.T) {
 				t.Fatalf("%s after a dead first query: status %d: %s", qc.name, rr.Code, rr.Body.String())
 			}
 		}
-		if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 2 {
-			t.Fatalf("%d index builds, want one per sketch", got)
+		if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 3 {
+			t.Fatalf("%d index builds, want two run indexes and the band buckets", got)
 		}
 	})
 }

@@ -100,8 +100,9 @@ func (f *FileDataset) MineRules(cfg RuleConfig) (*RulesResult, error) {
 
 // MineRulesWithSignatures answers a rules query from a resident
 // min-hash sketch: the Section 6 confidence estimation runs over the
-// precomputed signatures (skipping the signature pass entirely) and
-// only the exact verification pass scans d. cfg.K is ignored — the
+// precomputed signatures (skipping the signature pass entirely) — its
+// O(k·m²) sweep once per sketch, later queries filtering the statistics
+// it left — and only the exact verification pass scans d. cfg.K is ignored — the
 // sketch's own K governs estimation accuracy, so serve rule queries
 // from a sketch computed with K >= 200.
 func MineRulesWithSignatures(d *Dataset, s *Signatures, cfg RuleConfig) (*RulesResult, error) {
@@ -109,7 +110,7 @@ func MineRulesWithSignatures(d *Dataset, s *Signatures, cfg RuleConfig) (*RulesR
 		return nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
 	}
 	cfg.K = s.sig.K
-	return mineRules(d.m.Stream(), &adopted{Sketch: fold.Sketch{MH: s.sig}}, cfg)
+	return mineRules(d.m.Stream(), &adopted{Sketch: fold.Sketch{MH: s.sig}, triangle: &s.triangle}, cfg)
 }
 
 // mineRules is §6 as the paper gives it — the §2 template again — so it
@@ -135,7 +136,8 @@ func mineRules(src matrix.RowSource, pre *adopted, cfg RuleConfig) (*RulesResult
 }
 
 // rulesScheme is §6's row of the template: candidates by the extended
-// Row-Sorting estimate over the MH sketch, pruned by one exact
+// Row-Sorting estimate over the MH sketch — filtered from the triangle
+// a resident sketch keeps, or swept for this run — pruned by one exact
 // confidence pass over the run's counted source. A rule travels through
 // the driver as a directed pair (I => J), in the order the rules
 // package left it: estimate, or verified confidence, decreasing.
@@ -150,7 +152,19 @@ func (r *run) rulesScheme(cfg RuleConfig) scheme {
 	return scheme{
 		serial: true,
 		generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
-			cand, err := rules.Candidates(sk.MH, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence})
+			opt := rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence}
+			tri, err := r.kept.triangle.get(r.rec, rules.TriangleBytes(sk.MH.M), nil, func() (*rules.Triangle, error) {
+				return rules.Sweep(cfg.Context, sk.MH)
+			})
+			if err != nil {
+				return nil, err
+			}
+			var cand []rules.Rule
+			if tri != nil {
+				cand, err = tri.Rules(opt)
+			} else {
+				cand, err = rules.Candidates(cfg.Context, sk.MH, opt)
+			}
 			return directed(cand), err
 		},
 		verify: func(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {

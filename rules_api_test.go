@@ -1,6 +1,7 @@
 package assocmine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg RuleConfig) []Rule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := rules.Candidates(sig, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence})
+	cand, err := rules.Candidates(context.Background(), sig, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
+	"assocmine/internal/rules"
 	"assocmine/internal/verify"
 )
 
@@ -54,11 +55,11 @@ type run struct {
 	counting    *matrix.CountingSource
 	materialize func() (*matrix.Matrix, error)
 
-	// memo is the adopted sketch's index memo; nil when the run folds
-	// its own sketch and drops the index with it. column, when >= 0,
+	// kept is the adopted sketch with its memos; empty when the run folds
+	// its own sketch and drops what it builds over it. column, when >= 0,
 	// restricts phase 2 of a sketch scheme to the candidates containing
 	// that column (TopColumnsWith): one unit of work, not one per column.
-	memo   *indexMemo
+	kept   adopted
 	column int
 
 	ioAtStart ioCounts
@@ -110,33 +111,57 @@ type scheme struct {
 }
 
 // adopted is a caller's precomputed sketch, taken in place of the
-// phase-1 fold, and the memo of the phase-2 index that lives and dies
-// with it (nil for a scheme whose index is the sketch itself).
+// phase-1 fold, with the memos of what lives and dies with it: the
+// phase-2 index of the query's scheme (for M-LSH the buckets of one
+// band layout) and, for a rules run, §6's triangle.
 type adopted struct {
 	fold.Sketch
-	memo *indexMemo
+	index    *memo[*candidate.Index]
+	triangle *memo[*rules.Triangle]
 }
 
-// indexMemo is a resident sketch's phase-2 index: built by the first
-// query that needs it — under the lock, so concurrent first queries
-// build it once — and kept for as long as the sketch object is. A
-// failed (cancelled) build memoises nothing; the next query builds.
-type indexMemo struct {
-	mu sync.Mutex
-	ix *candidate.Index
+// memoLimit bounds what a resident sketch keeps beside its run index: a
+// larger structure is not built to be kept, and every query runs what a
+// one-shot run does. 64 MiB is §6's triangle up to 3 344 columns and the
+// buckets of a 40-band layout up to 139 810.
+const memoLimit = 64 << 20
+
+// memo is one structure a resident sketch keeps beside itself: built by
+// the first query that needs it — under the lock, so concurrent first
+// queries build it once — and kept, one value at a time, for as long as
+// the sketch object is. A failed (cancelled) build memoises nothing; the
+// next query builds.
+type memo[T comparable] struct {
+	mu    sync.Mutex
+	v     T
+	limit int64 // a value of more bytes is not built; 0: any is
 }
 
-func (m *indexMemo) get(build func() (*candidate.Index, error)) (ix *candidate.Index, built bool, err error) {
+// get returns the kept value, of size bytes, when ok accepts it (nil:
+// any), else builds one, which replaces it, and counts the build; rec
+// hears the resident size. When size exceeds the limit, or the memo is
+// nil (no resident sketch), it returns the zero T: the caller answers
+// without.
+func (m *memo[T]) get(rec obs.Recorder, size int64, ok func(T) bool, build func() (T, error)) (T, error) {
+	var zero T
+	if m == nil {
+		return zero, nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.ix != nil {
-		return m.ix, false, nil
+	if m.v == zero || ok != nil && !ok(m.v) {
+		if m.limit > 0 && size > m.limit {
+			return zero, nil
+		}
+		v, err := build()
+		if err != nil {
+			return zero, err
+		}
+		m.v = v
+		rec.Add(obs.CounterIndexBuilds, 1)
 	}
-	if ix, err = build(); err != nil {
-		return nil, false, err
-	}
-	m.ix = ix
-	return ix, true, nil
+	rec.SetGauge(obs.GaugeIndexBytes, size)
+	return m.v, nil
 }
 
 // similar is a similar-pairs run: the configured algorithm's scheme
@@ -213,7 +238,7 @@ func (r *run) countPass() {
 func (r *run) sketch(pre *adopted) (fold.Sketch, error) {
 	if pre != nil {
 		r.rec.SetGauge(obs.GaugeSignatureBytes, pre.Cells()*8)
-		r.memo = pre.memo
+		r.kept = *pre
 		return pre.Sketch, nil
 	}
 	f, ok := fold.For(fold.Algo(r.cfg.Algorithm))
@@ -284,21 +309,35 @@ func (r *run) folded(f fold.Fold, shards int64) {
 // reported by every query that uses it — or one built for this run and
 // dropped with its sketch.
 func (r *run) index(sk fold.Sketch) (*candidate.Index, error) {
-	build := func() (*candidate.Index, error) {
-		return candidate.IndexFor(r.cfg.Context, fold.Algo(r.cfg.Algorithm), sk, r.cfg.Workers)
+	p := r.cfg.params()
+	build := func(keep bool) (*candidate.Index, error) {
+		return candidate.IndexFor(r.cfg.Context, p, sk, r.cfg.Workers, keep)
 	}
-	if r.memo == nil {
-		return build()
+	ix, err := r.kept.index.get(r.rec, candidate.IndexBytes(p, sk),
+		func(ix *candidate.Index) bool { return ix.Serves(p) },
+		func() (*candidate.Index, error) { return build(true) })
+	if ix != nil || err != nil {
+		return ix, err
 	}
-	ix, built, err := r.memo.get(build)
+	return build(false)
+}
+
+// scan is a kernel's whole output, appended to dst: every unit of it
+// through the goroutine scheduler, or the run's one column.
+func (r *run) scan(k *candidate.Kernel, dst []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {
+	var cand []pairs.Scored
+	var work int64
+	var err error
+	if r.column < 0 {
+		cand, work, err = k.Scan(r.cfg.Context, dst, r.cfg.Workers, tick)
+	} else if cand, work, err = k.Column(dst, r.column); err == nil && r.cfg.Context != nil {
+		err = r.cfg.Context.Err() // a column is one unit: checked once, as Scan checks per chunk
+	}
 	if err != nil {
 		return nil, err
 	}
-	if built {
-		r.rec.Add(obs.CounterIndexBuilds, 1)
-	}
-	r.rec.SetGauge(obs.GaugeIndexBytes, ix.Bytes())
-	return ix, nil
+	r.rec.Add(k.Counter, work)
+	return cand, nil
 }
 
 // scheme maps the configured algorithm to its phase 2. The three sketch
@@ -324,18 +363,7 @@ func (r *run) scheme() (scheme, error) {
 			if err != nil {
 				return nil, err
 			}
-			var cand []pairs.Scored
-			var work int64
-			if r.column < 0 {
-				cand, work, err = k.Scan(cfg.Context, cfg.Workers, tick)
-			} else if cand, work, err = k.Column(nil, r.column); err == nil && cfg.Context != nil {
-				err = cfg.Context.Err() // a column is one unit: checked once, as Scan checks per chunk
-			}
-			if err != nil {
-				return nil, err
-			}
-			r.rec.Add(k.Counter, work)
-			return cand, nil
+			return r.scan(k, nil, tick)
 		}}, nil
 
 	case HammingLSH:

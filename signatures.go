@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 
+	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
 	"assocmine/internal/minhash"
+	"assocmine/internal/rules"
 )
 
 // Signatures is a precomputed min-hash sketch of a dataset. Computing
@@ -13,14 +15,31 @@ import (
 // be persisted and reused across queries with different thresholds or
 // MinLSH band layouts (any R, L with R*L <= K), paying only the cheap
 // in-memory candidate phase plus one verification pass per query. The
-// sketch is immutable once returned; the Row-Sorting index over it is
-// built by the first MinHash query and kept with it (12 bytes a cell),
-// so later queries only count.
+// sketch is immutable once returned. What a query needs of it and no
+// threshold touches is built by the first query that needs it and kept
+// with it: the Row-Sorting index (MinHash; 12 bytes a cell), the sorted
+// buckets of the band layout last queried (MinLSH; 12 bytes a band and
+// column) and Section 6's pair statistics (MineRulesWithSignatures; 12
+// bytes a pair) — the last two while they fit 64 MiB each.
 type Signatures struct {
-	sig   *minhash.Signatures
-	seed  uint64
-	rows  int // dataset row count, -1 when unknown (loaded sketches)
-	index indexMemo
+	sig  *minhash.Signatures
+	seed uint64
+	rows int // dataset row count, -1 when unknown (loaded sketches)
+
+	index, bands memo[*candidate.Index]
+	triangle     memo[*rules.Triangle]
+}
+
+// newSignatures wraps a finished sketch that keeps what fits memoLimit.
+func newSignatures(sig *minhash.Signatures, seed uint64, rows int) *Signatures {
+	return signaturesKeeping(sig, seed, rows, memoLimit)
+}
+
+// signaturesKeeping bounds the buckets and the triangle by limit each.
+func signaturesKeeping(sig *minhash.Signatures, seed uint64, rows int, limit int64) *Signatures {
+	s := &Signatures{sig: sig, seed: seed, rows: rows}
+	s.bands.limit, s.triangle.limit = limit, limit
+	return s
 }
 
 // ComputeSignatures runs the MH phase-1 fold once — the same kernel
@@ -33,7 +52,7 @@ func ComputeSignatures(d *Dataset, k int, seed uint64, workers int) (*Signatures
 	if err != nil {
 		return nil, err
 	}
-	return &Signatures{sig: sk.MH, seed: seed, rows: d.NumRows()}, nil
+	return newSignatures(sk.MH, seed, d.NumRows()), nil
 }
 
 // K returns the number of min-hash values per column.
@@ -93,7 +112,7 @@ func LoadSignatures(path string) (*Signatures, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Signatures{sig: sig, seed: seed, rows: -1}, nil
+	return newSignatures(sig, seed, -1), nil
 }
 
 // SimilarPairsWithSignatures is SimilarPairsWith spelled for a min-hash
@@ -102,8 +121,8 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 	return SimilarPairsWith(d, s, cfg)
 }
 
-// query implements Resident: MinHash adopts the sketch with its index,
-// MinLSH the sketch alone (banding reads the signatures directly).
+// query implements Resident: MinHash adopts the sketch with its run
+// index, MinLSH with the buckets of one band layout.
 func (s *Signatures) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if s.sig.M != d.NumCols() {
 		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
@@ -112,14 +131,15 @@ func (s *Signatures) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, nil, err
 	}
-	pre := &adopted{Sketch: fold.Sketch{MH: s.sig}}
+	pre := &adopted{Sketch: fold.Sketch{MH: s.sig}, index: &s.index}
 	switch {
 	case cfg.Algorithm == MinHash:
-		pre.memo = &s.index
 	case cfg.Algorithm != MinLSH:
 		return nil, nil, fmt.Errorf("assocmine: precomputed signatures support MinHash and MinLSH, got %v", cfg.Algorithm)
 	case s.sig.K < cfg.R*cfg.L:
 		return nil, nil, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
+	default:
+		pre.index = &s.bands
 	}
 	return d.run(cfg), pre, nil
 }

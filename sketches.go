@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
 	"assocmine/internal/kminhash"
 )
@@ -20,7 +21,7 @@ type Sketches struct {
 	sk    *kminhash.Sketches
 	seed  uint64
 	rows  int // dataset row count, -1 when unknown (loaded sketches)
-	index indexMemo
+	index memo[*candidate.Index]
 }
 
 // ComputeSketches runs the K-MH phase 1 once — the same kernel
@@ -104,5 +105,5 @@ func (s *Sketches) query(d *Dataset, cfg Config) (*run, *adopted, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, nil, err
 	}
-	return d.run(cfg), &adopted{Sketch: fold.Sketch{KMH: s.sk}, memo: &s.index}, nil
+	return d.run(cfg), &adopted{Sketch: fold.Sketch{KMH: s.sk}, index: &s.index}, nil
 }

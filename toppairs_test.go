@@ -124,10 +124,12 @@ func topLoopKeep(n int, cfg Config, minThreshold float64, query func(Config) (*R
 // columns, each column its cluster's base with its own share of noise
 // (so a column has neighbours across the similarity range), eleven
 // independent columns and an empty one.
-func clusteredDataset(t *testing.T) *Dataset {
+func clusteredDataset(t *testing.T) *Dataset { return clusteredDatasetSeeded(t, 29) }
+
+func clusteredDatasetSeeded(t *testing.T, seed uint64) *Dataset {
 	t.Helper()
 	const rows = 900
-	rng := hashing.NewSplitMix64(29)
+	rng := hashing.NewSplitMix64(seed)
 	var cols [][]int
 	for c := 0; c < 6; c++ {
 		base := make([]bool, rows)
