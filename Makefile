@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check benchcheck race-all exports vet fmt bench bench-resident experiments experiments-full fuzz loc clean
+.PHONY: all build test check benchcheck race-all exports vet fmt bench bench-resident bench-phase3 experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -63,6 +63,19 @@ bench-resident:
 	./.bench_build/resident.test -test.run '^$$' -test.bench BenchmarkResidentQueries -test.benchmem \
 		-test.cpu 1 -test.benchtime 30x -test.count $(COUNT) -test.timeout 30m
 
+# Phase 3's containers and the BPS tally (BenchmarkPackedSparse,
+# BenchmarkPackedDense, BenchmarkBPSSampleWide) from test binaries built
+# once into .bench_build/, COUNT runs of each; compare two commits the
+# way bench-resident says.
+bench-phase3:
+	mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/verify.test ./internal/verify
+	$(GO) test -c -o .bench_build/bps.test ./internal/bps
+	./.bench_build/verify.test -test.run '^$$' -test.bench 'BenchmarkPacked(Sparse|Dense)$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
+	./.bench_build/bps.test -test.run '^$$' -test.bench BenchmarkBPSSampleWide -test.benchmem \
+		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
+
 # Regenerate every paper table and figure (text to stdout).
 experiments:
 	$(GO) run ./cmd/experiments
@@ -87,6 +100,7 @@ fuzz:
 	$(GO) test . -fuzz FuzzOpenFileDataset -fuzztime 10s
 	$(GO) test ./internal/faultfs -fuzz FuzzPlanRowBinary -fuzztime 10s
 	$(GO) test ./internal/verify -fuzz FuzzPackedVsScalar -fuzztime 10s
+	$(GO) test ./internal/verify -fuzz FuzzPackedContainers -fuzztime 10s
 	$(GO) test ./internal/verify -fuzz FuzzSpillTableVsMap -fuzztime 10s
 	$(GO) test ./internal/bps -fuzz FuzzBPSSampler -fuzztime 10s
 	$(GO) test ./internal/radix -fuzz FuzzRadixSort -fuzztime 10s

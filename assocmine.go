@@ -182,14 +182,15 @@ type Config struct {
 	// error for Window > 0.
 	Window int
 	// VerifyKernel selects the verification counting kernel. KernelAuto
-	// (the default) runs the word-packed popcount kernel when the
-	// candidate-column bitmaps fit comfortably in memory — and, under a
-	// MemoryBudget, only when the whole arena fits the budget — falling
-	// back to the scalar counter kernels otherwise. KernelPacked forces
-	// packing (batching the candidate columns against any MemoryBudget);
-	// KernelScalar forces the scalar kernels. Results are bit-identical
-	// across kernels; Stats reports the packed work (PackedWords,
-	// PackedBatches).
+	// (the default) runs the packed kernel when the candidate columns
+	// would fit comfortably in memory as bitmaps — and, under a
+	// MemoryBudget, only when all of them fit the budget — falling back
+	// to the scalar counter kernels otherwise. The packed kernel holds a
+	// sparse column (fewer ones than 1/512 of the rows) as its row list
+	// and the rest as bitmaps. KernelPacked forces packing (batching the
+	// candidate columns against any MemoryBudget); KernelScalar forces
+	// the scalar kernels. Results are bit-identical across kernels; Stats
+	// reports the packed work (PackedWords, PackedBatches).
 	VerifyKernel Kernel
 }
 
@@ -328,16 +329,18 @@ type Stats struct {
 	// disks and in-memory sources).
 	IORetries      int64
 	FaultsInjected int64
-	// PackedWords counts the uint64 AND/OR word operations of the
-	// packed verification kernel and PackedBatches the candidate
-	// batches its bit-column arena was rebuilt for (both 0 when
+	// PackedWords counts the uint64 AND-popcount word operations the
+	// packed verification kernel executed — only candidates whose two
+	// columns are both held as bitmaps cost any — and PackedBatches the
+	// candidate batches its columns were loaded for (both 0 when
 	// verification ran a scalar kernel).
 	PackedWords   int64
 	PackedBatches int64
 	// PairsSampled counts the in-row pair draws the BPS sampler
-	// inspected, SampleAccepts the draws its biased acceptance test
-	// kept, and SampleDups the accepted draws for pairs that had
-	// already been sampled (all 0 for the other schemes).
+	// inspected, SampleAccepts the draws it tallied — accepted by its
+	// biased test, for pairs whose supports admit the candidate filter
+	// at all — and SampleDups the tallied draws for pairs that had
+	// already been tallied (all 0 for the other schemes).
 	PairsSampled  int64
 	SampleAccepts int64
 	SampleDups    int64

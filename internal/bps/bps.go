@@ -24,6 +24,17 @@
 // grows. The exact verification pass then prunes the survivors as for
 // every other scheme.
 //
+// Admissibility. A pair's accepted draws n never exceed its
+// co-occurrences c_ij, which never exceed min(s_i, s_j): a pair whose
+// smaller support is already below the filter's required count can
+// never become a candidate, so the sampler drops its draws before
+// hashing or tallying them (filter.at computes p_ij and that count for
+// both the sampler and finalize). Candidates and estimates are those of
+// the full tally by construction; only the tally — and so Stats.Accepts
+// and Stats.Dups — shrinks. The bound needs the supports of the data
+// sampled (Sample's contract) and every column at most once per row,
+// which Supports and the sampler enforce.
+//
 // Determinism (the seed-splitting argument). The accept decision for a
 // draw is a pure hash of (seed, row, i, j) — no stateful RNG stream:
 // the seed is split once per row (one Mix64 of seed and row id) and
@@ -73,9 +84,10 @@ type Stats struct {
 	// Inspected counts the in-row pair draws examined: Σ b·(b-1)/2
 	// over basket sizes b — the scheme's candidate-phase work measure.
 	Inspected int64
-	// Accepts counts the draws the biased acceptance test kept, and
-	// Dups the accepted draws for pairs that had already been sampled
-	// (Accepts minus distinct sampled pairs).
+	// Accepts counts the tallied draws — those of admissible pairs that
+	// the biased acceptance test kept — and Dups the tallied draws for
+	// pairs that had already been sampled (Accepts minus distinct
+	// tallied pairs).
 	Accepts int64
 	Dups    int64
 	// Shards counts the bounded row blocks dealt to parallel samplers
@@ -85,16 +97,15 @@ type Stats struct {
 
 // Supports performs one sequential pass over src and returns the
 // support (number of rows set) of every column. Rows referencing
-// columns outside [0, NumCols) are rejected with an error naming the
-// row and column.
+// columns outside [0, NumCols) or naming a column twice are rejected
+// with an error naming the row and column.
 func Supports(src matrix.RowSource) ([]int64, error) {
 	m := src.NumCols()
 	st := NewFoldState(m)
+	check := newRowCheck(m)
 	err := src.Scan(func(row int, cols []int32) error {
-		for _, c := range cols {
-			if c < 0 || int(c) >= m {
-				return fmt.Errorf("bps: row %d references column %d outside [0,%d)", row, c, m)
-			}
+		if err := check.row(row, cols); err != nil {
+			return err
 		}
 		st.FoldRow(row, cols)
 		return nil
@@ -103,6 +114,30 @@ func Supports(src matrix.RowSource) ([]int64, error) {
 		return nil, err
 	}
 	return st.sup, nil
+}
+
+// rowCheck validates rows for Supports and the sampler: every column in
+// [0, m) and none named twice in a row, at O(1) per entry — mark holds,
+// per column, the number of the last row that named it.
+type rowCheck struct {
+	mark []int
+	rows int
+}
+
+func newRowCheck(m int) rowCheck { return rowCheck{mark: make([]int, m)} }
+
+func (k *rowCheck) row(row int, cols []int32) error {
+	k.rows++
+	for _, c := range cols {
+		if c < 0 || int(c) >= len(k.mark) {
+			return fmt.Errorf("bps: row %d references column %d outside [0,%d)", row, c, len(k.mark))
+		}
+		if k.mark[c] == k.rows {
+			return fmt.Errorf("bps: row %d repeats column %d", row, c)
+		}
+		k.mark[c] = k.rows
+	}
+	return nil
 }
 
 // SupportsFromLister reads the supports off a column-major in-memory
@@ -115,9 +150,9 @@ func SupportsFromLister(ls matrix.ColumnLister) []int64 {
 	return sup
 }
 
-// Counts is the accepted-draw tally of a scan as a sorted run: Keys
-// strictly ascending (pairs.Pair.Key of a canonical pair — which is
-// (I, J) order), N[x] >= 1 the accepted draws of pair Keys[x].
+// Counts is the tally of a scan's accepted draws of admissible pairs as
+// a sorted run: Keys strictly ascending (pairs.Pair.Key of a canonical
+// pair — which is (I, J) order), N[x] >= 1 the draws of pair Keys[x].
 type Counts struct {
 	Keys []uint64
 	N    []int64
@@ -173,11 +208,12 @@ func (c Counts) total() int64 {
 // draws take three merge levels (1<<16: six, and half again the time).
 const chunkKeys = 1 << 20
 
-// sampler accumulates one scan partition's accepted draws. The accept
-// decision is a pure function of (seed, row, pair), so any partition of
-// the rows across samplers yields the same merged counts.
+// sampler accumulates one scan partition's tally. The admissibility and
+// accept decisions are pure functions of (supports, seed, row, pair), so
+// any partition of the rows across samplers yields the same merged
+// counts.
 //
-// Accepted pair keys are appended to a bounded chunk. A full chunk is
+// Tallied pair keys are appended to a bounded chunk. A full chunk is
 // radix-sorted and run-length-compacted into a Counts run, which joins
 // a stack of runs whose sizes at least halve towards the top: a new run
 // absorbs every run below it that is not more than twice its size, so
@@ -185,17 +221,18 @@ const chunkKeys = 1 << 20
 // pairs plus one chunk.
 type sampler struct {
 	sup       []int64
-	pScale    float64
+	f         filter
 	seedMix   uint64
 	chunkCap  int
+	check     rowCheck
 	chunk     []uint64 // grows by append up to chunkCap
 	scratch   []uint64
 	runs      []Counts
 	inspected int64
 }
 
-func newSampler(sup []int64, pScale float64, seedMix uint64, chunkCap int) *sampler {
-	return &sampler{sup: sup, pScale: pScale, seedMix: seedMix, chunkCap: chunkCap}
+func newSampler(sup []int64, f filter, seedMix uint64, chunkCap int) *sampler {
+	return &sampler{sup: sup, f: f, seedMix: seedMix, chunkCap: chunkCap, check: newRowCheck(len(sup))}
 }
 
 // flush turns the pending chunk into a run on the stack.
@@ -240,35 +277,28 @@ func (s *sampler) counts() Counts {
 	return out
 }
 
-// row folds one row's pair draws into the sampler.
+// row folds one row's pair draws into the sampler: every draw is
+// inspected, a draw of an inadmissible pair is dropped before it is
+// hashed, and the biased acceptance test decides the rest.
 func (s *sampler) row(row int, cols []int32) error {
-	for _, c := range cols {
-		if c < 0 || int(c) >= len(s.sup) {
-			return fmt.Errorf("bps: row %d references column %d outside [0,%d)", row, c, len(s.sup))
-		}
+	if err := s.check.row(row, cols); err != nil {
+		return err
 	}
 	rowH := hashing.Mix64(s.seedMix ^ (uint64(row)+1)*0x9e3779b97f4a7c15)
-	for a := 0; a+1 < len(cols); a++ {
-		i := cols[a]
-		si := float64(s.sup[i])
-		for b := a + 1; b < len(cols); b++ {
-			j := cols[b]
-			if i == j {
-				// Hostile encodings may repeat a column within a row;
-				// self-pairs are never candidates.
+	for a, i := range cols {
+		si := s.sup[i]
+		for _, j := range cols[a+1:] {
+			sj := s.sup[j]
+			p, need := s.f.at(float64(si), float64(sj))
+			if float64(min(si, sj)) < need {
 				continue
 			}
 			lo, hi := i, j
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			s.inspected++
 			key := pairs.Pair{I: lo, J: hi}.Key()
-			// p < 1 is the subsampled regime; the comparison is written
-			// so that an inconsistent supports slice (zero support for
-			// an observed column, possible only under hostile inputs)
-			// yields p = Inf or NaN and falls through to a plain count.
-			if p := s.pScale / (si * float64(s.sup[j])); p < 1 {
+			if p < 1 {
 				u := float64(hashing.Mix64(rowH^key)>>11) / (1 << 53)
 				if u >= p {
 					continue
@@ -278,6 +308,7 @@ func (s *sampler) row(row int, cols []int32) error {
 				s.flush()
 			}
 		}
+		s.inspected += int64(len(cols) - a - 1)
 	}
 	return nil
 }
@@ -287,8 +318,8 @@ func (s *sampler) row(row int, cols []int32) error {
 // accepted counts pass the (1-Delta) filter, sorted by (I, J) with
 // Estimate set to the unbiased similarity estimate ĉ/(s_i+s_j-ĉ),
 // ĉ = min(count/p_ij, min(s_i, s_j)). sup must be the supports of the
-// same data (see Supports); rows referencing columns outside sup are
-// rejected with an error.
+// same data (see Supports); rows referencing columns outside sup or
+// naming a column twice are rejected with an error.
 func Sample(src matrix.RowSource, sup []int64, opt Options) ([]pairs.Scored, Stats, error) {
 	counts, st, err := sampleCounts(src, sup, opt)
 	if err != nil {
@@ -308,11 +339,11 @@ func sampleCounts(src matrix.RowSource, sup []int64, opt Options) (counts Counts
 	if err := validateOptions(opt); err != nil {
 		return Counts{}, st, err
 	}
-	pScale, seedMix := sampleParams(sup, opt)
+	f, seedMix := sampleParams(sup, opt)
 	samplers := make([]*sampler, max(opt.Workers, 1))
 	sinks := make([]matrix.Sink, len(samplers))
 	for w := range samplers {
-		samplers[w] = newSampler(sup, pScale, seedMix, chunkKeys)
+		samplers[w] = newSampler(sup, f, seedMix, chunkKeys)
 		sinks[w] = samplers[w].row
 	}
 	if st.Shards, err = matrix.Deal(src, sinks); err != nil {
@@ -340,36 +371,59 @@ func validateOptions(opt Options) error {
 	return nil
 }
 
-// sampleParams derives the acceptance scale Δ = λ·(1+s*)·S_max/(2·s*)
-// and the split seed from the GLOBAL supports — every scan partition
-// must use the same pair, or accept decisions diverge.
-func sampleParams(sup []int64, opt Options) (pScale float64, seedMix uint64) {
+// filter is a sampling pass's acceptance scale and candidate filter.
+type filter struct {
+	scale, threshold, delta float64
+}
+
+// at returns p_ij = min(1, Δ/(s_i·s_j)), the acceptance probability of a
+// draw of a pair with supports si and sj, and need = (1-δ)·p_ij·c*, c* =
+// s*·(s_i+s_j)/(1+s*), the accepted draws at which the pair becomes a
+// candidate. It is symmetric to the bit in si and sj (floating-point +
+// and × commute), so the sampler may pass a row's columns in either
+// order. An inconsistent supports slice (a zero support for an observed
+// column, possible only under hostile inputs) yields Δ/0 = Inf or NaN,
+// which maps to p = 1: exact counting.
+func (f filter) at(si, sj float64) (p, need float64) {
+	p = f.scale / (si * sj)
+	if !(p < 1) {
+		p = 1
+	}
+	cThresh := f.threshold * (si + sj) / (1 + f.threshold)
+	return p, (1 - f.delta) * p * cThresh
+}
+
+// sampleParams derives the filter — its acceptance scale Δ =
+// λ·(1+s*)·S_max/(2·s*) — and the split seed from the GLOBAL supports:
+// every scan partition must use the same pair, or accept decisions
+// diverge.
+func sampleParams(sup []int64, opt Options) (f filter, seedMix uint64) {
 	var smax int64
 	for _, s := range sup {
 		if s > smax {
 			smax = s
 		}
 	}
-	pScale = float64(opt.Budget) * (1 + opt.Threshold) * float64(smax) / (2 * opt.Threshold)
+	f = filter{
+		scale:     float64(opt.Budget) * (1 + opt.Threshold) * float64(smax) / (2 * opt.Threshold),
+		threshold: opt.Threshold,
+		delta:     opt.Delta,
+	}
 	seedMix = hashing.Mix64(opt.Seed ^ 0xb5ad4eceda1ce2a9)
-	return pScale, seedMix
+	return f, seedMix
 }
 
 // finalize applies the (1-Delta) count filter and the unbiased
 // similarity estimate to the merged counts, returning candidates
 // in the tally's (I, J) order — the exact tail of Sample.
-func finalize(counts Counts, sup []int64, opt Options, pScale float64) []pairs.Scored {
+func finalize(counts Counts, sup []int64, f filter) []pairs.Scored {
 	var out []pairs.Scored
 	for x, key := range counts.Keys {
 		n := counts.N[x]
 		pair := pairs.FromKey(key)
 		si, sj := float64(sup[pair.I]), float64(sup[pair.J])
-		p := pScale / (si * sj)
-		if !(p < 1) {
-			p = 1 // also maps the hostile-input Inf/NaN case to exact counting
-		}
-		cThresh := opt.Threshold * (si + sj) / (1 + opt.Threshold)
-		if float64(n) < (1-opt.Delta)*p*cThresh {
+		p, need := f.at(si, sj)
+		if float64(n) < need {
 			continue
 		}
 		est := float64(n) / p
@@ -392,11 +446,12 @@ func finalize(counts Counts, sup []int64, opt Options, pScale float64) []pairs.S
 }
 
 // SampleCounts runs the sampling scan over src — typically a row-range
-// view of the full dataset — and returns the raw per-pair accepted
-// counts plus the inspected-draw count. sup must be the supports of the
-// FULL dataset: the acceptance scale depends on the global S_max and
-// per-column supports, so a partial supports slice would change accept
-// decisions. Accept decisions are pure (seed, row, pair) hashes, so
+// view of the full dataset — and returns the per-pair tally of accepted
+// draws of admissible pairs plus the inspected-draw count. sup must be
+// the supports of the FULL dataset: the acceptance scale and the
+// admissibility bound depend on the global S_max and per-column
+// supports, so a partial supports slice would change both decisions.
+// Accept decisions are pure (seed, row, pair) hashes, so
 // counts from any row partition merged with MergeCounts equal a
 // full-scan's counts exactly — the identity the scale-out executor's
 // workers rely on.
@@ -415,8 +470,8 @@ func FinalizeCounts(counts Counts, sup []int64, opt Options) ([]pairs.Scored, St
 	if err := validateOptions(opt); err != nil {
 		return nil, st, err
 	}
-	pScale, _ := sampleParams(sup, opt)
+	f, _ := sampleParams(sup, opt)
 	st.Accepts = counts.total()
 	st.Dups = st.Accepts - int64(len(counts.Keys))
-	return finalize(counts, sup, opt, pScale), st, nil
+	return finalize(counts, sup, f), st, nil
 }

@@ -84,22 +84,25 @@ func TestSampleCountsValidation(t *testing.T) {
 }
 
 // mapTally is the test-local oracle for the sorted-run accumulator: the
-// accept rule of sampler.row written out independently over a Go map.
-func mapTally(rows [][]int32, sup []int64, pScale float64, seedMix uint64) map[uint64]int64 {
+// admissibility and accept rules of sampler.row written out over a Go
+// map (p_ij and the filter's count come from filter.at, the one place
+// they are computed).
+func mapTally(rows [][]int32, sup []int64, f filter, seedMix uint64) map[uint64]int64 {
 	tally := make(map[uint64]int64)
 	for r, cols := range rows {
 		rowH := hashing.Mix64(seedMix ^ (uint64(r)+1)*0x9e3779b97f4a7c15)
 		for a := range cols {
 			for _, j := range cols[a+1:] {
 				i := cols[a]
-				if i == j {
-					continue
-				}
 				if i > j {
 					i, j = j, i
 				}
 				key := uint64(uint32(i))<<32 | uint64(uint32(j))
-				if p := pScale / (float64(sup[i]) * float64(sup[j])); p < 1 {
+				p, need := f.at(float64(sup[i]), float64(sup[j]))
+				if float64(min(sup[i], sup[j])) < need {
+					continue
+				}
+				if p < 1 {
 					if u := float64(hashing.Mix64(rowH^key)>>11) / (1 << 53); u >= p {
 						continue
 					}
@@ -144,8 +147,8 @@ func TestAccumulatorMatchesMapOracle(t *testing.T) {
 		}
 	}
 	opt := Options{Threshold: 0.4, Budget: 3, Seed: 11}
-	pScale, seedMix := sampleParams(sup, opt)
-	want := mapTally(rows, sup, pScale, seedMix)
+	f, seedMix := sampleParams(sup, opt)
+	want := mapTally(rows, sup, f, seedMix)
 	if len(want) < 500 {
 		t.Fatalf("fixture too small: %d distinct pairs", len(want))
 	}
@@ -153,7 +156,7 @@ func TestAccumulatorMatchesMapOracle(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			samplers := make([]*sampler, workers)
 			for w := range samplers {
-				samplers[w] = newSampler(sup, pScale, seedMix, chunkCap)
+				samplers[w] = newSampler(sup, f, seedMix, chunkCap)
 			}
 			for r, cols := range rows {
 				if err := samplers[r%workers].row(r, cols); err != nil {

@@ -83,20 +83,22 @@ const (
 	// internal/faultfs) delivered into the run's reads — nonzero only
 	// under chaos harnesses, never in production.
 	CounterFaultsInjected = "faults_injected"
-	// CounterPackedWords counts the uint64 AND/OR word operations of the
-	// packed verification kernel and CounterPackedBatches the candidate
-	// batches its bit-column arena was rebuilt for (both absent on the
-	// scalar kernel).
+	// CounterPackedWords counts the uint64 AND-popcount word operations
+	// the packed verification kernel executed (pairs of two bitmap
+	// columns; a sparse column is a row list and costs none) and
+	// CounterPackedBatches the candidate batches its columns were loaded
+	// for (both absent on the scalar kernel).
 	CounterPackedWords   = "packed_words"
 	CounterPackedBatches = "packed_batches"
 	// CounterPairsSampled counts the in-row pair draws the BPS sampler
 	// inspected (Σ b·(b-1)/2 over basket sizes b — the scheme's
 	// candidate-phase work measure, playing the role CounterIncrements
 	// plays for the counting schemes). CounterSampleAccepts counts the
-	// draws the biased acceptance test kept, and CounterSampleDups the
-	// accepted draws for pairs that had already been sampled (accepts
-	// minus distinct sampled pairs — the dedup work the exact merge
-	// performs). All three are absent for the other schemes.
+	// draws the sampler tallied — kept by the biased acceptance test, of
+	// pairs whose supports admit the candidate filter — and
+	// CounterSampleDups the tallied draws for pairs already tallied
+	// (accepts minus distinct tallied pairs — the dedup work the exact
+	// merge performs). All three are absent for the other schemes.
 	CounterPairsSampled  = "pairs_sampled"
 	CounterSampleAccepts = "sample_accepts"
 	CounterSampleDups    = "sample_dups"

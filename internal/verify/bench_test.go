@@ -182,6 +182,42 @@ func BenchmarkPackedSweepCluster(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.PackedWords), "ns/word")
 }
 
+// BenchmarkPackedSparse times the packed kernel in the regime the paper
+// is about, the shape of the benchmark's candidate-generation workload:
+// 58 000 rows, 10 000 planted column pairs with two pair events a row
+// (about 12 ones a column, far below T = 113), every planted pair a
+// candidate. Every pair is counted by list merge.
+func BenchmarkPackedSparse(b *testing.B) {
+	m, cand := plantedGroups(hashing.NewSplitMix64(1), 58_000, 10_000, 2, 2, 1)
+	benchPacked(b, m, cand)
+}
+
+// BenchmarkPackedDense times it on the shape of the benchmark's cluster
+// verification: 260 000 rows, 64 clusters of 80 near-duplicate columns
+// (about 2 800 ones a column, far above T = 507), one cluster event a
+// row, every within-cluster pair a candidate. Every pair is counted by
+// AND popcount.
+func BenchmarkPackedDense(b *testing.B) {
+	m, cand := plantedGroups(hashing.NewSplitMix64(1), 260_000, 64, 80, 1, 0.7)
+	benchPacked(b, m, cand)
+}
+
+func benchPacked(b *testing.B, m *matrix.Matrix, cand []pairs.Scored) {
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, st, err = Verify(m.Stream(), cand, Params{Threshold: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st.PackedBatches == 0 {
+		b.Fatal("Auto did not choose the packed kernel")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cand)), "ns/pair")
+}
+
 // BenchmarkPackFromFile times the packed kernel where packing is all
 // there is — a streamed source, few candidates, short columns: a
 // 20 000 × 4 000 file at density 0.005 (20 postings a row), candidates over

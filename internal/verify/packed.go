@@ -1,20 +1,23 @@
 // Packed verification: the same exact pruning pass as Exact, computed
-// over word-packed bit-columns instead of per-row counter scatter. The
-// columns referenced by the candidate list — typically a small fraction
-// of the matrix — are packed into a dense arena of ⌈n/64⌉-word bitmaps,
-// and each candidate's |C_i ∩ C_j| falls out of one AND popcount sweep
-// (bitset.AndCountWords); |C_i ∪ C_j| is |C_i| + |C_j| − |C_i ∩ C_j|
-// from the per-column popcounts taken once per batch. The counts are
-// the same integers the scalar counters accumulate, divided by the
-// same float64 division, and candidates are emitted in the same order,
-// so results are bit-identical to Exact for any batch size, worker
-// count or data-delivery strategy.
+// over column containers instead of per-row counter scatter. Each column
+// referenced by the candidate list — typically a small fraction of the
+// matrix — is held as its sorted row list when it has fewer than T ones
+// (listBelow) and as a ⌈n/64⌉-word bitmap otherwise, so a sparse column
+// costs its ones, not its rows. A candidate's |C_i ∩ C_j| is a merge of
+// two lists, a bit probe per row of a list into a bitmap, or one AND
+// popcount sweep of two bitmaps (bitset.AndCountWords); |C_i ∪ C_j| is
+// |C_i| + |C_j| − |C_i ∩ C_j| from the per-column counts taken once per
+// batch. The counts are the same integers the scalar counters
+// accumulate, divided by the same float64 division, and candidates are
+// emitted in the same order, so results are bit-identical to Exact for
+// any batch size, worker count or data-delivery strategy.
 //
 // Memory is bounded by batching: when a Budget is set, candidates are
 // split into contiguous batches whose distinct endpoint columns fit the
-// arena budget, with one packing pass per batch. When even two columns
-// do not fit, Verify falls back to the scalar kernel wholesale — the
-// spilling table is the bounded-memory strategy of last resort.
+// budget as bitmaps — a list is never larger than a bitmap — with one
+// packing pass per batch. When even two columns do not fit, Verify falls
+// back to the scalar kernel wholesale — the spilling table is the
+// bounded-memory strategy of last resort.
 package verify
 
 import (
@@ -84,7 +87,17 @@ const (
 	// packedTickChunk is the pair-loop granularity of context checks and
 	// progress ticks.
 	packedTickChunk = 256
+	// listShare sets T = words/listShare, the ones below which a column
+	// is kept as its row list (DESIGN.md, "Phase 3's containers"): a
+	// list∩list merge of at most 2T steps then costs no more than one
+	// AND over the words, and a list takes at most 1/16 of a bitmap's
+	// bytes.
+	listShare = 8
 )
+
+// listBelow is T for columns of the given number of words: a column is
+// a row list while it has fewer ones, a bitmap from then on.
+func listBelow(words int) int { return words / listShare }
 
 // autoPack reports whether the Auto kernel selects the packed pass for
 // verifying cand over an n×m source under budgetBytes (<= 0 means
@@ -148,7 +161,8 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 }
 
 // arenaCols is the number of src's bit-columns the budget holds at
-// once: all of them when it is unlimited.
+// once: all of them when it is unlimited. A batch of that many columns
+// fits the budget whatever mix of lists and bitmaps it holds.
 func arenaCols(src matrix.RowSource, budget Budget) int {
 	words := int64(src.NumRows()+63) / 64
 	if budget.Bytes <= 0 || words == 0 {
@@ -157,12 +171,12 @@ func arenaCols(src matrix.RowSource, budget Budget) int {
 	return int(min(int64(src.NumCols()), budget.Bytes/(words*8)))
 }
 
-// packed is the word-packed popcount kernel over cand (already
-// validated), at most maxCols >= 2 distinct columns to a batch:
-// PackedWords/PackedBatches report its work. Sources implementing
-// matrix.ColumnLister are packed directly from their column lists
-// without a row scan; other sources pay one sequential scan per batch,
-// by a single reader at any worker count.
+// packed is the container kernel over cand (already validated), at
+// most maxCols >= 2 distinct columns to a batch: PackedWords/
+// PackedBatches report its work. Sources implementing
+// matrix.ColumnLister lend their column lists without a row scan; other
+// sources pay one sequential scan per batch, by a single reader at any
+// worker count (columns.fill).
 func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([]pairs.Scored, Stats, error) {
 	m := src.NumCols()
 	ctx := p.Context
@@ -193,8 +207,7 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 		slot[i] = -1
 	}
 	var cols []int32
-	var arena []uint64
-	var colOnes []int64
+	cs := columns{words: words}
 	out := make([]pairs.Scored, 0, len(cand)/4)
 	var done atomic.Int64
 
@@ -203,7 +216,7 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 			return nil, Stats{}, err
 		}
 		// Greedy contiguous batch: maxCols >= 2 guarantees progress,
-		// since one candidate claims at most two arena slots.
+		// since one candidate claims at most two slots.
 		cols = cols[:0]
 		batchEnd := batchStart
 		for ; batchEnd < len(cand); batchEnd++ {
@@ -227,28 +240,8 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 				cols = append(cols, c.J)
 			}
 		}
-		need := len(cols) * words
-		if cap(arena) < need {
-			arena = make([]uint64, need)
-		} else {
-			arena = arena[:need]
-			for i := range arena {
-				arena[i] = 0
-			}
-		}
-		if err := packColumns(src, slot, cols, arena, words); err != nil {
+		if err := cs.fill(src, slot, cols); err != nil {
 			return nil, Stats{}, err
-		}
-		// Per-slot popcounts, once per batch: colOnes[slot[I]] +
-		// colOnes[slot[J]] is exactly the per-row counter updates the
-		// scalar pass charges candidate (I,J) to Touches, and less the
-		// pair's intersection it is the pair's union.
-		if cap(colOnes) < len(cols) {
-			colOnes = make([]int64, len(cols))
-		}
-		colOnes = colOnes[:len(cols)]
-		for s := range cols {
-			colOnes[s] = int64(bitset.CountWords(arena[s*words : (s+1)*words]))
 		}
 
 		// Contiguous shards, concatenated in order: the serial sweep's
@@ -256,14 +249,14 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 		batch := cand[batchStart:batchEnd]
 		shards := contiguousShards(len(batch), shardWorkers(workers, len(batch)))
 		outs := make([][]pairs.Scored, len(shards))
-		touches := make([]int64, len(shards))
+		work := make([]Stats, len(shards))
 		errs := make([]error, len(shards))
 		var wg sync.WaitGroup
 		for s, sh := range shards {
 			wg.Add(1)
 			go func(s, lo, hi int) {
 				defer wg.Done()
-				outs[s], touches[s], errs[s] = packedSweep(ctx, batch[lo:hi], arena, slot, colOnes, words, p.Threshold, &done, total, p.Tick)
+				outs[s], work[s], errs[s] = packedSweep(ctx, batch[lo:hi], &cs, slot, p.Threshold, &done, total, p.Tick)
 			}(s, sh[0], sh[1])
 		}
 		wg.Wait()
@@ -271,10 +264,10 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 			if err != nil {
 				return nil, Stats{}, err
 			}
-			st.Touches += touches[s]
+			st.Touches += work[s].Touches
+			st.PackedWords += work[s].PackedWords
 			out = append(out, outs[s]...)
 		}
-		st.PackedWords += int64(len(batch)) * int64(words)
 		st.PackedBatches++
 		for _, c := range cols {
 			slot[c] = -1
@@ -289,17 +282,18 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 }
 
 // packedSweep verifies one contiguous candidate slice against the
-// packed arena, emitting survivors in order. done/tick report progress
-// in candidate pairs across the whole call (done is shared by all
-// sweeps); ctx is checked every packedTickChunk pairs.
-func packedSweep(ctx context.Context, batch []pairs.Scored, arena []uint64, slot []int32, colOnes []int64, words int, threshold float64, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, int64, error) {
+// batch's columns, emitting survivors in order, and reports the slice's
+// Touches and PackedWords. done/tick report progress in candidate pairs
+// across the whole call (done is shared by all sweeps); ctx is checked
+// every packedTickChunk pairs.
+func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, slot []int32, threshold float64, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	out := make([]pairs.Scored, 0, len(batch)/4)
-	var touches int64
+	var work Stats
 	for idx, p := range batch {
-		si, sj := int(slot[p.I]), int(slot[p.J])
-		and := int64(bitset.AndCountWords(arena[si*words:(si+1)*words], arena[sj*words:(sj+1)*words]))
-		ones := colOnes[si] + colOnes[sj]
-		touches += ones
+		si, sj := slot[p.I], slot[p.J]
+		and := cs.and(si, sj, &work.PackedWords)
+		ones := cs.ones[si] + cs.ones[sj]
+		work.Touches += ones
 		if or := ones - and; or != 0 {
 			if s := float64(and) / float64(or); s >= threshold {
 				p.Exact = s
@@ -308,7 +302,7 @@ func packedSweep(ctx context.Context, batch []pairs.Scored, arena []uint64, slot
 		}
 		if (idx+1)%packedTickChunk == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return nil, Stats{}, err
 			}
 			if tick != nil {
 				tick(done.Add(packedTickChunk), total)
@@ -316,35 +310,149 @@ func packedSweep(ctx context.Context, batch []pairs.Scored, arena []uint64, slot
 		}
 	}
 	done.Add(int64(len(batch) % packedTickChunk))
-	return out, touches, nil
+	return out, work, nil
 }
 
-// packColumns fills the arena with the bit-columns of cols: bit (slot,
-// row) is set iff the row has a 1 in the column assigned to that slot.
-// A source with direct column lists (matrix.ColumnLister — in-memory
-// data) is packed from them without a row scan; every other source is
-// packed by one sequential reader, the one pass the disk-resident
-// setting allows, at any worker count: the pass is decode-bound, and
-// fanning its rows out to slot-range workers measured slower than the
-// single reader (docs/ALGORITHMS.md, "Out-of-core execution").
-func packColumns(src matrix.RowSource, slot []int32, cols []int32, arena []uint64, words int) error {
-	if cl, ok := src.(matrix.ColumnLister); ok {
+// columns holds one batch's candidate columns by slot: slot s is the
+// sorted row list list[s] while the column has fewer than listBelow
+// ones, the bitmap bits[s] of words uint64s otherwise, and ones[s] is
+// its count of ones either way. Which container a column gets depends
+// on its ones alone, never on how the source delivers them.
+type columns struct {
+	words int
+	list  [][]int32
+	bits  [][]uint64
+	ones  []int64
+	slab  []uint64 // the bitmaps, in the order handed out; slab[len:cap] is zero
+	rows  []int32  // a scan's lists, T rows a slot
+}
+
+// fill loads the columns of cols into slots 0..len(cols)-1 (slot maps
+// each back). A source with direct column lists (matrix.ColumnLister —
+// in-memory data) lends its lists without a copy and without a row
+// scan, and only its dense columns are copied into bitmaps, from a slab
+// sized for exactly them. Every other source is read by one sequential
+// reader, the one pass the disk-resident setting allows, at any worker
+// count: a column's rows are appended to its list, a window of T rows in
+// one array for all of them, until it reaches T, then go to a bitmap.
+// Which columns will reach T is known only when that scan ends, so it
+// reserves a bitmap for every column — the arena the all-bitmap kernel
+// allocated; allocating bitmaps and lists as they grow raised the peak
+// RSS of a streamed run instead (DESIGN.md, "Phase 3's containers").
+// The pass is decode-bound, and fanning its rows out to
+// slot-range workers measured slower than the single reader
+// (docs/ALGORITHMS.md, "Out-of-core execution").
+func (cs *columns) fill(src matrix.RowSource, slot []int32, cols []int32) error {
+	n := len(cols)
+	cs.list = append(cs.list[:0], make([][]int32, n)...)
+	cs.bits = append(cs.bits[:0], make([][]uint64, n)...)
+	cs.ones = append(cs.ones[:0], make([]int64, n)...)
+	t := listBelow(cs.words)
+	cl, lends := src.(matrix.ColumnLister)
+	reserve := n
+	if lends {
+		reserve = 0
 		for s, c := range cols {
-			base := s * words
-			for _, r := range cl.ColumnRows(int(c)) {
-				arena[base+int(r>>6)] |= 1 << (uint(r) & 63)
+			if cs.list[s] = cl.ColumnRows(int(c)); len(cs.list[s]) >= t {
+				reserve++
 			}
 		}
-		return nil
 	}
-	return src.Scan(func(row int, rcols []int32) error {
-		w := row >> 6
-		bit := uint64(1) << (uint(row) & 63)
-		for _, c := range rcols {
-			if sl := slot[c]; sl >= 0 {
-				arena[int(sl)*words+w] |= bit
-			}
+	if cap(cs.slab) < reserve*cs.words {
+		cs.slab = make([]uint64, 0, reserve*cs.words)
+	} else {
+		clear(cs.slab) // the previous batch's bitmaps
+		cs.slab = cs.slab[:0]
+	}
+	if !lends {
+		if len(cs.rows) < n*t {
+			cs.rows = make([]int32, n*t)
 		}
-		return nil
-	})
+		for s := range cs.list {
+			cs.list[s] = cs.rows[s*t : s*t : (s+1)*t]
+		}
+		err := src.Scan(func(row int, rcols []int32) error {
+			for _, c := range rcols {
+				s := slot[c]
+				if s < 0 {
+					continue
+				}
+				if b := cs.bits[s]; b != nil {
+					b[row>>6] |= 1 << (uint(row) & 63)
+				} else if cs.list[s] = append(cs.list[s], int32(row)); len(cs.list[s]) >= t {
+					cs.toBitmap(int(s))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for s, l := range cs.list {
+		if cs.bits[s] == nil && len(l) >= t {
+			cs.toBitmap(s)
+		}
+		if b := cs.bits[s]; b != nil {
+			cs.ones[s] = int64(bitset.CountWords(b))
+		} else {
+			cs.ones[s] = int64(len(cs.list[s]))
+		}
+	}
+	return nil
+}
+
+// toBitmap moves slot s from its row list to the slab's next bitmap.
+func (cs *columns) toBitmap(s int) {
+	n := len(cs.slab)
+	cs.slab = cs.slab[:n+cs.words]
+	b := cs.slab[n:]
+	for _, r := range cs.list[s] {
+		b[r>>6] |= 1 << (uint(r) & 63)
+	}
+	cs.bits[s], cs.list[s] = b, nil
+}
+
+// and returns |C_a ∩ C_b| of slots a and b: one AND popcount sweep when
+// both are bitmaps (adding its words to *words), a bit probe per row of
+// a list into a bitmap, or a merge of two lists.
+func (cs *columns) and(a, b int32, words *int64) int64 {
+	ba, bb := cs.bits[a], cs.bits[b]
+	switch {
+	case ba != nil && bb != nil:
+		*words += int64(len(ba))
+		return int64(bitset.AndCountWords(ba, bb))
+	case ba != nil:
+		return probe(cs.list[b], ba)
+	case bb != nil:
+		return probe(cs.list[a], bb)
+	}
+	return merge(cs.list[a], cs.list[b])
+}
+
+// probe counts the rows of list set in bits.
+func probe(list []int32, bits []uint64) int64 {
+	var n int64
+	for _, r := range list {
+		n += int64(bits[r>>6] >> (uint(r) & 63) & 1)
+	}
+	return n
+}
+
+// merge counts the rows two sorted lists share.
+func merge(a, b []int32) int64 {
+	var n int64
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		x, y := a[i], b[j]
+		if x == y {
+			n++
+		}
+		if x <= y {
+			i++
+		}
+		if y <= x {
+			j++
+		}
+	}
+	return n
 }

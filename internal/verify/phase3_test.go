@@ -12,20 +12,61 @@ import (
 	"assocmine/internal/testutil"
 )
 
+// wantPackedWords is the PackedWords the packed kernel must report for
+// cand over the rows src delivers: the words of every candidate whose
+// columns both hold at least T ones, and nothing for the rest.
+func wantPackedWords(t *testing.T, src matrix.RowSource, cand []pairs.Scored) int64 {
+	t.Helper()
+	ones := make([]int, src.NumCols())
+	if err := src.Scan(func(_ int, cols []int32) error {
+		for _, c := range cols {
+			ones[c]++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	words := (src.NumRows() + 63) / 64
+	var n int64
+	for _, p := range cand {
+		if min(ones[p.I], ones[p.J]) >= listBelow(words) {
+			n += int64(words)
+		}
+	}
+	return n
+}
+
 // TestPhase3Matrix is phase 3's one equivalence table, the sibling of
 // TestFoldMatrix and TestPhase2Matrix: every way Verify can be made to
 // count — each kernel, each memory strategy, the fallback between them —
 // over every kind of source at every worker count returns Exact's pairs,
 // order, Exact bits and Touches; the kernel a cell names is the one that
 // ran; and the work counters that are functions of (data, candidates,
-// budget, workers) alone — the packed kernel's of the first three, the
-// spill schedule's of all four — do not move with the source.
+// budget, workers) alone — the packed kernel's PackedBatches and
+// PackedWords of the first three, the spill schedule's of all four — do
+// not move with the source. Two data sets: a 10 % matrix whose columns
+// are all bitmaps, and a mixed one (aroundT) whose empty, just-under-T,
+// at-T and dense columns make every cell count pairs by merge, by bit
+// probe and by AND popcount; PackedWords is exactly the words of the
+// pairs whose columns both reach T.
 func TestPhase3Matrix(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	rng := hashing.NewSplitMix64(41)
-	const rows, cols, threshold = 600, 60, 0.05
-	m := randomMatrix(rng, rows, cols, 0.1)
+	const cols, threshold = 60, 0.05
 	cand := allPairsCandidates(cols) // 1770 candidates: four shards at four workers
+	for _, d := range []struct {
+		name     string
+		m        *matrix.Matrix
+		from, to int // the window
+	}{
+		{"dense", randomMatrix(rng, 600, cols, 0.1), 150, 500},
+		{"mixed", aroundT(rng, 4096, cols), 1000, 3000},
+	} {
+		t.Run(d.name, func(t *testing.T) { phase3Cells(t, d.m, cand, threshold, d.from, d.to) })
+	}
+}
+
+func phase3Cells(t *testing.T, m *matrix.Matrix, cand []pairs.Scored, threshold float64, from, to int) {
 	path := filepath.Join(t.TempDir(), "m.arows")
 	if err := matrix.SaveRowBinary(path, m.Stream()); err != nil {
 		t.Fatal(err)
@@ -44,10 +85,10 @@ func TestPhase3Matrix(t *testing.T) {
 		{"memory", "full", m.Stream()}, // column lists + concurrent scans
 		{"stream", "full", streamOnly{m.Stream()}},
 		{"arows", "full", file},
-		{"window/memory", "window", &matrix.RangeSource{Src: m.Stream(), From: 150, To: 500}},
-		{"window/arows", "window", &matrix.RangeSource{Src: file, From: 150, To: 500}},
+		{"window/memory", "window", &matrix.RangeSource{Src: m.Stream(), From: from, To: to}},
+		{"window/arows", "window", &matrix.RangeSource{Src: file, From: from, To: to}},
 	}
-	words := int64(rows+63) / 64
+	words := int64(m.NumRows()+63) / 64
 	dir := t.TempDir()
 	kernels := []struct {
 		name           string
@@ -68,7 +109,8 @@ func TestPhase3Matrix(t *testing.T) {
 		out []pairs.Scored
 		st  Stats
 	}
-	want := map[string]result{} // data key -> Exact's answer
+	want := map[string]result{}       // data key -> Exact's answer
+	packedWords := map[string]int64{} // data key -> the packed kernel's words
 	for _, s := range sources {
 		out, st, err := Exact(s.src, cand, threshold)
 		if err != nil {
@@ -81,6 +123,7 @@ func TestPhase3Matrix(t *testing.T) {
 			t.Fatalf("%s: Exact differs between sources of the same rows", s.name)
 		}
 		want[s.data] = result{out, st}
+		packedWords[s.data] = wantPackedWords(t, s.src, cand)
 	}
 
 	for _, k := range kernels {
@@ -107,6 +150,9 @@ func TestPhase3Matrix(t *testing.T) {
 				}
 				if (st.PackedBatches > 0) != k.packed || (st.PackedWords > 0) != k.packed {
 					t.Errorf("%s: %d packed batches, %d words; want packed = %v", name, st.PackedBatches, st.PackedWords, k.packed)
+				}
+				if k.packed && st.PackedWords != packedWords[s.data] {
+					t.Errorf("%s: %d packed words, want %d", name, st.PackedWords, packedWords[s.data])
 				}
 				if (k.name == "packed-batched") != (st.PackedBatches > 1) {
 					t.Errorf("%s: %d packed batches", name, st.PackedBatches)

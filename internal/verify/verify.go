@@ -41,9 +41,11 @@ type Stats struct {
 	SpillBytesRaw        int64
 	SpillBytesCompressed int64
 
-	// PackedWords counts the uint64 AND-popcount word operations of the
-	// packed kernel and PackedBatches the candidate batches its
-	// bit-column arena was rebuilt for (both 0 on the scalar paths).
+	// PackedWords counts the uint64 AND-popcount word operations the
+	// packed kernel executed — words per candidate whose columns are
+	// both bitmaps; a pair with a sparse column (a row list) costs none —
+	// and PackedBatches the candidate batches its columns were loaded
+	// for (both 0 on the scalar paths).
 	PackedWords   int64
 	PackedBatches int64
 }
