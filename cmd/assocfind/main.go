@@ -155,9 +155,10 @@ func run(o options) error {
 			return errors.New("-dist-workers cannot be combined with -rules, -transactions, -append, -resume, -window or -clusters")
 		}
 	}
-	// The dist workers and the rules pass take no verification budget or
-	// kernel, and a rules run is one serial full-data run without a
-	// recorder: a flag the run cannot honour is an error, not ignored.
+	// The dist workers take no verification budget or kernel; a rules run
+	// verifies through the same phase 3 but RuleConfig has no field for
+	// either, and it is one serial full-data run without a recorder: a
+	// flag the run cannot honour is an error, not ignored.
 	mode := ""
 	switch {
 	case o.distWorkers > 0:

@@ -202,7 +202,7 @@ func TestAndRuleSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := Verify(m.Stream(), cand, 0.9)
+	verified, err := verifyRules(m.Stream(), cand, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
-	"assocmine/internal/matrix"
+	"assocmine/internal/measures"
 	"assocmine/internal/minhash"
-	"assocmine/internal/pairs"
 )
 
 // Rule is a directed candidate rule From => To with estimated and
@@ -30,7 +30,7 @@ import (
 type Rule struct {
 	From, To int32
 	Estimate float64 // signature-based confidence estimate
-	Exact    float64 // verified confidence; set by Verify
+	Exact    float64 // verified confidence
 }
 
 // Options configures candidate-rule generation.
@@ -199,78 +199,14 @@ func sweep(ctx context.Context, sig *minhash.Signatures, each func(i int, row []
 	return nil
 }
 
-// Verify makes one pass over the data computing the exact confidence of
-// each candidate rule and keeps those meeting minConf. Both |C_i ∩ C_j|
-// and |C_i| are counted in the same pass.
-func Verify(src matrix.RowSource, cand []Rule, minConf float64) ([]Rule, error) {
-	if minConf <= 0 || minConf > 1 {
-		return nil, fmt.Errorf("rules: minConf must be in (0,1], got %v", minConf)
+// Confidence is the measure phase 3 verifies a rule I => J by, over
+// the directed pair's counts (A = |C_I|): |C_I ∩ C_J| / |C_I|, and NaN —
+// which passes no threshold — when the antecedent never occurs.
+func Confidence(c measures.Counts) float64 {
+	if c.A == 0 {
+		return math.NaN()
 	}
-	m := src.NumCols()
-	for _, r := range cand {
-		if r.From == r.To || r.From < 0 || r.To < 0 || int(r.From) >= m || int(r.To) >= m {
-			return nil, fmt.Errorf("rules: invalid rule %d => %d", r.From, r.To)
-		}
-	}
-	// Each directed rule once (its first occurrence), and the distinct
-	// undirected pairs behind them, sorted by key: a rule finds its
-	// pair's counter by binary search.
-	rs := slices.Clone(cand)
-	slices.SortStableFunc(rs, func(a, b Rule) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-	})
-	rs = slices.CompactFunc(rs, func(a, b Rule) bool { return a.From == b.From && a.To == b.To })
-	keys := make([]uint64, len(rs))
-	for i, r := range rs {
-		keys[i] = pairs.Make(r.From, r.To).Key()
-	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	pairsOf := make([][]int32, m)
-	for idx, key := range keys {
-		p := pairs.FromKey(key)
-		pairsOf[p.I] = append(pairsOf[p.I], int32(idx))
-		pairsOf[p.J] = append(pairsOf[p.J], int32(idx))
-	}
-	inter := make([]int32, len(keys))
-	lastRow := make([]int32, len(keys))
-	for i := range lastRow {
-		lastRow[i] = -1
-	}
-	colSize := make([]int32, m)
-	err := src.Scan(func(row int, cols []int32) error {
-		r := int32(row)
-		for _, c := range cols {
-			colSize[c]++
-			for _, idx := range pairsOf[c] {
-				if lastRow[idx] == r {
-					inter[idx]++
-				} else {
-					lastRow[idx] = r
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Rule
-	for _, r := range rs {
-		if colSize[r.From] == 0 {
-			continue
-		}
-		idx, _ := slices.BinarySearch(keys, pairs.Make(r.From, r.To).Key())
-		conf := float64(inter[idx]) / float64(colSize[r.From])
-		if conf >= minConf {
-			r.Exact = conf
-			out = append(out, r)
-		}
-	}
-	slices.SortFunc(out, func(a, b Rule) int {
-		return cmp.Or(cmp.Compare(b.Exact, a.Exact), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-	})
-	return out, nil
+	return c.Confidence()
 }
 
 func sortRules(rs []Rule) {

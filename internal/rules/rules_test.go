@@ -8,6 +8,8 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
+	"assocmine/internal/pairs"
+	"assocmine/internal/verify"
 )
 
 // caviarFixture builds the paper's motivating scenario: two rare items
@@ -102,6 +104,26 @@ func TestConfidenceEstimatorStatistics(t *testing.T) {
 	}
 }
 
+// verifyRules is phase 3 of a rules run: verify.Verify over the rules
+// as directed pairs, admitting by Confidence.
+func verifyRules(src matrix.RowSource, cand []Rule, minConf float64) ([]Rule, error) {
+	ps := make([]pairs.Scored, len(cand))
+	for i, r := range cand {
+		ps[i] = pairs.Scored{Pair: pairs.Pair{I: r.From, J: r.To}, Estimate: r.Estimate}
+	}
+	kept, _, err := verify.Verify(src, ps, verify.Params{Threshold: minConf, Measure: Confidence})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Rule, len(kept))
+	for i, p := range kept {
+		out[i] = Rule{From: p.I, To: p.J, Estimate: p.Estimate, Exact: p.Exact}
+	}
+	return out, nil
+}
+
+// TestVerifyComputesExactConfidence: a rule is verified by the
+// confidence of its own direction, |C_From ∩ C_To| / |C_From|.
 func TestVerifyComputesExactConfidence(t *testing.T) {
 	m := matrix.MustNew(5, [][]int32{
 		{0, 1, 2},    // C0
@@ -113,7 +135,7 @@ func TestVerifyComputesExactConfidence(t *testing.T) {
 		{From: 1, To: 0, Estimate: 0.9},
 		{From: 0, To: 2, Estimate: 0.9},
 	}
-	out, err := Verify(m.Stream(), cand, 0.7)
+	out, err := verifyRules(m.Stream(), cand, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,30 +150,62 @@ func TestVerifyComputesExactConfidence(t *testing.T) {
 	}
 }
 
+// TestVerifyValidation: the pass rejects a self rule and a column out
+// of range, and a rules run rejects confidence 0 before it gets there.
 func TestVerifyValidation(t *testing.T) {
 	m := matrix.MustNew(2, [][]int32{{0}, {1}})
-	if _, err := Verify(m.Stream(), []Rule{{From: 0, To: 0}}, 0.5); err == nil {
+	if _, err := verifyRules(m.Stream(), []Rule{{From: 0, To: 0}}, 0.5); err == nil {
 		t.Error("self rule accepted")
 	}
-	if _, err := Verify(m.Stream(), []Rule{{From: 0, To: 9}}, 0.5); err == nil {
+	if _, err := verifyRules(m.Stream(), []Rule{{From: 0, To: 9}}, 0.5); err == nil {
 		t.Error("out-of-range rule accepted")
 	}
-	if _, err := Verify(m.Stream(), nil, 0); err == nil {
+	sig, err := minhash.Compute(m.Stream(), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Candidates(context.Background(), sig, Options{MinConfidence: 0}); err == nil {
 		t.Error("minConf 0 accepted")
 	}
 }
 
+// TestVerifyDeduplicatesRules: each directed rule is verified once. The
+// pass keeps every candidate it is given, so the candidates — swept or
+// answered from a kept Triangle — name each directed rule at most once.
 func TestVerifyDeduplicatesRules(t *testing.T) {
-	m := matrix.MustNew(3, [][]int32{{0, 1}, {0, 1, 2}})
-	cand := []Rule{
-		{From: 0, To: 1}, {From: 0, To: 1}, {From: 0, To: 1},
-	}
-	out, err := Verify(m.Stream(), cand, 0.5)
+	m, _, _ := caviarFixture(hashing.NewSplitMix64(5), 2000)
+	sig, err := minhash.Compute(m.Stream(), 60, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 {
-		t.Fatalf("duplicated rule verified %d times", len(out))
+	opt := Options{MinConfidence: 0.2}
+	swept, err := Candidates(context.Background(), sig, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri, err := Sweep(context.Background(), sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := tri.Rules(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cand := range map[string][]Rule{"swept": swept, "triangle": kept} {
+		verified, err := verifyRules(m.Stream(), cand, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(verified) == 0 {
+			t.Fatalf("%s: nothing verified", name)
+		}
+		seen := map[[2]int32]bool{}
+		for _, r := range verified {
+			if seen[[2]int32{r.From, r.To}] {
+				t.Errorf("%s: rule %d => %d verified twice", name, r.From, r.To)
+			}
+			seen[[2]int32{r.From, r.To}] = true
+		}
 	}
 }
 
@@ -163,7 +217,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := Verify(m.Stream(), cand, 0.9)
+	verified, err := verifyRules(m.Stream(), cand, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,9 +132,9 @@ func (q TopPairsRequest) validate(_ *index, opts *Options) error {
 }
 
 // RulesRequest asks for all rules with confidence >= MinConfidence
-// (§6, support-free). Its one data pass honours the wall-clock budget;
-// rules.Verify keeps one counter per candidate pair and takes no memory
-// budget.
+// (§6, support-free). Its one data pass — phase 3's verify.Verify,
+// admitting by confidence — honours the wall-clock budget; a rules run
+// has no memory budget to give it.
 type RulesRequest struct {
 	MinConfidence float64 `json:"min_confidence"`
 	// Delta loosens the candidate filter (see assocmine.RuleConfig);

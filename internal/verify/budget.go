@@ -32,8 +32,9 @@ import (
 // Budget bounds the memory of the verification counter table.
 type Budget struct {
 	// Bytes is the counter-table budget in bytes; <= 0 means unlimited
-	// (no spilling). The candidate list itself and the per-column
-	// candidate index are inputs and are not charged against it.
+	// (no spilling). The candidate list itself, the per-column
+	// candidate index and the per-column ones counters are inputs and
+	// are not charged against it.
 	Bytes int64
 	// Dir receives the spill files, one per worker; "" means the OS temp
 	// directory. They are deleted before the call returns.
@@ -189,11 +190,14 @@ func (t *spillTable) free(pos []int32) {
 type runSection struct{ off, n int64 }
 
 // budgetWorker is the spilling scalar kernel: the counters of one
-// contiguous candidate shard in a bounded table.
+// contiguous candidate shard in a bounded table, beside a ones counter
+// per column a candidate names (not charged to the budget, like
+// pairsOf).
 type budgetWorker struct {
 	cand       []pairs.Scored
-	threshold  float64
+	adm        admission
 	pairsOf    pairIndex
+	ones       []int32
 	table      *spillTable
 	maxEntries int
 	fanIn      int
@@ -206,11 +210,12 @@ type budgetWorker struct {
 	st         Stats
 }
 
-func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, fanIn int, dir string) *budgetWorker {
+func newBudgetWorker(m int, cand []pairs.Scored, adm admission, maxEntries, fanIn int, dir string) *budgetWorker {
 	return &budgetWorker{
 		cand:       cand,
-		threshold:  threshold,
+		adm:        adm,
 		pairsOf:    newPairIndex(m, cand),
+		ones:       make([]int32, m),
 		table:      newSpillTable(maxEntries),
 		maxEntries: maxEntries,
 		fanIn:      fanIn,
@@ -224,11 +229,15 @@ func newBudgetWorker(m int, cand []pairs.Scored, threshold float64, maxEntries, 
 // first endpoint's entry resident, so the table may exceed the bound by
 // the candidates one row touches.
 func (w *budgetWorker) processRow(r int32, cols []int32) error {
-	t := w.table
+	t, start := w.table, w.pairsOf.start
 	for _, c := range cols {
-		idxs := w.pairsOf.of(c)
-		w.st.Touches += int64(len(idxs))
-		for _, idx := range idxs {
+		lo, hi := start[c], start[c+1]
+		if lo == hi {
+			continue
+		}
+		w.ones[c]++
+		w.st.Touches += int64(hi - lo)
+		for _, idx := range w.pairsOf.idx[lo:hi] {
 			t.touch(idx, r)
 		}
 	}
@@ -299,8 +308,8 @@ func (w *budgetWorker) finish() ([]pairs.Scored, error) {
 	w.open(cursors, runs)
 	cursors[len(runs)] = runCursor{table: w.table, tpos: w.table.sorted()}
 	err := mergeCursors(cursors, w.winEither, w.winBoth, func(e spillEntry) error {
-		if s := float64(e.both) / float64(e.either); s >= w.threshold {
-			p := w.cand[e.idx]
+		p := w.cand[e.idx]
+		if s, ok := w.adm.admit(int64(w.ones[p.I]), int64(w.ones[p.J]), int64(e.both), int64(e.either)); ok {
 			p.Exact = s
 			out = append(out, p)
 		}

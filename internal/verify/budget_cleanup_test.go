@@ -34,7 +34,7 @@ func TestBudgetWorkerCleanupAfterMergeFailure(t *testing.T) {
 	m := randomMatrix(rng, 400, 40, 0.2)
 	cand := allPairsCandidates(40)
 	dir := t.TempDir()
-	w := newBudgetWorker(40, cand, 0.01, minSpillEntries, spillFanIn, dir)
+	w := newBudgetWorker(40, cand, newAdmission(400, Params{Threshold: 0.01}), minSpillEntries, spillFanIn, dir)
 	err := m.Stream().Scan(func(row int, cols []int32) error {
 		return w.processRow(int32(row), cols)
 	})

@@ -202,6 +202,7 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 		return make([]pairs.Scored, 0), st, nil
 	}
 
+	adm := newAdmission(src.NumRows(), p)
 	slot := make([]int32, m)
 	for i := range slot {
 		slot[i] = -1
@@ -256,7 +257,7 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 			wg.Add(1)
 			go func(s, lo, hi int) {
 				defer wg.Done()
-				outs[s], work[s], errs[s] = packedSweep(ctx, batch[lo:hi], &cs, slot, p.Threshold, &done, total, p.Tick)
+				outs[s], work[s], errs[s] = packedSweep(ctx, batch[lo:hi], &cs, slot, adm, &done, total, p.Tick)
 			}(s, sh[0], sh[1])
 		}
 		wg.Wait()
@@ -286,19 +287,17 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 // Touches and PackedWords. done/tick report progress in candidate pairs
 // across the whole call (done is shared by all sweeps); ctx is checked
 // every packedTickChunk pairs.
-func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, slot []int32, threshold float64, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, slot []int32, adm admission, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	out := make([]pairs.Scored, 0, len(batch)/4)
 	var work Stats
 	for idx, p := range batch {
 		si, sj := slot[p.I], slot[p.J]
 		and := cs.and(si, sj, &work.PackedWords)
-		ones := cs.ones[si] + cs.ones[sj]
-		work.Touches += ones
-		if or := ones - and; or != 0 {
-			if s := float64(and) / float64(or); s >= threshold {
-				p.Exact = s
-				out = append(out, p)
-			}
+		a, b := cs.ones[si], cs.ones[sj]
+		work.Touches += a + b
+		if s, ok := adm.admit(a, b, and, a+b-and); ok {
+			p.Exact = s
+			out = append(out, p)
 		}
 		if (idx+1)%packedTickChunk == 0 {
 			if err := ctx.Err(); err != nil {

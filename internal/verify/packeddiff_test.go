@@ -3,11 +3,14 @@ package verify
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/measures"
 	"assocmine/internal/pairs"
+	"assocmine/internal/rules"
 )
 
 // randomCandidates draws count pairs (duplicates allowed — the scalar
@@ -164,38 +167,147 @@ func TestPackedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPackedDerivedUnionEdges: the union is derived as |C_i| + |C_j| −
-// |C_i ∩ C_j|, so its edges are a pair with an empty column (union =
+// TestPackedDerivedUnionEdges: every kernel admits by a measure of the
+// pair's contingency counts, the union derived as |C_I| + |C_J| −
+// |C_I ∩ C_J|, so the edges are a pair with an empty column (union =
 // the other column, similarity 0), two empty columns (union 0, never
-// emitted), two identical columns (union = intersection, similarity 1)
-// and disjoint columns (intersection 0). Threshold 0 keeps every pair
-// with a non-empty union, so the 0 similarities are compared too.
+// emitted), two identical columns (union = intersection, similarity 1),
+// disjoint columns (intersection 0) and, for the confidence of I => J,
+// an empty antecedent (|C_I| = 0 under a non-empty union, never
+// emitted). Threshold 0 keeps every pair with a non-empty union, so the
+// 0 scores are compared too. Each measure's reference — Exact for
+// similarity, confidenceOracle for §6's rules — must come out bit for
+// bit, order included, of the scalar, packed and spilling kernels at 1
+// and 4 workers, over column lists and over a stream-only source.
 func TestPackedDerivedUnionEdges(t *testing.T) {
-	full := make([]int32, 0, 130) // spans three words, the last partial
-	for r := int32(0); r < 130; r += 2 {
+	const n = 130
+	full := make([]int32, 0, n) // spans three words, the last partial
+	for r := int32(0); r < n; r += 2 {
 		full = append(full, r)
 	}
 	odd := []int32{1, 63, 65, 129}
-	m := matrix.MustNew(130, [][]int32{full, {}, full, {}, odd})
-	cand := []pairs.Scored{
-		{Pair: pairs.Make(0, 1)}, // non-empty with empty
-		{Pair: pairs.Make(1, 3)}, // both empty
-		{Pair: pairs.Make(0, 2)}, // identical
-		{Pair: pairs.Make(0, 4)}, // disjoint
-		{Pair: pairs.Make(1, 4)}, // empty with non-empty, the other way round
+	cols := [][]int32{full, {}, full, {}, odd}
+	edges := []pairs.Scored{
+		{Pair: pairs.Make(0, 1)},       // non-empty with empty: confidence 0
+		{Pair: pairs.Make(1, 3)},       // both empty
+		{Pair: pairs.Make(0, 2)},       // identical
+		{Pair: pairs.Make(0, 4)},       // disjoint
+		{Pair: pairs.Make(1, 4)},       // empty with non-empty: an empty antecedent
+		{Pair: pairs.Pair{I: 2, J: 0}}, // identical, the other way round
 	}
 	for _, threshold := range []float64{0, 0.5, 1} {
-		want, wantStats, err := Exact(m.Stream(), cand, threshold)
+		m := matrix.MustNew(n, cols)
+		want, wantStats, err := Exact(m.Stream(), edges, threshold)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
-			comparePacked(t, src, cand, threshold, PackedOptions{}, want, wantStats)
+			comparePacked(t, src, edges, threshold, PackedOptions{}, want, wantStats)
 		}
-		if threshold == 1 && (len(want) != 1 || want[0].Pair != pairs.Make(0, 2) || want[0].Exact != 1) {
-			t.Fatalf("at threshold 1 only the identical pair should survive, got %v", want)
+		if threshold == 1 && (len(want) != 2 || want[0].Pair != pairs.Make(0, 2) || want[0].Exact != 1) {
+			t.Fatalf("at threshold 1 only the identical pairs should survive, got %v", want)
 		}
 	}
+
+	// The kernel matrix, over enough directed candidates to shard four
+	// ways and to spill the smallest table.
+	rng := hashing.NewSplitMix64(11)
+	for len(cols) < 24 {
+		var c []int32
+		for r := int32(0); r < n; r++ {
+			if rng.Float64() < 0.15 {
+				c = append(c, r)
+			}
+		}
+		cols = append(cols, c)
+	}
+	m := matrix.MustNew(n, cols)
+	cand := slices.Clone(edges)
+	for i := int32(5); i < int32(len(cols)); i++ {
+		for j := int32(5); j < int32(len(cols)); j++ {
+			if i != j {
+				cand = append(cand, pairs.Scored{Pair: pairs.Pair{I: i, J: j}, Estimate: rng.Float64()})
+			}
+		}
+	}
+	kernels := []struct {
+		name   string
+		kernel Kernel
+		budget int64
+	}{
+		{"scalar", KernelScalar, 0},
+		{"packed", KernelPacked, 0},
+		{"spill", KernelScalar, minSpillEntries * spillEntryBytes},
+	}
+	for _, threshold := range []float64{0, 0.5, 1} {
+		similar, _, err := Exact(m.Stream(), cand, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ms := range []struct {
+			name    string
+			measure func(measures.Counts) float64
+			want    []pairs.Scored
+		}{
+			{"similarity", nil, similar},
+			{"confidence", rules.Confidence, confidenceOracle(cols, cand, threshold)},
+		} {
+			for _, p := range ms.want {
+				if len(cols[p.I]) == 0 && (ms.name == "confidence" || len(cols[p.J]) == 0) {
+					t.Fatalf("%s at %v: emitted %v", ms.name, threshold, p)
+				}
+			}
+			for _, k := range kernels {
+				for _, workers := range []int{1, 4} {
+					for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
+						got, st, err := Verify(src, cand, Params{
+							Threshold: threshold, Measure: ms.measure, Kernel: k.kernel,
+							Budget: Budget{Bytes: k.budget, Dir: t.TempDir()}, Workers: workers,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, ms.want) {
+							i := 0
+							for i < min(len(got), len(ms.want)) && got[i] == ms.want[i] {
+								i++
+							}
+							t.Fatalf("%s at %v, %s kernel, %d workers, %T: %d pairs, want %d; first difference at %d",
+								ms.name, threshold, k.name, workers, src, len(got), len(ms.want), i)
+						}
+						if k.budget > 0 && st.SpillRuns == 0 {
+							t.Fatalf("%s kernel at %d workers did not spill", k.name, workers)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// confidenceOracle is the confidence of each rule I => J counted
+// directly from the columns, |C_I ∩ C_J| / |C_I|, for the candidates
+// whose antecedent is non-empty and whose confidence reaches threshold,
+// in candidate order.
+func confidenceOracle(cols [][]int32, cand []pairs.Scored, threshold float64) []pairs.Scored {
+	var out []pairs.Scored
+	for _, p := range cand {
+		from, to := cols[p.I], cols[p.J]
+		if len(from) == 0 {
+			continue
+		}
+		inter := 0
+		for _, r := range from {
+			if _, ok := slices.BinarySearch(to, r); ok {
+				inter++
+			}
+		}
+		if conf := float64(inter) / float64(len(from)); conf >= threshold {
+			p.Exact = conf
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestPackedCancellation: a cancelled context aborts the pass with

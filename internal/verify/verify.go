@@ -1,8 +1,10 @@
 // Package verify implements the third phase shared by all the paper's
 // algorithms: a final pass over the original data that, for each
 // candidate column pair, counts the rows with a 1 in at least one of
-// the two columns and the rows with a 1 in both, yielding the exact
-// similarity and eliminating every false positive.
+// the two columns and the rows with a 1 in both, beside each column's
+// ones, yielding the exact similarity — or any other measure of those
+// contingency counts, §6's confidence among them — and eliminating
+// every false positive.
 //
 // It also provides the exact all-pairs ground truth the experiments
 // compare against ("computed in an offline fashion by a brute-force
@@ -15,6 +17,7 @@ import (
 	"runtime"
 
 	"assocmine/internal/matrix"
+	"assocmine/internal/measures"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -51,7 +54,8 @@ type Stats struct {
 }
 
 // pairIndex lists, for every column, the candidates it is an endpoint
-// of, in increasing candidate order: of(c) is idx[start[c]:start[c+1]].
+// of, in increasing candidate order: column c's are
+// idx[start[c]:start[c+1]].
 type pairIndex struct {
 	start []uint32
 	idx   []int32
@@ -79,14 +83,42 @@ func newPairIndex(m int, cand []pairs.Scored) pairIndex {
 	return pairIndex{start: start[:m+1], idx: idx}
 }
 
-func (x pairIndex) of(c int32) []int32 { return x.idx[x.start[c]:x.start[c+1]] }
+// admission is phase 3's one test, applied by every kernel to what it
+// counted for a candidate (I, J): a non-empty union — a pair no row
+// touches is never emitted, whatever the threshold — and the measure of
+// the contingency counts at or above the threshold. A measure returns
+// NaN for counts it does not define, and NaN passes no threshold.
+type admission struct {
+	n         int // rows of the pass
+	threshold float64
+	measure   func(measures.Counts) float64
+}
+
+func newAdmission(n int, p Params) admission {
+	adm := admission{n: n, threshold: p.Threshold, measure: p.Measure}
+	if adm.measure == nil {
+		adm.measure = measures.Counts.Jaccard
+	}
+	return adm
+}
+
+// admit scores a = |C_I|, b = |C_J|, inter = |C_I ∩ C_J| of a pair the
+// kernel saw in union rows and reports whether it passes.
+func (adm admission) admit(a, b, inter, union int64) (float64, bool) {
+	if union == 0 {
+		return 0, false
+	}
+	s := adm.measure(measures.Counts{N: adm.n, A: int(a), B: int(b), Inter: int(inter)})
+	return s, s >= adm.threshold
+}
 
 // counter is the scalar kernels' contract: the |C_i ∪ C_j| and
 // |C_i ∩ C_j| counters of one contiguous slice of the candidate list,
-// fed every row of the pass in row order and then finished into the
-// slice's survivors — the candidates at or above the threshold, in
-// order, with Exact filled in. exactCounters keeps them dense,
-// budgetWorker in a bounded table that spills; count schedules either.
+// beside the ones of every column, fed every row of the pass in row
+// order and then finished into the slice's survivors — the candidates
+// the admission passes, in order, with Exact filled in. exactCounters
+// keeps them dense, budgetWorker in a bounded table that spills; count
+// schedules either.
 type counter interface {
 	processRow(r int32, cols []int32) error
 	finish() ([]pairs.Scored, error)
@@ -100,19 +132,21 @@ type counter interface {
 
 // exactCounters is the dense scalar kernel: a counter pair per
 // candidate and the last row that touched it, which tells a row's
-// second endpoint from its first.
+// second endpoint from its first, and a ones counter per column that
+// a candidate names.
 type exactCounters struct {
 	cand                  []pairs.Scored
-	threshold             float64
+	adm                   admission
 	pairsOf               pairIndex
 	either, both, lastRow []int32
+	ones                  []int32
 	touches               int64
 }
 
 // newExactCounters prepares the counters of cand (already validated)
 // over m columns.
-func newExactCounters(m int, cand []pairs.Scored, threshold float64) *exactCounters {
-	x := &exactCounters{cand: cand, threshold: threshold, pairsOf: newPairIndex(m, cand)}
+func newExactCounters(m int, cand []pairs.Scored, adm admission) *exactCounters {
+	x := &exactCounters{cand: cand, adm: adm, pairsOf: newPairIndex(m, cand), ones: make([]int32, m)}
 	x.either = make([]int32, len(cand))
 	x.both = make([]int32, len(cand))
 	x.lastRow = make([]int32, len(cand))
@@ -122,13 +156,19 @@ func newExactCounters(m int, cand []pairs.Scored, threshold float64) *exactCount
 	return x
 }
 
-// processRow counts one row of the data.
+// processRow counts one row of the data. A column no candidate names
+// costs one lookup: neither its ones nor a counter of it is ever read.
 func (x *exactCounters) processRow(r int32, cols []int32) error {
 	either, both, lastRow := x.either, x.both, x.lastRow
+	start := x.pairsOf.start
 	for _, c := range cols {
-		idxs := x.pairsOf.of(c)
-		x.touches += int64(len(idxs))
-		for _, idx := range idxs {
+		lo, hi := start[c], start[c+1]
+		if lo == hi {
+			continue
+		}
+		x.ones[c]++
+		x.touches += int64(hi - lo)
+		for _, idx := range x.pairsOf.idx[lo:hi] {
 			if lastRow[idx] == r {
 				// Second endpoint seen in this row.
 				both[idx]++
@@ -144,10 +184,7 @@ func (x *exactCounters) processRow(r int32, cols []int32) error {
 func (x *exactCounters) finish() ([]pairs.Scored, error) {
 	out := make([]pairs.Scored, 0, len(x.cand)/4)
 	for idx, p := range x.cand {
-		if x.either[idx] == 0 {
-			continue
-		}
-		if s := float64(x.both[idx]) / float64(x.either[idx]); s >= x.threshold {
+		if s, ok := x.adm.admit(int64(x.ones[p.I]), int64(x.ones[p.J]), int64(x.both[idx]), int64(x.either[idx])); ok {
 			p.Exact = s
 			out = append(out, p)
 		}
@@ -189,7 +226,7 @@ func Exact(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]pair
 	if len(cand) == 0 {
 		return nil, Stats{}, nil
 	}
-	x := newExactCounters(src.NumCols(), cand, threshold)
+	x := newExactCounters(src.NumCols(), cand, newAdmission(src.NumRows(), Params{Threshold: threshold}))
 	err := src.Scan(func(row int, cols []int32) error {
 		return x.processRow(int32(row), cols)
 	})
@@ -205,6 +242,10 @@ func Exact(src matrix.RowSource, cand []pairs.Scored, threshold float64) ([]pair
 type Params struct {
 	// Threshold is s*, in [0,1]: candidates below it are pruned.
 	Threshold float64
+	// Measure scores a candidate (I, J) from its contingency counts
+	// (A = |C_I|, B = |C_J|); nil is the Jaccard similarity. The
+	// threshold applies to it, and Exact reports it.
+	Measure func(measures.Counts) float64
 	// Kernel picks the counting strategy; the zero value, KernelAuto,
 	// packs when autoPack approves of (n, m, cand, Budget.Bytes).
 	Kernel Kernel
@@ -294,6 +335,7 @@ func count(src matrix.RowSource, cand []pairs.Scored, p Params, fanIn int) ([]pa
 	}
 	m := src.NumCols()
 	shards := contiguousShards(len(cand), shardWorkers(p.Workers, len(cand)))
+	adm := newAdmission(src.NumRows(), p)
 	dense := p.Budget.Bytes <= 0 || int64(len(cand))*denseCounterBytes <= p.Budget.Bytes
 	maxEntries := max(minSpillEntries, int(p.Budget.Bytes/int64(len(shards))/spillEntryBytes))
 	cs := make([]counter, len(shards))
@@ -301,9 +343,9 @@ func count(src matrix.RowSource, cand []pairs.Scored, p Params, fanIn int) ([]pa
 	for s, sh := range shards {
 		var c counter
 		if part := cand[sh[0]:sh[1]]; dense {
-			c = newExactCounters(m, part, p.Threshold)
+			c = newExactCounters(m, part, adm)
 		} else {
-			c = newBudgetWorker(m, part, p.Threshold, maxEntries, fanIn, p.Budget.Dir)
+			c = newBudgetWorker(m, part, adm, maxEntries, fanIn, p.Budget.Dir)
 		}
 		defer c.cleanup()
 		cs[s] = c

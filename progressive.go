@@ -77,7 +77,7 @@ func ProgressiveSimilarPairs(d *Dataset, cfg Config, fn func(Progress) bool) (*R
 		bucketPairs += work
 		fresh := gather.Add(band[:0], band)
 		vstart := time.Now()
-		verified, err := r.exact(fresh, nil)
+		verified, err := r.exact(fresh, nil, nil)
 		st.VerifyTime += time.Since(vstart)
 		if err != nil {
 			return nil, err

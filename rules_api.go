@@ -1,8 +1,10 @@
 package assocmine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
@@ -115,14 +117,16 @@ func MineRulesWithSignatures(d *Dataset, s *Signatures, cfg RuleConfig) (*RulesR
 
 // mineRules is §6 as the paper gives it — the §2 template again — so it
 // is the driver's four steps over the MH fold (or the adopted sketch)
-// with the rules scheme for phases 2 and 3, on one worker and with no
-// recorder; Stats is what the run counted.
+// with the rules scheme, on one worker and with no recorder; Stats is
+// what the run counted. Verified rules come by decreasing confidence,
+// unverified ones in the estimate order phase 2 left.
 func mineRules(src matrix.RowSource, pre *adopted, cfg RuleConfig) (*RulesResult, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
 	r := newRun(src, nil, Config{
-		Algorithm: MinHash, K: cfg.K, Seed: cfg.Seed, Context: cfg.Context, SkipVerify: cfg.SkipVerify, Workers: 1,
+		Algorithm: MinHash, K: cfg.K, Seed: cfg.Seed, Threshold: cfg.MinConfidence,
+		Context: cfg.Context, SkipVerify: cfg.SkipVerify, Workers: 1,
 	})
 	ps, err := r.mine(r.rulesScheme(cfg), pre)
 	if err != nil {
@@ -132,25 +136,23 @@ func mineRules(src matrix.RowSource, pre *adopted, cfg RuleConfig) (*RulesResult
 	for i, p := range ps {
 		out[i] = Rule{From: int(p.I), To: int(p.J), Estimate: p.Estimate, Confidence: p.Exact}
 	}
+	if !cfg.SkipVerify {
+		slices.SortFunc(out, func(a, b Rule) int {
+			return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+		})
+	}
 	return &RulesResult{Rules: out, Stats: r.st}, nil
 }
 
 // rulesScheme is §6's row of the template: candidates by the extended
 // Row-Sorting estimate over the MH sketch — filtered from the triangle
-// a resident sketch keeps, or swept for this run — pruned by one exact
-// confidence pass over the run's counted source. A rule travels through
-// the driver as a directed pair (I => J), in the order the rules
-// package left it: estimate, or verified confidence, decreasing.
+// a resident sketch keeps, or swept for this run — pruned by the
+// run's one exact pass with confidence as the measure. A rule travels
+// through the driver as a directed pair (I => J).
 func (r *run) rulesScheme(cfg RuleConfig) scheme {
-	directed := func(rs []rules.Rule) []pairs.Scored {
-		out := make([]pairs.Scored, len(rs))
-		for i, x := range rs {
-			out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate, Exact: x.Exact}
-		}
-		return out
-	}
 	return scheme{
-		serial: true,
+		serial:  true,
+		measure: rules.Confidence,
 		generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
 			opt := rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence}
 			tri, err := r.kept.triangle.get(r.rec, rules.TriangleBytes(sk.MH.M), nil, func() (*rules.Triangle, error) {
@@ -165,15 +167,11 @@ func (r *run) rulesScheme(cfg RuleConfig) scheme {
 			} else {
 				cand, err = rules.Candidates(cfg.Context, sk.MH, opt)
 			}
-			return directed(cand), err
-		},
-		verify: func(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {
-			rs := make([]rules.Rule, len(cand))
-			for i, p := range cand {
-				rs[i] = rules.Rule{From: p.I, To: p.J, Estimate: p.Estimate}
+			out := make([]pairs.Scored, len(cand))
+			for i, x := range cand {
+				out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate}
 			}
-			kept, err := rules.Verify(r.ticked(tick), rs, cfg.MinConfidence)
-			return directed(kept), err
+			return out, err
 		},
 	}
 }

@@ -1,12 +1,15 @@
 package assocmine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
+	"assocmine/internal/pairs"
 	"assocmine/internal/rules"
 )
 
@@ -44,14 +47,62 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg RuleConfig) []Rule {
 		}
 		return out
 	}
-	verified, err := rules.Verify(src, cand, cfg.MinConfidence)
+	// The reference exact pass: each directed rule once, the distinct
+	// undirected pairs behind them counted in one scan beside every
+	// column's size, by decreasing confidence.
+	rs := slices.Clone(cand)
+	slices.SortStableFunc(rs, func(a, b rules.Rule) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	rs = slices.CompactFunc(rs, func(a, b rules.Rule) bool { return a.From == b.From && a.To == b.To })
+	keys := make([]uint64, len(rs))
+	for i, r := range rs {
+		keys[i] = pairs.Make(r.From, r.To).Key()
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	pairsOf := make([][]int32, src.NumCols())
+	for idx, key := range keys {
+		p := pairs.FromKey(key)
+		pairsOf[p.I] = append(pairsOf[p.I], int32(idx))
+		pairsOf[p.J] = append(pairsOf[p.J], int32(idx))
+	}
+	inter := make([]int32, len(keys))
+	lastRow := make([]int32, len(keys))
+	for i := range lastRow {
+		lastRow[i] = -1
+	}
+	colSize := make([]int32, src.NumCols())
+	err = src.Scan(func(row int, cols []int32) error {
+		r := int32(row)
+		for _, c := range cols {
+			colSize[c]++
+			for _, idx := range pairsOf[c] {
+				if lastRow[idx] == r {
+					inter[idx]++
+				} else {
+					lastRow[idx] = r
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Rule, len(verified))
-	for i, r := range verified {
-		out[i] = Rule{From: int(r.From), To: int(r.To), Estimate: r.Estimate, Confidence: r.Exact}
+	var out []Rule
+	for _, r := range rs {
+		if colSize[r.From] == 0 {
+			continue
+		}
+		idx, _ := slices.BinarySearch(keys, pairs.Make(r.From, r.To).Key())
+		if conf := float64(inter[idx]) / float64(colSize[r.From]); conf >= cfg.MinConfidence {
+			out = append(out, Rule{From: int(r.From), To: int(r.To), Estimate: r.Estimate, Confidence: conf})
+		}
 	}
+	slices.SortFunc(out, func(a, b Rule) int {
+		return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
 	return out
 }
 

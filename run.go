@@ -11,6 +11,7 @@ import (
 	"assocmine/internal/fold"
 	"assocmine/internal/hamminglsh"
 	"assocmine/internal/matrix"
+	"assocmine/internal/measures"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 	"assocmine/internal/rules"
@@ -27,8 +28,8 @@ import (
 //	            and the phase-2 index it carries
 //	candidates  phase 2: the scheme's in-memory kernel over the index —
 //	            every unit of it, or the one column a query names
-//	verify      phase 3: one exact pass pruning the candidates, by
-//	            similarity or by the scheme's own measure
+//	verify      phase 3: one exact pass pruning the candidates by the
+//	            scheme's measure — similarity unless it names another
 //	finish      pass, I/O and pair counters into Stats and the Recorder
 //
 // The run owns the recorder, the progress sink, the counted source and
@@ -95,16 +96,15 @@ func (d *Dataset) run(cfg Config) *run {
 
 // scheme is one row of the template: the phase 2 that reads the sketch
 // the fold left (internal/fold maps the algorithm to the fold; phase 1
-// is the same code for all of them) and, for a row that prunes by its
-// own measure, the phase 3 to run in place of the similarity pass.
+// is the same code for all of them) and the measure phase 3 prunes by.
 type scheme struct {
 	// generate is phase 2. tick reports its progress in the kernel's own
 	// unit (columns, bands, or rows for the schemes that scan).
 	generate func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error)
-	// verify, when non-nil, is phase 3 in place of run.exact: one pass
-	// over r.ticked(tick) keeping the candidates that pass (§6 prunes by
-	// confidence, which needs |C_from| beside the pair counts).
-	verify func(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error)
+	// measure is what run.exact admits a candidate (I, J) by, over its
+	// contingency counts; nil is similarity. §6 prunes by the confidence
+	// of I => J.
+	measure func(measures.Counts) float64
 	// exact: generate already returns exact similarities, so there is
 	// nothing to verify. serial: generate ignores Config.Workers.
 	exact, serial bool
@@ -439,15 +439,11 @@ func (r *run) candidates(sch scheme, sk fold.Sketch) ([]pairs.Scored, error) {
 	return cand, nil
 }
 
-// verify is phase 3: one exact pass under its span — the scheme's own
-// when it has one, the similarity pass otherwise.
+// verify is phase 3: one exact pass under its span, by the scheme's
+// measure.
 func (r *run) verify(sch scheme, cand []pairs.Scored) ([]pairs.Scored, error) {
-	pass := sch.verify
-	if pass == nil {
-		pass = r.exact
-	}
 	out, d, err := phase(r, PhaseVerify, func(tick obs.Tick) ([]pairs.Scored, error) {
-		return pass(cand, tick)
+		return r.exact(cand, sch.measure, tick)
 	})
 	if err != nil {
 		return nil, err
@@ -458,10 +454,10 @@ func (r *run) verify(sch scheme, cand []pairs.Scored) ([]pairs.Scored, error) {
 	return out, nil
 }
 
-// exact prunes cand to the pairs whose exact similarity reaches the
-// threshold — verify.Verify, which owns every kernel and budget
-// decision — and records the pass's work. What belongs to the run is the
-// view of the data the pass reads:
+// exact prunes cand to the pairs whose exact measure (nil: similarity)
+// reaches the threshold — verify.Verify, which owns every kernel and
+// budget decision — and records the pass's work. What belongs to the
+// run is the view of the data the pass reads:
 //
 //   - Unbudgeted in-memory runs skip the counted stream and account
 //     their pass by hand: the packed kernel packs straight from the
@@ -473,7 +469,7 @@ func (r *run) verify(sch scheme, cand []pairs.Scored) ([]pairs.Scored, error) {
 //
 // tick counts candidate pairs, or rows when a single reader scans for
 // the scalar kernel.
-func (r *run) exact(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) {
+func (r *run) exact(cand []pairs.Scored, measure func(measures.Counts) float64, tick obs.Tick) ([]pairs.Scored, error) {
 	cfg := r.cfg
 	src := matrix.RowSource(r.counting)
 	if cfg.MemoryBudget <= 0 && len(cand) > 0 && matrix.CanScanConcurrently(r.base) {
@@ -482,6 +478,7 @@ func (r *run) exact(cand []pairs.Scored, tick obs.Tick) ([]pairs.Scored, error) 
 	}
 	out, vst, err := verify.Verify(src, cand, verify.Params{
 		Threshold: cfg.Threshold,
+		Measure:   measure,
 		Kernel:    cfg.VerifyKernel,
 		Budget:    verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir},
 		Workers:   cfg.Workers,
