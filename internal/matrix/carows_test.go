@@ -63,9 +63,6 @@ func TestFileSourceCompressedRoundTrip(t *testing.T) {
 			if fs.NumRows() != tc.m.NumRows() || fs.NumCols() != tc.m.NumCols() {
 				t.Fatalf("dims %dx%d", fs.NumRows(), fs.NumCols())
 			}
-			if !fs.Compressed() {
-				t.Error("Compressed() = false for .carows")
-			}
 			got, err := Collect(fs)
 			if err != nil {
 				t.Fatal(err)

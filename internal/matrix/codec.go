@@ -49,30 +49,6 @@ func WriteText(w io.Writer, m *Matrix) error {
 	return bw.Flush()
 }
 
-// ReadText parses the text format written by WriteText.
-func ReadText(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	rows, cols, err := readTextHeader(br)
-	if err != nil {
-		return nil, fmt.Errorf("matrix: %w", err)
-	}
-	b := NewBuilder(rows, cols)
-	var buf []int32
-	for row := 0; row < rows; row++ {
-		line, err := readLine(br)
-		if err == nil {
-			buf, err = parseTextRow(line, cols, buf[:0])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("matrix: row %d: %w", row, err)
-		}
-		for _, c := range buf {
-			b.Set(row, int(c))
-		}
-	}
-	return b.Build(), nil
-}
-
 // readTextHeader reads the two header lines of the text format — the
 // magic line and "rows cols" — and returns the dimensions.
 func readTextHeader(br lineReader) (rows, cols int, err error) {
@@ -265,9 +241,10 @@ func SaveFile(path string, m *Matrix) error {
 
 // LoadFile reads a matrix written by SaveFile or SaveRowBinary
 // (".amx" column binary, ".arows"/".carows" streaming binaries, text
-// otherwise).
+// otherwise). The row formats load through FileSource, so their decode
+// failures are *FileError values naming the path and byte offset.
 func LoadFile(path string) (*Matrix, error) {
-	if strings.HasSuffix(path, ".arows") || strings.HasSuffix(path, ".carows") {
+	if !strings.HasSuffix(path, ".amx") {
 		src, err := OpenFileSource(path)
 		if err != nil {
 			return nil, err
@@ -279,8 +256,5 @@ func LoadFile(path string) (*Matrix, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".amx") {
-		return ReadBinary(f)
-	}
-	return ReadText(f)
+	return ReadBinary(f)
 }

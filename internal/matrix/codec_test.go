@@ -1,7 +1,12 @@
 package matrix
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +14,109 @@ import (
 
 	"assocmine/internal/hashing"
 )
+
+// ReadText parses the text format written by WriteText from a reader:
+// the in-memory oracle the file path (LoadFile through FileSource's text
+// decoder) is held to.
+func ReadText(r io.Reader) (*Matrix, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	rows, cols, err := readTextHeader(br)
+	if err != nil {
+		return nil, fmt.Errorf("matrix: %w", err)
+	}
+	b := NewBuilder(rows, cols)
+	var buf []int32
+	for row := 0; row < rows; row++ {
+		line, err := readLine(br)
+		if err == nil {
+			buf, err = parseTextRow(line, cols, buf[:0])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("matrix: row %d: %w", row, err)
+		}
+		for _, c := range buf {
+			b.Set(row, int(c))
+		}
+	}
+	return b.Build(), nil
+}
+
+// TestLoadFileTextMatchesReadText: LoadFile of a ".txt" file (through
+// FileSource) gives the same matrix as the ReadText oracle, or fails
+// where the oracle fails — over the committed text fixtures, the text
+// fuzz seeds and hand-written edge files.
+func TestLoadFileTextMatchesReadText(t *testing.T) {
+	inputs := map[string][]byte{
+		"crlf":              []byte(textHeader + "\r\n3 3\r\n0 2\r\n\r\n1\r\n"),
+		"no-final-newline":  []byte(textHeader + "\n2 3\n0 1\n2"),
+		"blank-last-row":    []byte(textHeader + "\n2 3\n0 1\n\n"),
+		"blank-last-no-nl":  []byte(textHeader + "\n2 3\n0 1\n"),
+		"too-few-rows":      []byte(textHeader + "\n3 3\n0 1\n"),
+		"trailing-lines":    []byte(textHeader + "\n1 3\n2\nextra line\n9 9 9\n"),
+		"unsorted-repeats":  []byte(textHeader + "\n2 4\n3 1 1\n2 0\n"),
+		"empty":             nil,
+		"bad-dims":          []byte(textHeader + "\n-1 -1\n"),
+		"out-of-range":      []byte(textHeader + "\n1 1\n5\n"),
+		"fuzz-seed-rows":    []byte(textHeader + "\n2 2\n0 1\n\n"),
+		"fuzz-seed-scanrng": []byte(textHeader + "\n3 4\n3 1 1\n\n0 2\n"),
+	}
+	var seed bytes.Buffer
+	if err := WriteText(&seed, paperExample()); err != nil {
+		t.Fatal(err)
+	}
+	inputs["paper-example"] = seed.Bytes()
+	fixtures, err := filepath.Glob(filepath.Join("..", "..", "*", "*", "testdata", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*.txt"))
+	for _, path := range append(fixtures, root...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[path] = data
+	}
+	dir := t.TempDir()
+	for name, data := range inputs {
+		want, wantErr := ReadText(bytes.NewReader(data))
+		path := filepath.Join(dir, strings.NewReplacer("/", "_", ".", "_").Replace(name)+".txt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := LoadFile(path)
+		switch {
+		case (wantErr == nil) != (gotErr == nil):
+			t.Errorf("%s: ReadText err = %v, LoadFile err = %v", name, wantErr, gotErr)
+		case wantErr == nil && !matricesEqual(want, got):
+			t.Errorf("%s: LoadFile and ReadText disagree", name)
+		}
+	}
+}
+
+// TestLoadFileTextErrorNamesFile: a malformed ".txt" file fails with a
+// *FileError carrying its path and the byte offset reached.
+func TestLoadFileTextErrorNamesFile(t *testing.T) {
+	data := []byte(textHeader + "\n2 2\n0 1\nzzz\n")
+	path := filepath.Join(t.TempDir(), "bad.txt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadFile(path)
+	var fe *FileError
+	if !errors.As(err, &fe) {
+		t.Fatalf("err = %v (%T), want *FileError", err, err)
+	}
+	if fe.Path != path {
+		t.Errorf("FileError.Path = %q, want %q", fe.Path, path)
+	}
+	if fe.Offset <= 0 || fe.Offset > int64(len(data)) {
+		t.Errorf("FileError.Offset = %d outside file of %d bytes", fe.Offset, len(data))
+	}
+	if !strings.Contains(err.Error(), "row 1") {
+		t.Errorf("error %q does not name the failing row", err)
+	}
+}
 
 func TestTextRoundTrip(t *testing.T) {
 	m := paperExample()

@@ -151,10 +151,6 @@ func (fs *FileSource) FaultsInjected() int64 {
 // to call concurrently with Scan.
 func (fs *FileSource) SetRetryPolicy(p RetryPolicy) { fs.retry = p }
 
-// Compressed reports whether the source streams a compressed format
-// (".carows"), i.e. whether the codec counters below are live.
-func (fs *FileSource) Compressed() bool { return fs.format == formatCARows }
-
 // CompressedBytesRead implements CodecCounter: the physical bytes
 // compressed-format scans consumed. Zero for uncompressed sources —
 // their BytesRead is already the logical figure.

@@ -183,9 +183,6 @@ func (nopRecorder) PhaseEnd(string, time.Duration) {}
 func (nopRecorder) Add(string, int64)              {}
 func (nopRecorder) SetGauge(string, int64)         {}
 
-// Nop returns the no-op Recorder.
-func Nop() Recorder { return nopRecorder{} }
-
 // OrNop returns r, or the no-op recorder when r is nil.
 func OrNop(r Recorder) Recorder {
 	if r == nil {

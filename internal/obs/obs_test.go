@@ -59,7 +59,7 @@ func TestCollectorConcurrent(t *testing.T) {
 }
 
 func TestNopZeroAllocs(t *testing.T) {
-	rec := Nop()
+	rec := OrNop(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
 		rec.PhaseStart(PhaseVerify)
 		rec.Add(CounterVerifyTouches, 1)

@@ -81,7 +81,7 @@ func TestConcurrentQueriesBitIdentical(t *testing.T) {
 	if got := s.Queries(); got != workers*iters {
 		t.Errorf("query counter %d, want %d", got, workers*iters)
 	}
-	if got := s.Inflight(); got != 0 {
+	if got := s.inflightN.Load(); got != 0 {
 		t.Errorf("%d queries still in flight after all clients returned", got)
 	}
 
@@ -136,13 +136,13 @@ func TestThousandConcurrentInflight(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Inflight() < n {
+	for s.inflightN.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d queries in flight", s.Inflight(), n)
+			t.Fatalf("only %d of %d queries in flight", s.inflightN.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := s.Inflight(); got != n {
+	if got := s.inflightN.Load(); got != n {
 		t.Fatalf("in-flight gauge %d, want exactly %d", got, n)
 	}
 	close(release)
@@ -159,7 +159,7 @@ func TestThousandConcurrentInflight(t *testing.T) {
 	if got := s.Queries(); got != n {
 		t.Errorf("query counter %d, want %d", got, n)
 	}
-	if got := s.Inflight(); got != 0 {
+	if got := s.inflightN.Load(); got != 0 {
 		t.Errorf("%d queries still in flight", got)
 	}
 }

@@ -440,9 +440,6 @@ func (s *Server) Collector() *obs.Collector { return s.coll }
 // Queries returns the number of query requests accepted so far.
 func (s *Server) Queries() int64 { return s.queries.Load() }
 
-// Inflight returns the number of queries currently executing.
-func (s *Server) Inflight() int64 { return s.inflightN.Load() }
-
 // Start listens on addr ("host:port"; ":0" picks a free port) and
 // serves in a background goroutine until Shutdown. It returns the
 // bound address.
