@@ -32,10 +32,11 @@ race-all:
 
 # The instrument of ROADMAP items H and K, run alone. H: an exported
 # internal/* name needs a non-test caller in another package (bench/
-# counts) or a line on internal/testutil/testdata/unused_exports.txt.
-# K: an exported root name needs a caller in cmd/, examples/,
-# internal/serve, internal/eval, bench/ or an Example* test, or a line on
-# testdata/unused_root_exports.txt. Both lists only shrink. It is an
+# counts); there is no allowlist, and no non-test file may import the
+# test-support packages internal/testutil and internal/faultfs. K: an
+# exported root name needs a caller in cmd/, examples/, internal/serve,
+# internal/eval, bench/ or an Example* test, or a line on
+# testdata/unused_root_exports.txt, a list that only shrinks. It is an
 # ordinary test of internal/testutil, so `check` already runs it through
 # race-all.
 exports:

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"assocmine"
 	"assocmine/internal/serve"
 )
 
@@ -21,11 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden response files from 
 // seed, so every response body is fully deterministic.
 func goldenServer(t *testing.T, workers int) *serve.Server {
 	t.Helper()
-	data, err := assocmine.LoadDataset(filepath.Join("testdata", "golden.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := serve.New(data, serve.Options{SigK: 80, SketchK: 64, Seed: 3, Workers: workers})
+	s, err := serve.NewFromFile(filepath.Join("testdata", "golden.txt"), serve.Options{SigK: 80, SketchK: 64, Seed: 3, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

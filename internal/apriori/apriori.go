@@ -16,7 +16,6 @@ package apriori
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
@@ -43,8 +42,8 @@ type Options struct {
 	UseHashTree bool
 }
 
-// Itemset is a frequent attribute set with its absolute support count.
-type Itemset struct {
+// itemset is a frequent attribute set with its absolute support count.
+type itemset struct {
 	Items   []int32 // sorted ascending
 	Support int     // number of rows containing all items
 }
@@ -53,7 +52,7 @@ type Itemset struct {
 // and accounting for the comparison experiments.
 type Result struct {
 	NumRows    int
-	Levels     [][]Itemset
+	Levels     [][]itemset
 	Passes     int   // data passes performed
 	Candidates []int // candidate count per level
 	PeakMemory int64 // peak candidate/counter bytes
@@ -90,10 +89,10 @@ func Mine(src matrix.RowSource, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var level []Itemset
+	var level []itemset
 	for c, cnt := range counts {
 		if int(cnt) >= minCount {
-			level = append(level, Itemset{Items: []int32{int32(c)}, Support: int(cnt)})
+			level = append(level, itemset{Items: []int32{int32(c)}, Support: int(cnt)})
 		}
 	}
 	res.Candidates = append(res.Candidates, m)
@@ -137,7 +136,7 @@ func Mine(src matrix.RowSource, opt Options) (*Result, error) {
 		level = level[:0:0]
 		for i, c := range cand {
 			if supports[i] >= minCount {
-				level = append(level, Itemset{Items: c, Support: supports[i]})
+				level = append(level, itemset{Items: c, Support: supports[i]})
 			}
 		}
 		res.Levels = append(res.Levels, level)
@@ -151,7 +150,7 @@ func Mine(src matrix.RowSource, opt Options) (*Result, error) {
 // generateCandidates joins frequent (k-1)-itemsets sharing their first
 // k-2 items and prunes candidates with any infrequent (k-1)-subset —
 // the a-priori pruning step.
-func generateCandidates(prev []Itemset, k int) [][]int32 {
+func generateCandidates(prev []itemset, k int) [][]int32 {
 	// prev is sorted lexicographically by construction (level 1 is
 	// built in column order; joins preserve order).
 	freq := make(map[string]bool, len(prev))
@@ -284,67 +283,6 @@ func (r *Result) SimilarPairs(threshold float64) ([]pairs.Scored, error) {
 	}
 	pairs.SortScored(out)
 	return out, nil
-}
-
-// Rule is a classic association rule X => Y with its support fraction
-// and confidence.
-type Rule struct {
-	Antecedent []int32
-	Consequent []int32
-	Support    float64
-	Confidence float64
-}
-
-// Rules extracts all rules with confidence >= minConf from the frequent
-// itemsets (every non-empty proper subset of each frequent itemset is a
-// potential antecedent).
-func (r *Result) Rules(minConf float64) ([]Rule, error) {
-	if minConf <= 0 || minConf > 1 {
-		return nil, fmt.Errorf("apriori: minConf must be in (0,1], got %v", minConf)
-	}
-	support := map[string]int{}
-	for _, level := range r.Levels {
-		for _, it := range level {
-			support[itemKey(it.Items)] = it.Support
-		}
-	}
-	var rules []Rule
-	for lvl := 1; lvl < len(r.Levels); lvl++ {
-		for _, it := range r.Levels[lvl] {
-			k := len(it.Items)
-			// Enumerate non-empty proper subsets as antecedents.
-			for mask := 1; mask < (1<<k)-1; mask++ {
-				var ante, cons []int32
-				for b := 0; b < k; b++ {
-					if mask&(1<<b) != 0 {
-						ante = append(ante, it.Items[b])
-					} else {
-						cons = append(cons, it.Items[b])
-					}
-				}
-				anteSupp, ok := support[itemKey(ante)]
-				if !ok || anteSupp == 0 {
-					continue // antecedent below support threshold
-				}
-				conf := float64(it.Support) / float64(anteSupp)
-				if conf >= minConf {
-					rules = append(rules, Rule{
-						Antecedent: ante,
-						Consequent: cons,
-						Support:    float64(it.Support) / float64(r.NumRows),
-						Confidence: conf,
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(rules, func(a, b int) bool {
-		if rules[a].Confidence != rules[b].Confidence {
-			return rules[a].Confidence > rules[b].Confidence
-		}
-		return itemKey(rules[a].Antecedent) < itemKey(rules[b].Antecedent)
-	})
-	return rules, nil
 }
 
 // SupportPrune returns the column indices whose support (1-count

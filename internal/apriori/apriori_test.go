@@ -211,37 +211,6 @@ func TestSimilarPairs(t *testing.T) {
 	}
 }
 
-func TestRules(t *testing.T) {
-	res, err := Mine(textbook().Stream(), Options{MinSupport: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := res.Rules(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// {0}=>{1} has confidence 2/2 = 1; {3}=>{1} has confidence 2/2 = 1.
-	// {1}=>{0} has confidence 2/4 = 0.5 (excluded).
-	found := map[string]bool{}
-	for _, r := range rules {
-		if len(r.Antecedent) == 1 && len(r.Consequent) == 1 {
-			found[string(rune('0'+r.Antecedent[0]))+">"+string(rune('0'+r.Consequent[0]))] = true
-			if r.Confidence < 0.9 {
-				t.Errorf("rule %+v below confidence threshold", r)
-			}
-		}
-	}
-	if !found["0>1"] || !found["3>1"] {
-		t.Errorf("missing expected rules; got %v", found)
-	}
-	if found["1>0"] {
-		t.Error("low-confidence rule 1=>0 reported")
-	}
-	if _, err := res.Rules(0); err == nil {
-		t.Error("minConf 0 accepted")
-	}
-}
-
 func TestSupportPruneAndProject(t *testing.T) {
 	m := textbook()
 	keep := SupportPrune(m, 0.5) // items with count >= 2: 0,1,3

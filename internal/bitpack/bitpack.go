@@ -206,9 +206,9 @@ func (br *Reader) Align() {
 	br.acc, br.n = 0, 0
 }
 
-// RiceCost returns the encoded size, in bits, of v under parameter k,
+// riceCost returns the encoded size, in bits, of v under parameter k,
 // saturating at math.MaxUint64.
-func RiceCost(v uint64, k uint) uint64 {
+func riceCost(v uint64, k uint) uint64 {
 	return addSat(v>>k, 1+uint64(k))
 }
 
@@ -229,7 +229,7 @@ func BestRiceK(vals []uint64) (uint, uint64) {
 	for k := uint(0); k <= MaxRiceK; k++ {
 		bits := uint64(0)
 		for _, v := range vals {
-			bits = addSat(bits, RiceCost(v, k))
+			bits = addSat(bits, riceCost(v, k))
 		}
 		if k == 0 || bits < bestBits {
 			bestK, bestBits = k, bits

@@ -147,7 +147,7 @@ func TestBestRiceK(t *testing.T) {
 	for other := uint(0); other <= MaxRiceK; other++ {
 		total := uint64(0)
 		for _, v := range vals {
-			total += RiceCost(v, other)
+			total += riceCost(v, other)
 		}
 		if total < bits {
 			t.Fatalf("k=%d costs %d bits, BestRiceK said %d bits at k=%d", other, total, bits, k)

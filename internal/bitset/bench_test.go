@@ -3,9 +3,9 @@ package bitset
 import "testing"
 
 func BenchmarkTest(b *testing.B) {
-	s := New(1 << 16)
+	s := newSet(1 << 16)
 	for i := 0; i < 1<<16; i += 3 {
-		s.Set(i)
+		s.set(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -14,15 +14,15 @@ func BenchmarkTest(b *testing.B) {
 }
 
 func BenchmarkAndCount(b *testing.B) {
-	x, y := New(1<<16), New(1<<16)
+	x, y := newSet(1<<16), newSet(1<<16)
 	for i := 0; i < 1<<16; i += 3 {
-		x.Set(i)
+		x.set(i)
 	}
 	for i := 0; i < 1<<16; i += 5 {
-		y.Set(i)
+		y.set(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = x.AndCount(y)
+		_ = AndCountWords(x.words, y.words)
 	}
 }

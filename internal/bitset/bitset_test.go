@@ -6,29 +6,27 @@ import (
 )
 
 func TestSetTestClear(t *testing.T) {
-	s := New(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
+		s := newSet(130)
 		if s.Test(i) {
 			t.Fatalf("fresh set has bit %d", i)
 		}
-		s.Set(i)
-		if !s.Test(i) {
-			t.Fatalf("bit %d not set", i)
-		}
-		s.Clear(i)
-		if s.Test(i) {
-			t.Fatalf("bit %d not cleared", i)
+		s.set(i)
+		for j := 0; j < 130; j++ {
+			if s.Test(j) != (j == i) {
+				t.Fatalf("after set(%d): Test(%d) = %v", i, j, s.Test(j))
+			}
 		}
 	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	s := New(10)
+	s := newSet(10)
 	for _, fn := range []func(){
-		func() { s.Set(10) },
-		func() { s.Set(-1) },
+		func() { s.set(10) },
+		func() { s.set(-1) },
 		func() { s.Test(10) },
-		func() { s.Clear(-1) },
+		func() { s.Test(-1) },
 	} {
 		func() {
 			defer func() {
@@ -41,16 +39,16 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("New(-1) did not panic")
+			t.Error("newSet(-1) did not panic")
 		}
 	}()
-	New(-1)
+	newSet(-1)
 }
 
 func TestFromSortedAndCount(t *testing.T) {
 	s := FromSorted(100, []int32{3, 50, 99})
-	if s.Count() != 3 {
-		t.Errorf("Count = %d", s.Count())
+	if n := CountWords(s.words); n != 3 {
+		t.Errorf("CountWords = %d", n)
 	}
 	for _, i := range []int{3, 50, 99} {
 		if !s.Test(i) {
@@ -62,53 +60,32 @@ func TestFromSortedAndCount(t *testing.T) {
 	}
 }
 
-func TestAndCountOrHamming(t *testing.T) {
-	a := FromSorted(70, []int32{0, 10, 64, 69})
-	b := FromSorted(70, []int32{10, 20, 64})
-	if got := a.AndCount(b); got != 2 {
-		t.Errorf("AndCount = %d", got)
-	}
-	if got := a.HammingDistance(b); got != 3 { // {0,69} vs {20}
-		t.Errorf("Hamming = %d", got)
-	}
-	a.OrInPlace(b)
-	if a.Count() != 5 {
-		t.Errorf("union count = %d", a.Count())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("size-mismatched AndCount did not panic")
-		}
-	}()
-	a.AndCount(New(10))
-}
-
 func TestQuickMatchesMapSet(t *testing.T) {
 	f := func(idxA, idxB []uint8) bool {
 		const n = 200
 		ma, mb := map[int]bool{}, map[int]bool{}
-		a, b := New(n), New(n)
+		a, b := newSet(n), newSet(n)
 		for _, i := range idxA {
-			a.Set(int(i) % n)
+			a.set(int(i) % n)
 			ma[int(i)%n] = true
 		}
 		for _, i := range idxB {
-			b.Set(int(i) % n)
+			b.set(int(i) % n)
 			mb[int(i)%n] = true
 		}
-		if a.Count() != len(ma) || b.Count() != len(mb) {
+		if CountWords(a.words) != len(ma) || CountWords(b.words) != len(mb) {
 			return false
 		}
-		inter, ham := 0, 0
+		inter := 0
 		for i := 0; i < n; i++ {
+			if a.Test(i) != ma[i] || b.Test(i) != mb[i] {
+				return false
+			}
 			if ma[i] && mb[i] {
 				inter++
 			}
-			if ma[i] != mb[i] {
-				ham++
-			}
 		}
-		return a.AndCount(b) == inter && a.HammingDistance(b) == ham
+		return AndCountWords(a.words, b.words) == inter
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -132,7 +109,7 @@ func TestWordKernels(t *testing.T) {
 		for i := range a {
 			a[i], b[i] = next(), next()
 		}
-		wantCount, wantAnd, wantXor := 0, 0, 0
+		wantCount, wantAnd := 0, 0
 		for i := range a {
 			for bit := 0; bit < 64; bit++ {
 				mask := uint64(1) << uint(bit)
@@ -143,9 +120,6 @@ func TestWordKernels(t *testing.T) {
 				if av && bv {
 					wantAnd++
 				}
-				if av != bv {
-					wantXor++
-				}
 			}
 		}
 		if got := CountWords(a); got != wantCount {
@@ -153,9 +127,6 @@ func TestWordKernels(t *testing.T) {
 		}
 		if got := AndCountWords(a, b); got != wantAnd {
 			t.Errorf("n=%d: AndCountWords = %d, want %d", n, got, wantAnd)
-		}
-		if got := XorCountWords(a, b); got != wantXor {
-			t.Errorf("n=%d: XorCountWords = %d, want %d", n, got, wantXor)
 		}
 	}
 }

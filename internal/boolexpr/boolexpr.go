@@ -20,7 +20,7 @@ import (
 
 // Expr is a Boolean expression over columns: a Column leaf, an Or, or
 // an And. And children must themselves be sketchable (columns or ORs) —
-// nesting And under Or or And under And is rejected by Validate, since
+// nesting And under Or or And under And is rejected by validate, since
 // no sketch exists for an AND.
 type Expr interface {
 	isExpr()
@@ -40,8 +40,8 @@ func (Column) isExpr() {}
 func (Or) isExpr()     {}
 func (And) isExpr()    {}
 
-// MaxAndFanIn caps the inclusion-exclusion blowup.
-const MaxAndFanIn = 12
+// maxAndFanIn caps the inclusion-exclusion blowup.
+const maxAndFanIn = 12
 
 // Evaluator answers cardinality, similarity and confidence queries
 // about expressions from one set of bottom-k sketches.
@@ -57,12 +57,8 @@ func NewEvaluator(s *kminhash.Sketches) *Evaluator {
 // NumCols returns the number of columns the sketches cover.
 func (e *Evaluator) NumCols() int { return len(e.s.Sigs) }
 
-// Validate checks an expression against the sketched column range and
-// the structural restrictions.
-func (e *Evaluator) Validate(x Expr) error {
-	return e.validate(x, false)
-}
-
+// validate checks an expression against the sketched column range and
+// the structural restrictions; insideAnd is set below an And.
 func (e *Evaluator) validate(x Expr, insideAnd bool) error {
 	switch v := x.(type) {
 	case Column:
@@ -90,8 +86,8 @@ func (e *Evaluator) validate(x Expr, insideAnd bool) error {
 		if len(v) == 0 {
 			return fmt.Errorf("boolexpr: empty And")
 		}
-		if len(v) > MaxAndFanIn {
-			return fmt.Errorf("boolexpr: And fan-in %d exceeds cap %d (inclusion-exclusion is exponential)", len(v), MaxAndFanIn)
+		if len(v) > maxAndFanIn {
+			return fmt.Errorf("boolexpr: And fan-in %d exceeds cap %d (inclusion-exclusion is exponential)", len(v), maxAndFanIn)
 		}
 		for _, c := range v {
 			if _, isAnd := c.(And); isAnd {
@@ -158,7 +154,7 @@ func mergeBottomK(a, b []uint64, k int) []uint64 {
 
 // Cardinality estimates the number of rows satisfying the expression.
 func (e *Evaluator) Cardinality(x Expr) (float64, error) {
-	if err := e.Validate(x); err != nil {
+	if err := e.validate(x, false); err != nil {
 		return 0, err
 	}
 	return e.cardinality(x)
@@ -219,7 +215,7 @@ func (e *Evaluator) cardinality(x Expr) (float64, error) {
 // merged sketches, divided by |a∨b|.
 func (e *Evaluator) Similarity(a, b Expr) (float64, error) {
 	for _, x := range []Expr{a, b} {
-		if err := e.Validate(x); err != nil {
+		if err := e.validate(x, false); err != nil {
 			return 0, err
 		}
 		if _, isAnd := x.(And); isAnd {
@@ -255,7 +251,7 @@ func (e *Evaluator) Similarity(a, b Expr) (float64, error) {
 // Confidence estimates conf(a => b) = |a∧b| / |a| for sketchable a, b.
 func (e *Evaluator) Confidence(a, b Expr) (float64, error) {
 	for _, x := range []Expr{a, b} {
-		if err := e.Validate(x); err != nil {
+		if err := e.validate(x, false); err != nil {
 			return 0, err
 		}
 		if _, isAnd := x.(And); isAnd {

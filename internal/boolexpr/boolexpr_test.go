@@ -7,6 +7,7 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 // fixture builds a matrix where exact expression cardinalities are easy
@@ -78,10 +79,10 @@ func TestValidate(t *testing.T) {
 		Or{And{Column(0), Column(1)}},      // And under Or
 		And{And{Column(0), Column(1)}},     // nested And
 		And{Column(0), Or{And{Column(1)}}}, // And under Or under And
-		longAnd(MaxAndFanIn + 1),
+		longAnd(maxAndFanIn + 1),
 	}
 	for i, x := range bad {
-		if err := e.Validate(x); err == nil {
+		if err := e.validate(x, false); err == nil {
 			t.Errorf("bad expression %d accepted: %#v", i, x)
 		}
 	}
@@ -93,7 +94,7 @@ func TestValidate(t *testing.T) {
 		And{Or{Column(0), Column(1)}, Column(2)},
 	}
 	for i, x := range good {
-		if err := e.Validate(x); err != nil {
+		if err := e.validate(x, false); err != nil {
 			t.Errorf("good expression %d rejected: %v", i, err)
 		}
 	}
@@ -215,7 +216,7 @@ func TestConfidenceExpr(t *testing.T) {
 		t.Errorf("widening the consequent lowered confidence: %v < %v", sumOr/trials, got)
 	}
 	// Empty antecedent.
-	m2 := matrix.MustNew(4, [][]int32{{}, {0}})
+	m2 := testutil.Must(matrix.New(4, [][]int32{{}, {0}}))
 	s2, _ := kminhash.Compute(m2.Stream(), 4, 1)
 	e2 := NewEvaluator(s2)
 	if c, err := e2.Confidence(Column(0), Column(1)); err != nil || c != 0 {
@@ -229,12 +230,12 @@ func TestConfidenceExpr(t *testing.T) {
 func TestQuickRandomOrExpressions(t *testing.T) {
 	for seed := uint64(0); seed < 15; seed++ {
 		m, e := fixture(t, 15000, 100+seed)
-		rng := hashing.NewSplitMix64(seed * 31)
+		next := testutil.SplitMix64(seed * 31)
 		// Build a random OR tree over 2-4 columns.
-		n := 2 + int(rng.Next()%3)
+		n := 2 + int(next()%3)
 		var expr Or
 		for i := 0; i < n; i++ {
-			expr = append(expr, Column(int32(rng.Next()%5)))
+			expr = append(expr, Column(int32(next()%5)))
 		}
 		want := float64(exactCardinality(m, expr))
 		got, err := e.Cardinality(expr)

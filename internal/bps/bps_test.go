@@ -31,7 +31,7 @@ func mustSupports(t *testing.T, src matrix.RowSource) []int64 {
 }
 
 func TestSupports(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{{0, 1, 2}, {1}, {}, {0, 3}})
+	m := testutil.Must(matrix.New(4, [][]int32{{0, 1, 2}, {1}, {}, {0, 3}}))
 	sup := mustSupports(t, m.Stream())
 	want := []int64{3, 1, 0, 2}
 	for c, s := range sup {
@@ -78,7 +78,7 @@ func TestSupportsRejectsOutOfRange(t *testing.T) {
 }
 
 func TestSampleValidation(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}, {1}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}, {1}}))
 	sup := mustSupports(t, m.Stream())
 	bad := []Options{
 		{Threshold: 0, Budget: 8},
@@ -301,9 +301,9 @@ func TestSampleSeedSensitivity(t *testing.T) {
 // — sample nothing and error nowhere.
 func TestSampleEmpty(t *testing.T) {
 	for _, m := range []*matrix.Matrix{
-		matrix.MustNew(0, nil),
-		matrix.MustNew(5, [][]int32{}),
-		matrix.MustNew(3, [][]int32{{}, {}}),
+		testutil.Must(matrix.New(0, nil)),
+		testutil.Must(matrix.New(5, [][]int32{})),
+		testutil.Must(matrix.New(3, [][]int32{{}, {}})),
 	} {
 		src := m.Stream()
 		sup := mustSupports(t, src)

@@ -9,6 +9,7 @@ import (
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
 func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *matrix.Matrix {
@@ -154,7 +155,7 @@ func assertSamePairs(t *testing.T, got, want []pairs.Scored, cutoff float64) {
 }
 
 func TestEmptyColumnsNeverPair(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{{}, {}, {0, 1, 2, 3}})
+	m := testutil.Must(matrix.New(4, [][]int32{{}, {}, {0, 1, 2, 3}}))
 	sig, _ := minhash.Compute(m.Stream(), 10, 3)
 	for _, gen := range []func() ([]pairs.Scored, Stats, error){
 		func() ([]pairs.Scored, Stats, error) { return RowSortMH(sig, 0.5) },

@@ -13,6 +13,7 @@ import (
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
 // The phase-2 block of the equivalence matrix (ROADMAP item C): every
@@ -347,27 +348,27 @@ func FuzzKernelColumn(f *testing.F) {
 	f.Add(uint64(2), uint8(1), uint8(2), uint8(0), uint8(255))
 	f.Add(uint64(3), uint8(30), uint8(17), uint8(9), uint8(20))
 	f.Fuzz(func(t *testing.T, seed uint64, k, m, col, thr uint8) {
-		rng := hashing.NewSplitMix64(seed)
+		next := testutil.SplitMix64(seed)
 		kk, mm := int(k%24)+1, int(m%20)+2
 		// A few distinct values, so runs and buckets are long; one column
 		// in five is empty.
 		sig := &minhash.Signatures{K: kk, M: mm, Vals: make([]uint64, kk*mm)}
 		sk := &kminhash.Sketches{K: kk, Sigs: make([][]uint64, mm), ColSizes: make([]int, mm)}
 		for c := 0; c < mm; c++ {
-			empty := rng.Next()%5 == 0
+			empty := next()%5 == 0
 			for l := 0; l < kk; l++ {
-				sig.Vals[l*mm+c] = rng.Next() % 4
+				sig.Vals[l*mm+c] = next() % 4
 				if empty {
 					sig.Vals[l*mm+c] = minhash.Empty
 				}
 			}
 			if !empty {
 				for v := uint64(0); v < 3*uint64(kk) && len(sk.Sigs[c]) < kk; v++ {
-					if rng.Next()%3 == 0 {
+					if next()%3 == 0 {
 						sk.Sigs[c] = append(sk.Sigs[c], v) // ascending, distinct
 					}
 				}
-				sk.ColSizes[c] = len(sk.Sigs[c]) + int(rng.Next()%4)*btoi(len(sk.Sigs[c]) == kk)
+				sk.ColSizes[c] = len(sk.Sigs[c]) + int(next()%4)*btoi(len(sk.Sigs[c]) == kk)
 			}
 		}
 		p := Params{K: kk, R: min(2, kk), L: 3, Seed: seed, Threshold: (float64(thr) + 1) / 256, Delta: 0.2}

@@ -40,7 +40,7 @@ func BruteForceMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stat
 			st.Increments += int64(sig.K)
 			a := 0
 			for l := 0; l < sig.K; l++ {
-				if v := sig.Value(l, i); v != minhash.Empty && v == sig.Value(l, j) {
+				if v := sig.Vals[l*sig.M+i]; v != minhash.Empty && v == sig.Vals[l*sig.M+j] {
 					a++
 				}
 			}

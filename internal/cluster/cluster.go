@@ -65,10 +65,10 @@ func Components(numCols int, ps []pairs.Pair) [][]int32 {
 	return out
 }
 
-// Density returns the fraction of member pairs of the cluster that are
+// density returns the fraction of member pairs of the cluster that are
 // edges: 1.0 is a clique, low values indicate a chain glued by
 // single-link artifacts.
-func Density(members []int32, edges *pairs.Set) float64 {
+func density(members []int32, edges *pairs.Set) float64 {
 	n := len(members)
 	if n < 2 {
 		return 0
@@ -94,7 +94,7 @@ func DenseComponents(numCols int, ps []pairs.Pair, minDensity float64) [][]int32
 	}
 	var out [][]int32
 	for _, comp := range Components(numCols, ps) {
-		if Density(comp, edges) >= minDensity {
+		if density(comp, edges) >= minDensity {
 			out = append(out, comp)
 		}
 	}

@@ -54,17 +54,17 @@ func TestDensity(t *testing.T) {
 	edges.Add(1, 2)
 	edges.Add(0, 2)
 	// Triangle: density 1.
-	if d := Density([]int32{0, 1, 2}, edges); d != 1 {
+	if d := density([]int32{0, 1, 2}, edges); d != 1 {
 		t.Errorf("triangle density = %v", d)
 	}
 	// Chain of 3 within a 3-set missing one edge: 2/3.
 	edges2 := pairs.NewSet(2)
 	edges2.Add(0, 1)
 	edges2.Add(1, 2)
-	if d := Density([]int32{0, 1, 2}, edges2); d != 2.0/3 {
+	if d := density([]int32{0, 1, 2}, edges2); d != 2.0/3 {
 		t.Errorf("chain density = %v", d)
 	}
-	if d := Density([]int32{0}, edges); d != 0 {
+	if d := density([]int32{0}, edges); d != 0 {
 		t.Errorf("singleton density = %v", d)
 	}
 }

@@ -575,7 +575,7 @@ func (co *coordinator) spawn() (*proc, error) {
 	argv := co.cfg.WorkerArgv
 	cmd := exec.CommandContext(co.ctx, argv[0], argv[1:]...)
 	cmd.Env = append(append(os.Environ(), co.cfg.Env...),
-		fmt.Sprintf("%s=%d", EnvWorkerIndex, index))
+		fmt.Sprintf("%s=%d", envWorkerIndex, index))
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {

@@ -12,7 +12,15 @@ import (
 	"assocmine/internal/dist"
 )
 
-const beWorkerEnv = "ASSOCDIST_BE_WORKER"
+// beWorkerEnv routes a re-exec'd test binary into WorkerMain; the other
+// three are the worker's fault hooks (worker.go), spelled out here so the
+// test pins their strings.
+const (
+	beWorkerEnv    = "ASSOCDIST_BE_WORKER"
+	envCrashWorker = "ASSOCDIST_CRASH_WORKER"
+	envCrashAfter  = "ASSOCDIST_CRASH_AFTER"
+	envHangWorker  = "ASSOCDIST_HANG_WORKER"
+)
 
 // TestMain doubles as the worker executable: the coordinator re-execs
 // the test binary with beWorkerEnv set, and this hook routes the child
@@ -135,8 +143,8 @@ func TestDistCrashRestart(t *testing.T) {
 			WorkerArgv: workerArgv(t),
 			Env: []string{
 				beWorkerEnv + "=1",
-				dist.EnvCrashWorker + "=" + tc.crashWorker,
-				dist.EnvCrashAfter + "=" + tc.after,
+				envCrashWorker + "=" + tc.crashWorker,
+				envCrashAfter + "=" + tc.after,
 			},
 		})
 		if err != nil {
@@ -179,8 +187,8 @@ func TestDistBPSRowJobsCrash(t *testing.T) {
 			WorkerArgv: workerArgv(t),
 			Env: []string{
 				beWorkerEnv + "=1",
-				dist.EnvCrashWorker + "=" + tc.crashWorker,
-				dist.EnvCrashAfter + "=" + tc.after,
+				envCrashWorker + "=" + tc.crashWorker,
+				envCrashAfter + "=" + tc.after,
 			},
 		})
 		if err != nil {
@@ -209,7 +217,7 @@ func TestDistHangRestart(t *testing.T) {
 		Path: arows, Algorithm: dist.MinHash, Threshold: 0.35, K: 48, Seed: 7,
 		Workers: 2, MaxRestarts: 2, JobTimeout: 2 * time.Second,
 		WorkerArgv: workerArgv(t),
-		Env:        []string{beWorkerEnv + "=1", dist.EnvHangWorker + "=0"},
+		Env:        []string{beWorkerEnv + "=1", envHangWorker + "=0"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +245,7 @@ func TestDistCancellation(t *testing.T) {
 		Workers: 1, JobTimeout: time.Hour, Context: ctx,
 		WorkerArgv: workerArgv(t),
 		// The lone worker hangs forever; only cancellation can end this.
-		Env: []string{beWorkerEnv + "=1", dist.EnvHangWorker + "=0"},
+		Env: []string{beWorkerEnv + "=1", envHangWorker + "=0"},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

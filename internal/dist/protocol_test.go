@@ -11,9 +11,9 @@ import (
 
 	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
-	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -39,13 +39,13 @@ func TestHelloRejectsVersionMismatch(t *testing.T) {
 }
 
 func TestKeyRunRoundTrip(t *testing.T) {
-	rng := hashing.NewSplitMix64(41)
+	next := testutil.SplitMix64(41)
 	for trial := 0; trial < 30; trial++ {
-		n := int(rng.Next() % 200)
+		n := int(next() % 200)
 		keys := make([]uint64, 0, n)
-		cur := rng.Next() % 1000
+		cur := next() % 1000
 		for i := 0; i < n; i++ {
-			cur += 1 + rng.Next()%int64max(1, 1<<(rng.Next()%20))
+			cur += 1 + next()%int64max(1, 1<<(next()%20))
 			keys = append(keys, cur)
 		}
 		var b bytes.Buffer
@@ -353,7 +353,7 @@ func BenchmarkReadFrame(b *testing.B) {
 // a crash or a reply.
 func TestWorkerRejectsBadCandJobs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tiny.arows")
-	m := matrix.MustNew(4, [][]int32{{0, 1}, {0, 1, 2}, {3}})
+	m := testutil.Must(matrix.New(4, [][]int32{{0, 1}, {0, 1, 2}, {3}}))
 	if err := matrix.SaveRowBinary(path, m.Stream()); err != nil {
 		t.Fatal(err)
 	}

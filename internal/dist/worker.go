@@ -20,18 +20,18 @@ import (
 
 // Fault-injection environment variables, read by workers and set by
 // the chaos tests. The coordinator stamps each worker process with its
-// launch index via EnvWorkerIndex; a test selecting
-// EnvCrashWorker=idx, EnvCrashAfter=n makes that worker exit(3) upon
+// launch index via envWorkerIndex; a test selecting
+// envCrashWorker=idx, envCrashAfter=n makes that worker exit(3) upon
 // receiving its (n+1)-th job — mid-shard, before any reply — and
-// EnvHangWorker=idx makes the worker sit on a job forever, exercising
+// envHangWorker=idx makes the worker sit on a job forever, exercising
 // the coordinator's hang timeout. Replacement workers get fresh
 // indexes >= the configured worker count, so injected faults are
 // bounded by construction.
 const (
-	EnvWorkerIndex = "ASSOCDIST_WORKER_INDEX"
-	EnvCrashWorker = "ASSOCDIST_CRASH_WORKER"
-	EnvCrashAfter  = "ASSOCDIST_CRASH_AFTER"
-	EnvHangWorker  = "ASSOCDIST_HANG_WORKER"
+	envWorkerIndex = "ASSOCDIST_WORKER_INDEX"
+	envCrashWorker = "ASSOCDIST_CRASH_WORKER"
+	envCrashAfter  = "ASSOCDIST_CRASH_AFTER"
+	envHangWorker  = "ASSOCDIST_HANG_WORKER"
 )
 
 // worker is the subprocess side of the executor: one dataset handle,
@@ -64,13 +64,13 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 	wk := &worker{
 		r:       bufio.NewReaderSize(r, 1<<16),
 		w:       bufio.NewWriterSize(w, 1<<16),
-		index:   envInt(EnvWorkerIndex, -1),
+		index:   envInt(envWorkerIndex, -1),
 		crashAt: -1,
 	}
-	if cw := envInt(EnvCrashWorker, -1); cw >= 0 && cw == wk.index {
-		wk.crashAt = envInt(EnvCrashAfter, 0)
+	if cw := envInt(envCrashWorker, -1); cw >= 0 && cw == wk.index {
+		wk.crashAt = envInt(envCrashAfter, 0)
 	}
-	if hw := envInt(EnvHangWorker, -1); hw >= 0 && hw == wk.index {
+	if hw := envInt(envHangWorker, -1); hw >= 0 && hw == wk.index {
 		wk.hang = true
 	}
 	if err := wk.handshake(); err != nil {

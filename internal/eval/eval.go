@@ -17,9 +17,9 @@ import (
 	"assocmine/internal/verify"
 )
 
-// DefaultEdges are the similarity bucket edges used for S-curves and
+// defaultEdges are the similarity bucket edges used for S-curves and
 // histograms (10-point buckets like the paper's similarity ranges).
-func DefaultEdges() []float64 {
+func defaultEdges() []float64 {
 	return []float64{0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 }
 
@@ -31,8 +31,8 @@ type GroundTruth struct {
 	Sim   map[pairs.Pair]float64 // exact similarity lookup
 }
 
-// NewGroundTruth computes the exact pair inventory (brute force).
-func NewGroundTruth(m *matrix.Matrix, floor float64) (*GroundTruth, error) {
+// newGroundTruth computes the exact pair inventory (brute force).
+func newGroundTruth(m *matrix.Matrix, floor float64) (*GroundTruth, error) {
 	ps, err := verify.AllPairs(m, floor)
 	if err != nil {
 		return nil, err
@@ -44,44 +44,33 @@ func NewGroundTruth(m *matrix.Matrix, floor float64) (*GroundTruth, error) {
 	return &GroundTruth{Floor: floor, Pairs: ps, Sim: sim}, nil
 }
 
-// CountAtLeast returns the number of true pairs with similarity >= s.
-func (g *GroundTruth) CountAtLeast(s float64) int {
-	n := 0
-	for _, p := range g.Pairs {
-		if p.Exact >= s {
-			n++
-		}
-	}
-	return n
-}
-
-// SCurve is the paper's quality plot: per similarity bucket, the ratio
+// sCurve is the paper's quality plot: per similarity bucket, the ratio
 // of pairs found by an algorithm to the true number of pairs.
-type SCurve struct {
+type sCurve struct {
 	Edges  []float64 // len B+1
 	Found  []int     // len B
 	Actual []int     // len B
 }
 
-// Ratio returns Found/Actual for bucket b (0 when the bucket is empty).
-func (s SCurve) Ratio(b int) float64 {
+// ratio returns Found/Actual for bucket b (0 when the bucket is empty).
+func (s sCurve) ratio(b int) float64 {
 	if s.Actual[b] == 0 {
 		return 0
 	}
 	return float64(s.Found[b]) / float64(s.Actual[b])
 }
 
-// Mid returns the midpoint similarity of bucket b.
-func (s SCurve) Mid(b int) float64 {
+// mid returns the midpoint similarity of bucket b.
+func (s sCurve) mid(b int) float64 {
 	return (s.Edges[b] + s.Edges[b+1]) / 2
 }
 
-// ComputeSCurve buckets the algorithm's found pairs and the ground
+// computeSCurve buckets the algorithm's found pairs and the ground
 // truth by exact similarity. Found pairs below the truth floor are
 // ignored (they belong to the giant near-zero mass the plot does not
 // cover).
-func ComputeSCurve(g *GroundTruth, found []assocmine.Pair, edges []float64) SCurve {
-	sc := SCurve{Edges: edges, Found: make([]int, len(edges)-1), Actual: make([]int, len(edges)-1)}
+func computeSCurve(g *GroundTruth, found []assocmine.Pair, edges []float64) sCurve {
+	sc := sCurve{Edges: edges, Found: make([]int, len(edges)-1), Actual: make([]int, len(edges)-1)}
 	sc.Actual = verify.CountInRanges(g.Pairs, edges)
 	for _, p := range found {
 		s, ok := g.Sim[pairs.Make(int32(p.I), int32(p.J))]
@@ -98,18 +87,18 @@ func ComputeSCurve(g *GroundTruth, found []assocmine.Pair, edges []float64) SCur
 	return sc
 }
 
-// Quality summarises an algorithm's candidate set against the ground
+// quality summarises an algorithm's candidate set against the ground
 // truth at a similarity cutoff.
-type Quality struct {
+type quality struct {
 	Cutoff   float64
 	TruePos  int // found pairs with exact similarity >= cutoff
 	FalsePos int // found pairs below cutoff (includes pairs under the truth floor)
 	FalseNeg int // true pairs >= cutoff that were not found
 }
 
-// FNRate returns FalseNeg / (TruePos + FalseNeg), 0 when there are no
+// fnRate returns FalseNeg / (TruePos + FalseNeg), 0 when there are no
 // true pairs.
-func (q Quality) FNRate() float64 {
+func (q quality) fnRate() float64 {
 	den := q.TruePos + q.FalseNeg
 	if den == 0 {
 		return 0
@@ -117,13 +106,13 @@ func (q Quality) FNRate() float64 {
 	return float64(q.FalseNeg) / float64(den)
 }
 
-// ScoreCandidates evaluates found pairs against the ground truth at
+// scoreCandidates evaluates found pairs against the ground truth at
 // cutoff (cutoff must be >= the truth floor).
-func ScoreCandidates(g *GroundTruth, found []assocmine.Pair, cutoff float64) (Quality, error) {
+func scoreCandidates(g *GroundTruth, found []assocmine.Pair, cutoff float64) (quality, error) {
 	if cutoff < g.Floor {
-		return Quality{}, fmt.Errorf("eval: cutoff %v below ground-truth floor %v", cutoff, g.Floor)
+		return quality{}, fmt.Errorf("eval: cutoff %v below ground-truth floor %v", cutoff, g.Floor)
 	}
-	q := Quality{Cutoff: cutoff}
+	q := quality{Cutoff: cutoff}
 	seen := pairs.NewSet(len(found))
 	for _, p := range found {
 		if !seen.Add(int32(p.I), int32(p.J)) {
@@ -143,11 +132,11 @@ func ScoreCandidates(g *GroundTruth, found []assocmine.Pair, cutoff float64) (Qu
 	return q, nil
 }
 
-// Histogram counts column pairs per similarity bucket over the whole
+// histogram counts column pairs per similarity bucket over the whole
 // dataset (Fig. 3). The first bucket absorbs every pair below the
 // computed floor (the overwhelming near-zero mass), counted by
 // subtraction from C(m,2).
-func Histogram(m *matrix.Matrix, edges []float64) ([]int64, error) {
+func histogram(m *matrix.Matrix, edges []float64) ([]int64, error) {
 	floor := edges[1] // only pairs >= second edge are materialised
 	truth, err := verify.AllPairs(m, floor)
 	if err != nil {
@@ -165,11 +154,11 @@ func Histogram(m *matrix.Matrix, edges []float64) ([]int64, error) {
 	return out, nil
 }
 
-// SampleDistribution estimates the pairwise similarity distribution by
+// sampleDistribution estimates the pairwise similarity distribution by
 // sampling sampleCols columns and counting all their pairwise
 // similarities, scaled to the full pair count — the estimation
 // procedure Section 4.1 assumes for the (r, l) optimizer.
-func SampleDistribution(m *matrix.Matrix, sampleCols int, edges []float64, seed uint64) (lsh.Distribution, error) {
+func sampleDistribution(m *matrix.Matrix, sampleCols int, edges []float64, seed uint64) (lsh.Distribution, error) {
 	if sampleCols < 2 {
 		return lsh.Distribution{}, fmt.Errorf("eval: need at least 2 sample columns, got %d", sampleCols)
 	}
@@ -224,27 +213,28 @@ func newPerm(seed uint64, n int) []int {
 	return p
 }
 
-// Run executes an algorithm end-to-end and reports its candidates, its
-// verified output, and per-phase timing. The candidate set (pre-
-// verification) is what the S-curves score; the total time includes
-// verification, matching the paper's CPU-time comparisons.
-type Run struct {
+// runResult is what execute reports of one algorithm run end to end:
+// its candidates, its verified output, and per-phase timing. The
+// candidate set (pre-verification) is what the S-curves score; the
+// total time includes verification, matching the paper's CPU-time
+// comparisons.
+type runResult struct {
 	Config     assocmine.Config
 	Candidates []assocmine.Pair
 	Verified   []assocmine.Pair
 	Stats      assocmine.Stats
 }
 
-// Execute runs cfg against d, returning candidates and verified output
+// execute runs cfg against d, returning candidates and verified output
 // with one signature pass shared between them.
-func Execute(d *assocmine.Dataset, cfg assocmine.Config) (*Run, error) {
+func execute(d *assocmine.Dataset, cfg assocmine.Config) (*runResult, error) {
 	candCfg := cfg
 	candCfg.SkipVerify = true
 	res, err := assocmine.SimilarPairs(d, candCfg)
 	if err != nil {
 		return nil, err
 	}
-	run := &Run{Config: cfg, Candidates: res.Pairs, Stats: res.Stats}
+	run := &runResult{Config: cfg, Candidates: res.Pairs, Stats: res.Stats}
 	// Verification timing on the same candidates.
 	start := time.Now()
 	scored := make([]pairs.Scored, len(res.Pairs))

@@ -8,6 +8,7 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
 func smallWorkloads(t *testing.T) *Workloads {
@@ -25,85 +26,88 @@ func smallWorkloads(t *testing.T) *Workloads {
 }
 
 func TestNewGroundTruth(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{
+	m := testutil.Must(matrix.New(4, [][]int32{
 		{0, 1, 2}, {0, 1, 2}, {0, 3},
-	})
-	g, err := NewGroundTruth(m, 0.2)
+	}))
+	g, err := newGroundTruth(m, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.CountAtLeast(0.99) != 1 {
-		t.Errorf("CountAtLeast(0.99) = %d", g.CountAtLeast(0.99))
+	// (0,1) at 1; (0,2) and (1,2) at 1/4, above the floor.
+	if len(g.Pairs) != 3 {
+		t.Errorf("%d pairs, want 3: %+v", len(g.Pairs), g.Pairs)
+	}
+	for _, p := range g.Pairs {
+		if p.Exact < 0.2 {
+			t.Errorf("pair %+v below the floor", p)
+		}
 	}
 	if s, ok := g.Sim[pairs.Make(0, 1)]; !ok || s != 1 {
 		t.Errorf("Sim[0,1] = %v, %v", s, ok)
 	}
-	if g.CountAtLeast(0.2) != len(g.Pairs) {
-		t.Error("CountAtLeast(floor) should count all pairs")
-	}
 }
 
 func TestComputeSCurve(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{
+	m := testutil.Must(matrix.New(10, [][]int32{
 		{0, 1, 2, 3}, {0, 1, 2, 3}, // sim 1
 		{4, 5, 6}, {4, 5, 9}, // sim 0.5
 		{7}, {8}, // sim 0
-	})
-	g, err := NewGroundTruth(m, 0.1)
+	}))
+	g, err := newGroundTruth(m, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edges := []float64{0, 0.25, 0.75, 1.0}
 	// Algorithm found the sim-1 pair but not the sim-0.5 pair.
 	found := []assocmine.Pair{{I: 0, J: 1}}
-	sc := ComputeSCurve(g, found, edges)
+	sc := computeSCurve(g, found, edges)
 	if sc.Actual[2] != 1 || sc.Found[2] != 1 {
 		t.Errorf("high bucket: actual %d found %d", sc.Actual[2], sc.Found[2])
 	}
 	if sc.Actual[1] != 1 || sc.Found[1] != 0 {
 		t.Errorf("mid bucket: actual %d found %d", sc.Actual[1], sc.Found[1])
 	}
-	if sc.Ratio(2) != 1 || sc.Ratio(1) != 0 {
-		t.Errorf("ratios %v %v", sc.Ratio(2), sc.Ratio(1))
+	if sc.ratio(2) != 1 || sc.ratio(1) != 0 {
+		t.Errorf("ratios %v %v", sc.ratio(2), sc.ratio(1))
 	}
-	if sc.Ratio(0) != 0 {
+	if sc.ratio(0) != 0 {
 		t.Error("empty bucket ratio should be 0")
 	}
-	if mid := sc.Mid(1); math.Abs(mid-0.5) > 1e-12 {
+	if mid := sc.mid(1); math.Abs(mid-0.5) > 1e-12 {
 		t.Errorf("Mid(1) = %v", mid)
 	}
 }
 
 func TestScoreCandidates(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{
+	m := testutil.Must(matrix.New(10, [][]int32{
 		{0, 1, 2, 3}, {0, 1, 2, 3}, // sim 1: pair (0,1)
 		{4, 5, 6}, {4, 5, 9}, // sim 0.5: pair (2,3)
 		{7}, {8},
-	})
-	g, _ := NewGroundTruth(m, 0.1)
+	}))
+	g, _ := newGroundTruth(m, 0.1)
 	found := []assocmine.Pair{
 		{I: 0, J: 1}, // true positive at cutoff 0.8
 		{I: 2, J: 3}, // below cutoff: false positive
 		{I: 4, J: 5}, // sim 0: false positive
 		{I: 0, J: 1}, // duplicate: ignored
 	}
-	q, err := ScoreCandidates(g, found, 0.8)
+	q, err := scoreCandidates(g, found, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.TruePos != 1 || q.FalsePos != 2 || q.FalseNeg != 0 {
 		t.Errorf("quality = %+v", q)
 	}
-	if q.FNRate() != 0 {
-		t.Errorf("FNRate = %v", q.FNRate())
+	if q.fnRate() != 0 {
+		t.Errorf("FNRate = %v", q.fnRate())
 	}
 	// Cutoff below the truth floor must error.
-	if _, err := ScoreCandidates(g, found, 0.05); err == nil {
+	if _, err := scoreCandidates(g, found, 0.05); err == nil {
 		t.Error("cutoff below floor accepted")
 	}
 	// Missing pair counts as FN.
-	q, _ = ScoreCandidates(g, nil, 0.8)
-	if q.FalseNeg != 1 || q.FNRate() != 1 {
+	q, _ = scoreCandidates(g, nil, 0.8)
+	if q.FalseNeg != 1 || q.fnRate() != 1 {
 		t.Errorf("all-missed quality = %+v", q)
 	}
 }
@@ -119,7 +123,7 @@ func TestHistogramMassConservation(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	counts, err := Histogram(m, DefaultEdges())
+	counts, err := histogram(m, defaultEdges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +148,8 @@ func TestSampleDistribution(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	edges := DefaultEdges()
-	d, err := SampleDistribution(m, 40, edges, 7) // full sample: exact
+	edges := defaultEdges()
+	d, err := sampleDistribution(m, 40, edges, 7) // full sample: exact
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestSampleDistribution(t *testing.T) {
 		t.Errorf("full-sample mass %v, want %v", mass, want)
 	}
 	// Subsample: mass still scales to the full pair count.
-	d2, err := SampleDistribution(m, 20, edges, 7)
+	d2, err := sampleDistribution(m, 20, edges, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +176,14 @@ func TestSampleDistribution(t *testing.T) {
 	if math.Abs(mass-want) > 1e-6 {
 		t.Errorf("scaled mass %v, want %v", mass, want)
 	}
-	if _, err := SampleDistribution(m, 1, edges, 7); err == nil {
+	if _, err := sampleDistribution(m, 1, edges, 7); err == nil {
 		t.Error("sampleCols=1 accepted")
 	}
 }
 
 func TestExecuteProducesBothSets(t *testing.T) {
 	w := smallWorkloads(t)
-	run, err := Execute(w.Web.Data, assocmine.Config{
+	run, err := execute(w.Web.Data, assocmine.Config{
 		Algorithm: assocmine.MinLSH, Threshold: 0.5, K: 50, R: 5, L: 10, Seed: 3,
 	})
 	if err != nil {

@@ -66,7 +66,7 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 	}
 	bands := [][2]float64{{0.45, 0.55}, {0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}}
 	const cutoff = 0.45
-	truth, err := NewGroundTruth(w.Syn.Matrix(), 0.1)
+	truth, err := newGroundTruth(w.Syn.Matrix(), 0.1)
 	if err != nil {
 		return Table{}, err
 	}

@@ -32,7 +32,7 @@ func Fig2() []Figure {
 	}
 	for _, rl := range [][2]int{{2, 2}, {5, 5}, {10, 10}, {20, 20}} {
 		r, l := rl[0], rl[1]
-		a.Series = append(a.Series, Series{
+		a.Series = append(a.Series, series{
 			Name: fmt.Sprintf("P_{%d,%d}", r, l),
 			X:    grid,
 			Y:    eval(func(s float64) float64 { return lsh.ProbAtLeastOnce(s, r, l) }),
@@ -45,7 +45,7 @@ func Fig2() []Figure {
 		Title:  "Q_{20,20,40} approximating P_{20,20} with 40 instead of 400 min-hash values",
 		XLabel: "similarity s",
 		YLabel: "collision probability",
-		Series: []Series{
+		Series: []series{
 			{Name: "P_{20,20}", X: grid,
 				Y: eval(func(s float64) float64 { return lsh.ProbAtLeastOnce(s, 20, 20) })},
 			{Name: "Q_{20,20,40}", X: grid,
@@ -62,8 +62,8 @@ func Fig2() []Figure {
 // dataset (the paper's Sun data): (a) the full distribution dominated
 // by near-zero pairs, (b) the zoomed tail of interesting similarities.
 func Fig3(w *Workloads) ([]Figure, error) {
-	edges := DefaultEdges()
-	counts, err := Histogram(w.Web.Data.Matrix(), edges)
+	edges := defaultEdges()
+	counts, err := histogram(w.Web.Data.Matrix(), edges)
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +73,13 @@ func Fig3(w *Workloads) ([]Figure, error) {
 		XLabel: "similarity bucket midpoint",
 		YLabel: "number of column pairs",
 	}
-	var fs Series
+	var fs series
 	fs.Name = "pairs"
 	for b := 0; b+1 < len(edges); b++ {
 		fs.X = append(fs.X, (edges[b]+edges[b+1])/2)
 		fs.Y = append(fs.Y, float64(counts[b]))
 	}
-	full.Series = []Series{fs}
+	full.Series = []series{fs}
 	full.Notes = []string{fmt.Sprintf("%.4f%% of pairs have similarity >= 0.1",
 		100*float64(sumI64(counts[1:]))/float64(sumI64(counts)))}
 
@@ -89,13 +89,13 @@ func Fig3(w *Workloads) ([]Figure, error) {
 		XLabel: "similarity bucket midpoint",
 		YLabel: "number of column pairs",
 	}
-	var zs Series
+	var zs series
 	zs.Name = "pairs"
 	for b := 1; b+1 < len(edges); b++ {
 		zs.X = append(zs.X, (edges[b]+edges[b+1])/2)
 		zs.Y = append(zs.Y, float64(counts[b]))
 	}
-	zoom.Series = []Series{zs}
+	zoom.Series = []series{zs}
 	return []Figure{full, zoom}, nil
 }
 

@@ -16,22 +16,22 @@ import (
 type sweepResult struct {
 	label   string
 	x       float64
-	curve   SCurve
+	curve   sCurve
 	totalMS float64
 }
 
 func sweep(w *Workloads, configs []assocmine.Config, labels []string, xs []float64) ([]sweepResult, error) {
 	out := make([]sweepResult, 0, len(configs))
-	edges := DefaultEdges()
+	edges := defaultEdges()
 	for i, cfg := range configs {
-		run, err := Execute(w.Web.Data, cfg)
+		run, err := execute(w.Web.Data, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: sweep %s: %w", labels[i], err)
 		}
 		out = append(out, sweepResult{
 			label:   labels[i],
 			x:       xs[i],
-			curve:   ComputeSCurve(w.WebTruth, run.Candidates, edges),
+			curve:   computeSCurve(w.WebTruth, run.Candidates, edges),
 			totalMS: ms(run.Stats.Total()),
 		})
 	}
@@ -52,13 +52,13 @@ func fourPanel(id, algo, knob1, knob2 string, sweep1, sweep2 []sweepResult) []Fi
 		Title:  fmt.Sprintf("%s total running time vs %s", algo, knob1),
 		XLabel: knob1, YLabel: "time (ms)",
 	}
-	var bs Series
+	var bs series
 	bs.Name = "total time"
 	for _, r := range sweep1 {
 		bs.X = append(bs.X, r.x)
 		bs.Y = append(bs.Y, r.totalMS)
 	}
-	b.Series = []Series{bs}
+	b.Series = []series{bs}
 
 	c := Figure{
 		ID:     id + "c",
@@ -73,13 +73,13 @@ func fourPanel(id, algo, knob1, knob2 string, sweep1, sweep2 []sweepResult) []Fi
 		Title:  fmt.Sprintf("%s total running time vs %s", algo, knob2),
 		XLabel: knob2, YLabel: "time (ms)",
 	}
-	var ds Series
+	var ds series
 	ds.Name = "total time"
 	for _, r := range sweep2 {
 		ds.X = append(ds.X, r.x)
 		ds.Y = append(ds.Y, r.totalMS)
 	}
-	d.Series = []Series{ds}
+	d.Series = []series{ds}
 	return []Figure{a, b, c, d}
 }
 

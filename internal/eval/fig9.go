@@ -74,16 +74,16 @@ func Fig9(w *Workloads, tolerances []float64) ([]Figure, []Fig9Point, error) {
 	type measured struct {
 		cfg     assocmine.Config
 		totalMS float64
-		quality Quality
+		quality quality
 	}
 	results := map[assocmine.Algorithm][]measured{}
 	for algo, cfgs := range grids {
 		for _, cfg := range cfgs {
-			run, err := Execute(w.Web.Data, cfg)
+			run, err := execute(w.Web.Data, cfg)
 			if err != nil {
 				return nil, nil, fmt.Errorf("eval: fig9 %v: %w", algo, err)
 			}
-			q, err := ScoreCandidates(w.WebTruth, run.Candidates, cutoff)
+			q, err := scoreCandidates(w.WebTruth, run.Candidates, cutoff)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -109,20 +109,20 @@ func Fig9(w *Workloads, tolerances []float64) ([]Figure, []Fig9Point, error) {
 		YLabel: "false positives (count)",
 	}
 	for _, algo := range order {
-		var ts, fps Series
+		var ts, fps series
 		ts.Name = algo.String()
 		fps.Name = algo.String()
 		for _, tol := range tolerances {
 			best := Fig9Point{Algorithm: algo, Tolerance: tol}
 			for _, m := range results[algo] {
-				if m.quality.FNRate() > tol {
+				if m.quality.fnRate() > tol {
 					continue
 				}
 				if !best.Feasible || m.totalMS < best.TotalMS {
 					best = Fig9Point{
 						Algorithm: algo, Tolerance: tol, Config: m.cfg,
 						TotalMS: m.totalMS, FalsePos: m.quality.FalsePos,
-						FNRate: m.quality.FNRate(), Feasible: true,
+						FNRate: m.quality.fnRate(), Feasible: true,
 					}
 				}
 			}

@@ -8,8 +8,8 @@ import (
 	"assocmine"
 )
 
-// Series is one labelled line of a figure.
-type Series struct {
+// series is one labelled line of a figure.
+type series struct {
 	Name string
 	X    []float64
 	Y    []float64
@@ -21,7 +21,7 @@ type Figure struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Series []Series
+	Series []series
 	Notes  []string
 }
 
@@ -143,7 +143,7 @@ func NewWorkloads(sc Scale) (*Workloads, error) {
 		return nil, fmt.Errorf("eval: weblog: %w", err)
 	}
 	w.Web = web
-	truth, err := NewGroundTruth(web.Data.Matrix(), 0.1)
+	truth, err := newGroundTruth(web.Data.Matrix(), 0.1)
 	if err != nil {
 		return nil, fmt.Errorf("eval: weblog truth: %w", err)
 	}
@@ -168,15 +168,15 @@ func NewWorkloads(sc Scale) (*Workloads, error) {
 	return w, nil
 }
 
-// scurveSeries converts an SCurve to a plot series named name.
-func scurveSeries(name string, sc SCurve) Series {
-	s := Series{Name: name}
+// scurveSeries converts an sCurve to a plot series named name.
+func scurveSeries(name string, sc sCurve) series {
+	s := series{Name: name}
 	for b := 0; b+1 < len(sc.Edges); b++ {
 		if sc.Edges[b] < 0.1 {
 			continue // skip the giant near-zero bucket
 		}
-		s.X = append(s.X, sc.Mid(b))
-		s.Y = append(s.Y, sc.Ratio(b))
+		s.X = append(s.X, sc.mid(b))
+		s.Y = append(s.Y, sc.ratio(b))
 	}
 	return s
 }

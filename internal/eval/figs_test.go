@@ -40,7 +40,7 @@ func TestFig2Shapes(t *testing.T) {
 			t.Errorf("%s: P(1) = %v", s.Name, s.Y[len(s.Y)-1])
 		}
 	}
-	at := func(s Series, x float64) float64 {
+	at := func(s series, x float64) float64 {
 		for i := range s.X {
 			if s.X[i] >= x {
 				return s.Y[i]
@@ -322,7 +322,7 @@ func TestQuestExperiment(t *testing.T) {
 
 func TestFormatters(t *testing.T) {
 	f := Figure{ID: "x", Title: "t", XLabel: "a", YLabel: "b",
-		Series: []Series{{Name: "s", X: []float64{1}, Y: []float64{2}}},
+		Series: []series{{Name: "s", X: []float64{1}, Y: []float64{2}}},
 		Notes:  []string{"n"}}
 	var buf bytes.Buffer
 	f.Format(&buf)

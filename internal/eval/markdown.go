@@ -67,16 +67,16 @@ func (f Figure) FormatMarkdown(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func sharedGrid(series []Series) bool {
-	if len(series) == 0 {
+func sharedGrid(ss []series) bool {
+	if len(ss) == 0 {
 		return false
 	}
-	for _, s := range series[1:] {
-		if len(s.X) != len(series[0].X) {
+	for _, s := range ss[1:] {
+		if len(s.X) != len(ss[0].X) {
 			return false
 		}
 		for i := range s.X {
-			if s.X[i] != series[0].X[i] {
+			if s.X[i] != ss[0].X[i] {
 				return false
 			}
 		}

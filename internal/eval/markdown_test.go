@@ -26,7 +26,7 @@ func TestTableFormatMarkdown(t *testing.T) {
 func TestFigureFormatMarkdownSharedGrid(t *testing.T) {
 	f := Figure{
 		ID: "f", Title: "fig", XLabel: "x", YLabel: "y",
-		Series: []Series{
+		Series: []series{
 			{Name: "s1", X: []float64{1, 2}, Y: []float64{10, 20}},
 			{Name: "s2", X: []float64{1, 2}, Y: []float64{30, 40}},
 		},
@@ -45,7 +45,7 @@ func TestFigureFormatMarkdownSharedGrid(t *testing.T) {
 func TestFigureFormatMarkdownSeparateGrids(t *testing.T) {
 	f := Figure{
 		ID: "f", Title: "fig", XLabel: "x", YLabel: "y",
-		Series: []Series{
+		Series: []series{
 			{Name: "s1", X: []float64{1}, Y: []float64{10}},
 			{Name: "s2", X: []float64{1, 2}, Y: []float64{30, 40}},
 		},

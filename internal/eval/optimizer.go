@@ -14,7 +14,7 @@ import (
 // its error predictions are honoured by an actual M-LSH run.
 func OptimizerExperiment(w *Workloads) (Table, error) {
 	m := w.Web.Data.Matrix()
-	dist, err := SampleDistribution(m, 200, DefaultEdges(), 33)
+	dist, err := sampleDistribution(m, 200, defaultEdges(), 33)
 	if err != nil {
 		return Table{}, err
 	}
@@ -40,11 +40,11 @@ func OptimizerExperiment(w *Workloads) (Table, error) {
 			return Table{}, fmt.Errorf("optimize at %v: %w", c.cutoff, err)
 		}
 		// Measure the chosen parameters with an actual run.
-		run, err := Execute(w.Web.Data, minLSHConfig(c.cutoff, p.R, p.L))
+		run, err := execute(w.Web.Data, minLSHConfig(c.cutoff, p.R, p.L))
 		if err != nil {
 			return Table{}, err
 		}
-		q, err := ScoreCandidates(w.WebTruth, run.Candidates, c.cutoff)
+		q, err := scoreCandidates(w.WebTruth, run.Candidates, c.cutoff)
 		if err != nil {
 			return Table{}, err
 		}
@@ -57,7 +57,7 @@ func OptimizerExperiment(w *Workloads) (Table, error) {
 			fmt.Sprintf("%d", p.R*p.L),
 			fmt.Sprintf("%.2f", p.FN),
 			fmt.Sprintf("%.0f", p.FP),
-			fmt.Sprintf("%.3f", q.FNRate()),
+			fmt.Sprintf("%.3f", q.fnRate()),
 		})
 	}
 	return t, nil

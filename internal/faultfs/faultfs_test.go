@@ -39,7 +39,7 @@ func readAllRetrying(t *testing.T, r io.Reader) []byte {
 		if err == io.EOF {
 			return out
 		}
-		if err != nil && !matrix.IsTransient(err) {
+		if err != nil && !errors.Is(err, syscall.EAGAIN) {
 			t.Fatalf("permanent error after %d bytes: %v", len(out), err)
 		}
 	}
@@ -83,8 +83,8 @@ func TestTransientErrorClassifiesAsTransient(t *testing.T) {
 	if err == nil {
 		t.Fatal("want injected error")
 	}
-	if !matrix.IsTransient(err) {
-		t.Errorf("IsTransient(%v) = false", err)
+	if !errors.Is(err, syscall.EAGAIN) {
+		t.Errorf("errors.Is(err, EAGAIN) = false for %v", err)
 	}
 	if !errors.Is(err, faultfs.ErrTransient) {
 		t.Errorf("errors.Is(err, ErrTransient) = false for %v", err)
@@ -210,7 +210,7 @@ func TestTransientOpens(t *testing.T) {
 		OpenErr: faultfs.TransientOpens(2),
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := fs.Open("f"); err == nil || !matrix.IsTransient(err) {
+		if _, err := fs.Open("f"); err == nil || !errors.Is(err, syscall.EAGAIN) {
 			t.Fatalf("open %d: err = %v, want transient", i, err)
 		}
 	}

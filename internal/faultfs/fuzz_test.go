@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -30,12 +32,15 @@ func fuzzDataset(tb testing.TB) ([]byte, [][]int32) {
 			rows[r] = append(rows[r], int32(c))
 		}
 	}
-	src := &matrix.SliceSource{Cols: fuzzCols, Rows: rows}
-	var buf bytes.Buffer
-	if err := matrix.WriteRowBinary(&buf, src); err != nil {
+	path := filepath.Join(tb.TempDir(), "fuzz.arows")
+	if err := matrix.SaveRowBinary(path, &matrix.SliceSource{Cols: fuzzCols, Rows: rows}); err != nil {
 		tb.Fatal(err)
 	}
-	return buf.Bytes(), rows
+	encoded, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return encoded, rows
 }
 
 // rowOffset walks the encoded stream and returns the byte offset at

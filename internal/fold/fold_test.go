@@ -212,7 +212,7 @@ func TestEmptyColumnsKeepTheSentinel(t *testing.T) {
 			switch {
 			case sk.MH != nil:
 				for l := 0; l < sk.MH.K; l++ {
-					if v := sk.MH.Value(l, c); v != ^uint64(0) {
+					if v := sk.MH.Vals[l*sk.MH.M+c]; v != ^uint64(0) {
 						t.Errorf("mh: empty column %d has value %d at hash %d", c, v, l)
 					}
 				}

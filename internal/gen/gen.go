@@ -12,7 +12,6 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
-	"assocmine/internal/pairs"
 )
 
 // PlantedPair records a deliberately similar column pair and the
@@ -158,13 +157,4 @@ func bernoulliRows(rng *hashing.SplitMix64, n int, p float64) []int32 {
 		}
 		out = append(out, int32(r-1))
 	}
-}
-
-// PlantedSet converts planted pairs to a pair set for recall scoring.
-func PlantedSet(planted []PlantedPair) *pairs.Set {
-	s := pairs.NewSet(len(planted))
-	for _, p := range planted {
-		s.Add(p.I, p.J)
-	}
-	return s
 }

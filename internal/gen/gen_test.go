@@ -107,16 +107,6 @@ func TestBernoulliRows(t *testing.T) {
 	}
 }
 
-func TestPlantedSet(t *testing.T) {
-	s := PlantedSet([]PlantedPair{{I: 0, J: 1}, {I: 4, J: 2}})
-	if !s.Contains(0, 1) || !s.Contains(2, 4) {
-		t.Error("PlantedSet missing pairs")
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-}
-
 func TestQuickPlantPairSimilarity(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := hashing.NewSplitMix64(seed)

@@ -8,10 +8,10 @@ import (
 	"assocmine/internal/matrix"
 )
 
-// Collocation is a planted word pair that co-occurs with high
+// collocation is a planted word pair that co-occurs with high
 // confidence but low support — the Fig. 1 phenomenon ("Dalai Lama",
 // "Beluga caviar and Ketel vodka").
-type Collocation struct {
+type collocation struct {
 	A, B string
 	// Rate is the fraction of documents mentioning the pair; defaults
 	// to a value drawn in [0.002, 0.01] when zero.
@@ -21,9 +21,9 @@ type Collocation struct {
 	Together float64
 }
 
-// Fig1Collocations returns the pair list of the paper's Fig. 1 — the
+// fig1Collocations returns the pair list of the paper's Fig. 1 — the
 // qualitative output the news experiment reproduces.
-func Fig1Collocations() []Collocation {
+func fig1Collocations() []collocation {
 	ps := [][2]string{
 		{"dalai", "lama"}, {"meryl", "streep"}, {"bertolt", "brecht"},
 		{"buenos", "aires"}, {"darth", "vader"},
@@ -33,16 +33,16 @@ func Fig1Collocations() []Collocation {
 		{"encyclopedia", "britannica"}, {"salman", "satanic"},
 		{"mardi", "gras"}, {"emperor", "hirohito"},
 	}
-	out := make([]Collocation, len(ps))
+	out := make([]collocation, len(ps))
 	for i, p := range ps {
-		out[i] = Collocation{A: p[0], B: p[1]}
+		out[i] = collocation{A: p[0], B: p[1]}
 	}
 	return out
 }
 
-// ChessCluster returns the paper's example word cluster (a chess
+// chessCluster returns the paper's example word cluster (a chess
 // event): a group of words mutually similar pairwise.
-func ChessCluster() []string {
+func chessCluster() []string {
 	return []string{"chess", "timman", "karpov", "soviet", "ivanchuk", "polgar"}
 }
 
@@ -58,9 +58,9 @@ type NewsConfig struct {
 	WordsPerDoc float64
 	// ZipfS is the background word-frequency exponent. Defaults to 1.05.
 	ZipfS float64
-	// Collocations are the planted pairs; defaults to Fig1Collocations.
-	Collocations []Collocation
-	// Cluster is a planted word cluster; defaults to ChessCluster. Nil
+	// Collocations are the planted pairs; defaults to fig1Collocations.
+	Collocations []collocation
+	// Cluster is a planted word cluster; defaults to chessCluster. Nil
 	// slice with ClusterRate 0 disables it.
 	Cluster []string
 	// ClusterRate is the fraction of documents about the cluster topic;
@@ -80,16 +80,6 @@ type News struct {
 	ClusterCols []int32
 }
 
-// WordIndex returns the column of a word, or -1.
-func (n *News) WordIndex(w string) int32 {
-	for i, word := range n.Words {
-		if word == w {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
 func (c *NewsConfig) setDefaults() error {
 	if c.Docs <= 0 || c.Vocab <= 0 {
 		return fmt.Errorf("gen: docs and vocab must be positive, got %dx%d", c.Docs, c.Vocab)
@@ -107,10 +97,10 @@ func (c *NewsConfig) setDefaults() error {
 		return fmt.Errorf("gen: ZipfS must be positive")
 	}
 	if c.Collocations == nil {
-		c.Collocations = Fig1Collocations()
+		c.Collocations = fig1Collocations()
 	}
 	if c.Cluster == nil && c.ClusterRate == 0 {
-		c.Cluster = ChessCluster()
+		c.Cluster = chessCluster()
 	}
 	if c.ClusterRate == 0 && len(c.Cluster) > 0 {
 		c.ClusterRate = 0.004

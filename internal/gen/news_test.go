@@ -24,31 +24,18 @@ func TestNewsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCols := 500 + 2*len(Fig1Collocations()) + len(ChessCluster())
+	wantCols := 500 + 2*len(fig1Collocations()) + len(chessCluster())
 	if n.Matrix.NumCols() != wantCols {
 		t.Fatalf("cols = %d, want %d", n.Matrix.NumCols(), wantCols)
 	}
 	if len(n.Words) != wantCols {
 		t.Fatalf("words = %d", len(n.Words))
 	}
-	if len(n.PlantedPairs) != len(Fig1Collocations()) {
+	if len(n.PlantedPairs) != len(fig1Collocations()) {
 		t.Fatalf("planted pairs = %d", len(n.PlantedPairs))
 	}
-	if len(n.ClusterCols) != len(ChessCluster()) {
+	if len(n.ClusterCols) != len(chessCluster()) {
 		t.Fatalf("cluster cols = %d", len(n.ClusterCols))
-	}
-}
-
-func TestNewsWordIndex(t *testing.T) {
-	n, err := GenerateNews(NewsConfig{Docs: 100, Vocab: 50, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx := n.WordIndex("dalai"); idx < 0 || n.Words[idx] != "dalai" {
-		t.Errorf("WordIndex(dalai) = %d", idx)
-	}
-	if idx := n.WordIndex("nonexistent"); idx != -1 {
-		t.Errorf("WordIndex(nonexistent) = %d", idx)
 	}
 }
 
@@ -123,7 +110,7 @@ func TestNewsDeterministic(t *testing.T) {
 }
 
 func TestFig1CollocationsComplete(t *testing.T) {
-	cs := Fig1Collocations()
+	cs := fig1Collocations()
 	if len(cs) != 17 {
 		t.Errorf("Fig. 1 has 17 pairs, got %d", len(cs))
 	}

@@ -35,8 +35,8 @@ type ZipfSource struct {
 	MeanRowLen int
 }
 
-// Validate checks the dimensions before a scan.
-func (z *ZipfSource) Validate() error {
+// validate checks the dimensions before a scan.
+func (z *ZipfSource) validate() error {
 	if z.Rows < 1 || z.Cols < 2 {
 		return fmt.Errorf("gen: need Rows >= 1 and Cols >= 2, got %dx%d", z.Rows, z.Cols)
 	}
@@ -61,7 +61,7 @@ func (z *ZipfSource) meanLen() int {
 // Scan delivers every row in order. The generator is reseeded per
 // pass, so the source is multi-pass safe.
 func (z *ZipfSource) Scan(fn func(row int, cols []int32) error) error {
-	if err := z.Validate(); err != nil {
+	if err := z.validate(); err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(int64(z.Seed)))

@@ -74,16 +74,6 @@ type Stats struct {
 	Candidates    int   // distinct pairs produced
 }
 
-// SimilarityFromHamming applies Lemma 3: given |C_i|, |C_j| and the
-// Hamming distance, return the Jaccard similarity.
-func SimilarityFromHamming(ci, cj, dh int) float64 {
-	den := ci + cj + dh
-	if den == 0 {
-		return 0
-	}
-	return float64(ci+cj-dh) / float64(den)
-}
-
 // Candidates runs H-LSH over the matrix and returns the candidate pair
 // set. Requires the full column-major matrix (the fold ladder is a
 // whole-data structure, not a streaming sketch); the paper's phase-3

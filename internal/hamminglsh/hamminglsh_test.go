@@ -1,45 +1,17 @@
 package hamminglsh
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
-func TestSimilarityFromHammingMatchesExact(t *testing.T) {
-	rng := hashing.NewSplitMix64(1)
-	b := matrix.NewBuilder(100, 6)
-	for c := 0; c < 6; c++ {
-		for r := 0; r < 100; r++ {
-			if rng.Float64() < 0.2 {
-				b.Set(r, c)
-			}
-		}
-	}
-	m := b.Build()
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			want := m.Similarity(i, j)
-			got := SimilarityFromHamming(m.ColumnSize(i), m.ColumnSize(j), m.HammingDistance(i, j))
-			if math.Abs(got-want) > 1e-12 {
-				t.Errorf("Lemma 3 mismatch (%d,%d): %v vs %v", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestSimilarityFromHammingEmpty(t *testing.T) {
-	if got := SimilarityFromHamming(0, 0, 0); got != 0 {
-		t.Errorf("empty-empty similarity = %v", got)
-	}
-}
-
 func TestOptionsValidation(t *testing.T) {
-	m := matrix.MustNew(8, [][]int32{{0, 1}})
+	m := testutil.Must(matrix.New(8, [][]int32{{0, 1}}))
 	bad := []Options{
 		{R: 0, L: 1},
 		{R: 65, L: 1},
@@ -203,7 +175,7 @@ func TestDeterministicInSeed(t *testing.T) {
 }
 
 func TestTinyMatrix(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}, {0}, {1}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}, {0}, {1}}))
 	set, _, err := Candidates(m, Options{R: 2, L: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +188,7 @@ func TestTinyMatrix(t *testing.T) {
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	m := matrix.MustNew(0, [][]int32{{}, {}})
+	m := testutil.Must(matrix.New(0, [][]int32{{}, {}}))
 	set, _, err := Candidates(m, Options{R: 4, L: 2, Seed: 1, MaxLevels: 3})
 	if err != nil {
 		t.Fatal(err)

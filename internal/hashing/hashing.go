@@ -27,18 +27,16 @@ func NewSplitMix64(seed uint64) *SplitMix64 {
 	return &SplitMix64{state: seed}
 }
 
-// Next returns the next 64-bit value in the stream.
-func (s *SplitMix64) Next() uint64 {
+// next returns the next 64-bit value in the stream: the i-th draw is
+// Mix64(seed + i·0x9e3779b97f4a7c15).
+func (s *SplitMix64) next() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(s.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
 func (s *SplitMix64) Float64() float64 {
-	return float64(s.Next()>>11) / (1 << 53)
+	return float64(s.next()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -49,7 +47,7 @@ func (s *SplitMix64) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded rejection sampling.
 	un := uint64(n)
 	for {
-		x := s.Next()
+		x := s.next()
 		hi, lo := bits.Mul64(x, un)
 		if lo >= un || lo >= -un%un {
 			return int(hi)
@@ -88,7 +86,7 @@ type MultiplyShift struct {
 
 // NewMultiplyShift draws a random member of the family from rng.
 func NewMultiplyShift(rng *SplitMix64) MultiplyShift {
-	return MultiplyShift{a: rng.Next() | 1, b: rng.Next()}
+	return MultiplyShift{a: rng.next() | 1, b: rng.next()}
 }
 
 // Hash maps a 64-bit key to its 64-bit hash value.
@@ -138,19 +136,4 @@ func CombineKeys(vals []uint64) uint64 {
 		h = h*0x100000001b3 + 0x517cc1b727220a95
 	}
 	return Mix64(h)
-}
-
-// CombineBits packs up to 64 bits into a bucket key. Hamming-LSH uses
-// it for the r-bit column keys sampled from a folded matrix.
-func CombineBits(bits []bool) uint64 {
-	var key uint64
-	for i, b := range bits {
-		if b {
-			key |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			key = Mix64(key)
-		}
-	}
-	return Mix64(key)
 }

@@ -10,7 +10,7 @@ func TestSplitMix64Deterministic(t *testing.T) {
 	a := NewSplitMix64(42)
 	b := NewSplitMix64(42)
 	for i := 0; i < 1000; i++ {
-		if av, bv := a.Next(), b.Next(); av != bv {
+		if av, bv := a.next(), b.next(); av != bv {
 			t.Fatalf("streams diverged at %d: %x vs %x", i, av, bv)
 		}
 	}
@@ -21,7 +21,7 @@ func TestSplitMix64DifferentSeeds(t *testing.T) {
 	b := NewSplitMix64(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Next() == b.Next() {
+		if a.next() == b.next() {
 			same++
 		}
 	}
@@ -177,29 +177,6 @@ func TestCombineKeysOrderSensitive(t *testing.T) {
 func TestCombineKeysLengthSensitive(t *testing.T) {
 	if CombineKeys([]uint64{0}) == CombineKeys([]uint64{0, 0}) {
 		t.Fatal("CombineKeys ignores length")
-	}
-}
-
-func TestCombineBits(t *testing.T) {
-	a := CombineBits([]bool{true, false, true})
-	b := CombineBits([]bool{true, false, true})
-	c := CombineBits([]bool{false, false, true})
-	if a != b {
-		t.Fatal("CombineBits not deterministic")
-	}
-	if a == c {
-		t.Fatal("CombineBits collided on different inputs")
-	}
-}
-
-func TestCombineBitsLong(t *testing.T) {
-	// More than 64 bits must still distinguish inputs differing only
-	// beyond bit 64.
-	x := make([]bool, 100)
-	y := make([]bool, 100)
-	y[90] = true
-	if CombineBits(x) == CombineBits(y) {
-		t.Fatal("CombineBits lost information beyond 64 bits")
 	}
 }
 

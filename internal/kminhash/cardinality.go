@@ -12,8 +12,9 @@ import "math"
 //
 // This is what makes the Section 7 Boolean-expression extension work:
 // the bottom-k sketch of an OR of columns is computable from the
-// columns' sketches (UnionSignature), its cardinality is estimable
-// here, and AND cardinalities follow by inclusion-exclusion.
+// columns' sketches (the k smallest distinct values of their union),
+// its cardinality is estimable here, and AND cardinalities follow by
+// inclusion-exclusion.
 
 // EstimateCardinality returns the estimated number of distinct rows
 // behind a bottom-k sketch produced with sketch size k. When the
@@ -29,33 +30,4 @@ func EstimateCardinality(sig []uint64, k int) float64 {
 	}
 	frac := float64(vk) / math.Pow(2, 64)
 	return float64(k-1) / frac
-}
-
-// EstimateUnionSize estimates |C_i ∪ C_j| from the two columns'
-// sketches via the union sketch.
-func (s *Sketches) EstimateUnionSize(i, j int) float64 {
-	u := s.UnionSignature(i, j, nil)
-	// If the union sketch is not full, it holds every union member.
-	if len(u) < s.K {
-		return float64(len(u))
-	}
-	return EstimateCardinality(u, s.K)
-}
-
-// EstimateIntersectionSize estimates |C_i ∩ C_j| by inclusion-
-// exclusion: |C_i| + |C_j| - |C_i ∪ C_j|, clamped to the feasible
-// range.
-func (s *Sketches) EstimateIntersectionSize(i, j int) float64 {
-	inter := float64(s.ColSizes[i]) + float64(s.ColSizes[j]) - s.EstimateUnionSize(i, j)
-	if inter < 0 {
-		return 0
-	}
-	maxI := float64(s.ColSizes[i])
-	if float64(s.ColSizes[j]) < maxI {
-		maxI = float64(s.ColSizes[j])
-	}
-	if inter > maxI {
-		return maxI
-	}
-	return inter
 }

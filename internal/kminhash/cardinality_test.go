@@ -6,10 +6,11 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 func TestEstimateCardinalitySmallSetExact(t *testing.T) {
-	m := matrix.MustNew(100, [][]int32{{3, 17, 40}})
+	m := testutil.Must(matrix.New(100, [][]int32{{3, 17, 40}}))
 	s, err := Compute(m.Stream(), 10, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,7 @@ func TestEstimateCardinalityStatistical(t *testing.T) {
 	for i := range col {
 		col[i] = int32(i * (rows / trueSize))
 	}
-	m := matrix.MustNew(rows, [][]int32{col})
+	m := testutil.Must(matrix.New(rows, [][]int32{col}))
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
 		s, err := Compute(m.Stream(), k, uint64(100+trial))
@@ -63,7 +64,7 @@ func TestEstimateUnionAndIntersection(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	trueUnion := float64(m.UnionSize(0, 1))
+	trueUnion := float64(m.ColumnSize(0) + m.ColumnSize(1) - m.IntersectSize(0, 1))
 	trueInter := float64(m.IntersectSize(0, 1))
 	const k, trials = 128, 30
 	var sumU, sumI float64
@@ -72,8 +73,8 @@ func TestEstimateUnionAndIntersection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sumU += s.EstimateUnionSize(0, 1)
-		sumI += s.EstimateIntersectionSize(0, 1)
+		sumU += s.estimateUnionSize(0, 1)
+		sumI += s.estimateIntersectionSize(0, 1)
 	}
 	if math.Abs(sumU/trials-trueUnion)/trueUnion > 0.08 {
 		t.Errorf("union estimate %v, want ~%v", sumU/trials, trueUnion)
@@ -86,15 +87,15 @@ func TestEstimateUnionAndIntersection(t *testing.T) {
 func TestEstimateIntersectionClamped(t *testing.T) {
 	// Disjoint columns: inclusion-exclusion can go negative; must clamp
 	// to 0.
-	m := matrix.MustNew(1000, [][]int32{
+	m := testutil.Must(matrix.New(1000, [][]int32{
 		{0, 1, 2, 3, 4},
 		{500, 501, 502},
-	})
+	}))
 	s, err := Compute(m.Stream(), 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.EstimateIntersectionSize(0, 1); got != 0 {
+	if got := s.estimateIntersectionSize(0, 1); got != 0 {
 		t.Errorf("disjoint intersection estimate = %v (sketches are exact here)", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 func TestSketchCodecRoundTrip(t *testing.T) {
@@ -59,7 +60,7 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 
 func TestSketchCodecEmptyAndShortColumns(t *testing.T) {
 	// Columns with no rows and columns with fewer than k rows.
-	m := matrix.MustNew(20, [][]int32{{0, 5, 19}, {}, {7}})
+	m := testutil.Must(matrix.New(20, [][]int32{{0, 5, 19}, {}, {7}}))
 	s, err := Compute(m.Stream(), 8, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestSketchCodecEmptyAndShortColumns(t *testing.T) {
 }
 
 func TestWriteCompressedSketchRejectsForeignValues(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{{0, 2, 4}})
+	m := testutil.Must(matrix.New(10, [][]int32{{0, 2, 4}}))
 	s, err := Compute(m.Stream(), 4, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +152,7 @@ func TestReadSketchesErrors(t *testing.T) {
 // FuzzReadSketches: any input parses or errors, never panics, and
 // allocation is paced by input size rather than the header's claim.
 func FuzzReadSketches(f *testing.F) {
-	m := matrix.MustNew(30, [][]int32{{0, 3, 17}, {}, {5, 6, 7, 8, 9}})
+	m := testutil.Must(matrix.New(30, [][]int32{{0, 3, 17}, {}, {5, 6, 7, 8, 9}}))
 	s, err := Compute(m.Stream(), 4, 11)
 	if err != nil {
 		f.Fatal(err)

@@ -133,11 +133,12 @@ func (s *FoldState) Finish() *Sketches {
 // Merge folds src into dst: every value of src's heaps is offered to
 // dst's bounded heaps, which keeps the k smallest values of the two
 // multisets combined — duplicates included, because distinct rows with
-// colliding hashes each occupy a sketch slot (unlike UnionSignature,
-// whose set semantics model the union COLUMN c_i ∨ c_j). If dst and src
-// were folded from disjoint row sets, Finish on the merged state equals
-// Compute over the union of the rows exactly; the heap ARRAY layout
-// depends on merge order even though the multiset content does not.
+// colliding hashes each occupy a sketch slot (unlike the union sketch
+// SIG_{i∪j}, whose set semantics model the union COLUMN c_i ∨ c_j).
+// If dst and src were folded from disjoint row sets, Finish on the
+// merged state equals Compute over the union of the rows exactly; the
+// heap ARRAY layout depends on merge order even though the multiset
+// content does not.
 // Column sizes, row and update counts are summed. src is left
 // unchanged. The states must agree on k, m, and seed.
 func Merge(dst, src *FoldState) error {

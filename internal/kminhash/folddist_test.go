@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
 // TestMergeThroughCodecProperty is the cross-process merge property the
@@ -15,13 +15,13 @@ import (
 // identical sketches. Randomised over dimensions, row splits, and
 // sparsity.
 func TestMergeThroughCodecProperty(t *testing.T) {
-	rng := hashing.NewSplitMix64(0xc0de ^ 0xffff)
+	next := testutil.SplitMix64(0xc0de ^ 0xffff)
 	for trial := 0; trial < 40; trial++ {
-		m := 1 + int(rng.Next()%40)
-		k := 1 + int(rng.Next()%16)
-		seed := rng.Next()
-		rowsA := int(rng.Next() % 60)
-		rowsB := int(rng.Next() % 60)
+		m := 1 + int(next()%40)
+		k := 1 + int(next()%16)
+		seed := next()
+		rowsA := int(next() % 60)
+		rowsB := int(next() % 60)
 		fold := func(base, rows int) *FoldState {
 			s, err := NewFoldState(m, k, seed)
 			if err != nil {
@@ -31,7 +31,7 @@ func TestMergeThroughCodecProperty(t *testing.T) {
 			for r := 0; r < rows; r++ {
 				cols = cols[:0]
 				for c := 0; c < m; c++ {
-					if rng.Next()%4 == 0 {
+					if next()%4 == 0 {
 						cols = append(cols, int32(c))
 					}
 				}

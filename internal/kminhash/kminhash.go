@@ -114,32 +114,6 @@ func sortSketch(sig []uint64) { slices.Sort(sig) }
 // the returned slice.
 func (s *Sketches) Signature(c int) []uint64 { return s.Sigs[c] }
 
-// UnionSignature returns SIG_{i∪j}: the k smallest distinct values of
-// SIG_i ∪ SIG_j, written into dst (allocated if nil).
-func (s *Sketches) UnionSignature(i, j int, dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, 0, s.K)
-	}
-	dst = dst[:0]
-	a, b := s.Sigs[i], s.Sigs[j]
-	ai, bi := 0, 0
-	for len(dst) < s.K && (ai < len(a) || bi < len(b)) {
-		switch {
-		case bi >= len(b) || (ai < len(a) && a[ai] < b[bi]):
-			dst = append(dst, a[ai])
-			ai++
-		case ai >= len(a) || b[bi] < a[ai]:
-			dst = append(dst, b[bi])
-			bi++
-		default: // equal
-			dst = append(dst, a[ai])
-			ai++
-			bi++
-		}
-	}
-	return dst
-}
-
 // UnbiasedEstimate implements Theorem 2:
 // Ŝ = |SIG_{i∪j} ∩ SIG_i ∩ SIG_j| / |SIG_{i∪j}|.
 // It runs a single O(k) three-way merge. Returns 0 for two empty
@@ -167,37 +141,12 @@ func (s *Sketches) UnbiasedEstimate(i, j int) float64 {
 	return float64(both) / float64(unionLen)
 }
 
-// IntersectionSize returns |SIG_i ∩ SIG_j|, the statistic Hash-Count
-// accumulates and Lemma 1 bounds.
-func (s *Sketches) IntersectionSize(i, j int) int {
-	a, b := s.Sigs[i], s.Sigs[j]
-	ai, bi, n := 0, 0, 0
-	for ai < len(a) && bi < len(b) {
-		switch {
-		case a[ai] < b[bi]:
-			ai++
-		case a[ai] > b[bi]:
-			bi++
-		default:
-			n++
-			ai++
-			bi++
-		}
-	}
-	return n
-}
-
-// BiasedEstimate converts an observed |SIG_i ∩ SIG_j| into a similarity
+// BiasedEstimateFromCount converts an observed |SIG_i ∩ SIG_j| (as
+// Hash-Count accumulates it for every pair at once) into a similarity
 // estimate using E[|SIG_i ∩ SIG_j|] ≈ k_a·|C_ij|/|C_a| where C_a is the
 // larger column and k_a = min(k, |C_a|) its sample size (paper
 // Section 3.2). The intersection estimate is clamped to the feasible
 // range before forming |C_ij| / (|C_i|+|C_j|-|C_ij|).
-func (s *Sketches) BiasedEstimate(i, j int) float64 {
-	return s.BiasedEstimateFromCount(i, j, s.IntersectionSize(i, j))
-}
-
-// BiasedEstimateFromCount is BiasedEstimate with the intersection size
-// already known (as produced by candidate.HashCountKMH).
 func (s *Sketches) BiasedEstimateFromCount(i, j, sigInter int) float64 {
 	ci, cj := s.ColSizes[i], s.ColSizes[j]
 	if ci < cj {
@@ -219,34 +168,4 @@ func (s *Sketches) BiasedEstimateFromCount(i, j, sigInter int) float64 {
 		return 0
 	}
 	return cij / union
-}
-
-// Lemma1Bounds returns the Lemma 1 sandwich on the true similarity
-// given the expected signature-intersection size e and the exact union
-// size |C_i ∪ C_j|:
-//
-//	e/min(2k, u) <= S <= e/min(k, u).
-func Lemma1Bounds(e float64, k, unionSize int) (lo, hi float64) {
-	den1 := 2 * k
-	if unionSize < den1 {
-		den1 = unionSize
-	}
-	den2 := k
-	if unionSize < den2 {
-		den2 = unionSize
-	}
-	if den1 > 0 {
-		lo = e / float64(den1)
-	}
-	if den2 > 0 {
-		hi = e / float64(den2)
-	}
-	return lo, hi
-}
-
-// OrSignature returns the bottom-k sketch of the induced column
-// c_i ∨ c_j; identical to UnionSignature and exposed under the
-// Section 7 name for the rules package.
-func (s *Sketches) OrSignature(i, j int, dst []uint64) []uint64 {
-	return s.UnionSignature(i, j, dst)
 }

@@ -8,7 +8,19 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
+
+// withOrColumn returns a copy of m with the induced column c_i ∨ c_j
+// appended, and that column's index.
+func withOrColumn(m *matrix.Matrix, i, j int) (*matrix.Matrix, int) {
+	cols := make([][]int32, m.NumCols(), m.NumCols()+1)
+	for c := range cols {
+		cols[c] = m.Column(c)
+	}
+	cols = append(cols, matrix.OrColumns(m.Column(i), m.Column(j)))
+	return testutil.Must(matrix.New(m.NumRows(), cols)), len(cols) - 1
+}
 
 func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *matrix.Matrix {
 	b := matrix.NewBuilder(rows, cols)
@@ -23,7 +35,7 @@ func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *mat
 }
 
 func TestComputeValidatesK(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}}))
 	for _, k := range []int{0, -3} {
 		if _, err := Compute(m.Stream(), k, 1); err == nil {
 			t.Errorf("Compute accepted k=%d", k)
@@ -65,7 +77,7 @@ func TestBottomKMatchesSort(t *testing.T) {
 }
 
 func TestColSizes(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{{0, 1}, {0, 1, 2}, {2, 3}})
+	m := testutil.Must(matrix.New(4, [][]int32{{0, 1}, {0, 1, 2}, {2, 3}}))
 	s, err := Compute(m.Stream(), 2, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +91,7 @@ func TestColSizes(t *testing.T) {
 }
 
 func TestSparseColumnKeepsAllValues(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{{3, 7}})
+	m := testutil.Must(matrix.New(10, [][]int32{{3, 7}}))
 	s, _ := Compute(m.Stream(), 5, 9)
 	if len(s.Signature(0)) != 2 {
 		t.Errorf("signature of 2-row column has length %d, want 2", len(s.Signature(0)))
@@ -87,7 +99,7 @@ func TestSparseColumnKeepsAllValues(t *testing.T) {
 }
 
 func TestEmptyColumn(t *testing.T) {
-	m := matrix.MustNew(3, [][]int32{{}, {0, 1, 2}})
+	m := testutil.Must(matrix.New(3, [][]int32{{}, {0, 1, 2}}))
 	s, _ := Compute(m.Stream(), 2, 3)
 	if len(s.Signature(0)) != 0 {
 		t.Errorf("empty column signature length %d", len(s.Signature(0)))
@@ -95,7 +107,7 @@ func TestEmptyColumn(t *testing.T) {
 	if got := s.UnbiasedEstimate(0, 0); got != 0 {
 		t.Errorf("estimate between empty columns = %v", got)
 	}
-	if got := s.BiasedEstimate(0, 1); got != 0 {
+	if got := s.biasedEstimate(0, 1); got != 0 {
 		t.Errorf("biased estimate with empty column = %v", got)
 	}
 }
@@ -105,13 +117,13 @@ func TestEmptyColumn(t *testing.T) {
 func TestUnionSignatureIsBottomKOfUnion(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m := randomMatrix(rng, 200, 4, 0.15)
-	m2, orIdx := m.WithOrColumn(0, 1)
+	m2, orIdx := withOrColumn(m, 0, 1)
 	const k, seed = 6, 99
 	s, err := Compute(m2.Stream(), k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.UnionSignature(0, 1, nil)
+	got := s.unionSignature(0, 1, nil)
 	want := s.Signature(orIdx)
 	if len(got) != len(want) {
 		t.Fatalf("union signature length %d, want %d", len(got), len(want))
@@ -124,56 +136,58 @@ func TestUnionSignatureIsBottomKOfUnion(t *testing.T) {
 }
 
 func TestUnionSignatureDstReuse(t *testing.T) {
-	m := matrix.MustNew(6, [][]int32{{0, 1, 2}, {3, 4, 5}})
+	m := testutil.Must(matrix.New(6, [][]int32{{0, 1, 2}, {3, 4, 5}}))
 	s, _ := Compute(m.Stream(), 4, 1)
 	dst := make([]uint64, 0, 4)
-	out := s.UnionSignature(0, 1, dst)
+	out := s.unionSignature(0, 1, dst)
 	if cap(out) != cap(dst) {
-		t.Error("UnionSignature reallocated despite sufficient capacity")
+		t.Error("unionSignature reallocated despite sufficient capacity")
 	}
 	if len(out) != 4 {
 		t.Errorf("union signature length %d, want 4", len(out))
 	}
 }
 
-// TestTheorem2Unbiased: averaging the unbiased estimator over many
-// independent seeds must converge to the true similarity.
+// TestTheorem2Unbiased: over the fixed seeds 1..lawSeeds, the mean of
+// Theorem 2's estimate on each planted pair (S = 0.2, 0.5, 0.8 exactly)
+// lies within 3 standard errors of S.
 func TestTheorem2Unbiased(t *testing.T) {
-	rng := hashing.NewSplitMix64(11)
-	m := randomMatrix(rng, 150, 2, 0.3)
-	truth := m.Similarity(0, 1)
-	const trials, k = 400, 10
-	sum := 0.0
-	for trial := 0; trial < trials; trial++ {
-		s, err := Compute(m.Stream(), k, uint64(1000+trial))
-		if err != nil {
-			t.Fatal(err)
+	m := lawMatrix(t)
+	for p, s := range lawSims {
+		var sum, sumSq float64
+		for seed := uint64(1); seed <= lawSeeds; seed++ {
+			sk, err := Compute(m.Stream(), lawK, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := sk.UnbiasedEstimate(2*p, 2*p+1)
+			sum, sumSq = sum+e, sumSq+e*e
 		}
-		sum += s.UnbiasedEstimate(0, 1)
-	}
-	mean := sum / trials
-	// Each estimate is an average of k near-Bernoulli(s) draws; the
-	// mean of 400 trials should be well within 0.04 of the truth.
-	if math.Abs(mean-truth) > 0.04 {
-		t.Errorf("mean unbiased estimate %v, truth %v", mean, truth)
+		mean := sum / lawSeeds
+		se := math.Sqrt((sumSq/lawSeeds - mean*mean) / (lawSeeds - 1))
+		t.Logf("S=%.1f: mean %.4f, standard error %.4f", s, mean, se)
+		if math.Abs(mean-s) > 3*se {
+			t.Errorf("S=%.1f: mean unbiased estimate %.4f is %.1f standard errors (%.4f) from S",
+				s, mean, math.Abs(mean-s)/se, se)
+		}
 	}
 }
 
 func TestIntersectionSize(t *testing.T) {
 	s := &Sketches{K: 4, Sigs: [][]uint64{{1, 3, 5, 9}, {2, 3, 9, 11}}, ColSizes: []int{4, 4}}
-	if got := s.IntersectionSize(0, 1); got != 2 {
-		t.Errorf("IntersectionSize = %d, want 2", got)
+	if got := s.intersectionSize(0, 1); got != 2 {
+		t.Errorf("intersectionSize = %d, want 2", got)
 	}
-	if got := s.IntersectionSize(1, 0); got != 2 {
-		t.Errorf("IntersectionSize swapped = %d, want 2", got)
+	if got := s.intersectionSize(1, 0); got != 2 {
+		t.Errorf("intersectionSize swapped = %d, want 2", got)
 	}
 }
 
 func TestUnbiasedEstimateIdenticalColumns(t *testing.T) {
-	m := matrix.MustNew(20, [][]int32{
+	m := testutil.Must(matrix.New(20, [][]int32{
 		{0, 3, 6, 9, 12},
 		{0, 3, 6, 9, 12},
-	})
+	}))
 	s, _ := Compute(m.Stream(), 3, 21)
 	if got := s.UnbiasedEstimate(0, 1); got != 1 {
 		t.Errorf("identical columns estimate = %v, want 1", got)
@@ -181,10 +195,10 @@ func TestUnbiasedEstimateIdenticalColumns(t *testing.T) {
 }
 
 func TestUnbiasedEstimateDisjointColumns(t *testing.T) {
-	m := matrix.MustNew(20, [][]int32{
+	m := testutil.Must(matrix.New(20, [][]int32{
 		{0, 1, 2, 3, 4},
 		{10, 11, 12, 13, 14},
-	})
+	}))
 	s, _ := Compute(m.Stream(), 4, 22)
 	if got := s.UnbiasedEstimate(0, 1); got != 0 {
 		t.Errorf("disjoint columns estimate = %v, want 0", got)
@@ -204,7 +218,7 @@ func TestBiasedEstimateTracksTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += s.BiasedEstimate(0, 1)
+		sum += s.biasedEstimate(0, 1)
 	}
 	mean := sum / trials
 	if math.Abs(mean-truth) > 0.1 {
@@ -215,54 +229,53 @@ func TestBiasedEstimateTracksTruth(t *testing.T) {
 func TestBiasedEstimateExactWhenColumnsSmall(t *testing.T) {
 	// When both columns have fewer than k rows, SIG = full column and
 	// the biased estimator is exact.
-	m := matrix.MustNew(30, [][]int32{
+	m := testutil.Must(matrix.New(30, [][]int32{
 		{0, 5, 10, 15},
 		{5, 10, 20},
-	})
+	}))
 	s, _ := Compute(m.Stream(), 16, 77)
 	want := m.Similarity(0, 1)
-	if got := s.BiasedEstimate(0, 1); math.Abs(got-want) > 1e-12 {
+	if got := s.biasedEstimate(0, 1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("biased estimate %v, want exact %v", got, want)
 	}
 }
 
 func TestLemma1Bounds(t *testing.T) {
-	lo, hi := Lemma1Bounds(6, 10, 100)
+	lo, hi := lemma1Bounds(6, 10, 100)
 	if lo != 6.0/20 || hi != 6.0/10 {
 		t.Errorf("bounds = (%v, %v), want (0.3, 0.6)", lo, hi)
 	}
 	// Union smaller than k: both denominators collapse to union size.
-	lo, hi = Lemma1Bounds(3, 10, 5)
+	lo, hi = lemma1Bounds(3, 10, 5)
 	if lo != 3.0/5 || hi != 3.0/5 {
 		t.Errorf("bounds = (%v, %v), want (0.6, 0.6)", lo, hi)
 	}
-	lo, hi = Lemma1Bounds(1, 10, 0)
+	lo, hi = lemma1Bounds(1, 10, 0)
 	if lo != 0 || hi != 0 {
 		t.Errorf("bounds with empty union = (%v, %v), want (0, 0)", lo, hi)
 	}
 }
 
-// TestLemma1Sandwich: statistically, the Lemma 1 bounds computed from
-// the mean observed |SIG_i ∩ SIG_j| must bracket the true similarity.
+// TestLemma1Sandwich: over the fixed seeds 1..lawSeeds, the mean
+// observed |SIG_i ∩ SIG_j| of each planted pair, put through Lemma 1's
+// bounds with the pair's exact union size, brackets its true S. The
+// unions (lawUnion) exceed 2k, so neither bound is the trivial one.
 func TestLemma1Sandwich(t *testing.T) {
-	rng := hashing.NewSplitMix64(41)
-	m := randomMatrix(rng, 400, 2, 0.2)
-	truth := m.Similarity(0, 1)
-	unionSize := m.UnionSize(0, 1)
-	const trials, k = 300, 12
-	sum := 0.0
-	for trial := 0; trial < trials; trial++ {
-		s, err := Compute(m.Stream(), k, uint64(9000+trial))
-		if err != nil {
-			t.Fatal(err)
+	m := lawMatrix(t)
+	for p, s := range lawSims {
+		sum := 0
+		for seed := uint64(1); seed <= lawSeeds; seed++ {
+			sk, err := Compute(m.Stream(), lawK, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += sk.intersectionSize(2*p, 2*p+1)
 		}
-		sum += float64(s.IntersectionSize(0, 1))
-	}
-	e := sum / trials
-	lo, hi := Lemma1Bounds(e, k, unionSize)
-	const slack = 0.05
-	if truth < lo-slack || truth > hi+slack {
-		t.Errorf("truth %v outside Lemma 1 bounds [%v, %v]", truth, lo, hi)
+		lo, hi := lemma1Bounds(float64(sum)/lawSeeds, lawK, lawUnion)
+		t.Logf("S=%.1f: mean |SIG_i ∩ SIG_j| %.2f, bounds [%.4f, %.4f]", s, float64(sum)/lawSeeds, lo, hi)
+		if s < lo || s > hi {
+			t.Errorf("S=%.1f outside Lemma 1 bounds [%.4f, %.4f]", s, lo, hi)
+		}
 	}
 }
 
@@ -279,21 +292,6 @@ func TestUpdatesBounded(t *testing.T) {
 	bound := float64(cols) * 4 * float64(k) * math.Log(float64(rows))
 	if float64(s.Updates) > bound {
 		t.Errorf("updates %d exceed loose bound %v", s.Updates, bound)
-	}
-}
-
-func TestOrSignatureAlias(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{{0, 2, 4}, {1, 3, 5}})
-	s, _ := Compute(m.Stream(), 4, 8)
-	a := s.UnionSignature(0, 1, nil)
-	b := s.OrSignature(0, 1, nil)
-	if len(a) != len(b) {
-		t.Fatal("OrSignature differs from UnionSignature")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("OrSignature differs from UnionSignature")
-		}
 	}
 }
 
@@ -336,7 +334,7 @@ func TestQuickEstimatorsSymmetric(t *testing.T) {
 				if s.UnbiasedEstimate(i, j) != s.UnbiasedEstimate(j, i) {
 					return false
 				}
-				if s.BiasedEstimate(i, j) != s.BiasedEstimate(j, i) {
+				if s.biasedEstimate(i, j) != s.biasedEstimate(j, i) {
 					return false
 				}
 			}

@@ -5,6 +5,7 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 func TestComputeParallelMatchesSerial(t *testing.T) {
@@ -38,7 +39,7 @@ func TestComputeParallelMatchesSerial(t *testing.T) {
 }
 
 func TestComputeParallelValidates(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}}))
 	if _, err := ComputeParallel(m.Stream().(matrix.ColumnLister), -1, 1, 2); err == nil {
 		t.Error("negative k accepted")
 	}
@@ -57,7 +58,7 @@ func TestComputeParallelEstimatorsAgree(t *testing.T) {
 			if serial.UnbiasedEstimate(i, j) != par.UnbiasedEstimate(i, j) {
 				t.Fatalf("unbiased estimate differs on (%d,%d)", i, j)
 			}
-			if serial.BiasedEstimate(i, j) != par.BiasedEstimate(i, j) {
+			if serial.biasedEstimate(i, j) != par.biasedEstimate(i, j) {
 				t.Fatalf("biased estimate differs on (%d,%d)", i, j)
 			}
 		}

@@ -70,7 +70,7 @@ func mapBands(sig *minhash.Signatures, bands [][]int) (*pairs.Set, int64) {
 			key := make([]uint64, 0, len(rows))
 			empty := true
 			for _, l := range rows {
-				v := sig.Value(l, c)
+				v := sig.Vals[l*sig.M+c]
 				empty = empty && v == minhash.Empty
 				key = append(key, v)
 			}

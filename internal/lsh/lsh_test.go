@@ -9,6 +9,7 @@ import (
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
 func TestProbAtLeastOnceBasics(t *testing.T) {
@@ -163,7 +164,7 @@ func TestCandidatesFindPlantedPairs(t *testing.T) {
 }
 
 func TestCandidatesEmptyColumnsSkipped(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{{}, {}, {0, 1}})
+	m := testutil.Must(matrix.New(4, [][]int32{{}, {}, {0, 1}}))
 	sig, _ := minhash.Compute(m.Stream(), 10, 5)
 	set, _, err := Candidates(sig, 2, 5)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 // Distribution is a histogram of pairwise similarities: Count[i] pairs
 // at similarity S[i]. It is the input to the input-sensitive parameter
 // optimizer of Section 4.1 and is typically estimated by sampling a
-// small fraction of columns (eval.SampleDistribution).
+// small fraction of columns (as eval's optimizer experiment does).
 type Distribution struct {
 	S     []float64
 	Count []float64

@@ -38,7 +38,7 @@ func BenchmarkFoldRows(b *testing.B) {
 	m := benchMatrix(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.FoldRows(hashing.NewSplitMix64(uint64(i)))
+		_ = m.foldRows(hashing.NewSplitMix64(uint64(i)))
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkWriteBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, m); err != nil {
+		if err := writeBinary(&buf, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkWriteRowBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WriteRowBinary(&buf, m.Stream()); err != nil {
+		if err := writeRowBinary(&buf, m.Stream()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,9 +40,9 @@ func uvarintLen(v uint64) int64 {
 	return int64((bits.Len64(v|1) + 6) / 7)
 }
 
-// WriteRowCompressed writes src in the ".carows" compressed streaming
+// writeRowCompressed writes src in the ".carows" compressed streaming
 // format. One pass over src.
-func WriteRowCompressed(w io.Writer, src RowSource) error {
+func writeRowCompressed(w io.Writer, src RowSource) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(rowCompressedMagic); err != nil {
 		return err
@@ -122,7 +122,7 @@ func SaveRowCompressed(path string, src RowSource) error {
 	if err != nil {
 		return err
 	}
-	err = WriteRowCompressed(f, src)
+	err = writeRowCompressed(f, src)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -93,10 +93,10 @@ func TestCompressedSmallerThanBinary(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m := randomMatrix(rng, 500, 2000, 0.1)
 	var arows, carows bytes.Buffer
-	if err := WriteRowBinary(&arows, m.Stream()); err != nil {
+	if err := writeRowBinary(&arows, m.Stream()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRowCompressed(&carows, m.Stream()); err != nil {
+	if err := writeRowCompressed(&carows, m.Stream()); err != nil {
 		t.Fatal(err)
 	}
 	if carows.Len() >= arows.Len() {
@@ -119,7 +119,7 @@ func TestCompressedByteAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arows bytes.Buffer
-	if err := WriteRowBinary(&arows, m.Stream()); err != nil {
+	if err := writeRowBinary(&arows, m.Stream()); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)

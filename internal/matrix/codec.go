@@ -20,12 +20,12 @@ const (
 	binaryMagic = "AMX1"
 )
 
-// WriteText writes the matrix in the text format:
+// writeText writes the matrix in the text format:
 //
 //	%%assocmine-matrix v1
 //	<rows> <cols>
 //	<col> <col> ...   (one line per row; blank line = empty row)
-func WriteText(w io.Writer, m *Matrix) error {
+func writeText(w io.Writer, m *Matrix) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "%s\n%d %d\n", textHeader, m.NumRows(), m.NumCols()); err != nil {
 		return err
@@ -73,7 +73,7 @@ func readTextHeader(br lineReader) (rows, cols int, err error) {
 }
 
 // parseTextRow appends the column indices of one text row to buf as a
-// sorted set: files written by WriteText are already strictly
+// sorted set: files written by writeText are already strictly
 // increasing, hand-written ones need not be, and RowSource promises
 // sorted distinct columns.
 func parseTextRow(line string, cols int, buf []int32) ([]int32, error) {
@@ -114,10 +114,10 @@ func readLine(br lineReader) (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-// WriteBinary writes the compact column-major binary encoding:
+// writeBinary writes the compact column-major binary encoding:
 // magic, uvarint rows, uvarint cols, then per column a uvarint length
 // followed by delta-encoded uvarint row indices.
-func WriteBinary(w io.Writer, m *Matrix) error {
+func writeBinary(w io.Writer, m *Matrix) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return err
@@ -154,8 +154,8 @@ func WriteBinary(w io.Writer, m *Matrix) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the binary encoding written by WriteBinary.
-func ReadBinary(r io.Reader) (*Matrix, error) {
+// readBinary parses the binary encoding written by writeBinary.
+func readBinary(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -229,9 +229,9 @@ func SaveFile(path string, m *Matrix) error {
 		return err
 	}
 	if strings.HasSuffix(path, ".amx") {
-		err = WriteBinary(f, m)
+		err = writeBinary(f, m)
 	} else {
-		err = WriteText(f, m)
+		err = writeText(f, m)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -256,5 +256,5 @@ func LoadFile(path string) (*Matrix, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	return readBinary(f)
 }

@@ -13,9 +13,10 @@ import (
 	"testing/quick"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
-// ReadText parses the text format written by WriteText from a reader:
+// ReadText parses the text format written by writeText from a reader:
 // the in-memory oracle the file path (LoadFile through FileSource's text
 // decoder) is held to.
 func ReadText(r io.Reader) (*Matrix, error) {
@@ -61,7 +62,7 @@ func TestLoadFileTextMatchesReadText(t *testing.T) {
 		"fuzz-seed-scanrng": []byte(textHeader + "\n3 4\n3 1 1\n\n0 2\n"),
 	}
 	var seed bytes.Buffer
-	if err := WriteText(&seed, paperExample()); err != nil {
+	if err := writeText(&seed, paperExample()); err != nil {
 		t.Fatal(err)
 	}
 	inputs["paper-example"] = seed.Bytes()
@@ -121,7 +122,7 @@ func TestLoadFileTextErrorNamesFile(t *testing.T) {
 func TestTextRoundTrip(t *testing.T) {
 	m := paperExample()
 	var buf bytes.Buffer
-	if err := WriteText(&buf, m); err != nil {
+	if err := writeText(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadText(&buf)
@@ -134,9 +135,9 @@ func TestTextRoundTrip(t *testing.T) {
 }
 
 func TestTextFormatShape(t *testing.T) {
-	m := MustNew(2, [][]int32{{0}, {0, 1}})
+	m := testutil.Must(New(2, [][]int32{{0}, {0, 1}}))
 	var buf bytes.Buffer
-	if err := WriteText(&buf, m); err != nil {
+	if err := writeText(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -152,9 +153,9 @@ func TestTextFormatShape(t *testing.T) {
 }
 
 func TestTextEmptyRows(t *testing.T) {
-	m := MustNew(3, [][]int32{{1}})
+	m := testutil.Must(New(3, [][]int32{{1}}))
 	var buf bytes.Buffer
-	if err := WriteText(&buf, m); err != nil {
+	if err := writeText(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadText(&buf)
@@ -188,10 +189,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		m := randomMatrix(rng, 100+trial*37, 17, 0.07)
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, m); err != nil {
+		if err := writeBinary(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,23 +209,23 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		[]byte("AMX1"), // truncated after magic
 	}
 	for _, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
-			t.Errorf("ReadBinary accepted %q", in)
+		if _, err := readBinary(bytes.NewReader(in)); err == nil {
+			t.Errorf("readBinary accepted %q", in)
 		}
 	}
 }
 
 func TestBinaryRejectsOversizedColumn(t *testing.T) {
-	m := MustNew(4, [][]int32{{0, 1, 2}})
+	m := testutil.Must(New(4, [][]int32{{0, 1, 2}}))
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, m); err != nil {
+	if err := writeBinary(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the column length byte (offset: 4 magic + 1 rows + 1 cols).
 	data := buf.Bytes()
 	data[6] = 200
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Error("ReadBinary accepted column longer than row count")
+	if _, err := readBinary(bytes.NewReader(data)); err == nil {
+		t.Error("readBinary accepted column longer than row count")
 	}
 }
 
@@ -257,10 +258,10 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		rng := hashing.NewSplitMix64(seed)
 		m := randomMatrix(rng, 1+rng.Intn(60), 1+rng.Intn(10), rng.Float64()*0.5)
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, m); err != nil {
+		if err := writeBinary(&buf, m); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readBinary(&buf)
 		if err != nil {
 			return false
 		}
@@ -276,7 +277,7 @@ func TestQuickTextRoundTrip(t *testing.T) {
 		rng := hashing.NewSplitMix64(seed)
 		m := randomMatrix(rng, 1+rng.Intn(40), 1+rng.Intn(8), rng.Float64()*0.5)
 		var buf bytes.Buffer
-		if err := WriteText(&buf, m); err != nil {
+		if err := writeText(&buf, m); err != nil {
 			return false
 		}
 		got, err := ReadText(&buf)

@@ -38,15 +38,15 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 }
 
-// DefaultRetryPolicy is the policy a new FileSource starts with: a few
+// defaultRetryPolicy is the policy a new FileSource starts with: a few
 // quick retries, cheap enough to be invisible on healthy disks, enough
 // to ride out momentary EAGAIN-class glitches.
-var DefaultRetryPolicy = RetryPolicy{Retries: 4, BaseDelay: time.Millisecond}
+var defaultRetryPolicy = RetryPolicy{Retries: 4, BaseDelay: time.Millisecond}
 
-// IsTransient reports whether err is a transient IO error worth
+// isTransient reports whether err is a transient IO error worth
 // retrying: it advertises Temporary() == true, or it is
 // EAGAIN/EINTR-class underneath.
-func IsTransient(err error) bool {
+func isTransient(err error) bool {
 	var t interface{ Temporary() bool }
 	if errors.As(err, &t) && t.Temporary() {
 		return true
@@ -77,13 +77,13 @@ func (e *FileError) Unwrap() error { return e.Err }
 // unchanged with the data never materialised in memory; each phase
 // costs one sequential file pass.
 //
-// Supported formats: the text transaction format of WriteText, the
-// row-major streaming binary format of WriteRowBinary (".arows"), and
-// the compressed row-streaming format of WriteRowCompressed
+// Supported formats: the text transaction format of writeText, the
+// row-major streaming binary format of writeRowBinary (".arows"), and
+// the compressed row-streaming format of writeRowCompressed
 // (".carows"). The column-major ".amx" format cannot be row-streamed;
 // convert it first.
 //
-// Opens and reads that fail transiently (see IsTransient) are retried
+// Opens and reads that fail transiently (see isTransient) are retried
 // with exponential backoff per the source's RetryPolicy; permanent
 // failures surface as *FileError carrying the path and byte offset.
 type FileSource struct {
@@ -104,7 +104,7 @@ type FileSource struct {
 type fileFormat uint8
 
 const (
-	formatText   fileFormat = iota // WriteText transaction lines
+	formatText   fileFormat = iota // writeText transaction lines
 	formatARows                    // ".arows" varint row binary
 	formatCARows                   // ".carows" Rice-compressed rows
 )
@@ -222,13 +222,13 @@ type retryReader struct {
 func (r *retryReader) Read(p []byte) (int, error) {
 	n, err := r.r.Read(p)
 	delay := r.policy.BaseDelay
-	for attempt := 0; attempt < r.policy.Retries && n == 0 && err != nil && IsTransient(err); attempt++ {
+	for attempt := 0; attempt < r.policy.Retries && n == 0 && err != nil && isTransient(err); attempt++ {
 		time.Sleep(delay)
 		delay *= 2
 		r.retries.Add(1)
 		n, err = r.r.Read(p)
 	}
-	if n > 0 && err != nil && IsTransient(err) {
+	if n > 0 && err != nil && isTransient(err) {
 		// Bytes plus a transient error: deliver the bytes now; the next
 		// Read retries the faulting position.
 		err = nil
@@ -241,7 +241,7 @@ func (r *retryReader) Read(p []byte) (int, error) {
 func (fs *FileSource) open() (io.ReadCloser, error) {
 	f, err := fs.fsys.Open(fs.path)
 	delay := fs.retry.BaseDelay
-	for attempt := 0; attempt < fs.retry.Retries && err != nil && IsTransient(err); attempt++ {
+	for attempt := 0; attempt < fs.retry.Retries && err != nil && isTransient(err); attempt++ {
 		time.Sleep(delay)
 		delay *= 2
 		fs.retries.Add(1)
@@ -360,7 +360,7 @@ func OpenFileSourceFS(fsys FS, path string) (*FileSource, error) {
 		path:   path,
 		fsys:   fsys,
 		format: formatOf(path),
-		retry:  DefaultRetryPolicy,
+		retry:  defaultRetryPolicy,
 	}
 	f, err := fs.open()
 	if err != nil {
@@ -407,7 +407,7 @@ func (fs *FileSource) Scan(fn func(row int, cols []int32) error) error {
 	return fs.scan(0, fs.rows, fn)
 }
 
-// ScanRange implements RangeScanner with one sequential pass that
+// ScanRange implements rangeScanner with one sequential pass that
 // skip-decodes the prefix rows, delivers rows in [from, to) with their
 // original ids, and stops without touching the tail. Skipped rows pay
 // only framing cost: ".arows" prefixes are crossed by counting varint
@@ -508,10 +508,10 @@ func (d textDecoder) next(row int, buf []int32) ([]int32, error) {
 
 const rowBinaryMagic = "ARW1"
 
-// WriteRowBinary writes src in the row-major streaming binary format:
+// writeRowBinary writes src in the row-major streaming binary format:
 // magic, uvarint rows/cols, then per row a uvarint length followed by
 // delta-encoded column indices. One pass over src.
-func WriteRowBinary(w io.Writer, src RowSource) error {
+func writeRowBinary(w io.Writer, src RowSource) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(rowBinaryMagic); err != nil {
 		return err
@@ -633,7 +633,7 @@ func SaveRowBinary(path string, src RowSource) error {
 	if err != nil {
 		return err
 	}
-	err = WriteRowBinary(f, src)
+	err = writeRowBinary(f, src)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
 func TestFileSourceTextRoundTrip(t *testing.T) {
@@ -150,10 +151,10 @@ func TestFileSourceRejectsCorruptRow(t *testing.T) {
 func TestWriteRowBinaryDeterministic(t *testing.T) {
 	m := paperExample()
 	var a, b bytes.Buffer
-	if err := WriteRowBinary(&a, m.Stream()); err != nil {
+	if err := writeRowBinary(&a, m.Stream()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRowBinary(&b, m.Stream()); err != nil {
+	if err := writeRowBinary(&b, m.Stream()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -197,7 +198,7 @@ func TestNamedTransactionsRoundTrip(t *testing.T) {
 }
 
 func TestWriteNamedTransactionsValidation(t *testing.T) {
-	m := MustNew(1, [][]int32{{0}, {}})
+	m := testutil.Must(New(1, [][]int32{{0}, {}}))
 	var buf bytes.Buffer
 	if err := WriteNamedTransactions(&buf, m, []string{"a"}); err == nil {
 		t.Error("wrong name count accepted")

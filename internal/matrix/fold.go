@@ -2,13 +2,13 @@ package matrix
 
 import "assocmine/internal/hashing"
 
-// FoldRows implements the density-doubling step of Hamming-LSH (paper
+// foldRows implements the density-doubling step of Hamming-LSH (paper
 // Section 4.2): rows are paired uniformly at random and each pair is
 // replaced by its bitwise OR, halving the number of rows (an odd
 // trailing row passes through unchanged). Repeated folding produces the
 // sequence M_0, M_1, M_2, ... of increasingly dense matrices on which
 // the algorithm samples row bits.
-func (m *Matrix) FoldRows(rng *hashing.SplitMix64) *Matrix {
+func (m *Matrix) foldRows(rng *hashing.SplitMix64) *Matrix {
 	n := m.rows
 	newRows := (n + 1) / 2
 	if n <= 1 {
@@ -104,7 +104,7 @@ func (m *Matrix) FoldLadder(rng *hashing.SplitMix64, maxLevels int) []*Matrix {
 	ladder := []*Matrix{m}
 	cur := m
 	for len(ladder) < maxLevels && cur.rows > 2 {
-		cur = cur.FoldRows(rng)
+		cur = cur.foldRows(rng)
 		ladder = append(ladder, cur)
 	}
 	return ladder

@@ -11,7 +11,7 @@ import (
 
 func FuzzReadText(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteText(&seed, paperExample())
+	_ = writeText(&seed, paperExample())
 	f.Add(seed.Bytes())
 	f.Add([]byte(""))
 	f.Add([]byte(textHeader + "\n2 2\n0 1\n\n"))
@@ -22,7 +22,7 @@ func FuzzReadText(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteText(&out, m); err != nil {
+		if err := writeText(&out, m); err != nil {
 			t.Fatalf("re-encode of parsed matrix failed: %v", err)
 		}
 		m2, err := ReadText(&out)
@@ -37,20 +37,20 @@ func FuzzReadText(f *testing.F) {
 
 func FuzzReadBinary(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteBinary(&seed, paperExample())
+	_ = writeBinary(&seed, paperExample())
 	f.Add(seed.Bytes())
 	f.Add([]byte("AMX1"))
 	f.Add([]byte("AMX1\x02\x02\x01\x00\x01\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadBinary(bytes.NewReader(data))
+		m, err := readBinary(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteBinary(&out, m); err != nil {
+		if err := writeBinary(&out, m); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		m2, err := ReadBinary(&out)
+		m2, err := readBinary(&out)
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
 		}
@@ -62,12 +62,12 @@ func FuzzReadBinary(f *testing.F) {
 
 func FuzzCArowsRoundTrip(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteRowCompressed(&seed, paperExample().Stream())
+	_ = writeRowCompressed(&seed, paperExample().Stream())
 	f.Add(seed.Bytes())
 	// A multi-shard matrix (rows beyond one 64-row shard) with both
 	// sparse Rice rows and dense bitmap rows.
 	var wide bytes.Buffer
-	_ = WriteRowCompressed(&wide, fuzzSeedMatrix().Stream())
+	_ = writeRowCompressed(&wide, fuzzSeedMatrix().Stream())
 	f.Add(wide.Bytes())
 	// Truncations at and around the shard-boundary rows.
 	for _, cut := range []int{4, 6, len(wide.Bytes()) / 2, len(wide.Bytes()) - 1} {
@@ -84,7 +84,7 @@ func FuzzCArowsRoundTrip(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteRowCompressed(&out, m.Stream()); err != nil {
+		if err := writeRowCompressed(&out, m.Stream()); err != nil {
 			t.Fatalf("re-encode of parsed matrix failed: %v", err)
 		}
 		m2, err := parseCArows(out.Bytes())
@@ -120,9 +120,9 @@ func FuzzReadNamedTransactions(f *testing.F) {
 func FuzzScanRange(f *testing.F) {
 	m := fuzzSeedMatrix()
 	var text, arows, carows bytes.Buffer
-	_ = WriteText(&text, m)
-	_ = WriteRowBinary(&arows, m.Stream())
-	_ = WriteRowCompressed(&carows, m.Stream())
+	_ = writeText(&text, m)
+	_ = writeRowBinary(&arows, m.Stream())
+	_ = writeRowCompressed(&carows, m.Stream())
 	for format, enc := range [][]byte{text.Bytes(), arows.Bytes(), carows.Bytes()} {
 		f.Add(enc, uint8(format), 0, 130)
 		f.Add(enc, uint8(format), 64, 65)

@@ -46,15 +46,6 @@ func New(rows int, cols [][]int32) (*Matrix, error) {
 	return &Matrix{rows: rows, cols: cols}, nil
 }
 
-// MustNew is New but panics on error; intended for tests and literals.
-func MustNew(rows int, cols [][]int32) *Matrix {
-	m, err := New(rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Builder accumulates 1-entries in any order and produces a Matrix.
 type Builder struct {
 	rows int
@@ -161,11 +152,6 @@ func (m *Matrix) IntersectSize(i, j int) int {
 	return intersectSortedSize(m.cols[i], m.cols[j])
 }
 
-// UnionSize returns |C_i ∪ C_j|.
-func (m *Matrix) UnionSize(i, j int) int {
-	return len(m.cols[i]) + len(m.cols[j]) - m.IntersectSize(i, j)
-}
-
 // Similarity returns the Jaccard similarity S(c_i, c_j) =
 // |C_i ∩ C_j| / |C_i ∪ C_j|. Two empty columns have similarity 0.
 func (m *Matrix) Similarity(i, j int) float64 {
@@ -184,14 +170,6 @@ func (m *Matrix) Confidence(i, j int) float64 {
 		return 0
 	}
 	return float64(m.IntersectSize(i, j)) / float64(len(m.cols[i]))
-}
-
-// HammingDistance returns d_H(c_i, c_j), the number of rows on which
-// the two columns differ. Lemma 3 relates it to similarity:
-// S = (|C_i|+|C_j|-d_H) / (|C_i|+|C_j|+d_H).
-func (m *Matrix) HammingDistance(i, j int) int {
-	inter := m.IntersectSize(i, j)
-	return len(m.cols[i]) + len(m.cols[j]) - 2*inter
 }
 
 // OrColumns returns the sorted row set of the induced column c_i ∨ c_j
@@ -277,14 +255,4 @@ func intersectSortedSize(a, b []int32) int {
 		}
 	}
 	return n
-}
-
-// WithOrColumn returns a new Matrix that shares this matrix's columns
-// and appends the induced column c_i ∨ c_j at the end, returning its
-// index. Used by the Section 7 extensions.
-func (m *Matrix) WithOrColumn(i, j int) (*Matrix, int) {
-	cols := make([][]int32, len(m.cols), len(m.cols)+1)
-	copy(cols, m.cols)
-	cols = append(cols, OrColumns(m.cols[i], m.cols[j]))
-	return &Matrix{rows: m.rows, cols: cols}, len(cols) - 1
 }

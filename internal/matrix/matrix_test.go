@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
 // paperExample is the matrix of Example 1 in the paper:
@@ -17,11 +18,11 @@ import (
 //	 0  1  1   r3
 //	 0  0  1   r4
 func paperExample() *Matrix {
-	return MustNew(4, [][]int32{
+	return testutil.Must(New(4, [][]int32{
 		{0, 1},    // c1
 		{0, 1, 2}, // c2
 		{2, 3},    // c3
-	})
+	}))
 }
 
 func TestPaperExampleSimilarities(t *testing.T) {
@@ -57,7 +58,7 @@ func TestConfidence(t *testing.T) {
 }
 
 func TestConfidenceEmptyAntecedent(t *testing.T) {
-	m := MustNew(3, [][]int32{{}, {0, 1}})
+	m := testutil.Must(New(3, [][]int32{{}, {0, 1}}))
 	if got := m.Confidence(0, 1); got != 0 {
 		t.Errorf("Conf with empty antecedent = %v, want 0", got)
 	}
@@ -139,18 +140,19 @@ func TestOnesAndDensity(t *testing.T) {
 	if got := m.Density(1); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("Density(c2) = %v, want 0.75", got)
 	}
-	empty := MustNew(0, [][]int32{{}})
+	empty := testutil.Must(New(0, [][]int32{{}}))
 	if empty.Density(0) != 0 {
 		t.Error("density of column in empty matrix should be 0")
 	}
 }
 
 func TestHammingDistanceLemma3(t *testing.T) {
-	// Lemma 3: S = (|Ci|+|Cj|-dH) / (|Ci|+|Cj|+dH).
+	// Lemma 3: S = (|Ci|+|Cj|-dH) / (|Ci|+|Cj|+dH), with dH the rows on
+	// which exactly one of the two columns is 1.
 	m := paperExample()
 	for i := 0; i < m.NumCols(); i++ {
 		for j := 0; j < m.NumCols(); j++ {
-			dh := m.HammingDistance(i, j)
+			dh := len(OrColumns(m.Column(i), m.Column(j))) - len(AndColumns(m.Column(i), m.Column(j)))
 			rho := float64(m.ColumnSize(i) + m.ColumnSize(j))
 			want := m.Similarity(i, j)
 			var got float64
@@ -181,21 +183,6 @@ func TestOrAndColumns(t *testing.T) {
 	}
 }
 
-func TestWithOrColumn(t *testing.T) {
-	m := paperExample()
-	m2, idx := m.WithOrColumn(0, 2)
-	if idx != 3 || m2.NumCols() != 4 {
-		t.Fatalf("idx=%d cols=%d", idx, m2.NumCols())
-	}
-	if !reflect.DeepEqual(m2.Column(3), []int32{0, 1, 2, 3}) {
-		t.Errorf("or column = %v", m2.Column(3))
-	}
-	// Original unchanged.
-	if m.NumCols() != 3 {
-		t.Error("WithOrColumn mutated the receiver")
-	}
-}
-
 func TestIntersectGalloping(t *testing.T) {
 	// Force the galloping path: short vs very long column.
 	long := make([]int32, 1000)
@@ -203,7 +190,7 @@ func TestIntersectGalloping(t *testing.T) {
 		long[i] = int32(2 * i)
 	}
 	short := []int32{0, 3, 500, 1000, 1998}
-	m := MustNew(2000, [][]int32{short, long})
+	m := testutil.Must(New(2000, [][]int32{short, long}))
 	want := 0
 	set := map[int32]bool{}
 	for _, v := range long {
@@ -282,7 +269,7 @@ func TestSliceSource(t *testing.T) {
 func TestFoldRowsPreservesColumns(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
 	m := randomMatrix(rng, 128, 20, 0.05)
-	f := m.FoldRows(hashing.NewSplitMix64(3))
+	f := m.foldRows(hashing.NewSplitMix64(3))
 	if f.NumRows() != 64 {
 		t.Fatalf("folded rows = %d, want 64", f.NumRows())
 	}
@@ -303,8 +290,8 @@ func TestFoldRowsPreservesColumns(t *testing.T) {
 }
 
 func TestFoldRowsOddCount(t *testing.T) {
-	m := MustNew(5, [][]int32{{0, 1, 2, 3, 4}})
-	f := m.FoldRows(hashing.NewSplitMix64(4))
+	m := testutil.Must(New(5, [][]int32{{0, 1, 2, 3, 4}}))
+	f := m.foldRows(hashing.NewSplitMix64(4))
 	if f.NumRows() != 3 {
 		t.Fatalf("folded rows = %d, want 3", f.NumRows())
 	}
@@ -320,8 +307,8 @@ func TestFoldRowsIdentityOnTiny(t *testing.T) {
 		if rows == 1 {
 			cols = [][]int32{{0}}
 		}
-		m := MustNew(rows, cols)
-		f := m.FoldRows(hashing.NewSplitMix64(5))
+		m := testutil.Must(New(rows, cols))
+		f := m.foldRows(hashing.NewSplitMix64(5))
 		if f.NumRows() != rows {
 			t.Errorf("fold changed %d-row matrix to %d rows", rows, f.NumRows())
 		}
@@ -333,8 +320,8 @@ func TestFoldRowsORSemantics(t *testing.T) {
 	// p's source rows was set. Verify against an explicit simulation by
 	// checking density never decreases as a *fraction* beyond halving:
 	// a column with all rows set stays all set.
-	m := MustNew(8, [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {0}, {}})
-	f := m.FoldRows(hashing.NewSplitMix64(6))
+	m := testutil.Must(New(8, [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {0}, {}}))
+	f := m.foldRows(hashing.NewSplitMix64(6))
 	if f.ColumnSize(0) != 4 {
 		t.Errorf("full column = %d folded rows, want 4", f.ColumnSize(0))
 	}

@@ -124,7 +124,7 @@ func TestScanRangeDenseBitmapRows(t *testing.T) {
 }
 
 // TestRangeSource proves the generic wrapper filters a plain RowSource
-// (early-stopping) and routes RangeScanner sources to their skip path,
+// (early-stopping) and routes rangeScanner sources to their skip path,
 // both preserving original row ids.
 func TestRangeSource(t *testing.T) {
 	src := &SliceSource{Cols: 10, Rows: [][]int32{

@@ -153,12 +153,12 @@ func (s *SliceSource) Scan(fn func(row int, cols []int32) error) error {
 	return nil
 }
 
-// RangeScanner is a RowSource that can deliver a contiguous row-id
+// rangeScanner is a RowSource that can deliver a contiguous row-id
 // range more cheaply than a filtered full pass — a file source that
 // skip-decodes the prefix and stops after the range, for instance. The
 // scale-out executor partitions datasets into such ranges so each
 // worker pays decode cost only for its own rows.
-type RangeScanner interface {
+type rangeScanner interface {
 	RowSource
 	// ScanRange invokes fn once per row with from <= id < to, in order,
 	// with the row's sorted column indices and its ORIGINAL row id.
@@ -178,7 +178,7 @@ var errStopRange = errors.New("matrix: range complete")
 // ColumnLister delegation): those fast paths operate on the full
 // underlying data and would silently reintroduce out-of-range rows, so
 // ranged runs fall back to sequential scans. When the wrapped source is
-// a RangeScanner, Scan uses its skip-decode path; otherwise it filters
+// a rangeScanner, Scan uses its skip-decode path; otherwise it filters
 // a full pass, stopping early after the range.
 type RangeSource struct {
 	Src  RowSource
@@ -195,7 +195,7 @@ func (t *RangeSource) NumCols() int { return t.Src.NumCols() }
 
 // Scan implements RowSource, delivering only rows in [From, To).
 func (t *RangeSource) Scan(fn func(row int, cols []int32) error) error {
-	if rs, ok := t.Src.(RangeScanner); ok {
+	if rs, ok := t.Src.(rangeScanner); ok {
 		return rs.ScanRange(t.From, t.To, fn)
 	}
 	err := t.Src.Scan(func(row int, cols []int32) error {

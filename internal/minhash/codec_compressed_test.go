@@ -8,6 +8,7 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *matrix.Matrix {
@@ -63,7 +64,7 @@ func TestCompressedSignatureRoundTrip(t *testing.T) {
 // TestCompressedSignatureEmptyColumns pins the Empty sentinel: columns
 // with no rows survive the functional encoding.
 func TestCompressedSignatureEmptyColumns(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{{1, 3}, {}, {0, 9}, {}})
+	m := testutil.Must(matrix.New(10, [][]int32{{1, 3}, {}, {0, 9}, {}}))
 	sig := computeOn(t, m, 5, 7)
 	var buf bytes.Buffer
 	if err := sig.WriteCompressed(&buf, 7, m.NumRows()); err != nil {
@@ -75,8 +76,8 @@ func TestCompressedSignatureEmptyColumns(t *testing.T) {
 	}
 	for l := 0; l < sig.K; l++ {
 		for _, c := range []int{1, 3} {
-			if got.Value(l, c) != Empty {
-				t.Fatalf("empty column %d decoded non-sentinel %#x", c, got.Value(l, c))
+			if got.Vals[l*got.M+c] != Empty {
+				t.Fatalf("empty column %d decoded non-sentinel %#x", c, got.Vals[l*got.M+c])
 			}
 		}
 	}
@@ -90,7 +91,7 @@ func TestCompressedSignatureEmptyColumns(t *testing.T) {
 // TestWriteCompressedRejectsForeignValues: values not derivable from
 // (seed, rows) must be rejected, not silently mis-encoded.
 func TestWriteCompressedRejectsForeignValues(t *testing.T) {
-	m := matrix.MustNew(6, [][]int32{{0, 2}, {1}})
+	m := testutil.Must(matrix.New(6, [][]int32{{0, 2}, {1}}))
 	sig := computeOn(t, m, 3, 5)
 	sig.Vals[1] ^= 0xdeadbeef
 	var buf bytes.Buffer
@@ -157,7 +158,7 @@ func TestReadCompressedSignaturesErrors(t *testing.T) {
 // raw codec bit-identically (the compressed reader rebuilds exact
 // 64-bit values).
 func FuzzCompressedSignatures(f *testing.F) {
-	m := matrix.MustNew(40, [][]int32{{0, 3, 17}, {}, {5}, {0, 1, 2, 3}})
+	m := testutil.Must(matrix.New(40, [][]int32{{0, 3, 17}, {}, {5}, {0, 1, 2, 3}}))
 	sig, err := Compute(m.Stream(), 6, 42)
 	if err != nil {
 		f.Fatal(err)

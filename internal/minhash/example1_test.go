@@ -1,9 +1,11 @@
 package minhash
 
 import (
+	"fmt"
 	"testing"
 
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 // TestPaperExample1 reproduces Example 1 of the paper verbatim: the 4x3
@@ -11,18 +13,18 @@ import (
 // the similarity estimates Ŝ(c1,c2)=1, Ŝ(c1,c3)=0, Ŝ(c2,c3)=0 against
 // the true S(c1,c2)=2/3, S(c1,c3)=0, S(c2,c3)=1/4.
 func TestPaperExample1(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{
+	m := testutil.Must(matrix.New(4, [][]int32{
 		{0, 1},    // c1: rows r1, r2
 		{0, 1, 2}, // c2: rows r1, r2, r3
 		{2, 3},    // c3: rows r3, r4
-	})
+	}))
 	// π1 = {1→3, 2→1, 3→2, 4→4}, π2 = {1→2, 2→4, 3→3, 4→1}; the paper
 	// numbers rows and positions from 1, we from 0.
 	perms := [][]int{
 		{2, 0, 1, 3},
 		{1, 3, 2, 0},
 	}
-	sig, err := FromPermutations(m.Stream(), perms)
+	sig, err := fromPermutations(m.Stream(), perms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestPaperExample1(t *testing.T) {
 	}
 	for l := range want {
 		for c := range want[l] {
-			if got := sig.Value(l, c); got != want[l][c] {
+			if got := sig.Vals[l*sig.M+c]; got != want[l][c] {
 				t.Errorf("M̂[%d][c%d] = %d, want %d", l+1, c+1, got, want[l][c])
 			}
 		}
@@ -57,7 +59,7 @@ func TestPaperExample1(t *testing.T) {
 }
 
 func TestFromPermutationsValidation(t *testing.T) {
-	m := matrix.MustNew(3, [][]int32{{0, 1}})
+	m := testutil.Must(matrix.New(3, [][]int32{{0, 1}}))
 	bad := [][][]int{
 		{},                     // no permutations
 		{{0, 1}},               // wrong length
@@ -66,7 +68,7 @@ func TestFromPermutationsValidation(t *testing.T) {
 		{{0, 1, 2}, {0, 0, 0}}, // second perm invalid
 	}
 	for i, perms := range bad {
-		if _, err := FromPermutations(m.Stream(), perms); err == nil {
+		if _, err := fromPermutations(m.Stream(), perms); err == nil {
 			t.Errorf("bad perms %d accepted", i)
 		}
 	}
@@ -76,13 +78,13 @@ func TestFromPermutationsValidation(t *testing.T) {
 // permutation must equal signatures from any hash function inducing
 // the same row order.
 func TestFromPermutationsMatchesHashOrder(t *testing.T) {
-	m := matrix.MustNew(5, [][]int32{
+	m := testutil.Must(matrix.New(5, [][]int32{
 		{0, 2, 4},
 		{1, 2},
 		{3},
-	})
+	}))
 	perm := []int{4, 2, 0, 3, 1}
-	sig, err := FromPermutations(m.Stream(), [][]int{perm})
+	sig, err := fromPermutations(m.Stream(), [][]int{perm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +96,56 @@ func TestFromPermutationsMatchesHashOrder(t *testing.T) {
 				want = v
 			}
 		}
-		if got := sig.Value(0, c); got != want {
+		if got := sig.Vals[c]; got != want {
 			t.Errorf("column %d: %d, want %d", c, got, want)
 		}
 	}
+}
+
+// fromPermutations computes signatures from explicit row permutations
+// instead of hash values: perms[l][r] is the position of row r under
+// the l-th permutation, and the signature h_l(c) is the minimum
+// position over the column's rows (the paper's Example 1 formulation,
+// before the hashing optimisation).
+// It is the oracle of Example 1 and of Theorem 1's law; production code
+// uses Compute.
+func fromPermutations(src matrix.RowSource, perms [][]int) (*Signatures, error) {
+	k := len(perms)
+	if k == 0 {
+		return nil, fmt.Errorf("minhash: need at least one permutation")
+	}
+	n := src.NumRows()
+	for l, p := range perms {
+		if len(p) != n {
+			return nil, fmt.Errorf("minhash: permutation %d has %d entries for %d rows", l, len(p), n)
+		}
+		seen := make([]bool, n)
+		for _, v := range p {
+			if v < 0 || v >= n || seen[v] {
+				return nil, fmt.Errorf("minhash: permutation %d is not a permutation of [0,%d)", l, n)
+			}
+			seen[v] = true
+		}
+	}
+	m := src.NumCols()
+	sig := &Signatures{K: k, M: m, Vals: make([]uint64, k*m)}
+	for i := range sig.Vals {
+		sig.Vals[i] = Empty
+	}
+	err := src.Scan(func(row int, cols []int32) error {
+		for l := 0; l < k; l++ {
+			v := uint64(perms[l][row])
+			for _, c := range cols {
+				p := l*m + int(c)
+				if v < sig.Vals[p] {
+					sig.Vals[p] = v
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sig, nil
 }

@@ -40,7 +40,7 @@ func TestComputeStreamEmptyColumns(t *testing.T) {
 	}
 	for l := 0; l < sig.K; l++ {
 		for _, c := range []int{1, 3, 4} {
-			if sig.Value(l, c) != Empty {
+			if sig.Vals[l*sig.M+c] != Empty {
 				t.Fatalf("empty column %d has value at hash %d", c, l)
 			}
 		}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
 // TestMergeThroughCodecProperty is the cross-process merge property the
@@ -12,13 +12,13 @@ import (
 // in-memory Merge(a, b) — the AMF1 codec is transparent to merging.
 // Randomised over dimensions, row splits, and sparsity.
 func TestMergeThroughCodecProperty(t *testing.T) {
-	rng := hashing.NewSplitMix64(0xd15f)
+	next := testutil.SplitMix64(0xd15f)
 	for trial := 0; trial < 40; trial++ {
-		m := 1 + int(rng.Next()%40)
-		k := 1 + int(rng.Next()%24)
-		seed := rng.Next()
-		rowsA := int(rng.Next() % 60)
-		rowsB := int(rng.Next() % 60)
+		m := 1 + int(next()%40)
+		k := 1 + int(next()%24)
+		seed := next()
+		rowsA := int(next() % 60)
+		rowsB := int(next() % 60)
 		fold := func(base, rows int) *FoldState {
 			s, err := NewFoldState(m, k, seed)
 			if err != nil {
@@ -28,7 +28,7 @@ func TestMergeThroughCodecProperty(t *testing.T) {
 			for r := 0; r < rows; r++ {
 				cols = cols[:0]
 				for c := 0; c < m; c++ {
-					if rng.Next()%5 == 0 {
+					if next()%5 == 0 {
 						cols = append(cols, int32(c))
 					}
 				}

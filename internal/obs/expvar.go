@@ -6,10 +6,10 @@ import (
 )
 
 // ExpvarFunc returns an expvar.Func whose value is the collector's
-// Snapshot, so the full counter/gauge/span state appears as one JSON
+// snapshot, so the full counter/gauge/span state appears as one JSON
 // object under /debug/vars.
 func (c *Collector) ExpvarFunc() expvar.Func {
-	return expvar.Func(func() any { return c.Snapshot() })
+	return expvar.Func(func() any { return c.snapshot() })
 }
 
 var (
@@ -32,7 +32,7 @@ func Publish(name string, c *Collector) {
 	}
 	published[name] = true
 	targets[name] = c
-	expvar.Publish(name, expvar.Func(func() any { return lookup(name).Snapshot() }))
+	expvar.Publish(name, expvar.Func(func() any { return lookup(name).snapshot() }))
 }
 
 var targets = map[string]*Collector{}

@@ -10,7 +10,7 @@ import (
 func TestCollectorBasics(t *testing.T) {
 	c := NewCollector()
 	c.PhaseStart(PhaseSignatures)
-	if s := c.Snapshot(); s.CurrentPhase != PhaseSignatures {
+	if s := c.snapshot(); s.CurrentPhase != PhaseSignatures {
 		t.Errorf("CurrentPhase = %q, want %q", s.CurrentPhase, PhaseSignatures)
 	}
 	c.PhaseEnd(PhaseSignatures, 10*time.Millisecond)
@@ -25,17 +25,12 @@ func TestCollectorBasics(t *testing.T) {
 	if got := c.Gauge(GaugeSignatureWorkers); got != 8 {
 		t.Errorf("gauge = %d, want 8", got)
 	}
-	sp := c.Span(PhaseSignatures)
+	sp := c.snapshot().Spans[PhaseSignatures]
 	if sp.Count != 1 || sp.Total != 10*time.Millisecond {
 		t.Errorf("span = %+v, want {1 10ms}", sp)
 	}
-	if s := c.Snapshot(); s.CurrentPhase != "" {
+	if s := c.snapshot(); s.CurrentPhase != "" {
 		t.Errorf("CurrentPhase after end = %q, want empty", s.CurrentPhase)
-	}
-
-	c.Reset()
-	if c.Counter(CounterRowsScanned) != 0 || c.Span(PhaseSignatures).Count != 0 {
-		t.Error("Reset did not clear state")
 	}
 }
 
@@ -82,7 +77,7 @@ func TestOrNopAndTee(t *testing.T) {
 	rec.PhaseEnd(PhaseCandidates, time.Second)
 	rec.SetGauge(GaugeCandidateWorkers, 2)
 	for _, c := range []*Collector{a, b} {
-		if c.Counter(CounterCandidates) != 7 || c.Span(PhaseCandidates).Count != 1 || c.Gauge(GaugeCandidateWorkers) != 2 {
+		if c.Counter(CounterCandidates) != 7 || c.snapshot().Spans[PhaseCandidates].Count != 1 || c.Gauge(GaugeCandidateWorkers) != 2 {
 			t.Error("tee did not forward to both recorders")
 		}
 	}

@@ -16,7 +16,7 @@ const metricPrefix = "assocmine_"
 // pair labelled by phase. Output is sorted, so equal states render to
 // equal bytes. Implements io.WriterTo.
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
-	s := c.Snapshot()
+	s := c.snapshot()
 	var b strings.Builder
 
 	names := sortedKeys(s.Counters)

@@ -8,7 +8,19 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
+	"assocmine/internal/testutil"
 )
+
+// withOrColumn returns a copy of m with the induced column c_i ∨ c_j
+// appended, and that column's index.
+func withOrColumn(m *matrix.Matrix, i, j int) (*matrix.Matrix, int) {
+	cols := make([][]int32, m.NumCols(), m.NumCols()+1)
+	for c := range cols {
+		cols[c] = m.Column(c)
+	}
+	cols = append(cols, matrix.OrColumns(m.Column(i), m.Column(j)))
+	return testutil.Must(matrix.New(m.NumRows(), cols)), len(cols) - 1
+}
 
 // orFixture: column 0 is (almost) the union of columns 1 and 2, which
 // are individually dissimilar to it.
@@ -36,7 +48,7 @@ func orFixture(rng *hashing.SplitMix64, rows int) *matrix.Matrix {
 func TestOrSimilarityEstimateMatchesInducedColumn(t *testing.T) {
 	rng := hashing.NewSplitMix64(1)
 	m := orFixture(rng, 500)
-	m2, orIdx := m.WithOrColumn(1, 2)
+	m2, orIdx := withOrColumn(m, 1, 2)
 	const k, seed = 200, 5
 	sig, err := minhash.Compute(m2.Stream(), k, seed)
 	if err != nil {
@@ -92,7 +104,7 @@ func TestOrCandidatesValidation(t *testing.T) {
 }
 
 func TestOrCandidatesSkipsDegenerate(t *testing.T) {
-	m := matrix.MustNew(10, [][]int32{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}})
+	m := testutil.Must(matrix.New(10, [][]int32{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}))
 	sig, _ := minhash.Compute(m.Stream(), 20, 3)
 	// Shortlist includes the antecedent itself and duplicates.
 	cand, err := OrCandidates(sig, map[int32][]int32{0: {0, 1, 1}}, 0.5)

@@ -7,6 +7,7 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
+	"assocmine/internal/testutil"
 )
 
 // exclusionFixture: columns 0 and 1 are dense and never co-occur;
@@ -34,7 +35,7 @@ func exclusionFixture(rng *hashing.SplitMix64, rows int) *matrix.Matrix {
 }
 
 func TestExclusionOptionsValidate(t *testing.T) {
-	m := matrix.MustNew(1, [][]int32{{0}})
+	m := testutil.Must(matrix.New(1, [][]int32{{0}}))
 	for _, o := range []ExclusionOptions{{MinSupport: 0}, {MinSupport: 2}, {MinSupport: 0.1, MaxLift: -1}} {
 		if _, err := MutualExclusions(m, o); err == nil {
 			t.Errorf("options %+v accepted", o)
@@ -127,12 +128,12 @@ func TestMutualExclusionsFromSignatures(t *testing.T) {
 
 func TestOrSimilarityEstimateMulti(t *testing.T) {
 	// Column 0 = union of 1, 2, 3 exactly.
-	m := matrix.MustNew(30, [][]int32{
+	m := testutil.Must(matrix.New(30, [][]int32{
 		{0, 1, 2, 10, 11, 20, 21},
 		{0, 1, 2},
 		{10, 11},
 		{20, 21},
-	})
+	}))
 	sig, err := minhash.Compute(m.Stream(), 400, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"assocmine/internal/gen"
 	"assocmine/internal/hashing"
 	"assocmine/internal/minhash"
+	"assocmine/internal/testutil"
 )
 
 // candidatesOracle is Section 6's estimator as first written — every
@@ -163,8 +164,8 @@ func sweepOracle(sig *minhash.Signatures, opt Options) ([]Rule, error) {
 // each MinAgreement, over matrices with all-empty and half-empty
 // columns — and a cancelled sweep keeps nothing.
 func TestTriangleMatchesSweep(t *testing.T) {
-	rng := hashing.NewSplitMix64(29)
-	half := smallSignatures(rng, 20, 10, false)
+	next := testutil.SplitMix64(29)
+	half := smallSignatures(next, 20, 10, false)
 	for l := 0; l < half.K/2; l++ { // columns 1 and 8 are Empty on half their rows
 		half.Vals[l*half.M+1], half.Vals[(2*l+1)*half.M+8] = minhash.Empty, minhash.Empty
 	}
@@ -174,9 +175,9 @@ func TestTriangleMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sig := range map[string]*minhash.Signatures{
-		"dense":      smallSignatures(rng, 16, 11, false),
-		"all empty":  smallSignatures(rng, 4, 3, false, 0, 1, 2),
-		"two empty":  smallSignatures(rng, 16, 11, true, 0, 10),
+		"dense":      smallSignatures(next, 16, 11, false),
+		"all empty":  smallSignatures(next, 4, 3, false, 0, 1, 2),
+		"two empty":  smallSignatures(next, 16, 11, true, 0, 10),
 		"half empty": half,
 		"folded":     folded,
 	} {
@@ -211,7 +212,7 @@ func TestTriangleMatchesSweep(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sig := smallSignatures(rng, 8, 6, false)
+	sig := smallSignatures(next, 8, 6, false)
 	if tri, err := Sweep(context.Background(), sig); err != nil {
 		t.Fatal(err)
 	} else if _, err := tri.Rules(Options{}); err == nil {
@@ -230,11 +231,11 @@ func TestTriangleMatchesSweep(t *testing.T) {
 // all Empty, and one cell in eight of the others is Empty as well when
 // holes is set (no fold leaves such a matrix; the sweep's bookkeeping
 // must not care).
-func smallSignatures(rng *hashing.SplitMix64, k, m int, holes bool, empty ...int) *minhash.Signatures {
+func smallSignatures(next func() uint64, k, m int, holes bool, empty ...int) *minhash.Signatures {
 	sig := &minhash.Signatures{K: k, M: m, Vals: make([]uint64, k*m)}
 	for i := range sig.Vals {
-		sig.Vals[i] = rng.Next() % 5
-		if holes && rng.Next()%8 == 0 {
+		sig.Vals[i] = next() % 5
+		if holes && next()%8 == 0 {
 			sig.Vals[i] = minhash.Empty
 		}
 	}
@@ -247,8 +248,8 @@ func smallSignatures(rng *hashing.SplitMix64, k, m int, holes bool, empty ...int
 }
 
 func TestCandidatesMatchOracle(t *testing.T) {
-	rng := hashing.NewSplitMix64(17)
-	dup := smallSignatures(rng, 12, 9, false)
+	next := testutil.SplitMix64(17)
+	dup := smallSignatures(next, 12, 9, false)
 	for l := 0; l < dup.K; l++ { // columns 2, 5 and 7 are one column
 		dup.Vals[l*dup.M+5] = dup.Vals[l*dup.M+2]
 		dup.Vals[l*dup.M+7] = dup.Vals[l*dup.M+2]
@@ -259,14 +260,14 @@ func TestCandidatesMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, sig := range map[string]*minhash.Signatures{
-		"dense":            smallSignatures(rng, 16, 11, false),
-		"one empty column": smallSignatures(rng, 16, 11, false, 4),
-		"two empty":        smallSignatures(rng, 16, 11, false, 0, 10),
-		"all empty":        smallSignatures(rng, 4, 3, false, 0, 1, 2),
-		"holes":            smallSignatures(rng, 16, 11, true, 6),
-		"k=1":              smallSignatures(rng, 1, 8, false, 3),
+		"dense":            smallSignatures(next, 16, 11, false),
+		"one empty column": smallSignatures(next, 16, 11, false, 4),
+		"two empty":        smallSignatures(next, 16, 11, false, 0, 10),
+		"all empty":        smallSignatures(next, 4, 3, false, 0, 1, 2),
+		"holes":            smallSignatures(next, 16, 11, true, 6),
+		"k=1":              smallSignatures(next, 1, 8, false, 3),
 		"duplicates":       dup,
-		"one column":       smallSignatures(rng, 5, 1, false),
+		"one column":       smallSignatures(next, 5, 1, false),
 		"folded":           folded,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -288,13 +289,13 @@ func FuzzRulesCandidates(f *testing.F) {
 	f.Add(uint64(2), uint8(1), uint8(2), uint8(255), true)
 	f.Add(uint64(3), uint8(20), uint8(13), uint8(40), true)
 	f.Fuzz(func(t *testing.T, seed uint64, k, m, conf uint8, holes bool) {
-		rng := hashing.NewSplitMix64(seed)
+		next := testutil.SplitMix64(seed)
 		kk, mm := int(k%24)+1, int(m%16)+1
 		var empty []int
 		if seed%3 == 0 {
 			empty = append(empty, int(seed/3)%mm)
 		}
-		sig := smallSignatures(rng, kk, mm, holes, empty...)
+		sig := smallSignatures(next, kk, mm, holes, empty...)
 		sameAsOracle(t, sig, Options{MinConfidence: (float64(conf) + 1) / 256, MinAgreement: int(seed % 3)})
 	})
 }

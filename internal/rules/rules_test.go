@@ -9,6 +9,7 @@ import (
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 	"assocmine/internal/verify"
 )
 
@@ -125,11 +126,11 @@ func verifyRules(src matrix.RowSource, cand []Rule, minConf float64) ([]Rule, er
 // TestVerifyComputesExactConfidence: a rule is verified by the
 // confidence of its own direction, |C_From ∩ C_To| / |C_From|.
 func TestVerifyComputesExactConfidence(t *testing.T) {
-	m := matrix.MustNew(5, [][]int32{
+	m := testutil.Must(matrix.New(5, [][]int32{
 		{0, 1, 2},    // C0
 		{0, 1, 2, 3}, // C1 ⊇ C0
 		{4},
-	})
+	}))
 	cand := []Rule{
 		{From: 0, To: 1, Estimate: 0.9},
 		{From: 1, To: 0, Estimate: 0.9},
@@ -153,7 +154,7 @@ func TestVerifyComputesExactConfidence(t *testing.T) {
 // TestVerifyValidation: the pass rejects a self rule and a column out
 // of range, and a rules run rejects confidence 0 before it gets there.
 func TestVerifyValidation(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}, {1}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}, {1}}))
 	if _, err := verifyRules(m.Stream(), []Rule{{From: 0, To: 0}}, 0.5); err == nil {
 		t.Error("self rule accepted")
 	}

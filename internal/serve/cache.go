@@ -10,7 +10,7 @@ import (
 // responseCache is a bounded LRU over rendered 200 responses to the
 // read-only query endpoints. Entries are keyed by (index generation,
 // endpoint, canonical request), where the generation is the *index
-// pointer itself: a Refresh swaps in a new pointer, so a stale entry
+// pointer itself: a refresh swaps in a new pointer, so a stale entry
 // can never match a post-refresh lookup — the explicit purge on
 // refresh only releases the memory early. The canonical request is
 // the decoded struct re-marshalled without what cannot change its
@@ -98,16 +98,16 @@ func answerKey(req request) ([]byte, error) {
 		return algo
 	}
 	switch q := req.(type) {
-	case PairsRequest:
+	case pairsRequest:
 		q.Algo, q.budgetFields = auto(q.Algo), budgetFields{}
 		req = q
-	case TopKRequest:
+	case topKRequest:
 		q.Algo, q.budgetFields = auto(q.Algo), budgetFields{}
 		req = q
-	case TopPairsRequest:
+	case topPairsRequest:
 		q.Algo, q.budgetFields = auto(q.Algo), budgetFields{}
 		req = q
-	case RulesRequest:
+	case rulesRequest:
 		q.timeoutField = timeoutField{}
 		req = q
 	}

@@ -55,8 +55,7 @@ func TestResponseCacheLRU(t *testing.T) {
 }
 
 func counters(s *Server) (hits, misses int64) {
-	snap := s.Collector().Snapshot()
-	return snap.Counters["cache_hits"], snap.Counters["cache_misses"]
+	return s.Collector().Counter("cache_hits"), s.Collector().Counter("cache_misses")
 }
 
 // TestCacheHitsAcrossEquivalentBodies locks the canonicalisation: the
@@ -160,7 +159,7 @@ func TestCacheCoversReadOnlyEndpoints(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	s, err := New(testDataset(t, 100, 16), Options{CacheSize: -1})
+	s, err := newStatic(testDataset(t, 100, 16), Options{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func TestGenerationBuildsOnFirstQuery(t *testing.T) {
 		t.Fatalf("%d index builds in the first generation, want the buckets and the K-MH run index", got)
 	}
 	growFile(t, path, rows, 24)
-	if n, err := s.Refresh(); err != nil || n == 0 {
+	if n, err := s.refresh(); err != nil || n == 0 {
 		t.Fatalf("refresh folded %d rows: %v", n, err)
 	}
 	if got := builds(); got != 2 {
@@ -326,7 +325,7 @@ func TestRefreshInterval(t *testing.T) {
 
 // TestRefreshIntervalStatic: a static server ignores RefreshInterval.
 func TestRefreshIntervalStatic(t *testing.T) {
-	s, err := New(testDataset(t, 100, 16), Options{RefreshInterval: time.Millisecond})
+	s, err := newStatic(testDataset(t, 100, 16), Options{RefreshInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestThousandConcurrentInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mustBody(t, PairsResponse{Plan: plan, Count: len(res.Pairs), Pairs: toPairJSON(res.Pairs)})
+	want := mustBody(t, pairsResponse{Plan: plan, Count: len(res.Pairs), Pairs: toPairJSON(res.Pairs)})
 
 	release := make(chan struct{})
 	s.queryGate = func(string) { <-release }
@@ -333,7 +333,7 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("refresh: status %d: %s", rr.Code, rr.Body.String())
 	}
-	var ref RefreshResponse
+	var ref refreshResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &ref); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 
 	// A second refresh with nothing new is a no-op.
 	rr = recordPost(s.Handler(), "/v1/refresh", `{}`)
-	var ref2 RefreshResponse
+	var ref2 refreshResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &ref2); err != nil {
 		t.Fatal(err)
 	}

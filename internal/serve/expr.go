@@ -16,7 +16,7 @@ const (
 	maxExprDepth = 64
 )
 
-// ParseExpr parses the compact boolean-expression syntax used by the
+// parseExpr parses the compact boolean-expression syntax used by the
 // /v1/expr endpoint into an assocmine.BoolExpr. Grammar:
 //
 //	expr := or
@@ -30,7 +30,7 @@ const (
 // [0, numCols). Structural rules (conjunctions under disjunctions,
 // And fan-in) are enforced later by the evaluator; the parser only
 // enforces syntax and the anti-hostility caps above.
-func ParseExpr(s string, numCols int) (assocmine.BoolExpr, error) {
+func parseExpr(s string, numCols int) (assocmine.BoolExpr, error) {
 	if len(s) > maxExprLen {
 		return assocmine.BoolExpr{}, fmt.Errorf("expression longer than %d bytes", maxExprLen)
 	}

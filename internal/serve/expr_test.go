@@ -38,7 +38,7 @@ func TestParseExprMatchesBuilders(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.src, func(t *testing.T) {
-			got, err := ParseExpr(c.src, 16)
+			got, err := parseExpr(c.src, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,8 +78,8 @@ func TestParseExprErrors(t *testing.T) {
 		"col(3",
 	}
 	for _, src := range bad {
-		if _, err := ParseExpr(src, 16); err == nil {
-			t.Errorf("ParseExpr(%q) succeeded, want error", src)
+		if _, err := parseExpr(src, 16); err == nil {
+			t.Errorf("parseExpr(%q) succeeded, want error", src)
 		}
 	}
 }
@@ -87,25 +87,25 @@ func TestParseExprErrors(t *testing.T) {
 func TestParseExprHostileInputs(t *testing.T) {
 	t.Run("too-long", func(t *testing.T) {
 		src := "0" + strings.Repeat("|0", maxExprLen)
-		if _, err := ParseExpr(src, 16); err == nil {
+		if _, err := parseExpr(src, 16); err == nil {
 			t.Fatal("oversized expression accepted")
 		}
 	})
 	t.Run("too-deep", func(t *testing.T) {
 		src := strings.Repeat("(", 200) + "3" + strings.Repeat(")", 200)
-		if _, err := ParseExpr(src, 16); err == nil {
+		if _, err := parseExpr(src, 16); err == nil {
 			t.Fatal("deeply nested expression accepted")
 		}
 	})
 	t.Run("too-many-nodes", func(t *testing.T) {
 		src := "0" + strings.Repeat("|1", maxExprNodes+1)
-		if _, err := ParseExpr(src, 16); err == nil {
+		if _, err := parseExpr(src, 16); err == nil {
 			t.Fatal("expression with too many nodes accepted")
 		}
 	})
 	t.Run("depth-within-cap-parses", func(t *testing.T) {
 		src := strings.Repeat("(", 10) + "3" + strings.Repeat(")", 10)
-		if _, err := ParseExpr(src, 16); err != nil {
+		if _, err := parseExpr(src, 16); err != nil {
 			t.Fatalf("modest nesting rejected: %v", err)
 		}
 	})

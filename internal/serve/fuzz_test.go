@@ -23,7 +23,7 @@ func fuzzServer(tb testing.TB) *Server {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		fuzzSrv, err = New(d, Options{SigK: 40, SketchK: 32})
+		fuzzSrv, err = newStatic(d, Options{SigK: 40, SketchK: 32})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func FuzzParseExpr(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		e, err := ParseExpr(src, 16)
+		e, err := parseExpr(src, 16)
 		if err != nil {
 			return
 		}

@@ -34,7 +34,7 @@ func (s *Server) buildMux() *http.ServeMux {
 }
 
 // httpError is a handler failure: a status plus a client-safe message,
-// serialised as ErrorResponse by the endpoint wrapper.
+// serialised as errorResponse by the endpoint wrapper.
 type httpError struct {
 	status int
 	msg    string
@@ -58,7 +58,7 @@ func queryFailure(err error) *httpError {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	writeJSON(w, status, errorResponse{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -146,24 +146,24 @@ func query[Q request](s *Server, name string, exec func(ctx context.Context, ix 
 // plan is where a pair-style query is planned: the plan for its
 // effective threshold, resolved to the resident sketch that answers it
 // and the configuration the library runs under.
-func (s *Server) plan(ctx context.Context, ix *index, threshold float64, force string, memBudget int64) (Plan, assocmine.Resident, assocmine.Config, *httpError) {
+func (s *Server) plan(ctx context.Context, ix *index, threshold float64, force string, memBudget int64) (queryPlan, assocmine.Resident, assocmine.Config, *httpError) {
 	plan, err := choosePlan(threshold, ix.info(), force)
 	if err != nil {
-		return Plan{}, nil, assocmine.Config{}, badRequest(err)
+		return queryPlan{}, nil, assocmine.Config{}, badRequest(err)
 	}
 	res, cfg := plan.resolve(ix, s.queryConfig(ctx, memBudget))
 	return plan, res, cfg, nil
 }
 
-func toPairJSON(ps []assocmine.Pair) []PairJSON {
-	out := make([]PairJSON, len(ps))
+func toPairJSON(ps []assocmine.Pair) []pairJSON {
+	out := make([]pairJSON, len(ps))
 	for i, p := range ps {
-		out[i] = PairJSON{I: p.I, J: p.J, Estimate: p.Estimate, Similarity: p.Similarity}
+		out[i] = pairJSON{I: p.I, J: p.J, Estimate: p.Estimate, Similarity: p.Similarity}
 	}
 	return out
 }
 
-func (s *Server) pairs(ctx context.Context, ix *index, q PairsRequest) (any, *httpError) {
+func (s *Server) pairs(ctx context.Context, ix *index, q pairsRequest) (any, *httpError) {
 	plan, res, cfg, herr := s.plan(ctx, ix, q.Threshold, q.Algo, q.MemBudget)
 	if herr != nil {
 		return nil, herr
@@ -173,7 +173,7 @@ func (s *Server) pairs(ctx context.Context, ix *index, q PairsRequest) (any, *ht
 	if err != nil {
 		return nil, queryFailure(err)
 	}
-	return PairsResponse{Plan: plan, Count: len(out.Pairs), Pairs: toPairJSON(out.Pairs)}, nil
+	return pairsResponse{Plan: plan, Count: len(out.Pairs), Pairs: toPairJSON(out.Pairs)}, nil
 }
 
 // topFloor is the floor of a descending search: the request's, or the
@@ -196,7 +196,7 @@ func topConfig(cfg assocmine.Config, floor float64) assocmine.Config {
 	return cfg
 }
 
-func (s *Server) topK(ctx context.Context, ix *index, q TopKRequest) (any, *httpError) {
+func (s *Server) topK(ctx context.Context, ix *index, q topKRequest) (any, *httpError) {
 	floor := topFloor(q.Floor)
 	plan, res, cfg, herr := s.plan(ctx, ix, floor, q.Algo, q.MemBudget)
 	if herr != nil {
@@ -206,18 +206,18 @@ func (s *Server) topK(ctx context.Context, ix *index, q TopKRequest) (any, *http
 	if err != nil {
 		return nil, queryFailure(err)
 	}
-	nbrs := make([]NeighborJSON, len(pairs))
+	nbrs := make([]neighborJSON, len(pairs))
 	for i, p := range pairs {
 		other := p.I
 		if other == q.Col {
 			other = p.J
 		}
-		nbrs[i] = NeighborJSON{Col: other, Estimate: p.Estimate, Similarity: p.Similarity}
+		nbrs[i] = neighborJSON{Col: other, Estimate: p.Estimate, Similarity: p.Similarity}
 	}
-	return TopKResponse{Plan: plan, Col: q.Col, Neighbors: nbrs}, nil
+	return topKResponse{Plan: plan, Col: q.Col, Neighbors: nbrs}, nil
 }
 
-func (s *Server) topPairs(ctx context.Context, ix *index, q TopPairsRequest) (any, *httpError) {
+func (s *Server) topPairs(ctx context.Context, ix *index, q topPairsRequest) (any, *httpError) {
 	floor := topFloor(q.Floor)
 	plan, res, cfg, herr := s.plan(ctx, ix, floor, q.Algo, q.MemBudget)
 	if herr != nil {
@@ -227,10 +227,10 @@ func (s *Server) topPairs(ctx context.Context, ix *index, q TopPairsRequest) (an
 	if err != nil {
 		return nil, queryFailure(err)
 	}
-	return PairsResponse{Plan: plan, Count: len(pairs), Pairs: toPairJSON(pairs)}, nil
+	return pairsResponse{Plan: plan, Count: len(pairs), Pairs: toPairJSON(pairs)}, nil
 }
 
-func (s *Server) rules(ctx context.Context, ix *index, q RulesRequest) (any, *httpError) {
+func (s *Server) rules(ctx context.Context, ix *index, q rulesRequest) (any, *httpError) {
 	res, err := assocmine.MineRulesWithSignatures(ix.data, ix.sig, assocmine.RuleConfig{
 		MinConfidence: q.MinConfidence,
 		Delta:         q.Delta,
@@ -240,21 +240,21 @@ func (s *Server) rules(ctx context.Context, ix *index, q RulesRequest) (any, *ht
 	if err != nil {
 		return nil, queryFailure(err)
 	}
-	rules := make([]RuleJSON, len(res.Rules))
+	rules := make([]ruleJSON, len(res.Rules))
 	for i, rr := range res.Rules {
-		rules[i] = RuleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
+		rules[i] = ruleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
 	}
-	return RulesResponse{Count: len(rules), Rules: rules}, nil
+	return rulesResponse{Count: len(rules), Rules: rules}, nil
 }
 
 // expr evaluates from the generation's sketches alone: it scans no data
 // and takes no budget.
-func (s *Server) expr(_ context.Context, ix *index, q ExprRequest) (any, *httpError) {
+func (s *Server) expr(_ context.Context, ix *index, q exprRequest) (any, *httpError) {
 	cols := ix.expr.NumCols()
 	var value float64
 	switch q.Op {
 	case "cardinality":
-		e, err := ParseExpr(q.Expr, cols)
+		e, err := parseExpr(q.Expr, cols)
 		if err != nil {
 			return nil, badRequest(err)
 		}
@@ -265,11 +265,11 @@ func (s *Server) expr(_ context.Context, ix *index, q ExprRequest) (any, *httpEr
 			return nil, badRequest(err)
 		}
 	case "similarity", "confidence":
-		a, err := ParseExpr(q.A, cols)
+		a, err := parseExpr(q.A, cols)
 		if err != nil {
 			return nil, badRequest(err)
 		}
-		b, err := ParseExpr(q.B, cols)
+		b, err := parseExpr(q.B, cols)
 		if err != nil {
 			return nil, badRequest(err)
 		}
@@ -282,19 +282,19 @@ func (s *Server) expr(_ context.Context, ix *index, q ExprRequest) (any, *httpEr
 			return nil, badRequest(err)
 		}
 	}
-	return ExprResponse{Op: q.Op, Value: value}, nil
+	return exprResponse{Op: q.Op, Value: value}, nil
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) *httpError {
-	n, err := s.Refresh()
+	n, err := s.refresh()
 	if err != nil {
-		if errors.Is(err, ErrStaticIndex) {
+		if errors.Is(err, errStaticIndex) {
 			return &httpError{status: http.StatusConflict, msg: err.Error()}
 		}
 		return queryFailure(err)
 	}
 	ix := s.index()
-	writeJSON(w, http.StatusOK, RefreshResponse{
+	writeJSON(w, http.StatusOK, refreshResponse{
 		NewRows: n,
 		Rows:    ix.data.NumRows(),
 		Queries: s.queries.Load(),
@@ -307,11 +307,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.drainMu.RUnlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, healthResponse{Status: "draining"})
 		return
 	}
 	ix := s.index()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	writeJSON(w, http.StatusOK, healthResponse{
 		Status:   "ok",
 		Rows:     ix.data.NumRows(),
 		Cols:     ix.data.NumCols(),

@@ -41,8 +41,8 @@ const bandR = 5
 // pairs at the query threshold is not a serving-quality plan.
 const minDetect = 0.9
 
-// Plan is one query's execution choice, reported back to the client.
-type Plan struct {
+// queryPlan is one query's execution choice, reported back to the client.
+type queryPlan struct {
 	// Kind is "mlsh-probe", "kmh-scan" or "mh-sort".
 	Kind string `json:"kind"`
 	// R and L are the banding layout of an mlsh-probe plan (zero
@@ -56,7 +56,7 @@ type Plan struct {
 // resolve turns the plan into what executes it: the resident sketch
 // that answers and base carrying the plan's algorithm and layout — the
 // one place a plan kind names a sketch.
-func (p Plan) resolve(ix *index, base assocmine.Config) (assocmine.Resident, assocmine.Config) {
+func (p queryPlan) resolve(ix *index, base assocmine.Config) (assocmine.Resident, assocmine.Config) {
 	switch p.Kind {
 	case planKMHScan:
 		base.Algorithm = assocmine.KMinHash
@@ -97,55 +97,55 @@ func bandDetect(s float64, r, l int) float64 {
 //
 // The choice is a pure function of (threshold, resident indexes), so
 // identical queries always run identical plans.
-func choosePlan(threshold float64, idx indexInfo, force string) (Plan, error) {
+func choosePlan(threshold float64, idx indexInfo, force string) (queryPlan, error) {
 	switch force {
 	case "", "auto":
 	case "mlsh":
 		if !idx.haveSig {
-			return Plan{}, fmt.Errorf("no resident signatures for algo %q", force)
+			return queryPlan{}, fmt.Errorf("no resident signatures for algo %q", force)
 		}
 		r, l := bandLayout(idx.sigK)
-		return Plan{Kind: planMLSHProbe, R: r, L: l, Reason: "forced by request"}, nil
+		return queryPlan{Kind: planMLSHProbe, R: r, L: l, Reason: "forced by request"}, nil
 	case "kmh":
 		if !idx.haveSk {
-			return Plan{}, fmt.Errorf("no resident sketches for algo %q", force)
+			return queryPlan{}, fmt.Errorf("no resident sketches for algo %q", force)
 		}
-		return Plan{Kind: planKMHScan, Reason: "forced by request"}, nil
+		return queryPlan{Kind: planKMHScan, Reason: "forced by request"}, nil
 	case "mh":
 		if !idx.haveSig {
-			return Plan{}, fmt.Errorf("no resident signatures for algo %q", force)
+			return queryPlan{}, fmt.Errorf("no resident signatures for algo %q", force)
 		}
-		return Plan{Kind: planMHSort, Reason: "forced by request"}, nil
+		return queryPlan{Kind: planMHSort, Reason: "forced by request"}, nil
 	case "bps":
 		// Biased pair sampling re-draws from the raw rows on every run;
 		// there is no resident index to answer from, so it is a batch
 		// algorithm only.
-		return Plan{}, fmt.Errorf("algo %q samples raw rows and has no resident index; use assocfind -algo bps", force)
+		return queryPlan{}, fmt.Errorf("algo %q samples raw rows and has no resident index; use assocfind -algo bps", force)
 	default:
-		return Plan{}, fmt.Errorf("unknown algo %q (want auto, mlsh, kmh or mh)", force)
+		return queryPlan{}, fmt.Errorf("unknown algo %q (want auto, mlsh, kmh or mh)", force)
 	}
 	if idx.haveSig {
 		r, l := bandLayout(idx.sigK)
 		if det := bandDetect(threshold, r, l); det >= minDetect {
-			return Plan{
+			return queryPlan{
 				Kind: planMLSHProbe, R: r, L: l,
 				Reason: fmt.Sprintf("banding detects s>=%.2f pairs with p=%.3f", threshold, det),
 			}, nil
 		}
 	}
 	if idx.haveSk {
-		return Plan{
+		return queryPlan{
 			Kind:   planKMHScan,
 			Reason: fmt.Sprintf("threshold %.2f below banding reliability; sketch scan is exact-recall", threshold),
 		}, nil
 	}
 	if idx.haveSig {
-		return Plan{
+		return queryPlan{
 			Kind:   planMHSort,
 			Reason: fmt.Sprintf("threshold %.2f below banding reliability and no sketches resident", threshold),
 		}, nil
 	}
-	return Plan{}, fmt.Errorf("no resident index can answer the query")
+	return queryPlan{}, fmt.Errorf("no resident index can answer the query")
 }
 
 // bandLayout derives the M-LSH banding from a resident signature size:

@@ -73,8 +73,8 @@ func (b budgetFields) validate() error {
 	return nil
 }
 
-// PairsRequest asks for all column pairs with similarity >= Threshold.
-type PairsRequest struct {
+// pairsRequest asks for all column pairs with similarity >= Threshold.
+type pairsRequest struct {
 	Threshold float64 `json:"threshold"`
 	// Algo forces a plan: "mlsh", "kmh", "mh"; "" or "auto" lets the
 	// planner choose.
@@ -82,15 +82,15 @@ type PairsRequest struct {
 	budgetFields
 }
 
-func (q PairsRequest) validate(*index, *Options) error {
+func (q pairsRequest) validate(*index, *Options) error {
 	if q.Threshold <= 0 || q.Threshold > 1 {
 		return fmt.Errorf("threshold must be in (0,1], got %v", q.Threshold)
 	}
 	return q.budgetFields.validate()
 }
 
-// TopKRequest asks for the K columns most similar to Col.
-type TopKRequest struct {
+// topKRequest asks for the K columns most similar to Col.
+type topKRequest struct {
 	Col int `json:"col"`
 	K   int `json:"k"`
 	// Floor bounds the descending threshold search from below
@@ -100,7 +100,7 @@ type TopKRequest struct {
 	budgetFields
 }
 
-func (q TopKRequest) validate(ix *index, opts *Options) error {
+func (q topKRequest) validate(ix *index, opts *Options) error {
 	if cols := ix.data.NumCols(); q.Col < 0 || q.Col >= cols {
 		return fmt.Errorf("col %d out of range [0,%d)", q.Col, cols)
 	}
@@ -113,15 +113,15 @@ func (q TopKRequest) validate(ix *index, opts *Options) error {
 	return q.budgetFields.validate()
 }
 
-// TopPairsRequest asks for the N most similar pairs dataset-wide.
-type TopPairsRequest struct {
+// topPairsRequest asks for the N most similar pairs dataset-wide.
+type topPairsRequest struct {
 	N     int     `json:"n"`
 	Floor float64 `json:"floor,omitempty"`
 	Algo  string  `json:"algo,omitempty"`
 	budgetFields
 }
 
-func (q TopPairsRequest) validate(_ *index, opts *Options) error {
+func (q topPairsRequest) validate(_ *index, opts *Options) error {
 	if q.N < 1 || q.N > opts.MaxTopK {
 		return fmt.Errorf("n must be in [1,%d], got %d", opts.MaxTopK, q.N)
 	}
@@ -131,11 +131,11 @@ func (q TopPairsRequest) validate(_ *index, opts *Options) error {
 	return q.budgetFields.validate()
 }
 
-// RulesRequest asks for all rules with confidence >= MinConfidence
+// rulesRequest asks for all rules with confidence >= MinConfidence
 // (§6, support-free). Its one data pass — phase 3's verify.Verify,
 // admitting by confidence — honours the wall-clock budget; a rules run
 // has no memory budget to give it.
-type RulesRequest struct {
+type rulesRequest struct {
 	MinConfidence float64 `json:"min_confidence"`
 	// Delta loosens the candidate filter (see assocmine.RuleConfig);
 	// 0 means the library default.
@@ -143,7 +143,7 @@ type RulesRequest struct {
 	timeoutField
 }
 
-func (q RulesRequest) validate(*index, *Options) error {
+func (q rulesRequest) validate(*index, *Options) error {
 	if q.MinConfidence <= 0 || q.MinConfidence > 1 {
 		return fmt.Errorf("min_confidence must be in (0,1], got %v", q.MinConfidence)
 	}
@@ -153,21 +153,21 @@ func (q RulesRequest) validate(*index, *Options) error {
 	return q.timeoutField.validate()
 }
 
-// ExprRequest asks a boolean-composition question (§7). Op selects the
+// exprRequest asks a boolean-composition question (§7). Op selects the
 // question: "cardinality" takes Expr; "similarity" and "confidence"
-// take A and B. Expressions use the ParseExpr syntax. It is answered
+// take A and B. Expressions use the parseExpr syntax. It is answered
 // from the resident sketches without a data pass, so it takes no
 // budget field.
-type ExprRequest struct {
+type exprRequest struct {
 	Op   string `json:"op"`
 	Expr string `json:"expr,omitempty"`
 	A    string `json:"a,omitempty"`
 	B    string `json:"b,omitempty"`
 }
 
-func (ExprRequest) timeoutMS() int64 { return 0 }
+func (exprRequest) timeoutMS() int64 { return 0 }
 
-func (q ExprRequest) validate(*index, *Options) error {
+func (q exprRequest) validate(*index, *Options) error {
 	switch q.Op {
 	case "cardinality":
 		if q.Expr == "" {
@@ -189,64 +189,64 @@ func (q ExprRequest) validate(*index, *Options) error {
 	return nil
 }
 
-// PairJSON is one similar pair in a response.
-type PairJSON struct {
+// pairJSON is one similar pair in a response.
+type pairJSON struct {
 	I          int     `json:"i"`
 	J          int     `json:"j"`
 	Estimate   float64 `json:"estimate,omitempty"`
 	Similarity float64 `json:"similarity"`
 }
 
-// NeighborJSON is one neighbor column in a top-k response.
-type NeighborJSON struct {
+// neighborJSON is one neighbor column in a top-k response.
+type neighborJSON struct {
 	Col        int     `json:"col"`
 	Estimate   float64 `json:"estimate,omitempty"`
 	Similarity float64 `json:"similarity"`
 }
 
-// PairsResponse answers /v1/pairs and /v1/toppairs.
-type PairsResponse struct {
-	Plan  Plan       `json:"plan"`
+// pairsResponse answers /v1/pairs and /v1/toppairs.
+type pairsResponse struct {
+	Plan  queryPlan  `json:"plan"`
 	Count int        `json:"count"`
-	Pairs []PairJSON `json:"pairs"`
+	Pairs []pairJSON `json:"pairs"`
 }
 
-// TopKResponse answers /v1/topk.
-type TopKResponse struct {
-	Plan      Plan           `json:"plan"`
+// topKResponse answers /v1/topk.
+type topKResponse struct {
+	Plan      queryPlan      `json:"plan"`
 	Col       int            `json:"col"`
-	Neighbors []NeighborJSON `json:"neighbors"`
+	Neighbors []neighborJSON `json:"neighbors"`
 }
 
-// RuleJSON is one verified rule in a response.
-type RuleJSON struct {
+// ruleJSON is one verified rule in a response.
+type ruleJSON struct {
 	From       int     `json:"from"`
 	To         int     `json:"to"`
 	Estimate   float64 `json:"estimate"`
 	Confidence float64 `json:"confidence"`
 }
 
-// RulesResponse answers /v1/rules.
-type RulesResponse struct {
+// rulesResponse answers /v1/rules.
+type rulesResponse struct {
 	Count int        `json:"count"`
-	Rules []RuleJSON `json:"rules"`
+	Rules []ruleJSON `json:"rules"`
 }
 
-// ExprResponse answers /v1/expr.
-type ExprResponse struct {
+// exprResponse answers /v1/expr.
+type exprResponse struct {
 	Op    string  `json:"op"`
 	Value float64 `json:"value"`
 }
 
-// RefreshResponse answers /v1/refresh.
-type RefreshResponse struct {
+// refreshResponse answers /v1/refresh.
+type refreshResponse struct {
 	NewRows int   `json:"new_rows"`
 	Rows    int   `json:"rows"`
 	Queries int64 `json:"queries"`
 }
 
-// HealthResponse answers /healthz.
-type HealthResponse struct {
+// healthResponse answers /healthz.
+type healthResponse struct {
 	Status   string `json:"status"`
 	Rows     int    `json:"rows"`
 	Cols     int    `json:"cols"`
@@ -256,7 +256,7 @@ type HealthResponse struct {
 	Inflight int64  `json:"inflight"`
 }
 
-// ErrorResponse is the body of every non-2xx response.
-type ErrorResponse struct {
+// errorResponse is the body of every non-2xx response.
+type errorResponse struct {
 	Error string `json:"error"`
 }

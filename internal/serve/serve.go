@@ -15,10 +15,10 @@ import (
 	"assocmine/internal/obs"
 )
 
-// ErrStaticIndex is returned by Refresh when the server was built from
-// preloaded static indexes (or an in-memory dataset) and has no ingest
-// state to catch up from.
-var ErrStaticIndex = errors.New("serve: index is static; refresh needs a file-backed server with ingest state")
+// errStaticIndex is returned by refresh when the server was built from
+// preloaded static indexes (or, in the tests, an in-memory dataset) and
+// has no ingest state to catch up from.
+var errStaticIndex = errors.New("serve: index is static; refresh needs a file-backed server with ingest state")
 
 // Options configures a Server. Zero values select the documented
 // defaults.
@@ -70,7 +70,7 @@ type Options struct {
 	Collector *obs.Collector
 	// Signatures and Sketches, when non-nil, are preloaded indexes
 	// (LoadSignatures/LoadSketches) adopted instead of computing at
-	// startup. A server with a preloaded index cannot Refresh.
+	// startup. A server with a preloaded index cannot refresh.
 	Signatures *assocmine.Signatures
 	Sketches   *assocmine.Sketches
 	// SnapshotMH and SnapshotKMH, for file-backed servers, are AIN1
@@ -113,7 +113,7 @@ func (o *Options) setDefaults() {
 
 // index is one immutable generation of the resident indexes. Queries
 // grab the current generation once and use it throughout, so a
-// concurrent Refresh never mixes generations within a query.
+// concurrent refresh never mixes generations within a query.
 type index struct {
 	data *assocmine.Dataset
 	sig  *assocmine.Signatures
@@ -140,7 +140,7 @@ type Server struct {
 	coll *obs.Collector
 
 	// path and the ingests are set only for file-backed servers; they
-	// are what Refresh catches up. refreshMu serialises refreshes.
+	// are what refresh catches up. refreshMu serialises refreshes.
 	path          string
 	ingMH, ingKMH *assocmine.Ingest
 	refreshMu     sync.Mutex
@@ -178,32 +178,10 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// New builds a server over an in-memory dataset, computing any index
-// not preloaded in opts. The resulting server is static: Refresh
-// returns ErrStaticIndex.
-func New(data *assocmine.Dataset, opts Options) (*Server, error) {
-	opts.setDefaults()
-	sig := opts.Signatures
-	if sig == nil {
-		var err error
-		if sig, err = assocmine.ComputeSignatures(data, opts.SigK, opts.Seed, opts.Workers); err != nil {
-			return nil, fmt.Errorf("serve: computing signatures: %w", err)
-		}
-	}
-	sk := opts.Sketches
-	if sk == nil {
-		var err error
-		if sk, err = assocmine.ComputeSketches(data, opts.SketchK, opts.Seed, opts.Workers); err != nil {
-			return nil, fmt.Errorf("serve: computing sketches: %w", err)
-		}
-	}
-	return finishNew(opts, &index{data: data, sig: sig, sk: sk}, "", nil, nil)
-}
-
 // NewFromFile builds a server over a dataset file. Indexes not
 // preloaded in opts are built through the incremental-ingest catch-up
 // path (resuming from opts.Snapshot* when set), which is also what
-// makes Refresh possible: when the file grows, Refresh folds only the
+// makes refresh possible: when the file grows, refresh folds only the
 // unseen rows and swaps in a fresh index generation.
 func NewFromFile(path string, opts Options) (*Server, error) {
 	opts.setDefaults()
@@ -322,15 +300,15 @@ func (s *Server) index() *index {
 	return s.idx
 }
 
-// Refresh re-opens the backing file, folds rows appended since the
+// refresh re-opens the backing file, folds rows appended since the
 // last catch-up into the ingest states (O(new rows) — the PR 7
 // incremental path, never a recompute), rebuilds the index generation
 // and swaps it in. In-flight queries keep the generation they started
 // with; on error the old generation stays live. Returns the number of
 // new rows folded.
-func (s *Server) Refresh() (int, error) {
+func (s *Server) refresh() (int, error) {
 	if s.path == "" || s.ingMH == nil || s.ingKMH == nil {
-		return 0, ErrStaticIndex
+		return 0, errStaticIndex
 	}
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
@@ -411,7 +389,7 @@ func (s *Server) startRefresher() {
 					continue
 				}
 				lastSize, lastMod = fi.Size(), fi.ModTime()
-				if _, err := s.Refresh(); err != nil {
+				if _, err := s.refresh(); err != nil {
 					s.coll.Add("refresh_errors", 1)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -49,9 +50,31 @@ func testDataset(tb testing.TB, rows, cols int) *assocmine.Dataset {
 	return d
 }
 
+// newStatic builds a server over an in-memory dataset, computing any
+// index not preloaded in opts: the static server the package's tests
+// query, whose refresh returns errStaticIndex.
+func newStatic(data *assocmine.Dataset, opts Options) (*Server, error) {
+	opts.setDefaults()
+	sig := opts.Signatures
+	if sig == nil {
+		var err error
+		if sig, err = assocmine.ComputeSignatures(data, opts.SigK, opts.Seed, opts.Workers); err != nil {
+			return nil, fmt.Errorf("serve: computing signatures: %w", err)
+		}
+	}
+	sk := opts.Sketches
+	if sk == nil {
+		var err error
+		if sk, err = assocmine.ComputeSketches(data, opts.SketchK, opts.Seed, opts.Workers); err != nil {
+			return nil, fmt.Errorf("serve: computing sketches: %w", err)
+		}
+	}
+	return finishNew(opts, &index{data: data, sig: sig, sk: sk}, "", nil, nil)
+}
+
 func mustServer(tb testing.TB, d *assocmine.Dataset) *Server {
 	tb.Helper()
-	s, err := New(d, Options{})
+	s, err := newStatic(d, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,7 +110,7 @@ type queryCase struct {
 	want []byte
 }
 
-func mustPlan(tb testing.TB, threshold float64, ix *index, force string) Plan {
+func mustPlan(tb testing.TB, threshold float64, ix *index, force string) queryPlan {
 	tb.Helper()
 	plan, err := choosePlan(threshold, ix.info(), force)
 	if err != nil {
@@ -117,7 +140,7 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		body := `{"threshold":` + jsonNum(threshold) + forceField(force) + `}`
 		cases = append(cases, queryCase{
 			name: name, path: "/v1/pairs", body: body,
-			want: mustBody(tb, PairsResponse{Plan: plan, Count: len(res.Pairs), Pairs: toPairJSON(res.Pairs)}),
+			want: mustBody(tb, pairsResponse{Plan: plan, Count: len(res.Pairs), Pairs: toPairJSON(res.Pairs)}),
 		})
 	}
 	addPairs("pairs-mlsh", 0.75, "")
@@ -133,17 +156,17 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		nbrs := make([]NeighborJSON, len(pairs))
+		nbrs := make([]neighborJSON, len(pairs))
 		for i, p := range pairs {
 			other := p.I
 			if other == col {
 				other = p.J
 			}
-			nbrs[i] = NeighborJSON{Col: other, Estimate: p.Estimate, Similarity: p.Similarity}
+			nbrs[i] = neighborJSON{Col: other, Estimate: p.Estimate, Similarity: p.Similarity}
 		}
 		cases = append(cases, queryCase{
 			name: "topk-kmh", path: "/v1/topk", body: `{"col":2,"k":5}`,
-			want: mustBody(tb, TopKResponse{Plan: plan, Col: col, Neighbors: nbrs}),
+			want: mustBody(tb, topKResponse{Plan: plan, Col: col, Neighbors: nbrs}),
 		})
 	}
 
@@ -159,7 +182,7 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		}
 		cases = append(cases, queryCase{
 			name: "toppairs-mlsh", path: "/v1/toppairs", body: `{"n":4,"floor":0.6}`,
-			want: mustBody(tb, PairsResponse{Plan: plan, Count: len(pairs), Pairs: toPairJSON(pairs)}),
+			want: mustBody(tb, pairsResponse{Plan: plan, Count: len(pairs), Pairs: toPairJSON(pairs)}),
 		})
 	}
 
@@ -171,13 +194,13 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		rules := make([]RuleJSON, len(res.Rules))
+		rules := make([]ruleJSON, len(res.Rules))
 		for i, rr := range res.Rules {
-			rules[i] = RuleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
+			rules[i] = ruleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
 		}
 		cases = append(cases, queryCase{
 			name: "rules", path: "/v1/rules", body: `{"min_confidence":0.9}`,
-			want: mustBody(tb, RulesResponse{Count: len(rules), Rules: rules}),
+			want: mustBody(tb, rulesResponse{Count: len(rules), Rules: rules}),
 		})
 	}
 
@@ -189,7 +212,7 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 		}
 		cases = append(cases, queryCase{
 			name: name, path: "/v1/expr", body: body,
-			want: mustBody(tb, ExprResponse{Op: op, Value: v}),
+			want: mustBody(tb, exprResponse{Op: op, Value: v}),
 		})
 	}
 	addExpr("expr-card", `{"op":"cardinality","expr":"0|1"}`, func() (float64, error) {
@@ -271,9 +294,9 @@ func TestBadRequests(t *testing.T) {
 			if rr.Code != c.status {
 				t.Fatalf("status %d, want %d: %s", rr.Code, c.status, rr.Body.String())
 			}
-			var e ErrorResponse
+			var e errorResponse
 			if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("error body not ErrorResponse: %s", rr.Body.String())
+				t.Fatalf("error body not an errorResponse: %s", rr.Body.String())
 			}
 		})
 	}
@@ -304,7 +327,7 @@ func TestHealthz(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d", rr.Code)
 	}
-	var h HealthResponse
+	var h healthResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +416,7 @@ func TestQueryBudgets(t *testing.T) {
 // byte-identical to the unbudgeted one.
 func TestPairsHonoursMemBudget(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(testDataset(t, 2000, 200), Options{SpillDir: dir, CacheSize: -1})
+	s, err := newStatic(testDataset(t, 2000, 200), Options{SpillDir: dir, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

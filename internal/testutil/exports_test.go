@@ -21,25 +21,23 @@ import (
 // H: an exported package-level name or method in internal/* non-test
 // code must be referenced from non-test code of another package (the
 // root package, cmd/, examples/, another internal package, or bench/ —
-// the benchmark's own module is a caller), or sit on the committed
-// allowlist testdata/unused_exports.txt.
+// the benchmark's own module is a caller). There is no allowlist.
 //
 // K: an exported name or method of the root package must be reached
 // from cmd/, examples/, internal/serve, internal/eval, bench/ or the
 // body of an Example* test of the root, or sit on
-// testdata/unused_root_exports.txt.
-//
-// Each allowlist was seeded with the state of the commit that added its
-// sweep and may only shrink: a listed name that has gained a caller, or
-// is gone, fails the test too, so the file stays the exact list of what
-// is left to unexport, move into a _test.go oracle, or delete.
+// testdata/unused_root_exports.txt. That list was seeded with the state
+// of the commit that added K's sweep and may only shrink: a listed name
+// that has gained a caller, or is gone, fails the test too.
 //
 // Not counted: struct fields; methods that make their type — or a type
 // of another package embedding it — satisfy an interface declared in
 // the module or the standard library (they are called through the
 // interface, never by name); types that are never named outside their
 // package but travel in the signature or type of something that is
-// used there; and this package, whose callers are tests by design.
+// used there; and the test-support packages testutil and faultfs, whose
+// callers are tests by design — which the sweep proves: no non-test
+// file may import them.
 func TestExportedNamesAreUsed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -54,6 +52,16 @@ func TestExportedNamesAreUsed(t *testing.T) {
 		}
 	}
 	const module = "assocmine"
+	testSupport := func(path string) bool {
+		return path == module+"/internal/testutil" || path == module+"/internal/faultfs"
+	}
+	for path, pkg := range u.pkgs {
+		for _, imp := range pkg.Imports() {
+			if testSupport(imp.Path()) && !testSupport(path) {
+				t.Errorf("non-test code of %s imports the test-support package %s: only _test.go files may", path, imp.Path())
+			}
+		}
+	}
 	rootCaller := func(path string) bool {
 		for _, prefix := range []string{"/cmd/", "/examples/", "/internal/serve", "/internal/eval", "/bench"} {
 			if strings.HasPrefix(path, module+prefix) {
@@ -133,11 +141,11 @@ func TestExportedNamesAreUsed(t *testing.T) {
 		sort.Strings(unused)
 		return unused
 	}
-	checkAllowlist(t, "unused_exports.txt",
-		"# Exported internal/* names with no non-test caller outside their package\n# (TestExportedNamesAreUsed). This list only shrinks.\n",
-		unusedIn(func(path string) bool {
-			return strings.Contains(path, "/internal/") && !strings.HasSuffix(path, "/internal/testutil")
-		}, used))
+	for _, name := range unusedIn(func(path string) bool {
+		return strings.Contains(path, "/internal/") && !testSupport(path)
+	}, used) {
+		t.Errorf("%s is exported but no non-test code outside its package uses it: delete it, move it to a _test.go oracle, or unexport it", name)
+	}
 	checkAllowlist(t, "unused_root_exports.txt",
 		"# Exported root-package names that cmd/, examples/, internal/serve,\n# internal/eval, bench/ and the Example* tests do not reach\n# (TestExportedNamesAreUsed, ROADMAP item K). This list only shrinks.\n",
 		unusedIn(func(path string) bool { return path == module }, usedRoot))
@@ -146,7 +154,7 @@ func TestExportedNamesAreUsed(t *testing.T) {
 // checkAllowlist fails for every unused name missing from the committed
 // allowlist testdata/<file> and for every listed name that is no longer
 // unused. UPDATE_UNUSED_EXPORTS rewrites the file first, to drop lines
-// after a cleanup.
+// after a cleanup; the root's list is the only allowlist.
 func checkAllowlist(t *testing.T, file, header string, unused []string) {
 	allowPath := filepath.Join("testdata", file)
 	if os.Getenv("UPDATE_UNUSED_EXPORTS") != "" {
@@ -205,7 +213,9 @@ func newUniverse(t *testing.T) *universe {
 	}
 }
 
-// list records the packages `go list pattern` names in dir.
+// list records the packages `go list pattern` names in dir. A package
+// with no non-test files (one whose code is all _test.go) has nothing to
+// sweep and is skipped.
 func (u *universe) list(dir, pattern string) {
 	cmd := exec.Command("go", "list", "-f", `{{.ImportPath}}|{{.Dir}}|{{join .GoFiles ","}}`, pattern)
 	cmd.Dir = dir
@@ -216,6 +226,9 @@ func (u *universe) list(dir, pattern string) {
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		part := strings.Split(line, "|")
+		if part[2] == "" {
+			continue
+		}
 		for _, name := range strings.Split(part[2], ",") {
 			u.files[part[0]] = append(u.files[part[0]], filepath.Join(part[1], name))
 		}

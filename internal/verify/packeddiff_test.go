@@ -11,6 +11,7 @@ import (
 	"assocmine/internal/measures"
 	"assocmine/internal/pairs"
 	"assocmine/internal/rules"
+	"assocmine/internal/testutil"
 )
 
 // randomCandidates draws count pairs (duplicates allowed — the scalar
@@ -137,7 +138,7 @@ func TestPackedMatchesBudgetedAndParallel(t *testing.T) {
 // TestPackedEdgeCases: empty candidate lists, zero-row sources and
 // invalid inputs behave exactly like the scalar pass.
 func TestPackedEdgeCases(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}, {1}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}, {1}}))
 	if _, _, err := ExactPacked(m.Stream(), nil, -0.1, PackedOptions{}); err == nil {
 		t.Error("negative threshold accepted")
 	}
@@ -196,7 +197,7 @@ func TestPackedDerivedUnionEdges(t *testing.T) {
 		{Pair: pairs.Pair{I: 2, J: 0}}, // identical, the other way round
 	}
 	for _, threshold := range []float64{0, 0.5, 1} {
-		m := matrix.MustNew(n, cols)
+		m := testutil.Must(matrix.New(n, cols))
 		want, wantStats, err := Exact(m.Stream(), edges, threshold)
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +222,7 @@ func TestPackedDerivedUnionEdges(t *testing.T) {
 		}
 		cols = append(cols, c)
 	}
-	m := matrix.MustNew(n, cols)
+	m := testutil.Must(matrix.New(n, cols))
 	cand := slices.Clone(edges)
 	for i := int32(5); i < int32(len(cols)); i++ {
 		for j := int32(5); j < int32(len(cols)); j++ {

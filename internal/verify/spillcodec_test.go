@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
 // TestSpillCodecsMatch: the spilled pass must produce output
@@ -48,14 +49,14 @@ func TestSpillCodecsMatch(t *testing.T) {
 // TestSpillRunRoundTrip: the codec restores an entry sequence exactly,
 // across block boundaries, and prices it as the uvarint triples would.
 func TestSpillRunRoundTrip(t *testing.T) {
-	rng := hashing.NewSplitMix64(41)
+	next := testutil.SplitMix64(41)
 	var entries []spillEntry
 	var triples int64
 	idx := int32(0)
 	for len(entries) < 3*spillBlockEntries+17 {
-		idx += int32(rng.Next()%7) + 1
-		both := int32(rng.Next() % 100)
-		e := spillEntry{idx: idx, either: both + 1 + int32(rng.Next()%50), both: both}
+		idx += int32(next()%7) + 1
+		both := int32(next() % 100)
+		e := spillEntry{idx: idx, either: both + 1 + int32(next()%50), both: both}
 		entries = append(entries, e)
 		var buf [3 * binary.MaxVarintLen32]byte
 		n := binary.PutUvarint(buf[:], uint64(e.idx))

@@ -8,6 +8,7 @@ import (
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
+	"assocmine/internal/testutil"
 )
 
 func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *matrix.Matrix {
@@ -23,7 +24,7 @@ func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *mat
 }
 
 func TestExactValidation(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}, {1}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}, {1}}))
 	if _, _, err := Exact(m.Stream(), nil, -0.1); err == nil {
 		t.Error("negative threshold accepted")
 	}
@@ -36,7 +37,7 @@ func TestExactValidation(t *testing.T) {
 }
 
 func TestExactEmptyCandidates(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}, {1}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}, {1}}))
 	out, st, err := Exact(m.Stream(), nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestExactMatchesColumnMath(t *testing.T) {
 			want := m.Similarity(i, j)
 			key := pairs.Pair{I: int32(i), J: int32(j)}
 			exact, ok := got[key]
-			if m.UnionSize(i, j) == 0 {
+			if m.ColumnSize(i)+m.ColumnSize(j) == 0 {
 				if ok {
 					t.Errorf("pair of empty columns (%d,%d) reported", i, j)
 				}
@@ -94,11 +95,11 @@ func TestExactMatchesColumnMath(t *testing.T) {
 }
 
 func TestExactThresholdFilters(t *testing.T) {
-	m := matrix.MustNew(4, [][]int32{
+	m := testutil.Must(matrix.New(4, [][]int32{
 		{0, 1, 2},
 		{0, 1, 2}, // identical to c0: sim 1
 		{0, 3},    // sim(c0,c2) = 1/4
-	})
+	}))
 	cand := []pairs.Scored{
 		{Pair: pairs.Pair{I: 0, J: 1}},
 		{Pair: pairs.Pair{I: 0, J: 2}},
@@ -126,7 +127,7 @@ func zeroScored(ps []pairs.Pair) []pairs.Scored {
 }
 
 func TestExactPairs(t *testing.T) {
-	m := matrix.MustNew(3, [][]int32{{0, 1}, {0, 1}})
+	m := testutil.Must(matrix.New(3, [][]int32{{0, 1}, {0, 1}}))
 	out, _, err := Exact(m.Stream(), zeroScored([]pairs.Pair{{I: 0, J: 1}}), 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +138,7 @@ func TestExactPairs(t *testing.T) {
 }
 
 func TestAllPairsValidation(t *testing.T) {
-	m := matrix.MustNew(2, [][]int32{{0}})
+	m := testutil.Must(matrix.New(2, [][]int32{{0}}))
 	for _, th := range []float64{0, -1, 1.5} {
 		if _, err := AllPairs(m, th); err == nil {
 			t.Errorf("AllPairs accepted threshold %v", th)

@@ -2,6 +2,7 @@ package assocmine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strconv"
 	"strings"
@@ -51,6 +52,19 @@ func (r *lockedRecorder) Add(counter string, n int64)    { r.inner.Add(counter, 
 func (r *lockedRecorder) SetGauge(gauge string, v int64) { r.inner.SetGauge(gauge, v) }
 
 // expectedPhases lists the phases each algorithm runs, in order.
+// collectorState decodes ExpvarString, the Collector's public JSON view:
+// its counters, gauges and per-phase span counts.
+func collectorState(t *testing.T, c *Collector) (st struct {
+	Counters, Gauges map[string]int64
+	Spans            map[string]struct{ Count int64 }
+}) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(ExpvarString(c)), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func expectedPhases(a Algorithm) []string {
 	switch a {
 	case MinHash, KMinHash, MinLSH:
@@ -97,7 +111,7 @@ func TestRecorderSpansAndStats(t *testing.T) {
 			if got := rec.ends; !equalStrings(got, want) {
 				t.Errorf("%v workers=%d: phase ends %v, want %v", tc.algo, workers, got, want)
 			}
-			snap := rec.inner.Snapshot()
+			snap := collectorState(t, rec.inner)
 			for phase, span := range snap.Spans {
 				if span.Count != 1 {
 					t.Errorf("%v workers=%d: phase %q has %d spans, want 1", tc.algo, workers, phase, span.Count)
@@ -223,7 +237,7 @@ func TestSignaturesRecorder(t *testing.T) {
 		if got, want := coll.Counter(CounterPairsVerified), int64(res.Stats.Verified); got != want {
 			t.Errorf("%v: verified counter %d, Stats %d", algo, got, want)
 		}
-		if snap := coll.Snapshot(); snap.Spans[PhaseSignatures].Count != 0 {
+		if snap := collectorState(t, coll); snap.Spans[PhaseSignatures].Count != 0 {
 			t.Errorf("%v: precomputed-sketch query reported a signature span", algo)
 		}
 	}
@@ -248,7 +262,7 @@ func TestProgressiveRecorder(t *testing.T) {
 	if got, want := coll.Counter(CounterPairsVerified), int64(res.Stats.Verified); got != want {
 		t.Errorf("verified counter %d, Stats %d", got, want)
 	}
-	snap := coll.Snapshot()
+	snap := collectorState(t, coll)
 	for _, phase := range []string{PhaseSignatures, PhaseCandidates, PhaseVerify} {
 		if snap.Spans[phase].Count != 1 {
 			t.Errorf("phase %q: %d spans, want 1", phase, snap.Spans[phase].Count)
@@ -399,7 +413,7 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 	if _, err := SimilarPairs(d, Config{Algorithm: MinHash, Threshold: 0.5, K: 60, Recorder: coll}); err != nil {
 		t.Fatal(err)
 	}
-	snap := coll.Snapshot()
+	snap := collectorState(t, coll)
 	if _, ok := snap.Counters[CounterIndexBuilds]; ok {
 		t.Error("a folding run reported index_builds")
 	}
