@@ -92,14 +92,12 @@ fuzz:
 	$(GO) test ./internal/matrix -fuzz FuzzReadNamedTransactions -fuzztime 10s
 	$(GO) test ./internal/matrix -fuzz FuzzCArowsRoundTrip -fuzztime 10s
 	$(GO) test ./internal/matrix -fuzz FuzzScanRange -fuzztime 10s
-	$(GO) test ./internal/minhash -fuzz FuzzReadSignatures -fuzztime 10s
-	$(GO) test ./internal/minhash -fuzz FuzzCompressedSignatures -fuzztime 10s
-	$(GO) test ./internal/kminhash -fuzz FuzzReadSketches -fuzztime 10s
 	$(GO) test ./internal/minhash -fuzz FuzzFoldStateRoundTrip -fuzztime 10s
 	$(GO) test ./internal/minhash -fuzz FuzzMergeVsBatch -fuzztime 10s
 	$(GO) test ./internal/kminhash -fuzz FuzzFoldStateRoundTrip -fuzztime 10s
 	$(GO) test ./internal/kminhash -fuzz FuzzMergeVsBatch -fuzztime 10s
 	$(GO) test . -fuzz FuzzOpenFileDataset -fuzztime 10s
+	$(GO) test . -fuzz FuzzLoadIngest -fuzztime 10s
 	$(GO) test ./internal/faultfs -fuzz FuzzPlanRowBinary -fuzztime 10s
 	$(GO) test ./internal/verify -fuzz FuzzPackedVsScalar -fuzztime 10s
 	$(GO) test ./internal/verify -fuzz FuzzPackedContainers -fuzztime 10s

@@ -1,8 +1,9 @@
-// Command assocserve is the resident similarity service: it computes
-// (or loads) a dataset's min-hash signatures and bottom-k sketches
-// once at startup, keeps them warm, and answers concurrent HTTP/JSON
-// queries — threshold pair scans, top-k neighbors, association rules,
-// and boolean-composition questions — until told to drain.
+// Command assocserve is the resident similarity service: it folds a
+// dataset's min-hash signatures and bottom-k sketches once at startup
+// (resuming from -snapshot-mh/-snapshot-kmh when given), keeps them
+// warm, and answers concurrent HTTP/JSON queries — threshold pair
+// scans, top-k neighbors, association rules, and boolean-composition
+// questions — until told to drain.
 //
 //	assocserve -in data.txt -addr :8080
 //
@@ -29,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"assocmine"
 	"assocmine/internal/serve"
 )
 
@@ -46,8 +46,6 @@ func main() {
 		memBudget   = flag.String("mem-budget", "", "per-query verification memory budget, e.g. 64K, 16M, 1G; empty or 0 = unlimited")
 		spillDir    = flag.String("spill-dir", "", "directory for budgeted-verification spill runs; empty = OS temp")
 		maxTopK     = flag.Int("max-topk", 100, "cap on k/n in top-k queries")
-		sigPath     = flag.String("sig", "", "preload signatures from this AMC1/SMC1 file instead of computing (disables /v1/refresh)")
-		sketchPath  = flag.String("sketches", "", "preload sketches from this KMC1 file instead of computing (disables /v1/refresh)")
 		snapMH      = flag.String("snapshot-mh", "", "AIN1 ingest snapshot for the signature index: resumed at startup, saved after every catch-up")
 		snapKMH     = flag.String("snapshot-kmh", "", "AIN1 ingest snapshot for the sketch index")
 		cacheSize   = flag.Int("cache", 256, "response cache entries for read-only queries; 0 disables")
@@ -64,7 +62,6 @@ func main() {
 		sigK: *sigK, sketchK: *sketchK, seed: *seed, workers: *workers,
 		timeout: *timeout, maxTimeout: *maxTimeout, memBudget: *memBudget,
 		spillDir: *spillDir, maxTopK: *maxTopK,
-		sigPath: *sigPath, sketchPath: *sketchPath,
 		snapMH: *snapMH, snapKMH: *snapKMH,
 		cacheSize: *cacheSize, refreshInterval: *refreshInt, drain: *drainwindow,
 	}); err != nil {
@@ -81,7 +78,6 @@ type options struct {
 	memBudget           string
 	spillDir            string
 	maxTopK             int
-	sigPath, sketchPath string
 	snapMH, snapKMH     string
 	cacheSize           int
 	refreshInterval     time.Duration
@@ -105,16 +101,6 @@ func run(in, addr string, o options) error {
 		opts.CacheSize = -1
 	} else {
 		opts.CacheSize = o.cacheSize
-	}
-	if o.sigPath != "" {
-		if opts.Signatures, err = assocmine.LoadSignatures(o.sigPath); err != nil {
-			return err
-		}
-	}
-	if o.sketchPath != "" {
-		if opts.Sketches, err = assocmine.LoadSketches(o.sketchPath); err != nil {
-			return err
-		}
 	}
 	start := time.Now()
 	srv, err := serve.NewFromFile(in, opts)

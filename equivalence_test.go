@@ -70,7 +70,7 @@ type cell struct {
 
 	chunk     int  // incremental: rows per AppendRows call; 0 catches up from files
 	snapshot  bool // incremental: a Save/LoadIngest round trip halfway
-	roundTrip bool // resident: query a sketch saved and loaded back
+	roundTrip bool // resident: query a sketch restored from an AIN1 snapshot
 }
 
 // config is the cell's Config: the scheme under the cell's axes.
@@ -449,8 +449,9 @@ func sameStats(t *testing.T, got, want Stats, ignore ...string) {
 
 // resident returns the sketch a resident cell queries: the batch fold
 // on the cell's workers, or for a windowed scheme the one a
-// sliding-window Ingest of two half-window batches leaves, saved and
-// loaded back when the cell round-trips (K-MH only).
+// sliding-window Ingest of two half-window batches leaves, or when the
+// cell round-trips the one an Ingest of the whole fixture finishes to
+// after a Save/LoadIngest round trip.
 func (e *env) resident(t *testing.T, c cell) Resident {
 	t.Helper()
 	d := e.data(t, c.fix)
@@ -460,6 +461,24 @@ func (e *env) resident(t *testing.T, c cell) Resident {
 			t.Fatal(err)
 		}
 		return ingestResident(t, appendChunked(t, in, srcRows(t, d, 0, d.NumRows()), w/2, 1, false))
+	}
+	if c.roundTrip {
+		in, err := NewIngest(c.cfg.Algorithm, d.NumCols(), c.cfg.K, c.cfg.Seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.AppendRows(srcRows(t, d, 0, d.NumRows()), c.workers); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "sketch.ain")
+		if err := in.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadIngest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ingestResident(t, loaded)
 	}
 	if c.cfg.Algorithm != KMinHash {
 		s, err := ComputeSignatures(d, c.cfg.K, c.cfg.Seed, c.workers)
@@ -472,21 +491,7 @@ func (e *env) resident(t *testing.T, c cell) Resident {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.roundTrip {
-		return s
-	}
-	path := filepath.Join(t.TempDir(), "sketch.kmc")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSketches(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Save(path) == nil {
-		t.Fatal("re-saving a loaded sketch (unknown row count) accepted")
-	}
-	return loaded
+	return s
 }
 
 func ingestResident(t *testing.T, in *Ingest) Resident {
@@ -922,6 +927,8 @@ func equivalenceMatrix() []cell {
 	for _, rt := range []bool{false, true} {
 		add("TestIncrSketchQueryMatchesDirect", cell{fix: "f59", cfg: Config{Algorithm: KMinHash, Threshold: 0.5, K: 30, Seed: 17}, exec: residentExec, roundTrip: rt},
 			"saved=%v", rt)
+		add("TestIncrSketchQueryMatchesDirect", cell{fix: "f59", cfg: Config{Algorithm: MinHash, Threshold: 0.5, K: 30, Seed: 17}, exec: residentExec, roundTrip: rt},
+			"MinHash/saved=%v", rt)
 	}
 	for _, fix := range []string{"dist-planted", "dist-wide"} {
 		for _, s := range distSchemes {

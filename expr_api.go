@@ -60,9 +60,10 @@ func NewExprEvaluator(d *Dataset, k int, seed uint64) (*ExprEvaluator, error) {
 }
 
 // NewExprEvaluatorFromSketches builds an evaluator over a resident
-// bottom-k sketch (ComputeSketches, LoadSketches, or Ingest.Sketches),
-// skipping the sketch pass entirely — the serving-layer path, where
-// one warm sketch answers every expression query.
+// bottom-k sketch (ComputeSketches, or Ingest.Sketches — after
+// LoadIngest too), skipping the sketch pass entirely — the
+// serving-layer path, where one warm sketch answers every expression
+// query.
 func NewExprEvaluatorFromSketches(s *Sketches) *ExprEvaluator {
 	return &ExprEvaluator{ev: boolexpr.NewEvaluator(s.sk)}
 }

@@ -305,7 +305,7 @@ func (in *Ingest) Signatures() (*Signatures, error) {
 	if sk.MH == nil {
 		return nil, fmt.Errorf("assocmine: %v ingest produces Sketches, not Signatures", in.algo)
 	}
-	return newSignatures(sk.MH, in.seed, int(in.nextRow)), nil
+	return newSignatures(sk.MH), nil
 }
 
 // Sketches finishes the live fold into a queryable bottom-k sketch
@@ -318,7 +318,7 @@ func (in *Ingest) Sketches() (*Sketches, error) {
 	if sk.KMH == nil {
 		return nil, fmt.Errorf("assocmine: %v ingest produces Signatures, not Sketches", in.algo)
 	}
-	return &Sketches{sk: sk.KMH, seed: in.seed, rows: int(in.nextRow)}, nil
+	return &Sketches{sk: sk.KMH}, nil
 }
 
 // AIN1 snapshot container: a fixed header followed by one length-free

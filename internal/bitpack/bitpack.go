@@ -1,12 +1,12 @@
 // Package bitpack provides the bit-granular encoding layer shared by
-// the compressed on-disk codecs (the ".carows" matrix format, the
-// compressed signature and sketch files, and the compressed spill runs
-// of budgeted verification): an LSB-first bit writer/reader pair and
-// Golomb-Rice coding for small non-negative integers.
+// the compressed on-disk codecs (the ".carows" matrix format and the
+// compressed spill runs of budgeted verification): an LSB-first bit
+// writer/reader pair and Golomb-Rice coding for small non-negative
+// integers.
 //
 // Bits are packed LSB-first within each byte — the first bit written
-// is bit 0 of the first byte — so a value written with WriteBits(v, w)
-// occupies w consecutive bits and reads back with ReadBits(w). Rice
+// is bit 0 of the first byte — so a value written with writeBits(v, w)
+// occupies w consecutive bits and reads back with readBits(w). Rice
 // coding splits v into a quotient q = v>>k (written in unary: q one
 // bits then a zero) and the k low bits of v; for geometrically
 // distributed values with mean near 2^k it approaches the entropy,
@@ -61,9 +61,9 @@ func (bw *Writer) writeByte(b byte) error {
 	return err
 }
 
-// WriteBits appends the width low bits of v, LSB first. width must be
+// writeBits appends the width low bits of v, LSB first. width must be
 // <= 56 so the accumulator never overflows mid-call.
-func (bw *Writer) WriteBits(v uint64, width uint) {
+func (bw *Writer) writeBits(v uint64, width uint) {
 	if bw.err != nil {
 		return
 	}
@@ -96,13 +96,13 @@ func (bw *Writer) WriteRice(v uint64, k uint) {
 		return
 	}
 	for q >= 32 {
-		bw.WriteBits((1<<32)-1, 32)
+		bw.writeBits((1<<32)-1, 32)
 		q -= 32
 	}
 	// q one bits followed by the terminating zero.
-	bw.WriteBits((1<<q)-1, uint(q)+1)
+	bw.writeBits((1<<q)-1, uint(q)+1)
 	if k > 0 {
-		bw.WriteBits(v, k)
+		bw.writeBits(v, k)
 	}
 }
 
@@ -144,8 +144,8 @@ func (br *Reader) Reset(r ByteSource) {
 	br.acc, br.n = 0, 0
 }
 
-// ReadBits returns the next width bits, LSB first. width must be <= 56.
-func (br *Reader) ReadBits(width uint) (uint64, error) {
+// readBits returns the next width bits, LSB first. width must be <= 56.
+func (br *Reader) readBits(width uint) (uint64, error) {
 	if width > 56 {
 		return 0, fmt.Errorf("bitpack: width %d out of range", width)
 	}
@@ -193,7 +193,7 @@ func (br *Reader) ReadRice(k uint) (uint64, error) {
 	if k == 0 {
 		return q, nil
 	}
-	low, err := br.ReadBits(k)
+	low, err := br.readBits(k)
 	if err != nil {
 		return 0, err
 	}

@@ -21,14 +21,14 @@ func TestWriteReadBitsRoundTrip(t *testing.T) {
 		width := uint(rng.Intn(56) + 1)
 		v := rng.Uint64() & ((1 << width) - 1)
 		recs = append(recs, rec{v, width})
-		bw.WriteBits(v, width)
+		bw.writeBits(v, width)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	br := NewReader(bufio.NewReader(&buf))
 	for i, r := range recs {
-		got, err := br.ReadBits(r.width)
+		got, err := br.readBits(r.width)
 		if err != nil {
 			t.Fatalf("value %d: %v", i, err)
 		}
@@ -104,21 +104,21 @@ func (ones) ReadByte() (byte, error) { return 0xff, nil }
 func TestAlignResyncs(t *testing.T) {
 	var buf bytes.Buffer
 	bw := NewWriter(&buf)
-	bw.WriteBits(0b101, 3)
+	bw.writeBits(0b101, 3)
 	if err := bw.Flush(); err != nil { // pads to one byte
 		t.Fatal(err)
 	}
 	bw2 := NewWriter(&buf)
-	bw2.WriteBits(0x5a, 8)
+	bw2.writeBits(0x5a, 8)
 	if err := bw2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	br := NewReader(bufio.NewReader(&buf))
-	if v, _ := br.ReadBits(3); v != 0b101 {
+	if v, _ := br.readBits(3); v != 0b101 {
 		t.Fatalf("got %b", v)
 	}
 	br.Align()
-	if v, err := br.ReadBits(8); err != nil || v != 0x5a {
+	if v, err := br.readBits(8); err != nil || v != 0x5a {
 		t.Fatalf("after align: got %x, %v", v, err)
 	}
 }

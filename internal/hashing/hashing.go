@@ -76,21 +76,21 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// MultiplyShift is a 2-universal hash family member over 64-bit keys:
+// multiplyShift is a 2-universal hash family member over 64-bit keys:
 // h(x) = mix(a*x + b) with odd a. The extra mixing step hardens the
 // family's low bits, which matters because Min-LSH concatenates raw
 // hash values into bucket keys.
-type MultiplyShift struct {
+type multiplyShift struct {
 	a, b uint64
 }
 
-// NewMultiplyShift draws a random member of the family from rng.
-func NewMultiplyShift(rng *SplitMix64) MultiplyShift {
-	return MultiplyShift{a: rng.next() | 1, b: rng.next()}
+// newMultiplyShift draws a random member of the family from rng.
+func newMultiplyShift(rng *SplitMix64) multiplyShift {
+	return multiplyShift{a: rng.next() | 1, b: rng.next()}
 }
 
-// Hash maps a 64-bit key to its 64-bit hash value.
-func (m MultiplyShift) Hash(x uint64) uint64 {
+// hash maps a 64-bit key to its 64-bit hash value.
+func (m multiplyShift) hash(x uint64) uint64 {
 	return Mix64(m.a*x + m.b)
 }
 
@@ -101,7 +101,7 @@ func (m MultiplyShift) Hash(x uint64) uint64 {
 // random"). Two PermHash values with different indices define
 // independent row orders.
 type PermHash struct {
-	fn MultiplyShift
+	fn multiplyShift
 }
 
 // NewPermHashes returns k independent row-order hash functions derived
@@ -110,7 +110,7 @@ func NewPermHashes(seed uint64, k int) []PermHash {
 	rng := NewSplitMix64(seed)
 	hs := make([]PermHash, k)
 	for i := range hs {
-		hs[i] = PermHash{fn: NewMultiplyShift(rng)}
+		hs[i] = PermHash{fn: newMultiplyShift(rng)}
 	}
 	return hs
 }
@@ -118,12 +118,12 @@ func NewPermHashes(seed uint64, k int) []PermHash {
 // NewPermHash returns a single row-order hash function derived from seed.
 func NewPermHash(seed uint64) PermHash {
 	rng := NewSplitMix64(seed)
-	return PermHash{fn: NewMultiplyShift(rng)}
+	return PermHash{fn: newMultiplyShift(rng)}
 }
 
 // Row returns the hash value of row r.
 func (p PermHash) Row(r int) uint64 {
-	return p.fn.Hash(uint64(r))
+	return p.fn.hash(uint64(r))
 }
 
 // CombineKeys hashes a slice of 64-bit values into a single bucket key.

@@ -119,17 +119,17 @@ func TestMix64Bijective(t *testing.T) {
 }
 
 func TestMultiplyShiftDeterministic(t *testing.T) {
-	h := NewMultiplyShift(NewSplitMix64(13))
-	if h.Hash(12345) != h.Hash(12345) {
-		t.Fatal("MultiplyShift not deterministic")
+	h := newMultiplyShift(NewSplitMix64(13))
+	if h.hash(12345) != h.hash(12345) {
+		t.Fatal("multiplyShift not deterministic")
 	}
 }
 
 func TestMultiplyShiftSpreads(t *testing.T) {
-	h := NewMultiplyShift(NewSplitMix64(17))
+	h := newMultiplyShift(NewSplitMix64(17))
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 10000; i++ {
-		seen[h.Hash(i)] = true
+		seen[h.hash(i)] = true
 	}
 	if len(seen) != 10000 {
 		t.Fatalf("collisions among 10000 consecutive keys: %d distinct", len(seen))

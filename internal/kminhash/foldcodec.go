@@ -10,19 +10,19 @@ import (
 
 // Fold-state persistence: an ingestion process snapshots its FoldState
 // after each batch so a restart resumes at O(new rows) instead of
-// refolding history. The KMF1 format is versioned by magic like KMC1
-// and stores the raw 64-bit heap arrays VERBATIM (heap order, not
-// sorted): a resumed sequential fold then replays bit-identically to an
+// refolding history. The KMF1 format is versioned by magic and stores
+// the raw 64-bit heap arrays VERBATIM (heap order, not sorted): a
+// resumed sequential fold then replays bit-identically to an
 // uninterrupted one, order-dependent Updates counter included. Every
 // heap's length is the invariant min(k, colSize) — each column
 // occurrence either pushes or replaces — so only the column size is
 // encoded and the length is derived.
 //
-// Unlike ReadSketches, the fold codec never wraps the stream in its own
-// buffered reader and consumes exactly its encoded bytes — several
-// states (a sliding window's ring) share one stream in the ingest
-// snapshot container, so read-ahead would corrupt the next blob. Pass a
-// buffered reader for performance.
+// The fold codec never wraps the stream in its own buffered reader and
+// consumes exactly its encoded bytes — several states (a sliding
+// window's ring) share one stream in the ingest snapshot container, so
+// read-ahead would corrupt the next blob. Pass a buffered reader for
+// performance.
 const foldMagic = "KMF1"
 
 // Snapshot serialises the state: magic, then k, m, seed, rows, updates
@@ -60,11 +60,10 @@ func (s *FoldState) Snapshot(w io.Writer) error {
 	return flush(true)
 }
 
-// ReadFoldState parses a stream written by Snapshot. The column table
-// and heap arena are grown a bounded chunk of columns at a time as
-// bytes actually arrive, mirroring ReadSketches' hostile-header guard,
-// and every decoded heap is checked for the max-heap invariant so a
-// corrupted snapshot fails loudly instead of folding garbage.
+// ReadFoldState parses a stream written by Snapshot. What it allocates
+// grows with the bytes that actually arrive, whatever the header
+// claims, and every decoded heap is checked for the max-heap invariant
+// so a corrupted snapshot fails loudly instead of folding garbage.
 func ReadFoldState(r io.Reader) (*FoldState, error) {
 	var hdr [44]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -80,7 +79,7 @@ func ReadFoldState(r io.Reader) (*FoldState, error) {
 	updates := binary.LittleEndian.Uint64(hdr[36:])
 	const (
 		maxDim  = 1 << 31
-		maxK    = 1 << 20 // arena chunks are k-wide
+		maxK    = 1 << 20
 		maxRows = 1 << 40
 	)
 	if k == 0 || k > maxK || m > maxDim || rows > maxRows {
@@ -100,11 +99,6 @@ func ReadFoldState(r io.Reader) (*FoldState, error) {
 		updates: int64(updates),
 		h:       hashing.NewPermHash(seed),
 	}
-	colChunk := uint64(1<<20) / k
-	if colChunk == 0 {
-		colChunk = 1
-	}
-	var backing []uint64 // arena of the current column chunk
 	var buf [8]byte
 	read64 := func() (uint64, error) {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -112,19 +106,18 @@ func ReadFoldState(r io.Reader) (*FoldState, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	for c := uint64(0); c < m; c++ {
-		if uint64(len(s.heaps)) == c {
-			grow := m - c
-			if grow > colChunk {
-				grow = colChunk
-			}
-			s.heaps = append(s.heaps, make([][]uint64, grow)...)
-			s.colSizes = append(s.colSizes, make([]int, grow)...)
-			backing = make([]uint64, grow*k)
-			for i := uint64(0); i < grow; i++ {
-				s.heaps[c+i] = backing[i*k : i*k : (i+1)*k]
-			}
+	// Sizes and values are appended as their bytes arrive, into one
+	// array that doubles as it fills, so a header claiming more than the
+	// stream holds costs a small multiple of what was read. Once a
+	// heap's values have arrived it gets as much room again, up to k, so
+	// a resumed fold seldom moves a heap out of the array.
+	vals := make([]uint64, 0, min(k*m, 1<<10))
+	grow := func(n int) {
+		if len(vals)+n > cap(vals) {
+			vals = append(make([]uint64, 0, 2*(len(vals)+n)), vals...)
 		}
+	}
+	for c := uint64(0); c < m; c++ {
 		size, err := read64()
 		if err != nil {
 			return nil, fmt.Errorf("kminhash: column %d size: %w", c, err)
@@ -132,27 +125,33 @@ func ReadFoldState(r io.Reader) (*FoldState, error) {
 		if size > rows {
 			return nil, fmt.Errorf("kminhash: column %d size %d exceeds %d rows", c, size, rows)
 		}
-		s.colSizes[c] = int(size)
-		length := size
-		if length > k {
-			length = k
-		}
-		heap := s.heaps[c]
-		for i := uint64(0); i < length; i++ {
+		s.colSizes = append(s.colSizes, int(size))
+		heap, n := len(vals), int(min(size, k))
+		for i := 0; i < n; i++ {
 			v, err := read64()
 			if err != nil {
 				return nil, fmt.Errorf("kminhash: column %d value %d: %w", c, i, err)
 			}
-			if i > 0 && heap[(i-1)/2] < v {
+			if i > 0 && vals[heap+(i-1)/2] < v {
 				return nil, fmt.Errorf("kminhash: column %d violates the heap invariant at value %d", c, i)
 			}
-			heap = append(heap, v)
+			grow(1)
+			vals = append(vals, v)
 		}
-		s.heaps[c] = heap
+		room := min(s.k, 2*n) - n
+		grow(room)
+		vals = vals[:len(vals)+room]
 	}
-	if s.heaps == nil {
-		s.heaps = [][]uint64{}
+	if s.colSizes == nil {
 		s.colSizes = []int{}
+	}
+	s.heaps = make([][]uint64, m)
+	off := 0
+	for c, size := range s.colSizes {
+		n := min(size, s.k)
+		end := off + min(s.k, 2*n)
+		s.heaps[c] = vals[off : off+n : end]
+		off = end
 	}
 	return s, nil
 }

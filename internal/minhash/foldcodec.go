@@ -10,17 +10,16 @@ import (
 
 // Fold-state persistence: an ingestion process snapshots its FoldState
 // after each batch so a restart resumes at O(new rows) instead of
-// refolding history. The AMF1 format is versioned by magic like the
-// signature codecs and stores the raw 64-bit minima verbatim
-// (column-major, the state's own layout), so decode(encode(s)) == s bit
-// for bit and a resumed fold is indistinguishable from an uninterrupted
-// one.
+// refolding history. The AMF1 format is versioned by magic and stores
+// the raw 64-bit minima verbatim (column-major, the state's own
+// layout), so decode(encode(s)) == s bit for bit and a resumed fold is
+// indistinguishable from an uninterrupted one.
 //
-// Unlike ReadSignatures, the fold codec never wraps the stream in its
-// own buffered reader and consumes exactly its encoded bytes — several
-// states (a sliding window's ring) share one stream in the ingest
-// snapshot container, so read-ahead would corrupt the next blob. Pass a
-// buffered reader for performance.
+// The fold codec never wraps the stream in its own buffered reader and
+// consumes exactly its encoded bytes — several states (a sliding
+// window's ring) share one stream in the ingest snapshot container, so
+// read-ahead would corrupt the next blob. Pass a buffered reader for
+// performance.
 const foldMagic = "AMF1"
 
 // Snapshot serialises the state: magic, then k, m, seed, rows as 8-byte
@@ -53,10 +52,10 @@ func (s *FoldState) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// ReadFoldState parses a stream written by Snapshot. The value array is
-// grown as bytes actually arrive, mirroring the signature readers'
-// hostile-header guard, and the hash family is only derived once the
-// full payload has been read.
+// ReadFoldState parses a stream written by Snapshot. The value array
+// grows with the bytes that actually arrive, whatever the header
+// claims, and the hash family is only derived once the full payload
+// has been read.
 func ReadFoldState(r io.Reader) (*FoldState, error) {
 	var hdr [36]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -81,32 +80,31 @@ func ReadFoldState(r io.Reader) (*FoldState, error) {
 	if total > (1 << 34) {
 		return nil, fmt.Errorf("minhash: fold state too large: %d values", total)
 	}
-	const allocChunk = 1 << 20
-	var work []uint64
+	// A reader that knows how many bytes it holds (a bytes.Reader, as
+	// dist decodes a shipped state) vouches for the whole array up front.
+	// Otherwise the array doubles as values arrive, up to the declared
+	// total: a header claiming more than the stream holds costs at most
+	// twice what was read.
+	want := min(total, 1<<10)
+	if l, ok := r.(interface{ Len() int }); ok && uint64(l.Len()) >= 8*total {
+		want = total
+	}
+	work := make([]uint64, 0, want)
 	var buf [8]byte
 	for read := uint64(0); read < total; read++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, fmt.Errorf("minhash: reading fold value %d: %w", read, err)
 		}
-		if uint64(len(work)) == read {
-			grow := total - read
-			if grow > allocChunk {
-				grow = allocChunk
-			}
-			work = append(work, make([]uint64, grow)...)
+		if len(work) == cap(work) {
+			work = append(make([]uint64, 0, min(total, 2*read)), work...)
 		}
-		work[read] = binary.LittleEndian.Uint64(buf[:])
+		work = append(work, binary.LittleEndian.Uint64(buf[:]))
 	}
-	if work == nil {
-		work = []uint64{}
+	s := &FoldState{k: int(k), m: int(m), seed: seed, rows: int64(rows), work: work}
+	// Only a row with columns reaches the hash family, so a state
+	// without columns, whose bytes are its header alone, goes without.
+	if m > 0 {
+		s.hs, s.rowVals = hashing.NewPermHashes(seed, int(k)), make([]uint64, k)
 	}
-	return &FoldState{
-		k:       int(k),
-		m:       int(m),
-		seed:    seed,
-		rows:    int64(rows),
-		work:    work,
-		hs:      hashing.NewPermHashes(seed, int(k)),
-		rowVals: make([]uint64, k),
-	}, nil
+	return s, nil
 }

@@ -159,7 +159,7 @@ func TestCacheCoversReadOnlyEndpoints(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	s, err := newStatic(testDataset(t, 100, 16), Options{CacheSize: -1})
+	s, err := newServer(t, testDataset(t, 100, 16), Options{CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,16 +320,5 @@ func TestRefreshInterval(t *testing.T) {
 	case <-s.refreshDone:
 	default:
 		t.Fatal("refresher still running after stop")
-	}
-}
-
-// TestRefreshIntervalStatic: a static server ignores RefreshInterval.
-func TestRefreshIntervalStatic(t *testing.T) {
-	s, err := newStatic(testDataset(t, 100, 16), Options{RefreshInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.refreshStop != nil {
-		t.Fatal("static server started a refresher")
 	}
 }

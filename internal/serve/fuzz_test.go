@@ -4,31 +4,24 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"assocmine"
 )
 
-// fuzzServer is shared across fuzz iterations (each fuzz worker is its
-// own process, so this is built once per worker, not per input).
-var (
-	fuzzOnce sync.Once
-	fuzzSrv  *Server
-)
-
-func fuzzServer(tb testing.TB) *Server {
-	fuzzOnce.Do(func() {
-		d, err := assocmine.NewDatasetFromRows(16, testRows(120, 16))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		fuzzSrv, err = newStatic(d, Options{SigK: 40, SketchK: 32})
-		if err != nil {
-			tb.Fatal(err)
-		}
-	})
-	return fuzzSrv
+// fuzzServer is built once per fuzz target and process (each fuzz
+// worker is its own process), not per input; its file lives in f's
+// temporary directory, which outlasts every input.
+func fuzzServer(f *testing.F) *Server {
+	d, err := assocmine.NewDatasetFromRows(16, testRows(120, 16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := newServer(f, d, Options{SigK: 40, SketchK: 32})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return s
 }
 
 var fuzzPaths = []string{
@@ -64,8 +57,8 @@ func FuzzHTTPQuery(f *testing.F) {
 			f.Add([]byte(s), byte(sel))
 		}
 	}
+	s := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body []byte, sel byte) {
-		s := fuzzServer(t)
 		path := fuzzPaths[int(sel)%len(fuzzPaths)]
 		rr := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body)))
@@ -93,12 +86,12 @@ func FuzzParseExpr(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	ev := fuzzServer(f).index().expr
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := parseExpr(src, 16)
 		if err != nil {
 			return
 		}
-		ev := fuzzServer(t).index().expr
 		// Evaluation may reject (structural rules) but must not panic.
 		_, _ = ev.Cardinality(e)
 	})

@@ -288,9 +288,6 @@ func (s *Server) expr(_ context.Context, ix *index, q exprRequest) (any, *httpEr
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) *httpError {
 	n, err := s.refresh()
 	if err != nil {
-		if errors.Is(err, errStaticIndex) {
-			return &httpError{status: http.StatusConflict, msg: err.Error()}
-		}
 		return queryFailure(err)
 	}
 	ix := s.index()

@@ -15,11 +15,6 @@ import (
 	"assocmine/internal/obs"
 )
 
-// errStaticIndex is returned by refresh when the server was built from
-// preloaded static indexes (or, in the tests, an in-memory dataset) and
-// has no ingest state to catch up from.
-var errStaticIndex = errors.New("serve: index is static; refresh needs a file-backed server with ingest state")
-
 // Options configures a Server. Zero values select the documented
 // defaults.
 type Options struct {
@@ -57,10 +52,9 @@ type Options struct {
 	// canonical request body) and invalidated when a refresh swaps the
 	// generation. 0 means 256 entries; negative disables caching.
 	CacheSize int
-	// RefreshInterval, for file-backed servers, enables periodic
-	// self-refresh: the backing file is stat-polled at this interval
-	// and appended rows are folded in through the same incremental
-	// path as /v1/refresh. 0 disables; static servers ignore it.
+	// RefreshInterval enables periodic self-refresh: the backing file
+	// is stat-polled at this interval and appended rows are folded in
+	// through the same incremental path as /v1/refresh. 0 disables.
 	RefreshInterval time.Duration
 	// Collector receives the server's metrics: query counters, per-
 	// endpoint latency spans, and the pipeline counters of the
@@ -68,15 +62,9 @@ type Options struct {
 	// recorder and an expr evaluation no pipeline). One is created when
 	// nil; exposed on /metrics and /debug/vars.
 	Collector *obs.Collector
-	// Signatures and Sketches, when non-nil, are preloaded indexes
-	// (LoadSignatures/LoadSketches) adopted instead of computing at
-	// startup. A server with a preloaded index cannot refresh.
-	Signatures *assocmine.Signatures
-	Sketches   *assocmine.Sketches
-	// SnapshotMH and SnapshotKMH, for file-backed servers, are AIN1
-	// ingest-snapshot paths: resumed at startup when present, created
-	// otherwise, and saved back after every catch-up, so restarts fold
-	// only unseen rows.
+	// SnapshotMH and SnapshotKMH are AIN1 ingest-snapshot paths: resumed
+	// at startup when present, created otherwise, and saved back after
+	// every catch-up, so restarts fold only unseen rows.
 	SnapshotMH  string
 	SnapshotKMH string
 }
@@ -133,14 +121,15 @@ func (ix *index) info() indexInfo {
 }
 
 // Server is a resident similarity service: signatures and sketches
-// computed (or loaded) once, kept warm, answering concurrent queries.
+// folded (or resumed from snapshots) once, kept warm, answering
+// concurrent queries.
 // All methods are safe for concurrent use.
 type Server struct {
 	opts Options
 	coll *obs.Collector
 
-	// path and the ingests are set only for file-backed servers; they
-	// are what refresh catches up. refreshMu serialises refreshes.
+	// path and the ingests are what refresh catches up. refreshMu
+	// serialises refreshes.
 	path          string
 	ingMH, ingKMH *assocmine.Ingest
 	refreshMu     sync.Mutex
@@ -178,52 +167,36 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// NewFromFile builds a server over a dataset file. Indexes not
-// preloaded in opts are built through the incremental-ingest catch-up
-// path (resuming from opts.Snapshot* when set), which is also what
-// makes refresh possible: when the file grows, refresh folds only the
-// unseen rows and swaps in a fresh index generation.
+// NewFromFile builds a server over a dataset file. Both indexes are
+// built through the incremental-ingest catch-up path (resuming from
+// opts.Snapshot* when set), which is also what makes refresh possible:
+// when the file grows, refresh folds only the unseen rows and swaps in
+// a fresh index generation.
 func NewFromFile(path string, opts Options) (*Server, error) {
 	opts.setDefaults()
 	fd, err := assocmine.OpenFileDataset(path)
 	if err != nil {
 		return nil, err
 	}
-	var ingMH, ingKMH *assocmine.Ingest
-	sig, sk := opts.Signatures, opts.Sketches
-	if sig == nil {
-		if ingMH, err = openIngest(assocmine.MinHash, opts.SnapshotMH, fd.NumCols(), opts.SigK, opts.Seed); err != nil {
-			return nil, err
-		}
-		if _, err = ingMH.CatchUp(fd, opts.Workers); err != nil {
-			return nil, fmt.Errorf("serve: mh catch-up: %w", err)
-		}
-		if sig, err = ingMH.Signatures(); err != nil {
-			return nil, err
-		}
-	}
-	if sk == nil {
-		if ingKMH, err = openIngest(assocmine.KMinHash, opts.SnapshotKMH, fd.NumCols(), opts.SketchK, opts.Seed); err != nil {
-			return nil, err
-		}
-		if _, err = ingKMH.CatchUp(fd, opts.Workers); err != nil {
-			return nil, fmt.Errorf("serve: kmh catch-up: %w", err)
-		}
-		if sk, err = ingKMH.Sketches(); err != nil {
-			return nil, err
-		}
-	}
-	data, err := fd.Load()
-	if err != nil {
+	s := &Server{opts: opts, coll: opts.Collector, path: path}
+	if s.ingMH, err = openIngest(assocmine.MinHash, opts.SnapshotMH, fd.NumCols(), opts.SigK, opts.Seed); err != nil {
 		return nil, err
 	}
-	s, err := finishNew(opts, &index{data: data, sig: sig, sk: sk}, path, ingMH, ingKMH)
-	if err != nil {
+	if s.ingKMH, err = openIngest(assocmine.KMinHash, opts.SnapshotKMH, fd.NumCols(), opts.SketchK, opts.Seed); err != nil {
 		return nil, err
 	}
-	if err := s.saveSnapshots(); err != nil {
+	if _, err := s.catchUp(fd); err != nil {
 		return nil, err
 	}
+	if s.idx, err = s.generation(fd); err != nil {
+		return nil, err
+	}
+	if opts.CacheSize > 0 {
+		s.cache = newResponseCache(opts.CacheSize)
+	}
+	s.handler = s.buildMux()
+	s.coll.SetGauge("serve_rows", int64(s.idx.data.NumRows()))
+	s.coll.SetGauge("serve_cols", int64(s.idx.data.NumCols()))
 	s.startRefresher()
 	return s, nil
 }
@@ -254,43 +227,46 @@ func openIngest(algo assocmine.Algorithm, path string, cols, k int, seed uint64)
 	return assocmine.NewIngest(algo, cols, k, seed, 0)
 }
 
-func finishNew(opts Options, ix *index, path string, ingMH, ingKMH *assocmine.Ingest) (*Server, error) {
-	if ix.sig.NumCols() != ix.data.NumCols() {
-		return nil, fmt.Errorf("serve: signatures cover %d columns, dataset has %d", ix.sig.NumCols(), ix.data.NumCols())
+// catchUp folds the rows of fd neither ingest has seen and returns
+// how many there were.
+func (s *Server) catchUp(fd *assocmine.FileDataset) (int, error) {
+	n, err := s.ingMH.CatchUp(fd, s.opts.Workers)
+	if err != nil {
+		return 0, fmt.Errorf("serve: mh catch-up: %w", err)
 	}
-	if ix.sk.NumCols() != ix.data.NumCols() {
-		return nil, fmt.Errorf("serve: sketches cover %d columns, dataset has %d", ix.sk.NumCols(), ix.data.NumCols())
+	if _, err := s.ingKMH.CatchUp(fd, s.opts.Workers); err != nil {
+		return 0, fmt.Errorf("serve: kmh catch-up: %w", err)
 	}
-	ix.expr = assocmine.NewExprEvaluatorFromSketches(ix.sk)
-	s := &Server{
-		opts:   opts,
-		coll:   opts.Collector,
-		path:   path,
-		ingMH:  ingMH,
-		ingKMH: ingKMH,
-		idx:    ix,
-	}
-	if opts.CacheSize > 0 {
-		s.cache = newResponseCache(opts.CacheSize)
-	}
-	s.handler = s.buildMux()
-	s.coll.SetGauge("serve_rows", int64(ix.data.NumRows()))
-	s.coll.SetGauge("serve_cols", int64(ix.data.NumCols()))
-	return s, nil
+	return n, nil
 }
 
-func (s *Server) saveSnapshots() error {
-	if s.ingMH != nil && s.opts.SnapshotMH != "" {
+// generation finishes both ingests into an index generation over fd's
+// rows and saves the snapshots the options name.
+func (s *Server) generation(fd *assocmine.FileDataset) (*index, error) {
+	sig, err := s.ingMH.Signatures()
+	if err != nil {
+		return nil, err
+	}
+	sk, err := s.ingKMH.Sketches()
+	if err != nil {
+		return nil, err
+	}
+	data, err := fd.Load()
+	if err != nil {
+		return nil, err
+	}
+	ix := &index{data: data, sig: sig, sk: sk, expr: assocmine.NewExprEvaluatorFromSketches(sk)}
+	if s.opts.SnapshotMH != "" {
 		if err := s.ingMH.Save(s.opts.SnapshotMH); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if s.ingKMH != nil && s.opts.SnapshotKMH != "" {
+	if s.opts.SnapshotKMH != "" {
 		if err := s.ingKMH.Save(s.opts.SnapshotKMH); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return ix, nil
 }
 
 // index returns the current index generation.
@@ -301,45 +277,27 @@ func (s *Server) index() *index {
 }
 
 // refresh re-opens the backing file, folds rows appended since the
-// last catch-up into the ingest states (O(new rows) — the PR 7
+// last catch-up into the ingest states (O(new rows) — the
 // incremental path, never a recompute), rebuilds the index generation
 // and swaps it in. In-flight queries keep the generation they started
 // with; on error the old generation stays live. Returns the number of
 // new rows folded.
 func (s *Server) refresh() (int, error) {
-	if s.path == "" || s.ingMH == nil || s.ingKMH == nil {
-		return 0, errStaticIndex
-	}
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
 	fd, err := assocmine.OpenFileDataset(s.path)
 	if err != nil {
 		return 0, err
 	}
-	n, err := s.ingMH.CatchUp(fd, s.opts.Workers)
+	n, err := s.catchUp(fd)
 	if err != nil {
-		return 0, fmt.Errorf("serve: mh catch-up: %w", err)
-	}
-	if _, err := s.ingKMH.CatchUp(fd, s.opts.Workers); err != nil {
-		return 0, fmt.Errorf("serve: kmh catch-up: %w", err)
+		return 0, err
 	}
 	if n == 0 {
 		return 0, nil // nothing new; current generation is already right
 	}
-	sig, err := s.ingMH.Signatures()
+	ix, err := s.generation(fd)
 	if err != nil {
-		return 0, err
-	}
-	sk, err := s.ingKMH.Sketches()
-	if err != nil {
-		return 0, err
-	}
-	data, err := fd.Load()
-	if err != nil {
-		return 0, err
-	}
-	ix := &index{data: data, sig: sig, sk: sk, expr: assocmine.NewExprEvaluatorFromSketches(sk)}
-	if err := s.saveSnapshots(); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
@@ -351,17 +309,17 @@ func (s *Server) refresh() (int, error) {
 		s.cache.purge()
 	}
 	s.coll.Add("index_refreshes", 1)
-	s.coll.SetGauge("serve_rows", int64(data.NumRows()))
+	s.coll.SetGauge("serve_rows", int64(ix.data.NumRows()))
 	return n, nil
 }
 
-// startRefresher launches the periodic self-refresh poller when the
-// server can refresh and RefreshInterval asks for it. The backing
-// file is stat-polled each tick; a size or mtime change triggers the
-// same incremental catch-up as /v1/refresh. Stat first, so an
-// unchanged file costs one syscall per tick, not a header parse.
+// startRefresher launches the periodic self-refresh poller when
+// RefreshInterval asks for it. The backing file is stat-polled each
+// tick; a size or mtime change triggers the same incremental catch-up
+// as /v1/refresh. Stat first, so an unchanged file costs one syscall
+// per tick, not a header parse.
 func (s *Server) startRefresher() {
-	if s.opts.RefreshInterval <= 0 || s.path == "" || s.ingMH == nil || s.ingKMH == nil {
+	if s.opts.RefreshInterval <= 0 {
 		return
 	}
 	s.refreshStop = make(chan struct{})

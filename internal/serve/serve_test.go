@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -50,31 +50,20 @@ func testDataset(tb testing.TB, rows, cols int) *assocmine.Dataset {
 	return d
 }
 
-// newStatic builds a server over an in-memory dataset, computing any
-// index not preloaded in opts: the static server the package's tests
-// query, whose refresh returns errStaticIndex.
-func newStatic(data *assocmine.Dataset, opts Options) (*Server, error) {
-	opts.setDefaults()
-	sig := opts.Signatures
-	if sig == nil {
-		var err error
-		if sig, err = assocmine.ComputeSignatures(data, opts.SigK, opts.Seed, opts.Workers); err != nil {
-			return nil, fmt.Errorf("serve: computing signatures: %w", err)
-		}
+// newServer saves data as a row-binary file in a temporary directory
+// and serves it through NewFromFile, the one way a server is built.
+func newServer(tb testing.TB, data *assocmine.Dataset, opts Options) (*Server, error) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "data.arows")
+	if err := data.SaveRowBinary(path); err != nil {
+		return nil, err
 	}
-	sk := opts.Sketches
-	if sk == nil {
-		var err error
-		if sk, err = assocmine.ComputeSketches(data, opts.SketchK, opts.Seed, opts.Workers); err != nil {
-			return nil, fmt.Errorf("serve: computing sketches: %w", err)
-		}
-	}
-	return finishNew(opts, &index{data: data, sig: sig, sk: sk}, "", nil, nil)
+	return NewFromFile(path, opts)
 }
 
 func mustServer(tb testing.TB, d *assocmine.Dataset) *Server {
 	tb.Helper()
-	s, err := newStatic(d, Options{})
+	s, err := newServer(tb, d, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -286,7 +275,6 @@ func TestBadRequests(t *testing.T) {
 		{"expr-timeout", "/v1/expr", `{"op":"cardinality","expr":"1","timeout_ms":1000}`, http.StatusBadRequest},
 		{"expr-mem-budget", "/v1/expr", `{"op":"cardinality","expr":"1","mem_budget":1024}`, http.StatusBadRequest},
 		{"not-json", "/v1/pairs", `threshold=0.7`, http.StatusBadRequest},
-		{"static-refresh", "/v1/refresh", `{}`, http.StatusConflict},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -416,7 +404,7 @@ func TestQueryBudgets(t *testing.T) {
 // byte-identical to the unbudgeted one.
 func TestPairsHonoursMemBudget(t *testing.T) {
 	dir := t.TempDir()
-	s, err := newStatic(testDataset(t, 2000, 200), Options{SpillDir: dir, CacheSize: -1})
+	s, err := newServer(t, testDataset(t, 2000, 200), Options{SpillDir: dir, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

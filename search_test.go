@@ -216,7 +216,7 @@ func TestResidentMemos(t *testing.T) {
 		if s.index.v != nil || s.bands.v != nil || s.triangle.v != nil || s.bands.limit != memoLimit || s.triangle.limit != memoLimit {
 			t.Fatalf("a new sketch keeps %v %v %v under limits %d %d", s.index.v, s.bands.v, s.triangle.v, s.bands.limit, s.triangle.limit)
 		}
-		return signaturesKeeping(s.sig, s.seed, s.rows, limit)
+		return signaturesKeeping(s.sig, limit)
 	}
 	ruleCfg := RuleConfig{MinConfidence: 0.7, Seed: 3}
 	bandCfg := func(l int, ctx context.Context, rec Recorder) Config {

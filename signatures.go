@@ -2,7 +2,6 @@ package assocmine
 
 import (
 	"fmt"
-	"os"
 
 	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
@@ -11,10 +10,12 @@ import (
 )
 
 // Signatures is a precomputed min-hash sketch of a dataset. Computing
-// signatures is the expensive full-scan phase; a precomputed sketch can
-// be persisted and reused across queries with different thresholds or
-// MinLSH band layouts (any R, L with R*L <= K), paying only the cheap
-// in-memory candidate phase plus one verification pass per query. The
+// signatures is the expensive full-scan phase; a precomputed sketch is
+// reused across queries with different thresholds or MinLSH band
+// layouts (any R, L with R*L <= K), paying only the cheap in-memory
+// candidate phase plus one verification pass per query. It persists as
+// the fold state it finishes from: an Ingest snapshot (Ingest.Save,
+// LoadIngest, format AIN1) whose Signatures method returns it. The
 // sketch is immutable once returned. What a query needs of it and no
 // threshold touches is built by the first query that needs it and kept
 // with it: the Row-Sorting index (MinHash; 12 bytes a cell), the sorted
@@ -22,22 +23,20 @@ import (
 // column) and Section 6's pair statistics (MineRulesWithSignatures; 12
 // bytes a pair) — the last two while they fit 64 MiB each.
 type Signatures struct {
-	sig  *minhash.Signatures
-	seed uint64
-	rows int // dataset row count, -1 when unknown (loaded sketches)
+	sig *minhash.Signatures
 
 	index, bands memo[*candidate.Index]
 	triangle     memo[*rules.Triangle]
 }
 
 // newSignatures wraps a finished sketch that keeps what fits memoLimit.
-func newSignatures(sig *minhash.Signatures, seed uint64, rows int) *Signatures {
-	return signaturesKeeping(sig, seed, rows, memoLimit)
+func newSignatures(sig *minhash.Signatures) *Signatures {
+	return signaturesKeeping(sig, memoLimit)
 }
 
 // signaturesKeeping bounds the buckets and the triangle by limit each.
-func signaturesKeeping(sig *minhash.Signatures, seed uint64, rows int, limit int64) *Signatures {
-	s := &Signatures{sig: sig, seed: seed, rows: rows}
+func signaturesKeeping(sig *minhash.Signatures, limit int64) *Signatures {
+	s := &Signatures{sig: sig}
 	s.bands.limit, s.triangle.limit = limit, limit
 	return s
 }
@@ -52,68 +51,14 @@ func ComputeSignatures(d *Dataset, k int, seed uint64, workers int) (*Signatures
 	if err != nil {
 		return nil, err
 	}
-	return newSignatures(sk.MH, seed, d.NumRows()), nil
+	return newSignatures(sk.MH), nil
 }
 
 // K returns the number of min-hash values per column.
 func (s *Signatures) K() int { return s.sig.K }
 
-// NumCols returns the number of columns sketched.
-func (s *Signatures) NumCols() int { return s.sig.M }
-
-// Seed returns the seed the sketch was computed with.
-func (s *Signatures) Seed() uint64 { return s.seed }
-
 // Estimate returns the sketch similarity estimate for columns i and j.
 func (s *Signatures) Estimate(i, j int) float64 { return s.sig.Estimate(i, j) }
-
-// Save persists the sketch to path.
-func (s *Signatures) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.sig.WriteTo(f, s.seed)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// SaveCompressed persists the sketch in the compressed AMC1 format:
-// each cell stored as its argmin row id in a few bits instead of a raw
-// 64-bit hash value, typically 5-6x smaller, loading back bit-identical
-// through LoadSignatures. Only sketches produced by ComputeSignatures
-// in this process know their dataset's row count; loaded sketches
-// cannot be re-saved compressed.
-func (s *Signatures) SaveCompressed(path string) error {
-	if s.rows < 0 {
-		return fmt.Errorf("assocmine: sketch row count unknown; only sketches from ComputeSignatures can be saved compressed")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.sig.WriteCompressed(f, s.seed, s.rows)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// LoadSignatures reads a sketch written by Save or SaveCompressed.
-func LoadSignatures(path string) (*Signatures, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sig, seed, err := minhash.ReadSignatures(f)
-	if err != nil {
-		return nil, err
-	}
-	return newSignatures(sig, seed, -1), nil
-}
 
 // SimilarPairsWithSignatures is SimilarPairsWith spelled for a min-hash
 // sketch.

@@ -3,30 +3,43 @@ package assocmine
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
+// TestSignaturesRoundTrip: a sketch persists as the ingest snapshot
+// it finishes from; the one LoadIngest restores finishes to the batch
+// fold's estimates.
 func TestSignaturesRoundTrip(t *testing.T) {
 	d, _ := plantedDataset(t)
 	s, err := ComputeSignatures(d, 40, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.K() != 40 || s.NumCols() != d.NumCols() || s.Seed() != 7 {
-		t.Fatalf("metadata: k=%d m=%d seed=%d", s.K(), s.NumCols(), s.Seed())
+	if s.K() != 40 || s.sig.M != d.NumCols() {
+		t.Fatalf("metadata: k=%d m=%d", s.K(), s.sig.M)
 	}
-	path := filepath.Join(t.TempDir(), "sketch.amh")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSignatures(path)
+	in, err := NewIngest(MinHash, d.NumCols(), 40, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.K() != s.K() || loaded.Seed() != s.Seed() {
+	if err := in.AppendRows(srcRows(t, d, 0, d.NumRows()), 1); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sketch.ain")
+	if err := in.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadIngest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := restored.Signatures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.K() != s.K() || restored.Seed() != 7 || loaded.sig.M != s.sig.M {
 		t.Fatal("metadata did not round trip")
 	}
 	for i := 0; i < 10; i++ {
@@ -35,55 +48,6 @@ func TestSignaturesRoundTrip(t *testing.T) {
 				t.Fatalf("estimate (%d,%d) differs after round trip", i, j)
 			}
 		}
-	}
-}
-
-// TestSignaturesCompressedRoundTrip: SaveCompressed must load back
-// bit-identical through LoadSignatures while writing a smaller file,
-// and a loaded sketch (row count unknown) must refuse to re-save
-// compressed.
-func TestSignaturesCompressedRoundTrip(t *testing.T) {
-	d, _ := plantedDataset(t)
-	s, err := ComputeSignatures(d, 40, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	raw := filepath.Join(dir, "sketch.amh")
-	comp := filepath.Join(dir, "sketch.amc")
-	if err := s.Save(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveCompressed(comp); err != nil {
-		t.Fatal(err)
-	}
-	ri, err := os.Stat(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci, err := os.Stat(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Size()*3 > ri.Size() {
-		t.Errorf("compressed sketch %d bytes, raw %d: expected at least 3x", ci.Size(), ri.Size())
-	}
-	loaded, err := LoadSignatures(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.K() != s.K() || loaded.Seed() != s.Seed() || loaded.NumCols() != s.NumCols() {
-		t.Fatal("metadata did not round trip")
-	}
-	for i := 0; i < 10; i++ {
-		for j := i + 1; j < 10; j++ {
-			if loaded.Estimate(i, j) != s.Estimate(i, j) {
-				t.Fatalf("estimate (%d,%d) differs after compressed round trip", i, j)
-			}
-		}
-	}
-	if err := loaded.SaveCompressed(filepath.Join(dir, "again.amc")); err == nil {
-		t.Error("loaded sketch re-saved compressed despite unknown row count")
 	}
 }
 
@@ -185,22 +149,4 @@ func TestSimilarPairsWithSignaturesValidation(t *testing.T) {
 	if _, err := SimilarPairsWithSignatures(other, s, Config{Algorithm: MinHash, Threshold: 0.5}); err == nil {
 		t.Error("column-count mismatch accepted")
 	}
-}
-
-func TestLoadSignaturesErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadSignatures(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing file accepted")
-	}
-	bad := filepath.Join(dir, "bad")
-	if err := writeFile(bad, []byte("NOPE")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSignatures(bad); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

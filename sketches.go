@@ -2,7 +2,6 @@ package assocmine
 
 import (
 	"fmt"
-	"os"
 
 	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
@@ -11,16 +10,15 @@ import (
 
 // Sketches is a precomputed bottom-k (K-MH) sketch of a dataset — the
 // K-MinHash counterpart of Signatures. Computing the sketch is the
-// expensive full-scan phase; a persisted sketch can be reused across
+// expensive full-scan phase; a precomputed sketch is reused across
 // queries with different thresholds, paying only the in-memory
-// candidate phase plus one verification pass per query. The sketch is
+// candidate phase plus one verification pass per query. It persists,
+// like Signatures, as a KMinHash Ingest snapshot (AIN1). The sketch is
 // immutable once returned; the Hash-Count index over it is built by the
 // first query and kept with it (12 bytes a value), so later queries
 // only count.
 type Sketches struct {
 	sk    *kminhash.Sketches
-	seed  uint64
-	rows  int // dataset row count, -1 when unknown (loaded sketches)
 	index memo[*candidate.Index]
 }
 
@@ -34,56 +32,16 @@ func ComputeSketches(d *Dataset, k int, seed uint64, workers int) (*Sketches, er
 	if err != nil {
 		return nil, err
 	}
-	return &Sketches{sk: sk.KMH, seed: seed, rows: d.NumRows()}, nil
+	return &Sketches{sk: sk.KMH}, nil
 }
 
 // K returns the sketch size bound (columns smaller than K keep all
 // their values).
 func (s *Sketches) K() int { return s.sk.K }
 
-// NumCols returns the number of columns sketched.
-func (s *Sketches) NumCols() int { return len(s.sk.Sigs) }
-
-// Seed returns the seed the sketch was computed with.
-func (s *Sketches) Seed() uint64 { return s.seed }
-
 // Estimate returns the unbiased union-signature similarity estimate for
 // columns i and j (Theorem 2).
 func (s *Sketches) Estimate(i, j int) float64 { return s.sk.UnbiasedEstimate(i, j) }
-
-// Save persists the sketch in the compressed KMC1 format (each value
-// stored as its row id in a few bits), loading back bit-identical
-// through LoadSketches. Only sketches whose dataset row count is known
-// (ComputeSketches, Ingest) can be saved; loaded sketches cannot be
-// re-saved.
-func (s *Sketches) Save(path string) error {
-	if s.rows < 0 {
-		return fmt.Errorf("assocmine: sketch row count unknown; only sketches from ComputeSketches can be saved")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = s.sk.WriteCompressed(f, s.seed, s.rows)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// LoadSketches reads a sketch written by Save.
-func LoadSketches(path string) (*Sketches, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sk, seed, err := kminhash.ReadSketches(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Sketches{sk: sk, seed: seed, rows: -1}, nil
-}
 
 // SimilarPairsWithSketches is SimilarPairsWith spelled for a bottom-k
 // sketch.
