@@ -66,14 +66,15 @@ bench-resident:
 		-test.cpu 1 -test.benchtime 30x -test.count $(COUNT) -test.timeout 30m
 
 # Phase 3's containers and the BPS tally (BenchmarkPackedSparse,
-# BenchmarkPackedDense, BenchmarkBPSSampleWide) from test binaries built
-# once into .bench_build/, COUNT runs of each; compare two commits the
-# way bench-resident says.
+# BenchmarkPackedDense, BenchmarkPackedSweepCluster, the streamed fill
+# BenchmarkPackFromFile, BenchmarkBPSSampleWide) from test binaries
+# built once into .bench_build/, COUNT runs of each; compare two commits
+# the way bench-resident says.
 bench-phase3:
 	mkdir -p .bench_build
 	$(GO) test -c -o .bench_build/verify.test ./internal/verify
 	$(GO) test -c -o .bench_build/bps.test ./internal/bps
-	./.bench_build/verify.test -test.run '^$$' -test.bench 'BenchmarkPacked(Sparse|Dense)$$' -test.benchmem \
+	./.bench_build/verify.test -test.run '^$$' -test.bench 'BenchmarkPacked(Sparse|Dense|SweepCluster)$$|BenchmarkPackFromFile' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
 	./.bench_build/bps.test -test.run '^$$' -test.bench BenchmarkBPSSampleWide -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m

@@ -637,8 +637,8 @@ func runDist(t *testing.T, e *env, c cell, cfg Config) *Result {
 		t.Errorf("%d workers launched, %d bytes shipped", res.Stats.Workers, res.Stats.BytesShipped)
 	}
 	// The auto kernel packs each worker's share of the candidates on the
-	// wide fixture and on no other.
-	if packs := c.fix == "dist-wide"; (rec.Counter(CounterPackedBatches) > 0) != packs {
+	// wide and clustered fixtures and on no other.
+	if packs := c.fix == "dist-wide" || c.fix == "clusters"; (rec.Counter(CounterPackedBatches) > 0) != packs {
 		t.Errorf("the workers verified in %d packed batches; want packed = %v", rec.Counter(CounterPackedBatches), packs)
 	}
 	out := &Result{Pairs: make([]Pair, len(res.Pairs)), Stats: statsFrom(rec, Stats{Algorithm: cfg.Algorithm})}
@@ -695,6 +695,7 @@ var fixtures = map[string]func() (*Dataset, error){
 	// handful never is.
 	"dist-planted": plantedColumns(44, 3),
 	"dist-wide":    plantedColumns(240, 80),
+	"clusters":     clusteredColumns,
 }
 
 // compresses names the fixtures whose .carows file is smaller than their
@@ -716,6 +717,35 @@ func listsMeetBitmaps() (*Dataset, error) {
 		cols[i+1] = rows
 	}
 	return NewDatasetFromColumns(6000, cols)
+}
+
+// clusteredColumns: 2400 rows over 40 Zipf background columns (column
+// c in a row with probability 0.4/(c+1)), then five clusters of seven
+// near-duplicate columns, cluster i's on its own block of 300 rows,
+// each member in a row of the block with probability 0.85 (pair
+// similarity about 0.74). The packed kernel keeps a column of fewer
+// than 4 ones as its row list, so every cluster column is a bitmap —
+// of about 5 words over its block's rows, not the 38 of all rows — and
+// so is the background's head.
+func clusteredColumns() (*Dataset, error) {
+	rng := rand.New(rand.NewSource(23))
+	const rows, background, clusters, members, block = 2400, 40, 5, 7, 300
+	data := make([][]int, rows)
+	for r := range data {
+		for c := 0; c < background; c++ {
+			if rng.Float64() < 0.4/float64(c+1) {
+				data[r] = append(data[r], c)
+			}
+		}
+		if g := r / block; g < clusters {
+			for k := 0; k < members; k++ {
+				if rng.Float64() < 0.85 {
+					data[r] = append(data[r], background+g*members+k)
+				}
+			}
+		}
+	}
+	return NewDatasetFromRows(background+clusters*members, data)
 }
 
 func synthetic(opt SyntheticOptions) func() (*Dataset, error) {
@@ -960,6 +990,23 @@ func equivalenceMatrix() []cell {
 			add(g, c, "stream/arows/%s/window/workers=%d", s.name, w)
 		}
 	}
+	// Clusters on disjoint rows: every packed executor numbers a
+	// component's rows by rank in its union, batched or not.
+	clustered := Config{Algorithm: MinHash, Threshold: 0.5, K: 40, Seed: 7}
+	const clusterBudget = 6 * 38 * 8 // six bitmaps of the fixture's 2400 rows
+	for _, w := range []int{1, 4} {
+		add(g, cell{fix: "clusters", cfg: clustered, exec: memoryExec, workers: w, kernel: KernelPacked}, "clusters/memory/workers=%d/packed", w)
+		add(g, cell{fix: "clusters", cfg: clustered, exec: streamExec, format: ".carows", workers: w, kernel: KernelPacked}, "clusters/stream/carows/workers=%d/packed", w)
+	}
+	for _, w := range []int{2, 4} { // 26 candidates or more a job: each packs
+		add(g, cell{fix: "clusters", cfg: clustered, exec: distExec, format: ".arows", workers: w}, "clusters/dist/arows/workers=%d", w)
+	}
+	add(g, cell{fix: "clusters", cfg: clustered, exec: memoryExec, workers: 1, kernel: KernelPacked, budget: clusterBudget}, "clusters/memory/budget/packed")
+	add(g, cell{fix: "clusters", cfg: clustered, exec: streamExec, format: ".carows", workers: 4, kernel: KernelPacked, budget: clusterBudget}, "clusters/stream/carows/budget/packed")
+	for _, b := range []int64{0, clusterBudget} {
+		add(g, cell{fix: "clusters", cfg: clustered, exec: residentExec, workers: 2, kernel: KernelPacked, budget: b}, "clusters/resident/budget=%d/packed", b)
+	}
+	add(g, cell{fix: "clusters", cfg: clustered, exec: incrementalExec, workers: 1, chunk: 7, snapshot: true, kernel: KernelPacked}, "clusters/incremental/packed")
 	for _, ex := range []*executor{memoryExec, streamExec} {
 		for _, w := range []int{1, 4} {
 			add(g, cell{fix: "lists", cfg: schemes5[0].cfg, exec: ex, format: map[bool]string{true: ".arows"}[ex.streams], workers: w, kernel: KernelPacked},

@@ -107,7 +107,7 @@ func TestThousandConcurrentInflight(t *testing.T) {
 	s := mustServer(t, testDataset(t, 200, 32))
 
 	ix := s.index()
-	plan, err := choosePlan(0.7, ix.info(), "")
+	plan, err := choosePlan(0.7, ix.sig.K(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func query[Q request](s *Server, name string, exec func(ctx context.Context, ix 
 // effective threshold, resolved to the resident sketch that answers it
 // and the configuration the library runs under.
 func (s *Server) plan(ctx context.Context, ix *index, threshold float64, force string, memBudget int64) (queryPlan, assocmine.Resident, assocmine.Config, *httpError) {
-	plan, err := choosePlan(threshold, ix.info(), force)
+	plan, err := choosePlan(threshold, ix.sig.K(), force)
 	if err != nil {
 		return queryPlan{}, nil, assocmine.Config{}, badRequest(err)
 	}

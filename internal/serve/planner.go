@@ -26,8 +26,7 @@ const (
 	// cost of touching every sketch.
 	planKMHScan = "kmh-scan"
 	// planMHSort answers from the min-hash signatures via Row-Sorting
-	// (§3.1) — the signature-scan fallback when the threshold is too
-	// low for banding and no bottom-k sketch is resident.
+	// (§3.1) — the signature scan a request gets by forcing algo "mh".
 	planMHSort = "mh-sort"
 )
 
@@ -70,13 +69,6 @@ func (p queryPlan) resolve(ix *index, base assocmine.Config) (assocmine.Resident
 	}
 }
 
-// indexInfo describes which indexes a server holds, for planning.
-type indexInfo struct {
-	haveSig bool
-	sigK    int
-	haveSk  bool
-}
-
 // bandDetect is the probability that a pair at similarity s shares at
 // least one of l bands of r rows: 1 - (1 - s^r)^l (§4.1).
 func bandDetect(s float64, r, l int) float64 {
@@ -85,36 +77,27 @@ func bandDetect(s float64, r, l int) float64 {
 
 // choosePlan picks the resident index for a pair-style query at the
 // given effective threshold (for top-k queries, the search floor —
-// the lowest threshold the descending search may reach). The rule,
-// documented in docs/ALGORITHMS.md:
+// the lowest threshold the descending search may reach) over a server
+// whose signatures are sigK wide; every server holds both indexes. The
+// rule, documented in docs/ALGORITHMS.md:
 //
-//  1. M-LSH bucket probing when signatures are resident and the
-//     banding (R=5, L=K/5) detects a pair at the threshold with
-//     probability >= 0.9 — the fast path for high thresholds.
-//  2. Otherwise the K-MH sketch scan when sketches are resident —
-//     reliable at any threshold, with unbiased estimates.
-//  3. Otherwise Row-Sorting over the signatures.
+//  1. M-LSH bucket probing when the banding (R=5, L=K/5) detects a
+//     pair at the threshold with probability >= 0.9 — the fast path
+//     for high thresholds.
+//  2. Otherwise the K-MH sketch scan — reliable at any threshold, with
+//     unbiased estimates.
 //
-// The choice is a pure function of (threshold, resident indexes), so
-// identical queries always run identical plans.
-func choosePlan(threshold float64, idx indexInfo, force string) (queryPlan, error) {
+// The choice is a pure function of (threshold, sigK), so identical
+// queries always run identical plans.
+func choosePlan(threshold float64, sigK int, force string) (queryPlan, error) {
 	switch force {
 	case "", "auto":
 	case "mlsh":
-		if !idx.haveSig {
-			return queryPlan{}, fmt.Errorf("no resident signatures for algo %q", force)
-		}
-		r, l := bandLayout(idx.sigK)
+		r, l := bandLayout(sigK)
 		return queryPlan{Kind: planMLSHProbe, R: r, L: l, Reason: "forced by request"}, nil
 	case "kmh":
-		if !idx.haveSk {
-			return queryPlan{}, fmt.Errorf("no resident sketches for algo %q", force)
-		}
 		return queryPlan{Kind: planKMHScan, Reason: "forced by request"}, nil
 	case "mh":
-		if !idx.haveSig {
-			return queryPlan{}, fmt.Errorf("no resident signatures for algo %q", force)
-		}
 		return queryPlan{Kind: planMHSort, Reason: "forced by request"}, nil
 	case "bps":
 		// Biased pair sampling re-draws from the raw rows on every run;
@@ -124,28 +107,17 @@ func choosePlan(threshold float64, idx indexInfo, force string) (queryPlan, erro
 	default:
 		return queryPlan{}, fmt.Errorf("unknown algo %q (want auto, mlsh, kmh or mh)", force)
 	}
-	if idx.haveSig {
-		r, l := bandLayout(idx.sigK)
-		if det := bandDetect(threshold, r, l); det >= minDetect {
-			return queryPlan{
-				Kind: planMLSHProbe, R: r, L: l,
-				Reason: fmt.Sprintf("banding detects s>=%.2f pairs with p=%.3f", threshold, det),
-			}, nil
-		}
-	}
-	if idx.haveSk {
+	r, l := bandLayout(sigK)
+	if det := bandDetect(threshold, r, l); det >= minDetect {
 		return queryPlan{
-			Kind:   planKMHScan,
-			Reason: fmt.Sprintf("threshold %.2f below banding reliability; sketch scan is exact-recall", threshold),
+			Kind: planMLSHProbe, R: r, L: l,
+			Reason: fmt.Sprintf("banding detects s>=%.2f pairs with p=%.3f", threshold, det),
 		}, nil
 	}
-	if idx.haveSig {
-		return queryPlan{
-			Kind:   planMHSort,
-			Reason: fmt.Sprintf("threshold %.2f below banding reliability and no sketches resident", threshold),
-		}, nil
-	}
-	return queryPlan{}, fmt.Errorf("no resident index can answer the query")
+	return queryPlan{
+		Kind:   planKMHScan,
+		Reason: fmt.Sprintf("threshold %.2f below banding reliability; sketch scan is exact-recall", threshold),
+	}, nil
 }
 
 // bandLayout derives the M-LSH banding from a resident signature size:

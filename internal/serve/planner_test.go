@@ -34,37 +34,29 @@ func TestBandDetect(t *testing.T) {
 }
 
 func TestChoosePlan(t *testing.T) {
-	both := indexInfo{haveSig: true, sigK: 200, haveSk: true}
-	sigOnly := indexInfo{haveSig: true, sigK: 200}
-	skOnly := indexInfo{haveSk: true}
-
+	const sigK = 200
 	cases := []struct {
 		name      string
 		threshold float64
-		idx       indexInfo
 		force     string
 		wantKind  string
 		wantErr   bool
 	}{
-		{"high-threshold-probes", 0.8, both, "", planMLSHProbe, false},
-		{"low-threshold-scans", 0.2, both, "", planKMHScan, false},
-		{"low-threshold-no-sketch", 0.2, sigOnly, "", planMHSort, false},
-		{"high-threshold-sketch-only", 0.8, skOnly, "", planKMHScan, false},
-		{"auto-alias", 0.8, both, "auto", planMLSHProbe, false},
-		{"force-mlsh", 0.2, both, "mlsh", planMLSHProbe, false},
-		{"force-kmh", 0.9, both, "kmh", planKMHScan, false},
-		{"force-mh", 0.9, both, "mh", planMHSort, false},
-		{"force-missing-index", 0.9, sigOnly, "kmh", "", true},
+		{"high-threshold-probes", 0.8, "", planMLSHProbe, false},
+		{"low-threshold-scans", 0.2, "", planKMHScan, false},
+		{"auto-alias", 0.8, "auto", planMLSHProbe, false},
+		{"force-mlsh", 0.2, "mlsh", planMLSHProbe, false},
+		{"force-kmh", 0.9, "kmh", planKMHScan, false},
+		{"force-mh", 0.9, "mh", planMHSort, false},
 		// bps is a batch-only algorithm — it samples the raw rows, which
 		// are not resident — so forcing it is rejected even when every
 		// index is warm.
-		{"force-bps-rejected", 0.9, both, "bps", "", true},
-		{"unknown-force", 0.9, both, "quantum", "", true},
-		{"no-index", 0.9, indexInfo{}, "", "", true},
+		{"force-bps-rejected", 0.9, "bps", "", true},
+		{"unknown-force", 0.9, "quantum", "", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			plan, err := choosePlan(c.threshold, c.idx, c.force)
+			plan, err := choosePlan(c.threshold, sigK, c.force)
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("want error, got plan %+v", plan)
@@ -78,8 +70,8 @@ func TestChoosePlan(t *testing.T) {
 				t.Fatalf("plan %q, want %q (reason: %s)", plan.Kind, c.wantKind, plan.Reason)
 			}
 			if plan.Kind == planMLSHProbe {
-				if plan.R != bandR || plan.L != c.idx.sigK/bandR {
-					t.Fatalf("layout R=%d L=%d, want R=%d L=%d", plan.R, plan.L, bandR, c.idx.sigK/bandR)
+				if plan.R != bandR || plan.L != sigK/bandR {
+					t.Fatalf("layout R=%d L=%d, want R=%d L=%d", plan.R, plan.L, bandR, sigK/bandR)
 				}
 			}
 			if plan.Reason == "" {
@@ -89,9 +81,9 @@ func TestChoosePlan(t *testing.T) {
 	}
 
 	// The mlsh/kmh boundary sits exactly where detection crosses 0.9.
-	r, l := bandLayout(200)
+	r, l := bandLayout(sigK)
 	for s := 0.05; s < 1; s += 0.01 {
-		plan, err := choosePlan(s, both, "")
+		plan, err := choosePlan(s, sigK, "")
 		if err != nil {
 			t.Fatal(err)
 		}

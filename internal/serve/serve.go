@@ -109,17 +109,6 @@ type index struct {
 	expr *assocmine.ExprEvaluator
 }
 
-func (ix *index) info() indexInfo {
-	inf := indexInfo{}
-	if ix.sig != nil {
-		inf.haveSig, inf.sigK = true, ix.sig.K()
-	}
-	if ix.sk != nil {
-		inf.haveSk = true
-	}
-	return inf
-}
-
 // Server is a resident similarity service: signatures and sketches
 // folded (or resumed from snapshots) once, kept warm, answering
 // concurrent queries.

@@ -101,7 +101,7 @@ type queryCase struct {
 
 func mustPlan(tb testing.TB, threshold float64, ix *index, force string) queryPlan {
 	tb.Helper()
-	plan, err := choosePlan(threshold, ix.info(), force)
+	plan, err := choosePlan(threshold, ix.sig.K(), force)
 	if err != nil {
 		tb.Fatal(err)
 	}

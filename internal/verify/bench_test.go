@@ -166,8 +166,10 @@ func BenchmarkExactBudgetedSpill(b *testing.B) {
 
 // BenchmarkPackedSweepCluster times the packed kernel where the sweep
 // is all there is: 16 clusters of 80 near-duplicate columns over
-// 260 000 rows (4 063 words a column, packed from column lists), every
-// within-cluster pair a candidate.
+// 260 000 rows, every within-cluster pair a candidate. Each cluster is
+// a component of about 16 250 rows, so its columns are bitmaps of about
+// 254 words over that union (not 4 063 over every row), packed from
+// column lists.
 func BenchmarkPackedSweepCluster(b *testing.B) {
 	m, cand := plantedGroups(hashing.NewSplitMix64(1), 260_000, 16, 80, 1, 0.7)
 	var st Stats
@@ -196,7 +198,8 @@ func BenchmarkPackedSparse(b *testing.B) {
 // verification: 260 000 rows, 64 clusters of 80 near-duplicate columns
 // (about 2 800 ones a column, far above T = 507), one cluster event a
 // row, every within-cluster pair a candidate. Every pair is counted by
-// AND popcount.
+// AND popcount, over the about 4 060 rows of its cluster's union:
+// about 64 words a pair, not 4 063.
 func BenchmarkPackedDense(b *testing.B) {
 	m, cand := plantedGroups(hashing.NewSplitMix64(1), 260_000, 64, 80, 1, 0.7)
 	benchPacked(b, m, cand)

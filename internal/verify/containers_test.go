@@ -7,6 +7,7 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/pairs"
 )
 
 // aroundT builds a rows × cols matrix whose columns cycle through every
@@ -76,13 +77,18 @@ func TestPackedContainerBytes(t *testing.T) {
 	for _, rows := range []int{64, 600, 4096, 20_000} {
 		m := aroundT(rng, rows, 48)
 		words := (rows + 63) / 64
-		slot := make([]int32, m.NumCols())
-		for i := range slot {
-			slot[i] = -1
+		// Components of four neighbouring columns, one of them cut by
+		// the second and third batches.
+		var cand []pairs.Scored
+		for c := int32(0); c+1 < 48; c++ {
+			if c%4 != 3 {
+				cand = append(cand, pairs.Scored{Pair: pairs.Make(c, c+1)})
+			}
 		}
 		for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
 			_, lent := src.(matrix.ColumnLister)
-			cs := columns{words: words}
+			cs := newColumns(src, words, cand)
+			slot := cs.slot
 			largest := 0
 			// Three batches through one columns value: the bitmaps of
 			// one batch are reused by the next.
@@ -90,11 +96,11 @@ func TestPackedContainerBytes(t *testing.T) {
 				for s, c := range cols {
 					slot[c] = int32(s)
 				}
-				if err := cs.fill(src, slot, cols); err != nil {
+				if err := cs.fill(src, cols); err != nil {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("rows=%d lent=%v batch of %d", rows, lent, len(cols))
-				if got, bound := containerBytes(&cs, lent), int64(len(cols)*words*8); got > bound {
+				if got, bound := containerBytes(cs, lent), int64(len(cols)*words*8); got > bound {
 					t.Errorf("%s: containers hold %d bytes, over the arena's %d", label, got, bound)
 				}
 				if largest = max(largest, len(cols)); cap(cs.slab) > largest*words {
@@ -115,29 +121,117 @@ func TestPackedContainerBytes(t *testing.T) {
 	}
 }
 
-// FuzzPackedContainers: over random column lengths around T, every
-// budget and worker count and both ways of loading columns, the packed
+// componentFixture builds a rows × cols matrix whose columns are cut
+// into groups of one to eight neighbours, each joined into one component
+// of the candidate graph by a chain of candidates and a few more pairs
+// inside it. The groups' candidates are shuffled together, so a batch
+// can cut any component. Each group takes one shape:
+//   - lists: every column has fewer than T ones, from a window of rows;
+//   - mixed: columns above and below T draw from one window of rows;
+//   - one row: every column holds the same single row, or nothing;
+//   - every row: two columns split the rows, so the union is all of them;
+//   - around T: aroundT's empty, T-1, T, T+1, random and dense columns.
+func componentFixture(rng *hashing.SplitMix64, rows, cols int) (*matrix.Matrix, []pairs.Scored) {
+	t := listBelow((rows + 63) / 64)
+	b := matrix.NewBuilder(rows, cols)
+	// fill sets up to ones distinct rows of [lo, lo+span) in column c.
+	fill := func(c, lo, span, ones int) {
+		for _, x := range rng.Perm(span)[:min(ones, span)] {
+			b.Set(lo+x, c)
+		}
+	}
+	var cand []pairs.Scored
+	for a := 0; a < cols; {
+		g := min(1+rng.Intn(8), cols-a)
+		span := 1 + rng.Intn(rows)
+		lo := rng.Intn(rows - span + 1)
+		switch rng.Intn(5) {
+		case 0:
+			for c := a; c < a+g && t > 0; c++ {
+				fill(c, lo, span, rng.Intn(t))
+			}
+		case 1:
+			for c := a; c < a+g; c++ {
+				fill(c, lo, span, rng.Intn(t+1)+t*rng.Intn(2))
+			}
+		case 2:
+			r := rng.Intn(rows)
+			for c := a; c < a+g; c++ {
+				if rng.Intn(4) > 0 {
+					b.Set(r, c)
+				}
+			}
+		case 3:
+			for r := 0; r < rows; r++ {
+				b.Set(r, a+r%min(g, 2))
+			}
+			for c := a + 2; c < a+g; c++ {
+				fill(c, lo, span, rng.Intn(2*t+2))
+			}
+		case 4:
+			for c := a; c < a+g; c++ {
+				switch k := rng.Intn(6); k {
+				case 1, 2, 3:
+					fill(c, 0, rows, max(0, t-2+k))
+				case 4:
+					fill(c, 0, rows, rng.Intn(2*t+1))
+				case 5:
+					for r := 0; r < rows; r++ {
+						if rng.Intn(3) == 0 {
+							b.Set(r, c)
+						}
+					}
+				}
+			}
+		}
+		for c := a; c+1 < a+g; c++ {
+			cand = append(cand, pairs.Scored{Pair: pairs.Make(int32(c), int32(c+1))})
+		}
+		for e := rng.Intn(g); e > 0; e-- {
+			if i, j := a+rng.Intn(g), a+rng.Intn(g); i != j {
+				cand = append(cand, pairs.Scored{Pair: pairs.Make(int32(i), int32(j))})
+			}
+		}
+		a += g
+	}
+	if len(cand) == 0 {
+		cand = append(cand, pairs.Scored{Pair: pairs.Make(0, 1)})
+	}
+	for i := len(cand) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		cand[i], cand[j] = cand[j], cand[i]
+	}
+	return b.Build(), cand
+}
+
+// FuzzPackedContainers: over candidate graphs of several components —
+// list-only, mixed, single-row and all-row unions, columns around T —
+// every budget, including those that cut a component across batches,
+// every worker count and both ways of loading columns, the packed
 // kernel reproduces Exact bit for bit, and PackedWords counts exactly
-// the pairs whose columns are both bitmaps.
+// the component words of the pairs whose columns are both bitmaps
+// (wantPackedWords).
 func FuzzPackedContainers(f *testing.F) {
 	f.Add(uint64(1), uint16(4096), uint8(40), uint16(0), uint8(1))
 	f.Add(uint64(2), uint16(600), uint8(9), uint16(300), uint8(3))
 	f.Add(uint64(3), uint16(20000), uint8(25), uint16(9000), uint8(2))
 	f.Add(uint64(4), uint16(1), uint8(3), uint16(1), uint8(4))
+	f.Add(uint64(5), uint16(0), uint8(30), uint16(2), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, cols uint8, budget uint16, workers uint8) {
 		n := 1 + int(rows)%30_000
 		m := 2 + int(cols)%48
 		rng := hashing.NewSplitMix64(seed)
-		mat := aroundT(rng, n, m)
-		cand := randomCandidates(rng, m, 1+rng.Intn(120))
+		mat, cand := componentFixture(rng, n, m)
 		threshold := float64(rng.Intn(101)) / 100
 		want, wantStats, err := Exact(mat.Stream(), cand, threshold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := PackedOptions{
-			Budget:  Budget{Bytes: int64(budget) * 8, Dir: t.TempDir()},
-			Workers: 1 + int(workers)%4,
+		// A budget of 2 to m+1 columns, which batches whenever it is
+		// below the candidates' distinct columns; 0 is unlimited.
+		opt := PackedOptions{Budget: Budget{Dir: t.TempDir()}, Workers: 1 + int(workers)%4}
+		if budget > 0 {
+			opt.Budget.Bytes = int64(2+int(budget)%m) * int64((n+63)/64) * 8
 		}
 		for _, src := range []matrix.RowSource{mat.Stream(), streamOnly{mat.Stream()}} {
 			got, st, err := ExactPacked(src, cand, threshold, opt)
@@ -150,10 +244,11 @@ func FuzzPackedContainers(f *testing.F) {
 			if st.Touches != wantStats.Touches || st.Out != wantStats.Out {
 				t.Fatalf("packed Stats %+v, exact %+v", st, wantStats)
 			}
-			if st.PackedBatches > 0 {
-				if words := wantPackedWords(t, src, cand); st.PackedWords != words {
-					t.Fatalf("%d packed words, want %d", st.PackedWords, words)
-				}
+			if st.PackedBatches == 0 {
+				t.Fatalf("a budget of at least two columns packed in no batch")
+			}
+			if words := wantPackedWords(t, src, cand); st.PackedWords != words {
+				t.Fatalf("%d packed words, want %d", st.PackedWords, words)
 			}
 		}
 	})

@@ -2,15 +2,19 @@
 // over column containers instead of per-row counter scatter. Each column
 // referenced by the candidate list — typically a small fraction of the
 // matrix — is held as its sorted row list when it has fewer than T ones
-// (listBelow) and as a ⌈n/64⌉-word bitmap otherwise, so a sparse column
-// costs its ones, not its rows. A candidate's |C_i ∩ C_j| is a merge of
-// two lists, a bit probe per row of a list into a bitmap, or one AND
-// popcount sweep of two bitmaps (bitset.AndCountWords); |C_i ∪ C_j| is
+// (listBelow) and as a bitmap otherwise, so a sparse column costs its
+// ones, not its rows. A candidate's |C_i ∩ C_j| is a merge of two lists,
+// a bit probe per row of a list into a bitmap, or one AND popcount sweep
+// of two bitmaps (bitset.AndCountWords); |C_i ∪ C_j| is
 // |C_i| + |C_j| − |C_i ∩ C_j| from the per-column counts taken once per
-// batch. The counts are the same integers the scalar counters
-// accumulate, divided by the same float64 division, and candidates are
-// emitted in the same order, so results are bit-identical to Exact for
-// any batch size, worker count or data-delivery strategy.
+// batch. A pair's two columns always lie in one connected component of
+// the candidate graph, so a component holding a bitmap numbers its rows
+// by their rank in U, the union of its columns' rows: its bitmaps take
+// ⌈|U|/64⌉ words, not ⌈n/64⌉, and a rank preserves every intersection.
+// The counts are the same integers the scalar counters accumulate,
+// divided by the same float64 division, and candidates are emitted in
+// the same order, so results are bit-identical to Exact for any batch
+// size, worker count or data-delivery strategy.
 //
 // Memory is bounded by batching: when a Budget is set, candidates are
 // split into contiguous batches whose distinct endpoint columns fit the
@@ -23,6 +27,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -178,7 +183,6 @@ func arenaCols(src matrix.RowSource, budget Budget) int {
 // sources pay one sequential scan per batch, by a single reader at any
 // worker count (columns.fill).
 func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([]pairs.Scored, Stats, error) {
-	m := src.NumCols()
 	ctx := p.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -203,12 +207,9 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 	}
 
 	adm := newAdmission(src.NumRows(), p)
-	slot := make([]int32, m)
-	for i := range slot {
-		slot[i] = -1
-	}
+	cs := newColumns(src, words, cand)
+	slot := cs.slot
 	var cols []int32
-	cs := columns{words: words}
 	out := make([]pairs.Scored, 0, len(cand)/4)
 	var done atomic.Int64
 
@@ -241,7 +242,7 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 				cols = append(cols, c.J)
 			}
 		}
-		if err := cs.fill(src, slot, cols); err != nil {
+		if err := cs.fill(src, cols); err != nil {
 			return nil, Stats{}, err
 		}
 
@@ -257,7 +258,7 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 			wg.Add(1)
 			go func(s, lo, hi int) {
 				defer wg.Done()
-				outs[s], work[s], errs[s] = packedSweep(ctx, batch[lo:hi], &cs, slot, adm, &done, total, p.Tick)
+				outs[s], work[s], errs[s] = packedSweep(ctx, batch[lo:hi], cs, adm, &done, total, p.Tick)
 			}(s, sh[0], sh[1])
 		}
 		wg.Wait()
@@ -287,9 +288,10 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 // Touches and PackedWords. done/tick report progress in candidate pairs
 // across the whole call (done is shared by all sweeps); ctx is checked
 // every packedTickChunk pairs.
-func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, slot []int32, adm admission, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, adm admission, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
 	out := make([]pairs.Scored, 0, len(batch)/4)
 	var work Stats
+	slot := cs.slot
 	for idx, p := range batch {
 		si, sj := slot[p.I], slot[p.J]
 		and := cs.and(si, sj, &work.PackedWords)
@@ -314,94 +316,219 @@ func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, slot []
 
 // columns holds one batch's candidate columns by slot: slot s is the
 // sorted row list list[s] while the column has fewer than listBelow
-// ones, the bitmap bits[s] of words uint64s otherwise, and ones[s] is
-// its count of ones either way. Which container a column gets depends
-// on its ones alone, never on how the source delivers them.
+// ones, the bitmap bits[s] otherwise, and ones[s] is its count of ones
+// either way. Which container a column gets depends on its ones alone,
+// never on how the source delivers them. A component with a bitmap in
+// the batch holds all its containers over its own row numbering (rank
+// in its union U); a bitmap is then ⌈|U|/64⌉ words. Both fills number
+// alike, so PackedWords is a function of the rows and candidates alone.
 type columns struct {
-	words int
-	list  [][]int32
-	bits  [][]uint64
-	ones  []int64
-	slab  []uint64 // the bitmaps, in the order handed out; slab[len:cap] is zero
-	rows  []int32  // a scan's lists, T rows a slot
+	words int // ⌈n/64⌉: T and the bitmaps a scan reserves read it
+	cand  []pairs.Scored
+	slot  []int32 // slot[c]: column c's slot in the batch, -1 for none
+	// comp[c] is the root column of c's component in the candidate graph
+	// (-1 when no candidate names c) and next[c] the next column of that
+	// component, round a cycle; size[k] is |U| of component k (in a scan,
+	// the rows counted so far), and last[k] the last row a scan counted
+	// in it.
+	comp, next, size, last []int32
+	list                   [][]int32
+	bits                   [][]uint64
+	ones                   []int64
+	slab                   []uint64 // the bitmaps, in the order handed out; slab[len:cap] is zero
+	rows                   []int32  // a scan's lists, T rows a slot; a ranked component's renumbered lists
+	// The ranking scratch of a ColumnLister fill, built on the first
+	// batch that holds a bitmap: uni holds one component's union over
+	// the ⌈n/64⌉ words, below[w] its ones before word w, and members
+	// its columns.
+	uni     []uint64
+	below   []int32
+	members []int32
+	ranked  []int32 // the batch's components that hold a bitmap
 }
+
+// newColumns returns the containers of cand's columns over ⌈n/64⌉ =
+// words words, every slot empty. A scan counts rows by component from
+// its first batch on, so for a streamed src the candidate graph is
+// linked here, in the one allocation that holds the slots; a
+// ColumnLister links it on the first batch that holds a bitmap, as its
+// lists need no component until one is ranked.
+func newColumns(src matrix.RowSource, words int, cand []pairs.Scored) *columns {
+	m := src.NumCols()
+	cs := &columns{words: words, cand: cand}
+	if _, lends := src.(matrix.ColumnLister); lends {
+		cs.slot = make([]int32, m)
+	} else {
+		ids := make([]int32, 5*m)
+		cs.slot = ids[:m]
+		cs.link(ids[m:])
+	}
+	for c := range cs.slot {
+		cs.slot[c] = -1
+	}
+	return cs
+}
+
+// link labels every column a candidate names with its component of the
+// candidate graph — one union-find over all of cand, path halving, that
+// splices the two cycles of next at each union — taking comp, next,
+// size and last from ids (4m long).
+func (cs *columns) link(ids []int32) {
+	m := len(ids) / 4
+	cs.comp, cs.next, cs.size, cs.last = ids[:m], ids[m:2*m], ids[2*m:3*m], ids[3*m:]
+	comp, next := cs.comp, cs.next
+	for c := range comp {
+		comp[c], next[c] = -1, int32(c)
+	}
+	for _, p := range cs.cand {
+		if a, b := root(comp, p.I), root(comp, p.J); a != b {
+			comp[max(a, b)] = min(a, b)
+			next[a], next[b] = next[b], next[a]
+		}
+	}
+	for c, k := range comp {
+		if k >= 0 {
+			comp[c] = root(comp, int32(c))
+		}
+	}
+}
+
+// root returns the root of c's tree in the union-find parent array comp,
+// making c a root first if it is in none.
+func root(comp []int32, c int32) int32 {
+	if comp[c] < 0 {
+		comp[c] = c
+	}
+	for comp[c] != c {
+		comp[c] = comp[comp[c]]
+		c = comp[c]
+	}
+	return c
+}
+
+// wordsOf is the bitmap words of a component of size rows.
+func wordsOf(size int32) int { return (int(size) + 63) / 64 }
 
 // fill loads the columns of cols into slots 0..len(cols)-1 (slot maps
 // each back). A source with direct column lists (matrix.ColumnLister —
-// in-memory data) lends its lists without a copy and without a row
-// scan, and only its dense columns are copied into bitmaps, from a slab
-// sized for exactly them. Every other source is read by one sequential
-// reader, the one pass the disk-resident setting allows, at any worker
-// count: a column's rows are appended to its list, a window of T rows in
-// one array for all of them, until it reaches T, then go to a bitmap.
-// Which columns will reach T is known only when that scan ends, so it
-// reserves a bitmap for every column — the arena the all-bitmap kernel
-// allocated; allocating bitmaps and lists as they grow raised the peak
-// RSS of a streamed run instead (DESIGN.md, "Phase 3's containers").
-// The pass is decode-bound, and fanning its rows out to
-// slot-range workers measured slower than the single reader
-// (docs/ALGORITHMS.md, "Out-of-core execution").
-func (cs *columns) fill(src matrix.RowSource, slot []int32, cols []int32) error {
+// in-memory data) lends its lists without a row scan (lend). Every other
+// source is read by one sequential reader, the one pass the
+// disk-resident setting allows, at any worker count: each row's rank in
+// its component's union is that component's count of rows so far, and a
+// column's ranks are appended to its list, a window of T rows in one
+// array for all of them, until it reaches T, then go to a bitmap. Which
+// columns will reach T is known only when that scan ends, so it reserves
+// a ⌈n/64⌉-word bitmap for every column — the arena the all-bitmap
+// kernel allocated — and cuts each to its component's words at the end;
+// allocating bitmaps and lists as they grow raised the peak RSS of a
+// streamed run instead (DESIGN.md, "Phase 3's containers"). The pass is
+// decode-bound, and fanning its rows out to slot-range workers measured
+// slower than the single reader (docs/ALGORITHMS.md, "Out-of-core
+// execution").
+func (cs *columns) fill(src matrix.RowSource, cols []int32) error {
 	n := len(cols)
 	cs.list = append(cs.list[:0], make([][]int32, n)...)
 	cs.bits = append(cs.bits[:0], make([][]uint64, n)...)
 	cs.ones = append(cs.ones[:0], make([]int64, n)...)
-	t := listBelow(cs.words)
-	cl, lends := src.(matrix.ColumnLister)
-	reserve := n
-	if lends {
-		reserve = 0
-		for s, c := range cols {
-			if cs.list[s] = cl.ColumnRows(int(c)); len(cs.list[s]) >= t {
-				reserve++
-			}
-		}
-	}
-	if cap(cs.slab) < reserve*cs.words {
-		cs.slab = make([]uint64, 0, reserve*cs.words)
-	} else {
-		clear(cs.slab) // the previous batch's bitmaps
-		cs.slab = cs.slab[:0]
-	}
-	if !lends {
-		if len(cs.rows) < n*t {
-			cs.rows = make([]int32, n*t)
-		}
-		for s := range cs.list {
-			cs.list[s] = cs.rows[s*t : s*t : (s+1)*t]
-		}
-		err := src.Scan(func(row int, rcols []int32) error {
-			for _, c := range rcols {
-				s := slot[c]
-				if s < 0 {
-					continue
-				}
-				if b := cs.bits[s]; b != nil {
-					b[row>>6] |= 1 << (uint(row) & 63)
-				} else if cs.list[s] = append(cs.list[s], int32(row)); len(cs.list[s]) >= t {
-					cs.toBitmap(int(s))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	if cl, ok := src.(matrix.ColumnLister); ok {
+		cs.lend(cl, cols)
+	} else if err := cs.scan(src, cols); err != nil {
+		return err
 	}
 	for s, l := range cs.list {
-		if cs.bits[s] == nil && len(l) >= t {
-			cs.toBitmap(s)
-		}
 		if b := cs.bits[s]; b != nil {
 			cs.ones[s] = int64(bitset.CountWords(b))
 		} else {
-			cs.ones[s] = int64(len(cs.list[s]))
+			cs.ones[s] = int64(len(l))
 		}
 	}
 	return nil
 }
 
-// toBitmap moves slot s from its row list to the slab's next bitmap.
+// reserve empties the slab for the batch's bitmaps of words words in
+// all, reusing the previous batch's when it is large enough. The slab is
+// never nil, so that a bitmap of no words (an empty component) is still
+// one.
+func (cs *columns) reserve(words int) {
+	if cs.slab == nil || cap(cs.slab) < words {
+		cs.slab = make([]uint64, 0, words)
+	} else {
+		clear(cs.slab) // the previous batch's bitmaps
+		cs.slab = cs.slab[:0]
+	}
+}
+
+// grow appends w zero words to the slab for the next of left bitmaps
+// still to come, and returns where they start. A full slab moves to one
+// that holds the rest if they are all w words wide, or twice its size
+// if that is more, but never more than limit words, which the batch's
+// bitmaps must fit.
+func (cs *columns) grow(w, left, limit int) int {
+	n := len(cs.slab)
+	if n+w > cap(cs.slab) {
+		slab := make([]uint64, n, min(max(2*cap(cs.slab), n+w*left), limit))
+		copy(slab, cs.slab)
+		cs.slab = slab
+	}
+	cs.slab = cs.slab[:n+w]
+	return n
+}
+
+// scan fills the batch's slots from one pass over src.
+func (cs *columns) scan(src matrix.RowSource, cols []int32) error {
+	n, t := len(cols), listBelow(cs.words)
+	cs.reserve(n * cs.words)
+	if len(cs.rows) < n*t {
+		cs.rows = make([]int32, n*t)
+	}
+	for s := range cs.list {
+		cs.list[s] = cs.rows[s*t : s*t : (s+1)*t]
+	}
+	slot, comp, size, last := cs.slot, cs.comp, cs.size, cs.last
+	for k := range size {
+		size[k], last[k] = 0, -1
+	}
+	err := src.Scan(func(row int, rcols []int32) error {
+		for _, c := range rcols {
+			k := comp[c]
+			if k < 0 {
+				continue
+			}
+			if last[k] != int32(row) {
+				last[k] = int32(row)
+				size[k]++
+			}
+			s := slot[c]
+			if s < 0 {
+				continue
+			}
+			x := size[k] - 1 // the row's rank in the component
+			if b := cs.bits[s]; b != nil {
+				b[x>>6] |= 1 << (uint(x) & 63)
+			} else if cs.list[s] = append(cs.list[s], x); len(cs.list[s]) >= t {
+				cs.toBitmap(int(s))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for s, l := range cs.list {
+		if cs.bits[s] == nil && len(l) >= t {
+			cs.toBitmap(s)
+		}
+	}
+	for s, c := range cols {
+		if b := cs.bits[s]; b != nil {
+			cs.bits[s] = b[:wordsOf(size[comp[c]])]
+		}
+	}
+	return nil
+}
+
+// toBitmap moves slot s from its row list to the slab's next bitmap of
+// ⌈n/64⌉ words.
 func (cs *columns) toBitmap(s int) {
 	n := len(cs.slab)
 	cs.slab = cs.slab[:n+cs.words]
@@ -410,6 +537,126 @@ func (cs *columns) toBitmap(s int) {
 		b[r>>6] |= 1 << (uint(r) & 63)
 	}
 	cs.bits[s], cs.list[s] = b, nil
+}
+
+// lend fills the batch's slots from src's column lists. A component
+// with no bitmap in the batch keeps them as lent, global row numbers and
+// all: its pairs are merges, whose cost does not depend on n. A
+// component with one is ranked: its union U goes into uni, and every one
+// of its batch columns is renumbered by rank in U — a bitmap of
+// ⌈|U|/64⌉ words appended to the slab, a list copied into rows.
+func (cs *columns) lend(cl matrix.ColumnLister, cols []int32) {
+	t := listBelow(cs.words)
+	bitmaps := 0
+	for s, c := range cols {
+		if cs.list[s] = cl.ColumnRows(int(c)); len(cs.list[s]) >= t {
+			bitmaps++
+		}
+	}
+	cs.reserve(0)
+	if bitmaps == 0 {
+		return
+	}
+	if cs.comp == nil {
+		cs.link(make([]int32, 4*len(cs.slot)))
+		cs.uni = make([]uint64, cs.words)
+		cs.below = make([]int32, cs.words)
+	}
+	// A ranked component's size is -1 until unite counts it.
+	cs.ranked = cs.ranked[:0]
+	for s, c := range cols {
+		if k := cs.comp[c]; len(cs.list[s]) >= t && cs.size[k] >= 0 {
+			cs.size[k] = -1
+			cs.ranked = append(cs.ranked, k)
+		}
+	}
+	// At ⌈n/64⌉ words each, the batch's bitmaps would fill arena words:
+	// the slab never grows past that.
+	arena := bitmaps * cs.words
+	rows := 0
+	for s, c := range cols {
+		if len(cs.list[s]) < t && cs.size[cs.comp[c]] < 0 {
+			rows += len(cs.list[s])
+		}
+	}
+	if len(cs.rows) < rows {
+		cs.rows = make([]int32, rows)
+	}
+	rows = 0
+	uni, below := cs.uni, cs.below
+	for _, k := range cs.ranked {
+		lo, hi := cs.unite(cl, k)
+		w := wordsOf(cs.size[k])
+		for _, c := range cs.members {
+			s := cs.slot[c]
+			if s < 0 {
+				continue
+			}
+			l := cs.list[s]
+			if len(l) < t {
+				dst := cs.rows[rows : rows+len(l) : rows+len(l)]
+				for i, r := range l {
+					dst[i] = rank(uni, below, r)
+				}
+				cs.list[s], rows = dst, rows+len(l)
+				continue
+			}
+			// Where the bitmap starts is kept in ones[s] until the slab
+			// stops moving.
+			off := cs.grow(w, bitmaps, arena)
+			bitmaps--
+			b := cs.slab[off : off+w]
+			for _, r := range l {
+				x := uint(rank(uni, below, r))
+				b[x>>6] |= 1 << (x & 63)
+			}
+			cs.ones[s] = int64(off)
+		}
+		clear(uni[lo:hi])
+	}
+	for s, c := range cols {
+		if len(cs.list[s]) >= t {
+			off := int(cs.ones[s])
+			cs.bits[s], cs.list[s] = cs.slab[off:off+wordsOf(cs.size[cs.comp[c]])], nil
+		}
+	}
+}
+
+// unite lists component k's columns in members, sets in uni the union
+// of their rows, counts it into size[k], fills below over the words
+// [lo, hi) it occupies, and returns that range.
+func (cs *columns) unite(cl matrix.ColumnLister, k int32) (lo, hi int) {
+	cs.members = append(cs.members[:0], k)
+	for c := cs.next[k]; c != k; c = cs.next[c] {
+		cs.members = append(cs.members, c)
+	}
+	uni, below := cs.uni, cs.below
+	lo, hi = len(uni), 0
+	for _, c := range cs.members {
+		l := cl.ColumnRows(int(c))
+		if len(l) == 0 {
+			continue
+		}
+		lo, hi = min(lo, int(l[0]>>6)), max(hi, int(l[len(l)-1]>>6)+1)
+		for _, r := range l {
+			uni[uint(r)>>6] |= 1 << (uint(r) & 63)
+		}
+	}
+	lo = min(lo, hi) // [0, 0) for an empty union
+	size := int32(0)
+	for w := lo; w < hi; w++ {
+		below[w] = size
+		size += int32(bits.OnesCount64(uni[w]))
+	}
+	cs.size[k] = size
+	return lo, hi
+}
+
+// rank is the number of the union's rows below row r, from the union's
+// words uni and its ones below each word.
+func rank(uni []uint64, below []int32, r int32) int32 {
+	w := uint(r) >> 6
+	return below[w] + int32(bits.OnesCount64(uni[w]&(1<<(uint(r)&63)-1)))
 }
 
 // and returns |C_a ∩ C_b| of slots a and b: one AND popcount sweep when
@@ -429,11 +676,11 @@ func (cs *columns) and(a, b int32, words *int64) int64 {
 	return merge(cs.list[a], cs.list[b])
 }
 
-// probe counts the rows of list set in bits.
-func probe(list []int32, bits []uint64) int64 {
+// probe counts the rows of list set in bitmap.
+func probe(list []int32, bitmap []uint64) int64 {
 	var n int64
 	for _, r := range list {
-		n += int64(bits[r>>6] >> (uint(r) & 63) & 1)
+		n += int64(bitmap[r>>6] >> (uint(r) & 63) & 1)
 	}
 	return n
 }

@@ -13,14 +13,36 @@ import (
 )
 
 // wantPackedWords is the PackedWords the packed kernel must report for
-// cand over the rows src delivers: the words of every candidate whose
-// columns both hold at least T ones, and nothing for the rest.
+// cand over the rows src delivers: for every candidate whose columns
+// both hold at least T ones, the ⌈|U_C|/64⌉ words of the union U_C of
+// the rows of every column in its component C of the whole candidate
+// graph, and nothing for the rest. Components come from relabelling
+// each pair's columns with the smaller label until nothing changes, U_C
+// from counting the rows that hold a column of C.
 func wantPackedWords(t *testing.T, src matrix.RowSource, cand []pairs.Scored) int64 {
 	t.Helper()
+	label := make([]int32, src.NumCols())
+	for c := range label {
+		label[c] = int32(c)
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, p := range cand {
+			if l := min(label[p.I], label[p.J]); label[p.I] != l || label[p.J] != l {
+				label[p.I], label[p.J], changed = l, l, true
+			}
+		}
+	}
 	ones := make([]int, src.NumCols())
+	union := make([]int, src.NumCols()) // by label
 	if err := src.Scan(func(_ int, cols []int32) error {
+		seen := map[int32]bool{}
 		for _, c := range cols {
 			ones[c]++
+			seen[label[c]] = true
+		}
+		for l := range seen {
+			union[l]++
 		}
 		return nil
 	}); err != nil {
@@ -30,7 +52,7 @@ func wantPackedWords(t *testing.T, src matrix.RowSource, cand []pairs.Scored) in
 	var n int64
 	for _, p := range cand {
 		if min(ones[p.I], ones[p.J]) >= listBelow(words) {
-			n += int64(words)
+			n += int64(union[label[p.I]]+63) / 64
 		}
 	}
 	return n
@@ -48,7 +70,8 @@ func wantPackedWords(t *testing.T, src matrix.RowSource, cand []pairs.Scored) in
 // are all bitmaps, and a mixed one (aroundT) whose empty, just-under-T,
 // at-T and dense columns make every cell count pairs by merge, by bit
 // probe and by AND popcount; PackedWords is exactly the words of the
-// pairs whose columns both reach T.
+// pairs whose columns both reach T, each over its component's rows
+// (wantPackedWords).
 func TestPhase3Matrix(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	rng := hashing.NewSplitMix64(41)

@@ -45,10 +45,11 @@ type Stats struct {
 	SpillBytesCompressed int64
 
 	// PackedWords counts the uint64 AND-popcount word operations the
-	// packed kernel executed — words per candidate whose columns are
-	// both bitmaps; a pair with a sparse column (a row list) costs none —
-	// and PackedBatches the candidate batches its columns were loaded
-	// for (both 0 on the scalar paths).
+	// packed kernel executed — ⌈|U|/64⌉ per candidate whose columns are
+	// both bitmaps, U the rows of the candidate's component of the
+	// candidate graph; a pair with a sparse column (a row list) costs
+	// none — and PackedBatches the candidate batches its columns were
+	// loaded for (both 0 on the scalar paths).
 	PackedWords   int64
 	PackedBatches int64
 }
