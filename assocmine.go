@@ -8,6 +8,7 @@ import (
 
 	"assocmine/internal/apriori"
 	"assocmine/internal/candidate"
+	"assocmine/internal/driver"
 	"assocmine/internal/fold"
 	"assocmine/internal/verify"
 )
@@ -23,25 +24,25 @@ type Algorithm int
 const (
 	// BruteForce counts every pair exactly. No false positives or
 	// negatives; O(Σ|row|²) time. The ground truth.
-	BruteForce Algorithm = iota
+	BruteForce = Algorithm(fold.BruteForce)
 	// MinHash is the MH scheme (paper Section 3): k independent
 	// min-hash values per column, candidates by signature agreement.
 	// Essentially no false negatives for adequate K; slower.
-	MinHash
+	MinHash = Algorithm(fold.MinHash)
 	// KMinHash is the K-MH scheme (Section 3.2): bottom-k sketches from
 	// a single hash function; exploits sparsity, sublinear in K.
-	KMinHash
+	KMinHash = Algorithm(fold.KMinHash)
 	// MinLSH is the M-LSH scheme (Section 4.1): banded LSH over
 	// min-hash values. The fastest; tunable FP/FN trade-off.
-	MinLSH
+	MinLSH = Algorithm(fold.MinLSH)
 	// HammingLSH is the H-LSH scheme (Section 4.2): density-ladder LSH
 	// directly on the data. Fast at high similarity cutoffs; many false
 	// positives, so verification cost dominates.
-	HammingLSH
+	HammingLSH = Algorithm(fold.HammingLSH)
 	// Apriori is the support-pruned baseline of Fig. 4. It requires
 	// MinSupport > 0 and degrades (eventually failing on memory) as
 	// support drops.
-	Apriori
+	Apriori = Algorithm(fold.Apriori)
 	// BPS is biased pair sampling (Campagna & Pagh, "Finding
 	// Associations and Computing Similarity via Biased Pair Sampling"):
 	// candidate pairs are drawn directly from each row, accepted with
@@ -50,7 +51,7 @@ const (
 	// counted exactly while frequent pairs are cheaply subsampled. No
 	// signature matrix; phase 1 is a single support-counting pass and
 	// SampleBudget tunes the recall/work trade-off.
-	BPS
+	BPS = Algorithm(fold.BPS)
 )
 
 // String returns the paper's name for the algorithm.
@@ -151,8 +152,8 @@ type Config struct {
 	// (HammingLSH aside: its fold ladder is a whole-data structure).
 	Workers int
 	// Recorder, when non-nil, receives per-phase spans, counters and
-	// gauges as the run progresses (see the Counter*/Gauge*/Phase*
-	// constants). Stats is populated from the same event stream, so a
+	// gauges as the run progresses (see Recorder for their names). Stats
+	// is populated from the same event stream, so a
 	// Collector used here ends the run agreeing with Stats exactly.
 	// Must be safe for concurrent use. nil costs nothing.
 	Recorder Recorder
@@ -366,5 +367,5 @@ func SimilarPairs(d *Dataset, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return d.run(cfg).similar(nil)
+	return similar(d.input(cfg), cfg, driver.Mine)
 }

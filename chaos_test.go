@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"assocmine/internal/faultfs"
+	"assocmine/internal/obs"
 	"assocmine/internal/testutil"
 )
 
@@ -178,17 +179,17 @@ func TestChaosCancellation(t *testing.T) {
 		cfg   Config
 		phase string
 	}{
-		{"MH/signatures", mh, PhaseSignatures},
-		{"MH/candidates", mh, PhaseCandidates},
-		{"MH/verify", mh, PhaseVerify},
-		{"MH/verify-packed", mhPacked, PhaseVerify},
-		{"K-MH/candidates", Config{Algorithm: KMinHash, Threshold: 0.5, K: 50, Seed: 7}, PhaseCandidates},
-		{"M-LSH/candidates", Config{Algorithm: MinLSH, Threshold: 0.5, K: 50, R: 5, L: 10, Seed: 7}, PhaseCandidates},
+		{"MH/signatures", mh, obs.PhaseSignatures},
+		{"MH/candidates", mh, obs.PhaseCandidates},
+		{"MH/verify", mh, obs.PhaseVerify},
+		{"MH/verify-packed", mhPacked, obs.PhaseVerify},
+		{"K-MH/candidates", Config{Algorithm: KMinHash, Threshold: 0.5, K: 50, Seed: 7}, obs.PhaseCandidates},
+		{"M-LSH/candidates", Config{Algorithm: MinLSH, Threshold: 0.5, K: 50, R: 5, L: 10, Seed: 7}, obs.PhaseCandidates},
 		// BPS covers all three of its phases: the streamed supports
 		// pass, the sampling scan, and the (spilling) budgeted verify.
-		{"BPS/signatures", bpsChaos, PhaseSignatures},
-		{"BPS/candidates", bpsChaos, PhaseCandidates},
-		{"BPS/verify", bpsChaos, PhaseVerify},
+		{"BPS/signatures", bpsChaos, obs.PhaseSignatures},
+		{"BPS/candidates", bpsChaos, obs.PhaseCandidates},
+		{"BPS/verify", bpsChaos, obs.PhaseVerify},
 	}
 	const deadline = 30 * time.Second
 	for _, workers := range []int{1, 4} {

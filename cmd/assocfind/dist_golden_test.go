@@ -102,6 +102,8 @@ func TestDistFlagConflicts(t *testing.T) {
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, appendState: "x"}, // append
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, kernel: "packed"}, // kernel: the workers
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, kernel: "scalar"}, // verify with auto
+		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, workers: 4},       // workers: one goroutine a process
+		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, progress: true},   // progress: the pool reports none
 	}
 	for i, o := range bad {
 		if err := run(o); err == nil {

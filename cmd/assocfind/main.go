@@ -92,7 +92,7 @@ func main() {
 	flag.StringVar(&o.appendState, "append", "", "incremental: maintain an ingest snapshot at this path — catch up on the input's unseen rows (O(new rows), creating the snapshot if missing), save it back, then query from the merged sketch (mh, mlsh, kmh)")
 	flag.StringVar(&o.resumeState, "resume", "", "incremental: like -append but read-only — load the snapshot and catch up in memory without rewriting it")
 	flag.IntVar(&o.window, "window", 0, "sliding window: with -append/-resume, keep only the last N catch-up batches live; otherwise mine only the trailing N rows of the input (mh, kmh, mlsh, brute)")
-	flag.IntVar(&o.distWorkers, "dist-workers", 0, "scale out across this many worker subprocesses (requires -stream; mh, kmh, mlsh, bps; not with -mem-budget or a -kernel other than auto). Output is bit-identical to the single-process run")
+	flag.IntVar(&o.distWorkers, "dist-workers", 0, "scale out across this many worker subprocesses (requires -stream; mh, kmh, mlsh, bps; not with -mem-budget, a -kernel other than auto, -workers or -progress). Output is bit-identical to the single-process run")
 	flag.BoolVar(&o.worker, "worker", false, "internal: run as a scale-out worker subprocess, speaking the dist protocol on stdin/stdout (used by -dist-workers)")
 	flag.BoolVar(&o.metrics, "metrics", false, "print per-phase metrics in Prometheus text format after the run")
 	flag.BoolVar(&o.progress, "progress", false, "report per-phase progress on stderr while mining")
@@ -151,8 +151,11 @@ func run(o options) error {
 		if !o.stream {
 			return errors.New("-dist-workers requires -stream")
 		}
-		if o.doRules || o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters {
-			return errors.New("-dist-workers cannot be combined with -rules, -transactions, -append, -resume, -window or -clusters")
+		// Each worker process folds, counts and verifies on one goroutine
+		// and reports no progress, so -workers and -progress would be
+		// ignored.
+		if o.doRules || o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters || o.workers < 0 || o.workers > 1 || o.progress {
+			return errors.New("-dist-workers cannot be combined with -rules, -transactions, -append, -resume, -window, -clusters, -workers or -progress")
 		}
 	}
 	// The dist workers take no verification budget or kernel; a rules run
@@ -278,18 +281,11 @@ func run(o options) error {
 	if o.progress {
 		cfg.Progress = progressPrinter(os.Stderr)
 	}
-	if o.distWorkers > 0 {
-		if err := runDist(o, a, cfg, coll, label); err != nil {
-			return timedOut(err)
-		}
-		if o.metrics {
-			fmt.Println("metrics:")
-			return assocmine.WriteMetrics(os.Stdout, coll)
-		}
-		return nil
-	}
 	var res *assocmine.Result
+	var pool *dist.Stats
 	switch {
+	case o.distWorkers > 0:
+		res, pool, err = runDist(o, a, cfg)
 	case o.appendState != "" || o.resumeState != "":
 		res, err = runIncremental(o, a, cfg, data, fd)
 	case fd != nil:
@@ -327,6 +323,10 @@ func run(o options) error {
 	if o.stats {
 		printStats(res.Stats)
 	}
+	if o.stats && pool != nil {
+		fmt.Printf("dist: %d worker processes (%d restarts), %d jobs, %s shipped\n",
+			pool.Workers, pool.Restarts, pool.Jobs, formatBytes(pool.BytesShipped))
+	}
 	if o.metrics {
 		fmt.Println("metrics:")
 		if err := assocmine.WriteMetrics(os.Stdout, coll); err != nil {
@@ -338,56 +338,31 @@ func run(o options) error {
 
 // runDist routes the streamed run through the multi-process scale-out
 // executor: the coordinator re-execs this binary with -worker for each
-// subprocess. Printing matches the single-process path exactly (and so
-// does the output, pair for pair and bit for bit).
-func runDist(o options, a assocmine.Algorithm, cfg assocmine.Config, coll *assocmine.Collector, label func(int) string) error {
-	algo, ok := map[assocmine.Algorithm]dist.Algo{
-		assocmine.MinHash: dist.MinHash, assocmine.KMinHash: dist.KMinHash,
-		assocmine.MinLSH: dist.MinLSH, assocmine.BPS: dist.BPS,
-	}[a]
-	if !ok {
-		return fmt.Errorf("-dist-workers supports mh, kmh, mlsh and bps; %v runs single-process only", a)
-	}
+// subprocess. Its pairs are the single-process run's, pair for pair and
+// bit for bit, and its Stats hold the phase times and pair counts; the
+// pool's own counts come back beside them.
+func runDist(o options, a assocmine.Algorithm, cfg assocmine.Config) (*assocmine.Result, *dist.Stats, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	dcfg := dist.Config{
-		Path:         o.in,
-		Algorithm:    algo,
-		Threshold:    o.threshold,
-		K:            o.k,
-		R:            o.r,
-		L:            o.l,
-		SampleBudget: o.budget,
-		Seed:         o.seed,
-		Workers:      o.distWorkers,
-		WorkerArgv:   []string{exe, "-worker"},
-		Context:      cfg.Context,
-	}
-	if coll != nil {
-		dcfg.Recorder = coll
-	}
-	res, err := dist.Run(dcfg)
+	dres, err := dist.Run(dist.Config{
+		Path: o.in, Algorithm: dist.Algo(a), Threshold: o.threshold, K: o.k, R: o.r, L: o.l,
+		SampleBudget: o.budget, Seed: o.seed, Workers: o.distWorkers, WorkerArgv: []string{exe, "-worker"},
+		Context: cfg.Context, Recorder: cfg.Recorder,
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	fmt.Printf("%d similar pairs (similarity >= %.2f) via %v:\n", len(res.Pairs), o.threshold, a)
-	for i, p := range res.Pairs {
-		if o.top > 0 && i >= o.top {
-			fmt.Printf("  ... and %d more\n", len(res.Pairs)-o.top)
-			break
-		}
-		fmt.Printf("  (%s, %s)  sim=%.3f\n", label(p.I), label(p.J), p.Similarity)
+	s := dres.Stats
+	res := &assocmine.Result{Pairs: make([]assocmine.Pair, len(dres.Pairs)), Stats: assocmine.Stats{
+		SignatureTime: s.SignatureTime, CandidateTime: s.CandidateTime, VerifyTime: s.VerifyTime,
+		Candidates: s.Candidates, Verified: s.Verified,
+	}}
+	for i, p := range dres.Pairs {
+		res.Pairs[i] = assocmine.Pair(p)
 	}
-	if o.stats {
-		s := res.Stats
-		fmt.Printf("phases: signatures %v, candidates %v (%d pairs), verification %v (%d kept); total %v\n",
-			s.SignatureTime, s.CandidateTime, s.Candidates, s.VerifyTime, s.Verified, s.Total())
-		fmt.Printf("dist: %d worker processes (%d restarts), %d jobs, %s shipped\n",
-			s.Workers, s.Restarts, s.Jobs, formatBytes(s.BytesShipped))
-	}
-	return nil
+	return res, &s, nil
 }
 
 // runIncremental answers the query through an Ingest snapshot: load the

@@ -17,6 +17,7 @@ import (
 	"assocmine/internal/dist"
 	"assocmine/internal/faultfs"
 	"assocmine/internal/matrix"
+	"assocmine/internal/obs"
 	"assocmine/internal/testutil"
 )
 
@@ -143,10 +144,8 @@ var (
 	distExec = &executor{
 		name: "dist",
 		cannot: map[string]string{
-			"DataPasses":     "the coordinator counts no passes",
-			"RowsScanned":    "the coordinator counts no rows",
-			"SignatureCells": "the folded sketch stays with the workers",
-			"SignatureBytes": "the folded sketch stays with the workers",
+			"DataPasses":  "the workers' reads never cross the pipe",
+			"RowsScanned": "the workers' reads never cross the pipe",
 		},
 		run: runDist,
 	}
@@ -364,11 +363,6 @@ func (e *env) checkTwin(t *testing.T, st Stats, tw twin) {
 // statsFrom is st with every field a Collector counts read from col.
 func statsFrom(col *Collector, st Stats) Stats {
 	st.fillFrom(col)
-	st.DataPasses = int(col.Counter(CounterDataPasses))
-	st.RowsScanned = col.Counter(CounterRowsScanned)
-	st.Candidates = int(col.Counter(CounterCandidates))
-	st.Verified = int(col.Counter(CounterPairsVerified))
-	st.FalsePositives = int(col.Counter(CounterFalsePositives))
 	return st
 }
 
@@ -638,8 +632,8 @@ func runDist(t *testing.T, e *env, c cell, cfg Config) *Result {
 	}
 	// The auto kernel packs each worker's share of the candidates on the
 	// wide and clustered fixtures and on no other.
-	if packs := c.fix == "dist-wide" || c.fix == "clusters"; (rec.Counter(CounterPackedBatches) > 0) != packs {
-		t.Errorf("the workers verified in %d packed batches; want packed = %v", rec.Counter(CounterPackedBatches), packs)
+	if packs := c.fix == "dist-wide" || c.fix == "clusters"; (rec.Counter(obs.CounterPackedBatches) > 0) != packs {
+		t.Errorf("the workers verified in %d packed batches; want packed = %v", rec.Counter(obs.CounterPackedBatches), packs)
 	}
 	out := &Result{Pairs: make([]Pair, len(res.Pairs)), Stats: statsFrom(rec, Stats{Algorithm: cfg.Algorithm})}
 	for i, p := range res.Pairs {

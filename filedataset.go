@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"assocmine/internal/driver"
 	"assocmine/internal/matrix"
 )
 
@@ -74,7 +75,7 @@ func (f *FileDataset) SimilarPairs(cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return newRun(f.src, f.materialize, cfg).similar(nil)
+	return similar(cfg.input(f.src, f.materialize), cfg, driver.Mine)
 }
 
 // Load materialises the file into an in-memory Dataset (cached; later

@@ -11,6 +11,7 @@ import (
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/obs"
 	"assocmine/internal/testutil"
 )
 
@@ -79,9 +80,9 @@ func TestIncrWindowMode(t *testing.T) {
 				name string
 				got  int64
 			}{
-				{CounterRowsAppended, st.RowsAppended},
-				{CounterStatesMerged, st.StatesMerged},
-				{CounterWindowsExpired, st.WindowsExpired},
+				{obs.CounterRowsAppended, st.RowsAppended},
+				{obs.CounterStatesMerged, st.StatesMerged},
+				{obs.CounterWindowsExpired, st.WindowsExpired},
 			} {
 				if col.Counter(c.name) != c.got {
 					t.Errorf("collector %s = %d, Stats says %d", c.name, col.Counter(c.name), c.got)

@@ -12,10 +12,12 @@ import (
 
 	"assocmine/internal/bps"
 	"assocmine/internal/candidate"
+	"assocmine/internal/driver"
 	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
+	"assocmine/internal/verify"
 )
 
 // Config controls a distributed Run. Zero values select the same
@@ -30,7 +32,7 @@ type Config struct {
 	// Threshold is s*, required in (0,1].
 	Threshold float64
 	// Delta, K, R, L, SampleBudget and Seed have the single-process
-	// driver's meanings and defaults: both fill them with
+	// driver's meanings and defaults: the one driver fills them with
 	// candidate.Params.SetDefaults.
 	Delta        float64
 	K, R, L      int
@@ -60,8 +62,8 @@ type Config struct {
 	// Context, when non-nil, cancels the run, tearing down the process
 	// tree promptly.
 	Context context.Context
-	// Recorder, when non-nil, receives phase spans plus the dist_*
-	// counters alongside the shared pipeline counters.
+	// Recorder, when non-nil, receives the driver's phase spans and
+	// pipeline counters plus the pool's dist_* counters.
 	Recorder obs.Recorder
 }
 
@@ -73,16 +75,9 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("dist: WorkerArgv is required")
 	}
 	if _, ok := fold.For(c.Algorithm); !ok {
-		return fmt.Errorf("dist: unsupported algorithm %v", c.Algorithm)
+		return fmt.Errorf("dist: algorithm %d runs single-process only; the pool runs MH (1), K-MH (2), M-LSH (3) and BPS (6)", int(c.Algorithm))
 	}
-	p := c.params()
-	if err := p.SetDefaults(); err != nil {
-		return fmt.Errorf("dist: %w", err)
-	}
-	c.K, c.R, c.L, c.SampleBudget, c.Delta = p.K, p.R, p.L, p.SampleBudget, p.Delta
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
+	c.Workers = max(c.Workers, 1)
 	if c.RowJobs <= 0 {
 		c.RowJobs = c.Workers
 	}
@@ -92,23 +87,10 @@ func (c *Config) setDefaults() error {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 5 * time.Minute
 	}
+	if c.Context == nil {
+		c.Context = context.Background()
+	}
 	return nil
-}
-
-// params is the configuration's phase-2 parameter set: what the shared
-// defaults fill and the hello frame carries.
-func (c Config) params() candidate.Params {
-	return candidate.Params{
-		Algo: c.Algorithm, K: c.K, R: c.R, L: c.L, SampleBudget: c.SampleBudget,
-		Seed: c.Seed, Threshold: c.Threshold, Delta: c.Delta,
-	}
-}
-
-func (c Config) context() context.Context {
-	if c.Context != nil {
-		return c.Context
-	}
-	return context.Background()
 }
 
 // Pair is a similar column pair in a distributed Result; it matches
@@ -139,11 +121,6 @@ type Stats struct {
 	Jobs         int
 }
 
-// Total returns the end-to-end running time.
-func (s Stats) Total() time.Duration {
-	return s.SignatureTime + s.CandidateTime + s.VerifyTime
-}
-
 // Result is the output of a distributed Run: pairs sorted exactly as
 // the single-process driver sorts them.
 type Result struct {
@@ -157,11 +134,6 @@ type errPermanent struct{ err error }
 
 func (e errPermanent) Error() string { return e.err.Error() }
 func (e errPermanent) Unwrap() error { return e.err }
-
-func permanent(err error) bool {
-	_, ok := err.(errPermanent)
-	return ok
-}
 
 // proc is one live worker subprocess, owned by exactly one scheduler
 // slot at a time.
@@ -179,30 +151,31 @@ type procFrame struct {
 	err     error
 }
 
-// coordinator owns the worker pool and the run-wide accounting.
+// coordinator is the driver's process-pool executor: it owns the
+// worker pool and the pool's accounting, and splits each phase body it
+// is handed into jobs.
 type coordinator struct {
 	cfg  *Config
-	h    *hello
+	h    *hello    // set by the fold phase, which starts the pool
 	fold fold.Fold // the algorithm's phase 1
 	// ctx is the run-scoped context every worker subprocess is launched
 	// under — not a phase context, or replacements spawned mid-phase
 	// would be torn down when the phase ends.
 	ctx   context.Context
-	rows  int
-	cols  int
+	procs []*proc // one per scheduler slot
 	rec   obs.Recorder
-	stats Stats
+	stats Stats // Rows and Cols are the coordinator's view of the data
 	// state is the merged fold-state snapshot, set once between phases:
 	// live workers receive it before their next job, replacements before
 	// their first.
 	state []byte
 
-	mu       sync.Mutex
-	restarts int
-	next     int // next worker index to assign
+	mu   sync.Mutex // guards next and the pool's counts in stats
+	next int        // next worker index to assign
 }
 
-// Run executes the configured job across worker subprocesses. The
+// Run executes the configured job across worker subprocesses: the
+// driver's four steps with the coordinator as their executor. The
 // returned pairs are bit-identical to the single-process streamed
 // driver at the same (data, seed, parameters).
 func Run(cfg Config) (*Result, error) {
@@ -213,254 +186,177 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := obs.OrNop(cfg.Recorder)
-	f, _ := fold.For(cfg.Algorithm) // setDefaults vouched for it
-	co := &coordinator{
-		cfg:  &cfg,
-		fold: f,
-		rows: fs.NumRows(),
-		cols: fs.NumCols(),
-		rec:  rec,
-		h:    &hello{Params: cfg.params(), Path: cfg.Path},
-	}
-	co.stats.Rows, co.stats.Cols = co.rows, co.cols
-
-	ctx, cancel := context.WithCancel(cfg.context())
+	ctx, cancel := context.WithCancel(cfg.Context)
 	defer cancel()
-	co.ctx = ctx
-
-	procs := make([]*proc, 0, cfg.Workers)
+	co := &coordinator{cfg: &cfg, ctx: ctx, rec: obs.OrNop(cfg.Recorder), stats: Stats{Rows: fs.NumRows(), Cols: fs.NumCols()}}
 	defer func() {
-		for _, p := range procs {
+		for _, p := range co.procs {
 			co.quit(p)
 		}
 	}()
-	for i := 0; i < cfg.Workers; i++ {
-		p, err := co.spawn()
-		if err != nil {
-			return nil, err
-		}
-		procs = append(procs, p)
-	}
-
-	cand, err := co.candidates(ctx, procs)
-	if err != nil {
-		return nil, err
-	}
-	co.stats.Candidates = len(cand)
-	rec.Add(obs.CounterCandidates, int64(len(cand)))
-
-	var out []Pair
-	if cfg.SkipVerify {
-		pairs.SortScored(cand)
-		out = make([]Pair, len(cand))
-		for i, p := range cand {
-			out[i] = Pair{I: int(p.I), J: int(p.J), Estimate: p.Estimate}
-		}
-	} else {
-		verified, err := co.verify(ctx, procs, cand)
-		if err != nil {
-			return nil, err
-		}
-		co.stats.Verified = len(verified)
-		rec.Add(obs.CounterPairsVerified, int64(len(verified)))
-		rec.Add(obs.CounterFalsePositives, int64(len(cand)-len(verified)))
-		pairs.SortScored(verified)
-		out = make([]Pair, len(verified))
-		for i, p := range verified {
-			out[i] = Pair{I: int(p.I), J: int(p.J), Estimate: p.Estimate, Similarity: p.Exact}
-		}
-	}
-	co.mu.Lock()
-	co.stats.Restarts = co.restarts
-	co.mu.Unlock()
-	return &Result{Pairs: out, Stats: co.stats}, nil
-}
-
-// candidates runs the algorithm's pre-verification phases and returns
-// the candidate set: the fold phase every scheme shares, then the
-// scheme's own phase 2.
-func (co *coordinator) candidates(ctx context.Context, procs []*proc) ([]pairs.Scored, error) {
-	merged, err := co.foldPhase(ctx, procs)
-	if err != nil {
-		return nil, err
-	}
-	if co.cfg.Algorithm == BPS {
-		return co.samplePhase(ctx, procs, merged.Finish().Sup)
-	}
-	return co.candPhase(ctx, procs)
-}
-
-// foldPhase is phase 1 for every scheme: the row ranges fold on the
-// workers, their snapshots merge in arrival order with the fold's exact
-// Merge — pointwise minima for MH, bounded multiset union for K-MH,
-// addition for the BPS supports, all order-free — and the merged state
-// is broadcast back (BPS needs the global supports: acceptance
-// probabilities and the seed mix derive from them).
-func (co *coordinator) foldPhase(ctx context.Context, procs []*proc) (fold.State, error) {
-	end := co.span(obs.PhaseSignatures)
-	var merged fold.State
-	err := co.runPhase(ctx, procs, rangeJobs(jobFold, co.rows, co.cfg.RowJobs), func(_ int, payload []byte) error {
-		st, err := readState(co.fold, co.h, co.cols, payload)
-		if err != nil {
-			return errPermanent{err}
-		}
-		if merged == nil {
-			merged = st
-			return nil
-		}
-		return merged.Merge(st)
+	run := obs.NewCollector()
+	ps, err := driver.Mine(driver.Input{
+		Src: fs, Verify: verify.Params{Context: ctx},
+		Params: candidate.Params{
+			Algo: cfg.Algorithm, K: cfg.K, R: cfg.R, L: cfg.L, SampleBudget: cfg.SampleBudget,
+			Seed: cfg.Seed, Threshold: cfg.Threshold, Delta: cfg.Delta,
+		},
+		SkipVerify: cfg.SkipVerify, Column: -1, Recorder: obs.Tee(run, cfg.Recorder), Exec: co,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := merged.Snapshot(&buf); err != nil {
-		return nil, err
+	out := make([]Pair, len(ps))
+	for i, p := range ps {
+		out[i] = Pair{I: int(p.I), J: int(p.J), Estimate: p.Estimate, Similarity: p.Exact}
 	}
-	co.state = buf.Bytes()
-	co.stats.SignatureTime = end()
-	return merged, nil
+	st := co.stats // the pool is idle: nothing else writes it
+	st.Candidates, st.Verified = int(run.Counter(obs.CounterCandidates)), int(run.Counter(obs.CounterPairsVerified))
+	st.SignatureTime = run.Span(obs.PhaseSignatures)
+	st.CandidateTime = run.Span(obs.PhaseCandidates)
+	st.VerifyTime = run.Span(obs.PhaseVerify)
+	return &Result{Pairs: out, Stats: st}, nil
 }
 
-// candPhase distributes the sketch schemes' phase 2: the unit ranges of
-// the scheme's kernel (columns for the counting schemes, bands for
-// M-LSH) go to the workers, and their answers combine by the scheme's
-// own rule — its Gatherer — so the result equals the serial scan's set.
-func (co *coordinator) candPhase(ctx context.Context, procs []*proc) ([]pairs.Scored, error) {
-	end := co.span(obs.PhaseCandidates)
-	defer func() { co.stats.CandidateTime = end() }()
-	scheme, err := candidate.SchemeFor(co.h.Params, co.cols)
-	if err != nil {
-		return nil, err
+// Fold is phase 1 on the pool, for every scheme. It launches the
+// workers, with p in their hello; the row ranges fold on them; their
+// snapshots merge in arrival order with the fold's exact Merge —
+// pointwise minima for MH, bounded multiset union for K-MH, addition for
+// the BPS supports, all order-free — and the merged state is broadcast
+// back (BPS needs the global supports: acceptance probabilities and the
+// seed mix derive from them).
+func (co *coordinator) Fold(f fold.Fold, p candidate.Params, _ matrix.RowSource) (fold.Sketch, error) {
+	co.fold, co.h = f, &hello{Params: p, Path: co.cfg.Path}
+	for len(co.procs) < co.cfg.Workers {
+		w, err := co.spawn()
+		if err != nil {
+			return fold.Sketch{}, err
+		}
+		co.procs = append(co.procs, w)
 	}
+	var merged fold.State
+	err := co.runPhase(rangeJobs(jobFold, co.stats.Rows, co.cfg.RowJobs), func(_ int, payload []byte) error {
+		st, err := readState(co.fold, co.h, co.stats.Cols, payload)
+		if err != nil || merged == nil {
+			merged = st
+			return err
+		}
+		return merged.Merge(st)
+	})
+	if err != nil {
+		return fold.Sketch{}, err
+	}
+	var buf bytes.Buffer
+	if err := merged.Snapshot(&buf); err != nil {
+		return fold.Sketch{}, err
+	}
+	co.state = buf.Bytes()
+	return merged.Finish(), nil
+}
+
+// Candidates is a sketch scheme's phase 2 on the pool: the unit ranges
+// of the scheme's kernel (columns for the counting schemes, bands for
+// M-LSH) go to the workers, which build the kernel over the broadcast
+// state, and their answers combine by the scheme's own rule — its
+// Gatherer — so the result equals the serial scan's set.
+func (co *coordinator) Candidates(s candidate.Scheme, _ func() (*candidate.Kernel, error), _ obs.Tick) ([]pairs.Scored, int64, error) {
 	var cand []pairs.Scored
 	var work int64
-	gather := scheme.Gatherer()
-	jobs := rangeJobs(jobCand, scheme.Units(), co.cfg.Workers)
-	err = co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
+	gather := s.Gatherer()
+	err := co.runPhase(rangeJobs(jobCand, s.Units(), co.cfg.Workers), func(_ int, payload []byte) error {
 		res, err := decodeCandResult(payload)
 		if err != nil {
-			return errPermanent{err}
+			return err
 		}
 		work += res.Work
 		cand = gather.Add(cand, res.Cand)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	co.rec.Add(scheme.Counter, work)
-	return cand, nil
+	return cand, work, err
 }
 
-// samplePhase is the BPS phase 2: the row ranges are sampled against
-// the broadcast global supports and the additive count merge is
-// finalized.
-func (co *coordinator) samplePhase(ctx context.Context, procs []*proc, sup []int64) ([]pairs.Scored, error) {
-	end := co.span(obs.PhaseCandidates)
+// Sample is the BPS phase 2 on the pool: the row ranges are sampled
+// against the broadcast global supports, and the tallies' additive
+// merge is finalized here.
+func (co *coordinator) Sample(_ matrix.RowSource, sup []int64, opt bps.Options) ([]pairs.Scored, bps.Stats, error) {
 	var counts bps.Counts
 	var inspected int64
-	jobs := rangeJobs(jobSample, co.rows, co.cfg.RowJobs)
-	err := co.runPhase(ctx, procs, jobs, func(_ int, payload []byte) error {
+	err := co.runPhase(rangeJobs(jobSample, co.stats.Rows, co.cfg.RowJobs), func(_ int, payload []byte) error {
 		res, err := decodeSampleResult(payload)
 		if err != nil {
-			return errPermanent{err}
+			return err
 		}
 		inspected += res.Inspected
 		counts = bps.MergeCounts(counts, bps.Counts{Keys: res.Keys, N: res.Counts})
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, bps.Stats{}, err
 	}
-	cand, bst, err := bps.FinalizeCounts(counts, sup, co.h.BPS(1))
-	if err != nil {
-		return nil, err
-	}
-	co.rec.Add(obs.CounterPairsSampled, inspected)
-	co.rec.Add(obs.CounterSampleAccepts, bst.Accepts)
-	if bst.Dups != 0 {
-		co.rec.Add(obs.CounterSampleDups, bst.Dups)
-	}
-	co.stats.CandidateTime = end()
-	return cand, nil
+	cand, st, err := bps.FinalizeCounts(counts, sup, opt)
+	st.Inspected = inspected
+	return cand, st, err
 }
 
-// verify sorts the candidates by pair key — the wire codec needs
-// ascending runs, and the final similarity sort makes candidate order
-// irrelevant to the output — splits them into contiguous ranges, and
-// fans the exact pruning pass out.
-func (co *coordinator) verify(ctx context.Context, procs []*proc, cand []pairs.Scored) ([]pairs.Scored, error) {
-	end := co.span(obs.PhaseVerify)
-	defer func() { co.stats.VerifyTime = end() }()
+// Verify is phase 3 on the pool: the candidates, sorted by pair key —
+// the wire codec needs ascending runs, and the driver's final sort makes
+// candidate order irrelevant to the output — go out in contiguous
+// ranges, each pruned by the worker's verify.Verify under the hello's
+// threshold. Touches add up over any partition to the single-process
+// count; the packed counters depend on the partition.
+func (co *coordinator) Verify(_ matrix.RowSource, cand []pairs.Scored, _ verify.Params) ([]pairs.Scored, verify.Stats, error) {
+	var st verify.Stats
 	if len(cand) == 0 {
-		return nil, nil
+		return nil, st, nil
 	}
 	pairs.SortByKey(cand)
-	njobs := co.cfg.Workers
-	if njobs > len(cand) {
-		njobs = len(cand)
-	}
-	bounds := splitRange(len(cand), njobs)
-	jobs := make([]*job, njobs)
-	for i := 0; i < njobs; i++ {
-		jobs[i] = &job{Kind: jobVerify, Cand: cand[bounds[i]:bounds[i+1]]}
+	jobs := rangeJobs(jobVerify, len(cand), co.cfg.Workers)
+	for _, j := range jobs {
+		j.Cand = cand[j.Lo:j.Hi]
 	}
 	var verified []pairs.Scored
-	var work verifyResult
-	err := co.runPhase(ctx, procs, jobs, func(jobIdx int, payload []byte) error {
+	err := co.runPhase(jobs, func(jobIdx int, payload []byte) error {
 		res, err := decodeVerifyResult(payload)
 		if err != nil {
-			return errPermanent{err}
+			return err
 		}
-		work.Touches += res.Touches
-		work.PackedWords += res.PackedWords
-		work.PackedBatches += res.PackedBatches
-		base := bounds[jobIdx]
+		st.Touches += res.Touches
+		st.PackedWords += res.PackedWords
+		st.PackedBatches += res.PackedBatches
 		part := jobs[jobIdx].Cand
 		for i, idx := range res.Indices {
 			if idx >= len(part) {
-				return errPermanent{fmt.Errorf("dist: verify index %d out of range", idx)}
+				return fmt.Errorf("dist: verify index %d out of range", idx)
 			}
-			p := cand[base+idx]
+			p := part[idx]
 			p.Exact = res.Exact[i]
 			verified = append(verified, p)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Touches are additive over any candidate partition and equal the
-	// single-process count; the packed counters depend on the partition.
-	co.rec.Add(obs.CounterVerifyTouches, work.Touches)
-	if work.PackedBatches != 0 {
-		co.rec.Add(obs.CounterPackedWords, work.PackedWords)
-		co.rec.Add(obs.CounterPackedBatches, work.PackedBatches)
-	}
-	return verified, nil
+	return verified, st, err
 }
 
 // runPhase dispatches jobs across the pool: each scheduler slot owns
 // one worker subprocess, pulls job indexes from a shared channel, and
 // retries a failed job on a fresh subprocess within the restart
-// budget. handle is called serially, in arrival order.
-func (co *coordinator) runPhase(ctx context.Context, procs []*proc, jobs []*job, handle func(jobIdx int, payload []byte) error) error {
+// budget. handle is called serially, in arrival order; an error it
+// returns fails the phase.
+func (co *coordinator) runPhase(jobs []*job, handle func(jobIdx int, payload []byte) error) error {
 	co.stats.Jobs += len(jobs)
+	procs := co.procs
 	idxCh := make(chan int)
-	pctx, cancel := context.WithCancel(ctx)
+	pctx, cancel := context.WithCancel(co.ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
+	var mu sync.Mutex // serialises handle and guards firstErr
 	var firstErr error
-	var handleMu sync.Mutex
 	fail := func(err error) {
-		errMu.Lock()
+		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
 		}
-		errMu.Unlock()
+		mu.Unlock()
 		cancel()
 	}
 	for slot := range procs {
@@ -482,9 +378,9 @@ func (co *coordinator) runPhase(ctx context.Context, procs []*proc, jobs []*job,
 				for {
 					payload, err := co.runJobOn(pctx, p, jobs[jobIdx])
 					if err == nil {
-						handleMu.Lock()
+						mu.Lock()
 						herr := handle(jobIdx, payload)
-						handleMu.Unlock()
+						mu.Unlock()
 						if herr != nil {
 							fail(herr)
 							return
@@ -494,7 +390,7 @@ func (co *coordinator) runPhase(ctx context.Context, procs []*proc, jobs []*job,
 					if pctx.Err() != nil {
 						return
 					}
-					if permanent(err) {
+					if _, ok := err.(errPermanent); ok {
 						fail(err)
 						return
 					}
@@ -523,11 +419,11 @@ func (co *coordinator) runPhase(ctx context.Context, procs []*proc, jobs []*job,
 	if firstErr != nil {
 		return firstErr
 	}
-	return ctx.Err()
+	return co.ctx.Err()
 }
 
 // runJobOn synchronises the worker's broadcast state, ships one job,
-// and waits for its result under the hang timeout.
+// and waits for its result.
 func (co *coordinator) runJobOn(ctx context.Context, p *proc, jb *job) ([]byte, error) {
 	if co.state != nil && !p.hasState {
 		if err := co.sendFrame(p, frameState, co.state); err != nil {
@@ -542,6 +438,13 @@ func (co *coordinator) runJobOn(ctx context.Context, p *proc, jb *job) ([]byte, 
 	if err := co.sendFrame(p, frameJob, payload); err != nil {
 		return nil, err
 	}
+	return co.recv(ctx, p, frameResult)
+}
+
+// recv waits for the worker's next frame under the hang timeout and
+// accounts its payload. A frame other than want — an error report
+// included — is a permanent fault.
+func (co *coordinator) recv(ctx context.Context, p *proc, want byte) ([]byte, error) {
 	timer := time.NewTimer(co.cfg.JobTimeout)
 	defer timer.Stop()
 	select {
@@ -551,15 +454,14 @@ func (co *coordinator) runJobOn(ctx context.Context, p *proc, jb *job) ([]byte, 
 		}
 		co.ship(int64(len(fr.payload)))
 		switch fr.typ {
-		case frameResult:
+		case want:
 			return fr.payload, nil
 		case frameError:
 			return nil, errPermanent{fmt.Errorf("dist: worker %d: %s", p.index, fr.payload)}
-		default:
-			return nil, errPermanent{fmt.Errorf("dist: worker %d sent unexpected frame %q", p.index, fr.typ)}
 		}
+		return nil, errPermanent{fmt.Errorf("dist: worker %d sent frame %q, want %q", p.index, fr.typ, want)}
 	case <-timer.C:
-		return nil, fmt.Errorf("dist: worker %d exceeded job timeout %v", p.index, co.cfg.JobTimeout)
+		return nil, fmt.Errorf("dist: worker %d exceeded the timeout %v", p.index, co.cfg.JobTimeout)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -621,42 +523,27 @@ func (co *coordinator) handshake(p *proc) error {
 	if err := co.sendFrame(p, frameHello, co.h.encode()); err != nil {
 		return fmt.Errorf("dist: worker %d hello: %w", p.index, err)
 	}
-	timer := time.NewTimer(co.cfg.JobTimeout)
-	defer timer.Stop()
-	select {
-	case fr := <-p.frames:
-		if fr.err != nil {
-			return fmt.Errorf("dist: worker %d handshake: %w", p.index, fr.err)
-		}
-		co.ship(int64(len(fr.payload)))
-		if fr.typ == frameError {
-			return errPermanent{fmt.Errorf("dist: worker %d: %s", p.index, fr.payload)}
-		}
-		if fr.typ != frameReady {
-			return errPermanent{fmt.Errorf("dist: worker %d answered hello with frame %q", p.index, fr.typ)}
-		}
-		y, err := decodeReady(fr.payload)
-		if err != nil {
-			return errPermanent{err}
-		}
-		if y.Rows != co.rows || y.Cols != co.cols {
-			return errPermanent{fmt.Errorf("dist: worker %d sees %dx%d, coordinator %dx%d",
-				p.index, y.Rows, y.Cols, co.rows, co.cols)}
-		}
-		return nil
-	case <-timer.C:
-		return fmt.Errorf("dist: worker %d handshake timed out", p.index)
-	case <-co.ctx.Done():
-		return co.ctx.Err()
+	payload, err := co.recv(co.ctx, p, frameReady)
+	if err != nil {
+		return err
 	}
+	y, err := decodeReady(payload)
+	if err != nil {
+		return errPermanent{err}
+	}
+	if y.Rows != co.stats.Rows || y.Cols != co.stats.Cols {
+		return errPermanent{fmt.Errorf("dist: worker %d sees %dx%d, coordinator %dx%d",
+			p.index, y.Rows, y.Cols, co.stats.Rows, co.stats.Cols)}
+	}
+	return nil
 }
 
 // restart burns one unit of the restart budget and spawns a
 // replacement worker with a fresh index.
 func (co *coordinator) restart() (*proc, error) {
 	co.mu.Lock()
-	co.restarts++
-	over := co.restarts > co.cfg.MaxRestarts
+	co.stats.Restarts++
+	over := co.stats.Restarts > co.cfg.MaxRestarts
 	co.mu.Unlock()
 	if over {
 		return nil, fmt.Errorf("dist: restart budget %d exhausted", co.cfg.MaxRestarts)
@@ -704,18 +591,6 @@ func (co *coordinator) kill(p *proc) {
 	_ = p.cmd.Wait()
 }
 
-// span opens an obs phase span; the returned func closes it and
-// reports the duration.
-func (co *coordinator) span(name string) func() time.Duration {
-	co.rec.PhaseStart(name)
-	start := time.Now()
-	return func() time.Duration {
-		d := time.Since(start)
-		co.rec.PhaseEnd(name, d)
-		return d
-	}
-}
-
 // rangeJobs splits [0,n) into count contiguous jobs of the given kind
 // (count is clamped to n so no job is empty unless n is 0).
 func rangeJobs(kind jobKind, n, count int) []*job {
@@ -730,14 +605,9 @@ func rangeJobs(kind jobKind, n, count int) []*job {
 // splitRange returns count+1 even boundaries over [0,n), clamping
 // count to [1, max(n,1)].
 func splitRange(n, count int) []int {
-	if count > n {
-		count = n
-	}
-	if count < 1 {
-		count = 1
-	}
+	count = max(1, min(count, n))
 	bounds := make([]int, count+1)
-	for i := 0; i <= count; i++ {
+	for i := range bounds {
 		bounds[i] = n * i / count
 	}
 	return bounds

@@ -182,7 +182,7 @@ func TestDistBPSRowJobsCrash(t *testing.T) {
 		{"sample-phase", 1, 4, "0", "5"},
 	} {
 		res, err := dist.Run(dist.Config{
-			Path: arows, Algorithm: dist.BPS, Threshold: 0.35, SampleBudget: 8, Seed: 7,
+			Path: arows, Algorithm: dist.Algo(assocmine.BPS), Threshold: 0.35, SampleBudget: 8, Seed: 7,
 			Workers: tc.workers, RowJobs: tc.rowJobs, MaxRestarts: 2, JobTimeout: time.Minute,
 			WorkerArgv: workerArgv(t),
 			Env: []string{
@@ -272,16 +272,18 @@ func TestDistRestartBudget(t *testing.T) {
 	}
 }
 
-// TestDistConfigValidation covers the coordinator's parameter checks.
+// TestDistConfigValidation covers the checks of a dist Config: the
+// coordinator's own, and the driver's of the parameter set.
 func TestDistConfigValidation(t *testing.T) {
 	argv := []string{"/bin/true"}
+	arows := fixture(t) // the parameters are checked after the file opens
 	cases := []dist.Config{
 		{},                                  // no path
 		{Path: "x.arows"},                   // no argv
 		{Path: "x.arows", WorkerArgv: argv}, // no algorithm
-		{Path: "x.arows", WorkerArgv: argv, Algorithm: dist.MinHash},                            // no threshold
-		{Path: "x.arows", WorkerArgv: argv, Algorithm: dist.MinHash, Threshold: 1.5},            // bad threshold
-		{Path: "x.arows", WorkerArgv: argv, Algorithm: dist.MinLSH, Threshold: 0.5, K: 3, R: 5}, // K < R
+		{Path: arows, WorkerArgv: argv, Algorithm: dist.MinHash},                                            // no threshold
+		{Path: arows, WorkerArgv: argv, Algorithm: dist.MinHash, Threshold: 1.5},                            // bad threshold
+		{Path: arows, WorkerArgv: argv, Algorithm: dist.Algo(assocmine.MinLSH), Threshold: 0.5, K: 3, R: 5}, // K < R
 	}
 	for i, cfg := range cases {
 		if _, err := dist.Run(cfg); err == nil {

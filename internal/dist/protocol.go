@@ -1,17 +1,16 @@
-// Package dist is the multi-process scale-out executor: a coordinator
-// that partitions a dataset into row ranges, launches N worker
-// subprocesses speaking the repository's existing binary codecs over
-// stdin/stdout pipes, merges per-worker sketch fold-states with the
-// exact Merge of the sketch packages, unions per-worker candidate sets
-// with exact dedup, and fans verification back out by candidate range.
-// At a fixed seed the distributed output is bit-identical to the
-// single-process streamed drivers: min-hash fold merges are pointwise
-// minima (order-free), bottom-k merges are multiset unions (Finish
-// sorts), candidate generation is internal/candidate's range kernel —
-// the worker answers a unit range with Kernel.Range, the coordinator
-// combines the answers with the scheme's Gatherer — BPS accept decisions
-// are pure (seed,row,pair) hashes, and the final SortScored is a total
-// order on distinct pairs.
+// Package dist is the driver's process-pool executor. Run hands
+// internal/driver the coordinator as its Executor, so a distributed run
+// walks the single-process run's steps — spans, counters, SkipVerify,
+// final sort — while each phase body runs as jobs on N worker
+// subprocesses over stdin/stdout pipes: row ranges fold (snapshots merge
+// by the fold's exact Merge), kernel unit ranges generate candidates
+// (combined by the scheme's Gatherer), BPS row ranges sample (tallies
+// add: accept decisions are pure (seed,row,pair) hashes) and candidate
+// ranges verify. At a fixed seed the pairs are bit-identical to the
+// single-process run's. The partition-dependent counters are the
+// pool's: packed_words and packed_batches sum over the verify jobs, and
+// shards_streamed, data_passes and rows_scanned stay absent (a worker
+// scans its range on one goroutine, and its reads never cross the pipe).
 //
 // Wire protocol. Each direction is a stream of frames:
 //
@@ -110,17 +109,14 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// Algo selects the mining scheme a distributed run executes: the
-// schemes with a phase-1 fold, whose candidate phases also partition
-// cleanly. Apriori and H-LSH remain single-process.
+// Algo selects the mining scheme a distributed run executes, in fold's
+// one numbering (the root Algorithm's): the schemes with a phase-1 fold
+// (MH, K-MH, M-LSH, BPS), whose candidate phases partition cleanly.
+// Brute force, a-priori, H-LSH and §6's rules remain single-process.
 type Algo = fold.Algo
 
-const (
-	MinHash  = fold.MinHash
-	KMinHash = fold.KMinHash
-	MinLSH   = fold.MinLSH
-	BPS      = fold.BPS
-)
+// MinHash is the MH scheme.
+const MinHash = fold.MinHash
 
 // hello carries the dataset path and the run's phase-2 parameter set
 // from coordinator to worker. Both sides derive every downstream

@@ -18,7 +18,7 @@ import (
 
 func TestHelloRoundTrip(t *testing.T) {
 	in := &hello{Path: "/tmp/data.carows", Params: candidate.Params{
-		Algo: KMinHash, K: 100, R: 5, L: 20, SampleBudget: 32,
+		Algo: fold.KMinHash, K: 100, R: 5, L: 20, SampleBudget: 32,
 		Seed: 0xfeedface, Threshold: 0.375, Delta: 0.2,
 	}}
 	out, err := decodeHello(in.encode())
@@ -201,7 +201,7 @@ func FuzzDistFrame(f *testing.F) {
 		return b.Bytes()
 	}
 	cand := []pairs.Scored{{Pair: pairs.Pair{I: 1, J: 4}, Estimate: 0.5}, {Pair: pairs.Pair{I: 2, J: 7}, Estimate: 0.25}}
-	f.Add(frame(frameHello, (&hello{Path: "/tmp/d.arows", Params: candidate.Params{Algo: MinLSH, K: 50, R: 5, L: 10, Seed: 7, Threshold: 0.5, Delta: 0.1}}).encode()))
+	f.Add(frame(frameHello, (&hello{Path: "/tmp/d.arows", Params: candidate.Params{Algo: fold.MinLSH, K: 50, R: 5, L: 10, Seed: 7, Threshold: 0.5, Delta: 0.1}}).encode()))
 	f.Add(frame(frameJob, encoded((&job{Kind: jobFold, Lo: 10, Hi: 250}).encode())))
 	f.Add(frame(frameJob, encoded((&job{Kind: jobVerify, Cand: cand}).encode())))
 	f.Add(frame(frameJob, encoded((&job{Kind: jobCand, Lo: 3, Hi: 8}).encode())))
@@ -212,7 +212,7 @@ func FuzzDistFrame(f *testing.F) {
 	f.Add(frame(frameResult, (&verifyResult{Touches: 7}).encode()))
 	// Fold-state frames: a fold job's result and the merged broadcast, in
 	// each fold's snapshot format, over the shape readState checks below.
-	for _, algo := range []Algo{MinHash, KMinHash, BPS} {
+	for _, algo := range []Algo{MinHash, fold.KMinHash, fold.BPS} {
 		fd, _ := fold.For(algo)
 		st, err := fd.New(fuzzCols, fuzzHello.K, fuzzHello.Seed)
 		if err != nil {
@@ -278,7 +278,7 @@ func FuzzDistFrame(f *testing.F) {
 		}
 		// A fold state is accepted only in the run's shape, and a supports
 		// vector never holds more counts than its payload has bytes.
-		for _, algo := range []Algo{MinHash, KMinHash, BPS} {
+		for _, algo := range []Algo{MinHash, fold.KMinHash, fold.BPS} {
 			fd, _ := fold.For(algo)
 			st, err := readState(fd, fuzzHello, fuzzCols, p)
 			if err != nil {

@@ -224,8 +224,8 @@ func (wk *worker) runSample(j *job) ([]byte, error) {
 // once per broadcast state; a job before any state finds no sketch to
 // build it over, a permanent error — with the range's candidates
 // gathered (a band range ships a pair once, however many of its bands
-// found it) and key-sorted: the wire's canonical order, and the final
-// SortScored makes emission order irrelevant.
+// found it) and key-sorted: the wire's canonical order, and the
+// driver's final sort makes emission order irrelevant.
 func (wk *worker) runCand(j *job) ([]byte, error) {
 	if wk.kernel == nil {
 		k, err := candidate.For(context.Background(), wk.h.Params, wk.sk, 1)

@@ -68,16 +68,20 @@ func (sk Sketch) Cells() int64 {
 	}
 }
 
-// Algo names a scheme with a phase-1 fold. The values are the root
-// package's Algorithm values (pinned by a root test), which are also
-// what an AIN1 snapshot and the dist hello frame carry.
+// Algo names a mining scheme: the one numbering the root package's
+// Algorithm constants, the driver, an AIN1 snapshot and the dist hello
+// frame all carry. For says which schemes have a phase-1 fold; the
+// others read the data directly.
 type Algo int
 
 const (
-	MinHash  Algo = 1 // MH signatures + Row-Sorting candidates
-	KMinHash Algo = 2 // bottom-k sketches + Hash-Count cascade
-	MinLSH   Algo = 3 // MH signatures + banded LSH
-	BPS      Algo = 6 // support pass + biased pair sampling
+	BruteForce Algo = iota // exact pair counts
+	MinHash                // MH signatures + Row-Sorting candidates
+	KMinHash               // bottom-k sketches + Hash-Count cascade
+	MinLSH                 // MH signatures + banded LSH
+	HammingLSH             // density-ladder LSH over the data
+	Apriori                // support-pruned baseline
+	BPS                    // support pass + biased pair sampling
 )
 
 // Reader is what a snapshot is read from. The decoders consume exactly

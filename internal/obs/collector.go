@@ -90,6 +90,14 @@ func (c *Collector) Gauge(name string) int64 {
 	return c.gauges[name]
 }
 
+// Span returns the total duration recorded for a phase (0 if it never
+// ended).
+func (c *Collector) Span(phase string) time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.spans[phase].Total
+}
+
 // snapshot returns a copy of all recorded state.
 func (c *Collector) snapshot() snapshot {
 	c.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"assocmine/internal/obs"
 	"assocmine/internal/testutil"
 )
 
@@ -68,11 +69,11 @@ func collectorState(t *testing.T, c *Collector) (st struct {
 func expectedPhases(a Algorithm) []string {
 	switch a {
 	case MinHash, KMinHash, MinLSH:
-		return []string{PhaseSignatures, PhaseCandidates, PhaseVerify}
+		return []string{obs.PhaseSignatures, obs.PhaseCandidates, obs.PhaseVerify}
 	case HammingLSH:
-		return []string{PhaseCandidates, PhaseVerify}
+		return []string{obs.PhaseCandidates, obs.PhaseVerify}
 	default: // BruteForce, Apriori: one exact pass
-		return []string{PhaseCandidates}
+		return []string{obs.PhaseCandidates}
 	}
 }
 
@@ -122,23 +123,23 @@ func TestRecorderSpansAndStats(t *testing.T) {
 				counter string
 				want    int64
 			}{
-				{CounterCandidates, int64(st.Candidates)},
-				{CounterPairsVerified, int64(st.Verified)},
-				{CounterFalsePositives, int64(st.FalsePositives)},
-				{CounterDataPasses, int64(st.DataPasses)},
-				{CounterRowsScanned, st.RowsScanned},
-				{CounterSignatureCells, st.SignatureCells},
-				{CounterIncrements, st.CandidateIncrements},
-				{CounterBucketPairs, st.BucketPairs},
-				{CounterVerifyTouches, st.VerifyTouches},
+				{obs.CounterCandidates, int64(st.Candidates)},
+				{obs.CounterPairsVerified, int64(st.Verified)},
+				{obs.CounterFalsePositives, int64(st.FalsePositives)},
+				{obs.CounterDataPasses, int64(st.DataPasses)},
+				{obs.CounterRowsScanned, st.RowsScanned},
+				{obs.CounterSignatureCells, st.SignatureCells},
+				{obs.CounterIncrements, st.CandidateIncrements},
+				{obs.CounterBucketPairs, st.BucketPairs},
+				{obs.CounterVerifyTouches, st.VerifyTouches},
 			}
 			for _, c := range checks {
 				if got := rec.inner.Counter(c.counter); got != c.want {
 					t.Errorf("%v workers=%d: counter %q = %d, Stats says %d", tc.algo, workers, c.counter, got, c.want)
 				}
 			}
-			if got := rec.inner.Gauge(GaugeSignatureBytes); got != st.SignatureBytes {
-				t.Errorf("%v workers=%d: gauge %q = %d, Stats says %d", tc.algo, workers, GaugeSignatureBytes, got, st.SignatureBytes)
+			if got := rec.inner.Gauge(obs.GaugeSignatureBytes); got != st.SignatureBytes {
+				t.Errorf("%v workers=%d: gauge %q = %d, Stats says %d", tc.algo, workers, obs.GaugeSignatureBytes, got, st.SignatureBytes)
 			}
 			if st.Verified != st.Candidates-st.FalsePositives {
 				t.Errorf("%v workers=%d: Verified %d != Candidates %d - FalsePositives %d", tc.algo, workers, st.Verified, st.Candidates, st.FalsePositives)
@@ -231,13 +232,13 @@ func TestSignaturesRecorder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if got, want := coll.Counter(CounterCandidates), int64(res.Stats.Candidates); got != want {
+		if got, want := coll.Counter(obs.CounterCandidates), int64(res.Stats.Candidates); got != want {
 			t.Errorf("%v: candidates counter %d, Stats %d", algo, got, want)
 		}
-		if got, want := coll.Counter(CounterPairsVerified), int64(res.Stats.Verified); got != want {
+		if got, want := coll.Counter(obs.CounterPairsVerified), int64(res.Stats.Verified); got != want {
 			t.Errorf("%v: verified counter %d, Stats %d", algo, got, want)
 		}
-		if snap := collectorState(t, coll); snap.Spans[PhaseSignatures].Count != 0 {
+		if snap := collectorState(t, coll); snap.Spans[obs.PhaseSignatures].Count != 0 {
 			t.Errorf("%v: precomputed-sketch query reported a signature span", algo)
 		}
 	}
@@ -256,14 +257,14 @@ func TestProgressiveRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := coll.Counter(CounterCandidates), int64(res.Stats.Candidates); got != want {
+	if got, want := coll.Counter(obs.CounterCandidates), int64(res.Stats.Candidates); got != want {
 		t.Errorf("candidates counter %d, Stats %d", got, want)
 	}
-	if got, want := coll.Counter(CounterPairsVerified), int64(res.Stats.Verified); got != want {
+	if got, want := coll.Counter(obs.CounterPairsVerified), int64(res.Stats.Verified); got != want {
 		t.Errorf("verified counter %d, Stats %d", got, want)
 	}
 	snap := collectorState(t, coll)
-	for _, phase := range []string{PhaseSignatures, PhaseCandidates, PhaseVerify} {
+	for _, phase := range []string{obs.PhaseSignatures, obs.PhaseCandidates, obs.PhaseVerify} {
 		if snap.Spans[phase].Count != 1 {
 			t.Errorf("phase %q: %d spans, want 1", phase, snap.Spans[phase].Count)
 		}
@@ -279,7 +280,7 @@ func TestTopPairsAttemptsCounter(t *testing.T) {
 	}, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if got := coll.Counter(CounterTopPairsAttempts); got < 1 {
+	if got := coll.Counter(obs.CounterTopPairsAttempts); got < 1 {
 		t.Errorf("toppairs_attempts = %d, want >= 1", got)
 	}
 }
@@ -366,7 +367,7 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 		}
 		// The MinLSH query kept its layout's buckets; the cancelled ones
 		// kept nothing.
-		if got := coll.Counter(CounterIndexBuilds); got != 1 {
+		if got := coll.Counter(obs.CounterIndexBuilds); got != 1 {
 			t.Fatalf("workers=%d: %d index builds before any counting query could finish one, want the buckets alone", workers, got)
 		}
 
@@ -392,19 +393,19 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 		if err := errors.Join(errs...); err != nil {
 			t.Fatal(err)
 		}
-		if got := coll.Counter(CounterIndexBuilds); got != 3 {
+		if got := coll.Counter(obs.CounterIndexBuilds); got != 3 {
 			t.Errorf("workers=%d: %d index builds, want the buckets and one run index a sketch", workers, got)
 		}
 		// 12 bytes a cell, plus the K-MH offsets; the gauge holds the last
 		// index used.
 		mh := int64(12 * 60 * d.NumCols())
-		if got := coll.Gauge(GaugeIndexBytes); got != mh && got <= int64(8*d.NumCols()) {
+		if got := coll.Gauge(obs.GaugeIndexBytes); got != mh && got <= int64(8*d.NumCols()) {
 			t.Errorf("index_bytes = %d", got)
 		}
 		if _, err := SimilarPairsWithSignatures(d, sig, with(MinHash, nil)); err != nil {
 			t.Fatal(err)
 		}
-		if got := coll.Gauge(GaugeIndexBytes); got != mh {
+		if got := coll.Gauge(obs.GaugeIndexBytes); got != mh {
 			t.Errorf("index_bytes after a MinHash query = %d, want %d", got, mh)
 		}
 	}
@@ -414,10 +415,10 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := collectorState(t, coll)
-	if _, ok := snap.Counters[CounterIndexBuilds]; ok {
+	if _, ok := snap.Counters[obs.CounterIndexBuilds]; ok {
 		t.Error("a folding run reported index_builds")
 	}
-	if _, ok := snap.Gauges[GaugeIndexBytes]; ok {
+	if _, ok := snap.Gauges[obs.GaugeIndexBytes]; ok {
 		t.Error("a folding run reported index_bytes")
 	}
 }

@@ -1,17 +1,16 @@
 package assocmine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
+	"assocmine/internal/candidate"
+	"assocmine/internal/driver"
 	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
-	"assocmine/internal/obs"
-	"assocmine/internal/pairs"
 	"assocmine/internal/rules"
+	"assocmine/internal/verify"
 )
 
 // Rule is a directed high-confidence association rule From => To
@@ -112,7 +111,7 @@ func MineRulesWithSignatures(d *Dataset, s *Signatures, cfg RuleConfig) (*RulesR
 		return nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
 	}
 	cfg.K = s.sig.K
-	return mineRules(d.m.Stream(), &adopted{Sketch: fold.Sketch{MH: s.sig}, triangle: &s.triangle}, cfg)
+	return mineRules(d.m.Stream(), &driver.Adopted{Sketch: fold.Sketch{MH: s.sig}, Triangle: &s.triangle}, cfg)
 }
 
 // mineRules is §6 as the paper gives it — the §2 template again — so it
@@ -120,60 +119,24 @@ func MineRulesWithSignatures(d *Dataset, s *Signatures, cfg RuleConfig) (*RulesR
 // with the rules scheme, on one worker and with no recorder; Stats is
 // what the run counted. Verified rules come by decreasing confidence,
 // unverified ones in the estimate order phase 2 left.
-func mineRules(src matrix.RowSource, pre *adopted, cfg RuleConfig) (*RulesResult, error) {
+func mineRules(src matrix.RowSource, pre *driver.Adopted, cfg RuleConfig) (*RulesResult, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	r := newRun(src, nil, Config{
-		Algorithm: MinHash, K: cfg.K, Seed: cfg.Seed, Threshold: cfg.MinConfidence,
-		Context: cfg.Context, SkipVerify: cfg.SkipVerify, Workers: 1,
-	})
-	ps, err := r.mine(r.rulesScheme(cfg), pre)
+	in := driver.Input{
+		Src: src, Rules: true, Adopted: pre, SkipVerify: cfg.SkipVerify, Column: -1,
+		Params: candidate.Params{Algo: fold.MinHash, K: cfg.K, Seed: cfg.Seed, Threshold: cfg.MinConfidence, Delta: cfg.Delta},
+		Verify: verify.Params{Workers: 1, Context: cfg.Context},
+	}
+	res, err := similar(in, Config{Algorithm: MinHash}, driver.Mine)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Rule, len(ps))
-	for i, p := range ps {
-		out[i] = Rule{From: int(p.I), To: int(p.J), Estimate: p.Estimate, Confidence: p.Exact}
+	out := make([]Rule, len(res.Pairs))
+	for i, p := range res.Pairs {
+		out[i] = Rule{From: p.I, To: p.J, Estimate: p.Estimate, Confidence: p.Similarity}
 	}
-	if !cfg.SkipVerify {
-		slices.SortFunc(out, func(a, b Rule) int {
-			return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
-		})
-	}
-	return &RulesResult{Rules: out, Stats: r.st}, nil
-}
-
-// rulesScheme is §6's row of the template: candidates by the extended
-// Row-Sorting estimate over the MH sketch — filtered from the triangle
-// a resident sketch keeps, or swept for this run — pruned by the
-// run's one exact pass with confidence as the measure. A rule travels
-// through the driver as a directed pair (I => J).
-func (r *run) rulesScheme(cfg RuleConfig) scheme {
-	return scheme{
-		serial:  true,
-		measure: rules.Confidence,
-		generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
-			opt := rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence}
-			tri, err := r.kept.triangle.get(r.rec, rules.TriangleBytes(sk.MH.M), nil, func() (*rules.Triangle, error) {
-				return rules.Sweep(cfg.Context, sk.MH)
-			})
-			if err != nil {
-				return nil, err
-			}
-			var cand []rules.Rule
-			if tri != nil {
-				cand, err = tri.Rules(opt)
-			} else {
-				cand, err = rules.Candidates(cfg.Context, sk.MH, opt)
-			}
-			out := make([]pairs.Scored, len(cand))
-			for i, x := range cand {
-				out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate}
-			}
-			return out, err
-		},
-	}
+	return &RulesResult{Rules: out, Stats: res.Stats}, nil
 }
 
 // OrRules finds disjunctive rules c_i => c_j ∨ c_j2 (Section 7). The

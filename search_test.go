@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"assocmine/internal/candidate"
+	"assocmine/internal/driver"
 	"assocmine/internal/fold"
+	"assocmine/internal/obs"
 	"assocmine/internal/rules"
 )
 
@@ -57,12 +59,12 @@ func TestSearchMatchesLadder(t *testing.T) {
 				mode.set(&cfg)
 				column := func(col int) func(Config) (*Result, error) {
 					return func(c Config) (*Result, error) {
-						r, pre, err := sc.s.query(d, c)
+						in, c, err := sc.s.query(d, c)
 						if err != nil {
 							return nil, err
 						}
-						r.column = col
-						return r.similar(pre)
+						in.Column = col
+						return similar(in, c, driver.Mine)
 					}
 				}
 				answers, spills := 0, int64(0)
@@ -87,7 +89,7 @@ func TestSearchMatchesLadder(t *testing.T) {
 						}
 						noMoreWork(t, name("pairs"), search, ladder)
 						answers += len(want)
-						spills += search.Counter(CounterSpillRuns)
+						spills += search.Counter(obs.CounterSpillRuns)
 						for _, col := range []int{0, 9, 30, 50, d.NumCols() - 1} { // the last one is empty
 							ladder, search = NewCollector(), NewCollector()
 							cfg.Recorder = ladder
@@ -134,66 +136,13 @@ func TestSearchMatchesLadder(t *testing.T) {
 // counts, verifies and scans no more than it.
 func noMoreWork(t *testing.T, name string, search, ladder *Collector) {
 	t.Helper()
-	if got, want := search.Counter(CounterTopPairsAttempts), ladder.Counter(CounterTopPairsAttempts); got != want {
+	if got, want := search.Counter(obs.CounterTopPairsAttempts), ladder.Counter(obs.CounterTopPairsAttempts); got != want {
 		t.Fatalf("%s: %d steps replayed, the loop ran %d", name, got, want)
 	}
-	for _, c := range []string{CounterIncrements, CounterBucketPairs, CounterCandidates, CounterPairsVerified, CounterVerifyTouches, CounterDataPasses, CounterRowsScanned} {
+	for _, c := range []string{obs.CounterIncrements, obs.CounterBucketPairs, obs.CounterCandidates, obs.CounterPairsVerified, obs.CounterVerifyTouches, obs.CounterDataPasses, obs.CounterRowsScanned} {
 		if got, most := search.Counter(c), ladder.Counter(c); got > most {
 			t.Fatalf("%s: %s = %d, the loop's %d", name, c, got, most)
 		}
-	}
-}
-
-// TestMemoLifetime is the memo's contract, under -race: concurrent
-// first queries build once, a failed build keeps nothing, one slot
-// holds the last value ok accepted or build made, and a value over the
-// limit is neither built nor kept.
-func TestMemoLifetime(t *testing.T) {
-	type val struct{ key int }
-	var m memo[*val]
-	coll := NewCollector()
-	var builds int
-	get := func(size int64, key int) (*val, error) {
-		return m.get(coll, size, func(v *val) bool { return v.key == key }, func() (*val, error) {
-			builds++ // under the memo's lock
-			time.Sleep(time.Millisecond)
-			return &val{key}, nil
-		})
-	}
-	if v, err := (*memo[*val])(nil).get(coll, 1, nil, nil); v != nil || err != nil {
-		t.Fatalf("nil memo: %v, %v", v, err)
-	}
-	boom := errors.New("boom")
-	if v, err := m.get(coll, 1, nil, func() (*val, error) { return nil, boom }); v != nil || err != boom || m.v != nil {
-		t.Fatalf("failed build: %v, %v, kept %v", v, err, m.v)
-	}
-	var wg sync.WaitGroup
-	got := make([]*val, 8)
-	for g := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[g], _ = get(10, 1)
-		}()
-	}
-	wg.Wait()
-	for _, v := range got {
-		if v == nil || v != got[0] {
-			t.Fatalf("concurrent first gets returned %v and %v", v, got[0])
-		}
-	}
-	if builds != 1 || coll.Counter(CounterIndexBuilds) != 1 || coll.Gauge(GaugeIndexBytes) != 10 {
-		t.Fatalf("%d builds, index_builds %d, index_bytes %d", builds, coll.Counter(CounterIndexBuilds), coll.Gauge(GaugeIndexBytes))
-	}
-	if v, _ := get(10, 2); v == nil || v.key != 2 || m.v != v || builds != 2 {
-		t.Fatalf("another key: %v, kept %v after %d builds", v, m.v, builds)
-	}
-	m.limit = 16
-	if v, _ := get(17, 3); v != nil || m.v.key != 2 || builds != 2 {
-		t.Fatalf("over the limit: %v, kept %v after %d builds", v, m.v, builds)
-	}
-	if v, _ := get(16, 3); v == nil || v.key != 3 || builds != 3 {
-		t.Fatalf("at the limit: %v after %d builds", v, builds)
 	}
 }
 
@@ -213,8 +162,8 @@ func TestResidentMemos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.index.v != nil || s.bands.v != nil || s.triangle.v != nil || s.bands.limit != memoLimit || s.triangle.limit != memoLimit {
-			t.Fatalf("a new sketch keeps %v %v %v under limits %d %d", s.index.v, s.bands.v, s.triangle.v, s.bands.limit, s.triangle.limit)
+		if s.index.Kept != nil || s.bands.Kept != nil || s.triangle.Kept != nil || s.bands.Limit != memoLimit || s.triangle.Limit != memoLimit {
+			t.Fatalf("a new sketch keeps %v %v %v under limits %d %d", s.index.Kept, s.bands.Kept, s.triangle.Kept, s.bands.Limit, s.triangle.Limit)
 		}
 		return signaturesKeeping(s.sig, limit)
 	}
@@ -252,7 +201,7 @@ func TestResidentMemos(t *testing.T) {
 	if _, err := SimilarPairsWith(d, sig, bandCfg(20, cancelled, nil)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled first MinLSH query: %v", err)
 	}
-	if sig.triangle.v != nil || sig.bands.v != nil {
+	if sig.triangle.Kept != nil || sig.bands.Kept != nil {
 		t.Fatal("a dead first query kept what it was building")
 	}
 
@@ -280,14 +229,14 @@ func TestResidentMemos(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	tri, bands := sig.triangle.v, sig.bands.v
-	if tri == nil || bands == nil || sig.index.v != nil {
-		t.Fatalf("kept: triangle %v, buckets %v, run index %v", tri, bands, sig.index.v)
+	tri, bands := sig.triangle.Kept, sig.bands.Kept
+	if tri == nil || bands == nil || sig.index.Kept != nil {
+		t.Fatalf("kept: triangle %v, buckets %v, run index %v", tri, bands, sig.index.Kept)
 	}
-	if got := coll.Counter(CounterIndexBuilds); got != 1 {
+	if got := coll.Counter(obs.CounterIndexBuilds); got != 1 {
 		t.Errorf("%d bucket builds for six concurrent first queries", got)
 	}
-	if got, want := coll.Gauge(GaugeIndexBytes), int64(12*20*d.NumCols()); got != want {
+	if got, want := coll.Gauge(obs.GaugeIndexBytes), int64(12*20*d.NumCols()); got != want {
 		t.Errorf("index_bytes = %d, want %d", got, want)
 	}
 	if _, err := MineRulesWithSignatures(d, sig, RuleConfig{MinConfidence: 0.3, Seed: 3, SkipVerify: true}); err != nil {
@@ -296,7 +245,7 @@ func TestResidentMemos(t *testing.T) {
 	if _, err := TopColumnsWith(d, sig, 4, 3, bandCfg(20, nil, coll), 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if sig.triangle.v != tri || sig.bands.v != bands || coll.Counter(CounterIndexBuilds) != 1 {
+	if sig.triangle.Kept != tri || sig.bands.Kept != bands || coll.Counter(obs.CounterIndexBuilds) != 1 {
 		t.Error("a later query rebuilt what the sketch keeps")
 	}
 	// One slot: another layout replaces the buckets and answers as a run
@@ -309,8 +258,8 @@ func TestResidentMemos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(other.Pairs, wantOther.Pairs) || sig.bands.v == bands || coll.Counter(CounterIndexBuilds) != 2 {
-		t.Errorf("second layout: %d pairs (want %d), %d builds", len(other.Pairs), len(wantOther.Pairs), coll.Counter(CounterIndexBuilds))
+	if !reflect.DeepEqual(other.Pairs, wantOther.Pairs) || sig.bands.Kept == bands || coll.Counter(obs.CounterIndexBuilds) != 2 {
+		t.Errorf("second layout: %d pairs (want %d), %d builds", len(other.Pairs), len(wantOther.Pairs), coll.Counter(obs.CounterIndexBuilds))
 	}
 
 	// Above the bound nothing is built to be kept, and the answers are
@@ -333,7 +282,7 @@ func TestResidentMemos(t *testing.T) {
 			t.Fatalf("over-bound column search: %v, %v", top, err)
 		}
 	}
-	if small.triangle.v != nil || small.bands.v != nil || coll.Counter(CounterIndexBuilds) != 0 {
-		t.Errorf("over the bound: kept %v %v, %d builds", small.triangle.v, small.bands.v, coll.Counter(CounterIndexBuilds))
+	if small.triangle.Kept != nil || small.bands.Kept != nil || coll.Counter(obs.CounterIndexBuilds) != 0 {
+		t.Errorf("over the bound: kept %v %v, %d builds", small.triangle.Kept, small.bands.Kept, coll.Counter(obs.CounterIndexBuilds))
 	}
 }

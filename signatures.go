@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"assocmine/internal/candidate"
+	"assocmine/internal/driver"
 	"assocmine/internal/fold"
 	"assocmine/internal/minhash"
 	"assocmine/internal/rules"
@@ -25,9 +26,15 @@ import (
 type Signatures struct {
 	sig *minhash.Signatures
 
-	index, bands memo[*candidate.Index]
-	triangle     memo[*rules.Triangle]
+	index, bands driver.Memo[*candidate.Index]
+	triangle     driver.Memo[*rules.Triangle]
 }
+
+// memoLimit bounds what a resident sketch keeps beside its run index: a
+// larger structure is not built to be kept, and every query runs what a
+// one-shot run does. 64 MiB is §6's triangle up to 3 344 columns and the
+// buckets of a 40-band layout up to 139 810.
+const memoLimit = 64 << 20
 
 // newSignatures wraps a finished sketch that keeps what fits memoLimit.
 func newSignatures(sig *minhash.Signatures) *Signatures {
@@ -37,7 +44,7 @@ func newSignatures(sig *minhash.Signatures) *Signatures {
 // signaturesKeeping bounds the buckets and the triangle by limit each.
 func signaturesKeeping(sig *minhash.Signatures, limit int64) *Signatures {
 	s := &Signatures{sig: sig}
-	s.bands.limit, s.triangle.limit = limit, limit
+	s.bands.Limit, s.triangle.Limit = limit, limit
 	return s
 }
 
@@ -47,7 +54,7 @@ func signaturesKeeping(sig *minhash.Signatures, limit int64) *Signatures {
 // GOMAXPROCS, > 1 fans the one row pass out to per-worker fold states
 // that are merged exactly — bit-identical results either way.
 func ComputeSignatures(d *Dataset, k int, seed uint64, workers int) (*Signatures, error) {
-	sk, err := d.run(Config{Algorithm: MinHash, K: k, Seed: seed, Workers: normalizeWorkers(workers)}).sketch(nil)
+	sk, err := driver.Sketch(d.input(Config{Algorithm: MinHash, K: k, Seed: seed, Workers: normalizeWorkers(workers)}))
 	if err != nil {
 		return nil, err
 	}
@@ -68,23 +75,24 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 
 // query implements Resident: MinHash adopts the sketch with its run
 // index, MinLSH with the buckets of one band layout.
-func (s *Signatures) query(d *Dataset, cfg Config) (*run, *adopted, error) {
+func (s *Signatures) query(d *Dataset, cfg Config) (in driver.Input, _ Config, err error) {
 	if s.sig.M != d.NumCols() {
-		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
+		return in, cfg, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
 	}
 	cfg.K = s.sig.K
 	if err := cfg.setDefaults(); err != nil {
-		return nil, nil, err
+		return in, cfg, err
 	}
-	pre := &adopted{Sketch: fold.Sketch{MH: s.sig}, index: &s.index}
+	in = d.input(cfg)
+	in.Adopted = &driver.Adopted{Sketch: fold.Sketch{MH: s.sig}, Index: &s.index}
 	switch {
 	case cfg.Algorithm == MinHash:
 	case cfg.Algorithm != MinLSH:
-		return nil, nil, fmt.Errorf("assocmine: precomputed signatures support MinHash and MinLSH, got %v", cfg.Algorithm)
+		return in, cfg, fmt.Errorf("assocmine: precomputed signatures support MinHash and MinLSH, got %v", cfg.Algorithm)
 	case s.sig.K < cfg.R*cfg.L:
-		return nil, nil, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
+		return in, cfg, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
 	default:
-		pre.index = &s.bands
+		in.Adopted.Index = &s.bands
 	}
-	return d.run(cfg), pre, nil
+	return in, cfg, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"assocmine/internal/candidate"
+	"assocmine/internal/driver"
 	"assocmine/internal/fold"
 	"assocmine/internal/kminhash"
 )
@@ -19,7 +20,7 @@ import (
 // only count.
 type Sketches struct {
 	sk    *kminhash.Sketches
-	index memo[*candidate.Index]
+	index driver.Memo[*candidate.Index]
 }
 
 // ComputeSketches runs the K-MH phase 1 once — the same kernel
@@ -28,7 +29,7 @@ type Sketches struct {
 // shards the columns of the in-memory matrix across workers — with
 // identical sketch content either way.
 func ComputeSketches(d *Dataset, k int, seed uint64, workers int) (*Sketches, error) {
-	sk, err := d.run(Config{Algorithm: KMinHash, K: k, Seed: seed, Workers: normalizeWorkers(workers)}).sketch(nil)
+	sk, err := driver.Sketch(d.input(Config{Algorithm: KMinHash, K: k, Seed: seed, Workers: normalizeWorkers(workers)}))
 	if err != nil {
 		return nil, err
 	}
@@ -51,17 +52,16 @@ func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, err
 
 // query implements Resident: KMinHash, whatever cfg.Algorithm says,
 // over the sketch and its index.
-func (s *Sketches) query(d *Dataset, cfg Config) (*run, *adopted, error) {
+func (s *Sketches) query(d *Dataset, cfg Config) (in driver.Input, _ Config, err error) {
 	if len(s.sk.Sigs) != d.NumCols() {
-		return nil, nil, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", len(s.sk.Sigs), d.NumCols())
+		return in, cfg, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", len(s.sk.Sigs), d.NumCols())
 	}
 	if cfg.Algorithm != KMinHash && cfg.Algorithm != BruteForce {
-		return nil, nil, fmt.Errorf("assocmine: precomputed bottom-k sketches support KMinHash, got %v", cfg.Algorithm)
+		return in, cfg, fmt.Errorf("assocmine: precomputed bottom-k sketches support KMinHash, got %v", cfg.Algorithm)
 	}
-	cfg.Algorithm = KMinHash
-	cfg.K = s.sk.K
-	if err := cfg.setDefaults(); err != nil {
-		return nil, nil, err
-	}
-	return d.run(cfg), &adopted{Sketch: fold.Sketch{KMH: s.sk}, index: &s.index}, nil
+	cfg.Algorithm, cfg.K = KMinHash, s.sk.K
+	err = cfg.setDefaults()
+	in = d.input(cfg)
+	in.Adopted = &driver.Adopted{Sketch: fold.Sketch{KMH: s.sk}, Index: &s.index}
+	return in, cfg, err
 }

@@ -2,10 +2,8 @@ package assocmine
 
 import (
 	"fmt"
-	"sync"
 
-	"assocmine/internal/candidate"
-	"assocmine/internal/fold"
+	"assocmine/internal/driver"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -37,9 +35,9 @@ func TopPairs(d *Dataset, n int, cfg Config, minThreshold float64) ([]Pair, erro
 // TopColumnsWith run the driver's four steps with the sketch adopted
 // in place of the phase-1 fold.
 type Resident interface {
-	// query checks cfg against the sketch and returns the driver of one
-	// query answered from it, with the sketch to adopt.
-	query(d *Dataset, cfg Config) (*run, *adopted, error)
+	// query checks cfg against the sketch and returns the driver Input
+	// of a query answered from it, with cfg's defaults applied.
+	query(d *Dataset, cfg Config) (driver.Input, Config, error)
 }
 
 // SimilarPairsWith answers a similar-pairs query from a precomputed
@@ -52,11 +50,11 @@ type Resident interface {
 // requires R*L <= the sketch's K); a *Sketches answers KMinHash
 // (Hash-Count; cfg.Algorithm may be left zero — it is forced).
 func SimilarPairsWith(d *Dataset, s Resident, cfg Config) (*Result, error) {
-	r, pre, err := s.query(d, cfg)
+	in, cfg, err := s.query(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return r.similar(pre)
+	return similar(in, cfg, driver.Mine)
 }
 
 // TopPairsWith is TopPairs answered from a resident sketch, as one
@@ -127,82 +125,23 @@ func topLoop(n int, cfg Config, minThreshold float64, query func(Config) (*Resul
 	}
 }
 
-// hitBuffers recycles scan buffers: a search's hits are its largest
-// allocation and dead when it returns.
-var hitBuffers = sync.Pool{New: func() any { return new([]pairs.Scored) }}
-
-// search walks topLoop's ladder, from cfg.Threshold down to the floor,
-// in one run over a resident sketch (col < 0: every pair) and one scan
-// under the floor's parameters. A step's candidates are the hits its own
-// parameters admit, so they nest as the threshold falls: the pairs
-// verified so far are the current step's candidates, and its answer
-// those at or above its threshold. Verification runs at the floor,
-// keeping every similarity a later step can ask for, and a step that
-// admits nothing new scans nothing. So the search counts once, and
-// estimates and verifies a pair once, when the loop's first step to emit
-// it would: never more than the loop, whichever step ends it. attempts
-// counts the steps; candidates, pairs_verified and false_positives are
-// the last one's.
+// search is TopPairsWith and TopColumnsWith: the driver's one-run
+// search of the threshold ladder over the resident sketch (col < 0:
+// every pair, else the pairs containing col).
 func search(d *Dataset, s Resident, col, n int, cfg Config, floor float64) ([]Pair, error) {
 	if err := ladder(n, &cfg, &floor); err != nil {
 		return nil, err
 	}
-	r, pre, err := s.query(d, cfg)
+	in, cfg, err := s.query(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r.column = col
-	sk, err := r.sketch(pre)
+	in.Column = col
+	res, err := similar(in, cfg, func(in driver.Input) ([]pairs.Scored, error) {
+		return driver.Search(in, n, floor)
+	})
 	if err != nil {
 		return nil, err
 	}
-	at := func(t float64) candidate.Params { c := r.cfg; c.Threshold = t; return c.params() }
-	var se *candidate.Kernel
-	buf := hitBuffers.Get().(*[]pairs.Scored)
-	defer hitBuffers.Put(buf)
-	hits, err := r.candidates(scheme{generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-		ix, err := r.index(sk)
-		if err == nil {
-			se, err = ix.Search(at(floor))
-		}
-		if err != nil {
-			return nil, err
-		}
-		return r.scan(se, (*buf)[:0], tick)
-	}}, sk)
-	if err != nil {
-		return nil, err
-	}
-	*buf = hits // as grown; found and top below are copies
-	t := r.cfg.Threshold
-	r.cfg.Threshold, r.st.Candidates = floor, 0
-	var found, top []pairs.Scored
-	for {
-		r.rec.Add(obs.CounterTopPairsAttempts, 1)
-		var fresh []pairs.Scored
-		fresh, hits = se.Step(at(t), hits)
-		r.st.Candidates += len(fresh)
-		if len(fresh) > 0 && !r.cfg.SkipVerify {
-			if fresh, err = r.verify(scheme{}, fresh); err != nil {
-				return nil, err
-			}
-		}
-		found = append(found, fresh...)
-		top = top[:0]
-		for _, p := range found {
-			if r.cfg.SkipVerify || p.Exact >= t {
-				top = append(top, p)
-			}
-		}
-		if len(top) >= n || t <= floor {
-			break
-		}
-		t = max(t*0.7, floor)
-	}
-	if !r.cfg.SkipVerify {
-		r.st.Verified, r.st.FalsePositives = len(top), r.st.Candidates-len(top)
-	}
-	r.finish()
-	out := r.result(top, !r.cfg.SkipVerify).Pairs
-	return out[:min(n, len(out))], nil
+	return res.Pairs, nil
 }
