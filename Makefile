@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check benchcheck race-all exports vet fmt bench bench-resident bench-phase3 experiments experiments-full fuzz loc clean
+.PHONY: all build test check benchcheck race-all exports vet fmt bench bench-resident bench-phase1 bench-phase3 experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -65,6 +65,20 @@ bench-resident:
 	./.bench_build/resident.test -test.run '^$$' -test.bench BenchmarkResidentQueries -test.benchmem \
 		-test.cpu 1 -test.benchtime 30x -test.count $(COUNT) -test.timeout 30m
 
+# Phase 1's kernels alone (BenchmarkFoldRow: the MH fold of a fixed
+# shard of Zipf rows; BenchmarkScanARows, BenchmarkScanCARows: one fixed
+# encoded file decoded from memory) from test binaries built once into
+# .bench_build/, COUNT runs of each; compare two commits the way
+# bench-resident says.
+bench-phase1:
+	mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/minhash.test ./internal/minhash
+	$(GO) test -c -o .bench_build/matrix.test ./internal/matrix
+	./.bench_build/minhash.test -test.run '^$$' -test.bench 'BenchmarkFoldRow$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
+	./.bench_build/matrix.test -test.run '^$$' -test.bench 'BenchmarkScanC?ARows$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 20x -test.count $(COUNT) -test.timeout 30m
+
 # Phase 3's containers and the BPS tally (BenchmarkPackedSparse,
 # BenchmarkPackedDense, BenchmarkPackedSweepCluster, the streamed fill
 # BenchmarkPackFromFile, BenchmarkBPSSampleWide) from test binaries
@@ -93,8 +107,10 @@ fuzz:
 	$(GO) test ./internal/matrix -fuzz FuzzReadNamedTransactions -fuzztime 10s
 	$(GO) test ./internal/matrix -fuzz FuzzCArowsRoundTrip -fuzztime 10s
 	$(GO) test ./internal/matrix -fuzz FuzzScanRange -fuzztime 10s
+	$(GO) test ./internal/matrix -fuzz FuzzScanVsByteLoop -fuzztime 10s
 	$(GO) test ./internal/minhash -fuzz FuzzFoldStateRoundTrip -fuzztime 10s
 	$(GO) test ./internal/minhash -fuzz FuzzMergeVsBatch -fuzztime 10s
+	$(GO) test ./internal/minhash -fuzz FuzzCeilingVsSweep -fuzztime 10s
 	$(GO) test ./internal/kminhash -fuzz FuzzFoldStateRoundTrip -fuzztime 10s
 	$(GO) test ./internal/kminhash -fuzz FuzzMergeVsBatch -fuzztime 10s
 	$(GO) test . -fuzz FuzzOpenFileDataset -fuzztime 10s

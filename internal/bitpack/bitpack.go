@@ -14,6 +14,7 @@
 package bitpack
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -118,19 +119,30 @@ func (bw *Writer) Flush() error {
 	return bw.err
 }
 
-// ByteSource is the reader side's byte supply; *bufio.Reader and the
-// offset-tracked readers of the file-backed scans implement it.
+// ByteSource is the reader side's byte supply: a buffered stream whose
+// window the Reader borrows whole words from. *bufio.Reader and the
+// offset-tracked readers of the file-backed scans implement it. The
+// Reader only ever peeks at bytes the source already holds, or at one
+// byte to make it refill, so a read error is reported exactly once, by
+// the read that hits it.
 type ByteSource interface {
-	ReadByte() (byte, error)
+	Buffered() int
+	Peek(n int) ([]byte, error)
+	Discard(n int) (int, error)
 }
 
-// Reader unpacks bits LSB-first from a ByteSource. Align discards the
-// remainder of the current byte, re-synchronising with byte-aligned
-// framing (row and block boundaries).
+// Reader unpacks bits LSB-first from a ByteSource. It loads up to eight
+// bytes at a time straight from the source's window, and consumes them
+// from the source only when Align hands back the whole bytes it did not
+// use, or when the window runs dry and must be refilled. So between
+// Aligns the source must not be read by anyone else; after Align it is
+// positioned exactly behind the last byte any decoded bit came from.
 type Reader struct {
 	r   ByteSource
-	acc uint64
-	n   uint
+	win []byte // the source's window; win[:pos] is loaded into acc
+	pos int
+	acc uint64 // loaded bits, LSB first; bits at and above n are scratch
+	n   uint   // valid bits in acc
 }
 
 // NewReader returns a Reader consuming from r.
@@ -140,8 +152,42 @@ func NewReader(r ByteSource) *Reader {
 
 // Reset rebinds the reader to a new source, dropping buffered bits.
 func (br *Reader) Reset(r ByteSource) {
-	br.r = r
-	br.acc, br.n = 0, 0
+	*br = Reader{r: r}
+}
+
+// fill loads whole bytes into acc: seven or eight at once while the
+// window holds a full word, one at a time from its last few bytes, and
+// when it is empty it consumes the window from the source and peeks one
+// byte to make the source refill. A refill error drops the loaded bits,
+// leaving every byte they came from consumed.
+func (br *Reader) fill() error {
+	if br.pos+8 <= len(br.win) {
+		// The bits above the new n come from the bytes that follow:
+		// loading those bytes again later ORs the same bits in.
+		br.acc |= binary.LittleEndian.Uint64(br.win[br.pos:]) << br.n
+		adv := (63 - br.n) >> 3
+		br.pos += int(adv)
+		br.n += adv << 3
+		return nil
+	}
+	if br.pos == len(br.win) {
+		br.r.Discard(br.pos)
+		br.win, br.pos = nil, 0
+		if _, err := br.r.Peek(1); err != nil {
+			br.acc, br.n = 0, 0
+			return err
+		}
+		br.win, _ = br.r.Peek(br.r.Buffered())
+		if len(br.win) >= 8 {
+			return br.fill()
+		}
+	}
+	for br.n <= 56 && br.pos < len(br.win) {
+		br.acc |= uint64(br.win[br.pos]) << br.n
+		br.pos++
+		br.n += 8
+	}
+	return nil
 }
 
 // readBits returns the next width bits, LSB first. width must be <= 56.
@@ -150,12 +196,9 @@ func (br *Reader) readBits(width uint) (uint64, error) {
 		return 0, fmt.Errorf("bitpack: width %d out of range", width)
 	}
 	for br.n < width {
-		b, err := br.r.ReadByte()
-		if err != nil {
+		if err := br.fill(); err != nil {
 			return 0, err
 		}
-		br.acc |= uint64(b) << br.n
-		br.n += 8
 	}
 	v := br.acc & ((1 << width) - 1)
 	br.acc >>= width
@@ -165,17 +208,36 @@ func (br *Reader) readBits(width uint) (uint64, error) {
 
 // ReadRice decodes one Rice-coded value with parameter k.
 func (br *Reader) ReadRice(k uint) (uint64, error) {
-	// Scan buffered bits a word at a time: the quotient is the run of
-	// one bits up to the first zero, so count trailing ones in acc.
+	// Top the bits up to 56 or more from the window, without a branch
+	// on how many are left. Then the quotient is the run of one bits up
+	// to the first zero, and when the loaded bits hold the whole code it
+	// is decoded in place.
+	if br.pos+8 <= len(br.win) {
+		br.acc |= binary.LittleEndian.Uint64(br.win[br.pos:]) << br.n
+		adv := (63 - br.n) >> 3
+		br.pos += int(adv)
+		br.n += adv << 3
+	}
+	ones := uint(bits.TrailingZeros64(^br.acc))
+	if w := ones + 1 + k; w <= br.n {
+		v := uint64(ones)<<k | br.acc>>(ones+1)&(1<<k-1)
+		br.acc >>= w
+		br.n -= w
+		return v, nil
+	}
+	return br.readRice(k)
+}
+
+// readRice is ReadRice for a code the loaded bits do not hold: it counts
+// the quotient's ones a load at a time, refilling the window as it runs
+// dry.
+func (br *Reader) readRice(k uint) (uint64, error) {
 	q := uint64(0)
 	for {
 		if br.n == 0 {
-			b, err := br.r.ReadByte()
-			if err != nil {
+			if err := br.fill(); err != nil {
 				return 0, err
 			}
-			br.acc = uint64(b)
-			br.n = 8
 		}
 		ones := uint(bits.TrailingZeros64(^br.acc))
 		if ones < br.n {
@@ -184,11 +246,19 @@ func (br *Reader) ReadRice(k uint) (uint64, error) {
 			br.n -= ones + 1
 			break
 		}
-		q += uint64(br.n)
-		br.acc, br.n = 0, 0
-		if q > maxUnary {
+		if q+uint64(br.n) > maxUnary {
+			// Stop at the first byte boundary past the limit, where a
+			// byte-at-a-time reader notices it, so the bytes consumed
+			// (and the offset an error reports) do not depend on how
+			// many bytes a load took. Boundaries sit at n, n-8, ...
+			need := uint(maxUnary + 1 - q)
+			b := br.n - (br.n-need)&^7
+			br.acc >>= b
+			br.n -= b
 			return 0, fmt.Errorf("bitpack: unary run exceeds %d", maxUnary)
 		}
+		q += uint64(br.n)
+		br.acc, br.n = 0, 0
 	}
 	if k == 0 {
 		return q, nil
@@ -200,10 +270,14 @@ func (br *Reader) ReadRice(k uint) (uint64, error) {
 	return q<<k | low, nil
 }
 
-// Align discards the unread bits of the current byte, so the next read
-// starts at the following byte boundary.
+// Align discards the unread bits of the current byte, hands the whole
+// unread bytes back to the source and consumes the rest, so the next
+// read — the Reader's or the source's own — starts at the following
+// byte boundary.
 func (br *Reader) Align() {
-	br.acc, br.n = 0, 0
+	br.pos -= int(br.n >> 3)
+	br.r.Discard(br.pos)
+	br.win, br.pos, br.acc, br.n = nil, 0, 0, 0
 }
 
 // riceCost returns the encoded size, in bits, of v under parameter k,

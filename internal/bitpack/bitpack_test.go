@@ -97,9 +97,14 @@ func TestReadRiceHostileUnary(t *testing.T) {
 	}
 }
 
+// ones is an endless window of 1-bits.
 type ones struct{}
 
-func (ones) ReadByte() (byte, error) { return 0xff, nil }
+var onesWindow = bytes.Repeat([]byte{0xff}, 4096)
+
+func (ones) Buffered() int              { return len(onesWindow) }
+func (ones) Peek(n int) ([]byte, error) { return onesWindow[:n], nil }
+func (ones) Discard(n int) (int, error) { return n, nil }
 
 func TestAlignResyncs(t *testing.T) {
 	var buf bytes.Buffer

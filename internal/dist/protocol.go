@@ -33,6 +33,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -472,7 +473,10 @@ func decodeKeyRun(r *bytes.Reader) ([]uint64, error) {
 	if kb > 63 {
 		return nil, fmt.Errorf("rice parameter %d out of range", kb)
 	}
-	pr := bitpack.NewReader(r)
+	// The bit reader borrows a bufio window; what bufio read ahead goes
+	// back to r once the run is aligned.
+	br := bufio.NewReader(r)
+	pr := bitpack.NewReader(br)
 	prev := keys[0]
 	for i := uint64(1); i < n; i++ {
 		d, err := pr.ReadRice(uint(kb))
@@ -487,6 +491,9 @@ func decodeKeyRun(r *bytes.Reader) ([]uint64, error) {
 		prev = next
 	}
 	pr.Align()
+	if _, err := r.Seek(-int64(br.Buffered()), io.SeekCurrent); err != nil {
+		return nil, err
+	}
 	return keys, nil
 }
 

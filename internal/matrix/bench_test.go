@@ -2,9 +2,11 @@ package matrix
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/testutil"
 )
 
 func benchMatrix(b *testing.B) *Matrix {
@@ -92,3 +94,33 @@ func BenchmarkTailRange(b *testing.B) {
 		})
 	}
 }
+
+// benchScan scans one fixed encoded file of Zipf rows — 100 000 rows of
+// about 12 entries over 16 896 columns, stream-sig's shape — served from
+// memory through the FS seam: the decoder alone, without the disk.
+func benchScan(b *testing.B, write func(io.Writer, RowSource) error, path string) {
+	rows := testutil.ZipfRows(1, 100_000, 16_896, 12, 1.1)
+	entries := 0
+	for _, r := range rows {
+		entries += len(r)
+	}
+	var enc bytes.Buffer
+	if err := write(&enc, &SliceSource{Cols: 16_896, Rows: rows}); err != nil {
+		b.Fatal(err)
+	}
+	src, err := OpenFileSourceFS(memFS(enc.Bytes()), path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(enc.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Scan(func(int, []int32) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+}
+
+func BenchmarkScanARows(b *testing.B)  { benchScan(b, writeRowBinary, "bench.arows") }
+func BenchmarkScanCARows(b *testing.B) { benchScan(b, writeRowCompressed, "bench.carows") }

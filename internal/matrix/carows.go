@@ -157,7 +157,9 @@ func newCompressedRowDecoder(tr *trackedReader, rows, cols int) *compressedRowDe
 // empty row, which has no payload), whether the payload is a literal
 // bitmap, and the Rice parameter otherwise.
 func (d *compressedRowDecoder) rowHeader(row int) (count uint64, bitmap bool, k uint, err error) {
-	h, err := binary.ReadUvarint(d.tr)
+	w := d.tr.window()
+	h, err := w.uvarint()
+	w.commit()
 	if err != nil {
 		return 0, false, 0, fmt.Errorf("row %d header: %w", row, err)
 	}
@@ -188,12 +190,12 @@ func (d *compressedRowDecoder) skip(row int) error {
 		}
 		return nil
 	}
+	defer d.pr.Align() // rows are byte-aligned
 	for i := uint64(0); i < count; i++ {
 		if _, err := d.pr.ReadRice(k); err != nil {
 			return fmt.Errorf("row %d entry %d: %w", row, i, err)
 		}
 	}
-	d.pr.Align() // rows are byte-aligned
 	return nil
 }
 
@@ -212,6 +214,9 @@ func (d *compressedRowDecoder) next(row int, buf []int32) ([]int32, error) {
 	// cost of a posting is the varint of its distance from last.
 	last := int64(0)
 	if !bitmap {
+		// Aligned on every return, so a failing row is consumed up to
+		// the byte its bad code ends in.
+		defer d.pr.Align() // rows are byte-aligned
 		for i := uint64(0); i < count; i++ {
 			gap, err := d.pr.ReadRice(k)
 			if err != nil {
@@ -228,7 +233,6 @@ func (d *compressedRowDecoder) next(row int, buf []int32) ([]int32, error) {
 			last = v
 			buf = append(buf, int32(v))
 		}
-		d.pr.Align() // rows are byte-aligned
 		return buf, nil
 	}
 	// Decode the ceil(cols/8)-byte bitmap in bounded chunks: the

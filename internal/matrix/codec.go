@@ -190,22 +190,19 @@ func readBinary(r io.Reader) (*Matrix, error) {
 			continue
 		}
 		col := make([]int32, length)
-		prev := int32(0)
+		prev := uint64(0)
 		for i := range col {
 			d, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("matrix: column %d entry %d: %w", c, i, err)
 			}
-			var v int32
-			if i == 0 {
-				v = int32(d)
-			} else {
-				v = prev + int32(d)
-			}
-			if v < prev && i > 0 || int(v) >= rows || v < 0 {
+			// Bound the delta before adding it: a wider one must not wrap
+			// into range.
+			v := prev + d
+			if d >= uint64(rows) || v >= uint64(rows) {
 				return nil, fmt.Errorf("matrix: column %d entry %d out of range", c, i)
 			}
-			col[i] = v
+			col[i] = int32(v)
 			prev = v
 		}
 		cols[c] = col

@@ -229,6 +229,15 @@ func TestBinaryRejectsOversizedColumn(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsWrappingDelta: a row delta of 2^32+1 is out of range,
+// though truncated to int32 it is 1, a valid row of the 3×1 matrix.
+func TestBinaryRejectsWrappingDelta(t *testing.T) {
+	data := rowBinary("AMX1", []uint64{3, 1}, []uint64{1, 1<<32 + 1})
+	if m, err := readBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("readBinary = %v, %v; want an out-of-range error", m, err)
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	m := paperExample()

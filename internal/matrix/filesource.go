@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -292,6 +293,88 @@ func (t *trackedReader) ReadString(delim byte) (string, error) {
 	return s, err
 }
 
+// Buffered, Peek and Discard make the reader a bitpack.ByteSource: the
+// bit reader borrows the bufio window and consumes through Discard,
+// which counts what it crosses.
+func (t *trackedReader) Buffered() int { return t.br.Buffered() }
+
+func (t *trackedReader) Peek(n int) ([]byte, error) { return t.br.Peek(n) }
+
+func (t *trackedReader) Discard(n int) (int, error) {
+	d, err := t.br.Discard(n)
+	t.off += int64(d)
+	return d, err
+}
+
+// window is a decoder's view of the bytes bufio already holds: codes
+// are decoded straight from buf, and the bytes before p are consumed
+// (and counted) by commit. It never asks bufio to fill — only a code
+// the window ends inside is read byte by byte, which refills it — so a
+// read error surfaces once, from the read that hit it, at the offset a
+// byte-at-a-time decoder reports.
+type window struct {
+	t   *trackedReader
+	buf []byte
+	p   int
+}
+
+// window returns the view of the bytes bufio holds right now.
+func (t *trackedReader) window() window {
+	buf, _ := t.br.Peek(t.br.Buffered()) // never fills, never fails
+	return window{t: t, buf: buf}
+}
+
+// commit consumes the bytes decoded so far.
+func (w *window) commit() {
+	w.t.Discard(w.p)
+	w.buf, w.p = w.buf[w.p:], 0
+}
+
+// uvarint decodes the next uvarint, from the window when it holds the
+// whole code.
+func (w *window) uvarint() (uint64, error) {
+	if v, n := uvarintWord(w.buf[w.p:]); n > 0 {
+		w.p += n
+		return v, nil
+	}
+	return w.uvarintSlow()
+}
+
+// uvarintWord decodes a uvarint of at most five bytes — every column id
+// and count fits — from the first word of b, with no branch per byte.
+// n is 0 when b is shorter than a word or the code longer than five
+// bytes; binary.Uvarint and ReadUvarint decide those.
+func uvarintWord(b []byte) (v uint64, n int) {
+	if len(b) < 8 {
+		return 0, 0
+	}
+	x := binary.LittleEndian.Uint64(b)
+	n = bits.TrailingZeros64(^x&0x8080808080808080)>>3 + 1 // the first byte with its high bit clear ends the code
+	if n > 5 {
+		return 0, 0
+	}
+	x &= 1<<(8*n) - 1
+	// Byte i holds bits 7i..7i+6 of the value in its low seven bits.
+	return x&0x7f | x>>1&0x3f80 | x>>2&0x1fc000 | x>>3&0xfe00000 | x>>4&0x7f0000000, n
+}
+
+// uvarintSlow decodes a code uvarintWord leaves: one among the window's
+// last seven bytes, one longer than five bytes, one the window ends
+// inside, one that overflows. The last two are read with
+// binary.ReadUvarint from the committed position, so their value, error
+// and offset are exactly a byte-at-a-time decoder's, and the window is
+// refilled behind them.
+func (w *window) uvarintSlow() (uint64, error) {
+	if v, n := binary.Uvarint(w.buf[w.p:]); n > 0 {
+		w.p += n
+		return v, nil
+	}
+	w.commit()
+	v, err := binary.ReadUvarint(w.t)
+	*w = w.t.window()
+	return v, err
+}
+
 // skipUvarints crosses n varints by counting terminator bytes (high
 // bit clear) in the buffered window — no decoding, no per-byte calls.
 func (t *trackedReader) skipUvarints(n int) error {
@@ -336,8 +419,8 @@ func (t *trackedReader) discard(n int64) error {
 	return nil
 }
 
-// byteScanner is the reader the row decoders consume: buffered reads
-// plus single bytes for varints.
+// byteScanner is the reader the header decoders consume: buffered
+// reads plus single bytes for varints.
 type byteScanner interface {
 	io.Reader
 	io.ByteReader
@@ -474,7 +557,7 @@ func (fs *FileSource) scan(from, to int, fn func(row int, cols []int32) error) e
 func (fs *FileSource) decoder(tr *trackedReader) rowDecoder {
 	switch fs.format {
 	case formatARows:
-		return rowBinaryDecoder{tr, fs.cols}
+		return &rowBinaryDecoder{tr: tr, cols: fs.cols, w: tr.window()}
 	case formatCARows:
 		return newCompressedRowDecoder(tr, fs.rows, fs.cols)
 	}
@@ -577,15 +660,20 @@ func readRowHeader(r byteScanner, magic, kind string) (rows, cols int, err error
 	return int(r64), int(c64), nil
 }
 
-// rowBinaryDecoder reads the rows of an ".arows" stream.
+// rowBinaryDecoder reads the rows of an ".arows" stream straight from
+// the bufio window: it decodes the complete codes the window holds and
+// consumes them from bufio only when a code runs past the window's end
+// (then reading that code byte by byte refills the window) or a row
+// fails, so the failing row's FileError carries the exact offset.
 type rowBinaryDecoder struct {
 	tr   *trackedReader
 	cols int
+	w    window
 }
 
 // length reads a row's entry count.
-func (d rowBinaryDecoder) length(row int) (uint64, error) {
-	length, err := binary.ReadUvarint(d.tr)
+func (d *rowBinaryDecoder) length(row int) (uint64, error) {
+	length, err := d.w.uvarint()
 	if err != nil {
 		return 0, fmt.Errorf("row %d length: %w", row, err)
 	}
@@ -595,35 +683,56 @@ func (d rowBinaryDecoder) length(row int) (uint64, error) {
 	return length, nil
 }
 
-func (d rowBinaryDecoder) skip(row int) error {
+func (d *rowBinaryDecoder) skip(row int) error {
 	length, err := d.length(row)
+	d.w.commit()
 	if err != nil {
 		return err
 	}
-	if err := d.tr.skipUvarints(int(length)); err != nil {
+	err = d.tr.skipUvarints(int(length))
+	d.w = d.tr.window()
+	if err != nil {
 		return fmt.Errorf("row %d: %w", row, err)
 	}
 	return nil
 }
 
-func (d rowBinaryDecoder) next(row int, buf []int32) ([]int32, error) {
+func (d *rowBinaryDecoder) next(row int, buf []int32) ([]int32, error) {
+	buf, err := d.decode(row, buf)
+	if err != nil {
+		d.w.commit()
+	}
+	return buf, err
+}
+
+func (d *rowBinaryDecoder) decode(row int, buf []int32) ([]int32, error) {
 	length, err := d.length(row)
 	if err != nil {
 		return nil, err
 	}
-	prev := int32(0)
+	cols := uint64(d.cols)
+	prev := uint64(0)
+	win, p := d.w.buf, d.w.p
 	for i := uint64(0); i < length; i++ {
-		delta, err := binary.ReadUvarint(d.tr)
-		if err != nil {
-			return nil, fmt.Errorf("row %d entry %d: %w", row, i, err)
+		delta, n := uvarintWord(win[p:])
+		if p += n; n == 0 {
+			d.w.p = p
+			if delta, err = d.w.uvarintSlow(); err != nil {
+				return nil, fmt.Errorf("row %d entry %d: %w", row, i, err)
+			}
+			win, p = d.w.buf, d.w.p
 		}
-		v := prev + int32(delta)
-		if v < 0 || int(v) >= d.cols || (i > 0 && v <= prev) {
+		// Bound the delta before adding it: a wider one must not wrap
+		// into range.
+		v := prev + delta
+		if delta >= cols || v >= cols || (i > 0 && delta == 0) {
+			d.w.p = p
 			return nil, fmt.Errorf("row %d entry %d out of range", row, i)
 		}
-		buf = append(buf, v)
+		buf = append(buf, int32(v))
 		prev = v
 	}
+	d.w.p = p
 	return buf, nil
 }
 

@@ -56,6 +56,13 @@ func TestFileSourceDecodeErrors(t *testing.T) {
 			want: "out of range",
 		},
 		{
+			// 2^32+1 truncated to int32 is 1, a valid column of the 1×3
+			// matrix: the delta must be bounded before it is converted.
+			name: "binary delta wraps int32", ext: ".arows",
+			data: rowBinary("ARW1", []uint64{1, 3}, []uint64{1, 1<<32 + 1}),
+			want: "row 0 entry 0 out of range",
+		},
+		{
 			name: "binary row length exceeds cols", ext: ".arows",
 			data: rowBinary("ARW1", []uint64{1, 3}, []uint64{9}),
 			want: "exceeds column count",

@@ -5,6 +5,7 @@ import (
 
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
+	"assocmine/internal/testutil"
 )
 
 func benchMatrix(b *testing.B, rows, cols int, density float64) *matrix.Matrix {
@@ -58,4 +59,28 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
+}
+
+// BenchmarkFoldRow folds a fixed shard of Zipf(1.1) rows — 100 000 rows
+// of about 12 entries over 16 896 columns, stream-sig's shape — into a
+// fresh k = 64 state: the MH fold alone, without decode. ns/entry-hash
+// is the figure stream-sig traces as minhash.fold_ns_per_entry_hash.
+func BenchmarkFoldRow(b *testing.B) {
+	const rows, cols, k = 100_000, 16_896, 64
+	data := testutil.ZipfRows(1, rows, cols, 12, 1.1)
+	entries := 0
+	for _, row := range data {
+		entries += len(row)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := NewFoldState(cols, k, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r, row := range data {
+			st.FoldRow(r, row)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries*k), "ns/entry-hash")
 }

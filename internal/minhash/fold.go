@@ -10,10 +10,21 @@ import (
 // row-fold loop of the package: Compute, the streamed driver and
 // ingestion all fold through it. The running minima are column-major —
 // each column's k minima contiguous — so the inner k-loop sweeps one
-// L1-resident slice (foldMin) instead of scattering across the
+// L1-resident slice (foldMinMax) instead of scattering across the
 // hash-major value array with stride m; Finish transposes once, and
 // per-cell minima are order-independent, so the result is bit-identical
-// to a direct scatter. The state is resumable: ingestion can stop after
+// to a direct scatter.
+//
+// Each column also keeps its ceiling, the largest of its k running
+// minima. A row whose smallest hash is not below a column's ceiling
+// cannot lower any of that column's minima, so FoldRow skips the
+// column's sweep outright: the skip is exact, not an estimate. A column
+// of t rows then pays about k·H_k·(1 + ln(t / k·H_k)) sweeps instead of
+// t (H_k the k-th harmonic number), so the heavy columns of a skewed
+// dataset fold at almost no cost. The ceilings are derived state: they
+// are not persisted, and ReadFoldState and Merge rebuild them.
+//
+// The state is resumable: ingestion can stop after
 // any row, snapshot to disk (Snapshot/ReadFoldState, format AMF1), and
 // continue later at O(new rows) cost.
 // States over disjoint row sets combine exactly with Merge — the
@@ -30,6 +41,7 @@ type FoldState struct {
 	seed    uint64
 	rows    int64    // rows folded so far
 	work    []uint64 // column-major running minima: work[c*k+l]
+	ceil    []uint64 // ceil[c] = max(work[c*k : c*k+k]), column c's ceiling
 	hs      []hashing.PermHash
 	rowVals []uint64 // per-row hash scratch
 }
@@ -49,11 +61,15 @@ func NewFoldState(m, k int, seed uint64) (*FoldState, error) {
 		m:       m,
 		seed:    seed,
 		work:    make([]uint64, k*m),
+		ceil:    make([]uint64, m),
 		hs:      hashing.NewPermHashes(seed, k),
 		rowVals: make([]uint64, k),
 	}
 	for i := range s.work {
 		s.work[i] = Empty
+	}
+	for c := range s.ceil {
+		s.ceil[c] = Empty
 	}
 	return s, nil
 }
@@ -78,12 +94,33 @@ func (s *FoldState) FoldRow(row int, cols []int32) {
 	if len(cols) == 0 {
 		return
 	}
-	k := s.k
-	for l := 0; l < k; l++ {
-		s.rowVals[l] = s.hs[l].Row(row)
+	k, lo := s.k, Empty
+	for l, h := range s.hs[:k] {
+		v := h.Row(row)
+		s.rowVals[l] = v
+		lo = min(lo, v)
 	}
 	for _, c := range cols {
-		foldMin(s.work[int(c)*k:int(c)*k+k], s.rowVals)
+		// Every hash of the row is >= lo >= ceil[c] >= each minimum of
+		// the column: none of them can fall.
+		if lo < s.ceil[c] {
+			s.ceil[c] = foldMinMax(s.work[int(c)*k:int(c)*k+k], s.rowVals)
+		}
+	}
+}
+
+// rebuildCeilings recomputes every column's ceiling from its minima,
+// after the minima changed wholesale (a decoded snapshot, a merge).
+func (s *FoldState) rebuildCeilings() {
+	if len(s.ceil) != s.m {
+		s.ceil = make([]uint64, s.m)
+	}
+	for c := range s.ceil {
+		hi := uint64(0)
+		for _, v := range s.work[c*s.k : (c+1)*s.k] {
+			hi = max(hi, v)
+		}
+		s.ceil[c] = hi
 	}
 }
 
@@ -105,7 +142,8 @@ func (s *FoldState) Finish() *Signatures {
 // becomes exactly the state of folding their union — minimisation is
 // commutative, associative, and idempotent-with-empty, so any merge
 // order (and any row partition) yields the same state bit for bit. src
-// is left unchanged. The states must agree on k, m, and seed.
+// is left unchanged. The states must agree on k, m, and seed. dst's
+// ceilings are recomputed from the merged minima.
 func Merge(dst, src *FoldState) error {
 	if dst.k != src.k || dst.m != src.m || dst.seed != src.seed {
 		return fmt.Errorf("minhash: fold state mismatch: k=%d/%d m=%d/%d seed=%#x/%#x",
@@ -116,6 +154,7 @@ func Merge(dst, src *FoldState) error {
 			dst.work[i] = v
 		}
 	}
+	dst.rebuildCeilings()
 	dst.rows += src.rows
 	return nil
 }

@@ -68,6 +68,7 @@ func TestComputeStreamZeroRows(t *testing.T) {
 func (s *FoldState) Clone() *FoldState {
 	c, _ := NewFoldState(s.m, s.k, s.seed)
 	copy(c.work, s.work)
+	copy(c.ceil, s.ceil)
 	c.rows = s.rows
 	return c
 }

@@ -101,6 +101,7 @@ func ReadFoldState(r io.Reader) (*FoldState, error) {
 		work = append(work, binary.LittleEndian.Uint64(buf[:]))
 	}
 	s := &FoldState{k: int(k), m: int(m), seed: seed, rows: int64(rows), work: work}
+	s.rebuildCeilings()
 	// Only a row with columns reaches the hash family, so a state
 	// without columns, whose bytes are its header alone, goes without.
 	if m > 0 {

@@ -41,33 +41,27 @@ func Compute(src matrix.RowSource, k int, seed uint64) (*Signatures, error) {
 	return st.Finish(), nil
 }
 
-// foldMin lowers each dst[l] to rowVals[l] when smaller. This is the
+// foldMinMax lowers each dst[l] to rowVals[l] when smaller and returns
+// the largest of the lowered dst, the column's new ceiling. This is the
 // hot inner loop of the signature pass: dst is one column's contiguous
 // minima, so the sweep is a straight run over cached words, unrolled by
-// four with the bounds checks hoisted.
-func foldMin(dst, rowVals []uint64) {
+// four with the bounds checks hoisted and branch-free min/max.
+func foldMinMax(dst, rowVals []uint64) uint64 {
 	rowVals = rowVals[:len(dst)]
+	hi := uint64(0)
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		d, r := dst[i:i+4:i+4], rowVals[i:i+4:i+4]
-		if r[0] < d[0] {
-			d[0] = r[0]
-		}
-		if r[1] < d[1] {
-			d[1] = r[1]
-		}
-		if r[2] < d[2] {
-			d[2] = r[2]
-		}
-		if r[3] < d[3] {
-			d[3] = r[3]
-		}
+		d0, d1, d2, d3 := min(d[0], r[0]), min(d[1], r[1]), min(d[2], r[2]), min(d[3], r[3])
+		d[0], d[1], d[2], d[3] = d0, d1, d2, d3
+		hi = max(hi, max(d0, d1), max(d2, d3))
 	}
 	for ; i < len(dst); i++ {
-		if v := rowVals[i]; v < dst[i] {
-			dst[i] = v
-		}
+		d := min(dst[i], rowVals[i])
+		dst[i] = d
+		hi = max(hi, d)
 	}
+	return hi
 }
 
 // agreement returns the number of hash indices on which columns i and j
