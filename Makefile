@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check benchcheck race-all exports vet fmt bench bench-resident bench-phase1 bench-phase3 experiments experiments-full fuzz loc clean
+.PHONY: all build test check fmtcheck benchcheck race-all exports vet fmt bench bench-resident bench-phase1 bench-phase3 experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -17,8 +17,12 @@ test:
 # worker count, kernel, budget and fault plan against one in-memory
 # oracle — plus serve's goldens, the statistical tests and the
 # exported-surface sweep, each an ordinary test of its package), plus
-# the benchmark module's own vet and smoke test.
-check: build vet race-all benchcheck
+# the benchmark module's own vet and smoke test, on a gofmt-clean tree.
+check: fmtcheck build vet race-all benchcheck
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The benchmark harness (BENCHMARK.json, bench/) is its own module, so
 # `go test ./...` here does not compile it: a refactor that drops an

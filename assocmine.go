@@ -18,7 +18,8 @@ import (
 // paper reports for low support thresholds (Fig. 4's "-" rows).
 var ErrAprioriMemory = apriori.ErrMemoryBudget
 
-// Algorithm selects the similar-pair mining scheme.
+// Algorithm selects the mining scheme: one of the similar-pair schemes,
+// or Rules.
 type Algorithm int
 
 const (
@@ -52,6 +53,14 @@ const (
 	// signature matrix; phase 1 is a single support-counting pass and
 	// SampleBudget tunes the recall/work trade-off.
 	BPS = Algorithm(fold.BPS)
+	// Rules mines §6's high-confidence association rules I => J without
+	// support pruning: MH signatures, candidates by the extended
+	// Row-Sorting estimate of conf(I => J), then one exact pass by
+	// confidence. Threshold is the minimum confidence; a Pair is the
+	// directed rule I => J, its Similarity the exact confidence. K
+	// defaults to 200 and Delta to 0.3, since confidence estimation
+	// needs a bigger sketch than similarity.
+	Rules = Algorithm(fold.Rules)
 )
 
 // String returns the paper's name for the algorithm.
@@ -71,6 +80,8 @@ func (a Algorithm) String() string {
 		return "A-priori"
 	case BPS:
 		return "BPS"
+	case Rules:
+		return "Rules"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -99,14 +110,16 @@ func ParseKernel(s string) (Kernel, error) { return verify.ParseKernel(s) }
 type Config struct {
 	// Algorithm picks the scheme; default BruteForce.
 	Algorithm Algorithm
-	// Threshold is s*, the similarity cutoff. Required (in (0,1]).
+	// Threshold is s*, the similarity cutoff — for Rules, the minimum
+	// confidence. Required (in (0,1]).
 	Threshold float64
 	// K is the number of min-hash values per column for MinHash,
-	// KMinHash and MinLSH. Default 100.
+	// KMinHash, MinLSH and Rules. Default 100 (Rules: 200).
 	K int
 	// Delta loosens the candidate filter: signature-phase candidates
-	// need estimated similarity >= (1-Delta)*Threshold, with exact
-	// filtering left to verification. Default 0.2.
+	// need estimated similarity (confidence, for Rules) >=
+	// (1-Delta)*Threshold, with exact filtering left to verification.
+	// Default 0.2 (Rules: 0.3).
 	Delta float64
 	// R and L are the band size and band count for MinLSH and the
 	// sample size and run count for HammingLSH. Defaults: R=5,
@@ -240,13 +253,15 @@ func normalizeWorkers(workers int) int {
 	return workers
 }
 
-// Pair is a similar column pair in a Result.
+// Pair is a similar column pair in a Result, or for Rules the directed
+// rule I => J, whose Estimate and Similarity are confidences.
 type Pair struct {
 	I, J int
 	// Estimate is the signature-phase similarity estimate (NaN-free; 0
 	// when the scheme attaches none, e.g. LSH bucket collisions).
 	Estimate float64
-	// Similarity is the exact verified similarity (0 when SkipVerify).
+	// Similarity is the exact verified similarity (0 when SkipVerify);
+	// for Rules, the exact confidence of I => J.
 	Similarity float64
 }
 
@@ -353,7 +368,8 @@ func (s Stats) Total() time.Duration {
 }
 
 // Result is the output of SimilarPairs: pairs sorted by decreasing
-// similarity.
+// similarity (Rules: rules by decreasing confidence, once verified, and
+// in the estimate order phase 2 left under SkipVerify).
 type Result struct {
 	Pairs []Pair
 	Stats Stats

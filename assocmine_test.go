@@ -267,19 +267,19 @@ func TestMineRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MineRules(d, RuleConfig{MinConfidence: 0.9, K: 150, Seed: 3})
+	res, err := SimilarPairs(d, Config{Algorithm: Rules, Threshold: 0.9, K: 150, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found01 bool
-	for _, r := range res.Rules {
-		if r.From == 0 && r.To == 1 {
+	for _, r := range res.Pairs {
+		if r.I == 0 && r.J == 1 {
 			found01 = true
-			if r.Confidence != 1 {
-				t.Errorf("conf(0=>1) = %v, want 1", r.Confidence)
+			if r.Similarity != 1 {
+				t.Errorf("conf(0=>1) = %v, want 1", r.Similarity)
 			}
 		}
-		if r.Confidence < 0.9 {
+		if r.Similarity < 0.9 {
 			t.Errorf("rule %+v below threshold", r)
 		}
 	}
@@ -288,8 +288,8 @@ func TestMineRules(t *testing.T) {
 	}
 	// 3 => 2 should also surface (every row with 3 has 2).
 	var found32 bool
-	for _, r := range res.Rules {
-		if r.From == 3 && r.To == 2 {
+	for _, r := range res.Pairs {
+		if r.I == 3 && r.J == 2 {
 			found32 = true
 		}
 	}
@@ -300,8 +300,9 @@ func TestMineRules(t *testing.T) {
 
 func TestMineRulesValidation(t *testing.T) {
 	d, _ := NewDatasetFromRows(2, [][]int{{0}, {1}})
-	for _, cfg := range []RuleConfig{{MinConfidence: 0}, {MinConfidence: 2}, {MinConfidence: 0.5, K: -1}, {MinConfidence: 0.5, Delta: 1}} {
-		if _, err := MineRules(d, cfg); err == nil {
+	for _, cfg := range []Config{{Threshold: 0}, {Threshold: 2}, {Threshold: 0.5, K: -1}, {Threshold: 0.5, Delta: 1}} {
+		cfg.Algorithm = Rules
+		if _, err := SimilarPairs(d, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -336,9 +337,9 @@ func TestOrAndRules(t *testing.T) {
 	if !foundOr {
 		t.Errorf("c0 => c1 ∨ c2 not found: %+v", ors)
 	}
-	ands, err := AndRules([]Rule{
-		{From: 0, To: 1, Confidence: 0.95},
-		{From: 0, To: 2, Confidence: 0.93},
+	ands, err := AndRules([]Pair{
+		{I: 0, J: 1, Similarity: 0.95},
+		{I: 0, J: 2, Similarity: 0.93},
 	}, 0.9)
 	if err != nil {
 		t.Fatal(err)

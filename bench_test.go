@@ -211,8 +211,8 @@ func BenchmarkSyntheticRecall(b *testing.B) {
 func BenchmarkRules(b *testing.B) {
 	w := workloads(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := assocmine.MineRules(w.News.Data, assocmine.RuleConfig{
-			MinConfidence: 0.8, K: 100, Seed: 23,
+		if _, err := assocmine.SimilarPairs(w.News.Data, assocmine.Config{
+			Algorithm: assocmine.Rules, Threshold: 0.8, K: 100, Seed: 23,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -376,8 +376,8 @@ func BenchmarkResidentQueries(b *testing.B) {
 			return err
 		}},
 		{"rules@0.6", func(s sketches, _ int) error {
-			_, err := assocmine.MineRulesWithSignatures(d, s.sig, assocmine.RuleConfig{
-				MinConfidence: 0.6, Seed: 1, Context: context.Background(),
+			_, err := assocmine.SimilarPairsWith(d, s.sig, assocmine.Config{
+				Algorithm: assocmine.Rules, Threshold: 0.6, Seed: 1, Context: context.Background(),
 			})
 			return err
 		}},

@@ -39,53 +39,9 @@ func transientPlan(seed uint64) func(path string, open int) []faultfs.Event {
 
 // TestChaosTransientFaultsBitIdentical: a run under a transient-only
 // fault plan (plus a transiently failing first open) is a cell of the
-// equivalence matrix, for every scheme, worker count, kernel and file
-// format; the §6 rules pass absorbs the same faults, and counts them,
-// the same way.
-func TestChaosTransientFaultsBitIdentical(t *testing.T) {
-	runGroup(t)
-	d, err := fixtures["f41"]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range []string{".txt", ".arows"} {
-		path := saveDataset(t, d, t.TempDir(), ext)
-		t.Run(ext[1:]+"/rules", func(t *testing.T) {
-			cfg := RuleConfig{MinConfidence: 0.7, K: 50, Seed: 7}
-			cleanFD, err := OpenFileDataset(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clean, err := cleanFD.MineRules(cfg)
-			if err != nil {
-				t.Fatalf("fault-free run: %v", err)
-			}
-			if len(clean.Rules) == 0 {
-				t.Fatal("fault-free run mined no rules")
-			}
-			faultyFD, err := OpenFileDatasetFS(&faultfs.FS{Plan: transientPlan(97), OpenErr: faultfs.TransientOpens(1)}, path)
-			if err != nil {
-				t.Fatalf("open through faulty FS: %v", err)
-			}
-			faultyFD.SetRetryPolicy(chaosRetry)
-			faulty, err := faultyFD.MineRules(cfg)
-			if err != nil {
-				t.Fatalf("faulty run: %v", err)
-			}
-			sameRules(t, faulty.Rules, clean.Rules)
-			sameStats(t, faulty.Stats, clean.Stats, "IORetries", "FaultsInjected")
-			if clean.Stats.BytesRead == 0 {
-				t.Error("the rules run read no bytes")
-			}
-			if faulty.Stats.FaultsInjected <= 0 || faulty.Stats.IORetries <= 0 {
-				t.Errorf("faulty run reported faults=%d retries=%d", faulty.Stats.FaultsInjected, faulty.Stats.IORetries)
-			}
-			if clean.Stats.FaultsInjected != 0 || clean.Stats.IORetries != 0 {
-				t.Errorf("fault-free run reported faults=%d retries=%d", clean.Stats.FaultsInjected, clean.Stats.IORetries)
-			}
-		})
-	}
-}
+// equivalence matrix, for every scheme — §6's Rules included — worker
+// count, kernel and file format.
+func TestChaosTransientFaultsBitIdentical(t *testing.T) { runGroup(t) }
 
 // TestChaosPermanentFaultFailsCleanly: truncating the stream mid-file
 // must fail the run with a *FileError carrying the path and a byte
@@ -268,7 +224,7 @@ func TestChaosCancellation(t *testing.T) {
 			}
 			ctx := &cancelAfter{Context: context.Background()}
 			ctx.n.Store(tc.after)
-			res, err := fd.MineRules(RuleConfig{MinConfidence: 0.7, K: 40, Seed: 13, Context: ctx})
+			res, err := fd.SimilarPairs(Config{Algorithm: Rules, Threshold: 0.7, K: 40, Seed: 13, Context: ctx})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v (result %v), want context.Canceled", err, res)
 			}
@@ -285,7 +241,7 @@ func TestChaosCancellation(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := MineRulesWithSignatures(d, sig, RuleConfig{MinConfidence: 0.7, Context: ctx}); !errors.Is(err, context.Canceled) {
+		if _, err := SimilarPairsWith(d, sig, Config{Algorithm: Rules, Threshold: 0.7, Context: ctx}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	})

@@ -95,7 +95,7 @@ func TestDistFlagConflicts(t *testing.T) {
 	bad := []options{
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2},                                 // no -stream
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, window: 10},       // window
-		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, doRules: true},    // rules
+		{in: arows, algo: "rules", threshold: 0.5, k: 100, distWorkers: 2, stream: true},                // rules: dist.Run refuses
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, memBudget: "1M"},  // budget
 		{in: arows, algo: "hlsh", threshold: 0.5, k: 100, distWorkers: 2, stream: true},                 // unsupported algo
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, clusters: true},   // clusters

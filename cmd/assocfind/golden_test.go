@@ -125,9 +125,10 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestGoldenRules locks the stdout of -rules, loaded and streamed from
-// an .arows copy of the same dataset: the rules, their order and the
-// stats lines a rules run reports. Regenerate with -update.
+// TestGoldenRules locks the stdout of -algo rules, loaded and streamed
+// from an .arows copy of the same dataset: the rules, their order and
+// the stats lines a rules run reports. The golden is the serial run's;
+// on four workers the rules are the same. Regenerate with -update.
 func TestGoldenRules(t *testing.T) {
 	tmp := t.TempDir()
 	arows := filepath.Join(tmp, "golden.arows")
@@ -138,7 +139,7 @@ func TestGoldenRules(t *testing.T) {
 	if err := d.SaveRowBinary(arows); err != nil {
 		t.Fatal(err)
 	}
-	base := options{doRules: true, conf: 0.7, k: 80, seed: 3, top: 10, stats: true}
+	base := options{algo: "rules", threshold: 0.7, k: 80, seed: 3, top: 10, stats: true}
 	for _, tc := range []struct {
 		name   string
 		in     string
@@ -151,6 +152,10 @@ func TestGoldenRules(t *testing.T) {
 			o := base
 			o.in, o.stream = tc.in, tc.stream
 			out := strings.ReplaceAll(normalize(captureRun(t, o)), tmp, "<tmp>")
+			o.workers = 4
+			if p := pairsSection(strings.ReplaceAll(normalize(captureRun(t, o)), tmp, "<tmp>")); p != pairsSection(out) {
+				t.Fatalf("workers=4 mined different rules than workers=1:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", pairsSection(out), p)
+			}
 			golden := filepath.Join("testdata", "golden_"+tc.name+".golden")
 			if *update {
 				if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {

@@ -8,7 +8,7 @@
 //	assocfind -in data.arows -algo kmh -threshold 0.5 -k 200 -stream
 //	assocfind -in data.arows -algo mh -threshold 0.5 -stream -workers -1 -mem-budget 64M
 //	assocfind -in baskets.txt -transactions -algo mh -threshold 0.8 -clusters
-//	assocfind -in data.amx -rules -confidence 0.9
+//	assocfind -in data.amx -algo rules -threshold 0.9
 //	assocfind -in data.amx -algo apriori -threshold 0.5 -support 0.01
 //	assocfind -in grow.arows -algo mh -threshold 0.5 -stream -append sketch.ain
 //	assocfind -in grow.arows -algo kmh -threshold 0.5 -stream -resume sketch.ain
@@ -45,8 +45,6 @@ type options struct {
 	support     float64
 	seed        uint64
 	top         int
-	doRules     bool
-	conf        float64
 	stats       bool
 	stream      bool
 	memBudget   string
@@ -70,9 +68,9 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.in, "in", "", "input dataset file (required)")
-	flag.StringVar(&o.algo, "algo", "mlsh", "algorithm: brute | mh | kmh | mlsh | hlsh | apriori | bps")
-	flag.Float64Var(&o.threshold, "threshold", 0.7, "similarity threshold s*")
-	flag.IntVar(&o.k, "k", 100, "min-hash values per column (mh, kmh, mlsh)")
+	flag.StringVar(&o.algo, "algo", "mlsh", "algorithm: brute | mh | kmh | mlsh | hlsh | apriori | bps | rules (§6's high-confidence rules I => J)")
+	flag.Float64Var(&o.threshold, "threshold", 0.7, "similarity threshold s* (rules: minimum confidence)")
+	flag.IntVar(&o.k, "k", 100, "min-hash values per column (mh, kmh, mlsh, rules)")
 	flag.IntVar(&o.r, "r", 0, "band size / sample bits (mlsh, hlsh); 0 = default")
 	flag.IntVar(&o.l, "l", 0, "band count / runs (mlsh, hlsh); 0 = default")
 	flag.IntVar(&o.budget, "sample-budget", 0, "bps only: expected accepted samples per at-threshold pair; 0 = default (32)")
@@ -80,8 +78,6 @@ func main() {
 	flag.Float64Var(&o.support, "support", 0, "apriori only: minimum support fraction")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.top, "top", 50, "print at most this many pairs/rules (0 = all)")
-	flag.BoolVar(&o.doRules, "rules", false, "mine high-confidence rules instead of similar pairs")
-	flag.Float64Var(&o.conf, "confidence", 0.9, "rules only: confidence threshold")
 	flag.BoolVar(&o.stats, "stats", true, "print phase statistics")
 	flag.BoolVar(&o.stream, "stream", false, "mine directly from disk (one file pass per phase; .txt, .arows or compressed .carows)")
 	flag.StringVar(&o.memBudget, "mem-budget", "", "verification counter-table budget, e.g. 64K, 16M, 1G (bytes if no suffix); empty or 0 = unlimited. When the candidate counters exceed it, the exact pass spills sorted runs to disk")
@@ -135,6 +131,8 @@ func parseAlgo(s string) (assocmine.Algorithm, error) {
 		return assocmine.Apriori, nil
 	case "bps", "biasedpairsampling":
 		return assocmine.BPS, nil
+	case "rules":
+		return assocmine.Rules, nil
 	default:
 		return 0, fmt.Errorf("unknown algorithm %q", s)
 	}
@@ -144,8 +142,8 @@ func run(o options) error {
 	if o.appendState != "" && o.resumeState != "" {
 		return errors.New("-append and -resume are mutually exclusive")
 	}
-	if incr := o.appendState != "" || o.resumeState != ""; incr && (o.doRules || o.txns) {
-		return errors.New("-append/-resume cannot be combined with -rules or -transactions")
+	if incr := o.appendState != "" || o.resumeState != ""; incr && o.txns {
+		return errors.New("-append/-resume cannot be combined with -transactions")
 	}
 	if o.distWorkers > 0 {
 		if !o.stream {
@@ -154,26 +152,14 @@ func run(o options) error {
 		// Each worker process folds, counts and verifies on one goroutine
 		// and reports no progress, so -workers and -progress would be
 		// ignored.
-		if o.doRules || o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters || o.workers < 0 || o.workers > 1 || o.progress {
-			return errors.New("-dist-workers cannot be combined with -rules, -transactions, -append, -resume, -window, -clusters, -workers or -progress")
+		if o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters || o.workers < 0 || o.workers > 1 || o.progress {
+			return errors.New("-dist-workers cannot be combined with -transactions, -append, -resume, -window, -clusters, -workers or -progress")
 		}
-	}
-	// The dist workers take no verification budget or kernel; a rules run
-	// verifies through the same phase 3 but RuleConfig has no field for
-	// either, and it is one serial full-data run without a recorder: a
-	// flag the run cannot honour is an error, not ignored.
-	mode := ""
-	switch {
-	case o.distWorkers > 0:
-		mode = "-dist-workers"
-	case o.doRules:
-		mode = "-rules"
-	}
-	if mode != "" && (o.memBudget != "" || (o.kernel != "" && o.kernel != "auto")) {
-		return fmt.Errorf("%s cannot be combined with -mem-budget or a -kernel other than auto", mode)
-	}
-	if o.doRules && (o.workers < 0 || o.workers > 1 || o.window != 0 || o.metrics || o.metricsAddr != "" || o.progress || o.clusters) {
-		return errors.New("-rules cannot be combined with -workers, -window, -metrics, -metrics-addr, -progress or -clusters")
+		// The dist workers take no verification budget or kernel: a flag
+		// the run cannot honour is an error, not ignored.
+		if o.memBudget != "" || (o.kernel != "" && o.kernel != "auto") {
+			return errors.New("-dist-workers cannot be combined with -mem-budget or a -kernel other than auto")
+		}
 	}
 	stopDiag, err := startDiagnostics(o)
 	if err != nil {
@@ -202,10 +188,13 @@ func run(o options) error {
 		}
 		return fmt.Sprintf("c%d", c)
 	}
+	cols := 0
 	if fd != nil {
-		fmt.Printf("streaming %s: %d rows x %d cols\n", o.in, fd.NumRows(), fd.NumCols())
+		cols = fd.NumCols()
+		fmt.Printf("streaming %s: %d rows x %d cols\n", o.in, fd.NumRows(), cols)
 	} else {
-		fmt.Printf("loaded %s: %d rows x %d cols, %d ones\n", o.in, data.NumRows(), data.NumCols(), data.Ones())
+		cols = data.NumCols()
+		fmt.Printf("loaded %s: %d rows x %d cols, %d ones\n", o.in, data.NumRows(), cols, data.Ones())
 	}
 
 	var ctx context.Context
@@ -219,31 +208,6 @@ func run(o options) error {
 			return fmt.Errorf("mining timed out after %v", o.timeout)
 		}
 		return err
-	}
-
-	if o.doRules {
-		rcfg := assocmine.RuleConfig{MinConfidence: o.conf, K: o.k, Seed: o.seed, Context: ctx}
-		var res *assocmine.RulesResult
-		if fd != nil {
-			res, err = fd.MineRules(rcfg)
-		} else {
-			res, err = assocmine.MineRules(data, rcfg)
-		}
-		if err != nil {
-			return timedOut(err)
-		}
-		fmt.Printf("%d high-confidence rules (confidence >= %.2f):\n", len(res.Rules), o.conf)
-		for i, rr := range res.Rules {
-			if o.top > 0 && i >= o.top {
-				fmt.Printf("  ... and %d more\n", len(res.Rules)-o.top)
-				break
-			}
-			fmt.Printf("  %s => %s  conf=%.3f (est %.3f)\n", label(rr.From), label(rr.To), rr.Confidence, rr.Estimate)
-		}
-		if o.stats {
-			printStats(res.Stats)
-		}
-		return nil
 	}
 
 	a, err := parseAlgo(o.algo)
@@ -287,7 +251,7 @@ func run(o options) error {
 	case o.distWorkers > 0:
 		res, pool, err = runDist(o, a, cfg)
 	case o.appendState != "" || o.resumeState != "":
-		res, err = runIncremental(o, a, cfg, data, fd)
+		res, err = runIncremental(o, a, cfg, cols, data, fd)
 	case fd != nil:
 		res, err = fd.SimilarPairs(cfg)
 	default:
@@ -296,21 +260,24 @@ func run(o options) error {
 	if err != nil {
 		return timedOut(err)
 	}
-	fmt.Printf("%d similar pairs (similarity >= %.2f) via %v:\n", len(res.Pairs), o.threshold, a)
+	if a == assocmine.Rules {
+		fmt.Printf("%d high-confidence rules (confidence >= %.2f):\n", len(res.Pairs), o.threshold)
+	} else {
+		fmt.Printf("%d similar pairs (similarity >= %.2f) via %v:\n", len(res.Pairs), o.threshold, a)
+	}
 	for i, p := range res.Pairs {
 		if o.top > 0 && i >= o.top {
 			fmt.Printf("  ... and %d more\n", len(res.Pairs)-o.top)
 			break
 		}
-		fmt.Printf("  (%s, %s)  sim=%.3f\n", label(p.I), label(p.J), p.Similarity)
+		if a == assocmine.Rules {
+			fmt.Printf("  %s => %s  conf=%.3f (est %.3f)\n", label(p.I), label(p.J), p.Similarity, p.Estimate)
+		} else {
+			fmt.Printf("  (%s, %s)  sim=%.3f\n", label(p.I), label(p.J), p.Similarity)
+		}
 	}
 	if o.clusters {
-		if data == nil {
-			if data, err = fd.Load(); err != nil {
-				return err
-			}
-		}
-		groups := assocmine.Cluster(data, res.Pairs, 0.5)
+		groups := assocmine.Cluster(cols, res.Pairs, 0.5)
 		fmt.Printf("%d clusters (pairwise density >= 0.5):\n", len(groups))
 		for _, g := range groups {
 			parts := make([]string, len(g))
@@ -370,16 +337,10 @@ func runDist(o options, a assocmine.Algorithm, cfg assocmine.Config) (*assocmine
 // unseen rows, persist the result when appending, and mine from the
 // merged sketch — the full input is rescanned only by the verification
 // pass, never by the sketch phase.
-func runIncremental(o options, a assocmine.Algorithm, cfg assocmine.Config, data *assocmine.Dataset, fd *assocmine.FileDataset) (*assocmine.Result, error) {
+func runIncremental(o options, a assocmine.Algorithm, cfg assocmine.Config, cols int, data *assocmine.Dataset, fd *assocmine.FileDataset) (*assocmine.Result, error) {
 	path, save := o.appendState, true
 	if path == "" {
 		path, save = o.resumeState, false
-	}
-	cols := 0
-	if fd != nil {
-		cols = fd.NumCols()
-	} else {
-		cols = data.NumCols()
 	}
 	var in *assocmine.Ingest
 	if _, statErr := os.Stat(path); statErr == nil {

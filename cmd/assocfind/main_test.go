@@ -19,6 +19,7 @@ func TestParseAlgo(t *testing.T) {
 		"hlsh": assocmine.HammingLSH, "HammingLSH": assocmine.HammingLSH,
 		"apriori": assocmine.Apriori, "A-priori": assocmine.Apriori,
 		"bps": assocmine.BPS, "BPS": assocmine.BPS,
+		"rules": assocmine.Rules,
 	}
 	for in, want := range cases {
 		got, err := parseAlgo(in)
@@ -70,31 +71,42 @@ func TestRunStreaming(t *testing.T) {
 
 func TestRunRules(t *testing.T) {
 	path := writeFixture(t)
-	o := options{in: path, doRules: true, conf: 0.8, k: 80, seed: 1, top: 5}
+	o := options{in: path, algo: "rules", threshold: 0.8, k: 80, seed: 1, top: 5}
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRunRulesHonoursItsFlags: -stream -rules mines from the file (the
-// stats carry the two passes' bytes) instead of loading it, -timeout
-// reaches the run, and the flags a rules run cannot honour are rejected
-// rather than ignored.
+// TestRunRulesHonoursItsFlags: -stream -algo rules mines from the file
+// (the stats carry the two passes' bytes) instead of loading it,
+// -timeout reaches the run, and a rules run takes the flags every other
+// driver run takes: under -workers, a spilling -mem-budget, either
+// -kernel, -progress, -metrics and -clusters it mines the serial loaded
+// run's rules, -window mines the trailing rows, and -dist-workers is
+// refused by dist.Run itself.
 func TestRunRulesHonoursItsFlags(t *testing.T) {
 	path := writeFixture(t)
-	base := options{in: path, doRules: true, conf: 0.8, k: 80, seed: 1, top: 5, stats: true}
+	// At 0.3 the candidates overflow the smallest spill table (16).
+	base := options{in: path, algo: "rules", threshold: 0.3, k: 80, seed: 1, stats: true}
 
 	streamed := base
 	streamed.stream = true
 	out := captureRun(t, streamed)
 	if !strings.Contains(out, "streaming "+path) || !strings.Contains(out, "out-of-core: ") {
-		t.Errorf("-stream -rules did not mine from the file:\n%s", out)
+		t.Errorf("-stream -algo rules did not mine from the file:\n%s", out)
 	}
 	// The rules themselves: everything between the first line (loaded/
-	// streaming) and the stats.
-	rulesOf := func(out string) string { return pairsSection(out[strings.Index(out, "\n")+1:]) }
-	if loaded := captureRun(t, base); rulesOf(loaded) != rulesOf(out) {
-		t.Errorf("streamed rules differ from loaded ones:\n--- loaded ---\n%s--- streamed ---\n%s", loaded, out)
+	// streaming) and the clusters or the stats.
+	rulesOf := func(out string) string {
+		out = pairsSection(out[strings.Index(out, "\n")+1:])
+		if i := strings.Index(out, " clusters (pairwise"); i >= 0 {
+			out = out[:strings.LastIndex(out[:i], "\n")+1]
+		}
+		return out
+	}
+	want := rulesOf(captureRun(t, base))
+	if got := rulesOf(out); got != want {
+		t.Errorf("streamed rules differ from loaded ones:\n--- loaded ---\n%s--- streamed ---\n%s", want, got)
 	}
 
 	for _, stream := range []bool{false, true} {
@@ -111,26 +123,70 @@ func TestRunRulesHonoursItsFlags(t *testing.T) {
 	}
 
 	for name, set := range map[string]func(*options){
-		"workers":      func(o *options) { o.workers = 4 },
-		"all-cores":    func(o *options) { o.workers = -1 },
-		"mem-budget":   func(o *options) { o.memBudget = "1M" },
-		"kernel":       func(o *options) { o.kernel = "packed" },
-		"window":       func(o *options) { o.window = 100 },
-		"metrics":      func(o *options) { o.metrics = true },
-		"metrics-addr": func(o *options) { o.metricsAddr = "127.0.0.1:0" },
-		"progress":     func(o *options) { o.progress = true },
-		"clusters":     func(o *options) { o.clusters = true },
+		"workers":    func(o *options) { o.workers = 4 },
+		"all-cores":  func(o *options) { o.workers = -1 },
+		"mem-budget": func(o *options) { o.memBudget = "64" },
+		"packed":     func(o *options) { o.kernel = "packed" },
+		"scalar":     func(o *options) { o.kernel = "scalar" },
+		"metrics":    func(o *options) { o.metrics = true },
+		"progress":   func(o *options) { o.progress = true },
+		"clusters":   func(o *options) { o.clusters = true },
 	} {
 		o := base
 		set(&o)
-		if err := run(o); err == nil || !strings.Contains(err.Error(), "-rules cannot be combined with") {
-			t.Errorf("-rules with -%s: err = %v, want a rejection", name, err)
+		out := captureRun(t, o)
+		if got := rulesOf(out); got != want {
+			t.Errorf("-%s mined other rules:\n--- serial ---\n%s--- -%s ---\n%s", name, want, name, got)
+		}
+		if name == "mem-budget" && (!strings.Contains(out, "out-of-core: ") || strings.Contains(out, " 0 spill runs")) {
+			t.Errorf("-mem-budget 64 did not spill:\n%s", out)
+		}
+		if name == "metrics" && !strings.Contains(out, "assocmine_pairs_verified") {
+			t.Errorf("-metrics printed no pipeline counters:\n%s", out)
+		}
+		if name == "clusters" && !strings.Contains(out, " clusters (pairwise density >= 0.5):") {
+			t.Errorf("-clusters printed no clusters:\n%s", out)
 		}
 	}
-	serial := base
-	serial.workers, serial.kernel = 1, "auto"
-	if err := run(serial); err != nil {
-		t.Errorf("-rules -workers 1 -kernel auto: %v", err)
+	windowed := base
+	windowed.window = 100
+	if out := captureRun(t, windowed); !strings.Contains(out, "high-confidence rules") {
+		t.Errorf("-window 100 printed no rules:\n%s", out)
+	}
+	pooled := streamed
+	pooled.distWorkers = 2
+	if err := run(pooled); err == nil || !strings.Contains(err.Error(), "dist: Rules runs single-process only") {
+		t.Errorf("-algo rules -dist-workers 2: err = %v, want dist.Run's rejection", err)
+	}
+}
+
+// TestStreamClustersMatchLoaded: -stream -clusters groups the pairs mined
+// from the .arows copy into the clusters the loaded run prints.
+func TestStreamClustersMatchLoaded(t *testing.T) {
+	path := writeFixture(t)
+	d, err := assocmine.LoadDataset(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arows := filepath.Join(t.TempDir(), "data.arows")
+	if err := d.SaveRowBinary(arows); err != nil {
+		t.Fatal(err)
+	}
+	clustersOf := func(out string) string {
+		i := strings.Index(out, " clusters (pairwise density >= 0.5):")
+		if i < 0 {
+			t.Fatalf("no clusters printed:\n%s", out)
+		}
+		return out[strings.LastIndex(out[:i], "\n")+1:]
+	}
+	o := options{in: path, algo: "mh", threshold: 0.45, k: 60, seed: 1, clusters: true}
+	want := clustersOf(captureRun(t, o))
+	o.in, o.stream = arows, true
+	if got := clustersOf(captureRun(t, o)); got != want {
+		t.Errorf("streamed clusters differ from loaded ones:\n--- loaded ---\n%s--- streamed ---\n%s", want, got)
+	}
+	if strings.Count(want, "{") == 0 {
+		t.Errorf("the loaded run found no clusters: the comparison is vacuous:\n%s", want)
 	}
 }
 

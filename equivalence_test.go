@@ -818,8 +818,12 @@ var (
 		{"MLSH-sampled", Config{Algorithm: MinLSH, Threshold: 0.35, K: 12, R: 3, L: 8, Seed: 7}},
 		{"BPS", Config{Algorithm: BPS, Threshold: 0.35, SampleBudget: 8, Seed: 7}},
 	}
-	formats = []string{".txt", ".arows", ".carows"}
-	kernels = []Kernel{KernelScalar, KernelPacked}
+	// rules7 is §6's row: f41's rules at confidence 0.7; looseRules a set
+	// whose candidates flood f47's 4 KiB budget.
+	rules7     = Config{Algorithm: Rules, Threshold: 0.7, K: 50, Seed: 7}
+	looseRules = Config{Algorithm: Rules, Threshold: 0.3, K: 40, Delta: 0.9, Seed: 13}
+	formats    = []string{".txt", ".arows", ".carows"}
+	kernels    = []Kernel{KernelScalar, KernelPacked}
 )
 
 // equivalenceMatrix lists every cell, grouped by the top-level test it
@@ -876,6 +880,7 @@ func equivalenceMatrix() []cell {
 				}
 			}
 		}
+		add("TestChaosTransientFaultsBitIdentical", cell{fix: "f41", cfg: rules7, exec: streamExec, format: ext, workers: 1, faults: true}, "%s/rules", ext[1:])
 	}
 	for _, s := range planted6 {
 		for _, w := range []int{2, 4, 7} {
@@ -984,6 +989,29 @@ func equivalenceMatrix() []cell {
 			add(g, c, "stream/arows/%s/window/workers=%d", s.name, w)
 		}
 	}
+	// §6's Rules: the same template with confidence as phase 3's measure,
+	// so every executor that can run it — not dist, not an Ingest — under
+	// every axis that can reach it.
+	for _, w := range []int{1, 4} {
+		for _, k := range kernels {
+			add(g, cell{fix: "f41", cfg: rules7, exec: memoryExec, workers: w, kernel: k}, "rules/memory/workers=%d/%v", w, k)
+			for _, ext := range formats {
+				add(g, cell{fix: "f41", cfg: rules7, exec: streamExec, format: ext, workers: w, kernel: k, ctx: true}, "rules/stream%s/workers=%d/%v", ext, w, k)
+			}
+		}
+		for _, k := range kernels {
+			for _, b := range []int64{0, 4096} {
+				add(g, cell{fix: "f47", cfg: looseRules, exec: residentExec, workers: w, kernel: k, budget: b}, "rules/resident/workers=%d/%v/budget=%d", w, k, b)
+			}
+		}
+		add(g, cell{fix: "f47", cfg: looseRules, exec: streamExec, format: ".arows", workers: w, budget: 4096}, "rules/stream.arows/workers=%d/budget", w)
+		add(g, cell{fix: "f47", cfg: looseRules, exec: streamExec, format: ".carows", workers: w, budget: 4096}, "rules/stream.carows/workers=%d/budget", w)
+		c := cell{fix: "f41", cfg: rules7, exec: streamExec, format: ".arows", workers: w}
+		c.cfg.Window = 300
+		add(g, c, "rules/stream.arows/window/workers=%d", w)
+	}
+	add(g, cell{fix: "f47", cfg: looseRules, exec: memoryExec, workers: 4, budget: 4096}, "rules/memory/workers=4/budget")
+	add(g, cell{fix: "f41", cfg: rules7, exec: streamExec, format: ".carows", workers: 4, kernel: KernelPacked, faults: true}, "rules/stream.carows/faults/packed")
 	// Clusters on disjoint rows: every packed executor numbers a
 	// component's rows by rank in its union, batched or not.
 	clustered := Config{Algorithm: MinHash, Threshold: 0.5, K: 40, Seed: 7}

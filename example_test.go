@@ -27,18 +27,19 @@ func ExampleSimilarPairs() {
 	// (0,1) similarity 1.00
 }
 
-func ExampleMineRules() {
+func ExampleSimilarPairs_rules() {
 	// Column 0 implies column 1 in every row where it appears.
 	data, _ := assocmine.NewDatasetFromRows(3, [][]int{
 		{0, 1}, {0, 1}, {1}, {1, 2}, {2}, {0, 1},
 	})
-	res, _ := assocmine.MineRules(data, assocmine.RuleConfig{
-		MinConfidence: 0.95,
-		K:             200,
-		Seed:          1,
+	res, _ := assocmine.SimilarPairs(data, assocmine.Config{
+		Algorithm: assocmine.Rules,
+		Threshold: 0.95,
+		K:         200,
+		Seed:      1,
 	})
-	for _, r := range res.Rules {
-		fmt.Printf("%d => %d confidence %.2f\n", r.From, r.To, r.Confidence)
+	for _, r := range res.Pairs {
+		fmt.Printf("%d => %d confidence %.2f\n", r.I, r.J, r.Similarity)
 	}
 	// Output:
 	// 0 => 1 confidence 1.00
@@ -63,7 +64,7 @@ func ExampleCluster() {
 	res, _ := assocmine.SimilarPairs(data, assocmine.Config{
 		Algorithm: assocmine.BruteForce, Threshold: 0.9,
 	})
-	for _, c := range assocmine.Cluster(data, res.Pairs, 0.9) {
+	for _, c := range assocmine.Cluster(data.NumCols(), res.Pairs, 0.9) {
 		fmt.Println(c)
 	}
 	// Output:

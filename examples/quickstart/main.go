@@ -63,15 +63,16 @@ func main() {
 	}
 
 	// Mine directed high-confidence rules without any support pruning.
-	rules, err := assocmine.MineRules(data, assocmine.RuleConfig{
-		MinConfidence: 0.95,
-		Seed:          42,
+	rules, err := assocmine.SimilarPairs(data, assocmine.Config{
+		Algorithm: assocmine.Rules,
+		Threshold: 0.95,
+		Seed:      42,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nhigh-confidence rules (conf >= 0.95):\n")
-	for _, r := range rules.Rules {
-		fmt.Printf("  %s => %s  (confidence %.2f)\n", items[r.From], items[r.To], r.Confidence)
+	for _, r := range rules.Pairs {
+		fmt.Printf("  %s => %s  (confidence %.2f)\n", items[r.I], items[r.J], r.Similarity)
 	}
 }

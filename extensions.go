@@ -102,12 +102,12 @@ func OrSimilarityMulti(d *Dataset, i int, js []int, k int, seed uint64) (float64
 	return rules.OrSimilarityEstimateMulti(sig, i, js), nil
 }
 
-// Cluster groups a similar-pairs result into column clusters: connected
-// components of the similarity graph whose pairwise edge density is at
-// least minDensity (use 0 for plain single-link components). This is
-// the paper's "clusters of words" output — e.g. the chess-event
-// cluster.
-func Cluster(d *Dataset, found []Pair, minDensity float64) [][]int {
+// Cluster groups a similar-pairs result over cols columns into column
+// clusters: connected components of the similarity graph whose pairwise
+// edge density is at least minDensity (use 0 for plain single-link
+// components). This is the paper's "clusters of words" output — e.g.
+// the chess-event cluster.
+func Cluster(cols int, found []Pair, minDensity float64) [][]int {
 	ps := make([]pairs.Pair, 0, len(found))
 	for _, p := range found {
 		if p.I == p.J {
@@ -117,9 +117,9 @@ func Cluster(d *Dataset, found []Pair, minDensity float64) [][]int {
 	}
 	var raw [][]int32
 	if minDensity > 0 {
-		raw = cluster.DenseComponents(d.m.NumCols(), ps, minDensity)
+		raw = cluster.DenseComponents(cols, ps, minDensity)
 	} else {
-		raw = cluster.Components(d.m.NumCols(), ps)
+		raw = cluster.Components(cols, ps)
 	}
 	out := make([][]int, len(raw))
 	for i, comp := range raw {

@@ -114,7 +114,7 @@ func TestClusterRecoversGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := Cluster(d, res.Pairs, 0.9)
+	clusters := Cluster(d.NumCols(), res.Pairs, 0.9)
 	if len(clusters) != 3 {
 		t.Fatalf("clusters = %v", clusters)
 	}
@@ -130,7 +130,7 @@ func TestClusterRecoversGroups(t *testing.T) {
 		}
 	}
 	// minDensity 0 path (plain components).
-	if got := Cluster(d, res.Pairs, 0); len(got) != 3 {
+	if got := Cluster(d.NumCols(), res.Pairs, 0); len(got) != 3 {
 		t.Errorf("component clustering = %v", got)
 	}
 }

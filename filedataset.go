@@ -18,8 +18,8 @@ import (
 // Supported files: the text transaction format (".txt" written by
 // Dataset.Save), the row-major streaming binary format (".arows",
 // written by SaveRowBinary) and its compressed variant (".carows",
-// written by SaveRowCompressed). HammingLSH and the Cluster helper need the
-// full matrix; for those the file is materialised once and cached.
+// written by SaveRowCompressed). HammingLSH needs the full matrix; for
+// it the file is materialised once and cached.
 type FileDataset struct {
 	src *matrix.FileSource
 
@@ -105,8 +105,8 @@ func (d *Dataset) SaveRowBinary(path string) error {
 }
 
 // SaveRowCompressed writes the dataset in the ".carows" compressed
-// row-major format (Rice-coded gap deltas or literal bitmaps, whichever
-// is smaller per row). It streams through FileDataset exactly like
+// row-major format (Rice-coded gap deltas, the Rice parameter chosen per
+// row). It streams through FileDataset exactly like
 // ".arows" — same scans, same error reporting, bit-identical results —
 // while reading fewer bytes from disk.
 func (d *Dataset) SaveRowCompressed(path string) error {

@@ -101,10 +101,11 @@ func NewIngest(algo Algorithm, cols, k int, seed uint64, window int) (*Ingest, e
 
 // ingestFold is the fold an ingest of algo runs: the schemes whose
 // phase 1 leaves a sketch a query can be answered from (BPS supports
-// are a fold too, but not one to mine against later).
+// are a fold too, but not one to mine against later; Rules folds MH
+// signatures, which an ingest keeps under MinHash).
 func ingestFold(algo Algorithm) (fold.Fold, bool) {
 	f, ok := fold.For(fold.Algo(algo))
-	return f, ok && algo != BPS
+	return f, ok && algo != BPS && algo != Rules
 }
 
 // SetRecorder attaches a Recorder receiving the incremental counters
@@ -422,7 +423,7 @@ func LoadIngest(path string) (*Ingest, error) {
 	window, nextRow, nWins := u(4), u(5), u(6)
 	fd, ok := ingestFold(algo)
 	if !ok {
-		return nil, fmt.Errorf("assocmine: ingest snapshot has unsupported algorithm %d", uint64(algo))
+		return nil, fmt.Errorf("assocmine: ingest snapshot has unsupported algorithm %v", algo)
 	}
 	if k < 1 || k > maxIngestK {
 		return nil, fmt.Errorf("assocmine: ingest snapshot k=%d out of range", k)

@@ -45,20 +45,25 @@ type Params struct {
 }
 
 // SetDefaults fills the documented defaults in for zero values — K 100,
-// Delta 0.2, R 5, L K/R, SampleBudget 32 — and validates the set. Errors
-// carry no package prefix; the caller adds its own.
+// Delta 0.2 (§6's Rules: K 200, Delta 0.3, since confidence estimation
+// needs a bigger sketch), R 5, L K/R, SampleBudget 32 — and validates
+// the set. Errors carry no package prefix; the caller adds its own.
 func (p *Params) SetDefaults() error {
 	if p.Threshold <= 0 || p.Threshold > 1 {
 		return fmt.Errorf("Threshold must be in (0,1], got %v", p.Threshold)
 	}
+	k, delta := 100, 0.2
+	if p.Algo == fold.Rules {
+		k, delta = 200, 0.3
+	}
 	if p.K == 0 {
-		p.K = 100
+		p.K = k
 	}
 	if p.K < 1 {
 		return fmt.Errorf("K must be positive, got %d", p.K)
 	}
 	if p.Delta == 0 {
-		p.Delta = 0.2
+		p.Delta = delta
 	}
 	if p.Delta < 0 || p.Delta >= 1 {
 		return fmt.Errorf("Delta must be in [0,1), got %v", p.Delta)

@@ -74,6 +74,11 @@ func (c *Config) setDefaults() error {
 	if len(c.WorkerArgv) == 0 {
 		return fmt.Errorf("dist: WorkerArgv is required")
 	}
+	if c.Algorithm == fold.Rules {
+		// fold.For would accept it (Rules folds MH signatures), but the
+		// pool verifies by similarity and has no confidence triangle.
+		return fmt.Errorf("dist: Rules runs single-process only; the pool verifies by similarity")
+	}
 	if _, ok := fold.For(c.Algorithm); !ok {
 		return fmt.Errorf("dist: algorithm %d runs single-process only; the pool runs MH (1), K-MH (2), M-LSH (3) and BPS (6)", int(c.Algorithm))
 	}

@@ -55,12 +55,10 @@ type Input struct {
 	// containing it, on the local executor (Search's too); -1: every pair.
 	Column int
 	// The serial schemes' extras: H-LSH's T, a-priori's support and
-	// byte budget, and Rules: §6's rules I => J over the MH fold, by
-	// confidence (Params.Threshold).
+	// byte budget.
 	T             int
 	MinSupport    float64
 	AprioriBudget int64
-	Rules         bool
 	// Adopted, when non-nil, is taken in place of the phase-1 fold.
 	Adopted  *Adopted
 	Recorder obs.Recorder
@@ -176,7 +174,7 @@ func Mine(in Input) ([]pairs.Scored, error) {
 		}
 	}
 	r.finish()
-	if !in.Rules || !in.SkipVerify {
+	if r.p.Algo != fold.Rules || !in.SkipVerify {
 		pairs.SortScored(ps) // for rules: (confidence, I, J)
 	}
 	return ps, nil
@@ -287,29 +285,6 @@ type scheme struct {
 // each read the data their own way, here.
 func (r *run) scheme() (scheme, error) {
 	p := r.p
-	if r.in.Rules {
-		// §6's row: candidates by the extended Row-Sorting estimate over
-		// the MH sketch — filtered from the triangle a resident sketch
-		// keeps, or swept for this run — pruned by confidence. A rule
-		// travels through the driver as a directed pair (I => J).
-		return scheme{measure: rules.Confidence, generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
-			opt := rules.Options{MinConfidence: (1 - p.Delta) * p.Threshold}
-			tri, err := r.kept.Triangle.get(r.rec, rules.TriangleBytes(sk.MH.M), nil, func() (*rules.Triangle, error) {
-				return rules.Sweep(r.ctx, sk.MH)
-			})
-			var cand []rules.Rule
-			if tri != nil {
-				cand, err = tri.Rules(opt)
-			} else if err == nil {
-				cand, err = rules.Candidates(r.ctx, sk.MH, opt)
-			}
-			out := make([]pairs.Scored, len(cand))
-			for i, x := range cand {
-				out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate}
-			}
-			return out, err
-		}}, nil
-	}
 	switch p.Algo {
 	case fold.BruteForce:
 		return scheme{exact: true, generate: func(_ fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
@@ -370,6 +345,29 @@ func (r *run) scheme() (scheme, error) {
 				return nil, err
 			}
 			return res.SimilarPairs(p.Threshold)
+		}}, nil
+
+	case fold.Rules:
+		// §6's row: candidates by the extended Row-Sorting estimate over
+		// the MH sketch — filtered from the triangle a resident sketch
+		// keeps, or swept for this run — pruned by confidence. A rule
+		// travels through the driver as a directed pair (I => J).
+		return scheme{measure: rules.Confidence, generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
+			opt := rules.Options{MinConfidence: (1 - p.Delta) * p.Threshold}
+			tri, err := r.kept.Triangle.get(r.rec, rules.TriangleBytes(sk.MH.M), nil, func() (*rules.Triangle, error) {
+				return rules.Sweep(r.ctx, sk.MH)
+			})
+			var cand []rules.Rule
+			if tri != nil {
+				cand, err = tri.Rules(opt)
+			} else if err == nil {
+				cand, err = rules.Candidates(r.ctx, sk.MH, opt)
+			}
+			out := make([]pairs.Scored, len(cand))
+			for i, x := range cand {
+				out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate}
+			}
+			return out, err
 		}}, nil
 
 	case fold.BPS:

@@ -1,10 +1,12 @@
 package driver
 
 import (
+	"errors"
 	"sync"
 	"time"
 
 	"assocmine/internal/candidate"
+	"assocmine/internal/fold"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -27,8 +29,12 @@ var hitBuffers = sync.Pool{New: func() any { return new([]pairs.Scored) }}
 // loop of whole runs' first step to emit it would. toppairs_attempts
 // counts the steps; candidates, pairs_verified and false_positives are
 // the last one's. The answer, at most n pairs, comes by decreasing
-// similarity.
+// similarity. §6's Rules has no search: its candidates come from the
+// confidence triangle, not from a kernel's scan.
 func Search(in Input, n int, floor float64) ([]pairs.Scored, error) {
+	if in.Params.Algo == fold.Rules {
+		return nil, errors.New("assocmine: Rules has no threshold-lowering search; mine it with SimilarPairsWith")
+	}
 	r, err := start(in)
 	if err != nil {
 		return nil, err

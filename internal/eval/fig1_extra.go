@@ -119,8 +119,8 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 // the news corpus; planted collocations must surface as (bidirectional)
 // high-confidence rules.
 func RulesExperiment(w *Workloads) (Table, error) {
-	res, err := assocmine.MineRules(w.News.Data, assocmine.RuleConfig{
-		MinConfidence: 0.75, K: 200, Seed: 23,
+	res, err := assocmine.SimilarPairs(w.News.Data, assocmine.Config{
+		Algorithm: assocmine.Rules, Threshold: 0.75, K: 200, Seed: 23,
 	})
 	if err != nil {
 		return Table{}, err
@@ -136,19 +136,19 @@ func RulesExperiment(w *Workloads) (Table, error) {
 		Header: []string{"rule", "confidence", "support(antecedent)", "planted?"},
 	}
 	foundPlanted := 0
-	for _, r := range res.Rules {
-		planted := plantedSet[[2]int{r.From, r.To}]
+	for _, r := range res.Pairs {
+		planted := plantedSet[[2]int{r.I, r.J}]
 		if planted {
 			foundPlanted++
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s => %s", w.News.Word(r.From), w.News.Word(r.To)),
-			fmt.Sprintf("%.3f", r.Confidence),
-			fmt.Sprintf("%.4f%%", 100*w.News.Data.Density(r.From)),
+			fmt.Sprintf("%s => %s", w.News.Word(r.I), w.News.Word(r.J)),
+			fmt.Sprintf("%.3f", r.Similarity),
+			fmt.Sprintf("%.4f%%", 100*w.News.Data.Density(r.I)),
 			fmt.Sprintf("%v", planted),
 		})
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("%d directed planted rules recovered out of %d candidate rules mined",
-		foundPlanted, len(res.Rules)))
+		foundPlanted, len(res.Pairs)))
 	return t, nil
 }

@@ -2,9 +2,14 @@ package eval
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 // The figure drivers are exercised end-to-end at a tiny scale; the
 // assertions check the qualitative shapes the paper reports, not
@@ -284,6 +289,27 @@ func TestRulesExperiment(t *testing.T) {
 	}
 	if plantedRules == 0 {
 		t.Error("no planted rules recovered")
+	}
+	// The rendered table pins §6's output — every rule, its confidence
+	// and support — byte for byte. Regenerate with -update.
+	var buf bytes.Buffer
+	table.Format(&buf)
+	golden := filepath.Join("testdata", "rules.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to create): %v", err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("rules table differs from %s:\n--- want ---\n%s--- got ---\n%s", golden, want, got)
 	}
 }
 

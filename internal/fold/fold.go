@@ -82,6 +82,7 @@ const (
 	HammingLSH             // density-ladder LSH over the data
 	Apriori                // support-pruned baseline
 	BPS                    // support pass + biased pair sampling
+	Rules                  // MH signatures + §6 confidence candidates
 )
 
 // Reader is what a snapshot is read from. The decoders consume exactly
@@ -111,7 +112,7 @@ type Fold struct {
 // data directly.
 func For(a Algo) (f Fold, ok bool) {
 	switch a {
-	case MinHash, MinLSH:
+	case MinHash, MinLSH, Rules:
 		// No column kernel: it cost k hash evaluations per matrix entry
 		// where the row fold costs k per row, and measured slower at every
 		// worker count (DESIGN.md, "The driver").

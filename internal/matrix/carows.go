@@ -16,9 +16,10 @@ import (
 // are Golomb-Rice coded instead of varint coded, with a per-row
 // parameter chosen by exact cost search, so sparse rows pay close to
 // the gap entropy (a few bits per posting) instead of at least a byte.
-// Rows whose postings are dense enough that even Rice coding loses to
-// one bit per column fall back to a literal row bitmap. Every row is
-// byte-aligned, so decode errors carry exact byte offsets and a
+// The format also admits a literal row bitmap (mode 1), which the
+// decoder reads but the writer never emits: Rice at k = 0 already costs
+// no more than one bit per column (see writeRowCompressed). Every row
+// is byte-aligned, so decode errors carry exact byte offsets and a
 // corrupt row cannot desynchronise more than the current pass.
 //
 // Layout:
@@ -60,9 +61,7 @@ func writeRowCompressed(w io.Writer, src RowSource) error {
 	if err := writeUvarint(uint64(cols)); err != nil {
 		return err
 	}
-	bitmapBytes := uint64((cols + 7) / 8)
 	var vals []uint64
-	var bitmap []byte
 	pw := bitpack.NewWriter(bw)
 	err := src.Scan(func(row int, rcols []int32) error {
 		if len(rcols) == 0 {
@@ -77,31 +76,17 @@ func writeRowCompressed(w io.Writer, src RowSource) error {
 			vals = append(vals, uint64(c-prev)-1)
 			prev = c
 		}
-		k, riceBits := bitpack.BestRiceK(vals)
+		// Rice never loses to the literal bitmap: at k = 0 a gap-1 value v
+		// costs v+1 bits, and the row's values sum to c_last+1-count, so
+		// the k = 0 stream is c_last+1 <= cols bits — never more bytes
+		// than the ceil(cols/8) of a bitmap — and BestRiceK only improves
+		// on it. So every row is written in mode 0.
+		k, _ := bitpack.BestRiceK(vals)
 		if k > 31 {
 			// Unreachable while column ids fit in int32; see BestRiceK.
 			return fmt.Errorf("matrix: rice parameter %d overflows row header", k)
 		}
-		h := uint64(len(rcols))<<6 | uint64(k)
-		if bitmapBytes < (riceBits+7)/8 {
-			h = uint64(len(rcols))<<6 | 1<<5
-			if err := writeUvarint(h); err != nil {
-				return err
-			}
-			if uint64(len(bitmap)) < bitmapBytes {
-				bitmap = make([]byte, bitmapBytes)
-			}
-			b := bitmap[:bitmapBytes]
-			for i := range b {
-				b[i] = 0
-			}
-			for _, c := range rcols {
-				b[c>>3] |= 1 << (uint(c) & 7)
-			}
-			_, err := bw.Write(b)
-			return err
-		}
-		if err := writeUvarint(h); err != nil {
+		if err := writeUvarint(uint64(len(rcols))<<6 | uint64(k)); err != nil {
 			return err
 		}
 		for _, v := range vals {

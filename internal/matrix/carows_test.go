@@ -48,7 +48,7 @@ func TestFileSourceCompressedRoundTrip(t *testing.T) {
 		density float64
 	}{
 		{name: "sparse", m: randomMatrix(rng, 200, 40, 0.05)},
-		{name: "dense", m: randomMatrix(rng, 150, 30, 0.6)}, // bitmap rows
+		{name: "dense", m: randomMatrix(rng, 150, 30, 0.6)}, // small Rice parameters
 		{name: "paper", m: paperExample()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,7 +165,8 @@ func TestCompressedByteAccounting(t *testing.T) {
 }
 
 // fuzzSeedMatrix is a 130-row matrix spanning multiple 64-row shards
-// with sparse (Rice) and dense (bitmap) rows and some empty ones.
+// with sparse and dense rows (large and small Rice parameters) and some
+// empty ones.
 func fuzzSeedMatrix() *Matrix {
 	rows := make([][]int32, 130)
 	for r := range rows {

@@ -254,10 +254,10 @@ func TestCacheInvalidatedOnRefresh(t *testing.T) {
 
 // TestGenerationBuildsOnFirstQuery: what a generation keeps beside its
 // sketches belongs to the queries that need it. A start and a refresh
-// build nothing; the first banding and the first counting query of each
-// generation build once each, its later ones and the rules queries
-// (whose run has no recorder) add no build, and the new generation
-// starts from nothing — the old one's structures went with its sketches.
+// build nothing; the first banding, the first counting and the first
+// rules query of each generation build once each, its later ones add no
+// build, and the new generation starts from nothing — the old one's
+// structures went with its sketches.
 func TestGenerationBuildsOnFirstQuery(t *testing.T) {
 	s, path, rows := refreshableServer(t, Options{CacheSize: -1})
 	builds := func() int64 { return s.Collector().Counter(obs.CounterIndexBuilds) }
@@ -280,19 +280,19 @@ func TestGenerationBuildsOnFirstQuery(t *testing.T) {
 		t.Fatalf("%d index builds at start", got)
 	}
 	ask()
-	if got := builds(); got != 2 {
-		t.Fatalf("%d index builds in the first generation, want the buckets and the K-MH run index", got)
+	if got := builds(); got != 3 {
+		t.Fatalf("%d index builds in the first generation, want the buckets, the K-MH run index and the triangle", got)
 	}
 	growFile(t, path, rows, 24)
 	if n, err := s.refresh(); err != nil || n == 0 {
 		t.Fatalf("refresh folded %d rows: %v", n, err)
 	}
-	if got := builds(); got != 2 {
+	if got := builds(); got != 3 {
 		t.Fatalf("%d index builds after a refresh nobody has queried", got)
 	}
 	ask()
-	if got := builds(); got != 4 {
-		t.Fatalf("%d index builds over two generations, want 4", got)
+	if got := builds(); got != 6 {
+		t.Fatalf("%d index builds over two generations, want 6", got)
 	}
 }
 

@@ -275,8 +275,8 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 
 	// 16 goroutines fire the first queries of the fresh generation at
 	// once: every body is the serial answer, and each sketch built each
-	// structure it keeps once — two run indexes and the band buckets (the
-	// rules run has no recorder, so its triangle is not on /metrics).
+	// structure it keeps once — two run indexes, the band buckets and
+	// §6's triangle.
 	fire := func(check func(i int, got []byte)) {
 		var wg sync.WaitGroup
 		for w := 0; w < 16; w++ {
@@ -301,7 +301,7 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 			t.Errorf("%s: concurrent first query differs from the serial answer:\n got %s\nwant %s", before[i].name, got, before[i].want)
 		}
 	})
-	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 3 {
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 4 {
 		t.Fatalf("%d index builds in the first generation, want one per kept structure", got)
 	}
 
@@ -361,7 +361,7 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 			t.Fatalf("%s after refresh:\n got %s\nwant %s", qc.name, got.Body.Bytes(), qc.want)
 		}
 	}
-	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 6 {
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 8 {
 		t.Fatalf("%d index builds over two generations, want one per kept structure per generation", got)
 	}
 	for _, body := range []string{

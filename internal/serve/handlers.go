@@ -231,18 +231,15 @@ func (s *Server) topPairs(ctx context.Context, ix *index, q topPairsRequest) (an
 }
 
 func (s *Server) rules(ctx context.Context, ix *index, q rulesRequest) (any, *httpError) {
-	res, err := assocmine.MineRulesWithSignatures(ix.data, ix.sig, assocmine.RuleConfig{
-		MinConfidence: q.MinConfidence,
-		Delta:         q.Delta,
-		Seed:          s.opts.Seed,
-		Context:       ctx,
-	})
+	cfg := s.queryConfig(ctx, 0)
+	cfg.Algorithm, cfg.Threshold, cfg.Delta = assocmine.Rules, q.MinConfidence, q.Delta
+	res, err := assocmine.SimilarPairsWith(ix.data, ix.sig, cfg)
 	if err != nil {
 		return nil, queryFailure(err)
 	}
-	rules := make([]ruleJSON, len(res.Rules))
-	for i, rr := range res.Rules {
-		rules[i] = ruleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
+	rules := make([]ruleJSON, len(res.Pairs))
+	for i, p := range res.Pairs {
+		rules[i] = ruleJSON{From: p.I, To: p.J, Estimate: p.Estimate, Confidence: p.Similarity}
 	}
 	return rulesResponse{Count: len(rules), Rules: rules}, nil
 }

@@ -133,12 +133,12 @@ func (q topPairsRequest) validate(_ *index, opts *Options) error {
 
 // rulesRequest asks for all rules with confidence >= MinConfidence
 // (§6, support-free). Its one data pass — phase 3's verify.Verify,
-// admitting by confidence — honours the wall-clock budget; a rules run
-// has no memory budget to give it.
+// admitting by confidence — honours the wall-clock budget and runs
+// under the server's query config.
 type rulesRequest struct {
 	MinConfidence float64 `json:"min_confidence"`
-	// Delta loosens the candidate filter (see assocmine.RuleConfig);
-	// 0 means the library default.
+	// Delta loosens the candidate filter (see assocmine.Config.Delta);
+	// 0 means the library default for Rules.
 	Delta float64 `json:"delta,omitempty"`
 	timeoutField
 }

@@ -57,10 +57,10 @@ type Options struct {
 	// through the same incremental path as /v1/refresh. 0 disables.
 	RefreshInterval time.Duration
 	// Collector receives the server's metrics: query counters, per-
-	// endpoint latency spans, and the pipeline counters of the
-	// pair-style queries (pairs, topk, toppairs — a rules run has no
-	// recorder and an expr evaluation no pipeline). One is created when
-	// nil; exposed on /metrics and /debug/vars.
+	// endpoint latency spans, and the pipeline counters of the queries
+	// that scan data (pairs, topk, toppairs, rules — an expr evaluation
+	// has no pipeline). One is created when nil; exposed on /metrics and
+	// /debug/vars.
 	Collector *obs.Collector
 	// SnapshotMH and SnapshotKMH are AIN1 ingest-snapshot paths: resumed
 	// at startup when present, created otherwise, and saved back after
@@ -449,7 +449,7 @@ func (s *Server) queryContext(r *http.Request, timeoutMS int64) (context.Context
 }
 
 // queryConfig assembles the assocmine.Config shared by every
-// pair-style query: the server's worker and seed policy plus the
+// query that scans data: the server's worker and seed policy plus the
 // query's context and effective memory budget (request value capped
 // by the server's budget; 0 falls back to the server's).
 func (s *Server) queryConfig(ctx context.Context, memBudget int64) assocmine.Config {

@@ -177,15 +177,15 @@ func libraryCases(tb testing.TB, s *Server) []queryCase {
 
 	// rules straight from the resident signatures.
 	{
-		res, err := assocmine.MineRulesWithSignatures(ix.data, ix.sig, assocmine.RuleConfig{
-			MinConfidence: 0.9, Seed: s.opts.Seed,
+		res, err := assocmine.SimilarPairsWith(ix.data, ix.sig, assocmine.Config{
+			Algorithm: assocmine.Rules, Threshold: 0.9, Seed: s.opts.Seed,
 		})
 		if err != nil {
 			tb.Fatal(err)
 		}
-		rules := make([]ruleJSON, len(res.Rules))
-		for i, rr := range res.Rules {
-			rules[i] = ruleJSON{From: rr.From, To: rr.To, Estimate: rr.Estimate, Confidence: rr.Confidence}
+		rules := make([]ruleJSON, len(res.Pairs))
+		for i, p := range res.Pairs {
+			rules[i] = ruleJSON{From: p.I, To: p.J, Estimate: p.Estimate, Confidence: p.Similarity}
 		}
 		cases = append(cases, queryCase{
 			name: "rules", path: "/v1/rules", body: `{"min_confidence":0.9}`,
@@ -369,8 +369,9 @@ func TestQueryBudgets(t *testing.T) {
 	})
 	// A dead first query of a generation builds no index and leaves none
 	// half-built: it fails the same way, and the next query builds and
-	// answers.
+	// answers. The rules queries above built §6's triangle already.
 	t.Run("first-query", func(t *testing.T) {
+		builds := s.Collector().Counter(obs.CounterIndexBuilds)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		for path, body := range map[string]string{
@@ -383,7 +384,7 @@ func TestQueryBudgets(t *testing.T) {
 			if rr.Code != http.StatusRequestTimeout {
 				t.Fatalf("%s: status %d, want 408: %s", path, rr.Code, rr.Body.String())
 			}
-			if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 0 {
+			if got := s.Collector().Counter(obs.CounterIndexBuilds) - builds; got != 0 {
 				t.Fatalf("%s: %d index builds under a dead context", path, got)
 			}
 		}
@@ -392,7 +393,7 @@ func TestQueryBudgets(t *testing.T) {
 				t.Fatalf("%s after a dead first query: status %d: %s", qc.name, rr.Code, rr.Body.String())
 			}
 		}
-		if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 3 {
+		if got := s.Collector().Counter(obs.CounterIndexBuilds) - builds; got != 3 {
 			t.Fatalf("%d index builds, want two run indexes and the band buckets", got)
 		}
 	})
@@ -426,6 +427,50 @@ func TestPairsHonoursMemBudget(t *testing.T) {
 	}
 	if !bytes.Equal(tight, free) {
 		t.Errorf("budgeted response differs from unbudgeted:\n got %s\nwant %s", tight, free)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("%d spill files left in %s", len(left), dir)
+	}
+}
+
+// TestRulesRunsUnderQueryConfig: a /v1/rules request runs under the
+// server's query config like every other scanning endpoint — its exact
+// pass advances the Collector's pipeline counters, and the server's
+// MemoryBudget and SpillDir reach it (a budget below its counter table
+// spills) without changing a byte of the response.
+func TestRulesRunsUnderQueryConfig(t *testing.T) {
+	data := testDataset(t, 2000, 200)
+	const body = `{"min_confidence":0.3}`
+	post := func(s *Server) []byte {
+		t.Helper()
+		rr := recordPost(s.Handler(), "/v1/rules", body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+		}
+		return rr.Body.Bytes()
+	}
+	free, err := newServer(t, data, Options{CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := free.Collector()
+	verified, passes := col.Counter(obs.CounterPairsVerified), col.Counter(obs.CounterDataPasses)
+	want := post(free)
+	if col.Counter(obs.CounterPairsVerified) <= verified || col.Counter(obs.CounterDataPasses) != passes+1 {
+		t.Errorf("one rules request moved pairs_verified %d -> %d and data_passes %d -> %d; want a rise and one pass",
+			verified, col.Counter(obs.CounterPairsVerified), passes, col.Counter(obs.CounterDataPasses))
+	}
+
+	dir := t.TempDir()
+	tight, err := newServer(t, data, Options{CacheSize: -1, MemoryBudget: 1024, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := post(tight); !bytes.Equal(got, want) {
+		t.Errorf("budgeted rules response differs from unbudgeted:\n got %s\nwant %s", got, want)
+	}
+	if tight.Collector().Counter(obs.CounterSpillRuns) == 0 {
+		t.Error("MemoryBudget 1024 spilled nothing: the budget did not reach the rules pass")
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Errorf("%d spill files left in %s", len(left), dir)

@@ -3,10 +3,15 @@ package assocmine
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"assocmine/internal/dist"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
@@ -27,7 +32,7 @@ func rulesData(t *testing.T) *Dataset {
 // rulesOracle is the hand-sequenced §6 run the driver replaced
 // (rulesFromSignatures at PR 26): signatures, candidates and the exact
 // pass called one after the other on the bare source.
-func rulesOracle(t *testing.T, src matrix.RowSource, cfg RuleConfig) []Rule {
+func rulesOracle(t *testing.T, src matrix.RowSource, cfg Config) []Pair {
 	t.Helper()
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
@@ -36,14 +41,14 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg RuleConfig) []Rule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := rules.Candidates(context.Background(), sig, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.MinConfidence})
+	cand, err := rules.Candidates(context.Background(), sig, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.Threshold})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.SkipVerify {
-		out := make([]Rule, len(cand))
+		out := make([]Pair, len(cand))
 		for i, r := range cand {
-			out[i] = Rule{From: int(r.From), To: int(r.To), Estimate: r.Estimate}
+			out[i] = Pair{I: int(r.From), J: int(r.To), Estimate: r.Estimate}
 		}
 		return out
 	}
@@ -90,32 +95,20 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg RuleConfig) []Rule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []Rule
+	var out []Pair
 	for _, r := range rs {
 		if colSize[r.From] == 0 {
 			continue
 		}
 		idx, _ := slices.BinarySearch(keys, pairs.Make(r.From, r.To).Key())
-		if conf := float64(inter[idx]) / float64(colSize[r.From]); conf >= cfg.MinConfidence {
-			out = append(out, Rule{From: int(r.From), To: int(r.To), Estimate: r.Estimate, Confidence: conf})
+		if conf := float64(inter[idx]) / float64(colSize[r.From]); conf >= cfg.Threshold {
+			out = append(out, Pair{I: int(r.From), J: int(r.To), Estimate: r.Estimate, Similarity: conf})
 		}
 	}
-	slices.SortFunc(out, func(a, b Rule) int {
-		return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	slices.SortFunc(out, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(b.Similarity, a.Similarity), cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 	})
 	return out
-}
-
-func sameRules(t *testing.T, got, want []Rule) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%d rules, oracle has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rule %d = %+v, oracle has %+v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestMineRulesMatchesOracle: the rules the driver mines — folded or
@@ -126,24 +119,24 @@ func TestMineRulesMatchesOracle(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		for _, skip := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed=%d/skip=%v", seed, skip), func(t *testing.T) {
-				cfg := RuleConfig{MinConfidence: 0.7, K: 80, Seed: seed, SkipVerify: skip}
+				cfg := Config{Algorithm: Rules, Threshold: 0.7, K: 80, Seed: seed, SkipVerify: skip}
 				want := rulesOracle(t, d.m.Stream(), cfg)
 				if len(want) == 0 {
 					t.Fatal("oracle mined no rules: the comparison would be vacuous")
 				}
-				got, err := MineRules(d, cfg)
+				got, err := SimilarPairs(d, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameRules(t, got.Rules, want)
+				samePairs(t, got.Pairs, want)
 				sig, err := ComputeSignatures(d, cfg.K, seed, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, err = MineRulesWithSignatures(d, sig, cfg); err != nil {
+				if got, err = SimilarPairsWith(d, sig, cfg); err != nil {
 					t.Fatal(err)
 				}
-				sameRules(t, got.Rules, want)
+				samePairs(t, got.Pairs, want)
 			})
 		}
 	}
@@ -170,23 +163,26 @@ func TestMineRulesStats(t *testing.T) {
 	}
 	runs := []struct {
 		name             string
-		mine             func(RuleConfig) (*RulesResult, error)
+		mine             func(Config) (*Result, error)
 		folded           bool
 		file, compressed bool
 	}{
-		{"memory", func(c RuleConfig) (*RulesResult, error) { return MineRules(d, c) }, true, false, false},
-		{"arows", arows.MineRules, true, true, false},
-		{"carows", carows.MineRules, true, true, true},
-		{"adopted", func(c RuleConfig) (*RulesResult, error) { return MineRulesWithSignatures(d, sig, c) }, false, false, false},
+		{"memory", func(c Config) (*Result, error) { return SimilarPairs(d, c) }, true, false, false},
+		{"arows", arows.SimilarPairs, true, true, false},
+		{"carows", carows.SimilarPairs, true, true, true},
+		{"adopted", func(c Config) (*Result, error) { return SimilarPairsWith(d, sig, c) }, false, false, false},
 	}
 	for _, r := range runs {
 		for _, skip := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/skip=%v", r.name, skip), func(t *testing.T) {
-				res, err := r.mine(RuleConfig{MinConfidence: 0.7, K: k, Seed: 5, SkipVerify: skip})
+				res, err := r.mine(Config{Algorithm: Rules, Threshold: 0.7, K: k, Seed: 5, SkipVerify: skip})
 				if err != nil {
 					t.Fatal(err)
 				}
 				st := res.Stats
+				if st.Algorithm != Rules {
+					t.Errorf("Stats.Algorithm = %v, want Rules", st.Algorithm)
+				}
 				passes, cells := 0, int64(0)
 				if r.folded {
 					passes, cells = 1, k*m
@@ -203,10 +199,10 @@ func TestMineRulesStats(t *testing.T) {
 				if r.file != (st.BytesRead > 0) || r.compressed != (st.CompressedBytesRead > 0) {
 					t.Errorf("BytesRead = %d, CompressedBytesRead = %d on a run with file=%v compressed=%v", st.BytesRead, st.CompressedBytesRead, r.file, r.compressed)
 				}
-				if st.Candidates == 0 || st.Candidates < len(res.Rules) {
-					t.Errorf("Candidates = %d for %d rules", st.Candidates, len(res.Rules))
+				if st.Candidates == 0 || st.Candidates < len(res.Pairs) {
+					t.Errorf("Candidates = %d for %d rules", st.Candidates, len(res.Pairs))
 				}
-				wantVerified, wantFP := len(res.Rules), st.Candidates-len(res.Rules)
+				wantVerified, wantFP := len(res.Pairs), st.Candidates-len(res.Pairs)
 				if skip {
 					wantVerified, wantFP = 0, 0
 				} else if wantFP == 0 {
@@ -216,6 +212,57 @@ func TestMineRulesStats(t *testing.T) {
 					t.Errorf("Verified = %d, FalsePositives = %d; want %d and %d", st.Verified, st.FalsePositives, wantVerified, wantFP)
 				}
 			})
+		}
+	}
+}
+
+// TestRulesRefusedWhereItCannotRun: an entry point that cannot run §6's
+// Rules says so by name rather than mining something else — the
+// threshold-lowering searches, progressive mining, an Ingest new or
+// restored, and dist's process pool, which verifies by similarity only.
+func TestRulesRefusedWhereItCannotRun(t *testing.T) {
+	d := rulesData(t)
+	sig, err := ComputeSignatures(d, 40, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Algorithm: Rules, Threshold: 0.7, Seed: 3}
+	snapshot := filepath.Join(t.TempDir(), "rules.ain")
+	in, err := NewIngest(MinHash, d.NumCols(), 40, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Save(snapshot); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(raw[4:], uint64(Rules)) // the header's algorithm word
+	if err := os.WriteFile(snapshot, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	arows := saveDataset(t, d, t.TempDir(), ".arows")
+	for name, run := range map[string]func() error{
+		"TopPairsWith": func() error { _, err := TopPairsWith(d, sig, 5, cfg, 0); return err },
+		"TopColumnsWith": func() error {
+			_, err := TopColumnsWith(d, sig, 0, 5, cfg, 0)
+			return err
+		},
+		"ProgressiveSimilarPairs": func() error {
+			_, err := ProgressiveSimilarPairs(d, cfg, func(Progress) bool { return true })
+			return err
+		},
+		"NewIngest":  func() error { _, err := NewIngest(Rules, d.NumCols(), 40, 3, 0); return err },
+		"LoadIngest": func() error { _, err := LoadIngest(snapshot); return err },
+		"dist.Run": func() error {
+			_, err := dist.Run(dist.Config{Path: arows, Algorithm: dist.Algo(Rules), Threshold: 0.7, WorkerArgv: []string{os.Args[0]}})
+			return err
+		},
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "Rules") {
+			t.Errorf("%s: err = %v, want an error naming Rules", name, err)
 		}
 	}
 }

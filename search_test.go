@@ -167,15 +167,15 @@ func TestResidentMemos(t *testing.T) {
 		}
 		return signaturesKeeping(s.sig, limit)
 	}
-	ruleCfg := RuleConfig{MinConfidence: 0.7, Seed: 3}
+	ruleCfg := Config{Algorithm: Rules, Threshold: 0.7, Seed: 3}
 	bandCfg := func(l int, ctx context.Context, rec Recorder) Config {
 		return Config{Algorithm: MinLSH, Threshold: 0.6, R: 3, L: l, Seed: 3, Context: ctx, Recorder: rec}
 	}
 
 	sig := fresh(memoLimit)
-	wantRules, err := MineRules(d, RuleConfig{MinConfidence: 0.7, Seed: 3, K: 60})
-	if err != nil || len(wantRules.Rules) == 0 {
-		t.Fatalf("%d rules, %v", len(wantRules.Rules), err)
+	wantRules, err := SimilarPairs(d, Config{Algorithm: Rules, Threshold: 0.7, Seed: 3, K: 60})
+	if err != nil || len(wantRules.Pairs) == 0 {
+		t.Fatalf("%d rules, %v", len(wantRules.Pairs), err)
 	}
 	wantPairs, err := SimilarPairs(d, Config{Algorithm: MinLSH, Threshold: 0.6, K: 60, R: 3, L: 20, Seed: 3})
 	if err != nil || len(wantPairs.Pairs) == 0 {
@@ -189,11 +189,11 @@ func TestResidentMemos(t *testing.T) {
 		for _, skip := range []bool{false, true} {
 			cfg := ruleCfg
 			cfg.Context, cfg.SkipVerify = ctx, skip
-			if res, err := MineRulesWithSignatures(d, sig, cfg); res != nil || !errors.Is(err, ctx.Err()) {
+			if res, err := SimilarPairsWith(d, sig, cfg); res != nil || !errors.Is(err, ctx.Err()) {
 				t.Fatalf("skip=%v under %v: %v, %v", skip, ctx.Err(), res, err)
 			}
 			cfg.K = 60
-			if res, err := MineRules(d, cfg); res != nil || !errors.Is(err, ctx.Err()) {
+			if res, err := SimilarPairs(d, cfg); res != nil || !errors.Is(err, ctx.Err()) {
 				t.Fatalf("folding run, skip=%v under %v: %v, %v", skip, ctx.Err(), res, err)
 			}
 		}
@@ -213,8 +213,8 @@ func TestResidentMemos(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if g%2 == 0 {
-				res, err := MineRulesWithSignatures(d, sig, ruleCfg)
-				if errs[g] = err; err == nil && !reflect.DeepEqual(res.Rules, wantRules.Rules) {
+				res, err := SimilarPairsWith(d, sig, ruleCfg)
+				if errs[g] = err; err == nil && !reflect.DeepEqual(res.Pairs, wantRules.Pairs) {
 					errs[g] = errors.New("rules differ from the folding run's")
 				}
 				return
@@ -239,7 +239,7 @@ func TestResidentMemos(t *testing.T) {
 	if got, want := coll.Gauge(obs.GaugeIndexBytes), int64(12*20*d.NumCols()); got != want {
 		t.Errorf("index_bytes = %d, want %d", got, want)
 	}
-	if _, err := MineRulesWithSignatures(d, sig, RuleConfig{MinConfidence: 0.3, Seed: 3, SkipVerify: true}); err != nil {
+	if _, err := SimilarPairsWith(d, sig, Config{Algorithm: Rules, Threshold: 0.3, Seed: 3, SkipVerify: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := TopColumnsWith(d, sig, 4, 3, bandCfg(20, nil, coll), 0.3); err != nil {
@@ -268,8 +268,8 @@ func TestResidentMemos(t *testing.T) {
 	small := fresh(min(buckets, rules.TriangleBytes(d.NumCols())) - 1)
 	coll = NewCollector()
 	for range 2 {
-		res, err := MineRulesWithSignatures(d, small, ruleCfg)
-		if err != nil || !reflect.DeepEqual(res.Rules, wantRules.Rules) {
+		res, err := SimilarPairsWith(d, small, ruleCfg)
+		if err != nil || !reflect.DeepEqual(res.Pairs, wantRules.Pairs) {
 			t.Fatalf("over-bound rules: %v", err)
 		}
 		ps, err := SimilarPairsWith(d, small, bandCfg(20, nil, coll))

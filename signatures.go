@@ -21,8 +21,8 @@ import (
 // threshold touches is built by the first query that needs it and kept
 // with it: the Row-Sorting index (MinHash; 12 bytes a cell), the sorted
 // buckets of the band layout last queried (MinLSH; 12 bytes a band and
-// column) and Section 6's pair statistics (MineRulesWithSignatures; 12
-// bytes a pair) — the last two while they fit 64 MiB each.
+// column) and Section 6's pair statistics (Rules; 12 bytes a pair) —
+// the last two while they fit 64 MiB each.
 type Signatures struct {
 	sig *minhash.Signatures
 
@@ -74,7 +74,8 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 }
 
 // query implements Resident: MinHash adopts the sketch with its run
-// index, MinLSH with the buckets of one band layout.
+// index, MinLSH with the buckets of one band layout, Rules with §6's
+// triangle.
 func (s *Signatures) query(d *Dataset, cfg Config) (in driver.Input, _ Config, err error) {
 	if s.sig.M != d.NumCols() {
 		return in, cfg, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
@@ -87,8 +88,10 @@ func (s *Signatures) query(d *Dataset, cfg Config) (in driver.Input, _ Config, e
 	in.Adopted = &driver.Adopted{Sketch: fold.Sketch{MH: s.sig}, Index: &s.index}
 	switch {
 	case cfg.Algorithm == MinHash:
+	case cfg.Algorithm == Rules:
+		in.Adopted.Triangle = &s.triangle
 	case cfg.Algorithm != MinLSH:
-		return in, cfg, fmt.Errorf("assocmine: precomputed signatures support MinHash and MinLSH, got %v", cfg.Algorithm)
+		return in, cfg, fmt.Errorf("assocmine: precomputed signatures support MinHash, MinLSH and Rules, got %v", cfg.Algorithm)
 	case s.sig.K < cfg.R*cfg.L:
 		return in, cfg, fmt.Errorf("assocmine: sketch K=%d cannot host %d bands of %d rows", s.sig.K, cfg.L, cfg.R)
 	default:
