@@ -125,8 +125,6 @@ type Config struct {
 	// sample size and run count for HammingLSH. Defaults: R=5,
 	// L=K/R (MinLSH) or L=10 (HammingLSH).
 	R, L int
-	// T is the HammingLSH density-window parameter; default 4.
-	T int
 	// MinSupport is the support fraction for Apriori (required for it).
 	MinSupport float64
 	// SampleBudget is the BPS sample budget λ: the expected number of

@@ -516,11 +516,13 @@ func ingested(t *testing.T, e *env, c cell) Resident {
 		t.Fatal(err)
 	}
 	if c.chunk > 0 {
+		col := NewCollector()
+		in.SetRecorder(col)
 		in = appendChunked(t, in, srcRows(t, d, 0, n), c.chunk, c.workers, c.snapshot)
-		// IncrStats counts this process's work, so a restored ingest
-		// starts its session counters fresh.
-		if st := in.Stats(); !c.snapshot && st.RowsAppended != int64(n) {
-			t.Fatalf("RowsAppended = %d, want %d", st.RowsAppended, n)
+		// A restored ingest reports to no recorder, so only an ingest
+		// that was never snapshot reports every row appended.
+		if got := col.Counter(obs.CounterRowsAppended); !c.snapshot && got != int64(n) {
+			t.Fatalf("%s = %d, want %d", obs.CounterRowsAppended, got, n)
 		}
 	} else {
 		cut := n * 6 / 10

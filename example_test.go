@@ -84,3 +84,25 @@ func ExampleAnyOf() {
 	// Output:
 	// similarity 1.00
 }
+
+func ExampleMutualExclusions() {
+	// Columns 0 and 1 split the baskets and never meet; column 2 meets
+	// column 0 once where independence predicts twice, exactly
+	// MaxLift·expected; column 4 holds exactly the support floor
+	// (2 of 10 baskets) and column 3 falls below it.
+	data, _ := assocmine.NewDatasetFromRows(5, [][]int{
+		{0, 2}, {0}, {0}, {0}, {0},
+		{1, 2}, {1, 2}, {1, 2}, {1, 4}, {1, 3, 4},
+	})
+	xs, _ := assocmine.MutualExclusions(data, assocmine.ExclusionConfig{
+		MinSupport: 0.2, MaxLift: 0.5,
+	})
+	for _, x := range xs {
+		fmt.Printf("(%d,%d) observed %v expected %v lift %v\n", x.I, x.J, x.Observed, x.Expected, x.Lift)
+	}
+	// Output:
+	// (0,1) observed 0 expected 2.5 lift 0
+	// (0,4) observed 0 expected 1 lift 0
+	// (2,4) observed 0 expected 0.8 lift 0
+	// (0,2) observed 1 expected 2 lift 0.5
+}

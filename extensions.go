@@ -2,16 +2,19 @@ package assocmine
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"assocmine/internal/cluster"
-	"assocmine/internal/minhash"
+	"assocmine/internal/measures"
 	"assocmine/internal/pairs"
-	"assocmine/internal/rules"
+	"assocmine/internal/verify"
 )
 
 // This file exposes the Section 7 extensions: mutual exclusion
-// (anticorrelation), multi-way OR consequents, and the column
-// clustering the paper's news experiment illustrates.
+// (anticorrelation) and the column clustering the paper's news
+// experiment illustrates. Multi-way OR consequents are ExprEvaluator's
+// AnyOf.
 
 // Exclusion is a column pair that co-occurs far less than independence
 // predicts (Lift = observed/expected co-occurrence, near 0 for mutual
@@ -30,76 +33,67 @@ type ExclusionConfig struct {
 	MinSupport float64
 	// MaxLift is the reporting ceiling on observed/expected; default 0.2.
 	MaxLift float64
-	// UseSignatures estimates co-occurrence from a min-hash sketch (K
-	// values, one signature pass) instead of exact counting; candidates
-	// should then be re-checked if exactness matters.
-	UseSignatures bool
-	// K is the sketch size when UseSignatures is set; default 200.
-	K int
-	// Seed drives hashing when UseSignatures is set.
-	Seed uint64
 }
 
-// MutualExclusions finds anticorrelated column pairs.
+// MutualExclusions finds anticorrelated column pairs exactly: both
+// columns hold at least ⌈MinSupport·n⌉ rows and co-occur in at most
+// MaxLift times the |C_i|·|C_j|/n rows independence predicts. The
+// pairs come sorted by lift, then I, then J.
+//
+// It is one phase-3 pass: every pair of eligible columns is a candidate
+// of verify.Verify, whose measure is the observed count |C_i ∩ C_j| when
+// the pair is exclusive enough and NaN, which passes no threshold,
+// otherwise.
 func MutualExclusions(d *Dataset, cfg ExclusionConfig) ([]Exclusion, error) {
-	opt := rules.ExclusionOptions{MinSupport: cfg.MinSupport, MaxLift: cfg.MaxLift}
-	var (
-		raw []rules.Exclusion
-		err error
-	)
-	if cfg.UseSignatures {
-		k := cfg.K
-		if k == 0 {
-			k = 200
-		}
-		var sig *minhash.Signatures
-		sig, err = minhash.Compute(d.m.Stream(), k, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sizes := make([]int, d.m.NumCols())
-		for c := range sizes {
-			sizes[c] = d.m.ColumnSize(c)
-		}
-		raw, err = rules.MutualExclusionsFromSignatures(sig, sizes, d.m.NumRows(), opt)
-	} else {
-		raw, err = rules.MutualExclusions(d.m, opt)
+	if cfg.MinSupport <= 0 || cfg.MinSupport > 1 {
+		return nil, fmt.Errorf("assocmine: exclusion mining requires MinSupport in (0,1], got %v", cfg.MinSupport)
 	}
+	if cfg.MaxLift == 0 {
+		cfg.MaxLift = 0.2
+	}
+	if cfg.MaxLift < 0 {
+		return nil, fmt.Errorf("assocmine: MaxLift must be non-negative")
+	}
+	m := d.m
+	n := float64(m.NumRows())
+	minCount := int(math.Ceil(cfg.MinSupport * n))
+	var eligible []int32
+	for c := 0; c < m.NumCols(); c++ {
+		if m.ColumnSize(c) >= minCount {
+			eligible = append(eligible, int32(c))
+		}
+	}
+	cand := make([]pairs.Scored, 0, len(eligible)*(len(eligible)-1)/2)
+	for a, i := range eligible {
+		for _, j := range eligible[a+1:] {
+			cand = append(cand, pairs.Scored{Pair: pairs.Pair{I: i, J: j}})
+		}
+	}
+	exclusive := func(c measures.Counts) float64 {
+		if observed := float64(c.Inter); observed <= cfg.MaxLift*(float64(c.A)*float64(c.B)/float64(c.N)) {
+			return observed
+		}
+		return math.NaN()
+	}
+	kept, _, err := verify.Verify(m.Stream(), cand, verify.Params{Measure: exclusive})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Exclusion, len(raw))
-	for i, x := range raw {
-		out[i] = Exclusion{
-			I: int(x.I), J: int(x.J),
-			Expected: x.Expected, Observed: x.Observed, Lift: x.Lift,
-		}
+	out := make([]Exclusion, len(kept))
+	for x, p := range kept {
+		expected := float64(m.ColumnSize(int(p.I))) * float64(m.ColumnSize(int(p.J))) / n
+		out[x] = Exclusion{I: int(p.I), J: int(p.J), Expected: expected, Observed: p.Exact, Lift: p.Exact / expected}
 	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Lift != out[b].Lift {
+			return out[a].Lift < out[b].Lift
+		}
+		if out[a].I != out[b].I {
+			return out[a].I < out[b].I
+		}
+		return out[a].J < out[b].J
+	})
 	return out, nil
-}
-
-// OrSimilarityMulti estimates the similarity between column i and the
-// disjunction of the given columns from one min-hash sketch (the
-// signature of an OR of columns is the component-wise minimum of their
-// signatures, Section 7). Useful for scoring a handful of candidate
-// disjunctive rules; K defaults to 200.
-func OrSimilarityMulti(d *Dataset, i int, js []int, k int, seed uint64) (float64, error) {
-	if i < 0 || i >= d.m.NumCols() {
-		return 0, fmt.Errorf("assocmine: column %d out of range", i)
-	}
-	for _, j := range js {
-		if j < 0 || j >= d.m.NumCols() {
-			return 0, fmt.Errorf("assocmine: column %d out of range", j)
-		}
-	}
-	if k == 0 {
-		k = 200
-	}
-	sig, err := minhash.Compute(d.m.Stream(), k, seed)
-	if err != nil {
-		return 0, err
-	}
-	return rules.OrSimilarityEstimateMulti(sig, i, js), nil
 }
 
 // Cluster groups a similar-pairs result over cols columns into column

@@ -65,27 +65,18 @@ func TestIncrWindowMode(t *testing.T) {
 			if in.LiveFrom() != 120 || in.LiveRows() != 120 {
 				t.Fatalf("live span = [%d, +%d), want [120, +120)", in.LiveFrom(), in.LiveRows())
 			}
-			st := in.Stats()
-			if st.WindowsExpired != 2 {
-				t.Fatalf("WindowsExpired = %d, want 2", st.WindowsExpired)
+			if n := col.Counter(obs.CounterWindowsExpired); n != 2 {
+				t.Fatalf("%s = %d, want 2", obs.CounterWindowsExpired, n)
 			}
 			got, err := in.Signatures()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st = in.Stats(); st.StatesMerged != 1 {
-				t.Fatalf("StatesMerged = %d, want 1", st.StatesMerged)
-			}
-			for _, c := range []struct {
-				name string
-				got  int64
-			}{
-				{obs.CounterRowsAppended, st.RowsAppended},
-				{obs.CounterStatesMerged, st.StatesMerged},
-				{obs.CounterWindowsExpired, st.WindowsExpired},
+			for name, want := range map[string]int64{
+				obs.CounterRowsAppended: int64(len(rows)), obs.CounterStatesMerged: 1, obs.CounterWindowsExpired: 2,
 			} {
-				if col.Counter(c.name) != c.got {
-					t.Errorf("collector %s = %d, Stats says %d", c.name, col.Counter(c.name), c.got)
+				if n := col.Counter(name); n != want {
+					t.Errorf("%s = %d, want %d", name, n, want)
 				}
 			}
 			// Reference: a fresh serial fold over only the suffix rows,

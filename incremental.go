@@ -46,26 +46,8 @@ type Ingest struct {
 
 	nextRow int64
 	wins    []fold.State // live checkpoints, oldest first, tiling [LiveFrom(), nextRow)
-	stats   IncrStats
 	rec     Recorder
 	err     error // poisoned after a partial fold
-}
-
-// IncrStats counts the incremental-specific work an Ingest performed,
-// mirroring the rows_appended / states_merged / windows_expired
-// counters it reports to its Recorder. Counters describe this session's
-// work: they are not persisted in snapshots, so a LoadIngest starts
-// them at zero.
-type IncrStats struct {
-	// RowsAppended totals rows folded in, across AppendRows and CatchUp.
-	RowsAppended int64
-	// StatesMerged counts the checkpoint merges performed to answer
-	// Signatures/Sketches queries (merges internal to a parallel fold
-	// are not an ingest-level event and are not counted).
-	StatesMerged int64
-	// WindowsExpired counts the per-batch checkpoints dropped by
-	// sliding-window expiry.
-	WindowsExpired int64
 }
 
 // NewIngest returns an empty incremental builder for a dataset of cols
@@ -154,9 +136,6 @@ func (in *Ingest) LiveFrom() int64 {
 // Config.Window value that makes a query verify against exactly the
 // sketched suffix.
 func (in *Ingest) LiveRows() int64 { return in.nextRow - in.LiveFrom() }
-
-// Stats returns the incremental work counters accumulated so far.
-func (in *Ingest) Stats() IncrStats { return in.stats }
 
 // AppendRows folds one batch of new rows into the ingest: rows[i] lists
 // the column indices set in global row Rows()+i (any order; duplicates
@@ -256,12 +235,10 @@ func (in *Ingest) foldRows(src matrix.RowSource, newRows, workers int) error {
 		return err
 	}
 	in.nextRow += int64(newRows)
-	in.stats.RowsAppended += int64(newRows)
 	in.recorder().Add(obs.CounterRowsAppended, int64(newRows))
 	if in.window > 0 && len(in.wins) > in.window {
 		n := len(in.wins) - in.window
 		in.wins = append(in.wins[:0], in.wins[n:]...)
-		in.stats.WindowsExpired += int64(n)
 		in.recorder().Add(obs.CounterWindowsExpired, int64(n))
 	}
 	return nil
@@ -288,7 +265,6 @@ func (in *Ingest) sketch() (fold.Sketch, error) {
 		}
 	}
 	if n := len(in.wins) - 1; n > 0 {
-		in.stats.StatesMerged += int64(n)
 		in.recorder().Add(obs.CounterStatesMerged, int64(n))
 	}
 	return st.Finish(), nil

@@ -54,9 +54,7 @@ type Input struct {
 	// Column, when >= 0, restricts a sketch scheme's phase 2 to the pairs
 	// containing it, on the local executor (Search's too); -1: every pair.
 	Column int
-	// The serial schemes' extras: H-LSH's T, a-priori's support and
-	// byte budget.
-	T             int
+	// The serial schemes' extras: a-priori's support and byte budget.
 	MinSupport    float64
 	AprioriBudget int64
 	// Adopted, when non-nil, is taken in place of the phase-1 fold.
@@ -318,7 +316,7 @@ func (r *run) scheme() (scheme, error) {
 				return nil, err
 			}
 			set, hst, err := hamminglsh.Candidates(full, hamminglsh.Options{
-				R: p.R, L: p.L, T: r.in.T, Seed: p.Seed,
+				R: p.R, L: p.L, Seed: p.Seed,
 			})
 			if err != nil {
 				return nil, err

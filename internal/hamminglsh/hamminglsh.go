@@ -22,17 +22,17 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// Options parameterises H-LSH. The paper calls the per-run bit count r,
-// the number of runs per level k (sometimes l), and uses t = 4 for the
-// density window in its experiments.
+// windowT is the paper's t: a column is eligible at a ladder level while
+// its density is inside (1/t, (t-1)/t). The paper uses t = 4.
+const windowT = 4
+
+// Options parameterises H-LSH. The paper calls the per-run bit count r
+// and the number of runs per level k (sometimes l).
 type Options struct {
 	// R is the number of sampled row-bits per hash key; must be in [1, 64].
 	R int
 	// L is the number of independent runs per ladder level.
 	L int
-	// T defines the density eligibility window (1/T, (T-1)/T).
-	// Defaults to 4 when zero.
-	T int
 	// MaxLevels caps the fold ladder depth. Defaults to log2(rows)
 	// when zero.
 	MaxLevels int
@@ -46,12 +46,6 @@ func (o *Options) setDefaults(rows int) error {
 	}
 	if o.L < 1 {
 		return fmt.Errorf("hamminglsh: L must be positive, got %d", o.L)
-	}
-	if o.T == 0 {
-		o.T = 4
-	}
-	if o.T < 3 {
-		return fmt.Errorf("hamminglsh: T must be at least 3, got %d", o.T)
 	}
 	if o.MaxLevels == 0 {
 		o.MaxLevels = 1
@@ -87,8 +81,8 @@ func Candidates(m *matrix.Matrix, opt Options) (*pairs.Set, Stats, error) {
 
 	set := pairs.NewSet(1024)
 	var st Stats
-	loD := 1.0 / float64(opt.T)
-	hiD := float64(opt.T-1) / float64(opt.T)
+	loD := 1.0 / windowT
+	hiD := (windowT - 1.0) / windowT
 
 	for _, level := range ladder {
 		st.Levels++

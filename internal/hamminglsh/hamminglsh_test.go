@@ -16,7 +16,6 @@ func TestOptionsValidation(t *testing.T) {
 		{R: 0, L: 1},
 		{R: 65, L: 1},
 		{R: 4, L: 0},
-		{R: 4, L: 1, T: 2},
 		{R: 4, L: 1, MaxLevels: -1},
 	}
 	for i, o := range bad {
@@ -30,9 +29,6 @@ func TestDefaults(t *testing.T) {
 	o := Options{R: 4, L: 1}
 	if err := o.setDefaults(1024); err != nil {
 		t.Fatal(err)
-	}
-	if o.T != 4 {
-		t.Errorf("default T = %d, want 4", o.T)
 	}
 	if o.MaxLevels < 9 {
 		t.Errorf("default MaxLevels = %d for 1024 rows, want >= 9", o.MaxLevels)

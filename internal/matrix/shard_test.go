@@ -295,12 +295,23 @@ func TestFailedSinkStopsThePass(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("%s: err = %v, want the sink's error", mode.name, err)
 		}
-		// One reader runs ahead of the failed sink by the shard being
-		// filled, the one blocked on a full channel, and fanOutDepth
-		// slots per sink. Sinks that scan for themselves stop at their
-		// next row; allow them the 10 ms of rows a descheduled failer
-		// may take to raise the flag.
-		bound := int64(failAt + (2+nSinks*fanOutDepth)*maxRows)
+		// One reader checks the flag only when it flushes a shard. The
+		// failing sink holds shard failAt/maxRows; the reader's
+		// consecutive shards go to it every stride-th time (nSinks
+		// when dealt, 1 when broadcast). Before the flag rises the
+		// reader can fill the failing sink's fanOutDepth slots, read
+		// the shard after them and block sending it; once the sink
+		// fails and drains, that send completes and the reader reads
+		// one more whole shard before its flush sees the flag. So the
+		// last shard read is failAt/maxRows + stride·(fanOutDepth+1) +
+		// 1, and every row up to its end is delivered. Sinks that scan
+		// for themselves stop at their next row; allow them the 10 ms
+		// of rows a descheduled failer may take to raise the flag.
+		stride := nSinks
+		if mode.broadcast {
+			stride = 1
+		}
+		bound := int64((failAt/maxRows + stride*(fanOutDepth+1) + 2) * maxRows)
 		if concurrent {
 			bound = nSinks * (failAt + 500)
 		}

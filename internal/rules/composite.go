@@ -91,7 +91,10 @@ func OrCandidates(sig *minhash.Signatures, shortlist map[int32][]int32, minSim f
 		if out[a].From != out[b].From {
 			return out[a].From < out[b].From
 		}
-		return out[a].To[0] < out[b].To[0]
+		if out[a].To[0] != out[b].To[0] {
+			return out[a].To[0] < out[b].To[0]
+		}
+		return out[a].To[1] < out[b].To[1]
 	})
 	return out, nil
 }
@@ -131,7 +134,10 @@ func VerifyOrRules(m *matrix.Matrix, cand []OrRule, minSim float64) ([]OrRule, e
 		if out[a].From != out[b].From {
 			return out[a].From < out[b].From
 		}
-		return out[a].To[0] < out[b].To[0]
+		if out[a].To[0] != out[b].To[0] {
+			return out[a].To[0] < out[b].To[0]
+		}
+		return out[a].To[1] < out[b].To[1]
 	})
 	return out, nil
 }

@@ -149,6 +149,59 @@ func TestVerifyOrRules(t *testing.T) {
 	}
 }
 
+// TestOrRulesOrderIsDeterministic: when every estimate and exact
+// similarity ties, the rules of one antecedent differ in To alone, so
+// both sorts must key on To[1] too or their order follows the
+// shortlist map's iteration and the unstable sort.
+func TestOrRulesOrderIsDeterministic(t *testing.T) {
+	// 14 identical columns: every OR column equals every antecedent.
+	cols := make([][]int32, 14)
+	for c := range cols {
+		cols[c] = []int32{0, 2, 3, 5, 7, 11}
+	}
+	m := testutil.Must(matrix.New(12, cols))
+	sig := testutil.Must(minhash.Compute(m.Stream(), 64, 1))
+	// Six antecedents, each shortlisting the 13 other columns; order
+	// shuffles the shortlist order and the map's insertion order.
+	shortlist := func(order uint64) map[int32][]int32 {
+		rng := hashing.NewSplitMix64(order)
+		out := map[int32][]int32{}
+		for _, from := range rng.Perm(6) {
+			var tos []int32
+			for _, c := range rng.Perm(len(cols)) {
+				if c != from {
+					tos = append(tos, int32(c))
+				}
+			}
+			out[int32(from)] = tos
+		}
+		return out
+	}
+	rulesOf := func(order uint64) []OrRule {
+		ors := testutil.Must(OrCandidates(sig, shortlist(order), 0.5))
+		if len(ors) != 6*13*12/2 {
+			t.Fatalf("%d candidates, want %d", len(ors), 6*13*12/2)
+		}
+		// Reversed, so VerifyOrRules' sort sees another input order.
+		for a, b := 0, len(ors)-1; a < b; a, b = a+1, b-1 {
+			ors[a], ors[b] = ors[b], ors[a]
+		}
+		return testutil.Must(VerifyOrRules(m, ors, 0.5))
+	}
+	want := rulesOf(0)
+	for order := uint64(0); order < 50; order++ {
+		got := rulesOf(order)
+		if len(got) != len(want) {
+			t.Fatalf("order %d: %d rules, want %d", order, len(got), len(want))
+		}
+		for x := range want {
+			if got[x] != want[x] {
+				t.Fatalf("order %d: rule %d = %+v, want %+v", order, x, got[x], want[x])
+			}
+		}
+	}
+}
+
 func TestAndCandidates(t *testing.T) {
 	single := []Rule{
 		{From: 0, To: 1, Exact: 0.95},

@@ -26,14 +26,17 @@ import (
 // K: an exported name or method of the root package must be reached
 // from cmd/, examples/, internal/serve, internal/eval, bench/ or the
 // body of an Example* test of the root, or sit on
-// testdata/unused_root_exports.txt. That list was seeded with the state
-// of the commit that added K's sweep and may only shrink: a listed name
+// testdata/unused_root_exports.txt. So must every exported field of the
+// root's input structs (see unusedInputFields): a knob no caller sets is
+// a knob nobody needs. That list was seeded with the state of the
+// commit that added K's sweep, its field lines with the generator
+// fields tests shape fixtures with, and may only shrink: a listed name
 // that has gained a caller, or is gone, fails the test too.
 //
-// Not counted: struct fields; methods that make their type — or a type
-// of another package embedding it — satisfy an interface declared in
-// the module or the standard library (they are called through the
-// interface, never by name); types that are never named outside their
+// Not counted: the fields of any other struct; methods that make their
+// type — or a type of another package embedding it — satisfy an
+// interface declared in the module or the standard library (they are
+// called through the interface, never by name); types that are never named outside their
 // package but travel in the signature or type of something that is
 // used there; and the test-support packages testutil and faultfs, whose
 // callers are tests by design — which the sweep proves: no non-test
@@ -146,9 +149,59 @@ func TestExportedNamesAreUsed(t *testing.T) {
 	}, used) {
 		t.Errorf("%s is exported but no non-test code outside its package uses it: delete it, move it to a _test.go oracle, or unexport it", name)
 	}
+	unusedRoot := append(unusedIn(func(path string) bool { return path == module }, usedRoot),
+		unusedInputFields(u.pkgs[module], usedRoot)...)
+	sort.Strings(unusedRoot)
 	checkAllowlist(t, "unused_root_exports.txt",
-		"# Exported root-package names that cmd/, examples/, internal/serve,\n# internal/eval, bench/ and the Example* tests do not reach\n# (TestExportedNamesAreUsed, ROADMAP item K). This list only shrinks.\n",
-		unusedIn(func(path string) bool { return path == module }, usedRoot))
+		"# Exported root-package names and input-struct fields that cmd/,\n# examples/, internal/serve, internal/eval, bench/ and the Example*\n# tests do not reach (TestExportedNamesAreUsed, ROADMAP item K). This\n# list only shrinks.\n",
+		unusedRoot)
+}
+
+// unusedInputFields lists the exported fields of pkg's input structs
+// that used does not hold. An input struct is a non-alias struct type of
+// pkg that an exported function or method of pkg takes by value or by
+// pointer: its fields are the knobs a caller sets, so each needs one
+// that names it.
+func unusedInputFields(pkg *types.Package, used map[types.Object]bool) []string {
+	inputs := map[*types.TypeName]bool{}
+	takes := func(sig *types.Signature) {
+		for i := 0; i < sig.Params().Len(); i++ {
+			named := namedOf(sig.Params().At(i).Type())
+			if named == nil || named.Obj().Pkg() != pkg {
+				continue
+			}
+			if _, ok := named.Underlying().(*types.Struct); ok {
+				inputs[named.Obj()] = true
+			}
+		}
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			if obj.Exported() {
+				takes(obj.Type().(*types.Signature))
+			}
+		case *types.TypeName:
+			if named, ok := obj.Type().(*types.Named); ok && obj.Exported() && !obj.IsAlias() {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						takes(m.Type().(*types.Signature))
+					}
+				}
+			}
+		}
+	}
+	var unused []string
+	for tn := range inputs {
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !used[f] {
+				unused = append(unused, pkg.Path()+"."+tn.Name()+"."+f.Name())
+			}
+		}
+	}
+	return unused
 }
 
 // checkAllowlist fails for every unused name missing from the committed

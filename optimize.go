@@ -20,11 +20,12 @@ type LSHBudget struct {
 	// MaxFalseNeg and MaxFalsePos bound the expected error counts.
 	MaxFalseNeg float64
 	MaxFalsePos float64
-	// MaxR and MaxL bound the search space; defaults 40 and 500.
-	MaxR, MaxL int
 	// Seed drives the column sample.
 	Seed uint64
 }
+
+// maxR and maxL bound OptimizeLSH's search space over (r, l).
+const maxR, maxL = 40, 500
 
 // LSHParams is the optimizer's choice with its predicted error counts
 // over the sampled distribution.
@@ -49,17 +50,11 @@ func OptimizeLSH(d *Dataset, b LSHBudget) (LSHParams, error) {
 	if b.SampleColumns < 2 {
 		return LSHParams{}, fmt.Errorf("assocmine: SampleColumns must be at least 2")
 	}
-	if b.MaxR == 0 {
-		b.MaxR = 40
-	}
-	if b.MaxL == 0 {
-		b.MaxL = 500
-	}
 	dist, err := sampleDistribution(d, b.SampleColumns, b.Seed)
 	if err != nil {
 		return LSHParams{}, err
 	}
-	p, err := lsh.Optimize(dist, b.Threshold, b.MaxFalseNeg, b.MaxFalsePos, b.MaxR, b.MaxL)
+	p, err := lsh.Optimize(dist, b.Threshold, b.MaxFalseNeg, b.MaxFalsePos, maxR, maxL)
 	if err != nil {
 		return LSHParams{}, err
 	}

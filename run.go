@@ -21,7 +21,7 @@ func (c Config) input(src matrix.RowSource, materialize func() (*matrix.Matrix, 
 		Verify: verify.Params{Kernel: c.VerifyKernel, Budget: verify.Budget{Bytes: c.MemoryBudget, Dir: c.SpillDir},
 			Workers: c.Workers, Context: c.Context},
 		SkipVerify: c.SkipVerify, Window: c.Window, Column: -1,
-		T: c.T, MinSupport: c.MinSupport, AprioriBudget: c.AprioriMemoryBudget,
+		MinSupport: c.MinSupport, AprioriBudget: c.AprioriMemoryBudget,
 		Progress: c.Progress,
 	}
 }
