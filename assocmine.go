@@ -10,7 +10,6 @@ import (
 	"assocmine/internal/candidate"
 	"assocmine/internal/driver"
 	"assocmine/internal/fold"
-	"assocmine/internal/verify"
 )
 
 // ErrAprioriMemory is returned by SimilarPairs when the Apriori
@@ -87,25 +86,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Kernel selects the verification counting kernel; see
-// Config.VerifyKernel.
-type Kernel = verify.Kernel
-
-const (
-	// KernelAuto (the zero value) picks the packed kernel when the
-	// candidate-column bitmaps fit comfortably in memory and the scalar
-	// kernel otherwise; verify.Verify holds the exact heuristic.
-	KernelAuto = verify.KernelAuto
-	// KernelPacked forces the word-packed popcount kernel.
-	KernelPacked = verify.KernelPacked
-	// KernelScalar forces the per-row counter-scatter kernels.
-	KernelScalar = verify.KernelScalar
-)
-
-// ParseKernel converts a flag spelling ("auto", "packed", "scalar";
-// empty means auto) into a Kernel.
-func ParseKernel(s string) (Kernel, error) { return verify.ParseKernel(s) }
-
 // Config controls SimilarPairs. Zero values select documented defaults.
 type Config struct {
 	// Algorithm picks the scheme; default BruteForce.
@@ -137,12 +117,17 @@ type Config struct {
 	// unlimited. When exceeded, SimilarPairs returns
 	// apriori.ErrMemoryBudget (the paper's Fig. 4 "-" entries).
 	AprioriMemoryBudget int64
-	// MemoryBudget bounds the verification counter table in bytes; zero
-	// means unlimited. When the table for all candidates would exceed
-	// the budget, the exact pass keeps a bounded table and spills sorted
-	// runs of partial counts to disk, merging them after its single
-	// scan — results are bit-identical either way, and Stats reports the
-	// spill activity (SpillRuns, SpillBytes).
+	// MemoryBudget bounds verification's memory in bytes; zero means
+	// unlimited. The exact pass picks its kernel from the input: the
+	// packed popcount kernel when the candidate columns fit the budget
+	// (and a fixed cap) as bitmaps — a sparse column, with fewer ones
+	// than 1/512 of the rows, is held as its row list — and the scalar
+	// counter table otherwise. When that table for all candidates would
+	// exceed the budget, it is kept bounded and spills sorted runs of
+	// partial counts to disk, merged after its single scan. Results are
+	// bit-identical whichever runs; Stats reports the packed work
+	// (PackedWords, PackedBatches) and the spill activity (SpillRuns,
+	// SpillBytes).
 	MemoryBudget int64
 	// Seed drives all hashing; runs are deterministic in (data, Config).
 	Seed uint64
@@ -193,17 +178,6 @@ type Config struct {
 	// Apriori (support counting is defined over all rows) return an
 	// error for Window > 0.
 	Window int
-	// VerifyKernel selects the verification counting kernel. KernelAuto
-	// (the default) runs the packed kernel when the candidate columns
-	// would fit comfortably in memory as bitmaps — and, under a
-	// MemoryBudget, only when all of them fit the budget — falling back
-	// to the scalar counter kernels otherwise. The packed kernel holds a
-	// sparse column (fewer ones than 1/512 of the rows) as its row list
-	// and the rest as bitmaps. KernelPacked forces packing (batching the
-	// candidate columns against any MemoryBudget); KernelScalar forces
-	// the scalar kernels. Results are bit-identical across kernels; Stats
-	// reports the packed work (PackedWords, PackedBatches).
-	VerifyKernel Kernel
 }
 
 func (c *Config) setDefaults() error {
@@ -285,8 +259,7 @@ type Stats struct {
 
 	// DataPasses counts sequential scans of the data (the I/O currency
 	// of the disk-resident setting: phase 1 costs one pass, phase 3
-	// another — one per arena batch under a budgeted packed kernel;
-	// a-priori costs one per level). RowsScanned totals rows delivered
+	// another; a-priori costs one per level). RowsScanned totals rows delivered
 	// across all passes. Both are independent of Workers and of the
 	// source: an in-memory fast path that reads the data without
 	// scanning it accounts one I/O-equivalent pass.
@@ -346,8 +319,8 @@ type Stats struct {
 	// PackedWords counts the uint64 AND-popcount word operations the
 	// packed verification kernel executed — only candidates whose two
 	// columns are both held as bitmaps cost any — and PackedBatches the
-	// candidate batches its columns were loaded for (both 0 when
-	// verification ran a scalar kernel).
+	// batches its columns were loaded in: 1 for a packed pass (both 0
+	// when verification ran a scalar kernel).
 	PackedWords   int64
 	PackedBatches int64
 	// PairsSampled counts the in-row pair draws the BPS sampler

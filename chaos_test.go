@@ -123,10 +123,10 @@ func TestChaosCancellation(t *testing.T) {
 	}
 	path := saveDataset(t, d, t.TempDir(), ".arows")
 	mh := Config{Algorithm: MinHash, Threshold: 0.3, K: 40, Delta: 0.9, Seed: 13, MemoryBudget: 4096}
-	// The packed-verify case drops the budget (forcing it would batch the
-	// arena instead of spilling) and cancels inside the popcount sweep,
-	// which ticks pair progress at chunk granularity.
-	mhPacked := Config{Algorithm: MinHash, Threshold: 0.3, K: 40, Delta: 0.9, Seed: 13, VerifyKernel: KernelPacked}
+	// The packed-verify case drops the budget, so the candidate columns
+	// pack, and cancels inside the popcount sweep, which ticks pair
+	// progress at chunk granularity.
+	mhPacked := Config{Algorithm: MinHash, Threshold: 0.3, K: 40, Delta: 0.9, Seed: 13}
 	// The BPS cases share the loose Delta and tiny budget so its verify
 	// phase, too, spills before the cancel lands.
 	bpsChaos := Config{Algorithm: BPS, Threshold: 0.3, Delta: 0.9, Seed: 13, MemoryBudget: 4096}

@@ -100,8 +100,6 @@ func TestDistFlagConflicts(t *testing.T) {
 		{in: arows, algo: "hlsh", threshold: 0.5, k: 100, distWorkers: 2, stream: true},                 // unsupported algo
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, clusters: true},   // clusters
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, appendState: "x"}, // append
-		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, kernel: "packed"}, // kernel: the workers
-		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, kernel: "scalar"}, // verify with auto
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, workers: 4},       // workers: one goroutine a process
 		{in: arows, algo: "mh", threshold: 0.5, k: 100, distWorkers: 2, stream: true, progress: true},   // progress: the pool reports none
 	}
@@ -109,5 +107,17 @@ func TestDistFlagConflicts(t *testing.T) {
 		if err := run(o); err == nil {
 			t.Errorf("case %d: conflicting flags accepted", i)
 		}
+	}
+	// "-mem-budget 0" is the unlimited budget the flag's default means,
+	// so the pool mines what it mines without the flag.
+	if testing.Short() {
+		return
+	}
+	base := options{in: arows, algo: "mh", threshold: 0.5, k: 100, seed: 3, distWorkers: 2, stream: true, top: 0}
+	want := captureRun(t, base)
+	zero := base
+	zero.memBudget = "0"
+	if got := captureRun(t, zero); got != want {
+		t.Errorf("-mem-budget 0 -dist-workers 2 mined otherwise:\n--- without ---\n%s--- -mem-budget 0 ---\n%s", want, got)
 	}
 }

@@ -48,7 +48,6 @@ type options struct {
 	stats       bool
 	stream      bool
 	memBudget   string
-	kernel      string
 	timeout     time.Duration
 	txns        bool
 	clusters    bool
@@ -80,15 +79,14 @@ func main() {
 	flag.IntVar(&o.top, "top", 50, "print at most this many pairs/rules (0 = all)")
 	flag.BoolVar(&o.stats, "stats", true, "print phase statistics")
 	flag.BoolVar(&o.stream, "stream", false, "mine directly from disk (one file pass per phase; .txt, .arows or compressed .carows)")
-	flag.StringVar(&o.memBudget, "mem-budget", "", "verification counter-table budget, e.g. 64K, 16M, 1G (bytes if no suffix); empty or 0 = unlimited. When the candidate counters exceed it, the exact pass spills sorted runs to disk")
-	flag.StringVar(&o.kernel, "kernel", "auto", "verification kernel: auto | packed | scalar. auto packs candidate columns into popcount bitmaps when they fit in memory; results are bit-identical either way")
+	flag.StringVar(&o.memBudget, "mem-budget", "", "verification memory budget, e.g. 64K, 16M, 1G (bytes if no suffix); empty or 0 = unlimited. The exact pass packs the candidate columns into popcount bitmaps only when they fit it, and when the scalar candidate counters exceed it, spills sorted runs to disk; results are bit-identical either way")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the mining run after this long, e.g. 30s, 5m; 0 = no limit. Aborted runs clean up their spill files and exit non-zero")
 	flag.BoolVar(&o.txns, "transactions", false, "input is named-transaction format (item names per line)")
 	flag.BoolVar(&o.clusters, "clusters", false, "also group the found pairs into column clusters")
 	flag.StringVar(&o.appendState, "append", "", "incremental: maintain an ingest snapshot at this path — catch up on the input's unseen rows (O(new rows), creating the snapshot if missing), save it back, then query from the merged sketch (mh, mlsh, kmh)")
 	flag.StringVar(&o.resumeState, "resume", "", "incremental: like -append but read-only — load the snapshot and catch up in memory without rewriting it")
 	flag.IntVar(&o.window, "window", 0, "sliding window: with -append/-resume, keep only the last N catch-up batches live; otherwise mine only the trailing N rows of the input (mh, kmh, mlsh, brute)")
-	flag.IntVar(&o.distWorkers, "dist-workers", 0, "scale out across this many worker subprocesses (requires -stream; mh, kmh, mlsh, bps; not with -mem-budget, a -kernel other than auto, -workers or -progress). Output is bit-identical to the single-process run")
+	flag.IntVar(&o.distWorkers, "dist-workers", 0, "scale out across this many worker subprocesses (requires -stream; mh, kmh, mlsh, bps; not with a positive -mem-budget, -workers or -progress). Output is bit-identical to the single-process run")
 	flag.BoolVar(&o.worker, "worker", false, "internal: run as a scale-out worker subprocess, speaking the dist protocol on stdin/stdout (used by -dist-workers)")
 	flag.BoolVar(&o.metrics, "metrics", false, "print per-phase metrics in Prometheus text format after the run")
 	flag.BoolVar(&o.progress, "progress", false, "report per-phase progress on stderr while mining")
@@ -145,6 +143,10 @@ func run(o options) error {
 	if incr := o.appendState != "" || o.resumeState != ""; incr && o.txns {
 		return errors.New("-append/-resume cannot be combined with -transactions")
 	}
+	budget, err := parseByteSize(o.memBudget)
+	if err != nil {
+		return fmt.Errorf("-mem-budget: %w", err)
+	}
 	if o.distWorkers > 0 {
 		if !o.stream {
 			return errors.New("-dist-workers requires -stream")
@@ -155,10 +157,10 @@ func run(o options) error {
 		if o.txns || o.appendState != "" || o.resumeState != "" || o.window != 0 || o.clusters || o.workers < 0 || o.workers > 1 || o.progress {
 			return errors.New("-dist-workers cannot be combined with -transactions, -append, -resume, -window, -clusters, -workers or -progress")
 		}
-		// The dist workers take no verification budget or kernel: a flag
-		// the run cannot honour is an error, not ignored.
-		if o.memBudget != "" || (o.kernel != "" && o.kernel != "auto") {
-			return errors.New("-dist-workers cannot be combined with -mem-budget or a -kernel other than auto")
+		// The dist workers take no verification budget: a flag the run
+		// cannot honour is an error, not ignored.
+		if budget > 0 {
+			return errors.New("-dist-workers cannot be combined with a positive -mem-budget")
 		}
 	}
 	stopDiag, err := startDiagnostics(o)
@@ -214,18 +216,10 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	budget, err := parseByteSize(o.memBudget)
-	if err != nil {
-		return fmt.Errorf("-mem-budget: %w", err)
-	}
-	kernel, err := assocmine.ParseKernel(o.kernel)
-	if err != nil {
-		return fmt.Errorf("-kernel: %w", err)
-	}
 	cfg := assocmine.Config{
 		Algorithm: a, Threshold: o.threshold, K: o.k, R: o.r, L: o.l,
 		MinSupport: o.support, SampleBudget: o.budget, Seed: o.seed,
-		Workers: o.workers, MemoryBudget: budget, VerifyKernel: kernel, Context: ctx,
+		Workers: o.workers, MemoryBudget: budget, Context: ctx,
 	}
 	if o.appendState == "" && o.resumeState == "" {
 		// Plain sliding-window mining; in incremental mode -window counts

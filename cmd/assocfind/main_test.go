@@ -80,10 +80,10 @@ func TestRunRules(t *testing.T) {
 // TestRunRulesHonoursItsFlags: -stream -algo rules mines from the file
 // (the stats carry the two passes' bytes) instead of loading it,
 // -timeout reaches the run, and a rules run takes the flags every other
-// driver run takes: under -workers, a spilling -mem-budget, either
-// -kernel, -progress, -metrics and -clusters it mines the serial loaded
-// run's rules, -window mines the trailing rows, and -dist-workers is
-// refused by dist.Run itself.
+// driver run takes: under -workers, a spilling -mem-budget, -progress,
+// -metrics and -clusters it mines the serial loaded run's rules,
+// -window mines the trailing rows, and -dist-workers is refused by
+// dist.Run itself.
 func TestRunRulesHonoursItsFlags(t *testing.T) {
 	path := writeFixture(t)
 	// At 0.3 the candidates overflow the smallest spill table (16).
@@ -126,8 +126,6 @@ func TestRunRulesHonoursItsFlags(t *testing.T) {
 		"workers":    func(o *options) { o.workers = 4 },
 		"all-cores":  func(o *options) { o.workers = -1 },
 		"mem-budget": func(o *options) { o.memBudget = "64" },
-		"packed":     func(o *options) { o.kernel = "packed" },
-		"scalar":     func(o *options) { o.kernel = "scalar" },
 		"metrics":    func(o *options) { o.metrics = true },
 		"progress":   func(o *options) { o.progress = true },
 		"clusters":   func(o *options) { o.clusters = true },

@@ -17,7 +17,9 @@ import (
 	"assocmine/internal/dist"
 	"assocmine/internal/faultfs"
 	"assocmine/internal/matrix"
+	"assocmine/internal/measures"
 	"assocmine/internal/obs"
+	"assocmine/internal/rules"
 	"assocmine/internal/testutil"
 )
 
@@ -25,20 +27,25 @@ import (
 // Config), so the three-phase template must give the same answer
 // wherever the data sits and whoever executes the phases: one cell is
 // one (fixture, scheme) run under one choice of executor, file format,
-// workers, verify kernel, memory budget, fault plan and window, and its
-// single assertion is that it equals the oracle — the in-memory run on
-// one worker with the scalar kernel, no budget and no faults — pairs bit
-// for bit and every Stats field by reflection, except the fields that
-// describe the schedule rather than the answer. Those are checked by
-// per-axis predicates instead, and by the cell's twins: the runs that
-// differ from it only in an axis that must not change the schedule
-// either.
+// workers, memory budget, fault plan and window, and its single
+// assertion is that it equals the oracle — the in-memory run on one
+// worker with no budget and no faults, itself held to its candidates
+// counted straight from the fixture's columns — pairs bit for bit and
+// every Stats field by reflection, except the fields that describe the
+// schedule rather than the answer. Those are checked by per-axis
+// predicates instead — phase 3's kernel among them: each cell must have
+// verified with the kernel autoPack chooses for its candidates and
+// budget — and by the cell's twins: the runs that differ from it only
+// in an axis that must not change the schedule either.
 //
 // Each executor sits behind one adapter, which names the Stats fields it
 // cannot reproduce. The cells run as subtests of a handful of top-level
 // tests whose names, and subtest paths, are those of the per-driver
 // harnesses the matrix replaced, so their test ids stay stable; the
-// cells no such harness ran are under TestEquivalenceMatrix.
+// cells no such harness ran are under TestEquivalenceMatrix. For the
+// same reason a cell path still ends in "scalar" or "packed" where the
+// matrix once forced a kernel: each such pair now reaches its kernel
+// through the input alone (steer).
 
 // scheduleFields are the Stats fields that depend on how a run was
 // executed, not on what it mined: durations, worker budgets, shard
@@ -64,10 +71,9 @@ type cell struct {
 
 	format  string // file extension the executor reads, "" for none
 	workers int
-	kernel  Kernel
-	budget  int64
-	faults  bool // open the file through a transient fault plan
-	ctx     bool // attach a live Context
+	budget  int64 // bytes, or belowArena or atArena until check resolves it
+	faults  bool  // open the file through a transient fault plan
+	ctx     bool  // attach a live Context
 
 	chunk     int  // incremental: rows per AppendRows call; 0 catches up from files
 	snapshot  bool // incremental: a Save/LoadIngest round trip halfway
@@ -77,11 +83,34 @@ type cell struct {
 // config is the cell's Config: the scheme under the cell's axes.
 func (c cell) config() Config {
 	cfg := c.cfg
-	cfg.Workers, cfg.VerifyKernel, cfg.MemoryBudget = c.workers, c.kernel, c.budget
+	cfg.Workers, cfg.MemoryBudget = c.workers, c.budget
 	if c.ctx {
 		cfg.Context = context.Background()
 	}
 	return cfg
+}
+
+// Budgets a cell names by its candidates' arena — their distinct columns
+// as ⌈n/64⌉-word bitmaps — which check resolves to bytes.
+const (
+	belowArena = -1 // a byte under the arena: autoPack declines it
+	atArena    = -2 // the arena itself: autoPack packs under it
+)
+
+// steer is the budget of the cell of a scalar/packed pair named k whose
+// budget would otherwise be b: the scalar cell keeps b, or without one
+// runs a byte under its arena; the packed cell runs without a budget, or
+// at its arena where b is set. A budget is the only lever a run has on
+// its kernel, and a packed cell still counts scalar when its scheme
+// yields fewer candidates than autoPack packs.
+func steer(k string, b int64) int64 {
+	switch {
+	case k == "scalar" && b == 0:
+		return belowArena
+	case k == "packed" && b > 0:
+		return atArena
+	}
+	return b
 }
 
 // executor is the adapter of one way to run the template.
@@ -89,6 +118,9 @@ type executor struct {
 	name string
 	// streams: the executor's own run reads a file.
 	streams bool
+	// splits: phase 3 verifies the candidates in parts — a band's fresh
+	// pairs, a worker's range — each choosing its own kernel.
+	splits bool
 	// cannot names the Stats fields the executor does not account, with
 	// the reason; check compares none of them.
 	cannot map[string]string
@@ -128,7 +160,8 @@ var (
 		expect: lessSketchPhase,
 	}
 	progressiveExec = &executor{
-		name: "progressive",
+		name:   "progressive",
+		splits: true,
 		cannot: map[string]string{
 			"DataPasses":  "each band with fresh candidates is verified by its own pass",
 			"RowsScanned": "each band with fresh candidates is verified by its own pass",
@@ -142,7 +175,8 @@ var (
 		},
 	}
 	distExec = &executor{
-		name: "dist",
+		name:   "dist",
+		splits: true,
 		cannot: map[string]string{
 			"DataPasses":  "the workers' reads never cross the pipe",
 			"RowsScanned": "the workers' reads never cross the pipe",
@@ -185,7 +219,8 @@ var shared = struct {
 	sync.Mutex
 	data    map[string]*Dataset
 	oracles map[string]*Result
-}{data: map[string]*Dataset{}, oracles: map[string]*Result{}}
+	cands   map[string]candidates
+}{data: map[string]*Dataset{}, oracles: map[string]*Result{}, cands: map[string]candidates{}}
 
 // data returns fixture fix, generating it once per test binary.
 func (e *env) data(t *testing.T, fix string) *Dataset {
@@ -239,8 +274,9 @@ func (e *env) open(t *testing.T, c cell) *FileDataset {
 	return fd
 }
 
-// oracle is the cell's scheme mined in memory on one worker with the
-// scalar kernel, no budget and no faults.
+// oracle is the cell's scheme mined in memory on one worker with no
+// budget and no faults. Unless it skips verification, its pairs and
+// their Similarity bits must be the reference count of its candidates.
 func (e *env) oracle(t *testing.T, c cell) *Result {
 	t.Helper()
 	key := fmt.Sprintf("%s %+v", c.fix, c.cfg)
@@ -251,12 +287,111 @@ func (e *env) oracle(t *testing.T, c cell) *Result {
 		return res
 	}
 	cfg := c.cfg
-	cfg.Workers, cfg.VerifyKernel = 1, KernelScalar
+	cfg.Workers = 1
 	res = mustRun(t)(SimilarPairs(e.data(t, c.fix), cfg))
+	if !cfg.SkipVerify {
+		ref := e.candidates(t, c).ref
+		if len(res.Pairs) != len(ref) {
+			t.Fatalf("the oracle verified %d pairs, the reference count %d", len(res.Pairs), len(ref))
+		}
+		for _, p := range res.Pairs {
+			if s, ok := ref[[2]int{p.I, p.J}]; !ok || s != p.Similarity {
+				t.Fatalf("the oracle's %+v: the reference count has %v (%v)", p, s, ok)
+			}
+		}
+	}
 	shared.Lock()
 	shared.oracles[key] = res
 	shared.Unlock()
 	return res
+}
+
+// candidates is what phase 3 is handed for a scheme: the length of its
+// candidate list, the bytes its arena takes, and the reference — every
+// candidate counted straight from the fixture's columns (over the
+// window's rows when the scheme has one) and scored by the scheme's
+// measure of measures.Counts, the Jaccard similarity or, for Rules, the
+// confidence: the survivors' scores by pair, with no kernel involved.
+type candidates struct {
+	n     int
+	arena int64
+	ref   map[[2]int]float64
+}
+
+// candidates returns the candidates of c's scheme: the pairs of its
+// SkipVerify oracle.
+func (e *env) candidates(t *testing.T, c cell) candidates {
+	t.Helper()
+	key := fmt.Sprintf("%s %+v", c.fix, c.cfg)
+	shared.Lock()
+	ci, ok := shared.cands[key]
+	shared.Unlock()
+	if ok {
+		return ci
+	}
+	skip := c
+	skip.cfg.SkipVerify = true
+	cand := e.oracle(t, skip).Pairs
+	m := e.data(t, c.fix).Matrix()
+	n := m.NumRows()
+	from := 0
+	if w := c.cfg.Window; w > 0 {
+		from = max(0, n-w)
+	}
+	rows := func(c int) []int32 {
+		col := m.Column(c)
+		return col[sort.Search(len(col), func(i int) bool { return int(col[i]) >= from }):]
+	}
+	measure := measures.Counts.Jaccard
+	if c.cfg.Algorithm == Rules {
+		measure = rules.Confidence
+	}
+	ci = candidates{n: len(cand), ref: map[[2]int]float64{}}
+	distinct := map[int]bool{}
+	for _, p := range cand {
+		distinct[p.I], distinct[p.J] = true, true
+		a, b := rows(p.I), rows(p.J)
+		inter := 0
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			switch {
+			case a[i] < b[j]:
+				i++
+			case a[i] > b[j]:
+				j++
+			default:
+				inter, i, j = inter+1, i+1, j+1
+			}
+		}
+		if len(a)+len(b) == inter {
+			continue // an empty union scores nothing
+		}
+		if s := measure(measures.Counts{N: n, A: len(a), B: len(b), Inter: inter}); s >= c.cfg.Threshold {
+			ci.ref[[2]int{p.I, p.J}] = s
+		}
+	}
+	ci.arena = int64(len(distinct)) * int64((n+63)/64) * 8
+	shared.Lock()
+	shared.cands[key] = ci
+	shared.Unlock()
+	return ci
+}
+
+// packs is autoPack's choice for the candidates under budget (0: none),
+// which a run verifying them in one pass must make: 16 candidates or
+// more whose arena fits the budget, or 256 MiB without one.
+func (ci candidates) packs(budget int64) bool {
+	limit := int64(256 << 20)
+	if budget > 0 {
+		limit = budget
+	}
+	return ci.n >= 16 && ci.arena <= limit
+}
+
+// spills reports whether the scalar kernel keeps the candidates'
+// counters in a bounded table under budget: they take 12 bytes each,
+// and do not fit it.
+func (ci candidates) spills(budget int64) bool {
+	return budget > 0 && !ci.packs(budget) && int64(ci.n)*12 > budget
 }
 
 // check runs one cell and holds it to its oracle.
@@ -264,6 +399,13 @@ func (e *env) check(t *testing.T, c cell) {
 	want := e.oracle(t, c)
 	if len(want.Pairs) == 0 {
 		t.Fatal("the oracle mined no pairs: the cell is vacuous")
+	}
+	ci := e.candidates(t, c)
+	switch c.budget {
+	case belowArena:
+		c.budget = ci.arena - 1
+	case atArena:
+		c.budget = ci.arena
 	}
 	// Hooks attached change nothing: every cell runs with a Recorder and
 	// a Progress function.
@@ -277,18 +419,12 @@ func (e *env) check(t *testing.T, c cell) {
 	if c.exec.expect != nil {
 		exp = c.exec.expect(t, e, c, exp)
 	}
-	if c.budget > 0 && got.Stats.PackedBatches > 1 {
-		// A budgeted packed pass reads the data once per batch of columns.
-		extra := got.Stats.PackedBatches - 1
-		exp.RowsScanned += extra * (exp.RowsScanned / int64(exp.DataPasses))
-		exp.DataPasses += int(extra)
-	}
 	ignore := append([]string(nil), scheduleFields...)
 	for f := range c.exec.cannot {
 		ignore = append(ignore, f)
 	}
 	sameStats(t, got.Stats, exp, ignore...)
-	checkSchedule(t, c, got.Stats)
+	checkSchedule(t, c, ci, got.Stats)
 	for _, tw := range c.twins() {
 		e.checkTwin(t, got.Stats, tw)
 	}
@@ -333,7 +469,7 @@ func (c cell) twins() []twin {
 		out = append(out, twin{of: "over .arows", cell: arows, fields: work, fewerBytes: compresses[c.fix]})
 	}
 	if c.exec.expect != nil {
-		direct := cell{fix: c.fix, cfg: c.cfg, exec: memoryExec, workers: c.workers, kernel: c.kernel, budget: c.budget}
+		direct := cell{fix: c.fix, cfg: c.cfg, exec: memoryExec, workers: c.workers, budget: c.budget}
 		out = append(out, twin{of: "run directly", cell: direct, fields: work, lessSketch: true})
 	}
 	return out
@@ -367,8 +503,9 @@ func statsFrom(col *Collector, st Stats) Stats {
 }
 
 // checkSchedule holds the schedule fields check does not compare to
-// what each axis of the cell implies.
-func checkSchedule(t *testing.T, c cell, st Stats) {
+// what each axis of the cell implies, and phase 3's kernel and memory
+// strategy to the choice its candidates and budget imply.
+func checkSchedule(t *testing.T, c cell, ci candidates, st Stats) {
 	t.Helper()
 	expectf := func(ok bool, format string, args ...any) {
 		t.Helper()
@@ -390,24 +527,22 @@ func checkSchedule(t *testing.T, c cell, st Stats) {
 	}
 	expectf(c.faults == (st.IORetries > 0 && st.FaultsInjected > 0) && (c.faults || st.IORetries+st.FaultsInjected == 0),
 		"faults = %v, but IORetries = %d and FaultsInjected = %d", c.faults, st.IORetries, st.FaultsInjected)
-	switch {
-	case c.budget == 0:
-		expectf(st.SpillRuns == 0 && st.SpillBytes == 0 && st.SpillBytesCompressed == 0, "an unbudgeted run spilled %d runs, %d bytes", st.SpillRuns, st.SpillBytes)
-	case c.kernel == KernelPacked:
-		expectf(st.PackedBatches >= 2, "a %d-byte budget packed %d candidates in %d batches", c.budget, st.Candidates, st.PackedBatches)
-	default:
-		// Each budget in the matrix is below the candidates' bitmaps, so
-		// Auto, like the scalar kernel, must take the spilling path; the
-		// default spill codec compresses every byte.
-		expectf(st.SpillRuns > 0 && st.SpillBytes > 0 && st.PackedBatches == 0,
-			"a %d-byte budget over %d candidates spilled %d runs and packed %d batches", c.budget, st.Candidates, st.SpillRuns, st.PackedBatches)
-		expectf(st.SpillBytesCompressed == st.SpillBytes, "SpillBytesCompressed = %d, SpillBytes = %d", st.SpillBytesCompressed, st.SpillBytes)
+	if packs := ci.packs(c.budget); !c.exec.splits {
+		// A packed pass loads every candidate column in one batch.
+		batches := int64(0)
+		if packs {
+			batches = 1
+		}
+		expectf(st.PackedBatches == batches, "%d candidates over a %d-byte arena under a %d-byte budget verified in %d packed batches, want %d",
+			ci.n, ci.arena, c.budget, st.PackedBatches, batches)
 	}
-	switch c.kernel {
-	case KernelPacked:
-		expectf(st.Candidates == 0 || st.PackedBatches > 0, "the packed kernel verified %d candidates in no batch", st.Candidates)
-	case KernelScalar:
-		expectf(st.PackedBatches == 0 && st.PackedWords == 0, "the scalar kernel reported %d packed batches", st.PackedBatches)
+	if ci.spills(c.budget) {
+		// The bounded table spills, and the spill codec compresses every
+		// byte.
+		expectf(st.SpillRuns > 0 && st.SpillBytes > 0, "a %d-byte budget over %d candidates spilled %d runs", c.budget, ci.n, st.SpillRuns)
+		expectf(st.SpillBytesCompressed == st.SpillBytes, "SpillBytesCompressed = %d, SpillBytes = %d", st.SpillBytesCompressed, st.SpillBytes)
+	} else {
+		expectf(st.SpillRuns == 0 && st.SpillBytes == 0 && st.SpillBytesCompressed == 0, "a %d-byte budget over %d candidates spilled %d runs, %d bytes", c.budget, ci.n, st.SpillRuns, st.SpillBytes)
 	}
 }
 
@@ -701,10 +836,11 @@ var compresses = map[string]bool{"f43": true, "f47": true}
 // listsMeetBitmaps: over 6000 rows the packed kernel keeps a column
 // with fewer than 11 ones as its row list. Column 2i holds 8 random rows
 // and column 2i+1 those and 6 more, so every planted pair, at similarity
-// 8/14, is a list verified against a bitmap.
+// 8/14, is a list verified against a bitmap; twenty pairs make enough
+// candidates for autoPack to pack them.
 func listsMeetBitmaps() (*Dataset, error) {
 	rng := rand.New(rand.NewSource(61))
-	cols := make([][]int, 20)
+	cols := make([][]int, 40)
 	for i := 0; i < len(cols); i += 2 {
 		rows := rng.Perm(6000)[:14]
 		sort.Ints(rows[:8])
@@ -825,7 +961,8 @@ var (
 	rules7     = Config{Algorithm: Rules, Threshold: 0.7, K: 50, Seed: 7}
 	looseRules = Config{Algorithm: Rules, Threshold: 0.3, K: 40, Delta: 0.9, Seed: 13}
 	formats    = []string{".txt", ".arows", ".carows"}
-	kernels    = []Kernel{KernelScalar, KernelPacked}
+	// kernels name the cells of a scalar/packed pair (steer).
+	kernels = []string{"scalar", "packed"}
 )
 
 // equivalenceMatrix lists every cell, grouped by the top-level test it
@@ -841,14 +978,14 @@ func equivalenceMatrix() []cell {
 			for _, s := range schemes5[:3] {
 				for _, w := range []int{1, 4} {
 					for _, k := range kernels {
-						add("TestStreamedPipelineMatchesInMemory", cell{fix: fix, cfg: s.cfg, exec: streamExec, format: ext, workers: w, kernel: k, ctx: true},
+						add("TestStreamedPipelineMatchesInMemory", cell{fix: fix, cfg: s.cfg, exec: streamExec, format: ext, workers: w, budget: steer(k, 0), ctx: true},
 							"fixture%d%s/%s/workers=%d/%v", fi, ext, s.name, w, k)
 					}
 				}
 			}
 			for _, w := range []int{1, 4} {
 				for _, k := range kernels {
-					add("TestBPSDifferential", cell{fix: fix, cfg: schemes5[3].cfg, exec: streamExec, format: ext, workers: w, kernel: k},
+					add("TestBPSDifferential", cell{fix: fix, cfg: schemes5[3].cfg, exec: streamExec, format: ext, workers: w, budget: steer(k, 0)},
 						"fixture%d%s/workers=%d/%v", fi, ext, w, k)
 				}
 			}
@@ -877,7 +1014,7 @@ func equivalenceMatrix() []cell {
 		for _, s := range schemes5 {
 			for _, w := range []int{1, 4} {
 				for _, k := range kernels {
-					add("TestChaosTransientFaultsBitIdentical", cell{fix: "f41", cfg: s.cfg, exec: streamExec, format: ext, workers: w, kernel: k, faults: true},
+					add("TestChaosTransientFaultsBitIdentical", cell{fix: "f41", cfg: s.cfg, exec: streamExec, format: ext, workers: w, budget: steer(k, 0), faults: true},
 						"%s/%s/workers=%d/%v", ext[1:], s.name, w, k)
 				}
 			}
@@ -922,7 +1059,7 @@ func equivalenceMatrix() []cell {
 			for _, w := range []int{1, 2} {
 				for _, k := range kernels {
 					for _, b := range []int64{0, 48 << 10} {
-						c := cell{fix: "planted", cfg: s.cfg, exec: residentExec, workers: w, kernel: k, budget: b}
+						c := cell{fix: "planted", cfg: s.cfg, exec: residentExec, workers: w, budget: steer(k, b)}
 						c.cfg.Window = win
 						add("TestPrecomputedSketchesHonourMemoryBudget", c, "%s/window=%d/workers=%d/%v/budget=%d", s.name, win, w, k, b)
 					}
@@ -975,7 +1112,7 @@ func equivalenceMatrix() []cell {
 	// Cells none of the replaced harnesses ran.
 	const g = "TestEquivalenceMatrix"
 	for _, s := range []named{{"MH", Config{Algorithm: MinHash, Threshold: 0.3, Delta: 0.9, K: 16, Seed: 5}}, {"K-MH", Config{Algorithm: KMinHash, Threshold: 0.3, Delta: 0.9, K: 8, Seed: 19}}} {
-		add(g, cell{fix: "append", cfg: s.cfg, exec: incrementalExec, workers: 1, chunk: 7, snapshot: true, kernel: KernelPacked}, "ingest/%s/snapshot/packed", s.name)
+		add(g, cell{fix: "append", cfg: s.cfg, exec: incrementalExec, workers: 1, chunk: 7, snapshot: true}, "ingest/%s/snapshot/packed", s.name)
 		add(g, cell{fix: "append", cfg: s.cfg, exec: incrementalExec, workers: 4, chunk: 7, snapshot: true, budget: 512}, "ingest/%s/snapshot/budget", s.name)
 	}
 	for _, w := range []int{1, 4} {
@@ -983,9 +1120,9 @@ func equivalenceMatrix() []cell {
 		add(g, cell{fix: "f47", cfg: loose[3].cfg, exec: streamExec, format: ".carows", workers: w, budget: 4096}, "stream/carows/BPS/workers=%d/budget", w)
 	}
 	for _, s := range schemes5 {
-		add(g, cell{fix: "f41", cfg: s.cfg, exec: streamExec, format: ".carows", workers: 4, kernel: KernelPacked, faults: true}, "stream/carows/%s/faults/packed", s.name)
+		add(g, cell{fix: "f41", cfg: s.cfg, exec: streamExec, format: ".carows", workers: 4, faults: true}, "stream/carows/%s/faults/packed", s.name)
 		for _, w := range []int{1, 4} {
-			add(g, cell{fix: "f43", cfg: s.cfg, exec: memoryExec, workers: w, kernel: KernelPacked}, "memory/%s/workers=%d/packed", s.name, w)
+			add(g, cell{fix: "f43", cfg: s.cfg, exec: memoryExec, workers: w}, "memory/%s/workers=%d/packed", s.name, w)
 			c := cell{fix: "f41", cfg: s.cfg, exec: streamExec, format: ".arows", workers: w}
 			c.cfg.Window = 300
 			add(g, c, "stream/arows/%s/window/workers=%d", s.name, w)
@@ -996,14 +1133,14 @@ func equivalenceMatrix() []cell {
 	// every axis that can reach it.
 	for _, w := range []int{1, 4} {
 		for _, k := range kernels {
-			add(g, cell{fix: "f41", cfg: rules7, exec: memoryExec, workers: w, kernel: k}, "rules/memory/workers=%d/%v", w, k)
+			add(g, cell{fix: "f41", cfg: rules7, exec: memoryExec, workers: w, budget: steer(k, 0)}, "rules/memory/workers=%d/%v", w, k)
 			for _, ext := range formats {
-				add(g, cell{fix: "f41", cfg: rules7, exec: streamExec, format: ext, workers: w, kernel: k, ctx: true}, "rules/stream%s/workers=%d/%v", ext, w, k)
+				add(g, cell{fix: "f41", cfg: rules7, exec: streamExec, format: ext, workers: w, budget: steer(k, 0), ctx: true}, "rules/stream%s/workers=%d/%v", ext, w, k)
 			}
 		}
 		for _, k := range kernels {
 			for _, b := range []int64{0, 4096} {
-				add(g, cell{fix: "f47", cfg: looseRules, exec: residentExec, workers: w, kernel: k, budget: b}, "rules/resident/workers=%d/%v/budget=%d", w, k, b)
+				add(g, cell{fix: "f47", cfg: looseRules, exec: residentExec, workers: w, budget: steer(k, b)}, "rules/resident/workers=%d/%v/budget=%d", w, k, b)
 			}
 		}
 		add(g, cell{fix: "f47", cfg: looseRules, exec: streamExec, format: ".arows", workers: w, budget: 4096}, "rules/stream.arows/workers=%d/budget", w)
@@ -1013,27 +1150,30 @@ func equivalenceMatrix() []cell {
 		add(g, c, "rules/stream.arows/window/workers=%d", w)
 	}
 	add(g, cell{fix: "f47", cfg: looseRules, exec: memoryExec, workers: 4, budget: 4096}, "rules/memory/workers=4/budget")
-	add(g, cell{fix: "f41", cfg: rules7, exec: streamExec, format: ".carows", workers: 4, kernel: KernelPacked, faults: true}, "rules/stream.carows/faults/packed")
+	add(g, cell{fix: "f41", cfg: rules7, exec: streamExec, format: ".carows", workers: 4, faults: true}, "rules/stream.carows/faults/packed")
 	// Clusters on disjoint rows: every packed executor numbers a
-	// component's rows by rank in its union, batched or not.
+	// component's rows by rank in its union, under a budget or not.
 	clustered := Config{Algorithm: MinHash, Threshold: 0.5, K: 40, Seed: 7}
-	const clusterBudget = 6 * 38 * 8 // six bitmaps of the fixture's 2400 rows
+	// The budget of six bitmaps of the fixture's 2400 rows the budgeted
+	// cells once batched their columns under; steer runs them at their
+	// arena.
+	const clusterBudget = 6 * 38 * 8
 	for _, w := range []int{1, 4} {
-		add(g, cell{fix: "clusters", cfg: clustered, exec: memoryExec, workers: w, kernel: KernelPacked}, "clusters/memory/workers=%d/packed", w)
-		add(g, cell{fix: "clusters", cfg: clustered, exec: streamExec, format: ".carows", workers: w, kernel: KernelPacked}, "clusters/stream/carows/workers=%d/packed", w)
+		add(g, cell{fix: "clusters", cfg: clustered, exec: memoryExec, workers: w}, "clusters/memory/workers=%d/packed", w)
+		add(g, cell{fix: "clusters", cfg: clustered, exec: streamExec, format: ".carows", workers: w}, "clusters/stream/carows/workers=%d/packed", w)
 	}
 	for _, w := range []int{2, 4} { // 26 candidates or more a job: each packs
 		add(g, cell{fix: "clusters", cfg: clustered, exec: distExec, format: ".arows", workers: w}, "clusters/dist/arows/workers=%d", w)
 	}
-	add(g, cell{fix: "clusters", cfg: clustered, exec: memoryExec, workers: 1, kernel: KernelPacked, budget: clusterBudget}, "clusters/memory/budget/packed")
-	add(g, cell{fix: "clusters", cfg: clustered, exec: streamExec, format: ".carows", workers: 4, kernel: KernelPacked, budget: clusterBudget}, "clusters/stream/carows/budget/packed")
+	add(g, cell{fix: "clusters", cfg: clustered, exec: memoryExec, workers: 1, budget: steer("packed", clusterBudget)}, "clusters/memory/budget/packed")
+	add(g, cell{fix: "clusters", cfg: clustered, exec: streamExec, format: ".carows", workers: 4, budget: steer("packed", clusterBudget)}, "clusters/stream/carows/budget/packed")
 	for _, b := range []int64{0, clusterBudget} {
-		add(g, cell{fix: "clusters", cfg: clustered, exec: residentExec, workers: 2, kernel: KernelPacked, budget: b}, "clusters/resident/budget=%d/packed", b)
+		add(g, cell{fix: "clusters", cfg: clustered, exec: residentExec, workers: 2, budget: steer("packed", b)}, "clusters/resident/budget=%d/packed", b)
 	}
-	add(g, cell{fix: "clusters", cfg: clustered, exec: incrementalExec, workers: 1, chunk: 7, snapshot: true, kernel: KernelPacked}, "clusters/incremental/packed")
+	add(g, cell{fix: "clusters", cfg: clustered, exec: incrementalExec, workers: 1, chunk: 7, snapshot: true}, "clusters/incremental/packed")
 	for _, ex := range []*executor{memoryExec, streamExec} {
 		for _, w := range []int{1, 4} {
-			add(g, cell{fix: "lists", cfg: schemes5[0].cfg, exec: ex, format: map[bool]string{true: ".arows"}[ex.streams], workers: w, kernel: KernelPacked},
+			add(g, cell{fix: "lists", cfg: schemes5[0].cfg, exec: ex, format: map[bool]string{true: ".arows"}[ex.streams], workers: w},
 				"lists/%s/workers=%d/packed", ex.name, w)
 		}
 	}

@@ -243,7 +243,6 @@ func execute(d *assocmine.Dataset, cfg assocmine.Config) (*runResult, error) {
 	}
 	verified, _, err := verify.Verify(d.Matrix().Stream(), scored, verify.Params{
 		Threshold: cfg.Threshold,
-		Kernel:    cfg.VerifyKernel,
 		Budget:    verify.Budget{Bytes: cfg.MemoryBudget, Dir: cfg.SpillDir},
 		Workers:   cfg.Workers,
 	})

@@ -3,6 +3,7 @@ package eval
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,11 +30,43 @@ func tinyWorkloads(t *testing.T) *Workloads {
 	return w
 }
 
+// formatter is a rendered Table or Figure.
+type formatter interface{ Format(io.Writer) }
+
+// checkGolden compares the rendering of outs with testdata/<name>.golden
+// byte for byte, or rewrites the file under -update. Only clock-free
+// outputs belong here: a timing panel differs run to run.
+func checkGolden[F formatter](t *testing.T, name string, outs ...F) {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, o := range outs {
+		o.Format(&buf)
+	}
+	golden := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to create): %v", err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Errorf("%s output differs from %s:\n--- want ---\n%s--- got ---\n%s", name, golden, want, got)
+	}
+}
+
 func TestFig2Shapes(t *testing.T) {
 	figs := Fig2()
 	if len(figs) != 2 {
 		t.Fatalf("Fig2 returned %d figures", len(figs))
 	}
+	checkGolden(t, "fig2", figs...)
 	// 2a: every series starts at ~0 and ends at 1; larger (r,l) is
 	// lower at s=0.3.
 	a := figs[0]
@@ -70,6 +103,7 @@ func TestFig3LShaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig3", figs...)
 	full := figs[0].Series[0]
 	// The near-zero bucket dominates everything else combined.
 	var rest float64
@@ -133,6 +167,8 @@ func TestFig5MHQualitySharpensWithK(t *testing.T) {
 	if len(figs) != 4 {
 		t.Fatalf("%d panels", len(figs))
 	}
+	// The quality panels a and c; b and d are wall-clock times.
+	checkGolden(t, "fig5ac", figs[0], figs[2])
 	// 5b: time grows with k.
 	times := figs[1].Series[0]
 	if times.Y[len(times.Y)-1] < times.Y[0] {
@@ -156,6 +192,7 @@ func TestFig6KMHSublinear(t *testing.T) {
 	if len(figs) != 4 || len(figs[0].Series) == 0 {
 		t.Fatalf("bad panels")
 	}
+	checkGolden(t, "fig6ac", figs[0], figs[2])
 	// Top bucket recall at k=200 high.
 	top := figs[0].Series[len(figs[0].Series)-1]
 	if last := top.Y[len(top.Y)-1]; last < 0.85 {
@@ -169,6 +206,7 @@ func TestFig7HLSHTradeoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig7ac", figs[0], figs[2])
 	// 7c-equivalent: more runs never reduce recall in the top bucket.
 	lSweep := figs[2].Series
 	first, last := lSweep[0], lSweep[len(lSweep)-1]
@@ -185,6 +223,7 @@ func TestFig8MLSHTradeoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8ac", figs[0], figs[2])
 	// More bands (larger l) must not reduce top-bucket recall.
 	lSweep := figs[2].Series
 	first, last := lSweep[0], lSweep[len(lSweep)-1]
@@ -247,6 +286,7 @@ func TestFig1RecoversPlantedStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig1", table)
 	planted := 0
 	for _, row := range table.Rows {
 		if row[len(row)-1] == "planted collocation" {
@@ -264,6 +304,7 @@ func TestSyntheticExperimentHighBandsRecalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "synthetic", table)
 	if len(table.Rows) != 4 {
 		t.Fatalf("%d algorithm rows", len(table.Rows))
 	}
@@ -291,26 +332,8 @@ func TestRulesExperiment(t *testing.T) {
 		t.Error("no planted rules recovered")
 	}
 	// The rendered table pins §6's output — every rule, its confidence
-	// and support — byte for byte. Regenerate with -update.
-	var buf bytes.Buffer
-	table.Format(&buf)
-	golden := filepath.Join("testdata", "rules.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create): %v", err)
-	}
-	if got := buf.String(); got != string(want) {
-		t.Errorf("rules table differs from %s:\n--- want ---\n%s--- got ---\n%s", golden, want, got)
-	}
+	// and support — byte for byte.
+	checkGolden(t, "rules", table)
 }
 
 func TestOptimizerExperiment(t *testing.T) {
@@ -319,6 +342,7 @@ func TestOptimizerExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "optimizer", table)
 	if len(table.Rows) != 4 {
 		t.Fatalf("%d rows", len(table.Rows))
 	}

@@ -33,30 +33,30 @@ type Options struct {
 	R int
 	// L is the number of independent runs per ladder level.
 	L int
-	// MaxLevels caps the fold ladder depth. Defaults to log2(rows)
-	// when zero.
-	MaxLevels int
 	// Seed drives folding and row sampling.
 	Seed uint64
 }
 
-func (o *Options) setDefaults(rows int) error {
+func (o *Options) validate() error {
 	if o.R < 1 || o.R > 64 {
 		return fmt.Errorf("hamminglsh: R must be in [1,64], got %d", o.R)
 	}
 	if o.L < 1 {
 		return fmt.Errorf("hamminglsh: L must be positive, got %d", o.L)
 	}
-	if o.MaxLevels == 0 {
-		o.MaxLevels = 1
-		for n := rows; n > 2; n /= 2 {
-			o.MaxLevels++
-		}
-	}
-	if o.MaxLevels < 1 {
-		return fmt.Errorf("hamminglsh: MaxLevels must be positive, got %d", o.MaxLevels)
-	}
 	return nil
+}
+
+// maxLevels caps the fold ladder of a matrix of rows rows at one level
+// per halving while more than two rows remain. For an odd count a fold
+// keeps ⌈n/2⌉ rows, so the cap binds before FoldLadder's own stop at
+// two rows.
+func maxLevels(rows int) int {
+	levels := 1
+	for n := rows; n > 2; n /= 2 {
+		levels++
+	}
+	return levels
 }
 
 // Stats reports the work the H-LSH pass performed.
@@ -73,11 +73,11 @@ type Stats struct {
 // whole-data structure, not a streaming sketch); the paper's phase-3
 // verification still happens against the original data.
 func Candidates(m *matrix.Matrix, opt Options) (*pairs.Set, Stats, error) {
-	if err := opt.setDefaults(m.NumRows()); err != nil {
+	if err := opt.validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	rng := hashing.NewSplitMix64(opt.Seed)
-	ladder := m.FoldLadder(rng, opt.MaxLevels)
+	ladder := m.FoldLadder(rng, maxLevels(m.NumRows()))
 
 	set := pairs.NewSet(1024)
 	var st Stats

@@ -16,7 +16,6 @@ func TestOptionsValidation(t *testing.T) {
 		{R: 0, L: 1},
 		{R: 65, L: 1},
 		{R: 4, L: 0},
-		{R: 4, L: 1, MaxLevels: -1},
 	}
 	for i, o := range bad {
 		if _, _, err := Candidates(m, o); err == nil {
@@ -27,11 +26,12 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	o := Options{R: 4, L: 1}
-	if err := o.setDefaults(1024); err != nil {
+	if err := o.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxLevels < 9 {
-		t.Errorf("default MaxLevels = %d for 1024 rows, want >= 9", o.MaxLevels)
+	// 1024 rows halve nine times before two remain: ten levels.
+	if got := maxLevels(1024); got != 10 {
+		t.Errorf("maxLevels(1024) = %d, want 10", got)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestTinyMatrix(t *testing.T) {
 
 func TestEmptyMatrix(t *testing.T) {
 	m := testutil.Must(matrix.New(0, [][]int32{{}, {}}))
-	set, _, err := Candidates(m, Options{R: 4, L: 2, Seed: 1, MaxLevels: 3})
+	set, _, err := Candidates(m, Options{R: 4, L: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package statstest
 
 import (
+	"reflect"
 	"testing"
 
 	"assocmine"
+	"assocmine/internal/pairs"
+	"assocmine/internal/verify"
 )
 
 // scenario is one seeded synthetic workload with planted pairs (the
@@ -123,10 +126,40 @@ func TestEvaluateDeterministic(t *testing.T) {
 	}
 }
 
+// kernelsAgree holds the packed popcount kernel to the scalar one over
+// the candidates cfg's scheme hands phase 3 on d — its SkipVerify run's
+// pairs — as a pure implementation swap: the same survivors, order,
+// Exact bits and Touches.
+func kernelsAgree(t *testing.T, label string, d *assocmine.Dataset, cfg assocmine.Config) {
+	t.Helper()
+	cfg.SkipVerify = true
+	res, err := assocmine.SimilarPairs(d, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	cand := make([]pairs.Scored, len(res.Pairs))
+	for i, p := range res.Pairs {
+		cand[i] = pairs.Scored{Pair: pairs.Make(int32(p.I), int32(p.J)), Estimate: p.Estimate}
+	}
+	scalar, sst, err := verify.Exact(d.Matrix().Stream(), cand, cfg.Threshold)
+	if err != nil {
+		t.Fatalf("%s scalar: %v", label, err)
+	}
+	packed, pst, err := verify.ExactPacked(d.Matrix().Stream(), cand, cfg.Threshold, verify.PackedOptions{})
+	if err != nil {
+		t.Fatalf("%s packed: %v", label, err)
+	}
+	if len(scalar) == 0 {
+		t.Fatalf("%s: no candidate survives; the comparison is vacuous", label)
+	}
+	if !reflect.DeepEqual(scalar, packed) || sst.Touches != pst.Touches {
+		t.Errorf("%s: scalar %d pairs, %d touches; packed %d pairs, %d touches", label, len(scalar), sst.Touches, len(packed), pst.Touches)
+	}
+}
+
 // TestKernelOutcomesAgree: the packed popcount kernel is a pure
-// implementation swap for Phase 3 — every Outcome field (recall, FP
-// counts, exact similarities behind them) matches the scalar kernel on
-// every scenario and scheme.
+// implementation swap for Phase 3 — its survivors and their exact
+// similarities match the scalar kernel's on every scenario and scheme.
 func TestKernelOutcomesAgree(t *testing.T) {
 	schemes := []struct {
 		name string
@@ -139,20 +172,7 @@ func TestKernelOutcomesAgree(t *testing.T) {
 	for _, sc := range scenarios {
 		d := sc.dataset(t)
 		for _, s := range schemes {
-			cfg := s.cfg
-			cfg.VerifyKernel = assocmine.KernelScalar
-			scalar, err := Evaluate(d, cfg, 0.7)
-			if err != nil {
-				t.Fatalf("%s/%s scalar: %v", sc.name, s.name, err)
-			}
-			cfg.VerifyKernel = assocmine.KernelPacked
-			packed, err := Evaluate(d, cfg, 0.7)
-			if err != nil {
-				t.Fatalf("%s/%s packed: %v", sc.name, s.name, err)
-			}
-			if scalar != packed {
-				t.Errorf("%s/%s: scalar %+v != packed %+v", sc.name, s.name, scalar, packed)
-			}
+			kernelsAgree(t, sc.name+"/"+s.name, d, s.cfg)
 		}
 	}
 }

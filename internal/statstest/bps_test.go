@@ -130,19 +130,5 @@ func TestBPSSerialParallelOutcomesAgree(t *testing.T) {
 // implementation swap under the sampler too.
 func TestBPSKernelOutcomesAgree(t *testing.T) {
 	sc := scenarios[0]
-	d := sc.dataset(t)
-	cfg := bpsConfig(0.5)
-	cfg.VerifyKernel = assocmine.KernelScalar
-	scalar, err := Evaluate(d, cfg, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.VerifyKernel = assocmine.KernelPacked
-	packed, err := Evaluate(d, cfg, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scalar != packed {
-		t.Errorf("scalar %+v != packed %+v", scalar, packed)
-	}
+	kernelsAgree(t, sc.name, sc.dataset(t), bpsConfig(0.5))
 }

@@ -58,8 +58,7 @@ func BenchmarkExactParallel(b *testing.B) {
 }
 
 // BenchmarkExactPacked times the word-packed popcount kernel on the
-// same planted 2000x400 workload, serial and sharded, plus a budgeted
-// run that forces multi-batch packing.
+// same planted 2000x400 workload, serial and sharded.
 func BenchmarkExactPacked(b *testing.B) {
 	rng := hashing.NewSplitMix64(1)
 	m := randomMatrix(rng, 2000, 400, 0.05)
@@ -69,7 +68,6 @@ func BenchmarkExactPacked(b *testing.B) {
 			cand = append(cand, pairs.Scored{Pair: pairs.Make(i, j)})
 		}
 	}
-	words := int64((m.NumRows() + 63) / 64)
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -89,15 +87,6 @@ func BenchmarkExactPacked(b *testing.B) {
 			}
 		})
 	}
-	b.Run("batched/cols=64", func(b *testing.B) {
-		opt := PackedOptions{Budget: Budget{Bytes: 64 * words * 8, Dir: b.TempDir()}, Workers: 1}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := ExactPacked(m.Stream(), cand, 0.3, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkAllPairs(b *testing.B) {

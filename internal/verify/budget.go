@@ -63,10 +63,14 @@ const (
 	mergeWindowPerEntry = 3
 )
 
-// ExactBudgeted forces Verify's scalar kernel: dense counters when they
-// fit budget.Bytes (or it is <= 0), the spilling table otherwise.
+// ExactBudgeted runs Verify's scalar kernel whatever autoPack would
+// choose: dense counters when they fit budget.Bytes (or it is <= 0),
+// the spilling table otherwise.
 func ExactBudgeted(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	return Verify(src, cand, Params{Threshold: threshold, Kernel: KernelScalar, Budget: budget, Workers: workers, Tick: tick})
+	if err := validate(src.NumCols(), cand, threshold); err != nil {
+		return nil, Stats{}, err
+	}
+	return count(src, cand, Params{Threshold: threshold, Budget: budget, Workers: workers, Tick: tick}, spillFanIn)
 }
 
 // spillEntry is one (candidate, partial counts) record of a run.

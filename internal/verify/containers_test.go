@@ -40,18 +40,9 @@ func aroundT(rng *hashing.SplitMix64, rows, cols int) *matrix.Matrix {
 	return b.Build()
 }
 
-// span returns the columns lo, lo+1, ..., hi-1.
-func span(lo, hi int32) []int32 {
-	var s []int32
-	for c := lo; c < hi; c++ {
-		s = append(s, c)
-	}
-	return s
-}
-
-// containerBytes is what a batch's containers occupy: the bitmaps it
-// handed out, a list the batch allocated by its capacity, a list lent
-// by the source by its length.
+// containerBytes is what the containers occupy: the bitmaps handed
+// out, a list filled by a scan by its capacity, a list lent by the
+// source by its length.
 func containerBytes(cs *columns, lent bool) int64 {
 	n := int64(len(cs.slab)) * 8
 	for s, l := range cs.list {
@@ -67,18 +58,17 @@ func containerBytes(cs *columns, lent bool) int64 {
 }
 
 // TestPackedContainerBytes: whatever the mix of lists and bitmaps, and
-// whether the lists are lent or filled by a scan, a batch's containers
-// never occupy more than the len(cols) × words × 8 bytes the all-bitmap
-// arena did — the bound arenaCols and autoPack budget for — the slab
-// never reserves more than that arena for the largest batch so far, and
-// every column is a list exactly when it has fewer than T ones.
+// whether the lists are lent or filled by a scan, the containers never
+// occupy more than the columns × words × 8 bytes the all-bitmap arena
+// did — the bound autoPack budgets for — the slab never reserves more
+// than that arena, and every column is a list exactly when it has fewer
+// than T ones.
 func TestPackedContainerBytes(t *testing.T) {
 	rng := hashing.NewSplitMix64(3)
 	for _, rows := range []int{64, 600, 4096, 20_000} {
 		m := aroundT(rng, rows, 48)
 		words := (rows + 63) / 64
-		// Components of four neighbouring columns, one of them cut by
-		// the second and third batches.
+		// Components of four neighbouring columns.
 		var cand []pairs.Scored
 		for c := int32(0); c+1 < 48; c++ {
 			if c%4 != 3 {
@@ -88,33 +78,24 @@ func TestPackedContainerBytes(t *testing.T) {
 		for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
 			_, lent := src.(matrix.ColumnLister)
 			cs := newColumns(src, words, cand)
-			slot := cs.slot
-			largest := 0
-			// Three batches through one columns value: the bitmaps of
-			// one batch are reused by the next.
-			for _, cols := range [][]int32{span(0, 8), span(8, 11), span(11, 48)} {
-				for s, c := range cols {
-					slot[c] = int32(s)
+			if err := cs.fill(src); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("rows=%d lent=%v", rows, lent)
+			arena := len(cs.cols) * words
+			if got := containerBytes(cs, lent); got > int64(arena*8) {
+				t.Errorf("%s: containers hold %d bytes, over the arena's %d", label, got, arena*8)
+			}
+			if cap(cs.slab) > arena {
+				t.Errorf("%s: slab reserves %d words, over the arena's %d", label, cap(cs.slab), arena)
+			}
+			for s, c := range cs.cols {
+				ones := len(m.Column(int(c)))
+				if isList := cs.bits[s] == nil; isList != (ones < listBelow(words)) {
+					t.Errorf("%s: column %d with %d ones is a list = %v (T = %d)", label, c, ones, isList, listBelow(words))
 				}
-				if err := cs.fill(src, cols); err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("rows=%d lent=%v batch of %d", rows, lent, len(cols))
-				if got, bound := containerBytes(cs, lent), int64(len(cols)*words*8); got > bound {
-					t.Errorf("%s: containers hold %d bytes, over the arena's %d", label, got, bound)
-				}
-				if largest = max(largest, len(cols)); cap(cs.slab) > largest*words {
-					t.Errorf("%s: slab reserves %d words, over the largest arena's %d", label, cap(cs.slab), largest*words)
-				}
-				for s, c := range cols {
-					ones := len(m.Column(int(c)))
-					if isList := cs.bits[s] == nil; isList != (ones < listBelow(words)) {
-						t.Errorf("%s: column %d with %d ones is a list = %v (T = %d)", label, c, ones, isList, listBelow(words))
-					}
-					if cs.ones[s] != int64(ones) {
-						t.Errorf("%s: column %d counts %d ones, has %d", label, c, cs.ones[s], ones)
-					}
-					slot[c] = -1
+				if cs.ones[s] != int64(ones) {
+					t.Errorf("%s: column %d counts %d ones, has %d", label, c, cs.ones[s], ones)
 				}
 			}
 		}
@@ -124,8 +105,9 @@ func TestPackedContainerBytes(t *testing.T) {
 // componentFixture builds a rows × cols matrix whose columns are cut
 // into groups of one to eight neighbours, each joined into one component
 // of the candidate graph by a chain of candidates and a few more pairs
-// inside it. The groups' candidates are shuffled together, so a batch
-// can cut any component. Each group takes one shape:
+// inside it. The groups' candidates are shuffled together, so a
+// component's pairs lie anywhere in the list. Each group takes one
+// shape:
 //   - lists: every column has fewer than T ones, from a window of rows;
 //   - mixed: columns above and below T draw from one window of rows;
 //   - one row: every column holds the same single row, or nothing;
@@ -206,18 +188,17 @@ func componentFixture(rng *hashing.SplitMix64, rows, cols int) (*matrix.Matrix, 
 
 // FuzzPackedContainers: over candidate graphs of several components —
 // list-only, mixed, single-row and all-row unions, columns around T —
-// every budget, including those that cut a component across batches,
 // every worker count and both ways of loading columns, the packed
-// kernel reproduces Exact bit for bit, and PackedWords counts exactly
-// the component words of the pairs whose columns are both bitmaps
-// (wantPackedWords).
+// kernel reproduces Exact bit for bit in one batch, and PackedWords
+// counts exactly the component words of the pairs whose columns are
+// both bitmaps (wantPackedWords).
 func FuzzPackedContainers(f *testing.F) {
-	f.Add(uint64(1), uint16(4096), uint8(40), uint16(0), uint8(1))
-	f.Add(uint64(2), uint16(600), uint8(9), uint16(300), uint8(3))
-	f.Add(uint64(3), uint16(20000), uint8(25), uint16(9000), uint8(2))
-	f.Add(uint64(4), uint16(1), uint8(3), uint16(1), uint8(4))
-	f.Add(uint64(5), uint16(0), uint8(30), uint16(2), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, cols uint8, budget uint16, workers uint8) {
+	f.Add(uint64(1), uint16(4096), uint8(40), uint8(1))
+	f.Add(uint64(2), uint16(600), uint8(9), uint8(3))
+	f.Add(uint64(3), uint16(20000), uint8(25), uint8(2))
+	f.Add(uint64(4), uint16(1), uint8(3), uint8(4))
+	f.Add(uint64(5), uint16(0), uint8(30), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, cols uint8, workers uint8) {
 		n := 1 + int(rows)%30_000
 		m := 2 + int(cols)%48
 		rng := hashing.NewSplitMix64(seed)
@@ -227,12 +208,7 @@ func FuzzPackedContainers(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A budget of 2 to m+1 columns, which batches whenever it is
-		// below the candidates' distinct columns; 0 is unlimited.
-		opt := PackedOptions{Budget: Budget{Dir: t.TempDir()}, Workers: 1 + int(workers)%4}
-		if budget > 0 {
-			opt.Budget.Bytes = int64(2+int(budget)%m) * int64((n+63)/64) * 8
-		}
+		opt := PackedOptions{Workers: 1 + int(workers)%4}
 		for _, src := range []matrix.RowSource{mat.Stream(), streamOnly{mat.Stream()}} {
 			got, st, err := ExactPacked(src, cand, threshold, opt)
 			if err != nil {
@@ -244,8 +220,8 @@ func FuzzPackedContainers(f *testing.F) {
 			if st.Touches != wantStats.Touches || st.Out != wantStats.Out {
 				t.Fatalf("packed Stats %+v, exact %+v", st, wantStats)
 			}
-			if st.PackedBatches == 0 {
-				t.Fatalf("a budget of at least two columns packed in no batch")
+			if st.PackedBatches != 1 {
+				t.Fatalf("packed in %d batches, want 1", st.PackedBatches)
 			}
 			if words := wantPackedWords(t, src, cand); st.PackedWords != words {
 				t.Fatalf("%d packed words, want %d", st.PackedWords, words)

@@ -6,29 +6,25 @@
 // ones, not its rows. A candidate's |C_i ∩ C_j| is a merge of two lists,
 // a bit probe per row of a list into a bitmap, or one AND popcount sweep
 // of two bitmaps (bitset.AndCountWords); |C_i ∪ C_j| is
-// |C_i| + |C_j| − |C_i ∩ C_j| from the per-column counts taken once per
-// batch. A pair's two columns always lie in one connected component of
+// |C_i| + |C_j| − |C_i ∩ C_j| from the per-column counts taken once.
+// A pair's two columns always lie in one connected component of
 // the candidate graph, so a component holding a bitmap numbers its rows
 // by their rank in U, the union of its columns' rows: its bitmaps take
 // ⌈|U|/64⌉ words, not ⌈n/64⌉, and a rank preserves every intersection.
 // The counts are the same integers the scalar counters accumulate,
 // divided by the same float64 division, and candidates are emitted in
-// the same order, so results are bit-identical to Exact for any batch
-// size, worker count or data-delivery strategy.
+// the same order, so results are bit-identical to Exact for any worker
+// count or data-delivery strategy.
 //
-// Memory is bounded by batching: when a Budget is set, candidates are
-// split into contiguous batches whose distinct endpoint columns fit the
-// budget as bitmaps — a list is never larger than a bitmap — with one
-// packing pass per batch. When even two columns do not fit, Verify falls
-// back to the scalar kernel wholesale — the spilling table is the
-// bounded-memory strategy of last resort.
+// All the candidate columns are packed at once, in one pass: Verify
+// runs this kernel only when autoPack finds that their bitmaps fit the
+// budget — a list is never larger than a bitmap — and leaves a budget
+// they do not fit to the scalar kernel's spilling table.
 package verify
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -38,56 +34,12 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// Kernel selects the counting strategy of the exact pruning pass.
-type Kernel int
-
-const (
-	// KernelAuto picks the packed kernel when autoPack approves the
-	// workload, the scalar kernel otherwise. The zero value, so packed
-	// verification is the default wherever it is safe.
-	KernelAuto Kernel = iota
-	// KernelPacked forces the word-packed popcount kernel (batching
-	// against any budget).
-	KernelPacked
-	// KernelScalar forces the per-row counter-scatter kernel.
-	KernelScalar
-)
-
-// String returns the flag spelling of the kernel.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelPacked:
-		return "packed"
-	case KernelScalar:
-		return "scalar"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// ParseKernel converts a flag spelling into a Kernel; the empty string
-// means auto.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "packed":
-		return KernelPacked, nil
-	case "scalar":
-		return KernelScalar, nil
-	default:
-		return 0, fmt.Errorf("verify: unknown kernel %q (want auto, packed or scalar)", s)
-	}
-}
-
 const (
 	// minPackedCandidates is the smallest candidate list worth an arena:
 	// below it the packing pass dominates the popcount savings.
 	minPackedCandidates = 16
-	// maxAutoArenaBytes caps the arena Auto will build when no budget
-	// constrains it; explicit KernelPacked has no cap (it batches).
+	// maxAutoArenaBytes caps the arena autoPack approves when no budget
+	// constrains it.
 	maxAutoArenaBytes = 256 << 20
 	// packedTickChunk is the pair-loop granularity of context checks and
 	// progress ticks.
@@ -104,15 +56,14 @@ const (
 // a row list while it has fewer ones, a bitmap from then on.
 func listBelow(words int) int { return words / listShare }
 
-// autoPack reports whether the Auto kernel selects the packed pass for
-// verifying cand over an n×m source under budgetBytes (<= 0 means
-// unlimited). It is a function of (n, m, cand, budgetBytes) only —
-// never the source type — so the in-memory and streamed runs of one
-// job always select the same kernel and stay bit-identical. Under a
-// budget Auto requires the whole arena to fit: a budget is a request
-// for the bounded-memory machinery, and a packed pass that fits needs
-// none, while one that would batch should instead leave the budget to
-// the spilling scalar path it was written for.
+// autoPack reports whether Verify selects the packed pass for verifying
+// cand over an n×m source under budgetBytes (<= 0 means unlimited). It
+// is a function of (n, m, cand, budgetBytes) only — never the source
+// type — so the in-memory and streamed runs of one job always select
+// the same kernel and stay bit-identical. Under a budget the whole
+// arena must fit: a packed pass that fits needs no bounded-memory
+// machinery, and one that does not leaves the budget to the spilling
+// scalar path.
 func autoPack(n, m int, cand []pairs.Scored, budgetBytes int64) bool {
 	if len(cand) < minPackedCandidates || n <= 0 || m <= 0 {
 		return false
@@ -139,50 +90,33 @@ func autoPack(n, m int, cand []pairs.Scored, budgetBytes int64) bool {
 
 // PackedOptions parameterises ExactPacked.
 type PackedOptions struct {
-	// Budget bounds the bit-column arena in bytes; Bytes <= 0 means
-	// unlimited (a single batch). Dir is only used by the ExactBudgeted
-	// fallback when even two packed columns exceed the budget.
-	Budget Budget
-	// Workers fans out the per-batch pair sweep; <= 1 runs serial,
-	// negative means GOMAXPROCS.
+	// Workers fans out the pair sweep; <= 1 runs serial, negative means
+	// GOMAXPROCS.
 	Workers int
-	// Context cancels the pass at batch and pair-chunk granularity; nil
-	// runs to completion. Scans additionally observe any cancellation
-	// wrapper on src itself.
+	// Context cancels the pass at pair-chunk granularity; nil runs to
+	// completion. Scans additionally observe any cancellation wrapper on
+	// src itself.
 	Context context.Context
 	// Tick, when non-nil, receives (candidate pairs verified, total
 	// candidates) at chunk granularity, possibly from worker goroutines.
 	Tick obs.Tick
 }
 
-// ExactPacked forces Verify's packed kernel (batched against
-// opt.Budget; the scalar kernel when the budget cannot hold two
-// columns).
+// ExactPacked runs Verify's packed kernel whatever autoPack would
+// choose, with no memory bound.
 func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, opt PackedOptions) ([]pairs.Scored, Stats, error) {
-	return Verify(src, cand, Params{
-		Threshold: threshold, Kernel: KernelPacked,
-		Budget: opt.Budget, Workers: opt.Workers, Context: opt.Context, Tick: opt.Tick,
-	})
-}
-
-// arenaCols is the number of src's bit-columns the budget holds at
-// once: all of them when it is unlimited. A batch of that many columns
-// fits the budget whatever mix of lists and bitmaps it holds.
-func arenaCols(src matrix.RowSource, budget Budget) int {
-	words := int64(src.NumRows()+63) / 64
-	if budget.Bytes <= 0 || words == 0 {
-		return src.NumCols()
+	if err := validate(src.NumCols(), cand, threshold); err != nil {
+		return nil, Stats{}, err
 	}
-	return int(min(int64(src.NumCols()), budget.Bytes/(words*8)))
+	return packed(src, cand, Params{Threshold: threshold, Workers: opt.Workers, Context: opt.Context, Tick: opt.Tick})
 }
 
-// packed is the container kernel over cand (already validated), at
-// most maxCols >= 2 distinct columns to a batch: PackedWords/
-// PackedBatches report its work. Sources implementing
-// matrix.ColumnLister lend their column lists without a row scan; other
-// sources pay one sequential scan per batch, by a single reader at any
-// worker count (columns.fill).
-func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([]pairs.Scored, Stats, error) {
+// packed is the container kernel over cand (already validated), every
+// candidate column loaded in one batch: PackedWords/PackedBatches
+// report its work. Sources implementing matrix.ColumnLister lend their
+// column lists without a row scan; other sources pay one sequential
+// scan, by a single reader at any worker count (columns.fill).
+func packed(src matrix.RowSource, cand []pairs.Scored, p Params) ([]pairs.Scored, Stats, error) {
 	ctx := p.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -190,10 +124,6 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 	st := Stats{In: len(cand)}
 	if len(cand) == 0 {
 		return nil, st, nil
-	}
-	workers := p.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	total := int64(len(cand))
 	words := (src.NumRows() + 63) / 64
@@ -205,77 +135,42 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 		}
 		return make([]pairs.Scored, 0), st, nil
 	}
-
-	adm := newAdmission(src.NumRows(), p)
-	cs := newColumns(src, words, cand)
-	slot := cs.slot
-	var cols []int32
-	out := make([]pairs.Scored, 0, len(cand)/4)
-	var done atomic.Int64
-
-	for batchStart := 0; batchStart < len(cand); {
-		if err := ctx.Err(); err != nil {
-			return nil, Stats{}, err
-		}
-		// Greedy contiguous batch: maxCols >= 2 guarantees progress,
-		// since one candidate claims at most two slots.
-		cols = cols[:0]
-		batchEnd := batchStart
-		for ; batchEnd < len(cand); batchEnd++ {
-			c := cand[batchEnd]
-			need := 0
-			if slot[c.I] < 0 {
-				need++
-			}
-			if slot[c.J] < 0 {
-				need++
-			}
-			if len(cols)+need > maxCols {
-				break
-			}
-			if slot[c.I] < 0 {
-				slot[c.I] = int32(len(cols))
-				cols = append(cols, c.I)
-			}
-			if slot[c.J] < 0 {
-				slot[c.J] = int32(len(cols))
-				cols = append(cols, c.J)
-			}
-		}
-		if err := cs.fill(src, cols); err != nil {
-			return nil, Stats{}, err
-		}
-
-		// Contiguous shards, concatenated in order: the serial sweep's
-		// emission order at any worker count.
-		batch := cand[batchStart:batchEnd]
-		shards := contiguousShards(len(batch), shardWorkers(workers, len(batch)))
-		outs := make([][]pairs.Scored, len(shards))
-		work := make([]Stats, len(shards))
-		errs := make([]error, len(shards))
-		var wg sync.WaitGroup
-		for s, sh := range shards {
-			wg.Add(1)
-			go func(s, lo, hi int) {
-				defer wg.Done()
-				outs[s], work[s], errs[s] = packedSweep(ctx, batch[lo:hi], cs, adm, &done, total, p.Tick)
-			}(s, sh[0], sh[1])
-		}
-		wg.Wait()
-		for s, err := range errs {
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			st.Touches += work[s].Touches
-			st.PackedWords += work[s].PackedWords
-			out = append(out, outs[s]...)
-		}
-		st.PackedBatches++
-		for _, c := range cols {
-			slot[c] = -1
-		}
-		batchStart = batchEnd
+	if err := ctx.Err(); err != nil {
+		return nil, Stats{}, err
 	}
+
+	cs := newColumns(src, words, cand)
+	if err := cs.fill(src); err != nil {
+		return nil, Stats{}, err
+	}
+
+	// Contiguous shards, concatenated in order: the serial sweep's
+	// emission order at any worker count.
+	adm := newAdmission(src.NumRows(), p)
+	var done atomic.Int64
+	shards := contiguousShards(len(cand), shardWorkers(p.Workers, len(cand)))
+	outs := make([][]pairs.Scored, len(shards))
+	work := make([]Stats, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for s, sh := range shards {
+		wg.Add(1)
+		go func(s, lo, hi int) {
+			defer wg.Done()
+			outs[s], work[s], errs[s] = packedSweep(ctx, cand[lo:hi], cs, adm, &done, total, p.Tick)
+		}(s, sh[0], sh[1])
+	}
+	wg.Wait()
+	out := make([]pairs.Scored, 0, len(cand)/4)
+	for s, err := range errs {
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		st.Touches += work[s].Touches
+		st.PackedWords += work[s].PackedWords
+		out = append(out, outs[s]...)
+	}
+	st.PackedBatches = 1
 	st.Out = len(out)
 	if p.Tick != nil {
 		p.Tick(total, total)
@@ -284,15 +179,15 @@ func packed(src matrix.RowSource, cand []pairs.Scored, p Params, maxCols int) ([
 }
 
 // packedSweep verifies one contiguous candidate slice against the
-// batch's columns, emitting survivors in order, and reports the slice's
+// packed columns, emitting survivors in order, and reports the slice's
 // Touches and PackedWords. done/tick report progress in candidate pairs
 // across the whole call (done is shared by all sweeps); ctx is checked
 // every packedTickChunk pairs.
-func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, adm admission, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
-	out := make([]pairs.Scored, 0, len(batch)/4)
+func packedSweep(ctx context.Context, part []pairs.Scored, cs *columns, adm admission, done *atomic.Int64, total int64, tick obs.Tick) ([]pairs.Scored, Stats, error) {
+	out := make([]pairs.Scored, 0, len(part)/4)
 	var work Stats
 	slot := cs.slot
-	for idx, p := range batch {
+	for idx, p := range part {
 		si, sj := slot[p.I], slot[p.J]
 		and := cs.and(si, sj, &work.PackedWords)
 		a, b := cs.ones[si], cs.ones[sj]
@@ -310,22 +205,23 @@ func packedSweep(ctx context.Context, batch []pairs.Scored, cs *columns, adm adm
 			}
 		}
 	}
-	done.Add(int64(len(batch) % packedTickChunk))
+	done.Add(int64(len(part) % packedTickChunk))
 	return out, work, nil
 }
 
-// columns holds one batch's candidate columns by slot: slot s is the
+// columns holds the candidate columns by slot: slot s is the
 // sorted row list list[s] while the column has fewer than listBelow
 // ones, the bitmap bits[s] otherwise, and ones[s] is its count of ones
 // either way. Which container a column gets depends on its ones alone,
-// never on how the source delivers them. A component with a bitmap in
-// the batch holds all its containers over its own row numbering (rank
-// in its union U); a bitmap is then ⌈|U|/64⌉ words. Both fills number
-// alike, so PackedWords is a function of the rows and candidates alone.
+// never on how the source delivers them. A component with a bitmap
+// holds all its containers over its own row numbering (rank in its
+// union U); a bitmap is then ⌈|U|/64⌉ words. Both fills number alike,
+// so PackedWords is a function of the rows and candidates alone.
 type columns struct {
 	words int // ⌈n/64⌉: T and the bitmaps a scan reserves read it
 	cand  []pairs.Scored
-	slot  []int32 // slot[c]: column c's slot in the batch, -1 for none
+	slot  []int32 // slot[c]: column c's slot, -1 when no candidate names c
+	cols  []int32 // cols[s]: the column in slot s
 	// comp[c] is the root column of c's component in the candidate graph
 	// (-1 when no candidate names c) and next[c] the next column of that
 	// component, round a cycle; size[k] is |U| of component k (in a scan,
@@ -337,22 +233,21 @@ type columns struct {
 	ones                   []int64
 	slab                   []uint64 // the bitmaps, in the order handed out; slab[len:cap] is zero
 	rows                   []int32  // a scan's lists, T rows a slot; a ranked component's renumbered lists
-	// The ranking scratch of a ColumnLister fill, built on the first
-	// batch that holds a bitmap: uni holds one component's union over
-	// the ⌈n/64⌉ words, below[w] its ones before word w, and members
-	// its columns.
+	// The ranking scratch of a ColumnLister fill that holds a bitmap:
+	// uni holds one component's union over the ⌈n/64⌉ words, below[w]
+	// its ones before word w, and members its columns.
 	uni     []uint64
 	below   []int32
 	members []int32
-	ranked  []int32 // the batch's components that hold a bitmap
+	ranked  []int32 // the components that hold a bitmap
 }
 
-// newColumns returns the containers of cand's columns over ⌈n/64⌉ =
-// words words, every slot empty. A scan counts rows by component from
-// its first batch on, so for a streamed src the candidate graph is
-// linked here, in the one allocation that holds the slots; a
-// ColumnLister links it on the first batch that holds a bitmap, as its
-// lists need no component until one is ranked.
+// newColumns numbers cand's columns into slots in order of first
+// appearance, over ⌈n/64⌉ = words words, every container still empty. A
+// scan counts rows by component, so for a streamed src the candidate
+// graph is linked here, in the one allocation that holds the slots; a
+// ColumnLister links it only when it holds a bitmap, as its lists need
+// no component until one is ranked.
 func newColumns(src matrix.RowSource, words int, cand []pairs.Scored) *columns {
 	m := src.NumCols()
 	cs := &columns{words: words, cand: cand}
@@ -365,6 +260,14 @@ func newColumns(src matrix.RowSource, words int, cand []pairs.Scored) *columns {
 	}
 	for c := range cs.slot {
 		cs.slot[c] = -1
+	}
+	for _, p := range cand {
+		for _, c := range [2]int32{p.I, p.J} {
+			if cs.slot[c] < 0 {
+				cs.slot[c] = int32(len(cs.cols))
+				cs.cols = append(cs.cols, c)
+			}
+		}
 	}
 	return cs
 }
@@ -409,8 +312,7 @@ func root(comp []int32, c int32) int32 {
 // wordsOf is the bitmap words of a component of size rows.
 func wordsOf(size int32) int { return (int(size) + 63) / 64 }
 
-// fill loads the columns of cols into slots 0..len(cols)-1 (slot maps
-// each back). A source with direct column lists (matrix.ColumnLister —
+// fill loads every slot's column. A source with direct column lists (matrix.ColumnLister —
 // in-memory data) lends its lists without a row scan (lend). Every other
 // source is read by one sequential reader, the one pass the
 // disk-resident setting allows, at any worker count: each row's rank in
@@ -425,14 +327,12 @@ func wordsOf(size int32) int { return (int(size) + 63) / 64 }
 // decode-bound, and fanning its rows out to slot-range workers measured
 // slower than the single reader (docs/ALGORITHMS.md, "Out-of-core
 // execution").
-func (cs *columns) fill(src matrix.RowSource, cols []int32) error {
-	n := len(cols)
-	cs.list = append(cs.list[:0], make([][]int32, n)...)
-	cs.bits = append(cs.bits[:0], make([][]uint64, n)...)
-	cs.ones = append(cs.ones[:0], make([]int64, n)...)
+func (cs *columns) fill(src matrix.RowSource) error {
+	n := len(cs.cols)
+	cs.list, cs.bits, cs.ones = make([][]int32, n), make([][]uint64, n), make([]int64, n)
 	if cl, ok := src.(matrix.ColumnLister); ok {
-		cs.lend(cl, cols)
-	} else if err := cs.scan(src, cols); err != nil {
+		cs.lend(cl)
+	} else if err := cs.scan(src); err != nil {
 		return err
 	}
 	for s, l := range cs.list {
@@ -445,24 +345,11 @@ func (cs *columns) fill(src matrix.RowSource, cols []int32) error {
 	return nil
 }
 
-// reserve empties the slab for the batch's bitmaps of words words in
-// all, reusing the previous batch's when it is large enough. The slab is
-// never nil, so that a bitmap of no words (an empty component) is still
-// one.
-func (cs *columns) reserve(words int) {
-	if cs.slab == nil || cap(cs.slab) < words {
-		cs.slab = make([]uint64, 0, words)
-	} else {
-		clear(cs.slab) // the previous batch's bitmaps
-		cs.slab = cs.slab[:0]
-	}
-}
-
 // grow appends w zero words to the slab for the next of left bitmaps
 // still to come, and returns where they start. A full slab moves to one
 // that holds the rest if they are all w words wide, or twice its size
-// if that is more, but never more than limit words, which the batch's
-// bitmaps must fit.
+// if that is more, but never more than limit words, which the bitmaps
+// must fit.
 func (cs *columns) grow(w, left, limit int) int {
 	n := len(cs.slab)
 	if n+w > cap(cs.slab) {
@@ -474,13 +361,13 @@ func (cs *columns) grow(w, left, limit int) int {
 	return n
 }
 
-// scan fills the batch's slots from one pass over src.
-func (cs *columns) scan(src matrix.RowSource, cols []int32) error {
-	n, t := len(cols), listBelow(cs.words)
-	cs.reserve(n * cs.words)
-	if len(cs.rows) < n*t {
-		cs.rows = make([]int32, n*t)
-	}
+// scan fills the slots from one pass over src.
+func (cs *columns) scan(src matrix.RowSource) error {
+	n, t := len(cs.cols), listBelow(cs.words)
+	// A bitmap of no words (an empty component) is still a bitmap: the
+	// slab is never nil.
+	cs.slab = make([]uint64, 0, n*cs.words)
+	cs.rows = make([]int32, n*t)
 	for s := range cs.list {
 		cs.list[s] = cs.rows[s*t : s*t : (s+1)*t]
 	}
@@ -498,10 +385,7 @@ func (cs *columns) scan(src matrix.RowSource, cols []int32) error {
 				last[k] = int32(row)
 				size[k]++
 			}
-			s := slot[c]
-			if s < 0 {
-				continue
-			}
+			s := slot[c]     // a column in a component has a slot
 			x := size[k] - 1 // the row's rank in the component
 			if b := cs.bits[s]; b != nil {
 				b[x>>6] |= 1 << (uint(x) & 63)
@@ -519,7 +403,7 @@ func (cs *columns) scan(src matrix.RowSource, cols []int32) error {
 			cs.toBitmap(s)
 		}
 	}
-	for s, c := range cols {
+	for s, c := range cs.cols {
 		if b := cs.bits[s]; b != nil {
 			cs.bits[s] = b[:wordsOf(size[comp[c]])]
 		}
@@ -539,59 +423,53 @@ func (cs *columns) toBitmap(s int) {
 	cs.bits[s], cs.list[s] = b, nil
 }
 
-// lend fills the batch's slots from src's column lists. A component
-// with no bitmap in the batch keeps them as lent, global row numbers and
-// all: its pairs are merges, whose cost does not depend on n. A
-// component with one is ranked: its union U goes into uni, and every one
-// of its batch columns is renumbered by rank in U — a bitmap of
-// ⌈|U|/64⌉ words appended to the slab, a list copied into rows.
-func (cs *columns) lend(cl matrix.ColumnLister, cols []int32) {
+// lend fills the slots from src's column lists. A component with no
+// bitmap keeps them as lent, global row numbers and all: its pairs are
+// merges, whose cost does not depend on n. A component with one is
+// ranked: its union U goes into uni, and every one of its columns is
+// renumbered by rank in U — a bitmap of ⌈|U|/64⌉ words appended to the
+// slab, a list copied into rows.
+func (cs *columns) lend(cl matrix.ColumnLister) {
 	t := listBelow(cs.words)
 	bitmaps := 0
-	for s, c := range cols {
+	for s, c := range cs.cols {
 		if cs.list[s] = cl.ColumnRows(int(c)); len(cs.list[s]) >= t {
 			bitmaps++
 		}
 	}
-	cs.reserve(0)
 	if bitmaps == 0 {
 		return
 	}
-	if cs.comp == nil {
-		cs.link(make([]int32, 4*len(cs.slot)))
-		cs.uni = make([]uint64, cs.words)
-		cs.below = make([]int32, cs.words)
-	}
-	// A ranked component's size is -1 until unite counts it.
-	cs.ranked = cs.ranked[:0]
-	for s, c := range cols {
+	cs.link(make([]int32, 4*len(cs.slot)))
+	cs.uni = make([]uint64, cs.words)
+	cs.below = make([]int32, cs.words)
+	// A bitmap of no words (an empty component) is still a bitmap: the
+	// slab is never nil. A ranked component's size is -1 until unite
+	// counts it.
+	cs.slab = make([]uint64, 0)
+	for s, c := range cs.cols {
 		if k := cs.comp[c]; len(cs.list[s]) >= t && cs.size[k] >= 0 {
 			cs.size[k] = -1
 			cs.ranked = append(cs.ranked, k)
 		}
 	}
-	// At ⌈n/64⌉ words each, the batch's bitmaps would fill arena words:
-	// the slab never grows past that.
+	// At ⌈n/64⌉ words each, the bitmaps would fill arena words: the
+	// slab never grows past that.
 	arena := bitmaps * cs.words
 	rows := 0
-	for s, c := range cols {
+	for s, c := range cs.cols {
 		if len(cs.list[s]) < t && cs.size[cs.comp[c]] < 0 {
 			rows += len(cs.list[s])
 		}
 	}
-	if len(cs.rows) < rows {
-		cs.rows = make([]int32, rows)
-	}
+	cs.rows = make([]int32, rows)
 	rows = 0
 	uni, below := cs.uni, cs.below
 	for _, k := range cs.ranked {
 		lo, hi := cs.unite(cl, k)
 		w := wordsOf(cs.size[k])
 		for _, c := range cs.members {
-			s := cs.slot[c]
-			if s < 0 {
-				continue
-			}
+			s := cs.slot[c] // every member is a candidate's column
 			l := cs.list[s]
 			if len(l) < t {
 				dst := cs.rows[rows : rows+len(l) : rows+len(l)]
@@ -614,7 +492,7 @@ func (cs *columns) lend(cl matrix.ColumnLister, cols []int32) {
 		}
 		clear(uni[lo:hi])
 	}
-	for s, c := range cols {
+	for s, c := range cs.cols {
 		if len(cs.list[s]) >= t {
 			off := int(cs.ones[s])
 			cs.bits[s], cs.list[s] = cs.slab[off:off+wordsOf(cs.size[cs.comp[c]])], nil

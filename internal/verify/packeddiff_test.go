@@ -92,8 +92,10 @@ func TestPackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPackedMatchesBudgetedAndParallel: the packed pass must agree with
-// the other scalar entry points too, with and without batching.
+// TestPackedMatchesBudgetedAndParallel: the packed pass must agree
+// with the other scalar entry points too, and Verify, which packs
+// exactly when the candidate columns fit the budget as bitmaps, with
+// every budget.
 func TestPackedMatchesBudgetedAndParallel(t *testing.T) {
 	rng := hashing.NewSplitMix64(11)
 	m := randomMatrix(rng, 400, 30, 0.15)
@@ -110,28 +112,36 @@ func TestPackedMatchesBudgetedAndParallel(t *testing.T) {
 		t.Fatal("the unbudgeted ExactBudgeted disagrees with Exact; fixture broken")
 	}
 
-	words := (400 + 63) / 64
-	for _, budgetCols := range []int{2, 3, 7, 30} {
-		budget := Budget{Bytes: int64(budgetCols * words * 8)}
-		for _, workers := range []int{1, 4} {
-			opt := PackedOptions{Budget: budget, Workers: workers}
-			st := comparePacked(t, m.Stream(), cand, threshold, opt, want, wantStats)
-			if budgetCols < 30 && st.PackedBatches < 2 {
-				t.Errorf("budget of %d columns: %d batches, want several", budgetCols, st.PackedBatches)
-			}
-			comparePacked(t, streamOnly{m.Stream()}, cand, threshold, opt, want, wantStats)
+	distinct := map[int32]bool{}
+	for _, p := range cand {
+		distinct[p.I], distinct[p.J] = true, true
+	}
+	arena := int64(len(distinct)) * ((400 + 63) / 64) * 8
+	for _, workers := range []int{1, 4} {
+		comparePacked(t, m.Stream(), cand, threshold, PackedOptions{Workers: workers}, want, wantStats)
+	}
+	for _, budget := range []int64{0, arena, arena - 1, denseCounterBytes * int64(len(cand)), minSpillEntries * spillEntryBytes} {
+		batches := int64(0)
+		if budget == 0 || budget >= arena {
+			batches = 1
 		}
-	}
-
-	// A budget below two columns' words cannot pack at all: the pass
-	// must delegate to ExactBudgeted wholesale and still agree.
-	tiny := PackedOptions{Budget: Budget{Bytes: int64(words)*8 + 1, Dir: t.TempDir()}, Workers: 1}
-	st := comparePacked(t, streamOnly{m.Stream()}, cand, threshold, tiny, want, wantStats)
-	if st.PackedBatches != 0 || st.PackedWords != 0 {
-		t.Errorf("fallback pass still reported packed work: %+v", st)
-	}
-	if st.SpillRuns == 0 {
-		t.Errorf("fallback under a %d-byte budget did not spill", tiny.Budget.Bytes)
+		for _, workers := range []int{1, 4} {
+			for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
+				got, st, err := Verify(src, cand, Params{Threshold: threshold, Budget: Budget{Bytes: budget, Dir: t.TempDir()}, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || st.Touches != wantStats.Touches {
+					t.Fatalf("budget %d, %d workers, %T: Verify disagrees with Exact", budget, workers, src)
+				}
+				if st.PackedBatches != batches {
+					t.Errorf("budget %d (arena %d): %d packed batches, want %d", budget, arena, st.PackedBatches, batches)
+				}
+				if spills := batches == 0 && budget > 0 && budget < denseCounterBytes*int64(len(cand)); (st.SpillRuns > 0) != spills {
+					t.Errorf("budget %d: %d spill runs, want spills = %v", budget, st.SpillRuns, spills)
+				}
+			}
+		}
 	}
 }
 
@@ -233,12 +243,17 @@ func TestPackedDerivedUnionEdges(t *testing.T) {
 	}
 	kernels := []struct {
 		name   string
-		kernel Kernel
+		run    func(matrix.RowSource, Params) ([]pairs.Scored, Stats, error)
 		budget int64
 	}{
-		{"scalar", KernelScalar, 0},
-		{"packed", KernelPacked, 0},
-		{"spill", KernelScalar, minSpillEntries * spillEntryBytes},
+		{"scalar", func(src matrix.RowSource, p Params) ([]pairs.Scored, Stats, error) {
+			return count(src, cand, p, spillFanIn)
+		}, 0},
+		{"packed", func(src matrix.RowSource, p Params) ([]pairs.Scored, Stats, error) { return packed(src, cand, p) }, 0},
+		{"spill", func(src matrix.RowSource, p Params) ([]pairs.Scored, Stats, error) {
+			return count(src, cand, p, spillFanIn)
+		},
+			minSpillEntries * spillEntryBytes},
 	}
 	for _, threshold := range []float64{0, 0.5, 1} {
 		similar, _, err := Exact(m.Stream(), cand, threshold)
@@ -261,8 +276,8 @@ func TestPackedDerivedUnionEdges(t *testing.T) {
 			for _, k := range kernels {
 				for _, workers := range []int{1, 4} {
 					for _, src := range []matrix.RowSource{m.Stream(), streamOnly{m.Stream()}} {
-						got, st, err := Verify(src, cand, Params{
-							Threshold: threshold, Measure: ms.measure, Kernel: k.kernel,
+						got, st, err := k.run(src, Params{
+							Threshold: threshold, Measure: ms.measure,
 							Budget: Budget{Bytes: k.budget, Dir: t.TempDir()}, Workers: workers,
 						})
 						if err != nil {
@@ -312,7 +327,8 @@ func confidenceOracle(cols [][]int32, cand []pairs.Scored, threshold float64) []
 }
 
 // TestPackedCancellation: a cancelled context aborts the pass with
-// context.Canceled, before any batch and between pair chunks.
+// context.Canceled, before the columns are packed and between pair
+// chunks.
 func TestPackedCancellation(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m := randomMatrix(rng, 200, 20, 0.2)
@@ -365,7 +381,7 @@ func TestPackedProgressMonotonic(t *testing.T) {
 	}
 }
 
-// TestAutoPackHeuristic: the Auto decision depends only on the
+// TestAutoPackHeuristic: Verify's kernel choice depends only on the
 // workload's shape, never on the source, and refuses tiny candidate
 // lists and over-budget arenas.
 func TestAutoPackHeuristic(t *testing.T) {
@@ -383,7 +399,8 @@ func TestAutoPackHeuristic(t *testing.T) {
 		t.Error("degenerate shapes should not pack")
 	}
 	// 23 distinct columns × 16 words × 8 bytes = 2944: a smaller budget
-	// must refuse (Auto never batches), a larger one accept.
+	// must refuse (a packed pass loads every column at once), a larger
+	// one accept.
 	words := int64((1000 + 63) / 64)
 	arena := 23 * words * 8
 	if autoPack(1000, 30, big, arena-1) {
@@ -394,14 +411,13 @@ func TestAutoPackHeuristic(t *testing.T) {
 	}
 }
 
-// FuzzPackedVsScalar: for arbitrary shapes, densities, budgets and
-// worker counts, the packed pass must reproduce the scalar pass
-// bit for bit.
+// FuzzPackedVsScalar: for arbitrary shapes, densities and worker
+// counts, the packed pass must reproduce the scalar pass bit for bit.
 func FuzzPackedVsScalar(f *testing.F) {
-	f.Add(uint64(1), uint8(100), uint8(12), uint8(64), uint8(2), uint16(0), uint8(1))
-	f.Add(uint64(2), uint8(37), uint8(5), uint8(128), uint8(5), uint16(200), uint8(4))
-	f.Add(uint64(3), uint8(0), uint8(3), uint8(10), uint8(0), uint16(17), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, density, thresh uint8, budget uint16, workers uint8) {
+	f.Add(uint64(1), uint8(100), uint8(12), uint8(64), uint8(2), uint8(1))
+	f.Add(uint64(2), uint8(37), uint8(5), uint8(128), uint8(5), uint8(4))
+	f.Add(uint64(3), uint8(0), uint8(3), uint8(10), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, density, thresh uint8, workers uint8) {
 		n := int(rows)
 		m := 2 + int(cols)%40
 		rng := hashing.NewSplitMix64(seed)
@@ -412,10 +428,7 @@ func FuzzPackedVsScalar(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := PackedOptions{
-			Budget:  Budget{Bytes: int64(budget), Dir: t.TempDir()},
-			Workers: 1 + int(workers)%4,
-		}
+		opt := PackedOptions{Workers: 1 + int(workers)%4}
 		for _, src := range []matrix.RowSource{mat.Stream(), streamOnly{mat.Stream()}} {
 			got, st, err := ExactPacked(src, cand, threshold, opt)
 			if err != nil {

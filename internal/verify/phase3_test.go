@@ -59,14 +59,16 @@ func wantPackedWords(t *testing.T, src matrix.RowSource, cand []pairs.Scored) in
 }
 
 // TestPhase3Matrix is phase 3's one equivalence table, the sibling of
-// TestFoldMatrix and TestPhase2Matrix: every way Verify can be made to
-// count — each kernel, each memory strategy, the fallback between them —
-// over every kind of source at every worker count returns Exact's pairs,
-// order, Exact bits and Touches; the kernel a cell names is the one that
-// ran; and the work counters that are functions of (data, candidates,
-// budget, workers) alone — the packed kernel's PackedBatches and
-// PackedWords of the first three, the spill schedule's of all four — do
-// not move with the source. Two data sets: a 10 % matrix whose columns
+// TestFoldMatrix and TestPhase2Matrix: every way phase 3 can count —
+// each kernel and each memory strategy called directly, and Verify's
+// dispatch between them under no budget, a budget the arena just fits
+// and one below it — over every kind of source at every worker count
+// returns Exact's pairs, order, Exact bits and Touches; the kernel a
+// cell names is the one that ran, a packed pass in one batch; and the
+// work counters that are functions of (data, candidates, budget,
+// workers) alone — the packed kernel's PackedBatches and PackedWords of
+// the first three, the spill schedule's of all four — do not move with
+// the source. Two data sets: a 10 % matrix whose columns
 // are all bitmaps, and a mixed one (aroundT) whose empty, just-under-T,
 // at-T and dense columns make every cell count pairs by merge, by bit
 // probe and by AND popcount; PackedWords is exactly the words of the
@@ -111,21 +113,26 @@ func phase3Cells(t *testing.T, m *matrix.Matrix, cand []pairs.Scored, threshold 
 		{"window/memory", "window", &matrix.RangeSource{Src: m.Stream(), From: from, To: to}},
 		{"window/arows", "window", &matrix.RangeSource{Src: file, From: from, To: to}},
 	}
-	words := int64(m.NumRows()+63) / 64
+	// Every column is a candidate's: the arena is m's columns as bitmaps.
+	arena := int64(m.NumCols()) * int64((m.NumRows()+63)/64) * 8
 	dir := t.TempDir()
+	dispatch := func(src matrix.RowSource, p Params) ([]pairs.Scored, Stats, error) { return Verify(src, cand, p) }
+	scalar := func(src matrix.RowSource, p Params) ([]pairs.Scored, Stats, error) {
+		return count(src, cand, p, spillFanIn)
+	}
+	pack := func(src matrix.RowSource, p Params) ([]pairs.Scored, Stats, error) { return packed(src, cand, p) }
 	kernels := []struct {
 		name           string
-		kernel         Kernel
+		run            func(matrix.RowSource, Params) ([]pairs.Scored, Stats, error)
 		budget         int64
 		packed, spills bool
 	}{
-		{"auto", KernelAuto, 0, true, false},
-		{"auto/budget-below-arena", KernelAuto, 4 << 10, false, true},
-		{"scalar-dense", KernelScalar, 0, false, false},
-		{"scalar-spill", KernelScalar, 4 << 10, false, true},
-		{"packed-one-batch", KernelPacked, 0, true, false},
-		{"packed-batched", KernelPacked, 7 * words * 8, true, false},
-		{"packed-falls-to-spill", KernelPacked, 2*words*8 - 1, false, true},
+		{"auto", dispatch, 0, true, false},
+		{"auto/budget-at-arena", dispatch, arena, true, false},
+		{"auto/budget-below-arena", dispatch, 4 << 10, false, true},
+		{"scalar-dense", scalar, 0, false, false},
+		{"scalar-spill", scalar, 4 << 10, false, true},
+		{"packed", pack, 0, true, false},
 	}
 
 	type result struct {
@@ -157,8 +164,8 @@ func phase3Cells(t *testing.T, m *matrix.Matrix, cand []pairs.Scored, threshold 
 		for _, workers := range []int{1, 2, 4, -1} {
 			for _, s := range sources {
 				name := fmt.Sprintf("%s/%s/workers=%d", k.name, s.name, workers)
-				got, st, err := Verify(s.src, cand, Params{
-					Threshold: threshold, Kernel: k.kernel, Workers: workers,
+				got, st, err := k.run(s.src, Params{
+					Threshold: threshold, Workers: workers,
 					Budget: Budget{Bytes: k.budget, Dir: dir},
 				})
 				if err != nil {
@@ -177,8 +184,8 @@ func phase3Cells(t *testing.T, m *matrix.Matrix, cand []pairs.Scored, threshold 
 				if k.packed && st.PackedWords != packedWords[s.data] {
 					t.Errorf("%s: %d packed words, want %d", name, st.PackedWords, packedWords[s.data])
 				}
-				if (k.name == "packed-batched") != (st.PackedBatches > 1) {
-					t.Errorf("%s: %d packed batches", name, st.PackedBatches)
+				if k.packed && st.PackedBatches != 1 {
+					t.Errorf("%s: %d packed batches, want 1", name, st.PackedBatches)
 				}
 				if (st.SpillRuns > 0) != k.spills || (st.SpillBytes > 0) != k.spills {
 					t.Errorf("%s: %d spill runs, %d bytes; want spills = %v", name, st.SpillRuns, st.SpillBytes, k.spills)

@@ -48,8 +48,8 @@ type Stats struct {
 	// packed kernel executed — ⌈|U|/64⌉ per candidate whose columns are
 	// both bitmaps, U the rows of the candidate's component of the
 	// candidate graph; a pair with a sparse column (a row list) costs
-	// none — and PackedBatches the candidate batches its columns were
-	// loaded for (both 0 on the scalar paths).
+	// none — and PackedBatches the batches its columns were loaded in,
+	// 1 for a packed pass (both 0 on the scalar paths).
 	PackedWords   int64
 	PackedBatches int64
 }
@@ -247,17 +247,14 @@ type Params struct {
 	// (A = |C_I|, B = |C_J|); nil is the Jaccard similarity. The
 	// threshold applies to it, and Exact reports it.
 	Measure func(measures.Counts) float64
-	// Kernel picks the counting strategy; the zero value, KernelAuto,
-	// packs when autoPack approves of (n, m, cand, Budget.Bytes).
-	Kernel Kernel
-	// Budget bounds the packed kernel's bit-column arena (it batches)
-	// or the scalar kernel's counter table (it spills to Budget.Dir).
+	// Budget bounds the packed kernel's bit-column arena (autoPack
+	// declines an arena that does not fit) or the scalar kernel's
+	// counter table (it spills to Budget.Dir).
 	Budget Budget
 	// Workers shards the candidate list: 0 and 1 are serial, negative is
 	// GOMAXPROCS, and small lists run with fewer (minShardCandidates).
 	Workers int
-	// Context cancels the packed kernel at batch and pair-chunk
-	// granularity; nil runs to completion. Scans observe the
+	// Context cancels the packed kernel at pair-chunk granularity; nil runs to completion. Scans observe the
 	// cancellation wrapper on src itself (matrix.WithContext).
 	Context context.Context
 	// Tick, when non-nil, receives the pass's progress, possibly from
@@ -269,26 +266,22 @@ type Params struct {
 }
 
 // Verify is phase 3: the one place a kernel and a memory strategy are
-// chosen. Whatever is chosen, the result — pairs, order, Exact bits —
-// and Stats.Touches are Exact's; the choice reads (n, m, cand, budget)
-// and never the source type, so the in-memory, streamed and distributed
-// runs of one job verify alike.
+// chosen, from the input alone. Whatever is chosen, the result — pairs,
+// order, Exact bits — and Stats.Touches are Exact's; the choice reads
+// (n, m, cand, budget) and never the source type, so the in-memory,
+// streamed and distributed runs of one job verify alike.
 //
-//   - KernelAuto packs when autoPack approves, KernelPacked always: the
-//     word-packed popcount kernel, batched against the budget.
-//   - Otherwise, and when the budget cannot hold even two packed
-//     columns, the scalar kernel counts row by row: dense counters when
+//   - When autoPack approves, the word-packed popcount kernel packs
+//     every candidate column at once.
+//   - Otherwise the scalar kernel counts row by row: dense counters when
 //     they fit the budget (or there is none), a bounded table spilling
 //     sorted runs when they do not.
 func Verify(src matrix.RowSource, cand []pairs.Scored, p Params) ([]pairs.Scored, Stats, error) {
 	if err := validate(src.NumCols(), cand, p.Threshold); err != nil {
 		return nil, Stats{}, err
 	}
-	if p.Kernel == KernelPacked || p.Kernel == KernelAuto && autoPack(src.NumRows(), src.NumCols(), cand, p.Budget.Bytes) {
-		// One candidate claims at most two arena slots.
-		if cols := arenaCols(src, p.Budget); cols >= 2 {
-			return packed(src, cand, p, cols)
-		}
+	if autoPack(src.NumRows(), src.NumCols(), cand, p.Budget.Bytes) {
+		return packed(src, cand, p)
 	}
 	return count(src, cand, p, spillFanIn)
 }

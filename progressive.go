@@ -29,7 +29,7 @@ type Progress struct {
 //
 // cfg.Algorithm must be MinLSH (or zero, which is treated as MinLSH
 // here); cfg.K must be at least R*L. The signature phase, each band's
-// verification (kernel, MemoryBudget, Workers, Context) and the Stats
+// verification (MemoryBudget, Workers, Context) and the Stats
 // accounting are the SimilarPairs driver's own steps, and the banding is
 // its kernel (candidate.For) scheduled one band per range, each band's
 // fresh pairs being what its Gatherer lets through — that ordering is

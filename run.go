@@ -18,7 +18,7 @@ import (
 func (c Config) input(src matrix.RowSource, materialize func() (*matrix.Matrix, error)) driver.Input {
 	return driver.Input{
 		Src: src, Materialize: materialize, Params: c.params(),
-		Verify: verify.Params{Kernel: c.VerifyKernel, Budget: verify.Budget{Bytes: c.MemoryBudget, Dir: c.SpillDir},
+		Verify: verify.Params{Budget: verify.Budget{Bytes: c.MemoryBudget, Dir: c.SpillDir},
 			Workers: c.Workers, Context: c.Context},
 		SkipVerify: c.SkipVerify, Window: c.Window, Column: -1,
 		MinSupport: c.MinSupport, AprioriBudget: c.AprioriMemoryBudget,
