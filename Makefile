@@ -71,7 +71,8 @@ bench-resident:
 
 # Phase 1's kernels alone (BenchmarkFoldRow: the MH fold of a fixed
 # shard of Zipf rows; BenchmarkScanARows, BenchmarkScanCARows: one fixed
-# encoded file decoded from memory) from test binaries built once into
+# encoded file decoded from memory; BenchmarkCollectARows: the same
+# ".arows" file loaded into a Matrix) from test binaries built once into
 # .bench_build/, COUNT runs of each; compare two commits the way
 # bench-resident says.
 bench-phase1:
@@ -80,7 +81,7 @@ bench-phase1:
 	$(GO) test -c -o .bench_build/matrix.test ./internal/matrix
 	./.bench_build/minhash.test -test.run '^$$' -test.bench 'BenchmarkFoldRow$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
-	./.bench_build/matrix.test -test.run '^$$' -test.bench 'BenchmarkScanC?ARows$$' -test.benchmem \
+	./.bench_build/matrix.test -test.run '^$$' -test.bench 'BenchmarkScanC?ARows$$|BenchmarkCollectARows$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 20x -test.count $(COUNT) -test.timeout 30m
 
 # Phase 3's containers and the BPS tally (BenchmarkPackedSparse,

@@ -34,7 +34,7 @@ import (
 // every Stats field by reflection, except the fields that describe the
 // schedule rather than the answer. Those are checked by per-axis
 // predicates instead — phase 3's kernel among them: each cell must have
-// verified with the kernel autoPack chooses for its candidates and
+// verified with the kernel AutoPack chooses for its candidates and
 // budget — and by the cell's twins: the runs that differ from it only
 // in an axis that must not change the schedule either.
 //
@@ -93,8 +93,8 @@ func (c cell) config() Config {
 // Budgets a cell names by its candidates' arena — their distinct columns
 // as ⌈n/64⌉-word bitmaps — which check resolves to bytes.
 const (
-	belowArena = -1 // a byte under the arena: autoPack declines it
-	atArena    = -2 // the arena itself: autoPack packs under it
+	belowArena = -1 // a byte under the arena: AutoPack declines it
+	atArena    = -2 // the arena itself: AutoPack packs under it
 )
 
 // steer is the budget of the cell of a scalar/packed pair named k whose
@@ -102,7 +102,7 @@ const (
 // runs a byte under its arena; the packed cell runs without a budget, or
 // at its arena where b is set. A budget is the only lever a run has on
 // its kernel, and a packed cell still counts scalar when its scheme
-// yields fewer candidates than autoPack packs.
+// yields fewer candidates than AutoPack packs.
 func steer(k string, b int64) int64 {
 	switch {
 	case k == "scalar" && b == 0:
@@ -376,7 +376,7 @@ func (e *env) candidates(t *testing.T, c cell) candidates {
 	return ci
 }
 
-// packs is autoPack's choice for the candidates under budget (0: none),
+// packs is AutoPack's choice for the candidates under budget (0: none),
 // which a run verifying them in one pass must make: 16 candidates or
 // more whose arena fits the budget, or 256 MiB without one.
 func (ci candidates) packs(budget int64) bool {
@@ -837,7 +837,7 @@ var compresses = map[string]bool{"f43": true, "f47": true}
 // with fewer than 11 ones as its row list. Column 2i holds 8 random rows
 // and column 2i+1 those and 6 more, so every planted pair, at similarity
 // 8/14, is a list verified against a bitmap; twenty pairs make enough
-// candidates for autoPack to pack them.
+// candidates for AutoPack to pack them.
 func listsMeetBitmaps() (*Dataset, error) {
 	rng := rand.New(rand.NewSource(61))
 	cols := make([][]int, 40)

@@ -90,17 +90,20 @@ func (l local) Sample(rows matrix.RowSource, sup []int64, opt bps.Options) ([]pa
 
 // Verify is verify.Verify over the view of the data the pass reads:
 //
-//   - Unbudgeted in-memory runs skip the counted stream and account
-//     their pass by hand: the packed kernel packs straight from the
-//     column lists, and above one worker the scalar kernel lets each
-//     worker scan concurrently, which beats fanning a stream out.
-//   - Everything else, a memory budget included, reads the counted
+//   - In-memory runs skip the counted stream and account their pass by
+//     hand whenever the kernel does not spill: the packed kernel packs
+//     straight from the column lists, with or without a budget, and
+//     above one worker the unbudgeted scalar kernel lets each worker
+//     scan concurrently, which beats fanning a stream out.
+//   - Everything else, the spilling kernel included, reads the counted
 //     single-reader pass: a bounded table plus spills is the point;
 //     concurrent scans would multiply it.
 func (l local) Verify(rows matrix.RowSource, cand []pairs.Scored, p verify.Params) ([]pairs.Scored, verify.Stats, error) {
 	r := l.r
-	if p.Budget.Bytes <= 0 && len(cand) > 0 && matrix.CanScanConcurrently(r.base) {
-		rows = matrix.WithContext(p.Context, r.base)
+	base := r.base
+	if len(cand) > 0 && matrix.CanScanConcurrently(base) &&
+		(p.Budget.Bytes <= 0 || verify.AutoPack(base.NumRows(), base.NumCols(), cand, p.Budget.Bytes)) {
+		rows = matrix.WithContext(p.Context, base)
 		r.countPass()
 	}
 	return verify.Verify(rows, cand, p)

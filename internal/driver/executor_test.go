@@ -2,6 +2,7 @@ package driver
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"assocmine/internal/bps"
@@ -155,5 +156,67 @@ func TestExecutorContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scanCounter is in-memory data that counts the scans it serves.
+type scanCounter struct {
+	matrix.ColumnLister
+	scans atomic.Int64
+}
+
+func (s *scanCounter) ConcurrentScan() bool { return true }
+
+func (s *scanCounter) Scan(fn func(int, []int32) error) error {
+	s.scans.Add(1)
+	return s.ColumnLister.Scan(fn)
+}
+
+// TestLocalVerifyLendsColumns: on in-memory data the packed kernel
+// reads the column lists, not the rows, under a budget it fits as
+// without one — one pass accounted, no scan — while a budget below its
+// arena leaves the spilling kernel to one counted scan. Every run
+// returns the same pairs.
+func TestLocalVerifyLendsColumns(t *testing.T) {
+	m := contractData(t)
+	var cand []pairs.Scored
+	for i := 0; i < m.NumCols(); i++ {
+		for j := i + 1; j < m.NumCols(); j++ {
+			cand = append(cand, pairs.Scored{Pair: pairs.Make(int32(i), int32(j))})
+		}
+	}
+	arena := int64(m.NumCols()) * int64((m.NumRows()+63)/64) * 8
+	var want []pairs.Scored
+	for _, c := range []struct {
+		budget int64
+		packs  bool
+	}{{0, true}, {arena, true}, {arena - 1, false}} {
+		if verify.AutoPack(m.NumRows(), m.NumCols(), cand, c.budget) != c.packs {
+			t.Fatalf("budget %d: AutoPack is not %v", c.budget, c.packs)
+		}
+		src := &scanCounter{ColumnLister: m.Stream().(matrix.ColumnLister)}
+		r := newRun(Input{Src: src, Column: -1})
+		p := verify.Params{Threshold: 0.5, Budget: verify.Budget{Bytes: c.budget, Dir: t.TempDir()}}
+		got, st, err := local{r}.Verify(r.counting, cand, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if packed := st.PackedBatches > 0; packed != c.packs {
+			t.Fatalf("budget %d: packed = %v", c.budget, packed)
+		}
+		if scans := src.scans.Load(); scans != 0 && c.packs || scans != 1 && !c.packs {
+			t.Errorf("budget %d: the data was scanned %d times", c.budget, scans)
+		}
+		if r.counting.Passes != 1 || r.counting.Rows != int64(m.NumRows()) {
+			t.Errorf("budget %d: %d passes and %d rows accounted, want 1 and %d", c.budget, r.counting.Passes, r.counting.Rows, m.NumRows())
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("budget %d: pairs differ from the unbudgeted run's", c.budget)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("a vacuous fixture: no pair passes")
 	}
 }

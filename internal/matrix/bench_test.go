@@ -95,10 +95,12 @@ func BenchmarkTailRange(b *testing.B) {
 	}
 }
 
-// benchScan scans one fixed encoded file of Zipf rows — 100 000 rows of
+// benchFile is one fixed encoded file of Zipf rows — 100 000 rows of
 // about 12 entries over 16 896 columns, stream-sig's shape — served from
-// memory through the FS seam: the decoder alone, without the disk.
-func benchScan(b *testing.B, write func(io.Writer, RowSource) error, path string) {
+// memory through the FS seam, with its entry count: the decoder alone,
+// without the disk.
+func benchFile(b *testing.B, write func(io.Writer, RowSource) error, path string) (*FileSource, int) {
+	b.Helper()
 	rows := testutil.ZipfRows(1, 100_000, 16_896, 12, 1.1)
 	entries := 0
 	for _, r := range rows {
@@ -113,14 +115,39 @@ func benchScan(b *testing.B, write func(io.Writer, RowSource) error, path string
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(enc.Len()))
+	return src, entries
+}
+
+// reportPerEntry reports the time per entry of each iteration.
+func reportPerEntry(b *testing.B, entries int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+}
+
+// benchScan scans benchFile.
+func benchScan(b *testing.B, write func(io.Writer, RowSource) error, path string) {
+	src, entries := benchFile(b, write, path)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := src.Scan(func(int, []int32) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+	reportPerEntry(b, entries)
 }
 
 func BenchmarkScanARows(b *testing.B)  { benchScan(b, writeRowBinary, "bench.arows") }
 func BenchmarkScanCARows(b *testing.B) { benchScan(b, writeRowCompressed, "bench.carows") }
+
+// BenchmarkCollectARows loads BenchmarkScanARows's file into a Matrix:
+// the decode, its floor, plus what Collect adds.
+func BenchmarkCollectARows(b *testing.B) {
+	src, entries := benchFile(b, writeRowBinary, "bench.arows")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Collect(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerEntry(b, entries)
+}

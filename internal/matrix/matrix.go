@@ -16,7 +16,11 @@ import (
 )
 
 // Matrix is a sparse boolean matrix stored column-major: for each
-// column, the sorted list of row indices containing a 1. A Matrix is
+// column, the sorted list of row indices containing a 1. Its row-major
+// half, which Stream scans, is the transpose of the columns: a matrix
+// that Collect, FromRows or a Builder makes is born with it, since
+// building the columns computed it; one made from columns (New, a fold,
+// the column binary) computes it on its first scan. A Matrix is
 // immutable after construction and safe for concurrent readers.
 type Matrix struct {
 	rows int
@@ -72,13 +76,68 @@ func (b *Builder) Set(row, col int) {
 // Build sorts and deduplicates the accumulated entries and returns the
 // Matrix. The Builder must not be used afterwards.
 func (b *Builder) Build() *Matrix {
-	for c, col := range b.cols {
-		sort.Slice(col, func(i, j int) bool { return col[i] < col[j] })
-		b.cols[c] = dedupSorted(col)
+	// Two counting transposes sort the entries, Set's order whatever it
+	// was: the first visits the columns in order, so each row comes out
+	// sorted with its duplicates adjacent, dropped there; the second
+	// gives the sorted, distinct columns, and the rows stay as the row
+	// half.
+	rows := transpose(b.cols, occurrences(b.cols, b.rows))
+	for r, row := range rows {
+		rows[r] = dedupSorted(row)
 	}
-	m := &Matrix{rows: b.rows, cols: b.cols}
+	m := withRows(b.rows, transpose(rows, occurrences(rows, len(b.cols))), rows)
 	b.cols = nil
 	return m
+}
+
+// withRows is the matrix of cols whose row half is rows, the
+// transpose its construction computed.
+func withRows(n int, cols, rows [][]int32) *Matrix {
+	m := &Matrix{rows: n, cols: cols}
+	m.rowMajorOnce.Do(func() { m.rowMajor = rows })
+	return m
+}
+
+// transpose is the counting sort between a 0/1 matrix's two halves:
+// lines[i] lists the indices set in line i, counts[j] is the number of
+// lines that hold j, and line j of the result lists the i whose lines
+// hold j, increasing (once per occurrence). The result's lines are
+// capped sub-slices of one exactly sized slab, so an append to one line
+// can only reallocate that line. counts is used up as the scatter's
+// cursors.
+func transpose(lines [][]int32, counts []int) [][]int32 {
+	total := 0
+	for j, n := range counts {
+		counts[j] = total
+		total += n
+	}
+	slab := make([]int32, total)
+	for i, l := range lines {
+		for _, j := range l {
+			slab[counts[j]] = int32(i)
+			counts[j]++
+		}
+	}
+	// Each cursor now ends its line, where the next line starts.
+	out := make([][]int32, len(counts))
+	start := 0
+	for j, end := range counts {
+		out[j] = slab[start:end:end]
+		start = end
+	}
+	return out
+}
+
+// occurrences returns, for each j in [0, width), the number of lines
+// that hold j: transpose's counts.
+func occurrences(lines [][]int32, width int) []int {
+	counts := make([]int, width)
+	for _, l := range lines {
+		for _, j := range l {
+			counts[j]++
+		}
+	}
+	return counts
 }
 
 // SortDedup sorts s and drops its duplicates, in place: any list of
@@ -103,18 +162,19 @@ func dedupSorted(s []int32) []int32 {
 }
 
 // FromRows builds a Matrix from row-major data: rows[r] lists the
-// column indices set in row r (in any order, duplicates allowed).
+// column indices set in row r (in any order, duplicates allowed). The
+// rows are copied, never modified.
 func FromRows(numCols int, rows [][]int32) (*Matrix, error) {
-	b := NewBuilder(len(rows), numCols)
+	sets := make([][]int32, len(rows))
 	for r, cs := range rows {
 		for _, c := range cs {
 			if c < 0 || int(c) >= numCols {
 				return nil, fmt.Errorf("matrix: row %d column %d out of range [0,%d)", r, c, numCols)
 			}
-			b.cols[c] = append(b.cols[c], int32(r))
 		}
+		sets[r] = SortDedup(append([]int32(nil), cs...))
 	}
-	return b.Build(), nil
+	return withRows(len(rows), transpose(sets, occurrences(sets, numCols)), sets), nil
 }
 
 // NumRows returns n, the number of rows.

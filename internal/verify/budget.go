@@ -63,7 +63,7 @@ const (
 	mergeWindowPerEntry = 3
 )
 
-// ExactBudgeted runs Verify's scalar kernel whatever autoPack would
+// ExactBudgeted runs Verify's scalar kernel whatever AutoPack would
 // choose: dense counters when they fit budget.Bytes (or it is <= 0),
 // the spilling table otherwise.
 func ExactBudgeted(src matrix.RowSource, cand []pairs.Scored, threshold float64, budget Budget, workers int, tick obs.Tick) ([]pairs.Scored, Stats, error) {

@@ -60,7 +60,7 @@ func containerBytes(cs *columns, lent bool) int64 {
 // TestPackedContainerBytes: whatever the mix of lists and bitmaps, and
 // whether the lists are lent or filled by a scan, the containers never
 // occupy more than the columns × words × 8 bytes the all-bitmap arena
-// did — the bound autoPack budgets for — the slab never reserves more
+// did — the bound AutoPack budgets for — the slab never reserves more
 // than that arena, and every column is a list exactly when it has fewer
 // than T ones.
 func TestPackedContainerBytes(t *testing.T) {

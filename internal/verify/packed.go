@@ -17,7 +17,7 @@
 // count or data-delivery strategy.
 //
 // All the candidate columns are packed at once, in one pass: Verify
-// runs this kernel only when autoPack finds that their bitmaps fit the
+// runs this kernel only when AutoPack finds that their bitmaps fit the
 // budget — a list is never larger than a bitmap — and leaves a budget
 // they do not fit to the scalar kernel's spilling table.
 package verify
@@ -38,7 +38,7 @@ const (
 	// minPackedCandidates is the smallest candidate list worth an arena:
 	// below it the packing pass dominates the popcount savings.
 	minPackedCandidates = 16
-	// maxAutoArenaBytes caps the arena autoPack approves when no budget
+	// maxAutoArenaBytes caps the arena AutoPack approves when no budget
 	// constrains it.
 	maxAutoArenaBytes = 256 << 20
 	// packedTickChunk is the pair-loop granularity of context checks and
@@ -56,7 +56,7 @@ const (
 // a row list while it has fewer ones, a bitmap from then on.
 func listBelow(words int) int { return words / listShare }
 
-// autoPack reports whether Verify selects the packed pass for verifying
+// AutoPack reports whether Verify selects the packed pass for verifying
 // cand over an n×m source under budgetBytes (<= 0 means unlimited). It
 // is a function of (n, m, cand, budgetBytes) only — never the source
 // type — so the in-memory and streamed runs of one job always select
@@ -64,7 +64,7 @@ func listBelow(words int) int { return words / listShare }
 // arena must fit: a packed pass that fits needs no bounded-memory
 // machinery, and one that does not leaves the budget to the spilling
 // scalar path.
-func autoPack(n, m int, cand []pairs.Scored, budgetBytes int64) bool {
+func AutoPack(n, m int, cand []pairs.Scored, budgetBytes int64) bool {
 	if len(cand) < minPackedCandidates || n <= 0 || m <= 0 {
 		return false
 	}
@@ -102,7 +102,7 @@ type PackedOptions struct {
 	Tick obs.Tick
 }
 
-// ExactPacked runs Verify's packed kernel whatever autoPack would
+// ExactPacked runs Verify's packed kernel whatever AutoPack would
 // choose, with no memory bound.
 func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, opt PackedOptions) ([]pairs.Scored, Stats, error) {
 	if err := validate(src.NumCols(), cand, threshold); err != nil {

@@ -247,7 +247,7 @@ type Params struct {
 	// (A = |C_I|, B = |C_J|); nil is the Jaccard similarity. The
 	// threshold applies to it, and Exact reports it.
 	Measure func(measures.Counts) float64
-	// Budget bounds the packed kernel's bit-column arena (autoPack
+	// Budget bounds the packed kernel's bit-column arena (AutoPack
 	// declines an arena that does not fit) or the scalar kernel's
 	// counter table (it spills to Budget.Dir).
 	Budget Budget
@@ -271,7 +271,7 @@ type Params struct {
 // (n, m, cand, budget) and never the source type, so the in-memory,
 // streamed and distributed runs of one job verify alike.
 //
-//   - When autoPack approves, the word-packed popcount kernel packs
+//   - When AutoPack approves, the word-packed popcount kernel packs
 //     every candidate column at once.
 //   - Otherwise the scalar kernel counts row by row: dense counters when
 //     they fit the budget (or there is none), a bounded table spilling
@@ -280,7 +280,7 @@ func Verify(src matrix.RowSource, cand []pairs.Scored, p Params) ([]pairs.Scored
 	if err := validate(src.NumCols(), cand, p.Threshold); err != nil {
 		return nil, Stats{}, err
 	}
-	if autoPack(src.NumRows(), src.NumCols(), cand, p.Budget.Bytes) {
+	if AutoPack(src.NumRows(), src.NumCols(), cand, p.Budget.Bytes) {
 		return packed(src, cand, p)
 	}
 	return count(src, cand, p, spillFanIn)
