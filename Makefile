@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmtcheck benchcheck race-all exports vet fmt bench bench-resident bench-phase1 bench-phase3 experiments experiments-full fuzz loc clean
+.PHONY: all build test check fmtcheck benchcheck race-all exports vet fmt bench bench-resident bench-phase1 bench-phase2 bench-phase3 experiments experiments-full fuzz loc clean
 
 all: build vet test
 
@@ -82,6 +82,24 @@ bench-phase1:
 	./.bench_build/minhash.test -test.run '^$$' -test.bench 'BenchmarkFoldRow$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
 	./.bench_build/matrix.test -test.run '^$$' -test.bench 'BenchmarkScanC?ARows$$|BenchmarkCollectARows$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 20x -test.count $(COUNT) -test.timeout 30m
+
+# Phase 2's kernels (BenchmarkPhase2: the MH, K-MH and M-LSH kernels
+# under the goroutine scheduler, index build included;
+# BenchmarkBandingWide: M-LSH banding over 40k columns;
+# BenchmarkCandidates: H-LSH's one pass and fold ladder) from test
+# binaries built once into .bench_build/, COUNT runs of each; compare
+# two commits the way bench-resident says.
+bench-phase2:
+	mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/candidate.test ./internal/candidate
+	$(GO) test -c -o .bench_build/lsh.test ./internal/lsh
+	$(GO) test -c -o .bench_build/hamminglsh.test ./internal/hamminglsh
+	./.bench_build/candidate.test -test.run '^$$' -test.bench 'BenchmarkPhase2$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
+	./.bench_build/lsh.test -test.run '^$$' -test.bench 'BenchmarkBandingWide$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
+	./.bench_build/hamminglsh.test -test.run '^$$' -test.bench 'BenchmarkCandidates$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 20x -test.count $(COUNT) -test.timeout 30m
 
 # Phase 3's containers and the BPS tally (BenchmarkPackedSparse,

@@ -144,8 +144,8 @@ type Config struct {
 	// per-worker fold states, and again to the verify workers, never
 	// materialising a streamed matrix. In-memory data only changes what
 	// the code can observe to be cheaper: verify workers scan
-	// concurrently or pack from column lists, and K-MH shards columns
-	// (HammingLSH aside: its fold ladder is a whole-data structure).
+	// concurrently or pack from column lists, and K-MH shards columns.
+	// HammingLSH's candidate pass reads the rows serially.
 	Workers int
 	// Recorder, when non-nil, receives per-phase spans, counters and
 	// gauges as the run progresses (see Recorder for their names). Stats
@@ -174,8 +174,8 @@ type Config struct {
 	// runs of the same seed), and similarities are exact over the window
 	// alone. A Window >= NumRows is a full-data run. Sliding windows are
 	// a streaming notion, so the whole-data schemes reject them:
-	// HammingLSH (its fold ladder ingests the materialised matrix) and
-	// Apriori (support counting is defined over all rows) return an
+	// HammingLSH (its fold ladder groups and densities span all rows)
+	// and Apriori (support counting is defined over all rows) return an
 	// error for Window > 0.
 	Window int
 }

@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		scale  = flag.String("scale", "small", "workload scale: small | full")
-		fig    = flag.String("fig", "all", "which experiment: 1..9, synthetic, rules, optimizer, quest, or all")
+		fig    = flag.String("fig", "all", "which experiment: 1..9, synthetic, rules, composite, optimizer, quest, or all")
 		seed   = flag.Uint64("seed", 1, "workload seed")
 		format = flag.String("format", "text", "output format: text | markdown")
 	)
@@ -152,6 +152,13 @@ func run(scale, fig string, seed uint64, format string) error {
 		t, err := eval.RulesExperiment(w)
 		if err != nil {
 			return fmt.Errorf("rules: %w", err)
+		}
+		emitT(t)
+	}
+	if want("composite") {
+		t, err := eval.CompositeExperiment(w)
+		if err != nil {
+			return fmt.Errorf("composite: %w", err)
 		}
 		emitT(t)
 	}

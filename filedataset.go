@@ -2,7 +2,6 @@ package assocmine
 
 import (
 	"fmt"
-	"sync"
 
 	"assocmine/internal/driver"
 	"assocmine/internal/matrix"
@@ -18,14 +17,9 @@ import (
 // Supported files: the text transaction format (".txt" written by
 // Dataset.Save), the row-major streaming binary format (".arows",
 // written by SaveRowBinary) and its compressed variant (".carows",
-// written by SaveRowCompressed). HammingLSH needs the full matrix; for
-// it the file is materialised once and cached.
+// written by SaveRowCompressed).
 type FileDataset struct {
 	src *matrix.FileSource
-
-	once sync.Once
-	mat  *matrix.Matrix
-	err  error
 }
 
 // FS abstracts the file opens a FileDataset performs — the seam that
@@ -69,33 +63,21 @@ func (f *FileDataset) NumRows() int { return f.src.NumRows() }
 func (f *FileDataset) NumCols() int { return f.src.NumCols() }
 
 // SimilarPairs runs the configured algorithm with one file pass per
-// phase. Only HammingLSH materialises the matrix (its fold ladder is a
-// whole-data structure).
+// phase.
 func (f *FileDataset) SimilarPairs(cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	return similar(cfg.input(f.src, f.materialize), cfg, driver.Mine)
+	return similar(cfg.input(f.src), cfg, driver.Mine)
 }
 
-// Load materialises the file into an in-memory Dataset (cached; later
-// calls reuse it).
+// Load reads the file into a new in-memory Dataset, one pass each call.
 func (f *FileDataset) Load() (*Dataset, error) {
-	m, err := f.materialize()
+	m, err := matrix.Collect(f.src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("assocmine: loading file dataset %s: %w", f.src.Path(), err)
 	}
 	return &Dataset{m: m}, nil
-}
-
-func (f *FileDataset) materialize() (*matrix.Matrix, error) {
-	f.once.Do(func() {
-		f.mat, f.err = matrix.Collect(f.src)
-	})
-	if f.err != nil {
-		return nil, fmt.Errorf("assocmine: materialising file dataset %s: %w", f.src.Path(), f.err)
-	}
-	return f.mat, nil
 }
 
 // SaveRowBinary writes the dataset in the ".arows" row-major streaming

@@ -36,10 +36,8 @@ import (
 
 // Input is one run: the data, its phases' parameters and the hooks.
 type Input struct {
-	// Src is the data as handed in; Materialize returns it whole, for
-	// H-LSH, whose fold ladder is a whole-data structure.
-	Src         matrix.RowSource
-	Materialize func() (*matrix.Matrix, error)
+	// Src is the data as handed in.
+	Src matrix.RowSource
 	// Params is the run's parameter set; Algo names the scheme. Mine,
 	// Search and Progressive fill its defaults.
 	Params candidate.Params
@@ -310,12 +308,8 @@ func (r *run) scheme() (scheme, error) {
 		}}, nil
 
 	case fold.HammingLSH:
-		return scheme{generate: func(fold.Sketch, obs.Tick) ([]pairs.Scored, error) {
-			full, err := r.in.Materialize()
-			if err != nil {
-				return nil, err
-			}
-			set, hst, err := hamminglsh.Candidates(full, hamminglsh.Options{
+		return scheme{generate: func(_ fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
+			set, hst, err := hamminglsh.Candidates(r.ticked(tick), hamminglsh.Options{
 				R: p.R, L: p.L, Seed: p.Seed,
 			})
 			if err != nil {

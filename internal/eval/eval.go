@@ -1,9 +1,8 @@
 // Package eval is the experiment harness that regenerates every table
 // and figure of the paper's evaluation (Section 5). It scores algorithm
 // output against exact ground truth (S-curves, false positives/
-// negatives), builds similarity histograms and sampled distributions,
-// and exposes one driver per figure (Fig2 … Fig9) used by
-// cmd/experiments and the benchmark suite.
+// negatives), builds similarity histograms, and exposes one driver per
+// figure (Fig2 … Fig9) used by cmd/experiments and the benchmark suite.
 package eval
 
 import (
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"assocmine"
-	"assocmine/internal/lsh"
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
 	"assocmine/internal/verify"
@@ -152,65 +150,6 @@ func histogram(m *matrix.Matrix, edges []float64) ([]int64, error) {
 	total := int64(m.NumCols()) * int64(m.NumCols()-1) / 2
 	out[0] = total - above
 	return out, nil
-}
-
-// sampleDistribution estimates the pairwise similarity distribution by
-// sampling sampleCols columns and counting all their pairwise
-// similarities, scaled to the full pair count — the estimation
-// procedure Section 4.1 assumes for the (r, l) optimizer.
-func sampleDistribution(m *matrix.Matrix, sampleCols int, edges []float64, seed uint64) (lsh.Distribution, error) {
-	if sampleCols < 2 {
-		return lsh.Distribution{}, fmt.Errorf("eval: need at least 2 sample columns, got %d", sampleCols)
-	}
-	if sampleCols > m.NumCols() {
-		sampleCols = m.NumCols()
-	}
-	rngPerm := newPerm(seed, m.NumCols())
-	sample := rngPerm[:sampleCols]
-	counts := make([]float64, len(edges)-1)
-	for a := 0; a < len(sample); a++ {
-		for b := a + 1; b < len(sample); b++ {
-			s := m.Similarity(sample[a], sample[b])
-			for e := 0; e+1 < len(edges); e++ {
-				if s >= edges[e] && (s < edges[e+1] || (e+2 == len(edges) && s <= edges[e+1])) {
-					counts[e]++
-					break
-				}
-			}
-		}
-	}
-	// Scale sampled pair counts up to the full number of pairs.
-	samplePairs := float64(sampleCols) * float64(sampleCols-1) / 2
-	totalPairs := float64(m.NumCols()) * float64(m.NumCols()-1) / 2
-	scale := totalPairs / samplePairs
-	d := lsh.Distribution{S: make([]float64, len(counts)), Count: make([]float64, len(counts))}
-	for b := range counts {
-		d.S[b] = (edges[b] + edges[b+1]) / 2
-		d.Count[b] = counts[b] * scale
-	}
-	return d, nil
-}
-
-func newPerm(seed uint64, n int) []int {
-	// Local import indirection avoided: inline Fisher-Yates on a
-	// splitmix stream.
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	state := seed
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // runResult is what execute reports of one algorithm run end to end:

@@ -137,50 +137,6 @@ func TestHistogramMassConservation(t *testing.T) {
 	}
 }
 
-func TestSampleDistribution(t *testing.T) {
-	rng := hashing.NewSplitMix64(5)
-	b := matrix.NewBuilder(300, 40)
-	for c := 0; c < 40; c++ {
-		for r := 0; r < 300; r++ {
-			if rng.Float64() < 0.1 {
-				b.Set(r, c)
-			}
-		}
-	}
-	m := b.Build()
-	edges := defaultEdges()
-	d, err := sampleDistribution(m, 40, edges, 7) // full sample: exact
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.S) != len(d.Count) || len(d.S) != len(edges)-1 {
-		t.Fatalf("distribution has %d similarities, %d counts, %d buckets", len(d.S), len(d.Count), len(edges)-1)
-	}
-	var mass float64
-	for _, c := range d.Count {
-		mass += c
-	}
-	want := float64(40 * 39 / 2)
-	if math.Abs(mass-want) > 1e-6 {
-		t.Errorf("full-sample mass %v, want %v", mass, want)
-	}
-	// Subsample: mass still scales to the full pair count.
-	d2, err := sampleDistribution(m, 20, edges, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mass = 0
-	for _, c := range d2.Count {
-		mass += c
-	}
-	if math.Abs(mass-want) > 1e-6 {
-		t.Errorf("scaled mass %v, want %v", mass, want)
-	}
-	if _, err := sampleDistribution(m, 1, edges, 7); err == nil {
-		t.Error("sampleCols=1 accepted")
-	}
-}
-
 func TestExecuteProducesBothSets(t *testing.T) {
 	w := smallWorkloads(t)
 	run, err := execute(w.Web.Data, assocmine.Config{

@@ -119,9 +119,7 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 // the news corpus; planted collocations must surface as (bidirectional)
 // high-confidence rules.
 func RulesExperiment(w *Workloads) (Table, error) {
-	res, err := assocmine.SimilarPairs(w.News.Data, assocmine.Config{
-		Algorithm: assocmine.Rules, Threshold: 0.75, K: 200, Seed: 23,
-	})
+	res, err := newsRules(w)
 	if err != nil {
 		return Table{}, err
 	}
@@ -150,5 +148,64 @@ func RulesExperiment(w *Workloads) (Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("%d directed planted rules recovered out of %d candidate rules mined",
 		foundPlanted, len(res.Pairs)))
+	return t, nil
+}
+
+// newsRules is Section 6's run on the news corpus: the rules of
+// confidence at least 0.75, verified.
+func newsRules(w *Workloads) (*assocmine.Result, error) {
+	return assocmine.SimilarPairs(w.News.Data, assocmine.Config{
+		Algorithm: assocmine.Rules, Threshold: 0.75, K: 200, Seed: 23,
+	})
+}
+
+// The composite table's thresholds: a conjunction keeps two §6 rules
+// of one antecedent that both reach compositeAndConf, and a disjunction
+// keeps c_i => c_j ∨ c_j' when the similarity of c_i and c_j ∨ c_j'
+// reaches compositeOrSim.
+const compositeAndConf, compositeOrSim = 0.9, 0.5
+
+// CompositeExperiment reproduces Section 7's composite rules over the
+// §6 run of RulesExperiment: conjunctions c_i => c_j ∧ c_j' paired from
+// its verified rules, and disjunctions c_i => c_j ∨ c_j' whose
+// consequents are drawn from each antecedent's own §6 consequents.
+func CompositeExperiment(w *Workloads) (Table, error) {
+	res, err := newsRules(w)
+	if err != nil {
+		return Table{}, err
+	}
+	ands, err := assocmine.AndRules(res.Pairs, compositeAndConf)
+	if err != nil {
+		return Table{}, err
+	}
+	shortlist := map[int][]int{}
+	for _, r := range res.Pairs {
+		shortlist[r.I] = append(shortlist[r.I], r.J)
+	}
+	ors, err := assocmine.OrRules(w.News.Data, shortlist, compositeOrSim, 200, 23)
+	if err != nil {
+		return Table{}, err
+	}
+	t := Table{
+		ID:     "composite",
+		Title:  "Composite rules over the Section 6 rules (Section 7), first ten of each kind",
+		Header: []string{"rule", "score"},
+		Notes: []string{
+			fmt.Sprintf("%d conjunctive rules with both confidences >= %.2f (score: the smaller confidence)", len(ands), compositeAndConf),
+			fmt.Sprintf("%d disjunctive rules with similarity >= %.2f to the OR of the consequents (score: that similarity)", len(ors), compositeOrSim),
+		},
+	}
+	for _, r := range ands[:min(10, len(ands))] {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%s => %s AND %s", w.News.Word(r.From), w.News.Word(r.To[0]), w.News.Word(r.To[1])),
+			fmt.Sprintf("%.3f", r.Estimate),
+		})
+	}
+	for _, r := range ors[:min(10, len(ors))] {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%s => %s OR %s", w.News.Word(r.From), w.News.Word(r.To[0]), w.News.Word(r.To[1])),
+			fmt.Sprintf("%.3f", r.Similarity),
+		})
+	}
 	return t, nil
 }

@@ -336,6 +336,25 @@ func TestRulesExperiment(t *testing.T) {
 	checkGolden(t, "rules", table)
 }
 
+func TestCompositeExperiment(t *testing.T) {
+	w := tinyWorkloads(t)
+	table, err := CompositeExperiment(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both kinds of §7 rule turn up at these thresholds.
+	for _, kind := range []string{" AND ", " OR "} {
+		found := false
+		for _, row := range table.Rows {
+			found = found || strings.Contains(row[0], kind)
+		}
+		if !found {
+			t.Errorf("no%srule in the composite table", kind)
+		}
+	}
+	checkGolden(t, "composite", table)
+}
+
 func TestOptimizerExperiment(t *testing.T) {
 	w := tinyWorkloads(t)
 	table, err := OptimizerExperiment(w)

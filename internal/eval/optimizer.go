@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"assocmine"
-	"assocmine/internal/lsh"
 )
 
 // OptimizerExperiment reproduces the Section 4.1 claim that the
@@ -13,11 +12,6 @@ import (
 // experiments, the optimal value of r was between 5 and 20" — and that
 // its error predictions are honoured by an actual M-LSH run.
 func OptimizerExperiment(w *Workloads) (Table, error) {
-	m := w.Web.Data.Matrix()
-	dist, err := sampleDistribution(m, 200, defaultEdges(), 33)
-	if err != nil {
-		return Table{}, err
-	}
 	t := Table{
 		ID:    "optimizer",
 		Title: "Input-sensitive (r,l) optimizer on the web-log data (Section 4.1)",
@@ -35,7 +29,9 @@ func OptimizerExperiment(w *Workloads) (Table, error) {
 		{0.9, 1, 1000},
 	}
 	for _, c := range cases {
-		p, err := lsh.Optimize(dist, c.cutoff, c.maxFN, c.maxFP, 40, 500)
+		p, err := assocmine.OptimizeLSH(w.Web.Data, assocmine.LSHBudget{
+			Threshold: c.cutoff, SampleColumns: 200, MaxFalseNeg: c.maxFN, MaxFalsePos: c.maxFP, Seed: 33,
+		})
 		if err != nil {
 			return Table{}, fmt.Errorf("optimize at %v: %w", c.cutoff, err)
 		}
@@ -55,8 +51,8 @@ func OptimizerExperiment(w *Workloads) (Table, error) {
 			fmt.Sprintf("%d", p.R),
 			fmt.Sprintf("%d", p.L),
 			fmt.Sprintf("%d", p.R*p.L),
-			fmt.Sprintf("%.2f", p.FN),
-			fmt.Sprintf("%.0f", p.FP),
+			fmt.Sprintf("%.2f", p.PredictedFN),
+			fmt.Sprintf("%.0f", p.PredictedFP),
 			fmt.Sprintf("%.3f", q.fnRate()),
 		})
 	}

@@ -11,17 +11,8 @@ func BenchmarkCandidates(b *testing.B) {
 	m, _ := plantedSparse(rng, 8192, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Candidates(m, Options{R: 8, L: 10, Seed: 3}); err != nil {
+		if _, _, err := Candidates(m.Stream(), Options{R: 8, L: 10, Seed: 3}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFoldLadderOnly(b *testing.B) {
-	rng := hashing.NewSplitMix64(1)
-	m, _ := plantedSparse(rng, 8192, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.FoldLadder(hashing.NewSplitMix64(uint64(i)), 13)
 	}
 }

@@ -1,6 +1,7 @@
 package hamminglsh
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ func TestOptionsValidation(t *testing.T) {
 		{R: 4, L: 0},
 	}
 	for i, o := range bad {
-		if _, _, err := Candidates(m, o); err == nil {
+		if _, _, err := Candidates(m.Stream(), o); err == nil {
 			t.Errorf("options %d accepted: %+v", i, o)
 		}
 	}
@@ -32,6 +33,78 @@ func TestDefaults(t *testing.T) {
 	// 1024 rows halve nine times before two remain: ten levels.
 	if got := maxLevels(1024); got != 10 {
 		t.Errorf("maxLevels(1024) = %d, want 10", got)
+	}
+}
+
+// pairFold is the fold the shift ladder replaced, over rows already
+// relabelled by π: rows 2i and 2i+1 OR into row i, and an odd last row
+// passes through alone.
+func pairFold(m *matrix.Matrix) *matrix.Matrix {
+	cols := make([][]int32, m.NumCols())
+	for c := range cols {
+		for _, r := range m.Column(c) {
+			cols[c] = append(cols[c], r/2)
+		}
+		cols[c] = matrix.SortDedup(cols[c])
+	}
+	return testutil.Must(matrix.New((m.NumRows()+1)/2, cols))
+}
+
+// TestFoldLadder holds the shift ladder to the pair folds it replaced:
+// for a fixed π, level ℓ equals ℓ consecutive-pair OR-folds of the
+// π-relabelled matrix, over the levels the pair-fold ladder made (at most
+// maxLevels(n), and no fold once 2 or fewer rows remain).
+func TestFoldLadder(t *testing.T) {
+	densities := []float64{0, 1, 0.01, 0.1, 0.5, 0.9}
+	for _, n := range []int{0, 1, 2, 3, 5, 1024, 1025} {
+		rng := hashing.NewSplitMix64(uint64(n))
+		perm := rng.Perm(n)
+		b, rb := matrix.NewBuilder(n, len(densities)), matrix.NewBuilder(n, len(densities))
+		for r := 0; r < n; r++ {
+			for c, p := range densities {
+				if rng.Float64() < p {
+					b.Set(r, c)
+					rb.Set(perm[r], c)
+				}
+			}
+		}
+		m := b.Build()
+		var want []*matrix.Matrix
+		for level := rb.Build(); ; level = pairFold(level) {
+			want = append(want, level)
+			if len(want) == maxLevels(n) || level.NumRows() <= 2 {
+				break
+			}
+		}
+		if len(want) != maxLevels(n) {
+			t.Errorf("n=%d: the pair folds made %d levels, maxLevels says %d", n, len(want), maxLevels(n))
+		}
+		cols, err := relabel(m.Stream(), perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := 0
+		ladder(n, cols, func(rows int, cols [][]int32) {
+			defer func() { levels++ }()
+			if levels >= len(want) {
+				return
+			}
+			w := want[levels]
+			if rows != w.NumRows() {
+				t.Errorf("n=%d level %d: %d rows, want %d", n, levels, rows, w.NumRows())
+			}
+			for c, col := range cols {
+				if !slices.Equal(col, w.Column(c)) {
+					t.Errorf("n=%d level %d column %d: %v, want %v", n, levels, c, col, w.Column(c))
+				}
+			}
+		})
+		if levels != len(want) {
+			t.Errorf("n=%d: the shift ladder made %d levels, want %d", n, levels, len(want))
+		}
+		if _, st, err := Candidates(m.Stream(), Options{R: 4, L: 1, Seed: 1}); err != nil || st.Levels != maxLevels(n) {
+			t.Errorf("n=%d: Candidates ran %d levels (err %v), want %d", n, st.Levels, err, maxLevels(n))
+		}
 	}
 }
 
@@ -64,7 +137,7 @@ func plantedSparse(rng *hashing.SplitMix64, rows, cols int) (*matrix.Matrix, *pa
 func TestCandidatesFindSparseDuplicates(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
 	m, planted := plantedSparse(rng, 4096, 40)
-	set, st, err := Candidates(m, Options{R: 8, L: 10, Seed: 7})
+	set, st, err := Candidates(m.Stream(), Options{R: 8, L: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +166,7 @@ func TestDensityGateSkipsLevelZero(t *testing.T) {
 	// (0.25, 0.75) before several folds.
 	rng := hashing.NewSplitMix64(3)
 	m, _ := plantedSparse(rng, 2048, 20)
-	_, st, err := Candidates(m, Options{R: 6, L: 4, Seed: 9})
+	_, st, err := Candidates(m.Stream(), Options{R: 6, L: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +192,11 @@ func TestMoreRunsMoreCandidates(t *testing.T) {
 	// negatives, more false positives).
 	rng := hashing.NewSplitMix64(4)
 	m, _ := plantedSparse(rng, 2048, 60)
-	few, _, err := Candidates(m, Options{R: 8, L: 2, Seed: 11})
+	few, _, err := Candidates(m.Stream(), Options{R: 8, L: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, _, err := Candidates(m, Options{R: 8, L: 20, Seed: 11})
+	many, _, err := Candidates(m.Stream(), Options{R: 8, L: 20, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +209,11 @@ func TestLargerRFewerCandidates(t *testing.T) {
 	// Fig. 7a: increasing r decreases collision probability.
 	rng := hashing.NewSplitMix64(5)
 	m, _ := plantedSparse(rng, 2048, 60)
-	coarse, _, err := Candidates(m, Options{R: 2, L: 8, Seed: 13})
+	coarse, _, err := Candidates(m.Stream(), Options{R: 2, L: 8, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, _, err := Candidates(m, Options{R: 24, L: 8, Seed: 13})
+	fine, _, err := Candidates(m.Stream(), Options{R: 24, L: 8, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +225,11 @@ func TestLargerRFewerCandidates(t *testing.T) {
 func TestDeterministicInSeed(t *testing.T) {
 	rng := hashing.NewSplitMix64(6)
 	m, _ := plantedSparse(rng, 1024, 20)
-	a, _, err := Candidates(m, Options{R: 6, L: 4, Seed: 21})
+	a, _, err := Candidates(m.Stream(), Options{R: 6, L: 4, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Candidates(m, Options{R: 6, L: 4, Seed: 21})
+	b, _, err := Candidates(m.Stream(), Options{R: 6, L: 4, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +245,7 @@ func TestDeterministicInSeed(t *testing.T) {
 
 func TestTinyMatrix(t *testing.T) {
 	m := testutil.Must(matrix.New(2, [][]int32{{0}, {0}, {1}}))
-	set, _, err := Candidates(m, Options{R: 2, L: 2, Seed: 1})
+	set, _, err := Candidates(m.Stream(), Options{R: 2, L: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +258,7 @@ func TestTinyMatrix(t *testing.T) {
 
 func TestEmptyMatrix(t *testing.T) {
 	m := testutil.Must(matrix.New(0, [][]int32{{}, {}}))
-	set, _, err := Candidates(m, Options{R: 4, L: 2, Seed: 1})
+	set, _, err := Candidates(m.Stream(), Options{R: 4, L: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +278,7 @@ func TestQuickNoSelfPairsNoDuplicates(t *testing.T) {
 				}
 			}
 		}
-		set, _, err := Candidates(b.Build(), Options{R: 4, L: 3, Seed: seed})
+		set, _, err := Candidates(b.Build().Stream(), Options{R: 4, L: 3, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -36,14 +36,6 @@ func BenchmarkIntersectSize(b *testing.B) {
 	}
 }
 
-func BenchmarkFoldRows(b *testing.B) {
-	m := benchMatrix(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.foldRows(hashing.NewSplitMix64(uint64(i)))
-	}
-}
-
 func BenchmarkWriteBinary(b *testing.B) {
 	m := benchMatrix(b)
 	b.ResetTimer()

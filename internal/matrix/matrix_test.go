@@ -266,91 +266,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestFoldRowsPreservesColumns(t *testing.T) {
-	rng := hashing.NewSplitMix64(2)
-	m := randomMatrix(rng, 128, 20, 0.05)
-	f := m.foldRows(hashing.NewSplitMix64(3))
-	if f.NumRows() != 64 {
-		t.Fatalf("folded rows = %d, want 64", f.NumRows())
-	}
-	if f.NumCols() != m.NumCols() {
-		t.Fatalf("folded cols = %d", f.NumCols())
-	}
-	for c := 0; c < m.NumCols(); c++ {
-		if f.ColumnSize(c) > m.ColumnSize(c) {
-			t.Errorf("column %d grew after folding: %d > %d", c, f.ColumnSize(c), m.ColumnSize(c))
-		}
-		col := f.Column(c)
-		for i := 1; i < len(col); i++ {
-			if col[i-1] >= col[i] {
-				t.Fatalf("folded column %d not sorted: %v", c, col)
-			}
-		}
-	}
-}
-
-func TestFoldRowsOddCount(t *testing.T) {
-	m := testutil.Must(New(5, [][]int32{{0, 1, 2, 3, 4}}))
-	f := m.foldRows(hashing.NewSplitMix64(4))
-	if f.NumRows() != 3 {
-		t.Fatalf("folded rows = %d, want 3", f.NumRows())
-	}
-	// A full column stays full.
-	if f.ColumnSize(0) != 3 {
-		t.Errorf("full column folded to %d of 3 rows", f.ColumnSize(0))
-	}
-}
-
-func TestFoldRowsIdentityOnTiny(t *testing.T) {
-	for _, rows := range []int{0, 1} {
-		cols := [][]int32{{}}
-		if rows == 1 {
-			cols = [][]int32{{0}}
-		}
-		m := testutil.Must(New(rows, cols))
-		f := m.foldRows(hashing.NewSplitMix64(5))
-		if f.NumRows() != rows {
-			t.Errorf("fold changed %d-row matrix to %d rows", rows, f.NumRows())
-		}
-	}
-}
-
-func TestFoldRowsORSemantics(t *testing.T) {
-	// After folding, a column contains folded-row p iff at least one of
-	// p's source rows was set. Verify against an explicit simulation by
-	// checking density never decreases as a *fraction* beyond halving:
-	// a column with all rows set stays all set.
-	m := testutil.Must(New(8, [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {0}, {}}))
-	f := m.foldRows(hashing.NewSplitMix64(6))
-	if f.ColumnSize(0) != 4 {
-		t.Errorf("full column = %d folded rows, want 4", f.ColumnSize(0))
-	}
-	if f.ColumnSize(1) != 1 {
-		t.Errorf("singleton column = %d folded rows, want 1", f.ColumnSize(1))
-	}
-	if f.ColumnSize(2) != 0 {
-		t.Errorf("empty column = %d folded rows, want 0", f.ColumnSize(2))
-	}
-}
-
-func TestFoldLadder(t *testing.T) {
-	rng := hashing.NewSplitMix64(7)
-	m := randomMatrix(rng, 256, 10, 0.02)
-	ladder := m.FoldLadder(hashing.NewSplitMix64(8), 20)
-	if ladder[0] != m {
-		t.Error("ladder[0] is not the source matrix")
-	}
-	for i := 1; i < len(ladder); i++ {
-		want := (ladder[i-1].NumRows() + 1) / 2
-		if ladder[i].NumRows() != want {
-			t.Errorf("ladder[%d] rows = %d, want %d", i, ladder[i].NumRows(), want)
-		}
-	}
-	if last := ladder[len(ladder)-1]; last.NumRows() > 2 && len(ladder) < 20 {
-		t.Errorf("ladder stopped early at %d rows with %d levels", last.NumRows(), len(ladder))
-	}
-}
-
 func TestQuickSimilarityProperties(t *testing.T) {
 	rng := hashing.NewSplitMix64(10)
 	f := func(seed uint64) bool {

@@ -14,10 +14,10 @@ import (
 // with any attached Recorder exactly.
 
 // input is the driver's Input for a run of cfg (defaults applied) over
-// src; materialize returns the data whole, for H-LSH.
-func (c Config) input(src matrix.RowSource, materialize func() (*matrix.Matrix, error)) driver.Input {
+// src.
+func (c Config) input(src matrix.RowSource) driver.Input {
 	return driver.Input{
-		Src: src, Materialize: materialize, Params: c.params(),
+		Src: src, Params: c.params(),
 		Verify: verify.Params{Budget: verify.Budget{Bytes: c.MemoryBudget, Dir: c.SpillDir},
 			Workers: c.Workers, Context: c.Context},
 		SkipVerify: c.SkipVerify, Window: c.Window, Column: -1,
@@ -28,7 +28,7 @@ func (c Config) input(src matrix.RowSource, materialize func() (*matrix.Matrix, 
 
 // input is the driver's Input over the in-memory dataset.
 func (d *Dataset) input(cfg Config) driver.Input {
-	return cfg.input(d.m.Stream(), func() (*matrix.Matrix, error) { return d.m, nil })
+	return cfg.input(d.m.Stream())
 }
 
 // similar runs one driver entry point over in with the run's own

@@ -3,8 +3,9 @@ package assocmine
 import "testing"
 
 // TestDataPassAccounting verifies the I/O accounting matches the
-// paper's pass structure: signature phase = 1 pass, verification = 1
-// pass; brute force = 1 pass; a-priori = 1 pass per level.
+// paper's pass structure, in memory and over the dataset's files:
+// signature phase (H-LSH: its candidate pass) = 1 pass, verification =
+// 1 pass; brute force = 1 pass; a-priori = 1 pass per level.
 func TestDataPassAccounting(t *testing.T) {
 	d, _ := plantedDataset(t)
 	cases := []struct {
@@ -15,18 +16,41 @@ func TestDataPassAccounting(t *testing.T) {
 		{Config{Algorithm: MinHash, Threshold: 0.5, K: 30, Seed: 1}, 2},
 		{Config{Algorithm: KMinHash, Threshold: 0.5, K: 30, Seed: 1}, 2},
 		{Config{Algorithm: MinLSH, Threshold: 0.5, K: 30, R: 3, L: 10, Seed: 1}, 2},
+		{Config{Algorithm: HammingLSH, Threshold: 0.5, R: 6, L: 4, Seed: 1}, 2},
 	}
-	for _, c := range cases {
-		res, err := SimilarPairs(d, c.cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", c.cfg.Algorithm, err)
-		}
-		if res.Stats.DataPasses != c.wantPasses {
-			t.Errorf("%v: DataPasses = %d, want %d", c.cfg.Algorithm, res.Stats.DataPasses, c.wantPasses)
-		}
-		wantRows := int64(c.wantPasses) * int64(d.NumRows())
-		if res.Stats.RowsScanned != wantRows {
-			t.Errorf("%v: RowsScanned = %d, want %d", c.cfg.Algorithm, res.Stats.RowsScanned, wantRows)
+	type source struct {
+		name string
+		run  func(Config) (*Result, error)
+	}
+	sources := []source{{"memory", func(c Config) (*Result, error) { return SimilarPairs(d, c) }}}
+	for _, ext := range []string{".txt", ".arows"} {
+		sources = append(sources, source{ext, openSaved(t, d, ext).SimilarPairs})
+	}
+	for _, src := range sources {
+		// Every two-pass scheme reads the file exactly as MH does: two
+		// whole passes (none in memory).
+		var mhBytes int64
+		for _, c := range cases {
+			res, err := src.run(c.cfg)
+			if err != nil {
+				t.Fatalf("%s %v: %v", src.name, c.cfg.Algorithm, err)
+			}
+			if res.Stats.DataPasses != c.wantPasses {
+				t.Errorf("%s %v: DataPasses = %d, want %d", src.name, c.cfg.Algorithm, res.Stats.DataPasses, c.wantPasses)
+			}
+			wantRows := int64(c.wantPasses) * int64(d.NumRows())
+			if res.Stats.RowsScanned != wantRows {
+				t.Errorf("%s %v: RowsScanned = %d, want %d", src.name, c.cfg.Algorithm, res.Stats.RowsScanned, wantRows)
+			}
+			switch {
+			case c.cfg.Algorithm == MinHash:
+				mhBytes = res.Stats.BytesRead
+				if (mhBytes > 0) != (src.name != "memory") {
+					t.Errorf("%s MinHash: BytesRead = %d", src.name, mhBytes)
+				}
+			case c.wantPasses == 2 && res.Stats.BytesRead != mhBytes:
+				t.Errorf("%s %v: BytesRead = %d, want MinHash's %d", src.name, c.cfg.Algorithm, res.Stats.BytesRead, mhBytes)
+			}
 		}
 	}
 	// SkipVerify: one pass fewer.
