@@ -324,7 +324,11 @@ func TestOrAndRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ors, err := OrRules(d, map[int][]int{0: {1, 2, 3}}, 0.7, 200, 9)
+	sig, err := ComputeSignatures(d, 200, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ors, err := OrRules(d, sig, map[int][]int{0: {1, 2, 3}}, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}

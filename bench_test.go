@@ -18,9 +18,7 @@ import (
 	"assocmine"
 	"assocmine/internal/apriori"
 	"assocmine/internal/eval"
-	"assocmine/internal/kminhash"
 	"assocmine/internal/lsh"
-	"assocmine/internal/minhash"
 )
 
 // benchWorkloads are generated once and shared across benchmarks.
@@ -229,7 +227,7 @@ func BenchmarkAblationBottomK(b *testing.B) {
 	m := w.Web.Data.Matrix()
 	b.Run("Heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := kminhash.Compute(m.Stream(), 50, 9); err != nil {
+			if _, err := assocmine.ComputeSketches(w.Web.Data, 50, 9, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -246,17 +244,16 @@ func BenchmarkAblationBottomK(b *testing.B) {
 // instead of k).
 func BenchmarkSignatureComputation(b *testing.B) {
 	w := workloads(b)
-	m := w.Web.Data.Matrix()
 	b.Run("MH", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := minhash.Compute(m.Stream(), 100, 9); err != nil {
+			if _, err := assocmine.ComputeSignatures(w.Web.Data, 100, 9, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("KMH", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := kminhash.Compute(m.Stream(), 100, 9); err != nil {
+			if _, err := assocmine.ComputeSketches(w.Web.Data, 100, 9, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -78,7 +78,8 @@ func ExampleAnyOf() {
 		{0, 1},
 		{4, 5},
 	})
-	ev, _ := assocmine.NewExprEvaluator(data, 64, 1)
+	sk, _ := assocmine.ComputeSketches(data, 64, 1, 0)
+	ev := assocmine.NewExprEvaluator(sk)
 	s, _ := ev.Similarity(assocmine.Col(0), assocmine.AnyOf(assocmine.Col(1), assocmine.Col(2)))
 	fmt.Printf("similarity %.2f\n", s)
 	// Output:

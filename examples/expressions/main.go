@@ -62,10 +62,11 @@ func main() {
 	fmt.Printf("catalogue: %d baskets x %d products\n\n", data.NumRows(), data.NumCols())
 
 	// One sketch pass answers every expression query below.
-	ev, err := assocmine.NewExprEvaluator(data, 512, 3)
+	sk, err := assocmine.ComputeSketches(data, 512, 3, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ev := assocmine.NewExprEvaluator(sk)
 
 	// Disjunctive rule: grinder => espresso ∨ moka-pot. Neither single
 	// rule holds (each coffee camp is half the grinder buyers), but the

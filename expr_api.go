@@ -1,9 +1,6 @@
 package assocmine
 
-import (
-	"assocmine/internal/boolexpr"
-	"assocmine/internal/kminhash"
-)
+import "assocmine/internal/boolexpr"
 
 // BoolExpr is a Boolean expression over columns, built with Col, AnyOf
 // and AllOf. It supports the Section 7 "complex Boolean expressions"
@@ -46,25 +43,11 @@ type ExprEvaluator struct {
 	ev *boolexpr.Evaluator
 }
 
-// NewExprEvaluator computes bottom-k sketches (size k, default 256) and
-// returns an evaluator. Estimation error scales as ~1/sqrt(k).
-func NewExprEvaluator(d *Dataset, k int, seed uint64) (*ExprEvaluator, error) {
-	if k == 0 {
-		k = 256
-	}
-	s, err := kminhash.Compute(d.m.Stream(), k, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &ExprEvaluator{ev: boolexpr.NewEvaluator(s)}, nil
-}
-
-// NewExprEvaluatorFromSketches builds an evaluator over a resident
-// bottom-k sketch (ComputeSketches, or Ingest.Sketches — after
-// LoadIngest too), skipping the sketch pass entirely — the
-// serving-layer path, where one warm sketch answers every expression
-// query.
-func NewExprEvaluatorFromSketches(s *Sketches) *ExprEvaluator {
+// NewExprEvaluator builds an evaluator over a resident bottom-k sketch
+// (ComputeSketches, or Ingest.Sketches — after LoadIngest too): every
+// expression query reads the sketch alone, with no data pass.
+// Estimation error scales as ~1/sqrt(K).
+func NewExprEvaluator(s *Sketches) *ExprEvaluator {
 	return &ExprEvaluator{ev: boolexpr.NewEvaluator(s.sk)}
 }
 

@@ -22,10 +22,11 @@ func TestExprEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewExprEvaluator(d, 512, 9)
+	sk, err := ComputeSketches(d, 512, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := NewExprEvaluator(sk)
 	// Cardinality of a single column is exact.
 	c0, err := ev.Cardinality(Col(0))
 	if err != nil {

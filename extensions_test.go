@@ -292,10 +292,11 @@ func TestAnyOfIsTheNWayOr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewExprEvaluator(d, 300, 7)
+	sk, err := ComputeSketches(d, 300, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := NewExprEvaluator(sk)
 	s, err := ev.Similarity(Col(0), AnyOf(Col(1), Col(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +324,11 @@ func TestAnyOfUnionOfThree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewExprEvaluator(d, 400, 5)
+	sk, err := ComputeSketches(d, 400, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev := NewExprEvaluator(sk)
 	s, err := ev.Similarity(Col(0), AnyOf(Col(1), Col(2), Col(3)))
 	if err != nil {
 		t.Fatal(err)

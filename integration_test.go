@@ -66,7 +66,11 @@ func TestOrRulesExactSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ors, err := OrRules(d, map[int][]int{0: {1, 2}}, 0.7, 200, 3)
+	sig, err := ComputeSignatures(d, 200, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ors, err := OrRules(d, sig, map[int][]int{0: {1, 2}}, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +84,18 @@ func TestOrRulesExactSimilarity(t *testing.T) {
 	// Exact check: c0 = c1 ∪ c2 exactly, so similarity is 1.
 	if r.Similarity != 1 {
 		t.Errorf("similarity = %v, want 1", r.Similarity)
+	}
+	// A sketch of another column count is refused.
+	wide, err := NewDatasetFromRows(4, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := ComputeSignatures(wide, 200, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OrRules(d, other, map[int][]int{0: {1, 2}}, 0.7); err == nil {
+		t.Error("a sketch of 4 columns accepted for a dataset of 3")
 	}
 }
 

@@ -2,8 +2,10 @@ package boolexpr
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/matrix"
@@ -36,7 +38,7 @@ func fixture(t *testing.T, rows int, seed uint64) (*matrix.Matrix, *Evaluator) {
 		}
 	}
 	m := b.Build()
-	s, err := kminhash.Compute(m.Stream(), 256, seed^0xfeed)
+	s, err := kmhSketch(m.Stream(), 256, seed^0xfeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +57,13 @@ func materialise(m *matrix.Matrix, x Expr) []int32 {
 	case Or:
 		out := materialise(m, v[0])
 		for _, c := range v[1:] {
-			out = matrix.OrColumns(out, materialise(m, c))
+			out = orRows(out, materialise(m, c))
 		}
 		return out
 	case And:
 		out := materialise(m, v[0])
 		for _, c := range v[1:] {
-			out = matrix.AndColumns(out, materialise(m, c))
+			out = andRows(out, materialise(m, c))
 		}
 		return out
 	}
@@ -169,8 +171,8 @@ func TestSimilarityExpr(t *testing.T) {
 	m, e := fixture(t, 20000, 5)
 	a := Column(0)
 	b := Or{Column(3), Column(1)}
-	inter := float64(len(matrix.AndColumns(materialise(m, a), materialise(m, b))))
-	union := float64(len(matrix.OrColumns(materialise(m, a), materialise(m, b))))
+	inter := float64(len(andRows(materialise(m, a), materialise(m, b))))
+	union := float64(len(orRows(materialise(m, a), materialise(m, b))))
 	want := inter / union
 	got, err := e.Similarity(a, b)
 	if err != nil {
@@ -217,7 +219,7 @@ func TestConfidenceExpr(t *testing.T) {
 	}
 	// Empty antecedent.
 	m2 := testutil.Must(matrix.New(4, [][]int32{{}, {0}}))
-	s2, _ := kminhash.Compute(m2.Stream(), 4, 1)
+	s2, _ := kmhSketch(m2.Stream(), 4, 1)
 	e2 := NewEvaluator(s2)
 	if c, err := e2.Confidence(Column(0), Column(1)); err != nil || c != 0 {
 		t.Errorf("empty antecedent confidence = %v, %v", c, err)
@@ -261,4 +263,38 @@ func TestMergeBottomK(t *testing.T) {
 			t.Fatalf("merge = %v, want %v", got, want)
 		}
 	}
+}
+
+// kmhSketch folds src into the bottom-k sketch of every column through
+// phase 1's own fold, on one worker.
+func kmhSketch(src matrix.RowSource, k int, seed uint64) (*kminhash.Sketches, error) {
+	f, _ := fold.For(fold.KMinHash)
+	st, err := f.New(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fold.FoldStream(src, st, 1); err != nil {
+		return nil, err
+	}
+	return st.Finish().KMH, nil
+}
+
+// orRows is the sorted row set of the induced column a ∨ b (Section 7),
+// freshly allocated.
+func orRows(a, b []int32) []int32 {
+	or := slices.Concat(a, b)
+	slices.Sort(or)
+	return slices.Compact(or)
+}
+
+// andRows is the sorted row set of the induced column a ∧ b; nil when
+// it is empty.
+func andRows(a, b []int32) []int32 {
+	var and []int32
+	for _, r := range a {
+		if _, ok := slices.BinarySearch(b, r); ok {
+			and = append(and, r)
+		}
+	}
+	return and
 }

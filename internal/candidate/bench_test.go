@@ -5,7 +5,6 @@ import (
 
 	"assocmine/internal/gen"
 	"assocmine/internal/hashing"
-	"assocmine/internal/kminhash"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
@@ -14,7 +13,7 @@ import (
 func BenchmarkRowSortMH(b *testing.B) {
 	rng := hashing.NewSplitMix64(1)
 	m, _ := plantedMatrix(rng, 2000, 400)
-	sig, err := minhash.Compute(m.Stream(), 50, 7)
+	sig, err := mhSketch(m.Stream(), 50, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,7 +28,7 @@ func BenchmarkRowSortMH(b *testing.B) {
 func BenchmarkHashCountMH(b *testing.B) {
 	rng := hashing.NewSplitMix64(1)
 	m, _ := plantedMatrix(rng, 2000, 400)
-	sig, err := minhash.Compute(m.Stream(), 50, 7)
+	sig, err := mhSketch(m.Stream(), 50, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func BenchmarkHashCountMH(b *testing.B) {
 func BenchmarkHashCountKMH(b *testing.B) {
 	rng := hashing.NewSplitMix64(1)
 	m, _ := plantedMatrix(rng, 2000, 400)
-	sk, err := kminhash.Compute(m.Stream(), 50, 7)
+	sk, err := kmhSketch(m.Stream(), 50, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func wideSource() *gen.ZipfSource {
 }
 
 func BenchmarkRowSortMHWide(b *testing.B) {
-	sig, err := minhash.Compute(wideSource(), 64, 7)
+	sig, err := mhSketch(wideSource(), 64, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func BenchmarkRowSortMHWide(b *testing.B) {
 }
 
 func BenchmarkHashCountKMHWide(b *testing.B) {
-	sk, err := kminhash.Compute(wideSource(), 256, 7)
+	sk, err := kmhSketch(wideSource(), 256, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func webLogMatrix(b *testing.B) *matrix.Matrix {
 // work proportional to agreements) against the brute-force O(k·m²)
 // enumeration it replaces.
 func BenchmarkAblationCounterReset(b *testing.B) {
-	sig, err := minhash.Compute(webLogMatrix(b).Stream(), 50, 9)
+	sig, err := mhSketch(webLogMatrix(b).Stream(), 50, 9)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func BenchmarkAblationCounterReset(b *testing.B) {
 // cascade against applying the unbiased Theorem 2 estimator to every
 // pair.
 func BenchmarkAblationKMHPrefilter(b *testing.B) {
-	sk, err := kminhash.Compute(webLogMatrix(b).Stream(), 50, 9)
+	sk, err := kmhSketch(webLogMatrix(b).Stream(), 50, 9)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/matrix"
@@ -87,7 +88,7 @@ func TestRowSortValidatesCutoff(t *testing.T) {
 func TestRowSortMatchesBruteForce(t *testing.T) {
 	rng := hashing.NewSplitMix64(1)
 	m, _ := plantedMatrix(rng, 400, 40)
-	sig, err := minhash.Compute(m.Stream(), 20, 7)
+	sig, err := mhSketch(m.Stream(), 20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestRowSortMatchesBruteForce(t *testing.T) {
 func TestHashCountMatchesBruteForce(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
 	m, _ := plantedMatrix(rng, 400, 40)
-	sig, err := minhash.Compute(m.Stream(), 20, 8)
+	sig, err := mhSketch(m.Stream(), 20, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func assertSamePairs(t *testing.T, got, want []pairs.Scored, cutoff float64) {
 
 func TestEmptyColumnsNeverPair(t *testing.T) {
 	m := testutil.Must(matrix.New(4, [][]int32{{}, {}, {0, 1, 2, 3}}))
-	sig, _ := minhash.Compute(m.Stream(), 10, 3)
+	sig, _ := mhSketch(m.Stream(), 10, 3)
 	for _, gen := range []func() ([]pairs.Scored, Stats, error){
 		func() ([]pairs.Scored, Stats, error) { return RowSortMH(sig, 0.5) },
 		func() ([]pairs.Scored, Stats, error) { return HashCountMH(sig, 0.5) },
@@ -176,7 +177,7 @@ func TestEmptyColumnsNeverPair(t *testing.T) {
 func TestRowSortRecallOnPlantedPairs(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m, planted := plantedMatrix(rng, 600, 60)
-	sig, _ := minhash.Compute(m.Stream(), 50, 11)
+	sig, _ := mhSketch(m.Stream(), 50, 11)
 	out, _, err := RowSortMH(sig, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestRowSortRecallOnPlantedPairs(t *testing.T) {
 func TestHashCountKMHRecall(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m, planted := plantedMatrix(rng, 600, 60)
-	sk, err := kminhash.Compute(m.Stream(), 40, 13)
+	sk, err := kmhSketch(m.Stream(), 40, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestHashCountKMHRecall(t *testing.T) {
 func TestHashCountKMHConsistentWithBruteForce(t *testing.T) {
 	rng := hashing.NewSplitMix64(6)
 	m, _ := plantedMatrix(rng, 300, 30)
-	sk, _ := kminhash.Compute(m.Stream(), 20, 17)
+	sk, _ := kmhSketch(m.Stream(), 20, 17)
 	const cutoff = 0.5
 	got, _, err := HashCountKMH(sk, KMHOptions{BiasedCutoff: 0.01, UnbiasedCutoff: cutoff})
 	if err != nil {
@@ -241,7 +242,7 @@ func TestHashCountKMHConsistentWithBruteForce(t *testing.T) {
 func TestStatsIncrements(t *testing.T) {
 	rng := hashing.NewSplitMix64(7)
 	m, _ := plantedMatrix(rng, 200, 20)
-	sig, _ := minhash.Compute(m.Stream(), 10, 19)
+	sig, _ := mhSketch(m.Stream(), 10, 19)
 	_, stRS, err := RowSortMH(sig, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ func TestQuickGeneratorsAgree(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := hashing.NewSplitMix64(seed)
 		m := randomMatrix(rng, 80, 12, 0.2)
-		sig, err := minhash.Compute(m.Stream(), 8, seed^0x5555)
+		sig, err := mhSketch(m.Stream(), 8, seed^0x5555)
 		if err != nil {
 			return false
 		}
@@ -311,4 +312,31 @@ func TestQuickGeneratorsAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// foldSketch runs algo's phase-1 fold over src on one worker.
+func foldSketch(src matrix.RowSource, algo fold.Algo, k int, seed uint64) (fold.Sketch, error) {
+	f, _ := fold.For(algo)
+	st, err := f.New(src.NumCols(), k, seed)
+	if err != nil {
+		return fold.Sketch{}, err
+	}
+	if _, err := fold.FoldStream(src, st, 1); err != nil {
+		return fold.Sketch{}, err
+	}
+	return st.Finish(), nil
+}
+
+// mhSketch folds src into k min-hash values per column through phase
+// 1's own fold.
+func mhSketch(src matrix.RowSource, k int, seed uint64) (*minhash.Signatures, error) {
+	sk, err := foldSketch(src, fold.MinHash, k, seed)
+	return sk.MH, err
+}
+
+// kmhSketch folds src into the bottom-k sketch of every column through
+// phase 1's own fold.
+func kmhSketch(src matrix.RowSource, k int, seed uint64) (*kminhash.Sketches, error) {
+	sk, err := foldSketch(src, fold.KMinHash, k, seed)
+	return sk.KMH, err
 }

@@ -171,11 +171,11 @@ func schedules(n int) map[string][]int {
 func TestPhase2Matrix(t *testing.T) {
 	rng := hashing.NewSplitMix64(21)
 	m, _ := plantedMatrix(rng, 600, 90) // three colChunks, the last one short
-	sig, err := minhash.Compute(m.Stream(), 24, 5)
+	sig, err := mhSketch(m.Stream(), 24, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := kminhash.Compute(m.Stream(), 32, 13)
+	sk, err := kmhSketch(m.Stream(), 32, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestPhase2Matrix(t *testing.T) {
 func TestKernelsShareOneIndex(t *testing.T) {
 	rng := hashing.NewSplitMix64(23)
 	m, _ := plantedMatrix(rng, 400, 70)
-	sig, err := minhash.Compute(m.Stream(), 24, 5)
+	sig, err := mhSketch(m.Stream(), 24, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := kminhash.Compute(m.Stream(), 32, 13)
+	sk, err := kmhSketch(m.Stream(), 32, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
-	"assocmine/internal/minhash"
 )
 
 // The goroutine scheduler promises bit-identical output to the serial
@@ -34,7 +33,7 @@ func scanMatchesFullRange(t *testing.T, k *Kernel, workers ...int) {
 func TestRowSortMHParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(21)
 	m, _ := plantedMatrix(rng, 700, 90)
-	sig, err := minhash.Compute(m.Stream(), 50, 5)
+	sig, err := mhSketch(m.Stream(), 50, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestRowSortMHParallelMatchesSerial(t *testing.T) {
 func TestHashCountMHParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(23)
 	m, _ := plantedMatrix(rng, 600, 70)
-	sig, err := minhash.Compute(m.Stream(), 40, 9)
+	sig, err := mhSketch(m.Stream(), 40, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestHashCountMHParallelMatchesSerial(t *testing.T) {
 func TestHashCountKMHParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(25)
 	m, _ := plantedMatrix(rng, 600, 60)
-	sk, err := kminhash.Compute(m.Stream(), 40, 13)
+	sk, err := kmhSketch(m.Stream(), 40, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestHashCountKMHParallelMatchesSerial(t *testing.T) {
 func TestParallelCandidateErrors(t *testing.T) {
 	rng := hashing.NewSplitMix64(27)
 	m, _ := plantedMatrix(rng, 100, 20)
-	sig, err := minhash.Compute(m.Stream(), 10, 3)
+	sig, err := mhSketch(m.Stream(), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

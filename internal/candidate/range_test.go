@@ -6,8 +6,6 @@ import (
 
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
-	"assocmine/internal/kminhash"
-	"assocmine/internal/minhash"
 )
 
 // rangesMatchFullRange is TestPhase2Matrix's assertion over hand-picked
@@ -27,7 +25,7 @@ func rangesMatchFullRange(t *testing.T, k *Kernel, partitions [][]int) {
 func TestMHRangerMatchesRowSort(t *testing.T) {
 	rng := hashing.NewSplitMix64(41)
 	m, _ := plantedMatrix(rng, 300, 60)
-	sig, err := minhash.Compute(m.Stream(), 24, 7)
+	sig, err := mhSketch(m.Stream(), 24, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +48,7 @@ func TestMHRangerMatchesRowSort(t *testing.T) {
 func TestKMHRangerMatchesHashCount(t *testing.T) {
 	rng := hashing.NewSplitMix64(43)
 	m, _ := plantedMatrix(rng, 300, 60)
-	sk, err := kminhash.Compute(m.Stream(), 32, 13)
+	sk, err := kmhSketch(m.Stream(), 32, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +71,14 @@ func TestKMHRangerMatchesHashCount(t *testing.T) {
 func TestRangerValidation(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m := randomMatrix(rng, 40, 10, 0.2)
-	sig, _ := minhash.Compute(m.Stream(), 8, 3)
+	sig, _ := mhSketch(m.Stream(), 8, 3)
 	if _, err := newMHRanger(context.Background(), sig, 0, false, 1); err == nil {
 		t.Error("cutoff 0 accepted")
 	}
 	if _, err := newMHRanger(context.Background(), sig, 1.5, false, 1); err == nil {
 		t.Error("cutoff > 1 accepted")
 	}
-	sk, _ := kminhash.Compute(m.Stream(), 8, 3)
+	sk, _ := kmhSketch(m.Stream(), 8, 3)
 	if _, err := newKMHRanger(sk, KMHOptions{BiasedCutoff: 0}); err == nil {
 		t.Error("biased cutoff 0 accepted")
 	}

@@ -6,8 +6,6 @@ import (
 
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
-	"assocmine/internal/kminhash"
-	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 )
 
@@ -21,11 +19,11 @@ import (
 func TestSearchStepsMatchKernels(t *testing.T) {
 	rng := hashing.NewSplitMix64(31)
 	m, _ := plantedMatrix(rng, 600, 90)
-	sig, err := minhash.Compute(m.Stream(), 24, 5)
+	sig, err := mhSketch(m.Stream(), 24, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := kminhash.Compute(m.Stream(), 32, 13)
+	sk, err := kmhSketch(m.Stream(), 32, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

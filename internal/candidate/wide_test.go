@@ -22,7 +22,7 @@ const wideCols = 20_000
 
 func wideSignatures(t testing.TB, k int) *minhash.Signatures {
 	t.Helper()
-	sig, err := minhash.Compute(&gen.ZipfSource{Kind: "market", Rows: 6000, Cols: wideCols, Seed: 3}, k, 7)
+	sig, err := mhSketch(&gen.ZipfSource{Kind: "market", Rows: 6000, Cols: wideCols, Seed: 3}, k, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func wideSignatures(t testing.TB, k int) *minhash.Signatures {
 
 func wideSketches(t testing.TB, k int) *kminhash.Sketches {
 	t.Helper()
-	sk, err := kminhash.Compute(&gen.ZipfSource{Kind: "market", Rows: 6000, Cols: wideCols, Seed: 3}, k, 7)
+	sk, err := kmhSketch(&gen.ZipfSource{Kind: "market", Rows: 6000, Cols: wideCols, Seed: 3}, k, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

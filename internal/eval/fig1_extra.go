@@ -119,7 +119,7 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 // the news corpus; planted collocations must surface as (bidirectional)
 // high-confidence rules.
 func RulesExperiment(w *Workloads) (Table, error) {
-	res, err := newsRules(w)
+	res, _, err := newsRules(w)
 	if err != nil {
 		return Table{}, err
 	}
@@ -152,11 +152,21 @@ func RulesExperiment(w *Workloads) (Table, error) {
 }
 
 // newsRules is Section 6's run on the news corpus: the rules of
-// confidence at least 0.75, verified.
-func newsRules(w *Workloads) (*assocmine.Result, error) {
-	return assocmine.SimilarPairs(w.News.Data, assocmine.Config{
-		Algorithm: assocmine.Rules, Threshold: 0.75, K: 200, Seed: 23,
+// confidence at least 0.75, verified, over the MH sketch (k = 200,
+// seed 23) it returns too. The first experiment that asks folds the
+// sketch; §6's and §7's tables share it.
+func newsRules(w *Workloads) (*assocmine.Result, *assocmine.Signatures, error) {
+	if w.newsSig == nil {
+		sig, err := assocmine.ComputeSignatures(w.News.Data, 200, 23, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		w.newsSig = sig
+	}
+	res, err := assocmine.SimilarPairsWith(w.News.Data, w.newsSig, assocmine.Config{
+		Algorithm: assocmine.Rules, Threshold: 0.75,
 	})
+	return res, w.newsSig, err
 }
 
 // The composite table's thresholds: a conjunction keeps two §6 rules
@@ -170,7 +180,7 @@ const compositeAndConf, compositeOrSim = 0.9, 0.5
 // its verified rules, and disjunctions c_i => c_j ∨ c_j' whose
 // consequents are drawn from each antecedent's own §6 consequents.
 func CompositeExperiment(w *Workloads) (Table, error) {
-	res, err := newsRules(w)
+	res, sig, err := newsRules(w)
 	if err != nil {
 		return Table{}, err
 	}
@@ -182,7 +192,7 @@ func CompositeExperiment(w *Workloads) (Table, error) {
 	for _, r := range res.Pairs {
 		shortlist[r.I] = append(shortlist[r.I], r.J)
 	}
-	ors, err := assocmine.OrRules(w.News.Data, shortlist, compositeOrSim, 200, 23)
+	ors, err := assocmine.OrRules(w.News.Data, sig, shortlist, compositeOrSim)
 	if err != nil {
 		return Table{}, err
 	}

@@ -129,6 +129,8 @@ type Workloads struct {
 
 	Syn        *assocmine.Dataset
 	SynPlanted []assocmine.PlantedPair
+
+	newsSig *assocmine.Signatures // newsRules' sketch, once folded
 }
 
 // NewWorkloads generates every dataset for the scale. Ground truth for

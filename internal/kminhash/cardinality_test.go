@@ -11,7 +11,7 @@ import (
 
 func TestEstimateCardinalitySmallSetExact(t *testing.T) {
 	m := testutil.Must(matrix.New(100, [][]int32{{3, 17, 40}}))
-	s, err := Compute(m.Stream(), 10, 5)
+	s, err := compute(m.Stream(), 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEstimateCardinalityStatistical(t *testing.T) {
 	m := testutil.Must(matrix.New(rows, [][]int32{col}))
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
-		s, err := Compute(m.Stream(), k, uint64(100+trial))
+		s, err := compute(m.Stream(), k, uint64(100+trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestEstimateUnionAndIntersection(t *testing.T) {
 	const k, trials = 128, 30
 	var sumU, sumI float64
 	for trial := 0; trial < trials; trial++ {
-		s, err := Compute(m.Stream(), k, uint64(500+trial))
+		s, err := compute(m.Stream(), k, uint64(500+trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestEstimateIntersectionClamped(t *testing.T) {
 		{0, 1, 2, 3, 4},
 		{500, 501, 502},
 	}))
-	s, err := Compute(m.Stream(), 16, 3)
+	s, err := compute(m.Stream(), 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func FuzzMergeVsBatch(f *testing.F) {
 			data[r] = row
 		}
 		src := &matrix.SliceSource{Cols: cols, Rows: data}
-		want, err := Compute(src, k, seed)
+		want, err := compute(src, k, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestComputeStreamBadK(t *testing.T) {
 // TestComputeStreamZeroRows: a 0-row source yields empty sketches with
 // zeroed sizes.
 func TestComputeStreamZeroRows(t *testing.T) {
-	got, err := Compute(&matrix.SliceSource{Cols: 7}, 5, 11)
+	got, err := compute(&matrix.SliceSource{Cols: 7}, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func rawStatesEqual(a, b *FoldState) bool {
 func TestMergeAlgebra(t *testing.T) {
 	src := streamFixture(500, 45, 29)
 	const k, seed = 9, 81
-	want, err := Compute(src, k, seed)
+	want, err := compute(src, k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMergeEqualsConcatenatedCompute(t *testing.T) {
 	second := streamFixture(180, 35, 6)
 	concat := &matrix.SliceSource{Cols: 35, Rows: append(append([][]int32{}, first.Rows...), second.Rows...)}
 	const k, seed = 7, 31
-	want, err := Compute(concat, k, seed)
+	want, err := compute(concat, k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestMergeMismatch(t *testing.T) {
 func TestFoldStateResume(t *testing.T) {
 	src := streamFixture(300, 30, 7)
 	const k, seed = 6, 13
-	want, err := Compute(src, k, seed)
+	want, err := compute(src, k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,7 @@
 // that Hash-Count computes for all pairs at once.
 package kminhash
 
-import (
-	"slices"
-
-	"assocmine/internal/matrix"
-)
+import "slices"
 
 // Sketches holds the bottom-k signatures of every column plus the
 // column sizes observed during the pass (needed by the biased
@@ -47,24 +43,6 @@ func newSketches(m, k int) *Sketches {
 		s.Sigs[c] = backing[c*k : c*k : (c+1)*k]
 	}
 	return s
-}
-
-// Compute scans src once and returns the bottom-k sketch of every
-// column: NewFoldState, FoldRow over one Scan, Finish. Deterministic in
-// (src, k, seed).
-func Compute(src matrix.RowSource, k int, seed uint64) (*Sketches, error) {
-	st, err := NewFoldState(src.NumCols(), k, seed)
-	if err != nil {
-		return nil, err
-	}
-	err = src.Scan(func(row int, cols []int32) error {
-		st.FoldRow(row, cols)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st.Finish(), nil
 }
 
 // pushMaxHeap appends v and sifts it up (max-heap on values: root holds

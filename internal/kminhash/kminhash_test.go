@@ -2,6 +2,7 @@ package kminhash
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -18,7 +19,9 @@ func withOrColumn(m *matrix.Matrix, i, j int) (*matrix.Matrix, int) {
 	for c := range cols {
 		cols[c] = m.Column(c)
 	}
-	cols = append(cols, matrix.OrColumns(m.Column(i), m.Column(j)))
+	or := slices.Concat(m.Column(i), m.Column(j))
+	slices.Sort(or)
+	cols = append(cols, slices.Compact(or))
 	return testutil.Must(matrix.New(m.NumRows(), cols)), len(cols) - 1
 }
 
@@ -37,7 +40,7 @@ func randomMatrix(rng *hashing.SplitMix64, rows, cols int, density float64) *mat
 func TestComputeValidatesK(t *testing.T) {
 	m := testutil.Must(matrix.New(2, [][]int32{{0}}))
 	for _, k := range []int{0, -3} {
-		if _, err := Compute(m.Stream(), k, 1); err == nil {
+		if _, err := compute(m.Stream(), k, 1); err == nil {
 			t.Errorf("Compute accepted k=%d", k)
 		}
 	}
@@ -49,7 +52,7 @@ func TestBottomKMatchesSort(t *testing.T) {
 	rng := hashing.NewSplitMix64(1)
 	m := randomMatrix(rng, 300, 10, 0.2)
 	const k, seed = 8, 42
-	s, err := Compute(m.Stream(), k, seed)
+	s, err := compute(m.Stream(), k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func TestBottomKMatchesSort(t *testing.T) {
 
 func TestColSizes(t *testing.T) {
 	m := testutil.Must(matrix.New(4, [][]int32{{0, 1}, {0, 1, 2}, {2, 3}}))
-	s, err := Compute(m.Stream(), 2, 7)
+	s, err := compute(m.Stream(), 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestColSizes(t *testing.T) {
 
 func TestSparseColumnKeepsAllValues(t *testing.T) {
 	m := testutil.Must(matrix.New(10, [][]int32{{3, 7}}))
-	s, _ := Compute(m.Stream(), 5, 9)
+	s, _ := compute(m.Stream(), 5, 9)
 	if len(s.Signature(0)) != 2 {
 		t.Errorf("signature of 2-row column has length %d, want 2", len(s.Signature(0)))
 	}
@@ -100,7 +103,7 @@ func TestSparseColumnKeepsAllValues(t *testing.T) {
 
 func TestEmptyColumn(t *testing.T) {
 	m := testutil.Must(matrix.New(3, [][]int32{{}, {0, 1, 2}}))
-	s, _ := Compute(m.Stream(), 2, 3)
+	s, _ := compute(m.Stream(), 2, 3)
 	if len(s.Signature(0)) != 0 {
 		t.Errorf("empty column signature length %d", len(s.Signature(0)))
 	}
@@ -119,7 +122,7 @@ func TestUnionSignatureIsBottomKOfUnion(t *testing.T) {
 	m := randomMatrix(rng, 200, 4, 0.15)
 	m2, orIdx := withOrColumn(m, 0, 1)
 	const k, seed = 6, 99
-	s, err := Compute(m2.Stream(), k, seed)
+	s, err := compute(m2.Stream(), k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestUnionSignatureIsBottomKOfUnion(t *testing.T) {
 
 func TestUnionSignatureDstReuse(t *testing.T) {
 	m := testutil.Must(matrix.New(6, [][]int32{{0, 1, 2}, {3, 4, 5}}))
-	s, _ := Compute(m.Stream(), 4, 1)
+	s, _ := compute(m.Stream(), 4, 1)
 	dst := make([]uint64, 0, 4)
 	out := s.unionSignature(0, 1, dst)
 	if cap(out) != cap(dst) {
@@ -156,7 +159,7 @@ func TestTheorem2Unbiased(t *testing.T) {
 	for p, s := range lawSims {
 		var sum, sumSq float64
 		for seed := uint64(1); seed <= lawSeeds; seed++ {
-			sk, err := Compute(m.Stream(), lawK, seed)
+			sk, err := compute(m.Stream(), lawK, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +191,7 @@ func TestUnbiasedEstimateIdenticalColumns(t *testing.T) {
 		{0, 3, 6, 9, 12},
 		{0, 3, 6, 9, 12},
 	}))
-	s, _ := Compute(m.Stream(), 3, 21)
+	s, _ := compute(m.Stream(), 3, 21)
 	if got := s.UnbiasedEstimate(0, 1); got != 1 {
 		t.Errorf("identical columns estimate = %v, want 1", got)
 	}
@@ -199,7 +202,7 @@ func TestUnbiasedEstimateDisjointColumns(t *testing.T) {
 		{0, 1, 2, 3, 4},
 		{10, 11, 12, 13, 14},
 	}))
-	s, _ := Compute(m.Stream(), 4, 22)
+	s, _ := compute(m.Stream(), 4, 22)
 	if got := s.UnbiasedEstimate(0, 1); got != 0 {
 		t.Errorf("disjoint columns estimate = %v, want 0", got)
 	}
@@ -214,7 +217,7 @@ func TestBiasedEstimateTracksTruth(t *testing.T) {
 	const trials, k = 300, 20
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
-		s, err := Compute(m.Stream(), k, uint64(5000+trial))
+		s, err := compute(m.Stream(), k, uint64(5000+trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +236,7 @@ func TestBiasedEstimateExactWhenColumnsSmall(t *testing.T) {
 		{0, 5, 10, 15},
 		{5, 10, 20},
 	}))
-	s, _ := Compute(m.Stream(), 16, 77)
+	s, _ := compute(m.Stream(), 16, 77)
 	want := m.Similarity(0, 1)
 	if got := s.biasedEstimate(0, 1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("biased estimate %v, want exact %v", got, want)
@@ -265,7 +268,7 @@ func TestLemma1Sandwich(t *testing.T) {
 	for p, s := range lawSims {
 		sum := 0
 		for seed := uint64(1); seed <= lawSeeds; seed++ {
-			sk, err := Compute(m.Stream(), lawK, seed)
+			sk, err := compute(m.Stream(), lawK, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,7 +288,7 @@ func TestUpdatesBounded(t *testing.T) {
 	rng := hashing.NewSplitMix64(51)
 	const rows, cols, k = 5000, 20, 8
 	m := randomMatrix(rng, rows, cols, 0.5)
-	s, err := Compute(m.Stream(), k, 3)
+	s, err := compute(m.Stream(), k, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +302,7 @@ func TestQuickSignaturesSortedDistinct(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := hashing.NewSplitMix64(seed)
 		m := randomMatrix(rng, 60, 5, 0.3)
-		s, err := Compute(m.Stream(), 5, seed)
+		s, err := compute(m.Stream(), 5, seed)
 		if err != nil {
 			return false
 		}
@@ -325,7 +328,7 @@ func TestQuickEstimatorsSymmetric(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := hashing.NewSplitMix64(seed)
 		m := randomMatrix(rng, 50, 4, 0.3)
-		s, err := Compute(m.Stream(), 4, seed^77)
+		s, err := compute(m.Stream(), 4, seed^77)
 		if err != nil {
 			return false
 		}
@@ -344,4 +347,21 @@ func TestQuickEstimatorsSymmetric(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// compute scans src once and returns the bottom-k sketch of every
+// column: NewFoldState, FoldRow over one Scan, Finish.
+func compute(src matrix.RowSource, k int, seed uint64) (*Sketches, error) {
+	st, err := NewFoldState(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
+	}
+	err = src.Scan(func(row int, cols []int32) error {
+		st.FoldRow(row, cols)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st.Finish(), nil
 }

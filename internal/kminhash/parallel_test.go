@@ -12,7 +12,7 @@ func TestComputeParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(3)
 	m := randomMatrix(rng, 400, 50, 0.1)
 	const k, seed = 12, 77
-	serial, err := Compute(m.Stream(), k, seed)
+	serial, err := compute(m.Stream(), k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestComputeParallelValidates(t *testing.T) {
 func TestComputeParallelEstimatorsAgree(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m := randomMatrix(rng, 300, 10, 0.2)
-	serial, _ := Compute(m.Stream(), 10, 5)
+	serial, _ := compute(m.Stream(), 10, 5)
 	par, err := ComputeParallel(m.Stream().(matrix.ColumnLister), 10, 5, 4)
 	if err != nil {
 		t.Fatal(err)

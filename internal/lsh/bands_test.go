@@ -47,7 +47,7 @@ func sameSet(t *testing.T, label string, got, want *pairs.Set) {
 func TestBandRangeValidation(t *testing.T) {
 	rng := hashing.NewSplitMix64(29)
 	m, _ := plantedMatrix(rng, 50, 10)
-	sig, _ := minhash.Compute(m.Stream(), 10, 3)
+	sig, _ := mhSketch(m.Stream(), 10, 3)
 	if _, err := Disjoint(sig, 5, 3); err == nil {
 		t.Error("k < r*l accepted")
 	}
@@ -226,7 +226,7 @@ func bandFixture(t *testing.T) *minhash.Signatures {
 			}
 		}
 	}
-	sig, err := minhash.Compute(b.Build().Stream(), 24, 9)
+	sig, err := mhSketch(b.Build().Stream(), 24, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,12 @@ import (
 
 	"assocmine/internal/gen"
 	"assocmine/internal/hashing"
-	"assocmine/internal/minhash"
 )
 
 func BenchmarkCandidates(b *testing.B) {
 	rng := hashing.NewSplitMix64(1)
 	m, _ := plantedMatrix(rng, 2000, 400)
-	sig, err := minhash.Compute(m.Stream(), 50, 7)
+	sig, err := mhSketch(m.Stream(), 50, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func BenchmarkFilterFunctions(b *testing.B) {
 // of 5 rows over 40k mostly sparse columns.
 func BenchmarkBandingWide(b *testing.B) {
 	src := &gen.ZipfSource{Kind: "market", Rows: 58_000, Cols: 40_000, Seed: 1}
-	sig, err := minhash.Compute(src, 200, 7)
+	sig, err := mhSketch(src, 200, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"assocmine/internal/matrix"
-	"assocmine/internal/minhash"
 	"assocmine/internal/testutil"
 )
 
@@ -27,7 +26,7 @@ var lawSims = []float64{0.3, 0.5, 0.8}
 
 // TestBandCollisionLaw draws lawSeeds signatures of three planted pairs
 // (S = 0.3, 0.5, 0.8 exactly) from the production hash family
-// (minhash.Compute folds through FoldState), bands each with the
+// (the MH fold, phase 1's own), bands each with the
 // disjoint layout of lawL bands of lawR rows, counts the bands whose
 // buckets each pair shares, and holds those counts to
 // Binomial(lawL, S^lawR) with a chi-square goodness-of-fit test at
@@ -40,7 +39,7 @@ func TestBandCollisionLaw(t *testing.T) {
 		counts[p] = make([]int, lawL+1)
 	}
 	for seed := uint64(1); seed <= lawSeeds; seed++ {
-		sig, err := minhash.Compute(m.Stream(), lawR*lawL, seed)
+		sig, err := mhSketch(m.Stream(), lawR*lawL, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
@@ -145,7 +146,7 @@ func TestCandidatesValidates(t *testing.T) {
 func TestCandidatesFindPlantedPairs(t *testing.T) {
 	rng := hashing.NewSplitMix64(1)
 	m, planted := plantedMatrix(rng, 800, 80)
-	sig, err := minhash.Compute(m.Stream(), 50, 3)
+	sig, err := mhSketch(m.Stream(), 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCandidatesFindPlantedPairs(t *testing.T) {
 
 func TestCandidatesEmptyColumnsSkipped(t *testing.T) {
 	m := testutil.Must(matrix.New(4, [][]int32{{}, {}, {0, 1}}))
-	sig, _ := minhash.Compute(m.Stream(), 10, 5)
+	sig, _ := mhSketch(m.Stream(), 10, 5)
 	set, _, err := Candidates(sig, 2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestSampledCandidatesFindPlantedPairs(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
 	m, planted := plantedMatrix(rng, 800, 80)
 	// k = 20 < r*l = 100: must use sampling.
-	sig, _ := minhash.Compute(m.Stream(), 20, 4)
+	sig, _ := mhSketch(m.Stream(), 20, 4)
 	b, err := Sampled(sig, 5, 20, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestSampledCandidatesFindPlantedPairs(t *testing.T) {
 func TestOnlineMatchesOffline(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m, _ := plantedMatrix(rng, 300, 30)
-	sig, _ := minhash.Compute(m.Stream(), 30, 7)
+	sig, _ := mhSketch(m.Stream(), 30, 7)
 	off, offSt, err := Candidates(sig, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,7 @@ func TestCollisionRateMatchesP(t *testing.T) {
 	const r, l, trials = 3, 4, 300
 	collide := 0
 	for trial := 0; trial < trials; trial++ {
-		sig, err := minhash.Compute(m.Stream(), r*l, uint64(trial)*2654435761+1)
+		sig, err := mhSketch(m.Stream(), r*l, uint64(trial)*2654435761+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,4 +277,18 @@ func TestQuickPInUnitInterval(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mhSketch folds src into k min-hash values per column through phase
+// 1's own fold, on one worker.
+func mhSketch(src matrix.RowSource, k int, seed uint64) (*minhash.Signatures, error) {
+	f, _ := fold.For(fold.MinHash)
+	st, err := f.New(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fold.FoldStream(src, st, 1); err != nil {
+		return nil, err
+	}
+	return st.Finish().MH, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"assocmine/internal/hashing"
-	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 )
 
@@ -51,7 +50,7 @@ func forked(b *Bands, workers int) (*pairs.Set, int64) {
 func TestCandidatesParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
 	m, _ := plantedMatrix(rng, 600, 80)
-	sig, err := minhash.Compute(m.Stream(), 60, 5)
+	sig, err := mhSketch(m.Stream(), 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestCandidatesParallelMatchesSerial(t *testing.T) {
 func TestSampledCandidatesParallelMatchesSerial(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m, _ := plantedMatrix(rng, 500, 60)
-	sig, err := minhash.Compute(m.Stream(), 40, 9)
+	sig, err := mhSketch(m.Stream(), 40, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestSampledCandidatesParallelMatchesSerial(t *testing.T) {
 func TestCandidatesParallelErrors(t *testing.T) {
 	rng := hashing.NewSplitMix64(6)
 	m, _ := plantedMatrix(rng, 100, 20)
-	sig, err := minhash.Compute(m.Stream(), 10, 3)
+	sig, err := mhSketch(m.Stream(), 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

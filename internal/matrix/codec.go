@@ -176,8 +176,10 @@ func readBinary(r io.Reader) (*Matrix, error) {
 	if rows64 > maxDim || cols64 > maxDim {
 		return nil, fmt.Errorf("matrix: implausible dimensions %dx%d", rows64, cols64)
 	}
+	// Columns are appended as the body delivers them: the header may
+	// declare up to 2^31 the body lacks.
 	rows, ncols := int(rows64), int(cols64)
-	cols := make([][]int32, ncols)
+	var cols [][]int32
 	for c := 0; c < ncols; c++ {
 		length, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -187,6 +189,7 @@ func readBinary(r io.Reader) (*Matrix, error) {
 			return nil, fmt.Errorf("matrix: column %d length %d exceeds row count %d", c, length, rows)
 		}
 		if length == 0 {
+			cols = append(cols, nil)
 			continue
 		}
 		col := make([]int32, length)
@@ -205,7 +208,7 @@ func readBinary(r io.Reader) (*Matrix, error) {
 			col[i] = int32(v)
 			prev = v
 		}
-		cols[c] = col
+		cols = append(cols, col)
 	}
 	return New(rows, cols)
 }

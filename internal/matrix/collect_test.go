@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -234,18 +235,36 @@ func TestBuiltMatricesScanTheirRows(t *testing.T) {
 }
 
 // TestCollectAllocatesWhatItReads: a header may declare up to 2^31 rows
-// that its body lacks; Collect fails with the decode error before it
-// allocates for them (24 B a row would be 384 MiB here).
+// or columns that its body lacks; a load fails with the decode error
+// before it allocates for them (at 24 B a row, 8 B a column count and
+// 24 B a column, 384, 128 and 384 MiB here).
 func TestCollectAllocatesWhatItReads(t *testing.T) {
-	src := testutil.Must(OpenFileSourceFS(memFS(rowBinary("ARW1", []uint64{1 << 24, 1}, []uint64{1, 0})), "h.arows"))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := Collect(src)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "row 1 ") {
-		t.Fatalf("Collect over a body of one row: %v", err)
+	collect := func(header []uint64, body []uint64) func() error {
+		src := testutil.Must(OpenFileSourceFS(memFS(rowBinary("ARW1", header, body)), "h.arows"))
+		return func() error { _, err := Collect(src); return err }
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
-		t.Fatalf("Collect allocated %d MiB for one row read", grew>>20)
+	cases := []struct {
+		name string
+		load func() error
+		want string
+	}{
+		{"arows 2^24 rows, one read", collect([]uint64{1 << 24, 1}, []uint64{1, 0}), "row 1 "},
+		{"arows 2^24 columns, no row", collect([]uint64{1, 1 << 24}, nil), "row 0 "},
+		{"AMX1 2^24 columns, none read", func() error {
+			_, err := readBinary(bytes.NewReader(rowBinary(binaryMagic, []uint64{1, 1 << 24}, nil)))
+			return err
+		}, "column 0 length"},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.load()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want an error naming %q", c.name, err, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("%s: allocated %d MiB before the decode error", c.name, grew>>20)
+		}
 	}
 }

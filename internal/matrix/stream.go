@@ -3,6 +3,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // RowSource models one-pass, row-at-a-time access to a dataset, the
@@ -217,21 +218,25 @@ const collectChunk = 1 << 16
 // with an error naming the row.
 func Collect(src RowSource) (*Matrix, error) {
 	n, m := src.NumRows(), src.NumCols()
-	counts := make([]int, m)
 	// The pass records the rows' columns back to back, a non-empty row
 	// whole in one chunk, and each row's length (0 for a row the source
-	// skips). Slices for the n rows are cut only once the pass has read
-	// them: a file header may declare up to 2^31 rows its body lacks.
+	// skips); counts grows to the highest column read. Slices for the n
+	// rows and the m columns are cut only once the pass has read them: a
+	// file header may declare up to 2^31 rows or columns its body lacks.
 	var chunks [][]int32
 	var lens []int32
+	var counts []int
 	err := src.Scan(func(row int, cols []int32) error {
 		if row < len(lens) || row >= n {
 			return fmt.Errorf("matrix: row %d out of order or out of range [0,%d)", row, n)
 		}
 		prev := int32(-1)
 		for _, c := range cols {
-			if c <= prev || int(c) >= m {
-				return fmt.Errorf("matrix: row %d column %d out of order or out of range [0,%d)", row, c, m)
+			if c <= prev || int(c) >= len(counts) {
+				if c <= prev || int(c) >= m {
+					return fmt.Errorf("matrix: row %d column %d out of order or out of range [0,%d)", row, c, m)
+				}
+				counts = slices.Grow(counts, int(c)+1-len(counts))[:c+1]
 			}
 			prev = c
 			counts[c]++
@@ -253,6 +258,7 @@ func Collect(src RowSource) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	counts = append(counts, make([]int, m-len(counts))...)
 	rows := make([][]int32, n)
 	var chunk []int32
 	for r, l := range lens {

@@ -27,7 +27,7 @@ func BenchmarkCompute(b *testing.B) {
 	for _, k := range []int{10, 50, 100} {
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Compute(m.Stream(), k, 7); err != nil {
+				if _, err := compute(m.Stream(), k, 7); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -37,7 +37,7 @@ func BenchmarkCompute(b *testing.B) {
 
 func BenchmarkEstimate(b *testing.B) {
 	m := benchMatrix(b, 2000, 100, 0.05)
-	sig, err := Compute(m.Stream(), 100, 7)
+	sig, err := compute(m.Stream(), 100, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

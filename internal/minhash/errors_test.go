@@ -27,7 +27,7 @@ func (e *erroringSource) Scan(fn func(int, []int32) error) error {
 
 func TestComputePropagatesSourceError(t *testing.T) {
 	src := &erroringSource{rows: 10, cols: 2, failAt: 3}
-	if _, err := Compute(src, 4, 1); !errors.Is(err, errInjected) {
+	if _, err := compute(src, 4, 1); !errors.Is(err, errInjected) {
 		t.Errorf("err = %v, want injected error", err)
 	}
 }

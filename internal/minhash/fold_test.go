@@ -34,7 +34,7 @@ func TestComputeStreamBadK(t *testing.T) {
 // TestComputeStreamEmptyColumns: untouched columns keep the sentinel.
 func TestComputeStreamEmptyColumns(t *testing.T) {
 	src := &matrix.SliceSource{Cols: 5, Rows: [][]int32{{0, 2}, {0}, {}}}
-	sig, err := Compute(src, 8, 3)
+	sig, err := compute(src, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestComputeStreamEmptyColumns(t *testing.T) {
 // TestComputeStreamZeroRows: a 0-row source yields all-sentinel
 // signatures.
 func TestComputeStreamZeroRows(t *testing.T) {
-	sig, err := Compute(&matrix.SliceSource{Cols: 6}, 5, 11)
+	sig, err := compute(&matrix.SliceSource{Cols: 6}, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func statesEqual(a, b *FoldState) bool {
 func TestMergeAlgebra(t *testing.T) {
 	src := streamFixture(400, 40, 23)
 	const k, seed = 12, 99
-	want, err := Compute(src, k, seed)
+	want, err := compute(src, k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMergeMismatch(t *testing.T) {
 func TestFoldStateResume(t *testing.T) {
 	src := streamFixture(300, 30, 7)
 	const k, seed = 8, 13
-	want, err := Compute(src, k, seed)
+	want, err := compute(src, k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

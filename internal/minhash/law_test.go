@@ -50,7 +50,7 @@ func TestTheorem1AgreementLaw(t *testing.T) {
 			return fromPermutations(m.Stream(), perms)
 		}},
 		{"FoldState", func(seed uint64) (*Signatures, error) {
-			return Compute(m.Stream(), lawK, seed)
+			return compute(m.Stream(), lawK, seed)
 		}},
 	}
 	for _, f := range families {

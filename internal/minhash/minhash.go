@@ -9,8 +9,6 @@
 // around the true similarity.
 package minhash
 
-import "assocmine/internal/matrix"
-
 // Empty is the sentinel min-hash value of a column with no 1s. It
 // compares unequal to every real hash value for estimation purposes.
 const Empty = ^uint64(0)
@@ -21,24 +19,6 @@ type Signatures struct {
 	K    int      // number of independent hash functions
 	M    int      // number of columns
 	Vals []uint64 // length K*M, row-major by hash index
-}
-
-// Compute scans src once and returns k independent min-hash values per
-// column: NewFoldState, FoldRow over one Scan, Finish. The same (src, k,
-// seed) always yields the same signatures.
-func Compute(src matrix.RowSource, k int, seed uint64) (*Signatures, error) {
-	st, err := NewFoldState(src.NumCols(), k, seed)
-	if err != nil {
-		return nil, err
-	}
-	err = src.Scan(func(row int, cols []int32) error {
-		st.FoldRow(row, cols)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st.Finish(), nil
 }
 
 // foldMinMax lowers each dst[l] to rowVals[l] when smaller and returns

@@ -22,7 +22,7 @@ func paperExample() *matrix.Matrix {
 func TestComputeValidatesK(t *testing.T) {
 	m := paperExample()
 	for _, k := range []int{0, -1} {
-		if _, err := Compute(m.Stream(), k, 1); err == nil {
+		if _, err := compute(m.Stream(), k, 1); err == nil {
 			t.Errorf("Compute accepted k=%d", k)
 		}
 	}
@@ -30,11 +30,11 @@ func TestComputeValidatesK(t *testing.T) {
 
 func TestComputeDeterministic(t *testing.T) {
 	m := paperExample()
-	a, err := Compute(m.Stream(), 8, 42)
+	a, err := compute(m.Stream(), 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compute(m.Stream(), 8, 42)
+	b, err := compute(m.Stream(), 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestComputeDeterministic(t *testing.T) {
 
 func TestComputeSeedMatters(t *testing.T) {
 	m := paperExample()
-	a, _ := Compute(m.Stream(), 8, 1)
-	b, _ := Compute(m.Stream(), 8, 2)
+	a, _ := compute(m.Stream(), 8, 1)
+	b, _ := compute(m.Stream(), 8, 2)
 	same := 0
 	for i := range a.Vals {
 		if a.Vals[i] == b.Vals[i] {
@@ -65,7 +65,7 @@ func TestComputeSeedMatters(t *testing.T) {
 func TestMinHashIsColumnMinimum(t *testing.T) {
 	m := paperExample()
 	const k, seed = 5, 77
-	sig, err := Compute(m.Stream(), k, seed)
+	sig, err := compute(m.Stream(), k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestMinHashIsColumnMinimum(t *testing.T) {
 
 func TestEmptyColumnSentinel(t *testing.T) {
 	m := testutil.Must(matrix.New(3, [][]int32{{}, {0, 1, 2}, {}}))
-	sig, err := Compute(m.Stream(), 4, 9)
+	sig, err := compute(m.Stream(), 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestEmptyColumnSentinel(t *testing.T) {
 func TestProposition1(t *testing.T) {
 	m := paperExample()
 	const k = 20000
-	sig, err := Compute(m.Stream(), k, 123)
+	sig, err := compute(m.Stream(), k, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestEstimateIdenticalColumns(t *testing.T) {
 		{0, 2, 4},
 		{0, 2, 4},
 	}))
-	sig, _ := Compute(m.Stream(), 16, 5)
+	sig, _ := compute(m.Stream(), 16, 5)
 	if got := sig.Estimate(0, 1); got != 1 {
 		t.Errorf("identical columns estimate = %v, want 1", got)
 	}
@@ -146,7 +146,7 @@ func TestEstimateDisjointColumns(t *testing.T) {
 		{0, 1, 2},
 		{3, 4, 5},
 	}))
-	sig, _ := Compute(m.Stream(), 64, 5)
+	sig, _ := compute(m.Stream(), 64, 5)
 	if got := sig.Estimate(0, 1); got != 0 {
 		t.Errorf("disjoint columns estimate = %v, want 0", got)
 	}
@@ -172,7 +172,7 @@ func lessOrEqualFraction(s *Signatures, i, j int) float64 {
 func TestLessOrEqualFraction(t *testing.T) {
 	m := paperExample()
 	const k = 20000
-	sig, _ := Compute(m.Stream(), k, 2024)
+	sig, _ := compute(m.Stream(), k, 2024)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i == j {
@@ -251,7 +251,7 @@ func TestTheorem1Concentration(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	sig, err := Compute(m.Stream(), k, 77)
+	sig, err := compute(m.Stream(), k, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestQuickAgreementSymmetric(t *testing.T) {
 				}
 			}
 		}
-		sig, err := Compute(b.Build().Stream(), 10, seed^0xabcdef)
+		sig, err := compute(b.Build().Stream(), 10, seed^0xabcdef)
 		if err != nil {
 			return false
 		}
@@ -316,7 +316,7 @@ func TestQuickEstimateBounds(t *testing.T) {
 				}
 			}
 		}
-		sig, err := Compute(b.Build().Stream(), 7, seed)
+		sig, err := compute(b.Build().Stream(), 7, seed)
 		if err != nil {
 			return false
 		}
@@ -333,4 +333,21 @@ func TestQuickEstimateBounds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// compute scans src once and returns k min-hash values per column:
+// NewFoldState, FoldRow over one Scan, Finish.
+func compute(src matrix.RowSource, k int, seed uint64) (*Signatures, error) {
+	st, err := NewFoldState(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
+	}
+	err = src.Scan(func(row int, cols []int32) error {
+		st.FoldRow(row, cols)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st.Finish(), nil
 }

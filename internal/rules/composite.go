@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 )
 
@@ -87,49 +86,6 @@ func OrCandidates(sig *minhash.Signatures, shortlist map[int32][]int32, minSim f
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Estimate != out[b].Estimate {
 			return out[a].Estimate > out[b].Estimate
-		}
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		if out[a].To[0] != out[b].To[0] {
-			return out[a].To[0] < out[b].To[0]
-		}
-		return out[a].To[1] < out[b].To[1]
-	})
-	return out, nil
-}
-
-// VerifyOrRules computes the exact similarity between each rule's
-// antecedent and its materialised OR column, keeping rules at or above
-// minSim with Exact filled in. Costs one OR-column merge per rule plus
-// the set intersections — no data pass (the matrix is already
-// column-major).
-func VerifyOrRules(m *matrix.Matrix, cand []OrRule, minSim float64) ([]OrRule, error) {
-	if minSim <= 0 || minSim > 1 {
-		return nil, fmt.Errorf("rules: minSim must be in (0,1], got %v", minSim)
-	}
-	var out []OrRule
-	for _, r := range cand {
-		if int(r.From) >= m.NumCols() || int(r.To[0]) >= m.NumCols() || int(r.To[1]) >= m.NumCols() ||
-			r.From < 0 || r.To[0] < 0 || r.To[1] < 0 {
-			return nil, fmt.Errorf("rules: rule %+v references column out of range", r)
-		}
-		or := matrix.OrColumns(m.Column(int(r.To[0])), m.Column(int(r.To[1])))
-		ante := m.Column(int(r.From))
-		inter := len(matrix.AndColumns(ante, or))
-		union := len(ante) + len(or) - inter
-		if union == 0 {
-			continue
-		}
-		s := float64(inter) / float64(union)
-		if s >= minSim {
-			r.Exact = s
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Exact != out[b].Exact {
-			return out[a].Exact > out[b].Exact
 		}
 		if out[a].From != out[b].From {
 			return out[a].From < out[b].From

@@ -3,6 +3,7 @@ package rules
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"assocmine/internal/hashing"
@@ -18,7 +19,9 @@ func withOrColumn(m *matrix.Matrix, i, j int) (*matrix.Matrix, int) {
 	for c := range cols {
 		cols[c] = m.Column(c)
 	}
-	cols = append(cols, matrix.OrColumns(m.Column(i), m.Column(j)))
+	or := slices.Concat(m.Column(i), m.Column(j))
+	slices.Sort(or)
+	cols = append(cols, slices.Compact(or))
 	return testutil.Must(matrix.New(m.NumRows(), cols)), len(cols) - 1
 }
 
@@ -50,7 +53,7 @@ func TestOrSimilarityEstimateMatchesInducedColumn(t *testing.T) {
 	m := orFixture(rng, 500)
 	m2, orIdx := withOrColumn(m, 1, 2)
 	const k, seed = 200, 5
-	sig, err := minhash.Compute(m2.Stream(), k, seed)
+	sig, err := mhSketch(m2.Stream(), k, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestOrSimilarityEstimateMatchesInducedColumn(t *testing.T) {
 func TestOrCandidatesFindDisjunctiveRule(t *testing.T) {
 	rng := hashing.NewSplitMix64(2)
 	m := orFixture(rng, 2000)
-	sig, _ := minhash.Compute(m.Stream(), 150, 7)
+	sig, _ := mhSketch(m.Stream(), 150, 7)
 	shortlist := map[int32][]int32{0: {1, 2, 3}}
 	cand, err := OrCandidates(sig, shortlist, 0.7)
 	if err != nil {
@@ -105,7 +108,7 @@ func TestOrCandidatesValidation(t *testing.T) {
 
 func TestOrCandidatesSkipsDegenerate(t *testing.T) {
 	m := testutil.Must(matrix.New(10, [][]int32{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}}))
-	sig, _ := minhash.Compute(m.Stream(), 20, 3)
+	sig, _ := mhSketch(m.Stream(), 20, 3)
 	// Shortlist includes the antecedent itself and duplicates.
 	cand, err := OrCandidates(sig, map[int32][]int32{0: {0, 1, 1}}, 0.5)
 	if err != nil {
@@ -118,41 +121,11 @@ func TestOrCandidatesSkipsDegenerate(t *testing.T) {
 	}
 }
 
-func TestVerifyOrRules(t *testing.T) {
-	rng := hashing.NewSplitMix64(9)
-	m := orFixture(rng, 2000)
-	cand := []OrRule{
-		{From: 0, To: [2]int32{1, 2}, Estimate: 0.9}, // genuinely similar
-		{From: 3, To: [2]int32{1, 2}, Estimate: 0.9}, // noise: not similar
-	}
-	out, err := VerifyOrRules(m, cand, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].From != 0 {
-		t.Fatalf("verified = %+v", out)
-	}
-	// Exact value matches a direct computation.
-	or := matrix.OrColumns(m.Column(1), m.Column(2))
-	inter := len(matrix.AndColumns(m.Column(0), or))
-	union := m.ColumnSize(0) + len(or) - inter
-	want := float64(inter) / float64(union)
-	if math.Abs(out[0].Exact-want) > 1e-12 {
-		t.Errorf("exact = %v, want %v", out[0].Exact, want)
-	}
-	// Validation.
-	if _, err := VerifyOrRules(m, cand, 0); err == nil {
-		t.Error("minSim 0 accepted")
-	}
-	if _, err := VerifyOrRules(m, []OrRule{{From: 99, To: [2]int32{0, 1}}}, 0.5); err == nil {
-		t.Error("out-of-range rule accepted")
-	}
-}
-
-// TestOrRulesOrderIsDeterministic: when every estimate and exact
-// similarity ties, the rules of one antecedent differ in To alone, so
-// both sorts must key on To[1] too or their order follows the
-// shortlist map's iteration and the unstable sort.
+// TestOrRulesOrderIsDeterministic: when every estimate ties, the rules
+// of one antecedent differ in To alone, so OrCandidates' sort must key
+// on To[1] too or its order follows the shortlist map's iteration and
+// the unstable sort. (The root's TestOrRulesMatchesOracle holds the
+// sort after the exact pass on the same fixture.)
 func TestOrRulesOrderIsDeterministic(t *testing.T) {
 	// 14 identical columns: every OR column equals every antecedent.
 	cols := make([][]int32, 14)
@@ -160,7 +133,7 @@ func TestOrRulesOrderIsDeterministic(t *testing.T) {
 		cols[c] = []int32{0, 2, 3, 5, 7, 11}
 	}
 	m := testutil.Must(matrix.New(12, cols))
-	sig := testutil.Must(minhash.Compute(m.Stream(), 64, 1))
+	sig := testutil.Must(mhSketch(m.Stream(), 64, 1))
 	// Six antecedents, each shortlisting the 13 other columns; order
 	// shuffles the shortlist order and the map's insertion order.
 	shortlist := func(order uint64) map[int32][]int32 {
@@ -182,11 +155,7 @@ func TestOrRulesOrderIsDeterministic(t *testing.T) {
 		if len(ors) != 6*13*12/2 {
 			t.Fatalf("%d candidates, want %d", len(ors), 6*13*12/2)
 		}
-		// Reversed, so VerifyOrRules' sort sees another input order.
-		for a, b := 0, len(ors)-1; a < b; a, b = a+1, b-1 {
-			ors[a], ors[b] = ors[b], ors[a]
-		}
-		return testutil.Must(VerifyOrRules(m, ors, 0.5))
+		return ors
 	}
 	want := rulesOf(0)
 	for order := uint64(0); order < 50; order++ {
@@ -262,7 +231,7 @@ func TestAndRuleSemantics(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	sig, _ := minhash.Compute(m.Stream(), 100, 9)
+	sig, _ := mhSketch(m.Stream(), 100, 9)
 	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +254,14 @@ func TestAndRuleSemantics(t *testing.T) {
 		t.Fatalf("c0 => c1 ∧ c2 not derived; singles: %+v", verified)
 	}
 	// Check conjunction confidence directly.
-	and12 := matrix.AndColumns(m.Column(1), m.Column(2))
-	interAll := len(matrix.AndColumns(m.Column(0), and12))
+	interAll := 0
+	for _, r := range m.Column(0) {
+		_, in1 := slices.BinarySearch(m.Column(1), r)
+		_, in2 := slices.BinarySearch(m.Column(2), r)
+		if in1 && in2 {
+			interAll++
+		}
+	}
 	conf := float64(interAll) / float64(m.ColumnSize(0))
 	if conf < 0.9 {
 		t.Errorf("true conjunction confidence %v below 0.9", conf)

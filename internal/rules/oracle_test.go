@@ -170,7 +170,7 @@ func TestTriangleMatchesSweep(t *testing.T) {
 		half.Vals[l*half.M+1], half.Vals[(2*l+1)*half.M+8] = minhash.Empty, minhash.Empty
 	}
 	caviar, _, _ := caviarFixture(hashing.NewSplitMix64(5), 1500)
-	folded, err := minhash.Compute(caviar.Stream(), 40, 7)
+	folded, err := mhSketch(caviar.Stream(), 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCandidatesMatchOracle(t *testing.T) {
 		dup.Vals[l*dup.M+7] = dup.Vals[l*dup.M+2]
 	}
 	caviar, _, _ := caviarFixture(hashing.NewSplitMix64(3), 2000)
-	folded, err := minhash.Compute(caviar.Stream(), 60, 11)
+	folded, err := mhSketch(caviar.Stream(), 60, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func BenchmarkRulesCandidates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig, err := minhash.Compute(m.Stream(), 200, 1)
+	sig, err := mhSketch(m.Stream(), 200, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
@@ -48,7 +49,7 @@ func TestCandidatesFindRareHighConfidenceRule(t *testing.T) {
 	if m.Confidence(caviar, vodka) < 0.99 {
 		t.Fatalf("fixture confidence %v too low", m.Confidence(caviar, vodka))
 	}
-	sig, err := minhash.Compute(m.Stream(), 100, 7)
+	sig, err := mhSketch(m.Stream(), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestConfidenceEstimatorStatistics(t *testing.T) {
 	}
 	m := b.Build()
 	truth := m.Confidence(0, 1)
-	sig, _ := minhash.Compute(m.Stream(), 4000, 9)
+	sig, _ := mhSketch(m.Stream(), 4000, 9)
 	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.05})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestVerifyValidation(t *testing.T) {
 	if _, err := verifyRules(m.Stream(), []Rule{{From: 0, To: 9}}, 0.5); err == nil {
 		t.Error("out-of-range rule accepted")
 	}
-	sig, err := minhash.Compute(m.Stream(), 4, 1)
+	sig, err := mhSketch(m.Stream(), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestVerifyValidation(t *testing.T) {
 // answered from a kept Triangle — name each directed rule at most once.
 func TestVerifyDeduplicatesRules(t *testing.T) {
 	m, _, _ := caviarFixture(hashing.NewSplitMix64(5), 2000)
-	sig, err := minhash.Compute(m.Stream(), 60, 3)
+	sig, err := mhSketch(m.Stream(), 60, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestVerifyDeduplicatesRules(t *testing.T) {
 func TestEndToEndPipeline(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m, caviar, vodka := caviarFixture(rng, 4000)
-	sig, _ := minhash.Compute(m.Stream(), 120, 13)
+	sig, _ := mhSketch(m.Stream(), 120, 13)
 	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -238,4 +239,18 @@ func TestEndToEndPipeline(t *testing.T) {
 	if !found {
 		t.Error("pipeline lost the caviar => vodka rule")
 	}
+}
+
+// mhSketch folds src into k min-hash values per column through phase
+// 1's own fold, on one worker.
+func mhSketch(src matrix.RowSource, k int, seed uint64) (*minhash.Signatures, error) {
+	f, _ := fold.For(fold.MinHash)
+	st, err := f.New(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fold.FoldStream(src, st, 1); err != nil {
+		return nil, err
+	}
+	return st.Finish().MH, nil
 }

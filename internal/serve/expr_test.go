@@ -12,11 +12,11 @@ import (
 func exprEval(t *testing.T) *assocmine.ExprEvaluator {
 	t.Helper()
 	d := testDataset(t, 120, 16)
-	ev, err := assocmine.NewExprEvaluator(d, 64, 1)
+	sk, err := assocmine.ComputeSketches(d, 64, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ev
+	return assocmine.NewExprEvaluator(sk)
 }
 
 func TestParseExprMatchesBuilders(t *testing.T) {

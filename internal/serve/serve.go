@@ -244,7 +244,7 @@ func (s *Server) generation(fd *assocmine.FileDataset) (*index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &index{data: data, sig: sig, sk: sk, expr: assocmine.NewExprEvaluatorFromSketches(sk)}
+	ix := &index{data: data, sig: sig, sk: sk, expr: assocmine.NewExprEvaluator(sk)}
 	if s.opts.SnapshotMH != "" {
 		if err := s.ingMH.Save(s.opts.SnapshotMH); err != nil {
 			return nil, err

@@ -5,17 +5,23 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"assocmine/internal/dist"
+	"assocmine/internal/fold"
+	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 	"assocmine/internal/rules"
+	"assocmine/internal/testutil"
+	"assocmine/internal/verify"
 )
 
 // rulesData is a dataset with rules on both sides of the 0.7 cutoff and
@@ -37,7 +43,7 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg Config) []Pair {
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	sig, err := minhash.Compute(src, cfg.K, cfg.Seed)
+	sig, err := mhSketch(src, cfg.K, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +270,228 @@ func TestRulesRefusedWhereItCannotRun(t *testing.T) {
 		if err := run(); err == nil || !strings.Contains(err.Error(), "Rules") {
 			t.Errorf("%s: err = %v, want an error naming Rules", name, err)
 		}
+	}
+}
+
+// mhSketch folds src into k min-hash values per column through phase
+// 1's own fold, on one worker.
+func mhSketch(src matrix.RowSource, k int, seed uint64) (*minhash.Signatures, error) {
+	f, _ := fold.For(fold.MinHash)
+	st, err := f.New(src.NumCols(), k, seed)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fold.FoldStream(src, st, 1); err != nil {
+		return nil, err
+	}
+	return st.Finish().MH, nil
+}
+
+// orRulesOracle is OrRules' exact stage before it ran through
+// verify.Verify (rules.VerifyOrRules): each rule's OR column
+// materialised by a merge and intersected with the antecedent, the
+// rules at or above minSim kept by decreasing exact similarity, then
+// From, To[0], To[1].
+func orRulesOracle(m *matrix.Matrix, cand []rules.OrRule, minSim float64) []OrRule {
+	var out []OrRule
+	for _, r := range cand {
+		a, b := m.Column(int(r.To[0])), m.Column(int(r.To[1]))
+		or := make([]int32, 0, len(a)+len(b))
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			switch {
+			case a[i] < b[j]:
+				or = append(or, a[i])
+				i++
+			case a[i] > b[j]:
+				or = append(or, b[j])
+				j++
+			default:
+				or = append(or, a[i])
+				i++
+				j++
+			}
+		}
+		or = append(append(or, a[i:]...), b[j:]...)
+		ante := m.Column(int(r.From))
+		inter := 0
+		for _, row := range ante {
+			if _, ok := slices.BinarySearch(or, row); ok {
+				inter++
+			}
+		}
+		union := len(ante) + len(or) - inter
+		if union == 0 {
+			continue
+		}
+		if s := float64(inter) / float64(union); s >= minSim {
+			out = append(out, OrRule{
+				From: int(r.From), To: [2]int{int(r.To[0]), int(r.To[1])},
+				Estimate: r.Estimate, Similarity: s,
+			})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Similarity != out[b].Similarity {
+			return out[a].Similarity > out[b].Similarity
+		}
+		if out[a].From != out[b].From {
+			return out[a].From < out[b].From
+		}
+		if out[a].To[0] != out[b].To[0] {
+			return out[a].To[0] < out[b].To[0]
+		}
+		return out[a].To[1] < out[b].To[1]
+	})
+	return out
+}
+
+// orFixture is a random matrix whose column 0 is empty and column 1
+// full; every other column draws most of one of two latent row sets,
+// so consequents co-occur and an antecedent is often close to the OR of
+// two others. Its shortlist gives a few antecedents a handful of
+// consequents each, at times repeating one or listing the antecedent
+// itself.
+func orFixture(seed uint64) (*Dataset, map[int][]int) {
+	rng := hashing.NewSplitMix64(seed)
+	rows, cols := 20+rng.Intn(400), 4+rng.Intn(20)
+	latent := [2]float64{0.05 + 0.3*rng.Float64(), 0.05 + 0.3*rng.Float64()}
+	in := make([][2]bool, rows)
+	for r := range in {
+		in[r] = [2]bool{rng.Float64() < latent[0], rng.Float64() < latent[1]}
+	}
+	noise := 0.1 * rng.Float64()
+	b := matrix.NewBuilder(rows, cols)
+	for r := 0; r < rows; r++ {
+		b.Set(r, 1)
+		for c := 2; c < cols; c++ {
+			if (in[r][c%2] && rng.Float64() < 0.8) || rng.Float64() < noise {
+				b.Set(r, c)
+			}
+		}
+	}
+	shortlist := map[int][]int{}
+	for range 1 + rng.Intn(4) {
+		from := rng.Intn(cols)
+		var tos []int
+		for range 2 + rng.Intn(6) {
+			tos = append(tos, rng.Intn(cols))
+		}
+		if rng.Float64() < 0.3 {
+			tos = append(tos, tos[0])
+		}
+		if rng.Float64() < 0.3 {
+			tos = append(tos, from)
+		}
+		shortlist[from] = tos
+	}
+	return &Dataset{m: b.Build()}, shortlist
+}
+
+// TestOrRulesMatchesOracle holds OrRules, whose exact stage is one
+// verify.Verify pass over virtual OR columns, to the merge loop it
+// replaced bit for bit — rules, duplicates, order, every float — on
+// random matrices (small candidate lists count on the scalar kernel,
+// larger ones packed), with minSim at a rule's exact similarity, and on
+// 14 identical columns, where every estimate and similarity ties and
+// the order rests on From and To alone. Collect must also accept the
+// extended source: every virtual column in range, every row increasing,
+// each virtual column the union of its pair.
+func TestOrRulesMatchesOracle(t *testing.T) {
+	type fixture struct {
+		d         *Dataset
+		shortlist map[int][]int
+	}
+	fixtures := map[string]fixture{}
+	for seed := uint64(1); seed <= 60; seed++ {
+		d, shortlist := orFixture(seed)
+		fixtures[fmt.Sprintf("random-%d", seed)] = fixture{d, shortlist}
+	}
+	same := make([][]int, 14)
+	for c := range same {
+		same[c] = []int{0, 2, 3, 5, 7, 11}
+	}
+	tied := fixture{d: testutil.Must(NewDatasetFromColumns(12, same)), shortlist: map[int][]int{}}
+	for from := range 6 {
+		for c := range same {
+			tied.shortlist[from] = append(tied.shortlist[from], (from+c)%len(same))
+		}
+	}
+	fixtures["tied"] = tied
+
+	bits := func(r OrRule) [5]uint64 {
+		return [5]uint64{uint64(r.From), uint64(r.To[0]), uint64(r.To[1]), math.Float64bits(r.Estimate), math.Float64bits(r.Similarity)}
+	}
+	kernels := map[bool]int{}
+	atThreshold, duplicates := 0, 0
+	check := func(name string, f fixture, sig *Signatures, minSim float64) []OrRule {
+		t.Helper()
+		got, err := OrRules(f.d, sig, f.shortlist, minSim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv := map[int32][]int32{}
+		for from, tos := range f.shortlist {
+			for _, c := range tos {
+				conv[int32(from)] = append(conv[int32(from)], int32(c))
+			}
+		}
+		cand := testutil.Must(rules.OrCandidates(sig.sig, conv, minSim))
+		want := orRulesOracle(f.d.m, cand, minSim)
+		if len(got) != len(want) {
+			t.Fatalf("%s minSim %v: %d rules, oracle %d", name, minSim, len(got), len(want))
+		}
+		for x := range want {
+			if bits(got[x]) != bits(want[x]) {
+				t.Fatalf("%s minSim %v: rule %d = %+v, oracle %+v", name, minSim, x, got[x], want[x])
+			}
+			if x > 0 && got[x] == got[x-1] {
+				duplicates++
+			}
+		}
+
+		src, vcand := newOrColumns(f.d.m.Stream(), cand)
+		kernels[verify.AutoPack(src.NumRows(), src.NumCols(), vcand, 0)]++
+		x, err := matrix.Collect(src)
+		if err != nil {
+			t.Fatalf("%s minSim %v: Collect over the OR columns: %v", name, minSim, err)
+		}
+		m := f.d.NumCols()
+		if x.NumCols() != m+len(src.ors) {
+			t.Fatalf("%s: %d columns collected, want %d", name, x.NumCols(), m+len(src.ors))
+		}
+		for v, to := range src.ors {
+			union := slices.Concat(f.d.m.Column(int(to[0])), f.d.m.Column(int(to[1])))
+			slices.Sort(union)
+			if col := x.Column(m + v); !slices.Equal(col, slices.Compact(union)) {
+				t.Fatalf("%s: virtual column %d = %v, want C_%d ∪ C_%d = %v", name, m+v, col, to[0], to[1], union)
+			}
+		}
+		return got
+	}
+	for name, f := range fixtures {
+		sig := testutil.Must(ComputeSignatures(f.d, 64, 7, 0))
+		for _, minSim := range []float64{0.05, 0.3, 0.6} {
+			got := check(name, f, sig, minSim)
+			// minSim exactly at a rule's similarity keeps that rule when
+			// its estimate passes too.
+			for _, r := range got {
+				if r.Similarity > minSim && r.Estimate >= r.Similarity {
+					atThreshold++
+					at := check(name, f, sig, r.Similarity)
+					if !slices.ContainsFunc(at, func(q OrRule) bool { return bits(q) == bits(r) }) {
+						t.Fatalf("%s: rule %+v dropped at minSim = its similarity", name, r)
+					}
+					break
+				}
+			}
+		}
+	}
+	t.Logf("kernels taken (packed: count) %v, %d runs at a rule's similarity, %d duplicate rules", kernels, atThreshold, duplicates)
+	if kernels[false] == 0 || kernels[true] == 0 {
+		t.Fatalf("kernels taken (packed: count) = %v: both must be", kernels)
+	}
+	if atThreshold == 0 || duplicates == 0 {
+		t.Fatalf("%d runs at a rule's similarity, %d duplicate rules: the fixtures miss a case", atThreshold, duplicates)
 	}
 }
