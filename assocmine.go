@@ -13,8 +13,9 @@ import (
 )
 
 // ErrAprioriMemory is returned by SimilarPairs when the Apriori
-// baseline exceeds Config.AprioriMemoryBudget — the failure mode the
-// paper reports for low support thresholds (Fig. 4's "-" rows).
+// baseline's counters are charged more than Config.MemoryBudget — the
+// failure mode the paper reports for low support thresholds (Fig. 4's
+// "-" rows).
 var ErrAprioriMemory = apriori.ErrMemoryBudget
 
 // Algorithm selects the mining scheme: one of the similar-pair schemes,
@@ -113,10 +114,6 @@ type Config struct {
 	// filter at proportionally more accepted samples. Default 32. The
 	// other algorithms ignore it.
 	SampleBudget int
-	// AprioriMemoryBudget bounds apriori's candidate bytes; zero means
-	// unlimited. When exceeded, SimilarPairs returns
-	// apriori.ErrMemoryBudget (the paper's Fig. 4 "-" entries).
-	AprioriMemoryBudget int64
 	// MemoryBudget bounds verification's memory in bytes; zero means
 	// unlimited. The exact pass picks its kernel from the input: the
 	// packed popcount kernel when the candidate columns fit the budget
@@ -127,7 +124,10 @@ type Config struct {
 	// partial counts to disk, merged after its single scan. Results are
 	// bit-identical whichever runs; Stats reports the packed work
 	// (PackedWords, PackedBatches) and the spill activity (SpillRuns,
-	// SpillBytes).
+	// SpillBytes). Apriori, which has no verification pass, is bounded by
+	// it instead: its pair counters are charged 24 bytes a pair of
+	// frequent columns (the classic candidate list), and over the budget
+	// SimilarPairs returns ErrAprioriMemory (the paper's Fig. 4 "-" rows).
 	MemoryBudget int64
 	// Seed drives all hashing; runs are deterministic in (data, Config).
 	Seed uint64
@@ -259,7 +259,8 @@ type Stats struct {
 
 	// DataPasses counts sequential scans of the data (the I/O currency
 	// of the disk-resident setting: phase 1 costs one pass, phase 3
-	// another; a-priori costs one per level). RowsScanned totals rows delivered
+	// another; a-priori costs two, one with fewer than two frequent
+	// columns or over its budget). RowsScanned totals rows delivered
 	// across all passes. Both are independent of Workers and of the
 	// source: an in-memory fast path that reads the data without
 	// scanning it accounts one I/O-equivalent pass.

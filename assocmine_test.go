@@ -220,7 +220,7 @@ func TestAprioriPath(t *testing.T) {
 func TestAprioriMemoryBudgetSurfaces(t *testing.T) {
 	d, _ := plantedDataset(t)
 	_, err := SimilarPairs(d, Config{
-		Algorithm: Apriori, Threshold: 0.5, MinSupport: 0.001, AprioriMemoryBudget: 128,
+		Algorithm: Apriori, Threshold: 0.5, MinSupport: 0.001, MemoryBudget: 128,
 	})
 	if !errors.Is(err, apriori.ErrMemoryBudget) {
 		t.Errorf("err = %v, want ErrMemoryBudget", err)

@@ -93,6 +93,10 @@ func TestGoldenOutput(t *testing.T) {
 		// functions of seed and data, identical for any worker count).
 		{"bps", options{in: data, algo: "bps", threshold: 0.5, seed: 3, top: 10, stats: true, metrics: true}},
 		{"stream-bps", options{in: data, algo: "bps", threshold: 0.5, seed: 3, top: 10, stats: true, metrics: true, stream: true}},
+		// A-priori after support pruning: two passes, singletons then
+		// pairs of frequent columns.
+		{"apriori", options{in: data, algo: "apriori", threshold: 0.5, support: 0.01, top: 10, stats: true, metrics: true}},
+		{"stream-apriori", options{in: data, algo: "apriori", threshold: 0.5, support: 0.01, top: 10, stats: true, metrics: true, stream: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,7 +79,7 @@ func main() {
 	flag.IntVar(&o.top, "top", 50, "print at most this many pairs/rules (0 = all)")
 	flag.BoolVar(&o.stats, "stats", true, "print phase statistics")
 	flag.BoolVar(&o.stream, "stream", false, "mine directly from disk (one file pass per phase; .txt, .arows or compressed .carows)")
-	flag.StringVar(&o.memBudget, "mem-budget", "", "verification memory budget, e.g. 64K, 16M, 1G (bytes if no suffix); empty or 0 = unlimited. The exact pass packs the candidate columns into popcount bitmaps only when they fit it, and when the scalar candidate counters exceed it, spills sorted runs to disk; results are bit-identical either way")
+	flag.StringVar(&o.memBudget, "mem-budget", "", "verification memory budget, e.g. 64K, 16M, 1G (bytes if no suffix); empty or 0 = unlimited. The exact pass packs the candidate columns into popcount bitmaps only when they fit it, and when the scalar candidate counters exceed it, spills sorted runs to disk; results are bit-identical either way. apriori, which does not verify, is bounded by it instead: its pair counters are charged 24 bytes a pair of frequent columns, and the run fails when that exceeds the budget")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the mining run after this long, e.g. 30s, 5m; 0 = no limit. Aborted runs clean up their spill files and exit non-zero")
 	flag.BoolVar(&o.txns, "transactions", false, "input is named-transaction format (item names per line)")
 	flag.BoolVar(&o.clusters, "clusters", false, "also group the found pairs into column clusters")

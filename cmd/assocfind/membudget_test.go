@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"assocmine"
+	"assocmine/internal/apriori"
+)
 
 func TestParseByteSize(t *testing.T) {
 	cases := []struct {
@@ -51,6 +59,31 @@ func TestFormatBytes(t *testing.T) {
 	for _, tc := range cases {
 		if got := formatBytes(tc.in); got != tc.want {
 			t.Errorf("formatBytes(%d) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestRunAprioriMemBudget: -mem-budget reaches a-priori, which has no
+// verification pass, as the bound on its pair counters: a byte below
+// their charge fails the run with ErrAprioriMemory, loaded or streamed,
+// and the charge itself is enough.
+func TestRunAprioriMemBudget(t *testing.T) {
+	data := filepath.Join("testdata", "golden.txt")
+	const support = 0.01
+	d, err := assocmine.LoadDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charge := apriori.PairBytes(len(apriori.SupportPrune(d.Matrix(), support)))
+	for _, stream := range []bool{false, true} {
+		o := options{in: data, algo: "apriori", threshold: 0.5, support: support, stream: stream}
+		o.memBudget = strconv.FormatInt(charge-1, 10)
+		if err := run(o); !errors.Is(err, assocmine.ErrAprioriMemory) {
+			t.Errorf("stream=%v: -mem-budget %s, a byte below the charge: err = %v", stream, o.memBudget, err)
+		}
+		o.memBudget = strconv.FormatInt(charge, 10)
+		if err := run(o); err != nil {
+			t.Errorf("stream=%v: -mem-budget %s, at the charge: %v", stream, o.memBudget, err)
 		}
 	}
 }

@@ -1033,10 +1033,14 @@ func equivalenceMatrix() []cell {
 		}
 	}
 	for _, ext := range formats[:2] {
-		for _, a := range []Algorithm{BruteForce, MinHash, KMinHash, MinLSH, HammingLSH} {
+		for _, a := range []Algorithm{BruteForce, MinHash, KMinHash, MinLSH, HammingLSH, Apriori} {
 			cfg := Config{Algorithm: a, Threshold: 0.45, K: 60, R: 3, L: 20, Seed: 5}
-			if a == HammingLSH {
+			switch a {
+			case HammingLSH:
 				cfg.R, cfg.L = 6, 10
+			case Apriori:
+				// Support pruning drops 4 of brute force's 10 pairs.
+				cfg.MinSupport = 0.02
 			}
 			add("TestFileDatasetMatchesInMemory", cell{fix: "f21", cfg: cfg, exec: streamExec, format: ext}, "%s/%v", ext, a)
 		}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"time"
 
 	"assocmine"
 )
@@ -31,7 +30,6 @@ func main() {
 		100*float64(data.Ones())/float64(data.NumRows()*data.NumCols()))
 
 	// Min-LSH: the paper's fastest scheme.
-	start := time.Now()
 	res, err := assocmine.SimilarPairs(data, assocmine.Config{
 		Algorithm: assocmine.MinLSH,
 		Threshold: 0.6,
@@ -41,24 +39,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("M-LSH found %d similar word pairs in %v:\n", len(res.Pairs), time.Since(start))
+	fmt.Printf("M-LSH found %d similar word pairs:\n", len(res.Pairs))
 	planted := map[[2]int]bool{}
 	for _, p := range corpus.PlantedPairs {
 		planted[p] = true
 		planted[[2]int{p[1], p[0]}] = true
 	}
-	recovered := 0
+	recovered := func(found []assocmine.Pair) int {
+		n := 0
+		for _, p := range found {
+			if planted[[2]int{p.I, p.J}] {
+				n++
+			}
+		}
+		return n
+	}
 	for _, p := range res.Pairs {
 		tag := ""
 		if planted[[2]int{p.I, p.J}] {
 			tag = "  <- Fig. 1 collocation"
-			recovered++
 		}
 		fmt.Printf("  (%s, %s)  sim=%.2f support=%.3f%%%s\n",
 			corpus.Word(p.I), corpus.Word(p.J), p.Similarity,
 			100*data.Density(p.I), tag)
 	}
-	fmt.Printf("recovered %d/%d planted collocations\n\n", recovered, len(corpus.PlantedPairs))
+	fmt.Printf("recovered %d/%d planted collocations\n\n", recovered(res.Pairs), len(corpus.PlantedPairs))
 
 	// The word cluster (the paper's chess-event example): pairs within
 	// the cluster are mutually similar.
@@ -74,12 +79,11 @@ func main() {
 	// the planted collocations live well below that support.
 	fmt.Println("\na-priori comparison:")
 	for _, support := range []float64{0.0005, 0.005, 0.02} {
-		start := time.Now()
-		_, err := assocmine.SimilarPairs(data, assocmine.Config{
-			Algorithm:           assocmine.Apriori,
-			Threshold:           0.6,
-			MinSupport:          support,
-			AprioriMemoryBudget: 8 << 20,
+		ap, err := assocmine.SimilarPairs(data, assocmine.Config{
+			Algorithm:    assocmine.Apriori,
+			Threshold:    0.6,
+			MinSupport:   support,
+			MemoryBudget: 8 << 20,
 		})
 		switch {
 		case errors.Is(err, assocmine.ErrAprioriMemory):
@@ -87,8 +91,8 @@ func main() {
 		case err != nil:
 			log.Fatal(err)
 		default:
-			fmt.Printf("  support %.2f%%: ran in %v, but support pruning discards the rare collocations\n",
-				100*support, time.Since(start))
+			fmt.Printf("  support %.2f%%: %d pairs, %d/%d planted collocations recovered (support pruning discards the rest)\n",
+				100*support, len(ap.Pairs), recovered(ap.Pairs), len(corpus.PlantedPairs))
 		}
 	}
 }

@@ -213,19 +213,3 @@ func TestFileDatasetMineRules(t *testing.T) {
 	}
 	samePairs(t, file.Pairs, mem.Pairs)
 }
-
-func TestFileDatasetApriori(t *testing.T) {
-	d, fd := fileDatasetFixture(t, ".arows")
-	cfg := Config{Algorithm: Apriori, Threshold: 0.45, MinSupport: 0.02}
-	mem, err := SimilarPairs(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, err := fd.SimilarPairs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mem.Pairs) != len(file.Pairs) {
-		t.Fatalf("apriori: %d pairs from memory, %d from file", len(mem.Pairs), len(file.Pairs))
-	}
-}

@@ -1,16 +1,18 @@
-// Package apriori implements the classic a-priori frequent-itemset
-// algorithm of Agrawal et al., the baseline the paper compares against
-// (Fig. 4). It performs level-wise candidate generation with the
-// subset-pruning step enabled by the support requirement, counting
-// supports in one data pass per level.
+// Package apriori implements the a-priori baseline the paper compares
+// against (Fig. 4) for the one job it does there: the similar pairs
+// among the columns that survive support pruning. Following Agrawal et
+// al., it makes two data passes: the first counts every column's
+// support, the second counts the support of every pair of frequent
+// columns, in a triangular array of counters.
 //
 // The paper's central observation is that a-priori is useless without
 // support pruning: as the support threshold drops the candidate sets
 // explode until the algorithm runs out of memory ("for support
 // threshold of 0.01 percent and less, a priori algorithm runs out of
 // memory on our systems"). Options.MemoryBudget models that failure
-// mode deterministically: candidate-set bytes are tracked and mining
-// aborts with ErrMemoryBudget when they exceed the budget.
+// mode deterministically: each pass is charged before it holds its
+// counters, and mining aborts with ErrMemoryBudget when a charge
+// exceeds the budget.
 package apriori
 
 import (
@@ -30,57 +32,66 @@ var ErrMemoryBudget = errors.New("apriori: candidate set exceeds memory budget")
 type Options struct {
 	// MinSupport is the s-fraction of rows an itemset must appear in.
 	MinSupport float64
-	// MaxLevel caps itemset size; 2 mines only pairs. Zero means
-	// unbounded (run until no candidates survive).
-	MaxLevel int
-	// MemoryBudget bounds the bytes of live candidate/counter state;
+	// MemoryBudget bounds the charged bytes of either pass's counters;
 	// zero means unlimited.
 	MemoryBudget int64
-	// UseHashTree counts candidate supports with the Agrawal-Srikant
-	// hash tree instead of the first-item index. Identical results;
-	// faster when candidate sets are large.
-	UseHashTree bool
 }
 
-// itemset is a frequent attribute set with its absolute support count.
-type itemset struct {
-	Items   []int32 // sorted ascending
-	Support int     // number of rows containing all items
+// PairBytes is the charge for counting the pairs of f frequent
+// columns: C(f, 2) candidates at 24 bytes each — two items, a counter
+// and an index entry, the candidate list of the 2000-era implementations
+// the paper ran out of memory with — not the 4 bytes a counter of the
+// triangular array takes.
+func PairBytes(f int) int64 {
+	return pairCount(f) * (2*4 + 16)
 }
 
-// Result holds the frequent itemsets by level (Levels[0] = singletons)
-// and accounting for the comparison experiments.
+// pairCount is C(f, 2), the number of pairs of f columns.
+func pairCount(f int) int64 {
+	return int64(f) * int64(f-1) / 2
+}
+
+// pairIndex is the position of the pair (i, j), i < j < f, in the
+// triangular array of f columns' pairs: row i holds (i, i+1) .. (i, f-1)
+// after the f-1 + f-2 + ... + f-i pairs of the rows before it.
+func pairIndex(i, j, f int) int64 {
+	i64 := int64(i)
+	return i64*int64(f) - i64*(i64+1)/2 + int64(j-i-1)
+}
+
+// minCount is the absolute support a fraction s of n rows asks for,
+// ⌈s·n⌉, and at least 1.
+func minCount(s float64, n int) int {
+	c := int(s * float64(n))
+	if float64(c) < s*float64(n) {
+		c++
+	}
+	return max(c, 1)
+}
+
+// Result is what the two passes counted: the frequent columns, their
+// supports and the support of every pair of them.
 type Result struct {
-	NumRows    int
-	Levels     [][]itemset
-	Passes     int   // data passes performed
-	Candidates []int // candidate count per level
-	PeakMemory int64 // peak candidate/counter bytes
+	minCount int
+	cols     []int32 // the frequent columns, ascending
+	support  []int32 // support[i] is cols[i]'s
+	both     []int32 // both[pairIndex(i, j, len(cols))] is {cols[i], cols[j]}'s
 }
 
-// Mine runs the level-wise a-priori algorithm over src.
+// Mine counts the frequent columns of src and the pairs among them. It
+// makes one pass when fewer than two columns are frequent or a charge
+// fails, and two otherwise.
 func Mine(src matrix.RowSource, opt Options) (*Result, error) {
 	if opt.MinSupport <= 0 || opt.MinSupport > 1 {
 		return nil, fmt.Errorf("apriori: MinSupport must be in (0,1], got %v", opt.MinSupport)
 	}
-	if opt.MaxLevel < 0 {
-		return nil, fmt.Errorf("apriori: MaxLevel must be non-negative, got %d", opt.MaxLevel)
-	}
-	n := src.NumRows()
+	over := func(bytes int64) bool { return opt.MemoryBudget > 0 && bytes > opt.MemoryBudget }
 	m := src.NumCols()
-	minCount := int(opt.MinSupport * float64(n))
-	if float64(minCount) < opt.MinSupport*float64(n) {
-		minCount++
-	}
-	if minCount < 1 {
-		minCount = 1
-	}
-	res := &Result{NumRows: n}
+	res := &Result{minCount: minCount(opt.MinSupport, src.NumRows())}
 
 	// Pass 1: singleton supports.
 	counts := make([]int32, m)
-	res.Passes++
-	err := src.Scan(func(row int, cols []int32) error {
+	err := src.Scan(func(_ int, cols []int32) error {
 		for _, c := range cols {
 			counts[c]++
 		}
@@ -89,162 +100,42 @@ func Mine(src matrix.RowSource, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var level []itemset
+	if over(int64(m) * 4) {
+		return nil, ErrMemoryBudget
+	}
+	// counts becomes each column's rank among the frequent ones, -1 for
+	// the rest.
 	for c, cnt := range counts {
-		if int(cnt) >= minCount {
-			level = append(level, itemset{Items: []int32{int32(c)}, Support: int(cnt)})
+		counts[c] = -1
+		if int(cnt) >= res.minCount {
+			counts[c] = int32(len(res.cols))
+			res.cols = append(res.cols, int32(c))
+			res.support = append(res.support, cnt)
 		}
 	}
-	res.Candidates = append(res.Candidates, m)
-	res.Levels = append(res.Levels, level)
-	mem := int64(m) * 4
-	if mem > res.PeakMemory {
-		res.PeakMemory = mem
-	}
-	if opt.MemoryBudget > 0 && mem > opt.MemoryBudget {
-		return res, ErrMemoryBudget
+	f := len(res.cols)
+	if f < 2 {
+		return res, nil
 	}
 
-	for k := 2; opt.MaxLevel == 0 || k <= opt.MaxLevel; k++ {
-		prev := res.Levels[k-2]
-		if len(prev) < 2 {
-			break
-		}
-		cand := generateCandidates(prev, k)
-		res.Candidates = append(res.Candidates, len(cand))
-		if len(cand) == 0 {
-			break
-		}
-		// Candidate memory: items + counter + index overhead.
-		mem = int64(len(cand)) * (int64(k)*4 + 16)
-		if mem > res.PeakMemory {
-			res.PeakMemory = mem
-		}
-		if opt.MemoryBudget > 0 && mem > opt.MemoryBudget {
-			return res, ErrMemoryBudget
-		}
-		var supports []int
-		if opt.UseHashTree {
-			supports, err = countSupportsHashTree(src, cand, k, m)
-		} else {
-			supports, err = countSupports(src, cand, k)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Passes++
-		level = level[:0:0]
-		for i, c := range cand {
-			if supports[i] >= minCount {
-				level = append(level, itemset{Items: c, Support: supports[i]})
-			}
-		}
-		res.Levels = append(res.Levels, level)
-		if len(level) == 0 {
-			break
-		}
+	// Pass 2: pair supports. A row's frequent ranks ascend with its
+	// columns, so each pair of them is (i, j) with i < j.
+	if over(PairBytes(f)) {
+		return nil, ErrMemoryBudget
 	}
-	return res, nil
-}
-
-// generateCandidates joins frequent (k-1)-itemsets sharing their first
-// k-2 items and prunes candidates with any infrequent (k-1)-subset —
-// the a-priori pruning step.
-func generateCandidates(prev []itemset, k int) [][]int32 {
-	// prev is sorted lexicographically by construction (level 1 is
-	// built in column order; joins preserve order).
-	freq := make(map[string]bool, len(prev))
-	for _, it := range prev {
-		freq[itemKey(it.Items)] = true
-	}
-	var cand [][]int32
-	for i := 0; i < len(prev); i++ {
-		for j := i + 1; j < len(prev); j++ {
-			a, b := prev[i].Items, prev[j].Items
-			if !samePrefix(a, b, k-2) {
-				break // sorted order: no later j shares the prefix
-			}
-			// Join: a + last item of b (a < b lexicographically).
-			c := make([]int32, k)
-			copy(c, a)
-			c[k-1] = b[k-2]
-			if c[k-2] >= c[k-1] {
-				continue
-			}
-			if hasInfrequentSubset(c, freq) {
-				continue
-			}
-			cand = append(cand, c)
-		}
-	}
-	return cand
-}
-
-func samePrefix(a, b []int32, n int) bool {
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func hasInfrequentSubset(c []int32, freq map[string]bool) bool {
-	sub := make([]int32, len(c)-1)
-	for drop := range c {
-		copy(sub, c[:drop])
-		copy(sub[drop:], c[drop+1:])
-		if !freq[itemKey(sub)] {
-			return true
-		}
-	}
-	return false
-}
-
-// itemKey encodes a sorted itemset as a map key.
-func itemKey(items []int32) string {
-	buf := make([]byte, len(items)*4)
-	for i, v := range items {
-		buf[i*4] = byte(v)
-		buf[i*4+1] = byte(v >> 8)
-		buf[i*4+2] = byte(v >> 16)
-		buf[i*4+3] = byte(v >> 24)
-	}
-	return string(buf)
-}
-
-// countSupports makes one pass over src counting how many rows contain
-// each candidate. Candidates are indexed by their first item, then
-// checked for containment against the sorted row.
-func countSupports(src matrix.RowSource, cand [][]int32, k int) ([]int, error) {
-	m := src.NumCols()
-	byFirst := make([][]int32, m)
-	for idx, c := range cand {
-		byFirst[c[0]] = append(byFirst[c[0]], int32(idx))
-	}
-	supports := make([]int, len(cand))
-	inRow := make([]int32, m) // stamp array: inRow[c] == row+1 if present
-	err := src.Scan(func(row int, cols []int32) error {
-		if len(cols) < k {
-			return nil
-		}
-		stamp := int32(row + 1)
+	res.both = make([]int32, pairCount(f))
+	var ranks []int32
+	err = src.Scan(func(_ int, cols []int32) error {
+		ranks = ranks[:0]
 		for _, c := range cols {
-			inRow[c] = stamp
+			if r := counts[c]; r >= 0 {
+				ranks = append(ranks, r)
+			}
 		}
-		for _, c := range cols {
-			for _, idx := range byFirst[c] {
-				items := cand[idx]
-				ok := true
-				for _, it := range items[1:] {
-					if inRow[it] != stamp {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					supports[idx]++
-				}
+		for a, i := range ranks {
+			row := res.both[pairIndex(int(i), int(i)+1, f):]
+			for _, j := range ranks[a+1:] {
+				row[j-i-1]++
 			}
 		}
 		return nil
@@ -252,33 +143,28 @@ func countSupports(src matrix.RowSource, cand [][]int32, k int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return supports, nil
+	return res, nil
 }
 
 // SimilarPairs converts a mined Result into the paper's similar-pair
-// output: pairs from level 2 with Jaccard similarity >= threshold,
+// output: the frequent pairs with Jaccard similarity >= threshold,
 // computed from the support counts (sim = n_ij / (n_i + n_j - n_ij)).
 func (r *Result) SimilarPairs(threshold float64) ([]pairs.Scored, error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("apriori: threshold must be in [0,1], got %v", threshold)
 	}
-	if len(r.Levels) < 2 {
-		return nil, nil
-	}
-	single := make(map[int32]int, len(r.Levels[0]))
-	for _, it := range r.Levels[0] {
-		single[it.Items[0]] = it.Support
-	}
 	var out []pairs.Scored
-	for _, it := range r.Levels[1] {
-		i, j := it.Items[0], it.Items[1]
-		union := single[i] + single[j] - it.Support
-		if union <= 0 {
-			continue
-		}
-		s := float64(it.Support) / float64(union)
-		if s >= threshold {
-			out = append(out, pairs.Scored{Pair: pairs.Make(i, j), Estimate: s, Exact: s})
+	k := 0 // pairIndex(i, j, len(r.cols)): the array is walked in order
+	for i, si := range r.support {
+		for j := i + 1; j < len(r.cols); j, k = j+1, k+1 {
+			both := int(r.both[k])
+			if both < r.minCount {
+				continue
+			}
+			s := float64(both) / float64(int(si)+int(r.support[j])-both)
+			if s >= threshold {
+				out = append(out, pairs.Scored{Pair: pairs.Make(r.cols[i], r.cols[j]), Estimate: s, Exact: s})
+			}
 		}
 	}
 	pairs.SortScored(out)
@@ -290,16 +176,10 @@ func (r *Result) SimilarPairs(threshold float64) ([]pairs.Scored, error) {
 // applies to the news data before a-priori can run at all (Fig. 4's
 // "number of columns after support pruning").
 func SupportPrune(m *matrix.Matrix, minSupport float64) []int32 {
-	minCount := int(minSupport * float64(m.NumRows()))
-	if float64(minCount) < minSupport*float64(m.NumRows()) {
-		minCount++
-	}
-	if minCount < 1 {
-		minCount = 1
-	}
+	need := minCount(minSupport, m.NumRows())
 	var keep []int32
 	for c := 0; c < m.NumCols(); c++ {
-		if m.ColumnSize(c) >= minCount {
+		if m.ColumnSize(c) >= need {
 			keep = append(keep, int32(c))
 		}
 	}

@@ -27,16 +27,44 @@ func textbook() *matrix.Matrix {
 	return m
 }
 
-func supportOf(res *Result, items ...int32) (int, bool) {
-	if len(items) == 0 || len(items) > len(res.Levels) {
-		return 0, false
+// singletons is res's frequent columns with their supports.
+func singletons(res *Result) map[int32]int {
+	out := map[int32]int{}
+	for i, c := range res.cols {
+		out[c] = int(res.support[i])
 	}
-	for _, it := range res.Levels[len(items)-1] {
-		if reflect.DeepEqual(it.Items, items) {
-			return it.Support, true
+	return out
+}
+
+// frequentPairs is res's frequent pairs of columns with their supports.
+func frequentPairs(res *Result) map[[2]int32]int {
+	out := map[[2]int32]int{}
+	f := len(res.cols)
+	for i := 0; i < f; i++ {
+		for j := i + 1; j < f; j++ {
+			if n := int(res.both[pairIndex(i, j, f)]); n >= res.minCount {
+				out[[2]int32{res.cols[i], res.cols[j]}] = n
+			}
 		}
 	}
-	return 0, false
+	return out
+}
+
+// bruteForce counts every column and every pair of columns of m
+// directly, and keeps those with support >= minCount.
+func bruteForce(m *matrix.Matrix, minCount int) (map[int32]int, map[[2]int32]int) {
+	single, both := map[int32]int{}, map[[2]int32]int{}
+	for a := 0; a < m.NumCols(); a++ {
+		if n := m.ColumnSize(a); n >= minCount {
+			single[int32(a)] = n
+		}
+		for b := a + 1; b < m.NumCols(); b++ {
+			if n := m.IntersectSize(a, b); n >= minCount {
+				both[[2]int32{int32(a), int32(b)}] = n
+			}
+		}
+	}
+	return single, both
 }
 
 func TestMineValidation(t *testing.T) {
@@ -45,9 +73,6 @@ func TestMineValidation(t *testing.T) {
 		if _, err := Mine(m.Stream(), Options{MinSupport: s}); err == nil {
 			t.Errorf("MinSupport %v accepted", s)
 		}
-	}
-	if _, err := Mine(m.Stream(), Options{MinSupport: 0.5, MaxLevel: -1}); err == nil {
-		t.Error("negative MaxLevel accepted")
 	}
 }
 
@@ -58,105 +83,134 @@ func TestMineTextbook(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Frequent singletons: 0(2), 1(4), 3(2).
-	wantL1 := map[int32]int{0: 2, 1: 4, 3: 2}
-	if len(res.Levels[0]) != len(wantL1) {
-		t.Fatalf("L1 = %+v", res.Levels[0])
+	if got, want := singletons(res), map[int32]int{0: 2, 1: 4, 3: 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("frequent singletons %v, want %v", got, want)
 	}
-	for _, it := range res.Levels[0] {
-		if wantL1[it.Items[0]] != it.Support {
-			t.Errorf("L1 itemset %+v wrong", it)
-		}
-	}
-	// Frequent pairs: {0,1}(2), {1,3}(2).
-	if len(res.Levels[1]) != 2 {
-		t.Fatalf("L2 = %+v", res.Levels[1])
-	}
-	if s, ok := supportOf(res, 0, 1); !ok || s != 2 {
-		t.Errorf("support({0,1}) = %d, %v", s, ok)
-	}
-	if s, ok := supportOf(res, 1, 3); !ok || s != 2 {
-		t.Errorf("support({1,3}) = %d, %v", s, ok)
-	}
-	// No frequent triples: {0,1,3} appears once.
-	if len(res.Levels) > 2 && len(res.Levels[2]) != 0 {
-		t.Errorf("L3 = %+v, want empty", res.Levels[2])
+	// Frequent pairs: {0,1}(2), {1,3}(2); {0,3} appears once.
+	if got, want := frequentPairs(res), map[[2]int32]int{{0, 1}: 2, {1, 3}: 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("frequent pairs %v, want %v", got, want)
 	}
 }
 
-func TestMaxLevelCapsWork(t *testing.T) {
-	res, err := Mine(textbook().Stream(), Options{MinSupport: 0.25, MaxLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Levels) > 2 {
-		t.Errorf("MaxLevel 2 produced %d levels", len(res.Levels))
-	}
-}
-
-// TestMineMatchesBruteForce: every frequent itemset reported must have
-// its exact support, and no frequent itemset may be missed.
+// TestMineMatchesBruteForce holds the two passes to a direct count over
+// random matrices: the frequent columns and pairs with their supports,
+// the similar pairs, and the budget's verdict at the charge and a byte
+// below it. The matrices cover fewer than two frequent columns, empty
+// rows, a row holding every column and a support threshold exactly at
+// a column's support.
 func TestMineMatchesBruteForce(t *testing.T) {
-	rng := hashing.NewSplitMix64(1)
-	b := matrix.NewBuilder(60, 8)
-	for c := 0; c < 8; c++ {
-		for r := 0; r < 60; r++ {
-			if rng.Float64() < 0.4 {
-				b.Set(r, c)
+	for seed := uint64(0); seed < 100; seed++ {
+		rng := hashing.NewSplitMix64(seed)
+		rows, cols := 1+rng.Intn(80), 1+rng.Intn(12)
+		density := 0.1 + 0.9*rng.Float64()
+		b := matrix.NewBuilder(rows, cols)
+		for r := 0; r < rows; r++ {
+			switch {
+			case seed%5 == 1 && r%3 == 0: // empty rows
+			case seed%5 == 2 && r == rows/2: // a row holding every column
+				for c := 0; c < cols; c++ {
+					b.Set(r, c)
+				}
+			default:
+				for c := 0; c < cols; c++ {
+					if rng.Float64() < density {
+						b.Set(r, c)
+					}
+				}
 			}
 		}
-	}
-	m := b.Build()
-	const minSupport = 0.3
-	res, err := Mine(m.Stream(), Options{MinSupport: minSupport})
-	if err != nil {
-		t.Fatal(err)
-	}
-	minCount := int(math.Ceil(minSupport * 60))
+		m := b.Build()
+		support := 0.02 + 0.5*rng.Float64()
+		switch seed % 4 {
+		case 1: // exactly at a column's support
+			if n := m.ColumnSize(rng.Intn(cols)); n > 0 {
+				support = float64(n) / float64(rows)
+			}
+		case 3: // rarely more than one frequent column
+			support = 0.9 + 0.1*rng.Float64()
+		}
+		minCount := int(math.Ceil(support * float64(rows)))
+		wantSingle, wantBoth := bruteForce(m, minCount)
 
-	// Brute force over all itemsets up to size 4.
-	var rows [][]int32
-	_ = m.Stream().Scan(func(r int, cols []int32) error {
-		rows = append(rows, append([]int32(nil), cols...))
-		return nil
-	})
-	contains := func(row, items []int32) bool {
-		j := 0
-		for _, it := range items {
-			for j < len(row) && row[j] < it {
-				j++
-			}
-			if j == len(row) || row[j] != it {
-				return false
+		res, err := Mine(m.Stream(), Options{MinSupport: support})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := singletons(res); !reflect.DeepEqual(got, wantSingle) {
+			t.Errorf("seed %d: frequent singletons %v, brute force %v", seed, got, wantSingle)
+		}
+		if got := frequentPairs(res); len(got)+len(wantBoth) > 0 && !reflect.DeepEqual(got, wantBoth) {
+			t.Errorf("seed %d: frequent pairs %v, brute force %v", seed, got, wantBoth)
+		}
+		threshold := rng.Float64()
+		sim, err := res.SimilarPairs(threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for p, n := range wantBoth {
+			s := float64(n) / float64(m.ColumnSize(int(p[0]))+m.ColumnSize(int(p[1]))-n)
+			if s >= threshold {
+				want++
 			}
 		}
-		return true
-	}
-	var check func(items []int32, next int32)
-	check = func(items []int32, next int32) {
-		if len(items) > 0 && len(items) <= 4 {
-			supp := 0
-			for _, row := range rows {
-				if contains(row, items) {
-					supp++
-				}
-			}
-			got, ok := supportOf(res, items...)
-			if supp >= minCount {
-				if !ok || got != supp {
-					t.Errorf("itemset %v: mined (%d,%v), brute force %d", items, got, ok, supp)
-				}
-			} else if ok {
-				t.Errorf("itemset %v reported frequent with support %d < %d", items, got, minCount)
+		if len(sim) != want {
+			t.Errorf("seed %d: %d similar pairs at %v, brute force %d", seed, len(sim), threshold, want)
+		}
+		for _, p := range sim {
+			if s := m.Similarity(int(p.I), int(p.J)); s != p.Exact || s < threshold {
+				t.Errorf("seed %d: pair %+v, exact similarity %v", seed, p, s)
 			}
 		}
-		if len(items) == 4 {
-			return
+
+		charge := max(int64(cols)*4, PairBytes(len(wantSingle)))
+		if _, err := Mine(m.Stream(), Options{MinSupport: support, MemoryBudget: charge}); err != nil {
+			t.Errorf("seed %d: budget at the %d-byte charge: %v", seed, charge, err)
 		}
-		for c := next; c < 8; c++ {
-			check(append(items, c), c+1)
+		if _, err := Mine(m.Stream(), Options{MinSupport: support, MemoryBudget: charge - 1}); !errors.Is(err, ErrMemoryBudget) {
+			t.Errorf("seed %d: budget a byte below the %d-byte charge: err = %v", seed, charge, err)
 		}
 	}
-	check(nil, 0)
+}
+
+// TestPairIndex: the triangular index enumerates the pairs of f columns
+// row by row, from 0 to C(f, 2)-1, in int64 past 2^31 counters; checked
+// without allocating the array.
+func TestPairIndex(t *testing.T) {
+	for f := 2; f <= 9; f++ {
+		want := int64(0)
+		for i := 0; i < f; i++ {
+			for j := i + 1; j < f; j++ {
+				if got := pairIndex(i, j, f); got != want {
+					t.Fatalf("pairIndex(%d, %d, %d) = %d, want %d", i, j, f, got, want)
+				}
+				want++
+			}
+		}
+		if want != pairCount(f) {
+			t.Fatalf("pairCount(%d) = %d, enumerated %d", f, pairCount(f), want)
+		}
+	}
+	const f = 70000
+	last := pairCount(f) - 1
+	if last <= math.MaxInt32 {
+		t.Fatalf("C(%d, 2) = %d fits an int32: the case is vacuous", f, last+1)
+	}
+	if got := pairIndex(0, 1, f); got != 0 {
+		t.Errorf("pairIndex(0, 1) = %d", got)
+	}
+	if got := pairIndex(f-2, f-1, f); got != last {
+		t.Errorf("pairIndex(f-2, f-1) = %d, want %d", got, last)
+	}
+	for _, i := range []int{1, 2, 30677, 30678, 46340, 46341, f / 2, f - 3, f - 2} {
+		// Row i starts right after row i-1 ends.
+		if got, want := pairIndex(i, i+1, f), pairIndex(i-1, f-1, f)+1; got != want {
+			t.Errorf("pairIndex(%d, %d) = %d, want %d", i, i+1, got, want)
+		}
+	}
+	if got, want := PairBytes(f), 24*(last+1); got != want {
+		t.Errorf("PairBytes(%d) = %d, want %d", f, got, want)
+	}
 }
 
 func TestMemoryBudget(t *testing.T) {
@@ -176,13 +230,13 @@ func TestMemoryBudget(t *testing.T) {
 		t.Errorf("err = %v, want ErrMemoryBudget", err)
 	}
 	// Generous budget: must succeed.
-	if _, err := Mine(m.Stream(), Options{MinSupport: 0.05, MaxLevel: 2, MemoryBudget: 1 << 30}); err != nil {
+	if _, err := Mine(m.Stream(), Options{MinSupport: 0.05, MemoryBudget: 1 << 30}); err != nil {
 		t.Errorf("generous budget failed: %v", err)
 	}
 }
 
 func TestSimilarPairs(t *testing.T) {
-	res, err := Mine(textbook().Stream(), Options{MinSupport: 0.25, MaxLevel: 2})
+	res, err := Mine(textbook().Stream(), Options{MinSupport: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,16 +284,28 @@ func TestSupportPruneAndProject(t *testing.T) {
 	}
 }
 
+// TestPassesAccounting: Mine scans twice, once when fewer than two
+// columns are frequent or a charge fails.
 func TestPassesAccounting(t *testing.T) {
-	res, err := Mine(textbook().Stream(), Options{MinSupport: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passes != len(res.Levels) && res.Passes != len(res.Levels)+1 {
-		t.Errorf("Passes = %d with %d levels", res.Passes, len(res.Levels))
-	}
-	if res.PeakMemory <= 0 {
-		t.Error("PeakMemory not tracked")
+	for _, c := range []struct {
+		opt  Options
+		want int
+	}{
+		{Options{MinSupport: 0.25}, 2},
+		{Options{MinSupport: 1}, 1},                       // only column 1 is frequent
+		{Options{MinSupport: 0.25, MemoryBudget: 19}, 1},  // pass 1's 20 bytes
+		{Options{MinSupport: 0.25, MemoryBudget: 239}, 1}, // C(5, 2)·24 = 240 bytes of pairs
+		{Options{MinSupport: 0.25, MemoryBudget: 240}, 2}, // at the charge
+		{Options{MinSupport: 0.5, MemoryBudget: 72}, 2},   // C(3, 2)·24
+	} {
+		src := &matrix.CountingSource{Src: textbook().Stream()}
+		_, err := Mine(src, c.opt)
+		if err != nil && !errors.Is(err, ErrMemoryBudget) {
+			t.Fatal(err)
+		}
+		if src.Passes != c.want {
+			t.Errorf("%+v: %d passes, want %d", c.opt, src.Passes, c.want)
+		}
 	}
 }
 
@@ -256,25 +322,20 @@ func TestQuickAprioriSoundness(t *testing.T) {
 			}
 		}
 		m := b.Build()
-		res, err := Mine(m.Stream(), Options{MinSupport: 0.2, MaxLevel: 3})
+		res, err := Mine(m.Stream(), Options{MinSupport: 0.2})
 		if err != nil {
 			return false
 		}
 		minCount := int(math.Ceil(0.2 * float64(rows)))
-		// Every reported pair support must match exact intersection.
-		for _, it := range res.Levels[0] {
-			if m.ColumnSize(int(it.Items[0])) != it.Support || it.Support < minCount {
+		// Every reported support must match the exact count.
+		for c, n := range singletons(res) {
+			if m.ColumnSize(int(c)) != n || n < minCount {
 				return false
 			}
 		}
-		if len(res.Levels) > 1 {
-			for _, it := range res.Levels[1] {
-				if m.IntersectSize(int(it.Items[0]), int(it.Items[1])) != it.Support {
-					return false
-				}
-				if it.Support < minCount {
-					return false
-				}
+		for p, n := range frequentPairs(res) {
+			if m.IntersectSize(int(p[0]), int(p[1])) != n || n < minCount {
+				return false
 			}
 		}
 		return true

@@ -6,27 +6,17 @@ import (
 	"assocmine/internal/gen"
 )
 
-// BenchmarkCounting compares the first-item index against the
-// Agrawal-Srikant hash tree on a Quest workload (the structure both
-// were designed for).
+// BenchmarkCounting mines the frequent pairs of a Quest workload, the
+// market-basket structure a-priori was designed for.
 func BenchmarkCounting(b *testing.B) {
 	q, err := gen.GenerateQuest(gen.QuestConfig{Transactions: 20000, Items: 500, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	src := q.Matrix.Stream()
-	b.Run("FirstItemIndex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Mine(src, Options{MinSupport: 0.01, MaxLevel: 3}); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := Mine(src, Options{MinSupport: 0.01}); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("HashTree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Mine(src, Options{MinSupport: 0.01, MaxLevel: 3, UseHashTree: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

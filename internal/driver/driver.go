@@ -52,9 +52,9 @@ type Input struct {
 	// Column, when >= 0, restricts a sketch scheme's phase 2 to the pairs
 	// containing it, on the local executor (Search's too); -1: every pair.
 	Column int
-	// The serial schemes' extras: a-priori's support and byte budget.
-	MinSupport    float64
-	AprioriBudget int64
+	// MinSupport is a-priori's support fraction; its byte budget is
+	// Verify.Budget.Bytes, which nothing else reads in such a run.
+	MinSupport float64
 	// Adopted, when non-nil, is taken in place of the phase-1 fold.
 	Adopted  *Adopted
 	Recorder obs.Recorder
@@ -325,13 +325,12 @@ func (r *run) scheme() (scheme, error) {
 
 	case fold.Apriori:
 		return scheme{exact: true, generate: func(_ fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
-			// A-priori scans once per level; ticks from later passes
-			// restart at zero and the sink drops them, so progress
-			// tracks the first pass and completes when the phase does.
+			// A-priori scans twice; ticks from the second pass restart
+			// at zero and the sink drops them, so progress tracks the
+			// first pass and completes when the phase does.
 			res, err := apriori.Mine(r.ticked(tick), apriori.Options{
 				MinSupport:   r.in.MinSupport,
-				MaxLevel:     2,
-				MemoryBudget: r.in.AprioriBudget,
+				MemoryBudget: r.in.Verify.Budget.Bytes,
 			})
 			if err != nil {
 				return nil, err

@@ -21,6 +21,10 @@ type Fig4Row struct {
 	// paper.
 	Apriori, MH, KMH, HLSH, MLSH time.Duration
 	AprioriOOM                   bool
+	// Each scheme's Stats.Candidates: the pairs its phase 2 handed to
+	// verification, the work a-priori's C(columns, 2) counters stand
+	// against.
+	MHCandidates, KMHCandidates, HLSHCandidates, MLSHCandidates int
 }
 
 // Fig4 reproduces the Fig. 4 table: running times of a-priori vs. the
@@ -38,11 +42,11 @@ func Fig4(w *Workloads, thresholds []float64, memBudget int64) (Table, []Fig4Row
 		thresholds = supportQuantiles(m, []float64{0.95, 0.70, 0.50})
 	}
 	if memBudget == 0 {
-		// Sized between the level-2 candidate memory at the lowest and
-		// the middle threshold, so a-priori exceeds it only on the
+		// Sized between a-priori's pair charge at the lowest and the
+		// middle threshold, so it exceeds the budget only on the
 		// lowest-support row — the paper's out-of-memory behaviour.
-		lo := aprioriPairBytes(len(apriori.SupportPrune(m, thresholds[0])))
-		mid := aprioriPairBytes(len(apriori.SupportPrune(m, thresholds[1])))
+		lo := apriori.PairBytes(len(apriori.SupportPrune(m, thresholds[0])))
+		mid := apriori.PairBytes(len(apriori.SupportPrune(m, thresholds[1])))
 		memBudget = (lo + mid) / 2
 		if memBudget <= mid { // degenerate: thresholds prune nothing
 			memBudget = mid + 1
@@ -69,7 +73,7 @@ func Fig4(w *Workloads, thresholds []float64, memBudget int64) (Table, []Fig4Row
 		start := time.Now()
 		_, err := assocmine.SimilarPairs(d, assocmine.Config{
 			Algorithm: assocmine.Apriori, Threshold: simThreshold,
-			MinSupport: th, AprioriMemoryBudget: memBudget,
+			MinSupport: th, MemoryBudget: memBudget,
 		})
 		switch {
 		case errors.Is(err, apriori.ErrMemoryBudget):
@@ -81,21 +85,22 @@ func Fig4(w *Workloads, thresholds []float64, memBudget int64) (Table, []Fig4Row
 		}
 
 		type algo struct {
-			dst *time.Duration
-			cfg assocmine.Config
+			dst  *time.Duration
+			cand *int
+			cfg  assocmine.Config
 		}
 		algos := []algo{
-			{&row.MH, assocmine.Config{Algorithm: assocmine.MinHash, Threshold: simThreshold, K: 100, Seed: 3}},
-			{&row.KMH, assocmine.Config{Algorithm: assocmine.KMinHash, Threshold: simThreshold, K: 100, Seed: 3}},
-			{&row.HLSH, assocmine.Config{Algorithm: assocmine.HammingLSH, Threshold: simThreshold, R: 8, L: 10, Seed: 3}},
-			{&row.MLSH, assocmine.Config{Algorithm: assocmine.MinLSH, Threshold: simThreshold, K: 100, R: 5, L: 20, Seed: 3}},
+			{&row.MH, &row.MHCandidates, assocmine.Config{Algorithm: assocmine.MinHash, Threshold: simThreshold, K: 100, Seed: 3}},
+			{&row.KMH, &row.KMHCandidates, assocmine.Config{Algorithm: assocmine.KMinHash, Threshold: simThreshold, K: 100, Seed: 3}},
+			{&row.HLSH, &row.HLSHCandidates, assocmine.Config{Algorithm: assocmine.HammingLSH, Threshold: simThreshold, R: 8, L: 10, Seed: 3}},
+			{&row.MLSH, &row.MLSHCandidates, assocmine.Config{Algorithm: assocmine.MinLSH, Threshold: simThreshold, K: 100, R: 5, L: 20, Seed: 3}},
 		}
 		for _, a := range algos {
 			res, err := assocmine.SimilarPairs(d, a.cfg)
 			if err != nil {
 				return Table{}, nil, fmt.Errorf("%v at %v: %w", a.cfg.Algorithm, th, err)
 			}
-			*a.dst = res.Stats.Total()
+			*a.dst, *a.cand = res.Stats.Total(), res.Stats.Candidates
 		}
 		rows = append(rows, row)
 
@@ -137,12 +142,4 @@ func supportQuantiles(m *matrix.Matrix, keep []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// aprioriPairBytes estimates a-priori's level-2 candidate memory for m
-// frequent singletons: every pair of frequent items is a level-2
-// candidate, at the per-candidate cost Mine charges (2 items + counter
-// overhead).
-func aprioriPairBytes(m int) int64 {
-	return int64(m) * int64(m-1) / 2 * (2*4 + 16)
 }

@@ -158,6 +158,30 @@ func TestFig4ShapeAndOOM(t *testing.T) {
 	}
 }
 
+// TestFig4DefaultsAprioriCountsMost holds Fig. 4's claims as
+// deterministic work at the product's default thresholds and budget:
+// a-priori is out of memory on the lowest-support row alone, and on
+// every row the C(columns, 2) pairs it counts are at least ten times
+// the candidates any scheme hands to verification.
+func TestFig4DefaultsAprioriCountsMost(t *testing.T) {
+	_, rows, err := Fig4(tinyWorkloads(t), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if r.AprioriOOM != (i == 0) {
+			t.Errorf("row %d (support %v): a-priori out of memory = %v", i, r.SupportThreshold, r.AprioriOOM)
+		}
+		f := r.ColumnsAfterPrune
+		counted := f * (f - 1) / 2
+		for name, c := range map[string]int{"MH": r.MHCandidates, "K-MH": r.KMHCandidates, "H-LSH": r.HLSHCandidates, "M-LSH": r.MLSHCandidates} {
+			if c <= 0 || counted < 10*c {
+				t.Errorf("row %d: a-priori counts %d pairs, %s verifies %d candidates", i, counted, name, c)
+			}
+		}
+	}
+}
+
 func TestFig5MHQualitySharpensWithK(t *testing.T) {
 	w := tinyWorkloads(t)
 	figs, err := Fig5(w)

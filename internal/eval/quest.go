@@ -2,10 +2,8 @@ package eval
 
 import (
 	"fmt"
-	"time"
 
 	"assocmine"
-	"assocmine/internal/apriori"
 	"assocmine/internal/gen"
 )
 
@@ -78,31 +76,21 @@ func QuestExperiment(sc Scale) (Table, error) {
 		return planted, belowFloor
 	}
 
-	// A-priori with the hash tree at its feasible floor.
-	start := time.Now()
-	res, err := apriori.Mine(m.Stream(), apriori.Options{
-		MinSupport: supportFloor, MaxLevel: 2, UseHashTree: true,
+	// A-priori at its feasible floor.
+	ap, err := assocmine.SimilarPairs(d, assocmine.Config{
+		Algorithm: assocmine.Apriori, Threshold: 0.3, MinSupport: supportFloor,
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	apPairs, err := res.SimilarPairs(0.3)
-	if err != nil {
-		return Table{}, err
-	}
-	apTime := time.Since(start)
-	apFound := make([]assocmine.Pair, len(apPairs))
-	for i, p := range apPairs {
-		apFound[i] = assocmine.Pair{I: int(p.I), J: int(p.J), Similarity: p.Exact}
-	}
-	apPlanted, apBelow := countPlanted(apFound)
+	apPlanted, apBelow := countPlanted(ap.Pairs)
 	t.Rows = append(t.Rows, []string{
-		"a-priori (hash tree)",
+		"a-priori",
 		fmt.Sprintf("support %.2f%%", supportFloor*100),
-		fmt.Sprintf("%d", len(apFound)),
+		fmt.Sprintf("%d", len(ap.Pairs)),
 		fmt.Sprintf("%d/%d", apPlanted, len(interesting)),
 		fmt.Sprintf("%d", apBelow),
-		fmtDur(apTime),
+		fmtDur(ap.Stats.Total()),
 	})
 
 	// M-LSH with no support requirement.

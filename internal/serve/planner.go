@@ -8,9 +8,9 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"assocmine"
+	"assocmine/internal/lsh"
 )
 
 // Plan kinds — which resident index a query runs against and how.
@@ -69,12 +69,6 @@ func (p queryPlan) resolve(ix *index, base assocmine.Config) (assocmine.Resident
 	}
 }
 
-// bandDetect is the probability that a pair at similarity s shares at
-// least one of l bands of r rows: 1 - (1 - s^r)^l (§4.1).
-func bandDetect(s float64, r, l int) float64 {
-	return 1 - math.Pow(1-math.Pow(s, float64(r)), float64(l))
-}
-
 // choosePlan picks the resident index for a pair-style query at the
 // given effective threshold (for top-k queries, the search floor —
 // the lowest threshold the descending search may reach) over a server
@@ -108,7 +102,7 @@ func choosePlan(threshold float64, sigK int, force string) (queryPlan, error) {
 		return queryPlan{}, fmt.Errorf("unknown algo %q (want auto, mlsh, kmh or mh)", force)
 	}
 	r, l := bandLayout(sigK)
-	if det := bandDetect(threshold, r, l); det >= minDetect {
+	if det := lsh.ProbAtLeastOnce(threshold, r, l); det >= minDetect {
 		return queryPlan{
 			Kind: planMLSHProbe, R: r, L: l,
 			Reason: fmt.Sprintf("banding detects s>=%.2f pairs with p=%.3f", threshold, det),

@@ -1,37 +1,10 @@
 package serve
 
 import (
-	"math"
 	"testing"
-)
 
-func TestBandDetect(t *testing.T) {
-	// 1-(1-s^r)^l against hand-computed values.
-	cases := []struct {
-		s    float64
-		r, l int
-		want float64
-	}{
-		{0.9, 5, 40, 1 - math.Pow(1-math.Pow(0.9, 5), 40)},
-		{0.5, 5, 40, 1 - math.Pow(1-math.Pow(0.5, 5), 40)},
-		{1.0, 5, 1, 1},
-		{0.0, 5, 40, 0},
-	}
-	for _, c := range cases {
-		if got := bandDetect(c.s, c.r, c.l); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("bandDetect(%v,%d,%d) = %v, want %v", c.s, c.r, c.l, got, c.want)
-		}
-	}
-	// Monotone in s.
-	prev := -1.0
-	for s := 0.0; s <= 1.0; s += 0.05 {
-		d := bandDetect(s, 5, 40)
-		if d < prev {
-			t.Fatalf("bandDetect not monotone at s=%v", s)
-		}
-		prev = d
-	}
-}
+	"assocmine/internal/lsh"
+)
 
 func TestChoosePlan(t *testing.T) {
 	const sigK = 200
@@ -87,9 +60,9 @@ func TestChoosePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantProbe := bandDetect(s, r, l) >= minDetect
+		wantProbe := lsh.ProbAtLeastOnce(s, r, l) >= minDetect
 		if (plan.Kind == planMLSHProbe) != wantProbe {
-			t.Fatalf("at threshold %.2f got %s, detect=%v", s, plan.Kind, bandDetect(s, r, l))
+			t.Fatalf("at threshold %.2f got %s, detect=%v", s, plan.Kind, lsh.ProbAtLeastOnce(s, r, l))
 		}
 	}
 }

@@ -21,8 +21,7 @@ func (c Config) input(src matrix.RowSource) driver.Input {
 		Verify: verify.Params{Budget: verify.Budget{Bytes: c.MemoryBudget, Dir: c.SpillDir},
 			Workers: c.Workers, Context: c.Context},
 		SkipVerify: c.SkipVerify, Window: c.Window, Column: -1,
-		MinSupport: c.MinSupport, AprioriBudget: c.AprioriMemoryBudget,
-		Progress: c.Progress,
+		MinSupport: c.MinSupport, Progress: c.Progress,
 	}
 }
 
