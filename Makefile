@@ -87,20 +87,25 @@ bench-phase1:
 # Phase 2's kernels (BenchmarkPhase2: the MH, K-MH and M-LSH kernels
 # under the goroutine scheduler, index build included;
 # BenchmarkBandingWide: M-LSH banding over 40k columns;
-# BenchmarkCandidates: H-LSH's one pass and fold ladder) from test
-# binaries built once into .bench_build/, COUNT runs of each; compare
-# two commits the way bench-resident says.
+# BenchmarkCandidates: H-LSH's one pass and fold ladder;
+# BenchmarkRulesCandidates: §6's table — run index, two-agreement scan
+# and count — on a synthetic set and on the full-scale news corpus) from
+# test binaries built once into .bench_build/, COUNT runs of each;
+# compare two commits the way bench-resident says.
 bench-phase2:
 	mkdir -p .bench_build
 	$(GO) test -c -o .bench_build/candidate.test ./internal/candidate
 	$(GO) test -c -o .bench_build/lsh.test ./internal/lsh
 	$(GO) test -c -o .bench_build/hamminglsh.test ./internal/hamminglsh
+	$(GO) test -c -o .bench_build/rules.test ./internal/rules
 	./.bench_build/candidate.test -test.run '^$$' -test.bench 'BenchmarkPhase2$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
 	./.bench_build/lsh.test -test.run '^$$' -test.bench 'BenchmarkBandingWide$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
 	./.bench_build/hamminglsh.test -test.run '^$$' -test.bench 'BenchmarkCandidates$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 20x -test.count $(COUNT) -test.timeout 30m
+	./.bench_build/rules.test -test.run '^$$' -test.bench 'BenchmarkRulesCandidates$$' -test.benchmem \
+		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
 
 # Phase 3's containers and the BPS tally (BenchmarkPackedSparse,
 # BenchmarkPackedDense, BenchmarkPackedSweepCluster, the streamed fill

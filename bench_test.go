@@ -320,7 +320,7 @@ func benchName(k string, v int) string {
 // runs warm — the sketch has answered the query before — and as
 // first-query, on sketch objects nothing has queried yet (computed
 // outside the timer), so the cost of what the first query builds to be
-// kept (the phase-2 index, the band buckets, §6's triangle) shows next
+// kept (the phase-2 index, the band buckets, §6's pair table) shows next
 // to what later queries save. toppairs/n=1 ends at its first step and
 // n=25 walks the ladder to the floor: the search must not make the
 // first pay for the second. `make bench-resident` runs these cells from

@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10v found %d pair(s) in %v:\n", algo, len(res.Pairs), res.Stats.Total())
+		fmt.Printf("%-10v found %d pair(s):\n", algo, len(res.Pairs))
 		for _, p := range res.Pairs {
 			fmt.Printf("  %s <-> %s  (similarity %.2f, support %.1f%%)\n",
 				items[p.I], items[p.J], p.Similarity, 100*data.Density(p.I))

@@ -489,3 +489,59 @@ func BenchmarkPhase2(b *testing.B) {
 		}
 	}
 }
+
+// TestTwoAgreementFloor: §6's table scans the MH kernel at Threshold
+// 2/K with no Delta, and must get exactly the pairs agreeing in at
+// least two rows for every K it can be asked: ceil((2/K)·K) is 2 in
+// float64. Every K's kernel is checked for that floor, and the scan —
+// with the Agreements the table's bound is read from — over K rows up
+// to 256 and at 4095 and 4096 (an index build per K is the cost).
+// Columns 0 and 3 agree everywhere; 2 agrees with 0 and 3 in rows 0 and
+// 1; 1 agrees with the others in row 0 alone.
+func TestTwoAgreementFloor(t *testing.T) {
+	want := []pairs.Pair{{I: 0, J: 2}, {I: 0, J: 3}, {I: 2, J: 3}}
+	for k := 2; k <= 4096; k++ {
+		floor := Params{Algo: fold.MinHash, K: k, Threshold: 2 / float64(k)}
+		bare := &Index{algo: fold.MinHash, sk: fold.Sketch{MH: &minhash.Signatures{K: k}}}
+		if kern, err := bare.Kernel(floor); err != nil || kern.r.(*mhRanger).minAgree != 2 {
+			t.Fatalf("k=%d: floor kernel %v", k, err)
+		}
+		if k > 256 && k < 4095 {
+			continue
+		}
+		sig := &minhash.Signatures{K: k, M: 4, Vals: make([]uint64, 4*k)}
+		for l := 0; l < k; l++ {
+			row := sig.Vals[4*l : 4*l+4]
+			row[0], row[1], row[2], row[3] = uint64(3*l), uint64(3*l+1), uint64(3*l+2), uint64(3*l)
+			if l < 2 {
+				row[2] = row[0]
+			}
+			if l == 0 {
+				row[1] = row[0]
+			}
+		}
+		ix, err := IndexFor(context.Background(), Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, agreements := ix.Agreements(), int64(k+2+2+3); got != agreements {
+			t.Fatalf("k=%d: %d agreements, want %d", k, got, agreements)
+		}
+		kern, err := ix.Kernel(floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := kern.Scan(context.Background(), nil, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %v, want %v", k, got, want)
+		}
+		for i, p := range got {
+			if p.Pair != want[i] {
+				t.Fatalf("k=%d: %v, want %v", k, got, want)
+			}
+		}
+	}
+}

@@ -73,6 +73,19 @@ func (ix *Index) cells(i int) []uint64 {
 	return ix.runs[i*k : (i+1)*k]
 }
 
+// Agreements is the sum over pairs of columns of the cells they share a
+// run in — Σ over runs of s(s−1)/2 — read off the run bounds without
+// counting: a cell in a run of s columns has s−1 partners.
+func (ix *Index) Agreements() int64 {
+	var n int64
+	for _, w := range ix.runs {
+		if w != 0 {
+			n += int64(w>>32-w&math.MaxUint32) - 1
+		}
+	}
+	return n / 2
+}
+
 // checkCells rejects inputs whose cell count does not fit the 32-bit
 // run bounds.
 func checkCells(n int) error {

@@ -76,7 +76,7 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Algorithm == fold.Rules {
 		// fold.For would accept it (Rules folds MH signatures), but the
-		// pool verifies by similarity and has no confidence triangle.
+		// pool verifies by similarity and keeps no §6 pair table.
 		return fmt.Errorf("dist: Rules runs single-process only; the pool verifies by similarity")
 	}
 	if _, ok := fold.For(c.Algorithm); !ok {

@@ -242,21 +242,37 @@ func (r *run) sketch() (fold.Sketch, error) {
 	return sk, nil
 }
 
-// index is the phase-2 index over sk: the adopted sketch's own — built
-// by the first query that needs it, counted once, its resident size
-// reported by every query that uses it — or one built for this run and
-// dropped with its sketch.
-func (r *run) index(sk fold.Sketch) (*candidate.Index, error) {
+// index is the phase-2 index of p's scheme over sk: the adopted
+// sketch's own — built by the first query that needs it, counted once,
+// its resident size reported by every query that uses it — or one built
+// for this run and dropped with its sketch.
+func (r *run) index(p candidate.Params, sk fold.Sketch) (*candidate.Index, error) {
 	build := func(keep bool) (*candidate.Index, error) {
-		return candidate.IndexFor(r.ctx, r.p, sk, r.workers, keep)
+		return candidate.IndexFor(r.ctx, p, sk, r.workers, keep)
 	}
-	ix, err := r.kept.Index.get(r.rec, candidate.IndexBytes(r.p, sk),
-		func(ix *candidate.Index) bool { return ix.Serves(r.p) },
+	ix, err := r.kept.Index.get(r.rec, candidate.IndexBytes(p, sk),
+		func(ix *candidate.Index) bool { return ix.Serves(p) },
 		func() (*candidate.Index, error) { return build(true) })
 	if ix != nil || err != nil {
 		return ix, err
 	}
 	return build(false)
+}
+
+// table is §6's pair table over sk, counted over its MH run index: the
+// adopted sketch's own — kept, like the index, by the first query that
+// needs it, while its bound fits the memo — or one counted for this run.
+func (r *run) table(sk fold.Sketch) (*rules.Table, error) {
+	ix, err := r.index(candidate.Params{Algo: fold.MinHash}, sk)
+	if err != nil {
+		return nil, err
+	}
+	build := func() (*rules.Table, error) { return rules.NewTable(r.ctx, sk.MH, ix, r.workers) }
+	t, err := r.kept.Table.get(r.rec, rules.TableBytes(ix), nil, build)
+	if t != nil || err != nil {
+		return t, err
+	}
+	return build()
 }
 
 // scheme is one row of the template: the phase 2 that reads the sketch
@@ -294,7 +310,7 @@ func (r *run) scheme() (scheme, error) {
 		}
 		return scheme{parallel: true, generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			cand, work, err := r.exec.Candidates(s, func() (*candidate.Kernel, error) {
-				ix, err := r.index(sk)
+				ix, err := r.index(p, sk)
 				if err != nil {
 					return nil, err
 				}
@@ -340,20 +356,15 @@ func (r *run) scheme() (scheme, error) {
 
 	case fold.Rules:
 		// §6's row: candidates by the extended Row-Sorting estimate over
-		// the MH sketch — filtered from the triangle a resident sketch
-		// keeps, or swept for this run — pruned by confidence. A rule
-		// travels through the driver as a directed pair (I => J).
+		// the MH sketch — filtered from the table a resident sketch keeps,
+		// or counted for this run — pruned by confidence. A rule travels
+		// through the driver as a directed pair (I => J).
 		return scheme{measure: rules.Confidence, generate: func(sk fold.Sketch, _ obs.Tick) ([]pairs.Scored, error) {
-			opt := rules.Options{MinConfidence: (1 - p.Delta) * p.Threshold}
-			tri, err := r.kept.Triangle.get(r.rec, rules.TriangleBytes(sk.MH.M), nil, func() (*rules.Triangle, error) {
-				return rules.Sweep(r.ctx, sk.MH)
-			})
-			var cand []rules.Rule
-			if tri != nil {
-				cand, err = tri.Rules(opt)
-			} else if err == nil {
-				cand, err = rules.Candidates(r.ctx, sk.MH, opt)
+			t, err := r.table(sk)
+			if err != nil {
+				return nil, err
 			}
+			cand, err := t.Rules((1 - p.Delta) * p.Threshold)
 			out := make([]pairs.Scored, len(cand))
 			for i, x := range cand {
 				out[i] = pairs.Scored{Pair: pairs.Pair{I: x.From, J: x.To}, Estimate: x.Estimate}

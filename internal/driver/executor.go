@@ -112,11 +112,11 @@ func (l local) Verify(rows matrix.RowSource, cand []pairs.Scored, p verify.Param
 // Adopted is a caller's precomputed sketch, taken in place of the
 // phase-1 fold, with the memos of what lives and dies with it: the
 // phase-2 index of the query's scheme (for M-LSH the buckets of one
-// band layout) and, for a rules run, §6's triangle.
+// band layout) and, for a rules run, §6's pair table.
 type Adopted struct {
 	fold.Sketch
-	Index    *Memo[*candidate.Index]
-	Triangle *Memo[*rules.Triangle]
+	Index *Memo[*candidate.Index]
+	Table *Memo[*rules.Table]
 }
 
 // Memo is one structure a resident sketch keeps beside itself: built by

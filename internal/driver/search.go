@@ -29,8 +29,9 @@ var hitBuffers = sync.Pool{New: func() any { return new([]pairs.Scored) }}
 // loop of whole runs' first step to emit it would. toppairs_attempts
 // counts the steps; candidates, pairs_verified and false_positives are
 // the last one's. The answer, at most n pairs, comes by decreasing
-// similarity. §6's Rules has no search: its candidates come from the
-// confidence triangle, not from a kernel's scan.
+// similarity. §6's Rules has no search: its candidates come from a
+// confidence filter over its pair table, which no threshold ladder
+// shrinks.
 func Search(in Input, n int, floor float64) ([]pairs.Scored, error) {
 	if in.Params.Algo == fold.Rules {
 		return nil, errors.New("assocmine: Rules has no threshold-lowering search; mine it with SimilarPairsWith")
@@ -48,7 +49,7 @@ func Search(in Input, n int, floor float64) ([]pairs.Scored, error) {
 	buf := hitBuffers.Get().(*[]pairs.Scored)
 	defer hitBuffers.Put(buf)
 	hits, err := phase(r, obs.PhaseCandidates, func(tick obs.Tick) ([]pairs.Scored, error) {
-		ix, err := r.index(sk)
+		ix, err := r.index(r.p, sk)
 		if err == nil {
 			se, err = ix.Search(at(floor))
 		}

@@ -31,22 +31,18 @@ type AndRule struct {
 // signature matrix: the OR column's signature is the component-wise
 // minimum (Section 7), so no second data pass is needed.
 func orSimilarityEstimate(sig *minhash.Signatures, i, j, j2 int) float64 {
-	agree, valid := 0, 0
+	agree := 0
 	for l := 0; l < sig.K; l++ {
 		vi := sig.Vals[l*sig.M+i]
 		vo := sig.Vals[l*sig.M+j]
 		if v2 := sig.Vals[l*sig.M+j2]; v2 < vo {
 			vo = v2
 		}
-		valid++
 		if vi != minhash.Empty && vi == vo {
 			agree++
 		}
 	}
-	if valid == 0 {
-		return 0
-	}
-	return float64(agree) / float64(valid)
+	return float64(agree) / float64(sig.K)
 }
 
 // OrCandidates enumerates rules c_i => c_j ∨ c_j2 whose estimated

@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"context"
 	"math"
 	"slices"
 	"testing"
@@ -232,11 +231,7 @@ func TestAndRuleSemantics(t *testing.T) {
 	}
 	m := b.Build()
 	sig, _ := mhSketch(m.Stream(), 100, 9)
-	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verified, err := verifyRules(m.Stream(), cand, 0.9)
+	verified, err := verifyRules(m.Stream(), candidates(t, sig, 0.6), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

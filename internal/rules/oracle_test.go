@@ -3,21 +3,38 @@ package rules
 import (
 	"context"
 	"errors"
-	"math/bits"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"assocmine/internal/candidate"
+	"assocmine/internal/fold"
 	"assocmine/internal/gen"
 	"assocmine/internal/hashing"
+	"assocmine/internal/matrix"
 	"assocmine/internal/minhash"
 	"assocmine/internal/testutil"
 )
 
+// oracleOptions is the oracle's parameter set. The product's rules take
+// a confidence alone; their agreement floor is minAgree.
+type oracleOptions struct {
+	MinConfidence float64
+	MinAgreement  int
+}
+
+func (o *oracleOptions) validate() error {
+	if o.MinConfidence <= 0 || o.MinConfidence > 1 {
+		return fmt.Errorf("rules: MinConfidence must be in (0,1], got %v", o.MinConfidence)
+	}
+	return nil
+}
+
 // candidatesOracle is Section 6's estimator as first written — every
 // ordered pair on its own, two strided column copies and one k-row walk
-// each: the reference the row-major sweep of Candidates must equal, rule
-// for rule and Estimate bit for Estimate bit.
-func candidatesOracle(sig *minhash.Signatures, opt Options) ([]Rule, error) {
+// each: the reference the Table must equal, rule for rule and Estimate
+// bit for Estimate bit.
+func candidatesOracle(sig *minhash.Signatures, opt oracleOptions) ([]Rule, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -72,98 +89,60 @@ func candidatesOracle(sig *minhash.Signatures, opt Options) ([]Rule, error) {
 	return out, nil
 }
 
-// sameAsOracle is the one assertion of the Candidates tests; it returns
-// the number of rules compared.
-func sameAsOracle(t *testing.T, sig *minhash.Signatures, opt Options) int {
+// table is the product's pass over sig: its MH run index, built and
+// scanned across workers goroutines, and the count.
+func table(ctx context.Context, sig *minhash.Signatures, workers int) (*Table, error) {
+	ix, err := candidate.IndexFor(ctx, candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers, false)
+	if err != nil {
+		return nil, err
+	}
+	return NewTable(ctx, sig, ix, workers)
+}
+
+// candidates is the rules of the Table over sig at minConf.
+func candidates(t testing.TB, sig *minhash.Signatures, minConf float64) []Rule {
 	t.Helper()
-	want, err := candidatesOracle(sig, opt)
+	tab, err := table(context.Background(), sig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Candidates(context.Background(), sig, opt)
+	rs, err := tab.Rules(minConf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("k=%d m=%d %+v: %d rules, oracle %d\n got %v\nwant %v", sig.K, sig.M, opt, len(got), len(want), got, want)
-	}
-	tri, err := Sweep(context.Background(), sig)
+	return rs
+}
+
+// sameAsOracle is the one assertion of the Table tests, at the product's
+// agreement floor: the rules of a Table counted on one worker and on
+// three. It returns the number of rules compared.
+func sameAsOracle(t *testing.T, sig *minhash.Signatures, minConf float64) int {
+	t.Helper()
+	want, err := candidatesOracle(sig, oracleOptions{MinConfidence: minConf, MinAgreement: minAgree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept, err := tri.Rules(opt); err != nil || !reflect.DeepEqual(kept, want) {
-		t.Fatalf("k=%d m=%d %+v: the kept sweep answers %v (%v)\nwant %v", sig.K, sig.M, opt, kept, err, want)
+	for _, workers := range []int{1, 3} {
+		tab, err := table(context.Background(), sig, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tab.Rules(minConf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d m=%d conf %v, %d workers: %d rules, oracle %d\n got %v\nwant %v", sig.K, sig.M, minConf, workers, len(got), len(want), got, want)
+		}
 	}
 	return len(want)
 }
 
-// sweepOracle is Candidates as it stood before the sweep and the filter
-// were two functions: one row-major pass with the Options applied inside
-// it, an all-empty column skipped outright.
-func sweepOracle(sig *minhash.Signatures, opt Options) ([]Rule, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	k, m := sig.K, sig.M
-	var out []Rule
-	emit := func(from, to int, agree, le int32) {
-		if int(agree) < opt.MinAgreement || le == 0 {
-			return
-		}
-		conf := float64(agree) / float64(le)
-		if conf > 1 {
-			conf = 1
-		}
-		if conf >= opt.MinConfidence {
-			out = append(out, Rule{From: int32(from), To: int32(to), Estimate: conf})
-		}
-	}
-	agree := make([]int32, m)
-	lt := make([]int32, m)
-	below := make([]int32, m)
-	for i := 0; i < m; i++ {
-		clear(agree[i+1:])
-		clear(lt[i+1:])
-		clear(below[i+1:])
-		ki := int32(0)
-		for l := 0; l < k; l++ {
-			row := sig.Vals[l*m : (l+1)*m]
-			vi := row[i]
-			if vi == minhash.Empty {
-				for j := i + 1; j < m; j++ {
-					if row[j] != minhash.Empty {
-						below[j]++
-					}
-				}
-				continue
-			}
-			ki++
-			for j := i + 1; j < m; j++ {
-				vj := row[j]
-				if vi == vj {
-					agree[j]++
-				}
-				_, less := bits.Sub64(vi, vj, 0)
-				lt[j] += int32(less)
-			}
-		}
-		if ki == 0 {
-			continue
-		}
-		for j := i + 1; j < m; j++ {
-			emit(i, j, agree[j], lt[j]+agree[j])
-			emit(j, i, agree[j], ki-lt[j]+below[j])
-		}
-	}
-	sortRules(out)
-	return out, nil
-}
-
-// TestTriangleMatchesSweep: one kept sweep answers every threshold as
-// the per-threshold sweep did — each MinConfidence of a 0.01 grid under
-// each MinAgreement, over matrices with all-empty and half-empty
-// columns — and a cancelled sweep keeps nothing.
-func TestTriangleMatchesSweep(t *testing.T) {
+// TestTableMatchesOracle: one Table answers every threshold as the
+// oracle does — each confidence of a 0.01 grid, over matrices with
+// all-empty and half-empty columns — within the size its run index
+// bounds it by; a cancelled scan or count keeps nothing.
+func TestTableMatchesOracle(t *testing.T) {
 	next := testutil.SplitMix64(29)
 	half := smallSignatures(next, 20, 10, false)
 	for l := 0; l < half.K/2; l++ { // columns 1 and 8 are Empty on half their rows
@@ -181,30 +160,32 @@ func TestTriangleMatchesSweep(t *testing.T) {
 		"half empty": half,
 		"folded":     folded,
 	} {
-		tri, err := Sweep(context.Background(), sig)
+		ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(len(tri.cells))*12, TriangleBytes(sig.M); got != want {
-			t.Errorf("%s: %d bytes of cells, TriangleBytes says %d", name, got, want)
+		tab, err := NewTable(context.Background(), sig, ix, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, bound := int64(len(tab.cells))*20, TableBytes(ix); got > bound {
+			t.Errorf("%s: %d bytes of cells, TableBytes bounds them by %d", name, got, bound)
 		}
 		rules := 0
-		for _, minAgree := range []int{1, 2, 5} {
-			for c := 1; c <= 100; c++ {
-				opt := Options{MinConfidence: float64(c) / 100, MinAgreement: minAgree}
-				want, err := sweepOracle(sig, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := tri.Rules(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %+v: %d rules from the triangle, %d from the sweep", name, opt, len(got), len(want))
-				}
-				rules += len(want)
+		for c := 1; c <= 100; c++ {
+			conf := float64(c) / 100
+			want, err := candidatesOracle(sig, oracleOptions{MinConfidence: conf, MinAgreement: minAgree})
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, err := tab.Rules(conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s at %v: %d rules from the table, %d from the oracle", name, conf, len(got), len(want))
+			}
+			rules += len(want)
 		}
 		if (rules == 0) != (name == "all empty") {
 			t.Errorf("%s: %d rules compared", name, rules)
@@ -213,16 +194,28 @@ func TestTriangleMatchesSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sig := smallSignatures(next, 8, 6, false)
-	if tri, err := Sweep(context.Background(), sig); err != nil {
+	ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+	if err != nil {
 		t.Fatal(err)
-	} else if _, err := tri.Rules(Options{}); err == nil {
-		t.Error("the triangle answered invalid options")
 	}
-	if tri, err := Sweep(ctx, sig); tri != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled Sweep = %v, %v", tri, err)
+	if tab, err := NewTable(context.Background(), sig, ix, 1); err != nil {
+		t.Fatal(err)
+	} else if _, err := tab.Rules(0); err == nil {
+		t.Error("the table answered confidence 0")
 	}
-	if rs, err := Candidates(ctx, sig, Options{MinConfidence: 0.1}); rs != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled Candidates = %v, %v", rs, err)
+	if tab, err := NewTable(ctx, sig, ix, 1); tab != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled NewTable = %v, %v", tab, err)
+	}
+	k, err := ix.Kernel(candidate.Params{Algo: fold.MinHash, K: sig.K, Threshold: minAgree / float64(sig.K)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agreeing, _, err := k.Scan(context.Background(), nil, 1, nil)
+	if err != nil || len(agreeing) == 0 {
+		t.Fatalf("%d pairs agree twice: %v", len(agreeing), err)
+	}
+	if tab, err := count(ctx, sig, agreeing); tab != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled count = %v, %v", tab, err)
 	}
 }
 
@@ -266,18 +259,18 @@ func TestCandidatesMatchOracle(t *testing.T) {
 		"all empty":        smallSignatures(next, 4, 3, false, 0, 1, 2),
 		"holes":            smallSignatures(next, 16, 11, true, 6),
 		"k=1":              smallSignatures(next, 1, 8, false, 3),
+		"k=2":              smallSignatures(next, 2, 8, false, 3),
 		"duplicates":       dup,
 		"one column":       smallSignatures(next, 5, 1, false),
 		"folded":           folded,
 	} {
 		t.Run(name, func(t *testing.T) {
 			rules := 0
-			for _, minAgree := range []int{0, 1, 2} { // 0 selects the default, 2
-				for _, conf := range []float64{0.2, 0.6, 1} {
-					rules += sameAsOracle(t, sig, Options{MinConfidence: conf, MinAgreement: minAgree})
-				}
+			for _, conf := range []float64{0.2, 0.6, 1} {
+				rules += sameAsOracle(t, sig, conf)
 			}
-			if wantNone := name == "all empty" || name == "one column"; (rules == 0) != wantNone {
+			// One row cannot agree twice.
+			if wantNone := name == "all empty" || name == "one column" || name == "k=1"; (rules == 0) != wantNone {
 				t.Errorf("%d rules compared", rules)
 			}
 		})
@@ -296,27 +289,49 @@ func FuzzRulesCandidates(f *testing.F) {
 			empty = append(empty, int(seed/3)%mm)
 		}
 		sig := smallSignatures(next, kk, mm, holes, empty...)
-		sameAsOracle(t, sig, Options{MinConfidence: (float64(conf) + 1) / 256, MinAgreement: int(seed % 3)})
+		sameAsOracle(t, sig, (float64(conf)+1)/256)
 	})
 }
 
 // BenchmarkRulesCandidates is the committed before/after of Section 6's
-// estimator at the resident service's shape: 400 columns of a §5-style
-// set, k = 200.
+// estimator, the one-shot run's index, floor scan and count on one
+// worker, k = 200: at the resident service's shape (400 columns of a
+// §5-style set, where about 66 % of pairs agree twice) and on the news
+// corpus of `cmd/experiments -scale full` (6 040 columns, about 4 %).
 func BenchmarkRulesCandidates(b *testing.B) {
-	m, _, err := gen.Synthetic(gen.SyntheticConfig{Rows: 6000, Cols: 400, Seed: 5})
+	syn, _, err := gen.Synthetic(gen.SyntheticConfig{Rows: 6000, Cols: 400, Seed: 5})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig, err := mhSketch(m.Stream(), 200, 1)
+	news, err := gen.GenerateNews(gen.NewsConfig{Docs: 30000, Vocab: 6000, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.42}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name    string
+		m       *matrix.Matrix
+		seed    uint64
+		minConf float64
+	}{{"synthetic", syn, 1, 0.42}, {"news", news.Matrix, 23, 0.75 * 0.7}} {
+		b.Run(c.name, func(b *testing.B) {
+			sig, err := mhSketch(c.m.Stream(), 200, c.seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var pairs int
+			for i := 0; i < b.N; i++ {
+				tab, err := table(context.Background(), sig, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tab.Rules(c.minConf); err != nil {
+					b.Fatal(err)
+				}
+				pairs = len(tab.cells)
+			}
+			b.ReportMetric(float64(pairs), "pairs")
+		})
 	}
 }

@@ -21,8 +21,11 @@ import (
 	"math/bits"
 	"slices"
 
+	"assocmine/internal/candidate"
+	"assocmine/internal/fold"
 	"assocmine/internal/measures"
 	"assocmine/internal/minhash"
+	"assocmine/internal/pairs"
 )
 
 // Rule is a directed candidate rule From => To with estimated and
@@ -33,170 +36,118 @@ type Rule struct {
 	Exact    float64 // verified confidence
 }
 
-// Options configures candidate-rule generation.
-type Options struct {
-	// MinConfidence is the confidence threshold.
-	MinConfidence float64
-	// MinAgreement discards pairs agreeing on fewer min-hash values
-	// (both estimator numerator and denominator are noisy for tiny
-	// agreement counts). Defaults to 2 when zero.
-	MinAgreement int
-}
+// minAgree is the fewest signature rows a pair must agree in to yield
+// a rule: below it both the estimator's numerator and its denominator
+// are noise.
+const minAgree = 2
 
-func (o *Options) validate() error {
-	if o.MinConfidence <= 0 || o.MinConfidence > 1 {
-		return fmt.Errorf("rules: MinConfidence must be in (0,1], got %v", o.MinConfidence)
-	}
-	if o.MinAgreement == 0 {
-		o.MinAgreement = 2
-	}
-	if o.MinAgreement < 0 {
-		return fmt.Errorf("rules: MinAgreement must be non-negative")
-	}
-	return nil
-}
+// Table is Section 6's extended Row-Sorting pass kept whole: the counts
+// of every pair of columns whose values agree in at least minAgree
+// signature rows — the only pairs a rule can come from — 20 bytes a
+// pair. It depends on the sketch alone, so one Table answers every
+// confidence threshold.
+type Table struct{ cells []cell }
 
-// Candidates runs the extended Row-Sorting estimation of Section 6 over
-// an MH signature matrix: for every ordered pair it needs the agreement
-// count and the h(c_i) <= h(c_j) count, and estimates confidence as
-// their ratio. As the paper notes, this enumeration is O(k·m²); the
-// agreement pre-filter keeps the emitted set small. Each column's row
-// of the sweep is filtered as it completes, so the run holds O(m) beside
-// its rules; a cancelled ctx (nil: Background) fails it with ctx.Err().
-func Candidates(ctx context.Context, sig *minhash.Signatures, opt Options) ([]Rule, error) {
-	if err := opt.validate(); err != nil {
+// cell is one unordered pair (i, j), i < j: the rows where the two
+// values agree, and where i's (fwd) or j's (rev) is the smaller or
+// equal one and not Empty.
+type cell struct{ i, j, agree, fwd, rev int32 }
+
+// TableBytes bounds the size of the Table over ix without counting: a
+// pair that agrees a times holds a of ix's agreements, so at most half
+// of them go to pairs agreeing twice.
+func TableBytes(ix *candidate.Index) int64 { return ix.Agreements() / minAgree * 20 }
+
+// NewTable runs the pass over sig, whose MH run index is ix. As in
+// §3.1's Row-Sorting its cost follows what the columns agree on: the MH
+// kernel at the floor of minAgree rows finds the pairs across workers
+// goroutines, and only those are counted over the k rows. A cancelled
+// ctx (nil: Background) fails it with ctx.Err().
+func NewTable(ctx context.Context, sig *minhash.Signatures, ix *candidate.Index, workers int) (*Table, error) {
+	if sig.K < minAgree { // no pair can agree twice, and the floor is no cutoff
+		return &Table{}, nil
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	k, err := ix.Kernel(candidate.Params{Algo: fold.MinHash, K: sig.K, Threshold: minAgree / float64(sig.K)})
+	if err != nil {
 		return nil, err
 	}
-	var out []Rule
-	if err := sweep(ctx, sig, func(i int, row []cell) { out = opt.filter(out, i, row) }); err != nil {
+	// At most half the agreements go to pairs agreeing twice: one
+	// allocation holds the scan's output, not a chain of regrowths.
+	agreeing, _, err := k.Scan(ctx, make([]pairs.Scored, 0, ix.Agreements()/minAgree), workers, nil)
+	if err != nil {
 		return nil, err
 	}
-	sortRules(out)
-	return out, nil
+	return count(ctx, sig, agreeing)
 }
 
-// cell is the sweep's count for one unordered pair (i, j), i < j: the
-// rows where the values agree, and where i's (fwd) or j's (rev) is the
-// smaller or equal one.
-type cell struct{ agree, fwd, rev int32 }
-
-// Triangle is the sweep kept whole — the half of Candidates no Options
-// field touches: 12 bytes per unordered pair, column i's cells against
-// every j > i adjacent.
-type Triangle struct {
-	m     int
-	cells []cell
-}
-
-// TriangleBytes is the size of the Triangle over m columns.
-func TriangleBytes(m int) int64 { return int64(m) * int64(m-1) / 2 * 12 }
-
-// Sweep runs the O(k·m²) pass once and keeps every pair's counts.
-func Sweep(ctx context.Context, sig *minhash.Signatures) (*Triangle, error) {
-	t := &Triangle{m: sig.M, cells: make([]cell, 0, sig.M*(sig.M-1)/2)}
-	if err := sweep(ctx, sig, func(_ int, row []cell) { t.cells = append(t.cells, row...) }); err != nil {
-		return nil, err
+// count fills the table's cells for the agreeing pairs, whose Estimate
+// is agree/k. Over the rows, with Empty the largest value,
+//
+//	fwd = agree + rows where i's value is below j's
+//	rev = agree + rows where j's value is below i's
+//
+// (a value below another is never Empty). Each pair walks two columns of
+// a column-major copy of the sketch, without a branch: which of two
+// values is smaller is not predictable. ctx is checked every 4096 pairs.
+func count(ctx context.Context, sig *minhash.Signatures, agreeing []pairs.Scored) (*Table, error) {
+	k, m := sig.K, sig.M
+	cols := make([]uint64, k*m)
+	for l := 0; l < k; l++ {
+		for c, v := range sig.Vals[l*m : (l+1)*m] {
+			cols[c*k+l] = v
+		}
+	}
+	t := &Table{cells: make([]cell, len(agreeing))}
+	for n, p := range agreeing {
+		if n%4096 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		lt, gt := below(cols[int(p.I)*k:(int(p.I)+1)*k], cols[int(p.J)*k:(int(p.J)+1)*k])
+		agree := int32(math.Round(p.Estimate * float64(k)))
+		t.cells[n] = cell{i: p.I, j: p.J, agree: agree, fwd: agree + lt, rev: agree + gt}
 	}
 	return t, nil
 }
 
-// Rules is Candidates answered from the kept sweep in O(m²): the same
-// rules in the same order, Estimate bit for Estimate bit.
-func (t *Triangle) Rules(opt Options) ([]Rule, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
+// below counts the rows where a's value is below b's (lt) and where b's
+// is below a's (gt), as borrows.
+func below(a, b []uint64) (lt, gt int32) {
+	b = b[:len(a)]
+	var x, y uint64
+	for l, va := range a {
+		_, bx := bits.Sub64(va, b[l], 0)
+		_, by := bits.Sub64(b[l], va, 0)
+		x += bx
+		y += by
+	}
+	return int32(x), int32(y)
+}
+
+// Rules is the rules of estimated confidence at least minConf, both
+// directions of each pair, by decreasing Estimate, then From, then To.
+// The estimate of I => J is agree / (rows where I's value is not Empty
+// and at most J's): at least agree, so it is at most 1.
+func (t *Table) Rules(minConf float64) ([]Rule, error) {
+	if minConf <= 0 || minConf > 1 {
+		return nil, fmt.Errorf("rules: confidence must be in (0,1], got %v", minConf)
 	}
 	var out []Rule
-	for i, at := 0, 0; i < t.m; i++ {
-		n := t.m - i - 1
-		out = opt.filter(out, i, t.cells[at:at+n])
-		at += n
+	emit := func(from, to, agree, le int32) {
+		if conf := float64(agree) / float64(le); conf >= minConf {
+			out = append(out, Rule{From: from, To: to, Estimate: conf})
+		}
+	}
+	for _, c := range t.cells {
+		emit(c.i, c.j, c.agree, c.fwd)
+		emit(c.j, c.i, c.agree, c.rev)
 	}
 	sortRules(out)
 	return out, nil
-}
-
-// filter appends the rules of column i's row — the pairs (i, j), j > i
-// — that pass the options, both directions of each.
-func (o Options) filter(out []Rule, i int, row []cell) []Rule {
-	emit := func(from, to int, agree, le int32) {
-		if int(agree) < o.MinAgreement || le == 0 {
-			return
-		}
-		conf := float64(agree) / float64(le)
-		if conf > 1 {
-			conf = 1
-		}
-		if conf >= o.MinConfidence {
-			out = append(out, Rule{From: int32(from), To: int32(to), Estimate: conf})
-		}
-	}
-	for d, c := range row {
-		j := i + 1 + d
-		emit(i, j, c.agree, c.fwd)
-		emit(j, i, c.agree, c.rev)
-	}
-	return out
-}
-
-// sweep is the threshold-free pass. It is row-major and visits each
-// unordered pair once: for a column i, one pass down the k signature
-// rows accumulates, for every j > i at once, agree[j] (rows where the
-// two values are equal and not Empty) and lt[j] (rows where i's value
-// is the smaller — Empty is the largest value, so such a value is never
-// Empty). Both directions follow: over the ki rows where i is not Empty,
-//
-//	le(i→j) = lt + agree
-//	le(j→i) = ki − lt, plus the rows where i is Empty and j is not,
-//
-// the second because h(c_j) <= h(c_i) is exactly "not h(c_i) < h(c_j)"
-// on a row where c_i has a value. (An all-empty column agrees with
-// nothing: its cells pass no filter.) Column i's finished row goes to
-// each, which must not keep it; ctx is checked once per column.
-func sweep(ctx context.Context, sig *minhash.Signatures, each func(i int, row []cell)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	k, m := sig.K, sig.M
-	agree := make([]int32, m)
-	lt := make([]int32, m)
-	below := make([]int32, m) // rows where i is Empty and j is not
-	row := make([]cell, m)
-	for i := 0; i < m; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		clear(agree[i+1:])
-		clear(lt[i+1:])
-		clear(below[i+1:])
-		ki := int32(0)
-		for l := 0; l < k; l++ {
-			vals := sig.Vals[l*m : (l+1)*m]
-			vi := vals[i]
-			if vi == minhash.Empty {
-				for j := i + 1; j < m; j++ {
-					if vals[j] != minhash.Empty {
-						below[j]++
-					}
-				}
-				continue
-			}
-			ki++
-			for j := i + 1; j < m; j++ {
-				vj := vals[j]
-				if vi == vj { // rare, so predicted; which of two values is smaller is not
-					agree[j]++
-				}
-				_, less := bits.Sub64(vi, vj, 0)
-				lt[j] += int32(less)
-			}
-		}
-		for j := i + 1; j < m; j++ {
-			row[j-i-1] = cell{agree: agree[j], fwd: lt[j] + agree[j], rev: ki - lt[j] + below[j]}
-		}
-		each(i, row[:m-i-1])
-	}
-	return nil
 }
 
 // Confidence is the measure phase 3 verifies a rule I => J by, over

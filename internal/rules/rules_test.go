@@ -34,15 +34,6 @@ func caviarFixture(rng *hashing.SplitMix64, rows int) (*matrix.Matrix, int, int)
 	return b.Build(), caviar, vodka
 }
 
-func TestOptionsValidate(t *testing.T) {
-	sig := &minhash.Signatures{K: 1, M: 1, Vals: []uint64{1}}
-	for _, o := range []Options{{MinConfidence: 0}, {MinConfidence: 1.5}, {MinConfidence: 0.5, MinAgreement: -1}} {
-		if _, err := Candidates(context.Background(), sig, o); err == nil {
-			t.Errorf("options %+v accepted", o)
-		}
-	}
-}
-
 func TestCandidatesFindRareHighConfidenceRule(t *testing.T) {
 	rng := hashing.NewSplitMix64(1)
 	m, caviar, vodka := caviarFixture(rng, 5000)
@@ -53,10 +44,7 @@ func TestCandidatesFindRareHighConfidenceRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cand := candidates(t, sig, 0.7)
 	found := false
 	for _, r := range cand {
 		if int(r.From) == caviar && int(r.To) == vodka {
@@ -91,12 +79,8 @@ func TestConfidenceEstimatorStatistics(t *testing.T) {
 	m := b.Build()
 	truth := m.Confidence(0, 1)
 	sig, _ := mhSketch(m.Stream(), 4000, 9)
-	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var est float64
-	for _, r := range cand {
+	for _, r := range candidates(t, sig, 0.05) {
 		if r.From == 0 && r.To == 1 {
 			est = r.Estimate
 		}
@@ -153,7 +137,8 @@ func TestVerifyComputesExactConfidence(t *testing.T) {
 }
 
 // TestVerifyValidation: the pass rejects a self rule and a column out
-// of range, and a rules run rejects confidence 0 before it gets there.
+// of range, and a Table rejects a confidence outside (0, 1] before it
+// gets there.
 func TestVerifyValidation(t *testing.T) {
 	m := testutil.Must(matrix.New(2, [][]int32{{0}, {1}}))
 	if _, err := verifyRules(m.Stream(), []Rule{{From: 0, To: 0}}, 0.5); err == nil {
@@ -166,48 +151,39 @@ func TestVerifyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Candidates(context.Background(), sig, Options{MinConfidence: 0}); err == nil {
-		t.Error("minConf 0 accepted")
+	tab, err := table(context.Background(), sig, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, conf := range []float64{0, -0.5, 1.5} {
+		if _, err := tab.Rules(conf); err == nil {
+			t.Errorf("minConf %v accepted", conf)
+		}
 	}
 }
 
 // TestVerifyDeduplicatesRules: each directed rule is verified once. The
-// pass keeps every candidate it is given, so the candidates — swept or
-// answered from a kept Triangle — name each directed rule at most once.
+// pass keeps every candidate it is given, so the Table's rules name
+// each directed rule at most once.
 func TestVerifyDeduplicatesRules(t *testing.T) {
 	m, _, _ := caviarFixture(hashing.NewSplitMix64(5), 2000)
 	sig, err := mhSketch(m.Stream(), 60, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{MinConfidence: 0.2}
-	swept, err := Candidates(context.Background(), sig, opt)
+	verified, err := verifyRules(m.Stream(), candidates(t, sig, 0.2), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tri, err := Sweep(context.Background(), sig)
-	if err != nil {
-		t.Fatal(err)
+	if len(verified) == 0 {
+		t.Fatal("nothing verified")
 	}
-	kept, err := tri.Rules(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, cand := range map[string][]Rule{"swept": swept, "triangle": kept} {
-		verified, err := verifyRules(m.Stream(), cand, 0.2)
-		if err != nil {
-			t.Fatal(err)
+	seen := map[[2]int32]bool{}
+	for _, r := range verified {
+		if seen[[2]int32{r.From, r.To}] {
+			t.Errorf("rule %d => %d verified twice", r.From, r.To)
 		}
-		if len(verified) == 0 {
-			t.Fatalf("%s: nothing verified", name)
-		}
-		seen := map[[2]int32]bool{}
-		for _, r := range verified {
-			if seen[[2]int32{r.From, r.To}] {
-				t.Errorf("%s: rule %d => %d verified twice", name, r.From, r.To)
-			}
-			seen[[2]int32{r.From, r.To}] = true
-		}
+		seen[[2]int32{r.From, r.To}] = true
 	}
 }
 
@@ -215,11 +191,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	rng := hashing.NewSplitMix64(4)
 	m, caviar, vodka := caviarFixture(rng, 4000)
 	sig, _ := mhSketch(m.Stream(), 120, 13)
-	cand, err := Candidates(context.Background(), sig, Options{MinConfidence: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verified, err := verifyRules(m.Stream(), cand, 0.9)
+	verified, err := verifyRules(m.Stream(), candidates(t, sig, 0.6), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,10 +254,11 @@ func TestCacheInvalidatedOnRefresh(t *testing.T) {
 
 // TestGenerationBuildsOnFirstQuery: what a generation keeps beside its
 // sketches belongs to the queries that need it. A start and a refresh
-// build nothing; the first banding, the first counting and the first
-// rules query of each generation build once each, its later ones add no
-// build, and the new generation starts from nothing — the old one's
-// structures went with its sketches.
+// build nothing; the first banding and the first counting query of each
+// generation build once each and its first rules query twice (the MH
+// run index and §6's table), later ones add no build, and the new
+// generation starts from nothing — the old one's structures went with
+// its sketches.
 func TestGenerationBuildsOnFirstQuery(t *testing.T) {
 	s, path, rows := refreshableServer(t, Options{CacheSize: -1})
 	builds := func() int64 { return s.Collector().Counter(obs.CounterIndexBuilds) }
@@ -267,7 +268,7 @@ func TestGenerationBuildsOnFirstQuery(t *testing.T) {
 			"/v1/pairs":    `{"threshold":0.8}`,      // mlsh-probe: the band buckets
 			"/v1/toppairs": `{"n":3,"floor":0.7}`,    // the same layout again
 			"/v1/topk":     `{"col":1,"k":3}`,        // kmh-scan: the run index
-			"/v1/rules":    `{"min_confidence":0.8}`, // the triangle
+			"/v1/rules":    `{"min_confidence":0.8}`, // the MH run index and the table
 		} {
 			for range 2 {
 				if rr := recordPost(s.Handler(), path, body); rr.Code != http.StatusOK {
@@ -280,19 +281,19 @@ func TestGenerationBuildsOnFirstQuery(t *testing.T) {
 		t.Fatalf("%d index builds at start", got)
 	}
 	ask()
-	if got := builds(); got != 3 {
-		t.Fatalf("%d index builds in the first generation, want the buckets, the K-MH run index and the triangle", got)
+	if got := builds(); got != 4 {
+		t.Fatalf("%d index builds in the first generation, want the buckets, both run indexes and the table", got)
 	}
 	growFile(t, path, rows, 24)
 	if n, err := s.refresh(); err != nil || n == 0 {
 		t.Fatalf("refresh folded %d rows: %v", n, err)
 	}
-	if got := builds(); got != 3 {
+	if got := builds(); got != 4 {
 		t.Fatalf("%d index builds after a refresh nobody has queried", got)
 	}
 	ask()
-	if got := builds(); got != 6 {
-		t.Fatalf("%d index builds over two generations, want 6", got)
+	if got := builds(); got != 8 {
+		t.Fatalf("%d index builds over two generations, want 8", got)
 	}
 }
 

@@ -275,8 +275,9 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 
 	// 16 goroutines fire the first queries of the fresh generation at
 	// once: every body is the serial answer, and each sketch built each
-	// structure it keeps once — two run indexes, the band buckets and
-	// §6's triangle.
+	// structure it keeps once — two run indexes (the MH one serves the mh
+	// pairs plan and the rules query both), the band buckets and §6's
+	// table.
 	fire := func(check func(i int, got []byte)) {
 		var wg sync.WaitGroup
 		for w := 0; w < 16; w++ {

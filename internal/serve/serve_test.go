@@ -349,9 +349,9 @@ func TestQueryBudgets(t *testing.T) {
 			t.Fatalf("status %d, want 408: %s", rr.Code, rr.Body.String())
 		}
 	})
-	// §6's sweep — the first rules query's O(k·m²) — honours the budget
-	// too: it stops at its next column, keeps nothing, and the next query
-	// sweeps and answers.
+	// §6's first rules query — the MH run index, its scan and the count
+	// of the pairs agreeing twice — honours the budget too: it stops,
+	// keeps nothing, and the next query builds and answers.
 	t.Run("rules", func(t *testing.T) {
 		const body = `{"min_confidence":0.9}`
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -369,13 +369,15 @@ func TestQueryBudgets(t *testing.T) {
 	})
 	// A dead first query of a generation builds no index and leaves none
 	// half-built: it fails the same way, and the next query builds and
-	// answers. The rules queries above built §6's triangle already.
+	// answers. The rules queries above built the MH run index and §6's
+	// table already, so the dead queries are the first of the band
+	// buckets and the K-MH run index.
 	t.Run("first-query", func(t *testing.T) {
 		builds := s.Collector().Counter(obs.CounterIndexBuilds)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		for path, body := range map[string]string{
-			"/v1/pairs": `{"threshold":0.3,"algo":"mh"}`,
+			"/v1/pairs": `{"threshold":0.3}`,
 			"/v1/topk":  `{"col":2,"k":5}`,
 		} {
 			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
@@ -393,8 +395,8 @@ func TestQueryBudgets(t *testing.T) {
 				t.Fatalf("%s after a dead first query: status %d: %s", qc.name, rr.Code, rr.Body.String())
 			}
 		}
-		if got := s.Collector().Counter(obs.CounterIndexBuilds) - builds; got != 3 {
-			t.Fatalf("%d index builds, want two run indexes and the band buckets", got)
+		if got := s.Collector().Counter(obs.CounterIndexBuilds) - builds; got != 2 {
+			t.Fatalf("%d index builds, want the K-MH run index and the band buckets", got)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"assocmine/internal/candidate"
 	"assocmine/internal/dist"
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
@@ -47,7 +48,15 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg Config) []Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := rules.Candidates(context.Background(), sig, rules.Options{MinConfidence: (1 - cfg.Delta) * cfg.Threshold})
+	ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := rules.NewTable(context.Background(), sig, ix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand, err := tab.Rules((1 - cfg.Delta) * cfg.Threshold)
 	if err != nil {
 		t.Fatal(err)
 	}

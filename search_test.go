@@ -147,7 +147,7 @@ func noMoreWork(t *testing.T, name string, search, ladder *Collector) {
 }
 
 // TestResidentMemos: what a *Signatures keeps beside its run index —
-// the buckets of the last band layout, §6's triangle — is built by the
+// the buckets of the last band layout, §6's pair table — is built by the
 // first query that needs it and by no constructor, once however many
 // queries arrive first, not by a cancelled query, and not at all above
 // the bound, where every query still answers the same.
@@ -162,8 +162,8 @@ func TestResidentMemos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.index.Kept != nil || s.bands.Kept != nil || s.triangle.Kept != nil || s.bands.Limit != memoLimit || s.triangle.Limit != memoLimit {
-			t.Fatalf("a new sketch keeps %v %v %v under limits %d %d", s.index.Kept, s.bands.Kept, s.triangle.Kept, s.bands.Limit, s.triangle.Limit)
+		if s.index.Kept != nil || s.bands.Kept != nil || s.table.Kept != nil || s.bands.Limit != memoLimit || s.table.Limit != memoLimit {
+			t.Fatalf("a new sketch keeps %v %v %v under limits %d %d", s.index.Kept, s.bands.Kept, s.table.Kept, s.bands.Limit, s.table.Limit)
 		}
 		return signaturesKeeping(s.sig, limit)
 	}
@@ -182,9 +182,9 @@ func TestResidentMemos(t *testing.T) {
 		t.Fatalf("%d pairs, %v", len(wantPairs.Pairs), err)
 	}
 
-	// The §6 sweep honours its context — before it starts, and under a
+	// The §6 pass honours its context — before it starts, and under a
 	// deadline already passed — with and without the exact pass, and a
-	// dead sweep keeps nothing.
+	// dead pass keeps nothing.
 	for _, ctx := range []context.Context{cancelled, expired} {
 		for _, skip := range []bool{false, true} {
 			cfg := ruleCfg
@@ -201,7 +201,7 @@ func TestResidentMemos(t *testing.T) {
 	if _, err := SimilarPairsWith(d, sig, bandCfg(20, cancelled, nil)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled first MinLSH query: %v", err)
 	}
-	if sig.triangle.Kept != nil || sig.bands.Kept != nil {
+	if sig.table.Kept != nil || sig.bands.Kept != nil || sig.index.Kept != nil {
 		t.Fatal("a dead first query kept what it was building")
 	}
 
@@ -229,9 +229,9 @@ func TestResidentMemos(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	tri, bands := sig.triangle.Kept, sig.bands.Kept
-	if tri == nil || bands == nil || sig.index.Kept != nil {
-		t.Fatalf("kept: triangle %v, buckets %v, run index %v", tri, bands, sig.index.Kept)
+	tab, bands := sig.table.Kept, sig.bands.Kept
+	if tab == nil || bands == nil || sig.index.Kept == nil {
+		t.Fatalf("kept: table %v, buckets %v, run index %v", tab, bands, sig.index.Kept)
 	}
 	if got := coll.Counter(obs.CounterIndexBuilds); got != 1 {
 		t.Errorf("%d bucket builds for six concurrent first queries", got)
@@ -245,7 +245,7 @@ func TestResidentMemos(t *testing.T) {
 	if _, err := TopColumnsWith(d, sig, 4, 3, bandCfg(20, nil, coll), 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if sig.triangle.Kept != tri || sig.bands.Kept != bands || coll.Counter(obs.CounterIndexBuilds) != 1 {
+	if sig.table.Kept != tab || sig.bands.Kept != bands || coll.Counter(obs.CounterIndexBuilds) != 1 {
 		t.Error("a later query rebuilt what the sketch keeps")
 	}
 	// One slot: another layout replaces the buckets and answers as a run
@@ -265,7 +265,7 @@ func TestResidentMemos(t *testing.T) {
 	// Above the bound nothing is built to be kept, and the answers are
 	// the same.
 	buckets := candidate.IndexBytes(candidate.Params{Algo: fold.MinLSH, L: 20}, fold.Sketch{MH: sig.sig})
-	small := fresh(min(buckets, rules.TriangleBytes(d.NumCols())) - 1)
+	small := fresh(min(buckets, rules.TableBytes(sig.index.Kept)) - 1)
 	coll = NewCollector()
 	for range 2 {
 		res, err := SimilarPairsWith(d, small, ruleCfg)
@@ -282,7 +282,7 @@ func TestResidentMemos(t *testing.T) {
 			t.Fatalf("over-bound column search: %v, %v", top, err)
 		}
 	}
-	if small.triangle.Kept != nil || small.bands.Kept != nil || coll.Counter(obs.CounterIndexBuilds) != 0 {
-		t.Errorf("over the bound: kept %v %v, %d builds", small.triangle.Kept, small.bands.Kept, coll.Counter(obs.CounterIndexBuilds))
+	if small.table.Kept != nil || small.bands.Kept != nil || coll.Counter(obs.CounterIndexBuilds) != 0 {
+		t.Errorf("over the bound: kept %v %v, %d builds", small.table.Kept, small.bands.Kept, coll.Counter(obs.CounterIndexBuilds))
 	}
 }

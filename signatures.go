@@ -19,21 +19,24 @@ import (
 // LoadIngest, format AIN1) whose Signatures method returns it. The
 // sketch is immutable once returned. What a query needs of it and no
 // threshold touches is built by the first query that needs it and kept
-// with it: the Row-Sorting index (MinHash; 12 bytes a cell), the sorted
-// buckets of the band layout last queried (MinLSH; 12 bytes a band and
-// column) and Section 6's pair statistics (Rules; 12 bytes a pair) —
-// the last two while they fit 64 MiB each.
+// with it: the Row-Sorting index (MinHash and Rules; 12 bytes a cell),
+// the sorted buckets of the band layout last queried (MinLSH; 12 bytes
+// a band and column) and Section 6's pair table (Rules; 20 bytes a pair
+// that agrees in two signature rows) — the last two while they fit
+// 64 MiB each.
 type Signatures struct {
 	sig *minhash.Signatures
 
 	index, bands driver.Memo[*candidate.Index]
-	triangle     driver.Memo[*rules.Triangle]
+	table        driver.Memo[*rules.Table]
 }
 
 // memoLimit bounds what a resident sketch keeps beside its run index: a
 // larger structure is not built to be kept, and every query runs what a
-// one-shot run does. 64 MiB is §6's triangle up to 3 344 columns and the
-// buckets of a 40-band layout up to 139 810.
+// one-shot run does. 64 MiB is the buckets of a 40-band layout up to
+// 139 810 columns, and §6's table while the run index bounds it at
+// 3.3M pairs agreeing twice (the bound, half the run index's
+// agreements, is what is checked before the build).
 const memoLimit = 64 << 20
 
 // newSignatures wraps a finished sketch that keeps what fits memoLimit.
@@ -41,10 +44,10 @@ func newSignatures(sig *minhash.Signatures) *Signatures {
 	return signaturesKeeping(sig, memoLimit)
 }
 
-// signaturesKeeping bounds the buckets and the triangle by limit each.
+// signaturesKeeping bounds the buckets and the table by limit each.
 func signaturesKeeping(sig *minhash.Signatures, limit int64) *Signatures {
 	s := &Signatures{sig: sig}
-	s.bands.Limit, s.triangle.Limit = limit, limit
+	s.bands.Limit, s.table.Limit = limit, limit
 	return s
 }
 
@@ -74,8 +77,8 @@ func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result,
 }
 
 // query implements Resident: MinHash adopts the sketch with its run
-// index, MinLSH with the buckets of one band layout, Rules with §6's
-// triangle.
+// index, MinLSH with the buckets of one band layout, Rules with the run
+// index and §6's table.
 func (s *Signatures) query(d *Dataset, cfg Config) (in driver.Input, _ Config, err error) {
 	if s.sig.M != d.NumCols() {
 		return in, cfg, fmt.Errorf("assocmine: sketch covers %d columns, dataset has %d", s.sig.M, d.NumCols())
@@ -89,7 +92,7 @@ func (s *Signatures) query(d *Dataset, cfg Config) (in driver.Input, _ Config, e
 	switch {
 	case cfg.Algorithm == MinHash:
 	case cfg.Algorithm == Rules:
-		in.Adopted.Triangle = &s.triangle
+		in.Adopted.Table = &s.table
 	case cfg.Algorithm != MinLSH:
 		return in, cfg, fmt.Errorf("assocmine: precomputed signatures support MinHash, MinLSH and Rules, got %v", cfg.Algorithm)
 	case s.sig.K < cfg.R*cfg.L:
