@@ -136,7 +136,6 @@ experiments-full:
 FUZZMINIMIZE ?= 200x
 fuzz:
 	$(GO) test ./internal/matrix -fuzz FuzzReadText -fuzztime 10s -fuzzminimizetime $(FUZZMINIMIZE)
-	$(GO) test ./internal/matrix -fuzz FuzzReadBinary -fuzztime 10s -fuzzminimizetime $(FUZZMINIMIZE)
 	$(GO) test ./internal/matrix -fuzz FuzzReadNamedTransactions -fuzztime 10s -fuzzminimizetime $(FUZZMINIMIZE)
 	$(GO) test ./internal/matrix -fuzz FuzzCArowsRoundTrip -fuzztime 10s -fuzzminimizetime $(FUZZMINIMIZE)
 	$(GO) test ./internal/matrix -fuzz FuzzScanRange -fuzztime 10s -fuzzminimizetime $(FUZZMINIMIZE)

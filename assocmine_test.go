@@ -54,7 +54,7 @@ func TestNewDatasetFromColumns(t *testing.T) {
 
 func TestDatasetSaveLoad(t *testing.T) {
 	d, _ := NewDatasetFromRows(3, [][]int{{0, 1}, {1}, {2}})
-	for _, name := range []string{"d.txt", "d.amx"} {
+	for _, name := range []string{"d.txt", "d.arows", "d.carows"} {
 		path := filepath.Join(t.TempDir(), name)
 		if err := d.Save(path); err != nil {
 			t.Fatal(err)

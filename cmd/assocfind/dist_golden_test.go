@@ -38,10 +38,10 @@ func distFixture(t *testing.T) (arows, carows string) {
 	dir := t.TempDir()
 	arows = filepath.Join(dir, "data.arows")
 	carows = filepath.Join(dir, "data.carows")
-	if err := d.SaveRowBinary(arows); err != nil {
+	if err := d.Save(arows); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SaveRowCompressed(carows); err != nil {
+	if err := d.Save(carows); err != nil {
 		t.Fatal(err)
 	}
 	return arows, carows

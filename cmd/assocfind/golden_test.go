@@ -140,7 +140,7 @@ func TestGoldenRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SaveRowBinary(arows); err != nil {
+	if err := d.Save(arows); err != nil {
 		t.Fatal(err)
 	}
 	base := options{algo: "rules", threshold: 0.7, k: 80, seed: 3, top: 10, stats: true}

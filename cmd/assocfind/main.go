@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	assocfind -in data.amx -algo mlsh -threshold 0.7
-//	assocfind -in data.amx -algo mh -threshold 0.6 -workers -1
+//	assocfind -in data.arows -algo mlsh -threshold 0.7
+//	assocfind -in data.arows -algo mh -threshold 0.6 -workers -1
 //	assocfind -in data.arows -algo kmh -threshold 0.5 -k 200 -stream
 //	assocfind -in data.arows -algo mh -threshold 0.5 -stream -workers -1 -mem-budget 64M
 //	assocfind -in baskets.txt -transactions -algo mh -threshold 0.8 -clusters
-//	assocfind -in data.amx -algo rules -threshold 0.9
-//	assocfind -in data.amx -algo apriori -threshold 0.5 -support 0.01
+//	assocfind -in data.arows -algo rules -threshold 0.9
+//	assocfind -in data.arows -algo apriori -threshold 0.5 -support 0.01
 //	assocfind -in grow.arows -algo mh -threshold 0.5 -stream -append sketch.ain
 //	assocfind -in grow.arows -algo kmh -threshold 0.5 -stream -resume sketch.ain
 //	assocfind -in data.arows -algo mh -threshold 0.5 -window 1000

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"assocmine"
+	"assocmine/internal/serve"
 )
 
 func TestParseAlgo(t *testing.T) {
@@ -45,6 +47,33 @@ func writeFixture(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestRetiredAMX1 holds every entry point that reads a dataset file —
+// LoadDataset, OpenFileDataset, assocfind with and without -stream, and
+// the resident service — to the one error that names AMX1 retired and
+// says to re-save as .arows.
+func TestRetiredAMX1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.amx")
+	if err := os.WriteFile(path, []byte("AMX1\x02\x02\x01\x00\x01\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := options{in: path, algo: "mh", threshold: 0.5, k: 20, seed: 1}
+	streamed := o
+	streamed.stream = true
+	for name, open := range map[string]func() error{
+		"LoadDataset":       func() error { _, err := assocmine.LoadDataset(path); return err },
+		"OpenFileDataset":   func() error { _, err := assocmine.OpenFileDataset(path); return err },
+		"assocfind":         func() error { return run(o) },
+		"assocfind -stream": func() error { return run(streamed) },
+		"serve":             func() error { _, err := serve.NewFromFile(path, serve.Options{}); return err },
+	} {
+		err := open()
+		var fe *assocmine.FileError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), "AMX1 (.amx) is a retired") || !strings.Contains(err.Error(), "re-save the data as .arows") {
+			t.Errorf("%s: %v, want the *FileError naming AMX1 retired", name, err)
+		}
+	}
 }
 
 func TestRunSimilarPairs(t *testing.T) {
@@ -167,7 +196,7 @@ func TestStreamClustersMatchLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	arows := filepath.Join(t.TempDir(), "data.arows")
-	if err := d.SaveRowBinary(arows); err != nil {
+	if err := d.Save(arows); err != nil {
 		t.Fatal(err)
 	}
 	clustersOf := func(out string) string {

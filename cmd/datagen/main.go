@@ -1,11 +1,12 @@
 // Command datagen generates the paper's experimental datasets to disk
-// in the assocmine matrix formats (.txt transactions or .amx binary).
+// in the assocmine dataset formats (.arows row binary, .carows
+// compressed rows, text otherwise).
 //
 // Usage:
 //
-//	datagen -kind synthetic -rows 10000 -cols 1000 -out syn.amx
-//	datagen -kind weblog -rows 20000 -cols 3000 -out web.amx
-//	datagen -kind news -rows 30000 -cols 6000 -out news.amx -words words.txt
+//	datagen -kind synthetic -rows 10000 -cols 1000 -out syn.arows
+//	datagen -kind weblog -rows 20000 -cols 3000 -out web.arows
+//	datagen -kind news -rows 30000 -cols 6000 -out news.arows -words words.txt
 package main
 
 import (
@@ -26,7 +27,7 @@ func main() {
 		rows    = flag.Int("rows", 10000, "rows (baskets / clients / documents)")
 		cols    = flag.Int("cols", 1000, "columns (items / URLs / background vocabulary)")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		out     = flag.String("out", "", "output path (.amx = column binary, .arows = streaming binary, .carows = compressed streaming, else text)")
+		out     = flag.String("out", "", "output path (.arows = streaming binary, .carows = compressed streaming, else text)")
 		words   = flag.String("words", "", "news only: also write the column vocabulary here")
 		meanLen = flag.Int("mean-len", 0, "market/clicks only: mean row length (0 = default)")
 	)
@@ -134,16 +135,7 @@ func run(kind string, rows, cols int, seed uint64, out, words string, meanLen in
 	default:
 		return fmt.Errorf("unknown kind %q (want synthetic, weblog, news, quest, market or clicks)", kind)
 	}
-	var err error
-	switch {
-	case strings.HasSuffix(out, ".carows"):
-		err = data.SaveRowCompressed(out)
-	case strings.HasSuffix(out, ".arows"):
-		err = data.SaveRowBinary(out)
-	default:
-		err = data.Save(out)
-	}
-	if err != nil {
+	if err := data.Save(out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d ones, density %.4f%%)\n", out, data.Ones(),

@@ -14,7 +14,7 @@ func TestRunAllKinds(t *testing.T) {
 		words     string
 	}{
 		{"synthetic", "syn.txt", ""},
-		{"weblog", "web.amx", ""},
+		{"weblog", "web.carows", ""},
 		{"news", "news.arows", "words.txt"},
 		{"quest", "quest.txt", ""},
 	}

@@ -81,18 +81,28 @@ func NewDatasetFromColumns(numRows int, cols [][]int) (*Dataset, error) {
 	return &Dataset{m: m}, nil
 }
 
-// LoadDataset reads a dataset file written by Save. Files ending in
-// ".amx" use the compact binary codec; anything else is the text
-// transaction format.
+// LoadDataset reads a dataset file written by Save into memory, in one
+// pass of the FileSource that OpenFileDataset streams: ".arows" and
+// ".carows" are the row binaries, anything else the text format. Decode
+// failures are *FileError values naming the path and byte offset.
 func LoadDataset(path string) (*Dataset, error) {
-	m, err := matrix.LoadFile(path)
+	src, err := matrix.OpenFileSource(path)
+	if err != nil {
+		return nil, err
+	}
+	m, err := matrix.Collect(src)
 	if err != nil {
 		return nil, err
 	}
 	return &Dataset{m: m}, nil
 }
 
-// Save writes the dataset to path (binary for ".amx", text otherwise).
+// Save writes the dataset to path in the format its suffix names, the
+// one LoadDataset and OpenFileDataset read: ".arows" is the row-major
+// streaming binary, the most compact uncompressed input; ".carows" its
+// compressed variant (Rice-coded gap deltas, the Rice parameter chosen
+// per row), which streams exactly like ".arows" while reading fewer
+// bytes from disk; anything else the text transaction format.
 func (d *Dataset) Save(path string) error {
 	return matrix.SaveFile(path, d.m)
 }
@@ -112,21 +122,6 @@ func LoadTransactions(path string) (*Dataset, []string, error) {
 		return nil, nil, err
 	}
 	return &Dataset{m: m}, names, nil
-}
-
-// SaveTransactions writes the dataset in the named transaction format,
-// using names[c] as the item name of column c (names must be unique and
-// whitespace-free).
-func (d *Dataset) SaveTransactions(path string, names []string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = matrix.WriteNamedTransactions(f, d.m, names)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // NumRows returns the number of rows (baskets).

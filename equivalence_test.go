@@ -784,16 +784,7 @@ func runDist(t *testing.T, e *env, c cell, cfg Config) *Result {
 func saveDataset(t *testing.T, d *Dataset, dir, ext string) string {
 	t.Helper()
 	path := filepath.Join(dir, "data"+ext)
-	var err error
-	switch ext {
-	case ".arows":
-		err = d.SaveRowBinary(path)
-	case ".carows":
-		err = d.SaveRowCompressed(path)
-	default:
-		err = d.Save(path)
-	}
-	if err != nil {
+	if err := d.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -83,8 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("K-MH found %d taste-neighbour pairs (similarity >= 0.15) in %v\n",
-		len(res.Pairs), res.Stats.Total())
+	fmt.Printf("K-MH found %d taste-neighbour pairs (similarity >= 0.15)\n", len(res.Pairs))
 	sameGenre := 0
 	for _, p := range res.Pairs {
 		if genreOfUser[p.I] == genreOfUser[p.J] {

@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := web.Data.SaveRowBinary(path); err != nil {
+	if err := web.Data.Save(path); err != nil {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(path)
@@ -55,8 +55,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("disk-resident K-MH: %d pairs, %d file passes (%d rows scanned, %d bytes read), total %v\n",
-		len(res.Pairs), res.Stats.DataPasses, res.Stats.RowsScanned, res.Stats.BytesRead, res.Stats.Total())
+	fmt.Printf("disk-resident K-MH: %d pairs, %d file passes (%d rows scanned, %d bytes read)\n",
+		len(res.Pairs), res.Stats.DataPasses, res.Stats.RowsScanned, res.Stats.BytesRead)
 
 	// Same mine, out of core at full tilt: four workers share both file
 	// passes (a single reader broadcasts row shards, so the file is
@@ -74,8 +74,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("out-of-core K-MH:   %d pairs, %d shards streamed, %d spill runs (%d bytes), total %v\n",
-		len(ooc.Pairs), ooc.Stats.ShardsStreamed, ooc.Stats.SpillRuns, ooc.Stats.SpillBytes, ooc.Stats.Total())
+	fmt.Printf("out-of-core K-MH:   %d pairs, %d shards streamed, %d spill runs (%d bytes)\n",
+		len(ooc.Pairs), ooc.Stats.ShardsStreamed, ooc.Stats.SpillRuns, ooc.Stats.SpillBytes)
 	if len(ooc.Pairs) != len(res.Pairs) {
 		log.Fatalf("out-of-core run found %d pairs, serial found %d", len(ooc.Pairs), len(res.Pairs))
 	}

@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"assocmine"
 )
@@ -49,7 +48,6 @@ func main() {
 	fmt.Printf("optimizer chose r=%d, l=%d (k=%d min-hashes; predicted FN=%.1f FP=%.0f)\n\n",
 		params.R, params.L, params.R*params.L, params.PredictedFN, params.PredictedFP)
 
-	start := time.Now()
 	res, err := assocmine.SimilarPairs(data, assocmine.Config{
 		Algorithm: assocmine.MinLSH,
 		Threshold: 0.7,
@@ -61,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("M-LSH found %d similar URL pairs in %v\n", len(res.Pairs), time.Since(start))
+	fmt.Printf("M-LSH found %d similar URL pairs\n", len(res.Pairs))
 
 	// Check the findings against the known embedded-resource groups.
 	groupOf := map[int]int{}

@@ -14,10 +14,9 @@ import (
 // is the paper's actual operating regime — "we are more interested in
 // the case where M is large and the data is disk-resident".
 //
-// Supported files: the text transaction format (".txt" written by
-// Dataset.Save), the row-major streaming binary format (".arows",
-// written by SaveRowBinary) and its compressed variant (".carows",
-// written by SaveRowCompressed).
+// Supported files are those Dataset.Save writes: the text transaction
+// format, the row-major streaming binary format (".arows") and its
+// compressed variant (".carows").
 type FileDataset struct {
 	src *matrix.FileSource
 }
@@ -78,19 +77,4 @@ func (f *FileDataset) Load() (*Dataset, error) {
 		return nil, fmt.Errorf("assocmine: loading file dataset %s: %w", f.src.Path(), err)
 	}
 	return &Dataset{m: m}, nil
-}
-
-// SaveRowBinary writes the dataset in the ".arows" row-major streaming
-// binary format, the most compact uncompressed input for FileDataset.
-func (d *Dataset) SaveRowBinary(path string) error {
-	return matrix.SaveRowBinary(path, d.m.Stream())
-}
-
-// SaveRowCompressed writes the dataset in the ".carows" compressed
-// row-major format (Rice-coded gap deltas, the Rice parameter chosen per
-// row). It streams through FileDataset exactly like
-// ".arows" — same scans, same error reporting, bit-identical results —
-// while reading fewer bytes from disk.
-func (d *Dataset) SaveRowCompressed(path string) error {
-	return matrix.SaveRowCompressed(path, d.m.Stream())
 }

@@ -1,8 +1,10 @@
 package assocmine
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -10,7 +12,8 @@ import (
 // FileDataset understands (text transactions and .arows row binary).
 // Any input must either parse or error — never panic or blow memory on
 // a hostile header — and whatever parses must survive a save/reload
-// round trip with identical shape.
+// round trip with identical shape. Bytes that open with the retired
+// AMX1 magic fail by that name under either suffix.
 func FuzzOpenFileDataset(f *testing.F) {
 	d, _, err := GenerateSynthetic(SyntheticOptions{
 		Rows: 20, Cols: 10, PairsPerRange: 1, Seed: 1,
@@ -24,7 +27,7 @@ func FuzzOpenFileDataset(f *testing.F) {
 		f.Fatal(err)
 	}
 	arows := filepath.Join(seedDir, "seed.arows")
-	if err := d.SaveRowBinary(arows); err != nil {
+	if err := d.Save(arows); err != nil {
 		f.Fatal(err)
 	}
 	for _, p := range []string{txt, arows} {
@@ -40,6 +43,9 @@ func FuzzOpenFileDataset(f *testing.F) {
 	f.Add([]byte(""), true)
 	f.Add([]byte("AROW"), true)
 	f.Add([]byte("2 2\n0 1\n1\n"), false)
+	// A 2×2 matrix in the retired AMX1 format, under either suffix.
+	f.Add([]byte("AMX1\x02\x02\x01\x00\x01\x01"), true)
+	f.Add([]byte("AMX1\x02\x02\x01\x00\x01\x01"), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, binary bool) {
 		ext := ".txt"
@@ -51,6 +57,9 @@ func FuzzOpenFileDataset(f *testing.F) {
 			t.Fatal(err)
 		}
 		fd, err := OpenFileDataset(path)
+		if bytes.HasPrefix(data, []byte("AMX1")) && (err == nil || !strings.Contains(err.Error(), "AMX1 (.amx) is a retired")) {
+			t.Fatalf("AMX1 bytes as %s: %v, want the retired-format error", ext, err)
+		}
 		if err != nil {
 			return
 		}
@@ -66,7 +75,7 @@ func FuzzOpenFileDataset(f *testing.F) {
 			return
 		}
 		out := filepath.Join(t.TempDir(), "out.arows")
-		if err := loaded.SaveRowBinary(out); err != nil {
+		if err := loaded.Save(out); err != nil {
 			t.Fatalf("saving parsed dataset: %v", err)
 		}
 		fd2, err := OpenFileDataset(out)

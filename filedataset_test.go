@@ -151,12 +151,7 @@ func TestFileDatasetTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "trunc"+ext)
-			if ext == ".arows" {
-				err = d.SaveRowBinary(path)
-			} else {
-				err = d.Save(path)
-			}
-			if err != nil {
+			if err := d.Save(path); err != nil {
 				t.Fatal(err)
 			}
 			info, err := os.Stat(path)

@@ -46,7 +46,7 @@ func fixture(t *testing.T) string {
 		t.Fatal(err)
 	}
 	arows := filepath.Join(t.TempDir(), "fixture.arows")
-	if err := d.SaveRowBinary(arows); err != nil {
+	if err := d.Save(arows); err != nil {
 		t.Fatal(err)
 	}
 	return arows

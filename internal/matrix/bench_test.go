@@ -36,17 +36,6 @@ func BenchmarkIntersectSize(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteBinary(b *testing.B) {
-	m := benchMatrix(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := writeBinary(&buf, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWriteRowBinary(b *testing.B) {
 	m := benchMatrix(b)
 	b.ResetTimer()

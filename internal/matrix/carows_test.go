@@ -80,12 +80,12 @@ func TestSaveLoadFileCompressed(t *testing.T) {
 	if err := SaveFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !matricesEqual(m, got) {
-		t.Error("SaveFile/LoadFile .carows mismatch")
+		t.Error("SaveFile/loadFile .carows mismatch")
 	}
 }
 

@@ -16,8 +16,18 @@ import (
 	"assocmine/internal/testutil"
 )
 
+// loadFile reads a dataset file as assocmine.LoadDataset does: the
+// file's source, collected.
+func loadFile(path string) (*Matrix, error) {
+	src, err := OpenFileSource(path)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
+}
+
 // ReadText parses the text format written by writeText from a reader:
-// the in-memory oracle the file path (LoadFile through FileSource's text
+// the in-memory oracle the file path (loadFile through FileSource's text
 // decoder) is held to.
 func ReadText(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -42,7 +52,7 @@ func ReadText(r io.Reader) (*Matrix, error) {
 	return b.Build(), nil
 }
 
-// TestLoadFileTextMatchesReadText: LoadFile of a ".txt" file (through
+// TestLoadFileTextMatchesReadText: loadFile of a ".txt" file (through
 // FileSource) gives the same matrix as the ReadText oracle, or fails
 // where the oracle fails — over the committed text fixtures, the text
 // fuzz seeds and hand-written edge files.
@@ -85,12 +95,12 @@ func TestLoadFileTextMatchesReadText(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, gotErr := LoadFile(path)
+		got, gotErr := loadFile(path)
 		switch {
 		case (wantErr == nil) != (gotErr == nil):
-			t.Errorf("%s: ReadText err = %v, LoadFile err = %v", name, wantErr, gotErr)
+			t.Errorf("%s: ReadText err = %v, loadFile err = %v", name, wantErr, gotErr)
 		case wantErr == nil && !matricesEqual(want, got):
-			t.Errorf("%s: LoadFile and ReadText disagree", name)
+			t.Errorf("%s: loadFile and ReadText disagree", name)
 		}
 	}
 }
@@ -103,7 +113,7 @@ func TestLoadFileTextErrorNamesFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadFile(path)
+	_, err := loadFile(path)
 	var fe *FileError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v (%T), want *FileError", err, err)
@@ -184,71 +194,43 @@ func TestReadTextErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := hashing.NewSplitMix64(31)
-	for trial := 0; trial < 10; trial++ {
-		m := randomMatrix(rng, 100+trial*37, 17, 0.07)
-		var buf bytes.Buffer
-		if err := writeBinary(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err := readBinary(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matricesEqual(m, got) {
-			t.Fatalf("binary round trip mismatch on trial %d", trial)
+// TestRetiredAMX1FailsByName: a file that opens with the AMX1 magic
+// fails at open with the error that names the format retired, whatever
+// its suffix, and so does a scan of a file rewritten as AMX1 after the
+// open.
+func TestRetiredAMX1FailsByName(t *testing.T) {
+	amx := rowBinary(retiredMagic, []uint64{2, 2}, []uint64{1, 0, 1, 1})
+	for _, name := range []string{"d.amx", "d.txt", "d.arows", "d.carows"} {
+		_, err := OpenFileSourceFS(memFS(amx), name)
+		var fe *FileError
+		if !errors.As(err, &fe) || !errors.Is(err, errRetired) || !strings.Contains(err.Error(), "AMX1") || fe.Offset != 0 {
+			t.Errorf("%s: %v, want a *FileError at byte 0 naming AMX1 retired", name, err)
 		}
 	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX"),
-		[]byte("AMX1"), // truncated after magic
-	}
-	for _, in := range cases {
-		if _, err := readBinary(bytes.NewReader(in)); err == nil {
-			t.Errorf("readBinary accepted %q", in)
-		}
-	}
-}
-
-func TestBinaryRejectsOversizedColumn(t *testing.T) {
-	m := testutil.Must(New(4, [][]int32{{0, 1, 2}}))
-	var buf bytes.Buffer
-	if err := writeBinary(&buf, m); err != nil {
+	path := filepath.Join(t.TempDir(), "d.arows")
+	if err := SaveFile(path, paperExample()); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the column length byte (offset: 4 magic + 1 rows + 1 cols).
-	data := buf.Bytes()
-	data[6] = 200
-	if _, err := readBinary(bytes.NewReader(data)); err == nil {
-		t.Error("readBinary accepted column longer than row count")
+	src := testutil.Must(OpenFileSource(path))
+	if err := os.WriteFile(path, amx, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestBinaryRejectsWrappingDelta: a row delta of 2^32+1 is out of range,
-// though truncated to int32 it is 1, a valid row of the 3×1 matrix.
-func TestBinaryRejectsWrappingDelta(t *testing.T) {
-	data := rowBinary("AMX1", []uint64{3, 1}, []uint64{1, 1<<32 + 1})
-	if m, err := readBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("readBinary = %v, %v; want an out-of-range error", m, err)
+	if err := src.Scan(func(int, []int32) error { return nil }); !errors.Is(err, errRetired) {
+		t.Errorf("scan of a file rewritten as AMX1: %v, want the retired-format error", err)
 	}
 }
 
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	m := paperExample()
-	for _, name := range []string{"m.txt", "m.amx"} {
+	for _, name := range []string{"m.txt", "m.arows"} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, m); err != nil {
 			t.Fatalf("SaveFile(%s): %v", name, err)
 		}
-		got, err := LoadFile(path)
+		got, err := loadFile(path)
 		if err != nil {
-			t.Fatalf("LoadFile(%s): %v", name, err)
+			t.Fatalf("loadFile(%s): %v", name, err)
 		}
 		if !matricesEqual(m, got) {
 			t.Errorf("file round trip mismatch for %s", name)
@@ -257,27 +239,8 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
-		t.Error("LoadFile on missing file succeeded")
-	}
-}
-
-func TestQuickBinaryRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := hashing.NewSplitMix64(seed)
-		m := randomMatrix(rng, 1+rng.Intn(60), 1+rng.Intn(10), rng.Float64()*0.5)
-		var buf bytes.Buffer
-		if err := writeBinary(&buf, m); err != nil {
-			return false
-		}
-		got, err := readBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return matricesEqual(m, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	if _, err := loadFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
+		t.Error("loadFile on missing file succeeded")
 	}
 }
 

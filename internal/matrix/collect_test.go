@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -250,10 +249,6 @@ func TestCollectAllocatesWhatItReads(t *testing.T) {
 	}{
 		{"arows 2^24 rows, one read", collect([]uint64{1 << 24, 1}, []uint64{1, 0}), "row 1 "},
 		{"arows 2^24 columns, no row", collect([]uint64{1, 1 << 24}, nil), "row 0 "},
-		{"AMX1 2^24 columns, none read", func() error {
-			_, err := readBinary(bytes.NewReader(rowBinary(binaryMagic, []uint64{1, 1 << 24}, nil)))
-			return err
-		}, "column 0 length"},
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats

@@ -81,8 +81,8 @@ func (e *FileError) Unwrap() error { return e.Err }
 // Supported formats: the text transaction format of writeText, the
 // row-major streaming binary format of writeRowBinary (".arows"), and
 // the compressed row-streaming format of writeRowCompressed
-// (".carows"). The column-major ".amx" format cannot be row-streamed;
-// convert it first.
+// (".carows"). A file in the retired column-major AMX1 format fails by
+// that name, whatever its suffix.
 //
 // Opens and reads that fail transiently (see isTransient) are retried
 // with exponential backoff per the source's RetryPolicy; permanent
@@ -458,9 +458,24 @@ func OpenFileSourceFS(fsys FS, path string) (*FileSource, error) {
 	return fs, nil
 }
 
+// retiredMagic opens the column-major AMX1 (".amx") files of earlier
+// versions, which no pass can stream.
+const retiredMagic = "AMX1"
+
+// errRetired is the header failure of an AMX1 file.
+var errRetired = errors.New("AMX1 (.amx) is a retired column-major format; re-save the data as .arows")
+
 // header reads and checks the header of the source's format, returning
 // the dimensions it declares.
 func (fs *FileSource) header(tr *trackedReader) (rows, cols int, err error) {
+	magic, err := tr.Peek(len(retiredMagic))
+	if string(magic) == retiredMagic {
+		return 0, 0, errRetired
+	}
+	if err != nil && err != io.EOF {
+		tr.Discard(len(magic)) // the offset a decoder reading up to the fault reports
+		return 0, 0, fmt.Errorf("reading header: %w", err)
+	}
 	switch fs.format {
 	case formatARows:
 		return readRowHeader(tr, rowBinaryMagic, "row-binary")

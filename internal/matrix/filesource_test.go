@@ -3,13 +3,13 @@ package matrix
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"assocmine/internal/hashing"
-	"assocmine/internal/testutil"
 )
 
 func TestFileSourceTextRoundTrip(t *testing.T) {
@@ -180,7 +180,14 @@ func TestNamedTransactionsRoundTrip(t *testing.T) {
 		t.Errorf("column sizes: milk=%d beer=%d", m.ColumnSize(0), m.ColumnSize(2))
 	}
 	var buf bytes.Buffer
-	if err := WriteNamedTransactions(&buf, m, names); err != nil {
+	if err := m.Stream().Scan(func(_ int, cols []int32) error {
+		items := make([]string, len(cols))
+		for i, c := range cols {
+			items[i] = names[c]
+		}
+		_, err := fmt.Fprintln(&buf, strings.Join(items, " "))
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	m2, names2, err := ReadNamedTransactions(&buf)
@@ -194,22 +201,5 @@ func TestNamedTransactionsRoundTrip(t *testing.T) {
 		if names[i] != names2[i] {
 			t.Errorf("name %d: %q vs %q", i, names[i], names2[i])
 		}
-	}
-}
-
-func TestWriteNamedTransactionsValidation(t *testing.T) {
-	m := testutil.Must(New(1, [][]int32{{0}, {}}))
-	var buf bytes.Buffer
-	if err := WriteNamedTransactions(&buf, m, []string{"a"}); err == nil {
-		t.Error("wrong name count accepted")
-	}
-	if err := WriteNamedTransactions(&buf, m, []string{"a b", "c"}); err == nil {
-		t.Error("name with space accepted")
-	}
-	if err := WriteNamedTransactions(&buf, m, []string{"a", "a"}); err == nil {
-		t.Error("duplicate names accepted")
-	}
-	if err := WriteNamedTransactions(&buf, m, []string{"", "b"}); err == nil {
-		t.Error("empty name accepted")
 	}
 }

@@ -35,31 +35,6 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	_ = writeBinary(&seed, paperExample())
-	f.Add(seed.Bytes())
-	f.Add([]byte("AMX1"))
-	f.Add([]byte("AMX1\x02\x02\x01\x00\x01\x01"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := writeBinary(&out, m); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		m2, err := readBinary(&out)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if !matricesEqual(m, m2) {
-			t.Fatal("binary codec not idempotent")
-		}
-	})
-}
-
 func FuzzCArowsRoundTrip(f *testing.F) {
 	var seed bytes.Buffer
 	_ = writeRowCompressed(&seed, paperExample().Stream())

@@ -18,15 +18,15 @@ var goldenRows = [][]int32{
 	{0, 11}, {3, 7}, {}, {2, 4, 6, 8, 10},
 }
 
-// TestGoldenFileBytes pins the three dataset file formats byte for
-// byte: the column binary (AMX1, ".amx"), the row binary (ARW1,
-// ".arows") and the compressed rows (CRW1, ".carows"). Writing the
+// TestGoldenFileBytes pins the binary dataset file formats byte for
+// byte: the row binary (ARW1, ".arows") and the compressed rows (CRW1,
+// ".carows"). Writing the
 // fixture must reproduce the committed bytes and reading them must
 // give the fixture back, so a format change is a visible diff of
 // testdata/.
 func TestGoldenFileBytes(t *testing.T) {
 	m := testutil.Must(FromRows(12, goldenRows))
-	for _, name := range []string{"golden.amx", "golden.arows", "golden.carows"} {
+	for _, name := range []string{"golden.arows", "golden.carows"} {
 		golden := filepath.Join("testdata", name)
 		path := filepath.Join(t.TempDir(), name)
 		if err := SaveFile(path, m); err != nil {
@@ -43,7 +43,7 @@ func TestGoldenFileBytes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: the fixture encodes to %d bytes that differ from the %d golden ones", name, len(got), len(want))
 		}
-		loaded, err := LoadFile(golden)
+		loaded, err := loadFile(golden)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

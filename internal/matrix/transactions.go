@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -48,45 +47,4 @@ func ReadNamedTransactions(r io.Reader) (*Matrix, []string, error) {
 	}
 	_ = lineNo
 	return m, names, nil
-}
-
-// WriteNamedTransactions writes the matrix in the named transaction
-// format using names[c] for column c.
-func WriteNamedTransactions(w io.Writer, m *Matrix, names []string) error {
-	if len(names) != m.NumCols() {
-		return fmt.Errorf("matrix: %d names for %d columns", len(names), m.NumCols())
-	}
-	for c, n := range names {
-		if strings.ContainsAny(n, " \t\r\n") || n == "" {
-			return fmt.Errorf("matrix: item name %q of column %d is empty or contains whitespace", n, c)
-		}
-	}
-	// Detect duplicate names: they would not round-trip.
-	{
-		sorted := append([]string(nil), names...)
-		sort.Strings(sorted)
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i] == sorted[i-1] {
-				return fmt.Errorf("matrix: duplicate item name %q", sorted[i])
-			}
-		}
-	}
-	bw := bufio.NewWriter(w)
-	err := m.Stream().Scan(func(row int, cols []int32) error {
-		for i, c := range cols {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(names[c]); err != nil {
-				return err
-			}
-		}
-		return bw.WriteByte('\n')
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
 }

@@ -52,8 +52,8 @@ const (
 	// CounterFalsePositives counts candidates eliminated by the exact
 	// pass (candidates - verified).
 	CounterFalsePositives = "false_positives"
-	// CounterTopPairsAttempts counts threshold-lowering retries of a
-	// TopPairs query.
+	// CounterTopPairsAttempts counts the threshold-lowering steps of a
+	// TopPairsWith or TopColumnsWith search.
 	CounterTopPairsAttempts = "toppairs_attempts"
 	// CounterIndexBuilds counts builds of a resident sketch's phase-2
 	// index: one per sketch object, by the first query that needs it.

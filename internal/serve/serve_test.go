@@ -55,7 +55,7 @@ func testDataset(tb testing.TB, rows, cols int) *assocmine.Dataset {
 func newServer(tb testing.TB, data *assocmine.Dataset, opts Options) (*Server, error) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "data.arows")
-	if err := data.SaveRowBinary(path); err != nil {
+	if err := data.Save(path); err != nil {
 		return nil, err
 	}
 	return NewFromFile(path, opts)

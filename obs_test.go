@@ -271,12 +271,16 @@ func TestProgressiveRecorder(t *testing.T) {
 	}
 }
 
-// TestTopPairsAttemptsCounter checks TopPairs reports its retries.
+// TestTopPairsAttemptsCounter checks TopPairsWith reports its steps.
 func TestTopPairsAttemptsCounter(t *testing.T) {
 	d := obsFixture(t)
+	sig, err := ComputeSignatures(d, 60, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coll := NewCollector()
-	if _, err := TopPairs(d, 3, Config{
-		Algorithm: MinHash, Threshold: 0.95, K: 60, Seed: 3, Recorder: coll,
+	if _, err := TopPairsWith(d, sig, 3, Config{
+		Algorithm: MinHash, Threshold: 0.95, Recorder: coll,
 	}, 0.3); err != nil {
 		t.Fatal(err)
 	}

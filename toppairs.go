@@ -4,30 +4,8 @@ import (
 	"fmt"
 
 	"assocmine/internal/driver"
-	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
-
-// TopPairs returns the n most similar column pairs without requiring
-// the caller to guess a threshold: it runs the configured algorithm at
-// cfg.Threshold and, when fewer than n pairs clear it, geometrically
-// lowers the threshold and re-queries until n pairs are found or the
-// floor is hit. cfg.Threshold acts as the starting point (default 0.9);
-// minThreshold bounds the search from below (default 0.05 — below
-// that, the near-zero mass makes "top pairs" meaningless on sparse
-// data).
-//
-// Every attempt is a complete run — signature scan, candidates, verify
-// — so on a large dataset, or when the threshold is expected to drop
-// several times, compute the sketch once (ComputeSignatures,
-// ComputeSketches) and use TopPairsWith.
-// cfg.Workers carries through to every retry, parallelising all three
-// phases of each attempt.
-func TopPairs(d *Dataset, n int, cfg Config, minThreshold float64) ([]Pair, error) {
-	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) {
-		return SimilarPairs(d, c)
-	})
-}
 
 // Resident is a precomputed sketch queries are answered from —
 // *Signatures or *Sketches, the only implementations — with the
@@ -57,11 +35,16 @@ func SimilarPairsWith(d *Dataset, s Resident, cfg Config) (*Result, error) {
 	return similar(in, cfg, driver.Mine)
 }
 
-// TopPairsWith is TopPairs answered from a resident sketch, as one
-// search: the candidate scan runs once, and each threshold-lowering step
-// admits of its hits what a query at that threshold would emit and
-// verifies — one pass over d — only what no earlier step did. The pairs
-// are those of the retry loop over SimilarPairsWith, field for field.
+// TopPairsWith returns the n most similar column pairs without
+// requiring the caller to guess a threshold: it answers at
+// cfg.Threshold (default 0.9) and, when fewer than n pairs clear it,
+// lowers the threshold geometrically (×0.7) until n pairs are found or
+// minThreshold (default 0.05; below it the near-zero mass makes "top
+// pairs" meaningless on sparse data) is hit. It is one search over the
+// resident sketch: the candidate scan runs once, and each step admits
+// of its hits what a query at that threshold would emit and verifies —
+// one pass over d — only what no earlier step did. The pairs are those
+// of the retry loop over SimilarPairsWith, field for field.
 func TopPairsWith(d *Dataset, s Resident, n int, cfg Config, minThreshold float64) ([]Pair, error) {
 	return search(d, s, -1, n, cfg, minThreshold)
 }
@@ -83,7 +66,7 @@ func TopColumnsWith(d *Dataset, s Resident, col, n int, cfg Config, minThreshold
 // defaults in: the start (cfg.Threshold, 0.9) and the floor (0.05).
 func ladder(n int, cfg *Config, minThreshold *float64) error {
 	if n <= 0 {
-		return fmt.Errorf("assocmine: TopPairs needs n > 0, got %d", n)
+		return fmt.Errorf("assocmine: a top-n search needs n > 0, got %d", n)
 	}
 	if *minThreshold == 0 {
 		*minThreshold = 0.05
@@ -98,31 +81,6 @@ func ladder(n int, cfg *Config, minThreshold *float64) error {
 		return fmt.Errorf("assocmine: starting threshold %v below floor %v", cfg.Threshold, *minThreshold)
 	}
 	return nil
-}
-
-// topLoop is the threshold-lowering search as a retry loop: query at
-// cfg.Threshold and geometrically lower the threshold until n pairs are
-// found or minThreshold is hit, every attempt a whole run.
-func topLoop(n int, cfg Config, minThreshold float64, query func(Config) (*Result, error)) ([]Pair, error) {
-	if err := ladder(n, &cfg, &minThreshold); err != nil {
-		return nil, err
-	}
-	rec := obs.OrNop(cfg.Recorder)
-	for {
-		rec.Add(obs.CounterTopPairsAttempts, 1)
-		res, err := query(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Pairs) >= n {
-			return res.Pairs[:n], nil
-		}
-		if cfg.Threshold <= minThreshold {
-			// Floor reached: return everything found.
-			return res.Pairs, nil
-		}
-		cfg.Threshold = max(cfg.Threshold*0.7, minThreshold)
-	}
 }
 
 // search is TopPairsWith and TopColumnsWith: the driver's one-run

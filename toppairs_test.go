@@ -5,12 +5,44 @@ import (
 	"testing"
 
 	"assocmine/internal/hashing"
+	"assocmine/internal/obs"
 )
+
+// topLoop is the threshold-lowering search as a retry loop, the oracle
+// TopPairsWith and TopColumnsWith are held to: query at cfg.Threshold
+// and geometrically lower the threshold until n pairs are found or
+// minThreshold is hit, every attempt a whole run.
+func topLoop(n int, cfg Config, minThreshold float64, query func(Config) (*Result, error)) ([]Pair, error) {
+	if err := ladder(n, &cfg, &minThreshold); err != nil {
+		return nil, err
+	}
+	rec := obs.OrNop(cfg.Recorder)
+	for {
+		rec.Add(obs.CounterTopPairsAttempts, 1)
+		res, err := query(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Pairs) >= n {
+			return res.Pairs[:n], nil
+		}
+		if cfg.Threshold <= minThreshold {
+			// Floor reached: return everything found.
+			return res.Pairs, nil
+		}
+		cfg.Threshold = max(cfg.Threshold*0.7, minThreshold)
+	}
+}
+
+// topPairs is topLoop over whole SimilarPairs runs on d.
+func topPairs(d *Dataset, n int, cfg Config, minThreshold float64) ([]Pair, error) {
+	return topLoop(n, cfg, minThreshold, func(c Config) (*Result, error) { return SimilarPairs(d, c) })
+}
 
 func TestTopPairsReturnsExactlyN(t *testing.T) {
 	d, _ := plantedDataset(t)
 	for _, n := range []int{1, 5, 15} {
-		got, err := TopPairs(d, n, Config{Algorithm: BruteForce}, 0.05)
+		got, err := topPairs(d, n, Config{Algorithm: BruteForce}, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +60,7 @@ func TestTopPairsReturnsExactlyN(t *testing.T) {
 
 func TestTopPairsMatchesGroundTruthOrder(t *testing.T) {
 	d, _ := plantedDataset(t)
-	top, err := TopPairs(d, 3, Config{Algorithm: BruteForce}, 0.05)
+	top, err := topPairs(d, 3, Config{Algorithm: BruteForce}, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +86,7 @@ func TestTopPairsFloorReturnsWhatExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TopPairs(d, 10, Config{Algorithm: BruteForce}, 0.1)
+	got, err := topPairs(d, 10, Config{Algorithm: BruteForce}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +97,30 @@ func TestTopPairsFloorReturnsWhatExists(t *testing.T) {
 
 func TestTopPairsValidation(t *testing.T) {
 	d, _ := NewDatasetFromRows(2, [][]int{{0}, {1}})
-	if _, err := TopPairs(d, 0, Config{Algorithm: BruteForce}, 0.1); err == nil {
+	sig, err := ComputeSignatures(d, 20, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Algorithm: MinHash}
+	if _, err := TopPairsWith(d, sig, 0, cfg, 0.1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := TopPairs(d, 1, Config{Algorithm: BruteForce}, 1.5); err == nil {
+	if _, err := TopPairsWith(d, sig, 1, cfg, 1.5); err == nil {
 		t.Error("bad floor accepted")
 	}
-	if _, err := TopPairs(d, 1, Config{Algorithm: BruteForce, Threshold: 0.01}, 0.5); err == nil {
+	cfg.Threshold = 0.01
+	if _, err := TopPairsWith(d, sig, 1, cfg, 0.5); err == nil {
 		t.Error("threshold below floor accepted")
 	}
 }
 
 func TestTopPairsWithLSH(t *testing.T) {
 	d, _ := plantedDataset(t)
-	got, err := TopPairs(d, 5, Config{Algorithm: MinLSH, K: 100, R: 4, L: 25, Seed: 3}, 0.2)
+	sig, err := ComputeSignatures(d, 100, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := TopPairsWith(d, sig, 5, Config{Algorithm: MinLSH, R: 4, L: 25}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +290,8 @@ func TestTopColumnsMatchAllPairsOracle(t *testing.T) {
 
 // TestResidentContract: the three entry points over a Resident answer,
 // for either sketch type and every scheme a sketch hosts, exactly what
-// the run that folds its own sketch answers — SimilarPairs, TopPairs,
-// and the all-pairs search filtered on the column — and what the typed
+// the run that folds its own sketch answers — SimilarPairs, the
+// topLoop oracle over it, and the all-pairs search filtered on the column — and what the typed
 // spellings of SimilarPairsWith answer; a sketch turns away the schemes
 // it cannot host.
 func TestResidentContract(t *testing.T) {
@@ -300,7 +342,7 @@ func TestResidentContract(t *testing.T) {
 			}
 			cfg.Threshold = 0.9
 			for _, n := range []int{3, 40} {
-				wantTop, err := TopPairs(d, n, cfg, 0.1)
+				wantTop, err := topPairs(d, n, cfg, 0.1)
 				if err != nil {
 					t.Fatal(err)
 				}
