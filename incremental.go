@@ -295,7 +295,7 @@ func (in *Ingest) Sketches() (*Sketches, error) {
 	if sk.KMH == nil {
 		return nil, fmt.Errorf("assocmine: %v ingest produces Signatures, not Sketches", in.algo)
 	}
-	return &Sketches{sk: sk.KMH}, nil
+	return newSketches(sk.KMH), nil
 }
 
 // AIN1 snapshot container: a fixed header followed by one length-free

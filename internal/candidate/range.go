@@ -4,9 +4,10 @@
 // sketch as a read-only Index (one radix sort per signature row, or one
 // over all sketch values) that depends on the sketch alone, never on a
 // cutoff, so any number of kernels — one per query of a resident sketch
-// — count over it at once; the counting is the rangers' unit loop, the
-// only count loop in the package. Both algorithms attribute each
-// candidate pair to exactly one column (the smaller index for Row-Sort's
+// — count over it at once; the counting is counter.count, the only
+// count loop in the package, run by the rangers' unit loop or, once for
+// a resident K-MH sketch, into the Counts its later scans read. Both
+// algorithms attribute each candidate pair to exactly one column (the smaller index for Row-Sort's
 // j > i emission, the later column for Hash-Count's
 // count-against-earlier scheme), so disjoint column ranges partition
 // the candidate set and concatenating range outputs in range order
@@ -20,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"assocmine/internal/fold"
 	"assocmine/internal/kminhash"
@@ -33,9 +35,10 @@ import (
 // sketch and, for the counting schemes, the grouping they count over.
 // It is read-only once built, so the kernels of concurrent queries
 // share it, and it costs 12 bytes a signature cell: what a resident
-// sketch keeps beside itself so that a query pays for counting only.
-// (M-LSH's is the sketch and, when kept, the sorted buckets of one band
-// layout — 12 bytes a band and column.)
+// sketch keeps beside itself so that a query pays for counting only
+// (or, over a K-MH index's Counts, for filtering only). (M-LSH's is the
+// sketch and, when kept, the sorted buckets of one band layout — 12
+// bytes a band and column.)
 //
 // sorted lists columns run by run, a run being the columns that share
 // one value (within one signature row for MH), ascending inside a run
@@ -51,6 +54,7 @@ type Index struct {
 	sorted []int32
 	runs   []uint64
 	off    []int // K-MH: column i's cells are runs[off[i]:off[i+1]]; MH cells are k to a column
+	agree  int64 // Agreements, summed as the runs are filled
 
 	bands  *lsh.Bands // M-LSH, kept: the kernel holding layout's buckets
 	layout Params     // of which R, L and Seed lay the bands out
@@ -74,17 +78,9 @@ func (ix *Index) cells(i int) []uint64 {
 }
 
 // Agreements is the sum over pairs of columns of the cells they share a
-// run in — Σ over runs of s(s−1)/2 — read off the run bounds without
-// counting: a cell in a run of s columns has s−1 partners.
-func (ix *Index) Agreements() int64 {
-	var n int64
-	for _, w := range ix.runs {
-		if w != 0 {
-			n += int64(w>>32-w&math.MaxUint32) - 1
-		}
-	}
-	return n / 2
-}
+// run in — Σ over runs of s(s−1)/2 — summed as the build fills the runs,
+// without counting. For K-MH it is Σ |SIG_i ∩ SIG_j|, a scan's work.
+func (ix *Index) Agreements() int64 { return ix.agree }
 
 // checkCells rejects inputs whose cell count does not fit the 32-bit
 // run bounds.
@@ -98,16 +94,17 @@ func checkCells(n int) error {
 // fillRuns walks keys (sorted, cols carried along) run by run, cols
 // being sorted[base : base+len(keys)]. cell names the runs slot of each
 // record in turn; the slot gets the run's bounds when the run has
-// company.
-func (ix *Index) fillRuns(keys []uint64, cols []int32, base int, cell func(col int32) int) {
+// company. It returns the agreements of those runs.
+func (ix *Index) fillRuns(keys []uint64, cols []int32, base int, cell func(col int32) int) (agree int64) {
 	start := 0
 	for q := 1; q <= len(keys); q++ {
 		if q < len(keys) && keys[q] == keys[start] {
 			continue
 		}
 		var w uint64
-		if q-start >= 2 {
+		if s := int64(q - start); s >= 2 {
 			w = uint64(base+start) | uint64(base+q)<<32
+			agree += s * (s - 1) / 2
 		}
 		for _, c := range cols[start:q] {
 			if slot := cell(c); w != 0 {
@@ -116,6 +113,7 @@ func (ix *Index) fillRuns(keys []uint64, cols []int32, base int, cell func(col i
 		}
 		start = q
 	}
+	return agree
 }
 
 // mhIndex sorts the k signature rows, across workers goroutines, into
@@ -133,6 +131,7 @@ func mhIndex(ctx context.Context, _ Params, sk fold.Sketch, workers int, _ bool)
 	// Rows write disjoint parts of sorted (row l sorts its columns in
 	// place in [l·m, (l+1)·m)) and of runs (slot c·k+l), so they build
 	// independently.
+	var agree atomic.Int64
 	forEachUnit(ctx, k, workers, func() func(l int) {
 		keys := make([]uint64, 0, m)
 		keyScratch := make([]uint64, m)
@@ -146,12 +145,13 @@ func mhIndex(ctx context.Context, _ Params, sk fold.Sketch, workers int, _ bool)
 				}
 			}
 			radix.SortByKey(keys, cols, keyScratch, colScratch)
-			ix.fillRuns(keys, cols, l*m, func(c int32) int { return int(c)*k + l })
+			agree.Add(ix.fillRuns(keys, cols, l*m, func(c int32) int { return int(c)*k + l }))
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ix.agree = agree.Load()
 	return ix, nil
 }
 
@@ -189,7 +189,7 @@ func kmhIndex(ctx context.Context, _ Params, sk fold.Sketch, _ int, _ bool) (*In
 	// A sketch ascends and so do the runs, so a column meets its values
 	// in slot order: its next free cell is the one this record belongs to.
 	next := append([]int(nil), off[:m]...)
-	ix.fillRuns(keys, ix.sorted, 0, func(c int32) int {
+	ix.agree = ix.fillRuns(keys, ix.sorted, 0, func(c int32) int {
 		next[c]++
 		return next[c] - 1
 	})
@@ -237,6 +237,103 @@ func (c *counter) count(i int32, earlier bool) {
 			c.increments++
 		}
 	}
+}
+
+// Counts is a K-MH index's earlier-columns count kept whole: for each
+// column i, the columns j < i it shares a sketch value with and
+// |SIG_i ∩ SIG_j|, in the order counter.count touched them, 8 bytes a
+// pair. The count reads no threshold, so one Counts serves the scan of
+// every later kernel over its index — pair for pair, Estimate bit for
+// Estimate bit, and work (Σ |SIG_i ∩ SIG_j|) as counted — which then
+// only filters. A column's both-sides count (Column) still counts.
+type Counts struct {
+	ix    *Index  // the index counted
+	off   []int   // column i's pairs are cells[off[i]:off[i+1]]
+	cells []tally // in column order
+}
+
+// tally is one counted pair: the earlier column and the count.
+type tally struct{ j, n int32 }
+
+// CountsBytes is the bound on the Counts of a K-MH index, checked before
+// it is built: 8 bytes for each pair up to min(C(m,2), Agreements()) —
+// every pair counted holds at least one agreement — plus the offsets.
+func (ix *Index) CountsBytes() int64 {
+	m := int64(ix.cols())
+	return 8*min(m*(m-1)/2, ix.agree) + 8*(m+1)
+}
+
+// Count runs counter.count against the earlier columns of every column
+// of a K-MH index once and keeps what it counted. Column i touches at
+// most min(i, e_i) earlier columns, e_i being its agreements with them
+// (a run's members ascend, so its r-th member has r earlier partners
+// there), so each column gets a stretch that long of one allocation of
+// Σ min(i, e_i) pairs — within CountsBytes' bound, as Σ e_i is
+// Agreements(). Chunks of colChunk columns count into their stretches
+// across workers goroutines (negative: GOMAXPROCS), and the stretches
+// are then closed up in column order. ctx (nil: Background) is checked
+// every chunk; a cancelled count fails with ctx.Err().
+func (ix *Index) Count(ctx context.Context, workers int) (*Counts, error) {
+	if ix.algo != fold.KMinHash {
+		return nil, fmt.Errorf("candidate: only a K-MH index is counted whole")
+	}
+	ctx, workers = normWorkers(ctx, workers)
+	m := ix.cols()
+	// off[j+1] sums e_j first, each run read once, at its first member.
+	off := make([]int, m+1)
+	for i := range m {
+		for _, w := range ix.cells(i) {
+			if run := ix.sorted[uint32(w) : w>>32]; len(run) > 0 && run[0] == int32(i) {
+				for r, j := range run {
+					off[j+1] += r
+				}
+			}
+		}
+	}
+	for i := range m {
+		off[i+1] = off[i] + min(i, off[i+1])
+	}
+	cells, used := make([]tally, off[m]), make([]int32, m)
+	forEachUnit(ctx, (m+colChunk-1)/colChunk, workers, func() func(int) {
+		c := newCounter(ix)
+		return func(u int) {
+			for i := u * colChunk; i < min(m, (u+1)*colChunk); i++ {
+				c.count(int32(i), true)
+				for n, j := range c.touched {
+					cells[off[i]+n] = tally{j, c.counts[j]}
+					c.counts[j] = 0
+				}
+				used[i] = int32(len(c.touched))
+				c.touched = c.touched[:0]
+			}
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := 0
+	for i := range m {
+		lo := off[i]
+		off[i] = n
+		n += copy(cells[n:], cells[lo:lo+int(used[i])])
+	}
+	off[m] = n
+	return &Counts{ix: ix, off: off, cells: cells[:n]}, nil
+}
+
+// Kernel is the counted index's Kernel under p, whose scans read t.
+func (t *Counts) Kernel(p Params) (*Kernel, error) { return t.kernel(p, false) }
+
+// Search is the counted index's Search under floor, whose scan reads t.
+func (t *Counts) Search(floor Params) (*Kernel, error) { return t.kernel(floor, true) }
+
+func (t *Counts) kernel(p Params, search bool) (*Kernel, error) {
+	k, err := t.ix.kernel(p, search)
+	if err != nil {
+		return nil, err
+	}
+	k.r.(*kmhRanger).kept = t
+	return k, nil
 }
 
 // mhRanger serves any column range of the MH generators' emission loop
@@ -322,6 +419,7 @@ type kmhRanger struct {
 	// scan: emit what the biased filter admits, the biased estimate as
 	// Estimate — a Search's hits; Step runs the rest of the cascade.
 	scan bool
+	kept *Counts // the index's, read by a scan instead of counting (nil: it counts)
 }
 
 // newKMHRanger builds the index and a ranger over it.
@@ -348,7 +446,7 @@ func (ix *Index) kmhRanger(opt KMHOptions, scan bool) (*kmhRanger, error) {
 func (r *kmhRanger) units() int { return r.ix.cols() }
 
 func (r *kmhRanger) fork() ranger {
-	return &kmhRanger{counter: newCounter(r.ix), opt: r.opt, scan: r.scan}
+	return &kmhRanger{counter: newCounter(r.ix), opt: r.opt, scan: r.scan, kept: r.kept}
 }
 
 // span emits the candidates HashCountKMH attributes to columns
@@ -371,12 +469,20 @@ func (r *kmhRanger) column(out []pairs.Scored, col int) ([]pairs.Scored, int64) 
 	return r.unit(out, int32(col), true), r.increments - before
 }
 
-// unit counts column i's runs against the earlier columns or, with
-// whole set, against all of them, and appends the pairs the cascade
-// keeps.
+// unit counts column i's runs against the earlier columns — or reads
+// that count off the kept Counts — or, with whole set, against all of
+// them, and appends the pairs the cascade keeps.
 func (r *kmhRanger) unit(out []pairs.Scored, i int32, whole bool) []pairs.Scored {
+	if t := r.kept; t != nil && !whole {
+		for _, c := range t.cells[t.off[i]:t.off[i+1]] {
+			r.counts[c.j] = c.n
+			r.touched = append(r.touched, c.j)
+			r.increments += int64(c.n)
+		}
+	} else {
+		r.count(i, !whole)
+	}
 	s := r.ix.sk.KMH
-	r.count(i, !whole)
 	for _, j := range r.touched {
 		p := pairs.Make(j, i)
 		if est := s.BiasedEstimateFromCount(int(p.I), int(p.J), int(r.counts[j])); est >= r.opt.BiasedCutoff {

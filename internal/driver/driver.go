@@ -259,6 +259,31 @@ func (r *run) index(p candidate.Params, sk fold.Sketch) (*candidate.Index, error
 	return build(false)
 }
 
+// kernel is p's kernel over sk's index — a Search's under floor p, with
+// search set. A scan over an adopted K-MH sketch reads its Counts: kept,
+// like §6's table, by the first query that scans, while its bound fits
+// the memo; a one-column query counts its column's both sides instead.
+func (r *run) kernel(p candidate.Params, sk fold.Sketch, search bool) (*candidate.Kernel, error) {
+	ix, err := r.index(p, sk)
+	if err != nil {
+		return nil, err
+	}
+	kernel, searcher := ix.Kernel, ix.Search
+	if r.in.Column < 0 {
+		t, err := r.kept.Counts.get(r.rec, ix.CountsBytes(), nil, func() (*candidate.Counts, error) { return ix.Count(r.ctx, r.workers) })
+		if err != nil {
+			return nil, err
+		}
+		if t != nil {
+			kernel, searcher = t.Kernel, t.Search
+		}
+	}
+	if search {
+		return searcher(p)
+	}
+	return kernel(p)
+}
+
 // table is §6's pair table over sk, counted over its MH run index: the
 // adopted sketch's own — kept, like the index, by the first query that
 // needs it, while its bound fits the memo — or one counted for this run.
@@ -310,11 +335,7 @@ func (r *run) scheme() (scheme, error) {
 		}
 		return scheme{parallel: true, generate: func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error) {
 			cand, work, err := r.exec.Candidates(s, func() (*candidate.Kernel, error) {
-				ix, err := r.index(p, sk)
-				if err != nil {
-					return nil, err
-				}
-				return ix.Kernel(p)
+				return r.kernel(p, sk, false)
 			}, tick)
 			if err != nil {
 				return nil, err

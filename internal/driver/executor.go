@@ -112,11 +112,13 @@ func (l local) Verify(rows matrix.RowSource, cand []pairs.Scored, p verify.Param
 // Adopted is a caller's precomputed sketch, taken in place of the
 // phase-1 fold, with the memos of what lives and dies with it: the
 // phase-2 index of the query's scheme (for M-LSH the buckets of one
-// band layout) and, for a rules run, §6's pair table.
+// band layout), for a rules run §6's pair table, and for a K-MH sketch
+// the Counts its scans read.
 type Adopted struct {
 	fold.Sketch
-	Index *Memo[*candidate.Index]
-	Table *Memo[*rules.Table]
+	Index  *Memo[*candidate.Index]
+	Table  *Memo[*rules.Table]
+	Counts *Memo[*candidate.Counts]
 }
 
 // Memo is one structure a resident sketch keeps beside itself: built by

@@ -49,10 +49,7 @@ func Search(in Input, n int, floor float64) ([]pairs.Scored, error) {
 	buf := hitBuffers.Get().(*[]pairs.Scored)
 	defer hitBuffers.Put(buf)
 	hits, err := phase(r, obs.PhaseCandidates, func(tick obs.Tick) ([]pairs.Scored, error) {
-		ix, err := r.index(r.p, sk)
-		if err == nil {
-			se, err = ix.Search(at(floor))
-		}
+		se, err = r.kernel(at(floor), sk, true)
 		if err != nil {
 			return nil, err
 		}

@@ -276,8 +276,8 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 	// 16 goroutines fire the first queries of the fresh generation at
 	// once: every body is the serial answer, and each sketch built each
 	// structure it keeps once — two run indexes (the MH one serves the mh
-	// pairs plan and the rules query both), the band buckets and §6's
-	// table.
+	// pairs plan and the rules query both), the band buckets, §6's table
+	// and the K-MH counts (the kmh-scan pairs plan's).
 	fire := func(check func(i int, got []byte)) {
 		var wg sync.WaitGroup
 		for w := 0; w < 16; w++ {
@@ -302,7 +302,7 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 			t.Errorf("%s: concurrent first query differs from the serial answer:\n got %s\nwant %s", before[i].name, got, before[i].want)
 		}
 	})
-	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 4 {
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 5 {
 		t.Fatalf("%d index builds in the first generation, want one per kept structure", got)
 	}
 
@@ -362,7 +362,7 @@ func TestRefreshUnderConcurrentQueries(t *testing.T) {
 			t.Fatalf("%s after refresh:\n got %s\nwant %s", qc.name, got.Body.Bytes(), qc.want)
 		}
 	}
-	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 8 {
+	if got := s.Collector().Counter(obs.CounterIndexBuilds); got != 10 {
 		t.Fatalf("%d index builds over two generations, want one per kept structure per generation", got)
 	}
 	for _, body := range []string{

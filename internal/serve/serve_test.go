@@ -395,8 +395,8 @@ func TestQueryBudgets(t *testing.T) {
 				t.Fatalf("%s after a dead first query: status %d: %s", qc.name, rr.Code, rr.Body.String())
 			}
 		}
-		if got := s.Collector().Counter(obs.CounterIndexBuilds) - builds; got != 2 {
-			t.Fatalf("%d index builds, want the K-MH run index and the band buckets", got)
+		if got := s.Collector().Counter(obs.CounterIndexBuilds) - builds; got != 3 {
+			t.Fatalf("%d index builds, want the K-MH run index, its counts and the band buckets", got)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"assocmine/internal/hashing"
@@ -40,14 +41,17 @@ func aroundT(rng *hashing.SplitMix64, rows, cols int) *matrix.Matrix {
 	return b.Build()
 }
 
-// containerBytes is what the containers occupy: the bitmaps handed
-// out, a list filled by a scan by its capacity, a list lent by the
-// source by its length.
+// containerBytes is what the containers occupy: a scan's bitmaps by
+// the slab handed out, a lent column's bitmap by its words, a list filled
+// by a scan by its capacity, a list lent by the source by its length.
 func containerBytes(cs *columns, lent bool) int64 {
 	n := int64(len(cs.slab)) * 8
 	for s, l := range cs.list {
 		switch {
 		case cs.bits[s] != nil:
+			if lent {
+				n += int64(len(cs.bits[s])) * 8
+			}
 		case lent:
 			n += int64(len(l)) * 4
 		default:
@@ -99,6 +103,63 @@ func TestPackedContainerBytes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLendAllocatesItsBlocks: a lent fill gives each ranked component
+// one block of ⌈|U|/64⌉ words a bitmap, whatever the components ranked
+// before it. The first ranked component here is wide — two columns over
+// every other row, so |U| is half of n — and a hundred narrow ones
+// follow, two bitmaps over 1.5·T rows each; what the fill allocates
+// stays within the blocks, the lists, and the fixed scratch the ranking
+// takes (the component links, the union and its prefix counts, the
+// slots), where reserving the wide component's words for every bitmap
+// to come would take 0.8 MB.
+func TestLendAllocatesItsBlocks(t *testing.T) {
+	const rows, narrow = 1 << 16, 100
+	words := (rows + 63) / 64
+	T := listBelow(words)
+	cols := 2 + 2*narrow
+	b := matrix.NewBuilder(rows, cols)
+	for r := 0; r < rows; r += 2 {
+		b.Set(r, 0)
+		if r%4 == 0 {
+			b.Set(r, 1)
+		}
+	}
+	cand := []pairs.Scored{{Pair: pairs.Make(0, 1)}}
+	wantWords := 2 * wordsOf(rows/2)
+	for g := 1; g <= narrow; g++ {
+		base := g * 2 * T
+		for x := 0; x < T; x++ {
+			b.Set(base+x, 2*g)
+			b.Set(base+T/2+x, 2*g+1)
+		}
+		cand = append(cand, pairs.Scored{Pair: pairs.Make(int32(2*g), int32(2*g+1))})
+		wantWords += 2 * wordsOf(int32(T+T/2))
+	}
+	src := b.Build().Stream()
+	cs := newColumns(src, words, cand)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := cs.fill(src); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := 0
+	for s, bits := range cs.bits {
+		if bits == nil {
+			t.Fatalf("column %d is a list", cs.cols[s])
+		}
+		got += len(bits)
+	}
+	if got != wantWords {
+		t.Fatalf("bitmaps hold %d words, want Σ nb·⌈|U|/64⌉ = %d", got, wantWords)
+	}
+	slots := len(cs.cols)
+	bound := uint64(8*wantWords + 4*len(cs.rows) + 16*cols + 12*words + 56*slots + 4096)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("the fill allocated %d bytes, over the %d its blocks, lists and scratch take", grew, bound)
 	}
 }
 

@@ -231,7 +231,7 @@ type columns struct {
 	list                   [][]int32
 	bits                   [][]uint64
 	ones                   []int64
-	slab                   []uint64 // the bitmaps, in the order handed out; slab[len:cap] is zero
+	slab                   []uint64 // a scan's bitmaps, in the order handed out; slab[len:cap] is zero
 	rows                   []int32  // a scan's lists, T rows a slot; a ranked component's renumbered lists
 	// The ranking scratch of a ColumnLister fill that holds a bitmap:
 	// uni holds one component's union over the ⌈n/64⌉ words, below[w]
@@ -345,22 +345,6 @@ func (cs *columns) fill(src matrix.RowSource) error {
 	return nil
 }
 
-// grow appends w zero words to the slab for the next of left bitmaps
-// still to come, and returns where they start. A full slab moves to one
-// that holds the rest if they are all w words wide, or twice its size
-// if that is more, but never more than limit words, which the bitmaps
-// must fit.
-func (cs *columns) grow(w, left, limit int) int {
-	n := len(cs.slab)
-	if n+w > cap(cs.slab) {
-		slab := make([]uint64, n, min(max(2*cap(cs.slab), n+w*left), limit))
-		copy(slab, cs.slab)
-		cs.slab = slab
-	}
-	cs.slab = cs.slab[:n+w]
-	return n
-}
-
 // scan fills the slots from one pass over src.
 func (cs *columns) scan(src matrix.RowSource) error {
 	n, t := len(cs.cols), listBelow(cs.words)
@@ -427,8 +411,8 @@ func (cs *columns) toBitmap(s int) {
 // bitmap keeps them as lent, global row numbers and all: its pairs are
 // merges, whose cost does not depend on n. A component with one is
 // ranked: its union U goes into uni, and every one of its columns is
-// renumbered by rank in U — a bitmap of ⌈|U|/64⌉ words appended to the
-// slab, a list copied into rows.
+// renumbered by rank in U — its bitmaps share one block of ⌈|U|/64⌉
+// words each, a list is copied into rows.
 func (cs *columns) lend(cl matrix.ColumnLister) {
 	t := listBelow(cs.words)
 	bitmaps := 0
@@ -443,19 +427,13 @@ func (cs *columns) lend(cl matrix.ColumnLister) {
 	cs.link(make([]int32, 4*len(cs.slot)))
 	cs.uni = make([]uint64, cs.words)
 	cs.below = make([]int32, cs.words)
-	// A bitmap of no words (an empty component) is still a bitmap: the
-	// slab is never nil. A ranked component's size is -1 until unite
-	// counts it.
-	cs.slab = make([]uint64, 0)
+	// A ranked component's size is -1 until unite counts it.
 	for s, c := range cs.cols {
 		if k := cs.comp[c]; len(cs.list[s]) >= t && cs.size[k] >= 0 {
 			cs.size[k] = -1
 			cs.ranked = append(cs.ranked, k)
 		}
 	}
-	// At ⌈n/64⌉ words each, the bitmaps would fill arena words: the
-	// slab never grows past that.
-	arena := bitmaps * cs.words
 	rows := 0
 	for s, c := range cs.cols {
 		if len(cs.list[s]) < t && cs.size[cs.comp[c]] < 0 {
@@ -467,9 +445,17 @@ func (cs *columns) lend(cl matrix.ColumnLister) {
 	uni, below := cs.uni, cs.below
 	for _, k := range cs.ranked {
 		lo, hi := cs.unite(cl, k)
-		w := wordsOf(cs.size[k])
+		w, nb := wordsOf(cs.size[k]), 0
 		for _, c := range cs.members {
-			s := cs.slot[c] // every member is a candidate's column
+			if len(cs.list[cs.slot[c]]) >= t { // every member is a candidate's column
+				nb++
+			}
+		}
+		// A bitmap of no words (an empty component) is still a bitmap:
+		// the block is never nil.
+		block := make([]uint64, nb*w)
+		for _, c := range cs.members {
+			s := cs.slot[c]
 			l := cs.list[s]
 			if len(l) < t {
 				dst := cs.rows[rows : rows+len(l) : rows+len(l)]
@@ -479,24 +465,15 @@ func (cs *columns) lend(cl matrix.ColumnLister) {
 				cs.list[s], rows = dst, rows+len(l)
 				continue
 			}
-			// Where the bitmap starts is kept in ones[s] until the slab
-			// stops moving.
-			off := cs.grow(w, bitmaps, arena)
-			bitmaps--
-			b := cs.slab[off : off+w]
+			b := block[:w:w]
+			block = block[w:]
 			for _, r := range l {
 				x := uint(rank(uni, below, r))
 				b[x>>6] |= 1 << (x & 63)
 			}
-			cs.ones[s] = int64(off)
+			cs.bits[s], cs.list[s] = b, nil
 		}
 		clear(uni[lo:hi])
-	}
-	for s, c := range cs.cols {
-		if len(cs.list[s]) >= t {
-			off := int(cs.ones[s])
-			cs.bits[s], cs.list[s] = cs.slab[off:off+wordsOf(cs.size[cs.comp[c]])], nil
-		}
 	}
 }
 

@@ -339,10 +339,11 @@ func equalStrings(a, b []string) bool {
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
 
 // TestResidentIndexBuiltOncePerSketch: a precomputed sketch builds its
-// phase-2 index once, whichever entry point and however many goroutines
-// ask first; a cancelled first query builds nothing and leaves the next
-// one to; a MinLSH query needs none; a run that folds its own sketch
-// reports neither the counter nor the gauge.
+// phase-2 index once (and a K-MH sketch its counts, on the first query
+// that scans), whichever entry point and however many goroutines ask
+// first; a cancelled first query builds nothing and leaves the next one
+// to; a MinLSH query needs none; a run that folds its own sketch reports
+// neither the counter nor the gauge.
 func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 	d := obsFixture(t)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -397,8 +398,8 @@ func TestResidentIndexBuiltOncePerSketch(t *testing.T) {
 		if err := errors.Join(errs...); err != nil {
 			t.Fatal(err)
 		}
-		if got := coll.Counter(obs.CounterIndexBuilds); got != 3 {
-			t.Errorf("workers=%d: %d index builds, want the buckets and one run index a sketch", workers, got)
+		if got := coll.Counter(obs.CounterIndexBuilds); got != 4 {
+			t.Errorf("workers=%d: %d index builds, want the buckets, one run index a sketch and the K-MH counts", workers, got)
 		}
 		// 12 bytes a cell, plus the K-MH offsets; the gauge holds the last
 		// index used.

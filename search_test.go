@@ -286,3 +286,92 @@ func TestResidentMemos(t *testing.T) {
 		t.Errorf("over the bound: kept %v %v, %d builds", small.table.Kept, small.bands.Kept, coll.Counter(obs.CounterIndexBuilds))
 	}
 }
+
+// TestResidentCounts: a *Sketches keeps its intersection counts from the
+// first query that scans every column — a SimilarPairsWith or a
+// TopPairsWith — and not from a TopColumnsWith query nor a cancelled
+// one. At 1 and 4 workers, first query and later ones, every answer, its
+// Stats but the clocks and its work counters equal those of a sketch
+// whose bound is over its limit, which keeps none, and the pairs those
+// of a folding run.
+func TestResidentCounts(t *testing.T) {
+	d := clusteredDataset(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	base, err := ComputeSketches(d, 48, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.counts.Limit != memoLimit || base.counts.Kept != nil {
+		t.Fatalf("a new sketch keeps %v under limit %d", base.counts.Kept, base.counts.Limit)
+	}
+	want, err := SimilarPairs(d, Config{Algorithm: KMinHash, Threshold: 0.3, Seed: 3, K: 48})
+	if err != nil || len(want.Pairs) < 10 {
+		t.Fatalf("%d pairs, %v", len(want.Pairs), err)
+	}
+	type answer struct {
+		pairs, top, col []Pair
+		stats           Stats
+		work            [8]int64
+		builds          int64
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Algorithm: KMinHash, Threshold: 0.3, Seed: 3, Workers: workers}
+		ask := func(s *Sketches) (a answer) {
+			t.Helper()
+			rec := NewCollector()
+			c := cfg
+			c.Recorder = rec
+			res, err := SimilarPairsWith(d, s, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.pairs, a.stats = res.Pairs, res.Stats
+			a.stats.SignatureTime, a.stats.CandidateTime, a.stats.VerifyTime = 0, 0, 0
+			if a.top, err = TopPairsWith(d, s, 7, c, 0.1); err != nil {
+				t.Fatal(err)
+			}
+			if a.col, err = TopColumnsWith(d, s, 9, 4, c, 0.1); err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range []string{obs.CounterIncrements, obs.CounterCandidates, obs.CounterPairsVerified, obs.CounterFalsePositives,
+				obs.CounterVerifyTouches, obs.CounterTopPairsAttempts, obs.CounterDataPasses, obs.CounterRowsScanned} {
+				a.work[i] = rec.Counter(name)
+			}
+			a.builds = rec.Counter(obs.CounterIndexBuilds)
+			return a
+		}
+		keeps, none := sketchesKeeping(base.sk, memoLimit), sketchesKeeping(base.sk, 1)
+		dead := cfg
+		dead.Context = cancelled
+		if _, err := SimilarPairsWith(d, keeps, dead); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled first query: %v", err)
+		}
+		if _, err := TopPairsWith(d, keeps, 5, dead, 0.2); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled first search: %v", err)
+		}
+		if _, err := TopColumnsWith(d, keeps, 3, 5, cfg, 0.2); err != nil {
+			t.Fatal(err)
+		}
+		if keeps.counts.Kept != nil || keeps.index.Kept == nil {
+			t.Fatalf("workers=%d: a dead or one-column first query kept counts %v (index %v)", workers, keeps.counts.Kept, keeps.index.Kept)
+		}
+		for round := range 2 {
+			got, over := ask(keeps), ask(none)
+			if !reflect.DeepEqual(got.pairs, want.Pairs) || len(got.top) == 0 || len(got.col) == 0 {
+				t.Fatalf("workers=%d round %d: %d pairs (a folding run's %d), %d top pairs, %d neighbours", workers, round, len(got.pairs), len(want.Pairs), len(got.top), len(got.col))
+			}
+			// The one build of a round: the counts here (the column query
+			// kept the index), the index over the limit (it keeps no counts).
+			if got.builds != int64(1-round) || over.builds != got.builds {
+				t.Fatalf("workers=%d round %d: %d builds keeping counts, %d keeping none", workers, round, got.builds, over.builds)
+			}
+			if !reflect.DeepEqual(got, over) {
+				t.Fatalf("workers=%d round %d: keeping counts answers\n%+v\nkeeping none\n%+v", workers, round, got, over)
+			}
+			if keeps.counts.Kept == nil || none.counts.Kept != nil {
+				t.Fatalf("workers=%d round %d: kept %v under the limit, %v over it", workers, round, keeps.counts.Kept, none.counts.Kept)
+			}
+		}
+	}
+}

@@ -34,9 +34,11 @@ type Signatures struct {
 // memoLimit bounds what a resident sketch keeps beside its run index: a
 // larger structure is not built to be kept, and every query runs what a
 // one-shot run does. 64 MiB is the buckets of a 40-band layout up to
-// 139 810 columns, and §6's table while the run index bounds it at
-// 3.3M pairs agreeing twice (the bound, half the run index's
-// agreements, is what is checked before the build).
+// 139 810 columns, §6's table while the run index bounds it at 3.3M
+// pairs agreeing twice (the bound, half the run index's agreements, is
+// what is checked before the build), and a *Sketches' intersection
+// counts while their bound — 8 bytes a pair for min(C(m,2), the run
+// index's agreements) pairs, plus the offsets — is at most 8.4M pairs.
 const memoLimit = 64 << 20
 
 // newSignatures wraps a finished sketch that keeps what fits memoLimit.

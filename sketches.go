@@ -15,12 +15,18 @@ import (
 // queries with different thresholds, paying only the in-memory
 // candidate phase plus one verification pass per query. It persists,
 // like Signatures, as a KMinHash Ingest snapshot (AIN1). The sketch is
-// immutable once returned; the Hash-Count index over it is built by the
-// first query and kept with it (12 bytes a value), so later queries
-// only count.
+// immutable once returned. What a query needs of it and no threshold
+// touches is built by the first query that needs it and kept with it:
+// the Hash-Count index (12 bytes a value), and the intersection counts
+// |SIG_i ∩ SIG_j| of every pair sharing a value (8 bytes a pair, while
+// the bound fits 64 MiB), built by the first query that scans every
+// column — SimilarPairsWith or TopPairsWith. Later scans only filter
+// those counts; a TopColumnsWith query counts its column's pairs over
+// the index.
 type Sketches struct {
-	sk    *kminhash.Sketches
-	index driver.Memo[*candidate.Index]
+	sk     *kminhash.Sketches
+	index  driver.Memo[*candidate.Index]
+	counts driver.Memo[*candidate.Counts]
 }
 
 // ComputeSketches runs the K-MH phase 1 once — the same kernel
@@ -33,7 +39,19 @@ func ComputeSketches(d *Dataset, k int, seed uint64, workers int) (*Sketches, er
 	if err != nil {
 		return nil, err
 	}
-	return &Sketches{sk: sk.KMH}, nil
+	return newSketches(sk.KMH), nil
+}
+
+// newSketches wraps a finished sketch that keeps what fits memoLimit.
+func newSketches(sk *kminhash.Sketches) *Sketches {
+	return sketchesKeeping(sk, memoLimit)
+}
+
+// sketchesKeeping bounds the counts by limit.
+func sketchesKeeping(sk *kminhash.Sketches, limit int64) *Sketches {
+	s := &Sketches{sk: sk}
+	s.counts.Limit = limit
+	return s
 }
 
 // K returns the sketch size bound (columns smaller than K keep all
@@ -62,6 +80,6 @@ func (s *Sketches) query(d *Dataset, cfg Config) (in driver.Input, _ Config, err
 	cfg.Algorithm, cfg.K = KMinHash, s.sk.K
 	err = cfg.setDefaults()
 	in = d.input(cfg)
-	in.Adopted = &driver.Adopted{Sketch: fold.Sketch{KMH: s.sk}, Index: &s.index}
+	in.Adopted = &driver.Adopted{Sketch: fold.Sketch{KMH: s.sk}, Index: &s.index, Counts: &s.counts}
 	return in, cfg, err
 }
