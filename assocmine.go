@@ -297,26 +297,10 @@ type Stats struct {
 	// stayed within Config.MemoryBudget, or no budget was set).
 	SpillRuns  int64
 	SpillBytes int64
-	// CompressedBytesRead is the share of BytesRead delivered by
-	// compressed-format sources (".carows" files), and
-	// SpillBytesCompressed the share of SpillBytes written under the
-	// compressed spill codec (both 0 when nothing compressed was moved).
-	// CodecRatio is the run's overall compression ratio — the bytes the
-	// equivalent uncompressed encodings would have moved, divided by the
-	// compressed bytes actually moved — or 0 when no compressed bytes
-	// moved at all. A windowed run (Config.Window) crosses the file rows
-	// before its window without decoding them, so their logical bytes are
-	// not in the numerator while their physical bytes are in the
-	// denominator: the ratio describes the rows the run decoded.
-	CompressedBytesRead  int64
-	SpillBytesCompressed int64
-	CodecRatio           float64
 	// IORetries counts transient IO errors the file-backed source
-	// retried away during this run, and FaultsInjected the faults a
-	// fault-injecting FS delivered into its reads (both 0 for healthy
-	// disks and in-memory sources).
-	IORetries      int64
-	FaultsInjected int64
+	// retried away during this run (0 for healthy disks and in-memory
+	// sources).
+	IORetries int64
 	// PackedWords counts the uint64 AND-popcount word operations the
 	// packed verification kernel executed — only candidates whose two
 	// columns are both held as bitmaps cost any — and PackedBatches the

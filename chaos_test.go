@@ -23,10 +23,6 @@ import (
 // a *FileError with path and offset, and cancelled runs must stop
 // promptly without leaking goroutines or spill files.
 
-// chaosRetry keeps fault-laden runs fast: same budget as the default
-// policy, microsecond backoff.
-var chaosRetry = RetryPolicy{Retries: 4, BaseDelay: 10 * time.Microsecond}
-
 // transientPlan layers a guaranteed early transient fault over a seeded
 // schedule, so every scan pass exercises the retry path regardless of
 // what the seed draws for this path.
@@ -67,11 +63,10 @@ func TestChaosPermanentFaultFailsCleanly(t *testing.T) {
 						return []faultfs.Event{{Offset: cut, Kind: faultfs.Truncate}}
 					},
 				}
-				fd, err := OpenFileDatasetFS(fs, path)
+				fd, err := openFileDataset(fs, path)
 				if err != nil {
 					t.Fatalf("header open should survive a mid-file truncation: %v", err)
 				}
-				fd.SetRetryPolicy(chaosRetry)
 				cfg := Config{Algorithm: MinHash, Threshold: 0.5, K: 50, Seed: 7, Workers: workers}
 				res, err := fd.SimilarPairs(cfg)
 				if err == nil {

@@ -507,10 +507,6 @@ func printStats(s assocmine.Stats) {
 		fmt.Printf("out-of-core: %s read, %d shards streamed, %d spill runs (%s)\n",
 			formatBytes(s.BytesRead), s.ShardsStreamed, s.SpillRuns, formatBytes(s.SpillBytes))
 	}
-	if s.CompressedBytesRead > 0 || s.SpillBytesCompressed > 0 {
-		fmt.Printf("codec: %s compressed read, %s compressed spill, ratio %.2fx\n",
-			formatBytes(s.CompressedBytesRead), formatBytes(s.SpillBytesCompressed), s.CodecRatio)
-	}
 	if s.PackedBatches > 0 {
 		fmt.Printf("packed kernel: %d popcount words in %d batches\n", s.PackedWords, s.PackedBatches)
 	}

@@ -21,39 +21,28 @@ type FileDataset struct {
 	src *matrix.FileSource
 }
 
-// FS abstracts the file opens a FileDataset performs — the seam that
-// lets tests (and the chaos harness) inject IO faults underneath the
-// whole pipeline. nil means the operating system.
-type FS = matrix.FS
-
-// RetryPolicy bounds the retries the file-backed source performs on
-// transient IO errors; see SetRetryPolicy.
-type RetryPolicy = matrix.RetryPolicy
-
 // FileError is the wrapped error a file-backed run returns for
 // permanent IO or decode faults, carrying the path and the byte offset
 // the decoder had consumed. Retrieve it with errors.As.
 type FileError = matrix.FileError
 
 // OpenFileDataset validates the file header and returns a FileDataset.
+// Opens and reads that fail transiently are retried, 4 times from a
+// 1 ms backoff that doubles.
 func OpenFileDataset(path string) (*FileDataset, error) {
-	return OpenFileDatasetFS(nil, path)
+	return openFileDataset(nil, path)
 }
 
-// OpenFileDatasetFS is OpenFileDataset with every file open routed
-// through fsys (nil means the OS).
-func OpenFileDatasetFS(fsys FS, path string) (*FileDataset, error) {
+// openFileDataset is OpenFileDataset with every file open routed
+// through fsys (nil means the OS): the seam fault-injection tests open
+// their files through.
+func openFileDataset(fsys matrix.FS, path string) (*FileDataset, error) {
 	src, err := matrix.OpenFileSourceFS(fsys, path)
 	if err != nil {
 		return nil, err
 	}
 	return &FileDataset{src: src}, nil
 }
-
-// SetRetryPolicy replaces the transient-IO retry policy of the
-// dataset's reads (default: 4 retries from a 1 ms base delay). Not
-// safe to call concurrently with a running SimilarPairs.
-func (f *FileDataset) SetRetryPolicy(p RetryPolicy) { f.src.SetRetryPolicy(p) }
 
 // NumRows returns the row count from the file header.
 func (f *FileDataset) NumRows() int { return f.src.NumRows() }

@@ -92,9 +92,7 @@ type run struct {
 	kept Adopted
 
 	ioAtStart ioCounts
-	// Raw-equivalent and compressed spill volume, priced by the budgeted
-	// pass; they feed the codec ratio alongside the file-read deltas.
-	spillRaw, spillCompressed            int64
+
 	candidates, verified, falsePositives int // for finish
 }
 
@@ -452,18 +450,15 @@ func (r *run) exact(cand []pairs.Scored, measure func(measures.Counts) float64, 
 	addNonzero(r.rec, obs.CounterShards, vst.Shards)
 	addNonzero(r.rec, obs.CounterSpillRuns, vst.SpillRuns)
 	addNonzero(r.rec, obs.CounterSpillBytes, vst.SpillBytes)
-	addNonzero(r.rec, obs.CounterSpillBytesCompressed, vst.SpillBytesCompressed)
 	addNonzero(r.rec, obs.CounterPackedWords, vst.PackedWords)
 	addNonzero(r.rec, obs.CounterPackedBatches, vst.PackedBatches)
-	r.spillRaw += vst.SpillBytesRaw
-	r.spillCompressed += vst.SpillBytesCompressed
 	return out, nil
 }
 
 // finish is the single counter fill: passes and rows from the counted
 // source (an executor that reads the data in other processes counts
 // none here, so they stay absent), pair counts, and the probe's I/O
-// deltas and the codec ratio.
+// deltas.
 func (r *run) finish() {
 	rec := r.rec
 	if r.local {
@@ -474,25 +469,18 @@ func (r *run) finish() {
 	rec.Add(obs.CounterPairsVerified, int64(r.verified))
 	rec.Add(obs.CounterFalsePositives, int64(r.falsePositives))
 	// File-backed sources expose cumulative I/O counts; the deltas across
-	// the run are this run's volume, retries and injected faults.
+	// the run are this run's volume and retries.
 	io := readIOCounts(r.probe)
 	if n := io.bytes - r.ioAtStart.bytes; n > 0 {
 		rec.Add(obs.CounterBytesRead, n)
 	}
 	addNonzero(rec, obs.CounterIORetries, io.retries-r.ioAtStart.retries)
-	addNonzero(rec, obs.CounterFaultsInjected, io.faults-r.ioAtStart.faults)
-	compressedRead := io.compressed - r.ioAtStart.compressed
-	addNonzero(rec, obs.CounterCompressedBytesRead, compressedRead)
-	if moved := compressedRead + r.spillCompressed; moved > 0 {
-		ratio := float64(io.logical-r.ioAtStart.logical+r.spillRaw) / float64(moved)
-		rec.SetGauge(obs.GaugeCodecRatio, int64(ratio*100))
-	}
 }
 
 // ioCounts is a reading of a source's cumulative I/O probes; sources
 // without a probe read zero.
 type ioCounts struct {
-	bytes, retries, faults, compressed, logical int64
+	bytes, retries int64
 }
 
 func readIOCounts(src matrix.RowSource) (c ioCounts) {
@@ -501,13 +489,6 @@ func readIOCounts(src matrix.RowSource) (c ioCounts) {
 	}
 	if s, ok := src.(matrix.RetryCounter); ok {
 		c.retries = s.IORetries()
-	}
-	if s, ok := src.(matrix.FaultCounter); ok {
-		c.faults = s.FaultsInjected()
-	}
-	if s, ok := src.(matrix.CodecCounter); ok {
-		c.compressed = s.CompressedBytesRead()
-		c.logical = s.LogicalBytesRead()
 	}
 	return c
 }

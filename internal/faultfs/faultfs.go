@@ -10,7 +10,9 @@
 // The package is the engine of the chaos-differential harness: runs
 // under a transient-only plan must be bit-identical to clean runs,
 // runs under a truncating plan must fail with a path+offset error, and
-// neither may leak goroutines or temp files.
+// neither may leak goroutines or temp files. It is test support: the
+// product never imports it, and a run's Stats carry no count of
+// injected faults.
 package faultfs
 
 import (
@@ -94,8 +96,9 @@ func (e *transientError) Unwrap() []error { return []error{ErrTransient, syscall
 // FS wraps an inner file system (the OS when nil), injecting the
 // faults Plan schedules for each (path, nth open). It implements the
 // matrix package's FS seam; the faults it injected are reported by
-// FaultsInjected, which the pipeline surfaces as the faults_injected
-// counter. Safe for concurrent opens and reads of distinct files.
+// FaultsInjected, which tests read directly (a run reports only the
+// retries they cost, Stats.IORetries). Safe for concurrent opens and
+// reads of distinct files.
 type FS struct {
 	// Inner opens the real files; nil means the operating system.
 	Inner interface {

@@ -137,7 +137,6 @@ func FuzzPlanRowBinary(f *testing.F) {
 		if err != nil {
 			return // header unreadable under this plan: a clean failure
 		}
-		src.SetRetryPolicy(matrix.RetryPolicy{Retries: 4, BaseDelay: time.Microsecond})
 		got := make([][]int32, 0, fuzzRows)
 		err = src.Scan(func(row int, cols []int32) error {
 			if row != len(got) {

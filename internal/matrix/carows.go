@@ -34,13 +34,6 @@ import (
 //	          count bits set, none at or beyond cols (k must be 0)
 const rowCompressedMagic = "CRW1"
 
-// uvarintLen returns the encoded size of v in bytes under
-// binary.PutUvarint — the ".arows" cost of the same value, which the
-// compressed scans account as logical bytes.
-func uvarintLen(v uint64) int64 {
-	return int64((bits.Len64(v|1) + 6) / 7)
-}
-
 // writeRowCompressed writes src in the ".carows" compressed streaming
 // format. One pass over src.
 func writeRowCompressed(w io.Writer, src RowSource) error {
@@ -117,25 +110,12 @@ func SaveRowCompressed(path string, src RowSource) error {
 // compressedRowDecoder walks the rows of a ".carows" stream behind the
 // header. It validates as strictly as the ".arows" decoder — counts
 // within the column bound, strictly increasing in-range indices,
-// canonical headers — and accounts the logical (".arows"-equivalent)
-// byte cost of what it decodes, so compression ratios compare like with
-// like.
+// canonical headers.
 type compressedRowDecoder struct {
-	tr      *trackedReader
-	cols    int
-	pr      *bitpack.Reader
-	bitmap  []byte
-	logical int64
-}
-
-// newCompressedRowDecoder starts the logical byte count at the ".arows"
-// header cost — magic plus the two dimension varints — so a full pass
-// totals what an uncompressed scan would have read.
-func newCompressedRowDecoder(tr *trackedReader, rows, cols int) *compressedRowDecoder {
-	return &compressedRowDecoder{
-		tr: tr, cols: cols, pr: bitpack.NewReader(tr),
-		logical: int64(len(rowBinaryMagic)) + uvarintLen(uint64(rows)) + uvarintLen(uint64(cols)),
-	}
+	tr     *trackedReader
+	cols   int
+	pr     *bitpack.Reader
+	bitmap []byte
 }
 
 // rowHeader reads a row's header varint: its posting count (0 for an
@@ -191,17 +171,14 @@ func (d *compressedRowDecoder) next(row int, buf []int32) ([]int32, error) {
 		return nil, err
 	}
 	if count == 0 {
-		d.logical++ // the ".arows" zero-length varint
 		return buf, nil
 	}
-	d.logical += uvarintLen(count)
-	// last is the previous posting (0 before the first): the ".arows"
-	// cost of a posting is the varint of its distance from last.
-	last := int64(0)
 	if !bitmap {
 		// Aligned on every return, so a failing row is consumed up to
 		// the byte its bad code ends in.
 		defer d.pr.Align() // rows are byte-aligned
+		// last is the previous posting (0 before the first).
+		last := int64(0)
 		for i := uint64(0); i < count; i++ {
 			gap, err := d.pr.ReadRice(k)
 			if err != nil {
@@ -214,7 +191,6 @@ func (d *compressedRowDecoder) next(row int, buf []int32) ([]int32, error) {
 			if gap > uint64(d.cols) || v >= int64(d.cols) {
 				return nil, fmt.Errorf("row %d entry %d out of range", row, i)
 			}
-			d.logical += uvarintLen(uint64(v - last))
 			last = v
 			buf = append(buf, int32(v))
 		}
@@ -238,8 +214,6 @@ func (d *compressedRowDecoder) next(row int, buf []int32) ([]int32, error) {
 				if c >= int64(d.cols) {
 					return nil, fmt.Errorf("row %d bitmap bit %d out of range", row, c)
 				}
-				d.logical += uvarintLen(uint64(c - last))
-				last = c
 				buf = append(buf, int32(c))
 			}
 		}

@@ -106,64 +106,6 @@ func TestCompressedSmallerThanBinary(t *testing.T) {
 		arows.Len(), carows.Len(), float64(arows.Len())/float64(carows.Len()))
 }
 
-// TestCompressedByteAccounting pins the codec-counter semantics: after
-// one pass, CompressedBytesRead is the physical file size and
-// LogicalBytesRead is exactly the size the same matrix occupies in the
-// uncompressed ".arows" encoding.
-func TestCompressedByteAccounting(t *testing.T) {
-	rng := hashing.NewSplitMix64(5)
-	m := randomMatrix(rng, 300, 80, 0.07)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.carows")
-	if err := SaveRowCompressed(path, m.Stream()); err != nil {
-		t.Fatal(err)
-	}
-	var arows bytes.Buffer
-	if err := writeRowBinary(&arows, m.Stream()); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := OpenFileSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Scan(func(int, []int32) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.CompressedBytesRead(); got != info.Size() {
-		t.Errorf("CompressedBytesRead = %d, file is %d bytes", got, info.Size())
-	}
-	if got := fs.LogicalBytesRead(); got != int64(arows.Len()) {
-		t.Errorf("LogicalBytesRead = %d, .arows encoding is %d bytes", got, arows.Len())
-	}
-	// A second pass doubles both counters.
-	if err := fs.Scan(func(int, []int32) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.LogicalBytesRead(); got != 2*int64(arows.Len()) {
-		t.Errorf("LogicalBytesRead after two passes = %d, want %d", got, 2*arows.Len())
-	}
-	// An uncompressed source reports zero on both codec counters.
-	apath := filepath.Join(dir, "data.arows")
-	if err := SaveRowBinary(apath, m.Stream()); err != nil {
-		t.Fatal(err)
-	}
-	afs, err := OpenFileSource(apath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := afs.Scan(func(int, []int32) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if afs.CompressedBytesRead() != 0 || afs.LogicalBytesRead() != 0 {
-		t.Errorf("uncompressed source codec counters = %d/%d, want 0/0",
-			afs.CompressedBytesRead(), afs.LogicalBytesRead())
-	}
-}
-
 // fuzzSeedMatrix is a 130-row matrix spanning multiple 64-row shards
 // with sparse and dense rows (large and small Rice parameters) and some
 // empty ones.

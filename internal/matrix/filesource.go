@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"assocmine/internal/bitpack"
 )
 
 // FS abstracts the file opens a FileSource performs — the seam fault
@@ -28,21 +30,17 @@ type osFS struct{}
 
 func (osFS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
 
-// RetryPolicy bounds the retries a FileSource performs when an open or
-// read fails transiently (EAGAIN/EINTR-class errors, or anything
-// advertising Temporary() == true). Retries <= 0 disables retrying;
-// the backoff starts at BaseDelay and doubles per retry of the same
-// operation. Permanent errors — truncation, decode failures, missing
-// files — are never retried.
-type RetryPolicy struct {
-	Retries   int
-	BaseDelay time.Duration
-}
-
-// defaultRetryPolicy is the policy a new FileSource starts with: a few
-// quick retries, cheap enough to be invisible on healthy disks, enough
-// to ride out momentary EAGAIN-class glitches.
-var defaultRetryPolicy = RetryPolicy{Retries: 4, BaseDelay: time.Millisecond}
+// A FileSource retries an open or read that fails transiently
+// (EAGAIN/EINTR-class errors, or anything advertising Temporary() ==
+// true) up to maxRetries times, backing off from retryDelay and doubling
+// per retry of the same operation: cheap enough to be invisible on
+// healthy disks, enough to ride out momentary glitches. Permanent
+// errors — truncation, decode failures, missing files — are never
+// retried.
+const (
+	maxRetries = 4
+	retryDelay = time.Millisecond
+)
 
 // isTransient reports whether err is a transient IO error worth
 // retrying: it advertises Temporary() == true, or it is
@@ -85,7 +83,7 @@ func (e *FileError) Unwrap() error { return e.Err }
 // that name, whatever its suffix.
 //
 // Opens and reads that fail transiently (see isTransient) are retried
-// with exponential backoff per the source's RetryPolicy; permanent
+// with exponential backoff (see maxRetries); permanent
 // failures surface as *FileError carrying the path and byte offset.
 type FileSource struct {
 	path   string
@@ -93,11 +91,9 @@ type FileSource struct {
 	format fileFormat
 	rows   int
 	cols   int
-	retry  RetryPolicy
 
-	bytesRead    atomic.Int64
-	logicalBytes atomic.Int64
-	retries      atomic.Int64
+	bytesRead atomic.Int64
+	retries   atomic.Int64
 }
 
 // fileFormat is the on-disk encoding a FileSource streams, detected
@@ -138,35 +134,6 @@ func (fs *FileSource) BytesRead() int64 { return fs.bytesRead.Load() }
 // source's opens and reads performed. Safe for concurrent use.
 func (fs *FileSource) IORetries() int64 { return fs.retries.Load() }
 
-// FaultsInjected reports the faults the source's FS injected, when the
-// FS is a fault-injecting one (zero otherwise). Safe for concurrent
-// use.
-func (fs *FileSource) FaultsInjected() int64 {
-	if fc, ok := fs.fsys.(FaultCounter); ok {
-		return fc.FaultsInjected()
-	}
-	return 0
-}
-
-// SetRetryPolicy replaces the transient-error retry policy. Not safe
-// to call concurrently with Scan.
-func (fs *FileSource) SetRetryPolicy(p RetryPolicy) { fs.retry = p }
-
-// CompressedBytesRead implements CodecCounter: the physical bytes
-// compressed-format scans consumed. Zero for uncompressed sources —
-// their BytesRead is already the logical figure.
-func (fs *FileSource) CompressedBytesRead() int64 {
-	if fs.format != formatCARows {
-		return 0
-	}
-	return fs.bytesRead.Load()
-}
-
-// LogicalBytesRead implements CodecCounter: the ".arows"-equivalent
-// bytes the compressed scans decoded — what the same passes would have
-// read without compression. Zero for uncompressed sources.
-func (fs *FileSource) LogicalBytesRead() int64 { return fs.logicalBytes.Load() }
-
 // ByteCounter is implemented by sources that can report the disk bytes
 // their scans have consumed — the I/O the out-of-core path accounts in
 // Stats.BytesRead and the bytes_read counter.
@@ -178,23 +145,6 @@ type ByteCounter interface {
 // transient-error retries their IO performed — the io_retries counter.
 type RetryCounter interface {
 	IORetries() int64
-}
-
-// FaultCounter is implemented by fault-injecting FSes (and the sources
-// reading through them) to report how many faults were injected — the
-// faults_injected counter.
-type FaultCounter interface {
-	FaultsInjected() int64
-}
-
-// CodecCounter is implemented by sources reading a compressed on-disk
-// format. CompressedBytesRead is the physical IO their scans consumed;
-// LogicalBytesRead is the uncompressed-equivalent volume decoded from
-// it. Their ratio is the compression the codec achieved; both are zero
-// on uncompressed sources.
-type CodecCounter interface {
-	CompressedBytesRead() int64
-	LogicalBytesRead() int64
 }
 
 // countingReader counts bytes as they leave the underlying reader.
@@ -216,14 +166,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // hit. Errors that survive the retry budget propagate unchanged.
 type retryReader struct {
 	r       io.Reader
-	policy  RetryPolicy
 	retries *atomic.Int64
 }
 
 func (r *retryReader) Read(p []byte) (int, error) {
 	n, err := r.r.Read(p)
-	delay := r.policy.BaseDelay
-	for attempt := 0; attempt < r.policy.Retries && n == 0 && err != nil && isTransient(err); attempt++ {
+	delay := retryDelay
+	for attempt := 0; attempt < maxRetries && n == 0 && err != nil && isTransient(err); attempt++ {
 		time.Sleep(delay)
 		delay *= 2
 		r.retries.Add(1)
@@ -238,11 +187,11 @@ func (r *retryReader) Read(p []byte) (int, error) {
 }
 
 // open opens the source's file through its FS, retrying transient
-// open failures per the retry policy.
+// open failures.
 func (fs *FileSource) open() (io.ReadCloser, error) {
 	f, err := fs.fsys.Open(fs.path)
-	delay := fs.retry.BaseDelay
-	for attempt := 0; attempt < fs.retry.Retries && err != nil && isTransient(err); attempt++ {
+	delay := retryDelay
+	for attempt := 0; attempt < maxRetries && err != nil && isTransient(err); attempt++ {
 		time.Sleep(delay)
 		delay *= 2
 		fs.retries.Add(1)
@@ -258,7 +207,7 @@ func (fs *FileSource) open() (io.ReadCloser, error) {
 // trackedReader counts the bytes the decoder consumed (not the
 // read-ahead), so error offsets point at the failing entry.
 func (fs *FileSource) reader(f io.ReadCloser, countBytes bool) *trackedReader {
-	var r io.Reader = &retryReader{r: f, policy: fs.retry, retries: &fs.retries}
+	var r io.Reader = &retryReader{r: f, retries: &fs.retries}
 	if countBytes {
 		r = &countingReader{r: r, n: &fs.bytesRead}
 	}
@@ -443,7 +392,6 @@ func OpenFileSourceFS(fsys FS, path string) (*FileSource, error) {
 		path:   path,
 		fsys:   fsys,
 		format: formatOf(path),
-		retry:  defaultRetryPolicy,
 	}
 	f, err := fs.open()
 	if err != nil {
@@ -514,8 +462,7 @@ func (fs *FileSource) Scan(fn func(row int, cols []int32) error) error {
 // walk. Validation of skipped rows is structural only (the stream
 // stays framed); delivered rows are validated exactly like Scan.
 // Bounds are clamped to [0, NumRows()]. Byte accounting and *FileError
-// offsets behave like Scan; the logical bytes of a ".carows" pass
-// cover the rows it decoded, not the ones it crossed.
+// offsets behave like Scan.
 func (fs *FileSource) ScanRange(from, to int, fn func(row int, cols []int32) error) error {
 	from, to = max(from, 0), min(to, fs.rows)
 	if from >= to {
@@ -559,11 +506,6 @@ func (fs *FileSource) scan(from, to int, fn func(row int, cols []int32) error) e
 			return err
 		}
 	}
-	if crd, ok := dec.(*compressedRowDecoder); ok {
-		// Counted when the pass completes, so an aborted pass leaves the
-		// codec ratio to the passes that finished.
-		fs.logicalBytes.Add(crd.logical)
-	}
 	return nil
 }
 
@@ -574,7 +516,7 @@ func (fs *FileSource) decoder(tr *trackedReader) rowDecoder {
 	case formatARows:
 		return &rowBinaryDecoder{tr: tr, cols: fs.cols, w: tr.window()}
 	case formatCARows:
-		return newCompressedRowDecoder(tr, fs.rows, fs.cols)
+		return &compressedRowDecoder{tr: tr, cols: fs.cols, pr: bitpack.NewReader(tr)}
 	}
 	return textDecoder{tr, fs.cols}
 }

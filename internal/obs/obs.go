@@ -69,20 +69,9 @@ const (
 	// exceeded Config.MemoryBudget.
 	CounterSpillRuns  = "spill_runs"
 	CounterSpillBytes = "spill_bytes"
-	// CounterCompressedBytesRead totals the on-disk bytes delivered by
-	// compressed-format sources (".carows"), the compressed share of
-	// CounterBytesRead. CounterSpillBytesCompressed totals the spill-run
-	// bytes written under the compressed spill codec, the compressed
-	// share of CounterSpillBytes.
-	CounterCompressedBytesRead  = "compressed_bytes_read"
-	CounterSpillBytesCompressed = "spill_bytes_compressed"
 	// CounterIORetries counts transient IO errors the file-backed
 	// source retried away (absent on healthy disks and in-memory runs).
 	CounterIORetries = "io_retries"
-	// CounterFaultsInjected counts faults a fault-injecting FS (see
-	// internal/faultfs) delivered into the run's reads — nonzero only
-	// under chaos harnesses, never in production.
-	CounterFaultsInjected = "faults_injected"
 	// CounterPackedWords counts the uint64 AND-popcount word operations
 	// the packed verification kernel executed (pairs of two bitmap
 	// columns; a sparse column is a row list and costs none) and
@@ -136,12 +125,6 @@ const (
 	// resident sketch keeps beside itself (12 bytes a signature cell plus
 	// the K-MH column offsets); set by every query that used one.
 	GaugeIndexBytes = "index_bytes"
-	// GaugeCodecRatio records the run's overall compression ratio —
-	// uncompressed-equivalent bytes over bytes actually moved, across
-	// compressed file reads and spill writes — as a fixed-point
-	// percentage (ratio x 100, so 330 means 3.3x). Unset when the run
-	// moved no compressed bytes.
-	GaugeCodecRatio = "codec_ratio"
 )
 
 // Recorder receives observability events from a pipeline run. All

@@ -267,7 +267,7 @@ func (w *budgetWorker) spill() error {
 			return err
 		}
 	}
-	sec, raw, err := w.rw.endRun()
+	sec, err := w.rw.endRun()
 	if err != nil {
 		return err
 	}
@@ -275,8 +275,6 @@ func (w *budgetWorker) spill() error {
 	w.runs = append(w.runs, sec)
 	w.st.SpillRuns++
 	w.st.SpillBytes += sec.n
-	w.st.SpillBytesRaw += raw
-	w.st.SpillBytesCompressed += sec.n
 	return nil
 }
 
@@ -340,7 +338,7 @@ func (w *budgetWorker) mergeToSection(cursors []runCursor, runs []runSection) (r
 	if err := mergeCursors(cursors, w.winEither, w.winBoth, w.rw.add); err != nil {
 		return runSection{}, err
 	}
-	sec, _, err := w.rw.endRun()
+	sec, err := w.rw.endRun()
 	return sec, err
 }
 

@@ -9,8 +9,7 @@
 // count and three parameter bytes, which lets the merge cursor decode a
 // block at a time with bounded state. Spill volume dominates the pass's
 // IO and partial counts are small and clustered, so the blocks
-// typically cut run bytes 3-4x against plain uvarint triples — the
-// price Stats.SpillBytesRaw keeps quoting (uvarintLen) — for pure
+// typically cut run bytes 3-4x against plain uvarint triples for pure
 // encode/decode arithmetic (no allocation per entry).
 package verify
 
@@ -19,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"assocmine/internal/bitpack"
 )
@@ -28,12 +26,6 @@ import (
 // 4-5 framing bytes amortise to noise, small enough that the merge
 // cursor's decoded-block buffer stays a few KB.
 const spillBlockEntries = 512
-
-// uvarintLen returns the encoded size of v as a uvarint, pricing the
-// plain triple encoding without materialising it.
-func uvarintLen(v uint64) int64 {
-	return int64((bits.Len64(v|1) + 6) / 7)
-}
 
 // countWriter counts the bytes that reach the spill file.
 type countWriter struct {
@@ -56,7 +48,6 @@ type runWriter struct {
 	pw    *bitpack.Writer
 	start int64       // offset of the run being written
 	prev  int64       // last index of the run being written, -1 before the first
-	raw   int64       // what uvarint triples would have cost for the run
 	vals  [3][]uint64 // the pending block's index gaps, either-1 and both
 }
 
@@ -77,7 +68,6 @@ func (rw *runWriter) add(e spillEntry) error {
 	rw.prev = int64(e.idx)
 	rw.vals[1] = append(rw.vals[1], uint64(e.either)-1)
 	rw.vals[2] = append(rw.vals[2], uint64(e.both))
-	rw.raw += uvarintLen(uint64(uint32(e.idx))) + uvarintLen(uint64(e.either)) + uvarintLen(uint64(e.both))
 	if len(rw.vals[0]) == spillBlockEntries {
 		return rw.flushBlock()
 	}
@@ -105,9 +95,9 @@ func (rw *runWriter) flushBlock() error {
 	return rw.pw.Flush() // byte-align the block
 }
 
-// endRun flushes the run to the file and returns its section and raw
-// price, ready for the next run.
-func (rw *runWriter) endRun() (sec runSection, raw int64, err error) {
+// endRun flushes the run to the file and returns its section, ready
+// for the next run.
+func (rw *runWriter) endRun() (sec runSection, err error) {
 	if len(rw.vals[0]) > 0 {
 		err = rw.flushBlock()
 	}
@@ -115,11 +105,11 @@ func (rw *runWriter) endRun() (sec runSection, raw int64, err error) {
 		err = rw.bw.Flush()
 	}
 	if err != nil {
-		return sec, 0, err
+		return sec, err
 	}
-	sec, raw = runSection{off: rw.start, n: rw.file.n - rw.start}, rw.raw
-	rw.start, rw.prev, rw.raw = rw.file.n, -1, 0
-	return sec, raw, nil
+	sec = runSection{off: rw.start, n: rw.file.n - rw.start}
+	rw.start, rw.prev = rw.file.n, -1
+	return sec, nil
 }
 
 // readSpillBlock decodes the next block into c.blk,

@@ -34,15 +34,9 @@ type Stats struct {
 	// SpillRuns and SpillBytes report the sorted runs the budgeted pass
 	// wrote to disk when the counter table exceeded its memory budget
 	// (both 0 when everything stayed resident; sections a staged merge
-	// rewrites are not counted). SpillBytes is the bytes actually
-	// written; SpillBytesRaw is what a plain uvarint-triple encoding
-	// would have cost for the same entries, and SpillBytesCompressed
-	// equals SpillBytes (every run is Rice-coded) — the pair prices the
-	// codec for ratio reporting without a second pass.
-	SpillRuns            int64
-	SpillBytes           int64
-	SpillBytesRaw        int64
-	SpillBytesCompressed int64
+	// rewrites are not counted). SpillBytes is the bytes written.
+	SpillRuns  int64
+	SpillBytes int64
 
 	// PackedWords counts the uint64 AND-popcount word operations the
 	// packed kernel executed — ⌈|U|/64⌉ per candidate whose columns are
@@ -376,8 +370,6 @@ func count(src matrix.RowSource, cand []pairs.Scored, p Params, fanIn int) ([]pa
 		st.Touches += w.Touches
 		st.SpillRuns += w.SpillRuns
 		st.SpillBytes += w.SpillBytes
-		st.SpillBytesRaw += w.SpillBytesRaw
-		st.SpillBytesCompressed += w.SpillBytesCompressed
 	}
 	st.Out = len(out)
 	return out, st, nil

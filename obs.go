@@ -37,7 +37,7 @@ type ProgressFunc = obs.ProgressFunc
 
 // Collector is a thread-safe Recorder that aggregates events in memory
 // and exports them as an expvar variable or in the Prometheus text
-// format (WriteTo); Counter("rows_scanned") and Gauge("codec_ratio")
+// format (WriteTo); Counter("rows_scanned") and Gauge("index_bytes")
 // read one value, by the names docs/ALGORITHMS.md lists.
 type Collector = obs.Collector
 

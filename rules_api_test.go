@@ -164,28 +164,35 @@ func TestMineRulesStats(t *testing.T) {
 	d := rulesData(t)
 	const k = 80
 	n, m := int64(d.NumRows()), int64(d.NumCols())
-	open := func(ext string) *FileDataset {
-		fd, err := OpenFileDataset(saveDataset(t, d, t.TempDir(), ext))
+	// open returns the dataset saved in format ext and its file's size.
+	open := func(ext string) (*FileDataset, int64) {
+		path := saveDataset(t, d, t.TempDir(), ext)
+		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fd
+		fd, err := OpenFileDataset(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fd, info.Size()
 	}
-	arows, carows := open(".arows"), open(".carows")
+	arows, arowsSize := open(".arows")
+	carows, carowsSize := open(".carows")
 	sig, err := ComputeSignatures(d, k, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := []struct {
-		name             string
-		mine             func(Config) (*Result, error)
-		folded           bool
-		file, compressed bool
+		name   string
+		mine   func(Config) (*Result, error)
+		folded bool
+		size   int64 // bytes of the file the run streams, 0 for none
 	}{
-		{"memory", func(c Config) (*Result, error) { return SimilarPairs(d, c) }, true, false, false},
-		{"arows", arows.SimilarPairs, true, true, false},
-		{"carows", carows.SimilarPairs, true, true, true},
-		{"adopted", func(c Config) (*Result, error) { return SimilarPairsWith(d, sig, c) }, false, false, false},
+		{"memory", func(c Config) (*Result, error) { return SimilarPairs(d, c) }, true, 0},
+		{"arows", arows.SimilarPairs, true, arowsSize},
+		{"carows", carows.SimilarPairs, true, carowsSize},
+		{"adopted", func(c Config) (*Result, error) { return SimilarPairsWith(d, sig, c) }, false, 0},
 	}
 	for _, r := range runs {
 		for _, skip := range []bool{false, true} {
@@ -211,8 +218,8 @@ func TestMineRulesStats(t *testing.T) {
 				if st.SignatureCells != cells || st.SignatureBytes != 8*k*m {
 					t.Errorf("SignatureCells = %d, SignatureBytes = %d; want %d and %d", st.SignatureCells, st.SignatureBytes, cells, 8*k*m)
 				}
-				if r.file != (st.BytesRead > 0) || r.compressed != (st.CompressedBytesRead > 0) {
-					t.Errorf("BytesRead = %d, CompressedBytesRead = %d on a run with file=%v compressed=%v", st.BytesRead, st.CompressedBytesRead, r.file, r.compressed)
+				if st.BytesRead != int64(passes)*r.size {
+					t.Errorf("BytesRead = %d, want %d passes over a %d-byte file", st.BytesRead, passes, r.size)
 				}
 				if st.Candidates == 0 || st.Candidates < len(res.Pairs) {
 					t.Errorf("Candidates = %d for %d rules", st.Candidates, len(res.Pairs))

@@ -69,11 +69,7 @@ func (s *Stats) fillFrom(c *Collector) {
 	s.ShardsStreamed = c.Counter(obs.CounterShards)
 	s.SpillRuns = c.Counter(obs.CounterSpillRuns)
 	s.SpillBytes = c.Counter(obs.CounterSpillBytes)
-	s.CompressedBytesRead = c.Counter(obs.CounterCompressedBytesRead)
-	s.SpillBytesCompressed = c.Counter(obs.CounterSpillBytesCompressed)
-	s.CodecRatio = float64(c.Gauge(obs.GaugeCodecRatio)) / 100
 	s.IORetries = c.Counter(obs.CounterIORetries)
-	s.FaultsInjected = c.Counter(obs.CounterFaultsInjected)
 	s.PackedWords = c.Counter(obs.CounterPackedWords)
 	s.PackedBatches = c.Counter(obs.CounterPackedBatches)
 	s.PairsSampled = c.Counter(obs.CounterPairsSampled)
