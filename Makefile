@@ -85,7 +85,10 @@ bench-phase1:
 		-test.cpu 1 -test.benchtime 20x -test.count $(COUNT) -test.timeout 30m
 
 # Phase 2's kernels (BenchmarkPhase2: the MH, K-MH and M-LSH kernels
-# under the goroutine scheduler, index build included;
+# under the goroutine scheduler, index build included; BenchmarkScanWide:
+# an MH and a K-MH scan, and every 7th column's Column, over a prebuilt
+# index of 40k columns, the count loop alone; BenchmarkHashCountKMHWide:
+# Hash-Count at that width;
 # BenchmarkBandingWide: M-LSH banding over 40k columns;
 # BenchmarkCandidates: H-LSH's one pass and fold ladder;
 # BenchmarkRulesCandidates: §6's table — run index, two-agreement scan
@@ -98,7 +101,7 @@ bench-phase2:
 	$(GO) test -c -o .bench_build/lsh.test ./internal/lsh
 	$(GO) test -c -o .bench_build/hamminglsh.test ./internal/hamminglsh
 	$(GO) test -c -o .bench_build/rules.test ./internal/rules
-	./.bench_build/candidate.test -test.run '^$$' -test.bench 'BenchmarkPhase2$$' -test.benchmem \
+	./.bench_build/candidate.test -test.run '^$$' -test.bench 'BenchmarkPhase2$$|BenchmarkScanWide$$|BenchmarkHashCountKMHWide$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m
 	./.bench_build/lsh.test -test.run '^$$' -test.bench 'BenchmarkBandingWide$$' -test.benchmem \
 		-test.cpu 1 -test.benchtime 5x -test.count $(COUNT) -test.timeout 30m

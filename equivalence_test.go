@@ -18,6 +18,7 @@ import (
 	"assocmine/internal/faultfs"
 	"assocmine/internal/matrix"
 	"assocmine/internal/measures"
+	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/rules"
 	"assocmine/internal/testutil"
@@ -195,6 +196,22 @@ func mustRun(t *testing.T) func(*Result, error) *Result {
 	}
 }
 
+// agreements is Σ C(s, 2) over the runs of s columns sharing a value in
+// a signature row: the pairs of columns agreeing there, over every row.
+func agreements(sig *minhash.Signatures) int64 {
+	var n int64
+	for l := range sig.K {
+		runs := make(map[uint64]int64)
+		for _, v := range sig.Vals[l*sig.M : (l+1)*sig.M] {
+			if v != minhash.Empty {
+				n += runs[v]
+				runs[v]++
+			}
+		}
+	}
+	return n
+}
+
 // lessSketchPhase is what a query answered from a precomputed sketch
 // accounts: the oracle less its signature phase, as a SkipVerify run of
 // the same scheme measures it.
@@ -288,6 +305,17 @@ func (e *env) oracle(t *testing.T, c cell) *Result {
 	cfg := c.cfg
 	cfg.Workers = 1
 	res = mustRun(t)(SimilarPairs(e.data(t, c.fix), cfg))
+	if cfg.Algorithm == MinHash && cfg.Window == 0 {
+		// Row-Sorting's work is one increment per agreement, which every
+		// executor's CandidateIncrements is then held to.
+		sig, err := ComputeSignatures(e.data(t, c.fix), cfg.K, cfg.Seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Stats.CandidateIncrements, agreements(sig.sig); got != want {
+			t.Fatalf("the oracle made %d increments, its signatures hold %d agreements", got, want)
+		}
+	}
 	if !cfg.SkipVerify {
 		ref := e.candidates(t, c).ref
 		if len(res.Pairs) != len(ref) {

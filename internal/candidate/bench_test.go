@@ -1,8 +1,10 @@
 package candidate
 
 import (
+	"context"
 	"testing"
 
+	"assocmine/internal/fold"
 	"assocmine/internal/gen"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
@@ -87,6 +89,60 @@ func BenchmarkHashCountKMHWide(b *testing.B) {
 		if _, _, err := HashCountKMH(sk, KMHOptions{BiasedCutoff: 0.2, UnbiasedCutoff: 0.4}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkScanWide is phase 2 the way a resident sketch pays for it:
+// over a prebuilt MH (k = 64) or K-MH (k = 256) index of wideSource() at
+// threshold 0.5, δ 0.2, with the index built outside the timer, one
+// serial scan (scan: one side of every column, as cand-wide's row-sort
+// and hash-count jobs count) or the Column of every 7th column (column:
+// both sides, as a resident top-k query counts). The K-MH kernel counts
+// (it holds no kept Counts), as HashCountKMH does.
+func BenchmarkScanWide(b *testing.B) {
+	sig, err := mhSketch(wideSource(), 64, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sk, err := kmhSketch(wideSource(), 256, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, sc := range []struct {
+		name string
+		p    Params
+		sk   fold.Sketch
+	}{
+		{"mh/k=64", Params{Algo: fold.MinHash, K: 64, Threshold: 0.5, Delta: 0.2}, fold.Sketch{MH: sig}},
+		{"kmh/k=256", Params{Algo: fold.KMinHash, K: 256, Threshold: 0.5, Delta: 0.2}, fold.Sketch{KMH: sk}},
+	} {
+		ix, err := IndexFor(ctx, sc.p, sc.sk, 1, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k, err := ix.Kernel(sc.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sc.name+"/scan", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := k.Scan(ctx, nil, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(sc.name+"/column", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < k.Units(); c += 7 {
+					if _, _, err := k.Column(nil, c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,10 +2,10 @@
 // template: generating candidate column pairs from an in-memory sketch.
 // kernel.go is its contract — one parameter set, one kernel per scheme
 // serving any unit range, one rule for combining ranges — which every
-// executor schedules: Row-Sorting (and its Hash-Count attribution) over
-// MH signatures (Section 3.1), Hash-Count over K-MH bottom-k sketches
-// with the biased-then-unbiased estimator cascade of Section 3.2, and
-// internal/lsh's banding (Section 4.1). RowSortMH and HashCountKMH are
+// executor schedules: Row-Sorting over MH signatures (Section 3.1),
+// Hash-Count over K-MH bottom-k sketches with the biased-then-unbiased
+// estimator cascade of Section 3.2, and internal/lsh's banding
+// (Section 4.1). RowSortMH and HashCountKMH are
 // the serial schedule of one full range.
 //
 // Row-Sorting and Hash-Count share the counting machinery of range.go.
@@ -39,7 +39,7 @@ type Stats struct {
 // in at least ceil(cutoff*k) rows. cutoff is the required agreement
 // fraction, typically (1-δ)s*.
 func RowSortMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	r, err := newMHRanger(context.Background(), sig, cutoff, false, 1)
+	r, err := newMHRanger(context.Background(), sig, cutoff, 1)
 	if err != nil {
 		return nil, Stats{}, err
 	}

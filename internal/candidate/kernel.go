@@ -133,7 +133,7 @@ func SchemeFor(p Params, cols int) (Scheme, error) {
 	switch p.Algo {
 	case fold.MinHash:
 		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: mhIndex,
-			ranger: func(p Params, ix *Index, _ bool) (ranger, error) { return ix.mhRanger(p.cutoff(), false) },
+			ranger: func(p Params, ix *Index, _ bool) (ranger, error) { return ix.mhRanger(p.cutoff()) },
 			admit:  mhAdmit}, nil
 	case fold.KMinHash:
 		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: kmhIndex,

@@ -181,7 +181,7 @@ func TestPhase2Matrix(t *testing.T) {
 	}
 	p := Params{K: 24, R: 3, L: 8, Seed: 5, Threshold: 0.5, Delta: 0.4}
 	with := func(algo fold.Algo, l int) Params { q := p; q.Algo, q.L = algo, l; return q }
-	hashCount, err := newMHRanger(context.Background(), sig, p.cutoff(), true, 1)
+	hashCount, err := newHashCountMH(context.Background(), sig, p.cutoff(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

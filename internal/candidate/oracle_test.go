@@ -17,11 +17,79 @@ import (
 // second MH attribution of Section 3.1: an ablation and a matrix row,
 // not a scheme the driver runs.
 func HashCountMH(sig *minhash.Signatures, cutoff float64) ([]pairs.Scored, Stats, error) {
-	r, err := newMHRanger(context.Background(), sig, cutoff, true, 1)
+	r, err := newHashCountMH(context.Background(), sig, cutoff, 1)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return all(r)
+}
+
+// hashCountMH is a Row-Sorting ranger under the Hash-Count attribution:
+// its span counts the earlier side of each column's runs, its column
+// both sides, as Row-Sort's does.
+type hashCountMH struct{ *mhRanger }
+
+func newHashCountMH(ctx context.Context, sig *minhash.Signatures, cutoff float64, workers int) (hashCountMH, error) {
+	r, err := newMHRanger(ctx, sig, cutoff, workers)
+	return hashCountMH{r}, err
+}
+
+func (r hashCountMH) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
+	before := r.increments
+	for i := lo; i < hi; i++ {
+		out = r.unit(out, int32(i), earlier)
+	}
+	return out, r.increments - before
+}
+
+func (r hashCountMH) fork() ranger { return hashCountMH{r.mhRanger.fork().(*mhRanger)} }
+
+// bothSidesMH is the oracle of the MH scan's one-sided count: column i
+// counts every other member of each of its runs, in one pass, and the
+// scan keeps the pairs with j > i (the column, every pair). Its scan's
+// work is twice Agreements().
+type bothSidesMH struct{ *mhRanger }
+
+func (r bothSidesMH) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
+	before := r.increments
+	for i := lo; i < hi; i++ {
+		out = r.unit(out, int32(i), false)
+	}
+	return out, r.increments - before
+}
+
+func (r bothSidesMH) column(out []pairs.Scored, col int) ([]pairs.Scored, int64) {
+	before := r.increments
+	return r.unit(out, int32(col), true), r.increments - before
+}
+
+func (r bothSidesMH) fork() ranger { return bothSidesMH{r.mhRanger.fork().(*mhRanger)} }
+
+func (r bothSidesMH) unit(out []pairs.Scored, i int32, whole bool) []pairs.Scored {
+	k := r.ix.sk.MH.K
+	for _, w := range r.ix.cells(int(i)) {
+		if w == 0 {
+			continue
+		}
+		for _, j := range r.ix.sorted[uint32(w) : w>>32] {
+			if j == i {
+				continue
+			}
+			if r.counts[j] == 0 {
+				r.touched = append(r.touched, j)
+			}
+			r.counts[j]++
+			r.increments++
+		}
+	}
+	for _, j := range r.touched {
+		if n := r.counts[j]; int(n) >= r.minAgree && (whole || j > i) {
+			out = append(out, pairs.Scored{Pair: pairs.Make(i, j), Estimate: float64(n) / float64(k)})
+		}
+		r.counts[j] = 0
+	}
+	r.touched = r.touched[:0]
+	return out
 }
 
 // BruteForceMH enumerates all column pairs against the MH agreement

@@ -1,8 +1,9 @@
 // The goroutine scheduler. A unit's work depends only on the read-only
 // index, so units shard across workers, each with a forked ranger
-// (private scratch and output buffer). Because a column's work grows
-// with its index under Hash-Count (it counts against the earlier columns
-// only), units are handed out in small chunks through an atomic cursor
+// (private scratch and output buffer). Because a column's work moves
+// with its index (Row-Sort counts the later columns of its runs,
+// Hash-Count the earlier ones), units are handed out in small chunks
+// through an atomic cursor
 // rather than as contiguous ranges; chunk outputs are concatenated in
 // chunk order, which restores exactly the serial emission order, and
 // gathered. The work count is identical to the serial pass.

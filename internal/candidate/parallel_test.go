@@ -48,7 +48,7 @@ func TestHashCountMHParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := newMHRanger(context.Background(), sig, 0.25, true, 1)
+	r, err := newHashCountMH(context.Background(), sig, 0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestParallelCandidateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newMHRanger(context.Background(), sig, 0, false, 4); err == nil {
+	if _, err := newMHRanger(context.Background(), sig, 0, 4); err == nil {
 		t.Error("Row-Sort index build accepted cutoff 0")
 	}
-	if _, err := newMHRanger(context.Background(), sig, 1.5, true, 4); err == nil {
+	if _, err := newHashCountMH(context.Background(), sig, 1.5, 4); err == nil {
 		t.Error("Hash-Count index build accepted cutoff 1.5")
 	}
 	if _, err := newKMHRanger(&kminhash.Sketches{K: 1}, KMHOptions{BiasedCutoff: 0}); err == nil {

@@ -7,14 +7,16 @@
 // — count over it at once; the counting is counter.count, the only
 // count loop in the package, run by the rangers' unit loop or, once for
 // a resident K-MH sketch, into the Counts its later scans read. Both
-// algorithms attribute each candidate pair to exactly one column (the smaller index for Row-Sort's
-// j > i emission, the later column for Hash-Count's
-// count-against-earlier scheme), so disjoint column ranges partition
-// the candidate set and concatenating range outputs in range order
+// algorithms attribute each candidate pair to exactly one column, and
+// count only that column's side of each run, so each agreement costs
+// one increment: Row-Sort's column i counts the columns after it (the
+// smaller index owns the pair), Hash-Count's the columns before it (the
+// later one does). Disjoint column ranges therefore partition the
+// candidate set, and concatenating range outputs in range order
 // reproduces the full scan exactly — pair for pair, estimate bit for
 // estimate bit. A column's own runs also hold every pair that contains
 // it, whichever column the scan attributes each to: that is the
-// per-column access path (column).
+// per-column access path (column), which counts both sides.
 package candidate
 
 import (
@@ -203,6 +205,7 @@ type counter struct {
 	ix         *Index
 	counts     []int32
 	touched    []int32
+	pending    []uint64 // count's first pass: the cells whose runs the second counts
 	increments int64
 }
 
@@ -214,18 +217,62 @@ func newCounter(ix *Index) counter {
 	return counter{ix: ix, counts: buf[:m:m], touched: buf[m:m]}
 }
 
-// count tallies, into counts/touched, the columns sharing a run with
-// column i: every other member of each run, or with earlier set only
-// the members before i (runs ascend, so that is a prefix).
-func (c *counter) count(i int32, earlier bool) {
-	sorted, counts := c.ix.sorted, c.counts
-	for _, w := range c.ix.cells(int(i)) {
+// side names the members of column i's runs that count reads: the
+// columns after i (the MH scan's attribution), the columns before i
+// (the K-MH scan's and Index.Count's), or both (a column's own pairs).
+type side uint8
+
+const (
+	later side = iota
+	earlier
+	both
+)
+
+// count tallies, into counts/touched, the columns on side s of column i
+// in the runs it shares, one increment per member counted. One side
+// takes two passes over i's cells. The first loads each run's boundary
+// member on that side — the last for later, the first for earlier — and
+// keeps the run unless that member is i itself: runs ascend, so the run
+// then has nothing on that side. These loads do not depend on one
+// another, so their cache misses overlap; a loop that counted each run
+// as it reached it waited on each miss in turn. The second pass counts
+// the kept runs' side of i. Both sides drop no run, so they skip the
+// first pass and count every run as they reach it. Runs are counted in
+// cell order and each in run order, so whichever side is counted, its
+// columns are touched in the order a count of both sides touches them.
+func (c *counter) count(i int32, s side) {
+	sorted, counts, cells := c.ix.sorted, c.counts, c.ix.cells(int(i))
+	if s != both {
+		pending := c.pending[:0]
+		for _, w := range cells {
+			if w == 0 {
+				continue
+			}
+			at := uint32(w)
+			if s == later {
+				at = uint32(w>>32) - 1
+			}
+			if sorted[at] != i {
+				pending = append(pending, w)
+			}
+		}
+		c.pending, cells = pending, pending
+	}
+	for _, w := range cells {
 		if w == 0 {
 			continue
 		}
-		for _, j := range sorted[uint32(w) : w>>32] {
-			if j == i {
-				if earlier {
+		run := sorted[uint32(w) : w>>32]
+		if s == later { // i is in run, and not last: keep what follows it
+			p := len(run) - 1
+			for run[p-1] != i {
+				p--
+			}
+			run = run[p:]
+		}
+		for _, j := range run {
+			if j == i { // one side ends at i; a trimmed later run never holds it
+				if s != both {
 					break
 				}
 				continue
@@ -298,7 +345,7 @@ func (ix *Index) Count(ctx context.Context, workers int) (*Counts, error) {
 		c := newCounter(ix)
 		return func(u int) {
 			for i := u * colChunk; i < min(m, (u+1)*colChunk); i++ {
-				c.count(int32(i), true)
+				c.count(int32(i), earlier)
 				for n, j := range c.touched {
 					cells[off[i]+n] = tally{j, c.counts[j]}
 					c.counts[j] = 0
@@ -343,43 +390,41 @@ func (t *Counts) kernel(p Params, search bool) (*Kernel, error) {
 type mhRanger struct {
 	counter
 	minAgree int
-	earlier  bool // Hash-Count attribution: column i counts columns j < i only
 }
 
 // newMHRanger builds the Row-Sorting index across workers goroutines —
 // the one-time O(k·m) cost RowSortMH pays up front — and a ranger over
 // it.
-func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, earlier bool, workers int) (*mhRanger, error) {
+func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, workers int) (*mhRanger, error) {
 	ix, err := IndexFor(ctx, Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers, false)
 	if err != nil {
 		return nil, err
 	}
-	return ix.mhRanger(cutoff, earlier)
+	return ix.mhRanger(cutoff)
 }
 
-// mhRanger is a Row-Sorting (or Hash-Count attribution) ranger over the
-// index, with scratch of its own.
-func (ix *Index) mhRanger(cutoff float64, earlier bool) (*mhRanger, error) {
+// mhRanger is a Row-Sorting ranger over the index, with scratch of its
+// own.
+func (ix *Index) mhRanger(cutoff float64) (*mhRanger, error) {
 	if cutoff <= 0 || cutoff > 1 {
 		return nil, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
 	}
-	return &mhRanger{counter: newCounter(ix), minAgree: ceilFrac(cutoff, ix.sk.MH.K), earlier: earlier}, nil
+	return &mhRanger{counter: newCounter(ix), minAgree: ceilFrac(cutoff, ix.sk.MH.K)}, nil
 }
 
 func (r *mhRanger) units() int { return r.ix.cols() }
 
 func (r *mhRanger) fork() ranger {
-	return &mhRanger{counter: newCounter(r.ix), minAgree: r.minAgree, earlier: r.earlier}
+	return &mhRanger{counter: newCounter(r.ix), minAgree: r.minAgree}
 }
 
 // span emits the candidates attributed to columns [lo, hi): pairs
-// (i, j) with lo <= i < hi and j > i (j < i for a Hash-Count ranger)
-// agreeing in at least ceil(cutoff·k) rows, in the full scan's exact
-// emission order.
+// (i, j) with lo <= i < hi and j > i agreeing in at least
+// ceil(cutoff·k) rows, in the full scan's exact emission order.
 func (r *mhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
 	before := r.increments
 	for i := lo; i < hi; i++ {
-		out = r.unit(out, int32(i), false)
+		out = r.unit(out, int32(i), later)
 	}
 	return out, r.increments - before
 }
@@ -388,16 +433,16 @@ func (r *mhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) 
 // own runs, both sides of it.
 func (r *mhRanger) column(out []pairs.Scored, col int) ([]pairs.Scored, int64) {
 	before := r.increments
-	return r.unit(out, int32(col), true), r.increments - before
+	return r.unit(out, int32(col), both), r.increments - before
 }
 
-// unit counts column i's runs and appends the pairs the scan attributes
-// to i or, with whole set, every pair that contains i.
-func (r *mhRanger) unit(out []pairs.Scored, i int32, whole bool) []pairs.Scored {
+// unit counts side s of column i's runs and appends the pairs among
+// them that agree in at least minAgree rows.
+func (r *mhRanger) unit(out []pairs.Scored, i int32, s side) []pairs.Scored {
 	k := r.ix.sk.MH.K
-	r.count(i, r.earlier && !whole)
+	r.count(i, s)
 	for _, j := range r.touched {
-		if n := r.counts[j]; int(n) >= r.minAgree && (whole || r.earlier || j > i) {
+		if n := r.counts[j]; int(n) >= r.minAgree {
 			out = append(out, pairs.Scored{
 				Pair:     pairs.Make(i, j),
 				Estimate: float64(n) / float64(k),
@@ -456,7 +501,7 @@ func (r *kmhRanger) fork() ranger {
 func (r *kmhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
 	before := r.increments
 	for i := lo; i < hi; i++ {
-		out = r.unit(out, int32(i), false)
+		out = r.unit(out, int32(i), earlier)
 	}
 	return out, r.increments - before
 }
@@ -466,29 +511,28 @@ func (r *kmhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64)
 // estimators are symmetric.
 func (r *kmhRanger) column(out []pairs.Scored, col int) ([]pairs.Scored, int64) {
 	before := r.increments
-	return r.unit(out, int32(col), true), r.increments - before
+	return r.unit(out, int32(col), both), r.increments - before
 }
 
-// unit counts column i's runs against the earlier columns — or reads
-// that count off the kept Counts — or, with whole set, against all of
-// them, and appends the pairs the cascade keeps.
-func (r *kmhRanger) unit(out []pairs.Scored, i int32, whole bool) []pairs.Scored {
-	if t := r.kept; t != nil && !whole {
+// unit counts side s of column i's runs — or reads the earlier side off
+// the kept Counts — and appends the pairs the cascade keeps.
+func (r *kmhRanger) unit(out []pairs.Scored, i int32, s side) []pairs.Scored {
+	if t := r.kept; t != nil && s == earlier {
 		for _, c := range t.cells[t.off[i]:t.off[i+1]] {
 			r.counts[c.j] = c.n
 			r.touched = append(r.touched, c.j)
 			r.increments += int64(c.n)
 		}
 	} else {
-		r.count(i, !whole)
+		r.count(i, s)
 	}
-	s := r.ix.sk.KMH
+	sk := r.ix.sk.KMH
 	for _, j := range r.touched {
 		p := pairs.Make(j, i)
-		if est := s.BiasedEstimateFromCount(int(p.I), int(p.J), int(r.counts[j])); est >= r.opt.BiasedCutoff {
+		if est := sk.BiasedEstimateFromCount(int(p.I), int(p.J), int(r.counts[j])); est >= r.opt.BiasedCutoff {
 			if r.scan {
 				out = append(out, pairs.Scored{Pair: p, Estimate: est})
-			} else if unbiased := s.UnbiasedEstimate(int(p.I), int(p.J)); unbiased >= r.opt.UnbiasedCutoff {
+			} else if unbiased := sk.UnbiasedEstimate(int(p.I), int(p.J)); unbiased >= r.opt.UnbiasedCutoff {
 				out = append(out, pairs.Scored{Pair: p, Estimate: unbiased})
 			}
 		}

@@ -2,10 +2,12 @@ package candidate
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
+	"assocmine/internal/minhash"
 )
 
 // rangesMatchFullRange is TestPhase2Matrix's assertion over hand-picked
@@ -72,10 +74,10 @@ func TestRangerValidation(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m := randomMatrix(rng, 40, 10, 0.2)
 	sig, _ := mhSketch(m.Stream(), 8, 3)
-	if _, err := newMHRanger(context.Background(), sig, 0, false, 1); err == nil {
+	if _, err := newMHRanger(context.Background(), sig, 0, 1); err == nil {
 		t.Error("cutoff 0 accepted")
 	}
-	if _, err := newMHRanger(context.Background(), sig, 1.5, false, 1); err == nil {
+	if _, err := newMHRanger(context.Background(), sig, 1.5, 1); err == nil {
 		t.Error("cutoff > 1 accepted")
 	}
 	sk, _ := kmhSketch(m.Stream(), 8, 3)
@@ -84,5 +86,68 @@ func TestRangerValidation(t *testing.T) {
 	}
 	if _, err := newKMHRanger(sk, KMHOptions{BiasedCutoff: 0.5, UnbiasedCutoff: 2}); err == nil {
 		t.Error("unbiased cutoff > 1 accepted")
+	}
+}
+
+// TestMHScanCountsOneSide holds the MH scan, which counts the members
+// after each column, to the loop it replaced, bothSidesMH, which counted
+// both sides and kept j > i: the same pairs, in the same order, with the
+// same Estimate bits, from a scan at 1 and 4 workers, from 17-column
+// ranges and from every Column, at a cutoff and at §6's floor of two
+// agreements. The scan's work is half the oracle's, Agreements(); a
+// column's, both sides, is the oracle's.
+func TestMHScanCountsOneSide(t *testing.T) {
+	rng := hashing.NewSplitMix64(45)
+	m, _ := plantedMatrix(rng, 600, 90)
+	planted, err := mhSketch(m.Stream(), 24, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range []*minhash.Signatures{planted, wideSignatures(t, 8)} {
+		ix, err := IndexFor(context.Background(), Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cutoff := range []float64{0.5, 2 / float64(sig.K)} {
+			t.Run(fmt.Sprintf("m=%d/cutoff=%.3f", sig.M, cutoff), func(t *testing.T) {
+				kern, err := ix.Kernel(Params{Algo: fold.MinHash, K: sig.K, Threshold: cutoff})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := ix.mhRanger(cutoff)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := kernelOf(t, fold.MinHash, bothSidesMH{r})
+				want, oracleWork := fullRange(t, oracle)
+				if oracleWork != 2*ix.Agreements() {
+					t.Fatalf("oracle work %d, want twice the %d agreements", oracleWork, ix.Agreements())
+				}
+				for _, workers := range []int{1, 4} {
+					got, work, err := kern.Scan(context.Background(), nil, workers, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCandidates(t, kern, got, work, want, ix.Agreements())
+				}
+				var cuts []int
+				for at := 0; at < sig.M; at += 17 {
+					cuts = append(cuts, at)
+				}
+				got, work := dealt(t, kern, append(cuts, sig.M), 4)
+				sameCandidates(t, kern, got, work, want, ix.Agreements())
+				for col := range sig.M {
+					got, work, err := kern.Column(nil, col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wantWork, err := oracle.Column(nil, col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCandidates(t, kern, got, work, want, wantWork)
+				}
+			})
+		}
 	}
 }

@@ -67,11 +67,14 @@ func wideSchedulers(t *testing.T, k *Kernel) ([]pairs.Scored, int64) {
 }
 
 // TestRowSortWide pins the radix-grouped Row-Sort on a wide sparse
-// matrix: the candidate set equals the brute-force oracle's, the
-// increment count equals Σ r·(r−1) over the runs of non-Empty values
-// counted independently with a map, and the serial scan, a 4-worker
-// scan and a kernel driven in uneven chunks emit the same pairs in the
-// same order.
+// matrix: the candidate set equals the brute-force oracle's, and the
+// serial scan, a 4-worker scan and a kernel driven in uneven chunks emit
+// the same pairs in the same order. Its work law: a column counts, in
+// each run it shares, the members after it, so a run of r columns,
+// ascending, costs (r−1) + (r−2) + … + 0 = C(r, 2) increments — one per
+// pair in the run. The scan reaches that bound exactly: Σ C(r, 2) over
+// the runs of non-Empty values, counted independently with a map, which
+// is also the index's Agreements().
 func TestRowSortWide(t *testing.T) {
 	const cutoff = 0.5
 	sig := wideSignatures(t, 4)
@@ -95,14 +98,17 @@ func TestRowSortWide(t *testing.T) {
 			}
 		}
 		for _, r := range runs {
-			wantInc += r * (r - 1)
+			wantInc += r * (r - 1) / 2
 		}
 	}
 	if emptyCols < wideCols/20 {
 		t.Fatalf("fixture has only %d empty columns", emptyCols)
 	}
 	if st.Increments != wantInc {
-		t.Errorf("increments %d, want Σ r(r-1) = %d", st.Increments, wantInc)
+		t.Errorf("increments %d, want Σ C(r,2) = %d", st.Increments, wantInc)
+	}
+	if agree := k.ix.Agreements(); st.Increments != agree {
+		t.Errorf("increments %d, index agreements %d", st.Increments, agree)
 	}
 
 	if testing.Short() {
@@ -132,7 +138,10 @@ func TestRowSortWide(t *testing.T) {
 // TestHashCountWide is the emission-order identity for the two
 // Hash-Count generators on the wide fixtures: serial, 4 workers and
 // uneven ranges agree pair for pair, and Hash-Count over MH signatures
-// finds Row-Sort's set with half its increments.
+// finds Row-Sort's set with as many increments. The two attributions
+// differ only in which side of a column they count: the r-th member of
+// a run of r has r−1 columns before it, where under Row-Sort the first
+// has r−1 after it, so either way the run costs C(r, 2).
 func TestHashCountWide(t *testing.T) {
 	const cutoff = 0.5
 	sig := wideSignatures(t, 6)
@@ -140,7 +149,7 @@ func TestHashCountWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := newMHRanger(context.Background(), sig, cutoff, true, 1)
+	hc, err := newHashCountMH(context.Background(), sig, cutoff, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +160,8 @@ func TestHashCountWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if 2*mhSt.Increments != rsSt.Increments {
-		t.Errorf("Hash-Count made %d increments, Row-Sort %d: want exactly half", mhSt.Increments, rsSt.Increments)
+	if mhSt.Increments != rsSt.Increments {
+		t.Errorf("Hash-Count made %d increments, Row-Sort %d: want them equal", mhSt.Increments, rsSt.Increments)
 	}
 	pairs.SortScored(mh)
 	pairs.SortScored(rs)
@@ -202,7 +211,7 @@ func TestParallelScratchIsPerWorker(t *testing.T) {
 	builds := map[string]func() (*Kernel, error){
 		"RowSortMH": func() (*Kernel, error) { return For(ctx, with(fold.MinHash), fold.Sketch{MH: sig}, workers) },
 		"HashCountMH": func() (*Kernel, error) {
-			r, err := newMHRanger(ctx, sig, 0.5, true, workers)
+			r, err := newHashCountMH(ctx, sig, 0.5, workers)
 			if err != nil {
 				return nil, err
 			}
