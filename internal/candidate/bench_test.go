@@ -93,18 +93,23 @@ func BenchmarkHashCountKMHWide(b *testing.B) {
 }
 
 // BenchmarkScanWide is phase 2 the way a resident sketch pays for it:
-// over a prebuilt MH (k = 64) or K-MH (k = 256) index of wideSource() at
+// over a prebuilt MH (k = 64), K-MH (k = 256) or M-LSH (cand-wide's
+// layout: k = 200, 40 bands of 5 rows) index of wideSource() at
 // threshold 0.5, δ 0.2, with the index built outside the timer, one
-// serial scan (scan: one side of every column, as cand-wide's row-sort
-// and hash-count jobs count) or the Column of every 7th column (column:
-// both sides, as a resident top-k query counts). The K-MH kernel counts
-// (it holds no kept Counts), as HashCountKMH does.
+// serial scan (scan: one side of every column, as cand-wide's row-sort,
+// hash-count and banding jobs count) or the Column of every 7th column
+// (column: both sides, as a resident top-k query counts). The K-MH
+// kernel counts (it holds no kept Counts), as HashCountKMH does.
 func BenchmarkScanWide(b *testing.B) {
 	sig, err := mhSketch(wideSource(), 64, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sk, err := kmhSketch(wideSource(), 256, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig200, err := mhSketch(wideSource(), 200, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,8 +121,9 @@ func BenchmarkScanWide(b *testing.B) {
 	}{
 		{"mh/k=64", Params{Algo: fold.MinHash, K: 64, Threshold: 0.5, Delta: 0.2}, fold.Sketch{MH: sig}},
 		{"kmh/k=256", Params{Algo: fold.KMinHash, K: 256, Threshold: 0.5, Delta: 0.2}, fold.Sketch{KMH: sk}},
+		{"mlsh/l=40", Params{Algo: fold.MinLSH, K: 200, R: 5, L: 40, Seed: 7, Threshold: 0.5, Delta: 0.2}, fold.Sketch{MH: sig200}},
 	} {
-		ix, err := IndexFor(ctx, sc.p, sc.sk, 1, false)
+		ix, err := IndexFor(ctx, sc.p, sc.sk, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +142,7 @@ func BenchmarkScanWide(b *testing.B) {
 		b.Run(sc.name+"/column", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for c := 0; c < k.Units(); c += 7 {
+				for c := 0; c < wideSource().Cols; c += 7 {
 					if _, _, err := k.Column(nil, c); err != nil {
 						b.Fatal(err)
 					}

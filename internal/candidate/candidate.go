@@ -4,12 +4,12 @@
 // serving any unit range, one rule for combining ranges — which every
 // executor schedules: Row-Sorting over MH signatures (Section 3.1),
 // Hash-Count over K-MH bottom-k sketches with the biased-then-unbiased
-// estimator cascade of Section 3.2, and internal/lsh's banding
-// (Section 4.1). RowSortMH and HashCountKMH are
-// the serial schedule of one full range.
+// estimator cascade of Section 3.2, and M-LSH's banding (Section 4.1),
+// which is Row-Sorting over the bands' keys at one agreement.
+// RowSortMH and HashCountKMH are the serial schedule of one full range.
 //
-// Row-Sorting and Hash-Count share the counting machinery of range.go.
-// Both algorithms avoid the O(m²) cost of examining every pair: work is
+// All three share the counting machinery of range.go. They avoid the
+// O(m²) cost of examining every pair: work is
 // proportional to the number of signature agreements, which is
 // O(k·S̄·m²) where S̄ is the (typically tiny) average pairwise
 // similarity. Both also use the paper's counter-reuse trick: one O(m)

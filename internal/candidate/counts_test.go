@@ -27,7 +27,7 @@ func TestCountsReadAsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := IndexFor(context.Background(), Params{Algo: fold.KMinHash}, fold.Sketch{KMH: sk}, 1, true)
+	ix, err := IndexFor(context.Background(), Params{Algo: fold.KMinHash}, fold.Sketch{KMH: sk}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCountsReadAsCounted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameCandidates(t, bare, got, work, want, wantWork)
+				sameCandidates(t, got, work, want, wantWork)
 			}
 			k := kernel(counts)
 			var got []pairs.Scored
@@ -99,11 +99,11 @@ func TestCountsReadAsCounted(t *testing.T) {
 				}
 				work += did
 			}
-			sameCandidates(t, bare, got, work, want, wantWork)
+			sameCandidates(t, got, work, want, wantWork)
 			for _, col := range []int{0, 1, 64, m.NumCols() - 1} {
 				gotCol, gotWork, _ := k.Column(nil, col)
 				wantCol, wantColWork, _ := bare.Column(nil, col)
-				sameCandidates(t, bare, gotCol, gotWork, wantCol, wantColWork)
+				sameCandidates(t, gotCol, gotWork, wantCol, wantColWork)
 			}
 			if !search {
 				continue

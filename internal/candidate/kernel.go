@@ -9,16 +9,20 @@
 // scratch (For is the two in a row, for a sketch used once; Index.Search
 // is the kernel whose one scan a descending search replays with Step):
 //
-//	Units()              the range space: columns (MH, K-MH) or bands (M-LSH)
-//	Range(dst, lo, hi)   append the candidates of units [lo, hi), with the work done
+//	Units()              the range space: columns, for every scheme
+//	Range(dst, lo, hi)   append the candidates of columns [lo, hi), with the work done
 //	Column(dst, col)     append the candidates that contain one column
-//	Gatherer()           the rule for putting range outputs together
 //
-// over a ranger (units, span, column, fork: mhRanger, kmhRanger,
-// lsh.Bands) whose forks share the index and own their scratch. The
-// goroutine scheduler (Scan, parallel.go), the band-at-a-time loop of
-// ProgressiveSimilarPairs and the dist worker and coordinator only
-// schedule these, so their outputs are bit-identical by construction.
+// over a ranger (units, span, column, fork: mhRanger, kmhRanger) whose
+// forks share the index and own their scratch. Every candidate is
+// attributed to one column, so ranges partition the pairs and their
+// outputs only concatenate. M-LSH is Row-Sorting over its bands' keys at
+// an agreement floor of one (§4.1: a pair is a candidate when one band
+// agrees), so it has no kernel of its own. The goroutine scheduler
+// (Scan, parallel.go) and the dist worker and coordinator only schedule
+// these, so their outputs are bit-identical by construction; the
+// band-at-a-time loop of ProgressiveSimilarPairs reads the M-LSH index
+// band by band (Index.Band).
 package candidate
 
 import (
@@ -27,8 +31,6 @@ import (
 
 	"assocmine/internal/bps"
 	"assocmine/internal/fold"
-	"assocmine/internal/lsh"
-	"assocmine/internal/minhash"
 	"assocmine/internal/obs"
 	"assocmine/internal/pairs"
 )
@@ -107,17 +109,13 @@ func (p Params) BPS(workers int) bps.Options {
 }
 
 // Scheme is the part of a kernel that needs no sketch: what a scheduler
-// that never holds one — the dist coordinator — splits, counts and
-// combines by.
+// that never holds one — the dist coordinator — splits and counts by.
 type Scheme struct {
 	// Counter is the obs counter the work count feeds: counter
 	// increments for the counting schemes, bucket pairs for M-LSH.
 	Counter string
-	units   int
 	cols    int
-	chunk   int  // units the goroutine scheduler hands out at a time
-	overlap bool // ranges can repeat a pair
-	index   func(ctx context.Context, p Params, sk fold.Sketch, workers int, keep bool) (*Index, error)
+	index   func(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Index, error)
 	// ranger builds the kernel's implementation; with search set, the one
 	// whose scan emits a Search's hits.
 	ranger func(p Params, ix *Index, search bool) (ranger, error)
@@ -132,57 +130,25 @@ type Scheme struct {
 func SchemeFor(p Params, cols int) (Scheme, error) {
 	switch p.Algo {
 	case fold.MinHash:
-		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: mhIndex,
+		return Scheme{Counter: obs.CounterIncrements, cols: cols, index: mhIndex,
 			ranger: func(p Params, ix *Index, _ bool) (ranger, error) { return ix.mhRanger(p.cutoff()) },
 			admit:  mhAdmit}, nil
 	case fold.KMinHash:
-		return Scheme{Counter: obs.CounterIncrements, units: cols, cols: cols, chunk: colChunk, index: kmhIndex,
+		return Scheme{Counter: obs.CounterIncrements, cols: cols, index: kmhIndex,
 			ranger: func(p Params, ix *Index, search bool) (ranger, error) { return ix.kmhRanger(p.cascade(), search) },
 			admit:  kmhAdmit}, nil
 	case fold.MinLSH:
-		return Scheme{Counter: obs.CounterBucketPairs, units: p.L, cols: cols, chunk: 1, overlap: true, index: bandIndex, ranger: buildBands}, nil
+		return Scheme{Counter: obs.CounterBucketPairs, cols: cols, index: bandIndex,
+			ranger: func(p Params, ix *Index, _ bool) (ranger, error) { return ix.mlshRanger(p) }}, nil
 	}
 	return Scheme{}, fmt.Errorf("candidate: algorithm %d has no range kernel", int(p.Algo))
 }
 
-// Units is the size of the range space.
-func (s Scheme) Units() int { return s.units }
+// Units is the size of the range space: the columns.
+func (s Scheme) Units() int { return s.cols }
 
-// Gatherer is the one rule for putting range outputs together, a part
-// at a time. Column ranges own disjoint pairs — a candidate is attributed
-// to exactly one column — so they only concatenate, which in range order
-// is the full scan's emission order. Band ranges union with exact dedup,
-// each pair staying where it first appeared, which in band order is the
-// serial banding's insertion order.
-type Gatherer struct {
-	seen *pairs.Set // nil: ranges cannot repeat a pair
-}
-
-// Gatherer returns an empty gatherer for the scheme's ranges.
-func (s Scheme) Gatherer() Gatherer {
-	if !s.overlap {
-		return Gatherer{}
-	}
-	return Gatherer{seen: pairs.NewSet(1024)}
-}
-
-// Add appends to out the pairs of part that no earlier part held and
-// returns it. part may be the tail of out's own array — out[:n] and
-// out[n:] — which combines a range's output where it was appended.
-func (g Gatherer) Add(out, part []pairs.Scored) []pairs.Scored {
-	if g.seen == nil {
-		return append(out, part...)
-	}
-	for _, p := range part {
-		if g.seen.Add(p.I, p.J) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ranger is what a kernel implementation provides: mhRanger, kmhRanger
-// and the lsh.Bands adapter.
+// ranger is what a kernel implementation provides: mhRanger (MH and
+// M-LSH) and kmhRanger.
 type ranger interface {
 	units() int
 	// span appends the candidates of units [lo, hi) — a valid range — to
@@ -190,8 +156,8 @@ type ranger interface {
 	span(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64)
 	// column appends the candidates that contain col — a valid column —
 	// each once, and returns the work this call did: as a set, and
-	// Estimate bit for Estimate bit, what the gathered span over every
-	// unit holds of col.
+	// Estimate bit for Estimate bit, what the span over every unit holds
+	// of col.
 	column(dst []pairs.Scored, col int) ([]pairs.Scored, int64)
 	// fork returns a ranger over the same index with private scratch. It
 	// reads only what no span writes, so it may run while the receiver
@@ -213,7 +179,7 @@ type Kernel struct {
 // For builds the scheme's kernel over the sketch its fold finished:
 // IndexFor then Index.Kernel, for a sketch that is used once.
 func For(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Kernel, error) {
-	ix, err := IndexFor(ctx, p, sk, workers, false)
+	ix, err := IndexFor(ctx, p, sk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -221,22 +187,21 @@ func For(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Kernel, e
 }
 
 // IndexFor builds the index of p's scheme over the sketch its fold
-// finished: the part of phase 2 that is the same for every threshold.
-// keep says the index will outlive the query, so M-LSH's buckets under
-// p's band layout (R, L, Seed) — the one layout it then Serves — are
-// sorted too. workers and ctx (nil means Background) spread and cancel
-// the part of the build that parallelises (the MH row sorts).
-func IndexFor(ctx context.Context, p Params, sk fold.Sketch, workers int, keep bool) (*Index, error) {
+// finished: the part of phase 2 that is the same for every threshold
+// (for M-LSH, the one of p's band layout — R, L and Seed — that it then
+// Serves). workers and ctx (nil means Background) spread and cancel the
+// part of the build that parallelises (the row or band sorts).
+func IndexFor(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Index, error) {
 	s, err := SchemeFor(p, 0)
 	if err != nil {
 		return nil, err
 	}
 	ctx, workers = normWorkers(ctx, workers)
-	return s.index(ctx, p, sk, workers, keep)
+	return s.index(ctx, p, sk, workers)
 }
 
-// IndexBytes is the size of the index IndexFor would build to be kept:
-// 12 bytes a signature cell, or a band and column for M-LSH.
+// IndexBytes is the size of the index IndexFor builds: 12 bytes a
+// signature cell, or a band and column for M-LSH.
 func IndexBytes(p Params, sk fold.Sketch) int64 {
 	if p.Algo == fold.MinLSH {
 		return 12 * int64(p.L) * int64(sk.MH.M)
@@ -247,7 +212,7 @@ func IndexBytes(p Params, sk fold.Sketch) int64 {
 // Serves reports whether the index is p's scheme's index over its
 // sketch: the algorithm's, and for M-LSH the one of p's band layout.
 func (ix *Index) Serves(p Params) bool {
-	return p.Algo == ix.algo && (ix.bands == nil || p.R == ix.layout.R && p.L == ix.layout.L && p.Seed == ix.layout.Seed)
+	return p.Algo == ix.algo && (ix.algo != fold.MinLSH || p.R == ix.layout.R && p.L == ix.layout.L && p.Seed == ix.layout.Seed)
 }
 
 // Kernel is a kernel of the index's scheme under p: the cutoffs p
@@ -327,81 +292,23 @@ func kmhAdmit(p Params, ix *Index) func(*pairs.Scored) bool {
 	}
 }
 
-// bandIndex is M-LSH's index: the signatures and, when kept, every band
-// of p's layout sorted once; a kernel over a bare one sorts each band as
-// a range reaches it, which is all a run that scans once should pay.
-func bandIndex(ctx context.Context, p Params, sk fold.Sketch, _ int, keep bool) (*Index, error) {
-	if sk.MH == nil {
-		return nil, fmt.Errorf("candidate: M-LSH kernel needs MH signatures")
-	}
-	ix := &Index{algo: fold.MinLSH, sk: fold.Sketch{MH: sk.MH}}
-	if keep {
-		b, err := layOut(p, sk.MH)
-		if err == nil {
-			err = b.Keep(ctx)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ix.bands, ix.layout = b, p
-	}
-	return ix, nil
-}
-
-// layOut picks the band layout: disjoint bands when the sketch has the
-// r·l values they need, else the sampled Q_{r,l,k} layout, drawn at
-// Seed+1 so it is independent of the hash functions Seed drew.
-func layOut(p Params, sig *minhash.Signatures) (*lsh.Bands, error) {
-	if sig.K >= p.R*p.L {
-		return lsh.Disjoint(sig, p.R, p.L)
-	}
-	return lsh.Sampled(sig, p.R, p.L, p.Seed+1)
-}
-
-// buildBands is a banding kernel under p's layout: a fork of the
-// index's kept one when that is p's, else laid out for this kernel.
-func buildBands(p Params, ix *Index, _ bool) (ranger, error) {
-	if ix.bands != nil && ix.Serves(p) {
-		return bandRanger{ix.bands.Fork()}, nil
-	}
-	b, err := layOut(p, ix.sk.MH)
-	if err != nil {
-		return nil, err
-	}
-	return bandRanger{b}, nil
-}
-
-type bandRanger struct{ *lsh.Bands }
-
-func (b bandRanger) units() int { return b.Len() }
-
-func (b bandRanger) span(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
-	return b.Range(dst, lo, hi)
-}
-
-func (b bandRanger) column(dst []pairs.Scored, col int) ([]pairs.Scored, int64) {
-	return b.Column(dst, col)
-}
-
-func (b bandRanger) fork() ranger { return bandRanger{b.Fork()} }
-
-// Range appends the candidates of units [lo, hi) to dst and returns the
-// work the range cost: counter increments or bucket pairs. Consecutive
-// ranges emit what one range over their union would; a Gatherer
-// combines them. This is the one range check of phase 2, whoever the caller.
+// Range appends the candidates of columns [lo, hi) to dst and returns
+// the work the range cost: counter increments or bucket pairs.
+// Consecutive ranges emit, concatenated, what one range over their
+// union would. This is the one range check of phase 2, whoever the
+// caller.
 func (k *Kernel) Range(dst []pairs.Scored, lo, hi int) ([]pairs.Scored, int64, error) {
-	if lo < 0 || hi > k.units || lo > hi {
-		return dst, 0, fmt.Errorf("candidate: unit range [%d,%d) outside [0,%d)", lo, hi, k.units)
+	if lo < 0 || hi > k.cols || lo > hi {
+		return dst, 0, fmt.Errorf("candidate: unit range [%d,%d) outside [0,%d)", lo, hi, k.cols)
 	}
 	dst, work := k.r.span(dst, lo, hi)
 	return dst, work, nil
 }
 
 // Column appends to dst the candidates that contain column col, each
-// once, and returns the work that cost: the gathered full scan filtered
-// on col — equal as a set, Estimate bit for Estimate bit — from col's
-// own runs (one key comparison per band and column for M-LSH) instead
-// of everybody's. It is the unit of a one-column query, as Range is of
+// once, and returns the work that cost: the full scan filtered on col —
+// equal as a set, Estimate bit for Estimate bit — from col's own runs
+// instead of everybody's. It is the unit of a one-column query, as Range is of
 // an all-pairs one, and the one column check of phase 2.
 func (k *Kernel) Column(dst []pairs.Scored, col int) ([]pairs.Scored, int64, error) {
 	if col < 0 || col >= k.cols {

@@ -19,8 +19,8 @@ import (
 // The phase-2 block of the equivalence matrix (ROADMAP item C): every
 // scheme's kernel, under every scheduler shape, against the serial full
 // range of the same kernel. The brute-force and map oracles that pin
-// the serial full range itself are candidate_test.go, wide_test.go and
-// internal/lsh's TestBandingMatchesMapOracle.
+// the serial full range itself are candidate_test.go, wide_test.go,
+// TestMLSHMatchesBandWalk and internal/lsh's TestBandingMatchesMapOracle.
 
 // kernelOf wraps a ranger built by hand — the Hash-Count attribution
 // over MH signatures, which no Params selects — as its scheme's kernel.
@@ -43,17 +43,12 @@ func mustFor(t testing.TB, p Params, sk fold.Sketch, workers int) *Kernel {
 }
 
 // sameCandidates is the matrix's single assertion: got equals want pair
-// for pair with identical Estimate bits — in order for the counting
-// schemes, as a set for banding — and the work counts agree.
-func sameCandidates(t *testing.T, k *Kernel, got []pairs.Scored, gotWork int64, want []pairs.Scored, wantWork int64) {
+// for pair, in order, with identical Estimate bits, and the work counts
+// agree.
+func sameCandidates(t *testing.T, got []pairs.Scored, gotWork int64, want []pairs.Scored, wantWork int64) {
 	t.Helper()
 	if gotWork != wantWork {
 		t.Errorf("work %d, serial full range %d", gotWork, wantWork)
-	}
-	if k.overlap {
-		got, want = append([]pairs.Scored(nil), got...), append([]pairs.Scored(nil), want...)
-		pairs.SortByKey(got)
-		pairs.SortByKey(want)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d candidates, serial full range %d", len(got), len(want))
@@ -66,7 +61,7 @@ func sameCandidates(t *testing.T, k *Kernel, got []pairs.Scored, gotWork int64, 
 }
 
 // sameColumn is the Column block's single assertion: Column(col) holds,
-// each once, the pairs of the gathered full scan that contain col, with
+// each once, the pairs of the full scan that contain col, with
 // identical Estimate bits, appended after what dst already held.
 func sameColumn(t *testing.T, k *Kernel, col int, full []pairs.Scored) {
 	t.Helper()
@@ -111,13 +106,13 @@ func fullRange(t *testing.T, k *Kernel) ([]pairs.Scored, int64) {
 	if len(out) == 0 {
 		t.Fatal("fixture emitted no candidates")
 	}
-	return k.Gatherer().Add(out[:0], out), work
+	return out, work
 }
 
 // dealt answers the ranges cuts[i]..cuts[i+1] the way dist does: each of
 // `workers` independent kernels — forks here, processes there — takes
-// every workers-th range, concurrently, and the answers are gathered in
-// range order.
+// every workers-th range, concurrently, and the answers are concatenated
+// in range order.
 func dealt(t *testing.T, k *Kernel, cuts []int, workers int) ([]pairs.Scored, int64) {
 	t.Helper()
 	n := len(cuts) - 1
@@ -145,9 +140,8 @@ func dealt(t *testing.T, k *Kernel, cuts []int, workers int) ([]pairs.Scored, in
 	}
 	var all []pairs.Scored
 	var work int64
-	g := k.Gatherer()
 	for i, part := range parts {
-		all = g.Add(all, part)
+		all = append(all, part...)
 		work += works[i]
 	}
 	return all, work
@@ -199,18 +193,18 @@ func TestPhase2Matrix(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			k := sc.k
 			want, wantWork := fullRange(t, k)
-			for _, workers := range []int{1, 2, 4, 16} { // 16: more workers than bands or chunks
+			for _, workers := range []int{1, 2, 4, 16} { // 16: more workers than chunks
 				t.Run(fmt.Sprintf("workers=%d/one-range", workers), func(t *testing.T) {
 					got, work, err := k.Scan(context.Background(), nil, workers, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameCandidates(t, k, got, work, want, wantWork)
+					sameCandidates(t, got, work, want, wantWork)
 				})
 				for name, cuts := range schedules(k.Units()) {
 					t.Run(fmt.Sprintf("workers=%d/%s", workers, name), func(t *testing.T) {
 						got, work := dealt(t, k, cuts, workers)
-						sameCandidates(t, k, got, work, want, wantWork)
+						sameCandidates(t, got, work, want, wantWork)
 					})
 				}
 			}
@@ -248,11 +242,16 @@ func TestPhase2Matrix(t *testing.T) {
 			})
 		})
 	}
-	// The index build is cancellable where it is parallel.
+	// The index build is cancellable where it is parallel: the MH rows'
+	// sorts and the M-LSH bands'.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := For(ctx, with(fold.MinHash, 0), fold.Sketch{MH: sig}, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("For under a cancelled context: %v", err)
+	for _, p := range []Params{with(fold.MinHash, 0), with(fold.MinLSH, 8), with(fold.MinLSH, 11)} {
+		for _, workers := range []int{1, 4} {
+			if _, err := For(ctx, p, fold.Sketch{MH: sig}, workers); !errors.Is(err, context.Canceled) {
+				t.Errorf("algo %d L %d: For with %d workers under a cancelled context: %v", p.Algo, p.L, workers, err)
+			}
+		}
 	}
 }
 
@@ -282,17 +281,29 @@ func TestKernelsShareOneIndex(t *testing.T) {
 			{Algo: tc.algo, K: 24, R: 3, L: 8, Seed: 5, Threshold: 0.5, Delta: 0.4},
 			{Algo: tc.algo, K: 24, R: 2, L: 6, Seed: 5, Threshold: 0.8, Delta: 0.1},
 		}
-		// The kept index: the grouping, or the first layout's buckets —
-		// the second M-LSH kernel lays its own bands out beside it.
-		ix, err := IndexFor(context.Background(), params[0], tc.sk, 2, true)
+		// The kept index: the grouping, or the first layout's band runs,
+		// which cannot serve the second layout; that M-LSH kernel gets an
+		// index of its own.
+		ix, err := IndexFor(context.Background(), params[0], tc.sk, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(len(ix.sorted))*4+int64(len(ix.runs))*8, IndexBytes(params[0], tc.sk); tc.algo != fold.MinLSH && got != want {
-			t.Errorf("algo %d: a grouping of %d bytes, IndexBytes says %d", tc.algo, got, want)
+		// Its resident bytes are IndexBytes': 12 a cell, or a band and
+		// column — an M-LSH index holds no band keys.
+		if got, want := int64(len(ix.sorted))*4+int64(len(ix.runs))*8, IndexBytes(params[0], tc.sk); got != want {
+			t.Errorf("algo %d: an index of %d bytes, IndexBytes says %d", tc.algo, got, want)
 		}
 		if oneLayout := tc.algo == fold.MinLSH; !ix.Serves(params[0]) || ix.Serves(params[1]) == oneLayout {
 			t.Errorf("algo %d: Serves = %v, %v", tc.algo, ix.Serves(params[0]), ix.Serves(params[1]))
+		}
+		indexes := []*Index{ix, ix}
+		if tc.algo == fold.MinLSH {
+			if _, err := ix.Kernel(params[1]); err == nil {
+				t.Error("an M-LSH index served another band layout")
+			}
+			if indexes[1], err = IndexFor(context.Background(), params[1], tc.sk, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 		type query struct {
 			k       *Kernel
@@ -305,7 +316,7 @@ func TestKernelsShareOneIndex(t *testing.T) {
 		var wg sync.WaitGroup
 		for i, p := range params {
 			q := &queries[i]
-			if q.k, err = ix.Kernel(p); err != nil {
+			if q.k, err = indexes[i].Kernel(p); err != nil {
 				t.Fatal(err)
 			}
 			wg.Add(1)
@@ -325,7 +336,7 @@ func TestKernelsShareOneIndex(t *testing.T) {
 				t.Fatal(q.err)
 			}
 			want, wantWork := fullRange(t, mustFor(t, params[i], tc.sk, 1))
-			sameCandidates(t, q.k, q.scan, q.work, want, wantWork)
+			sameCandidates(t, q.scan, q.work, want, wantWork)
 			for col, c := range q.columns {
 				isColumnOf(t, c, col, want)
 			}
@@ -386,7 +397,7 @@ func FuzzKernelColumn(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameColumn(t, kern, int(col)%mm, kern.Gatherer().Add(out[:0], out))
+			sameColumn(t, kern, int(col)%mm, out)
 		}
 	})
 }
@@ -520,7 +531,7 @@ func TestTwoAgreementFloor(t *testing.T) {
 				row[1] = row[0]
 			}
 		}
-		ix, err := IndexFor(context.Background(), Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+		ix, err := IndexFor(context.Background(), Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,13 @@ package candidate
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
+	"assocmine/internal/radix"
 )
 
 // HashCountMH generates the same candidate set as RowSortMH using the
@@ -146,4 +149,135 @@ func BruteForceKMH(s *kminhash.Sketches, cutoff float64) ([]pairs.Scored, Stats,
 	}
 	st.Candidates = len(out)
 	return out, st, nil
+}
+
+// bandWalk is the M-LSH oracle: §4.1's banding as its own kernel. Each
+// band keys every column that is not empty in all of the band's rows on
+// the band key of its values there, a column at a time, sorts the
+// (key, column) records into buckets and walks them for pairs, band by
+// band; a pair
+// colliding in several bands appears once for each, and a set of the
+// pairs seen drops the repeats. Its layout is laid out on its own:
+// disjoint bands of r consecutive rows when k >= r·l, else r rows of
+// the k drawn per band from SplitMix64 at seed+1.
+type bandWalk struct {
+	sig  *minhash.Signatures
+	rows [][]int
+}
+
+func newBandWalk(sig *minhash.Signatures, p Params) bandWalk {
+	rows := make([][]int, p.L)
+	rng := hashing.NewSplitMix64(p.Seed + 1)
+	for b := range rows {
+		if sig.K >= p.R*p.L {
+			for i := range p.R {
+				rows[b] = append(rows[b], b*p.R+i)
+			}
+		} else {
+			rows[b] = rng.Perm(sig.K)[:p.R]
+		}
+	}
+	return bandWalk{sig: sig, rows: rows}
+}
+
+// key is column c's bucket key in band b, and false for a column empty
+// in all of the band's rows, which enters no bucket.
+func (w bandWalk) key(b, c int) (uint64, bool) {
+	m := w.sig.M
+	var vals []uint64
+	empty := true
+	for _, l := range w.rows[b] {
+		v := w.sig.Vals[l*m+c]
+		empty = empty && v == minhash.Empty
+		vals = append(vals, v)
+	}
+	h := hashing.KeyStart
+	for _, v := range vals {
+		h = h.Add(v)
+	}
+	return h.Sum(), !empty
+}
+
+// buckets is band b sorted: keys ascending, a bucket's columns
+// ascending.
+func (w bandWalk) buckets(b int) ([]uint64, []int32) {
+	var keys []uint64
+	var cols []int32
+	for c := range w.sig.M {
+		if key, ok := w.key(b, c); ok {
+			keys, cols = append(keys, key), append(cols, int32(c))
+		}
+	}
+	radix.SortByKey(keys, cols, make([]uint64, len(keys)), make([]int32, len(keys)))
+	return keys, cols
+}
+
+// band appends band b's colliding pairs, in (I, J) order: each member
+// of a bucket notes where the members after it lie, and a walk over the
+// columns emits (c, later member).
+func (w bandWalk) band(dst []pairs.Scored, b int) []pairs.Scored {
+	keys, cols := w.buckets(b)
+	next := make([]uint64, w.sig.M)
+	start := 0
+	for q := 1; q <= len(keys); q++ {
+		if q < len(keys) && keys[q] == keys[start] {
+			continue
+		}
+		for p := start; p+1 < q; p++ {
+			next[cols[p]] = uint64(p+1) | uint64(q)<<32
+		}
+		start = q
+	}
+	for c, x := range next {
+		for _, j := range cols[uint32(x) : x>>32] {
+			dst = append(dst, pairs.Scored{Pair: pairs.Pair{I: int32(c), J: j}})
+		}
+	}
+	return dst
+}
+
+// gathered is the walk over every band, each band's pairs less those of
+// earlier bands (its fresh pairs, in band order) and the bucket pairs
+// walked, repeats included.
+func (w bandWalk) gathered() (fresh [][]pairs.Scored, bucketPairs int64) {
+	seen := pairs.NewSet(1024)
+	for b := range w.rows {
+		all := w.band(nil, b)
+		bucketPairs += int64(len(all))
+		var f []pairs.Scored
+		for _, p := range all {
+			if seen.Add(p.I, p.J) {
+				f = append(f, p)
+			}
+		}
+		fresh = append(fresh, f)
+	}
+	return fresh, bucketPairs
+}
+
+// column is every pair sharing a bucket with col in some band, each
+// once, and the (band, column) collisions found: one search for col's
+// key per band.
+func (w bandWalk) column(col int) ([]pairs.Scored, int64) {
+	var out []pairs.Scored
+	var collisions int64
+	met := make([]bool, w.sig.M)
+	for b := range w.rows {
+		want, ok := w.key(b, col)
+		if !ok {
+			continue
+		}
+		keys, cols := w.buckets(b)
+		q, _ := slices.BinarySearch(keys, want)
+		for ; q < len(keys) && keys[q] == want; q++ {
+			if c := cols[q]; int(c) != col {
+				collisions++
+				if !met[c] {
+					met[c] = true
+					out = append(out, pairs.Scored{Pair: pairs.Make(int32(col), c)})
+				}
+			}
+		}
+	}
+	return out, collisions
 }

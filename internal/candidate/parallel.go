@@ -1,12 +1,12 @@
 // The goroutine scheduler. A unit's work depends only on the read-only
 // index, so units shard across workers, each with a forked ranger
 // (private scratch and output buffer). Because a column's work moves
-// with its index (Row-Sort counts the later columns of its runs,
-// Hash-Count the earlier ones), units are handed out in small chunks
-// through an atomic cursor
-// rather than as contiguous ranges; chunk outputs are concatenated in
-// chunk order, which restores exactly the serial emission order, and
-// gathered. The work count is identical to the serial pass.
+// with its index (Row-Sort and M-LSH count the later columns of their
+// runs, Hash-Count the earlier ones), units are handed out in small
+// chunks through an atomic cursor rather than as contiguous ranges;
+// chunk outputs are concatenated in chunk order, which restores exactly
+// the serial emission order. The work count is identical to the serial
+// pass.
 package candidate
 
 import (
@@ -23,7 +23,7 @@ import (
 // colChunk is the columns handed to a worker at a time, and the
 // granularity of progress ticks and cancellation: big enough to keep
 // cursor contention negligible, small enough to balance the skewed
-// per-column cost. (A band is a whole radix sort: bands go one by one.)
+// per-column cost.
 const colChunk = 32
 
 // forEachUnit runs units [0, n) across workers goroutines (inline for
@@ -61,29 +61,25 @@ func forEachUnit(ctx context.Context, n, workers int, start func() func(unit int
 	wg.Wait()
 }
 
-// Scan is the goroutine scheduler over the kernel: all of units [0, n)
-// in chunk steps, gathered and appended to dst (whose capacity a caller
-// with a buffer to reuse passes in). Serially, tick receives (units processed, n)
-// and ctx is checked after every full chunk; with workers > 1 (and more
-// than one chunk; negative means GOMAXPROCS) the chunks go to forked
-// rangers through forEachUnit, tick is called from the worker
-// goroutines, and a cancelled ctx (nil means Background) stops the
-// claiming of chunks and fails the scan with ctx.Err(). The candidates —
-// for the counting schemes their order too — and the work count do not
-// depend on workers.
+// Scan is the goroutine scheduler over the kernel: all of columns
+// [0, n) in chunk steps, appended to dst (whose capacity a caller with
+// a buffer to reuse passes in). Serially, tick receives (columns
+// processed, n) and ctx is checked after every full chunk; with
+// workers > 1 (and more than one chunk; negative means GOMAXPROCS) the
+// chunks go to forked rangers through forEachUnit, tick is called from
+// the worker goroutines, and a cancelled ctx (nil means Background)
+// stops the claiming of chunks and fails the scan with ctx.Err(). The
+// candidates, their order and the work count do not depend on workers.
 func (k *Kernel) Scan(ctx context.Context, dst []pairs.Scored, workers int, tick obs.Tick) ([]pairs.Scored, int64, error) {
 	ctx, workers = normWorkers(ctx, workers)
-	n, chunk := k.units, k.chunk
+	n, chunk := k.cols, colChunk
 	var work int64
-	g := k.Gatherer()
 	if workers <= 1 || n <= chunk {
 		out := dst
 		for lo := 0; lo < n; lo += chunk {
 			hi := min(lo+chunk, n)
-			from := len(out)
 			var did int64
 			out, did = k.r.span(out, lo, hi)
-			out = g.Add(out[:from], out[from:])
 			work += did
 			if hi-lo == chunk {
 				if err := ctx.Err(); err != nil {
@@ -138,7 +134,7 @@ func (k *Kernel) Scan(ctx context.Context, dst []pairs.Scored, workers int, tick
 	}
 	out := slices.Grow(dst, total)
 	for _, s := range where {
-		out = g.Add(out, bufs[s.worker][s.lo:s.hi])
+		out = append(out, bufs[s.worker][s.lo:s.hi]...)
 	}
 	return out, work, nil
 }

@@ -25,7 +25,7 @@ func scanMatchesFullRange(t *testing.T, k *Kernel, workers ...int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameCandidates(t, k, got, work, want, wantWork)
+			sameCandidates(t, got, work, want, wantWork)
 		})
 	}
 }

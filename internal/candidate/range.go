@@ -1,17 +1,18 @@
-// The counting kernels. Row-Sorting and Hash-Count both group columns by
-// an equal min-hash value and then, column by column, count how often
+// The counting kernels. Row-Sorting, M-LSH and Hash-Count all group
+// columns by an equal key and then, column by column, count how often
 // each other column shares a group. The grouping is built once per
-// sketch as a read-only Index (one radix sort per signature row, or one
-// over all sketch values) that depends on the sketch alone, never on a
-// cutoff, so any number of kernels — one per query of a resident sketch
-// — count over it at once; the counting is counter.count, the only
-// count loop in the package, run by the rangers' unit loop or, once for
-// a resident K-MH sketch, into the Counts its later scans read. Both
-// algorithms attribute each candidate pair to exactly one column, and
-// count only that column's side of each run, so each agreement costs
-// one increment: Row-Sort's column i counts the columns after it (the
-// smaller index owns the pair), Hash-Count's the columns before it (the
-// later one does). Disjoint column ranges therefore partition the
+// sketch as a read-only Index (one radix sort per signature row — or
+// per band, over its columns' band keys, for M-LSH — or one over all
+// sketch values) that depends on the sketch alone, never on a cutoff,
+// so any number of kernels — one per query of a resident sketch — count
+// over it at once; the counting is counter.count, the only count loop
+// in the package, run by the rangers' unit loop or, once for a resident
+// K-MH sketch, into the Counts its later scans read. Every algorithm
+// attributes each candidate pair to exactly one column, and counts only
+// that column's side of each run, so each agreement costs one
+// increment: Row-Sort's and M-LSH's column i counts the columns after it
+// (the smaller index owns the pair), Hash-Count's the columns before it
+// (the later one does). Disjoint column ranges therefore partition the
 // candidate set, and concatenating range outputs in range order
 // reproduces the full scan exactly — pair for pair, estimate bit for
 // estimate bit. A column's own runs also hold every pair that contains
@@ -23,43 +24,41 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"assocmine/internal/fold"
+	"assocmine/internal/hashing"
 	"assocmine/internal/kminhash"
-	"assocmine/internal/lsh"
 	"assocmine/internal/minhash"
 	"assocmine/internal/pairs"
 	"assocmine/internal/radix"
 )
 
 // Index is the half of a kernel that depends on the sketch alone: the
-// sketch and, for the counting schemes, the grouping they count over.
-// It is read-only once built, so the kernels of concurrent queries
-// share it, and it costs 12 bytes a signature cell: what a resident
-// sketch keeps beside itself so that a query pays for counting only
-// (or, over a K-MH index's Counts, for filtering only). (M-LSH's is the
-// sketch and, when kept, the sorted buckets of one band layout — 12
-// bytes a band and column.)
+// sketch and the grouping its scheme counts over. It is read-only once
+// built, so the kernels of concurrent queries share it, and it costs
+// 12 bytes a signature cell — a band and column for M-LSH: what a
+// resident sketch keeps beside itself so that a query pays for counting
+// only (or, over a K-MH index's Counts, for filtering only).
 //
 // sorted lists columns run by run, a run being the columns that share
-// one value (within one signature row for MH), ascending inside a run
-// because the radix sort is stable. runs is column-major: a column's
-// cells (its k signature rows, or its sketch slots) are adjacent, each
-// holding its run's bounds in sorted as lo | hi<<32 — or zero when no
-// other column shares the value, so the count loop reads one contiguous
-// stretch per column and skips most cells without touching anything
-// else.
+// one value (within one signature row for MH, one band for M-LSH),
+// ascending inside a run because the radix sort is stable. runs is
+// column-major: a column's cells (its k signature rows, its L bands, or
+// its sketch slots) are adjacent, each holding its run's bounds in
+// sorted as lo | hi<<32 — or zero when no other column shares the
+// value, so the count loop reads one contiguous stretch per column and
+// skips most cells without touching anything else.
 type Index struct {
 	algo   fold.Algo
 	sk     fold.Sketch
 	sorted []int32
 	runs   []uint64
-	off    []int // K-MH: column i's cells are runs[off[i]:off[i+1]]; MH cells are k to a column
-	agree  int64 // Agreements, summed as the runs are filled
-
-	bands  *lsh.Bands // M-LSH, kept: the kernel holding layout's buckets
-	layout Params     // of which R, L and Seed lay the bands out
+	rows   int    // MH, M-LSH: column i's cells are runs[i·rows:(i+1)·rows]
+	off    []int  // K-MH: column i's cells are runs[off[i]:off[i+1]]
+	agree  int64  // Agreements, summed as the runs are filled
+	layout Params // M-LSH: of which R, L and Seed lay the bands out
 }
 
 // cols is the number of columns sketched.
@@ -75,8 +74,7 @@ func (ix *Index) cells(i int) []uint64 {
 	if ix.off != nil {
 		return ix.runs[ix.off[i]:ix.off[i+1]]
 	}
-	k := ix.sk.MH.K
-	return ix.runs[i*k : (i+1)*k]
+	return ix.runs[i*ix.rows : (i+1)*ix.rows]
 }
 
 // Agreements is the sum over pairs of columns of the cells they share a
@@ -118,36 +116,128 @@ func (ix *Index) fillRuns(keys []uint64, cols []int32, base int, cell func(col i
 	return agree
 }
 
-// mhIndex sorts the k signature rows, across workers goroutines, into
-// the run index; a cancelled ctx stops the build at row granularity.
-func mhIndex(ctx context.Context, _ Params, sk fold.Sketch, workers int, _ bool) (*Index, error) {
+// mhIndex sorts the k signature rows into the run index; the empty
+// sentinel is no value, so an empty column joins no run.
+func mhIndex(ctx context.Context, _ Params, sk fold.Sketch, workers int) (*Index, error) {
 	sig := sk.MH
 	if sig == nil {
 		return nil, fmt.Errorf("candidate: MH kernel needs MH signatures")
 	}
-	k, m := sig.K, sig.M
-	if err := checkCells(k * m); err != nil {
+	m := sig.M
+	return rowIndex(ctx, fold.MinHash, sig, sig.K, workers, func() rowKeys {
+		return func(l int, keys []uint64, cols []int32) ([]uint64, []int32) {
+			for c, v := range sig.Vals[l*m : (l+1)*m] {
+				if v != minhash.Empty {
+					keys, cols = append(keys, v), append(cols, int32(c))
+				}
+			}
+			return keys, cols
+		}
+	})
+}
+
+// bandIndex is M-LSH's index: band b of p's layout keys each column on
+// its values in the band's signature rows (hashing.BandKey, built a row
+// at a time, so each row is read in order) and sorts the keys into row b
+// of a run index, so a bucket is a run. A column empty in every row of a
+// band has no key there and joins no bucket; a key that happens to equal
+// minhash.Empty is a key.
+func bandIndex(ctx context.Context, p Params, sk fold.Sketch, workers int) (*Index, error) {
+	sig := sk.MH
+	if sig == nil {
+		return nil, fmt.Errorf("candidate: M-LSH kernel needs MH signatures")
+	}
+	bands, err := layOut(p, sig.K)
+	if err != nil {
 		return nil, err
 	}
-	ix := &Index{algo: fold.MinHash, sk: fold.Sketch{MH: sig}, sorted: make([]int32, k*m), runs: make([]uint64, k*m)}
+	m := sig.M
+	ix, err := rowIndex(ctx, fold.MinLSH, sig, p.L, workers, func() rowKeys {
+		// acc holds each column's key so far; nz is nonzero once a
+		// value of the column was not minhash.Empty.
+		acc, nz := make([]hashing.BandKey, m), make([]uint64, m)
+		return func(b int, keys []uint64, cols []int32) ([]uint64, []int32) {
+			for c := range acc {
+				acc[c], nz[c] = hashing.KeyStart, 0
+			}
+			for _, l := range bands[b] {
+				for c, v := range sig.Vals[l*m : (l+1)*m] {
+					acc[c] = acc[c].Add(v)
+					nz[c] |= v ^ minhash.Empty
+				}
+			}
+			for c, h := range acc {
+				if nz[c] != 0 {
+					keys, cols = append(keys, h.Sum()), append(cols, int32(c))
+				}
+			}
+			return keys, cols
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	ix.layout = p
+	return ix, nil
+}
+
+// layOut is the band layout of §4.1: band b hashes signature rows
+// rows[b]. Disjoint bands of R consecutive rows when the sketch has the
+// R·L values they need, else the sampled Q_{r,l,k} layout — each band
+// R rows drawn without replacement from the k — drawn at Seed+1 so it
+// is independent of the hash functions Seed drew. The layout is a pure
+// function of (k, R, L, Seed), so every process derives the same bands.
+func layOut(p Params, k int) ([][]int, error) {
+	if p.R <= 0 || p.L <= 0 {
+		return nil, fmt.Errorf("candidate: band rows and bands must be positive, got R=%d L=%d", p.R, p.L)
+	}
+	if k < p.R {
+		return nil, fmt.Errorf("candidate: bands of %d rows need k >= %d min-hash values, have %d", p.R, p.R, k)
+	}
+	rows := make([][]int, p.L)
+	if k >= p.R*p.L {
+		for b := range rows {
+			rows[b] = make([]int, p.R)
+			for i := range rows[b] {
+				rows[b][i] = b*p.R + i
+			}
+		}
+		return rows, nil
+	}
+	rng := hashing.NewSplitMix64(p.Seed + 1)
+	for b := range rows {
+		rows[b] = rng.Perm(k)[:p.R]
+	}
+	return rows, nil
+}
+
+// rowKeys appends row l's (key, column) records to keys and cols and
+// returns them; each worker of a build gets its own.
+type rowKeys func(l int, keys []uint64, cols []int32) ([]uint64, []int32)
+
+// rowIndex sorts rows rows of keys over sig's columns — signature rows
+// or bands — across workers goroutines into a run index; a cancelled
+// ctx stops the build at row granularity.
+func rowIndex(ctx context.Context, algo fold.Algo, sig *minhash.Signatures, rows, workers int, keyer func() rowKeys) (*Index, error) {
+	m := sig.M
+	if err := checkCells(rows * m); err != nil {
+		return nil, err
+	}
+	ix := &Index{algo: algo, sk: fold.Sketch{MH: sig}, rows: rows, sorted: make([]int32, rows*m), runs: make([]uint64, rows*m)}
 	// Rows write disjoint parts of sorted (row l sorts its columns in
-	// place in [l·m, (l+1)·m)) and of runs (slot c·k+l), so they build
-	// independently.
+	// place in [l·m, (l+1)·m)) and of runs (slot c·rows+l), so they
+	// build independently.
 	var agree atomic.Int64
-	forEachUnit(ctx, k, workers, func() func(l int) {
+	forEachUnit(ctx, rows, workers, func() func(l int) {
+		key := keyer()
 		keys := make([]uint64, 0, m)
 		keyScratch := make([]uint64, m)
 		colScratch := make([]int32, m)
 		return func(l int) {
-			keys = keys[:0]
-			cols := ix.sorted[l*m : l*m : (l+1)*m]
-			for c, v := range sig.Vals[l*m : (l+1)*m] {
-				if v != minhash.Empty { // the empty sentinel is not a match
-					keys, cols = append(keys, v), append(cols, int32(c))
-				}
-			}
+			var cols []int32
+			keys, cols = key(l, keys[:0], ix.sorted[l*m:l*m:(l+1)*m])
 			radix.SortByKey(keys, cols, keyScratch, colScratch)
-			agree.Add(ix.fillRuns(keys, cols, l*m, func(c int32) int { return int(c)*k + l }))
+			agree.Add(ix.fillRuns(keys, cols, l*m, func(c int32) int { return int(c)*rows + l }))
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -160,7 +250,7 @@ func mhIndex(ctx context.Context, _ Params, sk fold.Sketch, workers int, _ bool)
 // kmhIndex groups every sketch value of every column in one radix sort
 // — serially: it is the cheap O(m·k) part — and records with the runs
 // each column's cell offsets. A ctx already cancelled builds nothing.
-func kmhIndex(ctx context.Context, _ Params, sk fold.Sketch, _ int, _ bool) (*Index, error) {
+func kmhIndex(ctx context.Context, _ Params, sk fold.Sketch, _ int) (*Index, error) {
 	s := sk.KMH
 	if s == nil {
 		return nil, fmt.Errorf("candidate: K-MH kernel needs bottom-k sketches")
@@ -383,20 +473,21 @@ func (t *Counts) kernel(p Params, search bool) (*Kernel, error) {
 	return k, nil
 }
 
-// mhRanger serves any column range of the MH generators' emission loop
-// over a prebuilt index: span(a, b) followed by span(b, c) emits exactly
-// what one span(a, c) — and therefore what RowSortMH over [0, m) —
-// would.
+// mhRanger serves any column range of the Row-Sorting emission loop
+// over a prebuilt MH or M-LSH index: span(a, b) followed by span(b, c)
+// emits exactly what one span(a, c) — and therefore what RowSortMH over
+// [0, m) — would.
 type mhRanger struct {
 	counter
 	minAgree int
+	k        int // the estimate's denominator, n/k; 0 leaves Estimate at 0 (M-LSH)
 }
 
 // newMHRanger builds the Row-Sorting index across workers goroutines —
 // the one-time O(k·m) cost RowSortMH pays up front — and a ranger over
 // it.
 func newMHRanger(ctx context.Context, sig *minhash.Signatures, cutoff float64, workers int) (*mhRanger, error) {
-	ix, err := IndexFor(ctx, Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers, false)
+	ix, err := IndexFor(ctx, Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -409,18 +500,32 @@ func (ix *Index) mhRanger(cutoff float64) (*mhRanger, error) {
 	if cutoff <= 0 || cutoff > 1 {
 		return nil, fmt.Errorf("candidate: cutoff must be in (0,1], got %v", cutoff)
 	}
-	return &mhRanger{counter: newCounter(ix), minAgree: ceilFrac(cutoff, ix.sk.MH.K)}, nil
+	k := ix.sk.MH.K
+	return &mhRanger{counter: newCounter(ix), minAgree: ceilFrac(cutoff, k), k: k}, nil
+}
+
+// mlshRanger is M-LSH's ranger over an index of p's band layout:
+// Row-Sorting over the bands at a floor of one agreement — a pair is a
+// candidate when its keys agree in one band — with no estimate. Its
+// work, Σ C(s, 2) over every band's buckets for a scan, is the bucket
+// pairs the banding walks.
+func (ix *Index) mlshRanger(p Params) (*mhRanger, error) {
+	if !ix.Serves(p) {
+		return nil, fmt.Errorf("candidate: index of bands R=%d L=%d seed %d cannot serve R=%d L=%d seed %d",
+			ix.layout.R, ix.layout.L, ix.layout.Seed, p.R, p.L, p.Seed)
+	}
+	return &mhRanger{counter: newCounter(ix), minAgree: 1}, nil
 }
 
 func (r *mhRanger) units() int { return r.ix.cols() }
 
 func (r *mhRanger) fork() ranger {
-	return &mhRanger{counter: newCounter(r.ix), minAgree: r.minAgree}
+	return &mhRanger{counter: newCounter(r.ix), minAgree: r.minAgree, k: r.k}
 }
 
 // span emits the candidates attributed to columns [lo, hi): pairs
-// (i, j) with lo <= i < hi and j > i agreeing in at least
-// ceil(cutoff·k) rows, in the full scan's exact emission order.
+// (i, j) with lo <= i < hi and j > i agreeing in at least minAgree rows,
+// in the full scan's exact emission order.
 func (r *mhRanger) span(out []pairs.Scored, lo, hi int) ([]pairs.Scored, int64) {
 	before := r.increments
 	for i := lo; i < hi; i++ {
@@ -439,19 +544,59 @@ func (r *mhRanger) column(out []pairs.Scored, col int) ([]pairs.Scored, int64) {
 // unit counts side s of column i's runs and appends the pairs among
 // them that agree in at least minAgree rows.
 func (r *mhRanger) unit(out []pairs.Scored, i int32, s side) []pairs.Scored {
-	k := r.ix.sk.MH.K
 	r.count(i, s)
 	for _, j := range r.touched {
 		if n := r.counts[j]; int(n) >= r.minAgree {
-			out = append(out, pairs.Scored{
-				Pair:     pairs.Make(i, j),
-				Estimate: float64(n) / float64(k),
-			})
+			p := pairs.Scored{Pair: pairs.Make(i, j)}
+			if r.k > 0 {
+				p.Estimate = float64(n) / float64(r.k)
+			}
+			out = append(out, p)
 		}
 		r.counts[j] = 0
 	}
 	r.touched = r.touched[:0]
 	return out
+}
+
+// Band appends to dst, in (I, J) order, the pairs of an M-LSH index
+// that share a bucket in band b and in no earlier band — band b's fresh
+// pairs, the band-at-a-time online mode's unit — and returns with them
+// the band's bucket pairs, fresh or not: Σ C(s, 2) over its buckets.
+// Column i contributes the later members of its bucket, as the scan's
+// attribution does; a pair met in an earlier band has equal nonzero
+// cells there (the same run), so no set of seen pairs is kept.
+func (ix *Index) Band(dst []pairs.Scored, b int) ([]pairs.Scored, int64, error) {
+	if ix.algo != fold.MinLSH || b < 0 || b >= ix.rows {
+		return dst, 0, fmt.Errorf("candidate: band %d is not a band of this index", b)
+	}
+	var work int64
+	for i := range ix.cols() {
+		w := ix.runs[i*ix.rows+b]
+		if w == 0 {
+			continue
+		}
+		run := ix.sorted[uint32(w) : w>>32]
+		p, _ := slices.BinarySearch(run, int32(i))
+		earlierI := ix.runs[i*ix.rows : i*ix.rows+b]
+		for _, j := range run[p+1:] {
+			work++
+			if !shareRun(earlierI, ix.runs[int(j)*ix.rows:int(j)*ix.rows+b]) {
+				dst = append(dst, pairs.Scored{Pair: pairs.Pair{I: int32(i), J: j}})
+			}
+		}
+	}
+	return dst, work, nil
+}
+
+// shareRun reports whether two columns' cells name one run somewhere.
+func shareRun(a, b []uint64) bool {
+	for x, w := range a {
+		if w != 0 && w == b[x] {
+			return true
+		}
+	}
+	return false
 }
 
 // kmhRanger serves any column range of HashCountKMH's emission loop:
@@ -469,7 +614,7 @@ type kmhRanger struct {
 
 // newKMHRanger builds the index and a ranger over it.
 func newKMHRanger(s *kminhash.Sketches, opt KMHOptions) (*kmhRanger, error) {
-	ix, err := IndexFor(context.Background(), Params{Algo: fold.KMinHash}, fold.Sketch{KMH: s}, 1, false)
+	ix, err := IndexFor(context.Background(), Params{Algo: fold.KMinHash}, fold.Sketch{KMH: s}, 1)
 	if err != nil {
 		return nil, err
 	}

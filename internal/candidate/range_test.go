@@ -20,7 +20,7 @@ func rangesMatchFullRange(t *testing.T, k *Kernel, partitions [][]int) {
 	want, wantWork := fullRange(t, k)
 	for _, cuts := range partitions {
 		got, work := dealt(t, k, cuts, 1)
-		sameCandidates(t, k, got, work, want, wantWork)
+		sameCandidates(t, got, work, want, wantWork)
 	}
 }
 
@@ -44,7 +44,7 @@ func TestMHRangerMatchesRowSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantWork := fullRange(t, k)
-	sameCandidates(t, k, rowSort, st.Increments, want, wantWork)
+	sameCandidates(t, rowSort, st.Increments, want, wantWork)
 }
 
 func TestKMHRangerMatchesHashCount(t *testing.T) {
@@ -66,7 +66,7 @@ func TestKMHRangerMatchesHashCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantWork := fullRange(t, k)
-	sameCandidates(t, k, hashCount, st.Increments, want, wantWork)
+	sameCandidates(t, hashCount, st.Increments, want, wantWork)
 }
 
 // TestRangerValidation covers the constructor cutoff checks.
@@ -104,7 +104,7 @@ func TestMHScanCountsOneSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sig := range []*minhash.Signatures{planted, wideSignatures(t, 8)} {
-		ix, err := IndexFor(context.Background(), Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 2, false)
+		ix, err := IndexFor(context.Background(), Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +128,14 @@ func TestMHScanCountsOneSide(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameCandidates(t, kern, got, work, want, ix.Agreements())
+					sameCandidates(t, got, work, want, ix.Agreements())
 				}
 				var cuts []int
 				for at := 0; at < sig.M; at += 17 {
 					cuts = append(cuts, at)
 				}
 				got, work := dealt(t, kern, append(cuts, sig.M), 4)
-				sameCandidates(t, kern, got, work, want, ix.Agreements())
+				sameCandidates(t, got, work, want, ix.Agreements())
 				for col := range sig.M {
 					got, work, err := kern.Column(nil, col)
 					if err != nil {
@@ -145,7 +145,7 @@ func TestMHScanCountsOneSide(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameCandidates(t, kern, got, work, want, wantWork)
+					sameCandidates(t, got, work, want, wantWork)
 				}
 			})
 		}

@@ -60,9 +60,9 @@ func wideSchedulers(t *testing.T, k *Kernel) ([]pairs.Scored, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCandidates(t, k, par, parWork, want, wantWork)
+	sameCandidates(t, par, parWork, want, wantWork)
 	chunked, chunkedWork := dealt(t, k, unevenCuts(k.Units()), 1)
-	sameCandidates(t, k, chunked, chunkedWork, want, wantWork)
+	sameCandidates(t, chunked, chunkedWork, want, wantWork)
 	return want, wantWork
 }
 
@@ -84,7 +84,7 @@ func TestRowSortWide(t *testing.T) {
 	}
 	k := mustFor(t, Params{Algo: fold.MinHash, Threshold: cutoff}, fold.Sketch{MH: sig}, 1)
 	full, fullWork := wideSchedulers(t, k)
-	sameCandidates(t, k, got, st.Increments, full, fullWork)
+	sameCandidates(t, got, st.Increments, full, fullWork)
 
 	var wantInc int64
 	emptyCols := 0
@@ -155,7 +155,7 @@ func TestHashCountWide(t *testing.T) {
 	}
 	hcKernel := kernelOf(t, fold.MinHash, hc)
 	want, wantWork := wideSchedulers(t, hcKernel)
-	sameCandidates(t, hcKernel, mh, mhSt.Increments, want, wantWork)
+	sameCandidates(t, mh, mhSt.Increments, want, wantWork)
 	rs, rsSt, err := RowSortMH(sig, cutoff)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestHashCountWide(t *testing.T) {
 	}
 	kmhKernel := mustFor(t, Params{Algo: fold.KMinHash, Threshold: cutoff}, fold.Sketch{KMH: sk}, 1)
 	want, wantWork = wideSchedulers(t, kmhKernel)
-	sameCandidates(t, kmhKernel, kmh, kmhSt.Increments, want, wantWork)
+	sameCandidates(t, kmh, kmhSt.Increments, want, wantWork)
 	// The independent count: Σ over shared sketch values of C(r, 2).
 	holders := make(map[uint64]int64)
 	for _, sg := range sk.Sigs {

@@ -259,22 +259,20 @@ func (co *coordinator) Fold(f fold.Fold, p candidate.Params, _ matrix.RowSource)
 	return merged.Finish(), nil
 }
 
-// Candidates is a sketch scheme's phase 2 on the pool: the unit ranges
-// of the scheme's kernel (columns for the counting schemes, bands for
-// M-LSH) go to the workers, which build the kernel over the broadcast
-// state, and their answers combine by the scheme's own rule — its
-// Gatherer — so the result equals the serial scan's set.
+// Candidates is a sketch scheme's phase 2 on the pool: the column
+// ranges of the scheme's kernel go to the workers, which build the
+// kernel over the broadcast state, and their answers, which partition
+// the candidates, concatenate into the serial scan's set.
 func (co *coordinator) Candidates(s candidate.Scheme, _ func() (*candidate.Kernel, error), _ obs.Tick) ([]pairs.Scored, int64, error) {
 	var cand []pairs.Scored
 	var work int64
-	gather := s.Gatherer()
 	err := co.runPhase(rangeJobs(jobCand, s.Units(), co.cfg.Workers), func(_ int, payload []byte) error {
 		res, err := decodeCandResult(payload)
 		if err != nil {
 			return err
 		}
 		work += res.Work
-		cand = gather.Add(cand, res.Cand)
+		cand = append(cand, res.Cand...)
 		return nil
 	})
 	return cand, work, err

@@ -3,10 +3,10 @@
 // walks the single-process run's steps — spans, counters, SkipVerify,
 // final sort — while each phase body runs as jobs on N worker
 // subprocesses over stdin/stdout pipes: row ranges fold (snapshots merge
-// by the fold's exact Merge), kernel unit ranges generate candidates
-// (combined by the scheme's Gatherer), BPS row ranges sample (tallies
-// add: accept decisions are pure (seed,row,pair) hashes) and candidate
-// ranges verify. At a fixed seed the pairs are bit-identical to the
+// by the fold's exact Merge), kernel column ranges generate candidates
+// (which partition the pairs, so they concatenate), BPS row ranges
+// sample (tallies add: accept decisions are pure (seed,row,pair) hashes)
+// and candidate ranges verify. At a fixed seed the pairs are bit-identical to the
 // single-process run's. The partition-dependent counters are the
 // pool's: packed_words and packed_batches sum over the verify jobs, and
 // shards_streamed, data_passes and rows_scanned stay absent (a worker
@@ -46,9 +46,10 @@ import (
 	"assocmine/internal/pairs"
 )
 
-// protoVersion is bumped whenever the frame layout changes; hello
-// carries it and workers reject mismatches.
-const protoVersion = 4
+// protoVersion is bumped whenever the frame layout or the meaning of a
+// field changes; hello carries it and workers reject mismatches. 5: an
+// M-LSH candidate job's range names columns, no longer bands.
+const protoVersion = 5
 
 // Frame types.
 const (

@@ -220,12 +220,12 @@ func (wk *worker) runSample(j *job) ([]byte, error) {
 	return res.encode()
 }
 
-// runCand answers a unit range of the scheme's phase-2 kernel — built
-// once per broadcast state; a job before any state finds no sketch to
-// build it over, a permanent error — with the range's candidates
-// gathered (a band range ships a pair once, however many of its bands
-// found it) and key-sorted: the wire's canonical order, and the
-// driver's final sort makes emission order irrelevant.
+// runCand answers a column range of the scheme's phase-2 kernel — built,
+// its whole index with it (every band of an M-LSH layout), once per
+// broadcast state; a job before any state finds no sketch to build it
+// over, a permanent error — with the range's candidates key-sorted: the
+// wire's canonical order, and the driver's final sort makes emission
+// order irrelevant.
 func (wk *worker) runCand(j *job) ([]byte, error) {
 	if wk.kernel == nil {
 		k, err := candidate.For(context.Background(), wk.h.Params, wk.sk, 1)
@@ -238,7 +238,6 @@ func (wk *worker) runCand(j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cand = wk.kernel.Gatherer().Add(cand[:0], cand)
 	pairs.SortByKey(cand)
 	res := candResult{Work: work, Cand: cand}
 	return res.encode()

@@ -245,16 +245,13 @@ func (r *run) sketch() (fold.Sketch, error) {
 // its resident size reported by every query that uses it — or one built
 // for this run and dropped with its sketch.
 func (r *run) index(p candidate.Params, sk fold.Sketch) (*candidate.Index, error) {
-	build := func(keep bool) (*candidate.Index, error) {
-		return candidate.IndexFor(r.ctx, p, sk, r.workers, keep)
-	}
+	build := func() (*candidate.Index, error) { return candidate.IndexFor(r.ctx, p, sk, r.workers) }
 	ix, err := r.kept.Index.get(r.rec, candidate.IndexBytes(p, sk),
-		func(ix *candidate.Index) bool { return ix.Serves(p) },
-		func() (*candidate.Index, error) { return build(true) })
+		func(ix *candidate.Index) bool { return ix.Serves(p) }, build)
 	if ix != nil || err != nil {
 		return ix, err
 	}
-	return build(false)
+	return build()
 }
 
 // kernel is p's kernel over sk's index — a Search's under floor p, with
@@ -303,7 +300,7 @@ func (r *run) table(sk fold.Sketch) (*rules.Table, error) {
 // the same code for all of them) and the measure phase 3 prunes by.
 type scheme struct {
 	// generate is phase 2. tick reports its progress in the kernel's own
-	// unit (columns, bands, or rows for the schemes that scan).
+	// unit (columns, or rows for the schemes that scan).
 	generate func(sk fold.Sketch, tick obs.Tick) ([]pairs.Scored, error)
 	// measure is what verify admits a candidate (I, J) by, over its
 	// contingency counts; nil is similarity. §6 prunes by the confidence

@@ -20,9 +20,8 @@ import (
 //
 //   - Fold: row ranges, each folded into a fresh state of f, merged with
 //     the fold's exact Merge.
-//   - Candidates: unit ranges of the scheme's kernel (kernel builds it
-//     over the sketch), combined by the scheme's Gatherer; work is the
-//     kernel's count.
+//   - Candidates: column ranges of the scheme's kernel (kernel builds it
+//     over the sketch), concatenated; work is the kernel's count.
 //   - Sample: row ranges tallied with bps.SampleCounts against the
 //     global supports, merged with bps.MergeCounts and finished with
 //     bps.FinalizeCounts.

@@ -46,14 +46,13 @@ func (units) Candidates(s candidate.Scheme, kernel func() (*candidate.Kernel, er
 	}
 	var out []pairs.Scored
 	var work int64
-	g := s.Gatherer()
 	for u := s.Units() - 1; u >= 0; u-- {
 		part, did, err := k.Range(nil, u, u+1)
 		if err != nil {
 			return nil, 0, err
 		}
 		work += did
-		out = g.Add(out, part)
+		out = append(out, part...)
 	}
 	return out, work, nil
 }

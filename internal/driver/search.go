@@ -99,9 +99,9 @@ func Search(in Input, n int, floor float64) ([]pairs.Scored, error) {
 }
 
 // Progressive runs M-LSH band by band, §4's online framework: each
-// band's fresh pairs, as its Gatherer lets them through, are verified by
-// their own exact pass and handed to fn with the count found so far,
-// until fn returns false. The pairs found up to then come back by
+// band's fresh pairs, read off the M-LSH index (Index.Band), are
+// verified by their own exact pass and handed to fn with the count found
+// so far, until fn returns false. The pairs found up to then come back by
 // decreasing similarity. The candidate and verify phases interleave, so
 // their spans are recorded once at the end, with the summed durations.
 func Progressive(in Input, fn func(band int, fresh []pairs.Scored, found int) bool) ([]pairs.Scored, error) {
@@ -114,22 +114,20 @@ func Progressive(in Input, fn func(band int, fresh []pairs.Scored, found int) bo
 		return nil, err
 	}
 	begin := time.Now()
-	k, err := candidate.For(r.ctx, r.p, sk, 1)
+	ix, err := r.index(r.p, sk)
 	if err != nil {
 		return nil, err
 	}
-	var all, band []pairs.Scored
+	var all, fresh []pairs.Scored
 	var work int64
 	var verifyTime time.Duration
-	gather := k.Gatherer()
 	ctick := r.prog.enter(obs.PhaseCandidates)
-	for b := 0; b < k.Units(); b++ {
+	for b := 0; b < r.p.L; b++ {
 		var did int64
-		if band, did, err = k.Range(band[:0], b, b+1); err != nil {
+		if fresh, did, err = ix.Band(fresh[:0], b); err != nil {
 			return nil, err
 		}
 		work += did
-		fresh := gather.Add(band[:0], band)
 		vstart := time.Now()
 		verified, err := r.exact(fresh, nil, nil)
 		verifyTime += time.Since(vstart)
@@ -139,7 +137,7 @@ func Progressive(in Input, fn func(band int, fresh []pairs.Scored, found int) bo
 		r.candidates += len(fresh)
 		all = append(all, verified...)
 		if ctick != nil {
-			ctick(int64(b+1), int64(k.Units()))
+			ctick(int64(b+1), int64(r.p.L))
 		}
 		if !fn(b, verified, len(all)) {
 			break
@@ -149,7 +147,7 @@ func Progressive(in Input, fn func(band int, fresh []pairs.Scored, found int) bo
 	r.rec.PhaseEnd(obs.PhaseCandidates, time.Since(begin)-verifyTime)
 	r.rec.PhaseStart(obs.PhaseVerify)
 	r.rec.PhaseEnd(obs.PhaseVerify, verifyTime)
-	r.rec.Add(k.Counter, work)
+	r.rec.Add(obs.CounterBucketPairs, work)
 	r.prog.finish(obs.PhaseCandidates)
 	r.prog.enter(obs.PhaseVerify)
 	r.prog.finish(obs.PhaseVerify)

@@ -126,14 +126,21 @@ func (p PermHash) Row(r int) uint64 {
 	return p.fn.hash(uint64(r))
 }
 
-// CombineKeys hashes a slice of 64-bit values into a single bucket key.
-// Min-LSH uses it to turn the concatenation of r min-hash values into a
-// hash-table key. The combination is order-sensitive.
-func CombineKeys(vals []uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h = Mix64(h ^ v)
-		h = h*0x100000001b3 + 0x517cc1b727220a95
-	}
-	return Mix64(h)
+// BandKey is the running state of the hash that turns a sequence of
+// 64-bit values into one bucket key: Min-LSH's key for the concatenation
+// of a column's r min-hash values in a band. Start from KeyStart, Add the
+// values in order, then Sum; the key is order- and length-sensitive.
+// Each column keeps its own state, so a band's keys can be built one
+// signature row at a time, reading each row in order.
+type BandKey uint64
+
+// KeyStart is the state before any value is added.
+const KeyStart BandKey = 0x9e3779b97f4a7c15
+
+// Add folds the next value in.
+func (h BandKey) Add(v uint64) BandKey {
+	return BandKey(Mix64(uint64(h)^v)*0x100000001b3 + 0x517cc1b727220a95)
 }
+
+// Sum is the key of the values added so far.
+func (h BandKey) Sum() uint64 { return Mix64(uint64(h)) }

@@ -166,6 +166,32 @@ func TestNewPermHashesReproducible(t *testing.T) {
 	}
 }
 
+// CombineKeys is the band key of vals as one loop, written out as it was
+// before BandKey split it into steps: the reference BandKey is held to.
+func CombineKeys(vals []uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range vals {
+		h = Mix64(h ^ v)
+		h = h*0x100000001b3 + 0x517cc1b727220a95
+	}
+	return Mix64(h)
+}
+
+// TestQuickBandKeyMatchesCombineKeys: adding values one at a time gives
+// the one-loop key, bit for bit, so bucket keys do not move.
+func TestQuickBandKeyMatchesCombineKeys(t *testing.T) {
+	f := func(vals []uint64) bool {
+		h := KeyStart
+		for _, v := range vals {
+			h = h.Add(v)
+		}
+		return h.Sum() == CombineKeys(vals)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCombineKeysOrderSensitive(t *testing.T) {
 	a := CombineKeys([]uint64{1, 2, 3})
 	b := CombineKeys([]uint64{3, 2, 1})

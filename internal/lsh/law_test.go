@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"assocmine/internal/matrix"
+	"assocmine/internal/pairs"
 	"assocmine/internal/testutil"
 )
 
@@ -43,20 +44,22 @@ func TestBandCollisionLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Disjoint(sig, lawR, lawL)
+		k, err := kernelOf(sig, lawR, lawL, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Range lists a pair once for every band it collides in.
-		collide, _ := b.Range(nil, 0, lawL)
-		bands := make([]int, len(lawSims))
-		for _, c := range collide {
-			if c.I%2 == 0 && c.J == c.I+1 {
-				bands[c.I/2]++
+		// Column's work is its (band, column) collisions, and a planted
+		// column shares rows with its partner alone: the bands the pair
+		// collides in.
+		for p := range lawSims {
+			ps, bands, err := k.Column(nil, 2*p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for p, x := range bands {
-			counts[p][x]++
+			if len(ps) > 1 || len(ps) == 1 && ps[0].Pair != (pairs.Pair{I: int32(2 * p), J: int32(2*p + 1)}) {
+				t.Fatalf("seed %d: column %d collides with %v", seed, 2*p, ps)
+			}
+			counts[p][bands]++
 		}
 	}
 	for p, s := range lawSims {

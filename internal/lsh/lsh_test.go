@@ -1,10 +1,12 @@
 package lsh
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"assocmine/internal/candidate"
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
@@ -138,7 +140,7 @@ func TestCandidatesValidates(t *testing.T) {
 	if _, _, err := Candidates(sig, 3, 2); err == nil {
 		t.Error("accepted k < r*l")
 	}
-	if _, err := Sampled(sig, 5, 2, 1); err == nil {
+	if _, err := kernelOf(sig, 5, 2, 1, 1); err == nil {
 		t.Error("sampled accepted r > k")
 	}
 }
@@ -181,11 +183,7 @@ func TestSampledCandidatesFindPlantedPairs(t *testing.T) {
 	m, planted := plantedMatrix(rng, 800, 80)
 	// k = 20 < r*l = 100: must use sampling.
 	sig, _ := mhSketch(m.Stream(), 20, 4)
-	b, err := Sampled(sig, 5, 20, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, _ := union(b, []int{0, 20})
+	set, _ := scan(t, sig, 5, 20, 99, 1)
 	missed := 0
 	total := 0
 	for _, p := range planted.Slice() {
@@ -202,8 +200,9 @@ func TestSampledCandidatesFindPlantedPairs(t *testing.T) {
 }
 
 // TestOnlineMatchesOffline: the band-at-a-time schedule of the online
-// mode (Section 4) — one band per range, in order — finds the offline
-// candidate set with the same bucket-pair count.
+// mode (Section 4) — each band's fresh pairs off the M-LSH index, in
+// band order — finds the offline candidate set, each pair once, with the
+// same bucket-pair count.
 func TestOnlineMatchesOffline(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
 	m, _ := plantedMatrix(rng, 300, 30)
@@ -212,11 +211,25 @@ func TestOnlineMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Disjoint(sig, 3, 10)
+	ix, err := candidate.IndexFor(context.Background(), params(sig, 3, 10, 0), fold.Sketch{MH: sig}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, bucketPairs := union(b, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	on := pairs.NewSet(0)
+	var bucketPairs int64
+	var fresh []pairs.Scored
+	for band := range 10 {
+		var n int64
+		if fresh, n, err = ix.Band(fresh[:0], band); err != nil {
+			t.Fatal(err)
+		}
+		bucketPairs += n
+		for _, p := range fresh {
+			if !on.Add(p.I, p.J) {
+				t.Fatalf("band %d: pair (%d,%d) fresh again", band, p.I, p.J)
+			}
+		}
+	}
 	if bucketPairs != offSt.BucketPairs {
 		t.Errorf("online %d bucket pairs, offline %d", bucketPairs, offSt.BucketPairs)
 	}
@@ -277,6 +290,195 @@ func TestQuickPInUnitInterval(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func sameSet(t *testing.T, label string, got, want *pairs.Set) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Errorf("%s: %d candidates, want %d", label, got.Len(), want.Len())
+	}
+	for _, p := range want.Slice() {
+		if !got.Contains(p.I, p.J) {
+			t.Fatalf("%s: missing pair (%d,%d)", label, p.I, p.J)
+		}
+	}
+}
+
+// params is phase 2's M-LSH parameter set for bands of r rows, l of
+// them, over sig: the disjoint layout when sig.K >= r·l, else the
+// sampled one drawn from seed.
+func params(sig *minhash.Signatures, r, l int, seed uint64) candidate.Params {
+	return candidate.Params{Algo: fold.MinLSH, K: sig.K, R: r, L: l, Seed: seed}
+}
+
+// kernelOf is phase 2's M-LSH kernel under params(sig, r, l, seed),
+// its index built across workers goroutines.
+func kernelOf(sig *minhash.Signatures, r, l int, seed uint64, workers int) (*candidate.Kernel, error) {
+	return candidate.For(context.Background(), params(sig, r, l, seed), fold.Sketch{MH: sig}, workers)
+}
+
+// scan is the kernel's scan across workers goroutines as a set, with
+// its bucket pairs.
+func scan(t *testing.T, sig *minhash.Signatures, r, l int, seed uint64, workers int) (*pairs.Set, int64) {
+	t.Helper()
+	k, err := kernelOf(sig, r, l, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, bucketPairs, err := k.Scan(context.Background(), nil, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := pairs.NewSet(len(out))
+	for _, p := range out {
+		if !set.Add(p.I, p.J) {
+			t.Fatalf("pair (%d,%d) emitted twice", p.I, p.J)
+		}
+	}
+	return set, bucketPairs
+}
+
+// mapBands is the test-local oracle for the band kernel: the bucket-map
+// formulation of banding, one Go map per band.
+func mapBands(sig *minhash.Signatures, bands [][]int) (*pairs.Set, int64) {
+	set := pairs.NewSet(0)
+	var bucketPairs int64
+	for _, rows := range bands {
+		buckets := make(map[uint64][]int32)
+		for c := 0; c < sig.M; c++ {
+			key := make([]uint64, 0, len(rows))
+			empty := true
+			for _, l := range rows {
+				v := sig.Vals[l*sig.M+c]
+				empty = empty && v == minhash.Empty
+				key = append(key, v)
+			}
+			if !empty {
+				h := hashing.KeyStart
+				for _, v := range key {
+					h = h.Add(v)
+				}
+				k := h.Sum()
+				buckets[k] = append(buckets[k], int32(c))
+			}
+		}
+		for _, cols := range buckets {
+			for i := range cols {
+				for _, j := range cols[i+1:] {
+					bucketPairs++
+					set.Add(cols[i], j)
+				}
+			}
+		}
+	}
+	return set, bucketPairs
+}
+
+// layout is the band layout the kernel lays out under params(sig, r,
+// l, seed), derived here on its own: r consecutive rows a band, or r of
+// the k drawn per band from SplitMix64 at seed+1.
+func layout(k, r, l int, seed uint64) [][]int {
+	rows := make([][]int, l)
+	rng := hashing.NewSplitMix64(seed + 1)
+	for b := range rows {
+		if k >= r*l {
+			for i := range r {
+				rows[b] = append(rows[b], b*r+i)
+			}
+		} else {
+			rows[b] = rng.Perm(k)[:r]
+		}
+	}
+	return rows
+}
+
+// TestBandingMatchesMapOracle checks phase 2's M-LSH kernel against the
+// map oracle, for the disjoint and the sampled layout, over the full
+// scan and over three column ranges: same candidate set, each pair
+// once, same BucketPairs. (Every other partition and scheduler is a
+// cell of candidate.TestPhase2Matrix against the full range, and the
+// band walk is candidate.TestMLSHMatchesBandWalk's oracle.)
+func TestBandingMatchesMapOracle(t *testing.T) {
+	sig := bandFixture(t)
+	const r, seed = 3, 77
+	for name, l := range map[string]int{"disjoint": 8, "sampled": 11} {
+		want, wantBP := mapBands(sig, layout(sig.K, r, l, seed))
+		if wantBP < int64(20*l) || want.Len() < 40 {
+			t.Fatalf("%s: fixture too thin: %d bucket pairs, %d candidates", name, wantBP, want.Len())
+		}
+		got, bucketPairs := scan(t, sig, r, l, seed, 1)
+		if bucketPairs != wantBP {
+			t.Errorf("%s: %d bucket pairs, oracle %d", name, bucketPairs, wantBP)
+		}
+		sameSet(t, name, got, want)
+		k, err := kernelOf(sig, r, l, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranged := pairs.NewSet(0)
+		bucketPairs = 0
+		for _, cut := range [][2]int{{0, 40}, {40, 41}, {41, sig.M}} {
+			ps, n, err := k.Range(nil, cut[0], cut[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			bucketPairs += n
+			for _, p := range ps {
+				if !ranged.Add(p.I, p.J) {
+					t.Fatalf("%s: pair (%d,%d) in two ranges", name, p.I, p.J)
+				}
+			}
+		}
+		if bucketPairs != wantBP {
+			t.Errorf("%s ranges: %d bucket pairs, oracle %d", name, bucketPairs, wantBP)
+		}
+		sameSet(t, name+" ranges", ranged, want)
+	}
+	set, st, err := Candidates(sig, r, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantBP := mapBands(sig, layout(sig.K, r, 8, seed))
+	if st.BucketPairs != wantBP || st.Bands != 8 || st.Candidates != want.Len() {
+		t.Errorf("Candidates stats %+v, oracle %d bucket pairs, %d candidates", st, wantBP, want.Len())
+	}
+	sameSet(t, "Candidates", set, want)
+}
+
+// bandFixture mixes planted near-duplicates (buckets of two), identical
+// column groups (buckets of five, ten pairs each) and empty columns.
+func bandFixture(t *testing.T) *minhash.Signatures {
+	t.Helper()
+	rng := hashing.NewSplitMix64(29)
+	const rows, cols = 300, 120
+	b := matrix.NewBuilder(rows, cols)
+	for c := 0; c < 100; c += 2 { // near-duplicate pairs
+		for r := 0; r < rows; r++ {
+			if rng.Float64() < 0.1 {
+				b.Set(r, c)
+				if rng.Float64() < 0.9 {
+					b.Set(r, c+1)
+				}
+			}
+		}
+	}
+	for r := 0; r < rows; r++ { // 100..104 identical, 105..109 identical, 110..119 empty
+		if rng.Float64() < 0.2 {
+			for c := 100; c < 105; c++ {
+				b.Set(r, c)
+			}
+		}
+		if rng.Float64() < 0.2 {
+			for c := 105; c < 110; c++ {
+				b.Set(r, c)
+			}
+		}
+	}
+	sig, err := mhSketch(b.Build().Stream(), 24, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sig
 }
 
 // mhSketch folds src into k min-hash values per column through phase

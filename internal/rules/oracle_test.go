@@ -92,7 +92,7 @@ func candidatesOracle(sig *minhash.Signatures, opt oracleOptions) ([]Rule, error
 // table is the product's pass over sig: its MH run index, built and
 // scanned across workers goroutines, and the count.
 func table(ctx context.Context, sig *minhash.Signatures, workers int) (*Table, error) {
-	ix, err := candidate.IndexFor(ctx, candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers, false)
+	ix, err := candidate.IndexFor(ctx, candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func TestTableMatchesOracle(t *testing.T) {
 		"half empty": half,
 		"folded":     folded,
 	} {
-		ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+		ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestTableMatchesOracle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sig := smallSignatures(next, 8, 6, false)
-	ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+	ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

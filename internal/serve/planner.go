@@ -75,18 +75,22 @@ func (p queryPlan) resolve(ix *index, base assocmine.Config) (assocmine.Resident
 // whose signatures are sigK wide; every server holds both indexes. The
 // rule, documented in docs/ALGORITHMS.md:
 //
-//  1. M-LSH bucket probing when the banding (R=5, L=K/5) detects a
-//     pair at the threshold with probability >= 0.9 — the fast path
-//     for high thresholds.
+//  1. M-LSH bucket probing when the signatures hold one band (K >= R)
+//     and the banding (R=5, L=K/5) detects a pair at the threshold with
+//     probability >= 0.9 — the fast path for high thresholds.
 //  2. Otherwise the K-MH sketch scan — reliable at any threshold, with
 //     unbiased estimates.
 //
 // The choice is a pure function of (threshold, sigK), so identical
-// queries always run identical plans.
+// queries always run identical plans. Forcing mlsh over signatures
+// narrower than one band is the request's error.
 func choosePlan(threshold float64, sigK int, force string) (queryPlan, error) {
 	switch force {
 	case "", "auto":
 	case "mlsh":
+		if sigK < bandR {
+			return queryPlan{}, fmt.Errorf("algo \"mlsh\" needs signatures of at least %d values for one band, the server keeps %d", bandR, sigK)
+		}
 		r, l := bandLayout(sigK)
 		return queryPlan{Kind: planMLSHProbe, R: r, L: l, Reason: "forced by request"}, nil
 	case "kmh":
@@ -100,6 +104,12 @@ func choosePlan(threshold float64, sigK int, force string) (queryPlan, error) {
 		return queryPlan{}, fmt.Errorf("algo %q samples raw rows and has no resident index; use assocfind -algo bps", force)
 	default:
 		return queryPlan{}, fmt.Errorf("unknown algo %q (want auto, mlsh, kmh or mh)", force)
+	}
+	if sigK < bandR {
+		return queryPlan{
+			Kind:   planKMHScan,
+			Reason: fmt.Sprintf("signatures of %d values hold no band of %d rows; sketch scan is exact-recall", sigK, bandR),
+		}, nil
 	}
 	r, l := bandLayout(sigK)
 	if det := lsh.ProbAtLeastOnce(threshold, r, l); det >= minDetect {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"assocmine/internal/lsh"
@@ -49,6 +51,22 @@ func TestChoosePlan(t *testing.T) {
 			}
 			if plan.Reason == "" {
 				t.Fatal("plan has no reason")
+			}
+		})
+	}
+
+	// Signatures narrower than one band of bandR rows hold no band: every
+	// threshold scans the sketches, and forcing mlsh is the request's
+	// error, which names the sketch size.
+	for _, k := range []int{3, 4} {
+		t.Run(fmt.Sprintf("sigk=%d", k), func(t *testing.T) {
+			for _, s := range []float64{0.5, 0.99} {
+				if plan, err := choosePlan(s, k, ""); err != nil || plan.Kind != planKMHScan {
+					t.Errorf("threshold %.2f: plan %+v, %v; want %s", s, plan, err, planKMHScan)
+				}
+				if plan, err := choosePlan(s, k, "mlsh"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("keeps %d", k)) {
+					t.Errorf("threshold %.2f: forced mlsh gave %+v, %v", s, plan, err)
+				}
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -306,6 +307,38 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("status %d, want 413", rr.Code)
 		}
 	})
+}
+
+// TestNarrowSignatures: a server whose signatures are narrower than one
+// band answers a high-threshold pairs query from the sketches, as a
+// forced kmh query does, and refuses a forced mlsh one with a 400 that
+// names the sketch size.
+func TestNarrowSignatures(t *testing.T) {
+	s, err := newServer(t, testDataset(t, 100, 16), Options{SigK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	rr := recordPost(h, "/v1/pairs", `{"threshold":0.99}`)
+	want := recordPost(h, "/v1/pairs", `{"threshold":0.99,"algo":"kmh"}`)
+	if rr.Code != http.StatusOK || want.Code != http.StatusOK {
+		t.Fatalf("status %d (forced kmh %d): %s", rr.Code, want.Code, rr.Body.String())
+	}
+	var got, forced pairsResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(want.Body.Bytes(), &forced); err != nil {
+		t.Fatal(err)
+	}
+	if got.Plan.Kind != planKMHScan || !reflect.DeepEqual(got.Pairs, forced.Pairs) {
+		t.Errorf("plan %+v, %d pairs; forced kmh %d pairs", got.Plan, len(got.Pairs), len(forced.Pairs))
+	}
+	rr = recordPost(h, "/v1/pairs", `{"threshold":0.99,"algo":"mlsh"}`)
+	var e errorResponse
+	if rr.Code != http.StatusBadRequest || json.Unmarshal(rr.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "keeps 3") {
+		t.Errorf("forced mlsh: status %d: %s", rr.Code, rr.Body.String())
+	}
 }
 
 func TestHealthz(t *testing.T) {

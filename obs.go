@@ -29,10 +29,10 @@ type Recorder = obs.Recorder
 
 // ProgressFunc receives coarse progress: phase is "signatures",
 // "candidates" or "verify"; done/total are in phase-specific units
-// (rows for data scans, columns or bands for candidate generation,
-// candidate pairs for sharded verification). Calls are serialised and
-// done is non-decreasing within a phase, reaching total when the phase
-// completes.
+// (rows for data scans, columns for candidate generation, bands for
+// ProgressiveSimilarPairs' candidates, candidate pairs for sharded
+// verification). Calls are serialised and done is non-decreasing within
+// a phase, reaching total when the phase completes.
 type ProgressFunc = obs.ProgressFunc
 
 // Collector is a thread-safe Recorder that aggregates events in memory

@@ -31,8 +31,8 @@ type Progress struct {
 // here); cfg.K must be at least R*L. The signature phase, each band's
 // verification (MemoryBudget, Workers, Context) and the Stats
 // accounting are the SimilarPairs driver's own steps, and the banding is
-// its kernel (candidate.For) scheduled one band per range, each band's
-// fresh pairs being what its Gatherer lets through — that ordering is
+// its M-LSH index read one band at a time, each band's fresh pairs being
+// those its buckets hold and no earlier band's did — that ordering is
 // the point of the API — so DataPasses counts the signature pass plus
 // one pass per band that found fresh pairs. cfg.Window restricts the
 // run to the trailing rows, like SimilarPairs.

@@ -48,7 +48,7 @@ func rulesOracle(t *testing.T, src matrix.RowSource, cfg Config) []Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1, false)
+	ix, err := candidate.IndexFor(context.Background(), candidate.Params{Algo: fold.MinHash}, fold.Sketch{MH: sig}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ import (
 // sketch is immutable once returned. What a query needs of it and no
 // threshold touches is built by the first query that needs it and kept
 // with it: the Row-Sorting index (MinHash and Rules; 12 bytes a cell),
-// the sorted buckets of the band layout last queried (MinLSH; 12 bytes
-// a band and column) and Section 6's pair table (Rules; 20 bytes a pair
+// the band run index of the layout last queried (MinLSH; 12 bytes a
+// band and column) and Section 6's pair table (Rules; 20 bytes a pair
 // that agrees in two signature rows) — the last two while they fit
 // 64 MiB each.
 type Signatures struct {
