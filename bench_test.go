@@ -21,22 +21,40 @@ import (
 	"assocmine/internal/lsh"
 )
 
-// benchWorkloads are generated once and shared across benchmarks.
+// benchScale sizes the benchmark datasets.
+var benchScale = eval.Scale{
+	WebClients: 4000, WebURLs: 800,
+	NewsDocs: 8000, NewsVocab: 1500,
+	SynRows: 5000, SynCols: 500,
+	Seed: 1,
+}
+
+// benchSets are the experiments' datasets at benchScale — generated as
+// eval.NewWorkloads generates them — once, and shared across benchmarks.
+type benchSets struct {
+	Web  *assocmine.WebLogDataset
+	News *assocmine.NewsDataset
+	Syn  *assocmine.Dataset
+}
+
 var (
 	benchOnce sync.Once
-	benchW    *eval.Workloads
+	benchW    *benchSets
 	benchErr  error
 )
 
-func workloads(b *testing.B) *eval.Workloads {
+func workloads(b *testing.B) *benchSets {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchW, benchErr = eval.NewWorkloads(eval.Scale{
-			WebClients: 4000, WebURLs: 800,
-			NewsDocs: 8000, NewsVocab: 1500,
-			SynRows: 5000, SynCols: 500,
-			Seed: 1,
-		})
+		sc, w := benchScale, &benchSets{}
+		if w.Web, benchErr = assocmine.GenerateWebLog(assocmine.WebLogOptions{Clients: sc.WebClients, URLs: sc.WebURLs, Seed: sc.Seed}); benchErr != nil {
+			return
+		}
+		if w.News, benchErr = assocmine.GenerateNews(assocmine.NewsOptions{Docs: sc.NewsDocs, Vocab: sc.NewsVocab, Seed: sc.Seed + 1}); benchErr != nil {
+			return
+		}
+		w.Syn, _, benchErr = assocmine.GenerateSynthetic(assocmine.SyntheticOptions{Rows: sc.SynRows, Cols: sc.SynCols, Seed: sc.Seed + 2})
+		benchW = w
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -58,7 +76,10 @@ func BenchmarkFig2FilterFunctions(b *testing.B) {
 // BenchmarkFig3Histogram builds the all-pairs similarity histogram of
 // the web-log data (Fig. 3) through the experiment's own entry point.
 func BenchmarkFig3Histogram(b *testing.B) {
-	w := workloads(b)
+	w, err := eval.NewWorkloads(benchScale)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eval.Fig3(w); err != nil {

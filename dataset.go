@@ -142,9 +142,6 @@ func (d *Dataset) Density(c int) float64 { return d.m.Density(c) }
 // Similarity returns the exact Jaccard similarity of columns i and j.
 func (d *Dataset) Similarity(i, j int) float64 { return d.m.Similarity(i, j) }
 
-// Confidence returns the exact confidence of the rule i => j.
-func (d *Dataset) Confidence(i, j int) float64 { return d.m.Confidence(i, j) }
-
 // Matrix exposes the underlying matrix to sibling internal packages.
 // It is deliberately unexported-by-convention: external users should
 // not need it, but the internal evaluation harness reuses this public

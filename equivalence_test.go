@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"assocmine/internal/dist"
 	"assocmine/internal/faultfs"
@@ -681,13 +680,9 @@ func ingested(t *testing.T, e *env, c cell) Resident {
 		t.Fatal(err)
 	}
 	if c.chunk > 0 {
-		col := NewCollector()
-		in.SetRecorder(col)
 		in = appendChunked(t, in, srcRows(t, d, 0, n), c.chunk, c.workers, c.snapshot)
-		// A restored ingest reports to no recorder, so only an ingest
-		// that was never snapshot reports every row appended.
-		if got := col.Counter(obs.CounterRowsAppended); !c.snapshot && got != int64(n) {
-			t.Fatalf("%s = %d, want %d", obs.CounterRowsAppended, got, n)
+		if got := in.Rows(); got != int64(n) {
+			t.Fatalf("the ingest holds %d rows, want %d", got, n)
 		}
 	} else {
 		cut := n * 6 / 10
@@ -755,19 +750,20 @@ func appendChunked(t *testing.T, in *Ingest, rows [][]int32, chunk, workers int,
 	return in
 }
 
-// beWorkerEnv routes a re-executed test binary into dist.WorkerMain.
-const beWorkerEnv = "ASSOCDIST_BE_WORKER"
-
 // TestMain doubles as the dist worker executable: the dist executor
-// re-execs this test binary with beWorkerEnv set, and this hook routes
-// the child into WorkerMain before any test machinery runs.
+// re-execs this test binary with -worker, and this hook routes the child
+// into WorkerMain before any test machinery runs. The workers inherit
+// the environment, where GORACE turns off the second a binary built
+// with -race otherwise sleeps on exit (the race runtime's
+// atexit_sleep_ms), which the coordinator would wait out.
 func TestMain(m *testing.M) {
-	if os.Getenv(beWorkerEnv) == "1" {
+	if len(os.Args) > 1 && os.Args[1] == "-worker" {
 		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
+	os.Setenv("GORACE", os.Getenv("GORACE")+" atexit_sleep_ms=0")
 	os.Exit(m.Run())
 }
 
@@ -786,10 +782,7 @@ func runDist(t *testing.T, e *env, c cell, cfg Config) *Result {
 	res, err := dist.Run(dist.Config{
 		Recorder: rec, Path: e.file(t, c.fix, c.format), Algorithm: dist.Algo(cfg.Algorithm),
 		Threshold: cfg.Threshold, K: cfg.K, R: cfg.R, L: cfg.L, SampleBudget: cfg.SampleBudget, Seed: cfg.Seed,
-		Workers: c.workers, WorkerArgv: []string{exe}, JobTimeout: time.Minute,
-		// A worker built with -race otherwise sleeps a second on exit (the
-		// race runtime's atexit_sleep_ms), which the coordinator waits out.
-		Env: []string{beWorkerEnv + "=1", "GORACE=" + os.Getenv("GORACE") + " atexit_sleep_ms=0"},
+		Workers: c.workers, WorkerArgv: []string{exe, "-worker"},
 	})
 	if err != nil {
 		t.Fatal(err)

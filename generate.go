@@ -91,13 +91,10 @@ func GenerateWebLog(opt WebLogOptions) (*WebLogDataset, error) {
 // a-priori papers): transactions are assembled from maximal
 // potentially-frequent patterns with corruption, yielding both genuine
 // frequent itemsets for the baseline and a rare high-lift tail for the
-// signature algorithms.
+// signature algorithms. Its baskets have the classic shape T=10, I=4.
 type QuestOptions struct {
 	Transactions, Items int
-	// AvgTransactionLen (T) and AvgPatternLen (I); zero picks the
-	// classic T=10, I=4.
-	AvgTransactionLen, AvgPatternLen float64
-	Seed                             uint64
+	Seed                uint64
 }
 
 // QuestDataset is a generated Quest workload with its planted maximal
@@ -110,9 +107,7 @@ type QuestDataset struct {
 // GenerateQuest builds the Quest workload.
 func GenerateQuest(opt QuestOptions) (*QuestDataset, error) {
 	q, err := gen.GenerateQuest(gen.QuestConfig{
-		Transactions: opt.Transactions, Items: opt.Items,
-		AvgTransactionLen: opt.AvgTransactionLen, AvgPatternLen: opt.AvgPatternLen,
-		Seed: opt.Seed,
+		Transactions: opt.Transactions, Items: opt.Items, Seed: opt.Seed,
 	})
 	if err != nil {
 		return nil, err

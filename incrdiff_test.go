@@ -11,7 +11,6 @@ import (
 	"assocmine/internal/fold"
 	"assocmine/internal/hashing"
 	"assocmine/internal/matrix"
-	"assocmine/internal/obs"
 	"assocmine/internal/testutil"
 )
 
@@ -52,8 +51,6 @@ func TestIncrWindowMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := NewCollector()
-			in.SetRecorder(col)
 			for off := 0; off < len(rows); off += batch {
 				if err := in.AppendRows(rows[off:off+batch], workers); err != nil {
 					t.Fatal(err)
@@ -62,22 +59,12 @@ func TestIncrWindowMode(t *testing.T) {
 			if in.Windows() != 2 {
 				t.Fatalf("Windows() = %d, want 2", in.Windows())
 			}
-			if in.LiveFrom() != 120 || in.LiveRows() != 120 {
-				t.Fatalf("live span = [%d, +%d), want [120, +120)", in.LiveFrom(), in.LiveRows())
-			}
-			if n := col.Counter(obs.CounterWindowsExpired); n != 2 {
-				t.Fatalf("%s = %d, want 2", obs.CounterWindowsExpired, n)
+			if in.liveFrom() != 120 || in.LiveRows() != 120 || in.Rows() != int64(len(rows)) {
+				t.Fatalf("live span = [%d, +%d) of %d rows, want [120, +120) of %d", in.liveFrom(), in.LiveRows(), in.Rows(), len(rows))
 			}
 			got, err := in.Signatures()
 			if err != nil {
 				t.Fatal(err)
-			}
-			for name, want := range map[string]int64{
-				obs.CounterRowsAppended: int64(len(rows)), obs.CounterStatesMerged: 1, obs.CounterWindowsExpired: 2,
-			} {
-				if n := col.Counter(name); n != want {
-					t.Errorf("%s = %d, want %d", name, n, want)
-				}
 			}
 			// Reference: a fresh serial fold over only the suffix rows,
 			// with their global ids.

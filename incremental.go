@@ -10,7 +10,6 @@ import (
 
 	"assocmine/internal/fold"
 	"assocmine/internal/matrix"
-	"assocmine/internal/obs"
 )
 
 // Ingest is an incremental sketch builder: rows arrive in batches
@@ -45,9 +44,8 @@ type Ingest struct {
 	window int
 
 	nextRow int64
-	wins    []fold.State // live checkpoints, oldest first, tiling [LiveFrom(), nextRow)
-	rec     Recorder
-	err     error // poisoned after a partial fold
+	wins    []fold.State // live checkpoints, oldest first, tiling [liveFrom(), nextRow)
+	err     error        // poisoned after a partial fold
 }
 
 // NewIngest returns an empty incremental builder for a dataset of cols
@@ -90,13 +88,6 @@ func ingestFold(algo Algorithm) (fold.Fold, bool) {
 	return f, ok && algo != BPS && algo != Rules
 }
 
-// SetRecorder attaches a Recorder receiving the incremental counters
-// (CounterRowsAppended, CounterStatesMerged, CounterWindowsExpired).
-// nil detaches.
-func (in *Ingest) SetRecorder(r Recorder) { in.rec = r }
-
-func (in *Ingest) recorder() Recorder { return obs.OrNop(in.rec) }
-
 func (in *Ingest) newState() (fold.State, error) { return in.fold.New(in.cols, in.k, in.seed) }
 
 // Algorithm returns the sketch scheme the ingest folds for.
@@ -122,9 +113,9 @@ func (in *Ingest) Rows() int64 { return in.nextRow }
 // Windows returns the number of live checkpoints.
 func (in *Ingest) Windows() int { return len(in.wins) }
 
-// LiveFrom returns the first row id the live checkpoints cover
+// liveFrom returns the first row id the live checkpoints cover
 // (0 in cumulative mode; == Rows() when nothing is live).
-func (in *Ingest) LiveFrom() int64 {
+func (in *Ingest) liveFrom() int64 {
 	from := in.nextRow
 	for _, w := range in.wins {
 		from -= w.Rows()
@@ -135,7 +126,7 @@ func (in *Ingest) LiveFrom() int64 {
 // LiveRows returns the number of rows the live checkpoints cover — the
 // Config.Window value that makes a query verify against exactly the
 // sketched suffix.
-func (in *Ingest) LiveRows() int64 { return in.nextRow - in.LiveFrom() }
+func (in *Ingest) LiveRows() int64 { return in.nextRow - in.liveFrom() }
 
 // AppendRows folds one batch of new rows into the ingest: rows[i] lists
 // the column indices set in global row Rows()+i (any order; duplicates
@@ -235,19 +226,15 @@ func (in *Ingest) foldRows(src matrix.RowSource, newRows, workers int) error {
 		return err
 	}
 	in.nextRow += int64(newRows)
-	in.recorder().Add(obs.CounterRowsAppended, int64(newRows))
 	if in.window > 0 && len(in.wins) > in.window {
-		n := len(in.wins) - in.window
-		in.wins = append(in.wins[:0], in.wins[n:]...)
-		in.recorder().Add(obs.CounterWindowsExpired, int64(n))
+		in.wins = append(in.wins[:0], in.wins[len(in.wins)-in.window:]...)
 	}
 	return nil
 }
 
 // sketch finishes the live rows into a sketch: the single live state's
 // own Finish, or that of a fresh state the live checkpoints are merged
-// into (the ingest keeps them as they are). Merging the first into an
-// empty state is a copy, so n checkpoints count as n-1 merges.
+// into (the ingest keeps them as they are).
 func (in *Ingest) sketch() (fold.Sketch, error) {
 	if in.err != nil {
 		return fold.Sketch{}, in.err
@@ -263,9 +250,6 @@ func (in *Ingest) sketch() (fold.Sketch, error) {
 		if err := st.Merge(w); err != nil {
 			return fold.Sketch{}, err
 		}
-	}
-	if n := len(in.wins) - 1; n > 0 {
-		in.recorder().Add(obs.CounterStatesMerged, int64(n))
 	}
 	return st.Finish(), nil
 }
@@ -351,7 +335,7 @@ func (in *Ingest) Save(path string) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	from := in.LiveFrom()
+	from := in.liveFrom()
 	for _, w := range in.wins {
 		if _, err := bw.Write(binary.LittleEndian.AppendUint64(nil, uint64(from))); err != nil {
 			return err

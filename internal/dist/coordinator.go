@@ -23,6 +23,11 @@ import (
 // Config controls a distributed Run. Zero values select the same
 // documented defaults as the single-process driver, so a (data, seed,
 // parameters) job yields bit-identical pairs under both executors.
+//
+// The pool's policy is fixed: each data pass splits into one row range
+// per worker, a crashed or hung worker is replaced at most maxRestarts
+// times a run, and a job round-trip longer than jobTimeout counts as a
+// hang.
 type Config struct {
 	// Path is the dataset file (.txt, .arows, or .carows). Workers open
 	// it themselves — the pipes carry sketches and candidates, not rows.
@@ -31,34 +36,19 @@ type Config struct {
 	Algorithm Algo
 	// Threshold is s*, required in (0,1].
 	Threshold float64
-	// Delta, K, R, L, SampleBudget and Seed have the single-process
-	// driver's meanings and defaults: the one driver fills them with
+	// K, R, L, SampleBudget and Seed have the single-process driver's
+	// meanings and defaults: the one driver fills them, and Delta, with
 	// candidate.Params.SetDefaults.
-	Delta        float64
 	K, R, L      int
 	SampleBudget int
 	Seed         uint64
-	// SkipVerify returns raw candidates without the exact pruning pass.
-	SkipVerify bool
-	// Workers is the number of worker subprocesses; 0 means 1.
+	// Workers is the number of worker subprocesses, and of the row
+	// ranges each data pass splits into; 0 means 1.
 	Workers int
-	// RowJobs is the number of row ranges the data passes are split
-	// into; 0 means Workers. More jobs than workers gives finer-grained
-	// restart units at the cost of extra prefix skips.
-	RowJobs int
-	// MaxRestarts bounds worker replacements across the whole run;
-	// 0 means 3. A crashed or hung worker consumes one restart and its
-	// job is re-dispatched to a fresh subprocess; exceeding the budget
-	// aborts the run.
-	MaxRestarts int
-	// JobTimeout bounds a single job round-trip; a worker that exceeds
-	// it is treated as hung, killed, and restarted. 0 means 5 minutes.
-	JobTimeout time.Duration
 	// WorkerArgv is the worker subprocess command line, typically
-	// {os.Executable(), "-worker"}. Required.
+	// {os.Executable(), "-worker"}; workers inherit the environment.
+	// Required.
 	WorkerArgv []string
-	// Env appends to the workers' inherited environment.
-	Env []string
 	// Context, when non-nil, cancels the run, tearing down the process
 	// tree promptly.
 	Context context.Context
@@ -66,6 +56,16 @@ type Config struct {
 	// pipeline counters plus the pool's dist_* counters.
 	Recorder obs.Recorder
 }
+
+// maxRestarts bounds worker replacements across a run: a crashed or hung
+// worker consumes one restart and its job is re-dispatched to a fresh
+// subprocess; exceeding the budget aborts the run.
+const maxRestarts = 3
+
+// jobTimeout bounds a job round-trip: a worker that exceeds it is
+// treated as hung, killed and replaced. A variable only so the hang
+// test can shorten it.
+var jobTimeout = 5 * time.Minute
 
 func (c *Config) setDefaults() error {
 	if c.Path == "" {
@@ -83,15 +83,6 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("dist: algorithm %d runs single-process only; the pool runs MH (1), K-MH (2), M-LSH (3) and BPS (6)", int(c.Algorithm))
 	}
 	c.Workers = max(c.Workers, 1)
-	if c.RowJobs <= 0 {
-		c.RowJobs = c.Workers
-	}
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = 3
-	}
-	if c.JobTimeout == 0 {
-		c.JobTimeout = 5 * time.Minute
-	}
 	if c.Context == nil {
 		c.Context = context.Background()
 	}
@@ -204,9 +195,9 @@ func Run(cfg Config) (*Result, error) {
 		Src: fs, Verify: verify.Params{Context: ctx},
 		Params: candidate.Params{
 			Algo: cfg.Algorithm, K: cfg.K, R: cfg.R, L: cfg.L, SampleBudget: cfg.SampleBudget,
-			Seed: cfg.Seed, Threshold: cfg.Threshold, Delta: cfg.Delta,
+			Seed: cfg.Seed, Threshold: cfg.Threshold,
 		},
-		SkipVerify: cfg.SkipVerify, Column: -1, Recorder: obs.Tee(run, cfg.Recorder), Exec: co,
+		Column: -1, Recorder: obs.Tee(run, cfg.Recorder), Exec: co,
 	})
 	if err != nil {
 		return nil, err
@@ -240,7 +231,7 @@ func (co *coordinator) Fold(f fold.Fold, p candidate.Params, _ matrix.RowSource)
 		co.procs = append(co.procs, w)
 	}
 	var merged fold.State
-	err := co.runPhase(rangeJobs(jobFold, co.stats.Rows, co.cfg.RowJobs), func(_ int, payload []byte) error {
+	err := co.runPhase(rangeJobs(jobFold, co.stats.Rows, co.cfg.Workers), func(_ int, payload []byte) error {
 		st, err := readState(co.fold, co.h, co.stats.Cols, payload)
 		if err != nil || merged == nil {
 			merged = st
@@ -284,7 +275,7 @@ func (co *coordinator) Candidates(s candidate.Scheme, _ func() (*candidate.Kerne
 func (co *coordinator) Sample(_ matrix.RowSource, sup []int64, opt bps.Options) ([]pairs.Scored, bps.Stats, error) {
 	var counts bps.Counts
 	var inspected int64
-	err := co.runPhase(rangeJobs(jobSample, co.stats.Rows, co.cfg.RowJobs), func(_ int, payload []byte) error {
+	err := co.runPhase(rangeJobs(jobSample, co.stats.Rows, co.cfg.Workers), func(_ int, payload []byte) error {
 		res, err := decodeSampleResult(payload)
 		if err != nil {
 			return err
@@ -448,7 +439,7 @@ func (co *coordinator) runJobOn(ctx context.Context, p *proc, jb *job) ([]byte, 
 // accounts its payload. A frame other than want — an error report
 // included — is a permanent fault.
 func (co *coordinator) recv(ctx context.Context, p *proc, want byte) ([]byte, error) {
-	timer := time.NewTimer(co.cfg.JobTimeout)
+	timer := time.NewTimer(jobTimeout)
 	defer timer.Stop()
 	select {
 	case fr := <-p.frames:
@@ -464,7 +455,7 @@ func (co *coordinator) recv(ctx context.Context, p *proc, want byte) ([]byte, er
 		}
 		return nil, errPermanent{fmt.Errorf("dist: worker %d sent frame %q, want %q", p.index, fr.typ, want)}
 	case <-timer.C:
-		return nil, fmt.Errorf("dist: worker %d exceeded the timeout %v", p.index, co.cfg.JobTimeout)
+		return nil, fmt.Errorf("dist: worker %d exceeded the timeout %v", p.index, jobTimeout)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -479,8 +470,6 @@ func (co *coordinator) spawn() (*proc, error) {
 	co.mu.Unlock()
 	argv := co.cfg.WorkerArgv
 	cmd := exec.CommandContext(co.ctx, argv[0], argv[1:]...)
-	cmd.Env = append(append(os.Environ(), co.cfg.Env...),
-		fmt.Sprintf("%s=%d", envWorkerIndex, index))
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -546,10 +535,10 @@ func (co *coordinator) handshake(p *proc) error {
 func (co *coordinator) restart() (*proc, error) {
 	co.mu.Lock()
 	co.stats.Restarts++
-	over := co.stats.Restarts > co.cfg.MaxRestarts
+	over := co.stats.Restarts > maxRestarts
 	co.mu.Unlock()
 	if over {
-		return nil, fmt.Errorf("dist: restart budget %d exhausted", co.cfg.MaxRestarts)
+		return nil, fmt.Errorf("dist: restart budget %d exhausted", maxRestarts)
 	}
 	co.rec.Add(obs.CounterDistRestarts, 1)
 	return co.spawn()

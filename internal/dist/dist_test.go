@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,27 +14,29 @@ import (
 	"assocmine/internal/dist"
 )
 
-// beWorkerEnv routes a re-exec'd test binary into WorkerMain; the other
-// three are the worker's fault hooks (worker.go), spelled out here so the
-// test pins their strings.
-const (
-	beWorkerEnv    = "ASSOCDIST_BE_WORKER"
-	envCrashWorker = "ASSOCDIST_CRASH_WORKER"
-	envCrashAfter  = "ASSOCDIST_CRASH_AFTER"
-	envHangWorker  = "ASSOCDIST_HANG_WORKER"
-)
-
 // TestMain doubles as the worker executable: the coordinator re-execs
-// the test binary with beWorkerEnv set, and this hook routes the child
-// into WorkerMain before any test machinery runs.
+// the test binary with "-worker" (workerArgv) or with "-faulty-worker
+// token after crash|hang" (faultyArgv), and this hook routes the child
+// into WorkerMain or FaultyWorkerMain before any test machinery runs.
 func TestMain(m *testing.M) {
-	if os.Getenv(beWorkerEnv) == "1" {
-		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
-			os.Exit(1)
-		}
-		os.Exit(0)
+	var err error
+	switch a := append(os.Args[1:], ""); a[0] {
+	case "-worker":
+		err = dist.WorkerMain(os.Stdin, os.Stdout)
+	case "-faulty-worker":
+		after, _ := strconv.Atoi(a[2])
+		err = dist.FaultyWorkerMain(os.Stdin, os.Stdout, a[1], after, a[3] == "hang")
+	default:
+		// The workers inherit the environment: a worker built with -race
+		// otherwise sleeps a second on exit (the race runtime's
+		// atexit_sleep_ms), which the coordinator waits out.
+		os.Setenv("GORACE", os.Getenv("GORACE")+" atexit_sleep_ms=0")
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
+	if err != nil {
+		os.Exit(1)
+	}
+	os.Exit(0)
 }
 
 // fixture saves a seeded synthetic matrix as ".arows": 220 rows, 44
@@ -59,7 +63,20 @@ func workerArgv(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []string{exe}
+	return []string{exe, "-worker"}
+}
+
+// faultyArgv returns the command line of a worker pool in which the
+// first worker to receive its (after+1)-th job crashes (or hangs, with
+// fault "hang"); the pool's other workers and every replacement serve.
+func faultyArgv(t *testing.T, after int, fault string) []string {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := filepath.Join(t.TempDir(), "fault.token")
+	return []string{exe, "-faulty-worker", token, strconv.Itoa(after), fault}
 }
 
 // reference runs the single-process streamed driver on path.
@@ -92,32 +109,13 @@ func comparePairs(t *testing.T, label string, got []dist.Pair, want []assocmine.
 	}
 }
 
-// TestDistSkipVerify covers the candidates-only path.
-func TestDistSkipVerify(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	arows := fixture(t)
-	cfg := assocmine.Config{Algorithm: assocmine.MinHash, Threshold: 0.35, K: 48, Seed: 7, SkipVerify: true}
-	want := reference(t, arows, cfg)
-	res, err := dist.Run(dist.Config{
-		Path: arows, Algorithm: dist.MinHash, Threshold: 0.35, K: 48, Seed: 7,
-		SkipVerify: true, Workers: 2,
-		WorkerArgv: workerArgv(t), Env: []string{beWorkerEnv + "=1"}, JobTimeout: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePairs(t, "skip-verify", res.Pairs, want.Pairs)
-}
-
 // TestDistCrashRestart kills a worker mid-shard — it exits without
 // replying to a job — and requires the bounded restart path to
 // reproduce the single-process output exactly: on its first job (the
-// fold phase), and — a lone worker dying on the job after its three
-// fold jobs, deterministically — on the candidate job, where the
-// replacement must be re-sent the merged state and rebuild the phase-2
-// kernel over it before it can answer the range.
+// fold phase), and — a lone worker dying on the job after its fold job,
+// deterministically — on the candidate job, where the replacement must
+// be re-sent the merged state and rebuild the phase-2 kernel over it
+// before it can answer the range.
 func TestDistCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -126,26 +124,19 @@ func TestDistCrashRestart(t *testing.T) {
 	kmh := assocmine.Config{Algorithm: assocmine.KMinHash, Threshold: 0.35, K: 32, Seed: 7}
 	sampled := assocmine.Config{Algorithm: assocmine.MinLSH, Threshold: 0.35, K: 12, R: 3, L: 8, Seed: 7}
 	for _, tc := range []struct {
-		label              string
-		cfg                assocmine.Config
-		workers, rowJobs   int
-		crashWorker, after string
+		label          string
+		cfg            assocmine.Config
+		workers, after int
 	}{
-		{"fold-phase/KMH", kmh, 2, 2, "1", "0"},
-		{"cand-phase/KMH", kmh, 1, 3, "0", "3"},
-		{"cand-phase/MLSH-sampled", sampled, 1, 3, "0", "3"},
+		{"fold-phase/KMH", kmh, 2, 0},
+		{"cand-phase/KMH", kmh, 1, 1},
+		{"cand-phase/MLSH-sampled", sampled, 1, 1},
 	} {
 		want := reference(t, arows, tc.cfg)
 		res, err := dist.Run(dist.Config{
 			Path: arows, Algorithm: dist.Algo(tc.cfg.Algorithm), Threshold: tc.cfg.Threshold,
 			K: tc.cfg.K, R: tc.cfg.R, L: tc.cfg.L, Seed: tc.cfg.Seed,
-			Workers: tc.workers, RowJobs: tc.rowJobs, MaxRestarts: 2, JobTimeout: time.Minute,
-			WorkerArgv: workerArgv(t),
-			Env: []string{
-				beWorkerEnv + "=1",
-				envCrashWorker + "=" + tc.crashWorker,
-				envCrashAfter + "=" + tc.after,
-			},
+			Workers: tc.workers, WorkerArgv: faultyArgv(t, tc.after, "crash"),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
@@ -157,12 +148,11 @@ func TestDistCrashRestart(t *testing.T) {
 	}
 }
 
-// TestDistBPSRowJobsCrash: BPS with more row ranges than workers and one
-// worker dying mid-run stays bit-identical to the single-process
-// streamed run — whether it dies on its first job, inside the fold
-// phase, or (a lone worker on its sixth job, deterministically) in the
-// sample phase, where the replacement must first be replayed the merged
-// supports.
+// TestDistBPSRowJobsCrash: BPS over row-range jobs with one worker
+// dying mid-run stays bit-identical to the single-process streamed run —
+// whether it dies on its first job, inside the fold phase, or (a lone
+// worker on its second job, deterministically) in the sample phase,
+// where the replacement must first be replayed the merged supports.
 func TestDistBPSRowJobsCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -174,22 +164,15 @@ func TestDistBPSRowJobsCrash(t *testing.T) {
 		t.Fatal("fixture found no pairs; test is vacuous")
 	}
 	for _, tc := range []struct {
-		label              string
-		workers, rowJobs   int
-		crashWorker, after string
+		label          string
+		workers, after int
 	}{
-		{"fold-phase", 2, 5, "1", "0"},
-		{"sample-phase", 1, 4, "0", "5"},
+		{"fold-phase", 2, 0},
+		{"sample-phase", 1, 1},
 	} {
 		res, err := dist.Run(dist.Config{
 			Path: arows, Algorithm: dist.Algo(assocmine.BPS), Threshold: 0.35, SampleBudget: 8, Seed: 7,
-			Workers: tc.workers, RowJobs: tc.rowJobs, MaxRestarts: 2, JobTimeout: time.Minute,
-			WorkerArgv: workerArgv(t),
-			Env: []string{
-				beWorkerEnv + "=1",
-				envCrashWorker + "=" + tc.crashWorker,
-				envCrashAfter + "=" + tc.after,
-			},
+			Workers: tc.workers, WorkerArgv: faultyArgv(t, tc.after, "crash"),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
@@ -198,8 +181,8 @@ func TestDistBPSRowJobsCrash(t *testing.T) {
 		if res.Stats.Restarts != 1 || res.Stats.Workers != tc.workers+1 {
 			t.Errorf("%s: %d restarts, %d launches; want 1 and %d", tc.label, res.Stats.Restarts, res.Stats.Workers, tc.workers+1)
 		}
-		if res.Stats.Jobs < 2*tc.rowJobs+1 {
-			t.Errorf("%s: %d jobs; want %d fold + %d sample + verify", tc.label, res.Stats.Jobs, tc.rowJobs, tc.rowJobs)
+		if res.Stats.Jobs < 2*tc.workers+1 {
+			t.Errorf("%s: %d jobs; want %d fold + %d sample + verify", tc.label, res.Stats.Jobs, tc.workers, tc.workers)
 		}
 	}
 }
@@ -213,11 +196,10 @@ func TestDistHangRestart(t *testing.T) {
 	arows := fixture(t)
 	cfg := assocmine.Config{Algorithm: assocmine.MinHash, Threshold: 0.35, K: 48, Seed: 7}
 	want := reference(t, arows, cfg)
+	dist.SetJobTimeout(t, 2*time.Second)
 	res, err := dist.Run(dist.Config{
 		Path: arows, Algorithm: dist.MinHash, Threshold: 0.35, K: 48, Seed: 7,
-		Workers: 2, MaxRestarts: 2, JobTimeout: 2 * time.Second,
-		WorkerArgv: workerArgv(t),
-		Env:        []string{beWorkerEnv + "=1", envHangWorker + "=0"},
+		Workers: 2, WorkerArgv: faultyArgv(t, 0, "hang"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,10 +224,10 @@ func TestDistCancellation(t *testing.T) {
 	start := time.Now()
 	_, err := dist.Run(dist.Config{
 		Path: arows, Algorithm: dist.MinHash, Threshold: 0.35, K: 48, Seed: 7,
-		Workers: 1, JobTimeout: time.Hour, Context: ctx,
-		WorkerArgv: workerArgv(t),
-		// The lone worker hangs forever; only cancellation can end this.
-		Env: []string{beWorkerEnv + "=1", envHangWorker + "=0"},
+		Workers: 1, Context: ctx,
+		// The lone worker hangs on its first job, and the job timeout is
+		// minutes away: only cancellation can end this.
+		WorkerArgv: faultyArgv(t, 0, "hang"),
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -256,7 +238,8 @@ func TestDistCancellation(t *testing.T) {
 }
 
 // TestDistRestartBudget aborts when every launch dies before the
-// handshake completes.
+// handshake completes, and when every launch crashes on its first job:
+// the third replacement's crash exhausts the budget.
 func TestDistRestartBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -264,11 +247,21 @@ func TestDistRestartBudget(t *testing.T) {
 	arows := fixture(t)
 	_, err := dist.Run(dist.Config{
 		Path: arows, Algorithm: dist.MinHash, Threshold: 0.35, K: 48, Seed: 7,
-		Workers: 1, MaxRestarts: 1, JobTimeout: 10 * time.Second,
-		WorkerArgv: []string{"/bin/false"},
+		Workers: 1, WorkerArgv: []string{"/bin/false"},
 	})
 	if err == nil {
 		t.Fatal("run with unlaunchable workers succeeded")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = dist.Run(dist.Config{
+		Path: arows, Algorithm: dist.MinHash, Threshold: 0.35, K: 48, Seed: 7,
+		Workers: 1, WorkerArgv: []string{exe, "-faulty-worker", "", "0", "crash"},
+	})
+	if err == nil || !strings.Contains(err.Error(), "restart budget 3 exhausted") {
+		t.Fatalf("run whose every worker crashes: err = %v, want the restart budget exhausted", err)
 	}
 }
 

@@ -6,9 +6,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
-	"time"
 
 	"assocmine/internal/bps"
 	"assocmine/internal/candidate"
@@ -16,22 +13,6 @@ import (
 	"assocmine/internal/matrix"
 	"assocmine/internal/pairs"
 	"assocmine/internal/verify"
-)
-
-// Fault-injection environment variables, read by workers and set by
-// the chaos tests. The coordinator stamps each worker process with its
-// launch index via envWorkerIndex; a test selecting
-// envCrashWorker=idx, envCrashAfter=n makes that worker exit(3) upon
-// receiving its (n+1)-th job — mid-shard, before any reply — and
-// envHangWorker=idx makes the worker sit on a job forever, exercising
-// the coordinator's hang timeout. Replacement workers get fresh
-// indexes >= the configured worker count, so injected faults are
-// bounded by construction.
-const (
-	envWorkerIndex = "ASSOCDIST_WORKER_INDEX"
-	envCrashWorker = "ASSOCDIST_CRASH_WORKER"
-	envCrashAfter  = "ASSOCDIST_CRASH_AFTER"
-	envHangWorker  = "ASSOCDIST_HANG_WORKER"
 )
 
 // worker is the subprocess side of the executor: one dataset handle,
@@ -48,12 +29,6 @@ type worker struct {
 	// built over it on first use by a candidate job.
 	sk     fold.Sketch
 	kernel *candidate.Kernel
-
-	// Fault injection (chaos tests only).
-	index      int
-	crashAt    int // job ordinal to die on; -1 disabled
-	hang       bool
-	jobsServed int
 }
 
 // WorkerMain runs the worker protocol over the given pipe ends until a
@@ -62,16 +37,8 @@ type worker struct {
 // the coordinator as an error frame before returning.
 func WorkerMain(r io.Reader, w io.Writer) error {
 	wk := &worker{
-		r:       bufio.NewReaderSize(r, 1<<16),
-		w:       bufio.NewWriterSize(w, 1<<16),
-		index:   envInt(envWorkerIndex, -1),
-		crashAt: -1,
-	}
-	if cw := envInt(envCrashWorker, -1); cw >= 0 && cw == wk.index {
-		wk.crashAt = envInt(envCrashAfter, 0)
-	}
-	if hw := envInt(envHangWorker, -1); hw >= 0 && hw == wk.index {
-		wk.hang = true
+		r: bufio.NewReaderSize(r, 1<<16),
+		w: bufio.NewWriterSize(w, 1<<16),
 	}
 	if err := wk.handshake(); err != nil {
 		return wk.fail(err)
@@ -92,15 +59,6 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 				return wk.fail(err)
 			}
 		case frameJob:
-			if wk.hang {
-				// Chaos hook: sit on the job until the coordinator's
-				// timeout kills the process.
-				time.Sleep(24 * time.Hour)
-			}
-			if wk.crashAt >= 0 && wk.jobsServed == wk.crashAt {
-				os.Exit(3) // chaos hook: die mid-shard, no reply
-			}
-			wk.jobsServed++
 			res, err := wk.runJob(payload)
 			if err != nil {
 				return wk.fail(err)
@@ -271,16 +229,4 @@ func (wk *worker) runVerify(j *job) ([]byte, error) {
 		next++
 	}
 	return res.encode(), nil
-}
-
-func envInt(name string, def int) int {
-	s := os.Getenv(name)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return def
-	}
-	return v
 }

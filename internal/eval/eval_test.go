@@ -139,7 +139,7 @@ func TestHistogramMassConservation(t *testing.T) {
 
 func TestExecuteProducesBothSets(t *testing.T) {
 	w := smallWorkloads(t)
-	run, err := execute(w.Web.Data, assocmine.Config{
+	run, err := execute(w.web.Data, assocmine.Config{
 		Algorithm: assocmine.MinLSH, Threshold: 0.5, K: 50, R: 5, L: 10, Seed: 3,
 	})
 	if err != nil {

@@ -11,18 +11,18 @@ import (
 // planted collocations and the word cluster, despite their very low
 // support.
 func Fig1(w *Workloads) (Table, error) {
-	res, err := assocmine.SimilarPairs(w.News.Data, assocmine.Config{
+	res, err := assocmine.SimilarPairs(w.news.Data, assocmine.Config{
 		Algorithm: assocmine.MinHash, Threshold: 0.5, K: 150, Seed: 17,
 	})
 	if err != nil {
 		return Table{}, err
 	}
 	plantedSet := map[[2]int]bool{}
-	for _, p := range w.News.PlantedPairs {
+	for _, p := range w.news.PlantedPairs {
 		plantedSet[p] = true
 	}
 	clusterSet := map[int]bool{}
-	for _, c := range w.News.ClusterCols {
+	for _, c := range w.news.ClusterCols {
 		clusterSet[c] = true
 	}
 	t := Table{
@@ -41,16 +41,16 @@ func Fig1(w *Workloads) (Table, error) {
 			foundCluster++
 		}
 		t.Rows = append(t.Rows, []string{
-			w.News.Word(p.I), w.News.Word(p.J),
+			w.news.Word(p.I), w.news.Word(p.J),
 			fmt.Sprintf("%.3f", p.Similarity),
-			fmt.Sprintf("%.4f%%", 100*w.News.Data.Density(p.I)),
-			fmt.Sprintf("%.4f%%", 100*w.News.Data.Density(p.J)),
+			fmt.Sprintf("%.4f%%", 100*w.news.Data.Density(p.I)),
+			fmt.Sprintf("%.4f%%", 100*w.news.Data.Density(p.J)),
 			kind,
 		})
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("recovered %d/%d planted collocations and %d intra-cluster pairs; all supports are far below a-priori-friendly thresholds",
-			foundPlanted, len(w.News.PlantedPairs), foundCluster))
+			foundPlanted, len(w.news.PlantedPairs), foundCluster))
 	return t, nil
 }
 
@@ -66,7 +66,7 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 	}
 	bands := [][2]float64{{0.45, 0.55}, {0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}}
 	const cutoff = 0.45
-	truth, err := newGroundTruth(w.Syn.Matrix(), 0.1)
+	truth, err := newGroundTruth(w.syn.Matrix(), 0.1)
 	if err != nil {
 		return Table{}, err
 	}
@@ -77,7 +77,7 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 		{Algorithm: assocmine.HammingLSH, Threshold: cutoff, R: 6, L: 20, Seed: 5},
 	}
 	for _, cfg := range configs {
-		res, err := assocmine.SimilarPairs(w.Syn, cfg)
+		res, err := assocmine.SimilarPairs(w.syn, cfg)
 		if err != nil {
 			return Table{}, err
 		}
@@ -92,8 +92,8 @@ func SyntheticExperiment(w *Workloads) (Table, error) {
 		row := []string{cfg.Algorithm.String()}
 		for _, band := range bands {
 			got, total := 0, 0
-			for _, pl := range w.SynPlanted {
-				s := w.Syn.Similarity(pl.I, pl.J)
+			for _, pl := range w.synPlanted {
+				s := w.syn.Similarity(pl.I, pl.J)
 				if s < band[0] || s >= band[1] || s < cutoff {
 					continue
 				}
@@ -124,7 +124,7 @@ func RulesExperiment(w *Workloads) (Table, error) {
 		return Table{}, err
 	}
 	plantedSet := map[[2]int]bool{}
-	for _, p := range w.News.PlantedPairs {
+	for _, p := range w.news.PlantedPairs {
 		plantedSet[p] = true
 		plantedSet[[2]int{p[1], p[0]}] = true
 	}
@@ -140,9 +140,9 @@ func RulesExperiment(w *Workloads) (Table, error) {
 			foundPlanted++
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s => %s", w.News.Word(r.I), w.News.Word(r.J)),
+			fmt.Sprintf("%s => %s", w.news.Word(r.I), w.news.Word(r.J)),
 			fmt.Sprintf("%.3f", r.Similarity),
-			fmt.Sprintf("%.4f%%", 100*w.News.Data.Density(r.I)),
+			fmt.Sprintf("%.4f%%", 100*w.news.Data.Density(r.I)),
 			fmt.Sprintf("%v", planted),
 		})
 	}
@@ -157,13 +157,13 @@ func RulesExperiment(w *Workloads) (Table, error) {
 // sketch; §6's and §7's tables share it.
 func newsRules(w *Workloads) (*assocmine.Result, *assocmine.Signatures, error) {
 	if w.newsSig == nil {
-		sig, err := assocmine.ComputeSignatures(w.News.Data, 200, 23, 0)
+		sig, err := assocmine.ComputeSignatures(w.news.Data, 200, 23, 0)
 		if err != nil {
 			return nil, nil, err
 		}
 		w.newsSig = sig
 	}
-	res, err := assocmine.SimilarPairsWith(w.News.Data, w.newsSig, assocmine.Config{
+	res, err := assocmine.SimilarPairsWith(w.news.Data, w.newsSig, assocmine.Config{
 		Algorithm: assocmine.Rules, Threshold: 0.75,
 	})
 	return res, w.newsSig, err
@@ -192,7 +192,7 @@ func CompositeExperiment(w *Workloads) (Table, error) {
 	for _, r := range res.Pairs {
 		shortlist[r.I] = append(shortlist[r.I], r.J)
 	}
-	ors, err := assocmine.OrRules(w.News.Data, sig, shortlist, compositeOrSim)
+	ors, err := assocmine.OrRules(w.news.Data, sig, shortlist, compositeOrSim)
 	if err != nil {
 		return Table{}, err
 	}
@@ -207,13 +207,13 @@ func CompositeExperiment(w *Workloads) (Table, error) {
 	}
 	for _, r := range ands[:min(10, len(ands))] {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s => %s AND %s", w.News.Word(r.From), w.News.Word(r.To[0]), w.News.Word(r.To[1])),
+			fmt.Sprintf("%s => %s AND %s", w.news.Word(r.From), w.news.Word(r.To[0]), w.news.Word(r.To[1])),
 			fmt.Sprintf("%.3f", r.Estimate),
 		})
 	}
 	for _, r := range ors[:min(10, len(ors))] {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s => %s OR %s", w.News.Word(r.From), w.News.Word(r.To[0]), w.News.Word(r.To[1])),
+			fmt.Sprintf("%s => %s OR %s", w.news.Word(r.From), w.news.Word(r.To[0]), w.news.Word(r.To[1])),
 			fmt.Sprintf("%.3f", r.Similarity),
 		})
 	}

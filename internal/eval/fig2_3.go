@@ -63,7 +63,7 @@ func Fig2() []Figure {
 // by near-zero pairs, (b) the zoomed tail of interesting similarities.
 func Fig3(w *Workloads) ([]Figure, error) {
 	edges := defaultEdges()
-	counts, err := histogram(w.Web.Data.Matrix(), edges)
+	counts, err := histogram(w.web.Data.Matrix(), edges)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ type Fig4Row struct {
 // memory budget (the paper's "-" row).
 func Fig4(w *Workloads, thresholds []float64, memBudget int64) (Table, []Fig4Row, error) {
 	const simThreshold = 0.5
-	m := w.News.Data.Matrix()
+	m := w.news.Data.Matrix()
 	if len(thresholds) == 0 {
 		// The paper used 0.01%, 0.015% and 0.2% on the Reuters data;
 		// on the substitute corpus we pick thresholds at fixed support

@@ -24,7 +24,7 @@ func sweep(w *Workloads, configs []assocmine.Config, labels []string, xs []float
 	out := make([]sweepResult, 0, len(configs))
 	edges := defaultEdges()
 	for i, cfg := range configs {
-		run, err := execute(w.Web.Data, cfg)
+		run, err := execute(w.web.Data, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: sweep %s: %w", labels[i], err)
 		}

@@ -79,7 +79,7 @@ func Fig9(w *Workloads, tolerances []float64) ([]Figure, []Fig9Point, error) {
 	results := map[assocmine.Algorithm][]measured{}
 	for algo, cfgs := range grids {
 		for _, cfg := range cfgs {
-			run, err := execute(w.Web.Data, cfg)
+			run, err := execute(w.web.Data, cfg)
 			if err != nil {
 				return nil, nil, fmt.Errorf("eval: fig9 %v: %w", algo, err)
 			}

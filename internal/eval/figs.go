@@ -120,15 +120,13 @@ func FullScale() Scale {
 // Workloads caches the generated datasets and ground truths shared by
 // the figure drivers.
 type Workloads struct {
-	Scale Scale
-
-	Web      *assocmine.WebLogDataset
+	web      *assocmine.WebLogDataset
 	WebTruth *GroundTruth
 
-	News *assocmine.NewsDataset
+	news *assocmine.NewsDataset
 
-	Syn        *assocmine.Dataset
-	SynPlanted []assocmine.PlantedPair
+	syn        *assocmine.Dataset
+	synPlanted []assocmine.PlantedPair
 
 	newsSig *assocmine.Signatures // newsRules' sketch, once folded
 }
@@ -137,14 +135,14 @@ type Workloads struct {
 // the web data (the quality-experiment substrate) is computed eagerly;
 // the rest lazily by the drivers that need it.
 func NewWorkloads(sc Scale) (*Workloads, error) {
-	w := &Workloads{Scale: sc}
+	w := &Workloads{}
 	web, err := assocmine.GenerateWebLog(assocmine.WebLogOptions{
 		Clients: sc.WebClients, URLs: sc.WebURLs, Seed: sc.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("eval: weblog: %w", err)
 	}
-	w.Web = web
+	w.web = web
 	truth, err := newGroundTruth(web.Data.Matrix(), 0.1)
 	if err != nil {
 		return nil, fmt.Errorf("eval: weblog truth: %w", err)
@@ -157,7 +155,7 @@ func NewWorkloads(sc Scale) (*Workloads, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: news: %w", err)
 	}
-	w.News = news
+	w.news = news
 
 	syn, planted, err := assocmine.GenerateSynthetic(assocmine.SyntheticOptions{
 		Rows: sc.SynRows, Cols: sc.SynCols, Seed: sc.Seed + 2,
@@ -165,8 +163,8 @@ func NewWorkloads(sc Scale) (*Workloads, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: synthetic: %w", err)
 	}
-	w.Syn = syn
-	w.SynPlanted = planted
+	w.syn = syn
+	w.synPlanted = planted
 	return w, nil
 }
 

@@ -317,8 +317,8 @@ func TestFig1RecoversPlantedStructure(t *testing.T) {
 			planted++
 		}
 	}
-	if planted < len(w.News.PlantedPairs)/2 {
-		t.Errorf("only %d/%d planted collocations mined", planted, len(w.News.PlantedPairs))
+	if planted < len(w.news.PlantedPairs)/2 {
+		t.Errorf("only %d/%d planted collocations mined", planted, len(w.news.PlantedPairs))
 	}
 }
 

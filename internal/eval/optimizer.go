@@ -29,14 +29,14 @@ func OptimizerExperiment(w *Workloads) (Table, error) {
 		{0.9, 1, 1000},
 	}
 	for _, c := range cases {
-		p, err := assocmine.OptimizeLSH(w.Web.Data, assocmine.LSHBudget{
+		p, err := assocmine.OptimizeLSH(w.web.Data, assocmine.LSHBudget{
 			Threshold: c.cutoff, SampleColumns: 200, MaxFalseNeg: c.maxFN, MaxFalsePos: c.maxFP, Seed: 33,
 		})
 		if err != nil {
 			return Table{}, fmt.Errorf("optimize at %v: %w", c.cutoff, err)
 		}
 		// Measure the chosen parameters with an actual run.
-		run, err := execute(w.Web.Data, minLSHConfig(c.cutoff, p.R, p.L))
+		run, err := execute(w.web.Data, minLSHConfig(c.cutoff, p.R, p.L))
 		if err != nil {
 			return Table{}, err
 		}

@@ -72,14 +72,31 @@ func rowOffset(tb testing.TB, encoded []byte, row int) int64 {
 }
 
 // decodePlan turns fuzz bytes into a fault plan: 4 bytes per event —
-// offset (little-endian uint16), kind, latency delay in µs. Capped at
-// 64 events so injected sleeps cannot stall the fuzzer.
+// offset (little-endian uint16), kind, latency delay in µs.
+//
+// A plan costs real sleep: the reader backs off 1, 2, 4 and 8 ms before
+// its retries of one read, and a Latency event sleeps its delay. So the
+// plan is capped at maxPlanEvents events, of which at most
+// maxPlanTransients are Transient — enough for one burst that exhausts
+// the retry budget (5 at one offset). A plan then sleeps at most 16 ms
+// of backoff (a burst of four, 15 ms, and one more transient) plus
+// 11 × 255 µs of latency: under 19 ms an open, 38 ms an input (two
+// opens). The bound keeps the fuzzer's minimisation of a new input —
+// O(n²) executions of an n-byte input, which its progress line does not
+// count — from stalling a short run at 0 execs/s.
 func decodePlan(data []byte) []faultfs.Event {
+	const maxPlanEvents, maxPlanTransients = 16, 5
 	var events []faultfs.Event
-	for i := 0; i+4 <= len(data) && len(events) < 64; i += 4 {
+	transients := 0
+	for i := 0; i+4 <= len(data) && len(events) < maxPlanEvents; i += 4 {
 		ev := faultfs.Event{
 			Offset: int64(binary.LittleEndian.Uint16(data[i:])),
 			Kind:   faultfs.Kind(data[i+2] % 4),
+		}
+		if ev.Kind == faultfs.Transient {
+			if transients++; transients > maxPlanTransients {
+				continue
+			}
 		}
 		if ev.Kind == faultfs.Latency {
 			ev.Delay = time.Duration(data[i+3]) * time.Microsecond

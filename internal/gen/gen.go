@@ -30,14 +30,15 @@ type SyntheticConfig struct {
 	Rows, Cols int
 	MinDensity float64 // default 0.01
 	MaxDensity float64 // default 0.05
-	// SimRanges lists [lo, hi] similarity ranges for planted pairs;
-	// defaults to the paper's five ranges.
-	SimRanges [][2]float64
 	// PairsPerRange is the number of planted pairs per range; defaults
-	// to Cols/100/len(SimRanges) (the paper's one pair per 100 columns).
+	// to Cols/100/len(simRanges) (the paper's one pair per 100 columns).
 	PairsPerRange int
 	Seed          uint64
 }
+
+// simRanges are the paper's five [lo, hi] similarity ranges of the
+// planted pairs.
+var simRanges = [][2]float64{{0.45, 0.55}, {0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}}
 
 func (c *SyntheticConfig) setDefaults() error {
 	if c.Rows <= 0 || c.Cols <= 0 {
@@ -52,16 +53,8 @@ func (c *SyntheticConfig) setDefaults() error {
 	if c.MinDensity <= 0 || c.MaxDensity > 1 || c.MinDensity > c.MaxDensity {
 		return fmt.Errorf("gen: bad density range [%v, %v]", c.MinDensity, c.MaxDensity)
 	}
-	if c.SimRanges == nil {
-		c.SimRanges = [][2]float64{{0.45, 0.55}, {0.55, 0.65}, {0.65, 0.75}, {0.75, 0.85}, {0.85, 0.95}}
-	}
-	for _, r := range c.SimRanges {
-		if r[0] < 0 || r[1] > 1 || r[0] >= r[1] {
-			return fmt.Errorf("gen: bad similarity range %v", r)
-		}
-	}
 	if c.PairsPerRange == 0 {
-		c.PairsPerRange = c.Cols / 100 / len(c.SimRanges)
+		c.PairsPerRange = c.Cols / 100 / len(simRanges)
 		if c.PairsPerRange < 1 {
 			c.PairsPerRange = 1
 		}
@@ -69,15 +62,15 @@ func (c *SyntheticConfig) setDefaults() error {
 	if c.PairsPerRange < 0 {
 		return fmt.Errorf("gen: PairsPerRange must be non-negative")
 	}
-	if 2*c.PairsPerRange*len(c.SimRanges) > c.Cols {
+	if 2*c.PairsPerRange*len(simRanges) > c.Cols {
 		return fmt.Errorf("gen: %d planted pairs need %d columns, have %d",
-			c.PairsPerRange*len(c.SimRanges), 2*c.PairsPerRange*len(c.SimRanges), c.Cols)
+			c.PairsPerRange*len(simRanges), 2*c.PairsPerRange*len(simRanges), c.Cols)
 	}
 	return nil
 }
 
 // Synthetic generates the Section 5 synthetic dataset. Planted pairs
-// occupy the first 2·PairsPerRange·len(SimRanges) columns (pair (2t,
+// occupy the first 2·PairsPerRange·len(simRanges) columns (pair (2t,
 // 2t+1)); the remaining columns are independent.
 func Synthetic(cfg SyntheticConfig) (*matrix.Matrix, []PlantedPair, error) {
 	if err := cfg.setDefaults(); err != nil {
@@ -87,7 +80,7 @@ func Synthetic(cfg SyntheticConfig) (*matrix.Matrix, []PlantedPair, error) {
 	cols := make([][]int32, cfg.Cols)
 	var planted []PlantedPair
 	next := 0
-	for _, rge := range cfg.SimRanges {
+	for _, rge := range simRanges {
 		for p := 0; p < cfg.PairsPerRange; p++ {
 			s := rge[0] + rng.Float64()*(rge[1]-rge[0])
 			d := cfg.MinDensity + rng.Float64()*(cfg.MaxDensity-cfg.MinDensity)

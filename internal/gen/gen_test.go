@@ -14,7 +14,6 @@ func TestSyntheticValidation(t *testing.T) {
 		{Rows: 10, Cols: 0},
 		{Rows: 10, Cols: 10, MinDensity: 0.5, MaxDensity: 0.1},
 		{Rows: 10, Cols: 10, MinDensity: -0.1, MaxDensity: 0.1},
-		{Rows: 10, Cols: 10, SimRanges: [][2]float64{{0.9, 0.8}}},
 		{Rows: 10, Cols: 4, PairsPerRange: 10},
 		{Rows: 10, Cols: 10, PairsPerRange: -1},
 	}

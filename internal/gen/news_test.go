@@ -8,9 +8,6 @@ func TestNewsValidation(t *testing.T) {
 	bad := []NewsConfig{
 		{Docs: 0, Vocab: 100},
 		{Docs: 100, Vocab: 0},
-		{Docs: 100, Vocab: 100, WordsPerDoc: -1},
-		{Docs: 100, Vocab: 100, ZipfS: -1},
-		{Docs: 100, Vocab: 100, ClusterRate: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateNews(cfg); err == nil {

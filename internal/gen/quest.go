@@ -20,11 +20,6 @@ import (
 type QuestConfig struct {
 	// Transactions (rows) and Items (columns).
 	Transactions, Items int
-	// AvgTransactionLen is T, the mean basket size (Poisson). Default 10.
-	AvgTransactionLen float64
-	// AvgPatternLen is I, the mean maximal-pattern size (Poisson,
-	// minimum 2). Default 4.
-	AvgPatternLen float64
 	// NumPatterns is L, the number of maximal potentially-frequent
 	// itemsets. Quest uses roughly 2 patterns per item (L=2000 for
 	// N=1000); default 2*Items capped below at 20. Each pattern then
@@ -38,6 +33,14 @@ type QuestConfig struct {
 	Seed           uint64
 }
 
+// The classic T10.I4 shape: questTxLen is T, the mean basket size
+// (Poisson), and questPatternLen is I, the mean maximal-pattern size
+// (Poisson, minimum 2).
+const (
+	questTxLen      = 10
+	questPatternLen = 4
+)
+
 // Quest holds the generated transactions plus the planted patterns
 // (for recall scoring).
 type Quest struct {
@@ -48,18 +51,6 @@ type Quest struct {
 func (c *QuestConfig) setDefaults() error {
 	if c.Transactions <= 0 || c.Items <= 0 {
 		return fmt.Errorf("gen: transactions and items must be positive, got %dx%d", c.Transactions, c.Items)
-	}
-	if c.AvgTransactionLen == 0 {
-		c.AvgTransactionLen = 10
-	}
-	if c.AvgTransactionLen <= 0 {
-		return fmt.Errorf("gen: AvgTransactionLen must be positive")
-	}
-	if c.AvgPatternLen == 0 {
-		c.AvgPatternLen = 4
-	}
-	if c.AvgPatternLen <= 0 {
-		return fmt.Errorf("gen: AvgPatternLen must be positive")
 	}
 	if c.NumPatterns == 0 {
 		c.NumPatterns = 2 * c.Items
@@ -92,7 +83,7 @@ func GenerateQuest(cfg QuestConfig) (*Quest, error) {
 	// patterns).
 	patterns := make([][]int32, cfg.NumPatterns)
 	for p := range patterns {
-		size := poisson(rng, cfg.AvgPatternLen-2) + 2
+		size := poisson(rng, questPatternLen-2) + 2
 		set := map[int32]bool{}
 		// Reuse a fraction of the previous pattern's items.
 		if p > 0 {
@@ -142,7 +133,7 @@ func GenerateQuest(cfg QuestConfig) (*Quest, error) {
 
 	b := matrix.NewBuilder(cfg.Transactions, cfg.Items)
 	for tx := 0; tx < cfg.Transactions; tx++ {
-		want := poisson(rng, cfg.AvgTransactionLen-1) + 1
+		want := poisson(rng, questTxLen-1) + 1
 		placed := 0
 		for placed < want {
 			p := searchCum(cum, rng.Float64()*total)

@@ -9,8 +9,6 @@ func TestQuestValidation(t *testing.T) {
 	bad := []QuestConfig{
 		{Transactions: 0, Items: 100},
 		{Transactions: 100, Items: 0},
-		{Transactions: 100, Items: 100, AvgTransactionLen: -1},
-		{Transactions: 100, Items: 100, AvgPatternLen: -1},
 		{Transactions: 100, Items: 100, NumPatterns: -1},
 		{Transactions: 100, Items: 100, CorruptionMean: 1},
 	}

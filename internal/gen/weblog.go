@@ -20,23 +20,22 @@ import (
 type WebLogConfig struct {
 	Clients int // rows
 	URLs    int // columns
-	// ParentPages is the number of pages carrying embedded resources.
-	// Defaults to URLs/20.
-	ParentPages int
-	// ResourcesPerPage bounds the embedded gif/applet count per parent
-	// page (inclusive). Defaults to [2, 5].
-	ResourcesPerPage [2]int
-	// ZipfS is the Zipf popularity exponent over pages. Defaults to 1.1.
-	ZipfS float64
-	// MeanVisits is the mean number of page visits per client
-	// (Poisson). Defaults to 8.
-	MeanVisits float64
-	// CacheMissRate is the probability an embedded resource is NOT
-	// fetched on a parent visit (browser cache), which keeps resource
-	// pair similarities below 1. Defaults to 0.05.
-	CacheMissRate float64
-	Seed          uint64
+	Seed    uint64
 }
+
+// The web log's fixed shape: max(URLs/20, 1) parent pages embed
+// 2-5 resources each (uniformly), a client makes Poisson(webMeanVisits)
+// page visits drawn Zipf(webZipfS), and a parent visit fetches each
+// embedded resource unless the browser cache has it (webCacheMissRate
+// is the probability it is NOT fetched), which keeps resource pair
+// similarities below 1.
+const (
+	webMinResources  = 2
+	webMaxResources  = 5
+	webZipfS         = 1.1
+	webMeanVisits    = 8
+	webCacheMissRate = 0.05
+)
 
 // WebLog holds a generated web-log dataset: the matrix plus the
 // embedded-resource groups (each group's columns are mutually
@@ -50,66 +49,27 @@ type WebLog struct {
 	Parents []int32
 }
 
-func (c *WebLogConfig) setDefaults() error {
-	if c.Clients <= 0 || c.URLs <= 0 {
-		return fmt.Errorf("gen: clients and URLs must be positive, got %dx%d", c.Clients, c.URLs)
-	}
-	if c.ParentPages == 0 {
-		c.ParentPages = c.URLs / 20
-		if c.ParentPages < 1 {
-			c.ParentPages = 1
-		}
-	}
-	if c.ResourcesPerPage == [2]int{} {
-		c.ResourcesPerPage = [2]int{2, 5}
-	}
-	if c.ResourcesPerPage[0] < 1 || c.ResourcesPerPage[0] > c.ResourcesPerPage[1] {
-		return fmt.Errorf("gen: bad ResourcesPerPage %v", c.ResourcesPerPage)
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.1
-	}
-	if c.ZipfS <= 0 {
-		return fmt.Errorf("gen: ZipfS must be positive")
-	}
-	if c.MeanVisits == 0 {
-		c.MeanVisits = 8
-	}
-	if c.MeanVisits <= 0 {
-		return fmt.Errorf("gen: MeanVisits must be positive")
-	}
-	if c.CacheMissRate == 0 {
-		c.CacheMissRate = 0.05
-	}
-	if c.CacheMissRate < 0 || c.CacheMissRate >= 1 {
-		return fmt.Errorf("gen: CacheMissRate must be in [0,1)")
-	}
-	if c.ParentPages*(c.ResourcesPerPage[1]+1) > c.URLs {
-		return fmt.Errorf("gen: %d parent pages with up to %d resources need more than %d URLs",
-			c.ParentPages, c.ResourcesPerPage[1], c.URLs)
-	}
-	return nil
-}
-
 // GenerateWebLog builds the web-log dataset.
 func GenerateWebLog(cfg WebLogConfig) (*WebLog, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if cfg.Clients <= 0 || cfg.URLs <= 0 {
+		return nil, fmt.Errorf("gen: clients and URLs must be positive, got %dx%d", cfg.Clients, cfg.URLs)
+	}
+	parentPages := max(cfg.URLs/20, 1)
+	if parentPages*(webMaxResources+1) > cfg.URLs {
+		return nil, fmt.Errorf("gen: %d parent pages with up to %d resources need more than %d URLs",
+			parentPages, webMaxResources, cfg.URLs)
 	}
 	rng := hashing.NewSplitMix64(cfg.Seed)
 
 	// Column layout: parents first, then their resources, then
 	// standalone pages.
 	next := 0
-	parents := make([]int32, cfg.ParentPages)
-	groups := make([][]int32, cfg.ParentPages)
-	for p := 0; p < cfg.ParentPages; p++ {
+	parents := make([]int32, parentPages)
+	groups := make([][]int32, parentPages)
+	for p := 0; p < parentPages; p++ {
 		parents[p] = int32(next)
 		next++
-		nres := cfg.ResourcesPerPage[0]
-		if span := cfg.ResourcesPerPage[1] - cfg.ResourcesPerPage[0]; span > 0 {
-			nres += rng.Intn(span + 1)
-		}
+		nres := webMinResources + rng.Intn(webMaxResources-webMinResources+1)
 		for r := 0; r < nres && next < cfg.URLs; r++ {
 			groups[p] = append(groups[p], int32(next))
 			next++
@@ -120,7 +80,7 @@ func GenerateWebLog(cfg WebLogConfig) (*WebLog, error) {
 	// Visitable pages: parents + standalones (resources are only
 	// fetched via their parent). Zipf weights over visitable pages,
 	// shuffled so popularity is independent of the column layout.
-	visitable := make([]int32, 0, cfg.ParentPages+(cfg.URLs-standaloneStart))
+	visitable := make([]int32, 0, parentPages+(cfg.URLs-standaloneStart))
 	visitable = append(visitable, parents...)
 	for c := standaloneStart; c < cfg.URLs; c++ {
 		visitable = append(visitable, int32(c))
@@ -129,24 +89,24 @@ func GenerateWebLog(cfg WebLogConfig) (*WebLog, error) {
 	cum := make([]float64, len(visitable))
 	total := 0.0
 	for i := range visitable {
-		total += 1 / math.Pow(float64(perm[i]+1), cfg.ZipfS)
+		total += 1 / math.Pow(float64(perm[i]+1), webZipfS)
 		cum[i] = total
 	}
 
-	groupOf := make(map[int32]int, cfg.ParentPages)
+	groupOf := make(map[int32]int, parentPages)
 	for p, parent := range parents {
 		groupOf[parent] = p
 	}
 
 	b := matrix.NewBuilder(cfg.Clients, cfg.URLs)
 	for client := 0; client < cfg.Clients; client++ {
-		visits := poisson(rng, cfg.MeanVisits)
+		visits := poisson(rng, webMeanVisits)
 		for v := 0; v < visits; v++ {
 			page := visitable[searchCum(cum, rng.Float64()*total)]
 			b.Set(client, int(page))
 			if g, ok := groupOf[page]; ok {
 				for _, res := range groups[g] {
-					if rng.Float64() >= cfg.CacheMissRate {
+					if rng.Float64() >= webCacheMissRate {
 						b.Set(client, int(res))
 					}
 				}

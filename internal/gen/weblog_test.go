@@ -11,11 +11,7 @@ func TestWebLogValidation(t *testing.T) {
 	bad := []WebLogConfig{
 		{Clients: 0, URLs: 100},
 		{Clients: 100, URLs: 0},
-		{Clients: 100, URLs: 100, ResourcesPerPage: [2]int{5, 2}},
-		{Clients: 100, URLs: 100, ZipfS: -1},
-		{Clients: 100, URLs: 100, MeanVisits: -2},
-		{Clients: 100, URLs: 100, CacheMissRate: 1},
-		{Clients: 100, URLs: 10, ParentPages: 5, ResourcesPerPage: [2]int{4, 4}},
+		{Clients: 100, URLs: 5}, // a parent page and its resources need 6
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateWebLog(cfg); err == nil {

@@ -264,15 +264,6 @@ func (m *Matrix) Similarity(i, j int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Confidence returns Conf(c_i => c_j) = |C_i ∩ C_j| / |C_i|, the
-// asymmetric measure of Section 1; 0 when C_i is empty.
-func (m *Matrix) Confidence(i, j int) float64 {
-	if len(m.cols[i]) == 0 {
-		return 0
-	}
-	return float64(m.IntersectSize(i, j)) / float64(len(m.cols[i]))
-}
-
 func intersectSortedSize(a, b []int32) int {
 	// Galloping merge: when one column is much shorter, binary-search
 	// the longer one. This mirrors the asymmetry of real data where

@@ -1,11 +1,11 @@
 // Package minhash implements the MH scheme of Section 3: k independent
 // min-hash values per column, computed in a single streaming pass using
-// O(mk) memory, together with the similarity estimator Ŝ of
-// Definition 1.
+// O(mk) memory.
 //
 // By Proposition 1, for one random row order Prob[h(c_i) = h(c_j)] =
 // S(c_i, c_j); the matrix of k independent min-hash values is therefore
-// a compact sketch whose per-pair agreement fraction concentrates
+// a compact sketch whose per-pair agreement fraction — the estimator Ŝ
+// of Definition 1, which internal/candidate counts — concentrates
 // around the true similarity.
 package minhash
 
@@ -42,24 +42,4 @@ func foldMinMax(dst, rowVals []uint64) uint64 {
 		hi = max(hi, d)
 	}
 	return hi
-}
-
-// agreement returns the number of hash indices on which columns i and j
-// have identical min-hash values. Sentinel (empty-column) values never
-// count as agreement, matching the convention S(∅, ∅) = 0.
-func (s *Signatures) agreement(i, j int) int {
-	n := 0
-	for l := 0; l < s.K; l++ {
-		v := s.Vals[l*s.M+i]
-		if v != Empty && v == s.Vals[l*s.M+j] {
-			n++
-		}
-	}
-	return n
-}
-
-// Estimate returns Ŝ(c_i, c_j), the fraction of agreeing min-hash
-// values (Definition 1).
-func (s *Signatures) Estimate(i, j int) float64 {
-	return float64(s.agreement(i, j)) / float64(s.K)
 }

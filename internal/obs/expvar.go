@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// ExpvarFunc returns an expvar.Func whose value is the collector's
+// expvarFunc returns an expvar.Func whose value is the collector's
 // snapshot, so the full counter/gauge/span state appears as one JSON
 // object under /debug/vars.
-func (c *Collector) ExpvarFunc() expvar.Func {
+func (c *Collector) expvarFunc() expvar.Func {
 	return expvar.Func(func() any { return c.snapshot() })
 }
 
@@ -17,11 +17,11 @@ var (
 	published = map[string]bool{}
 )
 
-// Publish registers the collector under name in the process-wide expvar
+// publish registers the collector under name in the process-wide expvar
 // registry. Unlike expvar.Publish it is idempotent: re-publishing a
 // name rebinds it to c instead of panicking, so CLIs and tests can call
 // it unconditionally.
-func Publish(name string, c *Collector) {
+func publish(name string, c *Collector) {
 	publishMu.Lock()
 	defer publishMu.Unlock()
 	if published[name] {

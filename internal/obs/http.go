@@ -13,13 +13,13 @@ import (
 // lives — the assocfind -metrics-addr listener and the resident query
 // server both register through it.
 func RegisterHTTP(mux *http.ServeMux, name string, c *Collector) {
-	Publish(name, c)
+	publish(name, c)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_, _ = c.WriteTo(w)
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{%q: %s}\n", name, c.ExpvarFunc().String())
+		fmt.Fprintf(w, "{%q: %s}\n", name, c.expvarFunc().String())
 	})
 }

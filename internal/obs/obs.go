@@ -91,15 +91,6 @@ const (
 	CounterPairsSampled  = "pairs_sampled"
 	CounterSampleAccepts = "sample_accepts"
 	CounterSampleDups    = "sample_dups"
-	// CounterRowsAppended counts rows folded into an incremental Ingest
-	// (appended batches and catch-up scans), CounterStatesMerged the
-	// fold-state merges performed to answer queries or combine window
-	// checkpoints, and CounterWindowsExpired the per-window checkpoints
-	// dropped by sliding-window expiry. All three are absent in batch
-	// runs.
-	CounterRowsAppended   = "rows_appended"
-	CounterStatesMerged   = "states_merged"
-	CounterWindowsExpired = "windows_expired"
 	// CounterDistWorkers counts worker subprocesses launched by the
 	// scale-out coordinator (including replacements after a crash),
 	// CounterDistBytesShipped the protocol payload bytes moved over the

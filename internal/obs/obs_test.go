@@ -130,13 +130,13 @@ func TestPrometheusWriteTo(t *testing.T) {
 func TestExpvarPublish(t *testing.T) {
 	c := NewCollector()
 	c.Add(CounterCandidates, 3)
-	Publish("test_collector", c)
+	publish("test_collector", c)
 	// Re-publishing must not panic and must rebind.
 	c2 := NewCollector()
 	c2.Add(CounterCandidates, 9)
-	Publish("test_collector", c2)
+	publish("test_collector", c2)
 
-	v := c2.ExpvarFunc()
+	v := c2.expvarFunc()
 	if !strings.Contains(v.String(), "\"candidates\":9") {
 		t.Errorf("expvar func missing counter: %s", v.String())
 	}

@@ -57,7 +57,7 @@ func TestOrSimilarityEstimateMatchesInducedColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := orSimilarityEstimate(sig, 0, 1, 2)
-	direct := sig.Estimate(0, orIdx)
+	direct := estimate(sig, 0, orIdx)
 	if math.Abs(est-direct) > 1e-12 {
 		t.Errorf("orSimilarityEstimate = %v, direct estimate vs materialised column = %v", est, direct)
 	}
@@ -87,7 +87,7 @@ func TestOrCandidatesFindDisjunctiveRule(t *testing.T) {
 		t.Errorf("c0 => c1 ∨ c2 not found; candidates: %+v", cand)
 	}
 	// The individual similarities should be too low to pass alone.
-	if s := sig.Estimate(0, 1); s >= 0.7 {
+	if s := estimate(sig, 0, 1); s >= 0.7 {
 		t.Errorf("fixture broken: S(c0,c1) = %v already high", s)
 	}
 }
@@ -261,4 +261,16 @@ func TestAndRuleSemantics(t *testing.T) {
 	if conf < 0.9 {
 		t.Errorf("true conjunction confidence %v below 0.9", conf)
 	}
+}
+
+// estimate is Ŝ(c_i, c_j) of Definition 1: the fraction of hash indices
+// on which the columns' min-hash values agree (never on empty columns).
+func estimate(sig *minhash.Signatures, i, j int) float64 {
+	agree := 0
+	for l := 0; l < sig.K; l++ {
+		if v := sig.Vals[l*sig.M+i]; v != minhash.Empty && v == sig.Vals[l*sig.M+j] {
+			agree++
+		}
+	}
+	return float64(agree) / float64(sig.K)
 }

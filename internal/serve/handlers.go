@@ -97,10 +97,13 @@ func (s *Server) endpoint(name string, h func(http.ResponseWriter, *http.Request
 	})
 }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
+
 // readBody decodes the request body strictly (size-capped, unknown
 // fields and trailing data rejected).
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, dst any) *httpError {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

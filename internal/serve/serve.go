@@ -45,8 +45,6 @@ type Options struct {
 	SpillDir string
 	// MaxTopK caps k/n in top-k queries; default 100.
 	MaxTopK int
-	// MaxBodyBytes caps request bodies; default 1 MiB.
-	MaxBodyBytes int64
 	// CacheSize bounds the response cache: rendered 200 responses to
 	// the read-only query endpoints, keyed by (index generation,
 	// canonical request body) and invalidated when a refresh swaps the
@@ -56,12 +54,6 @@ type Options struct {
 	// is stat-polled at this interval and appended rows are folded in
 	// through the same incremental path as /v1/refresh. 0 disables.
 	RefreshInterval time.Duration
-	// Collector receives the server's metrics: query counters, per-
-	// endpoint latency spans, and the pipeline counters of the queries
-	// that scan data (pairs, topk, toppairs, rules — an expr evaluation
-	// has no pipeline). One is created when nil; exposed on /metrics and
-	// /debug/vars.
-	Collector *obs.Collector
 	// SnapshotMH and SnapshotKMH are AIN1 ingest-snapshot paths: resumed
 	// at startup when present, created otherwise, and saved back after
 	// every catch-up, so restarts fold only unseen rows.
@@ -88,14 +80,8 @@ func (o *Options) setDefaults() {
 	if o.MaxTopK == 0 {
 		o.MaxTopK = 100
 	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
-	}
-	if o.Collector == nil {
-		o.Collector = obs.NewCollector()
 	}
 }
 
@@ -115,6 +101,10 @@ type index struct {
 // All methods are safe for concurrent use.
 type Server struct {
 	opts Options
+	// coll receives the server's metrics: query counters, per-endpoint
+	// latency spans, and the pipeline counters of the queries that scan
+	// data (pairs, topk, toppairs, rules — an expr evaluation has no
+	// pipeline); exposed on /metrics and /debug/vars.
 	coll *obs.Collector
 
 	// path and the ingests are what refresh catches up. refreshMu
@@ -167,7 +157,7 @@ func NewFromFile(path string, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{opts: opts, coll: opts.Collector, path: path}
+	s := &Server{opts: opts, coll: obs.NewCollector(), path: path}
 	if s.ingMH, err = openIngest(assocmine.MinHash, opts.SnapshotMH, fd.NumCols(), opts.SigK, opts.Seed); err != nil {
 		return nil, err
 	}

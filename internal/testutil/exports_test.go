@@ -21,7 +21,9 @@ import (
 // H: an exported package-level name or method in internal/* non-test
 // code must be referenced from non-test code of another package (the
 // root package, cmd/, examples/, another internal package, or bench/ —
-// the benchmark's own module is a caller). There is no allowlist.
+// the benchmark's own module is a caller). So must every exported field
+// of an internal package's input structs (see unusedInputFields). There
+// is no allowlist.
 //
 // K: an exported name or method of the root package must be reached
 // from cmd/, examples/, internal/serve, internal/eval, bench/ or the
@@ -33,14 +35,14 @@ import (
 // fields tests shape fixtures with, and may only shrink: a listed name
 // that has gained a caller, or is gone, fails the test too.
 //
-// Not counted: the fields of any other struct; methods that make their
-// type — or a type of another package embedding it — satisfy an
-// interface declared in the module or the standard library (they are
-// called through the interface, never by name); types that are never named outside their
-// package but travel in the signature or type of something that is
-// used there; and the test-support packages testutil and faultfs, whose
-// callers are tests by design — which the sweep proves: no non-test
-// file may import them.
+// Not counted: the fields of any other struct (results a caller
+// reads); methods that make their type — or a type of another package
+// embedding it — satisfy an interface declared in the module or the
+// standard library (they are called through the interface, never by
+// name); types that are never named outside their package but travel
+// in the signature or type of something that is used there; and the
+// test-support packages testutil and faultfs, whose callers are tests
+// by design — which the sweep proves: no non-test file may import them.
 func TestExportedNamesAreUsed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -144,10 +146,21 @@ func TestExportedNamesAreUsed(t *testing.T) {
 		sort.Strings(unused)
 		return unused
 	}
-	for _, name := range unusedIn(func(path string) bool {
+	internal := func(path string) bool {
 		return strings.Contains(path, "/internal/") && !testSupport(path)
-	}, used) {
+	}
+	for _, name := range unusedIn(internal, used) {
 		t.Errorf("%s is exported but no non-test code outside its package uses it: delete it, move it to a _test.go oracle, or unexport it", name)
+	}
+	var unusedFields []string
+	for path, pkg := range u.pkgs {
+		if internal(path) {
+			unusedFields = append(unusedFields, unusedInputFields(pkg, used)...)
+		}
+	}
+	sort.Strings(unusedFields)
+	for _, name := range unusedFields {
+		t.Errorf("%s is a field of an input struct that no non-test code outside its package sets or reads: make it the constant it defaults to, or unexport it", name)
 	}
 	unusedRoot := append(unusedIn(func(path string) bool { return path == module }, usedRoot),
 		unusedInputFields(u.pkgs[module], usedRoot)...)

@@ -93,13 +93,6 @@ type PackedOptions struct {
 	// Workers fans out the pair sweep; <= 1 runs serial, negative means
 	// GOMAXPROCS.
 	Workers int
-	// Context cancels the pass at pair-chunk granularity; nil runs to
-	// completion. Scans additionally observe any cancellation wrapper on
-	// src itself.
-	Context context.Context
-	// Tick, when non-nil, receives (candidate pairs verified, total
-	// candidates) at chunk granularity, possibly from worker goroutines.
-	Tick obs.Tick
 }
 
 // ExactPacked runs Verify's packed kernel whatever AutoPack would
@@ -108,7 +101,7 @@ func ExactPacked(src matrix.RowSource, cand []pairs.Scored, threshold float64, o
 	if err := validate(src.NumCols(), cand, threshold); err != nil {
 		return nil, Stats{}, err
 	}
-	return packed(src, cand, Params{Threshold: threshold, Workers: opt.Workers, Context: opt.Context, Tick: opt.Tick})
+	return packed(src, cand, Params{Threshold: threshold, Workers: opt.Workers})
 }
 
 // packed is the container kernel over cand (already validated), every

@@ -326,8 +326,8 @@ func confidenceOracle(cols [][]int32, cand []pairs.Scored, threshold float64) []
 	return out
 }
 
-// TestPackedCancellation: a cancelled context aborts the pass with
-// context.Canceled, before the columns are packed and between pair
+// TestPackedCancellation: a cancelled context aborts the packed pass
+// with context.Canceled, before the columns are packed and between pair
 // chunks.
 func TestPackedCancellation(t *testing.T) {
 	rng := hashing.NewSplitMix64(5)
@@ -336,7 +336,7 @@ func TestPackedCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ExactPacked(m.Stream(), cand, 0.5, PackedOptions{Context: ctx}); err != context.Canceled {
+	if _, _, err := packed(m.Stream(), cand, Params{Threshold: 0.5, Context: ctx}); err != context.Canceled {
 		t.Errorf("pre-cancelled context: err=%v, want context.Canceled", err)
 	}
 
@@ -349,13 +349,13 @@ func TestPackedCancellation(t *testing.T) {
 			cancel2()
 		}
 	}
-	if _, _, err := ExactPacked(m.Stream(), cand, 0.5, PackedOptions{Context: ctx2, Tick: tick}); err != context.Canceled {
+	if _, _, err := packed(m.Stream(), cand, Params{Threshold: 0.5, Context: ctx2, Tick: tick}); err != context.Canceled {
 		t.Errorf("mid-sweep cancel: err=%v, want context.Canceled", err)
 	}
 }
 
-// TestPackedProgressMonotonic: ticks report candidate pairs, never
-// exceed the total, and finish exactly at (total, total).
+// TestPackedProgressMonotonic: the packed pass's ticks report candidate
+// pairs, never exceed the total, and finish exactly at (total, total).
 func TestPackedProgressMonotonic(t *testing.T) {
 	rng := hashing.NewSplitMix64(13)
 	m := randomMatrix(rng, 150, 20, 0.2)
@@ -373,7 +373,7 @@ func TestPackedProgressMonotonic(t *testing.T) {
 			last = done
 		}
 	}
-	if _, _, err := ExactPacked(m.Stream(), cand, 0.3, PackedOptions{Tick: tick}); err != nil {
+	if _, _, err := packed(m.Stream(), cand, Params{Threshold: 0.3, Tick: tick}); err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 || last != int64(len(cand)) {

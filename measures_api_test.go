@@ -33,8 +33,8 @@ func TestPairMeasures(t *testing.T) {
 	if m.Jaccard != d.Similarity(0, 1) {
 		t.Error("Jaccard disagrees with Dataset.Similarity")
 	}
-	if m.Confidence != d.Confidence(0, 1) {
-		t.Error("Confidence disagrees with Dataset.Confidence")
+	if m.Confidence != confidence(d, 0, 1) {
+		t.Error("Confidence disagrees with a direct count")
 	}
 	// Validation paths.
 	if _, err := PairMeasures(d, 0, 9); err == nil {

@@ -44,11 +44,6 @@ type Collector = obs.Collector
 // NewCollector returns an empty metrics Collector.
 func NewCollector() *Collector { return obs.NewCollector() }
 
-// PublishMetrics registers the collector in the process-wide expvar
-// registry under name (idempotent), making it visible on the standard
-// /debug/vars endpoint.
-func PublishMetrics(name string, c *Collector) { obs.Publish(name, c) }
-
 // RegisterMetricsHTTP registers the standard observability endpoints
 // for c on mux — /metrics in the Prometheus text format and
 // /debug/vars with the collector snapshot published under name — the
@@ -62,7 +57,3 @@ func WriteMetrics(w io.Writer, c *Collector) error {
 	_, err := c.WriteTo(w)
 	return err
 }
-
-// ExpvarString renders c's snapshot as the JSON value the expvar
-// endpoint publishes for it.
-func ExpvarString(c *Collector) string { return c.ExpvarFunc().String() }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -53,17 +55,31 @@ func (r *lockedRecorder) Add(counter string, n int64)    { r.inner.Add(counter, 
 func (r *lockedRecorder) SetGauge(gauge string, v int64) { r.inner.SetGauge(gauge, v) }
 
 // expectedPhases lists the phases each algorithm runs, in order.
-// collectorState decodes ExpvarString, the Collector's public JSON view:
-// its counters, gauges and per-phase span counts.
+// collectorState decodes the Collector's expvar JSON view, as
+// RegisterMetricsHTTP serves it on /debug/vars: its counters, gauges and
+// per-phase span counts.
 func collectorState(t *testing.T, c *Collector) (st struct {
 	Counters, Gauges map[string]int64
 	Spans            map[string]struct{ Count int64 }
 }) {
 	t.Helper()
-	if err := json.Unmarshal([]byte(ExpvarString(c)), &st); err != nil {
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(expvarJSON(c)), &vars); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(vars["assocmine_test"], &st); err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// expvarJSON is the body of c's /debug/vars endpoint.
+func expvarJSON(c *Collector) string {
+	mux := http.NewServeMux()
+	RegisterMetricsHTTP(mux, "assocmine_test", c)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	return rec.Body.String()
 }
 
 func expectedPhases(a Algorithm) []string {
@@ -319,7 +335,7 @@ func TestMetricsExportMatchesStats(t *testing.T) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
 	}
-	if !strings.Contains(ExpvarString(coll), `"candidates"`) {
+	if !strings.Contains(expvarJSON(coll), `"candidates"`) {
 		t.Error("expvar JSON missing counters")
 	}
 }

@@ -69,9 +69,6 @@ func ComputeSignatures(d *Dataset, k int, seed uint64, workers int) (*Signatures
 // K returns the number of min-hash values per column.
 func (s *Signatures) K() int { return s.sig.K }
 
-// Estimate returns the sketch similarity estimate for columns i and j.
-func (s *Signatures) Estimate(i, j int) float64 { return s.sig.Estimate(i, j) }
-
 // SimilarPairsWithSignatures is SimilarPairsWith spelled for a min-hash
 // sketch.
 func SimilarPairsWithSignatures(d *Dataset, s *Signatures, cfg Config) (*Result, error) {

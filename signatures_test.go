@@ -42,12 +42,8 @@ func TestSignaturesRoundTrip(t *testing.T) {
 	if loaded.K() != s.K() || restored.Seed() != 7 || loaded.sig.M != s.sig.M {
 		t.Fatal("metadata did not round trip")
 	}
-	for i := 0; i < 10; i++ {
-		for j := i + 1; j < 10; j++ {
-			if loaded.Estimate(i, j) != s.Estimate(i, j) {
-				t.Fatalf("estimate (%d,%d) differs after round trip", i, j)
-			}
-		}
+	if !reflect.DeepEqual(loaded.sig.Vals, s.sig.Vals) {
+		t.Fatal("signatures differ after round trip")
 	}
 }
 

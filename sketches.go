@@ -58,10 +58,6 @@ func sketchesKeeping(sk *kminhash.Sketches, limit int64) *Sketches {
 // their values).
 func (s *Sketches) K() int { return s.sk.K }
 
-// Estimate returns the unbiased union-signature similarity estimate for
-// columns i and j (Theorem 2).
-func (s *Sketches) Estimate(i, j int) float64 { return s.sk.UnbiasedEstimate(i, j) }
-
 // SimilarPairsWithSketches is SimilarPairsWith spelled for a bottom-k
 // sketch.
 func SimilarPairsWithSketches(d *Dataset, s *Sketches, cfg Config) (*Result, error) {
